@@ -764,20 +764,28 @@ impl<D: Dht> IndexService<D> {
         self.traced_lookup(query, false)
     }
 
-    /// Wraps one lookup in a trace span (when tracing is active) around
-    /// the shared implementation.
+    /// One unary lookup, inside its `lookup …` trace span.
     fn traced_lookup(
         &mut self,
         query: &Query,
         use_cache: bool,
     ) -> Result<StepResponse, IndexError> {
-        if self.tracer.is_some() {
-            let label = format!("lookup {query}");
-            if let Some(t) = &mut self.tracer {
-                t.open(label);
-            }
+        self.in_lookup_span(query, |service| service.lookup_inner(query, use_cache))
+    }
+
+    /// Runs `lookup` inside a `lookup {query}` trace span closed with its
+    /// outcome (when tracing is active; otherwise just runs it). Every
+    /// user-system interaction opens exactly one such span, whether its
+    /// DHT work was a unary exchange or a slot in a batched wave.
+    fn in_lookup_span(
+        &mut self,
+        query: &Query,
+        lookup: impl FnOnce(&mut Self) -> Result<StepResponse, IndexError>,
+    ) -> Result<StepResponse, IndexError> {
+        if let Some(t) = &mut self.tracer {
+            t.open(format!("lookup {query}"));
         }
-        let result = self.lookup_inner(query, use_cache);
+        let result = lookup(self);
         if let Some(t) = &mut self.tracer {
             match &result {
                 Ok(resp) => t.event(format!(
@@ -862,23 +870,22 @@ impl<D: Dht> IndexService<D> {
     /// the child queries referenced from one resolved index node. On a
     /// networked substrate the whole wave costs one pipelined frame pair
     /// per routed member instead of two frames per query. Results are
-    /// positional.
+    /// positional. Single-query batches take this path too: on the
+    /// networked client that pipelines the probe through `execute_many`
+    /// like every other generalization wave instead of issuing a
+    /// sequentially-dependent unary exchange.
     ///
-    /// While a trace is recording this falls back to per-query traced
-    /// lookups, so every query keeps its own `lookup …` span (the
-    /// invariant the observability suite pins). Single-query batches take
-    /// the batched path too: on the networked client that pipelines the
-    /// probe through `execute_many` like every other generalization wave
-    /// instead of issuing a sequentially-dependent unary exchange.
+    /// A recording trace sees exactly this wave — there is no traced
+    /// variant of the search path: one `wave: …` span holds the batch's
+    /// DHT events (retries included), then every query gets its own
+    /// `lookup …` span assembled from its results (the span-per-
+    /// interaction invariant the observability suite pins).
     fn lookup_many_bypassing_cache(
         &mut self,
         queries: &[Query],
     ) -> Vec<Result<StepResponse, IndexError>> {
-        if self.tracer.is_some() || queries.is_empty() {
-            return queries
-                .iter()
-                .map(|q| self.lookup_step_bypassing_cache(q))
-                .collect();
+        if queries.is_empty() {
+            return Vec::new();
         }
         let keys: Vec<Key> = queries.iter().map(|q| self.cached_key(q)).collect();
         // Interleave [NodeFor, Get] per query — the op order the unary
@@ -889,12 +896,20 @@ impl<D: Dht> IndexService<D> {
             ops.push(DhtOp::NodeFor(*key));
             ops.push(DhtOp::Get(*key));
         }
+        if let Some(t) = &mut self.tracer {
+            t.open(format!("wave: {} lookup(s)", queries.len()));
+        }
         let mut raw = self.dht_execute_many(ops).into_iter();
+        if let Some(t) = &mut self.tracer {
+            t.close();
+        }
         let mut out = Vec::with_capacity(queries.len());
         for query in queries {
             let node_result = raw.next().expect("one NodeFor result per query");
             let get_result = raw.next().expect("one Get result per query");
-            out.push(self.assemble_bypass_lookup(query, node_result, get_result));
+            out.push(self.in_lookup_span(query, |service| {
+                service.assemble_bypass_lookup(query, node_result, get_result)
+            }));
         }
         out
     }
@@ -911,6 +926,9 @@ impl<D: Dht> IndexService<D> {
     ) -> Result<StepResponse, IndexError> {
         let node = node_result?.into_node().ok_or(IndexError::EmptyNetwork)?;
         *self.node_queries.entry(node).or_insert(0) += 1;
+        if let Some(t) = &mut self.tracer {
+            t.event(format!("served by {node}"));
+        }
         self.metrics.incr("index.lookups.bypass");
         let indexed: Vec<IndexTarget> = self.decode_targets(get_result?.into_values())?;
         let request = query.canonical_text().len() as u64;

@@ -8,6 +8,7 @@
 //! the fast [consistent-hash ring](crate::ring).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
@@ -121,13 +122,103 @@ impl DhtOp {
     }
 
     /// A stable short name for this operation kind, used as a metrics
-    /// label suffix (`dht.ops.put`) and in trace events.
+    /// label suffix (`dht.ops.put`, see [`kind_counter`]) and in trace
+    /// events.
     pub fn kind(&self) -> &'static str {
         match self {
             DhtOp::NodeFor(_) => "node_for",
             DhtOp::Put { .. } => "put",
             DhtOp::Get(_) => "get",
             DhtOp::Remove { .. } => "remove",
+        }
+    }
+}
+
+/// The metric families that keep one counter per operation kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpFamily {
+    /// `dht.ops.{kind}` — substrate-level, fed by [`record_op`].
+    Dht,
+    /// `net.ops.{kind}` — storage ops a networked client routed.
+    Client,
+    /// `net.server.ops.{kind}` — ops a `dhtd` server answered.
+    Server,
+}
+
+/// Every per-kind counter name, spelled out once: `(kind, [dht, client,
+/// server])` in [`OpFamily`] order. Static so that counting an op never
+/// formats (or allocates) a name, with metrics on or off.
+const KIND_COUNTERS: [(&str, [&str; 3]); 4] = [
+    (
+        "node_for",
+        [
+            "dht.ops.node_for",
+            "net.ops.node_for",
+            "net.server.ops.node_for",
+        ],
+    ),
+    ("put", ["dht.ops.put", "net.ops.put", "net.server.ops.put"]),
+    ("get", ["dht.ops.get", "net.ops.get", "net.server.ops.get"]),
+    (
+        "remove",
+        ["dht.ops.remove", "net.ops.remove", "net.server.ops.remove"],
+    ),
+];
+
+/// The counter `family` keeps for operations of `kind` (a
+/// [`DhtOp::kind`] name; anything else counts under `….other`).
+pub fn kind_counter(family: OpFamily, kind: &str) -> &'static str {
+    let names = KIND_COUNTERS.iter().find(|(k, _)| *k == kind).map_or(
+        ["dht.ops.other", "net.ops.other", "net.server.ops.other"],
+        |(_, names)| *names,
+    );
+    names[family as usize]
+}
+
+/// The ring accounting convention, in its one home: every substrate that
+/// resolves a key without routed hops ([`RingDht`](crate::ring::RingDht),
+/// [`ShardedDht`](crate::sharded::ShardedDht), the networked client)
+/// counts a storage operation through [`PairCounters::record_pair`], so
+/// their [`DhtStats`] agree by construction rather than by three copies
+/// of the same arithmetic.
+///
+/// Atomic so shared-reference read paths (`Dht::get`, concurrent
+/// connection workers) can account like everything else.
+#[derive(Debug, Default)]
+pub struct PairCounters {
+    lookups: AtomicU64,
+    messages: AtomicU64,
+}
+
+impl PairCounters {
+    /// Accounts one completed request/response pair of a storage
+    /// operation: +2 messages, and +1 lookup when a `put` or `get`
+    /// succeeded. `NodeFor` is free and pairs that never completed (no
+    /// live node, no response frame) count nothing — callers simply do
+    /// not call this for them.
+    #[inline]
+    pub fn record_pair(&self, kind: &str, ok: bool) {
+        self.messages.fetch_add(2, Ordering::Relaxed);
+        if ok && matches!(kind, "put" | "get") {
+            self.lookups.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The counters as [`DhtStats`] (`hops` is always 0: no routing).
+    pub fn stats(&self) -> DhtStats {
+        DhtStats {
+            messages: self.messages.load(Ordering::Relaxed),
+            lookups: self.lookups.load(Ordering::Relaxed),
+            hops: 0,
+        }
+    }
+}
+
+impl Clone for PairCounters {
+    fn clone(&self) -> Self {
+        PairCounters {
+            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
+            messages: AtomicU64::new(self.messages.load(Ordering::Relaxed)),
         }
     }
 }
@@ -382,7 +473,7 @@ pub fn record_op(
     result: &Result<DhtResponse, DhtError>,
 ) {
     metrics.incr("dht.ops");
-    metrics.incr(&format!("dht.ops.{kind}"));
+    metrics.incr(kind_counter(OpFamily::Dht, kind));
     metrics.add("dht.messages", after.messages - before.messages);
     metrics.add("dht.lookups", after.lookups - before.lookups);
     metrics.add("dht.hops", after.hops - before.hops);
@@ -413,7 +504,7 @@ pub fn record_many(
 ) {
     for (kind, result) in kinds.iter().zip(results) {
         metrics.incr("dht.ops");
-        metrics.incr(&format!("dht.ops.{kind}"));
+        metrics.incr(kind_counter(OpFamily::Dht, kind));
         if result.is_err() {
             metrics.incr("dht.errors");
         }
@@ -479,6 +570,55 @@ mod tests {
             &k
         );
         assert_eq!(DhtOp::Remove { key: k, value: v }.key(), &k);
+    }
+
+    #[test]
+    fn kind_counters_cover_every_kind_in_every_family() {
+        let k = Key::hash_of("k");
+        let v = Bytes::from_static(b"v");
+        let ops = [
+            DhtOp::NodeFor(k),
+            DhtOp::Get(k),
+            DhtOp::Put {
+                key: k,
+                value: v.clone(),
+            },
+            DhtOp::Remove { key: k, value: v },
+        ];
+        for op in &ops {
+            let kind = op.kind();
+            assert_eq!(kind_counter(OpFamily::Dht, kind), format!("dht.ops.{kind}"));
+            assert_eq!(
+                kind_counter(OpFamily::Client, kind),
+                format!("net.ops.{kind}")
+            );
+            assert_eq!(
+                kind_counter(OpFamily::Server, kind),
+                format!("net.server.ops.{kind}")
+            );
+        }
+        assert_eq!(
+            kind_counter(OpFamily::Server, "scan"),
+            "net.server.ops.other"
+        );
+    }
+
+    #[test]
+    fn pair_counters_apply_the_ring_convention() {
+        let counters = PairCounters::default();
+        counters.record_pair("put", true);
+        counters.record_pair("get", true);
+        counters.record_pair("remove", true);
+        counters.record_pair("get", false);
+        assert_eq!(
+            counters.stats(),
+            DhtStats {
+                messages: 8,
+                lookups: 2,
+                hops: 0
+            }
+        );
+        assert_eq!(counters.clone().stats(), counters.stats());
     }
 
     #[test]

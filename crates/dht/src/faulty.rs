@@ -14,6 +14,11 @@
 //! * **node churn** — a random live node crashes, or a fresh node joins,
 //!   after which the substrate's [`NodeChurn::stabilize`] repair runs.
 //!
+//! The loss half of that — deliver, lose the request, or lose the response
+//! — is [`LossRoll`], which owns no substrate: a networked `dhtd` server
+//! puts the same roll in front of its partition store, so faults injected
+//! behind a socket follow the schedule they follow in process.
+//!
 //! The `&self` read paths (`node_for`, `get`, `nodes`) pass through
 //! fault-free: the index layer drives all accounted traffic through
 //! `execute`, and keeping the shared read path infallible preserves the
@@ -132,6 +137,72 @@ impl Default for FaultConfig {
     }
 }
 
+/// What the loss roll decided for one operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// Request and response both arrive.
+    Delivered,
+    /// The request vanished: the operation never happens.
+    RequestLost,
+    /// The operation happens, but its acknowledgement vanishes.
+    ResponseLost,
+}
+
+impl Delivery {
+    /// Runs `apply` as this outcome dictates and returns what the caller
+    /// observes: the real result when delivered, [`DhtError::Timeout`]
+    /// otherwise — after applying the operation anyway when only the
+    /// response was lost (the at-least-once ambiguity).
+    pub fn settle(
+        self,
+        apply: impl FnOnce() -> Result<DhtResponse, DhtError>,
+    ) -> Result<DhtResponse, DhtError> {
+        match self {
+            Delivery::Delivered => apply(),
+            Delivery::RequestLost => Err(DhtError::Timeout),
+            Delivery::ResponseLost => {
+                let _ = apply();
+                Err(DhtError::Timeout)
+            }
+        }
+    }
+}
+
+/// The seeded message-loss roll: one [`Delivery`] per operation.
+///
+/// This is the one piece of fault injection that is not tied to owning a
+/// substrate, so [`FaultyDht`] (in process) and a networked `dhtd` server
+/// (in front of its partition store) both draw from it — same draws, same
+/// order, hence the same `Ok`/`Timeout` schedule for the same seed.
+#[derive(Debug, Clone)]
+pub struct LossRoll {
+    cfg: FaultConfig,
+    rng: SplitMix64,
+}
+
+impl LossRoll {
+    /// A roll at `cfg.loss`, seeded from `cfg.seed`.
+    pub fn new(cfg: FaultConfig) -> Self {
+        LossRoll {
+            cfg,
+            rng: SplitMix64::new(cfg.seed),
+        }
+    }
+
+    /// Decides the next operation's fate. A lost message is, with even
+    /// odds, the request (the operation never happened) or the response
+    /// (it happened but the caller cannot know). Draws nothing at loss 0.
+    pub fn roll(&mut self) -> Delivery {
+        if self.cfg.loss <= 0.0 || !self.rng.gen_bool(self.cfg.loss) {
+            Delivery::Delivered
+        } else if self.rng.gen_bool(0.5) {
+            Delivery::RequestLost
+        } else {
+            Delivery::ResponseLost
+        }
+    }
+}
+
 /// Counters describing the faults a [`FaultyDht`] injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -163,8 +234,9 @@ impl FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultyDht<D> {
     inner: D,
-    cfg: FaultConfig,
-    rng: SplitMix64,
+    /// The fault configuration and the one RNG stream churn and loss
+    /// rolls share.
+    roll: LossRoll,
     fstats: FaultStats,
     /// Sequence number for naming churn joiners; also alternates
     /// crash/join so membership stays roughly stable.
@@ -177,8 +249,7 @@ impl<D> FaultyDht<D> {
     pub fn new(inner: D, cfg: FaultConfig) -> Self {
         FaultyDht {
             inner,
-            cfg,
-            rng: SplitMix64::new(cfg.seed),
+            roll: LossRoll::new(cfg),
             fstats: FaultStats::default(),
             churn_events: 0,
             metrics: MetricsRegistry::default(),
@@ -192,7 +263,7 @@ impl<D> FaultyDht<D> {
 
     /// The active fault configuration.
     pub fn fault_config(&self) -> FaultConfig {
-        self.cfg
+        self.roll.cfg
     }
 
     /// Replaces the fault configuration and reseeds the fault RNG.
@@ -200,8 +271,7 @@ impl<D> FaultyDht<D> {
     /// Typical experiment shape: build and populate the index with faults
     /// disabled, then switch them on for the query phase.
     pub fn set_fault_config(&mut self, cfg: FaultConfig) {
-        self.cfg = cfg;
-        self.rng = SplitMix64::new(cfg.seed);
+        self.roll = LossRoll::new(cfg);
     }
 
     /// Counters for the faults injected so far.
@@ -228,7 +298,7 @@ impl<D> FaultyDht<D> {
 impl<D: Dht + NodeChurn> FaultyDht<D> {
     /// Rolls for a churn event before an operation.
     fn maybe_churn(&mut self) {
-        if self.cfg.churn <= 0.0 || !self.rng.gen_bool(self.cfg.churn) {
+        if self.roll.cfg.churn <= 0.0 || !self.roll.rng.gen_bool(self.roll.cfg.churn) {
             return;
         }
         self.churn_events += 1;
@@ -237,7 +307,7 @@ impl<D: Dht + NodeChurn> FaultyDht<D> {
             // would wipe the network (and its data) outright.
             let nodes = self.inner.nodes();
             if nodes.len() > 1 {
-                let victim = nodes[self.rng.gen_index(nodes.len())];
+                let victim = nodes[self.roll.rng.gen_index(nodes.len())];
                 if self.inner.kill(victim) {
                     self.fstats.crashes += 1;
                     self.metrics.incr("fault.crashes");
@@ -260,21 +330,19 @@ impl<D: Dht + NodeChurn> Dht for FaultyDht<D> {
         self.fstats.attempts += 1;
         self.metrics.incr("fault.attempts");
         self.maybe_churn();
-        if self.cfg.loss > 0.0 && self.rng.gen_bool(self.cfg.loss) {
-            // A lost message: even odds the request itself vanished (the
-            // operation never happened) vs. the response (it happened but
-            // the caller cannot know). Callers observe only the timeout.
-            if self.rng.gen_bool(0.5) {
+        let delivery = self.roll.roll();
+        match delivery {
+            Delivery::Delivered => {}
+            Delivery::RequestLost => {
                 self.fstats.requests_lost += 1;
                 self.metrics.incr("fault.requests_lost");
-            } else {
+            }
+            Delivery::ResponseLost => {
                 self.fstats.responses_lost += 1;
                 self.metrics.incr("fault.responses_lost");
-                let _ = self.inner.execute(op);
             }
-            return Err(DhtError::Timeout);
         }
-        self.inner.execute(op)
+        delivery.settle(|| self.inner.execute(op))
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {

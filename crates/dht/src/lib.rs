@@ -59,10 +59,11 @@ pub mod split;
 pub mod storage;
 
 pub use api::{
-    record_many, record_op, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId,
+    kind_counter, record_many, record_op, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn,
+    NodeId, OpFamily, PairCounters,
 };
 pub use chord::{ChordConfig, ChordError, ChordNetwork};
-pub use faulty::{FaultConfig, FaultStats, FaultyDht, SplitMix64};
+pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMix64};
 pub use kademlia::{KademliaConfig, KademliaNetwork};
 pub use key::{Key, KEY_BITS};
 pub use pastry::{PastryConfig, PastryNetwork};

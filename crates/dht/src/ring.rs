@@ -12,12 +12,13 @@
 //! ablation bench).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
+use crate::api::{
+    self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId, PairCounters,
+};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
@@ -38,28 +39,14 @@ use crate::storage::NodeStore;
 /// ring.put(key, Bytes::from_static(b"John/Smith"));
 /// assert_eq!(ring.get(&key), vec![Bytes::from_static(b"John/Smith")]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RingDht {
     /// Node position → that node's store, ordered around the identifier
     /// circle. One map serves as both the ring ordering and the storage
     /// table: `range(key..)` resolves the clockwise successor in O(log n).
     stores: BTreeMap<Key, NodeStore>,
-    // Atomic so the shared-reference read path (`get`) can account its
-    // request/response pair like every other substrate does.
-    lookups: AtomicU64,
-    messages: AtomicU64,
+    counters: PairCounters,
     metrics: MetricsRegistry,
-}
-
-impl Clone for RingDht {
-    fn clone(&self) -> Self {
-        RingDht {
-            stores: self.stores.clone(),
-            lookups: AtomicU64::new(self.lookups.load(Ordering::Relaxed)),
-            messages: AtomicU64::new(self.messages.load(Ordering::Relaxed)),
-            metrics: self.metrics.clone(),
-        }
-    }
 }
 
 impl RingDht {
@@ -194,8 +181,7 @@ impl RingDht {
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
             DhtOp::Put { key, value } => {
                 let owner = self.owner(&key).expect("non-empty ring has an owner");
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                self.messages.fetch_add(2, Ordering::Relaxed);
+                self.counters.record_pair("put", true);
                 let stored = self
                     .stores
                     .get_mut(owner.key())
@@ -205,7 +191,7 @@ impl RingDht {
             }
             DhtOp::Remove { key, value } => {
                 let owner = self.owner(&key).expect("non-empty ring has an owner");
-                self.messages.fetch_add(2, Ordering::Relaxed);
+                self.counters.record_pair("remove", true);
                 let removed = self
                     .stores
                     .get_mut(owner.key())
@@ -251,8 +237,7 @@ impl Dht for RingDht {
     fn get(&self, key: &Key) -> Vec<Bytes> {
         match self.owner(key) {
             Some(owner) => {
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                self.messages.fetch_add(2, Ordering::Relaxed);
+                self.counters.record_pair("get", true);
                 self.stores[owner.key()].get(key).to_vec()
             }
             None => Vec::new(),
@@ -264,11 +249,7 @@ impl Dht for RingDht {
     }
 
     fn stats(&self) -> DhtStats {
-        DhtStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hops: 0,
-        }
+        self.counters.stats()
     }
 
     fn set_metrics(&mut self, metrics: MetricsRegistry) {

@@ -1,12 +1,13 @@
 //! A sharded, reader-concurrent single-node partition store.
 //!
 //! A networked `dhtd` daemon serves exactly one partition: every key the
-//! client routes to it belongs to it, so the substrate behind the server is
-//! always a one-node ring. That substrate used to sit behind one global
-//! `Mutex`, which serialized every request a daemon handled — reads
-//! included — and capped the multi-core scaling of the serving path.
+//! client routes to it belongs to it, so what sits behind the server is
+//! always a one-node store. One global `Mutex` around it would serialize
+//! every request a daemon handles — reads included — and cap the
+//! multi-core scaling of the serving path.
 //!
-//! [`ShardedDht`] is the replacement: the partition's key space is split
+//! [`ShardedDht`] is that store, the only one a server has: the
+//! partition's key space is split
 //! across N key-hash shards, each behind its own [`std::sync::RwLock`], so
 //! concurrent `Get`s proceed in parallel (shared read locks) and only
 //! `Put`/`Remove` takes a single shard's write lock. The paper's workloads
@@ -21,17 +22,19 @@
 //! 1-shard and a 16-shard store to the plain-ring oracle.
 //!
 //! Replication tombstones (deleted values a stale replica must not push
-//! back) live *inside* the shards, guarded by the same locks as the values
-//! they shadow, so the networked server needs no global tombstone table.
+//! back) live *inside* the shards — their only home — guarded by the same
+//! locks as the values they shadow: a replicated write
+//! ([`ShardedDht::execute_replicated`]) changes the value and its
+//! tombstone under one write guard, so the two can never be observed
+//! disagreeing.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
+use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
@@ -55,15 +58,26 @@ struct Shard {
     deleted: HashMap<Key, HashSet<Bytes>>,
 }
 
+impl Shard {
+    /// `values` minus the ones tombstoned under `key`.
+    fn without_dead(&self, key: &Key, values: impl IntoIterator<Item = Bytes>) -> Vec<Bytes> {
+        let dead = self.deleted.get(key);
+        values
+            .into_iter()
+            .filter(|v| !dead.is_some_and(|d| d.contains(v)))
+            .collect()
+    }
+}
+
 /// A single-node DHT partition sharded for concurrent access.
 ///
 /// All operational methods take `&self`: connection workers, the
 /// replication fan-out, and the anti-entropy repair thread each acquire
-/// only the shard lock(s) their operation touches. Lock discipline:
-/// at most one shard lock is held at a time, except
-/// [`ShardedDht::replace_contents`], which takes every shard write lock
-/// in ascending index order (and is the only multi-shard acquirer, so it
-/// cannot deadlock against the single-shard paths).
+/// only the shard lock their operation touches. Lock discipline: at most
+/// one shard lock is held at a time, by every method — whole-partition
+/// sweeps ([`ShardedDht::live_entries`], [`ShardedDht::replace_entries`])
+/// visit the shards one after another — so no lock order exists to get
+/// wrong.
 ///
 /// # Examples
 ///
@@ -83,10 +97,7 @@ pub struct ShardedDht {
     /// `shards.len() - 1`; the count is a power of two so shard selection
     /// is a mask over the key's low bits.
     mask: u64,
-    // Atomic so the shared-reference read path (`get`) can account its
-    // request/response pair like every other substrate does.
-    lookups: AtomicU64,
-    messages: AtomicU64,
+    counters: PairCounters,
     metrics: MetricsRegistry,
     /// Registry for `net.server.shard.*` lock-acquisition counters,
     /// attached by the networked server. Separate from `metrics` so
@@ -106,8 +117,7 @@ impl ShardedDht {
             id,
             mask: count as u64 - 1,
             shards,
-            lookups: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
+            counters: PairCounters::default(),
             metrics: MetricsRegistry::default(),
             shard_metrics: MetricsRegistry::default(),
         }
@@ -138,8 +148,12 @@ impl ShardedDht {
         self.shard_metrics = metrics;
     }
 
+    fn shard_index(&self, key: &Key) -> usize {
+        (key.low_u64() & self.mask) as usize
+    }
+
     fn shard_of(&self, key: &Key) -> &RwLock<Shard> {
-        &self.shards[(key.low_u64() & self.mask) as usize]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Acquires a shard read lock, counting the acquisition and — via a
@@ -175,75 +189,77 @@ impl ShardedDht {
         }
     }
 
-    fn execute_op(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+    /// The one operation path. With `replicated`, a write also makes its
+    /// tombstone transition under the same write guard: a `Remove`
+    /// shadows the value against stale repair pushes, a `Put` of the same
+    /// value lifts the shadow (a deliberate re-add wins).
+    fn execute_op(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
         match op {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
             DhtOp::Get(key) => Ok(DhtResponse::Values(Dht::get(self, &key))),
             DhtOp::Put { key, value } => {
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                self.messages.fetch_add(2, Ordering::Relaxed);
+                self.counters.record_pair("put", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
+                if replicated {
+                    if let Some(dead) = shard.deleted.get_mut(&key) {
+                        dead.remove(&value);
+                        if dead.is_empty() {
+                            shard.deleted.remove(&key);
+                        }
+                    }
+                }
                 Ok(DhtResponse::Stored(shard.store.put(key, value)))
             }
             DhtOp::Remove { key, value } => {
-                self.messages.fetch_add(2, Ordering::Relaxed);
+                self.counters.record_pair("remove", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
-                Ok(DhtResponse::Removed(shard.store.remove(&key, &value)))
+                let removed = shard.store.remove(&key, &value);
+                if replicated {
+                    shard.deleted.entry(key).or_default().insert(value);
+                }
+                Ok(DhtResponse::Removed(removed))
             }
         }
+    }
+
+    fn execute_recorded(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
+        if !self.metrics.is_enabled() {
+            return self.execute_op(op, replicated);
+        }
+        let kind = op.kind();
+        let before = self.stats();
+        let result = self.execute_op(op, replicated);
+        api::record_op(&self.metrics, kind, before, self.stats(), &result);
+        result
     }
 
     /// Executes one operation through a shared reference — the entry point
     /// the networked server's connection workers call concurrently.
     ///
     /// Semantics (responses, accounting, metrics recording) are identical
-    /// to [`Dht::execute`]; only the receiver differs.
+    /// to [`Dht::execute`]; only the receiver differs. Records no
+    /// tombstones: this is the write path of an unreplicated partition.
     pub fn execute_shared(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_op(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_op(op);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
+        self.execute_recorded(op, false)
     }
 
-    /// Executes a batch of independent operations through a shared
-    /// reference, one result per op in order — semantics identical to
-    /// [`Dht::execute_many`]. No global lock exists to amortize: each op
-    /// takes only its own shard's lock, so batches from different
-    /// connections interleave freely.
-    pub fn execute_many_shared(&self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
-        if self.metrics.is_enabled() {
-            // Per-op recording must stay identical to the unary sequence.
-            return ops.into_iter().map(|op| self.execute_shared(op)).collect();
-        }
-        ops.into_iter().map(|op| self.execute_op(op)).collect()
+    /// [`ShardedDht::execute_shared`] for a member of a replicated
+    /// cluster: a `Remove` also records the `(key, value)` tombstone and a
+    /// `Put` clears it, in the same shard write-lock acquisition as the
+    /// store change itself. Reads are unaffected.
+    pub fn execute_replicated(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+        self.execute_recorded(op, true)
     }
 
-    /// Records the tombstone transition for a replicated write: a `Remove`
-    /// shadows the value against stale repair pushes, a `Put` of the same
-    /// value lifts the shadow (a deliberate re-add wins).
-    ///
-    /// Other operations are no-ops.
-    pub fn note_write(&self, op: &DhtOp) {
-        match op {
-            DhtOp::Remove { key, value } => {
-                let mut shard = self.write_shard(self.shard_of(key));
-                shard.deleted.entry(*key).or_default().insert(value.clone());
-            }
-            DhtOp::Put { key, value } => {
-                let mut shard = self.write_shard(self.shard_of(key));
-                if let Some(dead) = shard.deleted.get_mut(key) {
-                    dead.remove(value);
-                    if dead.is_empty() {
-                        shard.deleted.remove(key);
-                    }
-                }
-            }
-            DhtOp::NodeFor(_) | DhtOp::Get(_) => {}
+    /// Visits every shard in turn, each under its own read guard, and
+    /// returns what `visit` collected in ascending key order.
+    fn sweep<T>(&self, mut visit: impl FnMut(&Shard, &mut Vec<(Key, T)>)) -> Vec<(Key, T)> {
+        let mut all = Vec::new();
+        for lock in self.shards.iter() {
+            visit(&self.read_shard(lock), &mut all);
         }
+        all.sort_unstable_by_key(|(key, _)| *key);
+        all
     }
 
     /// Snapshot of the stored entries minus tombstoned values, plus the
@@ -253,24 +269,16 @@ impl ShardedDht {
     /// tombstones shadowing it are mutually consistent per shard; the
     /// merged result is in ascending key order like [`Dht::entries`].
     pub fn live_entries(&self) -> (Vec<(Key, Vec<Bytes>)>, u64) {
-        let mut live = Vec::new();
         let mut withheld = 0u64;
-        for lock in self.shards.iter() {
-            let shard = self.read_shard(lock);
+        let live = self.sweep(|shard, live| {
             for (key, values) in shard.store.iter() {
-                let dead = shard.deleted.get(key);
-                let kept: Vec<Bytes> = values
-                    .iter()
-                    .filter(|v| !dead.is_some_and(|d| d.contains(*v)))
-                    .cloned()
-                    .collect();
+                let kept = shard.without_dead(key, values.iter().cloned());
                 withheld += (values.len() - kept.len()) as u64;
                 if !kept.is_empty() {
                     live.push((*key, kept));
                 }
             }
-        }
-        live.sort_unstable_by_key(|(key, _)| *key);
+        });
         (live, withheld)
     }
 
@@ -282,13 +290,9 @@ impl ShardedDht {
         let mut withheld = 0u64;
         for (key, values) in entries {
             let total = values.len();
-            let shard = self.read_shard(self.shard_of(&key));
-            let dead = shard.deleted.get(&key);
-            let kept: Vec<Bytes> = values
-                .into_iter()
-                .filter(|v| !dead.is_some_and(|d| d.contains(v)))
-                .collect();
-            drop(shard);
+            let kept = self
+                .read_shard(self.shard_of(&key))
+                .without_dead(&key, values);
             withheld += (total - kept.len()) as u64;
             if !kept.is_empty() {
                 live.push((key, kept));
@@ -300,51 +304,30 @@ impl ShardedDht {
     /// Snapshot of every tombstone as `(key, deleted values)`, in
     /// ascending key order — the input to the repair thread's scrub pass.
     pub fn tombstones(&self) -> Vec<(Key, Vec<Bytes>)> {
-        let mut all = Vec::new();
-        for lock in self.shards.iter() {
-            let shard = self.read_shard(lock);
-            for (key, dead) in shard.deleted.iter() {
-                all.push((*key, dead.iter().cloned().collect()));
-            }
-        }
-        all.sort_unstable_by_key(|(key, _)| *key);
-        all
+        self.sweep(|shard, all| {
+            let dead = shard.deleted.iter();
+            all.extend(dead.map(|(key, values)| (*key, values.iter().cloned().collect())));
+        })
     }
 
-    /// Swaps this partition's stored contents for `new`'s entries,
-    /// returning the old contents (with the old work counters) as a
-    /// substrate box. Tombstones stay in place, mirroring the behavior of
-    /// swapping the substrate box behind a server whose tombstone table
-    /// lives outside it.
+    /// Replaces the stored contents with `entries`; tombstones and work
+    /// counters stay. (How a test wipes a member into a stale replica, and
+    /// how a restarted daemon would load a snapshot.)
     ///
-    /// Takes every shard write lock in ascending index order; this is the
-    /// only multi-shard lock acquisition in the type.
-    pub fn replace_contents(&self, new: Box<dyn Dht + Send>) -> Box<dyn Dht + Send> {
-        let mut guards: Vec<RwLockWriteGuard<'_, Shard>> =
-            self.shards.iter().map(|s| self.write_shard(s)).collect();
-        let old_shards: Vec<Shard> = guards
-            .iter_mut()
-            .map(|g| Shard {
-                store: std::mem::take(&mut g.store),
-                deleted: HashMap::new(),
-            })
-            .collect();
-        let mut old = ShardedDht::new(self.id, self.shards.len());
-        for (slot, shard) in old.shards.iter_mut().zip(old_shards) {
-            *slot.get_mut().unwrap_or_else(PoisonError::into_inner) = shard;
-        }
-        *old.lookups.get_mut() = self.lookups.load(Ordering::Relaxed);
-        *old.messages.get_mut() = self.messages.load(Ordering::Relaxed);
-        let incoming = new.stats();
-        self.lookups.store(incoming.lookups, Ordering::Relaxed);
-        self.messages.store(incoming.messages, Ordering::Relaxed);
-        for (key, values) in new.entries() {
-            let idx = (key.low_u64() & self.mask) as usize;
+    /// The new per-shard stores are built outside any lock and swapped in
+    /// one shard at a time, so each key changes atomically and the
+    /// one-lock-at-a-time discipline holds here too.
+    pub fn replace_entries(&self, entries: Vec<(Key, Vec<Bytes>)>) {
+        let mut stores: Vec<NodeStore> = self.shards.iter().map(|_| NodeStore::default()).collect();
+        for (key, values) in entries {
+            let store = &mut stores[self.shard_index(&key)];
             for value in values {
-                guards[idx].store.put(key, value);
+                store.put(key, value);
             }
         }
-        Box::new(old)
+        for (lock, store) in self.shards.iter().zip(stores) {
+            self.write_shard(lock).store = store;
+        }
     }
 
     /// Total distinct keys across all shards.
@@ -369,10 +352,6 @@ impl Dht for ShardedDht {
         self.execute_shared(op)
     }
 
-    fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
-        self.execute_many_shared(ops)
-    }
-
     fn node_for(&self, _key: &Key) -> Option<NodeId> {
         Some(self.id)
     }
@@ -382,29 +361,19 @@ impl Dht for ShardedDht {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.messages.fetch_add(2, Ordering::Relaxed);
+        self.counters.record_pair("get", true);
         self.read_shard(self.shard_of(key)).store.get(key).to_vec()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        let mut all = Vec::new();
-        for lock in self.shards.iter() {
-            let shard = self.read_shard(lock);
-            for (key, values) in shard.store.iter() {
-                all.push((*key, values.to_vec()));
-            }
-        }
-        all.sort_unstable_by_key(|(key, _)| *key);
-        all
+        self.sweep(|shard, all| {
+            let stored = shard.store.iter();
+            all.extend(stored.map(|(key, values)| (*key, values.to_vec())));
+        })
     }
 
     fn stats(&self) -> DhtStats {
-        DhtStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hops: 0,
-        }
+        self.counters.stats()
     }
 
     fn set_metrics(&mut self, metrics: MetricsRegistry) {
@@ -489,24 +458,30 @@ mod tests {
         assert_eq!(sharded.total_keys(), ring.total_keys());
     }
 
+    fn replicated_remove(dht: &ShardedDht, key: Key, value: &str) {
+        dht.execute_replicated(DhtOp::Remove {
+            key,
+            value: b(value),
+        })
+        .expect("a partition store never fails");
+    }
+
     #[test]
-    fn note_write_shadows_and_readd_lifts() {
+    fn replicated_remove_shadows_and_readd_lifts() {
         let dht = ShardedDht::new(node(), 4);
         let k = Key::hash_of("k");
-        dht.note_write(&DhtOp::Remove {
-            key: k,
-            value: b("gone"),
-        });
+        replicated_remove(&dht, k, "gone");
         let (live, withheld) =
             dht.filter_live(vec![(k, vec![b("gone"), b("kept")]), (k, vec![b("gone")])]);
         assert_eq!(live, vec![(k, vec![b("kept")])]);
         assert_eq!(withheld, 2);
         assert_eq!(dht.tombstones(), vec![(k, vec![b("gone")])]);
         // A deliberate re-add lifts the shadow.
-        dht.note_write(&DhtOp::Put {
+        let readd = DhtOp::Put {
             key: k,
             value: b("gone"),
-        });
+        };
+        assert_eq!(dht.execute_replicated(readd), Ok(DhtResponse::Stored(true)));
         assert!(dht.tombstones().is_empty());
         let (live, withheld) = dht.filter_live(vec![(k, vec![b("gone")])]);
         assert_eq!(live, vec![(k, vec![b("gone")])]);
@@ -521,10 +496,10 @@ mod tests {
         dht.put(k1, b("a"));
         dht.put(k1, b("b"));
         dht.put(k2, b("c"));
-        dht.note_write(&DhtOp::Remove {
-            key: k1,
-            value: b("a"),
-        });
+        // A tombstone for a value the store (again) holds — the state a
+        // snapshot restore leaves behind.
+        replicated_remove(&dht, k1, "a");
+        dht.put(k1, b("a"));
         let (live, withheld) = dht.live_entries();
         assert_eq!(withheld, 1);
         let mut expected = vec![(k1, vec![b("b")]), (k2, vec![b("c")])];
@@ -535,26 +510,21 @@ mod tests {
     }
 
     #[test]
-    fn replace_contents_swaps_stores_and_stats_but_keeps_tombstones() {
+    fn replace_entries_swaps_stores_but_keeps_tombstones_and_counters() {
         let mut dht = ShardedDht::new(node(), 8);
         let k = Key::hash_of("old");
         dht.put(k, b("old-value"));
-        dht.note_write(&DhtOp::Remove {
-            key: k,
-            value: b("shadow"),
-        });
-        let mut incoming = RingDht::from_ids([*node().key()]);
-        incoming.put(Key::hash_of("new"), b("new-value"));
-        let incoming_stats = incoming.stats();
-        let old = dht.replace_contents(Box::new(incoming));
-        assert_eq!(old.entries(), vec![(k, vec![b("old-value")])]);
-        assert_eq!(old.stats().lookups, 1);
-        assert_eq!(
-            dht.entries(),
-            vec![(Key::hash_of("new"), vec![b("new-value")])]
-        );
-        assert_eq!(dht.stats(), incoming_stats);
-        // Tombstones survive the swap, like a server-side substrate swap.
+        replicated_remove(&dht, k, "shadow");
+        let stats = dht.stats();
+        let new = vec![
+            (Key::hash_of("new"), vec![b("new-value"), b("second")]),
+            (Key::hash_of("other"), vec![b("x")]),
+        ];
+        dht.replace_entries(new.clone());
+        let mut expected = new;
+        expected.sort_unstable_by_key(|(key, _)| *key);
+        assert_eq!(dht.entries(), expected);
+        assert_eq!(dht.stats(), stats);
         assert_eq!(dht.tombstones(), vec![(k, vec![b("shadow")])]);
     }
 
@@ -610,6 +580,11 @@ mod tests {
         assert_eq!(snapshot.counter("net.server.shard.write_locks"), 1);
         assert_eq!(snapshot.counter("net.server.shard.read_locks"), 1);
         assert_eq!(snapshot.counter("net.server.shard.write_contended"), 0);
+        // A replicated write is still one lock acquisition: the tombstone
+        // transition rides the same guard as the store change.
+        replicated_remove(&dht, k, "v3");
+        assert_eq!(enabled.counter("net.server.shard.write_locks"), 2);
+        assert_eq!(dht.tombstones(), vec![(k, vec![b("v3")])]);
     }
 
     proptest! {

@@ -502,13 +502,7 @@ fn stale_replica_is_invisible_to_conformance_and_repair_restores_it() {
         assert!(exec_put(&mut remote, *key, &value));
         assert!(exec_put(&mut twin, *key, &value));
     }
-    let member_key = *remote.cluster().members()[1].0.key();
-    drop(
-        remote
-            .cluster()
-            .server(1)
-            .replace_substrate(Box::new(RingDht::from_ids([member_key]))),
-    );
+    remote.cluster().server(1).replace_entries(Vec::new());
     for key in &data {
         assert_eq!(
             exec_get(&mut remote, *key),

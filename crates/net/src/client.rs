@@ -52,7 +52,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    self as dht_api, placement, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId,
+    self as dht_api, kind_counter, placement, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key,
+    NodeId, OpFamily, PairCounters,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -228,8 +229,7 @@ pub struct RemoteDht {
     ring: Vec<Key>,
     config: RemoteDhtConfig,
     next_request_id: AtomicU64,
-    lookups: AtomicU64,
-    messages: AtomicU64,
+    counters: PairCounters,
     metrics: MetricsRegistry,
 }
 
@@ -252,8 +252,7 @@ impl RemoteDht {
             ring,
             config,
             next_request_id: AtomicU64::new(1),
-            lookups: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
+            counters: PairCounters::default(),
             metrics: MetricsRegistry::disabled(),
         }
     }
@@ -309,17 +308,14 @@ impl RemoteDht {
         Ok(stream)
     }
 
-    /// Applies the ring accounting convention to one completed RPC
-    /// result: +2 messages per pair, +1 lookup for successful put/get.
+    /// Accounts one completed RPC pair (the shared ring convention) and
+    /// passes its result through.
     fn complete(
         &self,
         kind: &'static str,
         result: Result<DhtResponse, DhtError>,
     ) -> Result<DhtResponse, DhtError> {
-        self.messages.fetch_add(2, Ordering::Relaxed);
-        if result.is_ok() && matches!(kind, "put" | "get") {
-            self.lookups.fetch_add(1, Ordering::Relaxed);
-        }
+        self.counters.record_pair(kind, result.is_ok());
         result
     }
 
@@ -388,7 +384,7 @@ impl RemoteDht {
                     routes.push(None);
                 }
                 op => {
-                    self.metrics.incr(&format!("net.ops.{}", op.kind()));
+                    self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
                     let candidates =
                         placement::replica_keys(&self.ring, op.key(), self.config.replicas);
                     let want = if matches!(op, DhtOp::Get(_)) && !written.contains(op.key()) {
@@ -639,11 +635,7 @@ impl Dht for RemoteDht {
     }
 
     fn stats(&self) -> DhtStats {
-        DhtStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hops: 0,
-        }
+        self.counters.stats()
     }
 
     fn set_metrics(&mut self, metrics: MetricsRegistry) {
@@ -666,6 +658,31 @@ mod tests {
         // a loopback address that refuses connections.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
+    }
+
+    /// Three unreplicated partition servers named `node-0..2`, with their
+    /// ring keys.
+    fn spawn_three() -> (Vec<Key>, Vec<DhtServer>) {
+        let ids: Vec<Key> = (0..3).map(|i| Key::hash_of(&format!("node-{i}"))).collect();
+        let servers = ids
+            .iter()
+            .map(|id| {
+                DhtServer::spawn_partition(
+                    NodeId::from_key(*id),
+                    "127.0.0.1:0",
+                    ServerConfig::default(),
+                )
+                .unwrap()
+            })
+            .collect();
+        (ids, servers)
+    }
+
+    fn members_of(ids: &[Key], servers: &[DhtServer]) -> Vec<(NodeId, SocketAddr)> {
+        ids.iter()
+            .zip(servers)
+            .map(|(id, s)| (NodeId::from_key(*id), s.local_addr()))
+            .collect()
     }
 
     #[test]
@@ -700,8 +717,8 @@ mod tests {
 
     #[test]
     fn node_for_is_local_and_free() {
-        let server = DhtServer::spawn(
-            Box::new(RingDht::with_named_nodes(1)),
+        let server = DhtServer::spawn_partition(
+            NodeId::hash_of("node-0"),
             "127.0.0.1:0",
             ServerConfig::default(),
         )
@@ -720,23 +737,8 @@ mod tests {
 
     #[test]
     fn remote_accounting_matches_in_process_ring() {
-        let ids: Vec<Key> = (0..3).map(|i| Key::hash_of(&format!("node-{i}"))).collect();
-        let servers: Vec<DhtServer> = ids
-            .iter()
-            .map(|id| {
-                DhtServer::spawn(
-                    Box::new(RingDht::from_ids([*id])),
-                    "127.0.0.1:0",
-                    ServerConfig::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let members: Vec<(NodeId, SocketAddr)> = ids
-            .iter()
-            .zip(&servers)
-            .map(|(id, s)| (NodeId::from_key(*id), s.local_addr()))
-            .collect();
+        let (ids, servers) = spawn_three();
+        let members = members_of(&ids, &servers);
         let mut remote = RemoteDht::connect(members, RemoteDhtConfig::default());
         let mut ring = RingDht::from_ids(ids);
 
@@ -759,23 +761,8 @@ mod tests {
 
     #[test]
     fn execute_many_matches_unary_twin_and_batches_frames() {
-        let ids: Vec<Key> = (0..3).map(|i| Key::hash_of(&format!("node-{i}"))).collect();
-        let servers: Vec<DhtServer> = ids
-            .iter()
-            .map(|id| {
-                DhtServer::spawn(
-                    Box::new(RingDht::from_ids([*id])),
-                    "127.0.0.1:0",
-                    ServerConfig::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let members: Vec<(NodeId, SocketAddr)> = ids
-            .iter()
-            .zip(&servers)
-            .map(|(id, s)| (NodeId::from_key(*id), s.local_addr()))
-            .collect();
+        let (ids, servers) = spawn_three();
+        let members = members_of(&ids, &servers);
         let metrics = MetricsRegistry::new();
         let mut remote = RemoteDht::connect(members, RemoteDhtConfig::default());
         remote.set_metrics(metrics.clone());
@@ -832,24 +819,13 @@ mod tests {
         // would mask the values only the other replicas still hold.
         let key = Key::hash_of("partially-replicated-entry");
         let all: Vec<Bytes> = (0..6).map(|i| Bytes::from(format!("Q:/v/{i}"))).collect();
-        let ids: Vec<Key> = (0..3).map(|i| Key::hash_of(&format!("node-{i}"))).collect();
-        let servers: Vec<DhtServer> = ids
-            .iter()
-            .enumerate()
-            .map(|(rank, id)| {
-                let mut local = RingDht::from_ids([*id]);
-                // Server `rank` holds values {rank, rank+3}: subsets are
-                // disjoint and none is empty.
-                local.put(key, all[rank].clone());
-                local.put(key, all[rank + 3].clone());
-                DhtServer::spawn(Box::new(local), "127.0.0.1:0", ServerConfig::default()).unwrap()
-            })
-            .collect();
-        let members: Vec<(NodeId, SocketAddr)> = ids
-            .iter()
-            .zip(&servers)
-            .map(|(id, s)| (NodeId::from_key(*id), s.local_addr()))
-            .collect();
+        let (ids, servers) = spawn_three();
+        for (rank, server) in servers.iter().enumerate() {
+            // Server `rank` holds values {rank, rank+3}: subsets are
+            // disjoint and none is empty.
+            server.replace_entries(vec![(key, vec![all[rank].clone(), all[rank + 3].clone()])]);
+        }
+        let members = members_of(&ids, &servers);
         let mut remote = RemoteDht::connect(
             members,
             RemoteDhtConfig {

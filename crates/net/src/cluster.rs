@@ -1,8 +1,8 @@
 //! In-process loopback clusters for tests and benches.
 //!
 //! [`LoopbackCluster`] spins up N [`DhtServer`]s in the current process —
-//! one per node, each owning a single-node substrate partition, all bound
-//! to ephemeral loopback ports — and hands out [`RemoteDht`] clients over
+//! one per node, each serving its own partition store, all bound to
+//! ephemeral loopback ports — and hands out [`RemoteDht`] clients over
 //! them. [`ClusterDht`] bundles one client with the servers it talks to
 //! behind the [`Dht`] trait, shutting the whole cluster down on drop;
 //! that is what lets the shared conformance suite treat "a TCP cluster"
@@ -16,9 +16,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 use bytes::Bytes;
-use p2p_index_dht::{
-    Dht, DhtError, DhtOp, DhtResponse, DhtStats, FaultConfig, FaultyDht, Key, NodeId, RingDht,
-};
+use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, FaultConfig, Key, NodeId};
 use p2p_index_obs::MetricsRegistry;
 
 use crate::client::{RemoteDht, RemoteDhtConfig};
@@ -31,57 +29,60 @@ pub struct LoopbackCluster {
 }
 
 impl LoopbackCluster {
-    /// Starts `n` servers named `node-0..n-1`, each serving its single-node
+    /// Starts `n` servers named `node-0..n-1`, each serving its own
     /// partition of a ring — collectively equivalent to
     /// `RingDht::with_named_nodes(n)` when fronted by a [`RemoteDht`].
-    /// Each member runs the default sharded reader-concurrent engine.
     pub fn start_ring(n: usize) -> io::Result<LoopbackCluster> {
         Self::start_ring_sharded(n, ServerConfig::default().shards)
     }
 
     /// [`LoopbackCluster::start_ring`] with an explicit shard count per
-    /// member. `shards <= 1` is the single-mutex escape hatch — the exact
-    /// pre-sharding server path — which the bench uses as the contention
-    /// baseline.
+    /// member (`1` is one `RwLock` per member — the bench sweep's
+    /// contention baseline).
     pub fn start_ring_sharded(n: usize, shards: usize) -> io::Result<LoopbackCluster> {
-        let mut servers = Vec::with_capacity(n);
-        let mut members = Vec::with_capacity(n);
-        for i in 0..n {
-            let id = NodeId::hash_of(&format!("node-{i}"));
-            let config = ServerConfig {
-                shards,
-                ..ServerConfig::default()
-            };
-            let server = DhtServer::spawn_partition(id, "127.0.0.1:0", config)?;
-            members.push((id, server.local_addr()));
-            servers.push(server);
-        }
-        Ok(LoopbackCluster { servers, members })
+        Self::start_each(n, |_, _| ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        })
     }
 
-    /// Starts `n` servers whose substrates are wrapped in a fault
-    /// injector, so remote callers observe injected [`DhtError`]s over
-    /// the wire. Each node gets a distinct deterministic seed derived
-    /// from `seed` so runs are reproducible.
+    /// Starts `n` servers that each inject message loss in front of their
+    /// store, so remote callers observe injected [`DhtError`]s over the
+    /// wire. Each node gets a distinct deterministic seed derived from
+    /// `seed` so runs are reproducible.
     pub fn start_lossy_ring(n: usize, seed: u64, loss: f64) -> io::Result<LoopbackCluster> {
-        Self::start_with(n, |id| {
-            let node_seed = seed ^ id.key().low_u64();
-            Box::new(FaultyDht::new(
-                RingDht::from_ids([*id.key()]),
-                FaultConfig::lossy(node_seed, loss),
-            ))
+        Self::start_each(n, |id, _| ServerConfig {
+            fault: FaultConfig::lossy(seed ^ id.key().low_u64(), loss),
+            ..ServerConfig::default()
         })
     }
 
     /// Starts `n` servers named `node-0..n-1` forming one replicated
     /// cluster: every key lives on `replicas` clockwise successors and
-    /// writes need `write_quorum` acks. All listeners are bound *before*
-    /// any server spawns, so every member can dial every other from its
-    /// very first frame — no bootstrap races.
+    /// writes need `write_quorum` acks.
     pub fn start_replicated_ring(
         n: usize,
         replicas: usize,
         write_quorum: usize,
+    ) -> io::Result<LoopbackCluster> {
+        Self::start_each(n, |id, ring| ServerConfig {
+            replication: Some(ReplicationConfig::new(
+                *id.key(),
+                ring.to_vec(),
+                replicas,
+                write_quorum,
+            )),
+            ..ServerConfig::default()
+        })
+    }
+
+    /// Starts `n` servers named `node-0..n-1`, each configured by
+    /// `config_for(its id, the whole ring)`. All listeners are bound
+    /// *before* any server spawns, so replicated members can dial every
+    /// other member from their very first frame — no bootstrap races.
+    fn start_each(
+        n: usize,
+        config_for: impl Fn(NodeId, &[(Key, SocketAddr)]) -> ServerConfig,
     ) -> io::Result<LoopbackCluster> {
         let mut listeners = Vec::with_capacity(n);
         let mut members = Vec::with_capacity(n);
@@ -89,42 +90,19 @@ impl LoopbackCluster {
             let id = NodeId::hash_of(&format!("node-{i}"));
             let listener = TcpListener::bind("127.0.0.1:0")?;
             members.push((id, listener.local_addr()?));
-            listeners.push((id, listener));
+            listeners.push(listener);
         }
-        let ring_members: Vec<(Key, SocketAddr)> = members
+        let ring: Vec<(Key, SocketAddr)> = members
             .iter()
             .map(|(id, addr)| (*id.key(), *addr))
             .collect();
-        let mut servers = Vec::with_capacity(n);
-        for (id, listener) in listeners {
-            let config = ServerConfig {
-                replication: Some(ReplicationConfig::new(
-                    *id.key(),
-                    ring_members.clone(),
-                    replicas,
-                    write_quorum,
-                )),
-                ..ServerConfig::default()
-            };
-            servers.push(DhtServer::spawn_partition_on(listener, id, config)?);
-        }
-        Ok(LoopbackCluster { servers, members })
-    }
-
-    /// Starts `n` servers with substrates built by `make`, one per node id
-    /// `node-0..n-1`.
-    pub fn start_with(
-        n: usize,
-        make: impl Fn(NodeId) -> Box<dyn Dht + Send>,
-    ) -> io::Result<LoopbackCluster> {
-        let mut servers = Vec::with_capacity(n);
-        let mut members = Vec::with_capacity(n);
-        for i in 0..n {
-            let id = NodeId::hash_of(&format!("node-{i}"));
-            let server = DhtServer::spawn(make(id), "127.0.0.1:0", ServerConfig::default())?;
-            members.push((id, server.local_addr()));
-            servers.push(server);
-        }
+        let servers = listeners
+            .into_iter()
+            .zip(&members)
+            .map(|(listener, (id, _))| {
+                DhtServer::spawn_partition_on(listener, *id, config_for(*id, &ring))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         Ok(LoopbackCluster { servers, members })
     }
 
@@ -159,7 +137,7 @@ impl LoopbackCluster {
     }
 
     /// Direct access to one member's server handle — lets tests wipe a
-    /// substrate in place (a stale replica) or force a repair pass.
+    /// store in place (a stale replica) or force a repair pass.
     pub fn server(&self, index: usize) -> &DhtServer {
         &self.servers[index]
     }
@@ -291,6 +269,7 @@ impl Drop for ClusterDht {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2p_index_dht::RingDht;
 
     #[test]
     fn cluster_matches_in_process_ring() {
@@ -361,10 +340,7 @@ mod tests {
         }
         // Wipe member 1 in place: it keeps serving, but from an empty
         // store — a stale replica.
-        let member_key = *cluster.members()[1].0.key();
-        cluster
-            .server(1)
-            .replace_substrate(Box::new(RingDht::from_ids([member_key])));
+        cluster.server(1).replace_entries(Vec::new());
         let solo = RemoteDht::connect(vec![cluster.members()[1]], RemoteDhtConfig::default());
         assert!(
             Dht::get(&solo, &Key::hash_of("stale-0")).is_empty(),
@@ -452,10 +428,9 @@ mod tests {
 
         // "Restore" member 1 from a backup taken before the delete: its
         // store holds the deleted value again.
-        let member_key = *cluster.members()[1].0.key();
-        let mut stale = RingDht::from_ids([member_key]);
-        stale.put(key, value.clone());
-        cluster.server(1).replace_substrate(Box::new(stale));
+        cluster
+            .server(1)
+            .replace_entries(vec![(key, vec![value.clone()])]);
         let solo = RemoteDht::connect(vec![cluster.members()[1]], RemoteDhtConfig::default());
         assert_eq!(
             Dht::get(&solo, &key),

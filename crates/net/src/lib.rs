@@ -13,7 +13,7 @@
 //!   frame format is specified byte-by-byte in `DESIGN.md` §11.
 //! - [`server`] — [`DhtServer`], the threaded `dhtd` daemon: an accept
 //!   loop plus per-connection worker threads serving one node's storage
-//!   partition of any substrate. Exposed as `repro serve`.
+//!   partition from one sharded store. Exposed as `repro serve`.
 //! - [`client`] — [`RemoteDht`], the [`Dht`](p2p_index_dht::Dht) trait
 //!   over pooled TCP connections; `execute_many` routes a whole batch as
 //!   one pipelined frame pair per member. Transport failures map to the

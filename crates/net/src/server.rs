@@ -1,13 +1,23 @@
 //! The threaded `dhtd` server: one node's storage partition over TCP.
 //!
-//! [`DhtServer::spawn`] binds a listener (port 0 for an ephemeral port),
-//! starts an accept loop on its own thread, and serves every connection on
-//! a dedicated worker thread — plain `std::thread`, no async runtime, no
-//! new dependencies. Each worker reads request frames, executes them
-//! against the shared substrate under a mutex (substrates are small,
-//! synchronous state machines; the lock is held only for the in-memory
-//! operation, never across I/O), and writes the response frame back with
-//! the echoed request id.
+//! [`DhtServer::spawn_partition`] binds a listener (port 0 for an
+//! ephemeral port), starts an accept loop on its own thread, and serves
+//! every connection on a dedicated worker thread — plain `std::thread`,
+//! no async runtime, no new dependencies. Each worker reads request
+//! frames, executes them against the one store a daemon has — a
+//! [`ShardedDht`] of [`ServerConfig::shards`] key-hash shards, each behind
+//! its own `RwLock` held only for the in-memory operation, never across
+//! I/O — and writes the response frame back with the echoed request id.
+//! Whatever routing a deployment puts in front (ring, Chord, Kademlia,
+//! Pastry), what a node *serves* is this one multi-value
+//! `put/get/remove` store; the client routes and accounts.
+//!
+//! Every storage operation of every frame kind reaches the store through
+//! one function, `Shared::apply_local`. That is also where
+//! [`ServerConfig::fault`] sits: a seeded [`LossRoll`] decides, before the
+//! store is touched, whether the request or its response is "lost", and
+//! the injected [`DhtError::Timeout`] travels the wire as an ordinary
+//! typed error frame.
 //!
 //! Shutdown is graceful and reachable two ways: locally via
 //! [`DhtServer::shutdown`], or over the wire with a
@@ -45,7 +55,7 @@
 //! surviving members of each key's replica set (graceful leave), then
 //! stops.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +65,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    placement, Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, RingDht, ShardedDht, DEFAULT_SHARDS,
+    kind_counter, placement, Delivery, DhtError, DhtOp, DhtResponse, FaultConfig, Key, LossRoll,
+    NodeId, OpFamily, ShardedDht, DEFAULT_SHARDS,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -115,13 +126,15 @@ pub struct ServerConfig {
     /// Replicated-cluster membership; `None` (the default) serves a
     /// plain unreplicated partition, byte-identical to prior builds.
     pub replication: Option<ReplicationConfig>,
-    /// Key-hash shard count for partition servers created through
-    /// [`DhtServer::spawn_partition`]: the default serves through the
-    /// reader-concurrent sharded engine; `1` is the escape hatch back to
-    /// the classic single-mutex path (for comparison benches). Rounded
-    /// up to a power of two. Ignored by [`DhtServer::spawn`], whose
-    /// explicit substrate always serves through the single-mutex engine.
+    /// Key-hash shard count of the partition store, rounded up to a
+    /// power of two. A value, not a mode: `1` is the same store with one
+    /// `RwLock` (the contention baseline of the bench sweep).
     pub shards: usize,
+    /// Message loss injected in front of the store (none by default):
+    /// each storage operation first draws from a [`LossRoll`] seeded with
+    /// `fault.seed`, exactly like an in-process `FaultyDht`. Churn does
+    /// not apply to a one-node partition and is ignored.
+    pub fault: FaultConfig,
 }
 
 impl Default for ServerConfig {
@@ -133,6 +146,7 @@ impl Default for ServerConfig {
             metrics: MetricsRegistry::disabled(),
             replication: None,
             shards: DEFAULT_SHARDS,
+            fault: FaultConfig::none(),
         }
     }
 }
@@ -245,183 +259,14 @@ impl Replication {
     }
 }
 
-/// The storage engine behind one server.
-///
-/// [`Engine::Sharded`] is the default for partition servers: concurrent
-/// reads under per-shard read locks, per-shard write locks for
-/// mutations, replication tombstones resident in the shards — no global
-/// lock anywhere on the request path. [`Engine::Locked`] is the classic
-/// single-mutex path every arbitrary substrate (fault injectors,
-/// protocol simulations, balance decorators) serves through, and the
-/// `--shards 1` escape hatch for apples-to-apples benches; its deletion
-/// markers live in a side table because a boxed substrate cannot host
-/// them.
-enum Engine {
-    /// An arbitrary substrate behind one global mutex, with replication
-    /// tombstones in a side table: `(key, value)` pairs a `Remove` has
-    /// been observed for. Anti-entropy is add-only, so without these a
-    /// stale replica's repair push would resurrect a deleted mapping; a
-    /// later `Put` of the same pair clears the marker (re-add wins).
-    /// Unreplicated servers never populate the table.
-    Locked {
-        dht: Mutex<Box<dyn Dht + Send>>,
-        tombstones: Mutex<HashMap<Key, HashSet<Bytes>>>,
-    },
-    /// The sharded reader-concurrent partition store (tombstones live
-    /// inside the shards, under the same locks as the values they
-    /// shadow).
-    Sharded(ShardedDht),
-}
-
-impl Engine {
-    /// Executes one operation. Locked: one global lock acquisition.
-    /// Sharded: only the shard the key hashes to is locked (read lock
-    /// for `Get`/`NodeFor`, write lock for `Put`/`Remove`).
-    fn execute(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        match self {
-            Engine::Locked { dht, .. } => {
-                dht.lock().expect("server substrate poisoned").execute(op)
-            }
-            Engine::Sharded(sharded) => sharded.execute_shared(op),
-        }
-    }
-
-    /// Executes a batch of independent operations. Locked: the global
-    /// lock is taken once for the whole batch. Sharded: each op locks
-    /// only its own shard, so batches from different connections
-    /// interleave.
-    fn execute_many(&self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
-        match self {
-            Engine::Locked { dht, .. } => dht
-                .lock()
-                .expect("server substrate poisoned")
-                .execute_many(ops),
-            Engine::Sharded(sharded) => sharded.execute_many_shared(ops),
-        }
-    }
-
-    /// Records the tombstone transition of one write: `Remove` marks the
-    /// `(key, value)` pair deleted, `Put` of the same pair clears the
-    /// marker (re-add wins). Only called on replicated servers.
-    fn note_write(&self, op: &DhtOp) {
-        match self {
-            Engine::Locked { tombstones, .. } => {
-                let mut tombstones = tombstones.lock().expect("tombstones poisoned");
-                match op {
-                    DhtOp::Remove { key, value } => {
-                        tombstones.entry(*key).or_default().insert(value.clone());
-                    }
-                    DhtOp::Put { key, value } => {
-                        if let Some(set) = tombstones.get_mut(key) {
-                            set.remove(value);
-                            if set.is_empty() {
-                                tombstones.remove(key);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            Engine::Sharded(sharded) => sharded.note_write(op),
-        }
-    }
-
-    /// The substrate's full entry snapshot (tombstoned values included).
-    fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        match self {
-            Engine::Locked { dht, .. } => dht.lock().expect("server substrate poisoned").entries(),
-            Engine::Sharded(sharded) => sharded.entries(),
-        }
-    }
-
-    /// The local entries minus every tombstoned value — what anti-entropy
-    /// and the graceful-leave drain are allowed to push — plus the number
-    /// of values withheld. Sharded: one consistent per-shard sweep.
-    fn live_local_entries(&self) -> (Vec<(Key, Vec<Bytes>)>, u64) {
-        match self {
-            Engine::Locked { .. } => self.filter_incoming(self.entries()),
-            Engine::Sharded(sharded) => sharded.live_entries(),
-        }
-    }
-
-    /// Filters an incoming entry list (a peer's `Transfer` payload)
-    /// against the local tombstones, returning the survivors and the
-    /// number of values withheld.
-    fn filter_incoming(&self, entries: Vec<(Key, Vec<Bytes>)>) -> (Vec<(Key, Vec<Bytes>)>, u64) {
-        match self {
-            Engine::Locked { tombstones, .. } => {
-                let tombstones = tombstones.lock().expect("tombstones poisoned");
-                if tombstones.is_empty() {
-                    return (entries, 0);
-                }
-                let mut withheld = 0u64;
-                let filtered = entries
-                    .into_iter()
-                    .filter_map(|(key, values)| {
-                        let values: Vec<Bytes> = match tombstones.get(&key) {
-                            None => values,
-                            Some(dead) => values
-                                .into_iter()
-                                .filter(|v| {
-                                    let keep = !dead.contains(v);
-                                    withheld += u64::from(!keep);
-                                    keep
-                                })
-                                .collect(),
-                        };
-                        (!values.is_empty()).then_some((key, values))
-                    })
-                    .collect();
-                (filtered, withheld)
-            }
-            Engine::Sharded(sharded) => sharded.filter_live(entries),
-        }
-    }
-
-    /// Snapshot of every tombstone as `(key, deleted values)` — the
-    /// input to the repair pass's scrub half.
-    fn tombstones(&self) -> Vec<(Key, Vec<Bytes>)> {
-        match self {
-            Engine::Locked { tombstones, .. } => {
-                let tombstones = tombstones.lock().expect("tombstones poisoned");
-                tombstones
-                    .iter()
-                    .map(|(k, dead)| (*k, dead.iter().cloned().collect()))
-                    .collect()
-            }
-            Engine::Sharded(sharded) => sharded.tombstones(),
-        }
-    }
-
-    /// Swaps the served contents for `new`'s, returning the old
-    /// substrate (tombstones stay in place on both paths).
-    fn replace(&self, new: Box<dyn Dht + Send>) -> Box<dyn Dht + Send> {
-        match self {
-            Engine::Locked { dht, .. } => {
-                let mut slot = dht.lock().expect("server substrate poisoned");
-                std::mem::replace(&mut *slot, new)
-            }
-            Engine::Sharded(sharded) => sharded.replace_contents(new),
-        }
-    }
-}
-
-/// Precomputed per-kind request counter names. The `format!` this
-/// replaces ran once per served frame — one of the hot path's last
-/// recurring allocations (and it allocated even with metrics disabled).
-fn op_counter(kind: &str) -> &'static str {
-    match kind {
-        "node_for" => "net.server.ops.node_for",
-        "put" => "net.server.ops.put",
-        "get" => "net.server.ops.get",
-        "remove" => "net.server.ops.remove",
-        _ => "net.server.ops.other",
-    }
-}
-
 /// Shared state between the accept loop and connection workers.
 struct Shared {
-    engine: Engine,
+    /// The partition store — the only place values and tombstones live.
+    store: ShardedDht,
+    /// The fault roll, present only when [`ServerConfig::fault`] can
+    /// inject something. Locked for the roll alone, never across the
+    /// store operation or peer I/O.
+    fault: Option<Mutex<LossRoll>>,
     stop: AtomicBool,
     metrics: MetricsRegistry,
     read_timeout: Duration,
@@ -430,6 +275,32 @@ struct Shared {
     served: AtomicU64,
     /// `Some` when this server is a member of a replicated cluster.
     replication: Option<Replication>,
+}
+
+impl Shared {
+    /// The cluster state when writes actually fan out (`R > 1`): the
+    /// condition under which this member keeps tombstones and repairs.
+    fn fan_out(&self) -> Option<&Replication> {
+        self.replication.as_ref().filter(|repl| repl.replicas > 1)
+    }
+
+    /// Applies one operation to the local store — the single function
+    /// every frame kind's storage work goes through, with the fault roll
+    /// in front of it. `replicated` writes make their tombstone
+    /// transition in the same shard write-lock acquisition.
+    fn apply_local(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
+        let delivery = match &self.fault {
+            Some(roll) => roll.lock().expect("fault roll poisoned").roll(),
+            None => Delivery::Delivered,
+        };
+        delivery.settle(|| {
+            if replicated {
+                self.store.execute_replicated(op)
+            } else {
+                self.store.execute_shared(op)
+            }
+        })
+    }
 }
 
 /// A running DHT node server. Dropping the handle shuts the server down.
@@ -441,39 +312,8 @@ pub struct DhtServer {
 }
 
 impl DhtServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `dht` — typically a single-node substrate holding this server's
-    /// partition of the key space, optionally wrapped in a fault injector.
-    pub fn spawn(
-        dht: Box<dyn Dht + Send>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> io::Result<DhtServer> {
-        Self::spawn_on(TcpListener::bind(addr)?, dht, config)
-    }
-
-    /// Starts serving on an already-bound listener. Replicated clusters
-    /// bootstrap this way: bind every member's listener first, collect
-    /// the addresses into each [`ReplicationConfig`], then spawn — no
-    /// member ever dials a peer that hasn't bound yet.
-    pub fn spawn_on(
-        listener: TcpListener,
-        dht: Box<dyn Dht + Send>,
-        config: ServerConfig,
-    ) -> io::Result<DhtServer> {
-        let engine = Engine::Locked {
-            dht: Mutex::new(dht),
-            tombstones: Mutex::new(HashMap::new()),
-        };
-        Self::spawn_engine(listener, engine, config)
-    }
-
-    /// Binds `addr` and serves the partition owned by `node` on the
-    /// engine `config.shards` selects: the sharded reader-concurrent
-    /// store (the default), or the classic single-mutex single-node ring
-    /// when `shards <= 1` — the `--shards 1` escape hatch, behaviorally
-    /// identical to serving `RingDht::from_ids([node])` via
-    /// [`DhtServer::spawn`].
+    /// Binds `addr` (use port 0 for an ephemeral port) and serves the
+    /// partition owned by `node` from a fresh, empty store.
     pub fn spawn_partition(
         node: NodeId,
         addr: impl ToSocketAddrs,
@@ -482,32 +322,27 @@ impl DhtServer {
         Self::spawn_partition_on(TcpListener::bind(addr)?, node, config)
     }
 
-    /// [`DhtServer::spawn_partition`] on an already-bound listener (the
-    /// replicated-cluster bootstrap path).
+    /// [`DhtServer::spawn_partition`] on an already-bound listener.
+    /// Replicated clusters bootstrap this way: bind every member's
+    /// listener first, collect the addresses into each
+    /// [`ReplicationConfig`], then spawn — no member ever dials a peer
+    /// that hasn't bound yet.
     pub fn spawn_partition_on(
         listener: TcpListener,
         node: NodeId,
         config: ServerConfig,
     ) -> io::Result<DhtServer> {
-        if config.shards <= 1 {
-            let dht: Box<dyn Dht + Send> = Box::new(RingDht::from_ids([*node.key()]));
-            return Self::spawn_on(listener, dht, config);
-        }
-        let mut sharded = ShardedDht::new(node, config.shards);
-        sharded.set_shard_metrics(config.metrics.clone());
-        Self::spawn_engine(listener, Engine::Sharded(sharded), config)
-    }
-
-    fn spawn_engine(
-        listener: TcpListener,
-        engine: Engine,
-        config: ServerConfig,
-    ) -> io::Result<DhtServer> {
+        let mut store = ShardedDht::new(node, config.shards);
+        store.set_shard_metrics(config.metrics.clone());
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let replication = config.replication.map(Replication::from_config);
         let shared = Arc::new(Shared {
-            engine,
+            store,
+            fault: config
+                .fault
+                .is_active()
+                .then(|| Mutex::new(LossRoll::new(config.fault))),
             stop: AtomicBool::new(false),
             metrics: config.metrics.clone(),
             read_timeout: config.read_timeout,
@@ -520,17 +355,16 @@ impl DhtServer {
         let accept_thread = std::thread::Builder::new()
             .name(format!("dhtd-accept-{}", local_addr.port()))
             .spawn(move || accept_loop(listener, accept_shared, poll))?;
-        let repair_thread = match shared.replication.as_ref().and_then(|r| r.repair_interval) {
-            Some(interval) if shared.replication.as_ref().is_some_and(|r| r.replicas > 1) => {
+        let repair_thread = shared
+            .fan_out()
+            .and_then(|repl| repl.repair_interval)
+            .map(|interval| {
                 let repair_shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("dhtd-repair-{}", local_addr.port()))
-                        .spawn(move || repair_loop(repair_shared, interval))?,
-                )
-            }
-            _ => None,
-        };
+                std::thread::Builder::new()
+                    .name(format!("dhtd-repair-{}", local_addr.port()))
+                    .spawn(move || repair_loop(repair_shared, interval))
+            })
+            .transpose()?;
         Ok(DhtServer {
             local_addr,
             shared,
@@ -539,12 +373,11 @@ impl DhtServer {
         })
     }
 
-    /// Swaps the served substrate in place, returning the old one. Lets
-    /// tests wipe one member (a "stale replica") without rebinding its
-    /// port, and is how a restarted daemon would rejoin with an empty
-    /// store before repair refills it.
-    pub fn replace_substrate(&self, dht: Box<dyn Dht + Send>) -> Box<dyn Dht + Send> {
-        self.shared.engine.replace(dht)
+    /// Replaces the stored contents with `entries` in place (tombstones
+    /// stay). Lets tests wipe one member into a "stale replica" or restore
+    /// it from an old image without rebinding its port.
+    pub fn replace_entries(&self, entries: Vec<(Key, Vec<Bytes>)>) {
+        self.shared.store.replace_entries(entries);
     }
 
     /// Runs one synchronous anti-entropy pass now (in addition to the
@@ -683,82 +516,31 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         };
         shared.metrics.incr("net.server.frames_in");
         shared.metrics.add("net.server.bytes_in", bytes_in as u64);
-        match msg {
-            Message::Request { id, op } => {
-                let kind = op.kind();
-                let result = replicated_execute(&shared, op);
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.incr(op_counter(kind));
-                if result.is_err() {
-                    shared.metrics.incr("net.server.op_errors");
-                }
-                let reply = Message::Response { id, result };
-                match write_message_with(&mut stream, &reply, &mut write_scratch) {
-                    Ok(bytes_out) => {
-                        shared.metrics.incr("net.server.frames_out");
-                        shared.metrics.add("net.server.bytes_out", bytes_out as u64);
-                    }
-                    Err(_) => {
-                        shared.metrics.incr("net.server.transport_errors");
-                        return;
-                    }
-                }
-            }
+        let reply = match msg {
+            Message::Request { id, op } => Message::Response {
+                id,
+                result: serve_op(&shared, op),
+            },
             Message::Batch { id, ops } => {
                 // A whole batch executes in one connection turn: every op
-                // runs in order and a single BatchReply answers them all.
-                // On the locked engine the substrate lock is taken once
-                // for the batch; on the sharded engine each op takes only
-                // its shard's lock. (Replicated servers go op by op
-                // instead, because write fan-out must not happen under
-                // any storage lock.)
-                let count = ops.len() as u64;
-                let kinds: Vec<&'static str> = ops.iter().map(|op| op.kind()).collect();
-                let results = if shared.replication.is_some() {
-                    ops.into_iter()
-                        .map(|op| replicated_execute(&shared, op))
-                        .collect()
-                } else {
-                    shared.engine.execute_many(ops)
-                };
-                shared.served.fetch_add(count, Ordering::Relaxed);
+                // runs in order, each taking only its own shard's lock
+                // (and fanning its write out under no lock at all), and a
+                // single BatchReply answers them all.
                 shared.metrics.incr("net.server.batches");
-                shared.metrics.add("net.server.batch_ops", count);
-                for (kind, result) in kinds.iter().zip(&results) {
-                    shared.metrics.incr(op_counter(kind));
-                    if result.is_err() {
-                        shared.metrics.incr("net.server.op_errors");
-                    }
-                }
-                let reply = Message::BatchReply { id, results };
-                match write_message_with(&mut stream, &reply, &mut write_scratch) {
-                    Ok(bytes_out) => {
-                        shared.metrics.incr("net.server.frames_out");
-                        shared.metrics.add("net.server.bytes_out", bytes_out as u64);
-                    }
-                    Err(_) => {
-                        shared.metrics.incr("net.server.transport_errors");
-                        return;
-                    }
-                }
+                shared.metrics.add("net.server.batch_ops", ops.len() as u64);
+                let results = ops.into_iter().map(|op| serve_op(&shared, op)).collect();
+                Message::BatchReply { id, results }
             }
             Message::Replicate { id, op } => {
                 // A peer's write fan-out: apply locally, reply, and never
                 // re-forward — only client `Request`/`Batch` frames fan
                 // out, so replication storms cannot happen. The tombstone
-                // transition is recorded here too, so replicated removes
-                // (and the repair pass's tombstone scrubs) stick on every
-                // member, not just the one the client happened to reach.
-                if shared.replication.is_some() {
-                    shared.engine.note_write(&op);
-                }
-                let result = shared.engine.execute(op);
+                // transition rides along, so replicated removes (and the
+                // repair pass's tombstone scrubs) stick on every member,
+                // not just the one the client happened to reach.
+                let result = shared.apply_local(op, shared.fan_out().is_some());
                 shared.metrics.incr("net.server.replica.applied");
-                let reply = Message::Response { id, result };
-                if write_message_with(&mut stream, &reply, &mut write_scratch).is_err() {
-                    shared.metrics.incr("net.server.transport_errors");
-                    return;
-                }
+                Message::Response { id, result }
             }
             Message::Transfer { id, entries } => {
                 // Bulk handoff from a leaving peer or a repair pass:
@@ -767,30 +549,23 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 // member holds a tombstone for are dropped — a stale
                 // peer's add-only repair push must not resurrect a
                 // mapping deleted here.
-                let (entries, dropped) = shared.engine.filter_incoming(entries);
-                let values: u64 = entries.iter().map(|(_, vs)| vs.len() as u64).sum();
-                let puts: Vec<DhtOp> = entries
-                    .into_iter()
-                    .flat_map(|(key, values)| {
-                        values
-                            .into_iter()
-                            .map(move |value| DhtOp::Put { key, value })
-                    })
-                    .collect();
-                let _ = shared.engine.execute_many(puts);
+                let (entries, dropped) = shared.store.filter_live(entries);
+                let mut values = 0u64;
+                for (key, list) in entries {
+                    for value in list {
+                        values += 1;
+                        let _ = shared.apply_local(DhtOp::Put { key, value }, false);
+                    }
+                }
                 shared
                     .metrics
                     .add("net.server.replica.transfer_values", values);
                 shared
                     .metrics
                     .add("net.server.replica.tombstone_drops", dropped);
-                let reply = Message::Response {
+                Message::Response {
                     id,
                     result: Ok(DhtResponse::Stored(true)),
-                };
-                if write_message_with(&mut stream, &reply, &mut write_scratch).is_err() {
-                    shared.metrics.incr("net.server.transport_errors");
-                    return;
                 }
             }
             Message::Shutdown => {
@@ -806,26 +581,43 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 shared.metrics.incr("net.server.decode_errors");
                 return;
             }
+        };
+        match write_message_with(&mut stream, &reply, &mut write_scratch) {
+            Ok(bytes_out) => {
+                shared.metrics.incr("net.server.frames_out");
+                shared.metrics.add("net.server.bytes_out", bytes_out as u64);
+            }
+            Err(_) => {
+                shared.metrics.incr("net.server.transport_errors");
+                return;
+            }
         }
     }
+}
+
+/// Serves one client op ([`replicated_execute`]) and counts it.
+fn serve_op(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtError> {
+    let kind = op.kind();
+    let result = replicated_execute(shared, op);
+    shared.served.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.incr(kind_counter(OpFamily::Server, kind));
+    if result.is_err() {
+        shared.metrics.incr("net.server.op_errors");
+    }
+    result
 }
 
 /// Executes one client op; on a replicated server, writes are applied
 /// locally and fanned out to the rest of the key's replica set, and the
 /// write quorum `W` (local apply included) is enforced before replying.
-/// The substrate lock is never held across peer I/O.
+/// No shard lock is ever held across peer I/O.
 fn replicated_execute(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtError> {
-    let repl = match shared.replication.as_ref() {
-        Some(repl)
-            if repl.replicas > 1 && matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. }) =>
-        {
-            repl
-        }
-        _ => return shared.engine.execute(op),
+    let repl = match shared.fan_out() {
+        Some(repl) if matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. }) => repl,
+        _ => return shared.apply_local(op, false),
     };
     let key = *op.key();
-    shared.engine.note_write(&op);
-    let local = shared.engine.execute(op.clone());
+    let local = shared.apply_local(op.clone(), true);
     let mut acks = usize::from(local.is_ok());
     for member in repl.replica_set(&key) {
         if member == repl.node_key {
@@ -846,16 +638,22 @@ fn replicated_execute(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtErro
     }
 }
 
-/// Groups `(key, values)` entries by target member for one bulk push.
-fn group_entries(
+/// Pushes `(key, values)` entries to the members `targets` names for each
+/// key (self excluded), one `Transfer` frame per member, counting the
+/// frames and values that were acknowledged under
+/// `net.server.replica.{series}_pushes` / `…_values`. Best-effort:
+/// unreachable peers are skipped.
+fn push_entries(
+    shared: &Shared,
+    repl: &Replication,
     entries: &[(Key, Vec<Bytes>)],
     targets: impl Fn(&Key) -> Vec<Key>,
-    skip: &Key,
-) -> BTreeMap<Key, Vec<(Key, Vec<Bytes>)>> {
+    [pushes, pushed_values]: [&str; 2],
+) {
     let mut grouped: BTreeMap<Key, Vec<(Key, Vec<Bytes>)>> = BTreeMap::new();
     for (key, values) in entries {
         for target in targets(key) {
-            if target != *skip {
+            if target != repl.node_key {
                 grouped
                     .entry(target)
                     .or_default()
@@ -863,7 +661,15 @@ fn group_entries(
             }
         }
     }
-    grouped
+    for (target, batch) in grouped {
+        let values: u64 = batch.iter().map(|(_, vs)| vs.len() as u64).sum();
+        let id = repl.next_id();
+        let msg = Message::Transfer { id, entries: batch };
+        if repl.peer_call(&target, &msg).is_ok() {
+            shared.metrics.incr(pushes);
+            shared.metrics.add(pushed_values, values);
+        }
+    }
 }
 
 /// The periodic anti-entropy driver: a repair pass every `interval`,
@@ -890,27 +696,21 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
 /// a stale member that still holds a deleted mapping drops it and
 /// records the tombstone itself.
 fn repair_pass(shared: &Shared) {
-    let Some(repl) = shared.replication.as_ref() else {
+    let Some(repl) = shared.fan_out().filter(|repl| !repl.peers.is_empty()) else {
         return;
     };
-    if repl.replicas <= 1 || repl.peers.is_empty() {
-        return;
-    }
-    let (entries, _) = shared.engine.live_local_entries();
-    let grouped = group_entries(&entries, |key| repl.replica_set(key), &repl.node_key);
-    for (target, batch) in grouped {
-        let values: u64 = batch.iter().map(|(_, vs)| vs.len() as u64).sum();
-        let id = repl.next_id();
-        let msg = Message::Transfer { id, entries: batch };
-        if repl.peer_call(&target, &msg).is_ok() {
-            shared.metrics.incr("net.server.replica.repair_pushes");
-            shared
-                .metrics
-                .add("net.server.replica.repair_values", values);
-        }
-    }
-    let tombstones: Vec<(Key, Vec<Bytes>)> = shared.engine.tombstones();
-    for (key, dead) in tombstones {
+    let (entries, _) = shared.store.live_entries();
+    push_entries(
+        shared,
+        repl,
+        &entries,
+        |key| repl.replica_set(key),
+        [
+            "net.server.replica.repair_pushes",
+            "net.server.replica.repair_values",
+        ],
+    );
+    for (key, dead) in shared.store.tombstones() {
         for member in repl.replica_set(&key) {
             if member == repl.node_key {
                 continue;
@@ -937,53 +737,45 @@ fn repair_pass(shared: &Shared) {
 /// replication factor survives the departure. Best-effort — unreachable
 /// peers are skipped; the survivors' repair passes finish the job.
 fn drain_partition(shared: &Shared) {
-    let Some(repl) = shared.replication.as_ref() else {
+    let Some(repl) = shared
+        .replication
+        .as_ref()
+        .filter(|repl| !repl.peers.is_empty())
+    else {
         return;
     };
-    if repl.peers.is_empty() {
-        return;
-    }
     let survivors: Vec<Key> = repl
         .ring
         .iter()
         .copied()
         .filter(|k| *k != repl.node_key)
         .collect();
-    let (entries, _) = shared.engine.live_local_entries();
-    if entries.is_empty() {
-        return;
-    }
-    let grouped = group_entries(
+    let (entries, _) = shared.store.live_entries();
+    push_entries(
+        shared,
+        repl,
         &entries,
         |key| placement::replica_keys(&survivors, key, repl.replicas),
-        &repl.node_key,
+        [
+            "net.server.replica.drain_pushes",
+            "net.server.replica.drain_values",
+        ],
     );
-    for (target, batch) in grouped {
-        let values: u64 = batch.iter().map(|(_, vs)| vs.len() as u64).sum();
-        let id = repl.next_id();
-        let msg = Message::Transfer { id, entries: batch };
-        if repl.peer_call(&target, &msg).is_ok() {
-            shared.metrics.incr("net.server.replica.drain_pushes");
-            shared
-                .metrics
-                .add("net.server.replica.drain_values", values);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use p2p_index_dht::{DhtOp, DhtResponse, Key, RingDht};
+    use p2p_index_dht::{DhtOp, DhtResponse, Key};
+
+    fn spawn_with(config: ServerConfig) -> DhtServer {
+        DhtServer::spawn_partition(NodeId::hash_of("node-0"), "127.0.0.1:0", config)
+            .expect("bind loopback")
+    }
 
     fn spawn_ring() -> DhtServer {
-        DhtServer::spawn(
-            Box::new(RingDht::with_named_nodes(1)),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .expect("bind loopback")
+        spawn_with(ServerConfig::default())
     }
 
     fn call(stream: &mut TcpStream, id: u64, op: DhtOp) -> Message {
@@ -1071,15 +863,10 @@ mod tests {
     #[test]
     fn malformed_frame_drops_the_connection() {
         let metrics = MetricsRegistry::new();
-        let server = DhtServer::spawn(
-            Box::new(RingDht::with_named_nodes(1)),
-            "127.0.0.1:0",
-            ServerConfig {
-                metrics: metrics.clone(),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let server = spawn_with(ServerConfig {
+            metrics: metrics.clone(),
+            ..ServerConfig::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))

@@ -1,27 +1,34 @@
-//! Concurrent hammer suite for the sharded server engine.
+//! Concurrent hammer suite for the server's sharded partition store.
 //!
 //! N client threads issue interleaved put/get/remove/batch scripts
 //! against one sharded `dhtd`, and every thread's results are checked
 //! against a single-threaded oracle run of the same seeded script — the
-//! sharded engine must be invisible except for the concurrency. A
+//! sharding must be invisible except for the concurrency. A
 //! shared-key phase then drives every thread at the *same* keys and
-//! checks the settled final state, and a shard-count-invariance test
-//! pins `--shards 1` ≡ `--shards 16` for results and accounting.
+//! checks the settled final state, a shard-count-invariance test pins
+//! `--shards 1` ≡ `--shards 16` for results and accounting, and a lossy
+//! server is held to the fault schedule of an in-process `FaultyDht`.
 
 use std::net::SocketAddr;
 
 use bytes::Bytes;
-use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key, NodeId, RingDht, SplitMix64};
+use p2p_index_dht::{
+    Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeId, RingDht, SplitMix64,
+};
 use p2p_index_net::{DhtServer, RemoteDht, RemoteDhtConfig, ServerConfig};
+use p2p_index_obs::MetricsRegistry;
 
-fn spawn_sharded(shards: usize) -> (DhtServer, NodeId) {
+fn spawn_with(config: ServerConfig) -> (DhtServer, NodeId) {
     let node = NodeId::hash_of("node-0");
-    let config = ServerConfig {
-        shards,
-        ..ServerConfig::default()
-    };
     let server = DhtServer::spawn_partition(node, "127.0.0.1:0", config).expect("server binds");
     (server, node)
+}
+
+fn spawn_sharded(shards: usize) -> (DhtServer, NodeId) {
+    spawn_with(ServerConfig {
+        shards,
+        ..ServerConfig::default()
+    })
 }
 
 fn client_for(addr: SocketAddr) -> RemoteDht {
@@ -192,7 +199,14 @@ fn hammer_threads_on_shared_keys_settle_deterministically() {
 
 #[test]
 fn shard_count_is_invisible_over_the_wire() {
-    let (one, node) = spawn_sharded(1);
+    // One shard is the same store as sixteen, not another engine: its
+    // lock counters tick like any other shard's.
+    let one_metrics = MetricsRegistry::new();
+    let (one, node) = spawn_with(ServerConfig {
+        shards: 1,
+        metrics: one_metrics.clone(),
+        ..ServerConfig::default()
+    });
     let (sixteen, _) = spawn_sharded(16);
     let keys: Vec<Key> = (0..10).map(|j| Key::hash_of(&format!("inv-{j}"))).collect();
     let values: Vec<Bytes> = (0..3).map(|m| Bytes::from(format!("v{m}"))).collect();
@@ -217,6 +231,52 @@ fn shard_count_is_invisible_over_the_wire() {
         assert_eq!(got, Dht::get(&client_sixteen, key));
         assert_eq!(got, Dht::get(&oracle, key));
     }
+    assert!(one_metrics.counter("net.server.shard.read_locks") > 0);
+    assert!(one_metrics.counter("net.server.shard.write_locks") > 0);
     one.shutdown();
     sixteen.shutdown();
+}
+
+#[test]
+fn lossy_server_replays_the_in_process_fault_schedule() {
+    // The server draws from the same seeded roll as `FaultyDht`, once per
+    // storage op in arrival order, so one connection feeding it a script
+    // of unary and batch frames sees the in-process twin's exact
+    // Ok/Timeout sequence — and leaves the same entries behind.
+    let fault = FaultConfig::lossy(0xD1CE, 0.3);
+    let (server, node) = spawn_with(ServerConfig {
+        fault,
+        ..ServerConfig::default()
+    });
+    let mut client = client_for(server.local_addr());
+    let mut twin = FaultyDht::new(RingDht::from_ids([*node.key()]), fault);
+    let keys: Vec<Key> = (0..6)
+        .map(|j| Key::hash_of(&format!("lossy-{j}")))
+        .collect();
+    let values: Vec<Bytes> = (0..3).map(|m| Bytes::from(format!("v{m}"))).collect();
+    let mut timeouts = 0usize;
+    for mut group in script(0xFA17, &keys, &values, 120) {
+        // `NodeFor` never reaches a server (the client answers it), so
+        // it would cost the twin a draw the server does not make.
+        group.retain(|op| !matches!(op, DhtOp::NodeFor(_)));
+        let expected = twin.execute_many(group.clone());
+        timeouts += expected
+            .iter()
+            .filter(|r| **r == Err(DhtError::Timeout))
+            .count();
+        assert_eq!(client.execute_many(group), expected);
+    }
+    assert!(timeouts > 20, "30% loss must surface (saw {timeouts})");
+    assert!(twin.fault_stats().responses_lost > 0);
+    for key in &keys {
+        let stored = loop {
+            match client.execute(DhtOp::Get(*key)) {
+                Ok(response) => break response.into_values(),
+                Err(DhtError::Timeout) => {}
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        };
+        assert_eq!(stored, Dht::get(twin.inner(), key));
+    }
+    server.shutdown();
 }

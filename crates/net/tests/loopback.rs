@@ -7,9 +7,17 @@
 //! the retry layer must absorb faults injected behind the server without
 //! the client knowing sockets are involved.
 
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
+
+use bytes::Bytes;
 use p2p_index_core::{CachePolicy, IndexService, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{Dht, RingDht};
-use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDhtConfig};
+use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht};
+use p2p_index_net::wire::{read_message, write_message, Message};
+use p2p_index_net::{
+    ClusterDht, DhtServer, LoopbackCluster, RemoteDht, RemoteDhtConfig, ReplicationConfig,
+    ServerConfig,
+};
 use p2p_index_obs::MetricsRegistry;
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -200,4 +208,157 @@ fn transport_timeouts_are_retried_like_any_transient_fault() {
     let stats = service.retry_stats();
     assert!(stats.retries > 0, "transport faults must be retried");
     assert!(stats.gave_up > 0, "the budget must eventually exhaust");
+}
+
+#[test]
+fn a_traced_search_sends_the_frames_the_untraced_search_sends() {
+    // One search path: with a trace recording, every wave still goes out
+    // as the same pipelined batch, so the client's accounting and every
+    // `net.*` count series (wall-clock `*_micros` histograms aside) match
+    // an untraced twin's exactly.
+    let run = |traced: bool| {
+        let cluster = LoopbackCluster::start_ring(3).expect("loopback cluster");
+        let metrics = MetricsRegistry::new();
+        let mut client = cluster.client();
+        client.set_metrics(metrics.clone());
+        let mut service = IndexService::new(client, CachePolicy::None);
+        for (descriptor, file) in corpus() {
+            service
+                .publish(&descriptor, &file, &SimpleScheme)
+                .expect("publish on a healthy network");
+        }
+        let mut reports = Vec::new();
+        for query in queries() {
+            if traced {
+                service.start_trace(format!("twin {query}"));
+            }
+            let report = service.search(&query).expect("search on a healthy network");
+            if traced {
+                let trace = service.finish_trace().expect("trace was started");
+                assert_eq!(trace.count_spans("lookup "), report.interactions as usize);
+            }
+            reports.push((report.files.len(), report.interactions));
+        }
+        let counters: Vec<(String, u64)> = metrics
+            .snapshot()
+            .counters()
+            .iter()
+            .filter(|(name, _)| name.starts_with("net."))
+            .cloned()
+            .collect();
+        let stats = service.dht().stats();
+        cluster.shutdown();
+        (reports, stats, counters)
+    };
+    let (traced_reports, traced_stats, traced_counters) = run(true);
+    let (reports, stats, counters) = run(false);
+    assert_eq!(traced_reports, reports);
+    assert_eq!(traced_stats, stats);
+    assert!(
+        counters
+            .iter()
+            .any(|(name, n)| name == "net.batch.ops" && *n > 0),
+        "the searches must ride batched waves: {counters:?}"
+    );
+    assert_eq!(traced_counters, counters);
+}
+
+/// Retries `op` against `client` until the lossy member delivers it.
+fn until_delivered(client: &mut RemoteDht, op: DhtOp) -> DhtResponse {
+    for _ in 0..200 {
+        match client.execute(op.clone()) {
+            Ok(response) => return response,
+            Err(DhtError::Timeout) => {}
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+    panic!("200 attempts at 30% loss never delivered {op:?}");
+}
+
+#[test]
+fn lossy_replicated_cluster_still_blocks_a_stale_transfer_of_a_removed_value() {
+    // Fault injection and tombstones used to live in different engines'
+    // side tables; now a lossy member is the same store with a roll in
+    // front, so its tombstones work like everyone else's.
+    let ids: Vec<NodeId> = (0..3)
+        .map(|i| NodeId::hash_of(&format!("node-{i}")))
+        .collect();
+    let listeners: Vec<TcpListener> = ids
+        .iter()
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .collect();
+    let members: Vec<(NodeId, SocketAddr)> = ids
+        .iter()
+        .zip(&listeners)
+        .map(|(id, l)| (*id, l.local_addr().unwrap()))
+        .collect();
+    let ring: Vec<(Key, SocketAddr)> = members.iter().map(|(id, a)| (*id.key(), *a)).collect();
+    let servers: Vec<DhtServer> = listeners
+        .into_iter()
+        .zip(&ids)
+        .map(|(listener, id)| {
+            // Repair runs only when the test says so.
+            let mut replication = ReplicationConfig::new(*id.key(), ring.clone(), 3, 2);
+            replication.repair_interval = None;
+            let config = ServerConfig {
+                replication: Some(replication),
+                fault: FaultConfig::lossy(0x10557 ^ id.key().low_u64(), 0.3),
+                ..ServerConfig::default()
+            };
+            DhtServer::spawn_partition_on(listener, *id, config).expect("member spawns")
+        })
+        .collect();
+    let mut client = RemoteDht::connect(
+        members.clone(),
+        RemoteDhtConfig {
+            replicas: 3,
+            read_quorum: 2,
+            ..RemoteDhtConfig::default()
+        },
+    );
+
+    let key = Key::hash_of("deleted-under-loss");
+    let dead = Bytes::from_static(b"Q:/dead");
+    let alive = Bytes::from_static(b"Q:/alive");
+    let put = DhtOp::Put {
+        key,
+        value: dead.clone(),
+    };
+    assert_eq!(until_delivered(&mut client, put), DhtResponse::Stored(true));
+    // An `Ok` remove means two members applied it, each recording the
+    // tombstone under the same shard guard. Scrub rounds spread it: a
+    // member missing it after ten rounds would have had to lose twenty
+    // or more re-sent removes at 15% each.
+    let remove = DhtOp::Remove {
+        key,
+        value: dead.clone(),
+    };
+    until_delivered(&mut client, remove);
+    for _ in 0..10 {
+        servers.iter().for_each(DhtServer::repair_now);
+    }
+
+    // A stale peer pushes the deleted value (and a never-deleted one) at
+    // a member, again and again: the member's own loss roll drops some
+    // of the puts, its tombstone must drop every copy of `dead`.
+    let (target, target_addr) = members[0];
+    let mut stream = TcpStream::connect(target_addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    for id in 0..40 {
+        let entries = vec![(key, vec![dead.clone(), alive.clone()])];
+        write_message(&mut stream, &Message::Transfer { id, entries }).unwrap();
+        let (reply, _) = read_message(&mut stream).unwrap();
+        assert!(matches!(reply, Message::Response { .. }));
+    }
+    let mut solo = RemoteDht::connect(vec![(target, target_addr)], RemoteDhtConfig::default());
+    assert_eq!(
+        until_delivered(&mut solo, DhtOp::Get(key)),
+        DhtResponse::Values(vec![alive]),
+        "40 pushes at 30% loss must land the live value and never the tombstoned one"
+    );
+    for server in servers {
+        server.shutdown();
+    }
 }

@@ -379,3 +379,68 @@ fn faulty_substrate_invariants_hold_with_retries() {
     run_faulty_case("kademlia", KademliaNetwork::with_nodes(keys(16)));
     run_faulty_case("pastry", PastryNetwork::with_perfect_tables(keys(16)));
 }
+
+/// Everything a recording trace must not perturb.
+#[derive(Debug, PartialEq)]
+struct LossyRun {
+    /// Per query: files, interactions, generalization steps, abandoned.
+    reports: Vec<(usize, u32, u32, u32)>,
+    stats: p2p_index_dht::DhtStats,
+    faults: p2p_index_dht::FaultStats,
+    retries: p2p_index_core::RetryStats,
+}
+
+/// Runs the search set over a lossy ring with a retry budget, traced or
+/// not.
+fn searches_under_loss(traced: bool) -> LossyRun {
+    let faulty = FaultyDht::new(RingDht::from_ids(keys(16)), FaultConfig::lossy(11, 0.2));
+    let mut service =
+        IndexService::with_retry(faulty, CachePolicy::Single, RetryPolicy::with_budget(5, 8));
+    for (descriptor, file) in corpus() {
+        service
+            .publish(&descriptor, &file, &SimpleScheme)
+            .expect("publish survives 20% loss under an 8-attempt budget");
+    }
+    let mut reports = Vec::new();
+    for query in &search_queries() {
+        if traced {
+            service.start_trace(format!("twin {query}"));
+        }
+        let report = service.search(query).expect("search itself cannot fail");
+        if traced {
+            let trace = service.finish_trace().expect("trace was started");
+            assert_eq!(
+                trace.count_spans("lookup "),
+                report.interactions as usize,
+                "one lookup span per interaction, abandoned branches included ({query})"
+            );
+            // Everything after the entry lookup rides batched waves, and
+            // the trace says so instead of replaying them one by one.
+            assert_eq!(
+                trace.count_spans("wave: ") > 0,
+                report.interactions > 1,
+                "{query}"
+            );
+        }
+        reports.push((
+            report.files.len(),
+            report.interactions,
+            report.generalization_steps,
+            report.completeness.abandoned,
+        ));
+    }
+    LossyRun {
+        reports,
+        stats: service.dht().stats(),
+        faults: service.dht().fault_stats(),
+        retries: service.retry_stats(),
+    }
+}
+
+#[test]
+fn tracing_a_search_does_not_change_the_dht_work_it_issues() {
+    // There is one search path: the traced run sends the same waves in
+    // the same op order, so even the seeded fault schedule and the retry
+    // tails line up with the untraced twin's.
+    assert_eq!(searches_under_loss(true), searches_under_loss(false));
+}

@@ -5,8 +5,9 @@
 //!                 [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]
 //!                 [--profile] [--allow-regression]
 //! repro trace <query> [--small] [...]
-//! repro serve [--substrate ring|chord|kademlia|pastry] [--port N]
-//!             [--node-name NAME] [--loss F] [--fault-seed N]
+//! repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N]
+//!             [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...]
+//!             [--repair-ms N] [--shards N]
 //! repro net-demo --members HOST:PORT,... [--articles N] [--queries N]
 //!                [--seed N] [--shutdown]
 //! repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N]
@@ -47,9 +48,10 @@
 //! the binary was built with `--features alloc-profile` (which swaps in a
 //! counting global allocator).
 //!
-//! `serve` runs one networked DHT node (`dhtd`): a single-node substrate
-//! partition behind the `crates/net` wire protocol, until it receives a
-//! shutdown frame. `net-demo` is the matching client: it points the full
+//! `serve` runs one networked DHT node (`dhtd`): one node's partition
+//! store (`--shards N` key-hash shards, optionally with `--loss` injected
+//! in front of it) behind the `crates/net` wire protocol, until it
+//! receives a shutdown frame. `net-demo` is the matching client: it points the full
 //! indexing stack at a running cluster over TCP. See the README's
 //! networking quickstart for a 5-node loopback ring.
 //!
@@ -142,7 +144,7 @@ fn usage() -> String {
     "usage: repro <fig7|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table1|storage|ext-structures|ext-churn|robustness|bench|all> \
      [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE] [--profile] [--allow-regression]\n\
      \x20      repro trace <query> [--small] [--nodes N] [--articles N] [--seed N]\n\
-     \x20      repro serve [--substrate ring|chord|kademlia|pastry] [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
+     \x20      repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
      [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...] [--repair-ms N] [--shards N]\n\
      \x20      repro net-demo --members HOST:PORT,... [--articles N] [--queries N] [--seed N] [--replicas R] [--quorum W,RQ] [--shutdown]\n\
      \x20      repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N] [--queries N] [--seed N] \
@@ -155,9 +157,6 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut opts = ServeOptions::default();
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--substrate" => {
-                opts.substrate = args.next().ok_or("--substrate needs a value")?;
-            }
             "--port" => {
                 opts.port = parse_num(args.next(), "--port")? as u16;
             }
@@ -647,7 +646,7 @@ fn bench(
 
     // Loopback RPC micro-bench: real sockets, single-node server, get and
     // put at 1 and 8 client threads (median of 3 samples per cell), plus
-    // the sharded-vs-single-lock thread sweep, which gates the same way
+    // the 16-shards-vs-1 thread sweep, which gates the same way
     // the grid sweep does.
     let (net_json, net_regressed) = netd::net_bench();
 
@@ -708,7 +707,7 @@ fn bench(
     }
     if net_regressed && !allow_regression {
         eprintln!(
-            "# FAIL: the sharded server fell below the noise margin against its single-lock \
+            "# FAIL: the sharded server fell below the noise margin against its one-shard \
              twin (see REGRESSED cells above); pass --allow-regression to record the numbers \
              anyway"
         );

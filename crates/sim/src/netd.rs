@@ -2,8 +2,8 @@
 //!
 //! Three entry points, all built on `crates/net`:
 //!
-//! * [`serve`] — the `repro serve` daemon: run one `dhtd` node serving a
-//!   single-node partition of any substrate on a TCP port. Prints
+//! * [`serve`] — the `repro serve` daemon: run one `dhtd` node serving
+//!   its partition store on a TCP port. Prints
 //!   `DHTD LISTENING <addr>` on stdout once bound (the multi-process
 //!   harness parses that line to learn ephemeral ports), then blocks
 //!   until a wire shutdown frame arrives.
@@ -20,10 +20,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use p2p_index_core::{CachePolicy, IndexService, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{
-    ChordNetwork, Dht, DhtOp, FaultConfig, FaultyDht, KademliaNetwork, Key, NodeId, PastryNetwork,
-    RingDht,
-};
+use p2p_index_dht::{Dht, DhtOp, FaultConfig, Key, NodeId};
 use p2p_index_net::{
     DhtServer, LoopbackCluster, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig,
 };
@@ -33,16 +30,13 @@ use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
 /// Options for the `repro serve` daemon.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Which substrate implementation backs this node's partition:
-    /// `ring`, `chord`, `kademlia`, or `pastry`.
-    pub substrate: String,
     /// TCP port to bind on loopback (0 = ephemeral, reported on stdout).
     pub port: u16,
     /// The node's name; its identifier is `hash(name)`. The standard
     /// cluster convention is `node-0..n-1`, matching
     /// `RingDht::with_named_nodes`.
     pub node_name: String,
-    /// Message-loss probability injected behind the server (0 = none).
+    /// Message-loss probability injected in front of the store (0 = none).
     pub loss: f64,
     /// Seed for the fault injector, when `loss > 0`.
     pub fault_seed: u64,
@@ -58,18 +52,14 @@ pub struct ServeOptions {
     pub peers: Vec<(String, SocketAddr)>,
     /// Anti-entropy repair interval in milliseconds (0 disables).
     pub repair_ms: u64,
-    /// Storage shard count for the ring substrate: `> 1` (the default)
-    /// serves the reader-concurrent sharded engine, `1` is the classic
-    /// single-mutex path kept as the contention baseline. Non-ring
-    /// substrates and fault-injected partitions always use the
-    /// single-mutex path (they wrap arbitrary substrates).
+    /// Key-hash shard count of the partition store (`1` = one lock, the
+    /// contention baseline).
     pub shards: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            substrate: "ring".to_string(),
             port: 0,
             node_name: "node-0".to_string(),
             loss: 0.0,
@@ -81,37 +71,6 @@ impl Default for ServeOptions {
             shards: ServerConfig::default().shards,
         }
     }
-}
-
-/// Builds the single-node substrate partition `serve` exposes.
-fn build_partition(opts: &ServeOptions) -> Result<Box<dyn Dht + Send>, String> {
-    let id = Key::hash_of(&opts.node_name);
-    let inner: Box<dyn Dht + Send> = match opts.substrate.as_str() {
-        "ring" => Box::new(RingDht::from_ids([id])),
-        "chord" => Box::new(ChordNetwork::with_perfect_tables([id])),
-        "kademlia" => Box::new(KademliaNetwork::with_nodes([id])),
-        "pastry" => Box::new(PastryNetwork::with_perfect_tables([id])),
-        other => {
-            return Err(format!(
-                "unknown substrate {other:?} (ring|chord|kademlia|pastry)"
-            ))
-        }
-    };
-    if opts.loss > 0.0 {
-        // Each Dht impl is concrete behind FaultyDht, so wrap per kind.
-        let cfg = FaultConfig::lossy(opts.fault_seed, opts.loss);
-        return Ok(match opts.substrate.as_str() {
-            "ring" => Box::new(FaultyDht::new(RingDht::from_ids([id]), cfg)),
-            "chord" => Box::new(FaultyDht::new(ChordNetwork::with_perfect_tables([id]), cfg)),
-            "kademlia" => Box::new(FaultyDht::new(KademliaNetwork::with_nodes([id]), cfg)),
-            "pastry" => Box::new(FaultyDht::new(
-                PastryNetwork::with_perfect_tables([id]),
-                cfg,
-            )),
-            _ => unreachable!("validated above"),
-        });
-    }
-    Ok(inner)
 }
 
 /// Runs one `dhtd` node until a wire shutdown frame arrives.
@@ -145,20 +104,14 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     let config = ServerConfig {
         replication,
         shards: opts.shards,
+        fault: FaultConfig::lossy(opts.fault_seed, opts.loss),
         ..ServerConfig::default()
     };
-    // The plain ring partition gets the sharded reader-concurrent
-    // engine; everything else (other substrates, fault injectors) wraps
-    // an arbitrary `Dht` and keeps the single-mutex path.
-    let server = if opts.substrate == "ring" && opts.loss == 0.0 {
-        DhtServer::spawn_partition(
-            NodeId::hash_of(&opts.node_name),
-            ("127.0.0.1", opts.port),
-            config,
-        )
-    } else {
-        DhtServer::spawn(build_partition(opts)?, ("127.0.0.1", opts.port), config)
-    }
+    let server = DhtServer::spawn_partition(
+        NodeId::hash_of(&opts.node_name),
+        ("127.0.0.1", opts.port),
+        config,
+    )
     .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", opts.port))?;
     let addr = server.local_addr();
     // The harness parses this exact line to learn the ephemeral port, so
@@ -166,8 +119,7 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     println!("DHTD LISTENING {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "# dhtd: {} partition for {} ({}), loss {}, replicas {} (W={})",
-        opts.substrate,
+        "# dhtd: partition for {} ({}), loss {}, replicas {} (W={})",
         opts.node_name,
         NodeId::hash_of(&opts.node_name),
         opts.loss,
@@ -522,7 +474,7 @@ fn fanout_cell(cluster: &LoopbackCluster, k: usize, batched: bool) -> FanoutCell
 /// the median by throughput is reported. Returns the `net` JSON object
 /// for `BENCH_results.json` (and prints a summary line per cell on
 /// stderr), plus whether any sharded-sweep cell regressed below the
-/// noise margin against its single-lock twin — the caller turns that
+/// noise margin against its one-shard twin — the caller turns that
 /// into a non-zero exit, same as the grid sweep's gate.
 pub fn net_bench() -> (String, bool) {
     let cluster = LoopbackCluster::start_ring(1).expect("loopback bench cluster binds");
@@ -539,12 +491,12 @@ pub fn net_bench() -> (String, bool) {
     }
     cluster.shutdown();
 
-    // Sharded-vs-single-lock thread sweep: the tentpole exhibit. The
-    // same build serves the same single-node partition twice — once on
-    // the default sharded engine, once behind `--shards 1` (the old
-    // global mutex) — and get / put / 90-10 mixed throughput is swept
-    // across client thread counts. A cell regresses when the sharded
-    // engine falls below 0.75x the locked twin at more than one thread;
+    // Shard-count thread sweep. The same store serves the same
+    // partition twice — once at the default shard count, once at
+    // `--shards 1` (one `RwLock` for the whole partition) — and get /
+    // put / 90-10 mixed throughput is swept across client thread counts.
+    // A cell regresses when the default falls below 0.75x the one-shard
+    // twin ("locked" in the JSON) at more than one thread;
     // the margin absorbs loopback noise, and single-thread cells are
     // informational (there is no contention to win there, and one-core
     // hosts show parity by construction).
@@ -554,7 +506,7 @@ pub fn net_bench() -> (String, bool) {
     let sharded_cluster =
         LoopbackCluster::start_ring_sharded(1, shard_count).expect("sharded bench cluster binds");
     let locked_cluster =
-        LoopbackCluster::start_ring_sharded(1, 1).expect("single-lock bench cluster binds");
+        LoopbackCluster::start_ring_sharded(1, 1).expect("one-shard bench cluster binds");
     let mut sweep_rows = Vec::new();
     let mut regressed = false;
     for op in ["get", "put", "mixed"] {
@@ -673,6 +625,7 @@ pub fn net_bench() -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2p_index_dht::RingDht;
 
     #[test]
     fn remote_workload_equals_in_process_workload() {
@@ -684,34 +637,6 @@ mod tests {
         let local = run_workload(RingDht::with_named_nodes(4), 24, 16, 9).expect("local workload");
         assert_eq!(remote, local);
         cluster.shutdown();
-    }
-
-    #[test]
-    fn build_partition_rejects_unknown_substrates() {
-        let err = match build_partition(&ServeOptions {
-            substrate: "carrier-pigeon".to_string(),
-            ..ServeOptions::default()
-        }) {
-            Err(message) => message,
-            Ok(_) => panic!("unknown substrate was accepted"),
-        };
-        assert!(err.contains("carrier-pigeon"));
-    }
-
-    #[test]
-    fn every_substrate_kind_serves_a_partition() {
-        for kind in ["ring", "chord", "kademlia", "pastry"] {
-            let mut dht = build_partition(&ServeOptions {
-                substrate: kind.to_string(),
-                ..ServeOptions::default()
-            })
-            .expect("known substrate");
-            assert_eq!(dht.len(), 1, "{kind}");
-            assert!(
-                dht.put(Key::hash_of("k"), bytes::Bytes::from_static(b"v")),
-                "{kind}"
-            );
-        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn spawn_dhtd(node_name: &str, extra: &[&str]) -> DhtdChild {
 fn spawn_dhtd_on(node_name: &str, port: u16, extra: &[&str]) -> DhtdChild {
     let port = port.to_string();
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["serve", "--substrate", "ring", "--port", &port])
+        .args(["serve", "--port", &port])
         .args(["--node-name", node_name])
         .args(extra)
         .stdout(Stdio::piped())
