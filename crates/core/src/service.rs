@@ -254,8 +254,10 @@ pub struct IndexService<D> {
     /// back a cheap clone (`Arc` bumps for query targets) instead of
     /// re-parsing the same query text on every `Get` that returns it. Like
     /// `key_cache` this memoizes a pure function of the bytes, so entries
-    /// can never go stale.
-    decode_cache: HashMap<Bytes, IndexTarget>,
+    /// can never go stale. Keys are owned copies, by type: a value handed
+    /// back by a networked substrate is a slice of its whole reply frame,
+    /// and a table that lives as long as the service must not pin frames.
+    decode_cache: HashMap<Box<[u8]>, IndexTarget>,
     /// Reusable scratch buffers for [`search`](Self::search): the BFS
     /// queue/visited sets and the generalization frontier survive across
     /// searches instead of being reallocated per query.
@@ -552,11 +554,11 @@ impl<D: Dht> IndexService<D> {
     fn decode_targets(&mut self, values: Vec<Bytes>) -> Result<Vec<IndexTarget>, IndexError> {
         let mut out = Vec::with_capacity(values.len());
         for bytes in values {
-            let target = match self.decode_cache.get(&bytes) {
+            let target = match self.decode_cache.get(&bytes[..]) {
                 Some(t) => t.clone(),
                 None => {
                     let t = IndexTarget::from_bytes(&bytes)?;
-                    self.decode_cache.insert(bytes, t.clone());
+                    self.decode_cache.insert(bytes[..].into(), t.clone());
                     t
                 }
             };
@@ -1318,6 +1320,33 @@ mod tests {
             scheme,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn decode_cache_keys_never_pin_the_frame_a_value_came_in() {
+        // A networked substrate hands back values that are slices of a
+        // whole reply frame; the intern table outlives every frame, so it
+        // must key on a compact copy.
+        let mut frame = vec![0u8; 1 << 20];
+        let encoded = IndexTarget::File("x.pdf".into()).to_bytes();
+        frame[512..512 + encoded.len()].copy_from_slice(&encoded);
+        let frame = Bytes::from(frame);
+        let value = frame.slice(512..512 + encoded.len());
+
+        let mut s = service(CachePolicy::None);
+        let decoded = s.decode_targets(vec![value.clone()]).unwrap();
+        assert_eq!(decoded, vec![IndexTarget::File("x.pdf".into())]);
+        // A second sighting is a hit on the same, single entry.
+        assert_eq!(s.decode_targets(vec![value]).unwrap(), decoded);
+        assert_eq!(s.decode_cache.len(), 1);
+
+        let held = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        let key = s.decode_cache.keys().next().unwrap();
+        assert_eq!(key[..], encoded[..]);
+        assert!(
+            !held.contains(&(key.as_ptr() as usize)),
+            "the cached key must own its bytes, not borrow the frame's"
+        );
     }
 
     #[test]

@@ -35,6 +35,48 @@ pub fn successor_index(ring: &[Key], key: &Key) -> Option<usize> {
     Some(if at == ring.len() { 0 } else { at })
 }
 
+/// A key's replica set as a window on the ring: `len` consecutive ring
+/// positions starting at the key's clockwise successor, wrapping past the
+/// ring's end. `Copy` and allocation-free, so a router can keep one per
+/// in-flight op and resolve "the member at rank k" on demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicaRange {
+    first: usize,
+    len: usize,
+    ring_len: usize,
+}
+
+impl ReplicaRange {
+    /// How many members hold a copy (0 only for an empty ring).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` only for an empty ring.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The ring index of the replica at `rank` (0 is the primary).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rank >= self.len()`.
+    pub fn index(&self, rank: usize) -> usize {
+        assert!(
+            rank < self.len,
+            "rank {rank} outside a {}-replica set",
+            self.len
+        );
+        (self.first + rank) % self.ring_len
+    }
+
+    /// The ring indices in placement order (primary first).
+    pub fn indices(self) -> impl ExactSizeIterator<Item = usize> {
+        (0..self.len).map(move |rank| self.index(rank))
+    }
+}
+
 /// The replica set for `key` over `ring`: the clockwise successor
 /// followed by the next `replicas - 1` distinct successors, in
 /// placement order (primary first).
@@ -43,14 +85,28 @@ pub fn successor_index(ring: &[Key], key: &Key) -> Option<usize> {
 /// copy when the ring is smaller than the requested factor and a
 /// degenerate `replicas == 0` request still yields the primary. A node
 /// never appears twice: walking `min(replicas, n)` steps from the
-/// successor cannot revisit a position. Returns an empty vector only
-/// for an empty ring.
+/// successor cannot revisit a position. Empty only for an empty ring.
+pub fn replica_range(ring: &[Key], key: &Key, replicas: usize) -> ReplicaRange {
+    match successor_index(ring, key) {
+        Some(first) => ReplicaRange {
+            first,
+            len: replicas.clamp(1, ring.len()),
+            ring_len: ring.len(),
+        },
+        None => ReplicaRange {
+            first: 0,
+            len: 0,
+            ring_len: 0,
+        },
+    }
+}
+
+/// [`replica_range`] resolved to the members' ring keys.
 pub fn replica_keys(ring: &[Key], key: &Key, replicas: usize) -> Vec<Key> {
-    let Some(first) = successor_index(ring, key) else {
-        return Vec::new();
-    };
-    let count = replicas.clamp(1, ring.len());
-    (0..count).map(|k| ring[(first + k) % ring.len()]).collect()
+    replica_range(ring, key, replicas)
+        .indices()
+        .map(|at| ring[at])
+        .collect()
 }
 
 #[cfg(test)]
@@ -93,6 +149,18 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), set.len(), "no node appears twice");
+    }
+
+    #[test]
+    fn replica_range_wraps_and_resolves_ranks_without_a_ring() {
+        let ring = ring_of(&["a", "b", "c", "d", "e"]);
+        // A key owned by the last node: ranks 1 and 2 wrap to the front.
+        let range = replica_range(&ring, &ring[4], 3);
+        assert_eq!(range.len(), 3);
+        assert_eq!(range.indices().len(), 3);
+        assert_eq!(range.indices().collect::<Vec<_>>(), vec![4, 0, 1]);
+        assert_eq!(range.index(2), 1);
+        assert!(replica_range(&[], &ring[0], 3).is_empty());
     }
 
     #[test]

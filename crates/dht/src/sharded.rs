@@ -193,6 +193,14 @@ impl ShardedDht {
     /// tombstone transition under the same write guard: a `Remove`
     /// shadows the value against stale repair pushes, a `Put` of the same
     /// value lifts the shadow (a deliberate re-add wins).
+    ///
+    /// This is where a value becomes resident, so this is where it is
+    /// copied: an op decoded off the wire carries a slice of its whole
+    /// frame, and storing the slice would pin the frame for as long as
+    /// the value lives. A value (or tombstone) that is genuinely new is
+    /// copied into a compact allocation of its own; a duplicate — the
+    /// steady state of every repair pass — is recognised first and costs
+    /// no allocation at all.
     fn execute_op(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
         match op {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
@@ -208,14 +216,17 @@ impl ShardedDht {
                         }
                     }
                 }
-                Ok(DhtResponse::Stored(shard.store.put(key, value)))
+                Ok(DhtResponse::Stored(shard.store.put_copied(key, &value)))
             }
             DhtOp::Remove { key, value } => {
                 self.counters.record_pair("remove", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
                 let removed = shard.store.remove(&key, &value);
                 if replicated {
-                    shard.deleted.entry(key).or_default().insert(value);
+                    let dead = shard.deleted.entry(key).or_default();
+                    if !dead.contains(&value) {
+                        dead.insert(Bytes::copy_from_slice(&value));
+                    }
                 }
                 Ok(DhtResponse::Removed(removed))
             }
@@ -486,6 +497,72 @@ mod tests {
         let (live, withheld) = dht.filter_live(vec![(k, vec![b("gone")])]);
         assert_eq!(live, vec![(k, vec![b("gone")])]);
         assert_eq!(withheld, 0);
+    }
+
+    /// `true` when `value`'s bytes live inside `frame`'s allocation.
+    fn inside(frame: &Bytes, value: &Bytes) -> bool {
+        let range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        range.contains(&(value.as_ptr() as usize))
+    }
+
+    #[test]
+    fn resident_values_and_tombstones_never_pin_the_frame_they_came_from() {
+        // A decoded op carries a slice of its whole frame. What the store
+        // keeps must be a compact copy, or one 40-byte value would hold a
+        // megabyte frame alive.
+        let frame = Bytes::from(vec![7u8; 1 << 20]);
+        let dht = ShardedDht::new(node(), 4);
+        let key = Key::hash_of("k");
+        let put = || DhtOp::Put {
+            key,
+            value: frame.slice(4096..4136),
+        };
+        assert_eq!(dht.execute_replicated(put()), Ok(DhtResponse::Stored(true)));
+        let stored = Dht::get(&dht, &key);
+        assert_eq!(stored, vec![frame.slice(4096..4136)]);
+        assert!(inside(&frame, &frame.slice(4096..4136)), "the probe works");
+        assert!(
+            !inside(&frame, &stored[0]),
+            "stored value must own its bytes"
+        );
+
+        // The same value again is recognised before anything is copied:
+        // the resident value is still the first copy.
+        assert_eq!(
+            dht.execute_replicated(put()),
+            Ok(DhtResponse::Stored(false))
+        );
+        let again = Dht::get(&dht, &key);
+        assert_eq!(again.len(), 1);
+        assert_eq!(again[0].as_ptr(), stored[0].as_ptr());
+        assert_eq!(dht.total_values(), 1);
+
+        // A replicated remove records a tombstone that owns its bytes too,
+        // and re-sending it (every repair pass does) keeps the first copy.
+        let remove = || DhtOp::Remove {
+            key,
+            value: frame.slice(4096..4136),
+        };
+        assert_eq!(
+            dht.execute_replicated(remove()),
+            Ok(DhtResponse::Removed(true))
+        );
+        let dead = dht.tombstones();
+        assert_eq!(dead, vec![(key, vec![frame.slice(4096..4136)])]);
+        assert!(
+            !inside(&frame, &dead[0].1[0]),
+            "tombstone must own its bytes"
+        );
+        assert_eq!(
+            dht.execute_replicated(remove()),
+            Ok(DhtResponse::Removed(false))
+        );
+        assert_eq!(dht.tombstones()[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
+
+        // The unreplicated path owns what it stores as well.
+        let plain = ShardedDht::new(node(), 1);
+        assert_eq!(plain.execute_shared(put()), Ok(DhtResponse::Stored(true)));
+        assert!(!inside(&frame, &Dht::get(&plain, &key)[0]));
     }
 
     #[test]

@@ -57,6 +57,20 @@ impl NodeStore {
         true
     }
 
+    /// [`NodeStore::put`] for a value the caller does not own compactly
+    /// (a slice of a larger buffer): one scan of the key's values, and the
+    /// bytes are copied into an allocation of their own only if they are
+    /// new. Returns `true` if the value was new.
+    pub fn put_copied(&mut self, key: Key, value: &[u8]) -> bool {
+        let values = self.entries.entry(key).or_default();
+        if values.iter().any(|v| v.as_ref() == value) {
+            return false;
+        }
+        values.push(Bytes::copy_from_slice(value));
+        self.value_count += 1;
+        true
+    }
+
     /// Returns all values registered under `key` (empty slice if none).
     pub fn get(&self, key: &Key) -> &[Bytes] {
         self.entries.get(key).map(Vec::as_slice).unwrap_or(&[])
@@ -194,6 +208,22 @@ mod tests {
         assert!(s.put(k, b("v")));
         assert!(!s.put(k, b("v")));
         assert_eq!(s.value_count(), 1);
+    }
+
+    #[test]
+    fn put_copied_owns_new_bytes_and_keeps_the_first_copy_of_a_duplicate() {
+        let mut s = NodeStore::new();
+        let k = Key::hash_of("k");
+        let frame = b("..v1v2..");
+        assert!(s.put_copied(k, &frame[2..4]));
+        let first = s.get(&k)[0].as_ptr();
+        assert!(!frame.as_ptr_range().contains(&first));
+        assert!(!s.put_copied(k, &frame[2..4]));
+        assert!(!s.put(k, b("v1")));
+        assert!(s.put_copied(k, &frame[4..6]));
+        assert_eq!(s.get(&k), &[b("v1"), b("v2")]);
+        assert_eq!(s.get(&k)[0].as_ptr(), first);
+        assert_eq!(s.value_count(), 2);
     }
 
     #[test]

@@ -43,21 +43,25 @@
 //! broken out under `net.batch.*`, which is what lets the multi-process
 //! harness cross-check frames against message accounting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use p2p_index_dht::placement::{self, ReplicaRange};
 use p2p_index_dht::{
-    self as dht_api, kind_counter, placement, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key,
-    NodeId, OpFamily, PairCounters,
+    self as dht_api, kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId,
+    OpFamily, PairCounters,
 };
 use p2p_index_obs::MetricsRegistry;
 
-use crate::wire::{read_message_with, write_message, write_message_with, Message, RecvError};
+use crate::wire::{
+    encode_batch, encode_message, read_reply_with, write_frame, write_message, Message, RecvError,
+};
 
 /// Tuning knobs for a [`RemoteDht`] client.
 #[derive(Debug, Clone)]
@@ -102,6 +106,15 @@ impl Default for RemoteDhtConfig {
 /// once; beyond it, callers briefly queue on a slot.
 const CONNS_PER_MEMBER: usize = 4;
 
+/// One pooled connection: the stream and the frame buffer that lives
+/// beside it. A connection carries one frame at a time — request out,
+/// then reply in — so one buffer serves both directions, and it keeps
+/// its capacity from call to call.
+struct Conn {
+    stream: TcpStream,
+    frame: Vec<u8>,
+}
+
 /// One cluster member: a small pool of connections to a `dhtd` server,
 /// keyed by the node identifier it serves.
 struct Member {
@@ -109,7 +122,7 @@ struct Member {
     addr: SocketAddr,
     /// Lazily-dialed pooled connections; each slot is poisoned-on-failure
     /// (dropped and redialed on the next call).
-    conns: Vec<Mutex<Option<TcpStream>>>,
+    conns: Vec<Mutex<Option<Conn>>>,
     /// Rotation point for slot leasing, so concurrent callers spread
     /// across the pool instead of all contending on slot 0.
     next_slot: AtomicUsize,
@@ -134,7 +147,7 @@ impl Member {
     /// callers spread across the pool. Deadlock-free under concurrent
     /// batches: every thread acquires members in ring order and holds at
     /// most one slot per member, so wait chains only ever point up-ring.
-    fn lease(&self) -> MutexGuard<'_, Option<TcpStream>> {
+    fn lease(&self) -> MutexGuard<'_, Option<Conn>> {
         for pass in 0..2 {
             for slot in &self.conns {
                 if let Ok(guard) = slot.try_lock() {
@@ -155,65 +168,96 @@ impl Member {
 /// The connection guard is held from write to read so the reply phase
 /// reads the same stream the request went out on.
 struct InFlight<'a> {
-    slot: MutexGuard<'a, Option<TcpStream>>,
+    slot: MutexGuard<'a, Option<Conn>>,
     id: u64,
-    /// `true` when the frame was a [`Message::Batch`] (two or more ops);
-    /// single-op groups travel as plain unary requests.
-    batch: bool,
     started: Instant,
-    /// `(original op index, attempt rank)` in send order.
-    group: Vec<(usize, usize)>,
+    /// This member's attempts, as a range of the round's attempt list.
+    /// Two or more travelled as one batch frame, a single one as a plain
+    /// unary request.
+    group: Range<usize>,
 }
 
-/// One storage op's routing state across failover rounds: the candidate
-/// replicas in rank order, how many have been tried, and the successful
-/// replies gathered so far toward the quorum.
+/// One attempt of a round: op `op` goes to ring member `member`, which is
+/// the op's replica number `rank`. The derived order — member first, then
+/// op — is the round's wire order: one frame per member, members in ring
+/// order, each frame's ops in batch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Attempt {
+    member: usize,
+    op: usize,
+    rank: usize,
+}
+
+/// One op's routing state across failover rounds.
 struct Route {
     op: DhtOp,
-    kind: &'static str,
-    /// Candidate members — the key's replica set, primary first.
-    candidates: Vec<Key>,
+    /// The key's replica set, primary first.
+    replicas: ReplicaRange,
     /// Ranks `0..tried` have been attempted (successfully or not).
     tried: usize,
     /// Successes required to settle: the read quorum for `Get`, one for
     /// writes (the server enforces the write quorum behind one reply).
     want: usize,
-    /// `(rank, response)` successes gathered so far.
-    successes: Vec<(usize, DhtResponse)>,
+    /// Successes gathered so far; they sit in this op's stride of
+    /// [`CallScratch::gathered`].
+    have: usize,
+    /// The op has its final result.
+    settled: bool,
     /// The last *remote* error reply observed (as opposed to a transport
     /// failure); decides whether settling by exhaustion counts as a
     /// completed RPC pair in the stats.
     reply_error: Option<DhtError>,
 }
 
-impl Route {
-    /// The settled response once `want` successes are in. Reads merge:
-    /// the answer is the union of every replica's value set, gathered in
-    /// rank order with first-seen dedup, so replicas holding disjoint
-    /// stale subsets still sum to the full entry (each value survives on
-    /// at least one of the Rq replicas whenever Rq + W > R). Other ops
-    /// settle on the lowest-ranked reply.
-    fn settle_response(&mut self) -> DhtResponse {
-        self.successes.sort_by_key(|(rank, _)| *rank);
-        if self
-            .successes
-            .iter()
-            .any(|(_, resp)| matches!(resp, DhtResponse::Values(_)))
-        {
-            let mut merged: Vec<Bytes> = Vec::new();
-            for (_, resp) in &self.successes {
-                if let DhtResponse::Values(values) = resp {
-                    for v in values {
-                        if !merged.contains(v) {
-                            merged.push(v.clone());
-                        }
-                    }
-                }
-            }
-            return DhtResponse::Values(merged);
-        }
-        self.successes[0].1.clone()
+/// Everything one call needs besides the connections, kept from call to
+/// call so a warm client's round allocates for what it returns and
+/// nothing else. Every buffer is empty between calls; only capacity
+/// carries over.
+#[derive(Default)]
+struct CallScratch {
+    routes: Vec<Route>,
+    /// One result per op, positionally; what the call hands back.
+    results: Vec<Result<DhtResponse, DhtError>>,
+    /// `(rank, response)` successes, `read_quorum` slots per op.
+    gathered: Vec<Option<(usize, DhtResponse)>>,
+    /// The current round's attempts, sorted into wire order.
+    attempts: Vec<Attempt>,
+    /// The results of the reply frame being absorbed.
+    replies: Vec<Result<DhtResponse, DhtError>>,
+    /// Keys the batch writes, sorted — filled only when it also reads.
+    written: Vec<Key>,
+}
+
+/// The settled response once an op's quorum of successes is in. Replicas
+/// that agree — the steady state — settle as the lowest-ranked reply,
+/// untouched. Reads that disagree merge: the answer is the union of
+/// every replica's value set, gathered in rank order with first-seen
+/// dedup, so replicas holding disjoint stale subsets still sum to the
+/// full entry (each value survives on at least one of the Rq replicas
+/// whenever Rq + W > R).
+fn settle_response(gathered: &mut [Option<(usize, DhtResponse)>]) -> DhtResponse {
+    gathered.sort_unstable_by_key(|slot| slot.as_ref().map(|(rank, _)| *rank));
+    let mut responses = gathered.iter().flatten().map(|(_, resp)| resp);
+    let lowest = responses.next().expect("settling needs a success");
+    if responses.all(|resp| resp == lowest) {
+        return gathered[0].take().expect("just inspected").1;
     }
+    let lists = gathered
+        .iter()
+        .flatten()
+        .filter_map(|(_, resp)| match resp {
+            DhtResponse::Values(values) => Some(values),
+            _ => None,
+        });
+    let total: usize = lists.clone().map(Vec::len).sum();
+    let mut merged: Vec<Bytes> = Vec::with_capacity(total);
+    let mut seen: HashSet<&[u8]> = HashSet::with_capacity(total);
+    for v in lists.flatten() {
+        if seen.insert(v) {
+            merged.push(v.clone());
+        }
+    }
+    DhtResponse::Values(merged)
 }
 
 /// A DHT client speaking the `crates/net` wire protocol to a cluster of
@@ -221,16 +265,18 @@ impl Route {
 /// substrates do — `IndexService`, retry policies, and metrics all run
 /// unchanged over real sockets.
 pub struct RemoteDht {
-    /// Node position → member, ordered around the identifier circle so
-    /// `range(key..)` resolves the clockwise successor, as in `RingDht`.
-    members: BTreeMap<Key, Member>,
+    /// The members in ring order: `members[i]` serves `ring[i]`.
+    members: Vec<Member>,
     /// The member ring keys, ascending — the placement ring shared with
-    /// the servers' replica fan-out and repair.
+    /// the servers' replica fan-out and repair. The clockwise successor
+    /// of a key on it is the key's owner, as in `RingDht`.
     ring: Vec<Key>,
     config: RemoteDhtConfig,
     next_request_id: AtomicU64,
     counters: PairCounters,
     metrics: MetricsRegistry,
+    /// The call state `&mut self` entry points reuse.
+    scratch: CallScratch,
 }
 
 impl RemoteDht {
@@ -240,20 +286,21 @@ impl RemoteDht {
     /// whose operations report [`DhtError::NoLiveNodes`]. Quorum settings
     /// are clamped to sane bounds (`1 ≤ Rq ≤ R ≤ n`).
     pub fn connect(members: Vec<(NodeId, SocketAddr)>, mut config: RemoteDhtConfig) -> RemoteDht {
-        let members: BTreeMap<Key, Member> = members
+        let by_key: BTreeMap<Key, Member> = members
             .into_iter()
             .map(|(id, addr)| (*id.key(), Member::new(id, addr)))
             .collect();
-        let ring: Vec<Key> = members.keys().copied().collect();
+        let ring: Vec<Key> = by_key.keys().copied().collect();
         config.replicas = config.replicas.clamp(1, ring.len().max(1));
         config.read_quorum = config.read_quorum.clamp(1, config.replicas);
         RemoteDht {
-            members,
+            members: by_key.into_values().collect(),
             ring,
             config,
             next_request_id: AtomicU64::new(1),
             counters: PairCounters::default(),
             metrics: MetricsRegistry::disabled(),
+            scratch: CallScratch::default(),
         }
     }
 
@@ -271,17 +318,17 @@ impl RemoteDht {
 
     /// The configured members as `(id, addr)`, in ring order.
     pub fn members(&self) -> Vec<(NodeId, SocketAddr)> {
-        self.members.values().map(|m| (m.id, m.addr)).collect()
+        self.members.iter().map(|m| (m.id, m.addr)).collect()
     }
 
     /// Sends a shutdown frame to every member, telling each `dhtd` to stop
     /// gracefully. Dial or write failures are ignored: an unreachable
     /// server needs no shutdown.
     pub fn shutdown_members(&self) {
-        for member in self.members.values() {
+        for member in &self.members {
             let mut slot = member.lease();
             let stream = match slot.take() {
-                Some(stream) => Some(stream),
+                Some(conn) => Some(conn.stream),
                 None => self.dial(member.addr).ok(),
             };
             if let Some(mut stream) = stream {
@@ -290,14 +337,11 @@ impl RemoteDht {
         }
     }
 
-    /// The clockwise successor of `key` among the members, or `None` when
-    /// the member list is empty. Identical placement to `RingDht::owner`.
-    fn owner_key(&self, key: &Key) -> Option<Key> {
-        self.members
-            .range(*key..)
-            .next()
-            .or_else(|| self.members.iter().next())
-            .map(|(k, _)| *k)
+    /// The member owning `key` — its clockwise successor on the ring — or
+    /// `None` when the member list is empty. Identical placement to
+    /// `RingDht::owner`.
+    fn owner(&self, key: &Key) -> Option<&Member> {
+        placement::successor_index(&self.ring, key).map(|at| &self.members[at])
     }
 
     fn dial(&self, addr: SocketAddr) -> io::Result<TcpStream> {
@@ -308,19 +352,9 @@ impl RemoteDht {
         Ok(stream)
     }
 
-    /// Accounts one completed RPC pair (the shared ring convention) and
-    /// passes its result through.
-    fn complete(
-        &self,
-        kind: &'static str,
-        result: Result<DhtResponse, DhtError>,
-    ) -> Result<DhtResponse, DhtError> {
-        self.counters.record_pair(kind, result.is_ok());
-        result
-    }
-
     /// The one wire code path: executes a batch in failover rounds, one
-    /// frame pair per routed member per round.
+    /// frame pair per routed member per round, leaving one result per op
+    /// in `scratch.results`.
     ///
     /// `NodeFor` ops are answered locally at zero message cost. Each
     /// storage op routes to its key's replica set (`R` clockwise
@@ -329,7 +363,7 @@ impl RemoteDht {
     /// replicas and writes to the primary, grouped per member in ring
     /// order — a single-op group as a plain unary `Request`
     /// (byte-identical to a v1 build's traffic), a multi-op group as one
-    /// [`Message::Batch`]. All of a round's frames are written before any
+    /// batch frame. All of a round's frames are written before any
     /// reply is read, so member servers work concurrently.
     ///
     /// One ordering carve-out: a `Get` whose key the *same batch* also
@@ -354,111 +388,142 @@ impl RemoteDht {
     /// (+2 messages, +1 lookup for ok put/get) when an op settles from a
     /// reply, nothing when it settles by transport exhaustion — which at
     /// `R = 1` is bit-for-bit the historical convention.
-    fn execute_many_inner(&self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
+    ///
+    /// The round is flat: attempts are one list sorted into wire order
+    /// (a member's group is a sub-slice), request frames are encoded
+    /// straight from the routes into the buffer beside each pooled
+    /// connection, and replies are absorbed out of one reused vector.
+    /// What a warm call still allocates is what it returns — the result
+    /// vector, each `Values` list, one shared buffer per value-carrying
+    /// reply frame — plus the round's list of leased connections.
+    fn run(&self, ops: impl ExactSizeIterator<Item = DhtOp>, scratch: &mut CallScratch) {
+        let CallScratch {
+            routes,
+            results,
+            gathered,
+            attempts,
+            replies,
+            written,
+        } = scratch;
+        results.reserve(ops.len());
         if self.members.is_empty() {
-            return ops
-                .into_iter()
-                .map(|_| Err(DhtError::NoLiveNodes))
-                .collect();
+            results.extend(ops.map(|_| Err(DhtError::NoLiveNodes)));
+            return;
         }
-        let mut results: Vec<Option<Result<DhtResponse, DhtError>>> = vec![None; ops.len()];
-        let mut routes: Vec<Option<Route>> = Vec::with_capacity(ops.len());
+        let (mut reads, mut writes) = (false, false);
+        for op in ops {
+            let replicas = placement::replica_range(&self.ring, op.key(), self.config.replicas);
+            let result = if let DhtOp::NodeFor(_) = op {
+                Ok(DhtResponse::Node(self.members[replicas.index(0)].id))
+            } else {
+                self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
+                match op {
+                    DhtOp::Get(_) => reads = true,
+                    _ => writes = true,
+                }
+                // What the op keeps if nothing ever answers; settling
+                // overwrites it.
+                Err(DhtError::Timeout)
+            };
+            routes.push(Route {
+                replicas,
+                tried: 0,
+                want: 1,
+                have: 0,
+                settled: result.is_ok(),
+                reply_error: None,
+                op,
+            });
+            results.push(result);
+        }
         // Keys this batch writes: quorum reads of them must degrade to
         // primary-only (see the ordering carve-out above). Irrelevant at
-        // R = 1, where every read is primary-only already.
-        let written: BTreeSet<Key> = if self.config.replicas > 1 {
-            ops.iter()
-                .filter(|op| matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. }))
-                .map(|op| *op.key())
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                DhtOp::NodeFor(key) => {
-                    let owner = self
-                        .owner_key(&key)
-                        .expect("non-empty member list has an owner");
-                    results[i] = Some(Ok(DhtResponse::Node(self.members[&owner].id)));
-                    routes.push(None);
-                }
-                op => {
-                    self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
-                    let candidates =
-                        placement::replica_keys(&self.ring, op.key(), self.config.replicas);
-                    let want = if matches!(op, DhtOp::Get(_)) && !written.contains(op.key()) {
-                        self.config.read_quorum.min(candidates.len())
-                    } else {
-                        1
-                    };
-                    routes.push(Some(Route {
-                        kind: op.kind(),
-                        op,
-                        candidates,
-                        tried: 0,
-                        want,
-                        successes: Vec::new(),
-                        reply_error: None,
-                    }));
+        // Rq = 1, where every read is primary-only already.
+        written.clear();
+        if self.config.read_quorum > 1 && reads {
+            if writes {
+                let writing = routes
+                    .iter()
+                    .filter(|route| matches!(route.op, DhtOp::Put { .. } | DhtOp::Remove { .. }));
+                written.extend(writing.map(|route| *route.op.key()));
+                written.sort_unstable();
+            }
+            for route in routes.iter_mut() {
+                if matches!(route.op, DhtOp::Get(_))
+                    && written.binary_search(route.op.key()).is_err()
+                {
+                    route.want = self.config.read_quorum.min(route.replicas.len());
                 }
             }
         }
+        let stride = self.config.read_quorum;
+        gathered.resize_with(routes.len() * stride, || None);
+        // Connection guards are leased in ring order, so concurrent
+        // batches cannot deadlock; the list is reused from round to round.
+        let mut in_flight: Vec<InFlight<'_>> = Vec::new();
         let mut round = 0usize;
-        // One encode/decode scratch buffer for the whole call — frames
-        // within a round are written, then read, strictly in sequence.
-        let mut scratch: Vec<u8> = Vec::new();
         loop {
             round += 1;
             // Scheduling: every unsettled op claims its next untried
             // replicas, up to its remaining quorum deficit; an op with
             // none left settles by exhaustion.
-            let mut attempts: BTreeMap<Key, Vec<(usize, usize)>> = BTreeMap::new();
-            for (i, slot) in routes.iter_mut().enumerate() {
-                let Some(route) = slot else { continue };
-                if results[i].is_some() {
+            attempts.clear();
+            for (op, route) in routes.iter_mut().enumerate() {
+                if route.settled {
                     continue;
                 }
-                let deficit = route.want - route.successes.len();
-                let available = route.candidates.len() - route.tried;
+                let deficit = route.want - route.have;
+                let available = route.replicas.len() - route.tried;
                 if available == 0 {
                     // Out of replicas. A remote error reply caused this
                     // (count the pair, as a unary client would); pure
                     // transport failures completed no pair and count
                     // nothing.
                     self.metrics.incr("net.quorum.exhausted");
-                    results[i] = Some(match route.reply_error.take() {
-                        Some(e) => self.complete(route.kind, Err(e)),
-                        None => Err(DhtError::Timeout),
-                    });
+                    if let Some(e) = route.reply_error.take() {
+                        self.counters.record_pair(route.op.kind(), false);
+                        results[op] = Err(e);
+                    }
+                    route.settled = true;
                     continue;
                 }
                 for _ in 0..deficit.min(available) {
                     let rank = route.tried;
-                    let member = route.candidates[rank];
                     route.tried += 1;
                     if round > 1 {
                         self.metrics.incr("net.quorum.failovers");
                     }
-                    attempts.entry(member).or_default().push((i, rank));
+                    attempts.push(Attempt {
+                        member: route.replicas.index(rank),
+                        op,
+                        rank,
+                    });
                 }
             }
             if attempts.is_empty() {
                 break;
             }
+            attempts.sort_unstable();
+            in_flight.reserve(attempts.len().min(self.members.len()));
             // Write phase: one frame per member, all requests on the wire
-            // before the first reply is awaited. Connection guards are
-            // held in ring order, so concurrent batches cannot deadlock.
-            let mut in_flight: Vec<InFlight<'_>> = Vec::with_capacity(attempts.len());
-            // A failed attempt needs no bookkeeping here: the next
-            // round's scheduler recomputes each op's quorum deficit and
-            // claims fresh replicas (or settles by exhaustion).
-            for (member_key, group) in attempts {
-                let member = &self.members[&member_key];
+            // before the first reply is awaited. A failed attempt needs
+            // no bookkeeping here: the next round's scheduler recomputes
+            // each op's quorum deficit and claims fresh replicas (or
+            // settles by exhaustion).
+            let mut next = 0;
+            for chunk in attempts.chunk_by(|a, b| a.member == b.member) {
+                let group = next..next + chunk.len();
+                next = group.end;
+                let member = &self.members[chunk[0].member];
                 let mut slot = member.lease();
                 if slot.is_none() {
                     match self.dial(member.addr) {
-                        Ok(stream) => *slot = Some(stream),
+                        Ok(stream) => {
+                            *slot = Some(Conn {
+                                stream,
+                                frame: Vec::new(),
+                            })
+                        }
                         Err(_) => {
                             self.metrics.incr("net.connect_errors");
                             continue;
@@ -467,23 +532,17 @@ impl RemoteDht {
                 }
                 let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
                 let batch = group.len() > 1;
-                let msg = if batch {
-                    Message::Batch {
-                        id,
-                        ops: group
-                            .iter()
-                            .map(|&(i, _)| routes[i].as_ref().expect("routed op").op.clone())
-                            .collect(),
-                    }
-                } else {
-                    Message::Request {
-                        id,
-                        op: routes[group[0].0].as_ref().expect("routed op").op.clone(),
-                    }
-                };
                 let started = Instant::now();
-                let stream = slot.as_mut().expect("connection just ensured");
-                match write_message_with(stream, &msg, &mut scratch) {
+                let conn = slot.as_mut().expect("connection just ensured");
+                conn.frame.clear();
+                if batch {
+                    let ops = chunk.iter().map(|a| &routes[a.op].op);
+                    encode_batch(id, ops, &mut conn.frame);
+                } else {
+                    let op = routes[chunk[0].op].op.clone();
+                    encode_message(&Message::Request { id, op }, &mut conn.frame);
+                }
+                match write_frame(&mut conn.stream, &conn.frame) {
                     Ok(sent) => {
                         self.metrics.incr("net.frames_out");
                         self.metrics.add("net.bytes_out", sent as u64);
@@ -493,7 +552,6 @@ impl RemoteDht {
                         in_flight.push(InFlight {
                             slot,
                             id,
-                            batch,
                             started,
                             group,
                         });
@@ -506,10 +564,10 @@ impl RemoteDht {
             }
             // Read phase, same member order: each reply feeds its ops'
             // routes; ops settle the moment their quorum is reached.
-            for mut flight in in_flight {
-                let stream = flight.slot.as_mut().expect("stream pending a reply");
-                let (reply, received) = match read_message_with(stream, &mut scratch) {
-                    Ok(ok) => ok,
+            for mut flight in in_flight.drain(..) {
+                let conn = flight.slot.as_mut().expect("stream pending a reply");
+                let reply = match read_reply_with(&mut conn.stream, &mut conn.frame, replies) {
+                    Ok(reply) => reply,
                     Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                         self.metrics.incr("net.transport_errors");
                         *flight.slot = None;
@@ -522,113 +580,147 @@ impl RemoteDht {
                     }
                 };
                 self.metrics.incr("net.frames_in");
-                self.metrics.add("net.bytes_in", received as u64);
+                self.metrics.add("net.bytes_in", reply.bytes as u64);
+                // A mismatched id, kind, or result count means the
+                // stream is out of sync; drop it rather than guess.
+                if reply.id != flight.id
+                    || reply.batch != (flight.group.len() > 1)
+                    || replies.len() != flight.group.len()
+                {
+                    self.metrics.incr("net.decode_errors");
+                    *flight.slot = None;
+                    continue;
+                }
                 let elapsed = flight.started.elapsed().as_micros() as u64;
-                match reply {
-                    Message::Response { id, result } if !flight.batch && id == flight.id => {
-                        self.metrics.observe("net.rpc_micros", elapsed);
-                        let (index, rank) = flight.group[0];
-                        self.absorb(&mut routes, &mut results, index, rank, result);
-                    }
-                    Message::BatchReply {
-                        id,
-                        results: answers,
-                    } if flight.batch && id == flight.id && answers.len() == flight.group.len() => {
-                        self.metrics.incr("net.batch.frames_in");
-                        self.metrics.add("net.batch.ops", answers.len() as u64);
-                        self.metrics.observe("net.batch.rpc_micros", elapsed);
-                        for (&(index, rank), result) in flight.group.iter().zip(answers) {
-                            self.absorb(&mut routes, &mut results, index, rank, result);
-                        }
-                    }
-                    // A mismatched id, kind, or result count means the
-                    // stream is out of sync; drop it rather than guess.
-                    _ => {
-                        self.metrics.incr("net.decode_errors");
-                        *flight.slot = None;
+                if reply.batch {
+                    self.metrics.incr("net.batch.frames_in");
+                    self.metrics.add("net.batch.ops", replies.len() as u64);
+                    self.metrics.observe("net.batch.rpc_micros", elapsed);
+                } else {
+                    self.metrics.observe("net.rpc_micros", elapsed);
+                }
+                for (attempt, result) in
+                    attempts[flight.group.clone()].iter().zip(replies.drain(..))
+                {
+                    let route = &mut routes[attempt.op];
+                    let slots = &mut gathered[attempt.op * stride..][..stride];
+                    if let Some(settled) = self.absorb(route, slots, attempt.rank, result) {
+                        results[attempt.op] = settled;
                     }
                 }
             }
         }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every op resolved exactly once"))
-            .collect()
+        // The buffers keep their capacity, not their contents: the ops,
+        // any replica reply that lost the settle and any result of a frame
+        // that was rejected part-way (each a slice of a whole reply frame)
+        // are released with the call that produced them.
+        routes.clear();
+        gathered.clear();
+        replies.clear();
     }
 
-    /// Feeds one attempt's remote reply into its op's route, settling
-    /// the op if the quorum is reached or the error is final.
+    /// Feeds one attempt's remote reply into its op's route. Returns the
+    /// op's final result — accounted as one completed RPC pair (the
+    /// shared ring convention) — if the quorum is now reached or the
+    /// error is final.
     fn absorb(
         &self,
-        routes: &mut [Option<Route>],
-        results: &mut [Option<Result<DhtResponse, DhtError>>],
-        index: usize,
+        route: &mut Route,
+        gathered: &mut [Option<(usize, DhtResponse)>],
         rank: usize,
         result: Result<DhtResponse, DhtError>,
-    ) {
-        if results[index].is_some() {
+    ) -> Option<Result<DhtResponse, DhtError>> {
+        if route.settled {
             // A slower sibling attempt answered after the op settled.
-            return;
+            return None;
         }
-        let route = routes[index].as_mut().expect("reply for a routed op");
-        match result {
+        let settled = match result {
             Ok(resp) => {
-                route.successes.push((rank, resp));
-                if route.successes.len() >= route.want {
-                    results[index] = Some(self.complete(route.kind, Ok(route.settle_response())));
+                gathered[route.have] = Some((rank, resp));
+                route.have += 1;
+                if route.have < route.want {
+                    return None;
                 }
+                Ok(settle_response(&mut gathered[..route.have]))
             }
             Err(DhtError::Timeout) => {
                 // Transient: remember it and let the scheduler fail over.
                 route.reply_error = Some(DhtError::Timeout);
+                return None;
             }
-            Err(e) => {
-                // Final remote error: no replica can do better.
-                results[index] = Some(self.complete(route.kind, Err(e)));
-            }
-        }
+            // Final remote error: no replica can do better.
+            Err(e) => Err(e),
+        };
+        route.settled = true;
+        self.counters.record_pair(route.op.kind(), settled.is_ok());
+        Some(settled)
     }
 
-    fn execute_inner(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.execute_many_inner(vec![op])
-            .pop()
-            .expect("one result per op")
+    /// Runs `call` with the client's own call scratch, which `&mut self`
+    /// entry points can lend to the `&self` code path.
+    fn with_scratch<T>(&mut self, call: impl FnOnce(&Self, &mut CallScratch) -> T) -> T {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = call(self, &mut scratch);
+        self.scratch = scratch;
+        out
+    }
+
+    /// A unary call is a batch of one: same code, and its one result is
+    /// popped back out of the scratch so nothing is allocated to carry it.
+    fn execute_inner(&self, op: DhtOp, scratch: &mut CallScratch) -> Result<DhtResponse, DhtError> {
+        self.run(std::iter::once(op), scratch);
+        scratch.results.pop().expect("one result per op")
+    }
+
+    fn execute_many_inner(
+        &self,
+        ops: Vec<DhtOp>,
+        scratch: &mut CallScratch,
+    ) -> Vec<Result<DhtResponse, DhtError>> {
+        self.run(ops.into_iter(), scratch);
+        std::mem::take(&mut scratch.results)
     }
 }
 
 impl Dht for RemoteDht {
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_inner(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_inner(op);
-        dht_api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
+        self.with_scratch(|dht, scratch| {
+            if !dht.metrics.is_enabled() {
+                return dht.execute_inner(op, scratch);
+            }
+            let kind = op.kind();
+            let before = dht.stats();
+            let result = dht.execute_inner(op, scratch);
+            dht_api::record_op(&dht.metrics, kind, before, dht.stats(), &result);
+            result
+        })
     }
 
     fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
-        if !self.metrics.is_enabled() {
-            return self.execute_many_inner(ops);
-        }
-        let kinds: Vec<&'static str> = ops.iter().map(|op| op.kind()).collect();
-        let before = self.stats();
-        let results = self.execute_many_inner(ops);
-        dht_api::record_many(&self.metrics, &kinds, before, self.stats(), &results);
-        results
+        self.with_scratch(|dht, scratch| {
+            if !dht.metrics.is_enabled() {
+                return dht.execute_many_inner(ops, scratch);
+            }
+            let kinds: Vec<&'static str> = ops.iter().map(|op| op.kind()).collect();
+            let before = dht.stats();
+            let results = dht.execute_many_inner(ops, scratch);
+            dht_api::record_many(&dht.metrics, &kinds, before, dht.stats(), &results);
+            results
+        })
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {
-        self.owner_key(key).map(|k| self.members[&k].id)
+        self.owner(key).map(|member| member.id)
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.members.values().map(|m| m.id).collect()
+        self.members.iter().map(|m| m.id).collect()
     }
 
+    /// A shared-reference read: the same call path on a scratch of its
+    /// own, since `&self` cannot borrow the client's.
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        match self.execute_inner(DhtOp::Get(*key)) {
+        match self.execute_inner(DhtOp::Get(*key), &mut CallScratch::default()) {
             Ok(response) => response.into_values(),
             Err(_) => Vec::new(),
         }

@@ -70,9 +70,7 @@ use p2p_index_dht::{
 };
 use p2p_index_obs::MetricsRegistry;
 
-use crate::wire::{
-    read_message, read_message_with, write_message, write_message_with, Message, RecvError,
-};
+use crate::wire::{read_message_with, write_message_with, Message, RecvError};
 
 /// Cluster membership and quorum settings for one replicated server.
 #[derive(Debug, Clone)]
@@ -155,7 +153,15 @@ impl Default for ServerConfig {
 /// connection (the same pooling discipline as the client).
 struct Peer {
     addr: SocketAddr,
-    conn: Mutex<Option<TcpStream>>,
+    conn: Mutex<Option<PeerConn>>,
+}
+
+/// A pooled peer stream and the frame buffer beside it: every
+/// `Replicate`/`Transfer` exchange encodes into and reads back through
+/// the same allocation instead of two fresh ones.
+struct PeerConn {
+    stream: TcpStream,
+    frame: Vec<u8>,
 }
 
 /// Replication state shared by connection workers and the repair thread.
@@ -234,18 +240,29 @@ impl Replication {
                     Ok(s)
                 })
                 .map_err(|_| ())?;
-            *slot = Some(stream);
+            *slot = Some(PeerConn {
+                stream,
+                frame: Vec::new(),
+            });
         }
-        let stream = slot.as_mut().expect("peer connection just ensured");
+        let PeerConn { stream, frame } = slot.as_mut().expect("peer connection just ensured");
         let sent_id = match msg {
             Message::Replicate { id, .. } | Message::Transfer { id, .. } => *id,
             _ => 0,
         };
-        if write_message(stream, msg).is_err() {
+        if write_message_with(stream, msg, frame).is_err() {
             *slot = None;
             return Err(());
         }
-        match read_message(stream) {
+        let reply = read_message_with(stream, frame);
+        // Replicated writes — the hot exchange — are small and keep
+        // reusing the buffer; a bulk `Transfer` that grew it past what a
+        // connection may keep gives the memory back rather than pinning
+        // a partition-sized encode to every peer for good.
+        if frame.capacity() > KEPT_FRAME_CAPACITY {
+            *frame = Vec::new();
+        }
+        match reply {
             Ok((Message::Response { id, result }, _)) if id == sent_id => Ok(result),
             _ => {
                 *slot = None;
@@ -398,6 +415,12 @@ impl DhtServer {
         self.shared.served.load(Ordering::Relaxed)
     }
 
+    /// Values resident in this member's store right now (tombstones not
+    /// counted).
+    pub fn total_values(&self) -> usize {
+        self.shared.store.total_values()
+    }
+
     /// `true` once a shutdown (local or wire) has been requested.
     pub fn is_shutting_down(&self) -> bool {
         self.shared.stop.load(Ordering::Relaxed)
@@ -477,6 +500,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, poll: Duration) {
     }
 }
 
+/// How much frame-buffer capacity a connection keeps once the frame that
+/// needed it is done with. Index frames are small (a 16-get batch reply
+/// is a few KiB), so this covers steady traffic without reallocation; a
+/// serving connection releases anything above it on its next idle poll
+/// tick, a peer connection right after the exchange.
+const KEPT_FRAME_CAPACITY: usize = 64 * 1024;
+
 /// Serves one connection until the peer closes, a protocol error poisons
 /// the stream, or shutdown is requested.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
@@ -499,7 +529,16 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             Err(RecvError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // Idle poll tick: loop to re-check the shutdown flag.
+                // Idle poll tick: loop to re-check the shutdown flag. An
+                // idle connection also hands back what one large frame
+                // (a multi-megabyte `Transfer`, say) grew its read buffer
+                // to, so the cost of the biggest frame ever seen is not
+                // paid for the connection's whole life.
+                if read_scratch.capacity() > KEPT_FRAME_CAPACITY {
+                    read_scratch.clear();
+                    read_scratch.shrink_to(KEPT_FRAME_CAPACITY);
+                    shared.metrics.incr("net.server.buffers_released");
+                }
                 continue;
             }
             Err(RecvError::Io(_)) => {
@@ -766,6 +805,7 @@ fn drain_partition(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_message, write_message};
     use bytes::Bytes;
     use p2p_index_dht::{DhtOp, DhtResponse, Key};
 

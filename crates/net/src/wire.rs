@@ -264,6 +264,25 @@ impl From<WireError> for RecvError {
     }
 }
 
+/// Appends a frame header with a zero length prefix, returning where the
+/// prefix sits so [`end_frame`] can fill it in.
+fn begin_frame(version: u8, kind: u8, id: u64, buf: &mut Vec<u8>) -> usize {
+    buf.extend_from_slice(&MAGIC);
+    buf.push(version);
+    buf.push(kind);
+    buf.extend_from_slice(&id.to_be_bytes());
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    len_at
+}
+
+/// Back-fills the length prefix at `len_at` with the payload appended
+/// since [`begin_frame`].
+fn end_frame(buf: &mut [u8], len_at: usize) {
+    let payload_len = (buf.len() - len_at - 4) as u32;
+    buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_be_bytes());
+}
+
 /// Appends the encoded frame for `msg` to `buf`.
 ///
 /// Unary kinds encode at [`VERSION`] (byte-identical to every prior
@@ -282,24 +301,14 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
         Message::Transfer { id, .. } => (VERSION_REPL, KIND_TRANSFER, *id),
         Message::Shutdown => (VERSION, KIND_SHUTDOWN, 0),
     };
-    buf.extend_from_slice(&MAGIC);
-    buf.push(version);
-    buf.push(kind);
-    buf.extend_from_slice(&id.to_be_bytes());
-    let len_at = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
+    let len_at = begin_frame(version, kind, id, buf);
     match msg {
         Message::Request { op, .. } => encode_op(op, buf),
         Message::Response { result, .. } => match result {
             Ok(resp) => encode_response(resp, buf),
             Err(e) => buf.extend_from_slice(&e.wire_code().to_be_bytes()),
         },
-        Message::Batch { ops, .. } => {
-            buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
-            for op in ops {
-                encode_op(op, buf);
-            }
-        }
+        Message::Batch { ops, .. } => encode_ops(ops.iter(), buf),
         Message::BatchReply { results, .. } => {
             buf.extend_from_slice(&(results.len() as u32).to_be_bytes());
             for result in results {
@@ -328,8 +337,29 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
         }
         Message::Shutdown => {}
     }
-    let payload_len = (buf.len() - len_at - 4) as u32;
-    buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_be_bytes());
+    end_frame(buf, len_at);
+}
+
+/// Appends the frame [`encode_message`] writes for
+/// `Message::Batch { id, ops }`, taking the ops by reference from wherever
+/// they live — so a router can frame a subset of its pending ops without
+/// first cloning them into a vector.
+pub(crate) fn encode_batch<'a>(
+    id: u64,
+    ops: impl ExactSizeIterator<Item = &'a DhtOp>,
+    buf: &mut Vec<u8>,
+) {
+    let len_at = begin_frame(VERSION_BATCH, KIND_BATCH, id, buf);
+    encode_ops(ops, buf);
+    end_frame(buf, len_at);
+}
+
+/// A batch payload: the op count, then each op.
+fn encode_ops<'a>(ops: impl ExactSizeIterator<Item = &'a DhtOp>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+    for op in ops {
+        encode_op(op, buf);
+    }
 }
 
 /// The encoded frame for `msg` as a fresh vector.
@@ -392,14 +422,26 @@ fn encode_bytes(value: &Bytes, buf: &mut Vec<u8>) {
 }
 
 /// A cursor over a payload slice with strict bounds checking.
+///
+/// Every value it hands out is a `slice()` of **one** shared copy of the
+/// payload, made when the first non-empty value is met: a reply carrying
+/// a hundred values costs one copy, not a hundred, and a frame carrying
+/// none (a `Get`, a `Stored`, an error) costs nothing. The price is that
+/// each value keeps the whole payload alive — see "Value ownership" in
+/// DESIGN.md §11 for who may hold one and who must copy.
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
+    shared: Option<Bytes>,
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
+        Reader {
+            buf,
+            at: 0,
+            shared: None,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -442,7 +484,16 @@ impl<'a> Reader<'a> {
 
     fn bytes(&mut self) -> Result<Bytes, WireError> {
         let len = self.u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        let start = self.at;
+        self.take(len)?;
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
+        let buf = self.buf;
+        let shared = self
+            .shared
+            .get_or_insert_with(|| Bytes::copy_from_slice(buf));
+        Ok(shared.slice(start..start + len))
     }
 
     fn remaining(&self) -> usize {
@@ -530,34 +581,91 @@ fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
     })
 }
 
-fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireError> {
-    // Batch kinds exist only at VERSION_BATCH, replication kinds only at
-    // VERSION_REPL. Under an earlier header each is rejected exactly as a
-    // genuine peer of that earlier version would reject it: as an unknown
-    // kind, not a version failure.
+/// Batch kinds exist only at VERSION_BATCH, replication kinds only at
+/// VERSION_REPL. Under an earlier header each is rejected exactly as a
+/// genuine peer of that earlier version would reject it: as an unknown
+/// kind, not a version failure.
+fn check_kind_version(version: u8, kind: u8) -> Result<(), WireError> {
     if version < VERSION_BATCH && matches!(kind, KIND_BATCH | KIND_BATCH_REPLY) {
         return Err(WireError::UnknownKind(kind));
     }
     if version < VERSION_REPL && matches!(kind, KIND_REPLICATE | KIND_TRANSFER) {
         return Err(WireError::UnknownKind(kind));
     }
+    Ok(())
+}
+
+/// An err-response body. Unknown error codes are forward-compatible by
+/// design: they decode into `DhtError::Unknown`, not a codec failure.
+fn decode_error(r: &mut Reader<'_>) -> Result<DhtError, WireError> {
+    Ok(DhtError::from_wire_code(r.u16()?))
+}
+
+/// A batch-reply body, appended to `results`: the count (checked before
+/// anything is reserved), then that many status-prefixed results.
+fn decode_batch_results(
+    r: &mut Reader<'_>,
+    results: &mut Vec<Result<DhtResponse, DhtError>>,
+) -> Result<(), WireError> {
+    let count = r.u32()? as usize;
+    if count == 0 {
+        return Err(WireError::BadPayload(
+            "batch reply must contain at least one result",
+        ));
+    }
+    if count > r.remaining() / MIN_RESULT_LEN {
+        return Err(WireError::Truncated);
+    }
+    results.reserve(count);
+    for _ in 0..count {
+        results.push(match r.u8()? {
+            BATCH_OK => Ok(decode_response(r)?),
+            BATCH_ERR => Err(decode_error(r)?),
+            _ => {
+                return Err(WireError::BadPayload(
+                    "batch result status must be 0 (ok) or 1 (err)",
+                ))
+            }
+        });
+    }
+    Ok(())
+}
+
+/// The body of a reply frame, appended to `results`: one result for a
+/// unary response, one per op for a batch reply. The one place the three
+/// reply kinds are told apart; any other kind is
+/// [`WireError::UnknownKind`].
+fn decode_reply(
+    kind: u8,
+    r: &mut Reader<'_>,
+    results: &mut Vec<Result<DhtResponse, DhtError>>,
+) -> Result<(), WireError> {
+    match kind {
+        KIND_OK => results.push(Ok(decode_response(r)?)),
+        KIND_ERR => results.push(Err(decode_error(r)?)),
+        KIND_BATCH_REPLY => decode_batch_results(r, results)?,
+        other => return Err(WireError::UnknownKind(other)),
+    }
+    Ok(())
+}
+
+fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireError> {
+    check_kind_version(version, kind)?;
     let mut r = Reader::new(payload);
     let msg = match kind {
         KIND_REQUEST => Message::Request {
             id,
             op: decode_op(&mut r)?,
         },
-        KIND_OK => Message::Response {
-            id,
-            result: Ok(decode_response(&mut r)?),
-        },
-        KIND_ERR => {
-            // Unknown error codes are forward-compatible by design: they
-            // decode into DhtError::Unknown, not a codec failure.
-            let code = r.u16()?;
-            Message::Response {
-                id,
-                result: Err(DhtError::from_wire_code(code)),
+        KIND_OK | KIND_ERR | KIND_BATCH_REPLY => {
+            let mut results = Vec::new();
+            decode_reply(kind, &mut r, &mut results)?;
+            match kind {
+                KIND_BATCH_REPLY => Message::BatchReply { id, results },
+                _ => Message::Response {
+                    id,
+                    result: results.pop().expect("a unary reply decodes to one result"),
+                },
             }
         }
         KIND_BATCH => {
@@ -575,30 +683,6 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
                 ops.push(decode_op(&mut r)?);
             }
             Message::Batch { id, ops }
-        }
-        KIND_BATCH_REPLY => {
-            let count = r.u32()? as usize;
-            if count == 0 {
-                return Err(WireError::BadPayload(
-                    "batch reply must contain at least one result",
-                ));
-            }
-            if count > r.remaining() / MIN_RESULT_LEN {
-                return Err(WireError::Truncated);
-            }
-            let mut results = Vec::with_capacity(count);
-            for _ in 0..count {
-                results.push(match r.u8()? {
-                    BATCH_OK => Ok(decode_response(&mut r)?),
-                    BATCH_ERR => Err(DhtError::from_wire_code(r.u16()?)),
-                    _ => {
-                        return Err(WireError::BadPayload(
-                            "batch result status must be 0 (ok) or 1 (err)",
-                        ))
-                    }
-                });
-            }
-            Message::BatchReply { id, results }
         }
         KIND_REPLICATE => Message::Replicate {
             id,
@@ -655,7 +739,8 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
 /// The scratch is cleared and refilled in place, so a long-lived
 /// connection that passes the same buffer for every frame amortizes the
 /// encode allocation to (at most) a few capacity growths over the
-/// connection's lifetime — this is the server hot path's frame writer.
+/// connection's lifetime — this is the hot path's frame writer on both
+/// ends of every pooled connection.
 pub fn write_message_with(
     w: &mut impl Write,
     msg: &Message,
@@ -663,9 +748,14 @@ pub fn write_message_with(
 ) -> io::Result<usize> {
     scratch.clear();
     encode_message(msg, scratch);
-    w.write_all(scratch)?;
+    write_frame(w, scratch)
+}
+
+/// Writes already-encoded frame bytes to `w` and flushes them.
+pub(crate) fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<usize> {
+    w.write_all(frame)?;
     w.flush()?;
-    Ok(scratch.len())
+    Ok(frame.len())
 }
 
 /// Reads exactly one frame from `r`.
@@ -684,13 +774,62 @@ pub fn read_message(r: &mut impl Read) -> Result<(Message, usize), RecvError> {
 /// Same contract as [`read_message`], but the payload bytes land in
 /// `scratch` (cleared and resized in place), so a long-lived connection
 /// that passes the same buffer for every frame reuses one allocation
-/// instead of allocating per frame — this is the server hot path's frame
-/// reader. Decoded values still copy out of the scratch (they must own
-/// their bytes beyond this call), so reuse is safe.
+/// instead of allocating per frame. Decoded values never borrow the
+/// scratch: a frame that carries values is copied out of it once, into
+/// the buffer all of that frame's values share, so the scratch is free
+/// for the next frame as soon as this call returns.
 pub fn read_message_with(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<(Message, usize), RecvError> {
+    let (version, kind, id) = read_frame(r, scratch)?;
+    let msg = decode_payload(version, kind, id, scratch)?;
+    Ok((msg, HEADER_LEN + scratch.len()))
+}
+
+/// What [`read_reply_with`] read, besides the results themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Reply {
+    /// The id of the request or batch being answered.
+    pub(crate) id: u64,
+    /// `true` for a batch-reply frame, `false` for a unary response.
+    pub(crate) batch: bool,
+    /// Frame bytes read, header included.
+    pub(crate) bytes: usize,
+}
+
+/// Reads exactly one *reply* frame from `r` — a unary response (one
+/// result) or a batch reply (one per op) — leaving its results in
+/// `results`, which is cleared first.
+///
+/// This is [`read_message_with`] for a client that routes results onward
+/// one by one: the same checks on the same bytes, but the results land in
+/// a vector the caller reuses from frame to frame instead of a fresh one
+/// inside a [`Message`]. Any other frame kind is
+/// [`WireError::UnknownKind`] — a server never sends one to a client. On
+/// an error `results` holds nothing meaningful.
+pub(crate) fn read_reply_with(
+    r: &mut impl Read,
+    scratch: &mut Vec<u8>,
+    results: &mut Vec<Result<DhtResponse, DhtError>>,
+) -> Result<Reply, RecvError> {
+    results.clear();
+    let (version, kind, id) = read_frame(r, scratch)?;
+    check_kind_version(version, kind)?;
+    let mut payload = Reader::new(scratch);
+    decode_reply(kind, &mut payload, results)?;
+    payload.finish()?;
+    Ok(Reply {
+        id,
+        batch: kind == KIND_BATCH_REPLY,
+        bytes: HEADER_LEN + scratch.len(),
+    })
+}
+
+/// Reads one frame's header and payload from `r`: the header is checked
+/// (magic, version, length cap) before the payload is read into
+/// `scratch`, which is cleared and resized in place.
+fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u8, u64), RecvError> {
     let mut header = [0u8; HEADER_LEN];
     let first = r.read(&mut header).map_err(RecvError::Io)?;
     if first == 0 {
@@ -714,8 +853,7 @@ pub fn read_message_with(
     scratch.clear();
     scratch.resize(payload_len as usize, 0);
     read_exact_from(r, scratch).map_err(RecvError::Io)?;
-    let msg = decode_payload(version, kind, id, scratch)?;
-    Ok((msg, HEADER_LEN + scratch.len()))
+    Ok((version, kind, id))
 }
 
 /// `read_exact` that retries on `Interrupted`, used for both header and
@@ -1075,6 +1213,90 @@ mod tests {
                 decode_message(&good[..cut]),
                 Err(WireError::Truncated),
                 "prefix of {cut} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_batch_writes_the_batch_message_frame() {
+        let key = Key::hash_of("k");
+        let ops = vec![
+            DhtOp::Get(key),
+            DhtOp::Put {
+                key,
+                value: Bytes::from_static(b"batched"),
+            },
+        ];
+        let mut framed = Vec::new();
+        encode_batch(9, ops.iter(), &mut framed);
+        assert_eq!(framed, encode_to_vec(&Message::Batch { id: 9, ops }));
+    }
+
+    #[test]
+    fn read_reply_with_reads_what_read_message_with_reads() {
+        let replies = [
+            Message::Response {
+                id: 4,
+                result: Ok(DhtResponse::Values(vec![Bytes::from_static(b"v")])),
+            },
+            Message::Response {
+                id: 5,
+                result: Err(DhtError::StorageFull),
+            },
+            Message::BatchReply {
+                id: 6,
+                results: vec![
+                    Ok(DhtResponse::Values(vec![
+                        Bytes::from_static(b"a"),
+                        Bytes::from_static(b""),
+                    ])),
+                    Err(DhtError::Timeout),
+                    Ok(DhtResponse::Removed(true)),
+                ],
+            },
+        ];
+        let mut scratch = Vec::new();
+        // Left dirty on purpose: the reader clears it.
+        let mut results = vec![Err(DhtError::NoLiveNodes)];
+        for msg in &replies {
+            let frame = encode_to_vec(msg);
+            let reply =
+                read_reply_with(&mut io::Cursor::new(&frame), &mut scratch, &mut results).unwrap();
+            assert_eq!(reply.bytes, frame.len());
+            let rebuilt = if reply.batch {
+                Message::BatchReply {
+                    id: reply.id,
+                    results: results.clone(),
+                }
+            } else {
+                assert_eq!(results.len(), 1);
+                Message::Response {
+                    id: reply.id,
+                    result: results[0].clone(),
+                }
+            };
+            assert_eq!(&rebuilt, msg);
+        }
+        // Anything that is not a reply is refused, typed; so is a reply
+        // with trailing bytes or a batch reply under a v1 header.
+        let request = encode_to_vec(&Message::Request {
+            id: 1,
+            op: DhtOp::Get(Key::hash_of("k")),
+        });
+        let mut padded = encode_to_vec(&replies[1]);
+        padded.push(0);
+        padded[14..18].copy_from_slice(&3u32.to_be_bytes());
+        let mut downgraded = encode_to_vec(&replies[2]);
+        downgraded[4] = VERSION;
+        for (frame, expected) in [
+            (request, WireError::UnknownKind(0x01)),
+            (padded, WireError::TrailingBytes(1)),
+            (downgraded, WireError::UnknownKind(0x06)),
+        ] {
+            let got = read_reply_with(&mut io::Cursor::new(&frame), &mut scratch, &mut results);
+            assert!(
+                matches!(&got, Err(RecvError::Wire(e)) if *e == expected),
+                "{got:?}"
             );
         }
     }

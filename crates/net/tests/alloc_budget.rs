@@ -1,0 +1,155 @@
+//! Allocation budget of a warm client round.
+//!
+//! `client_allocs_per_op` in the benchmark is an exact count, and the
+//! `RemoteDht` round is most of it on the cluster workloads. This suite
+//! pins the round's own share where a regression is cheapest to see: on
+//! a warm client over a replicated loopback cluster, how many heap
+//! allocations the *calling thread* makes for one quorum read, for one
+//! 16-get wave, and for a read that finds nothing.
+//!
+//! What a warm round is entitled to allocate is what it hands back — the
+//! result vector, one `Vec<Bytes>` per reply that carries a value list,
+//! and one shared buffer per value-carrying reply frame (every value of a
+//! frame is a slice of it) — plus the round's list of leased connections.
+//! Routing state, request frames and reply staging all live in buffers
+//! kept from call to call.
+//!
+//! The count is thread-local, so server, repair and accept threads (and
+//! other tests running in parallel) never touch it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key};
+use p2p_index_net::{LoopbackCluster, RemoteDht};
+
+thread_local! {
+    // `const` and destructor-free: touching it from inside the allocator
+    // neither allocates nor runs during thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// destructor-less thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` and `layout` come from the caller, who guarantees
+        // they describe a live block of this allocator; `System` is the
+        // allocator that produced it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Five members, R = 3, W = 2, read at Rq = 2 — the benchmark's cluster.
+fn warm_cluster() -> (LoopbackCluster, RemoteDht) {
+    let cluster = LoopbackCluster::start_replicated_ring(5, 3, 2).expect("loopback cluster");
+    let client = cluster.replicated_client(3, 2);
+    (cluster, client)
+}
+
+fn wave_key(i: usize) -> Key {
+    Key::hash_of(&format!("wave-{i}"))
+}
+
+#[test]
+fn a_warm_unary_quorum_get_stays_inside_its_budget() {
+    let (cluster, mut client) = warm_cluster();
+    let key = Key::hash_of("three-values");
+    let values: Vec<Bytes> = (0..3)
+        .map(|i| Bytes::from(format!("Q:/article/author/last/name-{i}")))
+        .collect();
+    for value in &values {
+        assert!(client.put(key, value.clone()));
+    }
+    // Warm: connections dialed, frame buffers and call scratch grown.
+    for _ in 0..3 {
+        client.execute(DhtOp::Get(key)).unwrap();
+    }
+    let (got, allocs) = allocs_during(|| client.execute(DhtOp::Get(key)));
+    let mut got = got.unwrap().into_values();
+    got.sort();
+    assert_eq!(got, values);
+    // Measured 7: the leased-connection list (1) and, for each of the two
+    // replicas' replies, the frame's shared value buffer (2 with an
+    // `Arc<Vec<u8>>`-style `Bytes`) and the value list (1). The parent of
+    // this suite made 29 here. Slack of 3 for a `Bytes` that shares
+    // differently; one more copy per value (+6) or per reply (+4) trips it.
+    assert!(allocs <= 10, "unary quorum get made {allocs} allocations");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_sixteen_get_wave_stays_inside_its_budget() {
+    let (cluster, mut client) = warm_cluster();
+    for i in 0..16 {
+        for v in 0..2 {
+            assert!(client.put(wave_key(i), Bytes::from(format!("Q:/wave/{i}/{v}"))));
+        }
+    }
+    let wave = || (0..16).map(|i| DhtOp::Get(wave_key(i))).collect::<Vec<_>>();
+    for _ in 0..3 {
+        client.execute_many(wave());
+    }
+    let ops = wave();
+    let (results, allocs) = allocs_during(|| client.execute_many(ops));
+    for (i, result) in results.into_iter().enumerate() {
+        assert_eq!(result.unwrap().into_values().len(), 2, "wave-{i}");
+    }
+    // Measured 44: the result vector (1), the leased-connection list (1),
+    // a shared value buffer for each of the five members' reply frames
+    // (5 x 2) and one value list for each of the 32 attempts (16 gets at
+    // Rq = 2). The parent of this suite made 239 here. Slack of 4.
+    assert!(allocs <= 48, "16-get wave made {allocs} allocations");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_get_of_an_absent_key_allocates_no_bytes_at_all() {
+    let (cluster, mut client) = warm_cluster();
+    let absent = Key::hash_of("nobody-published-this");
+    for _ in 0..3 {
+        assert_eq!(
+            client.execute(DhtOp::Get(absent)),
+            Ok(DhtResponse::Values(Vec::new()))
+        );
+    }
+    let (got, allocs) = allocs_during(|| client.execute(DhtOp::Get(absent)));
+    assert_eq!(got, Ok(DhtResponse::Values(Vec::new())));
+    // Two value-free replies: no shared buffer is ever materialised, an
+    // empty value list owns no heap, and what is left is the round's
+    // leased-connection list. Any `Bytes` at all would make it 2 or more.
+    assert_eq!(allocs, 1, "absent-key get made {allocs} allocations");
+    cluster.shutdown();
+}

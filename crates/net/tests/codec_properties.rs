@@ -10,6 +10,13 @@
 //!   soup, truncated frames at every cut point, oversized length
 //!   prefixes, and wrong versions all come back as typed [`WireError`]s.
 //!
+//! * **Mutation** — real frames of every variant, damaged the ways a
+//!   broken peer or a flipped bit damages them (flip a byte, truncate,
+//!   extend, splice a length field), either fail typed or decode to a
+//!   message that re-encodes to exactly the bytes consumed.
+//! * **Ownership** — decoded values share one copy of their frame, never
+//!   the caller's buffer: they outlive it being overwritten and dropped.
+//!
 //! Each property has a deterministic companion driven by a seeded
 //! [`SplitMix64`] sequence, so the invariants are exercised on every test
 //! run even where proptest is unavailable, and with a pinned
@@ -17,7 +24,9 @@
 
 use bytes::Bytes;
 use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
-use p2p_index_net::wire::{decode_message, encode_to_vec, HEADER_LEN, MAX_PAYLOAD};
+use p2p_index_net::wire::{
+    decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
+};
 use p2p_index_net::{Message, WireError, VERSION, VERSION_BATCH, VERSION_REPL};
 use proptest::prelude::*;
 
@@ -170,6 +179,173 @@ fn assert_roundtrip(msg: &Message) {
 /// Feeding any byte slice to the decoder must return, never panic.
 fn assert_total(buf: &[u8]) {
     let _ = decode_message(buf);
+}
+
+/// Damages `frame` one way, chosen by `rng`: flip a byte, truncate,
+/// extend with noise, or splice a chosen `u32` over any four bytes (which
+/// is what a corrupt length or count field looks like).
+fn mutate(frame: &mut Vec<u8>, rng: &mut SplitMix64) {
+    let pick = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+    match rng.next_u64() % 4 {
+        0 if !frame.is_empty() => {
+            let at = pick(rng, frame.len());
+            frame[at] ^= 1 << (rng.next_u64() % 8);
+        }
+        1 => frame.truncate(pick(rng, frame.len() + 1)),
+        2 => {
+            for _ in 0..1 + pick(rng, 24) {
+                frame.push(rng.next_u64() as u8);
+            }
+        }
+        _ if frame.len() >= 4 => {
+            let at = pick(rng, frame.len() - 3);
+            let old = u32::from_be_bytes(frame[at..at + 4].try_into().unwrap());
+            let spliced = match rng.next_u64() % 6 {
+                0 => 0,
+                1 => old.wrapping_add(1),
+                2 => old.wrapping_sub(1),
+                3 => u32::MAX,
+                4 => MAX_PAYLOAD + 1,
+                _ => rng.next_u64() as u32,
+            };
+            frame[at..at + 4].copy_from_slice(&spliced.to_be_bytes());
+        }
+        _ => {}
+    }
+}
+
+/// The decoder's whole contract on arbitrary bytes: it returns (never
+/// panics); a failure is a [`WireError`] that renders; a success consumed
+/// a prefix that is *the* encoding of the message it produced. Two header
+/// fields are deliberately not carried by a [`Message`] and so are
+/// exempt: the version byte (a later version's header may carry an
+/// earlier version's kind) and a shutdown frame's request id.
+fn assert_decodes_exactly_or_fails_typed(buf: &[u8]) {
+    match decode_message(buf) {
+        Ok((msg, consumed)) => {
+            assert!(consumed <= buf.len());
+            let mut canonical = buf[..consumed].to_vec();
+            let reencoded = encode_to_vec(&msg);
+            assert_eq!(reencoded.len(), consumed, "{msg:?}");
+            canonical[4] = reencoded[4];
+            if msg == Message::Shutdown {
+                canonical[6..14].fill(0);
+            }
+            assert_eq!(reencoded, canonical, "{msg:?}");
+        }
+        Err(e) => assert!(!e.to_string().is_empty()),
+    }
+}
+
+#[test]
+fn mutated_frames_decode_exactly_or_fail_typed_deterministic() {
+    let mut rng = SplitMix64::new(0x6d75_7461);
+    for variant in 0..VARIANTS * 60 {
+        let clean = encode_to_vec(&rng_message(&mut rng, variant));
+        assert_decodes_exactly_or_fails_typed(&clean);
+        for _ in 0..12 {
+            let mut frame = clean.clone();
+            for _ in 0..1 + rng.next_u64() % 3 {
+                mutate(&mut frame, &mut rng);
+            }
+            assert_decodes_exactly_or_fails_typed(&frame);
+        }
+    }
+}
+
+#[test]
+fn every_length_field_splice_is_rejected_or_exact() {
+    // Exhaustive over positions rather than sampled: every 4-byte window
+    // of every variant's frame, overwritten with each interesting value.
+    let mut rng = SplitMix64::new(0x5911ce);
+    for variant in 0..VARIANTS {
+        let clean = encode_to_vec(&rng_message(&mut rng, variant));
+        for at in 0..clean.len().saturating_sub(3) {
+            let old = u32::from_be_bytes(clean[at..at + 4].try_into().unwrap());
+            for spliced in [0, 1, old.wrapping_add(1), old.wrapping_sub(1), u32::MAX] {
+                let mut frame = clean.clone();
+                frame[at..at + 4].copy_from_slice(&spliced.to_be_bytes());
+                assert_decodes_exactly_or_fails_typed(&frame);
+            }
+        }
+    }
+}
+
+/// Every value a message carries, in encounter order.
+fn values_of(msg: &Message) -> Vec<Bytes> {
+    fn of_op(op: &DhtOp) -> Vec<Bytes> {
+        match op {
+            DhtOp::Put { value, .. } | DhtOp::Remove { value, .. } => vec![value.clone()],
+            DhtOp::NodeFor(_) | DhtOp::Get(_) => Vec::new(),
+        }
+    }
+    fn of_result(result: &Result<DhtResponse, DhtError>) -> Vec<Bytes> {
+        match result {
+            Ok(DhtResponse::Values(values)) => values.clone(),
+            _ => Vec::new(),
+        }
+    }
+    match msg {
+        Message::Request { op, .. } | Message::Replicate { op, .. } => of_op(op),
+        Message::Response { result, .. } => of_result(result),
+        Message::Batch { ops, .. } => ops.iter().flat_map(of_op).collect(),
+        Message::BatchReply { results, .. } => results.iter().flat_map(of_result).collect(),
+        Message::Transfer { entries, .. } => {
+            entries.iter().flat_map(|(_, vs)| vs.clone()).collect()
+        }
+        Message::Shutdown => Vec::new(),
+    }
+}
+
+#[test]
+fn decoded_values_outlive_the_buffer_they_were_decoded_from() {
+    let mut rng = SplitMix64::new(0x0b5e55ed);
+    for variant in 0..VARIANTS * 20 {
+        let msg = rng_message(&mut rng, variant);
+        let mut frame = encode_to_vec(&msg);
+        let (decoded, _) = decode_message(&frame).expect("encoded frame must decode");
+        // Overwrite, then free, the bytes the values were decoded from.
+        frame.fill(0xee);
+        drop(frame);
+        assert_eq!(values_of(&decoded), values_of(&msg), "variant {variant}");
+        assert_eq!(decoded, msg);
+    }
+}
+
+#[test]
+fn decoded_values_survive_the_read_scratch_being_reused() {
+    // The streaming reader stages every payload in one caller-owned
+    // scratch. A second frame read through the same scratch overwrites
+    // the first frame's bytes; the first frame's values must not notice.
+    let many: Vec<Bytes> = (0..40)
+        .map(|i| Bytes::from(format!("Q:/article/conf/c{i}").into_bytes()))
+        .collect();
+    let first = Message::Response {
+        id: 1,
+        result: Ok(DhtResponse::Values(many.clone())),
+    };
+    let second = Message::Transfer {
+        id: 2,
+        entries: vec![(Key::hash_of("k"), vec![Bytes::from(vec![0x55u8; 4096])])],
+    };
+    let mut stream = Vec::new();
+    encode_message(&first, &mut stream);
+    encode_message(&second, &mut stream);
+    let mut cursor = std::io::Cursor::new(stream);
+    let mut scratch = Vec::new();
+    let (got_first, _) = read_message_with(&mut cursor, &mut scratch).unwrap();
+    let (got_second, _) = read_message_with(&mut cursor, &mut scratch).unwrap();
+    scratch.fill(0);
+    drop(scratch);
+    assert_eq!(got_second, second);
+    assert_eq!(got_first, first);
+    // One frame, one buffer: neighbouring values are neighbours in memory
+    // (each is preceded by its own 4-byte length prefix).
+    let values = values_of(&got_first);
+    for pair in values.windows(2) {
+        let end_of_left = pair[0].as_ptr() as usize + pair[0].len();
+        assert_eq!(pair[1].as_ptr() as usize, end_of_left + 4);
+    }
 }
 
 #[test]
@@ -468,6 +644,22 @@ proptest! {
     #[test]
     fn prop_decoder_is_total(buf in proptest::collection::vec(any::<u8>(), 0..256)) {
         assert_total(&buf);
+    }
+
+    /// Real frames damaged by up to three mutations decode exactly or
+    /// fail typed — never panic, never a message that is not its bytes.
+    #[test]
+    fn prop_mutated_frames_decode_exactly_or_fail_typed(
+        seed in any::<u64>(),
+        variant in 0usize..VARIANTS,
+        mutations in 1usize..4,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mut frame = encode_to_vec(&rng_message(&mut rng, variant));
+        for _ in 0..mutations {
+            mutate(&mut frame, &mut rng);
+        }
+        assert_decodes_exactly_or_fails_typed(&frame);
     }
 
     /// Any prefix of any valid frame is Truncated — there is no cut point

@@ -362,3 +362,99 @@ fn lossy_replicated_cluster_still_blocks_a_stale_transfer_of_a_removed_value() {
         server.shutdown();
     }
 }
+
+#[test]
+fn an_idle_connection_gives_its_big_read_buffer_back() {
+    // One multi-megabyte Transfer grows the connection's read buffer; it
+    // must not stay that large for the connection's whole life.
+    let metrics = MetricsRegistry::new();
+    let server = DhtServer::spawn_partition(
+        NodeId::hash_of("node-0"),
+        "127.0.0.1:0",
+        ServerConfig {
+            read_timeout: Duration::from_millis(20),
+            metrics: metrics.clone(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let big_key = Key::hash_of("big");
+    let entries = vec![(big_key, vec![Bytes::from(vec![0xabu8; 2 << 20])])];
+    write_message(&mut stream, &Message::Transfer { id: 1, entries }).unwrap();
+    let (reply, _) = read_message(&mut stream).unwrap();
+    assert_eq!(
+        reply,
+        Message::Response {
+            id: 1,
+            result: Ok(DhtResponse::Stored(true))
+        }
+    );
+    assert_eq!(metrics.counter("net.server.buffers_released"), 0);
+
+    // Idle past the read timeout: the next poll tick releases the buffer.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while metrics.counter("net.server.buffers_released") == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an idle connection must release its oversized read buffer"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Released once, not once per tick.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(metrics.counter("net.server.buffers_released"), 1);
+
+    // The same connection still serves the next (small) frame.
+    let small = Message::Request {
+        id: 2,
+        op: DhtOp::Get(Key::hash_of("absent")),
+    };
+    write_message(&mut stream, &small).unwrap();
+    let (reply, _) = read_message(&mut stream).unwrap();
+    assert_eq!(
+        reply,
+        Message::Response {
+            id: 2,
+            result: Ok(DhtResponse::Values(Vec::new()))
+        }
+    );
+    server.shutdown();
+}
+
+#[test]
+fn values_that_arrived_in_one_batch_frame_are_stored_and_removed_one_by_one() {
+    // Sixteen puts ride one Batch frame, so on the server all sixteen
+    // decoded values are slices of that frame's payload. Removing fifteen
+    // must leave exactly one resident value (which, by the store's
+    // residency rule, owns its bytes: nothing of the frame survives).
+    let cluster = LoopbackCluster::start_ring(1).unwrap();
+    let mut client = cluster.client();
+    let key = Key::hash_of("batched-entry");
+    let value = |i: usize| Bytes::from(format!("Q:/article/title/t{i}"));
+    let puts: Vec<DhtOp> = (0..16)
+        .map(|i| DhtOp::Put {
+            key,
+            value: value(i),
+        })
+        .collect();
+    for result in client.execute_many(puts) {
+        assert_eq!(result, Ok(DhtResponse::Stored(true)));
+    }
+    assert_eq!(cluster.server(0).total_values(), 16);
+    let removes: Vec<DhtOp> = (1..16)
+        .map(|i| DhtOp::Remove {
+            key,
+            value: value(i),
+        })
+        .collect();
+    for result in client.execute_many(removes) {
+        assert_eq!(result, Ok(DhtResponse::Removed(true)));
+    }
+    assert_eq!(cluster.server(0).total_values(), 1);
+    assert_eq!(Dht::get(&client, &key), vec![value(0)]);
+    cluster.shutdown();
+}
