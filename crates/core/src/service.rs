@@ -164,6 +164,10 @@ pub struct SearchReport {
     /// (0 when the query was indexed; the paper's "recoverable error" case
     /// otherwise).
     pub generalization_steps: u32,
+    /// Sequential DHT waves the search waited on: the entry probe, one per
+    /// generalization level, one per index level. Over a network this —
+    /// not `interactions` — is the number of round trips of latency.
+    pub rounds: u32,
     /// Retry/abandonment record: how trustworthy `files` is under faults.
     pub completeness: Completeness,
 }
@@ -197,7 +201,7 @@ struct SearchScratch {
     frontier: Vec<Query>,
     /// Current generalization level (one batched probe wave).
     level: Vec<Query>,
-    /// Fresh child queries referenced by the node being expanded.
+    /// Fresh child queries referenced by the index level being expanded.
     children: Vec<Query>,
 }
 
@@ -210,6 +214,17 @@ impl SearchScratch {
         self.level.clear();
         self.children.clear();
     }
+}
+
+/// Reusable per-wave buffers for
+/// [`dht_execute_many`](IndexService::dht_execute_many): capacity is
+/// carried from wave to wave, contents never are.
+#[derive(Debug, Default)]
+struct WaveScratch {
+    /// Each op's kind, for trace events and retry tails.
+    kinds: Vec<&'static str>,
+    /// Each op's clone while a retry is possible (empty otherwise).
+    retained: Vec<Option<DhtOp>>,
 }
 
 /// The distributed index service over a DHT substrate.
@@ -262,6 +277,8 @@ pub struct IndexService<D> {
     /// queue/visited sets and the generalization frontier survive across
     /// searches instead of being reallocated per query.
     search_scratch: SearchScratch,
+    /// Reusable retry/trace bookkeeping of a batched wave.
+    wave_scratch: WaveScratch,
     /// Reusable wire-encode buffer for the write paths: every entry of a
     /// publish wave is encoded into this one buffer instead of through a
     /// per-entry `format!` temporary (publish was the allocation-heaviest
@@ -298,6 +315,7 @@ impl<D: Dht> IndexService<D> {
             key_cache: HashMap::new(),
             decode_cache: HashMap::new(),
             search_scratch: SearchScratch::default(),
+            wave_scratch: WaveScratch::default(),
             encode_scratch: Vec::new(),
             cache_admission: 0,
             metrics: MetricsRegistry::default(),
@@ -439,12 +457,16 @@ impl<D: Dht> IndexService<D> {
             return Vec::new();
         }
         let may_retry = self.retry.max_attempts > 1;
-        let mut retained: Vec<Option<DhtOp>> = if may_retry {
-            ops.iter().map(|op| Some(op.clone())).collect()
-        } else {
-            vec![None; ops.len()]
-        };
-        let kinds: Vec<&'static str> = ops.iter().map(DhtOp::kind).collect();
+        // Taken out for the wave (retry tails need `&mut self`) and put
+        // back emptied, so only their capacity outlives it.
+        let WaveScratch {
+            mut kinds,
+            mut retained,
+        } = std::mem::take(&mut self.wave_scratch);
+        kinds.extend(ops.iter().map(DhtOp::kind));
+        if may_retry {
+            retained.extend(ops.iter().cloned().map(Some));
+        }
         let count = ops.len() as u64;
         self.retry_stats.attempts += count;
         self.metrics.add("retry.attempts", count);
@@ -475,6 +497,9 @@ impl<D: Dht> IndexService<D> {
                 }
             }
         }
+        kinds.clear();
+        retained.clear();
+        self.wave_scratch = WaveScratch { kinds, retained };
         results
     }
 
@@ -868,14 +893,17 @@ impl<D: Dht> IndexService<D> {
     /// Batched sibling of
     /// [`lookup_step_bypassing_cache`](Self::lookup_step_bypassing_cache):
     /// resolves and fetches several independent queries through one
-    /// [`Dht::execute_many`] wave — the multi-get fast path taken by all
-    /// the child queries referenced from one resolved index node. On a
-    /// networked substrate the whole wave costs one pipelined frame pair
-    /// per routed member instead of two frames per query. Results are
-    /// positional. Single-query batches take this path too: on the
-    /// networked client that pipelines the probe through `execute_many`
-    /// like every other generalization wave instead of issuing a
-    /// sequentially-dependent unary exchange.
+    /// [`Dht::execute_many`] wave — the multi-get a search sends once per
+    /// level, for every query that level references. On a networked
+    /// substrate the whole wave costs one pipelined frame pair per routed
+    /// member instead of two frames per query. `queries` is drained and
+    /// each query is handed to `sink` with its reply, in order, as soon as
+    /// the reply is assembled — nothing is collected in between. `None`
+    /// is a lookup abandoned to a DHT fault ([`or_abandoned`]); a hard
+    /// error ends the wave. Single-query batches take this path too: on
+    /// the networked client that pipelines the probe through
+    /// `execute_many` like every other generalization wave instead of
+    /// issuing a sequentially-dependent unary exchange.
     ///
     /// A recording trace sees exactly this wave — there is no traced
     /// variant of the search path: one `wave: …` span holds the batch's
@@ -884,19 +912,20 @@ impl<D: Dht> IndexService<D> {
     /// interaction invariant the observability suite pins).
     fn lookup_many_bypassing_cache(
         &mut self,
-        queries: &[Query],
-    ) -> Vec<Result<StepResponse, IndexError>> {
+        queries: &mut Vec<Query>,
+        mut sink: impl FnMut(Query, Option<StepResponse>),
+    ) -> Result<(), IndexError> {
         if queries.is_empty() {
-            return Vec::new();
+            return Ok(());
         }
-        let keys: Vec<Key> = queries.iter().map(|q| self.cached_key(q)).collect();
         // Interleave [NodeFor, Get] per query — the op order the unary
         // sequence would issue. Fault injectors draw per-op randomness in
         // op order, so this keeps batched and unary runs comparable.
-        let mut ops = Vec::with_capacity(keys.len() * 2);
-        for key in &keys {
-            ops.push(DhtOp::NodeFor(*key));
-            ops.push(DhtOp::Get(*key));
+        let mut ops = Vec::with_capacity(queries.len() * 2);
+        for query in queries.iter() {
+            let key = self.cached_key(query);
+            ops.push(DhtOp::NodeFor(key));
+            ops.push(DhtOp::Get(key));
         }
         if let Some(t) = &mut self.tracer {
             t.open(format!("wave: {} lookup(s)", queries.len()));
@@ -905,15 +934,15 @@ impl<D: Dht> IndexService<D> {
         if let Some(t) = &mut self.tracer {
             t.close();
         }
-        let mut out = Vec::with_capacity(queries.len());
-        for query in queries {
+        for query in queries.drain(..) {
             let node_result = raw.next().expect("one NodeFor result per query");
             let get_result = raw.next().expect("one Get result per query");
-            out.push(self.in_lookup_span(query, |service| {
-                service.assemble_bypass_lookup(query, node_result, get_result)
-            }));
+            let result = self.in_lookup_span(&query, |service| {
+                service.assemble_bypass_lookup(&query, node_result, get_result)
+            });
+            sink(query, or_abandoned(result)?);
         }
-        out
+        Ok(())
     }
 
     /// Reassembles one query's [`StepResponse`] from its batched
@@ -999,6 +1028,12 @@ impl<D: Dht> IndexService<D> {
     /// satisfy the original query; the extra lookups are reported in
     /// [`SearchReport::generalization_steps`].
     ///
+    /// The search is level-synchronous: all the lookups one generalization
+    /// level or one index level needs are independent, so each level is a
+    /// single batched wave and the search waits on
+    /// [`SearchReport::rounds`] = 1 (entry probe) + generalization levels
+    /// + index levels round trips, however many index nodes it visits.
+    ///
     /// This method neither creates nor consults cache shortcuts: automated
     /// exhaustive search must see the full index (shortcuts only cover
     /// previously-searched files) and its results therefore never depend on
@@ -1031,6 +1066,8 @@ impl<D: Dht> IndexService<D> {
                 "index.search.generalization_steps",
                 u64::from(report.generalization_steps),
             );
+            self.metrics
+                .add("index.search.rounds", u64::from(report.rounds));
             self.metrics.add(
                 "index.search.abandoned",
                 u64::from(report.completeness.abandoned),
@@ -1090,9 +1127,15 @@ impl<D: Dht> IndexService<D> {
         // (for non-indexed queries) its generalizations, breadth-first.
         // An abandoned first lookup reads as "not indexed": generalization
         // may still reach the data through another index branch.
-        let first = self
-            .lookup_or_abandon(query, &mut report)?
-            .unwrap_or_default();
+        report.interactions += 1;
+        report.rounds += 1;
+        let first = match or_abandoned(self.lookup_step_bypassing_cache(query))? {
+            Some(resp) => resp,
+            None => {
+                report.completeness.abandoned += 1;
+                StepResponse::default()
+            }
+        };
         let query_not_indexed = first.indexed.is_empty();
         visited.insert(query.clone());
         queue.push_back((query.clone(), first));
@@ -1104,7 +1147,8 @@ impl<D: Dht> IndexService<D> {
             // substrate) and the replies are consumed in chain order, so
             // the first indexed ancestor found is the same one the
             // one-probe-at-a-time loop would have entered through.
-            'generalize: while !frontier.is_empty() {
+            let mut entered = false;
+            while !entered && !frontier.is_empty() {
                 level.clear();
                 for g in frontier.drain(..) {
                     if seen.insert(g.clone()) {
@@ -1118,67 +1162,71 @@ impl<D: Dht> IndexService<D> {
                         t.event(format!("generalize -> {g}"));
                     }
                 }
-                let results = self.lookup_many_bypassing_cache(level);
-                for (g, result) in level.iter().zip(results) {
-                    let resp = match result {
-                        Ok(resp) => resp,
-                        Err(IndexError::Dht(_)) => {
+                report.rounds += 1;
+                self.lookup_many_bypassing_cache(level, |g, reply| {
+                    if entered {
+                        return;
+                    }
+                    match reply {
+                        Some(resp) if !resp.indexed.is_empty() => {
+                            if visited.insert(g.clone()) {
+                                queue.push_back((g, resp));
+                                entered = true;
+                            }
+                        }
+                        Some(_) => g.generalizations_into(frontier),
+                        None => {
                             report.completeness.abandoned += 1;
                             g.generalizations_into(frontier);
-                            continue;
                         }
-                        Err(e) => return Err(e),
-                    };
-                    if resp.indexed.is_empty() {
-                        g.generalizations_into(frontier);
-                    } else if visited.insert(g.clone()) {
-                        queue.push_back((g.clone(), resp));
-                        break 'generalize;
                     }
-                }
+                })?;
             }
         }
 
-        // Phase 2: breadth-first specialization over index entries. All
-        // the fresh child queries referenced by one index node are
-        // independent, so they are fetched through one batched multi-get
-        // per dequeued node instead of one RPC pair per child.
-        while let Some((current, resp)) = queue.pop_front() {
-            children.clear();
-            for target in resp.all_targets() {
-                match target {
-                    IndexTarget::File(f) => {
-                        // `current` is the MSD the file is stored under; it
-                        // matches the original query iff the query covers it.
-                        if query.covers(&current) {
-                            let hit = FileHit {
-                                msd: current.clone(),
-                                file: f.clone(),
-                            };
-                            if !report.files.contains(&hit) {
-                                report.files.push(hit);
+        // Phase 2: breadth-first specialization over index entries, one
+        // level at a time. The queue holds one index level; the fresh
+        // child queries referenced from anywhere in it are independent,
+        // so the whole next level is one batched multi-get — one round
+        // trip per index level, not per index node. FIFO order is level
+        // order, so scanning the level in queue order visits, dedups and
+        // reports in the order a node-at-a-time BFS would.
+        while !queue.is_empty() {
+            for (current, resp) in queue.drain(..) {
+                // `visited` admits each node once, so a duplicate hit can
+                // only come from this node's own value list.
+                let node_hits = report.files.len();
+                for target in resp.cached.into_iter().chain(resp.indexed) {
+                    match target {
+                        IndexTarget::File(file) => {
+                            // `current` is the MSD the file is stored under; it
+                            // matches the original query iff the query covers it.
+                            if query.covers(&current)
+                                && !report.files[node_hits..].iter().any(|hit| hit.file == file)
+                            {
+                                report.files.push(FileHit {
+                                    msd: current.clone(),
+                                    file,
+                                });
                             }
                         }
-                    }
-                    IndexTarget::Query(q) => {
-                        if visited.insert(q.clone()) {
-                            children.push(q.clone());
+                        IndexTarget::Query(q) => {
+                            if visited.insert(q.clone()) {
+                                children.push(q);
+                            }
                         }
                     }
                 }
             }
             if children.is_empty() {
-                continue;
+                break;
             }
             report.interactions += children.len() as u32;
-            let results = self.lookup_many_bypassing_cache(children);
-            for (child, result) in children.drain(..).zip(results) {
-                match result {
-                    Ok(r) => queue.push_back((child, r)),
-                    Err(IndexError::Dht(_)) => report.completeness.abandoned += 1,
-                    Err(e) => return Err(e),
-                }
-            }
+            report.rounds += 1;
+            self.lookup_many_bypassing_cache(children, |child, reply| match reply {
+                Some(resp) => queue.push_back((child, resp)),
+                None => report.completeness.abandoned += 1,
+            })?;
         }
 
         let delta = self.retry_stats;
@@ -1186,24 +1234,6 @@ impl<D: Dht> IndexService<D> {
         report.completeness.retries = delta.retries - retry_before.retries;
         report.completeness.backoff_ms = delta.backoff_ms - retry_before.backoff_ms;
         Ok(report)
-    }
-
-    /// One search sub-lookup: `Ok(None)` when the lookup failed with a DHT
-    /// fault and the branch must be abandoned; hard errors still propagate.
-    fn lookup_or_abandon(
-        &mut self,
-        query: &Query,
-        report: &mut SearchReport,
-    ) -> Result<Option<StepResponse>, IndexError> {
-        report.interactions += 1;
-        match self.lookup_step_bypassing_cache(query) {
-            Ok(resp) => Ok(Some(resp)),
-            Err(IndexError::Dht(_)) => {
-                report.completeness.abandoned += 1;
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Removes a published file and cleans up after it: the file entry is
@@ -1269,6 +1299,19 @@ impl<D: Dht> IndexService<D> {
         }
         self.metrics.incr("index.unpublish");
         Ok(msd)
+    }
+}
+
+/// A search sub-lookup's outcome: `None` when it failed with a DHT fault
+/// even after retrying — the branch is abandoned, not the search; hard
+/// errors still propagate.
+fn or_abandoned(
+    result: Result<StepResponse, IndexError>,
+) -> Result<Option<StepResponse>, IndexError> {
+    match result {
+        Ok(resp) => Ok(Some(resp)),
+        Err(IndexError::Dht(_)) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

@@ -5,7 +5,8 @@
 //! pins the round's own share where a regression is cheapest to see: on
 //! a warm client over a replicated loopback cluster, how many heap
 //! allocations the *calling thread* makes for one quorum read, for one
-//! 16-get wave, and for a read that finds nothing.
+//! 16-get wave, for a read that finds nothing, and — the client's whole
+//! stack on top of the round — for one three-level index search.
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per reply that carries a value list,
@@ -21,8 +22,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
+use p2p_index_core::{CachePolicy, IndexService, SimpleScheme};
 use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key};
 use p2p_index_net::{LoopbackCluster, RemoteDht};
+use p2p_index_xmldoc::Descriptor;
+use p2p_index_xpath::Query;
 
 thread_local! {
     // `const` and destructor-free: touching it from inside the allocator
@@ -151,5 +155,44 @@ fn a_get_of_an_absent_key_allocates_no_bytes_at_all() {
     // empty value list owns no heap, and what is left is the round's
     // leased-connection list. Any `Bytes` at all would make it 2 or more.
     assert_eq!(allocs, 1, "absent-key get made {allocs} allocations");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_three_level_search_stays_inside_its_budget() {
+    // One conference, six years, two articles a year: the search walks
+    // conf -> 6 conf+year nodes -> 12 MSDs, 19 interactions in 3 rounds.
+    let (cluster, client) = warm_cluster();
+    let mut service = IndexService::new(client, CachePolicy::None);
+    for i in 0..12 {
+        let xml = format!(
+            "<article><author><first>A{i}</first><last>L{i}</last></author>\
+             <title>T{i}</title><conf>ICDCS</conf><year>{}</year></article>",
+            2000 + i / 2
+        );
+        let descriptor = Descriptor::parse(&xml).expect("corpus XML parses");
+        service
+            .publish(&descriptor, format!("file-{i}.pdf"), &SimpleScheme)
+            .expect("publish on a healthy network");
+    }
+    let query: Query = "/article/conf/ICDCS".parse().expect("test query parses");
+    // Warm: connections, frame buffers, the BFS and wave scratch, and the
+    // service's key and decode tables.
+    for _ in 0..3 {
+        service.search(&query).expect("search on a healthy network");
+    }
+    let (report, allocs) = allocs_during(|| service.search(&query));
+    let report = report.expect("search on a healthy network");
+    assert_eq!((report.files.len(), report.interactions), (12, 19));
+    // Measured 126; the node-at-a-time search this replaced made 205 in
+    // nine waves. Handed back or handed in: 12 file names and the hit
+    // list's growth (15), a target list per interaction (19), a value
+    // list per quorum reply (19 gets at Rq = 2: 38). The three rounds
+    // themselves: the unary entry get (5 beyond its value lists) and 13
+    // per wave — ops and result vectors, the leased-connection list, a
+    // shared buffer per member's reply frame. `Query::covers` makes 2 per
+    // MSD it filters (24). Slack of 6: one more wave (+13) or one more
+    // copy per interaction (+19) trips it.
+    assert!(allocs <= 132, "3-level search made {allocs} allocations");
     cluster.shutdown();
 }

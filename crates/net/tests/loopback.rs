@@ -7,11 +7,12 @@
 //! the retry layer must absorb faults injected behind the server without
 //! the client knowing sockets are involved.
 
+use std::collections::{HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use bytes::Bytes;
-use p2p_index_core::{CachePolicy, IndexService, RetryPolicy, SimpleScheme};
+use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
 use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht};
 use p2p_index_net::wire::{read_message, write_message, Message};
 use p2p_index_net::{
@@ -261,6 +262,84 @@ fn a_traced_search_sends_the_frames_the_untraced_search_sends() {
         "the searches must ride batched waves: {counters:?}"
     );
     assert_eq!(traced_counters, counters);
+}
+
+/// What the node-at-a-time walk sends for `entry`: the unary entry probe,
+/// then one `[NodeFor, Get]…` wave per index node with fresh children.
+fn per_node_walk(client: &mut RemoteDht, entry: &Query) {
+    let key = IndexService::<RemoteDht>::key_of;
+    let values = |result: Result<DhtResponse, DhtError>| result.expect("healthy").into_values();
+    let mut visited = HashSet::from([entry.clone()]);
+    client.execute(DhtOp::NodeFor(key(entry))).expect("healthy");
+    let mut queue = VecDeque::from([values(client.execute(DhtOp::Get(key(entry))))]);
+    while let Some(node) = queue.pop_front() {
+        let wave: Vec<DhtOp> = node
+            .iter()
+            .map(|value| IndexTarget::from_bytes(value).expect("stored entries decode"))
+            .filter_map(|target| target.as_query().cloned())
+            .filter(|child| visited.insert(child.clone()))
+            .flat_map(|child| [DhtOp::NodeFor(key(&child)), DhtOp::Get(key(&child))])
+            .collect();
+        if !wave.is_empty() {
+            let replies = client.execute_many(wave);
+            queue.extend(replies.into_iter().skip(1).step_by(2).map(values));
+        }
+    }
+}
+
+#[test]
+fn a_search_costs_one_batch_frame_per_member_per_level_not_per_node() {
+    // One conference, six years, two articles a year: below the entry the
+    // simple scheme has 6 conf+year nodes, then 12 MSDs — 2 index levels,
+    // 7 nodes with children.
+    const MEMBERS: u64 = 3;
+    let cluster = LoopbackCluster::start_ring(MEMBERS as usize).expect("loopback cluster");
+    let metrics = MetricsRegistry::new();
+    let mut client = cluster.client();
+    client.set_metrics(metrics.clone());
+    let mut service = IndexService::new(client, CachePolicy::None);
+    for i in 0..12 {
+        let xml = format!(
+            "<article><author><first>A{i}</first><last>L{i}</last></author>\
+             <title>T{i}</title><conf>ICDCS</conf><year>{}</year></article>",
+            2000 + i / 2
+        );
+        let descriptor = Descriptor::parse(&xml).expect("corpus XML parses");
+        service
+            .publish(&descriptor, format!("file-{i}.pdf"), &SimpleScheme)
+            .expect("publish on a healthy network");
+    }
+    let query: Query = "/article/conf/ICDCS".parse().expect("test query parses");
+    let frames = || {
+        (
+            metrics.counter("net.frames_out"),
+            metrics.counter("net.batch.frames_out"),
+        )
+    };
+
+    let (all_before, batch_before) = frames();
+    let report = service.search(&query).expect("search on a healthy network");
+    let (all_after, batch_after) = frames();
+    assert_eq!(report.files.len(), 12);
+    assert_eq!(report.rounds, 3, "entry probe + two index levels");
+    let batch_frames = batch_after - batch_before;
+    assert!(
+        batch_frames <= u64::from(report.rounds - 1) * MEMBERS,
+        "{batch_frames} batch frames for {} waves over {MEMBERS} members",
+        report.rounds - 1
+    );
+    // The entry probe's Get travels alone (its NodeFor is answered from
+    // the client's member table); every other frame is a level's batch.
+    assert_eq!(all_after - all_before, 1 + batch_frames);
+
+    per_node_walk(service.dht_mut(), &query);
+    let per_node_frames = frames().0 - all_after;
+    assert!(
+        all_after - all_before < per_node_frames,
+        "level-synchronous {} frames, node-at-a-time {per_node_frames}",
+        all_after - all_before
+    );
+    cluster.shutdown();
 }
 
 /// Retries `op` against `client` until the lossy member delivers it.
