@@ -11,13 +11,11 @@
 //! for requests, the wire-encoded entry list for responses, and
 //! key + target for cache-creation messages.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed per-message overhead (addressing, framing) in bytes.
 pub const MESSAGE_HEADER_BYTES: u64 = 20;
 
 /// Accumulated traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Bytes of query and response messages.
     pub normal_bytes: u64,

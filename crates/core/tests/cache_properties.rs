@@ -9,14 +9,12 @@
 //! * which key gets evicted is decided by recency alone, exactly as the
 //!   reference model predicts.
 //!
-//! Each property also has a deterministic companion driven by a seeded
-//! [`SplitMix64`] sequence, so the invariants are exercised on every test
-//! run even where proptest is unavailable, and with a pinned
-//! `PROPTEST_RNG_SEED` in CI.
+//! Each property runs over seeded cases (`p2p_index_testkit`), so a run
+//! repeats exactly and a failure names the seed of its case.
 
 use p2p_index_core::{IndexTarget, ShortcutCache};
-use p2p_index_dht::{Key, SplitMix64};
-use proptest::prelude::*;
+use p2p_index_dht::Key;
+use p2p_index_testkit::{for_each_case, Rng, StdRng};
 
 /// A small pool of distinct keys; indices into it make op sequences
 /// collide often enough to exercise refresh/replace paths.
@@ -128,58 +126,87 @@ fn run_against_model(cap: usize, ops: &[Op]) {
     }
 }
 
-/// Pseudo-random op sequence from a seeded generator: inserts and gets
-/// over an 8-key pool.
-fn scripted_ops(seed: u64, len: usize) -> Vec<Op> {
-    let mut rng = SplitMix64::new(seed);
-    (0..len)
+/// An op sequence as long as a uniform draw from `len` says: inserts and
+/// gets, equally likely, over an 8-key pool.
+fn arb_ops(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<Op> {
+    (0..rng.gen_range(len))
         .map(|_| {
-            let k = (rng.next_u64() % 8) as usize;
-            match rng.next_u64() % 3 {
-                0 => Op::Get(k),
-                _ => Op::Insert(k, (rng.next_u64() % 4) as usize),
+            let k = rng.gen_range(0..8usize);
+            if rng.gen() {
+                Op::Insert(k, rng.gen_range(0..4usize))
+            } else {
+                Op::Get(k)
             }
         })
         .collect()
 }
 
+/// At no intermediate step does the cache hold more keys than its
+/// capacity, and it always agrees with the reference model.
 #[test]
-fn capacity_never_exceeded_deterministic() {
-    for cap in [1, 2, 3, 5] {
-        for seed in 0..8 {
-            run_against_model(cap, &scripted_ops(seed, 200));
-        }
-    }
+fn capacity_never_exceeded() {
+    for_each_case(|rng| {
+        let cap = rng.gen_range(1..6usize);
+        run_against_model(cap, &arb_ops(rng, 0..201));
+    });
 }
 
+/// After probing a key, fewer-than-capacity fresh inserts can never
+/// evict it: the probe made it the most recently used.
 #[test]
-fn most_recently_probed_key_survives_deterministic() {
-    for cap in [2usize, 3, 5] {
-        for seed in 0..8 {
-            let mut cache = ShortcutCache::with_capacity(cap);
-            for op in scripted_ops(seed, 60) {
-                if let Op::Insert(k, t) = op {
+fn most_recently_probed_key_survives() {
+    for_each_case(|rng| {
+        let cap = rng.gen_range(2..6usize);
+        let mut cache = ShortcutCache::with_capacity(cap);
+        for op in arb_ops(rng, 0..61) {
+            match op {
+                Op::Insert(k, t) => {
                     cache.insert(key(k), target(t));
                 }
+                Op::Get(k) => {
+                    cache.get(&key(k));
+                }
             }
-            // Probe key 0 (inserting it first if the workload evicted it),
-            // then add up to cap-1 fresh keys: the probe refreshed key 0's
-            // recency, so everything evicted must be someone else.
-            cache.insert(key(0), target(0));
-            cache.get(&key(0));
-            for fresh in 100..(100 + cap - 1) {
-                cache.insert(key(fresh), target(1));
-            }
-            assert!(
-                cache.peek(&key(0)).is_some(),
-                "cap {cap} seed {seed}: probed key was evicted"
-            );
         }
-    }
+        // Probe key 0 (inserting it first if the workload evicted it),
+        // then add up to cap-1 fresh keys: the probe refreshed key 0's
+        // recency, so everything evicted must be someone else.
+        cache.insert(key(0), target(0));
+        cache.get(&key(0));
+        for fresh in 100..(100 + cap - 1) {
+            cache.insert(key(fresh), target(1));
+        }
+        assert!(cache.peek(&key(0)).is_some(), "cap {cap}");
+    });
+}
+
+/// Unbounded caches accept everything and never evict.
+#[test]
+fn unbounded_cache_never_evicts() {
+    for_each_case(|rng| {
+        let mut cache = ShortcutCache::new();
+        let mut model = ModelCache::new(None);
+        for op in arb_ops(rng, 0..60) {
+            match op {
+                Op::Insert(k, t) => {
+                    cache.insert(key(k), target(t));
+                    model.insert(key(k), target(t));
+                }
+                Op::Get(k) => {
+                    cache.get(&key(k));
+                    model.get(&key(k));
+                }
+            }
+        }
+        assert_eq!(cache.len(), model.slots.len());
+        for k in model.keys() {
+            assert!(cache.peek(&k).is_some());
+        }
+    });
 }
 
 #[test]
-fn eviction_order_matches_recency_deterministic() {
+fn eviction_order_matches_recency() {
     // Insert a..d into a cap-3 cache with interleaved probes; evictions
     // must strike in exactly the recency order the model predicts.
     let mut cache = ShortcutCache::with_capacity(3);
@@ -196,67 +223,4 @@ fn eviction_order_matches_recency_deterministic() {
     assert!(cache.peek(&key(4)).is_some());
     assert!(cache.peek(&key(3)).is_some());
     assert!(cache.peek(&key(5)).is_some());
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..8usize, 0..4usize).prop_map(|(k, t)| Op::Insert(k, t)),
-        (0..8usize).prop_map(Op::Get),
-    ]
-}
-
-proptest! {
-    /// At no intermediate step does the cache hold more keys than its
-    /// capacity, and it always agrees with the reference model.
-    #[test]
-    fn capacity_never_exceeded(
-        cap in 1..6usize,
-        ops in proptest::collection::vec(arb_op(), 0..60),
-    ) {
-        run_against_model(cap, &ops);
-    }
-
-    /// After probing a key, fewer-than-capacity fresh inserts can never
-    /// evict it: the probe made it the most recently used.
-    #[test]
-    fn most_recently_probed_key_survives(
-        cap in 2..6usize,
-        ops in proptest::collection::vec(arb_op(), 0..40),
-    ) {
-        let mut cache = ShortcutCache::with_capacity(cap);
-        for op in &ops {
-            match *op {
-                Op::Insert(k, t) => { cache.insert(key(k), target(t)); }
-                Op::Get(k) => { cache.get(&key(k)); }
-            }
-        }
-        cache.insert(key(0), target(0));
-        cache.get(&key(0));
-        for fresh in 100..(100 + cap - 1) {
-            cache.insert(key(fresh), target(1));
-        }
-        prop_assert!(cache.peek(&key(0)).is_some());
-    }
-
-    /// Unbounded caches accept everything and never evict.
-    #[test]
-    fn unbounded_cache_never_evicts(
-        ops in proptest::collection::vec(arb_op(), 0..60),
-    ) {
-        let mut cache = ShortcutCache::new();
-        let mut model = ModelCache::new(None);
-        for op in &ops {
-            match *op {
-                Op::Insert(k, t) => {
-                    cache.insert(key(k), target(t));
-                    model.insert(key(k), target(t));
-                }
-                Op::Get(k) => { cache.get(&key(k)); model.get(&key(k)); }
-            }
-        }
-        prop_assert_eq!(cache.len(), model.slots.len());
-        for k in model.keys() {
-            prop_assert!(cache.peek(&k).is_some());
-        }
-    }
 }

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 use crate::key::Key;
 
@@ -20,7 +19,7 @@ use crate::key::Key;
 ///
 /// In Chord, node identifiers live in the same 160-bit circle as data keys;
 /// a node is responsible for every key in `(predecessor, self]`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(Key);
 
 impl NodeId {
@@ -64,7 +63,7 @@ impl From<Key> for NodeId {
 /// count as two); `lookups` counts key resolutions; `hops` accumulates
 /// routing hops so `hops / lookups` is the mean path length — for Chord this
 /// should concentrate around `½·log₂(N)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DhtStats {
     /// Total simulated messages exchanged.
     pub messages: u64,
@@ -277,7 +276,7 @@ impl DhtResponse {
 /// [`DhtError::Unknown`] catch-all instead of a decode failure, so old
 /// clients keep working against newer servers.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhtError {
     /// The request or response message was lost; the operation may or may
     /// not have taken effect on the responsible node.

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{sha1, Digest, DIGEST_LEN};
 
 /// Number of bits in the identifier space (SHA-1 output width).
@@ -30,7 +28,7 @@ pub const KEY_BITS: usize = 160;
 /// assert_eq!(k, Key::hash_of("article/author/Smith"));
 /// assert_ne!(k, Key::hash_of("article/author/Doe"));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key([u8; DIGEST_LEN]);
 
 impl Key {
@@ -235,7 +233,7 @@ impl AsRef<[u8]> for Key {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use p2p_index_testkit::{digest, for_each_case, Rng, StdRng};
 
     #[test]
     fn from_u64_roundtrip() {
@@ -359,44 +357,62 @@ mod tests {
         assert_ne!(a.distance_clockwise(&b), Key::ZERO);
     }
 
-    fn arb_key() -> impl Strategy<Value = Key> {
-        proptest::array::uniform20(any::<u8>()).prop_map(Key)
+    fn arb_key(rng: &mut StdRng) -> Key {
+        Key(digest(rng))
     }
 
-    proptest! {
-        #[test]
-        fn prop_add_commutative(a in arb_key(), b in arb_key()) {
-            prop_assert_eq!(a.wrapping_add(&b), b.wrapping_add(&a));
-        }
+    #[test]
+    fn add_is_commutative() {
+        for_each_case(|rng| {
+            let (a, b) = (arb_key(rng), arb_key(rng));
+            assert_eq!(a.wrapping_add(&b), b.wrapping_add(&a));
+        });
+    }
 
-        #[test]
-        fn prop_sub_is_inverse_of_add(a in arb_key(), b in arb_key()) {
-            prop_assert_eq!(a.wrapping_add(&b).wrapping_sub(&b), a);
-        }
+    #[test]
+    fn sub_is_inverse_of_add() {
+        for_each_case(|rng| {
+            let (a, b) = (arb_key(rng), arb_key(rng));
+            assert_eq!(a.wrapping_add(&b).wrapping_sub(&b), a);
+        });
+    }
 
-        #[test]
-        fn prop_distance_triangle_on_circle(a in arb_key(), b in arb_key(), c in arb_key()) {
+    #[test]
+    fn distance_triangle_on_circle() {
+        for_each_case(|rng| {
+            let (a, b, c) = (arb_key(rng), arb_key(rng), arb_key(rng));
             // Going a->b->c clockwise covers the circle the same as a->c plus
             // possibly whole laps; distances are mod 2^160 so the sum of legs
             // equals the direct distance exactly (mod the circle).
             let ab = a.distance_clockwise(&b);
             let bc = b.distance_clockwise(&c);
             let ac = a.distance_clockwise(&c);
-            prop_assert_eq!(ab.wrapping_add(&bc), ac);
-        }
+            assert_eq!(ab.wrapping_add(&bc), ac);
+        });
+    }
 
-        #[test]
-        fn prop_interval_partition(x in arb_key(), a in arb_key(), b in arb_key()) {
+    #[test]
+    fn interval_partition() {
+        for_each_case(|rng| {
             // For a != b, every x is in exactly one of (a, b] and (b, a].
-            prop_assume!(a != b);
+            let (x, a, b) = (arb_key(rng), arb_key(rng), arb_key(rng));
+            if a == b {
+                return;
+            }
             let left = x.in_interval(&a, &b);
             let right = x.in_interval(&b, &a);
-            prop_assert!(left ^ right);
-        }
+            assert!(left ^ right);
+        });
+    }
 
-        #[test]
-        fn prop_hash_is_deterministic(s in ".*") {
-            prop_assert_eq!(Key::hash_of(&s), Key::hash_of(&s));
-        }
+    #[test]
+    fn hash_is_deterministic() {
+        for_each_case(|rng| {
+            // Any text, not just ASCII: every scalar value is fair game.
+            let s: String = (0..rng.gen_range(0..32usize))
+                .filter_map(|_| char::from_u32(rng.gen_range(0..=u32::from(char::MAX))))
+                .collect();
+            assert_eq!(Key::hash_of(&s), Key::hash_of(&s));
+        });
     }
 }

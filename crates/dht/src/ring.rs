@@ -274,7 +274,7 @@ impl NodeChurn for RingDht {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use p2p_index_testkit::{for_each_case, Rng};
 
     #[test]
     fn put_get_remove_roundtrip() {
@@ -396,34 +396,38 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_every_key_has_exactly_one_owner(n in 1usize..40, seed in any::<u64>()) {
-            let ring = RingDht::with_named_nodes(n);
-            let key = Key::hash_of(&format!("probe-{seed}"));
+    #[test]
+    fn every_key_has_exactly_one_owner() {
+        for_each_case(|rng| {
+            let ring = RingDht::with_named_nodes(rng.gen_range(1..40));
+            let key = Key::hash_of(&format!("probe-{}", rng.gen::<u64>()));
             let owner = ring.owner(&key).unwrap();
             // Owner must be a live node and key must be in (pred(owner), owner].
             let nodes = ring.nodes();
-            prop_assert!(nodes.contains(&owner));
+            assert!(nodes.contains(&owner));
             let pos = nodes.iter().position(|x| x == &owner).unwrap();
             let pred = nodes[(pos + nodes.len() - 1) % nodes.len()];
             if nodes.len() > 1 {
-                prop_assert!(key.in_interval(pred.key(), owner.key()));
+                assert!(key.in_interval(pred.key(), owner.key()));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_join_leave_preserves_data(n in 2usize..16, items in 1usize..50) {
-            let mut ring = RingDht::with_named_nodes(n);
-            let keys: Vec<Key> = (0..items).map(|i| Key::hash_of(&format!("d{i}"))).collect();
+    #[test]
+    fn join_leave_preserves_data() {
+        for_each_case(|rng| {
+            let mut ring = RingDht::with_named_nodes(rng.gen_range(2..16));
+            let keys: Vec<Key> = (0..rng.gen_range(1..50usize))
+                .map(|i| Key::hash_of(&format!("d{i}")))
+                .collect();
             for (i, k) in keys.iter().enumerate() {
                 ring.put(*k, Bytes::from(format!("v{i}")));
             }
             ring.add_node(NodeId::hash_of("joiner"));
             ring.remove_node(ring.nodes()[0]);
             for (i, k) in keys.iter().enumerate() {
-                prop_assert_eq!(ring.get(k), vec![Bytes::from(format!("v{i}"))]);
+                assert_eq!(ring.get(k), vec![Bytes::from(format!("v{i}"))]);
             }
-        }
+        });
     }
 }

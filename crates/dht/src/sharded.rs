@@ -400,7 +400,7 @@ impl Dht for ShardedDht {
 mod tests {
     use super::*;
     use crate::ring::RingDht;
-    use proptest::prelude::*;
+    use p2p_index_testkit::{for_each_case, Rng};
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -664,25 +664,26 @@ mod tests {
         assert_eq!(dht.tombstones(), vec![(k, vec![b("v3")])]);
     }
 
-    proptest! {
-        /// Shard-count invariance: a 1-shard store, a 16-shard store, and
-        /// the plain single-node ring all produce identical per-op
-        /// results, identical stats, and identical entry snapshots for
-        /// any op script.
-        #[test]
-        fn prop_shard_count_is_invisible(len in 1usize..120, seed in any::<u64>()) {
+    /// Shard-count invariance: a 1-shard store, a 16-shard store, and
+    /// the plain single-node ring all produce identical per-op
+    /// results, identical stats, and identical entry snapshots for
+    /// any op script.
+    #[test]
+    fn shard_count_is_invisible() {
+        for_each_case(|rng| {
+            let (len, seed) = (rng.gen_range(1..120usize), rng.gen());
             let mut one = ShardedDht::new(node(), 1);
             let mut sixteen = ShardedDht::new(node(), 16);
             let mut ring = RingDht::from_ids([*node().key()]);
             for op in script(len, seed) {
                 let expected = ring.execute(op.clone());
-                prop_assert_eq!(one.execute(op.clone()), expected.clone());
-                prop_assert_eq!(sixteen.execute(op), expected);
+                assert_eq!(one.execute(op.clone()), expected.clone());
+                assert_eq!(sixteen.execute(op), expected);
             }
-            prop_assert_eq!(one.stats(), ring.stats());
-            prop_assert_eq!(sixteen.stats(), ring.stats());
-            prop_assert_eq!(one.entries(), ring.entries());
-            prop_assert_eq!(sixteen.entries(), ring.entries());
-        }
+            assert_eq!(one.stats(), ring.stats());
+            assert_eq!(sixteen.stats(), ring.stats());
+            assert_eq!(one.entries(), ring.entries());
+            assert_eq!(sixteen.entries(), ring.entries());
+        });
     }
 }

@@ -1,9 +1,10 @@
 //! Concurrency tests: read paths of the substrates are `Sync` and behave
 //! under parallel access (lookups are `&self` with atomic counters).
 
+use std::sync::RwLock;
+
 use bytes::Bytes;
 use p2p_index_dht::{ChordNetwork, Dht, KademliaNetwork, Key, NodeId, RingDht};
-use parking_lot::RwLock;
 
 #[test]
 fn substrates_are_send_and_sync() {
@@ -26,9 +27,9 @@ fn parallel_chord_lookups_agree_with_oracle() {
         );
     }
     let net = &net;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in (t..500).step_by(8) {
                     let key = Key::hash_of(&format!("item-{i}"));
                     // Routed read returns the stored value...
@@ -40,8 +41,7 @@ fn parallel_chord_lookups_agree_with_oracle() {
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
     // Stats kept up with the concurrent traffic.
     assert!(net.stats().lookups >= 1000);
 }
@@ -53,31 +53,35 @@ fn concurrent_readers_with_writer_behind_rwlock() {
     let net = RwLock::new(RingDht::with_named_nodes(64));
     for i in 0..200 {
         net.write()
+            .expect("no writer panicked")
             .put(Key::hash_of(&format!("k{i}")), Bytes::from(format!("v{i}")));
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Readers.
         for t in 0..4 {
             let net = &net;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..50 {
                     let i = (t * 50 + round) % 200;
-                    let values = net.read().get(&Key::hash_of(&format!("k{i}")));
+                    let values = net
+                        .read()
+                        .expect("no writer panicked")
+                        .get(&Key::hash_of(&format!("k{i}")));
                     assert_eq!(values, vec![Bytes::from(format!("v{i}"))]);
                 }
             });
         }
         // Writer adding fresh keys concurrently.
         let net = &net;
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for i in 200..260 {
                 net.write()
+                    .expect("no writer panicked")
                     .put(Key::hash_of(&format!("k{i}")), Bytes::from(format!("v{i}")));
             }
         });
-    })
-    .expect("no thread panicked");
-    assert_eq!(net.read().total_keys(), 260);
+    });
+    assert_eq!(net.read().expect("no writer panicked").total_keys(), 260);
 }
 
 #[test]
@@ -90,15 +94,14 @@ fn parallel_kademlia_reads() {
         );
     }
     let net = &net;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in (t..200).step_by(8) {
                     let key = Key::hash_of(&format!("item-{i}"));
                     assert_eq!(net.get(&key), vec![Bytes::from(format!("v{i}"))]);
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
 }

@@ -14,14 +14,12 @@
 //!   linear-scan oracle (the implementation routes through a binary
 //!   search, so the oracle is a genuinely different derivation).
 //!
-//! Each property has a deterministic companion driven by a seeded
-//! [`SplitMix64`] sequence, so the invariants are exercised on every
-//! test run even where proptest is unavailable, and with a pinned
-//! `PROPTEST_RNG_SEED` in CI.
+//! Each property runs over seeded cases (`p2p_index_testkit`), so a run
+//! repeats exactly and a failure names the seed of its case.
 
 use p2p_index_dht::placement::{replica_keys, successor_index};
-use p2p_index_dht::{Key, SplitMix64};
-use proptest::prelude::*;
+use p2p_index_dht::Key;
+use p2p_index_testkit::{digest, for_each_case, Rng, StdRng};
 
 /// Builds a valid placement ring (sorted ascending, deduplicated) from
 /// arbitrary key material.
@@ -44,8 +42,7 @@ fn naive_replica_set(ring: &[Key], key: &Key, replicas: usize) -> Vec<Key> {
 }
 
 /// Asserts every placement invariant for one `(ring, key, replicas)`
-/// triple. Shared by the proptest properties and the deterministic
-/// companions.
+/// triple.
 fn check_placement(ring: &[Key], key: &Key, replicas: usize) {
     let set = replica_keys(ring, key, replicas);
     if ring.is_empty() {
@@ -87,68 +84,41 @@ fn check_placement(ring: &[Key], key: &Key, replicas: usize) {
     }
 }
 
-fn rng_key(rng: &mut SplitMix64) -> Key {
-    let mut digest = [0u8; 20];
-    for chunk in digest.chunks_mut(8) {
-        let word = rng.next_u64().to_be_bytes();
-        chunk.copy_from_slice(&word[..chunk.len()]);
-    }
-    Key::from_digest(digest)
+/// A valid ring of as many members as a uniform draw from `size` says
+/// (fewer if two digests collide).
+fn arb_ring(rng: &mut StdRng, size: std::ops::Range<usize>) -> Vec<Key> {
+    let n = rng.gen_range(size);
+    ring_from((0..n).map(|_| Key::from_digest(digest(rng))).collect())
 }
 
-proptest! {
-    /// Every invariant holds for arbitrary rings, keys, and factors —
-    /// including degenerate factors (0, larger than the ring) and the
-    /// empty ring.
-    #[test]
-    fn prop_placement_invariants(
-        digests in proptest::collection::vec(proptest::array::uniform20(any::<u8>()), 0..32),
-        key_digest in proptest::array::uniform20(any::<u8>()),
-        replicas in 0usize..12,
-    ) {
-        let ring = ring_from(digests.into_iter().map(Key::from_digest).collect());
-        check_placement(&ring, &Key::from_digest(key_digest), replicas);
-    }
-
-    /// Placing a ring member's own key starts the set at that member:
-    /// the successor interval is `(pred, self]`, so every node is the
-    /// primary for its own identifier.
-    #[test]
-    fn prop_own_key_is_own_primary(
-        digests in proptest::collection::vec(proptest::array::uniform20(any::<u8>()), 1..24),
-        pick in any::<prop::sample::Index>(),
-        replicas in 1usize..6,
-    ) {
-        let ring = ring_from(digests.into_iter().map(Key::from_digest).collect());
-        let member = ring[pick.index(ring.len())];
-        let set = replica_keys(&ring, &member, replicas);
-        prop_assert_eq!(set[0], member);
-    }
-}
-
-/// Deterministic companion to [`prop_placement_invariants`]: 300 seeded
-/// `(ring, key, replicas)` triples through the same checks.
+/// Every invariant holds for arbitrary rings, keys, and factors —
+/// including degenerate factors (0, larger than the ring) and the
+/// empty ring.
 #[test]
-fn placement_invariants_hold_for_seeded_rings() {
-    let mut rng = SplitMix64::new(0x9e3779b97f4a7c15);
-    for round in 0..300usize {
-        let n = (rng.next_u64() % 33) as usize;
-        let ring = ring_from((0..n).map(|_| rng_key(&mut rng)).collect());
-        let key = rng_key(&mut rng);
-        let replicas = (rng.next_u64() % 12) as usize;
-        check_placement(&ring, &key, replicas);
-        // Ring members' own keys, every few rounds.
-        if !ring.is_empty() && round % 3 == 0 {
-            let member = ring[(rng.next_u64() as usize) % ring.len()];
-            assert_eq!(replica_keys(&ring, &member, 3)[0], member);
-        }
-    }
+fn placement_invariants() {
+    for_each_case(|rng| {
+        let ring = arb_ring(rng, 0..33);
+        let key = Key::from_digest(digest(rng));
+        check_placement(&ring, &key, rng.gen_range(0..12));
+    });
 }
 
-/// Deterministic companion pinning exact sets for the standard named
-/// ring, so a placement change can never hide behind oracle agreement:
-/// these are the literal assignments every cluster component computes
-/// for `node-0..4`.
+/// Placing a ring member's own key starts the set at that member:
+/// the successor interval is `(pred, self]`, so every node is the
+/// primary for its own identifier.
+#[test]
+fn own_key_is_own_primary() {
+    for_each_case(|rng| {
+        let ring = arb_ring(rng, 1..24);
+        let member = ring[rng.gen_range(0..ring.len())];
+        let set = replica_keys(&ring, &member, rng.gen_range(1..6));
+        assert_eq!(set[0], member);
+    });
+}
+
+/// Exact sets for the standard named ring, so a placement change can
+/// never hide behind oracle agreement: these are the literal assignments
+/// every cluster component computes for `node-0..4`.
 #[test]
 fn named_ring_placement_is_pinned() {
     let ring = ring_from((0..5).map(|i| Key::hash_of(&format!("node-{i}"))).collect());

@@ -20,10 +20,8 @@
 //!   substrate (ring, Chord, Kademlia, Pastry, and the TCP-backed
 //!   loopback cluster).
 //!
-//! Each property has a deterministic companion driven by a seeded
-//! [`SplitMix64`] sequence, so the invariants are exercised on every test
-//! run even where proptest is unavailable, and with a pinned
-//! `PROPTEST_RNG_SEED` in CI.
+//! Each property runs over seeded cases (`p2p_index_testkit`), so a run
+//! repeats exactly and a failure names the seed of its case.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -33,7 +31,7 @@ use p2p_index_dht::{
     RingDht, SplitDht, SplitMix64,
 };
 use p2p_index_net::LoopbackCluster;
-use proptest::prelude::*;
+use p2p_index_testkit::{for_each_case, Rng};
 
 /// Logical keys the scripts operate on: few enough that entries grow past
 /// the budget and gets repeat past the hot threshold.
@@ -295,79 +293,35 @@ fn config_from(rng: &mut SplitMix64) -> BalanceConfig {
     }
 }
 
-proptest! {
-    /// Arbitrary scripts are observably identical through the decorator
-    /// and the plain ring, at arbitrary mitigation settings.
-    #[test]
-    fn prop_split_dht_is_observably_plain(
-        seed in any::<u64>(),
-        ops in 10usize..160,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let config = config_from(&mut rng);
-        let script = script_from(&mut rng, ops);
+/// Arbitrary scripts are observably identical through the decorator
+/// and the plain ring, at arbitrary mitigation settings.
+#[test]
+fn split_dht_is_observably_plain() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        let config = config_from(&mut mix);
+        let script = script_from(&mut mix, rng.gen_range(10..160));
         check_equivalence(&script, config);
-    }
-
-    /// No physical entry ever outgrows the page budget (fan-out off so
-    /// mirror entries, which aggregate whole logical sets, don't mix in).
-    #[test]
-    fn prop_pages_respect_the_budget(
-        seed in any::<u64>(),
-        ops in 10usize..160,
-        budget in 24usize..256,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let script = script_from(&mut rng, ops);
-        check_budget(&script, budget);
-    }
-
-    /// Split entries read back identically on every in-process substrate.
-    #[test]
-    fn prop_split_reads_are_substrate_independent(
-        seed in any::<u64>(),
-        ops in 10usize..120,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let script = script_from(&mut rng, ops);
-        let config = BalanceConfig::mitigating(48, 4, 3);
-        check_substrate("ring", RingDht::from_ids(node_keys(16)), &script, config);
-        check_substrate("chord", ChordNetwork::with_perfect_tables(node_keys(16)), &script, config);
-        check_substrate("kademlia", KademliaNetwork::with_nodes(node_keys(16)), &script, config);
-        check_substrate("pastry", PastryNetwork::with_perfect_tables(node_keys(16)), &script, config);
-    }
+    });
 }
 
-/// Deterministic companion to [`prop_split_dht_is_observably_plain`]:
-/// 40 seeded scripts across the whole mitigation matrix.
+/// No physical entry ever outgrows the page budget (fan-out off so
+/// mirror entries, which aggregate whole logical sets, don't mix in).
 #[test]
-fn split_dht_matches_plain_ring_on_seeded_scripts() {
-    let mut rng = SplitMix64::new(0x51117);
-    for _ in 0..40 {
-        let config = config_from(&mut rng);
-        let script = script_from(&mut rng, 140);
-        check_equivalence(&script, config);
-    }
+fn pages_respect_the_budget() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        let script = script_from(&mut mix, rng.gen_range(10..160));
+        check_budget(&script, rng.gen_range(24..256));
+    });
 }
 
-/// Deterministic companion to [`prop_pages_respect_the_budget`].
+/// Split entries read back identically on every in-process substrate.
 #[test]
-fn page_sizes_respect_the_budget_on_seeded_scripts() {
-    let mut rng = SplitMix64::new(0xb0d9e7);
-    for round in 0..30 {
-        let budget = 24 + (round * 13) % 200;
-        let script = script_from(&mut rng, 140);
-        check_budget(&script, budget);
-    }
-}
-
-/// Deterministic companion to
-/// [`prop_split_reads_are_substrate_independent`].
-#[test]
-fn split_then_read_equals_unsplit_read_on_every_substrate() {
-    let mut rng = SplitMix64::new(0x5eed5);
-    for _ in 0..6 {
-        let script = script_from(&mut rng, 100);
+fn split_reads_are_substrate_independent() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        let script = script_from(&mut mix, rng.gen_range(10..120));
         let config = BalanceConfig::mitigating(48, 4, 3);
         check_substrate("ring", RingDht::from_ids(node_keys(16)), &script, config);
         check_substrate(
@@ -388,7 +342,7 @@ fn split_then_read_equals_unsplit_read_on_every_substrate() {
             &script,
             config,
         );
-    }
+    });
 }
 
 /// Page keys are a pure, collision-free function of `(parent, page)`.

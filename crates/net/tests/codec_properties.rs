@@ -17,10 +17,8 @@
 //! * **Ownership** — decoded values share one copy of their frame, never
 //!   the caller's buffer: they outlive it being overwritten and dropped.
 //!
-//! Each property has a deterministic companion driven by a seeded
-//! [`SplitMix64`] sequence, so the invariants are exercised on every test
-//! run even where proptest is unavailable, and with a pinned
-//! `PROPTEST_RNG_SEED` in CI.
+//! Each property runs over seeded cases (`p2p_index_testkit`), so a run
+//! repeats exactly and a failure names the seed of its case.
 
 use bytes::Bytes;
 use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
@@ -28,7 +26,7 @@ use p2p_index_net::wire::{
     decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
 };
 use p2p_index_net::{Message, WireError, VERSION, VERSION_BATCH, VERSION_REPL};
-use proptest::prelude::*;
+use p2p_index_testkit::{bytes, digest, for_each_case, Rng};
 
 /// Number of distinct shapes `rng_message` cycles through.
 const VARIANTS: usize = 17;
@@ -237,20 +235,25 @@ fn assert_decodes_exactly_or_fails_typed(buf: &[u8]) {
     }
 }
 
+/// Real frames of every variant, clean and damaged by up to three
+/// mutations, decode exactly or fail typed — never panic, never a message
+/// that is not its bytes.
 #[test]
-fn mutated_frames_decode_exactly_or_fail_typed_deterministic() {
-    let mut rng = SplitMix64::new(0x6d75_7461);
-    for variant in 0..VARIANTS * 60 {
-        let clean = encode_to_vec(&rng_message(&mut rng, variant));
-        assert_decodes_exactly_or_fails_typed(&clean);
-        for _ in 0..12 {
-            let mut frame = clean.clone();
-            for _ in 0..1 + rng.next_u64() % 3 {
-                mutate(&mut frame, &mut rng);
+fn mutated_frames_decode_exactly_or_fail_typed() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        for variant in 0..VARIANTS {
+            let clean = encode_to_vec(&rng_message(&mut mix, variant));
+            assert_decodes_exactly_or_fails_typed(&clean);
+            for mutations in 1..4 {
+                let mut frame = clean.clone();
+                for _ in 0..mutations {
+                    mutate(&mut frame, &mut mix);
+                }
+                assert_decodes_exactly_or_fails_typed(&frame);
             }
-            assert_decodes_exactly_or_fails_typed(&frame);
         }
-    }
+    });
 }
 
 #[test]
@@ -348,26 +351,85 @@ fn decoded_values_survive_the_read_scratch_being_reused() {
     }
 }
 
+/// Every request roundtrips for arbitrary ids, keys, and values.
 #[test]
-fn roundtrip_deterministic() {
-    let mut rng = SplitMix64::new(0x5eed);
-    for variant in 0..VARIANTS * 40 {
-        assert_roundtrip(&rng_message(&mut rng, variant));
-    }
+fn requests_roundtrip() {
+    for_each_case(|rng| {
+        let key = Key::from_digest(digest(rng));
+        let value = Bytes::from(bytes(rng, 0..200));
+        let op = match rng.gen_range(0..4usize) {
+            0 => DhtOp::NodeFor(key),
+            1 => DhtOp::Put { key, value },
+            2 => DhtOp::Get(key),
+            _ => DhtOp::Remove { key, value },
+        };
+        assert_roundtrip(&Message::Request { id: rng.gen(), op });
+    });
+}
+
+/// Every response roundtrips, including multi-value payloads and
+/// arbitrary (known or unknown) error codes.
+#[test]
+fn responses_roundtrip() {
+    for_each_case(|rng| {
+        let result = match rng.gen_range(0..5usize) {
+            0 => Ok(DhtResponse::Node(NodeId::from_key(Key::from_digest(
+                digest(rng),
+            )))),
+            1 => Ok(DhtResponse::Stored(rng.gen())),
+            2 => Ok(DhtResponse::Values(
+                (0..rng.gen_range(0..8usize))
+                    .map(|_| Bytes::from(bytes(rng, 0..50)))
+                    .collect(),
+            )),
+            3 => Ok(DhtResponse::Removed(rng.gen())),
+            _ => Err(DhtError::from_wire_code(rng.gen_range(0..=u16::MAX))),
+        };
+        assert_roundtrip(&Message::Response {
+            id: rng.gen(),
+            result,
+        });
+    });
+}
+
+/// Batches and batch replies of arbitrary mixed contents roundtrip.
+#[test]
+fn batches_roundtrip() {
+    for_each_case(|rng| {
+        let (id, count) = (rng.gen(), rng.gen_range(1..6usize));
+        let mut mix = SplitMix64::new(rng.gen());
+        let ops: Vec<DhtOp> = (0..count).map(|i| rng_op(&mut mix, i)).collect();
+        assert_roundtrip(&Message::Batch { id, ops });
+        let results: Vec<Result<DhtResponse, DhtError>> =
+            (0..count).map(|i| rng_result(&mut mix, i)).collect();
+        assert_roundtrip(&Message::BatchReply { id, results });
+    });
+}
+
+/// Every variant roundtrips — replication and shutdown frames included,
+/// which the three properties above do not build.
+#[test]
+fn every_variant_roundtrips() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        for variant in 0..VARIANTS {
+            assert_roundtrip(&rng_message(&mut mix, variant));
+        }
+    });
+}
+
+/// The decoder is total: arbitrary byte soup never panics.
+#[test]
+fn decoder_is_total_on_garbage() {
+    for_each_case(|rng| {
+        for _ in 0..8 {
+            assert_total(&bytes(rng, 0..256));
+        }
+    });
 }
 
 #[test]
-fn decoder_is_total_on_garbage_deterministic() {
-    let mut rng = SplitMix64::new(0xdead);
-    for _ in 0..2000 {
-        let len = (rng.next_u64() % 64) as usize;
-        let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        assert_total(&buf);
-    }
-}
-
-#[test]
-fn decoder_is_total_on_corrupted_valid_frames_deterministic() {
+fn decoder_is_total_on_corrupted_valid_frames() {
     // Start from real frames and flip one byte at a time: every mutation
     // must decode to something or fail typed, never panic.
     let mut rng = SplitMix64::new(0xc0de);
@@ -381,19 +443,23 @@ fn decoder_is_total_on_corrupted_valid_frames_deterministic() {
     }
 }
 
+/// Any prefix of any valid frame is Truncated — there is no cut point
+/// that yields a different error or a phantom message.
 #[test]
-fn every_truncation_is_rejected_without_panic() {
-    let mut rng = SplitMix64::new(7);
-    for variant in 0..VARIANTS {
-        let buf = encode_to_vec(&rng_message(&mut rng, variant));
-        for cut in 0..buf.len() {
-            assert_eq!(
-                decode_message(&buf[..cut]),
-                Err(WireError::Truncated),
-                "variant {variant}, prefix of {cut} bytes"
-            );
+fn every_prefix_is_truncated() {
+    for_each_case(|rng| {
+        let mut mix = SplitMix64::new(rng.gen());
+        for variant in 0..VARIANTS {
+            let buf = encode_to_vec(&rng_message(&mut mix, variant));
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    decode_message(&buf[..cut]),
+                    Err(WireError::Truncated),
+                    "variant {variant}, prefix of {cut} bytes"
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
@@ -580,97 +646,6 @@ fn batch_cut_at_every_byte_is_truncated() {
             "payload cut to {} bytes",
             cut - HEADER_LEN
         );
-    }
-}
-
-proptest! {
-    /// Every request roundtrips for arbitrary ids, keys, and values.
-    #[test]
-    fn prop_requests_roundtrip(
-        id in any::<u64>(),
-        digest in proptest::array::uniform20(any::<u8>()),
-        value in proptest::collection::vec(any::<u8>(), 0..200),
-        which in 0usize..4,
-    ) {
-        let key = Key::from_digest(digest);
-        let value = Bytes::from(value);
-        let op = match which {
-            0 => DhtOp::NodeFor(key),
-            1 => DhtOp::Put { key, value },
-            2 => DhtOp::Get(key),
-            _ => DhtOp::Remove { key, value },
-        };
-        assert_roundtrip(&Message::Request { id, op });
-    }
-
-    /// Every response roundtrips, including multi-value payloads and
-    /// arbitrary (known or unknown) error codes.
-    #[test]
-    fn prop_responses_roundtrip(
-        id in any::<u64>(),
-        digest in proptest::array::uniform20(any::<u8>()),
-        values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..50), 0..8),
-        flag in any::<bool>(),
-        code in any::<u16>(),
-        which in 0usize..5,
-    ) {
-        let result = match which {
-            0 => Ok(DhtResponse::Node(NodeId::from_key(Key::from_digest(digest)))),
-            1 => Ok(DhtResponse::Stored(flag)),
-            2 => Ok(DhtResponse::Values(values.into_iter().map(Bytes::from).collect())),
-            3 => Ok(DhtResponse::Removed(flag)),
-            _ => Err(DhtError::from_wire_code(code)),
-        };
-        assert_roundtrip(&Message::Response { id, result });
-    }
-
-    /// Batches and batch replies of arbitrary mixed contents roundtrip.
-    #[test]
-    fn prop_batches_roundtrip(
-        id in any::<u64>(),
-        seed in any::<u64>(),
-        count in 1usize..6,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let ops: Vec<DhtOp> = (0..count).map(|i| rng_op(&mut rng, i)).collect();
-        assert_roundtrip(&Message::Batch { id, ops });
-        let mut rng = SplitMix64::new(seed ^ 0xb17c4);
-        let results: Vec<Result<DhtResponse, DhtError>> =
-            (0..count).map(|i| rng_result(&mut rng, i)).collect();
-        assert_roundtrip(&Message::BatchReply { id, results });
-    }
-
-    /// The decoder is total: arbitrary byte soup never panics.
-    #[test]
-    fn prop_decoder_is_total(buf in proptest::collection::vec(any::<u8>(), 0..256)) {
-        assert_total(&buf);
-    }
-
-    /// Real frames damaged by up to three mutations decode exactly or
-    /// fail typed — never panic, never a message that is not its bytes.
-    #[test]
-    fn prop_mutated_frames_decode_exactly_or_fail_typed(
-        seed in any::<u64>(),
-        variant in 0usize..VARIANTS,
-        mutations in 1usize..4,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let mut frame = encode_to_vec(&rng_message(&mut rng, variant));
-        for _ in 0..mutations {
-            mutate(&mut frame, &mut rng);
-        }
-        assert_decodes_exactly_or_fails_typed(&frame);
-    }
-
-    /// Any prefix of any valid frame is Truncated — there is no cut point
-    /// that yields a different error or a phantom message.
-    #[test]
-    fn prop_prefixes_truncate(seed in any::<u64>(), variant in 0usize..VARIANTS) {
-        let mut rng = SplitMix64::new(seed);
-        let buf = encode_to_vec(&rng_message(&mut rng, variant));
-        for cut in 0..buf.len() {
-            prop_assert_eq!(decode_message(&buf[..cut]), Err(WireError::Truncated));
-        }
     }
 }
 

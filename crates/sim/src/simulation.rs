@@ -24,10 +24,9 @@ use p2p_index_dht::{Dht, NodeId, RingDht};
 use p2p_index_obs::{MetricsRegistry, MetricsSnapshot};
 use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
 use p2p_index_xpath::Query;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's index schemes a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeChoice {
     /// Fig. 8 left.
     Simple,
@@ -133,7 +132,7 @@ impl SimConfig {
 
 /// Everything measured during one run; the raw material of Figs. 11-15 and
 /// Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Scheme label.
     pub scheme: String,

@@ -106,7 +106,7 @@ fn remote_client(addrs: &[SocketAddr]) -> RemoteDht {
     RemoteDht::connect(RemoteDht::named_members(addrs), RemoteDhtConfig::default())
 }
 
-/// The acceptance criterion: `IndexService<RemoteDht>` against live dhtd
+/// The acceptance test: `IndexService<RemoteDht>` against live dhtd
 /// processes produces results equal to an in-process run of the same
 /// seed — files found, interactions, misses, and DHT stats alike.
 #[test]

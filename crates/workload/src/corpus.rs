@@ -17,10 +17,9 @@
 use p2p_index_xmldoc::{Descriptor, Element};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One bibliographic record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Article {
     /// Corpus index; doubles as the popularity rank (0 = most popular).
     pub id: usize,
@@ -66,7 +65,7 @@ impl Article {
 }
 
 /// Parameters of the synthetic corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Number of articles (the paper simulates 10 000).
     pub articles: usize,

@@ -13,13 +13,12 @@ use std::collections::HashMap;
 use p2p_index_xpath::{Query, QueryBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::{Article, Corpus};
 use crate::popularity::PaperCcdf;
 
 /// Which descriptor fields a query uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryStructure {
     /// Author first+last name only.
     Author,
@@ -86,7 +85,7 @@ impl QueryStructure {
 }
 
 /// A weighted mix of query structures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructureMix {
     weights: Vec<(QueryStructure, f64)>,
 }

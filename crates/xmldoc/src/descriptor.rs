@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::parse::{parse, ParseXmlError};
 use crate::tree::Element;
 
@@ -38,7 +36,7 @@ use crate::tree::Element;
 /// assert_eq!(d1, d2);
 /// assert_eq!(d1.canonical_text(), d2.canonical_text());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Descriptor {
     root: Element,
 }

@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A node in an XML tree: an element or a text run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum XmlNode {
     /// A nested element.
     Element(Element),
@@ -60,7 +58,7 @@ impl From<Element> for XmlNode {
 /// assert_eq!(author.to_xml(), "<author><first>John</first><last>Smith</last></author>");
 /// assert_eq!(author.find("last").unwrap().text(), "Smith");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Element {
     name: String,
     attributes: Vec<(String, String)>,

@@ -1,45 +1,51 @@
-//! Property tests: serialization/parsing round-trips on arbitrary trees.
+//! Property tests: serialization/parsing round-trips on arbitrary trees,
+//! over seeded cases (`p2p_index_testkit`).
 
+use p2p_index_testkit::{ascii, for_each_case, Rng, StdRng, PRINTABLE};
 use p2p_index_xmldoc::{parse, Element, XmlNode};
-use proptest::prelude::*;
 
-/// Arbitrary element names: short lowercase identifiers.
-fn arb_name() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9]{0,7}"
+/// Arbitrary element names: short lowercase identifiers,
+/// `[a-z][a-z0-9]{0,7}`.
+fn arb_name(rng: &mut StdRng) -> String {
+    ascii(rng, &[b'a'..=b'z'], 1..=1) + &ascii(rng, &[b'a'..=b'z', b'0'..=b'9'], 0..=7)
 }
 
 /// Arbitrary text content, including XML-special characters.
-fn arb_text() -> impl Strategy<Value = String> {
-    // Printable-ish strings with specials; avoid raw control chars and
+fn arb_text(rng: &mut StdRng) -> String {
+    // Printable strings with specials; no raw control chars, and no
     // whitespace-only runs (the parser drops insignificant whitespace).
-    "[ -~]{1,24}"
-        .prop_map(|s| s.trim().to_string())
-        .prop_filter("non-empty", |s| !s.is_empty())
+    loop {
+        let text = ascii(rng, &[PRINTABLE], 1..=24).trim().to_string();
+        if !text.is_empty() {
+            return text;
+        }
+    }
 }
 
-fn arb_element() -> impl Strategy<Value = Element> {
-    let leaf = (arb_name(), proptest::option::of(arb_text())).prop_map(|(name, text)| match text {
-        Some(t) => Element::with_text(name, t),
-        None => Element::new(name),
-    });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            arb_name(),
-            proptest::collection::vec((arb_name(), arb_text()), 0..3),
-            proptest::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(name, attrs, children)| {
-                let mut e = Element::new(name);
-                for (n, v) in attrs {
-                    e.push_attribute(n, v);
-                }
-                for c in children {
-                    e.push_child(XmlNode::Element(c));
-                }
-                e
-            })
-    })
+/// A tree nested at most `depth` levels below its root: a leaf (with or
+/// without text) at the limit and half the time above it, otherwise up to
+/// two attributes and up to three children.
+fn arb_element(rng: &mut StdRng, depth: u32) -> Element {
+    let name = arb_name(rng);
+    if depth == 0 || rng.gen_bool(0.5) {
+        return if rng.gen_bool(0.5) {
+            Element::with_text(name, arb_text(rng))
+        } else {
+            Element::new(name)
+        };
+    }
+    let mut e = Element::new(name);
+    for _ in 0..rng.gen_range(0..3usize) {
+        e.push_attribute(arb_name(rng), arb_text(rng));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        e.push_child(XmlNode::Element(arb_element(rng, depth - 1)));
+    }
+    e
 }
+
+/// Nesting limit of the generated trees.
+const DEPTH: u32 = 3;
 
 /// Normalizes for comparison: the writer emits text trimmed, and the
 /// parser drops whitespace-only runs, so compare canonical forms.
@@ -47,41 +53,50 @@ fn canonical(e: &Element) -> Element {
     e.canonicalize()
 }
 
-proptest! {
-    /// Writing then parsing is the identity on canonical trees.
-    #[test]
-    fn write_parse_roundtrip(e in arb_element()) {
-        let text = e.to_xml();
-        let parsed = parse(&text).expect("writer output must parse");
-        prop_assert_eq!(canonical(&parsed), canonical(&e));
-    }
+/// Writing then parsing is the identity on canonical trees.
+#[test]
+fn write_parse_roundtrip() {
+    for_each_case(|rng| {
+        let e = arb_element(rng, DEPTH);
+        let parsed = parse(&e.to_xml()).expect("writer output must parse");
+        assert_eq!(canonical(&parsed), canonical(&e));
+    });
+}
 
-    /// Pretty-printing parses back to the same canonical tree.
-    #[test]
-    fn pretty_parse_roundtrip(e in arb_element()) {
-        let text = e.to_xml_pretty();
-        let parsed = parse(&text).expect("pretty output must parse");
-        prop_assert_eq!(canonical(&parsed), canonical(&e));
-    }
+/// Pretty-printing parses back to the same canonical tree.
+#[test]
+fn pretty_parse_roundtrip() {
+    for_each_case(|rng| {
+        let e = arb_element(rng, DEPTH);
+        let parsed = parse(&e.to_xml_pretty()).expect("pretty output must parse");
+        assert_eq!(canonical(&parsed), canonical(&e));
+    });
+}
 
-    /// Canonicalization is idempotent and order-insensitive.
-    #[test]
-    fn canonicalize_idempotent(e in arb_element()) {
-        let once = e.canonicalize();
-        prop_assert_eq!(once.canonicalize(), once);
-    }
+/// Canonicalization is idempotent and order-insensitive.
+#[test]
+fn canonicalize_idempotent() {
+    for_each_case(|rng| {
+        let once = arb_element(rng, DEPTH).canonicalize();
+        assert_eq!(once.canonicalize(), once);
+    });
+}
 
-    /// Parsing never panics on arbitrary input (fuzz-light).
-    #[test]
-    fn parse_never_panics(s in "[ -~]{0,64}") {
-        let _ = parse(&s);
-    }
+/// Parsing never panics on arbitrary input (fuzz-light).
+#[test]
+fn parse_never_panics() {
+    for_each_case(|rng| {
+        let _ = parse(&ascii(rng, &[PRINTABLE], 0..=64));
+    });
+}
 
-    /// Escape round-trips through a text node.
-    #[test]
-    fn escape_roundtrip(t in arb_text()) {
+/// Escape round-trips through a text node.
+#[test]
+fn escape_roundtrip() {
+    for_each_case(|rng| {
+        let t = arb_text(rng);
         let e = Element::with_text("t", t.clone());
         let parsed = parse(&e.to_xml()).expect("escaped text parses");
-        prop_assert_eq!(parsed.text(), t.trim());
-    }
+        assert_eq!(parsed.text(), t.trim());
+    });
 }

@@ -18,10 +18,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// How a pattern node relates to its parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Axis {
     /// Direct child (`/`).
     Child,
@@ -30,7 +28,7 @@ pub enum Axis {
 }
 
 /// What names a pattern node accepts.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NameTest {
     /// An exact element name — or, for leaf nodes, an exact text value
     /// (the paper's simplified syntax writes values as final steps, e.g.
@@ -51,7 +49,7 @@ impl NameTest {
 }
 
 /// Comparison operators usable in predicates (`[year>=1990]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -126,7 +124,7 @@ impl fmt::Display for CmpOp {
 
 /// A value comparison attached to a pattern node, constraining the text
 /// content of the matched element.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Comparison {
     /// The operator.
     pub op: CmpOp,
@@ -139,7 +137,7 @@ pub struct Comparison {
 /// Constructed through [`Query`] /
 /// [`QueryBuilder`](crate::QueryBuilder) / the parser; fields stay private
 /// so every externally visible pattern is normalized.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pattern {
     pub(crate) axis: Axis,
     pub(crate) test: NameTest,
@@ -311,35 +309,11 @@ pub(crate) fn needs_quoting(token: &str) -> bool {
 /// assert_eq!(a.to_string(), b.to_string());
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "QueryRepr", into = "QueryRepr")]
+#[derive(Debug, Clone)]
 pub struct Query {
     pub(crate) root: Arc<Pattern>,
     /// Canonical rendering of `root`, computed once at construction.
     canon: Arc<str>,
-}
-
-/// Serde shape of a [`Query`]: just the root pattern, exactly the layout
-/// the type had before the canonical text was memoized. Deserialization
-/// re-normalizes and re-renders, so the cache can never go stale.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "Query")]
-struct QueryRepr {
-    root: Pattern,
-}
-
-impl From<QueryRepr> for Query {
-    fn from(repr: QueryRepr) -> Query {
-        Query::from_root(repr.root)
-    }
-}
-
-impl From<Query> for QueryRepr {
-    fn from(query: Query) -> QueryRepr {
-        QueryRepr {
-            root: (*query.root).clone(),
-        }
-    }
 }
 
 /// The normalized canonical rendering is injective (guaranteed by the

@@ -15,7 +15,7 @@
 //! compatible tests, and comparisons to implied constraints.
 //!
 //! For the fragment XP{/,[]} (child axis and predicates only — everything
-//! the built-in index schemes generate), the homomorphism criterion is
+//! the built-in index schemes generate), the homomorphism condition is
 //! **exact**. With wildcard `*` and descendant `//` in the picture general
 //! containment is coNP-complete (Miklau & Suciu), and the homomorphism
 //! check is **sound but not complete**: `covers` never answers `true`
