@@ -260,9 +260,13 @@ pub struct IndexService<D> {
     retry_stats: RetryStats,
     /// Simulated clock, advanced by retry backoff (milliseconds).
     sim_clock_ms: u64,
-    /// Interned `query → h(q)` keys: each distinct query is SHA-1-hashed at
-    /// most once per service lifetime; steady-state lookups only pay a
-    /// `HashMap` probe on the query's memoized canonical text.
+    /// Interned `query → h(q)` keys of the queries this service *looked
+    /// up*: each is SHA-1-hashed once, and steady-state lookups pay a
+    /// `HashMap` probe on the query's canonical text. Memo tables memoise
+    /// reads, never writes — `publish`, `unpublish` and `insert_mapping`
+    /// hash their write-once keys with [`key_of`](Self::key_of) — so the
+    /// table grows with what was asked, not with what was stored, and an
+    /// entry shares its query's one allocation with whoever asked.
     key_cache: HashMap<Query, Key>,
     /// Interned `wire bytes → target` decodes: each distinct stored value is
     /// parsed at most once per service lifetime. Steady-state lookups hand
@@ -551,9 +555,10 @@ impl<D: Dht> IndexService<D> {
 
     /// The DHT key of a query: `h(canonical text)`.
     ///
-    /// Pure and allocation-free (the canonical text is memoized on the
-    /// query), but always recomputes the SHA-1. Hot paths inside the
-    /// service use [`cached_key`](Self::cached_key) instead.
+    /// Pure and allocation-free (the canonical text is part of the
+    /// query), but always recomputes the SHA-1: right for a key used
+    /// once, as every write's is. The lookup paths, which see the same
+    /// queries again and again, use [`cached_key`](Self::cached_key).
     pub fn key_of(query: &Query) -> Key {
         Key::hash_of(query.canonical_text())
     }
@@ -692,8 +697,11 @@ impl<D: Dht> IndexService<D> {
                 });
             }
         }
+        // Keys written here are hashed, not interned: a publisher writes
+        // each key once, and remembering the query would make `key_cache`
+        // the owner of every tree ever published.
         let mut ops = Vec::with_capacity(1 + edges.len());
-        let msd_key = self.cached_key(&msd);
+        let msd_key = Self::key_of(&msd);
         let file_value = self.encode_target(&IndexTarget::File(file.into()));
         ops.push(DhtOp::Put {
             key: msd_key,
@@ -704,7 +712,7 @@ impl<D: Dht> IndexService<D> {
         // is a refcount bump) instead of re-encoded per edge.
         let mut msd_value: Option<Bytes> = None;
         for (from, to) in edges {
-            let from_key = self.cached_key(&from);
+            let from_key = Self::key_of(&from);
             let value = if to == msd {
                 match &msd_value {
                     Some(v) => v.clone(),
@@ -744,7 +752,7 @@ impl<D: Dht> IndexService<D> {
                 to: to.to_string(),
             });
         }
-        let from_key = self.cached_key(&from);
+        let from_key = Self::key_of(&from);
         let value = self.encode_target(&IndexTarget::Query(to));
         self.dht_execute(DhtOp::Put {
             key: from_key,
@@ -1258,7 +1266,7 @@ impl<D: Dht> IndexService<D> {
             return Err(IndexError::EmptyNetwork);
         }
         let msd = Query::most_specific(descriptor);
-        let msd_key = self.cached_key(&msd);
+        let msd_key = Self::key_of(&msd);
         self.dht_execute(DhtOp::Remove {
             key: msd_key,
             value: IndexTarget::File(file.to_string()).to_bytes(),
@@ -1268,14 +1276,14 @@ impl<D: Dht> IndexService<D> {
         loop {
             let mut changed = false;
             for (from, to) in &edges {
-                let to_key = self.cached_key(to);
+                let to_key = Self::key_of(to);
                 if self
                     .dht_execute(DhtOp::Get(to_key))?
                     .into_values()
                     .is_empty()
                 {
                     let entry = IndexTarget::Query(to.clone()).to_bytes();
-                    let from_key = self.cached_key(from);
+                    let from_key = Self::key_of(from);
                     if self
                         .dht_execute(DhtOp::Remove {
                             key: from_key,
@@ -1390,6 +1398,49 @@ mod tests {
             !held.contains(&(key.as_ptr() as usize)),
             "the cached key must own its bytes, not borrow the frame's"
         );
+    }
+
+    #[test]
+    fn key_cache_memoises_reads_never_writes() {
+        let mut s = service(CachePolicy::None);
+        let descriptors: Vec<Descriptor> = (0..100)
+            .map(|i| {
+                descriptor(
+                    &format!("F{i}"),
+                    &format!("L{}", i % 10),
+                    &format!("T{i}"),
+                    "ICDCS",
+                    &format!("{}", 2000 + i % 4),
+                )
+            })
+            .collect();
+        for (i, d) in descriptors.iter().enumerate() {
+            s.publish(d, format!("file-{i}.pdf"), &SimpleScheme)
+                .unwrap();
+        }
+        let conf: Query = "/article/conf/ICDCS".parse().unwrap();
+        let conf_2001: Query = "/article[conf/ICDCS][year/2001]".parse().unwrap();
+        s.insert_mapping(conf.clone(), conf_2001.clone()).unwrap();
+        s.unpublish(&descriptors[0], "file-0.pdf", &SimpleScheme)
+            .unwrap();
+        assert!(s.key_cache.is_empty(), "writes hash their keys once");
+
+        // A lookup interns exactly the queries it steps through — and the
+        // entry is the asker's query, not a copy of it.
+        let step = s.lookup_step(&conf).unwrap();
+        assert!(step
+            .indexed
+            .contains(&IndexTarget::Query(conf_2001.clone())));
+        assert_eq!(s.key_cache.len(), 1);
+        s.lookup_step(&conf_2001).unwrap();
+        s.lookup_step(&conf).unwrap();
+        let mut interned: Vec<&Query> = s.key_cache.keys().collect();
+        interned.sort();
+        assert_eq!(interned, [&conf, &conf_2001]);
+        assert!(std::ptr::eq(
+            interned[0].canonical_text(),
+            conf.canonical_text()
+        ));
     }
 
     #[test]

@@ -206,4 +206,22 @@ mod tests {
         let t: IndexTarget = q.clone().into();
         assert_eq!(t.as_query(), Some(&q));
     }
+
+    #[test]
+    fn a_stored_depth_bomb_is_a_decode_error() {
+        // Reachable from the network: any peer can store this value, and
+        // every client that reads it parses it. It used to overflow the
+        // reader's stack.
+        let value = format!("Q:{}", "/a".repeat(20_000));
+        let decoded =
+            p2p_index_testkit::on_a_small_stack(move || IndexTarget::from_bytes(value.as_bytes()));
+        match decoded {
+            Err(DecodeTargetError::BadQuery(why)) => assert!(why.contains("deeper than"), "{why}"),
+            other => panic!("expected BadQuery, got {other:?}"),
+        }
+        // The deepest query there is still travels.
+        let deepest: Query = "/a".repeat(p2p_index_xpath::MAX_DEPTH).parse().unwrap();
+        let target = IndexTarget::Query(deepest);
+        assert_eq!(IndexTarget::from_bytes(&target.to_bytes()), Ok(target));
+    }
 }

@@ -9,10 +9,17 @@
 //!
 //! The samplers mirror the input shapes the suites draw most: byte
 //! strings, 20-byte digests, and short strings over ASCII classes.
+//!
+//! [`damaged`] and [`spliced`] are how the parser-totality suites hurt a
+//! well-formed text; [`on_a_small_stack`] is where the depth-bomb tests
+//! run. [`Counting`] is the allocator the allocation-budget suites install
+//! to count what one thread allocates.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,6 +84,109 @@ pub fn ascii(
         .collect()
 }
 
+/// `clean` after `edits` single-byte edits — overwrite, insert or delete,
+/// at uniform positions. Three written bytes in four come from
+/// `alphabet` (a format's own punctuation, so that damaged text is often
+/// still well-formed); the fourth is any byte at all.
+pub fn damaged(rng: &mut StdRng, clean: &[u8], alphabet: &[u8], edits: usize) -> Vec<u8> {
+    let byte = |rng: &mut StdRng| {
+        if rng.gen_range(0..4usize) == 0 {
+            rng.gen_range(0..=u8::MAX)
+        } else {
+            alphabet[rng.gen_range(0..alphabet.len())]
+        }
+    };
+    let mut bytes = clean.to_vec();
+    for _ in 0..edits {
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..3usize) {
+            0 if at < bytes.len() => bytes[at] = byte(rng),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte(rng)),
+        }
+    }
+    bytes
+}
+
+/// A prefix of `a` followed by a suffix of `b`, both cut uniformly.
+pub fn spliced(rng: &mut StdRng, a: &[u8], b: &[u8]) -> Vec<u8> {
+    let head = &a[..rng.gen_range(0..=a.len())];
+    let tail = &b[rng.gen_range(0..=b.len())..];
+    [head, tail].concat()
+}
+
+/// Runs `f` on a thread with a 2 MiB stack — what Rust gives a spawned
+/// thread by default, whatever `RUST_MIN_STACK` says — and returns its
+/// result. A stack overflow aborts the process, so a test that gets its
+/// value back has shown the recursion under test is bounded.
+///
+/// # Panics
+///
+/// Panics if `f` does.
+pub fn on_a_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a test thread")
+        .join()
+        .expect("the closure panicked")
+}
+
+thread_local! {
+    // `const` and destructor-free: touching it from inside the allocator
+    // neither allocates nor runs during thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations apart.
+///
+/// A test binary that pins allocation counts installs it itself —
+/// `#[global_allocator] static GLOBAL: Counting = Counting;` — and reads
+/// it through [`allocs_during`]. The count is thread-local, so server and
+/// helper threads, and other tests running in parallel, never touch it.
+pub struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// destructor-less thread-local `Cell`, which neither allocates nor unwinds.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` and `layout` come from the caller, who guarantees
+        // they describe a live block of this allocator; `System` is the
+        // allocator that produced it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations the calling thread makes while running `f` — zero, always,
+/// unless the binary installed [`Counting`] as its global allocator.
+pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +225,18 @@ mod tests {
             assert!(ascii(rng, &[PRINTABLE], 0..=64).len() <= 64);
         });
         assert_eq!(lens, (0..8).collect());
+    }
+
+    #[test]
+    fn damage_is_bounded_by_its_edit_count() {
+        for_each_case(|rng| {
+            let clean = bytes(rng, 0..16);
+            assert_eq!(damaged(rng, &clean, b"<>", 0), clean);
+            let hurt = damaged(rng, &clean, b"<>", 3);
+            assert!(hurt.len().abs_diff(clean.len()) <= 3);
+            let joined = spliced(rng, &clean, &hurt);
+            assert!(joined.len() <= clean.len() + hurt.len());
+        });
+        assert_eq!(on_a_small_stack(|| 7), 7);
     }
 }

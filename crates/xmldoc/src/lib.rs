@@ -33,5 +33,5 @@ pub mod parse;
 pub mod tree;
 
 pub use descriptor::Descriptor;
-pub use parse::{parse, ParseErrorKind, ParseXmlError};
+pub use parse::{parse, ParseErrorKind, ParseXmlError, MAX_DEPTH};
 pub use tree::{escape, Element, XmlNode};

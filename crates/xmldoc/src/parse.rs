@@ -43,7 +43,18 @@ pub enum ParseErrorKind {
     TrailingContent,
     /// The document contains no element at all.
     NoRootElement,
+    /// Elements nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
+
+/// The deepest elements may nest (the document element has depth 1).
+///
+/// Descriptors arrive from other peers, and the parser — like every walk
+/// of the tree it builds — recurses along the nesting, so without a bound
+/// a few hundred kilobytes of open tags would overflow the stack of
+/// whoever parses them. Real descriptors (DBLP-style records) nest three
+/// or four levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// An error produced while parsing XML, with 1-based line/column location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +79,7 @@ impl fmt::Display for ParseXmlError {
             ParseErrorKind::InvalidCharRef(r) => format!("invalid character reference &#{r};"),
             ParseErrorKind::TrailingContent => "content after document element".to_string(),
             ParseErrorKind::NoRootElement => "no root element".to_string(),
+            ParseErrorKind::TooDeep => format!("elements nest deeper than {MAX_DEPTH} levels"),
         };
         write!(f, "{msg} at line {} column {}", self.line, self.column)
     }
@@ -85,7 +97,7 @@ pub fn parse(input: &str) -> Result<Element, ParseXmlError> {
     let mut p = Parser::new(input);
     p.skip_prolog()?;
     let root = match p.peek() {
-        Some('<') => p.parse_element()?,
+        Some('<') => p.parse_element(1)?,
         Some(_) | None => return Err(p.err(ParseErrorKind::NoRootElement)),
     };
     p.skip_misc()?;
@@ -231,7 +243,11 @@ impl<'a> Parser<'a> {
         Ok(self.chars[start..self.pos].iter().collect())
     }
 
-    fn parse_element(&mut self) -> Result<Element, ParseXmlError> {
+    /// Parses the element starting here, `depth` levels down.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseXmlError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(ParseErrorKind::TooDeep));
+        }
         self.eat('<')?;
         let name = self.parse_name()?;
         let mut element = Element::new(&name);
@@ -313,7 +329,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == Some('<') {
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.push_child(child);
             } else if self.peek().is_none() {
                 return Err(self.err(ParseErrorKind::UnexpectedEof));
@@ -518,5 +534,26 @@ mod tests {
             cur = cur.child_elements().next().unwrap();
         }
         assert_eq!(cur.text(), "leaf");
+    }
+
+    #[test]
+    fn a_depth_bomb_is_a_typed_error() {
+        // 300 KB of open tags used to overflow the stack in `parse_element`.
+        let err =
+            p2p_index_testkit::on_a_small_stack(|| parse(&"<a>".repeat(100_000)).unwrap_err());
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!((err.line, err.column), (1, 3 * MAX_DEPTH + 1));
+        assert!(err.to_string().contains("deeper than"));
+    }
+
+    #[test]
+    fn nesting_at_the_depth_limit_round_trips() {
+        let nest = |levels: usize| "<a>".repeat(levels) + "x" + &"</a>".repeat(levels);
+        let doc = parse(&nest(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.to_xml(), nest(MAX_DEPTH));
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
     }
 }

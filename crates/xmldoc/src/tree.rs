@@ -8,6 +8,7 @@
 //! "equivalent expressions are transformed into a unique normalized format"
 //! before hashing.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A node in an XML tree: an element or a text run.
@@ -114,13 +115,31 @@ impl Element {
     ///
     /// Text is trimmed per-run; `<year> 1996 </year>` yields `"1996"`.
     pub fn text(&self) -> String {
-        self.children
+        self.trimmed_text().into_owned()
+    }
+
+    /// [`text`](Self::text), borrowed when a single run holds it all — as
+    /// it does in every canonicalized descriptor — so that matching a
+    /// query against an element compares texts without copying them.
+    pub fn trimmed_text(&self) -> Cow<'_, str> {
+        let mut runs = self
+            .children
             .iter()
             .filter_map(XmlNode::as_text)
             .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .collect::<Vec<_>>()
-            .join(" ")
+            .filter(|t| !t.is_empty());
+        let first = runs.next().unwrap_or("");
+        match runs.next() {
+            None => Cow::Borrowed(first),
+            Some(second) => {
+                let mut joined = format!("{first} {second}");
+                for run in runs {
+                    joined.push(' ');
+                    joined.push_str(run);
+                }
+                Cow::Owned(joined)
+            }
+        }
     }
 
     /// First child element named `name`.

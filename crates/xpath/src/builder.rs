@@ -13,7 +13,8 @@
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
-use crate::ast::{Axis, CmpOp, Comparison, NameTest, Pattern, Query};
+use crate::ast::{Axis, CmpOp, Query, TooDeep, MAX_DEPTH};
+use crate::pattern::{NameTest, Pattern};
 
 /// Incrementally builds a [`Query`].
 ///
@@ -36,7 +37,10 @@ use crate::ast::{Axis, CmpOp, Comparison, NameTest, Pattern, Query};
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryBuilder {
+    /// Never deeper than [`MAX_DEPTH`]: a constraint that would not fit
+    /// is dropped and remembered in `too_deep` instead.
     root: Pattern,
+    too_deep: bool,
 }
 
 impl QueryBuilder {
@@ -44,6 +48,7 @@ impl QueryBuilder {
     pub fn new(root: impl Into<String>) -> QueryBuilder {
         QueryBuilder {
             root: Pattern::leaf(Axis::Child, NameTest::Name(root.into())),
+            too_deep: false,
         }
     }
 
@@ -51,16 +56,17 @@ impl QueryBuilder {
     /// (a value-leaf step, `…/title/TCP` style).
     #[must_use]
     pub fn value(mut self, path: &str, value: impl Into<String>) -> QueryBuilder {
-        let node = Self::descend(&mut self.root, path);
-        node.children
-            .push(Pattern::leaf(Axis::Child, NameTest::Name(value.into())));
+        if let Some(node) = self.descend(path, 1) {
+            node.children
+                .push(Pattern::leaf(Axis::Child, NameTest::Name(value.into())));
+        }
         self
     }
 
     /// Requires the element at `path` to exist.
     #[must_use]
     pub fn exists(mut self, path: &str) -> QueryBuilder {
-        let _ = Self::descend(&mut self.root, path);
+        let _ = self.descend(path, 0);
         self
     }
 
@@ -68,11 +74,9 @@ impl QueryBuilder {
     /// (`[year>=1990]` style).
     #[must_use]
     pub fn compare(mut self, path: &str, op: CmpOp, value: impl Into<String>) -> QueryBuilder {
-        let node = Self::descend(&mut self.root, path);
-        node.comparison = Some(Comparison {
-            op,
-            value: value.into(),
-        });
+        if let Some(node) = self.descend(path, 0) {
+            node.comparison = Some((op, value.into()));
+        }
         self
     }
 
@@ -85,19 +89,36 @@ impl QueryBuilder {
         f: impl FnOnce(QueryBuilder) -> QueryBuilder,
     ) -> QueryBuilder {
         let sub = f(QueryBuilder::new(branch_root));
-        self.root.children.push(sub.root);
+        if sub.too_deep || 1 + sub.root.depth() > MAX_DEPTH {
+            self.too_deep = true;
+        } else {
+            self.root.children.push(sub.root);
+        }
         self
     }
 
     /// Finalizes and normalizes the query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a constraint nested deeper than [`MAX_DEPTH`];
+    /// `Query::try_from(builder)` returns that as [`TooDeep`] instead.
     pub fn build(self) -> Query {
-        Query::from_root(self.root)
+        Query::try_from(self).expect("a built query nests at most MAX_DEPTH levels")
     }
 
     /// Walks (creating as needed) the child chain for `path`, merging with
-    /// existing comparison-free branches, and returns the final node.
-    fn descend<'a>(mut node: &'a mut Pattern, path: &str) -> &'a mut Pattern {
-        for step in path.split('/').filter(|s| !s.is_empty()) {
+    /// existing comparison-free branches, and returns the final node — or
+    /// `None`, with nothing created, when that node plus `below` more
+    /// levels would nest deeper than [`MAX_DEPTH`].
+    fn descend(&mut self, path: &str, below: usize) -> Option<&mut Pattern> {
+        let steps = || path.split('/').filter(|s| !s.is_empty());
+        if 1 + steps().count() + below > MAX_DEPTH {
+            self.too_deep = true;
+            return None;
+        }
+        let mut node = &mut self.root;
+        for step in steps() {
             let pos = node.children.iter().position(|c| {
                 c.axis == Axis::Child
                     && c.comparison.is_none()
@@ -113,13 +134,32 @@ impl QueryBuilder {
             };
             node = &mut node.children[idx];
         }
-        node
+        Some(node)
+    }
+}
+
+impl TryFrom<QueryBuilder> for Query {
+    type Error = TooDeep;
+
+    /// [`QueryBuilder::build`], with a constraint nested deeper than
+    /// [`MAX_DEPTH`] reported instead of panicking.
+    fn try_from(builder: QueryBuilder) -> Result<Query, TooDeep> {
+        if builder.too_deep {
+            return Err(TooDeep);
+        }
+        Query::from_root(builder.root)
     }
 }
 
 impl Query {
     /// The most specific query (MSD) for a descriptor: the query that tests
     /// the presence of every element and value of `d`, so that `q ≡ d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the descriptor's elements nest deeper than
+    /// [`p2p_index_xmldoc::MAX_DEPTH`] — no parsed descriptor does;
+    /// `Query::try_from(&descriptor)` returns that as [`TooDeep`] instead.
     ///
     /// # Examples
     ///
@@ -134,21 +174,39 @@ impl Query {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn most_specific(descriptor: &Descriptor) -> Query {
-        Query::from_root(element_to_pattern(descriptor.root()))
+        Query::try_from(descriptor)
+            .expect("a parsed descriptor's query nests at most MAX_DEPTH levels")
     }
 }
 
-fn element_to_pattern(e: &Element) -> Pattern {
+impl TryFrom<&Descriptor> for Query {
+    type Error = TooDeep;
+
+    /// [`Query::most_specific`], with a descriptor built deeper than the
+    /// XML parser would accept reported instead of panicking.
+    fn try_from(descriptor: &Descriptor) -> Result<Query, TooDeep> {
+        Query::from_root(element_to_pattern(descriptor.root(), MAX_DEPTH)?)
+    }
+}
+
+/// `e` as a pattern; `room` is how many levels, this one included, may
+/// still nest.
+fn element_to_pattern(e: &Element, room: usize) -> Result<Pattern, TooDeep> {
+    let text = e.trimmed_text();
+    if room < 1 + usize::from(!text.is_empty()) {
+        return Err(TooDeep);
+    }
     let mut node = Pattern::leaf(Axis::Child, NameTest::Name(e.name().to_string()));
-    let text = e.text();
     if !text.is_empty() {
-        node.children
-            .push(Pattern::leaf(Axis::Child, NameTest::Name(text)));
+        node.children.push(Pattern::leaf(
+            Axis::Child,
+            NameTest::Name(text.into_owned()),
+        ));
     }
     for child in e.child_elements() {
-        node.children.push(element_to_pattern(child));
+        node.children.push(element_to_pattern(child, room - 1)?);
     }
-    node
+    Ok(node)
 }
 
 #[cfg(test)]
@@ -245,7 +303,7 @@ mod tests {
         .unwrap();
         let msd = Query::most_specific(&d);
         assert!(msd.matches(d.root()));
-        assert_eq!(msd.top_branches().len(), 3);
+        assert_eq!(msd.top_branches().count(), 3);
         // Each author query covers the MSD.
         assert!(parse_query("/article/author[first/A][last/B]")
             .unwrap()
@@ -271,5 +329,38 @@ mod tests {
         let a = Descriptor::parse("<article><title>X</title></article>").unwrap();
         let b = Descriptor::parse("<article><title>Y</title></article>").unwrap();
         assert_ne!(Query::most_specific(&a), Query::most_specific(&b));
+    }
+
+    #[test]
+    fn a_constraint_past_the_depth_limit_is_a_typed_error() {
+        let path = |steps: usize| vec!["a"; steps].join("/");
+        // Root, MAX_DEPTH - 2 steps, a value leaf: exactly at the limit.
+        let fits = QueryBuilder::new("r").value(&path(MAX_DEPTH - 2), "v");
+        assert_eq!(Query::try_from(fits).unwrap().depth(), MAX_DEPTH);
+        let value = QueryBuilder::new("r").value(&path(MAX_DEPTH - 1), "v");
+        assert_eq!(Query::try_from(value), Err(TooDeep));
+        let exists = QueryBuilder::new("r").exists(&path(100_000));
+        assert_eq!(Query::try_from(exists), Err(TooDeep));
+        let branch = QueryBuilder::new("r").branch("b", |b| b.exists(&path(MAX_DEPTH - 1)));
+        assert_eq!(Query::try_from(branch), Err(TooDeep));
+        // Later constraints that fit do not paper over one that did not.
+        let mixed = QueryBuilder::new("r")
+            .compare(&path(MAX_DEPTH), CmpOp::Eq, "1")
+            .value("title", "TCP");
+        assert_eq!(Query::try_from(mixed), Err(TooDeep));
+    }
+
+    #[test]
+    fn msd_of_a_descriptor_deeper_than_the_parser_allows_is_a_typed_error() {
+        use p2p_index_xmldoc::Element;
+        let nest = |levels: usize| {
+            (1..levels).fold(Element::with_text("e", "text"), |inner, _| {
+                Element::new("e").with_child(inner)
+            })
+        };
+        let deepest = Descriptor::new(nest(p2p_index_xmldoc::MAX_DEPTH));
+        assert_eq!(Query::try_from(&deepest).unwrap().depth(), MAX_DEPTH);
+        let deeper = Descriptor::new(nest(p2p_index_xmldoc::MAX_DEPTH + 1));
+        assert_eq!(Query::try_from(&deeper), Err(TooDeep));
     }
 }

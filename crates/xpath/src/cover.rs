@@ -26,7 +26,7 @@
 //! element *names* and leaf *values* are assumed not to collide, which
 //! holds for every descriptor vocabulary in this repository.
 
-use crate::ast::{Axis, CmpOp, Comparison, NameTest, Pattern, Query};
+use crate::ast::{Axis, CmpOp, Comparison, NodeRef, Query};
 
 impl Query {
     /// Does `self` cover `other` — i.e. does every descriptor matching
@@ -36,6 +36,8 @@ impl Query {
     /// in this repo), and sound (never falsely `true`) in general; see the
     /// [module docs](self) for details. It assumes element names and leaf
     /// values do not collide in the descriptor vocabulary.
+    ///
+    /// It walks both frozen queries in place and allocates nothing.
     ///
     /// # Examples
     ///
@@ -49,11 +51,10 @@ impl Query {
     /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
     /// ```
     pub fn covers(&self, other: &Query) -> bool {
-        match self.root().axis {
-            Axis::Child => other.root().axis == Axis::Child && contains(self.root(), other.root()),
-            Axis::Descendant => std::iter::once(other.root())
-                .chain(other.root().descendants())
-                .any(|n| contains(self.root(), n)),
+        let (g, s) = (self.root(), other.root());
+        match g.axis() {
+            Axis::Child => s.axis() == Axis::Child && contains(g, s),
+            Axis::Descendant => self_and_descendants(s).any(|n| contains(g, n)),
         }
     }
 
@@ -63,56 +64,54 @@ impl Query {
     }
 }
 
+fn self_and_descendants(n: NodeRef<'_>) -> impl Iterator<Item = NodeRef<'_>> {
+    std::iter::once(n).chain(n.descendants())
+}
+
 /// Can general pattern node `g` be mapped onto specific node `s`?
-fn contains(g: &Pattern, s: &Pattern) -> bool {
+fn contains(g: NodeRef<'_>, s: NodeRef<'_>) -> bool {
     // Name test: wildcard accepts anything; a concrete name requires the
     // same concrete name (a wildcard in the *specific* query guarantees
     // nothing about the actual element name).
-    match (&g.test, &s.test) {
-        (NameTest::Wildcard, _) => {}
-        (NameTest::Name(gn), NameTest::Name(sn)) if gn == sn => {}
+    match (g.name(), s.name()) {
+        (None, _) => {}
+        (Some(gn), Some(sn)) if gn == sn => {}
         _ => return false,
     }
-    if let Some(gc) = &g.comparison {
+    if let Some(gc) = g.comparison() {
         if !comparison_implied(gc, s) {
             return false;
         }
     }
-    g.children.iter().all(|gc| child_mapped(gc, s))
+    g.children().all(|gc| child_mapped(gc, s))
 }
 
 /// Can the general child constraint `gc` be satisfied under specific node `s`?
-fn child_mapped(gc: &Pattern, s: &Pattern) -> bool {
-    let targets: Vec<&Pattern> = match gc.axis {
+fn child_mapped(gc: NodeRef<'_>, s: NodeRef<'_>) -> bool {
+    let mapped = match gc.axis() {
         Axis::Child => s
-            .children
-            .iter()
-            .filter(|c| c.axis == Axis::Child)
-            .collect(),
-        Axis::Descendant => s.descendants(),
+            .children()
+            .any(|t| t.axis() == Axis::Child && contains(gc, t)),
+        Axis::Descendant => s.descendants().any(|t| contains(gc, t)),
     };
-    if targets.into_iter().any(|t| contains(gc, t)) {
+    if mapped {
         return true;
     }
     // A general value-leaf (`[title/TCP]` style) is also implied by an
     // equality comparison on the corresponding node (`[title="TCP"]`):
     // text equal to the value means the value node exists.
-    if gc.is_leaf() {
-        if let NameTest::Name(v) = &gc.test {
-            return match gc.axis {
-                Axis::Child => equality_implies(s, v),
-                Axis::Descendant => std::iter::once(s)
-                    .chain(s.descendants())
-                    .any(|n| equality_implies(n, v)),
-            };
-        }
+    match gc.name() {
+        Some(v) if gc.is_leaf() => match gc.axis() {
+            Axis::Child => equality_implies(s, v),
+            Axis::Descendant => self_and_descendants(s).any(|n| equality_implies(n, v)),
+        },
+        _ => false,
     }
-    false
 }
 
 /// Does node `s` carry an `= v` constraint on its own text?
-fn equality_implies(s: &Pattern, v: &str) -> bool {
-    matches!(&s.comparison, Some(c) if c.op == CmpOp::Eq && CmpOp::Eq.eval(&c.value, v))
+fn equality_implies(s: NodeRef<'_>, v: &str) -> bool {
+    matches!(s.comparison(), Some(c) if c.op == CmpOp::Eq && CmpOp::Eq.eval(c.value, v))
 }
 
 /// Is the general comparison `gc` implied by the constraints the specific
@@ -121,48 +120,45 @@ fn equality_implies(s: &Pattern, v: &str) -> bool {
 /// `s` constrains its text through its own comparison and through value
 /// leaves (`year/1996` pins the text to `1996` under the no-collision
 /// schema assumption).
-fn comparison_implied(gc: &Comparison, s: &Pattern) -> bool {
-    let mut sources: Vec<Comparison> = Vec::new();
-    if let Some(c) = &s.comparison {
-        sources.push(c.clone());
-    }
-    for child in &s.children {
-        if child.axis == Axis::Child && child.is_leaf() {
-            if let NameTest::Name(v) = &child.test {
-                sources.push(Comparison {
-                    op: CmpOp::Eq,
-                    value: v.clone(),
-                });
-            }
-        }
-    }
-    sources.iter().any(|sc| comparison_implies(sc, gc))
+fn comparison_implied(gc: Comparison<'_>, s: NodeRef<'_>) -> bool {
+    let pinned = s
+        .children()
+        .filter(|child| child.axis() == Axis::Child && child.is_leaf())
+        .filter_map(|leaf| leaf.name())
+        .map(|value| Comparison {
+            op: CmpOp::Eq,
+            value,
+        });
+    s.comparison()
+        .into_iter()
+        .chain(pinned)
+        .any(|sc| comparison_implies(sc, gc))
 }
 
 /// Does constraint `spec` (on some text value x) imply constraint `gen`?
-fn comparison_implies(spec: &Comparison, gen: &Comparison) -> bool {
+fn comparison_implies(spec: Comparison<'_>, gen: Comparison<'_>) -> bool {
     if spec == gen {
         return true;
     }
     // Equality pins the value: just evaluate the general constraint on it.
     if spec.op == CmpOp::Eq {
-        return gen.op.eval(&spec.value, &gen.value);
+        return gen.op.eval(spec.value, gen.value);
     }
     // Prefix reasoning: text starting with q also starts with every prefix
     // of q, contains every substring of q, and cannot equal any value that
     // does not extend q.
     if spec.op == CmpOp::StartsWith {
         return match gen.op {
-            CmpOp::StartsWith => spec.value.starts_with(&gen.value),
-            CmpOp::Contains => spec.value.contains(&gen.value),
-            CmpOp::Ne => !gen.value.starts_with(&spec.value),
+            CmpOp::StartsWith => spec.value.starts_with(gen.value),
+            CmpOp::Contains => spec.value.contains(gen.value),
+            CmpOp::Ne => !gen.value.starts_with(spec.value),
             _ => false,
         };
     }
     // Substring reasoning: text containing w also contains every substring
     // of w.
     if spec.op == CmpOp::Contains {
-        return gen.op == CmpOp::Contains && spec.value.contains(&gen.value);
+        return gen.op == CmpOp::Contains && spec.value.contains(gen.value);
     }
     if matches!(gen.op, CmpOp::StartsWith | CmpOp::Contains) {
         // Only equality or a stronger string constraint (handled above)

@@ -13,10 +13,13 @@
 
 use p2p_index_xmldoc::Element;
 
-use crate::ast::{Axis, NameTest, Pattern, Query};
+use crate::ast::{Axis, NodeRef, Query};
 
 impl Query {
     /// Evaluates this query against a descriptor's root element.
+    ///
+    /// A query without `//` is matched in place: no allocation, as long as
+    /// each element's text is one run (true of every canonical descriptor).
     ///
     /// # Examples
     ///
@@ -31,72 +34,71 @@ impl Query {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn matches(&self, doc: &Element) -> bool {
-        match self.root.axis {
-            Axis::Child => node_matches(&self.root, doc),
+        let root = self.root();
+        match root.axis() {
+            Axis::Child => node_matches(root, doc),
             // `//x` from the document node: the root element and all its
             // descendants are candidates — including, for a pure value
             // pattern like `//Smith`, any element whose text equals it.
             Axis::Descendant => {
-                let elements = std::iter::once(doc).chain(descendant_elements(doc));
-                if self.root.is_leaf() {
-                    if let NameTest::Name(value) = self.root.test() {
-                        return elements
-                            .into_iter()
-                            .any(|e| e.name() == value || e.text() == *value);
+                let mut elements = std::iter::once(doc).chain(descendant_elements(doc));
+                match root.name() {
+                    Some(value) if root.is_leaf() => {
+                        elements.any(|e| e.name() == value || e.trimmed_text() == value)
                     }
+                    _ => elements.any(|e| node_matches(root, e)),
                 }
-                elements.into_iter().any(|e| node_matches(&self.root, e))
             }
         }
     }
 }
 
 /// All strict descendant elements of `e`, pre-order.
-fn descendant_elements(e: &Element) -> Vec<&Element> {
-    let mut out = Vec::new();
-    let mut stack: Vec<&Element> = e.child_elements().collect();
-    while let Some(el) = stack.pop() {
-        out.push(el);
-        stack.extend(el.child_elements());
-    }
-    out
+fn descendant_elements(e: &Element) -> impl Iterator<Item = &Element> {
+    let mut open = vec![e.child_elements()];
+    std::iter::from_fn(move || loop {
+        match open.last_mut()?.next() {
+            Some(element) => {
+                open.push(element.child_elements());
+                return Some(element);
+            }
+            None => {
+                open.pop();
+            }
+        }
+    })
 }
 
 /// Does element `e` itself satisfy pattern node `p` (name, comparison, and
 /// all child constraints)?
-fn node_matches(p: &Pattern, e: &Element) -> bool {
-    if !p.test().accepts(e.name()) {
+fn node_matches(p: NodeRef<'_>, e: &Element) -> bool {
+    if !p.accepts(e.name()) {
         return false;
     }
     if let Some(cmp) = p.comparison() {
-        if !cmp.op.eval(&e.text(), &cmp.value) {
+        if !cmp.op.eval(&e.trimmed_text(), cmp.value) {
             return false;
         }
     }
-    p.children().iter().all(|c| child_satisfied(c, e))
+    p.children().all(|c| child_satisfied(c, e))
 }
 
 /// Is the child constraint `c` satisfied at context element `e`?
-fn child_satisfied(c: &Pattern, e: &Element) -> bool {
+fn child_satisfied(c: NodeRef<'_>, e: &Element) -> bool {
     // Value-node interpretation: a pure leaf with a concrete name may be
     // satisfied by text content equal to that name.
-    if c.is_leaf() {
-        if let NameTest::Name(value) = c.test() {
-            let text_hit = match c.axis() {
-                Axis::Child => e.text() == *value,
-                Axis::Descendant => {
-                    e.text() == *value || descendant_elements(e).iter().any(|d| d.text() == *value)
-                }
-            };
-            if text_hit {
-                return true;
-            }
+    if let (true, Some(value)) = (c.is_leaf(), c.name()) {
+        let text_hit = e.trimmed_text() == value
+            || (c.axis() == Axis::Descendant
+                && descendant_elements(e).any(|d| d.trimmed_text() == value));
+        if text_hit {
+            return true;
         }
     }
     // Element interpretation.
     match c.axis() {
         Axis::Child => e.child_elements().any(|child| node_matches(c, child)),
-        Axis::Descendant => descendant_elements(e).iter().any(|d| node_matches(c, d)),
+        Axis::Descendant => descendant_elements(e).any(|d| node_matches(c, d)),
     }
 }
 

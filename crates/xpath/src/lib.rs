@@ -5,8 +5,9 @@
 //! expressiveness and simplicity" (§III-B of *Data Indexing in Peer-to-Peer
 //! DHT Networks*). This crate provides the full query toolchain:
 //!
-//! * [`ast`] — normalized tree patterns ([`Query`], [`Pattern`]) whose
-//!   canonical `Display` text is the hash input `h(q)`;
+//! * [`ast`] — normalized tree patterns ([`Query`]), frozen into one node
+//!   array and one text buffer whose head, the canonical `Display` text, is
+//!   the hash input `h(q)`; [`NodeRef`] is the borrowed view of one node;
 //! * [`parse`](mod@parse) — the surface-syntax parser ([`parse_query`]);
 //! * [`eval`] — matching queries against descriptors ([`Query::matches`]);
 //! * [`cover`] — the covering relation `⊒` ([`Query::covers`]), the partial
@@ -39,7 +40,8 @@ pub mod builder;
 pub mod cover;
 pub mod eval;
 pub mod parse;
+mod pattern;
 
-pub use ast::{Axis, CmpOp, Comparison, NameTest, Pattern, Query};
+pub use ast::{Axis, CmpOp, Comparison, NodeRef, Query, TooDeep, MAX_DEPTH};
 pub use builder::QueryBuilder;
 pub use parse::{parse_query, ParseQueryError, QueryErrorKind};

@@ -21,7 +21,8 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::ast::{Axis, CmpOp, Comparison, NameTest, Pattern, Query};
+use crate::ast::{Axis, CmpOp, Query, MAX_DEPTH};
+use crate::pattern::{NameTest, Pattern};
 
 /// Why query parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +37,8 @@ pub enum QueryErrorKind {
     MissingLeadingSlash,
     /// Extra input after a complete query.
     TrailingInput(String),
+    /// A step nested deeper than [`MAX_DEPTH`] (see [`TooDeep`](crate::TooDeep)).
+    TooDeep,
 }
 
 /// An error from [`parse_query`], with the byte offset of the problem.
@@ -55,6 +58,7 @@ impl fmt::Display for ParseQueryError {
             QueryErrorKind::UnterminatedString => "unterminated quoted string".to_string(),
             QueryErrorKind::MissingLeadingSlash => "query must start with / or //".to_string(),
             QueryErrorKind::TrailingInput(t) => format!("trailing input {t:?}"),
+            QueryErrorKind::TooDeep => format!("steps nest deeper than {MAX_DEPTH} levels"),
         };
         write!(f, "{msg} at offset {}", self.offset)
     }
@@ -118,7 +122,14 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, ParseQueryError> {
                 i += 1;
             }
             '*' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
+                // Where a step must start, `*` is the wildcard even in front
+                // of `=`: `[*=5]` is what a wildcard compared for equality
+                // prints as, and canonical text must parse back.
+                let starts_step = matches!(
+                    tokens.last(),
+                    Some((Token::Slash | Token::DoubleSlash | Token::LBracket, _))
+                );
+                if !starts_step && bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
                     tokens.push((Token::Op(CmpOp::Contains), offset));
                     i += 2;
                 } else {
@@ -280,8 +291,12 @@ impl QueryParser {
     }
 
     /// Parses `step (axis step)* comparison?` and returns the head pattern
-    /// with the rest of the chain nested inside it.
-    fn parse_steps(&mut self, axis: Axis) -> Result<Pattern, ParseQueryError> {
+    /// with the rest of the chain nested inside it. `room` is how many
+    /// levels, the head's included, may still nest.
+    fn parse_steps(&mut self, axis: Axis, room: usize) -> Result<Pattern, ParseQueryError> {
+        if room == 0 {
+            return Err(self.err(QueryErrorKind::TooDeep));
+        }
         let test = self.parse_name_test()?;
         let mut node = Pattern::leaf(axis, test);
 
@@ -294,7 +309,7 @@ impl QueryParser {
             } else {
                 Axis::Child
             };
-            let child = self.parse_steps(inner_axis)?;
+            let child = self.parse_steps(inner_axis, room - 1)?;
             match self.bump() {
                 Some(Token::RBracket) => {}
                 Some(t) => {
@@ -310,12 +325,12 @@ impl QueryParser {
         match self.peek() {
             Some(Token::Slash) => {
                 self.bump();
-                let tail = self.parse_steps(Axis::Child)?;
+                let tail = self.parse_steps(Axis::Child, room - 1)?;
                 node.children.push(tail);
             }
             Some(Token::DoubleSlash) => {
                 self.bump();
-                let tail = self.parse_steps(Axis::Descendant)?;
+                let tail = self.parse_steps(Axis::Descendant, room - 1)?;
                 node.children.push(tail);
             }
             Some(Token::Op(_)) => {
@@ -324,7 +339,7 @@ impl QueryParser {
                 };
                 match self.bump() {
                     Some(Token::Name(value, _)) => {
-                        node.comparison = Some(Comparison { op, value });
+                        node.comparison = Some((op, value));
                     }
                     Some(t) => {
                         self.pos -= 1;
@@ -371,12 +386,12 @@ pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
             })
         }
     };
-    let root = p.parse_steps(axis)?;
+    let root = p.parse_steps(axis, MAX_DEPTH)?;
     if let Some(t) = p.peek() {
         let desc = t.describe();
         return Err(p.err(QueryErrorKind::TrailingInput(desc)));
     }
-    Ok(Query::from_root(root))
+    Ok(Query::from_root(root).expect("the parser stops at MAX_DEPTH"))
 }
 
 impl FromStr for Query {
@@ -446,18 +461,19 @@ mod tests {
     #[test]
     fn comparisons_parse() {
         let q = parse_query("/article[year>=1990][year<2000]").unwrap();
-        assert_eq!(q.top_branches().len(), 2);
-        assert!(q.top_branches().iter().all(|b| b.comparison().is_some()));
+        assert_eq!(q.top_branches().count(), 2);
+        assert!(q.top_branches().all(|b| b.comparison().is_some()));
         for op in ["=", "!=", "<", "<=", ">", ">=", "^=", "*="] {
             let q = parse_query(&format!("/a[y{op}5]")).unwrap();
-            assert_eq!(q.top_branches()[0].comparison().unwrap().op.symbol(), op);
+            let branch = q.top_branches().next().unwrap();
+            assert_eq!(branch.comparison().unwrap().op.symbol(), op);
         }
     }
 
     #[test]
     fn comparison_binds_to_last_step() {
         let q = parse_query("/article[author/papers>=5]").unwrap();
-        let author = &q.top_branches()[0];
+        let author = q.top_branches().next().unwrap();
         assert!(author.comparison().is_none());
         assert!(q.to_string().contains("papers>=5"));
     }
@@ -475,9 +491,9 @@ mod tests {
         let q = parse_query("//title").unwrap();
         assert_eq!(q.root().axis(), Axis::Descendant);
         let q = parse_query("/article//Smith").unwrap();
-        assert_eq!(q.top_branches()[0].axis(), Axis::Descendant);
+        assert_eq!(q.top_branches().next().unwrap().axis(), Axis::Descendant);
         let q = parse_query("/article[//Smith]").unwrap();
-        assert_eq!(q.top_branches()[0].axis(), Axis::Descendant);
+        assert_eq!(q.top_branches().next().unwrap().axis(), Axis::Descendant);
     }
 
     #[test]
@@ -528,6 +544,23 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_compared_for_equality_round_trips() {
+        // `* = 5` and `*=5` are the same tokens where a step starts...
+        let spaced = parse_query("/a[* = 5]").unwrap();
+        let branch = spaced.top_branches().next().unwrap();
+        assert_eq!(branch.name(), None);
+        assert_eq!(branch.comparison().unwrap().op, CmpOp::Eq);
+        assert_eq!(spaced.to_string(), "/a[*=5]");
+        assert_eq!(parse_query("/a[*=5]").unwrap(), spaced);
+        // ...and after a name `*=` is still the substring operator.
+        let substring = parse_query("/a[b*=5]").unwrap();
+        let branch = substring.top_branches().next().unwrap();
+        assert_eq!(branch.comparison().unwrap().op, CmpOp::Contains);
+        let both = parse_query("/a/**=5").unwrap();
+        assert_eq!(parse_query(&both.to_string()).unwrap(), both);
+    }
+
+    #[test]
     fn from_str_works() {
         let q: Query = "/article/title/TCP".parse().unwrap();
         assert_eq!(q.to_string(), "/article/title/TCP");
@@ -548,5 +581,35 @@ mod tests {
         assert!(q
             .to_string()
             .contains("End-to-End_TCP:v2.0,final&more+'quoted'"));
+    }
+
+    #[test]
+    fn a_depth_bomb_is_a_typed_error() {
+        use p2p_index_testkit::on_a_small_stack;
+        // 40 KB of `/a` used to overflow the stack in `parse_steps`, and a
+        // shorter one in `normalize`, the renderer or `Drop`.
+        let err = on_a_small_stack(|| parse_query(&"/a".repeat(20_000)).unwrap_err());
+        assert_eq!(err.kind, QueryErrorKind::TooDeep);
+        assert_eq!(err.offset, 2 * MAX_DEPTH + 1, "at the first step too many");
+        assert!(err.to_string().contains("deeper than"));
+        let nested = format!("/a{}{}", "[b".repeat(20_000), "]".repeat(20_000));
+        let err = on_a_small_stack(move || parse_query(&nested).unwrap_err());
+        assert_eq!(err.kind, QueryErrorKind::TooDeep);
+    }
+
+    #[test]
+    fn a_query_at_the_depth_limit_round_trips() {
+        p2p_index_testkit::on_a_small_stack(|| {
+            let text = "/a".repeat(MAX_DEPTH);
+            let q = parse_query(&text).unwrap();
+            assert_eq!(q.depth(), MAX_DEPTH);
+            assert_eq!(q.to_string(), text);
+            assert_eq!(parse_query(&q.to_string()).unwrap(), q);
+            assert!(q.covers(&q));
+            // Dropping the only branch leaves the root: still a query.
+            assert_eq!(q.generalizations()[0].to_string(), "/a");
+            let one_more = parse_query(&"/a".repeat(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(one_more.kind, QueryErrorKind::TooDeep);
+        });
     }
 }

@@ -112,8 +112,8 @@ fn size_and_depth_bounds() {
 fn branches_sorted_and_unique() {
     for_each_case(|rng| {
         let q = arb_query(rng);
-        for w in q.top_branches().windows(2) {
-            assert!(w[0] < w[1], "branches must be strictly ascending");
+        for (a, b) in q.top_branches().zip(q.top_branches().skip(1)) {
+            assert!(a < b, "branches must be strictly ascending");
         }
     });
 }
