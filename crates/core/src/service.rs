@@ -285,8 +285,8 @@ pub struct IndexService<D> {
     wave_scratch: WaveScratch,
     /// Reusable wire-encode buffer for the write paths: every entry of a
     /// publish wave is encoded into this one buffer instead of through a
-    /// per-entry `format!` temporary (publish was the allocation-heaviest
-    /// phase under `repro bench --profile`).
+    /// per-entry `format!` temporary (publish is the allocation-heaviest
+    /// phase of a run).
     encode_scratch: Vec<u8>,
     /// Shortcut-cache admission threshold applied to every node cache
     /// (see [`set_cache_admission`](Self::set_cache_admission)).

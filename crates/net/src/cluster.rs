@@ -33,17 +33,7 @@ impl LoopbackCluster {
     /// partition of a ring — collectively equivalent to
     /// `RingDht::with_named_nodes(n)` when fronted by a [`RemoteDht`].
     pub fn start_ring(n: usize) -> io::Result<LoopbackCluster> {
-        Self::start_ring_sharded(n, ServerConfig::default().shards)
-    }
-
-    /// [`LoopbackCluster::start_ring`] with an explicit shard count per
-    /// member (`1` is one `RwLock` per member — the bench sweep's
-    /// contention baseline).
-    pub fn start_ring_sharded(n: usize, shards: usize) -> io::Result<LoopbackCluster> {
-        Self::start_each(n, |_, _| ServerConfig {
-            shards,
-            ..ServerConfig::default()
-        })
+        Self::start_each(n, |_, _| ServerConfig::default())
     }
 
     /// Starts `n` servers that each inject message loss in front of their

@@ -1,22 +1,7 @@
-//! `repro` — regenerate any table or figure of the paper's evaluation.
-//!
-//! ```text
-//! repro <exhibit> [--small] [--nodes N] [--articles N] [--queries N]
-//!                 [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]
-//!                 [--profile] [--allow-regression]
-//! repro trace <query> [--small] [...]
-//! repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N]
-//!             [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...]
-//!             [--repair-ms N] [--shards N]
-//! repro net-demo --members HOST:PORT,... [--articles N] [--queries N]
-//!                [--seed N] [--shutdown]
-//! repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N]
-//!               [--queries N] [--seed N] [--hot-rank N] [--boost F]
-//!               [--budget N] [--threshold N] [--fanout N]
-//!
-//! exhibits: fig7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1 storage
-//!           ext-structures ext-churn robustness bench trace all
-//! ```
+//! `repro` — regenerate any table or figure of the paper's evaluation,
+//! and run the pieces that are not tables: `trace`, `hotspot`, and the
+//! networked `serve` / `net-demo` pair. Run it without arguments for the
+//! subcommands and their flags ([`usage`] is the one copy of that text).
 //!
 //! Default scale is the paper's (500 nodes, 10 000 articles, 50 000
 //! queries); `--small` runs a fast scaled-down version with the same
@@ -34,115 +19,43 @@
 //! lookup tracing enabled, and pretty-prints the span tree: generalization
 //! steps, index hops, per-hop DHT operations, cache probes.
 //!
-//! `bench` times one fixed cell, then sweeps the full figure grid over
-//! `--jobs {1, 2, 4, 8}` and records the speedup curve in
-//! `BENCH_results.json` next to the CSVs. Every timing is the median of 3
-//! runs after a warmup pass. The bench defends itself: if any sweep point
-//! that actually runs multiple workers is *slower* than serial, it exits
-//! non-zero (opt out with `--allow-regression`). Sweep points whose worker
-//! count clamps to 1 (host has one core, so the executor degenerates to
-//! the serial path) are reported but exempt from the gate. It also
-//! measures loopback RPC throughput/latency over real sockets (the `net`
-//! section). `--profile` adds a per-phase breakdown of the reference cell
-//! (corpus / publish / queries): wall-clock always, allocation counts when
-//! the binary was built with `--features alloc-profile` (which swaps in a
-//! counting global allocator).
-//!
 //! `serve` runs one networked DHT node (`dhtd`): one node's partition
 //! store (`--shards N` key-hash shards, optionally with `--loss` injected
 //! in front of it) behind the `crates/net` wire protocol, until it
-//! receives a shutdown frame. `net-demo` is the matching client: it points the full
-//! indexing stack at a running cluster over TCP. See the README's
+//! receives a shutdown frame. `net-demo` is the matching client: it points
+//! the full indexing stack at a running cluster over TCP. See the README's
 //! networking quickstart for a 5-node loopback ring.
 //!
 //! `hotspot` runs the skewed-load scenario: a flash crowd on one title
 //! over a 10 000-node ring, once with the balance subsystem observing
 //! only and once mitigating (entry splitting + hot-key read fan-out),
 //! plus a cache-admission comparison under tight LRU caches. It prints
-//! the per-node imbalance tables, writes them as CSVs under `--csv DIR`,
-//! and merges the numbers into `BENCH_results.json` in the same
-//! directory under the `"hotspot"` key. Exits non-zero if the mitigation
-//! makes the headline max/mean load ratio *worse* than baseline.
+//! the per-node imbalance tables and, under `--csv DIR`, writes them as
+//! CSVs beside the whole report as `hotspot.json`. Exits non-zero if the
+//! mitigation makes the headline max/mean load ratio *worse* than
+//! baseline.
+//!
+//! Nothing here times anything: throughput, latency and allocation
+//! counts are `p2p-bench`'s (`BENCHMARK.json`, `benchmark/`).
 
+use std::fmt::Display;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Instant;
+use std::str::FromStr;
 
 use p2p_index_core::CachePolicy;
-use p2p_index_sim::exec::{effective_workers, resolve_jobs};
+use p2p_index_sim::exec::resolve_jobs;
 use p2p_index_sim::experiments::{self, EvalConfig, Evaluation};
 use p2p_index_sim::hotspot::{self, HotspotConfig};
 use p2p_index_sim::netd::{self, ServeOptions};
 use p2p_index_sim::simulation::{SchemeChoice, SimConfig, Simulation};
 use p2p_index_sim::table::TextTable;
-use p2p_index_workload::Corpus;
 use p2p_index_xpath::Query;
 
-struct Args {
-    exhibit: String,
-    query: Option<String>,
-    config: EvalConfig,
-    csv_dir: Option<PathBuf>,
-    metrics_path: Option<PathBuf>,
-    jobs: usize,
-    profile: bool,
-    allow_regression: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let exhibit = args.next().ok_or_else(usage)?;
-    let query = if exhibit == "trace" {
-        Some(args.next().ok_or("trace needs a query argument")?)
-    } else {
-        None
-    };
-    let mut config = EvalConfig::paper();
-    let mut csv_dir = None;
-    let mut metrics_path = None;
-    let mut jobs = 1usize;
-    let mut profile = false;
-    let mut allow_regression = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--small" => config = EvalConfig::small(),
-            "--profile" => profile = true,
-            "--allow-regression" => allow_regression = true,
-            "--nodes" => config.nodes = parse_num(args.next(), "--nodes")?,
-            "--articles" => config.articles = parse_num(args.next(), "--articles")?,
-            "--queries" => config.queries = parse_num(args.next(), "--queries")?,
-            "--seed" => config.seed = parse_num(args.next(), "--seed")? as u64,
-            "--csv" => csv_dir = Some(PathBuf::from(args.next().ok_or("--csv needs a directory")?)),
-            "--metrics" => {
-                metrics_path = Some(PathBuf::from(args.next().ok_or("--metrics needs a file")?))
-            }
-            "--jobs" => jobs = resolve_jobs(parse_num(args.next(), "--jobs")?),
-            other => return Err(format!("unknown flag {other}\n{}", usage())),
-        }
-    }
-    Ok(Args {
-        exhibit,
-        query,
-        config,
-        csv_dir,
-        metrics_path,
-        jobs,
-        profile,
-        allow_regression,
-    })
-}
-
-fn parse_num(value: Option<String>, flag: &str) -> Result<usize, String> {
-    value
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|e| format!("{flag}: {e}"))
-}
-
 fn usage() -> String {
-    "usage: repro <fig7|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table1|storage|ext-structures|ext-churn|robustness|bench|all> \
-     [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE] [--profile] [--allow-regression]\n\
+    "usage: repro <fig7|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table1|storage|ext-structures|ext-churn|robustness|all> \
+     [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]\n\
      \x20      repro trace <query> [--small] [--nodes N] [--articles N] [--seed N]\n\
      \x20      repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
      [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...] [--repair-ms N] [--shards N]\n\
@@ -152,150 +65,340 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Parses `repro serve` flags and runs the dhtd daemon until shutdown.
-fn run_serve(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut opts = ServeOptions::default();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--port" => {
-                opts.port = parse_num(args.next(), "--port")? as u16;
-            }
-            "--node-name" => {
-                opts.node_name = args.next().ok_or("--node-name needs a value")?;
-            }
-            "--loss" => {
-                opts.loss = args
-                    .next()
-                    .ok_or("--loss needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--loss: {e}"))?;
-            }
-            "--fault-seed" => {
-                opts.fault_seed = parse_num(args.next(), "--fault-seed")? as u64;
-            }
-            "--replicas" => {
-                opts.replicas = parse_num(args.next(), "--replicas")?;
-            }
-            "--quorum" => {
-                let (w, _rq) = parse_quorum(args.next())?;
-                opts.write_quorum = w;
-            }
-            "--peers" => {
-                for part in args.next().ok_or("--peers needs a list")?.split(',') {
-                    let (name, addr) = part
-                        .trim()
-                        .split_once('=')
-                        .ok_or_else(|| format!("--peers {part:?}: expected NAME=HOST:PORT"))?;
-                    opts.peers.push((
-                        name.to_string(),
-                        addr.parse().map_err(|e| format!("--peers {part:?}: {e}"))?,
-                    ));
-                }
-            }
-            "--repair-ms" => {
-                opts.repair_ms = parse_num(args.next(), "--repair-ms")? as u64;
-            }
-            "--shards" => {
-                opts.shards = parse_num(args.next(), "--shards")?;
-            }
-            other => return Err(format!("unknown serve flag {other}\n{}", usage())),
+/// A cursor over the command line. Every flag's value goes through
+/// [`parse_as`], straight into the type of the field it sets, so a
+/// missing, malformed or out-of-range value is rejected naming the flag.
+struct Flags(std::vec::IntoIter<String>);
+
+impl Flags {
+    /// The next argument as it was typed: the subcommand, a positional,
+    /// or the name of the next flag.
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The text after `flag`.
+    fn text(&mut self, flag: &str) -> Result<String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The value after `flag`.
+    fn value<T: FromStr<Err: Display>>(&mut self, flag: &str) -> Result<T, String> {
+        parse_as(flag, &self.text(flag)?)
+    }
+
+    /// The comma-separated values after `flag`.
+    fn list<T: FromStr<Err: Display>>(&mut self, flag: &str) -> Result<Vec<T>, String> {
+        self.text(flag)?
+            .split(',')
+            .map(|part| parse_as(flag, part.trim()))
+            .collect()
+    }
+
+    /// `--quorum W,RQ` as `(write_quorum, read_quorum)`; one number sets
+    /// both.
+    fn quorum(&mut self) -> Result<(usize, usize), String> {
+        match self.list("--quorum")?[..] {
+            [both] => Ok((both, both)),
+            [w, rq] => Ok((w, rq)),
+            _ => Err("--quorum takes W,RQ (or one number for both)".to_string()),
         }
     }
-    netd::serve(&opts)
 }
 
-/// Parses a `--quorum W,RQ` value into `(write_quorum, read_quorum)`.
-/// A single number sets both.
-fn parse_quorum(value: Option<String>) -> Result<(usize, usize), String> {
-    let value = value.ok_or("--quorum needs a value (W,RQ)")?;
-    let parse_one = |s: &str| {
-        s.trim()
-            .parse::<usize>()
-            .map_err(|e| format!("--quorum {s:?}: {e}"))
+fn parse_as<T: FromStr<Err: Display>>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse().map_err(|e| format!("{flag} {text:?}: {e}"))
+}
+
+fn unknown_flag(flag: &str) -> String {
+    format!("unknown flag {flag}\n{}", usage())
+}
+
+/// One exhibit: the name it is asked for by, the stem of its CSV file,
+/// and the function that renders it (given the grid and `--jobs`).
+type Exhibit = (
+    &'static str,
+    &'static str,
+    fn(&mut Evaluation, usize) -> TextTable,
+);
+
+/// Every exhibit, in the order `all` prints them. `robustness` comes last
+/// because `all` leaves it out: the loss × budget sweep re-publishes the
+/// corpus per cell, and `all` stays the exact paper reproduction (faults
+/// are an extension).
+static EXHIBITS: [Exhibit; 13] = [
+    ("fig7", "fig7", |_, _| experiments::fig7_query_mix()),
+    ("fig9", "fig9", |_, _| experiments::fig9_popularity()),
+    ("fig10", "fig10", |_, _| experiments::fig10_ccdf()),
+    ("storage", "storage", |eval, _| {
+        experiments::storage_overhead(eval.config())
+    }),
+    ("fig11", "fig11", |eval, _| {
+        experiments::fig11_interactions(eval)
+    }),
+    ("fig12", "fig12", |eval, _| experiments::fig12_traffic(eval)),
+    ("fig13", "fig13", |eval, _| {
+        experiments::fig13_hit_ratio(eval)
+    }),
+    ("fig14", "fig14", |eval, _| {
+        experiments::fig14_cache_storage(eval)
+    }),
+    ("fig15", "fig15", |eval, _| {
+        experiments::fig15_hotspots(eval)
+    }),
+    ("table1", "table1", |eval, _| {
+        experiments::table1_errors(eval)
+    }),
+    ("ext-structures", "ext_structures", |eval, _| {
+        experiments::ext_structure_breakdown(eval)
+    }),
+    ("ext-churn", "ext_churn", |eval, _| {
+        experiments::ext_churn(eval.config())
+    }),
+    ("robustness", "ext_robustness", |eval, jobs| {
+        experiments::ext_robustness(eval.config(), jobs)
+    }),
+];
+
+/// The exhibits `name` selects, if it names any.
+fn exhibits_named(name: &str) -> Option<&'static [Exhibit]> {
+    if name == "all" {
+        return Some(&EXHIBITS[..EXHIBITS.len() - 1]);
+    }
+    let at = EXHIBITS.iter().position(|exhibit| exhibit.0 == name)?;
+    Some(&EXHIBITS[at..=at])
+}
+
+/// What `repro <exhibit>` and `repro trace <query>` were asked to do.
+struct EvalArgs {
+    /// Empty for `trace`.
+    exhibits: &'static [Exhibit],
+    /// The query to trace, for `trace`.
+    query: Option<String>,
+    config: EvalConfig,
+    csv_dir: Option<PathBuf>,
+    metrics_path: Option<PathBuf>,
+    jobs: usize,
+}
+
+fn parse_eval(command: &str, mut flags: Flags) -> Result<EvalArgs, String> {
+    let (exhibits, query): (&[Exhibit], _) = if command == "trace" {
+        let query = flags.next().ok_or("trace needs a query argument")?;
+        (&[], Some(query))
+    } else {
+        let exhibits = exhibits_named(command)
+            .ok_or_else(|| format!("unknown exhibit {command:?}\n{}", usage()))?;
+        (exhibits, None)
     };
-    match value.split_once(',') {
-        Some((w, rq)) => Ok((parse_one(w)?, parse_one(rq)?)),
-        None => {
-            let both = parse_one(&value)?;
-            Ok((both, both))
+    let mut args = EvalArgs {
+        exhibits,
+        query,
+        config: EvalConfig::paper(),
+        csv_dir: None,
+        metrics_path: None,
+        jobs: 1,
+    };
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--small" => args.config = EvalConfig::small(),
+            "--nodes" => args.config.nodes = flags.value(&flag)?,
+            "--articles" => args.config.articles = flags.value(&flag)?,
+            "--queries" => args.config.queries = flags.value(&flag)?,
+            "--seed" => args.config.seed = flags.value(&flag)?,
+            "--csv" => args.csv_dir = Some(flags.value(&flag)?),
+            "--metrics" => args.metrics_path = Some(flags.value(&flag)?),
+            "--jobs" => args.jobs = resolve_jobs(flags.value(&flag)?),
+            other => return Err(unknown_flag(other)),
         }
     }
+    Ok(args)
 }
 
-/// Parses `repro net-demo` flags and drives a workload over the cluster.
-fn run_net_demo(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut members: Vec<std::net::SocketAddr> = Vec::new();
-    let mut articles = 60usize;
-    let mut queries = 40usize;
-    let mut seed = 42u64;
-    let mut replicas = 1usize;
-    let mut read_quorum = 1usize;
-    let mut shutdown = false;
-    while let Some(flag) = args.next() {
+fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
+    let mut opts = ServeOptions::default();
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--members" => {
-                for part in args.next().ok_or("--members needs a list")?.split(',') {
-                    members.push(
-                        part.trim()
-                            .parse()
-                            .map_err(|e| format!("--members {part:?}: {e}"))?,
-                    );
+            "--port" => opts.port = flags.value(&flag)?,
+            "--node-name" => opts.node_name = flags.value(&flag)?,
+            "--loss" => opts.loss = flags.value(&flag)?,
+            "--fault-seed" => opts.fault_seed = flags.value(&flag)?,
+            "--replicas" => opts.replicas = flags.value(&flag)?,
+            "--quorum" => opts.write_quorum = flags.quorum()?.0,
+            "--peers" => {
+                for peer in flags.list::<String>(&flag)? {
+                    let (name, addr) = peer
+                        .split_once('=')
+                        .ok_or_else(|| format!("--peers {peer:?}: expected NAME=HOST:PORT"))?;
+                    opts.peers.push((name.to_string(), parse_as(&flag, addr)?));
                 }
             }
-            "--articles" => articles = parse_num(args.next(), "--articles")?,
-            "--queries" => queries = parse_num(args.next(), "--queries")?,
-            "--seed" => seed = parse_num(args.next(), "--seed")? as u64,
-            "--replicas" => replicas = parse_num(args.next(), "--replicas")?,
-            "--quorum" => {
-                let (_w, rq) = parse_quorum(args.next())?;
-                read_quorum = rq;
-            }
-            "--shutdown" => shutdown = true,
-            other => return Err(format!("unknown net-demo flag {other}\n{}", usage())),
+            "--repair-ms" => opts.repair_ms = flags.value(&flag)?,
+            "--shards" => opts.shards = flags.value(&flag)?,
+            other => return Err(unknown_flag(other)),
         }
     }
-    if members.is_empty() {
+    Ok(opts)
+}
+
+/// What `repro net-demo` was asked to do.
+struct NetDemoArgs {
+    members: Vec<SocketAddr>,
+    articles: usize,
+    queries: usize,
+    seed: u64,
+    replicas: usize,
+    read_quorum: usize,
+    shutdown: bool,
+}
+
+fn parse_net_demo(mut flags: Flags) -> Result<NetDemoArgs, String> {
+    let mut args = NetDemoArgs {
+        members: Vec::new(),
+        articles: 60,
+        queries: 40,
+        seed: 42,
+        replicas: 1,
+        read_quorum: 1,
+        shutdown: false,
+    };
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--members" => args.members.extend(flags.list::<SocketAddr>(&flag)?),
+            "--articles" => args.articles = flags.value(&flag)?,
+            "--queries" => args.queries = flags.value(&flag)?,
+            "--seed" => args.seed = flags.value(&flag)?,
+            "--replicas" => args.replicas = flags.value(&flag)?,
+            "--quorum" => args.read_quorum = flags.quorum()?.1,
+            "--shutdown" => args.shutdown = true,
+            other => return Err(unknown_flag(other)),
+        }
+    }
+    if args.members.is_empty() {
         return Err("net-demo needs --members HOST:PORT,...".to_string());
     }
-    netd::net_demo(
-        &members,
-        articles,
-        queries,
-        seed,
-        replicas,
-        read_quorum,
-        shutdown,
-    )
+    Ok(args)
 }
 
-/// Parses `repro hotspot` flags and runs the skewed-load scenario:
-/// tables to stdout, CSVs under `--csv`, and the imbalance numbers
-/// merged into `BENCH_results.json` under the `"hotspot"` key.
-fn run_hotspot(mut args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+fn parse_hotspot(mut flags: Flags) -> Result<(HotspotConfig, Option<PathBuf>), String> {
     let mut config = HotspotConfig::paper();
-    let mut csv_dir: Option<PathBuf> = None;
-    while let Some(flag) = args.next() {
+    let mut csv_dir = None;
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--small" => config = HotspotConfig::small(),
-            "--nodes" => config.nodes = parse_num(args.next(), "--nodes")?,
-            "--articles" => config.articles = parse_num(args.next(), "--articles")?,
-            "--queries" => config.queries = parse_num(args.next(), "--queries")?,
-            "--seed" => config.seed = parse_num(args.next(), "--seed")? as u64,
-            "--hot-rank" => config.hot_rank = parse_num(args.next(), "--hot-rank")?,
-            "--boost" => {
-                config.boost = args
-                    .next()
-                    .ok_or("--boost needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--boost: {e}"))?;
-            }
-            "--budget" => config.page_budget = parse_num(args.next(), "--budget")?,
-            "--threshold" => config.hot_threshold = parse_num(args.next(), "--threshold")? as u64,
-            "--fanout" => config.fanout = parse_num(args.next(), "--fanout")?,
-            "--csv" => csv_dir = Some(PathBuf::from(args.next().ok_or("--csv needs a directory")?)),
-            other => return Err(format!("unknown hotspot flag {other}\n{}", usage())),
+            "--nodes" => config.nodes = flags.value(&flag)?,
+            "--articles" => config.articles = flags.value(&flag)?,
+            "--queries" => config.queries = flags.value(&flag)?,
+            "--seed" => config.seed = flags.value(&flag)?,
+            "--hot-rank" => config.hot_rank = flags.value(&flag)?,
+            "--boost" => config.boost = flags.value(&flag)?,
+            "--budget" => config.page_budget = flags.value(&flag)?,
+            "--threshold" => config.hot_threshold = flags.value(&flag)?,
+            "--fanout" => config.fanout = flags.value(&flag)?,
+            "--csv" => csv_dir = Some(flags.value(&flag)?),
+            other => return Err(unknown_flag(other)),
         }
     }
+    Ok((config, csv_dir))
+}
+
+/// `fs::write`, creating the file's parent directory first so `--metrics
+/// results/metrics.json` works before any CSV has created `results/`.
+fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    parent
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+/// Prints `table` and, under `--csv`, writes it as `<name>.csv`.
+fn emit(table: &TextTable, csv_dir: Option<&Path>, name: &str) -> Result<(), String> {
+    print!("{}", table.to_text());
+    println!();
+    match csv_dir {
+        Some(dir) => write_file(&dir.join(format!("{name}.csv")), &table.to_csv()),
+        None => Ok(()),
+    }
+}
+
+/// Writes the per-cell observability snapshots as one deterministic JSON
+/// object keyed by `Scheme/policy`, in sorted key order.
+fn write_metrics(eval: &Evaluation, path: &Path) -> Result<(), String> {
+    let mut json = String::from("{");
+    for (i, (label, snap)) in eval.metrics_snapshots().iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "\n  \"{label}\": {}",
+            snap.to_json().replace('\n', "\n  ")
+        ));
+    }
+    json.push_str("\n}\n");
+    write_file(path, &json)
+}
+
+/// Renders the asked-for exhibits: tables to stdout, CSVs under `--csv`,
+/// the cells' counters to `--metrics`.
+fn run_exhibits(args: &EvalArgs) -> Result<(), String> {
+    let mut eval = Evaluation::new(args.config);
+    eval.set_collect_metrics(args.metrics_path.is_some());
+    if args.exhibits.len() > 1 {
+        // `all`: pre-run the whole scheme × policy grid across the worker
+        // pool, not one exhibit's share of it at a time.
+        eval.run_cells(&experiments::paper_grid(), args.jobs);
+    }
+    for (name, csv_stem, render) in args.exhibits {
+        // Pre-run the cells this exhibit needs across the worker pool; the
+        // renderer then recalls memoized results in canonical order, so
+        // its output is byte-identical to a serial run.
+        eval.run_cells(&experiments::grid_cells_for(name), args.jobs);
+        let table = render(&mut eval, args.jobs);
+        emit(&table, args.csv_dir.as_deref(), csv_stem)?;
+    }
+    match &args.metrics_path {
+        Some(path) => write_metrics(&eval, path),
+        None => Ok(()),
+    }
+}
+
+/// The `trace` sub-command: publish the corpus, then run one automated
+/// search with lookup tracing on and pretty-print the span tree.
+fn trace(cfg: &EvalConfig, query_text: &str) -> Result<(), String> {
+    let query: Query = query_text
+        .parse()
+        .map_err(|e| format!("cannot parse query {query_text:?}: {e}"))?;
+    let mut sim = Simulation::prepare(SimConfig {
+        queries: 0,
+        collect_metrics: true,
+        ..cfg.sim(SchemeChoice::Simple, CachePolicy::Single)
+    });
+    let service = sim.service_mut();
+    service.start_trace(format!(
+        "trace: simple scheme, single-cache, {} nodes, {} articles",
+        cfg.nodes, cfg.articles
+    ));
+    let result = service.search(&query);
+    let trace = service.finish_trace().expect("trace was started");
+    print!("{}", trace.render());
+    let report = result.map_err(|e| format!("search failed: {e}"))?;
+    println!(
+        "\n{} file(s), {} interaction(s), {} generalization step(s)",
+        report.files.len(),
+        report.interactions,
+        report.generalization_steps
+    );
+    for hit in &report.files {
+        println!("  {} <- {}", hit.file, hit.msd);
+    }
+    Ok(())
+}
+
+/// Runs the skewed-load scenario: tables to stdout and, under `--csv`,
+/// the two CSVs plus the whole report as `hotspot.json`.
+fn run_hotspot(config: &HotspotConfig, csv_dir: Option<&Path>) -> Result<(), String> {
     let (w0, w1) = config.window_indices();
     eprintln!(
         "# hotspot: {} nodes, {} articles, {} queries (seed {}), crowd on rank {} \
@@ -311,20 +414,12 @@ fn run_hotspot(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Strin
         config.hot_threshold,
         config.fanout
     );
-    let report = hotspot::run(&config);
-    emit(&report.imbalance_table(), &csv_dir, "hotspot");
-    emit(&report.mitigation_table(), &csv_dir, "hotspot_mitigation");
-
-    let dir = csv_dir.unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return Err(format!("cannot create {}: {e}", dir.display()));
+    let report = hotspot::run(config);
+    emit(&report.imbalance_table(), csv_dir, "hotspot")?;
+    emit(&report.mitigation_table(), csv_dir, "hotspot_mitigation")?;
+    if let Some(dir) = csv_dir {
+        write_file(&dir.join("hotspot.json"), &report.to_json())?;
     }
-    let path = dir.join("BENCH_results.json");
-    let existing = std::fs::read_to_string(&path).ok();
-    let merged = hotspot::merge_bench_json(existing.as_deref(), &report.json_member());
-    std::fs::write(&path, merged).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    eprintln!("wrote {}", path.display());
-
     eprintln!(
         "# ops max/mean: {:.2} baseline -> {:.2} mitigated ({} splits, {} promotions, \
          {} mirror reads)",
@@ -335,557 +430,278 @@ fn run_hotspot(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Strin
         report.mitigated.mirror_reads
     );
     if report.improved() {
-        Ok(ExitCode::SUCCESS)
+        Ok(())
     } else {
-        eprintln!("# FAIL: mitigation worsened the max/mean load ratio");
-        Ok(ExitCode::FAILURE)
+        Err("# FAIL: mitigation worsened the max/mean load ratio".to_string())
     }
 }
 
-/// Writes the per-cell observability snapshots as one deterministic JSON
-/// object keyed by `Scheme/policy`, in sorted key order.
-fn write_metrics(eval: &Evaluation, path: &Path) {
-    let cells = eval.metrics_snapshots();
-    let mut json = String::from("{");
-    for (i, (label, snap)) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
+fn run(mut flags: Flags) -> Result<(), String> {
+    let command = flags.next().ok_or_else(usage)?;
+    match command.as_str() {
+        "serve" => netd::serve(&parse_serve(flags)?),
+        "net-demo" => {
+            let args = parse_net_demo(flags)?;
+            netd::net_demo(
+                &args.members,
+                args.articles,
+                args.queries,
+                args.seed,
+                args.replicas,
+                args.read_quorum,
+                args.shutdown,
+            )
         }
-        json.push_str(&format!(
-            "\n  \"{label}\": {}",
-            snap.to_json().replace('\n', "\n  ")
-        ));
-    }
-    json.push_str("\n}\n");
-    match write_creating_parent(path, &json) {
-        Ok(()) => eprintln!("wrote {} ({} cells)", path.display(), cells.len()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
-}
-
-/// `fs::write`, creating the file's parent directory first so `--metrics
-/// results/metrics.json` works before any CSV has created `results/`.
-fn write_creating_parent(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, contents)
-}
-
-/// The `trace` sub-command: publish the corpus, then run one automated
-/// search with lookup tracing on and pretty-print the span tree.
-fn trace(cfg: &EvalConfig, query_text: &str) -> ExitCode {
-    let query: Query = match query_text.parse() {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("cannot parse query {query_text:?}: {e}");
-            return ExitCode::FAILURE;
+        "hotspot" => {
+            let (config, csv_dir) = parse_hotspot(flags)?;
+            run_hotspot(&config, csv_dir.as_deref())
         }
-    };
-    let mut sim = Simulation::prepare(SimConfig {
-        queries: 0,
-        collect_metrics: true,
-        ..cfg.sim(SchemeChoice::Simple, CachePolicy::Single)
-    });
-    let service = sim.service_mut();
-    service.start_trace(format!(
-        "trace: simple scheme, single-cache, {} nodes, {} articles",
-        cfg.nodes, cfg.articles
-    ));
-    let result = service.search(&query);
-    let trace = service.finish_trace().expect("trace was started");
-    print!("{}", trace.render());
-    match result {
-        Ok(report) => {
-            println!(
-                "\n{} file(s), {} interaction(s), {} generalization step(s)",
-                report.files.len(),
-                report.interactions,
-                report.generalization_steps
+        exhibit_or_trace => {
+            let args = parse_eval(exhibit_or_trace, flags)?;
+            let cfg = &args.config;
+            eprintln!(
+                "# scale: {} nodes, {} articles, {} queries (seed {}, {} jobs)",
+                cfg.nodes, cfg.articles, cfg.queries, cfg.seed, args.jobs
             );
-            for hit in &report.files {
-                println!("  {} <- {}", hit.file, hit.msd);
+            match &args.query {
+                Some(query) => trace(cfg, query),
+                None => run_exhibits(&args),
             }
-            ExitCode::SUCCESS
         }
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(Flags(args.into_iter())) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("search failed: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn emit(table: &TextTable, csv_dir: &Option<PathBuf>, name: &str) {
-    print!("{}", table.to_text());
-    println!();
-    if let Some(dir) = csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{name}.csv"));
-        match std::fs::write(&path, table.to_csv()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A command line, split at whitespace.
+    fn flags(line: &str) -> Flags {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Flags(args.into_iter())
     }
-}
 
-/// Median of three timed runs of `f` (not counting any caller warmup).
-fn median_of_3(mut f: impl FnMut()) -> f64 {
-    let mut times = [0.0f64; 3];
-    for slot in &mut times {
-        let started = Instant::now();
-        f();
-        *slot = started.elapsed().as_secs_f64();
+    /// The error of a parse that must fail.
+    fn rejected<T>(parsed: Result<T, String>) -> String {
+        parsed.err().expect("these flags must be rejected")
     }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
-    times[1]
-}
 
-/// The `--jobs` values the bench sweeps the grid over.
-const SWEEP_JOBS: [usize; 4] = [1, 2, 4, 8];
-
-/// Allocation counters since process start: `(allocations, bytes)`.
-/// `None` unless the binary was built with `--features alloc-profile`.
-fn alloc_counts() -> Option<(u64, u64)> {
-    #[cfg(feature = "alloc-profile")]
-    {
-        Some(alloc_profile::counts())
+    #[test]
+    fn the_cursor_parses_into_the_asked_for_type_and_names_the_flag() {
+        assert_eq!(flags("7").value::<u16>("--port"), Ok(7));
+        assert_eq!(flags("0.25").value::<f64>("--loss"), Ok(0.25));
+        assert_eq!(
+            Flags(vec!["1, 2,3".to_string()].into_iter()).list::<usize>("--quorum"),
+            Ok(vec![1, 2, 3])
+        );
+        assert_eq!(
+            flags("").value::<usize>("--nodes"),
+            Err("--nodes needs a value".to_string())
+        );
+        let malformed = flags("ten").value::<usize>("--nodes").unwrap_err();
+        assert!(malformed.starts_with("--nodes \"ten\": "), "{malformed}");
+        let one_bad_part = flags("1,x").list::<usize>("--quorum").unwrap_err();
+        assert!(
+            one_bad_part.starts_with("--quorum \"x\": "),
+            "{one_bad_part}"
+        );
     }
-    #[cfg(not(feature = "alloc-profile"))]
-    {
-        None
-    }
-}
 
-/// Runs one profiled phase: wall-clock always, allocation deltas when the
-/// counting allocator is compiled in.
-fn timed_phase<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, ProfilePhase) {
-    let before = alloc_counts();
-    let started = Instant::now();
-    let out = f();
-    let secs = started.elapsed().as_secs_f64();
-    let allocs = match (before, alloc_counts()) {
-        (Some((a0, b0)), Some((a1, b1))) => Some((a1 - a0, b1 - b0)),
-        _ => None,
-    };
-    (out, ProfilePhase { name, secs, allocs })
-}
-
-struct ProfilePhase {
-    name: &'static str,
-    secs: f64,
-    /// `(allocations, bytes)` during the phase, when counted.
-    allocs: Option<(u64, u64)>,
-}
-
-impl ProfilePhase {
-    fn report(&self) -> String {
-        match self.allocs {
-            Some((n, bytes)) => format!(
-                "# profile {}: {:.3} s, {} allocs, {:.1} MB allocated",
-                self.name,
-                self.secs,
-                n,
-                bytes as f64 / (1024.0 * 1024.0)
+    #[test]
+    fn every_parser_rejects_an_unknown_flag_and_a_missing_value() {
+        for (unknown, missing) in [
+            (
+                rejected(parse_eval("all", flags("--profile"))),
+                rejected(parse_eval("all", flags("--small --csv"))),
             ),
-            None => format!(
-                "# profile {}: {:.3} s (allocation counts need a build with \
-                 --features alloc-profile)",
-                self.name, self.secs
+            (
+                rejected(parse_serve(flags("--small"))),
+                rejected(parse_serve(flags("--port"))),
             ),
-        }
-    }
-
-    fn json(&self) -> String {
-        let allocs = match self.allocs {
-            Some((n, bytes)) => format!(", \"allocations\": {n}, \"bytes_allocated\": {bytes}"),
-            None => String::new(),
-        };
-        format!(
-            "{{ \"phase\": \"{}\", \"wall_clock_s\": {:.6}{allocs} }}",
-            self.name, self.secs
-        )
-    }
-}
-
-/// `--profile`: break the reference cell into its three phases — corpus
-/// synthesis, publish (index construction), query workload — and report
-/// wall-clock plus allocation counts for each, so the next bottleneck is
-/// measured instead of guessed.
-fn profile_cell(cfg: &EvalConfig) -> Vec<ProfilePhase> {
-    let config = cfg.sim(SchemeChoice::Simple, CachePolicy::Single);
-    let (corpus, corpus_phase) = timed_phase("corpus", || {
-        Arc::new(Corpus::generate(Simulation::corpus_config(&config)))
-    });
-    let (sim, publish_phase) = timed_phase("publish", || {
-        Simulation::prepare_with_corpus(config, corpus)
-    });
-    let (_, queries_phase) = timed_phase("queries", || {
-        let mut sim = sim;
-        sim.execute()
-    });
-    let phases = vec![corpus_phase, publish_phase, queries_phase];
-    for phase in &phases {
-        eprintln!("{}", phase.report());
-    }
-    phases
-}
-
-/// One point of the grid's jobs sweep.
-struct SweepPoint {
-    jobs: usize,
-    /// Worker threads the executor actually ran (`--jobs` clamped to the
-    /// host's cores and the cell count).
-    workers: usize,
-    secs: f64,
-    speedup: f64,
-}
-
-/// The `bench` sub-command: time one fixed cell, sweep the full figure
-/// grid over `--jobs {1,2,4,8}`, print the speedup curve, and record it
-/// all in `BENCH_results.json`. Each timing is the median of 3 runs; a
-/// warmup pass (untimed) precedes them so page-cache and allocator effects
-/// don't land in the first sample.
-///
-/// Exits non-zero when any sweep point that ran with real parallelism
-/// (workers > 1) is slower than serial, unless `--allow-regression` was
-/// given. Points clamped to one worker execute the identical serial code
-/// path, so their "speedup" is pure timer noise and is exempt.
-fn bench(
-    cfg: &EvalConfig,
-    jobs: usize,
-    csv_dir: &Option<PathBuf>,
-    metrics_path: &Option<PathBuf>,
-    profile: bool,
-    allow_regression: bool,
-) -> ExitCode {
-    // Warmup pass over the fixed reference cell (simple scheme,
-    // single-cache policy); doubles as the observability sample when
-    // `--metrics` asks for one.
-    let (metrics, snapshot) = Simulation::run_with_snapshot(SimConfig {
-        collect_metrics: metrics_path.is_some(),
-        ..cfg.sim(SchemeChoice::Simple, CachePolicy::Single)
-    });
-    if let (Some(path), Some(snap)) = (metrics_path, snapshot) {
-        let json = format!(
-            "{{\n  \"Simple/single-cache\": {}\n}}\n",
-            snap.to_json().replace('\n', "\n  ")
-        );
-        match write_creating_parent(path, &json) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-
-    let cell_secs = median_of_3(|| {
-        Simulation::run(cfg.sim(SchemeChoice::Simple, CachePolicy::Single));
-    });
-    let queries_per_sec = cfg.queries as f64 / cell_secs.max(1e-9);
-    eprintln!(
-        "# cell simple/single-cache: median {cell_secs:.3} s, {queries_per_sec:.0} queries/s \
-         ({:.2} interactions/query)",
-        metrics.mean_interactions()
-    );
-
-    let phases = if profile {
-        profile_cell(cfg)
-    } else {
-        Vec::new()
-    };
-
-    // The full scheme × policy grid swept over the jobs ladder (fresh
-    // evaluations per run, so every run does all the work). An explicit
-    // `--jobs` value outside the ladder is swept too.
-    let grid = experiments::paper_grid();
-    let mut sweep_jobs: Vec<usize> = SWEEP_JOBS.to_vec();
-    if jobs > 1 && !sweep_jobs.contains(&jobs) {
-        sweep_jobs.push(jobs);
-        sweep_jobs.sort_unstable();
-    }
-    let mut sweep: Vec<SweepPoint> = Vec::with_capacity(sweep_jobs.len());
-    for &j in &sweep_jobs {
-        let secs = median_of_3(|| {
-            Evaluation::new(*cfg).run_cells(&grid, j);
-        });
-        sweep.push(SweepPoint {
-            jobs: j,
-            workers: effective_workers(j, grid.len()),
-            secs,
-            speedup: 1.0,
-        });
-    }
-    let serial_secs = sweep[0].secs;
-    let mut regressed: Vec<String> = Vec::new();
-    for point in &mut sweep {
-        point.speedup = serial_secs / point.secs.max(1e-9);
-        let note = if point.jobs > 1 && point.workers == 1 {
-            " (clamped to 1 worker on this host: serial code path, exempt from the gate)"
-        } else {
-            ""
-        };
-        eprintln!(
-            "# grid ({} cells) --jobs {}: {} worker(s), median {:.3} s, speedup {:.2}x{note}",
-            grid.len(),
-            point.jobs,
-            point.workers,
-            point.secs,
-            point.speedup
-        );
-        if point.workers > 1 && point.speedup < 1.0 {
-            regressed.push(format!(
-                "--jobs {} ({} workers) ran {:.3} s vs {:.3} s serial ({:.2}x)",
-                point.jobs, point.workers, point.secs, serial_secs, point.speedup
-            ));
-        }
-    }
-    for line in &regressed {
-        eprintln!("# REGRESSION: parallel grid slower than serial: {line}");
-    }
-
-    // Loopback RPC micro-bench: real sockets, single-node server, get and
-    // put at 1 and 8 client threads (median of 3 samples per cell), plus
-    // the 16-shards-vs-1 thread sweep, which gates the same way
-    // the grid sweep does.
-    let (net_json, net_regressed) = netd::net_bench();
-
-    let sweep_json = sweep
-        .iter()
-        .map(|p| {
-            format!(
-                "{{ \"jobs\": {}, \"workers\": {}, \"wall_clock_s\": {:.6}, \"speedup\": {:.3} }}",
-                p.jobs, p.workers, p.secs, p.speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n                 ");
-    let profile_json = if phases.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ",\n  \"profile\": [ {} ]",
-            phases
-                .iter()
-                .map(ProfilePhase::json)
-                .collect::<Vec<_>>()
-                .join(",\n               ")
-        )
-    };
-    let json = format!(
-        "{{\n  \"config\": {{ \"nodes\": {}, \"articles\": {}, \"queries\": {}, \"seed\": {} }},\n  \
-           \"timing\": {{ \"warmup_runs\": 1, \"samples\": 3, \"statistic\": \"median\" }},\n  \
-           \"cell\": {{ \"scheme\": \"simple\", \"policy\": \"single-cache\", \
-                        \"wall_clock_s\": {cell_secs:.6}, \"queries_per_sec\": {queries_per_sec:.1} }},\n  \
-           \"grid\": {{ \"cells\": {}, \"serial_s\": {serial_secs:.6}, \"available_cores\": {}, \
-                        \"regressed\": {},\n       \"sweep\": [ {sweep_json} ] }}{profile_json},\n  \
-           \"net\": {net_json}\n}}\n",
-        cfg.nodes,
-        cfg.articles,
-        cfg.queries,
-        cfg.seed,
-        grid.len(),
-        p2p_index_sim::exec::available_cores(),
-        !regressed.is_empty(),
-    );
-    let dir = csv_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = dir.join("BENCH_results.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
-    if !regressed.is_empty() && !allow_regression {
-        eprintln!(
-            "# FAIL: the parallel grid regressed against serial (see REGRESSION lines above); \
-             pass --allow-regression to record the numbers anyway"
-        );
-        return ExitCode::FAILURE;
-    }
-    if net_regressed && !allow_regression {
-        eprintln!(
-            "# FAIL: the sharded server fell below the noise margin against its one-shard \
-             twin (see REGRESSED cells above); pass --allow-regression to record the numbers \
-             anyway"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// A counting wrapper around the system allocator, compiled in only with
-/// `--features alloc-profile`. Counts are process-global and monotonic;
-/// `bench --profile` reads deltas around each phase. Frees are not
-/// tracked — the profile's question is "how much does this phase
-/// allocate", not "what does it retain".
-#[cfg(feature = "alloc-profile")]
-mod alloc_profile {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// `(allocations, bytes)` since process start.
-    pub fn counts() -> (u64, u64) {
-        (
-            ALLOCATIONS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
-        )
-    }
-
-    struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: CountingAlloc = CountingAlloc;
-}
-
-fn main() -> ExitCode {
-    // The networking subcommands have their own flag sets; dispatch them
-    // before the exhibit parser sees (and rejects) their flags.
-    let first = std::env::args().nth(1);
-    if matches!(first.as_deref(), Some("serve") | Some("net-demo")) {
-        let rest = std::env::args().skip(2);
-        let result = match first.as_deref() {
-            Some("serve") => run_serve(rest),
-            _ => run_net_demo(rest),
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if first.as_deref() == Some("hotspot") {
-        return match run_hotspot(std::env::args().skip(2)) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = args.config;
-    let jobs = args.jobs;
-    eprintln!(
-        "# scale: {} nodes, {} articles, {} queries (seed {}, {} jobs)",
-        cfg.nodes, cfg.articles, cfg.queries, cfg.seed, jobs
-    );
-    if args.exhibit == "trace" {
-        let query = args.query.as_deref().expect("parse_args requires it");
-        return trace(&cfg, query);
-    }
-    if args.exhibit == "bench" {
-        return bench(
-            &cfg,
-            jobs,
-            &args.csv_dir,
-            &args.metrics_path,
-            args.profile,
-            args.allow_regression,
-        );
-    }
-    let mut eval = Evaluation::new(cfg);
-    eval.set_collect_metrics(args.metrics_path.is_some());
-    let csv = &args.csv_dir;
-    let metrics_path = &args.metrics_path;
-
-    let run = |name: &str, eval: &mut Evaluation| -> bool {
-        // Pre-run the cells this exhibit needs across the worker pool; the
-        // renderer below then recalls memoized results in canonical order.
-        eval.run_cells(&experiments::grid_cells_for(name), jobs);
-        match name {
-            "fig7" => emit(&experiments::fig7_query_mix(), csv, "fig7"),
-            "fig9" => emit(&experiments::fig9_popularity(), csv, "fig9"),
-            "fig10" => emit(&experiments::fig10_ccdf(), csv, "fig10"),
-            "fig11" => emit(&experiments::fig11_interactions(eval), csv, "fig11"),
-            "fig12" => emit(&experiments::fig12_traffic(eval), csv, "fig12"),
-            "fig13" => emit(&experiments::fig13_hit_ratio(eval), csv, "fig13"),
-            "fig14" => emit(&experiments::fig14_cache_storage(eval), csv, "fig14"),
-            "fig15" => emit(&experiments::fig15_hotspots(eval), csv, "fig15"),
-            "table1" => emit(&experiments::table1_errors(eval), csv, "table1"),
-            "storage" => emit(&experiments::storage_overhead(&cfg), csv, "storage"),
-            "ext-structures" => emit(
-                &experiments::ext_structure_breakdown(eval),
-                csv,
-                "ext_structures",
+            (
+                rejected(parse_net_demo(flags("--port 1"))),
+                rejected(parse_net_demo(flags("--members"))),
             ),
-            "ext-churn" => emit(&experiments::ext_churn(&cfg), csv, "ext_churn"),
-            // Deliberately not part of "all": the loss × budget sweep
-            // re-publishes the corpus per cell, and "all" stays the exact
-            // paper reproduction (faults are an extension).
-            "robustness" => emit(
-                &experiments::ext_robustness(&cfg, jobs),
-                csv,
-                "ext_robustness",
+            (
+                rejected(parse_hotspot(flags("--jobs 2"))),
+                rejected(parse_hotspot(flags("--boost"))),
             ),
-            _ => return false,
-        }
-        true
-    };
-
-    if args.exhibit == "all" {
-        // Pre-run the whole scheme × policy grid across the worker pool;
-        // the per-figure renderers below then recall memoized cells, so
-        // their output is byte-identical to a serial run.
-        eval.run_cells(&experiments::paper_grid(), jobs);
-        for name in [
-            "fig7",
-            "fig9",
-            "fig10",
-            "storage",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "table1",
-            "ext-structures",
-            "ext-churn",
         ] {
-            run(name, &mut eval);
+            assert!(unknown.starts_with("unknown flag --"), "{unknown}");
+            assert!(unknown.ends_with(&usage()), "{unknown}");
+            assert!(missing.ends_with(" needs a value"), "{missing}");
         }
-        if let Some(path) = metrics_path {
-            write_metrics(&eval, path);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_not_truncated() {
+        // 70000 used to wrap to port 4464, and -1 never fitted a seed.
+        let port = rejected(parse_serve(flags("--port 70000")));
+        assert!(port.starts_with("--port \"70000\": "), "{port}");
+        for (flag, error) in [
+            ("--seed", rejected(parse_eval("fig11", flags("--seed -1")))),
+            (
+                "--fault-seed",
+                rejected(parse_serve(flags("--fault-seed -1"))),
+            ),
+            (
+                "--repair-ms",
+                rejected(parse_serve(flags("--repair-ms -1"))),
+            ),
+            (
+                "--threshold",
+                rejected(parse_hotspot(flags("--threshold -1"))),
+            ),
+            ("--seed", rejected(parse_net_demo(flags("--seed 1e3")))),
+        ] {
+            assert!(error.starts_with(&format!("{flag} ")), "{error}");
         }
-        ExitCode::SUCCESS
-    } else if run(&args.exhibit.clone(), &mut eval) {
-        if let Some(path) = metrics_path {
-            write_metrics(&eval, path);
+        let opts = parse_serve(flags("--port 65535 --fault-seed 18446744073709551615"))
+            .expect("both are the largest value their field holds");
+        assert_eq!((opts.port, opts.fault_seed), (u16::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn quorum_takes_one_number_for_both_or_write_then_read() {
+        let serve = |args| parse_serve(flags(args)).expect("serve flags").write_quorum;
+        let demo = |quorum: &str| {
+            parse_net_demo(flags(&format!("--members 127.0.0.1:1 --quorum {quorum}")))
+                .expect("net-demo flags")
+                .read_quorum
+        };
+        assert_eq!((serve("--quorum 2"), demo("2")), (2, 2));
+        assert_eq!((serve("--quorum 2,3"), demo("2,3")), (2, 3));
+        assert_eq!(serve(""), 1);
+        for bad in ["2,3,4", "2,", "two"] {
+            let error = rejected(parse_serve(flags(&format!("--quorum {bad}"))));
+            assert!(error.starts_with("--quorum "), "{error}");
         }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("unknown exhibit {:?}\n{}", args.exhibit, usage());
-        ExitCode::FAILURE
+    }
+
+    #[test]
+    fn serve_reads_peers_as_name_address_pairs() {
+        let opts = parse_serve(flags("--node-name node-1 --replicas 3 --peers node-0=127.0.0.1:7000,node-1=127.0.0.1:7001 --shards 4"))
+        .expect("serve flags");
+        assert_eq!(
+            (opts.node_name.as_str(), opts.replicas, opts.shards),
+            ("node-1", 3, 4)
+        );
+        assert_eq!(
+            opts.peers,
+            [
+                ("node-0".to_string(), "127.0.0.1:7000".parse().unwrap()),
+                ("node-1".to_string(), "127.0.0.1:7001".parse().unwrap()),
+            ]
+        );
+        let no_name = rejected(parse_serve(flags("--peers 127.0.0.1:7000")));
+        assert!(no_name.contains("expected NAME=HOST:PORT"), "{no_name}");
+        let no_port = rejected(parse_serve(flags("--peers node-0=localhost")));
+        assert!(no_port.starts_with("--peers \"localhost\": "), "{no_port}");
+    }
+
+    #[test]
+    fn net_demo_needs_well_formed_members() {
+        let args = parse_net_demo(flags(
+            "--members 127.0.0.1:7000,127.0.0.1:7001 --queries 5 --shutdown",
+        ))
+        .expect("net-demo flags");
+        assert_eq!(args.members.len(), 2);
+        assert_eq!((args.articles, args.queries, args.shutdown), (60, 5, true));
+        let malformed = rejected(parse_net_demo(flags("--members 127.0.0.1:7000,nowhere")));
+        assert!(
+            malformed.starts_with("--members \"nowhere\": "),
+            "{malformed}"
+        );
+        let absent = rejected(parse_net_demo(flags("--articles 5")));
+        assert!(absent.contains("needs --members"), "{absent}");
+    }
+
+    #[test]
+    fn bench_is_an_unknown_exhibit() {
+        let error = rejected(parse_eval("bench", flags("--small")));
+        assert!(error.starts_with("unknown exhibit \"bench\"\n"), "{error}");
+        assert!(error.ends_with(&usage()), "{error}");
+        assert!(!usage().contains("bench"));
+    }
+
+    #[test]
+    fn exhibits_take_the_scale_flags_and_trace_needs_a_query() {
+        let args = parse_eval("fig12", flags("--small --queries 9 --csv out --jobs 3"))
+            .expect("exhibit flags");
+        assert_eq!(args.exhibits.len(), 1);
+        assert_eq!(args.exhibits[0].0, "fig12");
+        assert_eq!(
+            args.config,
+            EvalConfig {
+                queries: 9,
+                ..EvalConfig::small()
+            }
+        );
+        assert_eq!(args.csv_dir.as_deref(), Some(Path::new("out")));
+        assert_eq!((args.jobs, args.metrics_path), (3, None));
+
+        let all = parse_eval("all", flags("")).expect("no flags");
+        let names: Vec<&str> = all.exhibits.iter().map(|exhibit| exhibit.0).collect();
+        assert_eq!(names.len(), 12);
+        assert!(
+            !names.contains(&"robustness"),
+            "`all` is the paper's exhibits only"
+        );
+        assert_eq!(all.config, EvalConfig::paper());
+        assert!(
+            parse_eval("all", flags("--jobs 0"))
+                .expect("0 = all cores")
+                .jobs
+                >= 1
+        );
+
+        let trace = parse_eval("trace", flags("/article/title --small")).expect("trace");
+        assert_eq!(trace.query.as_deref(), Some("/article/title"));
+        assert!(trace.exhibits.is_empty());
+        assert_eq!(
+            rejected(parse_eval("trace", flags(""))),
+            "trace needs a query argument"
+        );
+    }
+
+    #[test]
+    fn hotspot_flags_land_in_their_fields() {
+        let (config, csv_dir) = parse_hotspot(flags(
+            "--small --hot-rank 2 --boost 0.5 --budget 512 --threshold 8 --fanout 3",
+        ))
+        .expect("hotspot flags");
+        assert_eq!(
+            config,
+            HotspotConfig {
+                hot_rank: 2,
+                boost: 0.5,
+                page_budget: 512,
+                hot_threshold: 8,
+                fanout: 3,
+                ..HotspotConfig::small()
+            }
+        );
+        assert_eq!(csv_dir, None, "no --csv, no files");
+    }
+
+    #[test]
+    fn a_failed_write_is_an_error() {
+        // A regular file (this test binary) where the directory should
+        // be: nothing under it can be created.
+        let blocker = std::env::current_exe().expect("the test binary has a path");
+        let error = emit(&TextTable::new("t"), Some(&blocker), "fig7").unwrap_err();
+        assert!(error.starts_with("cannot write "), "{error}");
+        assert!(error.contains("fig7.csv"), "{error}");
     }
 }

@@ -101,12 +101,12 @@ where
 
 /// The worker count [`parallel_map`] actually uses for a `--jobs` request:
 /// `min(jobs, available cores, items)`.
-pub fn effective_workers(jobs: usize, items: usize) -> usize {
+fn effective_workers(jobs: usize, items: usize) -> usize {
     jobs.min(available_cores()).min(items.max(1))
 }
 
 /// The host's available parallelism (at least 1).
-pub fn available_cores() -> usize {
+fn available_cores() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
 }
 

@@ -22,8 +22,8 @@
 //!
 //! The headline exhibit is the per-node imbalance summary
 //! ([`ImbalanceSummary`]: max/mean, Gini, top-k) over operations served
-//! and bytes stored, emitted as a table/CSV and merged into
-//! `BENCH_results.json` under the `"hotspot"` key.
+//! and bytes stored, emitted as a table/CSV and, with every cell's
+//! counters, as one JSON object ([`HotspotReport::to_json`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -302,15 +302,15 @@ impl HotspotReport {
         cells
     }
 
-    /// The report as the `"hotspot": { … }` JSON member merged into
-    /// `BENCH_results.json` (hand-rolled, like every other JSON emitter
-    /// in this workspace).
-    pub fn json_member(&self) -> String {
+    /// The report as one JSON document: the `hotspot.json` that `repro
+    /// hotspot --csv DIR` writes (hand-rolled, like every other JSON
+    /// emitter in this workspace).
+    pub fn to_json(&self) -> String {
         let c = &self.config;
         let (w0, w1) = c.window_indices();
         let admission = match (&self.admission_off, &self.admission_on) {
             (Some(off), Some(on)) => format!(
-                ",\n    \"admission\": {{\"lru_capacity\": {}, \"threshold\": {}, \
+                ",\n  \"admission\": {{\"lru_capacity\": {}, \"threshold\": {}, \
                  \"off\": {}, \"on\": {}}}",
                 ADMISSION_LRU_CAPACITY,
                 c.admission,
@@ -320,10 +320,10 @@ impl HotspotReport {
             _ => String::new(),
         };
         format!(
-            "\"hotspot\": {{\n    \"config\": {{\"nodes\": {}, \"articles\": {}, \"queries\": {}, \
+            "{{\n  \"config\": {{\"nodes\": {}, \"articles\": {}, \"queries\": {}, \
              \"seed\": {}, \"hot_rank\": {}, \"window\": [{w0}, {w1}], \"boost\": {:.2}, \
-             \"page_budget\": {}, \"hot_threshold\": {}, \"fanout\": {}}},\n    \
-             \"baseline\": {},\n    \"mitigated\": {}{admission},\n    \"improved\": {}\n  }}",
+             \"page_budget\": {}, \"hot_threshold\": {}, \"fanout\": {}}},\n  \
+             \"baseline\": {},\n  \"mitigated\": {}{admission},\n  \"improved\": {}\n}}\n",
             c.nodes,
             c.articles,
             c.queries,
@@ -509,76 +509,6 @@ fn run_cell(
     }
 }
 
-/// Merges the scenario's `"hotspot": { … }` member into an existing
-/// `BENCH_results.json` body (replacing any previous `"hotspot"` member),
-/// or wraps it into a fresh document when there is none.
-pub fn merge_bench_json(existing: Option<&str>, hotspot_member: &str) -> String {
-    let fresh = || format!("{{\n  {hotspot_member}\n}}\n");
-    let Some(existing) = existing else {
-        return fresh();
-    };
-    let body = strip_member(existing, "\"hotspot\"");
-    let Some(close) = body.rfind('}') else {
-        return fresh();
-    };
-    let Some(open) = body.find('{') else {
-        return fresh();
-    };
-    let inner = body[open + 1..close].trim();
-    let comma = if inner.is_empty() { "" } else { "," };
-    format!(
-        "{}{comma}\n  {hotspot_member}\n}}\n",
-        body[..close].trim_end()
-    )
-}
-
-/// Removes `"name": { … }` (plus one adjacent comma) from a JSON object
-/// body. Brace-scanning is enough here: every string this workspace's
-/// emitters produce is brace-free.
-fn strip_member(body: &str, name: &str) -> String {
-    let Some(key) = body.find(name) else {
-        return body.to_string();
-    };
-    let Some(open_rel) = body[key..].find('{') else {
-        return body.to_string();
-    };
-    let open = key + open_rel;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, c) in body[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i + 1);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(end) = end else {
-        return body.to_string();
-    };
-    // Swallow one neighbouring comma so the remaining members stay valid.
-    let mut start = key;
-    let mut stop = end;
-    let after: String = body[end..]
-        .chars()
-        .take_while(|c| c.is_whitespace())
-        .collect();
-    if body[end..].trim_start().starts_with(',') {
-        stop = end + after.len() + 1;
-    } else {
-        let before = body[..key].trim_end();
-        if before.ends_with(',') {
-            start = before.len() - 1;
-        }
-    }
-    format!("{}{}", &body[..start], &body[stop..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,46 +591,22 @@ mod tests {
     #[test]
     fn json_member_carries_the_ci_keys() {
         let report = run(&tiny());
-        let json = report.json_member();
-        assert!(json.starts_with("\"hotspot\": {"));
+        let json = report.to_json();
         assert!(json.contains("\"improved\": "));
         assert!(json.contains("\"baseline\": {"));
         assert!(json.contains("\"max_over_mean\": "));
-    }
-
-    #[test]
-    fn merge_into_missing_and_empty_documents() {
-        let merged = merge_bench_json(None, "\"hotspot\": {\"x\": 1}");
-        assert_eq!(merged, "{\n  \"hotspot\": {\"x\": 1}\n}\n");
-        let merged = merge_bench_json(Some("{}\n"), "\"hotspot\": {\"x\": 1}");
-        assert_eq!(merged, "{\n  \"hotspot\": {\"x\": 1}\n}\n");
-    }
-
-    #[test]
-    fn merge_appends_after_existing_members() {
-        let existing = "{\n  \"grid\": { \"cells\": 12 }\n}\n";
-        let merged = merge_bench_json(Some(existing), "\"hotspot\": {\"x\": 1}");
-        assert_eq!(
-            merged,
-            "{\n  \"grid\": { \"cells\": 12 },\n  \"hotspot\": {\"x\": 1}\n}\n"
-        );
-    }
-
-    #[test]
-    fn merge_replaces_a_previous_hotspot_member() {
-        let existing =
-            "{\n  \"grid\": { \"cells\": 12 },\n  \"hotspot\": {\"old\": {\"a\": 2}}\n}\n";
-        let merged = merge_bench_json(Some(existing), "\"hotspot\": {\"x\": 1}");
-        assert_eq!(
-            merged,
-            "{\n  \"grid\": { \"cells\": 12 },\n  \"hotspot\": {\"x\": 1}\n}\n"
-        );
-        // Hotspot-first documents keep their trailing members too.
-        let existing = "{\n  \"hotspot\": {\"old\": 1},\n  \"net\": { \"rps\": 3 }\n}\n";
-        let merged = merge_bench_json(Some(existing), "\"hotspot\": {\"x\": 1}");
-        assert!(merged.contains("\"net\": { \"rps\": 3 }"));
-        assert!(merged.contains("\"hotspot\": {\"x\": 1}"));
-        assert!(!merged.contains("\"old\""));
+        // One balanced object, whole: it opens on the first byte and
+        // closes on the last, never in between.
+        let object = json.trim_end();
+        let mut depth = 0i32;
+        for (at, c) in object.char_indices() {
+            depth += match c {
+                '{' => 1,
+                '}' => -1,
+                _ => 0,
+            };
+            assert_eq!(depth == 0, at == object.len() - 1, "depth {depth} at {at}");
+        }
     }
 
     #[test]

@@ -360,18 +360,10 @@ impl Simulation {
         sim.execute()
     }
 
-    /// Like [`run`](Self::run), but also returns the observability
-    /// snapshot when [`SimConfig::collect_metrics`] is set.
-    pub fn run_with_snapshot(config: SimConfig) -> (Metrics, Option<MetricsSnapshot>) {
-        let mut sim = Simulation::prepare(config);
-        let metrics = sim.execute();
-        let snapshot = sim.metrics_snapshot();
-        (metrics, snapshot)
-    }
-
-    /// Like [`run_with_snapshot`](Self::run_with_snapshot) over an
-    /// already-generated corpus, which must match the config's
-    /// `(articles, seed)` (see [`corpus_config`](Self::corpus_config)).
+    /// Like [`run`](Self::run), but over an already-generated corpus,
+    /// which must match the config's `(articles, seed)` (see
+    /// [`corpus_config`](Self::corpus_config)), and also returning the
+    /// observability snapshot when [`SimConfig::collect_metrics`] is set.
     /// Grid drivers use this to synthesize the corpus once and share it
     /// read-only across every cell.
     pub fn run_with_snapshot_on(
