@@ -68,6 +68,8 @@ pub use kademlia::{KademliaConfig, KademliaNetwork};
 pub use key::{Key, KEY_BITS};
 pub use pastry::{PastryConfig, PastryNetwork};
 pub use ring::RingDht;
-pub use sharded::{ShardedDht, DEFAULT_SHARDS};
+pub use sharded::{
+    repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, DEFAULT_SHARDS, REPAIR_BUCKETS,
+};
 pub use split::{page_key, BalanceConfig, NodeLoad, SplitDht};
 pub use storage::NodeStore;

@@ -75,6 +75,13 @@ impl ReplicaRange {
     pub fn indices(self) -> impl ExactSizeIterator<Item = usize> {
         (0..self.len).map(move |rank| self.index(rank))
     }
+
+    /// `true` when the member at ring index `at` holds a copy. Arithmetic
+    /// on the window, so a sweep over a whole partition can ask it once
+    /// per key and allocate nothing.
+    pub fn contains(&self, at: usize) -> bool {
+        at < self.ring_len && (at + self.ring_len - self.first) % self.ring_len < self.len
+    }
 }
 
 /// The replica set for `key` over `ring`: the clockwise successor
@@ -161,6 +168,21 @@ mod tests {
         assert_eq!(range.indices().collect::<Vec<_>>(), vec![4, 0, 1]);
         assert_eq!(range.index(2), 1);
         assert!(replica_range(&[], &ring[0], 3).is_empty());
+    }
+
+    #[test]
+    fn contains_is_membership_in_indices() {
+        let ring = ring_of(&["a", "b", "c", "d", "e"]);
+        for key in ring.iter().chain(&[Key::hash_of("k"), Key::ZERO]) {
+            for replicas in 0..7 {
+                let range = replica_range(&ring, key, replicas);
+                let members: Vec<usize> = range.indices().collect();
+                for at in 0..ring.len() + 2 {
+                    assert_eq!(range.contains(at), members.contains(&at), "{at}");
+                }
+            }
+        }
+        assert!(!replica_range(&[], &ring[0], 3).contains(0));
     }
 
     #[test]

@@ -27,6 +27,16 @@
 //! ([`ShardedDht::execute_replicated`]) changes the value and its
 //! tombstone under one write guard, so the two can never be observed
 //! disagreeing.
+//!
+//! The store is also what anti-entropy repair compares and enumerates,
+//! through **repair buckets**: [`REPAIR_BUCKETS`] slices of the key space
+//! chosen by the key's low bits ([`repair_bucket`]), the same whatever the
+//! shard count, so two members with different `shards` settings agree on
+//! them. [`ShardedDht::bucket_digests`] folds every stored pair and every
+//! tombstone into one order-independent 64-bit digest per bucket without
+//! allocating per key; [`ShardedDht::bucket_snapshot`] enumerates one
+//! bucket, so what a repair push holds in memory at a time is a sixteenth
+//! of a partition, never the whole of it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -45,6 +55,95 @@ use crate::storage::NodeStore;
 /// a low collision probability for the bench's 16-thread cells at a
 /// negligible footprint per shard.
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// Number of repair buckets a partition is compared and pushed in.
+///
+/// A constant of the protocol, not of a deployment: both ends of a digest
+/// exchange must cut the key space the same way, and a `Digest` frame
+/// carries exactly this many digests.
+pub const REPAIR_BUCKETS: usize = 16;
+
+/// One order-independent digest per repair bucket.
+pub type BucketDigests = [u64; REPAIR_BUCKETS];
+
+/// The repair bucket `key` falls in: its low bits, the bits shard
+/// selection starts from, so a bucket lives in one shard of a 16-shard
+/// store (in four of a 64-shard one, and shares the only shard of a
+/// 1-shard one) and enumerating it never visits the others.
+pub fn repair_bucket(key: &Key) -> usize {
+    key.low_u64() as usize & (REPAIR_BUCKETS - 1)
+}
+
+/// Class tags of the two things a bucket digest covers. A pair that is
+/// both stored and tombstoned (a member restored from an old image)
+/// contributes under both, so it digests differently from the healthy
+/// "tombstoned only" state and gets scrubbed.
+const CLASS_STORED: u64 = 0x9e37_79b9_7f4a_7c15;
+const CLASS_DEAD: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+fn mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The digest of `key`'s `values` as members of `class`: the wrapping sum
+/// of one 64-bit hash per `(class, key, value)` pair, so neither the order
+/// of the values nor the order keys are visited in matters. Little-endian
+/// word-wise mixing with a SplitMix64 finish — fast and host-independent,
+/// not collision-resistant against an adversary (a collision costs one
+/// skipped repair of one bucket, never a wrong answer).
+fn values_digest<'a>(class: u64, key: &Key, values: impl Iterator<Item = &'a Bytes>) -> u64 {
+    let word = |bytes: &[u8]| {
+        let mut le = [0u8; 8];
+        le[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(le)
+    };
+    let keyed = key.as_bytes().chunks(8).fold(class, |h, c| mix(h, word(c)));
+    values.fold(0u64, |sum, value| {
+        let mut h = mix(keyed, value.len() as u64);
+        let mut words = value.chunks_exact(8);
+        for w in &mut words {
+            h = mix(h, word(w));
+        }
+        if !words.remainder().is_empty() {
+            h = mix(h, word(words.remainder()));
+        }
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        sum.wrapping_add(h ^ (h >> 31))
+    })
+}
+
+/// Adds `key`'s digest to its bucket of every audience in `members`,
+/// hashing only if there is one.
+fn fold_key<'a>(
+    digests: &mut [BucketDigests],
+    members: impl IntoIterator<Item = usize>,
+    class: u64,
+    key: &Key,
+    values: impl Iterator<Item = &'a Bytes>,
+) {
+    let mut members = members.into_iter().peekable();
+    if members.peek().is_none() {
+        return;
+    }
+    let (bucket, digest) = (repair_bucket(key), values_digest(class, key, values));
+    for member in members {
+        let slot = &mut digests[member][bucket];
+        *slot = slot.wrapping_add(digest);
+    }
+}
+
+/// What [`ShardedDht::bucket_snapshot`] returns: one repair bucket's
+/// share of the partition, both lists in ascending key order.
+#[derive(Debug, Default)]
+pub struct BucketSnapshot {
+    /// Stored entries minus tombstoned values — what a repair or drain
+    /// push sends.
+    pub live: Vec<(Key, Vec<Bytes>)>,
+    /// Tombstones as `(key, deleted values)` — what a repair pass
+    /// re-sends as removes.
+    pub dead: Vec<(Key, Vec<Bytes>)>,
+}
 
 /// One key-hash shard: a slice of the partition's store plus the
 /// replication tombstones shadowing it, consistent under one lock.
@@ -75,7 +174,7 @@ impl Shard {
 /// replication fan-out, and the anti-entropy repair thread each acquire
 /// only the shard lock their operation touches. Lock discipline: at most
 /// one shard lock is held at a time, by every method — whole-partition
-/// sweeps ([`ShardedDht::live_entries`], [`ShardedDht::replace_entries`])
+/// sweeps ([`ShardedDht::bucket_digests`], [`ShardedDht::replace_entries`])
 /// visit the shards one after another — so no lock order exists to get
 /// wrong.
 ///
@@ -262,35 +361,78 @@ impl ShardedDht {
         self.execute_recorded(op, true)
     }
 
-    /// Visits every shard in turn, each under its own read guard, and
-    /// returns what `visit` collected in ascending key order.
-    fn sweep<T>(&self, mut visit: impl FnMut(&Shard, &mut Vec<(Key, T)>)) -> Vec<(Key, T)> {
-        let mut all = Vec::new();
+    /// One digest per repair bucket for each of `audiences` audiences, in
+    /// **one** sweep of the partition.
+    ///
+    /// `audience(key)` names the audiences (indices below `audiences`)
+    /// `key` counts towards; a key it names none for is not hashed at all.
+    /// Every stored `(key, value)` pair and every tombstone is folded into
+    /// its key's bucket as its own tagged class — *not* "stored minus
+    /// dead" — so two stores digest equal exactly when they hold the same
+    /// pairs **and** the same tombstones (up to 64-bit collisions).
+    ///
+    /// Each shard is swept under one read guard and `audience` runs under
+    /// it, so it must be cheap and must not touch this store. Nothing is
+    /// allocated per key; the only allocation is the result.
+    pub fn bucket_digests<I: IntoIterator<Item = usize>>(
+        &self,
+        audiences: usize,
+        mut audience: impl FnMut(&Key) -> I,
+    ) -> Vec<BucketDigests> {
+        let mut digests = vec![[0u64; REPAIR_BUCKETS]; audiences];
         for lock in self.shards.iter() {
-            visit(&self.read_shard(lock), &mut all);
+            let shard = self.read_shard(lock);
+            for (key, values) in shard.store.iter() {
+                fold_key(
+                    &mut digests,
+                    audience(key),
+                    CLASS_STORED,
+                    key,
+                    values.iter(),
+                );
+            }
+            for (key, dead) in &shard.deleted {
+                fold_key(&mut digests, audience(key), CLASS_DEAD, key, dead.iter());
+            }
         }
-        all.sort_unstable_by_key(|(key, _)| *key);
-        all
+        digests
     }
 
-    /// Snapshot of the stored entries minus tombstoned values, plus the
-    /// number of values withheld — the repair/drain enumeration surface.
-    ///
-    /// Each shard is swept under one read guard, so the store and the
-    /// tombstones shadowing it are mutually consistent per shard; the
-    /// merged result is in ascending key order like [`Dht::entries`].
-    pub fn live_entries(&self) -> (Vec<(Key, Vec<Bytes>)>, u64) {
-        let mut withheld = 0u64;
-        let live = self.sweep(|shard, live| {
+    /// Snapshot of repair bucket `bucket`, restricted to the keys
+    /// `include` accepts — the repair/drain enumeration surface. Only the
+    /// shards that can hold the bucket are visited, each under one read
+    /// guard, so a shard's live values and the tombstones shadowing them
+    /// are mutually consistent.
+    pub fn bucket_snapshot(
+        &self,
+        bucket: usize,
+        mut include: impl FnMut(&Key) -> bool,
+    ) -> BucketSnapshot {
+        let mut wanted = |key: &Key| repair_bucket(key) == bucket && include(key);
+        let mut snapshot = BucketSnapshot::default();
+        let shared_bits = self.mask as usize & (REPAIR_BUCKETS - 1);
+        for (index, lock) in self.shards.iter().enumerate() {
+            if (index ^ bucket) & shared_bits != 0 {
+                continue;
+            }
+            let shard = self.read_shard(lock);
             for (key, values) in shard.store.iter() {
-                let kept = shard.without_dead(key, values.iter().cloned());
-                withheld += (values.len() - kept.len()) as u64;
-                if !kept.is_empty() {
-                    live.push((*key, kept));
+                if wanted(key) {
+                    let kept = shard.without_dead(key, values.iter().cloned());
+                    if !kept.is_empty() {
+                        snapshot.live.push((*key, kept));
+                    }
                 }
             }
-        });
-        (live, withheld)
+            for (key, dead) in &shard.deleted {
+                if wanted(key) {
+                    snapshot.dead.push((*key, dead.iter().cloned().collect()));
+                }
+            }
+        }
+        snapshot.live.sort_unstable_by_key(|(key, _)| *key);
+        snapshot.dead.sort_unstable_by_key(|(key, _)| *key);
+        snapshot
     }
 
     /// Filters an *incoming* entry list (e.g. a peer's `Transfer` payload)
@@ -310,15 +452,6 @@ impl ShardedDht {
             }
         }
         (live, withheld)
-    }
-
-    /// Snapshot of every tombstone as `(key, deleted values)`, in
-    /// ascending key order — the input to the repair thread's scrub pass.
-    pub fn tombstones(&self) -> Vec<(Key, Vec<Bytes>)> {
-        self.sweep(|shard, all| {
-            let dead = shard.deleted.iter();
-            all.extend(dead.map(|(key, values)| (*key, values.iter().cloned().collect())));
-        })
     }
 
     /// Replaces the stored contents with `entries`; tombstones and work
@@ -377,10 +510,14 @@ impl Dht for ShardedDht {
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        self.sweep(|shard, all| {
+        let mut all = Vec::new();
+        for lock in self.shards.iter() {
+            let shard = self.read_shard(lock);
             let stored = shard.store.iter();
             all.extend(stored.map(|(key, values)| (*key, values.to_vec())));
-        })
+        }
+        all.sort_unstable_by_key(|(key, _)| *key);
+        all
     }
 
     fn stats(&self) -> DhtStats {
@@ -469,6 +606,24 @@ mod tests {
         assert_eq!(sharded.total_keys(), ring.total_keys());
     }
 
+    /// The whole partition as the repair surface enumerates it: every
+    /// bucket's snapshot, concatenated in ascending key order.
+    fn all_buckets(dht: &ShardedDht) -> BucketSnapshot {
+        let mut all = BucketSnapshot::default();
+        for bucket in 0..REPAIR_BUCKETS {
+            let snapshot = dht.bucket_snapshot(bucket, |_| true);
+            all.live.extend(snapshot.live);
+            all.dead.extend(snapshot.dead);
+        }
+        all.live.sort_unstable_by_key(|(key, _)| *key);
+        all.dead.sort_unstable_by_key(|(key, _)| *key);
+        all
+    }
+
+    fn tombstones(dht: &ShardedDht) -> Vec<(Key, Vec<Bytes>)> {
+        all_buckets(dht).dead
+    }
+
     fn replicated_remove(dht: &ShardedDht, key: Key, value: &str) {
         dht.execute_replicated(DhtOp::Remove {
             key,
@@ -486,14 +641,14 @@ mod tests {
             dht.filter_live(vec![(k, vec![b("gone"), b("kept")]), (k, vec![b("gone")])]);
         assert_eq!(live, vec![(k, vec![b("kept")])]);
         assert_eq!(withheld, 2);
-        assert_eq!(dht.tombstones(), vec![(k, vec![b("gone")])]);
+        assert_eq!(tombstones(&dht), vec![(k, vec![b("gone")])]);
         // A deliberate re-add lifts the shadow.
         let readd = DhtOp::Put {
             key: k,
             value: b("gone"),
         };
         assert_eq!(dht.execute_replicated(readd), Ok(DhtResponse::Stored(true)));
-        assert!(dht.tombstones().is_empty());
+        assert!(tombstones(&dht).is_empty());
         let (live, withheld) = dht.filter_live(vec![(k, vec![b("gone")])]);
         assert_eq!(live, vec![(k, vec![b("gone")])]);
         assert_eq!(withheld, 0);
@@ -547,7 +702,7 @@ mod tests {
             dht.execute_replicated(remove()),
             Ok(DhtResponse::Removed(true))
         );
-        let dead = dht.tombstones();
+        let dead = tombstones(&dht);
         assert_eq!(dead, vec![(key, vec![frame.slice(4096..4136)])]);
         assert!(
             !inside(&frame, &dead[0].1[0]),
@@ -557,7 +712,7 @@ mod tests {
             dht.execute_replicated(remove()),
             Ok(DhtResponse::Removed(false))
         );
-        assert_eq!(dht.tombstones()[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
+        assert_eq!(tombstones(&dht)[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
 
         // The unreplicated path owns what it stores as well.
         let plain = ShardedDht::new(node(), 1);
@@ -577,8 +732,7 @@ mod tests {
         // snapshot restore leaves behind.
         replicated_remove(&dht, k1, "a");
         dht.put(k1, b("a"));
-        let (live, withheld) = dht.live_entries();
-        assert_eq!(withheld, 1);
+        let live = all_buckets(&dht).live;
         let mut expected = vec![(k1, vec![b("b")]), (k2, vec![b("c")])];
         expected.sort_unstable_by_key(|(k, _)| *k);
         assert_eq!(live, expected);
@@ -602,7 +756,7 @@ mod tests {
         expected.sort_unstable_by_key(|(key, _)| *key);
         assert_eq!(dht.entries(), expected);
         assert_eq!(dht.stats(), stats);
-        assert_eq!(dht.tombstones(), vec![(k, vec![b("shadow")])]);
+        assert_eq!(tombstones(&dht), vec![(k, vec![b("shadow")])]);
     }
 
     #[test]
@@ -661,7 +815,7 @@ mod tests {
         // transition rides the same guard as the store change.
         replicated_remove(&dht, k, "v3");
         assert_eq!(enabled.counter("net.server.shard.write_locks"), 2);
-        assert_eq!(dht.tombstones(), vec![(k, vec![b("v3")])]);
+        assert_eq!(tombstones(&dht), vec![(k, vec![b("v3")])]);
     }
 
     /// Shard-count invariance: a 1-shard store, a 16-shard store, and

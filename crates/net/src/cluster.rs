@@ -33,7 +33,7 @@ impl LoopbackCluster {
     /// partition of a ring — collectively equivalent to
     /// `RingDht::with_named_nodes(n)` when fronted by a [`RemoteDht`].
     pub fn start_ring(n: usize) -> io::Result<LoopbackCluster> {
-        Self::start_each(n, |_, _| ServerConfig::default())
+        Self::start_with(n, |_, _, _| ServerConfig::default())
     }
 
     /// Starts `n` servers that each inject message loss in front of their
@@ -41,7 +41,7 @@ impl LoopbackCluster {
     /// wire. Each node gets a distinct deterministic seed derived from
     /// `seed` so runs are reproducible.
     pub fn start_lossy_ring(n: usize, seed: u64, loss: f64) -> io::Result<LoopbackCluster> {
-        Self::start_each(n, |id, _| ServerConfig {
+        Self::start_with(n, |_, id, _| ServerConfig {
             fault: FaultConfig::lossy(seed ^ id.key().low_u64(), loss),
             ..ServerConfig::default()
         })
@@ -55,7 +55,7 @@ impl LoopbackCluster {
         replicas: usize,
         write_quorum: usize,
     ) -> io::Result<LoopbackCluster> {
-        Self::start_each(n, |id, ring| ServerConfig {
+        Self::start_with(n, |_, id, ring| ServerConfig {
             replication: Some(ReplicationConfig::new(
                 *id.key(),
                 ring.to_vec(),
@@ -67,12 +67,15 @@ impl LoopbackCluster {
     }
 
     /// Starts `n` servers named `node-0..n-1`, each configured by
-    /// `config_for(its id, the whole ring)`. All listeners are bound
-    /// *before* any server spawns, so replicated members can dial every
-    /// other member from their very first frame — no bootstrap races.
-    fn start_each(
+    /// `config_for(its index, its id, the whole ring)` — the constructor
+    /// the others are written in, for a cluster they do not cover (a
+    /// metrics registry, per-member shard counts, a repair interval). All
+    /// listeners are bound *before* any server spawns, so replicated
+    /// members can dial every other member from their very first frame —
+    /// no bootstrap races.
+    pub fn start_with(
         n: usize,
-        config_for: impl Fn(NodeId, &[(Key, SocketAddr)]) -> ServerConfig,
+        config_for: impl Fn(usize, NodeId, &[(Key, SocketAddr)]) -> ServerConfig,
     ) -> io::Result<LoopbackCluster> {
         let mut listeners = Vec::with_capacity(n);
         let mut members = Vec::with_capacity(n);
@@ -89,8 +92,9 @@ impl LoopbackCluster {
         let servers = listeners
             .into_iter()
             .zip(&members)
-            .map(|(listener, (id, _))| {
-                DhtServer::spawn_partition_on(listener, *id, config_for(*id, &ring))
+            .enumerate()
+            .map(|(index, (listener, (id, _)))| {
+                DhtServer::spawn_partition_on(listener, *id, config_for(index, *id, &ring))
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(LoopbackCluster { servers, members })

@@ -40,4 +40,7 @@ pub mod wire;
 pub use client::{RemoteDht, RemoteDhtConfig};
 pub use cluster::{ClusterDht, LoopbackCluster};
 pub use server::{DhtServer, ReplicationConfig, ServerConfig};
-pub use wire::{Message, RecvError, WireError, MAX_PAYLOAD, VERSION, VERSION_BATCH, VERSION_REPL};
+pub use wire::{
+    Message, RecvError, WireError, MAX_PAYLOAD, VERSION, VERSION_BATCH, VERSION_DIGEST,
+    VERSION_REPL,
+};

@@ -42,18 +42,55 @@
 //! [`DhtError::Timeout`]. Incoming `Replicate` and
 //! [`Transfer`](crate::wire::Message::Transfer) frames apply locally and
 //! are **never re-forwarded**, so replication storms are impossible by
-//! construction. A background anti-entropy thread periodically pushes
-//! every local entry to the other members of its replica set
-//! (`NodeStore::put` deduplicates, so repair is idempotent), which is
-//! what restores the replication factor after a member is killed and
-//! restarted empty. Deletes leave **tombstones**: a `Remove` marks the
-//! `(key, value)` pair dead, repair withholds tombstoned values from its
-//! pushes, drops them from incoming `Transfer` frames, and re-sends the
-//! remove to the replica set so stale members get scrubbed — a deleted
-//! mapping can no longer be resurrected by a stale replica's add-only
-//! push. A wire shutdown first drains the local partition to the
+//! construction. A wire shutdown first drains the local partition to the
 //! surviving members of each key's replica set (graceful leave), then
 //! stops.
+//!
+//! # Repair
+//!
+//! A background anti-entropy thread runs a **digest pass** every
+//! [`ReplicationConfig::repair_interval`]; its cost follows what differs
+//! between two members, not what they hold.
+//!
+//! 1. *Digest.* One read-locked sweep of the store
+//!    ([`ShardedDht::bucket_digests`]) computes, for every peer at once
+//!    and without allocating per key, one 64-bit order-independent digest
+//!    per **repair bucket** ([`REPAIR_BUCKETS`] slices of the key space by
+//!    the key's low bits, the same on every member whatever its shard
+//!    count) over the keys whose replica set contains that peer.
+//! 2. *Probe.* Each peer gets its sixteen digests in one
+//!    [`Digest`](crate::wire::Message::Digest) frame, computes the same
+//!    digests over the keys whose replica set contains the sender, and
+//!    answers with a 16-bit mask of the buckets that differ. A peer that
+//!    is unreachable, or cannot answer a digest, is skipped for the pass —
+//!    there is no other push to fall back to.
+//! 3. *Push.* Only differing buckets are sent, **one bucket at a time**:
+//!    snapshot the bucket, one `Transfer` of its live values (receivers'
+//!    puts deduplicate, so this is idempotent), one `Replicate`-remove
+//!    per tombstone in it, drop the snapshot. What a pass holds in memory
+//!    is a sixteenth of one peer's share even when every bucket differs
+//!    (a member restarted empty; the false mismatches that writes still
+//!    in flight cause during a publish burst). The graceful-leave drain
+//!    sends through the same bucket sender, so no frame this server
+//!    builds is larger than a bucket.
+//!
+//! What is digested is the **raw stored pairs and the tombstones, as two
+//! tagged classes** — not "stored minus dead". Deletes leave tombstones:
+//! a `Remove` marks the `(key, value)` pair dead, pushes withhold
+//! tombstoned values, incoming `Transfer` frames drop them, and the scrub
+//! re-sends the remove so a stale member drops the value and records the
+//! tombstone itself. A member restored from an old image with its
+//! tombstones intact holds a deleted pair *and* its tombstone; under
+//! "stored minus dead" it would digest equal to its healthy peers and
+//! never be scrubbed, under two classes it differs and is.
+//!
+//! Two things this pass does not do. A key held by a member outside its
+//! replica set (after a drain) is in the holder's digests and in nobody
+//! else's, so its bucket reads "differs" and is pushed every pass:
+//! redundant, harmless, and bounded by that bucket. And a scrub
+//! can still undo a re-put that lands between a bucket's snapshot and its
+//! send: that needs per-pair versions; here the window merely narrows to
+//! buckets that differ.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -65,8 +102,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    kind_counter, placement, Delivery, DhtError, DhtOp, DhtResponse, FaultConfig, Key, LossRoll,
-    NodeId, OpFamily, ShardedDht, DEFAULT_SHARDS,
+    kind_counter, placement, BucketDigests, Delivery, DhtError, DhtOp, DhtResponse, FaultConfig,
+    Key, LossRoll, NodeId, OpFamily, ShardedDht, DEFAULT_SHARDS, REPAIR_BUCKETS,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -157,8 +194,8 @@ struct Peer {
 }
 
 /// A pooled peer stream and the frame buffer beside it: every
-/// `Replicate`/`Transfer` exchange encodes into and reads back through
-/// the same allocation instead of two fresh ones.
+/// server-to-server exchange encodes into and reads back through the same
+/// allocation instead of two fresh ones.
 struct PeerConn {
     stream: TcpStream,
     frame: Vec<u8>,
@@ -169,8 +206,9 @@ struct Replication {
     node_key: Key,
     /// All member ring keys, ascending — the placement ring.
     ring: Vec<Key>,
-    /// Other members (self excluded) by ring key.
-    peers: BTreeMap<Key, Peer>,
+    /// `peers[at]` is the pooled connection to the member at `ring[at]`;
+    /// `None` at this node's own position.
+    peers: Vec<Option<Peer>>,
     replicas: usize,
     write_quorum: usize,
     repair_interval: Option<Duration>,
@@ -181,21 +219,15 @@ struct Replication {
 
 impl Replication {
     fn from_config(config: ReplicationConfig) -> Replication {
-        let mut ring: Vec<Key> = config.members.iter().map(|(k, _)| *k).collect();
-        ring.sort_unstable();
-        ring.dedup();
-        let peers = config
-            .members
+        let members: BTreeMap<Key, SocketAddr> = config.members.into_iter().collect();
+        let ring: Vec<Key> = members.keys().copied().collect();
+        let peers = members
             .iter()
-            .filter(|(k, _)| *k != config.node_key)
-            .map(|(k, addr)| {
-                (
-                    *k,
-                    Peer {
-                        addr: *addr,
-                        conn: Mutex::new(None),
-                    },
-                )
+            .map(|(key, addr)| {
+                (*key != config.node_key).then(|| Peer {
+                    addr: *addr,
+                    conn: Mutex::new(None),
+                })
             })
             .collect();
         Replication {
@@ -214,22 +246,24 @@ impl Replication {
         }
     }
 
-    /// The replica set for `key`: this node first if it is a member,
-    /// then the other members in ring order.
-    fn replica_set(&self, key: &Key) -> Vec<Key> {
-        placement::replica_keys(&self.ring, key, self.replicas)
+    /// The replica set of `key` as a window of `ring` positions — the
+    /// allocation-free form the fan-out and the repair sweeps ask per key.
+    fn replica_range(&self, key: &Key) -> placement::ReplicaRange {
+        placement::replica_range(&self.ring, key, self.replicas)
     }
 
-    /// Sends one frame to `peer` and awaits its `Response`, returning the
-    /// remote result. Any transport or protocol failure poisons the
-    /// pooled connection and reports `Err(())` — the caller treats it as
-    /// a missing ack, never as fatal.
-    fn peer_call(
-        &self,
-        peer_key: &Key,
-        msg: &Message,
-    ) -> Result<Result<DhtResponse, DhtError>, ()> {
-        let peer = self.peers.get(peer_key).ok_or(())?;
+    /// Ring positions of every member but this one.
+    fn peer_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.ring.len()).filter(|at| self.peers[*at].is_some())
+    }
+
+    /// Sends one frame to the member at ring position `at` and awaits the
+    /// reply carrying the same id, returning it with the number of bytes
+    /// sent. Any transport or protocol failure poisons the pooled
+    /// connection and reports `Err(())` — the caller treats it as a
+    /// missing ack, never as fatal.
+    fn peer_call(&self, at: usize, msg: &Message) -> Result<(Message, u64), ()> {
+        let peer = self.peers.get(at).and_then(Option::as_ref).ok_or(())?;
         let mut slot = peer.conn.lock().expect("peer pool poisoned");
         if slot.is_none() {
             let stream = TcpStream::connect_timeout(&peer.addr, self.connect_timeout)
@@ -247,23 +281,29 @@ impl Replication {
         }
         let PeerConn { stream, frame } = slot.as_mut().expect("peer connection just ensured");
         let sent_id = match msg {
-            Message::Replicate { id, .. } | Message::Transfer { id, .. } => *id,
+            Message::Replicate { id, .. }
+            | Message::Transfer { id, .. }
+            | Message::Digest { id, .. } => *id,
             _ => 0,
         };
-        if write_message_with(stream, msg, frame).is_err() {
+        let Ok(sent) = write_message_with(stream, msg, frame) else {
             *slot = None;
             return Err(());
-        }
+        };
         let reply = read_message_with(stream, frame);
         // Replicated writes — the hot exchange — are small and keep
-        // reusing the buffer; a bulk `Transfer` that grew it past what a
+        // reusing the buffer; a bucket `Transfer` that grew it past what a
         // connection may keep gives the memory back rather than pinning
-        // a partition-sized encode to every peer for good.
+        // it to every peer for good.
         if frame.capacity() > KEPT_FRAME_CAPACITY {
             *frame = Vec::new();
         }
         match reply {
-            Ok((Message::Response { id, result }, _)) if id == sent_id => Ok(result),
+            Ok((reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }), _))
+                if id == sent_id =>
+            {
+                Ok((reply, sent as u64))
+            }
             _ => {
                 *slot = None;
                 Err(())
@@ -607,6 +647,18 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                     result: Ok(DhtResponse::Stored(true)),
                 }
             }
+            Message::Digest { id, from, buckets } => {
+                // A peer's anti-entropy probe. A server that replicates
+                // nothing with `from` has no digests to compare and says
+                // so with a typed error; the prober skips it.
+                match differing_buckets(&shared, &from, &buckets) {
+                    Some(differs) => Message::DigestReply { id, differs },
+                    None => Message::Response {
+                        id,
+                        result: Err(DhtError::NoLiveNodes),
+                    },
+                }
+            }
             Message::Shutdown => {
                 shared.metrics.incr("net.server.shutdowns");
                 // Graceful leave: hand this node's partition to the
@@ -615,7 +667,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 shared.stop.store(true, Ordering::SeqCst);
                 return;
             }
-            Message::Response { .. } | Message::BatchReply { .. } => {
+            Message::Response { .. } | Message::BatchReply { .. } | Message::DigestReply { .. } => {
                 // Clients must not send responses; treat as protocol abuse.
                 shared.metrics.incr("net.server.decode_errors");
                 return;
@@ -658,13 +710,14 @@ fn replicated_execute(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtErro
     let key = *op.key();
     let local = shared.apply_local(op.clone(), true);
     let mut acks = usize::from(local.is_ok());
-    for member in repl.replica_set(&key) {
-        if member == repl.node_key {
+    for at in repl.replica_range(&key).indices() {
+        if repl.peers[at].is_none() {
             continue;
         }
         let id = repl.next_id();
         shared.metrics.incr("net.server.replica.fanout");
-        if let Ok(Ok(_)) = repl.peer_call(&member, &Message::Replicate { id, op: op.clone() }) {
+        let replicate = Message::Replicate { id, op: op.clone() };
+        if let Ok((Message::Response { result: Ok(_), .. }, _)) = repl.peer_call(at, &replicate) {
             acks += 1;
             shared.metrics.incr("net.server.replica.acks");
         }
@@ -677,38 +730,33 @@ fn replicated_execute(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtErro
     }
 }
 
-/// Pushes `(key, values)` entries to the members `targets` names for each
-/// key (self excluded), one `Transfer` frame per member, counting the
-/// frames and values that were acknowledged under
-/// `net.server.replica.{series}_pushes` / `…_values`. Best-effort:
-/// unreachable peers are skipped.
-fn push_entries(
+/// The one push path, shared by repair and drain: sends the member at
+/// ring position `at` one repair bucket's live values (what
+/// [`ShardedDht::bucket_snapshot`] returned for it) as one `Transfer`
+/// frame — none if there are none — and drops them, so a push never holds
+/// or frames more than one bucket. Counts an acknowledged frame and its
+/// values under `net.server.replica.{series}_pushes` / `…_values`.
+/// Returns the bytes sent, or `Err(())` when the peer did not answer (the
+/// caller gives up on it for this pass).
+fn push_bucket(
     shared: &Shared,
     repl: &Replication,
-    entries: &[(Key, Vec<Bytes>)],
-    targets: impl Fn(&Key) -> Vec<Key>,
-    [pushes, pushed_values]: [&str; 2],
-) {
-    let mut grouped: BTreeMap<Key, Vec<(Key, Vec<Bytes>)>> = BTreeMap::new();
-    for (key, values) in entries {
-        for target in targets(key) {
-            if target != repl.node_key {
-                grouped
-                    .entry(target)
-                    .or_default()
-                    .push((*key, values.clone()));
-            }
-        }
+    at: usize,
+    live: Vec<(Key, Vec<Bytes>)>,
+    [pushes, pushed_values]: [&'static str; 2],
+) -> Result<u64, ()> {
+    if live.is_empty() {
+        return Ok(0);
     }
-    for (target, batch) in grouped {
-        let values: u64 = batch.iter().map(|(_, vs)| vs.len() as u64).sum();
-        let id = repl.next_id();
-        let msg = Message::Transfer { id, entries: batch };
-        if repl.peer_call(&target, &msg).is_ok() {
-            shared.metrics.incr(pushes);
-            shared.metrics.add(pushed_values, values);
-        }
-    }
+    let values: u64 = live.iter().map(|(_, vs)| vs.len() as u64).sum();
+    let transfer = Message::Transfer {
+        id: repl.next_id(),
+        entries: live,
+    };
+    let (_, sent) = repl.peer_call(at, &transfer)?;
+    shared.metrics.incr(pushes);
+    shared.metrics.add(pushed_values, values);
+    Ok(sent)
 }
 
 /// The periodic anti-entropy driver: a repair pass every `interval`,
@@ -726,80 +774,118 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
     }
 }
 
-/// One anti-entropy pass, in two halves. (1) Push every *live* local
-/// entry (tombstoned values withheld) to the other members of its
-/// replica set as `Transfer` frames, one per peer — idempotent
-/// (receivers' puts deduplicate), so running it forever is safe; it is
-/// what refills a member that restarted empty. (2) Scrub: re-send every
-/// local tombstone as a `Replicate`-remove to the key's replica set, so
-/// a stale member that still holds a deleted mapping drops it and
-/// records the tombstone itself.
+/// One anti-entropy pass (module docs, "Repair"): digest the partition
+/// once for all peers, probe each peer with its digests, and push — bucket
+/// by bucket — only what the peer says differs: the bucket's live values
+/// as one `Transfer` (what refills a member that restarted empty), then
+/// its tombstones as `Replicate`-removes (what scrubs a stale member still
+/// holding a deleted mapping). On a converged cluster a pass costs one
+/// sweep and one small frame pair per peer.
 fn repair_pass(shared: &Shared) {
-    let Some(repl) = shared.fan_out().filter(|repl| !repl.peers.is_empty()) else {
+    let Some(repl) = shared.fan_out() else {
         return;
     };
-    let (entries, _) = shared.store.live_entries();
-    push_entries(
-        shared,
-        repl,
-        &entries,
-        |key| repl.replica_set(key),
-        [
+    let digests = shared.store.bucket_digests(repl.ring.len(), |key| {
+        let holders = repl.replica_range(key).indices();
+        holders.filter(|at| repl.peers[*at].is_some())
+    });
+    let mut pushed_bytes = 0;
+    for at in repl.peer_positions() {
+        shared.metrics.incr("net.server.replica.digest_probes");
+        let probe = Message::Digest {
+            id: repl.next_id(),
+            from: repl.node_key,
+            buckets: digests[at],
+        };
+        let Ok((Message::DigestReply { differs, .. }, _)) = repl.peer_call(at, &probe) else {
+            continue;
+        };
+        let mismatches = u64::from(differs.count_ones());
+        shared
+            .metrics
+            .add("net.server.replica.digest_mismatches", mismatches);
+        pushed_bytes += push_differing(shared, repl, at, differs);
+    }
+    shared
+        .metrics
+        .add("net.server.replica.repair_bytes", pushed_bytes);
+}
+
+/// Pushes and scrubs the buckets `differs` names to the member at `at`,
+/// giving up on the first frame it does not answer. Returns the bytes
+/// sent.
+fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) -> u64 {
+    let mut sent_bytes = 0;
+    for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
+        let holds = |key: &Key| repl.replica_range(key).contains(at);
+        let snapshot = shared.store.bucket_snapshot(bucket, holds);
+        let series = [
             "net.server.replica.repair_pushes",
             "net.server.replica.repair_values",
-        ],
-    );
-    for (key, dead) in shared.store.tombstones() {
-        for member in repl.replica_set(&key) {
-            if member == repl.node_key {
-                continue;
-            }
-            for value in &dead {
-                let id = repl.next_id();
-                let msg = Message::Replicate {
-                    id,
-                    op: DhtOp::Remove {
-                        key,
-                        value: value.clone(),
-                    },
+        ];
+        let Ok(sent) = push_bucket(shared, repl, at, snapshot.live, series) else {
+            return sent_bytes;
+        };
+        sent_bytes += sent;
+        for (key, values) in snapshot.dead {
+            for value in values {
+                let scrub = Message::Replicate {
+                    id: repl.next_id(),
+                    op: DhtOp::Remove { key, value },
                 };
-                if repl.peer_call(&member, &msg).is_ok() {
-                    shared.metrics.incr("net.server.replica.tombstone_scrubs");
-                }
+                let Ok((_, sent)) = repl.peer_call(at, &scrub) else {
+                    return sent_bytes;
+                };
+                shared.metrics.incr("net.server.replica.tombstone_scrubs");
+                sent_bytes += sent;
             }
         }
     }
+    sent_bytes
 }
 
-/// Graceful-leave drain: push this node's whole partition to each key's
-/// replica set as recomputed over the ring *without* this node, so the
-/// replication factor survives the departure. Best-effort — unreachable
-/// peers are skipped; the survivors' repair passes finish the job.
+/// The `Digest` handler: this member's digests over the keys whose
+/// replica set contains `from`, compared with `theirs` — bit `b` of the
+/// result is set when bucket `b` differs. `None` when this server
+/// replicates nothing with `from` (unreplicated, `R = 1`, or `from` is not
+/// another member of its ring).
+fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Option<u16> {
+    let repl = shared.fan_out()?;
+    let from_at = repl.ring.binary_search(from).ok()?;
+    repl.peers[from_at].as_ref()?;
+    let ours = shared.store.bucket_digests(1, |key| {
+        repl.replica_range(key).contains(from_at).then_some(0)
+    });
+    let differs = ours[0].iter().zip(theirs).enumerate();
+    Some(differs.fold(0, |mask, (bucket, (ours, theirs))| {
+        mask | u16::from(ours != theirs) << bucket
+    }))
+}
+
+/// Graceful-leave drain: push this node's whole partition, bucket by
+/// bucket, to each key's replica set as recomputed over the ring
+/// *without* this node, so the replication factor survives the departure.
+/// Best-effort — a peer that stops answering is skipped; the survivors'
+/// repair passes finish the job.
 fn drain_partition(shared: &Shared) {
-    let Some(repl) = shared
-        .replication
-        .as_ref()
-        .filter(|repl| !repl.peers.is_empty())
-    else {
+    let Some(repl) = &shared.replication else {
         return;
     };
-    let survivors: Vec<Key> = repl
-        .ring
-        .iter()
-        .copied()
-        .filter(|k| *k != repl.node_key)
-        .collect();
-    let (entries, _) = shared.store.live_entries();
-    push_entries(
-        shared,
-        repl,
-        &entries,
-        |key| placement::replica_keys(&survivors, key, repl.replicas),
-        [
-            "net.server.replica.drain_pushes",
-            "net.server.replica.drain_values",
-        ],
-    );
+    let survivors: Vec<Key> = repl.peer_positions().map(|at| repl.ring[at]).collect();
+    for (rank, at) in repl.peer_positions().enumerate() {
+        let holds =
+            |key: &Key| placement::replica_range(&survivors, key, repl.replicas).contains(rank);
+        for bucket in 0..REPAIR_BUCKETS {
+            let live = shared.store.bucket_snapshot(bucket, holds).live;
+            let series = [
+                "net.server.replica.drain_pushes",
+                "net.server.replica.drain_values",
+            ];
+            if push_bucket(shared, repl, at, live, series).is_err() {
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,13 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
-//!      4     1  version      0x01 unary | 0x02 batch | 0x03 replication
+//!      4     1  version      0x01 unary | 0x02 batch | 0x03 replication |
+//!                            0x04 digest
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
-//!                            0x07 replicate | 0x08 transfer
+//!                            0x07 replicate | 0x08 transfer |
+//!                            0x09 digest | 0x0a digest-reply
 //!      6     8  request id   big-endian u64 (0 for shutdown)
 //!     14     4  payload len  big-endian u32, <= MAX_PAYLOAD
 //!     18     n  payload      kind-specific, see below
@@ -35,11 +37,16 @@
 //! as [`WireError::UnknownKind`] — exactly what a genuine v1 peer would
 //! say. The two server-to-server replication kinds (replicate and
 //! transfer) are encoded at [`VERSION_REPL`] (0x03) and rejected the same
-//! way under v1/v2 headers; any other version byte is
+//! way under v1/v2 headers. The two anti-entropy kinds (digest: a
+//! member's ring key, a count that must be [`REPAIR_BUCKETS`], and that
+//! many `u64` bucket digests; digest-reply: a `u16` mask of the buckets
+//! that differ) are encoded at [`VERSION_DIGEST`] (0x04) and rejected the
+//! same way under v1–v3 headers; any other version byte is
 //! [`WireError::UnsupportedVersion`]. There is no in-band negotiation: a
 //! client must not send batch frames to a server it does not know to be
-//! v2-capable, and only replication-configured servers speak v3 to each
-//! other.
+//! v2-capable, only replication-configured servers speak v3 and v4 to
+//! each other, and a member whose peer cannot answer a digest skips that
+//! peer's repair rather than falling back to anything.
 //!
 //! The request id exists for pipelining: a client may have several frames
 //! in flight on one connection and match responses by id. The bundled
@@ -51,7 +58,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use bytes::Bytes;
-use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId};
+use p2p_index_dht::{BucketDigests, DhtError, DhtOp, DhtResponse, Key, NodeId, REPAIR_BUCKETS};
 
 /// The 4-byte magic that opens every frame.
 pub const MAGIC: [u8; 4] = *b"PDHT";
@@ -69,6 +76,11 @@ pub const VERSION_BATCH: u8 = 2;
 /// original version bytes; only replicate/transfer frames carry this one.
 pub const VERSION_REPL: u8 = 3;
 
+/// The protocol version that introduced the anti-entropy frame kinds
+/// (digest and digest-reply). Earlier kinds keep their original version
+/// bytes; only these two carry this one.
+pub const VERSION_DIGEST: u8 = 4;
+
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
 
@@ -85,6 +97,8 @@ const KIND_BATCH: u8 = 0x05;
 const KIND_BATCH_REPLY: u8 = 0x06;
 const KIND_REPLICATE: u8 = 0x07;
 const KIND_TRANSFER: u8 = 0x08;
+const KIND_DIGEST: u8 = 0x09;
+const KIND_DIGEST_REPLY: u8 = 0x0a;
 
 /// Per-result status byte inside a batch-reply payload.
 const BATCH_OK: u8 = 0x00;
@@ -179,6 +193,31 @@ pub enum Message {
         /// `(key, values)` entries to merge, each with at least one value.
         entries: Vec<(Key, Vec<Bytes>)>,
     },
+    /// A member's anti-entropy probe: "these are my bucket digests over
+    /// the keys you and I both replicate". Answered with a
+    /// [`Message::DigestReply`] carrying the same `id`, or with an error
+    /// [`Message::Response`] by a server that replicates nothing with
+    /// `from`.
+    ///
+    /// Encoded at [`VERSION_DIGEST`]. The digest array is fixed-size, so
+    /// decoding one allocates nothing; a frame announcing any other bucket
+    /// count is a [`WireError::BadPayload`].
+    Digest {
+        /// Caller-chosen id echoed in the reply.
+        id: u64,
+        /// The sender's ring key.
+        from: Key,
+        /// The sender's digest of each repair bucket.
+        buckets: BucketDigests,
+    },
+    /// The answer to a [`Message::Digest`]. Encoded at [`VERSION_DIGEST`].
+    DigestReply {
+        /// The id of the digest being answered.
+        id: u64,
+        /// Bit `b` is set when the receiver's digest of repair bucket `b`
+        /// differs from the sender's.
+        differs: u16,
+    },
     /// Ask the server to stop accepting, drain its workers, and exit.
     Shutdown,
 }
@@ -217,7 +256,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (this build speaks {VERSION}, {VERSION_BATCH} and {VERSION_REPL})"
+                    "unsupported protocol version {v} (this build speaks {VERSION} to {VERSION_DIGEST})"
                 )
             }
             WireError::UnknownKind(k) => write!(f, "unknown frame kind 0x{k:02x}"),
@@ -287,7 +326,7 @@ fn end_frame(buf: &mut [u8], len_at: usize) {
 ///
 /// Unary kinds encode at [`VERSION`] (byte-identical to every prior
 /// build); batch kinds carry [`VERSION_BATCH`]; replication kinds carry
-/// [`VERSION_REPL`].
+/// [`VERSION_REPL`]; anti-entropy kinds carry [`VERSION_DIGEST`].
 pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
     let (version, kind, id) = match msg {
         Message::Request { id, .. } => (VERSION, KIND_REQUEST, *id),
@@ -299,6 +338,8 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
         Message::BatchReply { id, .. } => (VERSION_BATCH, KIND_BATCH_REPLY, *id),
         Message::Replicate { id, .. } => (VERSION_REPL, KIND_REPLICATE, *id),
         Message::Transfer { id, .. } => (VERSION_REPL, KIND_TRANSFER, *id),
+        Message::Digest { id, .. } => (VERSION_DIGEST, KIND_DIGEST, *id),
+        Message::DigestReply { id, .. } => (VERSION_DIGEST, KIND_DIGEST_REPLY, *id),
         Message::Shutdown => (VERSION, KIND_SHUTDOWN, 0),
     };
     let len_at = begin_frame(version, kind, id, buf);
@@ -335,6 +376,14 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
                 }
             }
         }
+        Message::Digest { from, buckets, .. } => {
+            buf.extend_from_slice(from.as_bytes());
+            buf.extend_from_slice(&(buckets.len() as u32).to_be_bytes());
+            for digest in buckets {
+                buf.extend_from_slice(&digest.to_be_bytes());
+            }
+        }
+        Message::DigestReply { differs, .. } => buf.extend_from_slice(&differs.to_be_bytes()),
         Message::Shutdown => {}
     }
     end_frame(buf, len_at);
@@ -467,6 +516,11 @@ impl<'a> Reader<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    fn u64(&mut self) -> Result<u64, WireError> {
+        let b = self.take(8)?;
+        Ok(u64::from_be_bytes(b.try_into().expect("took eight bytes")))
+    }
+
     fn key(&mut self) -> Result<Key, WireError> {
         let b = self.take(20)?;
         let mut digest = [0u8; 20];
@@ -522,7 +576,7 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = buf[4];
-    if !matches!(version, VERSION | VERSION_BATCH | VERSION_REPL) {
+    if !(VERSION..=VERSION_DIGEST).contains(&version) {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = buf[5];
@@ -581,8 +635,9 @@ fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
     })
 }
 
-/// Batch kinds exist only at VERSION_BATCH, replication kinds only at
-/// VERSION_REPL. Under an earlier header each is rejected exactly as a
+/// Batch kinds exist only from VERSION_BATCH, replication kinds from
+/// VERSION_REPL, anti-entropy kinds from VERSION_DIGEST. Under an earlier
+/// header each is rejected exactly as a
 /// genuine peer of that earlier version would reject it: as an unknown
 /// kind, not a version failure.
 fn check_kind_version(version: u8, kind: u8) -> Result<(), WireError> {
@@ -590,6 +645,9 @@ fn check_kind_version(version: u8, kind: u8) -> Result<(), WireError> {
         return Err(WireError::UnknownKind(kind));
     }
     if version < VERSION_REPL && matches!(kind, KIND_REPLICATE | KIND_TRANSFER) {
+        return Err(WireError::UnknownKind(kind));
+    }
+    if version < VERSION_DIGEST && matches!(kind, KIND_DIGEST | KIND_DIGEST_REPLY) {
         return Err(WireError::UnknownKind(kind));
     }
     Ok(())
@@ -720,6 +778,26 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
             }
             Message::Transfer { id, entries }
         }
+        KIND_DIGEST => {
+            let from = r.key()?;
+            // The count is checked against the one legal value before
+            // anything is read for it; the digests land in a fixed array,
+            // so no count, however absurd, reaches an allocator.
+            if r.u32()? as usize != REPAIR_BUCKETS {
+                return Err(WireError::BadPayload(
+                    "digest must carry exactly REPAIR_BUCKETS buckets",
+                ));
+            }
+            let mut buckets = [0u64; REPAIR_BUCKETS];
+            for digest in &mut buckets {
+                *digest = r.u64()?;
+            }
+            Message::Digest { id, from, buckets }
+        }
+        KIND_DIGEST_REPLY => Message::DigestReply {
+            id,
+            differs: r.u16()?,
+        },
         KIND_SHUTDOWN => Message::Shutdown,
         other => return Err(WireError::UnknownKind(other)),
     };
@@ -841,7 +919,7 @@ fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u8, u64),
         return Err(WireError::BadMagic(magic).into());
     }
     let version = header[4];
-    if !matches!(version, VERSION | VERSION_BATCH | VERSION_REPL) {
+    if !(VERSION..=VERSION_DIGEST).contains(&version) {
         return Err(WireError::UnsupportedVersion(version).into());
     }
     let kind = header[5];
@@ -980,6 +1058,15 @@ mod tests {
                 (Key::hash_of("k2"), vec![Bytes::from_static(b"b")]),
             ],
         });
+        roundtrip(Message::Digest {
+            id: 18,
+            from: key,
+            buckets: std::array::from_fn(|bucket| u64::MAX - bucket as u64),
+        });
+        roundtrip(Message::DigestReply {
+            id: 18,
+            differs: 0x8001,
+        });
     }
 
     #[test]
@@ -1045,6 +1132,51 @@ mod tests {
             });
             buf[4] = version;
             assert_eq!(decode_message(&buf), Err(WireError::UnknownKind(0x08)));
+        }
+    }
+
+    #[test]
+    fn golden_digest_frame_layouts_are_pinned() {
+        // Byte-for-byte layout of the two v4 frames, and their rejection
+        // as unknown kinds under every earlier header.
+        let from = Key::hash_of("member");
+        let digest = encode_to_vec(&Message::Digest {
+            id: 7,
+            from,
+            buckets: std::array::from_fn(|bucket| bucket as u64),
+        });
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"PDHT");
+        expected.push(0x04); // version: digest
+        expected.push(0x09); // kind: digest
+        expected.extend_from_slice(&7u64.to_be_bytes());
+        expected.extend_from_slice(&152u32.to_be_bytes()); // key + count + 16 * 8
+        expected.extend_from_slice(from.as_bytes());
+        expected.extend_from_slice(&16u32.to_be_bytes());
+        for bucket in 0..16u64 {
+            expected.extend_from_slice(&bucket.to_be_bytes());
+        }
+        assert_eq!(digest, expected);
+
+        let reply = encode_to_vec(&Message::DigestReply {
+            id: 7,
+            differs: 0x0102,
+        });
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"PDHT");
+        expected.push(0x04);
+        expected.push(0x0a); // kind: digest-reply
+        expected.extend_from_slice(&7u64.to_be_bytes());
+        expected.extend_from_slice(&2u32.to_be_bytes());
+        expected.extend_from_slice(&[0x01, 0x02]);
+        assert_eq!(reply, expected);
+
+        for version in [VERSION, VERSION_BATCH, VERSION_REPL] {
+            for (frame, kind) in [(&digest, 0x09), (&reply, 0x0a)] {
+                let mut frame = frame.clone();
+                frame[4] = version;
+                assert_eq!(decode_message(&frame), Err(WireError::UnknownKind(kind)));
+            }
         }
     }
 

@@ -21,15 +21,15 @@
 //! repeats exactly and a failure names the seed of its case.
 
 use bytes::Bytes;
-use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
+use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64, REPAIR_BUCKETS};
 use p2p_index_net::wire::{
     decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
 };
-use p2p_index_net::{Message, WireError, VERSION, VERSION_BATCH, VERSION_REPL};
+use p2p_index_net::{Message, WireError, VERSION, VERSION_BATCH, VERSION_DIGEST, VERSION_REPL};
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng};
 
 /// Number of distinct shapes `rng_message` cycles through.
-const VARIANTS: usize = 17;
+const VARIANTS: usize = 19;
 
 fn rng_key(rng: &mut SplitMix64) -> Key {
     let mut digest = [0u8; 20];
@@ -162,6 +162,15 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
                     (key, values)
                 })
                 .collect(),
+        },
+        16 => Message::Digest {
+            id,
+            from: rng_key(rng),
+            buckets: std::array::from_fn(|_| rng.next_u64()),
+        },
+        17 => Message::DigestReply {
+            id,
+            differs: rng.next_u64() as u16,
         },
         _ => Message::Shutdown,
     }
@@ -296,7 +305,7 @@ fn values_of(msg: &Message) -> Vec<Bytes> {
         Message::Transfer { entries, .. } => {
             entries.iter().flat_map(|(_, vs)| vs.clone()).collect()
         }
-        Message::Shutdown => Vec::new(),
+        Message::Digest { .. } | Message::DigestReply { .. } | Message::Shutdown => Vec::new(),
     }
 }
 
@@ -477,7 +486,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 fn every_foreign_version_is_rejected() {
     let good = encode_to_vec(&Message::Shutdown);
     for version in 0..=u8::MAX {
-        if version == VERSION || version == VERSION_BATCH || version == VERSION_REPL {
+        if [VERSION, VERSION_BATCH, VERSION_REPL, VERSION_DIGEST].contains(&version) {
             continue;
         }
         let mut frame = good.clone();
@@ -592,6 +601,66 @@ fn oversized_transfer_counts_are_rejected_before_allocation() {
     payload.extend_from_slice(&u32::MAX.to_be_bytes());
     let frame = raw_frame(VERSION_REPL, 0x08, 7, &payload);
     assert_eq!(decode_message(&frame), Err(WireError::Truncated));
+}
+
+#[test]
+fn later_kinds_under_earlier_versions_are_unknown_kinds() {
+    // A genuine peer of an earlier version says "unknown kind" to a kind
+    // introduced after it, so an earlier header carrying a later kind
+    // must fail the same way; under its own version or a later one the
+    // frame decodes.
+    let mut rng = SplitMix64::new(0xd19e57);
+    for variant in 0..VARIANTS {
+        let clean = encode_to_vec(&rng_message(&mut rng, variant));
+        let (introduced, kind) = (clean[4], clean[5]);
+        for version in VERSION..=VERSION_DIGEST {
+            let mut frame = clean.clone();
+            frame[4] = version;
+            if version < introduced {
+                assert_eq!(decode_message(&frame), Err(WireError::UnknownKind(kind)));
+            } else {
+                assert!(
+                    decode_message(&frame).is_ok(),
+                    "variant {variant} at v{version}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_digest_carries_exactly_the_repair_buckets() {
+    // The count is on the wire so a build with another bucket count is
+    // refused, not misread; any count but the one legal value — absurd
+    // ones included — is a typed payload error before a digest is read,
+    // and nothing is ever allocated for one.
+    let digests_of = |count: u32, carried: usize| {
+        let mut payload = Key::hash_of("member").as_bytes().to_vec();
+        payload.extend_from_slice(&count.to_be_bytes());
+        payload.extend_from_slice(&vec![0x5a; 8 * carried]);
+        raw_frame(VERSION_DIGEST, 0x09, 7, &payload)
+    };
+    let legal = REPAIR_BUCKETS as u32;
+    assert!(decode_message(&digests_of(legal, REPAIR_BUCKETS)).is_ok());
+    for count in [0, 1, legal - 1, legal + 1, u32::MAX] {
+        for carried in [0, count.min(64) as usize, REPAIR_BUCKETS] {
+            assert!(
+                matches!(
+                    decode_message(&digests_of(count, carried)),
+                    Err(WireError::BadPayload(_))
+                ),
+                "count {count}, {carried} digests carried"
+            );
+        }
+    }
+    assert_eq!(
+        decode_message(&digests_of(legal, REPAIR_BUCKETS - 1)),
+        Err(WireError::Truncated)
+    );
+    assert_eq!(
+        decode_message(&digests_of(legal, REPAIR_BUCKETS + 1)),
+        Err(WireError::TrailingBytes(8))
+    );
 }
 
 #[test]
