@@ -1330,6 +1330,7 @@ fn describe_response(resp: &DhtResponse) -> String {
         DhtResponse::Stored(new) => format!("stored (new: {new})"),
         DhtResponse::Values(v) => format!("{} value(s)", v.len()),
         DhtResponse::Removed(found) => format!("removed (found: {found})"),
+        DhtResponse::Digest { count, sum } => format!("digest of {count} value(s): {sum:016x}"),
     }
 }
 

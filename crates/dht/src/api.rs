@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
+use crate::digest;
 use crate::key::Key;
 
 /// Identifier of a peer node.
@@ -102,6 +103,12 @@ pub enum DhtOp {
     },
     /// Fetch every value registered under a key.
     Get(Key),
+    /// Fetch the digest of the values registered under a key instead of
+    /// the values: what a replica is asked when another replica already
+    /// ships the list, so a quorum read moves each value once. Answered
+    /// with [`DhtResponse::Digest`] over exactly what [`DhtOp::Get`] would
+    /// return. The index layer never issues it; the networked client does.
+    GetDigest(Key),
     /// Remove one specific value registered under a key.
     Remove {
         /// Storage key.
@@ -115,7 +122,7 @@ impl DhtOp {
     /// The key this operation addresses.
     pub fn key(&self) -> &Key {
         match self {
-            DhtOp::NodeFor(key) | DhtOp::Get(key) => key,
+            DhtOp::NodeFor(key) | DhtOp::Get(key) | DhtOp::GetDigest(key) => key,
             DhtOp::Put { key, .. } | DhtOp::Remove { key, .. } => key,
         }
     }
@@ -128,6 +135,7 @@ impl DhtOp {
             DhtOp::NodeFor(_) => "node_for",
             DhtOp::Put { .. } => "put",
             DhtOp::Get(_) => "get",
+            DhtOp::GetDigest(_) => "get_digest",
             DhtOp::Remove { .. } => "remove",
         }
     }
@@ -147,7 +155,7 @@ pub enum OpFamily {
 /// Every per-kind counter name, spelled out once: `(kind, [dht, client,
 /// server])` in [`OpFamily`] order. Static so that counting an op never
 /// formats (or allocates) a name, with metrics on or off.
-const KIND_COUNTERS: [(&str, [&str; 3]); 4] = [
+const KIND_COUNTERS: [(&str, [&str; 3]); 5] = [
     (
         "node_for",
         [
@@ -158,6 +166,14 @@ const KIND_COUNTERS: [(&str, [&str; 3]); 4] = [
     ),
     ("put", ["dht.ops.put", "net.ops.put", "net.server.ops.put"]),
     ("get", ["dht.ops.get", "net.ops.get", "net.server.ops.get"]),
+    (
+        "get_digest",
+        [
+            "dht.ops.get_digest",
+            "net.ops.get_digest",
+            "net.server.digest_gets",
+        ],
+    ),
     (
         "remove",
         ["dht.ops.remove", "net.ops.remove", "net.server.ops.remove"],
@@ -233,9 +249,31 @@ pub enum DhtResponse {
     Values(Vec<Bytes>),
     /// Answer to [`DhtOp::Remove`]: `true` if the value was present.
     Removed(bool),
+    /// Answer to [`DhtOp::GetDigest`]: how many values the key holds and
+    /// their order-independent hash ([`DhtResponse::digest_of`]). Two
+    /// replicas answer alike exactly when they hold the same value set,
+    /// in whatever order (up to a 64-bit collision).
+    Digest {
+        /// Number of values registered under the key.
+        count: u32,
+        /// [`values_digest`](digest::values_digest) of those values.
+        sum: u64,
+    },
 }
 
 impl DhtResponse {
+    /// What a [`DhtOp::GetDigest`] of `key` answers when a [`DhtOp::Get`]
+    /// of it would answer `values` — the one definition a store computes
+    /// it by, the in-process substrates derive it from their own `get`
+    /// by, and a quorum reader checks a replica's digest against the
+    /// values another replica sent by.
+    pub fn digest_of(key: &Key, values: &[Bytes]) -> DhtResponse {
+        DhtResponse::Digest {
+            count: values.len() as u32,
+            sum: digest::values_digest(digest::STORED, key, values.iter()),
+        }
+    }
+
     /// Unwraps a [`DhtResponse::Node`], or `None` for other variants.
     pub fn into_node(self) -> Option<NodeId> {
         match self {
@@ -560,6 +598,7 @@ mod tests {
         let v = Bytes::from_static(b"v");
         assert_eq!(DhtOp::NodeFor(k).key(), &k);
         assert_eq!(DhtOp::Get(k).key(), &k);
+        assert_eq!(DhtOp::GetDigest(k).key(), &k);
         assert_eq!(
             DhtOp::Put {
                 key: k,
@@ -596,6 +635,16 @@ mod tests {
                 format!("net.server.ops.{kind}")
             );
         }
+        // A digest get is a read the index layer never issues: it keeps
+        // the family prefix on the client and the substrate, and on the
+        // server the name an operator looks it up by.
+        let kind = DhtOp::GetDigest(k).kind();
+        assert_eq!(kind_counter(OpFamily::Dht, kind), "dht.ops.get_digest");
+        assert_eq!(kind_counter(OpFamily::Client, kind), "net.ops.get_digest");
+        assert_eq!(
+            kind_counter(OpFamily::Server, kind),
+            "net.server.digest_gets"
+        );
         assert_eq!(
             kind_counter(OpFamily::Server, "scan"),
             "net.server.ops.other"
@@ -632,6 +681,9 @@ mod tests {
         let vals = vec![Bytes::from_static(b"a")];
         assert_eq!(DhtResponse::Values(vals.clone()).into_values(), vals);
         assert!(DhtResponse::Stored(true).into_values().is_empty());
+        assert!(DhtResponse::digest_of(&Key::hash_of("k"), &vals)
+            .into_values()
+            .is_empty());
     }
 
     #[test]

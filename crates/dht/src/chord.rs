@@ -655,6 +655,7 @@ impl ChordNetwork {
                 Ok(DhtResponse::Node(NodeId::from_key(owner)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
             DhtOp::Put { key, value } => {
                 // Route (accounted), then place on the replica set.
                 let (_owner, _hops) = self.find_successor_from(origin, &key);

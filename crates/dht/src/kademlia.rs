@@ -385,6 +385,7 @@ impl KademliaNetwork {
                 Ok(DhtResponse::Node(NodeId::from_key(node)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
             DhtOp::Put { key, value } => {
                 let (_closest, _hops) = self.find_closest(origin, &key);
                 self.stats.messages.fetch_add(2, Ordering::Relaxed);

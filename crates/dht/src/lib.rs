@@ -19,6 +19,8 @@
 //!   alongside Chord;
 //! * [`ring`] — a direct consistent-hash ring with identical key placement,
 //!   used where the substrate is assumed rather than studied;
+//! * [`digest`] — the order-independent hash of a key's value set that
+//!   repair digests and digest reads both compare replicas by;
 //! * [`placement`] — the successor-list replica placement rule, shared by
 //!   the substrates here and the networked client/server in
 //!   `p2p-index-net` so routing and repair can never disagree;
@@ -47,6 +49,7 @@
 
 pub mod api;
 pub mod chord;
+pub mod digest;
 pub mod faulty;
 pub mod hash;
 pub mod kademlia;

@@ -534,6 +534,7 @@ impl PastryNetwork {
                 Ok(DhtResponse::Node(NodeId::from_key(node)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
             DhtOp::Put { key, value } => {
                 let (_node, _hops) = self.route_from(origin, &key);
                 self.stats.messages.fetch_add(2, Ordering::Relaxed);

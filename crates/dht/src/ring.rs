@@ -179,6 +179,7 @@ impl RingDht {
                 Ok(DhtResponse::Node(owner))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
             DhtOp::Put { key, value } => {
                 let owner = self.owner(&key).expect("non-empty ring has an owner");
                 self.counters.record_pair("put", true);

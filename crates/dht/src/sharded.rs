@@ -45,6 +45,7 @@ use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
 use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
+use crate::digest::{self, values_digest};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
@@ -74,45 +75,6 @@ pub fn repair_bucket(key: &Key) -> usize {
     key.low_u64() as usize & (REPAIR_BUCKETS - 1)
 }
 
-/// Class tags of the two things a bucket digest covers. A pair that is
-/// both stored and tombstoned (a member restored from an old image)
-/// contributes under both, so it digests differently from the healthy
-/// "tombstoned only" state and gets scrubbed.
-const CLASS_STORED: u64 = 0x9e37_79b9_7f4a_7c15;
-const CLASS_DEAD: u64 = 0xc2b2_ae3d_27d4_eb4f;
-
-fn mix(state: u64, word: u64) -> u64 {
-    (state.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-/// The digest of `key`'s `values` as members of `class`: the wrapping sum
-/// of one 64-bit hash per `(class, key, value)` pair, so neither the order
-/// of the values nor the order keys are visited in matters. Little-endian
-/// word-wise mixing with a SplitMix64 finish — fast and host-independent,
-/// not collision-resistant against an adversary (a collision costs one
-/// skipped repair of one bucket, never a wrong answer).
-fn values_digest<'a>(class: u64, key: &Key, values: impl Iterator<Item = &'a Bytes>) -> u64 {
-    let word = |bytes: &[u8]| {
-        let mut le = [0u8; 8];
-        le[..bytes.len()].copy_from_slice(bytes);
-        u64::from_le_bytes(le)
-    };
-    let keyed = key.as_bytes().chunks(8).fold(class, |h, c| mix(h, word(c)));
-    values.fold(0u64, |sum, value| {
-        let mut h = mix(keyed, value.len() as u64);
-        let mut words = value.chunks_exact(8);
-        for w in &mut words {
-            h = mix(h, word(w));
-        }
-        if !words.remainder().is_empty() {
-            h = mix(h, word(words.remainder()));
-        }
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        sum.wrapping_add(h ^ (h >> 31))
-    })
-}
-
 /// Adds `key`'s digest to its bucket of every audience in `members`,
 /// hashing only if there is one.
 fn fold_key<'a>(
@@ -126,10 +88,10 @@ fn fold_key<'a>(
     if members.peek().is_none() {
         return;
     }
-    let (bucket, digest) = (repair_bucket(key), values_digest(class, key, values));
+    let (bucket, hash) = (repair_bucket(key), values_digest(class, key, values));
     for member in members {
         let slot = &mut digests[member][bucket];
-        *slot = slot.wrapping_add(digest);
+        *slot = slot.wrapping_add(hash);
     }
 }
 
@@ -304,6 +266,13 @@ impl ShardedDht {
         match op {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
             DhtOp::Get(key) => Ok(DhtResponse::Values(Dht::get(self, &key))),
+            DhtOp::GetDigest(key) => {
+                // Hashed in place under the read guard: no list is built
+                // and no value is cloned for a replica that only vouches.
+                self.counters.record_pair("get", true);
+                let shard = self.read_shard(self.shard_of(&key));
+                Ok(DhtResponse::digest_of(&key, shard.store.get(&key)))
+            }
             DhtOp::Put { key, value } => {
                 self.counters.record_pair("put", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
@@ -386,13 +355,13 @@ impl ShardedDht {
                 fold_key(
                     &mut digests,
                     audience(key),
-                    CLASS_STORED,
+                    digest::STORED,
                     key,
                     values.iter(),
                 );
             }
             for (key, dead) in &shard.deleted {
-                fold_key(&mut digests, audience(key), CLASS_DEAD, key, dead.iter());
+                fold_key(&mut digests, audience(key), digest::DEAD, key, dead.iter());
             }
         }
         digests
@@ -547,8 +516,9 @@ mod tests {
         NodeId::hash_of("node-0")
     }
 
-    /// A deterministic op script: puts, gets, removes (some hitting, some
-    /// missing), and a NodeFor, across a small key universe.
+    /// A deterministic op script: puts, gets, digest gets (hashed in place
+    /// here, derived from `get` by the ring oracle), removes (some
+    /// hitting, some missing), and a NodeFor, across a small key universe.
     fn script(len: usize, seed: u64) -> Vec<DhtOp> {
         let mut ops = Vec::with_capacity(len);
         let mut state = seed | 1;
@@ -561,7 +531,8 @@ mod tests {
             let value = Bytes::from(format!("v{}", state % 5));
             ops.push(match state % 7 {
                 0 | 1 => DhtOp::Put { key, value },
-                2..=4 => DhtOp::Get(key),
+                2 | 3 => DhtOp::Get(key),
+                4 => DhtOp::GetDigest(key),
                 5 => DhtOp::Remove { key, value },
                 _ => {
                     let _ = i;

@@ -634,6 +634,10 @@ impl<D: Dht> Dht for SplitDht<D> {
                 }
                 self.do_get(key)
             }
+            // The digest of the reassembled entry, whatever its layout.
+            DhtOp::GetDigest(key) => self
+                .execute(DhtOp::Get(key))
+                .map(|resp| DhtResponse::digest_of(&key, &resp.into_values())),
             DhtOp::Put { key, value } => {
                 if self.config.is_observe_only() {
                     self.note(&key, Some(value.len()));
@@ -657,7 +661,7 @@ impl<D: Dht> Dht for SplitDht<D> {
         if self.config.is_observe_only() {
             for op in &ops {
                 match op {
-                    DhtOp::Get(key) => self.note(key, None),
+                    DhtOp::Get(key) | DhtOp::GetDigest(key) => self.note(key, None),
                     DhtOp::Put { key, value } => self.note(key, Some(value.len())),
                     DhtOp::Remove { key, .. } => self.note(key, Some(0)),
                     DhtOp::NodeFor(_) => {}

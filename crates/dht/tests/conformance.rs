@@ -20,8 +20,8 @@
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, KademliaNetwork, Key,
-    NodeChurn, PastryNetwork, RingDht,
+    BalanceConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht,
+    KademliaNetwork, Key, NodeChurn, PastryNetwork, RingDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -131,6 +131,47 @@ fn remove_one_value_among_several() {
             sorted(exec_get(dht.as_mut(), key)),
             vec![Bytes::from_static(b"v1"), Bytes::from_static(b"v3")],
             "{name}: the other values must survive"
+        );
+    }
+}
+
+#[test]
+fn a_digest_get_answers_the_digest_of_what_a_get_answers() {
+    // Whatever a substrate's `Get` returns, its `GetDigest` vouches for
+    // exactly that: same count, same order-independent hash. Split
+    // storage included, whose entry is reassembled from pages first.
+    let mut all = substrates(32);
+    let paged = SplitDht::new(
+        RingDht::from_ids(keys(32)),
+        BalanceConfig::mitigating(64, 0, 0),
+    );
+    all.push(("split", Box::new(paged)));
+    for (name, mut dht) in all {
+        let key = Key::hash_of("vouched-for");
+        let absent = dht.execute(DhtOp::GetDigest(key));
+        assert_eq!(absent, Ok(DhtResponse::digest_of(&key, &[])), "{name}");
+        for i in 0..12 {
+            exec_put(
+                dht.as_mut(),
+                key,
+                &format!("Q:/article/author/last/name-{i}"),
+            );
+        }
+        let held = exec_get(dht.as_mut(), key);
+        assert_eq!(held.len(), 12, "{name}");
+        let digest = dht.execute(DhtOp::GetDigest(key));
+        assert_eq!(digest, Ok(DhtResponse::digest_of(&key, &held)), "{name}");
+        let mut reversed = held.clone();
+        reversed.reverse();
+        assert_eq!(
+            digest,
+            Ok(DhtResponse::digest_of(&key, &reversed)),
+            "{name}"
+        );
+        assert_ne!(
+            digest,
+            Ok(DhtResponse::digest_of(&key, &held[1..])),
+            "{name}"
         );
     }
 }

@@ -43,6 +43,7 @@
 //! broken out under `net.batch.*`, which is what lets the multi-process
 //! harness cross-check frames against message accounting.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -60,7 +61,8 @@ use p2p_index_dht::{
 use p2p_index_obs::MetricsRegistry;
 
 use crate::wire::{
-    encode_batch, encode_message, read_reply_with, write_frame, write_message, Message, RecvError,
+    encode_batch, encode_message, read_reply_with, release_frame_capacity, write_frame,
+    write_message, Message, RecvError,
 };
 
 /// Tuning knobs for a [`RemoteDht`] client.
@@ -82,7 +84,9 @@ pub struct RemoteDhtConfig {
     /// needs that many successful replies; the answer is the **union**
     /// of the replicas' value sets (rank order, first-seen dedup), so a
     /// stale replica can neither mask data the quorum saw nor hide the
-    /// values only another replica still holds.
+    /// values only another replica still holds. One replica ships the
+    /// values and the others vouch for them with a digest; only a
+    /// replica whose digest disagrees is asked for its list as well.
     pub read_quorum: usize,
 }
 
@@ -109,7 +113,8 @@ const CONNS_PER_MEMBER: usize = 4;
 /// One pooled connection: the stream and the frame buffer that lives
 /// beside it. A connection carries one frame at a time — request out,
 /// then reply in — so one buffer serves both directions, and it keeps
-/// its capacity from call to call.
+/// its capacity from call to call, up to
+/// [`release_frame_capacity`]'s bound.
 struct Conn {
     stream: TcpStream,
     frame: Vec<u8>,
@@ -186,6 +191,20 @@ struct Attempt {
     member: usize,
     op: usize,
     rank: usize,
+    /// The replica is asked to vouch for a read with the digest of its
+    /// values, not to ship them.
+    digest: bool,
+}
+
+/// The op an attempt puts on the wire: the route's own, or the digest
+/// request for its key.
+fn wire_op<'a>(routes: &'a [Route], attempt: &Attempt) -> Cow<'a, DhtOp> {
+    let op = &routes[attempt.op].op;
+    if attempt.digest {
+        Cow::Owned(DhtOp::GetDigest(*op.key()))
+    } else {
+        Cow::Borrowed(op)
+    }
 }
 
 /// One op's routing state across failover rounds.
@@ -198,8 +217,9 @@ struct Route {
     /// Successes required to settle: the read quorum for `Get`, one for
     /// writes (the server enforces the write quorum behind one reply).
     want: usize,
-    /// Successes gathered so far; they sit in this op's stride of
-    /// [`CallScratch::gathered`].
+    /// Successes gathered so far; they sit at the front of this op's
+    /// stride of [`CallScratch::gathered`]. Digests a settle disputed sit
+    /// right behind them until the next round asks their replicas again.
     have: usize,
     /// The op has its final result.
     settled: bool,
@@ -228,21 +248,59 @@ struct CallScratch {
     written: Vec<Key>,
 }
 
-/// The settled response once an op's quorum of successes is in. Replicas
-/// that agree — the steady state — settle as the lowest-ranked reply,
-/// untouched. Reads that disagree merge: the answer is the union of
-/// every replica's value set, gathered in rank order with first-seen
-/// dedup, so replicas holding disjoint stale subsets still sum to the
-/// full entry (each value survives on at least one of the Rq replicas
-/// whenever Rq + W > R).
-fn settle_response(gathered: &mut [Option<(usize, DhtResponse)>]) -> DhtResponse {
-    gathered.sort_unstable_by_key(|slot| slot.as_ref().map(|(rank, _)| *rank));
-    let mut responses = gathered.iter().flatten().map(|(_, resp)| resp);
-    let lowest = responses.next().expect("settling needs a success");
-    if responses.all(|resp| resp == lowest) {
-        return gathered[0].take().expect("just inspected").1;
+/// The settled response once an op's quorum of successes is in, or
+/// `Err(agreed)` when a digest disputes it.
+///
+/// Replicas that agree — the steady state — settle as the lowest-ranked
+/// reply that carries the entry, untouched: the replies that ship it are
+/// equal, and every digest is the digest of what it holds. A digest that
+/// is not names a replica holding some other value set, which only its
+/// own list can tell: the `agreed` successes stay at the front of
+/// `gathered`, the disputed digests move behind them, and the caller asks
+/// those replicas again in full. Full replies that disagree merge: the
+/// answer is the union of every replica's value set, gathered in rank
+/// order with first-seen dedup, so replicas holding disjoint stale subsets
+/// still sum to the full entry (each value survives on at least one of the
+/// Rq replicas whenever Rq + W > R).
+fn settle_response(
+    key: &Key,
+    gathered: &mut [Option<(usize, DhtResponse)>],
+) -> Result<DhtResponse, usize> {
+    fn reply(slot: &Option<(usize, DhtResponse)>) -> &DhtResponse {
+        &slot.as_ref().expect("settling needs successes").1
     }
-    let lists = gathered
+    let is_digest = |slot: &Option<_>| matches!(reply(slot), DhtResponse::Digest { .. });
+    // Full replies first, each group in rank order.
+    gathered.sort_unstable_by_key(|slot| (is_digest(slot), slot.as_ref().map(|(rank, _)| *rank)));
+    let full = gathered.iter().take_while(|slot| !is_digest(slot)).count();
+    // Some replies ship the entry and the rest vouch for it: check them.
+    if (1..gathered.len()).contains(&full) {
+        let held = match reply(&gathered[0]) {
+            DhtResponse::Values(values) => values.as_slice(),
+            _ => &[],
+        };
+        let vouched = DhtResponse::digest_of(key, held);
+        let mut agreed = full;
+        for at in full..gathered.len() {
+            if *reply(&gathered[at]) == vouched {
+                gathered.swap(agreed, at);
+                agreed += 1;
+            }
+        }
+        if agreed < gathered.len() {
+            return Err(agreed);
+        }
+    }
+    // With no full reply at all a replica answered a `Get` with a digest;
+    // like any other mistyped reply, that is the caller's to reject.
+    let lowest = reply(&gathered[0]);
+    if gathered[1..full.max(1)]
+        .iter()
+        .all(|slot| reply(slot) == lowest)
+    {
+        return Ok(gathered[0].take().expect("just inspected").1);
+    }
+    let lists = gathered[..full]
         .iter()
         .flatten()
         .filter_map(|(_, resp)| match resp {
@@ -257,7 +315,7 @@ fn settle_response(gathered: &mut [Option<(usize, DhtResponse)>]) -> DhtResponse
             merged.push(v.clone());
         }
     }
-    DhtResponse::Values(merged)
+    Ok(DhtResponse::Values(merged))
 }
 
 /// A DHT client speaking the `crates/net` wire protocol to a cluster of
@@ -366,6 +424,21 @@ impl RemoteDht {
     /// batch frame. All of a round's frames are written before any
     /// reply is read, so member servers work concurrently.
     ///
+    /// A quorum read moves its entry once. In each round, the first
+    /// replica an op asks while it holds no values gets the `Get`; every
+    /// other replica of its quorum gets a `GetDigest` and answers with
+    /// the count and order-independent hash of what it holds, computed in
+    /// place on the server. The op settles when its quorum of successes
+    /// is in and every digest is the digest of the values held — the
+    /// steady state, whose answer is the shipping replica's list as sent.
+    /// A digest that disagrees names a replica holding another value set:
+    /// that replica is asked again with a full `Get` in the next
+    /// pipelined round and the lists merge (see [`settle_response`]); if
+    /// it no longer answers, the read fails over like any other. Only
+    /// frames that carry a digest read carry the version byte that
+    /// introduced it, so a client at `Rq = 1` — every unreplicated one —
+    /// never emits it.
+    ///
     /// One ordering carve-out: a `Get` whose key the *same batch* also
     /// writes is read from its primary alone (`want = 1`). Member frames
     /// race each other on the wire, so a non-primary replica could
@@ -419,6 +492,7 @@ impl RemoteDht {
                 self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
                 match op {
                     DhtOp::Get(_) => reads = true,
+                    DhtOp::GetDigest(_) => {}
                     _ => writes = true,
                 }
                 // What the op keeps if nothing ever answers; settling
@@ -464,17 +538,37 @@ impl RemoteDht {
         let mut round = 0usize;
         loop {
             round += 1;
-            // Scheduling: every unsettled op claims its next untried
-            // replicas, up to its remaining quorum deficit; an op with
-            // none left settles by exhaustion.
+            // Scheduling: every unsettled op first asks again, in full,
+            // the replicas whose digests its last settle disputed, then
+            // claims its next untried replicas up to its remaining quorum
+            // deficit; an op with nobody left to ask settles by
+            // exhaustion.
             attempts.clear();
             for (op, route) in routes.iter_mut().enumerate() {
                 if route.settled {
                     continue;
                 }
-                let deficit = route.want - route.have;
+                let slots = &mut gathered[op * stride..][..stride];
+                // One replica ships the entry; the rest of a read's quorum
+                // only has to vouch for it.
+                let mut shipped = slots[..route.have]
+                    .iter()
+                    .flatten()
+                    .any(|(_, resp)| !matches!(resp, DhtResponse::Digest { .. }));
+                let mut asked = 0;
+                for disputed in slots[route.have..].iter_mut().map_while(Option::take) {
+                    self.metrics.incr("net.quorum.rereads");
+                    attempts.push(Attempt {
+                        member: route.replicas.index(disputed.0),
+                        op,
+                        rank: disputed.0,
+                        digest: false,
+                    });
+                    asked += 1;
+                }
+                let deficit = route.want - route.have - asked;
                 let available = route.replicas.len() - route.tried;
-                if available == 0 {
+                if asked == 0 && available == 0 {
                     // Out of replicas. A remote error reply caused this
                     // (count the pair, as a unary client would); pure
                     // transport failures completed no pair and count
@@ -497,7 +591,9 @@ impl RemoteDht {
                         member: route.replicas.index(rank),
                         op,
                         rank,
+                        digest: shipped,
                     });
+                    shipped = true;
                 }
             }
             if attempts.is_empty() {
@@ -536,10 +632,10 @@ impl RemoteDht {
                 let conn = slot.as_mut().expect("connection just ensured");
                 conn.frame.clear();
                 if batch {
-                    let ops = chunk.iter().map(|a| &routes[a.op].op);
+                    let ops = chunk.iter().map(|attempt| wire_op(routes, attempt));
                     encode_batch(id, ops, &mut conn.frame);
                 } else {
-                    let op = routes[chunk[0].op].op.clone();
+                    let op = wire_op(routes, &chunk[0]).into_owned();
                     encode_message(&Message::Request { id, op }, &mut conn.frame);
                 }
                 match write_frame(&mut conn.stream, &conn.frame) {
@@ -566,7 +662,11 @@ impl RemoteDht {
             // routes; ops settle the moment their quorum is reached.
             for mut flight in in_flight.drain(..) {
                 let conn = flight.slot.as_mut().expect("stream pending a reply");
-                let reply = match read_reply_with(&mut conn.stream, &mut conn.frame, replies) {
+                let reply = read_reply_with(&mut conn.stream, &mut conn.frame, replies);
+                // The results own their bytes; a reply that outgrew what a
+                // pooled connection keeps does not stay with it.
+                release_frame_capacity(&mut conn.frame);
+                let reply = match reply {
                     Ok(reply) => reply,
                     Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                         self.metrics.incr("net.transport_errors");
@@ -636,12 +736,25 @@ impl RemoteDht {
         }
         let settled = match result {
             Ok(resp) => {
+                if matches!(resp, DhtResponse::Digest { .. }) {
+                    self.metrics.incr("net.quorum.digest_reads");
+                }
                 gathered[route.have] = Some((rank, resp));
                 route.have += 1;
                 if route.have < route.want {
                     return None;
                 }
-                Ok(settle_response(&mut gathered[..route.have]))
+                match settle_response(route.op.key(), &mut gathered[..route.have]) {
+                    Ok(resp) => Ok(resp),
+                    Err(agreed) => {
+                        // The disputed digests wait behind the successes
+                        // for the next round's scheduler.
+                        let disputed = (route.have - agreed) as u64;
+                        self.metrics.add("net.quorum.digest_mismatches", disputed);
+                        route.have = agreed;
+                        return None;
+                    }
+                }
             }
             Err(DhtError::Timeout) => {
                 // Transient: remember it and let the scheduler fail over.
@@ -900,6 +1013,50 @@ mod tests {
             "the batch wire path must actually be exercised"
         );
         remote.shutdown_members();
+    }
+
+    #[test]
+    fn an_oversized_reply_does_not_stay_with_the_connections_that_carried_it() {
+        use crate::wire::KEPT_FRAME_CAPACITY;
+        let metrics = MetricsRegistry::new();
+        let server = DhtServer::spawn_partition(
+            NodeId::hash_of("node-0"),
+            "127.0.0.1:0",
+            ServerConfig {
+                metrics: metrics.clone(),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut remote = RemoteDht::connect(
+            RemoteDht::named_members(&[server.local_addr()]),
+            RemoteDhtConfig::default(),
+        );
+        // One entry whose reply frame is 100 KiB and then some.
+        let key = Key::hash_of("long-entry");
+        let values: Vec<Bytes> = (0..100u8).map(|i| Bytes::from(vec![i; 1024])).collect();
+        server.replace_entries(vec![(key, values.clone())]);
+        let got = remote.execute(DhtOp::Get(key)).unwrap().into_values();
+        assert_eq!(got, values);
+
+        // The pooled connection read that frame through its buffer and
+        // gave the excess back once the values were decoded out of it.
+        let pooled: Vec<usize> = remote.members[0]
+            .conns
+            .iter()
+            .filter_map(|slot| slot.lock().unwrap().as_ref().map(|c| c.frame.capacity()))
+            .collect();
+        assert_eq!(
+            pooled.len(),
+            1,
+            "a sequential caller stays on one connection"
+        );
+        assert!(pooled[0] <= KEPT_FRAME_CAPACITY, "kept {} bytes", pooled[0]);
+        // So did the serving end's write buffer. A second exchange on the
+        // same connection orders this check after the first one's release.
+        remote.execute(DhtOp::Get(Key::hash_of("absent"))).unwrap();
+        assert_eq!(metrics.counter("net.server.buffers_released"), 1);
+        server.shutdown();
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub use cluster::{ClusterDht, LoopbackCluster};
 pub use server::{DhtServer, ReplicationConfig, ServerConfig};
 pub use wire::{
     Message, RecvError, WireError, MAX_PAYLOAD, VERSION, VERSION_BATCH, VERSION_DIGEST,
-    VERSION_REPL,
+    VERSION_DIGEST_READ, VERSION_REPL,
 };

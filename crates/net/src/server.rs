@@ -95,7 +95,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -107,7 +107,9 @@ use p2p_index_dht::{
 };
 use p2p_index_obs::MetricsRegistry;
 
-use crate::wire::{read_message_with, write_message_with, Message, RecvError};
+use crate::wire::{
+    read_message_with, release_frame_capacity, write_message_with, Message, RecvError,
+};
 
 /// Cluster membership and quorum settings for one replicated server.
 #[derive(Debug, Clone)]
@@ -170,6 +172,12 @@ pub struct ServerConfig {
     /// `fault.seed`, exactly like an in-process `FaultyDht`. Churn does
     /// not apply to a one-node partition and is ignored.
     pub fault: FaultConfig,
+    /// How many connections are served at once — each costs a worker
+    /// thread. A connection accepted beyond it is closed at once
+    /// (`net.server.admission_rejects`); the dialer sees a closed stream,
+    /// which a client maps to the transient [`DhtError::Timeout`] like
+    /// any other transport failure.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -182,6 +190,7 @@ impl Default for ServerConfig {
             replication: None,
             shards: DEFAULT_SHARDS,
             fault: FaultConfig::none(),
+            max_connections: 1024,
         }
     }
 }
@@ -295,9 +304,7 @@ impl Replication {
         // reusing the buffer; a bucket `Transfer` that grew it past what a
         // connection may keep gives the memory back rather than pinning
         // it to every peer for good.
-        if frame.capacity() > KEPT_FRAME_CAPACITY {
-            *frame = Vec::new();
-        }
+        release_frame_capacity(frame);
         match reply {
             Ok((reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }), _))
                 if id == sent_id =>
@@ -330,6 +337,11 @@ struct Shared {
     write_timeout: Duration,
     /// Operations served since spawn (requests answered, ok or error).
     served: AtomicU64,
+    /// Connection workers alive right now, and the most there may be.
+    /// Only the accept loop adds to it, so its check-then-add cannot
+    /// overshoot; each worker subtracts itself on the way out.
+    connections: AtomicUsize,
+    max_connections: usize,
     /// `Some` when this server is a member of a replicated cluster.
     replication: Option<Replication>,
 }
@@ -405,6 +417,8 @@ impl DhtServer {
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             served: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
+            max_connections: config.max_connections,
             replication,
         });
         let accept_shared = Arc::clone(&shared);
@@ -513,11 +527,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, poll: Duration) {
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Admission: a worker thread per connection is only safe
+                // up to a bound. Past it the socket is closed here, before
+                // anything is read from it or spawned for it.
+                if shared.connections.load(Ordering::SeqCst) >= shared.max_connections {
+                    shared.metrics.incr("net.server.admission_rejects");
+                    continue;
+                }
                 shared.metrics.incr("net.server.connections");
-                let conn_shared = Arc::clone(&shared);
+                let slot = ConnectionSlot::claim(&shared);
                 match std::thread::Builder::new()
                     .name("dhtd-conn".to_string())
-                    .spawn(move || serve_connection(stream, conn_shared))
+                    .spawn(move || serve_connection(stream, slot))
                 {
                     Ok(handle) => workers.push(handle),
                     Err(_) => shared.metrics.incr("net.server.spawn_errors"),
@@ -540,16 +561,29 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, poll: Duration) {
     }
 }
 
-/// How much frame-buffer capacity a connection keeps once the frame that
-/// needed it is done with. Index frames are small (a 16-get batch reply
-/// is a few KiB), so this covers steady traffic without reallocation; a
-/// serving connection releases anything above it on its next idle poll
-/// tick, a peer connection right after the exchange.
-const KEPT_FRAME_CAPACITY: usize = 64 * 1024;
+/// One admitted connection's claim on the server: the shared state its
+/// worker serves from, counted in [`Shared::connections`] from the accept
+/// loop's claim until the worker ends, however it ends — or at once, if no
+/// worker could be spawned for it.
+struct ConnectionSlot(Arc<Shared>);
+
+impl ConnectionSlot {
+    fn claim(shared: &Arc<Shared>) -> ConnectionSlot {
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// Serves one connection until the peer closes, a protocol error poisons
 /// the stream, or shutdown is requested.
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
+fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
+    let shared = Arc::clone(&slot.0);
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
     let _ = stream.set_nodelay(true);
@@ -574,9 +608,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 // (a multi-megabyte `Transfer`, say) grew its read buffer
                 // to, so the cost of the biggest frame ever seen is not
                 // paid for the connection's whole life.
-                if read_scratch.capacity() > KEPT_FRAME_CAPACITY {
-                    read_scratch.clear();
-                    read_scratch.shrink_to(KEPT_FRAME_CAPACITY);
+                if release_frame_capacity(&mut read_scratch) {
                     shared.metrics.incr("net.server.buffers_released");
                 }
                 continue;
@@ -682,6 +714,11 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 shared.metrics.incr("net.server.transport_errors");
                 return;
             }
+        }
+        // The reply is on the wire; one long value list must not pin its
+        // size to this connection either.
+        if release_frame_capacity(&mut write_scratch) {
+            shared.metrics.incr("net.server.buffers_released");
         }
     }
 }
@@ -1004,6 +1041,59 @@ mod tests {
         let mut buf = [0u8; 16];
         assert_eq!(stream.read(&mut buf).unwrap_or(0), 0);
         assert_eq!(metrics.counter("net.server.decode_errors"), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_past_the_limit_are_refused_and_a_freed_slot_is_reusable() {
+        use std::time::Instant;
+        let metrics = MetricsRegistry::new();
+        let server = spawn_with(ServerConfig {
+            max_connections: 4,
+            metrics: metrics.clone(),
+            ..ServerConfig::default()
+        });
+        let dial = || {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            stream
+        };
+        // What a dialer learns: the answer, or that the stream is dead.
+        let ask = |stream: &mut TcpStream, id: u64| -> Option<Message> {
+            let op = DhtOp::Get(Key::hash_of("k"));
+            write_message(stream, &Message::Request { id, op }).ok()?;
+            read_message(stream).ok().map(|(reply, _)| reply)
+        };
+        let answered = |id: u64| {
+            Some(Message::Response {
+                id,
+                result: Ok(DhtResponse::Values(Vec::new())),
+            })
+        };
+        let mut admitted: Vec<TcpStream> = (0..4).map(|_| dial()).collect();
+        for (id, stream) in admitted.iter_mut().enumerate() {
+            assert_eq!(ask(stream, id as u64), answered(id as u64));
+        }
+        // The kernel completes the fifth handshake; the server closes the
+        // socket at accept, before reading anything from it.
+        let mut fifth = dial();
+        assert_eq!(ask(&mut fifth, 5), None);
+        assert_eq!(metrics.counter("net.server.admission_rejects"), 1);
+        assert_eq!(metrics.counter("net.server.connections"), 4);
+        for (id, stream) in admitted.iter_mut().enumerate() {
+            assert_eq!(ask(stream, 10 + id as u64), answered(10 + id as u64));
+        }
+        // Closing one of the four frees its slot as soon as its worker
+        // sees the close; a dial after that is served.
+        drop(admitted.pop());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ask(&mut dial(), 20) != answered(20) {
+            assert!(Instant::now() < deadline, "the freed slot never came back");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(metrics.counter("net.server.connections"), 5);
         server.shutdown();
     }
 

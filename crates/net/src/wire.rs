@@ -8,7 +8,7 @@
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
 //!      4     1  version      0x01 unary | 0x02 batch | 0x03 replication |
-//!                            0x04 digest
+//!                            0x04 digest | 0x05 digest read
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
@@ -41,12 +41,21 @@
 //! member's ring key, a count that must be [`REPAIR_BUCKETS`], and that
 //! many `u64` bucket digests; digest-reply: a `u16` mask of the buckets
 //! that differ) are encoded at [`VERSION_DIGEST`] (0x04) and rejected the
-//! same way under v1–v3 headers; any other version byte is
-//! [`WireError::UnsupportedVersion`]. There is no in-band negotiation: a
-//! client must not send batch frames to a server it does not know to be
-//! v2-capable, only replication-configured servers speak v3 and v4 to
-//! each other, and a member whose peer cannot answer a digest skips that
-//! peer's repair rather than falling back to anything.
+//! same way under v1–v3 headers. [`VERSION_DIGEST_READ`] (0x05) adds no
+//! kind: it marks a request or batch that carries a
+//! [`DhtOp::GetDigest`] (opcode 0x05) and a response or batch reply that
+//! carries a [`DhtResponse::Digest`] (tag 0x05: a `u32` value count and
+//! the `u64` digest of the values). Only such frames carry it, and under
+//! a v1–v4 header the two tags are [`WireError::UnknownOpcode`] /
+//! [`WireError::UnknownResponseTag`] — what a genuine earlier peer says to
+//! them. Any other version byte is [`WireError::UnsupportedVersion`].
+//! There is no in-band negotiation: a client must not send batch frames
+//! to a server it does not know to be v2-capable, only
+//! replication-configured servers speak v3 and v4 to each other, a member
+//! whose peer cannot answer a digest skips that peer's repair rather than
+//! falling back to anything, and only a client reading at a quorum above
+//! one — which presumes replicated, v5-capable members — ever asks for a
+//! digest.
 //!
 //! The request id exists for pipelining: a client may have several frames
 //! in flight on one connection and match responses by id. The bundled
@@ -54,6 +63,7 @@
 //! routed member during [`execute_many`](p2p_index_dht::Dht::execute_many)
 //! and still verifies the echoed id on every reply.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -81,8 +91,36 @@ pub const VERSION_REPL: u8 = 3;
 /// bytes; only these two carry this one.
 pub const VERSION_DIGEST: u8 = 4;
 
+/// The protocol version that introduced digest reads: the
+/// [`DhtOp::GetDigest`] opcode and the [`DhtResponse::Digest`] response
+/// tag, riding the existing request, response and batch kinds. A frame
+/// carries this byte exactly when it carries one of the two; every other
+/// frame keeps the version byte it always had.
+pub const VERSION_DIGEST_READ: u8 = 5;
+
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
+
+/// How much frame-buffer capacity a connection keeps once the frame that
+/// needed it is done with. Index frames are small (a 16-get batch reply
+/// is a few KiB), so this covers steady traffic without reallocation.
+pub(crate) const KEPT_FRAME_CAPACITY: usize = 64 * 1024;
+
+/// Hands back what one oversized frame grew a connection's frame buffer
+/// to, so the cost of the biggest frame a connection ever carried is not
+/// paid for the connection's whole life. Every long-lived buffer goes
+/// through here once its frame is done with: a pooled client connection
+/// after its reply is decoded, a peer connection after its exchange, a
+/// serving connection's write buffer after the reply is sent and its read
+/// buffer on the next idle tick. Returns whether anything was released.
+pub(crate) fn release_frame_capacity(frame: &mut Vec<u8>) -> bool {
+    if frame.capacity() <= KEPT_FRAME_CAPACITY {
+        return false;
+    }
+    frame.clear();
+    frame.shrink_to(KEPT_FRAME_CAPACITY);
+    true
+}
 
 /// Upper bound on a frame's payload. Index entries are tiny (a query
 /// string or a file handle), so 16 MiB is a generous safety margin that
@@ -120,11 +158,13 @@ const OP_NODE_FOR: u8 = 0x01;
 const OP_PUT: u8 = 0x02;
 const OP_GET: u8 = 0x03;
 const OP_REMOVE: u8 = 0x04;
+const OP_GET_DIGEST: u8 = 0x05;
 
 const RESP_NODE: u8 = 0x01;
 const RESP_STORED: u8 = 0x02;
 const RESP_VALUES: u8 = 0x03;
 const RESP_REMOVED: u8 = 0x04;
+const RESP_DIGEST: u8 = 0x05;
 
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,7 +296,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (this build speaks {VERSION} to {VERSION_DIGEST})"
+                    "unsupported protocol version {v} (this build speaks {VERSION} to {VERSION_DIGEST_READ})"
                 )
             }
             WireError::UnknownKind(k) => write!(f, "unknown frame kind 0x{k:02x}"),
@@ -322,20 +362,47 @@ fn end_frame(buf: &mut [u8], len_at: usize) {
     buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_be_bytes());
 }
 
+/// The version byte of a frame whose kind dates from `introduced`:
+/// [`VERSION_DIGEST_READ`] when it carries a digest-read op or response,
+/// `introduced` — the byte every prior build wrote — when it does not.
+fn version_of(introduced: u8, carries_digest_read: bool) -> u8 {
+    if carries_digest_read {
+        VERSION_DIGEST_READ
+    } else {
+        introduced
+    }
+}
+
+fn asks_digest(op: &DhtOp) -> bool {
+    matches!(op, DhtOp::GetDigest(_))
+}
+
+fn answers_digest(result: &Result<DhtResponse, DhtError>) -> bool {
+    matches!(result, Ok(DhtResponse::Digest { .. }))
+}
+
 /// Appends the encoded frame for `msg` to `buf`.
 ///
 /// Unary kinds encode at [`VERSION`] (byte-identical to every prior
 /// build); batch kinds carry [`VERSION_BATCH`]; replication kinds carry
-/// [`VERSION_REPL`]; anti-entropy kinds carry [`VERSION_DIGEST`].
+/// [`VERSION_REPL`]; anti-entropy kinds carry [`VERSION_DIGEST`]; a
+/// request, response, batch or batch reply that carries a digest read
+/// carries [`VERSION_DIGEST_READ`] instead.
 pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
     let (version, kind, id) = match msg {
-        Message::Request { id, .. } => (VERSION, KIND_REQUEST, *id),
+        Message::Request { id, op } => (version_of(VERSION, asks_digest(op)), KIND_REQUEST, *id),
         Message::Response { id, result } => match result {
-            Ok(_) => (VERSION, KIND_OK, *id),
+            Ok(_) => (version_of(VERSION, answers_digest(result)), KIND_OK, *id),
             Err(_) => (VERSION, KIND_ERR, *id),
         },
-        Message::Batch { id, .. } => (VERSION_BATCH, KIND_BATCH, *id),
-        Message::BatchReply { id, .. } => (VERSION_BATCH, KIND_BATCH_REPLY, *id),
+        Message::Batch { id, ops } => {
+            let version = version_of(VERSION_BATCH, ops.iter().any(asks_digest));
+            (version, KIND_BATCH, *id)
+        }
+        Message::BatchReply { id, results } => {
+            let version = version_of(VERSION_BATCH, results.iter().any(answers_digest));
+            (version, KIND_BATCH_REPLY, *id)
+        }
         Message::Replicate { id, .. } => (VERSION_REPL, KIND_REPLICATE, *id),
         Message::Transfer { id, .. } => (VERSION_REPL, KIND_TRANSFER, *id),
         Message::Digest { id, .. } => (VERSION_DIGEST, KIND_DIGEST, *id),
@@ -390,24 +457,25 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
 }
 
 /// Appends the frame [`encode_message`] writes for
-/// `Message::Batch { id, ops }`, taking the ops by reference from wherever
-/// they live — so a router can frame a subset of its pending ops without
-/// first cloning them into a vector.
-pub(crate) fn encode_batch<'a>(
+/// `Message::Batch { id, ops }`, taking the ops from wherever they live —
+/// by reference, or made up on the spot — so a router can frame a subset
+/// of its pending ops without first cloning them into a vector.
+pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     id: u64,
-    ops: impl ExactSizeIterator<Item = &'a DhtOp>,
+    ops: impl ExactSizeIterator<Item = O> + Clone,
     buf: &mut Vec<u8>,
 ) {
-    let len_at = begin_frame(VERSION_BATCH, KIND_BATCH, id, buf);
+    let asks = ops.clone().any(|op| asks_digest(op.borrow()));
+    let len_at = begin_frame(version_of(VERSION_BATCH, asks), KIND_BATCH, id, buf);
     encode_ops(ops, buf);
     end_frame(buf, len_at);
 }
 
 /// A batch payload: the op count, then each op.
-fn encode_ops<'a>(ops: impl ExactSizeIterator<Item = &'a DhtOp>, buf: &mut Vec<u8>) {
+fn encode_ops<O: Borrow<DhtOp>>(ops: impl ExactSizeIterator<Item = O>, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
     for op in ops {
-        encode_op(op, buf);
+        encode_op(op.borrow(), buf);
     }
 }
 
@@ -438,6 +506,10 @@ fn encode_op(op: &DhtOp, buf: &mut Vec<u8>) {
             buf.extend_from_slice(key.as_bytes());
             encode_bytes(value, buf);
         }
+        DhtOp::GetDigest(key) => {
+            buf.push(OP_GET_DIGEST);
+            buf.extend_from_slice(key.as_bytes());
+        }
     }
 }
 
@@ -461,6 +533,11 @@ fn encode_response(resp: &DhtResponse, buf: &mut Vec<u8>) {
         DhtResponse::Removed(removed) => {
             buf.push(RESP_REMOVED);
             buf.push(u8::from(*removed));
+        }
+        DhtResponse::Digest { count, sum } => {
+            buf.push(RESP_DIGEST);
+            buf.extend_from_slice(&count.to_be_bytes());
+            buf.extend_from_slice(&sum.to_be_bytes());
         }
     }
 }
@@ -576,7 +653,7 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = buf[4];
-    if !(VERSION..=VERSION_DIGEST).contains(&version) {
+    if !(VERSION..=VERSION_DIGEST_READ).contains(&version) {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = buf[5];
@@ -595,7 +672,9 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
 }
 
 /// One encoded [`DhtOp`], shared by unary request and batch payloads.
-fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
+/// The digest-read opcode exists only from [`VERSION_DIGEST_READ`]; under
+/// an earlier header it is as unknown as it is to an earlier peer.
+fn decode_op(version: u8, r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
     Ok(match r.u8()? {
         OP_NODE_FOR => DhtOp::NodeFor(r.key()?),
         OP_PUT => DhtOp::Put {
@@ -607,13 +686,14 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
             key: r.key()?,
             value: r.bytes()?,
         },
+        OP_GET_DIGEST if version >= VERSION_DIGEST_READ => DhtOp::GetDigest(r.key()?),
         other => return Err(WireError::UnknownOpcode(other)),
     })
 }
 
 /// One encoded [`DhtResponse`], shared by ok-response and batch-reply
-/// payloads.
-fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
+/// payloads; the digest tag is version-gated like its opcode.
+fn decode_response(version: u8, r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
     Ok(match r.u8()? {
         RESP_NODE => DhtResponse::Node(NodeId::from_key(r.key()?)),
         RESP_STORED => DhtResponse::Stored(r.bool()?),
@@ -631,6 +711,10 @@ fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
             DhtResponse::Values(values)
         }
         RESP_REMOVED => DhtResponse::Removed(r.bool()?),
+        RESP_DIGEST if version >= VERSION_DIGEST_READ => DhtResponse::Digest {
+            count: r.u32()?,
+            sum: r.u64()?,
+        },
         other => return Err(WireError::UnknownResponseTag(other)),
     })
 }
@@ -662,6 +746,7 @@ fn decode_error(r: &mut Reader<'_>) -> Result<DhtError, WireError> {
 /// A batch-reply body, appended to `results`: the count (checked before
 /// anything is reserved), then that many status-prefixed results.
 fn decode_batch_results(
+    version: u8,
     r: &mut Reader<'_>,
     results: &mut Vec<Result<DhtResponse, DhtError>>,
 ) -> Result<(), WireError> {
@@ -677,7 +762,7 @@ fn decode_batch_results(
     results.reserve(count);
     for _ in 0..count {
         results.push(match r.u8()? {
-            BATCH_OK => Ok(decode_response(r)?),
+            BATCH_OK => Ok(decode_response(version, r)?),
             BATCH_ERR => Err(decode_error(r)?),
             _ => {
                 return Err(WireError::BadPayload(
@@ -694,14 +779,15 @@ fn decode_batch_results(
 /// reply kinds are told apart; any other kind is
 /// [`WireError::UnknownKind`].
 fn decode_reply(
+    version: u8,
     kind: u8,
     r: &mut Reader<'_>,
     results: &mut Vec<Result<DhtResponse, DhtError>>,
 ) -> Result<(), WireError> {
     match kind {
-        KIND_OK => results.push(Ok(decode_response(r)?)),
+        KIND_OK => results.push(Ok(decode_response(version, r)?)),
         KIND_ERR => results.push(Err(decode_error(r)?)),
-        KIND_BATCH_REPLY => decode_batch_results(r, results)?,
+        KIND_BATCH_REPLY => decode_batch_results(version, r, results)?,
         other => return Err(WireError::UnknownKind(other)),
     }
     Ok(())
@@ -713,11 +799,11 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
     let msg = match kind {
         KIND_REQUEST => Message::Request {
             id,
-            op: decode_op(&mut r)?,
+            op: decode_op(version, &mut r)?,
         },
         KIND_OK | KIND_ERR | KIND_BATCH_REPLY => {
             let mut results = Vec::new();
-            decode_reply(kind, &mut r, &mut results)?;
+            decode_reply(version, kind, &mut r, &mut results)?;
             match kind {
                 KIND_BATCH_REPLY => Message::BatchReply { id, results },
                 _ => Message::Response {
@@ -738,13 +824,16 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
             }
             let mut ops = Vec::with_capacity(count);
             for _ in 0..count {
-                ops.push(decode_op(&mut r)?);
+                ops.push(decode_op(version, &mut r)?);
             }
             Message::Batch { id, ops }
         }
+        // A replicate carries a write; whatever its header says, its op is
+        // read by the rules of the version that introduced it, so a digest
+        // read is never legal here.
         KIND_REPLICATE => Message::Replicate {
             id,
-            op: decode_op(&mut r)?,
+            op: decode_op(VERSION_REPL, &mut r)?,
         },
         KIND_TRANSFER => {
             let count = r.u32()? as usize;
@@ -895,7 +984,7 @@ pub(crate) fn read_reply_with(
     let (version, kind, id) = read_frame(r, scratch)?;
     check_kind_version(version, kind)?;
     let mut payload = Reader::new(scratch);
-    decode_reply(kind, &mut payload, results)?;
+    decode_reply(version, kind, &mut payload, results)?;
     payload.finish()?;
     Ok(Reply {
         id,
@@ -919,7 +1008,7 @@ fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u8, u64),
         return Err(WireError::BadMagic(magic).into());
     }
     let version = header[4];
-    if !(VERSION..=VERSION_DIGEST).contains(&version) {
+    if !(VERSION..=VERSION_DIGEST_READ).contains(&version) {
         return Err(WireError::UnsupportedVersion(version).into());
     }
     let kind = header[5];
@@ -987,6 +1076,10 @@ mod tests {
             id: u64::MAX,
             op: DhtOp::Remove { key, value },
         });
+        roundtrip(Message::Request {
+            id: 4,
+            op: DhtOp::GetDigest(key),
+        });
         roundtrip(Message::Response {
             id: 9,
             result: Ok(DhtResponse::Node(NodeId::hash_of("n"))),
@@ -1005,6 +1098,13 @@ mod tests {
         roundtrip(Message::Response {
             id: 12,
             result: Ok(DhtResponse::Removed(false)),
+        });
+        roundtrip(Message::Response {
+            id: 12,
+            result: Ok(DhtResponse::Digest {
+                count: 3,
+                sum: u64::MAX - 1,
+            }),
         });
         for e in [
             DhtError::Timeout,
@@ -1386,6 +1486,13 @@ mod tests {
                     Ok(DhtResponse::Removed(true)),
                 ],
             },
+            Message::BatchReply {
+                id: 7,
+                results: vec![
+                    Ok(DhtResponse::Values(vec![Bytes::from_static(b"shipped")])),
+                    Ok(DhtResponse::Digest { count: 1, sum: 99 }),
+                ],
+            },
         ];
         let mut scratch = Vec::new();
         // Left dirty on purpose: the reader clears it.
@@ -1410,7 +1517,8 @@ mod tests {
             assert_eq!(&rebuilt, msg);
         }
         // Anything that is not a reply is refused, typed; so is a reply
-        // with trailing bytes or a batch reply under a v1 header.
+        // with trailing bytes, a batch reply under a v1 header, or a
+        // digest under the batch version's own.
         let request = encode_to_vec(&Message::Request {
             id: 1,
             op: DhtOp::Get(Key::hash_of("k")),
@@ -1420,10 +1528,14 @@ mod tests {
         padded[14..18].copy_from_slice(&3u32.to_be_bytes());
         let mut downgraded = encode_to_vec(&replies[2]);
         downgraded[4] = VERSION;
+        let mut undigested = encode_to_vec(&replies[3]);
+        assert_eq!(undigested[4], VERSION_DIGEST_READ);
+        undigested[4] = VERSION_BATCH;
         for (frame, expected) in [
             (request, WireError::UnknownKind(0x01)),
             (padded, WireError::TrailingBytes(1)),
             (downgraded, WireError::UnknownKind(0x06)),
+            (undigested, WireError::UnknownResponseTag(0x05)),
         ] {
             let got = read_reply_with(&mut io::Cursor::new(&frame), &mut scratch, &mut results);
             assert!(

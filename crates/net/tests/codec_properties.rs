@@ -25,11 +25,17 @@ use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64, REPAI
 use p2p_index_net::wire::{
     decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
 };
-use p2p_index_net::{Message, WireError, VERSION, VERSION_BATCH, VERSION_DIGEST, VERSION_REPL};
+use p2p_index_net::{
+    Message, WireError, VERSION, VERSION_BATCH, VERSION_DIGEST, VERSION_DIGEST_READ, VERSION_REPL,
+};
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng};
 
 /// Number of distinct shapes `rng_message` cycles through.
-const VARIANTS: usize = 19;
+const VARIANTS: usize = 23;
+
+/// The shapes `rng_message` builds with a digest read in them — the four
+/// that carry [`VERSION_DIGEST_READ`].
+const DIGEST_READ_VARIANTS: std::ops::Range<usize> = 18..22;
 
 fn rng_key(rng: &mut SplitMix64) -> Key {
     let mut digest = [0u8; 20];
@@ -57,6 +63,13 @@ fn rng_op(rng: &mut SplitMix64, variant: usize) -> DhtOp {
             key: rng_key(rng),
             value: rng_value(rng),
         },
+    }
+}
+
+fn rng_digest(rng: &mut SplitMix64) -> DhtResponse {
+    DhtResponse::Digest {
+        count: rng.next_u64() as u32,
+        sum: rng.next_u64(),
     }
 }
 
@@ -171,6 +184,34 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
         17 => Message::DigestReply {
             id,
             differs: rng.next_u64() as u16,
+        },
+        18 => Message::Request {
+            id,
+            op: DhtOp::GetDigest(rng_key(rng)),
+        },
+        19 => Message::Response {
+            id,
+            result: Ok(rng_digest(rng)),
+        },
+        // A quorum read wave as one member sees it: full and digest gets
+        // mixed, at least one of them a digest.
+        20 => Message::Batch {
+            id,
+            ops: (0..2 + rng.next_u64() % 4)
+                .map(|i| match i == 0 || rng.next_u64().is_multiple_of(2) {
+                    true => DhtOp::GetDigest(rng_key(rng)),
+                    false => DhtOp::Get(rng_key(rng)),
+                })
+                .collect(),
+        },
+        21 => Message::BatchReply {
+            id,
+            results: (0..2 + rng.next_u64() % 4)
+                .map(|i| match i == 0 || rng.next_u64().is_multiple_of(2) {
+                    true => Ok(rng_digest(rng)),
+                    false => rng_result(rng, 2 + i as usize),
+                })
+                .collect(),
         },
         _ => Message::Shutdown,
     }
@@ -288,7 +329,7 @@ fn values_of(msg: &Message) -> Vec<Bytes> {
     fn of_op(op: &DhtOp) -> Vec<Bytes> {
         match op {
             DhtOp::Put { value, .. } | DhtOp::Remove { value, .. } => vec![value.clone()],
-            DhtOp::NodeFor(_) | DhtOp::Get(_) => Vec::new(),
+            DhtOp::NodeFor(_) | DhtOp::Get(_) | DhtOp::GetDigest(_) => Vec::new(),
         }
     }
     fn of_result(result: &Result<DhtResponse, DhtError>) -> Vec<Bytes> {
@@ -366,10 +407,11 @@ fn requests_roundtrip() {
     for_each_case(|rng| {
         let key = Key::from_digest(digest(rng));
         let value = Bytes::from(bytes(rng, 0..200));
-        let op = match rng.gen_range(0..4usize) {
+        let op = match rng.gen_range(0..5usize) {
             0 => DhtOp::NodeFor(key),
             1 => DhtOp::Put { key, value },
             2 => DhtOp::Get(key),
+            3 => DhtOp::GetDigest(key),
             _ => DhtOp::Remove { key, value },
         };
         assert_roundtrip(&Message::Request { id: rng.gen(), op });
@@ -381,7 +423,7 @@ fn requests_roundtrip() {
 #[test]
 fn responses_roundtrip() {
     for_each_case(|rng| {
-        let result = match rng.gen_range(0..5usize) {
+        let result = match rng.gen_range(0..6usize) {
             0 => Ok(DhtResponse::Node(NodeId::from_key(Key::from_digest(
                 digest(rng),
             )))),
@@ -392,6 +434,10 @@ fn responses_roundtrip() {
                     .collect(),
             )),
             3 => Ok(DhtResponse::Removed(rng.gen())),
+            4 => Ok(DhtResponse::Digest {
+                count: rng.gen(),
+                sum: rng.gen(),
+            }),
             _ => Err(DhtError::from_wire_code(rng.gen_range(0..=u16::MAX))),
         };
         assert_roundtrip(&Message::Response {
@@ -486,7 +532,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 fn every_foreign_version_is_rejected() {
     let good = encode_to_vec(&Message::Shutdown);
     for version in 0..=u8::MAX {
-        if [VERSION, VERSION_BATCH, VERSION_REPL, VERSION_DIGEST].contains(&version) {
+        if (VERSION..=VERSION_DIGEST_READ).contains(&version) {
             continue;
         }
         let mut frame = good.clone();
@@ -610,10 +656,10 @@ fn later_kinds_under_earlier_versions_are_unknown_kinds() {
     // must fail the same way; under its own version or a later one the
     // frame decodes.
     let mut rng = SplitMix64::new(0xd19e57);
-    for variant in 0..VARIANTS {
+    for variant in (0..VARIANTS).filter(|variant| !DIGEST_READ_VARIANTS.contains(variant)) {
         let clean = encode_to_vec(&rng_message(&mut rng, variant));
         let (introduced, kind) = (clean[4], clean[5]);
-        for version in VERSION..=VERSION_DIGEST {
+        for version in VERSION..=VERSION_DIGEST_READ {
             let mut frame = clean.clone();
             frame[4] = version;
             if version < introduced {
@@ -626,6 +672,113 @@ fn later_kinds_under_earlier_versions_are_unknown_kinds() {
             }
         }
     }
+}
+
+#[test]
+fn digest_read_tags_under_earlier_versions_are_unknown_tags() {
+    // Digest reads added no kind, only an opcode and a response tag, so
+    // what an earlier peer says to them is "unknown opcode" / "unknown
+    // response tag" — and an earlier header carrying one must fail the
+    // same way, once it is late enough to know the frame's kind at all.
+    let mut rng = SplitMix64::new(0xd19e57);
+    for variant in DIGEST_READ_VARIANTS {
+        let clean = encode_to_vec(&rng_message(&mut rng, variant));
+        assert_eq!(clean[4], VERSION_DIGEST_READ, "variant {variant}");
+        let kind = clean[5];
+        let batched = matches!(kind, 0x05 | 0x06);
+        for version in VERSION..VERSION_DIGEST_READ {
+            let mut frame = clean.clone();
+            frame[4] = version;
+            let expected = match kind {
+                _ if batched && version < VERSION_BATCH => WireError::UnknownKind(kind),
+                0x01 | 0x05 => WireError::UnknownOpcode(0x05),
+                _ => WireError::UnknownResponseTag(0x05),
+            };
+            assert_eq!(
+                decode_message(&frame),
+                Err(expected),
+                "variant {variant} at v{version}"
+            );
+        }
+    }
+    // A replicate is a write whatever its header says: the digest opcode
+    // is unknown inside one even under the version that introduced it.
+    let mut replicate = encode_to_vec(&Message::Replicate {
+        id: 1,
+        op: DhtOp::Get(Key::hash_of("k")),
+    });
+    replicate[4] = VERSION_DIGEST_READ;
+    assert!(decode_message(&replicate).is_ok());
+    replicate[HEADER_LEN] = 0x05;
+    assert_eq!(
+        decode_message(&replicate),
+        Err(WireError::UnknownOpcode(0x05))
+    );
+}
+
+#[test]
+fn golden_digest_read_frame_layouts_are_pinned() {
+    // Byte-for-byte layout of the v5 forms: a unary digest request, a
+    // batch mixing a full and a digest get, and the reply mixing a value
+    // list and a digest. Frames without a digest read keep their bytes —
+    // the golden v1-v4 frames in `wire.rs` pin that.
+    let (full, vouch) = (Key::hash_of("full"), Key::hash_of("vouch"));
+    let mut payload = vec![0x05]; // opcode: get-digest
+    payload.extend_from_slice(vouch.as_bytes());
+    assert_eq!(
+        encode_to_vec(&Message::Request {
+            id: 7,
+            op: DhtOp::GetDigest(vouch),
+        }),
+        raw_frame(0x05, 0x01, 7, &payload)
+    );
+
+    let mut payload = 2u32.to_be_bytes().to_vec();
+    payload.push(0x03); // opcode: get
+    payload.extend_from_slice(full.as_bytes());
+    payload.push(0x05); // opcode: get-digest
+    payload.extend_from_slice(vouch.as_bytes());
+    assert_eq!(
+        encode_to_vec(&Message::Batch {
+            id: 8,
+            ops: vec![DhtOp::Get(full), DhtOp::GetDigest(vouch)],
+        }),
+        raw_frame(0x05, 0x05, 8, &payload)
+    );
+
+    let mut payload = 2u32.to_be_bytes().to_vec();
+    payload.extend_from_slice(&[0x00, 0x03]); // ok, tag: values
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    payload.extend_from_slice(&2u32.to_be_bytes());
+    payload.extend_from_slice(b"hi");
+    payload.extend_from_slice(&[0x00, 0x05]); // ok, tag: digest
+    payload.extend_from_slice(&3u32.to_be_bytes());
+    payload.extend_from_slice(&0x0102_0304_0506_0708u64.to_be_bytes());
+    assert_eq!(
+        encode_to_vec(&Message::BatchReply {
+            id: 8,
+            results: vec![
+                Ok(DhtResponse::Values(vec![Bytes::from_static(b"hi")])),
+                Ok(DhtResponse::Digest {
+                    count: 3,
+                    sum: 0x0102_0304_0506_0708,
+                }),
+            ],
+        }),
+        raw_frame(0x05, 0x06, 8, &payload)
+    );
+
+    // The same batch and reply without the digest are v2 to the byte.
+    let plain = encode_to_vec(&Message::Batch {
+        id: 8,
+        ops: vec![DhtOp::Get(full)],
+    });
+    assert_eq!(plain[4], VERSION_BATCH);
+    let plain = encode_to_vec(&Message::Response {
+        id: 8,
+        result: Ok(DhtResponse::Values(Vec::new())),
+    });
+    assert_eq!(plain[4], VERSION);
 }
 
 #[test]
