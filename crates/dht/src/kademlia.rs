@@ -27,16 +27,10 @@
 //! assert_eq!(net.get(&key), vec![Bytes::from_static(b"value")]);
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use bytes::Bytes;
-use p2p_index_obs::MetricsRegistry;
-
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
-use crate::chord::ChordError;
 use crate::key::{Key, KEY_BITS};
-use crate::storage::NodeStore;
+use crate::overlay::{Overlay, OverlayDht};
 
 /// Tuning knobs of the Kademlia simulation.
 #[derive(Debug, Clone)]
@@ -60,61 +54,63 @@ impl Default for KademliaConfig {
     }
 }
 
+/// One Kademlia member's routing table: its k-buckets.
 #[derive(Debug, Clone)]
-struct KadNodeState {
+pub struct KadNodeState {
     /// One bucket per shared-prefix length; entries are other node keys.
     buckets: Vec<Vec<Key>>,
-    store: NodeStore,
 }
 
 impl KadNodeState {
     fn new() -> Self {
         KadNodeState {
             buckets: vec![Vec::new(); KEY_BITS],
-            store: NodeStore::new(),
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    messages: AtomicU64,
-    lookups: AtomicU64,
-    hops: AtomicU64,
-}
-
-/// The simulated Kademlia network.
+/// The simulated Kademlia network: the [overlay skeleton](crate::overlay)
+/// routed by [`KademliaConfig`].
 ///
 /// See the [module docs](self) for an overview.
-#[derive(Debug)]
-pub struct KademliaNetwork {
-    cfg: KademliaConfig,
-    nodes: BTreeMap<Key, KadNodeState>,
-    /// Sorted mirror of the live node set.
-    order: Vec<Key>,
-    stats: Counters,
-    next_origin: AtomicU64,
-    metrics: MetricsRegistry,
+pub type KademliaNetwork = OverlayDht<KademliaConfig>;
+
+impl Overlay for KademliaConfig {
+    type Tables = KadNodeState;
+
+    /// Responsibility is XOR-nearest; the iterative lookup (with table
+    /// learning) lives on the mutating paths.
+    fn route(net: &KademliaNetwork, key: &Key) -> Option<Key> {
+        net.nearest_node(key)
+    }
+
+    fn route_mut(net: &mut KademliaNetwork, key: &Key) -> Option<Key> {
+        let origin = net.pick_origin()?;
+        net.find_closest(origin, key).0.first().copied()
+    }
+
+    /// The `store_width` closest nodes.
+    fn replica_set(net: &KademliaNetwork, key: &Key) -> Vec<Key> {
+        let mut nodes = net.order.clone();
+        nodes.sort_by_key(|n| n.xor(key));
+        nodes.truncate(net.cfg.store_width.max(1));
+        nodes
+    }
+
+    /// The newcomer looks up its own identifier, which both fills its
+    /// table and announces it to the nodes nearest to it.
+    fn join(net: &mut KademliaNetwork, id: Key, bootstrap: Key) {
+        net.insert_member(id, KadNodeState::new());
+        net.observe(&id, &bootstrap);
+        let (_closest, _hops) = net.find_closest(id, &id);
+    }
+
+    fn stabilize(net: &mut KademliaNetwork) {
+        net.rebalance_keys();
+    }
 }
 
 impl KademliaNetwork {
-    /// An empty network with default configuration.
-    pub fn new() -> Self {
-        Self::with_config(KademliaConfig::default())
-    }
-
-    /// An empty network with the given configuration.
-    pub fn with_config(cfg: KademliaConfig) -> Self {
-        KademliaNetwork {
-            cfg,
-            nodes: BTreeMap::new(),
-            order: Vec::new(),
-            stats: Counters::default(),
-            next_origin: AtomicU64::new(0),
-            metrics: MetricsRegistry::default(),
-        }
-    }
-
     /// Builds a network over `ids` with fully populated routing tables
     /// (as if the network had been running long enough for every node to
     /// have seen traffic from its neighbourhood).
@@ -124,11 +120,7 @@ impl KademliaNetwork {
 
     /// [`KademliaNetwork::with_nodes`] with an explicit configuration.
     pub fn with_nodes_and_config(ids: impl IntoIterator<Item = Key>, cfg: KademliaConfig) -> Self {
-        let mut net = Self::with_config(cfg);
-        for id in ids {
-            net.nodes.entry(id).or_insert_with(KadNodeState::new);
-        }
-        net.order = net.nodes.keys().copied().collect();
+        let mut net = Self::with_members(cfg, ids, |_| KadNodeState::new());
         let all = net.order.clone();
         for a in &all {
             for b in &all {
@@ -267,102 +259,10 @@ impl KademliaNetwork {
         self.order.iter().min_by_key(|n| n.xor(key)).copied()
     }
 
-    /// Joins `id` via the live `bootstrap` node: the newcomer looks up its
-    /// own identifier, which both fills its table and announces it to the
-    /// nodes nearest to it.
-    ///
-    /// # Errors
-    ///
-    /// [`ChordError::DuplicateNode`] / [`ChordError::UnknownNode`] mirror
-    /// the Chord substrate's join errors.
-    pub fn join(&mut self, id: NodeId, bootstrap: NodeId) -> Result<(), ChordError> {
-        let key = *id.key();
-        if self.nodes.contains_key(&key) {
-            return Err(ChordError::DuplicateNode(id));
-        }
-        if !self.nodes.contains_key(bootstrap.key()) {
-            return Err(ChordError::UnknownNode(bootstrap));
-        }
-        self.nodes.insert(key, KadNodeState::new());
-        let pos = self.order.binary_search(&key).unwrap_err();
-        self.order.insert(pos, key);
-        self.observe(&key, bootstrap.key());
-        let (_closest, _hops) = self.find_closest(key, &key.clone());
-        // Take over the keys now closest to the newcomer from their
-        // previous owners (the re-publication the protocol does lazily).
-        self.rebalance_keys();
-        Ok(())
-    }
-
-    /// Abruptly removes a node; its stored data is lost unless
-    /// `store_width > 1` placed copies elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// [`ChordError::UnknownNode`] if `id` is not live.
-    pub fn fail(&mut self, id: NodeId) -> Result<(), ChordError> {
-        let key = *id.key();
-        if self.nodes.remove(&key).is_none() {
-            return Err(ChordError::UnknownNode(id));
-        }
-        let pos = self.order.binary_search(&key).expect("order mirrors nodes");
-        self.order.remove(pos);
-        Ok(())
-    }
-
     /// Re-places every stored key on its current `store_width` closest
     /// nodes (Kademlia's periodic re-publication, done eagerly).
     pub fn rebalance_keys(&mut self) {
-        let mut all: BTreeMap<Key, Vec<Bytes>> = BTreeMap::new();
-        for state in self.nodes.values() {
-            for (key, values) in state.store.iter() {
-                let merged = all.entry(*key).or_default();
-                for v in values {
-                    if !merged.contains(v) {
-                        merged.push(v.clone());
-                    }
-                }
-            }
-        }
-        for (key, values) in all {
-            let targets = self.store_set(&key);
-            for (node_key, state) in self.nodes.iter_mut() {
-                if targets.contains(node_key) {
-                    for v in &values {
-                        state.store.put(key, v.clone());
-                    }
-                } else {
-                    state.store.remove_all(&key);
-                }
-            }
-        }
-    }
-
-    /// The nodes that should hold `key`: the `store_width` closest.
-    fn store_set(&self, key: &Key) -> Vec<Key> {
-        let mut nodes = self.order.clone();
-        nodes.sort_by_key(|n| n.xor(key));
-        nodes.truncate(self.cfg.store_width.max(1));
-        nodes
-    }
-
-    fn pick_origin(&self) -> Option<Key> {
-        if self.order.is_empty() {
-            return None;
-        }
-        let i = self.next_origin.fetch_add(1, Ordering::Relaxed) as usize;
-        Some(self.order[i % self.order.len()])
-    }
-
-    /// Read-only view of one node's store.
-    pub fn store_of(&self, id: &NodeId) -> Option<&NodeStore> {
-        self.nodes.get(id.key()).map(|s| &s.store)
-    }
-}
-
-impl Default for KademliaNetwork {
-    fn default() -> Self {
-        Self::new()
+        self.place(None);
     }
 }
 
@@ -374,124 +274,12 @@ fn bucket_index(a: &Key, b: &Key) -> usize {
     KEY_BITS - 1 - lz.min(KEY_BITS - 1)
 }
 
-impl KademliaNetwork {
-    fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        let Some(origin) = self.pick_origin() else {
-            return Err(DhtError::NoLiveNodes);
-        };
-        match op {
-            DhtOp::NodeFor(key) => {
-                let node = self.nearest_node(&key).expect("non-empty network");
-                Ok(DhtResponse::Node(NodeId::from_key(node)))
-            }
-            DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
-            DhtOp::Put { key, value } => {
-                let (_closest, _hops) = self.find_closest(origin, &key);
-                self.stats.messages.fetch_add(2, Ordering::Relaxed);
-                let targets = self.store_set(&key);
-                let mut stored = false;
-                for t in targets {
-                    let state = self.nodes.get_mut(&t).expect("live node");
-                    stored |= state.store.put(key, value.clone());
-                }
-                Ok(DhtResponse::Stored(stored))
-            }
-            DhtOp::Remove { key, value } => {
-                let (_closest, _hops) = self.find_closest(origin, &key);
-                self.stats.messages.fetch_add(2, Ordering::Relaxed);
-                let mut removed = false;
-                for t in self.store_set(&key) {
-                    let state = self.nodes.get_mut(&t).expect("live node");
-                    removed |= state.store.remove(&key, &value);
-                }
-                Ok(DhtResponse::Removed(removed))
-            }
-        }
-    }
-}
-
-impl Dht for KademliaNetwork {
-    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_inner(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_inner(op);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
-    }
-
-    fn node_for(&self, key: &Key) -> Option<NodeId> {
-        // Responsibility is XOR-nearest; the iterative lookup (with table
-        // learning) lives on the mutating paths.
-        self.nearest_node(key).map(NodeId::from_key)
-    }
-
-    fn nodes(&self) -> Vec<NodeId> {
-        self.order.iter().copied().map(NodeId::from_key).collect()
-    }
-
-    fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.stats.messages.fetch_add(2, Ordering::Relaxed);
-        let mut out: Vec<Bytes> = Vec::new();
-        for t in self.store_set(key) {
-            if let Some(state) = self.nodes.get(&t) {
-                for v in state.store.get(key) {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-            if !out.is_empty() {
-                break;
-            }
-        }
-        out
-    }
-
-    fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        crate::storage::merged_entries(self.nodes.values().map(|state| &state.store))
-    }
-
-    fn stats(&self) -> DhtStats {
-        DhtStats {
-            messages: self.stats.messages.load(Ordering::Relaxed),
-            lookups: self.stats.lookups.load(Ordering::Relaxed),
-            hops: self.stats.hops.load(Ordering::Relaxed),
-        }
-    }
-
-    fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-}
-
-impl NodeChurn for KademliaNetwork {
-    fn spawn(&mut self, id: NodeId) -> bool {
-        let Some(bootstrap) = self.order.first().copied() else {
-            return false;
-        };
-        self.join(id, NodeId::from_key(bootstrap)).is_ok()
-    }
-
-    fn kill(&mut self, id: NodeId) -> bool {
-        self.fail(id).is_ok()
-    }
-
-    fn stabilize(&mut self) {
-        self.rebalance_keys();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Dht, NodeId};
+    use crate::chord::ChordError;
+    use bytes::Bytes;
 
     fn keys(n: usize) -> Vec<Key> {
         (0..n).map(|i| Key::hash_of(&format!("kad-{i}"))).collect()
@@ -549,18 +337,6 @@ mod tests {
             let k = Key::hash_of(&format!("item{i}"));
             assert_eq!(net.get(&k), vec![Bytes::from(format!("v{i}"))]);
         }
-    }
-
-    #[test]
-    fn multi_value_and_remove() {
-        let mut net = KademliaNetwork::with_nodes(keys(16));
-        let k = Key::hash_of("multi");
-        assert!(net.put(k, Bytes::from_static(b"a")));
-        assert!(net.put(k, Bytes::from_static(b"b")));
-        assert!(!net.put(k, Bytes::from_static(b"a")));
-        assert_eq!(net.get(&k).len(), 2);
-        assert!(net.remove(&k, b"a"));
-        assert_eq!(net.get(&k), vec![Bytes::from_static(b"b")]);
     }
 
     #[test]

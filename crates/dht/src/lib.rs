@@ -8,14 +8,17 @@
 //! * [`key`] — the 160-bit circular identifier space with ring arithmetic;
 //! * [`storage`] — per-node multi-value key stores (the paper requires
 //!   "registration of multiple entries using the same key");
+//! * [`overlay`] — the routed-overlay skeleton: one [`OverlayDht`] owns
+//!   members, stores, counters, the op path, the join takeover and the
+//!   re-replication pass; an [`Overlay`] supplies only the routing. The
+//!   next three are its instances:
 //! * [`chord`] — a faithful Chord protocol simulation (finger routing,
 //!   join/leave/failure, stabilization, successor lists, optional
-//!   replication and replica repair);
+//!   replication);
 //! * [`kademlia`] — a Kademlia simulation (XOR metric, k-buckets,
-//!   iterative α-parallel lookups, re-publication), the libp2p-style
-//!   substrate;
+//!   iterative α-parallel lookups), the libp2p-style substrate;
 //! * [`pastry`] — a Pastry simulation (prefix routing, leaf sets,
-//!   PAST-style leaf-set replication), the substrate the paper names
+//!   PAST-style leaf-set placement), the substrate the paper names
 //!   alongside Chord;
 //! * [`ring`] — a direct consistent-hash ring with identical key placement,
 //!   used where the substrate is assumed rather than studied;
@@ -54,6 +57,7 @@ pub mod faulty;
 pub mod hash;
 pub mod kademlia;
 pub mod key;
+pub mod overlay;
 pub mod pastry;
 pub mod placement;
 pub mod ring;
@@ -69,6 +73,7 @@ pub use chord::{ChordConfig, ChordError, ChordNetwork};
 pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMix64};
 pub use kademlia::{KademliaConfig, KademliaNetwork};
 pub use key::{Key, KEY_BITS};
+pub use overlay::{Overlay, OverlayDht};
 pub use pastry::{PastryConfig, PastryNetwork};
 pub use ring::RingDht;
 pub use sharded::{

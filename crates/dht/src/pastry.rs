@@ -28,16 +28,10 @@
 //! assert_eq!(net.get(&key), vec![Bytes::from_static(b"value")]);
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use bytes::Bytes;
-use p2p_index_obs::MetricsRegistry;
-
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
-use crate::chord::ChordError;
 use crate::key::{Key, KEY_BITS};
-use crate::storage::NodeStore;
+use crate::overlay::{Overlay, OverlayDht};
 
 /// Hex digits per identifier (160 bits / 4 bits per digit).
 const DIGITS: usize = KEY_BITS / 4;
@@ -63,15 +57,15 @@ impl Default for PastryConfig {
     }
 }
 
+/// One Pastry member's routing state: prefix routing table and leaf set.
 #[derive(Debug, Clone)]
-struct PastryNodeState {
+pub struct PastryNodeState {
     /// `routing[row][col]`: a node sharing `row` leading digits whose
     /// digit at position `row` is `col`.
     routing: Vec<Vec<Option<Key>>>,
     /// Numerically closest neighbours: smaller side then larger side.
     leaves_small: Vec<Key>,
     leaves_large: Vec<Key>,
-    store: NodeStore,
 }
 
 impl PastryNodeState {
@@ -80,30 +74,15 @@ impl PastryNodeState {
             routing: vec![vec![None; RADIX]; DIGITS],
             leaves_small: Vec::new(),
             leaves_large: Vec::new(),
-            store: NodeStore::new(),
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    messages: AtomicU64,
-    lookups: AtomicU64,
-    hops: AtomicU64,
-}
-
-/// The simulated Pastry network.
+/// The simulated Pastry network: the [overlay skeleton](crate::overlay)
+/// routed by [`PastryConfig`].
 ///
 /// See the [module docs](self) for an overview.
-#[derive(Debug)]
-pub struct PastryNetwork {
-    cfg: PastryConfig,
-    nodes: BTreeMap<Key, PastryNodeState>,
-    order: Vec<Key>,
-    stats: Counters,
-    next_origin: AtomicU64,
-    metrics: MetricsRegistry,
-}
+pub type PastryNetwork = OverlayDht<PastryConfig>;
 
 /// The hex digit of `key` at position `i` (0 = most significant).
 fn digit(key: &Key, i: usize) -> usize {
@@ -129,24 +108,49 @@ fn num_distance(a: &Key, b: &Key) -> Key {
     cw.min(ccw)
 }
 
-impl PastryNetwork {
-    /// An empty network with default configuration.
-    pub fn new() -> Self {
-        Self::with_config(PastryConfig::default())
+impl Overlay for PastryConfig {
+    type Tables = PastryNodeState;
+
+    fn route(net: &PastryNetwork, key: &Key) -> Option<Key> {
+        let origin = net.pick_origin()?;
+        Some(net.route_from(origin, key).0)
     }
 
-    /// An empty network with the given configuration.
-    pub fn with_config(cfg: PastryConfig) -> Self {
-        PastryNetwork {
-            cfg,
-            nodes: BTreeMap::new(),
-            order: Vec::new(),
-            stats: Counters::default(),
-            next_origin: AtomicU64::new(0),
-            metrics: MetricsRegistry::default(),
+    /// PAST placement: the `replication` live nodes numerically closest to
+    /// the key.
+    fn replica_set(net: &PastryNetwork, key: &Key) -> Vec<Key> {
+        let mut nodes = net.order.clone();
+        nodes.sort_by(|a, b| {
+            num_distance(a, key)
+                .cmp(&num_distance(b, key))
+                .then(a.cmp(b))
+        });
+        nodes.truncate(net.cfg.replication.max(1));
+        nodes
+    }
+
+    /// The join message routes from `bootstrap` to the node closest to
+    /// `id`, state is initialized, and affected neighbours update their
+    /// tables.
+    fn join(net: &mut PastryNetwork, id: Key, bootstrap: Key) {
+        let (_closest, hops) = net.route_from(bootstrap, &id);
+        net.bump_messages(hops as u64 + 2);
+        net.insert_member(id, PastryNodeState::new());
+        net.rebuild_node_state(&id);
+        // Neighbours refresh their leaf sets and routing entries.
+        for other in net.order.clone() {
+            if other != id {
+                net.refresh_after_membership_change(&other, &id);
+            }
         }
     }
 
+    fn stabilize(net: &mut PastryNetwork) {
+        net.repair();
+    }
+}
+
+impl PastryNetwork {
     /// Builds a converged network over `ids`: routing tables and leaf sets
     /// computed from the global view.
     pub fn with_perfect_tables(ids: impl IntoIterator<Item = Key>) -> Self {
@@ -158,11 +162,7 @@ impl PastryNetwork {
         ids: impl IntoIterator<Item = Key>,
         cfg: PastryConfig,
     ) -> Self {
-        let mut net = Self::with_config(cfg);
-        for id in ids {
-            net.nodes.entry(id).or_insert_with(PastryNodeState::new);
-        }
-        net.order = net.nodes.keys().copied().collect();
+        let mut net = Self::with_members(cfg, ids, |_| PastryNodeState::new());
         let ids = net.order.clone();
         for id in &ids {
             net.rebuild_node_state(id);
@@ -342,95 +342,6 @@ impl PastryNetwork {
         }
     }
 
-    /// Joins `id` via `bootstrap`: the join message routes to the node
-    /// closest to `id`, state is initialized, and affected neighbours
-    /// update their tables.
-    ///
-    /// # Errors
-    ///
-    /// [`ChordError::DuplicateNode`] / [`ChordError::UnknownNode`] (shared
-    /// error type across substrates).
-    pub fn join(&mut self, id: NodeId, bootstrap: NodeId) -> Result<(), ChordError> {
-        let key = *id.key();
-        if self.nodes.contains_key(&key) {
-            return Err(ChordError::DuplicateNode(id));
-        }
-        if !self.nodes.contains_key(bootstrap.key()) {
-            return Err(ChordError::UnknownNode(bootstrap));
-        }
-        let (closest, hops) = self.route_from(*bootstrap.key(), &key);
-        self.stats
-            .messages
-            .fetch_add(hops as u64 + 2, Ordering::Relaxed);
-
-        self.nodes.insert(key, PastryNodeState::new());
-        let pos = self.order.binary_search(&key).unwrap_err();
-        self.order.insert(pos, key);
-        self.rebuild_node_state(&key);
-
-        // Keys the newcomer is now responsible for move from the previous
-        // owners. Numeric-closest responsibility splits toward *both* ring
-        // neighbours (each gives up the half-interval facing the
-        // newcomer), and the routed `closest` node may be either of them.
-        let n = self.order.len();
-        let pos = self.order.binary_search(&key).expect("just inserted");
-        let mut donors = vec![closest];
-        donors.push(self.order[(pos + n - 1) % n]);
-        donors.push(self.order[(pos + 1) % n]);
-        donors.sort();
-        donors.dedup();
-        let mut moved: Vec<(Key, Vec<Bytes>)> = Vec::new();
-        for donor_id in donors {
-            if donor_id == key {
-                continue;
-            }
-            let donor = self.nodes.get_mut(&donor_id).expect("live node");
-            let move_keys: Vec<Key> = donor
-                .store
-                .iter()
-                .filter(|(k, _)| num_distance(k, &key) < num_distance(k, &donor_id))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in move_keys {
-                let values = donor.store.get(&k).to_vec();
-                donor.store.remove_all(&k);
-                moved.push((k, values));
-            }
-        }
-        let state = self.nodes.get_mut(&key).expect("just inserted");
-        for (k, values) in moved {
-            for v in values {
-                state.store.put(k, v);
-            }
-        }
-
-        // Neighbours refresh their leaf sets and routing entries.
-        let affected = self.order.clone();
-        for other in affected {
-            if other != key {
-                self.refresh_after_membership_change(&other, &key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Abruptly removes a node (data lost unless replicated via the leaf
-    /// set). Remaining nodes repair their state lazily via
-    /// [`PastryNetwork::repair`].
-    ///
-    /// # Errors
-    ///
-    /// [`ChordError::UnknownNode`] if `id` is not live.
-    pub fn fail(&mut self, id: NodeId) -> Result<(), ChordError> {
-        let key = *id.key();
-        if self.nodes.remove(&key).is_none() {
-            return Err(ChordError::UnknownNode(id));
-        }
-        let pos = self.order.binary_search(&key).expect("order mirrors nodes");
-        self.order.remove(pos);
-        Ok(())
-    }
-
     /// Cheap incremental update after a single join: slot the newcomer
     /// into leaf sets / routing where it improves the entry.
     fn refresh_after_membership_change(&mut self, node: &Key, newcomer: &Key) {
@@ -460,193 +371,16 @@ impl PastryNetwork {
         for id in &ids {
             self.rebuild_node_state(id);
         }
-        // Re-replication pass.
-        let mut all: BTreeMap<Key, Vec<Bytes>> = BTreeMap::new();
-        for state in self.nodes.values() {
-            for (key, values) in state.store.iter() {
-                let merged = all.entry(*key).or_default();
-                for v in values {
-                    if !merged.contains(v) {
-                        merged.push(v.clone());
-                    }
-                }
-            }
-        }
-        let mut created = 0;
-        for (key, values) in all {
-            let replicas = self.replica_set(&key);
-            for (node_key, state) in self.nodes.iter_mut() {
-                if replicas.contains(node_key) {
-                    for v in &values {
-                        if state.store.put(key, v.clone()) {
-                            created += 1;
-                        }
-                    }
-                } else {
-                    state.store.remove_all(&key);
-                }
-            }
-        }
-        created
-    }
-
-    /// PAST placement: the `replication` live nodes numerically closest to
-    /// the key.
-    fn replica_set(&self, key: &Key) -> Vec<Key> {
-        let mut nodes = self.order.clone();
-        nodes.sort_by(|a, b| {
-            num_distance(a, key)
-                .cmp(&num_distance(b, key))
-                .then(a.cmp(b))
-        });
-        nodes.truncate(self.cfg.replication.max(1));
-        nodes
-    }
-
-    fn pick_origin(&self) -> Option<Key> {
-        if self.order.is_empty() {
-            return None;
-        }
-        let i = self.next_origin.fetch_add(1, Ordering::Relaxed) as usize;
-        Some(self.order[i % self.order.len()])
-    }
-
-    /// Read-only view of one node's store.
-    pub fn store_of(&self, id: &NodeId) -> Option<&NodeStore> {
-        self.nodes.get(id.key()).map(|s| &s.store)
-    }
-}
-
-impl Default for PastryNetwork {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PastryNetwork {
-    fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        let Some(origin) = self.pick_origin() else {
-            return Err(DhtError::NoLiveNodes);
-        };
-        match op {
-            DhtOp::NodeFor(key) => {
-                let (node, _hops) = self.route_from(origin, &key);
-                Ok(DhtResponse::Node(NodeId::from_key(node)))
-            }
-            DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
-            DhtOp::Put { key, value } => {
-                let (_node, _hops) = self.route_from(origin, &key);
-                self.stats.messages.fetch_add(2, Ordering::Relaxed);
-                let mut stored = false;
-                for replica in self.replica_set(&key) {
-                    let state = self.nodes.get_mut(&replica).expect("live replica");
-                    stored |= state.store.put(key, value.clone());
-                }
-                Ok(DhtResponse::Stored(stored))
-            }
-            DhtOp::Remove { key, value } => {
-                let (_node, _hops) = self.route_from(origin, &key);
-                self.stats.messages.fetch_add(2, Ordering::Relaxed);
-                let mut removed = false;
-                for replica in self.replica_set(&key) {
-                    let state = self.nodes.get_mut(&replica).expect("live replica");
-                    removed |= state.store.remove(&key, &value);
-                }
-                Ok(DhtResponse::Removed(removed))
-            }
-        }
-    }
-}
-
-impl Dht for PastryNetwork {
-    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_inner(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_inner(op);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
-    }
-
-    fn node_for(&self, key: &Key) -> Option<NodeId> {
-        let origin = self.pick_origin()?;
-        let (node, _hops) = self.route_from(origin, key);
-        Some(NodeId::from_key(node))
-    }
-
-    fn nodes(&self) -> Vec<NodeId> {
-        self.order.iter().copied().map(NodeId::from_key).collect()
-    }
-
-    fn get(&self, key: &Key) -> Vec<Bytes> {
-        let Some(origin) = self.pick_origin() else {
-            return Vec::new();
-        };
-        let (node, _hops) = self.route_from(origin, key);
-        self.stats.messages.fetch_add(2, Ordering::Relaxed);
-        if let Some(state) = self.nodes.get(&node) {
-            let values = state.store.get(key);
-            if !values.is_empty() {
-                return values.to_vec();
-            }
-        }
-        // Leaf-set read repair path.
-        for replica in self.replica_set(key).into_iter().skip(1) {
-            if let Some(state) = self.nodes.get(&replica) {
-                let values = state.store.get(key);
-                if !values.is_empty() {
-                    self.stats.messages.fetch_add(2, Ordering::Relaxed);
-                    return values.to_vec();
-                }
-            }
-        }
-        Vec::new()
-    }
-
-    fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        crate::storage::merged_entries(self.nodes.values().map(|state| &state.store))
-    }
-
-    fn stats(&self) -> DhtStats {
-        DhtStats {
-            messages: self.stats.messages.load(Ordering::Relaxed),
-            lookups: self.stats.lookups.load(Ordering::Relaxed),
-            hops: self.stats.hops.load(Ordering::Relaxed),
-        }
-    }
-
-    fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-}
-
-impl NodeChurn for PastryNetwork {
-    fn spawn(&mut self, id: NodeId) -> bool {
-        let Some(bootstrap) = self.order.first().copied() else {
-            return false;
-        };
-        self.join(id, NodeId::from_key(bootstrap)).is_ok()
-    }
-
-    fn kill(&mut self, id: NodeId) -> bool {
-        self.fail(id).is_ok()
-    }
-
-    fn stabilize(&mut self) {
-        self.repair();
+        self.place(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Dht, NodeId};
+    use crate::chord::ChordError;
+    use bytes::Bytes;
 
     fn keys(n: usize) -> Vec<Key> {
         (0..n)

@@ -8,8 +8,16 @@
 //! (`BTreeMap::range`, O(log n)) instead of routed hops. It is the
 //! substrate used for the 500-node × 50 000-query simulations; the
 //! [`Chord`](crate::chord) substrate exists to show the indexing layer
-//! really does run over the full protocol (see the substrate-independence
-//! ablation bench).
+//! really does run over the full protocol
+//! (`crates/core/tests/search_oracle.rs` runs the same searches over the
+//! ring, Chord, Kademlia and Pastry against one reference).
+//!
+//! `RingDht` is deliberately not an [`Overlay`](crate::overlay::Overlay):
+//! it has no routing state and no lookup origin, it keeps the
+//! [`PairCounters`] convention (`NodeFor` and `remove` count no lookup)
+//! that the networked substrates share, and it is the one substrate on a
+//! benchmark hot path (`sim-lookup`, every cluster twin), where the
+//! skeleton's `Vec<Key>` replica set per operation would be pure cost.
 
 use std::collections::BTreeMap;
 

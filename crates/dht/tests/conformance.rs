@@ -20,8 +20,9 @@
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    BalanceConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht,
-    KademliaNetwork, Key, NodeChurn, PastryNetwork, RingDht, SplitDht,
+    BalanceConfig, ChordConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig,
+    FaultyDht, KademliaConfig, KademliaNetwork, Key, NodeChurn, PastryConfig, PastryNetwork,
+    RingDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -225,6 +226,50 @@ fn rpc_pairs_count_as_two_messages() {
             dht.stats().messages,
             6,
             "{name}: remove = request + response"
+        );
+    }
+    // A replicated read asks one replica at a time while the answer is
+    // empty, so a key nobody holds costs its route (two messages a hop)
+    // plus one pair per member of the replica set, on every overlay.
+    let (chord, kademlia, pastry) = (
+        ChordConfig {
+            replication: 3,
+            ..ChordConfig::default()
+        },
+        KademliaConfig {
+            store_width: 3,
+            ..KademliaConfig::default()
+        },
+        PastryConfig {
+            replication: 3,
+            ..PastryConfig::default()
+        },
+    );
+    let replicated: Vec<(&'static str, Box<dyn Dht>)> = vec![
+        (
+            "chord",
+            Box::new(ChordNetwork::with_perfect_tables_and_config(keys(8), chord)),
+        ),
+        (
+            "kademlia",
+            Box::new(KademliaNetwork::with_nodes_and_config(keys(8), kademlia)),
+        ),
+        (
+            "pastry",
+            Box::new(PastryNetwork::with_perfect_tables_and_config(
+                keys(8),
+                pastry,
+            )),
+        ),
+    ];
+    for (name, mut dht) in replicated {
+        let before = dht.stats();
+        assert!(exec_get(dht.as_mut(), Key::hash_of("absent")).is_empty());
+        let after = dht.stats();
+        assert_eq!(
+            after.messages - before.messages,
+            2 * (after.hops - before.hops) + 2 * 3,
+            "{name}: an empty replicated read = route + three request/response pairs"
         );
     }
 }
