@@ -79,10 +79,10 @@ struct Slot {
 /// itself: the key is a 20-byte `Copy` value, so cache probes on the
 /// lookup hot path never clone a query or re-render its canonical text.
 ///
-/// A cached key may accumulate several targets (e.g. two popular articles
-/// by the same author reached through the same broad query); they are
-/// returned together, mirroring the multi-value semantics of regular index
-/// entries.
+/// A cached key holds one target: [`insert`](Self::insert) replaces
+/// whatever the key pointed at before (two popular articles reached
+/// through the same broad query take turns), so a probe answers with the
+/// most recently confirmed descriptor and responses stay small.
 #[derive(Debug, Clone, Default)]
 pub struct ShortcutCache {
     slots: HashMap<Key, Slot>,

@@ -16,8 +16,10 @@
 //! read, malformed reply, response-id mismatch — all map to
 //! [`DhtError::Timeout`], the transient variant, so the index layer's
 //! existing `RetryPolicy` retries them without knowing sockets exist. A
-//! failed connection is dropped from the pool and redialed on the next
-//! call.
+//! failed connection is dropped and redialed on the next call. The client
+//! keeps one `Pooled` link per member (`link.rs`): a caller sends a round
+//! and then reads it back, so it never has two frames to one member in
+//! flight.
 //!
 //! # Batching
 //!
@@ -45,11 +47,10 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -60,10 +61,8 @@ use p2p_index_dht::{
 };
 use p2p_index_obs::MetricsRegistry;
 
-use crate::wire::{
-    encode_batch, encode_message, read_reply_with, release_frame_capacity, write_frame,
-    write_message, Message, RecvError,
-};
+use crate::link::{Link, Pooled, Timeouts};
+use crate::wire::{encode_batch, encode_message, Message, RecvError};
 
 /// Tuning knobs for a [`RemoteDht`] client.
 #[derive(Debug, Clone)]
@@ -102,78 +101,18 @@ impl Default for RemoteDhtConfig {
     }
 }
 
-/// How many pooled connections one client keeps per member. A single
-/// pooled stream made every multi-threaded client serialize per member —
-/// the client-side twin of the server's old global substrate mutex — so
-/// the server's reader concurrency was unreachable from one process. A
-/// small fixed set keeps that many RPCs to the same member in flight at
-/// once; beyond it, callers briefly queue on a slot.
-const CONNS_PER_MEMBER: usize = 4;
-
-/// One pooled connection: the stream and the frame buffer that lives
-/// beside it. A connection carries one frame at a time — request out,
-/// then reply in — so one buffer serves both directions, and it keeps
-/// its capacity from call to call, up to
-/// [`release_frame_capacity`]'s bound.
-struct Conn {
-    stream: TcpStream,
-    frame: Vec<u8>,
-}
-
-/// One cluster member: a small pool of connections to a `dhtd` server,
-/// keyed by the node identifier it serves.
+/// One cluster member: the node identifier a `dhtd` server serves and the
+/// link to it.
 struct Member {
     id: NodeId,
-    addr: SocketAddr,
-    /// Lazily-dialed pooled connections; each slot is poisoned-on-failure
-    /// (dropped and redialed on the next call).
-    conns: Vec<Mutex<Option<Conn>>>,
-    /// Rotation point for slot leasing, so concurrent callers spread
-    /// across the pool instead of all contending on slot 0.
-    next_slot: AtomicUsize,
-}
-
-impl Member {
-    fn new(id: NodeId, addr: SocketAddr) -> Member {
-        Member {
-            id,
-            addr,
-            conns: (0..CONNS_PER_MEMBER).map(|_| Mutex::new(None)).collect(),
-            next_slot: AtomicUsize::new(0),
-        }
-    }
-
-    /// Leases one connection slot. Warm idle slots win: a sequential
-    /// caller stays on one established connection (identical wire
-    /// behaviour to the old single-stream pool), and a cold slot is only
-    /// dialed when every warm slot is busy — so the pool grows exactly
-    /// as far as the caller's actual concurrency. Only when every slot
-    /// is busy does the caller queue, on a rotated slot so queued
-    /// callers spread across the pool. Deadlock-free under concurrent
-    /// batches: every thread acquires members in ring order and holds at
-    /// most one slot per member, so wait chains only ever point up-ring.
-    fn lease(&self) -> MutexGuard<'_, Option<Conn>> {
-        for pass in 0..2 {
-            for slot in &self.conns {
-                if let Ok(guard) = slot.try_lock() {
-                    if pass == 1 || guard.is_some() {
-                        return guard;
-                    }
-                }
-            }
-        }
-        let start = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        self.conns[start % self.conns.len()]
-            .lock()
-            .expect("connection pool poisoned")
-    }
+    link: Pooled,
 }
 
 /// One routed member's in-flight frame pair during a pipelined batch.
-/// The connection guard is held from write to read so the reply phase
-/// reads the same stream the request went out on.
+/// The link's guard is held from write to read so the reply phase reads
+/// the same stream the request went out on.
 struct InFlight<'a> {
-    slot: MutexGuard<'a, Option<Conn>>,
+    slot: MutexGuard<'a, Option<Link>>,
     id: u64,
     started: Instant,
     /// This member's attempts, as a range of the round's attempt list.
@@ -346,7 +285,10 @@ impl RemoteDht {
     pub fn connect(members: Vec<(NodeId, SocketAddr)>, mut config: RemoteDhtConfig) -> RemoteDht {
         let by_key: BTreeMap<Key, Member> = members
             .into_iter()
-            .map(|(id, addr)| (*id.key(), Member::new(id, addr)))
+            .map(|(id, addr)| {
+                let link = Pooled::new(addr);
+                (*id.key(), Member { id, link })
+            })
             .collect();
         let ring: Vec<Key> = by_key.keys().copied().collect();
         config.replicas = config.replicas.clamp(1, ring.len().max(1));
@@ -376,7 +318,7 @@ impl RemoteDht {
 
     /// The configured members as `(id, addr)`, in ring order.
     pub fn members(&self) -> Vec<(NodeId, SocketAddr)> {
-        self.members.iter().map(|m| (m.id, m.addr)).collect()
+        self.members.iter().map(|m| (m.id, m.link.addr)).collect()
     }
 
     /// Sends a shutdown frame to every member, telling each `dhtd` to stop
@@ -384,13 +326,8 @@ impl RemoteDht {
     /// server needs no shutdown.
     pub fn shutdown_members(&self) {
         for member in &self.members {
-            let mut slot = member.lease();
-            let stream = match slot.take() {
-                Some(conn) => Some(conn.stream),
-                None => self.dial(member.addr).ok(),
-            };
-            if let Some(mut stream) = stream {
-                let _ = write_message(&mut stream, &Message::Shutdown);
+            if let Some(link) = member.link.lease(self.timeouts()).as_mut() {
+                let _ = link.send(|frame| encode_message(&Message::Shutdown, frame));
             }
         }
     }
@@ -402,12 +339,12 @@ impl RemoteDht {
         placement::successor_index(&self.ring, key).map(|at| &self.members[at])
     }
 
-    fn dial(&self, addr: SocketAddr) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
+    fn timeouts(&self) -> Timeouts {
+        Timeouts {
+            connect: self.config.connect_timeout,
+            read: self.config.read_timeout,
+            write: self.config.write_timeout,
+        }
     }
 
     /// The one wire code path: executes a batch in failover rounds, one
@@ -464,11 +401,11 @@ impl RemoteDht {
     ///
     /// The round is flat: attempts are one list sorted into wire order
     /// (a member's group is a sub-slice), request frames are encoded
-    /// straight from the routes into the buffer beside each pooled
-    /// connection, and replies are absorbed out of one reused vector.
+    /// straight from the routes into the buffer beside each member's
+    /// link, and replies are absorbed out of one reused vector.
     /// What a warm call still allocates is what it returns — the result
     /// vector, each `Values` list, one shared buffer per value-carrying
-    /// reply frame — plus the round's list of leased connections.
+    /// reply frame — plus the round's list of leased links.
     fn run(&self, ops: impl ExactSizeIterator<Item = DhtOp>, scratch: &mut CallScratch) {
         let CallScratch {
             routes,
@@ -531,9 +468,10 @@ impl RemoteDht {
             }
         }
         let stride = self.config.read_quorum;
+        let timeouts = self.timeouts();
         gathered.resize_with(routes.len() * stride, || None);
-        // Connection guards are leased in ring order, so concurrent
-        // batches cannot deadlock; the list is reused from round to round.
+        // Links are leased in ring order, so concurrent batches cannot
+        // deadlock; the list is reused from round to round.
         let mut in_flight: Vec<InFlight<'_>> = Vec::new();
         let mut round = 0usize;
         loop {
@@ -611,34 +549,24 @@ impl RemoteDht {
                 let group = next..next + chunk.len();
                 next = group.end;
                 let member = &self.members[chunk[0].member];
-                let mut slot = member.lease();
-                if slot.is_none() {
-                    match self.dial(member.addr) {
-                        Ok(stream) => {
-                            *slot = Some(Conn {
-                                stream,
-                                frame: Vec::new(),
-                            })
-                        }
-                        Err(_) => {
-                            self.metrics.incr("net.connect_errors");
-                            continue;
-                        }
-                    }
-                }
+                let mut slot = member.link.lease(timeouts);
+                let Some(link) = slot.as_mut() else {
+                    self.metrics.incr("net.connect_errors");
+                    continue;
+                };
                 let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
                 let batch = group.len() > 1;
                 let started = Instant::now();
-                let conn = slot.as_mut().expect("connection just ensured");
-                conn.frame.clear();
-                if batch {
-                    let ops = chunk.iter().map(|attempt| wire_op(routes, attempt));
-                    encode_batch(id, ops, &mut conn.frame);
-                } else {
-                    let op = wire_op(routes, &chunk[0]).into_owned();
-                    encode_message(&Message::Request { id, op }, &mut conn.frame);
-                }
-                match write_frame(&mut conn.stream, &conn.frame) {
+                let sent = link.send(|frame| {
+                    if batch {
+                        let ops = chunk.iter().map(|attempt| wire_op(routes, attempt));
+                        encode_batch(id, ops, frame);
+                    } else {
+                        let op = wire_op(routes, &chunk[0]).into_owned();
+                        encode_message(&Message::Request { id, op }, frame);
+                    }
+                });
+                match sent {
                     Ok(sent) => {
                         self.metrics.incr("net.frames_out");
                         self.metrics.add("net.bytes_out", sent as u64);
@@ -661,12 +589,8 @@ impl RemoteDht {
             // Read phase, same member order: each reply feeds its ops'
             // routes; ops settle the moment their quorum is reached.
             for mut flight in in_flight.drain(..) {
-                let conn = flight.slot.as_mut().expect("stream pending a reply");
-                let reply = read_reply_with(&mut conn.stream, &mut conn.frame, replies);
-                // The results own their bytes; a reply that outgrew what a
-                // pooled connection keeps does not stay with it.
-                release_frame_capacity(&mut conn.frame);
-                let reply = match reply {
+                let link = flight.slot.as_mut().expect("link pending a reply");
+                let reply = match link.recv_reply(replies) {
                     Ok(reply) => reply,
                     Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                         self.metrics.incr("net.transport_errors");
@@ -1039,19 +963,11 @@ mod tests {
         let got = remote.execute(DhtOp::Get(key)).unwrap().into_values();
         assert_eq!(got, values);
 
-        // The pooled connection read that frame through its buffer and
-        // gave the excess back once the values were decoded out of it.
-        let pooled: Vec<usize> = remote.members[0]
-            .conns
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap().as_ref().map(|c| c.frame.capacity()))
-            .collect();
-        assert_eq!(
-            pooled.len(),
-            1,
-            "a sequential caller stays on one connection"
-        );
-        assert!(pooled[0] <= KEPT_FRAME_CAPACITY, "kept {} bytes", pooled[0]);
+        // The member's link read that frame through its buffer and gave
+        // the excess back once the values were decoded out of it.
+        let kept = remote.members[0].link.frame_capacity();
+        let kept = kept.expect("the exchange left its link up");
+        assert!(kept <= KEPT_FRAME_CAPACITY, "kept {kept} bytes");
         // So did the serving end's write buffer. A second exchange on the
         // same connection orders this check after the first one's release.
         remote.execute(DhtOp::Get(Key::hash_of("absent"))).unwrap();

@@ -13,14 +13,19 @@
 //!   frame format is specified byte-by-byte in `DESIGN.md` §11.
 //! - [`server`] — [`DhtServer`], the threaded `dhtd` daemon: an accept
 //!   loop plus per-connection worker threads serving one node's storage
-//!   partition from one sharded store. Exposed as `repro serve`.
+//!   partition from one sharded store, every frame through one
+//!   socket-free dispatch function. Exposed as `repro serve`.
 //! - [`client`] — [`RemoteDht`], the [`Dht`](p2p_index_dht::Dht) trait
-//!   over pooled TCP connections; `execute_many` routes a whole batch as
+//!   over one TCP link per member; `execute_many` routes a whole batch as
 //!   one pipelined frame pair per member. Transport failures map to the
 //!   transient
 //!   [`DhtError::Timeout`](p2p_index_dht::DhtError::Timeout), so
 //!   `IndexService`'s retry policy and the whole indexing stack run
 //!   unchanged over real sockets.
+//! - `link` (private) — the dialing side both of them share: the crate's
+//!   one dial, the frame buffer beside each connection, and the
+//!   one-connection-per-remote-member slot a client holds for each member
+//!   and a replicated server for each peer.
 //! - [`cluster`] — in-process loopback clusters for tests and benches;
 //!   the multi-process harness lives in the sim crate.
 //!
@@ -34,6 +39,7 @@
 
 pub mod client;
 pub mod cluster;
+mod link;
 pub mod server;
 pub mod wire;
 

@@ -4,10 +4,14 @@
 //! ephemeral port), starts an accept loop on its own thread, and serves
 //! every connection on a dedicated worker thread — plain `std::thread`,
 //! no async runtime, no new dependencies. Each worker reads request
-//! frames, executes them against the one store a daemon has — a
-//! [`ShardedDht`] of [`ServerConfig::shards`] key-hash shards, each behind
-//! its own `RwLock` held only for the in-memory operation, never across
-//! I/O — and writes the response frame back with the echoed request id.
+//! frames, hands each to `handle` — the server's step function: one
+//! decoded frame and the shared state in, the reply frame (or "leave") out,
+//! with no socket, reader or writer in sight — and writes the response
+//! frame back with the echoed request id. `handle` executes against the
+//! one store a daemon has: a [`ShardedDht`] of [`ServerConfig::shards`]
+//! key-hash shards, each behind its own `RwLock` held only for the
+//! in-memory operation, never across I/O. Frames this member sends its
+//! peers go out through `link.rs`, the same dialing code the client uses.
 //! Whatever routing a deployment puts in front (ring, Chord, Kademlia,
 //! Pastry), what a node *serves* is this one multi-value
 //! `put/get/remove` store; the client routes and accounts.
@@ -20,10 +24,10 @@
 //! typed error frame.
 //!
 //! Shutdown is graceful and reachable two ways: locally via
-//! [`DhtServer::shutdown`], or over the wire with a
-//! [`Message::Shutdown`](crate::wire::Message::Shutdown) frame (what the
-//! multi-process harness sends its children). Either path stops the
-//! accept loop, lets in-flight requests finish, and joins every worker.
+//! [`DhtServer::shutdown`], or over the wire with a [`Message::Shutdown`]
+//! frame (what the multi-process harness sends its children). Either path
+//! stops the accept loop, lets in-flight requests finish, and joins every
+//! worker.
 //!
 //! Per-connection read timeouts double as the shutdown poll interval: a
 //! worker blocked in `read` wakes at least every `read_timeout` to check
@@ -34,10 +38,10 @@
 //! With a [`ReplicationConfig`] the server becomes one member of a
 //! replicated cluster. Writes (`Put` / `Remove`) arriving as client
 //! `Request` / `Batch` frames are applied locally and fanned out as
-//! [`Message::Replicate`](crate::wire::Message::Replicate) frames to the
-//! other members of the key's replica set — the R clockwise successors
-//! shared with `p2p_index_dht::placement`, so client routing, server
-//! fan-out, and repair can never disagree. The local apply plus remote
+//! [`Message::Replicate`] frames to the other members of the key's replica
+//! set — the R clockwise successors shared with
+//! `p2p_index_dht::placement`, so client routing, server fan-out, and
+//! repair can never disagree. The local apply plus remote
 //! acks must reach the write quorum `W` or the client sees a transient
 //! [`DhtError::Timeout`]. Incoming `Replicate` and
 //! [`Transfer`](crate::wire::Message::Transfer) frames apply locally and
@@ -107,8 +111,10 @@ use p2p_index_dht::{
 };
 use p2p_index_obs::MetricsRegistry;
 
+use crate::link::{Pooled, Timeouts};
 use crate::wire::{
-    read_message_with, release_frame_capacity, write_message_with, Message, RecvError,
+    encode_message, read_message_with, release_frame_capacity, write_message_with, Message,
+    RecvError,
 };
 
 /// Cluster membership and quorum settings for one replicated server.
@@ -154,10 +160,6 @@ pub struct ServerConfig {
     /// Per-connection socket read timeout. Also bounds how long a worker
     /// can go without checking the shutdown flag.
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
-    /// How often the accept loop polls for shutdown between connections.
-    pub accept_poll: Duration,
     /// Metrics sink for the `net.server.*` series (disabled by default).
     pub metrics: MetricsRegistry,
     /// Replicated-cluster membership; `None` (the default) serves a
@@ -184,8 +186,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             read_timeout: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(2),
-            accept_poll: Duration::from_millis(10),
             metrics: MetricsRegistry::disabled(),
             replication: None,
             shards: DEFAULT_SHARDS,
@@ -195,35 +195,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// One peer's lazily-dialed, poisoned-on-failure server-to-server
-/// connection (the same pooling discipline as the client).
-struct Peer {
-    addr: SocketAddr,
-    conn: Mutex<Option<PeerConn>>,
-}
-
-/// A pooled peer stream and the frame buffer beside it: every
-/// server-to-server exchange encodes into and reads back through the same
-/// allocation instead of two fresh ones.
-struct PeerConn {
-    stream: TcpStream,
-    frame: Vec<u8>,
-}
+/// Server-to-server calls stay well under typical client read timeouts, so
+/// one dead peer can stall a quorum write only briefly — the client never
+/// times out waiting on our timeout.
+const PEER_TIMEOUTS: Timeouts = Timeouts {
+    connect: Duration::from_millis(300),
+    read: Duration::from_millis(700),
+    write: Duration::from_millis(700),
+};
 
 /// Replication state shared by connection workers and the repair thread.
 struct Replication {
     node_key: Key,
     /// All member ring keys, ascending — the placement ring.
     ring: Vec<Key>,
-    /// `peers[at]` is the pooled connection to the member at `ring[at]`;
-    /// `None` at this node's own position.
-    peers: Vec<Option<Peer>>,
+    /// `peers[at]` is the link to the member at `ring[at]`; `None` at
+    /// this node's own position.
+    peers: Vec<Option<Pooled>>,
     replicas: usize,
     write_quorum: usize,
     repair_interval: Option<Duration>,
     next_request_id: AtomicU64,
-    connect_timeout: Duration,
-    io_timeout: Duration,
 }
 
 impl Replication {
@@ -232,12 +224,7 @@ impl Replication {
         let ring: Vec<Key> = members.keys().copied().collect();
         let peers = members
             .iter()
-            .map(|(key, addr)| {
-                (*key != config.node_key).then(|| Peer {
-                    addr: *addr,
-                    conn: Mutex::new(None),
-                })
-            })
+            .map(|(key, addr)| (*key != config.node_key).then(|| Pooled::new(*addr)))
             .collect();
         Replication {
             node_key: config.node_key,
@@ -247,11 +234,6 @@ impl Replication {
             write_quorum: config.write_quorum,
             repair_interval: config.repair_interval,
             next_request_id: AtomicU64::new(1),
-            // Server-to-server calls stay well under typical client read
-            // timeouts, so one dead peer can stall a quorum write only
-            // briefly — the client never times out waiting on our timeout.
-            connect_timeout: Duration::from_millis(300),
-            io_timeout: Duration::from_millis(700),
         }
     }
 
@@ -268,49 +250,26 @@ impl Replication {
 
     /// Sends one frame to the member at ring position `at` and awaits the
     /// reply carrying the same id, returning it with the number of bytes
-    /// sent. Any transport or protocol failure poisons the pooled
-    /// connection and reports `Err(())` — the caller treats it as a
-    /// missing ack, never as fatal.
+    /// sent. Any transport or protocol failure drops the link and reports
+    /// `Err(())` — the caller treats it as a missing ack, never as fatal.
     fn peer_call(&self, at: usize, msg: &Message) -> Result<(Message, u64), ()> {
         let peer = self.peers.get(at).and_then(Option::as_ref).ok_or(())?;
-        let mut slot = peer.conn.lock().expect("peer pool poisoned");
-        if slot.is_none() {
-            let stream = TcpStream::connect_timeout(&peer.addr, self.connect_timeout)
-                .and_then(|s| {
-                    s.set_read_timeout(Some(self.io_timeout))?;
-                    s.set_write_timeout(Some(self.io_timeout))?;
-                    s.set_nodelay(true)?;
-                    Ok(s)
-                })
-                .map_err(|_| ())?;
-            *slot = Some(PeerConn {
-                stream,
-                frame: Vec::new(),
-            });
-        }
-        let PeerConn { stream, frame } = slot.as_mut().expect("peer connection just ensured");
+        let mut slot = peer.lease(PEER_TIMEOUTS);
+        let link = slot.as_mut().ok_or(())?;
         let sent_id = match msg {
             Message::Replicate { id, .. }
             | Message::Transfer { id, .. }
             | Message::Digest { id, .. } => *id,
             _ => 0,
         };
-        let Ok(sent) = write_message_with(stream, msg, frame) else {
-            *slot = None;
-            return Err(());
-        };
-        let reply = read_message_with(stream, frame);
-        // Replicated writes — the hot exchange — are small and keep
-        // reusing the buffer; a bucket `Transfer` that grew it past what a
-        // connection may keep gives the memory back rather than pinning
-        // it to every peer for good.
-        release_frame_capacity(frame);
-        match reply {
-            Ok((reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }), _))
-                if id == sent_id =>
-            {
-                Ok((reply, sent as u64))
-            }
+        // Nothing is read back after a failed send.
+        let sent = link.send(|frame| encode_message(msg, frame));
+        let exchange = sent.ok().and_then(|sent| Some((link.recv().ok()?.0, sent)));
+        match exchange {
+            Some((
+                reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }),
+                sent,
+            )) if id == sent_id => Ok((reply, sent as u64)),
             _ => {
                 *slot = None;
                 Err(())
@@ -334,7 +293,6 @@ struct Shared {
     stop: AtomicBool,
     metrics: MetricsRegistry,
     read_timeout: Duration,
-    write_timeout: Duration,
     /// Operations served since spawn (requests answered, ok or error).
     served: AtomicU64,
     /// Connection workers alive right now, and the most there may be.
@@ -347,6 +305,27 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state of a member serving `node`'s partition from a fresh, empty
+    /// store. Needs no listener: [`handle`] can be driven on it directly.
+    fn new(node: NodeId, config: &ServerConfig) -> Shared {
+        let mut store = ShardedDht::new(node, config.shards);
+        store.set_shard_metrics(config.metrics.clone());
+        Shared {
+            store,
+            fault: config
+                .fault
+                .is_active()
+                .then(|| Mutex::new(LossRoll::new(config.fault))),
+            stop: AtomicBool::new(false),
+            metrics: config.metrics.clone(),
+            read_timeout: config.read_timeout,
+            served: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
+            max_connections: config.max_connections,
+            replication: config.replication.clone().map(Replication::from_config),
+        }
+    }
+
     /// The cluster state when writes actually fan out (`R > 1`): the
     /// condition under which this member keeps tombstones and repairs.
     fn fan_out(&self) -> Option<&Replication> {
@@ -401,31 +380,13 @@ impl DhtServer {
         node: NodeId,
         config: ServerConfig,
     ) -> io::Result<DhtServer> {
-        let mut store = ShardedDht::new(node, config.shards);
-        store.set_shard_metrics(config.metrics.clone());
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let replication = config.replication.map(Replication::from_config);
-        let shared = Arc::new(Shared {
-            store,
-            fault: config
-                .fault
-                .is_active()
-                .then(|| Mutex::new(LossRoll::new(config.fault))),
-            stop: AtomicBool::new(false),
-            metrics: config.metrics.clone(),
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            served: AtomicU64::new(0),
-            connections: AtomicUsize::new(0),
-            max_connections: config.max_connections,
-            replication,
-        });
+        let shared = Arc::new(Shared::new(node, &config));
         let accept_shared = Arc::clone(&shared);
-        let poll = config.accept_poll;
         let accept_thread = std::thread::Builder::new()
             .name(format!("dhtd-accept-{}", local_addr.port()))
-            .spawn(move || accept_loop(listener, accept_shared, poll))?;
+            .spawn(move || accept_loop(listener, accept_shared))?;
         let repair_thread = shared
             .fan_out()
             .and_then(|repl| repl.repair_interval)
@@ -521,8 +482,11 @@ impl Drop for DhtServer {
     }
 }
 
+/// How often the accept loop polls for shutdown between connections.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
 /// Accepts connections until the stop flag is set, then joins workers.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, poll: Duration) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -548,11 +512,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, poll: Duration) {
                 workers.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
+                std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => {
                 shared.metrics.incr("net.server.accept_errors");
-                std::thread::sleep(poll);
+                std::thread::sleep(ACCEPT_POLL);
             }
         }
     }
@@ -580,12 +544,15 @@ impl Drop for ConnectionSlot {
     }
 }
 
+/// Socket write timeout of a served connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Serves one connection until the peer closes, a protocol error poisons
 /// the stream, or shutdown is requested.
 fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
     let shared = Arc::clone(&slot.0);
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut stream = stream;
     // Per-connection frame buffers, reused across every frame this worker
@@ -627,83 +594,9 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
         };
         shared.metrics.incr("net.server.frames_in");
         shared.metrics.add("net.server.bytes_in", bytes_in as u64);
-        let reply = match msg {
-            Message::Request { id, op } => Message::Response {
-                id,
-                result: serve_op(&shared, op),
-            },
-            Message::Batch { id, ops } => {
-                // A whole batch executes in one connection turn: every op
-                // runs in order, each taking only its own shard's lock
-                // (and fanning its write out under no lock at all), and a
-                // single BatchReply answers them all.
-                shared.metrics.incr("net.server.batches");
-                shared.metrics.add("net.server.batch_ops", ops.len() as u64);
-                let results = ops.into_iter().map(|op| serve_op(&shared, op)).collect();
-                Message::BatchReply { id, results }
-            }
-            Message::Replicate { id, op } => {
-                // A peer's write fan-out: apply locally, reply, and never
-                // re-forward — only client `Request`/`Batch` frames fan
-                // out, so replication storms cannot happen. The tombstone
-                // transition rides along, so replicated removes (and the
-                // repair pass's tombstone scrubs) stick on every member,
-                // not just the one the client happened to reach.
-                let result = shared.apply_local(op, shared.fan_out().is_some());
-                shared.metrics.incr("net.server.replica.applied");
-                Message::Response { id, result }
-            }
-            Message::Transfer { id, entries } => {
-                // Bulk handoff from a leaving peer or a repair pass:
-                // apply every value locally (puts deduplicate, so
-                // re-transfers are no-ops), never re-forward. Values this
-                // member holds a tombstone for are dropped — a stale
-                // peer's add-only repair push must not resurrect a
-                // mapping deleted here.
-                let (entries, dropped) = shared.store.filter_live(entries);
-                let mut values = 0u64;
-                for (key, list) in entries {
-                    for value in list {
-                        values += 1;
-                        let _ = shared.apply_local(DhtOp::Put { key, value }, false);
-                    }
-                }
-                shared
-                    .metrics
-                    .add("net.server.replica.transfer_values", values);
-                shared
-                    .metrics
-                    .add("net.server.replica.tombstone_drops", dropped);
-                Message::Response {
-                    id,
-                    result: Ok(DhtResponse::Stored(true)),
-                }
-            }
-            Message::Digest { id, from, buckets } => {
-                // A peer's anti-entropy probe. A server that replicates
-                // nothing with `from` has no digests to compare and says
-                // so with a typed error; the prober skips it.
-                match differing_buckets(&shared, &from, &buckets) {
-                    Some(differs) => Message::DigestReply { id, differs },
-                    None => Message::Response {
-                        id,
-                        result: Err(DhtError::NoLiveNodes),
-                    },
-                }
-            }
-            Message::Shutdown => {
-                shared.metrics.incr("net.server.shutdowns");
-                // Graceful leave: hand this node's partition to the
-                // surviving replica-set members before going quiet.
-                drain_partition(&shared);
-                shared.stop.store(true, Ordering::SeqCst);
-                return;
-            }
-            Message::Response { .. } | Message::BatchReply { .. } | Message::DigestReply { .. } => {
-                // Clients must not send responses; treat as protocol abuse.
-                shared.metrics.incr("net.server.decode_errors");
-                return;
-            }
+        let reply = match handle(&shared, msg) {
+            Turn::Reply(reply) => reply,
+            Turn::Leave | Turn::Abuse => return,
         };
         match write_message_with(&mut stream, &reply, &mut write_scratch) {
             Ok(bytes_out) => {
@@ -721,6 +614,102 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
             shared.metrics.incr("net.server.buffers_released");
         }
     }
+}
+
+/// What a connection does once [`handle`] has seen a frame.
+#[derive(Debug, PartialEq)]
+enum Turn {
+    /// Answer with this frame and keep serving.
+    Reply(Message),
+    /// A wire shutdown: the member has drained and is stopping.
+    Leave,
+    /// A frame no client may send; the connection is dropped.
+    Abuse,
+}
+
+/// The server's step function: what this member does with one decoded
+/// frame. Everything a frame can cause — store operations, the fault roll,
+/// the replication fan-out to peers, counters, the stop flag — happens in
+/// here; the caller owns the connection the frame came in on and does
+/// nothing but carry out the returned [`Turn`].
+fn handle(shared: &Shared, msg: Message) -> Turn {
+    Turn::Reply(match msg {
+        Message::Request { id, op } => Message::Response {
+            id,
+            result: serve_op(shared, op),
+        },
+        Message::Batch { id, ops } => {
+            // A whole batch executes in one connection turn: every op runs
+            // in order, each taking only its own shard's lock (and fanning
+            // its write out under no lock at all), and a single BatchReply
+            // answers them all.
+            shared.metrics.incr("net.server.batches");
+            shared.metrics.add("net.server.batch_ops", ops.len() as u64);
+            let results = ops.into_iter().map(|op| serve_op(shared, op)).collect();
+            Message::BatchReply { id, results }
+        }
+        Message::Replicate { id, op } => {
+            // A peer's write fan-out: apply locally, reply, and never
+            // re-forward — only client `Request`/`Batch` frames fan out, so
+            // replication storms cannot happen. The tombstone transition
+            // rides along, so replicated removes (and the repair pass's
+            // tombstone scrubs) stick on every member, not just the one the
+            // client happened to reach.
+            let result = shared.apply_local(op, shared.fan_out().is_some());
+            shared.metrics.incr("net.server.replica.applied");
+            Message::Response { id, result }
+        }
+        Message::Transfer { id, entries } => {
+            // Bulk handoff from a leaving peer or a repair pass: apply
+            // every value locally (puts deduplicate, so re-transfers are
+            // no-ops), never re-forward. Values this member holds a
+            // tombstone for are dropped — a stale peer's add-only repair
+            // push must not resurrect a mapping deleted here.
+            let (entries, dropped) = shared.store.filter_live(entries);
+            let mut values = 0u64;
+            for (key, list) in entries {
+                for value in list {
+                    values += 1;
+                    let _ = shared.apply_local(DhtOp::Put { key, value }, false);
+                }
+            }
+            shared
+                .metrics
+                .add("net.server.replica.transfer_values", values);
+            shared
+                .metrics
+                .add("net.server.replica.tombstone_drops", dropped);
+            Message::Response {
+                id,
+                result: Ok(DhtResponse::Stored(true)),
+            }
+        }
+        Message::Digest { id, from, buckets } => {
+            // A peer's anti-entropy probe. A server that replicates nothing
+            // with `from` has no digests to compare and says so with a
+            // typed error; the prober skips it.
+            match differing_buckets(shared, &from, &buckets) {
+                Some(differs) => Message::DigestReply { id, differs },
+                None => Message::Response {
+                    id,
+                    result: Err(DhtError::NoLiveNodes),
+                },
+            }
+        }
+        Message::Shutdown => {
+            shared.metrics.incr("net.server.shutdowns");
+            // Graceful leave: hand this node's partition to the surviving
+            // replica-set members before going quiet.
+            drain_partition(shared);
+            shared.stop.store(true, Ordering::SeqCst);
+            return Turn::Leave;
+        }
+        Message::Response { .. } | Message::BatchReply { .. } | Message::DigestReply { .. } => {
+            // Clients must not send responses; treat as protocol abuse.
+            shared.metrics.incr("net.server.decode_errors");
+            return Turn::Abuse;
+        }
+    })
 }
 
 /// Serves one client op ([`replicated_execute`]) and counts it.
@@ -1109,5 +1098,133 @@ mod tests {
         // moment to tear the socket down).
         std::thread::sleep(Duration::from_millis(50));
         assert!(TcpStream::connect(addr).is_err());
+    }
+
+    // `handle` driven directly, all nine frame kinds: nothing below binds a
+    // listener or opens a stream.
+
+    /// The state of member `node-0`, bound to nothing, and its counters.
+    /// With `replicas > 1` it is one of three ring members whose peers'
+    /// address nothing here ever dials.
+    fn unbound_member(replicas: usize) -> (Shared, MetricsRegistry) {
+        let metrics = MetricsRegistry::new();
+        let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let ring = (0..3).map(|i| (Key::hash_of(&format!("node-{i}")), nowhere));
+        let config = ServerConfig {
+            metrics: metrics.clone(),
+            replication: (replicas > 1).then(|| {
+                ReplicationConfig::new(Key::hash_of("node-0"), ring.collect(), replicas, 1)
+            }),
+            ..ServerConfig::default()
+        };
+        (Shared::new(NodeId::hash_of("node-0"), &config), metrics)
+    }
+
+    fn answer(id: u64, response: DhtResponse) -> Turn {
+        let result = Ok(response);
+        Turn::Reply(Message::Response { id, result })
+    }
+
+    #[test]
+    fn handle_answers_requests_and_batches_and_counts_each_op() {
+        let (shared, metrics) = unbound_member(1);
+        let key = Key::hash_of("k");
+        let value = Bytes::from_static(b"v");
+        let op = DhtOp::Put { key, value };
+        let put = handle(&shared, Message::Request { id: 1, op });
+        assert_eq!(put, answer(1, DhtResponse::Stored(true)));
+        let value = Bytes::from_static(b"absent");
+        let ops = vec![DhtOp::Get(key), DhtOp::Remove { key, value }];
+        let batch = handle(&shared, Message::Batch { id: 2, ops });
+        let results = vec![
+            Ok(DhtResponse::Values(vec![Bytes::from_static(b"v")])),
+            Ok(DhtResponse::Removed(false)),
+        ];
+        assert_eq!(batch, Turn::Reply(Message::BatchReply { id: 2, results }));
+        assert_eq!(shared.served.load(Ordering::Relaxed), 3);
+        assert_eq!(metrics.counter("net.server.batch_ops"), 2);
+    }
+
+    #[test]
+    fn handle_applies_a_replicate_frame_locally_and_never_forwards_it() {
+        let (shared, metrics) = unbound_member(3);
+        let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
+        let op = DhtOp::Put { key, value };
+        let applied = handle(&shared, Message::Replicate { id: 4, op });
+        assert_eq!(applied, answer(4, DhtResponse::Stored(true)));
+        assert_eq!(shared.store.total_values(), 1);
+        assert_eq!(metrics.counter("net.server.replica.applied"), 1);
+        assert_eq!(metrics.counter("net.server.replica.fanout"), 0);
+        assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not a client op");
+    }
+
+    #[test]
+    fn handle_drops_transferred_values_this_member_holds_a_tombstone_for() {
+        let (shared, metrics) = unbound_member(3);
+        let key = Key::hash_of("k");
+        let (dead, live) = (Bytes::from_static(b"dead"), Bytes::from_static(b"live"));
+        let value = dead.clone();
+        let put = DhtOp::Put { key, value };
+        let value = dead.clone();
+        let remove = DhtOp::Remove { key, value };
+        for op in [put, remove] {
+            let applied = handle(&shared, Message::Replicate { id: 8, op });
+            let ok = matches!(
+                applied,
+                Turn::Reply(Message::Response { result: Ok(_), .. })
+            );
+            assert!(ok, "{applied:?}");
+        }
+        let entries = vec![(key, vec![dead, live.clone()])];
+        let merged = handle(&shared, Message::Transfer { id: 9, entries });
+        assert_eq!(merged, answer(9, DhtResponse::Stored(true)));
+        assert_eq!(metrics.counter("net.server.replica.tombstone_drops"), 1);
+        assert_eq!(metrics.counter("net.server.replica.transfer_values"), 1);
+        let op = DhtOp::Get(key);
+        let held = handle(&shared, Message::Request { id: 10, op });
+        assert_eq!(held, answer(10, DhtResponse::Values(vec![live])));
+    }
+
+    #[test]
+    fn handle_answers_a_digest_from_a_ring_peer_and_nobody_else() {
+        let (shared, _) = unbound_member(3);
+        let buckets = [0; REPAIR_BUCKETS];
+        let probe = |shared: &Shared, from: &str| {
+            let (id, from) = (7, Key::hash_of(from));
+            handle(shared, Message::Digest { id, from, buckets })
+        };
+        // Nothing is stored, so every bucket digests alike on both sides.
+        let differs = 0;
+        let reply = Message::DigestReply { id: 7, differs };
+        assert_eq!(probe(&shared, "node-1"), Turn::Reply(reply));
+        let result = Err(DhtError::NoLiveNodes);
+        let refusal = Turn::Reply(Message::Response { id: 7, result });
+        assert_eq!(probe(&shared, "a-stranger"), refusal);
+        assert_eq!(probe(&shared, "node-0"), refusal, "itself is no peer");
+        assert_eq!(probe(&unbound_member(1).0, "node-1"), refusal);
+    }
+
+    #[test]
+    fn handle_treats_a_reply_kind_as_abuse() {
+        let (shared, metrics) = unbound_member(1);
+        let result = Err(DhtError::Timeout);
+        let results = vec![Ok(DhtResponse::Stored(true))];
+        for reply in [
+            Message::Response { id: 1, result },
+            Message::BatchReply { id: 2, results },
+            Message::DigestReply { id: 3, differs: 1 },
+        ] {
+            assert_eq!(handle(&shared, reply), Turn::Abuse);
+        }
+        assert_eq!(metrics.counter("net.server.decode_errors"), 3);
+        assert!(!shared.stop.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn handle_leaves_on_a_wire_shutdown_with_the_stop_flag_set() {
+        let (shared, metrics) = unbound_member(1);
+        assert_eq!(handle(&shared, Message::Shutdown), Turn::Leave);
+        assert!(shared.stop.load(Ordering::SeqCst));
+        assert_eq!(metrics.counter("net.server.shutdowns"), 1);
     }
 }

@@ -109,10 +109,11 @@ pub(crate) const KEPT_FRAME_CAPACITY: usize = 64 * 1024;
 /// Hands back what one oversized frame grew a connection's frame buffer
 /// to, so the cost of the biggest frame a connection ever carried is not
 /// paid for the connection's whole life. Every long-lived buffer goes
-/// through here once its frame is done with: a pooled client connection
-/// after its reply is decoded, a peer connection after its exchange, a
-/// serving connection's write buffer after the reply is sent and its read
-/// buffer on the next idle tick. Returns whether anything was released.
+/// through here once its frame is done with: a dialed link's (a client's
+/// to a member, a member's to a peer — `link.rs`) after every frame read
+/// through it, a serving connection's write buffer after the reply is sent
+/// and its read buffer on the next idle tick. Returns whether anything was
+/// released.
 pub(crate) fn release_frame_capacity(frame: &mut Vec<u8>) -> bool {
     if frame.capacity() <= KEPT_FRAME_CAPACITY {
         return false;
@@ -645,30 +646,34 @@ impl<'a> Reader<'a> {
 /// frame (short header or short payload) is [`WireError::Truncated`]; a
 /// complete frame with garbage anywhere is the matching typed error.
 pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let magic: [u8; 4] = buf[0..4].try_into().expect("fixed slice");
+    let header = buf.first_chunk().ok_or(WireError::Truncated)?;
+    let (version, kind, id, payload_len) = parse_header(header)?;
+    let payload = buf[HEADER_LEN..]
+        .get(..payload_len)
+        .ok_or(WireError::Truncated)?;
+    let msg = decode_payload(version, kind, id, payload)?;
+    Ok((msg, HEADER_LEN + payload_len))
+}
+
+/// What a frame's fixed header announces — `(version, kind, id, payload
+/// length)` — once its magic, its version range and its length cap have
+/// been checked, in that order. The one header parser: a frame decoded
+/// from a slice and a frame read off a stream fail the same way.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, u64, usize), WireError> {
+    let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = buf[4];
+    let version = header[4];
     if !(VERSION..=VERSION_DIGEST_READ).contains(&version) {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let kind = buf[5];
-    let id = u64::from_be_bytes(buf[6..14].try_into().expect("fixed slice"));
-    let payload_len = u32::from_be_bytes(buf[14..18].try_into().expect("fixed slice"));
+    let id = u64::from_be_bytes(header[6..14].try_into().expect("fixed slice"));
+    let payload_len = u32::from_be_bytes(header[14..18].try_into().expect("fixed slice"));
     if payload_len > MAX_PAYLOAD {
         return Err(WireError::Oversized(payload_len));
     }
-    let payload_len = payload_len as usize;
-    if buf.len() - HEADER_LEN < payload_len {
-        return Err(WireError::Truncated);
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + payload_len];
-    let msg = decode_payload(version, kind, id, payload)?;
-    Ok((msg, HEADER_LEN + payload_len))
+    Ok((version, header[5], id, payload_len as usize))
 }
 
 /// One encoded [`DhtOp`], shared by unary request and batch payloads.
@@ -906,8 +911,8 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
 /// The scratch is cleared and refilled in place, so a long-lived
 /// connection that passes the same buffer for every frame amortizes the
 /// encode allocation to (at most) a few capacity growths over the
-/// connection's lifetime — this is the hot path's frame writer on both
-/// ends of every pooled connection.
+/// connection's lifetime — this is the serving side's frame writer (the
+/// dialing side encodes into its link's buffer and calls `write_frame`).
 pub fn write_message_with(
     w: &mut impl Write,
     msg: &Message,
@@ -1003,22 +1008,9 @@ fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u8, u64),
         return Err(RecvError::Closed);
     }
     read_exact_from(r, &mut header[first..]).map_err(RecvError::Io)?;
-    let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic).into());
-    }
-    let version = header[4];
-    if !(VERSION..=VERSION_DIGEST_READ).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version).into());
-    }
-    let kind = header[5];
-    let id = u64::from_be_bytes(header[6..14].try_into().expect("fixed slice"));
-    let payload_len = u32::from_be_bytes(header[14..18].try_into().expect("fixed slice"));
-    if payload_len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(payload_len).into());
-    }
+    let (version, kind, id, payload_len) = parse_header(&header)?;
     scratch.clear();
-    scratch.resize(payload_len as usize, 0);
+    scratch.resize(payload_len, 0);
     read_exact_from(r, scratch).map_err(RecvError::Io)?;
     Ok((version, kind, id))
 }

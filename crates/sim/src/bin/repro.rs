@@ -220,7 +220,15 @@ fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
         match flag.as_str() {
             "--port" => opts.port = flags.value(&flag)?,
             "--node-name" => opts.node_name = flags.value(&flag)?,
-            "--loss" => opts.loss = flags.value(&flag)?,
+            "--loss" => {
+                // A probability: 1.5 would clamp to "lose everything" and
+                // NaN would mean "lose nothing", both silently.
+                let text = flags.text(&flag)?;
+                opts.loss = parse_as(&flag, &text)?;
+                if !(0.0..=1.0).contains(&opts.loss) {
+                    return Err(format!("{flag} {text:?}: must be within 0..=1"));
+                }
+            }
             "--fault-seed" => opts.fault_seed = flags.value(&flag)?,
             "--replicas" => opts.replicas = flags.value(&flag)?,
             "--quorum" => opts.write_quorum = flags.quorum()?.0,
@@ -567,9 +575,20 @@ mod tests {
         ] {
             assert!(error.starts_with(&format!("{flag} ")), "{error}");
         }
-        let opts = parse_serve(flags("--port 65535 --fault-seed 18446744073709551615"))
-            .expect("both are the largest value their field holds");
-        assert_eq!((opts.port, opts.fault_seed), (u16::MAX, u64::MAX));
+        for loss in ["1.5", "-0.1", "nan", "inf"] {
+            assert_eq!(
+                rejected(parse_serve(flags(&format!("--loss {loss}")))),
+                format!("--loss {loss:?}: must be within 0..=1")
+            );
+        }
+        let opts = parse_serve(flags(
+            "--port 65535 --fault-seed 18446744073709551615 --loss 1",
+        ))
+        .expect("each is the largest value its field holds");
+        assert_eq!(
+            (opts.port, opts.fault_seed, opts.loss),
+            (u16::MAX, u64::MAX, 1.0)
+        );
     }
 
     #[test]

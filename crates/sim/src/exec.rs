@@ -8,19 +8,20 @@
 //! and reassembles the results **in input order**, so any output rendered
 //! from them — notably the paper CSVs — is byte-identical to a serial run.
 //!
-//! Scheduling is a shared atomic cursor over the item slice: workers claim
-//! contiguous chunks of un-started indices until the queue drains, and
-//! each result is written straight into its own pre-sized output slot —
-//! there is no shared result sink to contend on and no reorder pass at the
-//! end. The worker count is clamped to the host's available parallelism,
-//! so asking for more jobs than cores degrades to fewer threads instead of
-//! oversubscribing the machine (which is how a "parallel" run ends up
-//! slower than a serial one). Panics inside a worker are propagated to the
-//! caller after all threads have joined.
+//! Scheduling is a shared atomic cursor over the item slice: a worker
+//! claims the next un-started index, one at a time — a cell is seconds of
+//! work and a grid is a dozen or two of them, so the cursor is never what
+//! anybody waits on — and keeps its `(index, result)` pairs to itself.
+//! Joining the workers collects the pairs; one sort by index restores the
+//! input order. The worker count is clamped to the host's available
+//! parallelism, so asking for more jobs than cores degrades to fewer
+//! threads instead of oversubscribing the machine (which is how a
+//! "parallel" run ends up slower than a serial one). Panics inside a
+//! worker are propagated to the caller after all threads have joined.
 
+use std::iter;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 /// Applies `f` to every item, running up to `jobs` items concurrently, and
@@ -58,45 +59,26 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if workers <= 1 || items.len() <= 1 {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let workers = workers.min(items.len());
-    // Hand out contiguous chunks so the atomic cursor is touched roughly
-    // 8×workers times per run instead of once per item. Cheap items stop
-    // serializing on the cursor; expensive items (chunk = 1) still balance.
-    let chunk = (items.len() / (workers * 8)).max(1);
     let cursor = AtomicUsize::new(0);
-    let slots = SlotBuffer::new(items.len());
-    let panicked = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        return;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        slots.write(start + i, f(item));
-                    }
-                })
-            })
-            .collect();
-        let mut panicked = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                panicked.get_or_insert(p);
-            }
-        }
-        panicked
+    let mut done: Vec<(usize, R)> = thread::scope(|scope| {
+        let worker = || {
+            let claims = iter::repeat_with(|| cursor.fetch_add(1, Ordering::Relaxed));
+            Vec::from_iter(claims.map_while(|at| Some((at, f(items.get(at)?)))))
+        };
+        let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        // A worker's panic goes on to the caller. The scope joins the other
+        // workers first, and what they produced is dropped with them.
+        let joined = spawned.into_iter().map(|handle| handle.join());
+        joined
+            .flat_map(|mine| mine.unwrap_or_else(|panic| panic::resume_unwind(panic)))
+            .collect()
     });
-    if let Some(p) = panicked {
-        // Partial results drop with the buffer — nothing leaks on unwind.
-        drop(slots);
-        panic::resume_unwind(p);
-    }
-    slots.into_vec()
+    done.sort_unstable_by_key(|(at, _)| *at);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The worker count [`parallel_map`] actually uses for a `--jobs` request:
@@ -117,53 +99,6 @@ pub fn resolve_jobs(jobs: usize) -> usize {
         available_cores()
     } else {
         jobs
-    }
-}
-
-/// A fixed-size buffer of write-once result slots, one per input index.
-///
-/// Each slot carries its own tiny mutex, so writes to different indices
-/// never contend on anything shared: the unique index handout in
-/// [`parallel_map_with_workers`] guarantees every slot's lock is taken
-/// exactly once while workers run (one uncontended CAS — noise next to a
-/// simulation cell), and once more on the coordinating thread after
-/// `thread::scope` has joined every worker. The crate forbids `unsafe`, so
-/// this stands in for the `UnsafeCell<MaybeUninit>` version of the same
-/// layout at the cost of one relaxed atomic per write.
-struct SlotBuffer<R> {
-    slots: Box<[Mutex<Option<R>>]>,
-}
-
-impl<R> SlotBuffer<R> {
-    fn new(len: usize) -> Self {
-        Self {
-            slots: (0..len).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Writes index `i`'s result. Each index is written at most once (the
-    /// cursor hands each index range to exactly one worker).
-    fn write(&self, i: usize, value: R) {
-        let prev = self.slots[i]
-            .lock()
-            .expect("slot writer panicked")
-            .replace(value);
-        debug_assert!(prev.is_none(), "executor wrote a result slot twice");
-    }
-
-    /// Consumes the buffer into a `Vec`, asserting every slot was filled.
-    /// Partial buffers (a worker panicked) are simply dropped instead, which
-    /// reclaims whatever results were produced before the panic.
-    fn into_vec(self) -> Vec<R> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot writer panicked")
-                    .expect("executor left a result slot empty")
-            })
-            .collect()
     }
 }
 
@@ -215,11 +150,11 @@ mod tests {
     }
 
     // --- adversarial schedules: forced real threads, independent of the
-    // --- host's core count, exercising the slot buffer under contention.
+    // --- host's core count.
 
-    /// Uneven per-item cost: early items are orders of magnitude slower
-    /// than late ones, so fast workers race far ahead through the chunked
-    /// cursor while slow workers are still writing low-index slots.
+    /// Uneven per-item cost: some items are orders of magnitude slower
+    /// than the rest, so fast workers race far ahead through the cursor
+    /// and every worker's pairs come back out of input order.
     #[test]
     fn uneven_item_cost_keeps_order() {
         let items: Vec<u64> = (0..97).collect();
@@ -233,7 +168,7 @@ mod tests {
     }
 
     /// Far more workers than items (and than cores): every surplus worker
-    /// must observe an exhausted cursor and exit without touching a slot.
+    /// must observe an exhausted cursor and exit with nothing mapped.
     #[test]
     fn oversubscribed_workers_beyond_items() {
         let items = [10u32, 20, 30];
@@ -282,9 +217,9 @@ mod tests {
         );
     }
 
-    /// Determinism pin: the slot-based executor matches the serial map
-    /// element-for-element across worker counts and chunk boundaries,
-    /// including lengths that don't divide evenly into chunks.
+    /// Determinism pin: the executor matches the serial map
+    /// element-for-element across worker counts, including lengths the
+    /// workers cannot share evenly.
     #[test]
     fn slot_executor_matches_serial_element_for_element() {
         for len in [2usize, 3, 7, 64, 100, 257] {

@@ -16,7 +16,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use p2p_index_core::{CachePolicy, IndexService, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{Dht, FaultConfig, Key, NodeId};
+use p2p_index_dht::{Dht, DhtStats, FaultConfig, Key, NodeId};
 use p2p_index_net::{DhtServer, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig};
 use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
 
@@ -74,8 +74,12 @@ impl Default for ServeOptions {
 pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     use std::io::Write;
     let replication = if opts.replicas > 1 {
-        if opts.peers.is_empty() {
-            return Err("--replicas > 1 needs --peers NAME=HOST:PORT,...".to_string());
+        // `--peers` names every member, this one included: a member off
+        // its own ring would fan every write out to all R replicas and
+        // store keys no client ever routes to it.
+        if !opts.peers.iter().any(|(name, _)| *name == opts.node_name) {
+            let name = &opts.node_name;
+            return Err(format!("--node-name {name:?}: not among --peers"));
         }
         let members: Vec<(Key, SocketAddr)> = opts
             .peers
@@ -144,48 +148,23 @@ pub struct DemoOutcome {
 /// workload queries through `dht`, with the retry budget the robustness
 /// experiments use. This is the exact same workload whether `dht` is a
 /// `RemoteDht` over a live cluster or an in-process substrate — which is
-/// what makes remote-vs-local equality a meaningful check.
+/// what makes remote-vs-local equality a meaningful check. It is
+/// [`run_workload_with_churn`] with nobody killed, plus the substrate's
+/// final stats.
 pub fn run_workload<D: Dht>(
     dht: D,
     articles: usize,
     queries: usize,
     seed: u64,
 ) -> Result<DemoOutcome, String> {
-    let corpus = Corpus::generate(CorpusConfig {
-        articles,
-        author_pool: (articles / 3).max(8),
-        seed,
-        ..CorpusConfig::default()
-    });
-    let mut service =
-        IndexService::with_retry(dht, CachePolicy::Multi, RetryPolicy::with_budget(seed, 4));
-    for article in corpus.articles() {
-        service
-            .publish(&article.descriptor(), article.file_name(), &SimpleScheme)
-            .map_err(|e| format!("publish failed: {e}"))?;
-    }
-    let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), seed);
-    let mut outcome = DemoOutcome {
-        files_found: 0,
-        interactions: 0,
-        misses: 0,
-        messages: 0,
-        lookups: 0,
-    };
-    for item in generator.take_queries(queries) {
-        let report = service
-            .search(&item.query)
-            .map_err(|e| format!("search {} failed: {e}", item.query))?;
-        outcome.files_found += report.files.len() as u64;
-        outcome.interactions += u64::from(report.interactions);
-        if report.files.is_empty() {
-            outcome.misses += 1;
-        }
-    }
-    let stats = service.dht().stats();
-    outcome.messages = stats.messages;
-    outcome.lookups = stats.lookups;
-    Ok(outcome)
+    let (seen, stats) = publish_and_query(dht, articles, queries, seed, usize::MAX, |_| {})?;
+    Ok(DemoOutcome {
+        files_found: seen.files_found,
+        interactions: seen.interactions,
+        misses: seen.misses,
+        messages: stats.messages,
+        lookups: stats.lookups,
+    })
 }
 
 /// Result-quality summary of a [`run_workload_with_churn`] run: what the
@@ -194,7 +173,7 @@ pub fn run_workload<D: Dht>(
 /// are deliberately absent — a churned remote cluster pays failover
 /// traffic an in-process twin does not, so equality claims under churn
 /// are about *answers*, not wire cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnOutcome {
     /// Total files located across all queries.
     pub files_found: u64,
@@ -224,8 +203,21 @@ pub fn run_workload_with_churn<D: Dht>(
     queries: usize,
     seed: u64,
     kill_at: usize,
-    mut kill: impl FnMut(&mut IndexService<D>),
+    kill: impl FnMut(&mut IndexService<D>),
 ) -> Result<ChurnOutcome, String> {
+    publish_and_query(dht, articles, queries, seed, kill_at, kill).map(|(seen, _)| seen)
+}
+
+/// The one publish-and-query loop: what the user saw, and the substrate's
+/// stats once the last query is answered.
+fn publish_and_query<D: Dht>(
+    dht: D,
+    articles: usize,
+    queries: usize,
+    seed: u64,
+    kill_at: usize,
+    mut kill: impl FnMut(&mut IndexService<D>),
+) -> Result<(ChurnOutcome, DhtStats), String> {
     let corpus = Corpus::generate(CorpusConfig {
         articles,
         author_pool: (articles / 3).max(8),
@@ -240,12 +232,7 @@ pub fn run_workload_with_churn<D: Dht>(
             .map_err(|e| format!("publish failed: {e}"))?;
     }
     let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), seed);
-    let mut outcome = ChurnOutcome {
-        files_found: 0,
-        interactions: 0,
-        misses: 0,
-        abandoned: 0,
-    };
+    let mut outcome = ChurnOutcome::default();
     for (i, item) in generator.take_queries(queries).into_iter().enumerate() {
         if i == kill_at {
             kill(&mut service);
@@ -260,7 +247,7 @@ pub fn run_workload_with_churn<D: Dht>(
             outcome.misses += 1;
         }
     }
-    Ok(outcome)
+    Ok((outcome, service.dht().stats()))
 }
 
 /// The `repro net-demo` client: run [`run_workload`] over a live cluster.
@@ -284,16 +271,15 @@ pub fn net_demo(
         read_quorum,
         ..RemoteDhtConfig::default()
     };
-    let client = RemoteDht::connect(RemoteDht::named_members(members), client_config.clone());
+    let connect = || RemoteDht::connect(RemoteDht::named_members(members), client_config.clone());
     eprintln!(
         "# net-demo: {} member(s), {articles} articles, {queries} queries, seed {seed}, \
          replicas {replicas} (Rq={read_quorum})",
         members.len()
     );
     // Keep a second client for teardown: run_workload consumes the first.
-    let closer = shutdown
-        .then(|| RemoteDht::connect(RemoteDht::named_members(members), client_config.clone()));
-    let outcome = run_workload(client, articles, queries, seed)?;
+    let closer = shutdown.then(connect);
+    let outcome = run_workload(connect(), articles, queries, seed)?;
     println!(
         "queries {queries}: {} file(s) found, {} misses, {} interactions, \
          {} DHT messages, {} lookups",
@@ -316,6 +302,23 @@ mod tests {
     use p2p_index_dht::{DhtOp, RingDht};
     use p2p_index_net::LoopbackCluster;
     use p2p_index_obs::MetricsRegistry;
+
+    #[test]
+    fn serve_refuses_a_member_that_is_not_on_its_own_ring() {
+        // Rejected before anything is bound: `serve` returns at once.
+        let peer = |name: &str| (name.to_string(), "127.0.0.1:1".parse().unwrap());
+        let mut opts = ServeOptions {
+            node_name: "node-9".to_string(),
+            replicas: 2,
+            peers: vec![peer("node-0"), peer("node-1")],
+            ..ServeOptions::default()
+        };
+        let off_ring = "--node-name \"node-9\": not among --peers";
+        assert_eq!(serve(&opts), Err(off_ring.to_string()));
+        // No `--peers` at all names nobody, this member included.
+        opts.peers.clear();
+        assert_eq!(serve(&opts), Err(off_ring.to_string()));
+    }
 
     #[test]
     fn remote_workload_equals_in_process_workload() {
