@@ -20,6 +20,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use bytes::Bytes;
 use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
@@ -30,7 +31,7 @@ use p2p_index_xpath::Query;
 use crate::cache::{CachePolicy, ShortcutCache};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::scheme::IndexScheme;
-use crate::target::{DecodeTargetError, IndexTarget};
+use crate::target::{encode_file_into, DecodeTargetError, IndexTarget};
 use crate::traffic::Traffic;
 
 /// Errors returned by index operations.
@@ -117,6 +118,16 @@ impl StepResponse {
     }
 }
 
+/// One interaction's reply as read: the serving node, the shortcut
+/// targets its cache answered with, and where its indexed targets landed
+/// in the buffer the caller handed in (a fresh list for the public
+/// `lookup_step*`, a whole level's buffer for [`IndexService::search`]).
+struct Reply {
+    node: NodeId,
+    cached: Vec<IndexTarget>,
+    indexed: Range<usize>,
+}
+
 /// A file located by a search: its most specific query and its handle.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FileHit {
@@ -193,8 +204,13 @@ impl SearchReport {
 struct SearchScratch {
     /// Queries whose index entries were already fetched (or enqueued).
     visited: HashSet<Query>,
-    /// Phase-2 BFS queue of `(query, its index entries)`.
-    queue: VecDeque<(Query, StepResponse)>,
+    /// Phase-2 BFS queue of `(query, where its index entries sit in
+    /// targets)`.
+    queue: VecDeque<(Query, Range<usize>)>,
+    /// The index entries of every reply since the last level was read, as
+    /// memo clones (refcount bumps): one buffer per search, not one list
+    /// per interaction.
+    targets: Vec<IndexTarget>,
     /// Generalizations already probed (or queued for probing).
     seen: HashSet<Query>,
     /// Next generalization level being accumulated.
@@ -209,6 +225,7 @@ impl SearchScratch {
     fn clear(&mut self) {
         self.visited.clear();
         self.queue.clear();
+        self.targets.clear();
         self.seen.clear();
         self.frontier.clear();
         self.level.clear();
@@ -269,11 +286,13 @@ pub struct IndexService<D> {
     /// entry shares its query's one allocation with whoever asked.
     key_cache: HashMap<Query, Key>,
     /// Interned `wire bytes → target` decodes: each distinct stored value is
-    /// parsed at most once per service lifetime. Steady-state lookups hand
-    /// back a cheap clone (`Arc` bumps for query targets) instead of
-    /// re-parsing the same query text on every `Get` that returns it. Like
-    /// `key_cache` this memoizes a pure function of the bytes, so entries
-    /// can never go stale. Keys are owned copies, by type: a value handed
+    /// parsed at most once per service lifetime. Every value a reply
+    /// carries is looked up here exactly once, when the reply is read
+    /// ([`decode`](Self::decode)), and comes out as a clone that is a
+    /// refcount bump for either target kind; the reply is priced from the
+    /// entries' `encoded_len`. Like `key_cache` this memoizes a pure
+    /// function of the bytes, so entries can never go stale, and no reader
+    /// holds a borrow of it. Keys are owned copies, by type: a value handed
     /// back by a networked substrate is a slice of its whole reply frame,
     /// and a table that lives as long as the service must not pin frames.
     decode_cache: HashMap<Box<[u8]>, IndexTarget>,
@@ -340,12 +359,17 @@ impl<D: Dht> IndexService<D> {
         }
     }
 
-    /// Encodes `target` via the reusable scratch buffer (one buffer per
+    /// Encodes a value via the reusable scratch buffer (one buffer per
     /// service instead of a `format!` temporary per entry).
-    fn encode_target(&mut self, target: &IndexTarget) -> Bytes {
+    fn encode_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Bytes {
         self.encode_scratch.clear();
-        target.encode_into(&mut self.encode_scratch);
+        encode(&mut self.encode_scratch);
         Bytes::copy_from_slice(&self.encode_scratch)
+    }
+
+    /// [`encode_with`](Self::encode_with) for a target.
+    fn encode_target(&mut self, target: &IndexTarget) -> Bytes {
+        self.encode_with(|buf| target.encode_into(buf))
     }
 
     /// Attaches a metrics registry to the whole stack: the service itself
@@ -576,25 +600,17 @@ impl<D: Dht> IndexService<D> {
         k
     }
 
-    /// Decodes the values returned by a `Get` through the intern table:
-    /// each distinct wire value is parsed once, after which decoding is a
-    /// hash probe plus a cheap clone. This is the lookup hot path — every
-    /// query resolution decodes a handful of stored values, and most of
-    /// them recur across lookups.
-    fn decode_targets(&mut self, values: Vec<Bytes>) -> Result<Vec<IndexTarget>, IndexError> {
-        let mut out = Vec::with_capacity(values.len());
-        for bytes in values {
-            let target = match self.decode_cache.get(&bytes[..]) {
-                Some(t) => t.clone(),
-                None => {
-                    let t = IndexTarget::from_bytes(&bytes)?;
-                    self.decode_cache.insert(bytes[..].into(), t.clone());
-                    t
-                }
-            };
-            out.push(target);
+    /// Decodes one value a `Get` returned through the decode memo: parsed
+    /// on its first sighting, a hash probe plus a refcount bump afterwards.
+    /// This is the lookup hot path — every reply's values come through
+    /// here exactly once, and most of them recur across lookups.
+    fn decode(&mut self, value: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
+        if let Some(target) = self.decode_cache.get(value) {
+            return Ok(target.clone());
         }
-        Ok(out)
+        let target = IndexTarget::from_bytes(value)?;
+        self.decode_cache.insert(value.into(), target.clone());
+        Ok(target)
     }
 
     /// The underlying DHT (read-only).
@@ -681,7 +697,7 @@ impl<D: Dht> IndexService<D> {
     pub fn publish(
         &mut self,
         descriptor: &Descriptor,
-        file: impl Into<String>,
+        file: impl AsRef<str>,
         scheme: &dyn IndexScheme,
     ) -> Result<Query, IndexError> {
         if self.dht.is_empty() {
@@ -702,7 +718,7 @@ impl<D: Dht> IndexService<D> {
         // the owner of every tree ever published.
         let mut ops = Vec::with_capacity(1 + edges.len());
         let msd_key = Self::key_of(&msd);
-        let file_value = self.encode_target(&IndexTarget::File(file.into()));
+        let file_value = self.encode_with(|buf| encode_file_into(file.as_ref(), buf));
         ops.push(DhtOp::Put {
             key: msd_key,
             value: file_value,
@@ -780,7 +796,7 @@ impl<D: Dht> IndexService<D> {
     /// [`IndexError::EmptyNetwork`] without live nodes; [`IndexError::Decode`]
     /// if a stored entry is corrupt.
     pub fn lookup_step(&mut self, query: &Query) -> Result<StepResponse, IndexError> {
-        self.traced_lookup(query, true)
+        self.step(query, true)
     }
 
     /// Like [`lookup_step`](Self::lookup_step), but skips the node's
@@ -796,16 +812,37 @@ impl<D: Dht> IndexService<D> {
         &mut self,
         query: &Query,
     ) -> Result<StepResponse, IndexError> {
-        self.traced_lookup(query, false)
+        self.step(query, false)
     }
 
-    /// One unary lookup, inside its `lookup …` trace span.
+    /// The lookup both public entry points share, its index entries read
+    /// into a list of their own.
+    fn step(&mut self, query: &Query, use_cache: bool) -> Result<StepResponse, IndexError> {
+        let mut indexed = Vec::new();
+        let reply = self.traced_lookup(query, use_cache, &mut indexed)?;
+        Ok(StepResponse {
+            node: Some(reply.node),
+            cached: reply.cached,
+            indexed,
+        })
+    }
+
+    /// One unary lookup, inside its `lookup …` trace span, its index
+    /// entries appended to `targets`. With `use_cache` the serving node
+    /// answers cache-first; without it the node's shortcut cache is
+    /// skipped entirely.
     fn traced_lookup(
         &mut self,
         query: &Query,
         use_cache: bool,
-    ) -> Result<StepResponse, IndexError> {
-        self.in_lookup_span(query, |service| service.lookup_inner(query, use_cache))
+        targets: &mut Vec<IndexTarget>,
+    ) -> Result<Reply, IndexError> {
+        self.in_lookup_span(query, |service| {
+            let key = service.cached_key(query);
+            let node = service.dht_execute(DhtOp::NodeFor(key));
+            let get = |service: &mut Self| service.dht_execute(DhtOp::Get(key));
+            service.read_reply(query, node, use_cache.then_some(key), get, targets)
+        })
     }
 
     /// Runs `lookup` inside a `lookup {query}` trace span closed with its
@@ -815,18 +852,18 @@ impl<D: Dht> IndexService<D> {
     fn in_lookup_span(
         &mut self,
         query: &Query,
-        lookup: impl FnOnce(&mut Self) -> Result<StepResponse, IndexError>,
-    ) -> Result<StepResponse, IndexError> {
+        lookup: impl FnOnce(&mut Self) -> Result<Reply, IndexError>,
+    ) -> Result<Reply, IndexError> {
         if let Some(t) = &mut self.tracer {
             t.open(format!("lookup {query}"));
         }
         let result = lookup(self);
         if let Some(t) = &mut self.tracer {
             match &result {
-                Ok(resp) => t.event(format!(
+                Ok(reply) => t.event(format!(
                     "returned {} cached + {} indexed target(s)",
-                    resp.cached.len(),
-                    resp.indexed.len()
+                    reply.cached.len(),
+                    reply.indexed.len()
                 )),
                 Err(e) => t.event(format!("failed: {e}")),
             }
@@ -835,21 +872,28 @@ impl<D: Dht> IndexService<D> {
         result
     }
 
-    /// The lookup shared by both public entry points. With `use_cache`
-    /// the serving node answers cache-first (and the probe is counted);
-    /// without it the node's shortcut cache is skipped entirely.
-    fn lookup_inner(&mut self, query: &Query, use_cache: bool) -> Result<StepResponse, IndexError> {
-        let key = self.cached_key(query);
-        let node = self
-            .dht_execute(DhtOp::NodeFor(key))?
-            .into_node()
-            .ok_or(IndexError::EmptyNetwork)?;
+    /// Reads one interaction's reply from its `NodeFor` result — the code
+    /// every lookup shares, unary or a slot of a batched wave: node load
+    /// and the `served by` event; the cache probe when `probe` names the
+    /// key to answer cache-first for, the bypass count otherwise; the
+    /// `Get` (issued by `get`, and only when no shortcut answered); each
+    /// value decoded through the memo and appended to `targets`; the
+    /// exchange's traffic, priced from the memo entries.
+    fn read_reply(
+        &mut self,
+        query: &Query,
+        node: Result<DhtResponse, DhtError>,
+        probe: Option<Key>,
+        get: impl FnOnce(&mut Self) -> Result<DhtResponse, DhtError>,
+        targets: &mut Vec<IndexTarget>,
+    ) -> Result<Reply, IndexError> {
+        let node = node?.into_node().ok_or(IndexError::EmptyNetwork)?;
         *self.node_queries.entry(node).or_insert(0) += 1;
         if let Some(t) = &mut self.tracer {
             t.event(format!("served by {node}"));
         }
 
-        let cached: Vec<IndexTarget> = if use_cache {
+        let cached: Vec<IndexTarget> = if let Some(key) = probe {
             self.metrics.incr("index.lookups.cached");
             let hit = self
                 .caches
@@ -876,25 +920,25 @@ impl<D: Dht> IndexService<D> {
             Vec::new()
         };
 
-        let indexed: Vec<IndexTarget> = if cached.is_empty() {
-            let values = self.dht_execute(DhtOp::Get(key))?.into_values();
-            self.decode_targets(values)?
+        let values = if cached.is_empty() {
+            get(self)?.into_values()
         } else {
             Vec::new()
         };
-
+        let mut response: u64 = cached.iter().map(|t| t.encoded_len() as u64).sum();
+        let start = targets.len();
+        targets.reserve(values.len());
+        for value in &values {
+            let target = self.decode(value)?;
+            response += target.encoded_len() as u64;
+            targets.push(target);
+        }
         let request = query.canonical_text().len() as u64;
-        let response: u64 = cached
-            .iter()
-            .chain(indexed.iter())
-            .map(|t| t.encoded_len() as u64)
-            .sum();
         self.traffic.record_exchange(request, response);
-
-        Ok(StepResponse {
-            node: Some(node),
+        Ok(Reply {
+            node,
             cached,
-            indexed,
+            indexed: start..targets.len(),
         })
     }
 
@@ -905,23 +949,25 @@ impl<D: Dht> IndexService<D> {
     /// level, for every query that level references. On a networked
     /// substrate the whole wave costs one pipelined frame pair per routed
     /// member instead of two frames per query. `queries` is drained and
-    /// each query is handed to `sink` with its reply, in order, as soon as
-    /// the reply is assembled — nothing is collected in between. `None`
-    /// is a lookup abandoned to a DHT fault ([`or_abandoned`]); a hard
-    /// error ends the wave. Single-query batches take this path too: on
-    /// the networked client that pipelines the probe through
+    /// each query is handed to `sink`, in order, as soon as
+    /// [`read_reply`](Self::read_reply) has appended its index entries to
+    /// `targets`, with where they sit there — no reply gets a list of its
+    /// own. `None` is a lookup abandoned to a DHT fault ([`or_abandoned`]);
+    /// a hard error ends the wave. Single-query batches take this path too:
+    /// on the networked client that pipelines the probe through
     /// `execute_many` like every other generalization wave instead of
     /// issuing a sequentially-dependent unary exchange.
     ///
     /// A recording trace sees exactly this wave — there is no traced
     /// variant of the search path: one `wave: …` span holds the batch's
     /// DHT events (retries included), then every query gets its own
-    /// `lookup …` span assembled from its results (the span-per-
-    /// interaction invariant the observability suite pins).
+    /// `lookup …` span read from its results (the span-per-interaction
+    /// invariant the observability suite pins).
     fn lookup_many_bypassing_cache(
         &mut self,
         queries: &mut Vec<Query>,
-        mut sink: impl FnMut(Query, Option<StepResponse>),
+        targets: &mut Vec<IndexTarget>,
+        mut sink: impl FnMut(Query, Option<Range<usize>>),
     ) -> Result<(), IndexError> {
         if queries.is_empty() {
             return Ok(());
@@ -943,41 +989,14 @@ impl<D: Dht> IndexService<D> {
             t.close();
         }
         for query in queries.drain(..) {
-            let node_result = raw.next().expect("one NodeFor result per query");
-            let get_result = raw.next().expect("one Get result per query");
-            let result = self.in_lookup_span(&query, |service| {
-                service.assemble_bypass_lookup(&query, node_result, get_result)
+            let node = raw.next().expect("one NodeFor result per query");
+            let got = raw.next().expect("one Get result per query");
+            let reply = self.in_lookup_span(&query, |service| {
+                service.read_reply(&query, node, None, |_| got, targets)
             });
-            sink(query, or_abandoned(result)?);
+            sink(query, or_abandoned(reply)?.map(|reply| reply.indexed));
         }
         Ok(())
-    }
-
-    /// Reassembles one query's [`StepResponse`] from its batched
-    /// NodeFor/Get results, with side effects (node load, bypass metrics,
-    /// traffic accounting) identical to [`lookup_inner`](Self::lookup_inner)
-    /// without a cache probe.
-    fn assemble_bypass_lookup(
-        &mut self,
-        query: &Query,
-        node_result: Result<DhtResponse, DhtError>,
-        get_result: Result<DhtResponse, DhtError>,
-    ) -> Result<StepResponse, IndexError> {
-        let node = node_result?.into_node().ok_or(IndexError::EmptyNetwork)?;
-        *self.node_queries.entry(node).or_insert(0) += 1;
-        if let Some(t) = &mut self.tracer {
-            t.event(format!("served by {node}"));
-        }
-        self.metrics.incr("index.lookups.bypass");
-        let indexed: Vec<IndexTarget> = self.decode_targets(get_result?.into_values())?;
-        let request = query.canonical_text().len() as u64;
-        let response: u64 = indexed.iter().map(|t| t.encoded_len() as u64).sum();
-        self.traffic.record_exchange(request, response);
-        Ok(StepResponse {
-            node: Some(node),
-            cached: Vec::new(),
-            indexed,
-        })
     }
 
     /// Creates shortcut cache entries for a successful lookup, following
@@ -1041,6 +1060,12 @@ impl<D: Dht> IndexService<D> {
     /// single batched wave and the search waits on
     /// [`SearchReport::rounds`] = 1 (entry probe) + generalization levels
     /// + index levels round trips, however many index nodes it visits.
+    ///
+    /// No interaction builds a target list of its own: each reply's values
+    /// pass through the decode memo once (decoding first sightings and
+    /// pricing the reply) into one buffer reused for every level, whose
+    /// entries are refcount bumps of the memo's. A child query costs `Arc`
+    /// bumps and a file is copied only into its [`FileHit`].
     ///
     /// This method neither creates nor consults cache shortcuts: automated
     /// exhaustive search must see the full index (shortcuts only cover
@@ -1125,6 +1150,7 @@ impl<D: Dht> IndexService<D> {
         let SearchScratch {
             visited,
             queue,
+            targets,
             seen,
             frontier,
             level,
@@ -1137,14 +1163,14 @@ impl<D: Dht> IndexService<D> {
         // may still reach the data through another index branch.
         report.interactions += 1;
         report.rounds += 1;
-        let first = match or_abandoned(self.lookup_step_bypassing_cache(query))? {
-            Some(resp) => resp,
+        let first = match or_abandoned(self.traced_lookup(query, false, targets))? {
+            Some(reply) => reply.indexed,
             None => {
                 report.completeness.abandoned += 1;
-                StepResponse::default()
+                0..0
             }
         };
-        let query_not_indexed = first.indexed.is_empty();
+        let query_not_indexed = first.is_empty();
         visited.insert(query.clone());
         queue.push_back((query.clone(), first));
         if query_not_indexed {
@@ -1171,14 +1197,14 @@ impl<D: Dht> IndexService<D> {
                     }
                 }
                 report.rounds += 1;
-                self.lookup_many_bypassing_cache(level, |g, reply| {
+                self.lookup_many_bypassing_cache(level, targets, |g, reply| {
                     if entered {
                         return;
                     }
                     match reply {
-                        Some(resp) if !resp.indexed.is_empty() => {
+                        Some(indexed) if !indexed.is_empty() => {
                             if visited.insert(g.clone()) {
-                                queue.push_back((g, resp));
+                                queue.push_back((g, indexed));
                                 entered = true;
                             }
                         }
@@ -1200,39 +1226,43 @@ impl<D: Dht> IndexService<D> {
         // order, so scanning the level in queue order visits, dedups and
         // reports in the order a node-at-a-time BFS would.
         while !queue.is_empty() {
-            for (current, resp) in queue.drain(..) {
+            for (current, indexed) in queue.drain(..) {
                 // `visited` admits each node once, so a duplicate hit can
                 // only come from this node's own value list.
                 let node_hits = report.files.len();
-                for target in resp.cached.into_iter().chain(resp.indexed) {
+                for target in &targets[indexed] {
                     match target {
                         IndexTarget::File(file) => {
                             // `current` is the MSD the file is stored under; it
                             // matches the original query iff the query covers it.
                             if query.covers(&current)
-                                && !report.files[node_hits..].iter().any(|hit| hit.file == file)
+                                && !report.files[node_hits..]
+                                    .iter()
+                                    .any(|hit| *hit.file == **file)
                             {
                                 report.files.push(FileHit {
                                     msd: current.clone(),
-                                    file,
+                                    file: String::from(&**file),
                                 });
                             }
                         }
                         IndexTarget::Query(q) => {
                             if visited.insert(q.clone()) {
-                                children.push(q);
+                                children.push(q.clone());
                             }
                         }
                     }
                 }
             }
+            // The level is read: the next wave's entries start afresh.
+            targets.clear();
             if children.is_empty() {
                 break;
             }
             report.interactions += children.len() as u32;
             report.rounds += 1;
-            self.lookup_many_bypassing_cache(children, |child, reply| match reply {
-                Some(resp) => queue.push_back((child, resp)),
+            self.lookup_many_bypassing_cache(children, targets, |child, reply| match reply {
+                Some(indexed) => queue.push_back((child, indexed)),
                 None => report.completeness.abandoned += 1,
             })?;
         }
@@ -1267,9 +1297,10 @@ impl<D: Dht> IndexService<D> {
         }
         let msd = Query::most_specific(descriptor);
         let msd_key = Self::key_of(&msd);
+        let value = self.encode_with(|buf| encode_file_into(file, buf));
         self.dht_execute(DhtOp::Remove {
             key: msd_key,
-            value: IndexTarget::File(file.to_string()).to_bytes(),
+            value,
         })?;
 
         let edges = scheme.index_edges(descriptor, &msd);
@@ -1313,9 +1344,7 @@ impl<D: Dht> IndexService<D> {
 /// A search sub-lookup's outcome: `None` when it failed with a DHT fault
 /// even after retrying — the branch is abandoned, not the search; hard
 /// errors still propagate.
-fn or_abandoned(
-    result: Result<StepResponse, IndexError>,
-) -> Result<Option<StepResponse>, IndexError> {
+fn or_abandoned<T>(result: Result<T, IndexError>) -> Result<Option<T>, IndexError> {
     match result {
         Ok(resp) => Ok(Some(resp)),
         Err(IndexError::Dht(_)) => Ok(None),
@@ -1386,10 +1415,10 @@ mod tests {
         let value = frame.slice(512..512 + encoded.len());
 
         let mut s = service(CachePolicy::None);
-        let decoded = s.decode_targets(vec![value.clone()]).unwrap();
-        assert_eq!(decoded, vec![IndexTarget::File("x.pdf".into())]);
+        let decoded = s.decode(&value).unwrap();
+        assert_eq!(decoded, IndexTarget::File("x.pdf".into()));
         // A second sighting is a hit on the same, single entry.
-        assert_eq!(s.decode_targets(vec![value]).unwrap(), decoded);
+        assert_eq!(s.decode(&value), Ok(decoded));
         assert_eq!(s.decode_cache.len(), 1);
 
         let held = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
@@ -1731,6 +1760,98 @@ mod tests {
         assert_eq!(sizes.iter().map(|(_, c)| c).sum::<usize>(), 1);
         let (_, empty) = s.cache_fill_fractions();
         assert!(empty < 1.0);
+    }
+
+    // ---- corrupt values and the decode memo ---------------------------
+
+    /// Stores `value` under `query`'s key beside whatever is there.
+    fn plant<D: Dht>(s: &mut IndexService<D>, query: &str, value: impl Into<Vec<u8>>) {
+        let key = IndexService::<D>::key_of(&query.parse().unwrap());
+        s.dht_mut().put(key, Bytes::from(value.into()));
+    }
+
+    /// A corrupt value fails the search as a whole — an error, not a
+    /// panic and not a report missing a branch — and leaves the service
+    /// usable: the next search still finds what it should.
+    fn assert_search_fails_on_corruption(s: &mut IndexService<RingDht>, query: &str) {
+        match s.search(&query.parse().unwrap()) {
+            Err(IndexError::Decode(_)) => {}
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        let healthy = s.search(&"/article/title/Wavelets".parse().unwrap());
+        let files: Vec<String> = healthy.unwrap().files.into_iter().map(|h| h.file).collect();
+        assert_eq!(files, ["z.pdf"]);
+    }
+
+    #[test]
+    fn a_corrupt_value_at_the_entry_key_fails_the_search() {
+        let mut s = service(CachePolicy::None);
+        publish_figure1(&mut s, &SimpleScheme);
+        plant(&mut s, "/article/conf/INFOCOM", [0xFF, 0xFE]);
+        assert_search_fails_on_corruption(&mut s, "/article/conf/INFOCOM");
+    }
+
+    #[test]
+    fn a_corrupt_value_at_a_child_level_fails_the_search() {
+        let mut s = service(CachePolicy::None);
+        publish_figure1(&mut s, &SimpleScheme);
+        // Reached only through the entry's index entries: the first wave.
+        plant(&mut s, "/article[conf/INFOCOM][year/1996]", "X:junk");
+        assert_search_fails_on_corruption(&mut s, "/article/conf/INFOCOM");
+    }
+
+    #[test]
+    fn a_depth_bomb_at_a_child_level_fails_the_search() {
+        let result = p2p_index_testkit::on_a_small_stack(|| {
+            let mut s = service(CachePolicy::None);
+            publish_figure1(&mut s, &SimpleScheme);
+            let bomb = format!("Q:{}", "/a".repeat(20_000));
+            plant(&mut s, "/article[conf/INFOCOM][year/1996]", bomb);
+            s.search(&"/article/conf/INFOCOM".parse().unwrap())
+                .map(|report| report.files)
+        });
+        match result {
+            Err(IndexError::Decode(DecodeTargetError::BadQuery(why))) => {
+                assert!(why.contains("deeper than"), "{why}");
+            }
+            other => panic!("expected a BadQuery decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_warm_memo_changes_neither_the_report_nor_the_traffic() {
+        let queries = [
+            "/article/conf/INFOCOM",
+            "/article/author[first/John][last/Smith]",
+            "/article[author[first/John][last/Smith]][year/1996]",
+        ];
+        for query in queries {
+            let query: Query = query.parse().unwrap();
+            let mut cold = service(CachePolicy::None);
+            publish_figure1(&mut cold, &SimpleScheme);
+            let mut warm = service(CachePolicy::None);
+            publish_figure1(&mut warm, &SimpleScheme);
+            for q in queries {
+                warm.search(&q.parse().unwrap()).unwrap();
+            }
+            assert!(cold.decode_cache.is_empty() && !warm.decode_cache.is_empty());
+            let (cold_before, warm_before) = (*cold.traffic(), *warm.traffic());
+            let cold_report = cold.search(&query).unwrap();
+            let warm_report = warm.search(&query).unwrap();
+            assert_eq!(format!("{cold_report:?}"), format!("{warm_report:?}"));
+            let delta = |after: &Traffic, before: Traffic| {
+                (
+                    after.normal_bytes - before.normal_bytes,
+                    after.cache_bytes - before.cache_bytes,
+                    after.messages - before.messages,
+                )
+            };
+            assert_eq!(
+                delta(cold.traffic(), cold_before),
+                delta(warm.traffic(), warm_before),
+                "{query}"
+            );
+        }
     }
 
     // ---- faults, retries, and completeness ----------------------------

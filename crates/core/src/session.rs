@@ -201,8 +201,8 @@ impl<'s, D: Dht> SearchSession<'s, D> {
         for t in resp.indexed {
             match t {
                 IndexTarget::File(f) => {
-                    if !self.files.contains(&f) {
-                        self.files.push(f);
+                    if !self.files.iter().any(|known| **known == *f) {
+                        self.files.push(f.to_string());
                     }
                 }
                 IndexTarget::Query(q) => {

@@ -8,6 +8,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use p2p_index_xpath::{parse_query, Query};
@@ -18,8 +19,10 @@ use p2p_index_xpath::{parse_query, Query};
 pub enum IndexTarget {
     /// A more specific query, covered by the lookup key.
     Query(Query),
-    /// A handle to stored file content (found under an MSD key).
-    File(String),
+    /// A handle to stored file content (found under an MSD key). Shared,
+    /// like a query's text: a target handed out of the decode memo or a
+    /// shortcut cache is a refcount bump, not a copy of the handle.
+    File(Arc<str>),
 }
 
 impl IndexTarget {
@@ -40,10 +43,7 @@ impl IndexTarget {
                 buf.extend_from_slice(b"Q:");
                 buf.extend_from_slice(q.canonical_text().as_bytes());
             }
-            IndexTarget::File(f) => {
-                buf.extend_from_slice(b"F:");
-                buf.extend_from_slice(f.as_bytes());
-            }
+            IndexTarget::File(f) => encode_file_into(f, buf),
         }
     }
 
@@ -59,7 +59,7 @@ impl IndexTarget {
             Some(("Q:", q)) => parse_query(q)
                 .map(IndexTarget::Query)
                 .map_err(|e| DecodeTargetError::BadQuery(e.to_string())),
-            Some(("F:", f)) => Ok(IndexTarget::File(f.to_string())),
+            Some(("F:", f)) => Ok(IndexTarget::File(f.into())),
             _ => Err(DecodeTargetError::UnknownPrefix),
         }
     }
@@ -97,6 +97,15 @@ impl fmt::Display for IndexTarget {
             IndexTarget::File(file) => write!(f, "file {file}"),
         }
     }
+}
+
+/// Appends `F:` + `file` to `buf`: the wire encoding of
+/// `IndexTarget::File(file)` for writers that hold the handle as a `&str`,
+/// so publishing or removing a file never builds an `Arc<str>` just to
+/// encode it.
+pub(crate) fn encode_file_into(file: &str, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(b"F:");
+    buf.extend_from_slice(file.as_bytes());
 }
 
 impl From<Query> for IndexTarget {

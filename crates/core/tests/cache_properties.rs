@@ -23,7 +23,7 @@ fn key(i: usize) -> Key {
 }
 
 fn target(i: usize) -> IndexTarget {
-    IndexTarget::File(format!("file-{i}.pdf"))
+    IndexTarget::File(format!("file-{i}.pdf").into())
 }
 
 /// One step of a cache workload.

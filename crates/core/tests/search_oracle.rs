@@ -151,7 +151,7 @@ fn per_node_bfs<D: Dht>(service: &mut IndexService<D>, query: &Query) -> Referen
                 IndexTarget::File(file) => {
                     let hit = FileHit {
                         msd: current.clone(),
-                        file: file.clone(),
+                        file: file.to_string(),
                     };
                     if query.covers(&current) && !r.files.contains(&hit) {
                         r.files.push(hit);

@@ -6,7 +6,8 @@
 //! a warm client over a replicated loopback cluster, how many heap
 //! allocations the *calling thread* makes for one quorum read, for one
 //! 16-get wave, for a read that finds nothing, and — the client's whole
-//! stack on top of the round — for one three-level index search.
+//! stack on top of the round — for one three-level index search and one
+//! lookup of a file's MSD.
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
@@ -19,8 +20,10 @@
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
-use p2p_index_core::{CachePolicy, IndexService, SimpleScheme};
+use p2p_index_core::{CachePolicy, IndexService, IndexTarget, SimpleScheme, StepResponse};
 use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key};
 use p2p_index_net::{LoopbackCluster, RemoteDht};
 use p2p_index_testkit::{allocs_during, Counting};
@@ -142,18 +145,58 @@ fn a_warm_three_level_search_stays_inside_its_budget() {
     let (report, allocs) = allocs_during(|| service.search(&query));
     let report = report.expect("search on a healthy network");
     assert_eq!((report.files.len(), report.interactions), (12, 19));
-    // Measured 77; it was 102 while both replicas of a read shipped their
-    // lists. Handed back or handed in: 12 file names and the hit list's
-    // growth (15), a target list per interaction (19), a value list per
-    // get (19: the second replica of each quorum vouches with a digest).
-    // The three rounds themselves: the unary entry get (3 beyond its value
-    // list) and up to 13 per wave — ops and result vectors, the
+    // Measured 58; it was 77 while every interaction decoded its values
+    // into a target list of its own (one list per interaction, one
+    // `String` per file target), and 102 while both replicas of a read
+    // shipped their lists. Handed back or handed in: 12 file names and the
+    // hit list's growth (15) and a value list per get (19: the second
+    // replica of each quorum vouches with a digest). Each reply's entries
+    // are memo clones (`Arc` bumps) in one level buffer kept from search
+    // to search, and a file target is copied only into its hit. The three
+    // rounds themselves: the unary entry get (3 beyond its value list)
+    // and up to 13 per wave — ops and result vectors, the
     // leased-connection list, a shared buffer per member reply frame that
     // ships any values at all. `Query::covers`, which filters each of the
     // 12 MSDs, walks the two frozen queries in place and makes none.
     // Slack of 4: one more wave (+13), a second shipped list per get
-    // (+19), one more copy per interaction (+19) or an allocating `covers`
-    // (+12 at the least) trips it.
-    assert!(allocs <= 81, "3-level search made {allocs} allocations");
+    // (+19), a target list per interaction again (+19) or an allocating
+    // `covers` (+12 at the least) trips it.
+    assert!(allocs <= 62, "3-level search made {allocs} allocations");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_msd_lookup_shares_the_file_handle_with_the_decode_memo() {
+    let (cluster, client) = warm_cluster();
+    let mut service = IndexService::new(client, CachePolicy::None);
+    let descriptor = Descriptor::parse(
+        "<article><author><first>A</first><last>L</last></author>\
+         <title>T</title><conf>ICDCS</conf><year>2000</year></article>",
+    )
+    .expect("corpus XML parses");
+    let msd = service
+        .publish(&descriptor, "only.pdf", &SimpleScheme)
+        .expect("publish on a healthy network");
+    let file = |step: StepResponse| -> Arc<str> {
+        match step.indexed.as_slice() {
+            [IndexTarget::File(f)] => Arc::clone(f),
+            other => panic!("an MSD holds its one file, got {other:?}"),
+        }
+    };
+    // The first lookup decodes the value into the memo; the rest warm the
+    // client's buffers.
+    let first = file(service.lookup_step(&msd).expect("healthy lookup"));
+    for _ in 0..2 {
+        service.lookup_step(&msd).expect("healthy lookup");
+    }
+    let (step, allocs) = allocs_during(|| service.lookup_step(&msd));
+    let again = file(step.expect("healthy lookup"));
+    assert_eq!(&*again, "only.pdf");
+    // Both lookups handed out the memo's one handle, not a copy each.
+    assert!(Arc::ptr_eq(&first, &again), "a memo hit is a refcount bump");
+    // Measured 5: the unary quorum get (4, as above) and the one-entry
+    // target list. The parent made 6 — its memo hit copied the handle
+    // into a fresh `String`. No slack: a copied handle is exactly +1.
+    assert!(allocs <= 5, "warm MSD lookup made {allocs} allocations");
     cluster.shutdown();
 }

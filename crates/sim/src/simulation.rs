@@ -666,7 +666,7 @@ fn leads_to_target(
     target_file: &str,
 ) -> bool {
     match target {
-        IndexTarget::File(f) => f == target_file,
+        IndexTarget::File(f) => **f == *target_file,
         IndexTarget::Query(q) => q != current && (q == target_msd || q.covers(target_msd)),
     }
 }

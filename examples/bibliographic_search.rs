@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // article they are after.
         let next = resp.indexed.iter().find(|t| match t {
             IndexTarget::Query(q) => *q != current && q.covers(&target_msd),
-            IndexTarget::File(f) => *f == target.file_name(),
+            IndexTarget::File(f) => **f == *target.file_name(),
         });
         match next {
             Some(IndexTarget::File(f)) => {
