@@ -25,8 +25,7 @@
 //!
 //! Everything rides one code path: [`Dht::execute_many`]. The ops are
 //! grouped by routed member; a member owed exactly one op gets a plain
-//! unary `Request` frame (maximum interop — the frame is byte-identical
-//! to what a v1 build sends), a member owed several gets one
+//! unary `Request` frame, a member owed several gets one
 //! [`Message::Batch`] frame. All frames are written before any reply is
 //! read, so the member servers execute concurrently and a k-child
 //! fan-out costs one frame pair per routed member instead of one per op.
@@ -76,8 +75,8 @@ pub struct RemoteDhtConfig {
     /// Replication factor R the cluster was configured with: each key's
     /// candidate members are its R clockwise successors (shared placement
     /// with the servers via `p2p_index_dht::placement`). `1` (the
-    /// default) disables replica routing entirely — frames, results, and
-    /// accounting are identical to prior builds.
+    /// default) disables replica routing entirely — each key goes to its
+    /// one owner, as in an unreplicated cluster.
     pub replicas: usize,
     /// Read quorum Rq: a `Get` contacts Rq replicas in parallel and
     /// needs that many successful replies; the answer is the **union**
@@ -353,12 +352,10 @@ impl RemoteDht {
     ///
     /// `NodeFor` ops are answered locally at zero message cost. Each
     /// storage op routes to its key's replica set (`R` clockwise
-    /// successors; at the default `R = 1`, exactly the single owner as in
-    /// every prior build). Round one sends reads to their first `Rq`
-    /// replicas and writes to the primary, grouped per member in ring
-    /// order — a single-op group as a plain unary `Request`
-    /// (byte-identical to a v1 build's traffic), a multi-op group as one
-    /// batch frame. All of a round's frames are written before any
+    /// successors; at the default `R = 1`, exactly the single owner).
+    /// Round one sends reads to their first `Rq` replicas and writes to
+    /// the primary, grouped per member in ring order — a single-op group
+    /// as a plain unary `Request`, a multi-op group as one batch frame. All of a round's frames are written before any
     /// reply is read, so member servers work concurrently.
     ///
     /// A quorum read moves its entry once. In each round, the first
@@ -371,10 +368,8 @@ impl RemoteDht {
     /// A digest that disagrees names a replica holding another value set:
     /// that replica is asked again with a full `Get` in the next
     /// pipelined round and the lists merge (see [`settle_response`]); if
-    /// it no longer answers, the read fails over like any other. Only
-    /// frames that carry a digest read carry the version byte that
-    /// introduced it, so a client at `Rq = 1` — every unreplicated one —
-    /// never emits it.
+    /// it no longer answers, the read fails over like any other. A client
+    /// at `Rq = 1` — every unreplicated one — never asks for a digest.
     ///
     /// One ordering carve-out: a `Get` whose key the *same batch* also
     /// writes is read from its primary alone (`want = 1`). Member frames

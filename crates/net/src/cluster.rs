@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn tombstones_block_a_stale_peers_repair_push() {
-        use crate::wire::{read_message, write_message, Message};
+        use crate::wire::{read_message_with, write_message_with, Message};
         use std::net::TcpStream;
         use std::time::Duration;
 
@@ -383,8 +383,10 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
-            write_message(&mut stream, &Message::Transfer { id: 9, entries }).unwrap();
-            let (reply, _) = read_message(&mut stream).unwrap();
+            let mut scratch = Vec::new();
+            let transfer = Message::Transfer { id: 9, entries };
+            write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
+            let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
             assert!(matches!(reply, Message::Response { .. }));
         };
         push(vec![(key, vec![value.clone()])]);

@@ -4,7 +4,7 @@
 //! substrates in `crates/dht` simulate a network by counting messages.
 //! This crate makes the network real while keeping the simulation exact:
 //!
-//! - [`wire`] — a versioned, length-prefixed binary codec for every
+//! - [`wire`] — a length-prefixed binary codec for every
 //!   [`DhtOp`](p2p_index_dht::DhtOp) /
 //!   [`DhtResponse`](p2p_index_dht::DhtResponse) /
 //!   [`DhtError`](p2p_index_dht::DhtError), with request ids for
@@ -46,7 +46,4 @@ pub mod wire;
 pub use client::{RemoteDht, RemoteDhtConfig};
 pub use cluster::{ClusterDht, LoopbackCluster};
 pub use server::{DhtServer, ReplicationConfig, ServerConfig};
-pub use wire::{
-    Message, RecvError, WireError, MAX_PAYLOAD, VERSION, VERSION_BATCH, VERSION_DIGEST,
-    VERSION_DIGEST_READ, VERSION_REPL,
-};
+pub use wire::{Message, RecvError, WireError, MAX_PAYLOAD, VERSION};

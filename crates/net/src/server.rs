@@ -163,7 +163,7 @@ pub struct ServerConfig {
     /// Metrics sink for the `net.server.*` series (disabled by default).
     pub metrics: MetricsRegistry,
     /// Replicated-cluster membership; `None` (the default) serves a
-    /// plain unreplicated partition, byte-identical to prior builds.
+    /// plain unreplicated partition.
     pub replication: Option<ReplicationConfig>,
     /// Key-hash shard count of the partition store, rounded up to a
     /// power of two. A value, not a mode: `1` is the same store with one
@@ -917,7 +917,7 @@ fn drain_partition(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_message, write_message};
+    use crate::wire::{read_message_with, write_message_with};
     use bytes::Bytes;
     use p2p_index_dht::{DhtOp, DhtResponse, Key};
 
@@ -930,9 +930,18 @@ mod tests {
         spawn_with(ServerConfig::default())
     }
 
+    /// Sends `msg` on `stream` and reads the reply, or `None` if the
+    /// stream is dead.
+    fn exchange(stream: &mut TcpStream, msg: &Message) -> Option<Message> {
+        let mut scratch = Vec::new();
+        write_message_with(stream, msg, &mut scratch).ok()?;
+        read_message_with(stream, &mut scratch)
+            .ok()
+            .map(|(reply, _)| reply)
+    }
+
     fn call(stream: &mut TcpStream, id: u64, op: DhtOp) -> Message {
-        write_message(stream, &Message::Request { id, op }).unwrap();
-        read_message(stream).unwrap().0
+        exchange(stream, &Message::Request { id, op }).unwrap()
     }
 
     #[test]
@@ -978,27 +987,22 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
         let key = Key::hash_of("batch-key");
-        write_message(
-            &mut stream,
-            &Message::Batch {
-                id: 7,
-                ops: vec![
-                    DhtOp::Put {
-                        key,
-                        value: Bytes::from_static(b"v"),
-                    },
-                    DhtOp::Get(key),
-                    DhtOp::Remove {
-                        key,
-                        value: Bytes::from_static(b"absent"),
-                    },
-                ],
-            },
-        )
-        .unwrap();
-        let (reply, _) = read_message(&mut stream).unwrap();
+        let batch = Message::Batch {
+            id: 7,
+            ops: vec![
+                DhtOp::Put {
+                    key,
+                    value: Bytes::from_static(b"v"),
+                },
+                DhtOp::Get(key),
+                DhtOp::Remove {
+                    key,
+                    value: Bytes::from_static(b"absent"),
+                },
+            ],
+        };
         assert_eq!(
-            reply,
+            exchange(&mut stream, &batch).unwrap(),
             Message::BatchReply {
                 id: 7,
                 results: vec![
@@ -1050,10 +1054,9 @@ mod tests {
             stream
         };
         // What a dialer learns: the answer, or that the stream is dead.
-        let ask = |stream: &mut TcpStream, id: u64| -> Option<Message> {
+        let ask = |stream: &mut TcpStream, id: u64| {
             let op = DhtOp::Get(Key::hash_of("k"));
-            write_message(stream, &Message::Request { id, op }).ok()?;
-            read_message(stream).ok().map(|(reply, _)| reply)
+            exchange(stream, &Message::Request { id, op })
         };
         let answered = |id: u64| {
             Some(Message::Response {
@@ -1091,7 +1094,7 @@ mod tests {
         let server = spawn_ring();
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_message(&mut stream, &Message::Shutdown).unwrap();
+        write_message_with(&mut stream, &Message::Shutdown, &mut Vec::new()).unwrap();
         // wait() returns because the shutdown frame set the stop flag.
         server.wait();
         // The listener is gone: new connections are refused (give the OS a

@@ -1,4 +1,4 @@
-//! The versioned binary wire codec: length-prefixed frames over TCP.
+//! The binary wire codec: length-prefixed frames over TCP.
 //!
 //! Every message between a [`RemoteDht`](crate::client::RemoteDht) client
 //! and a [`DhtServer`](crate::server::DhtServer) is one *frame*:
@@ -7,8 +7,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
-//!      4     1  version      0x01 unary | 0x02 batch | 0x03 replication |
-//!                            0x04 digest | 0x05 digest read
+//!      4     1  version      VERSION (0x06), on every frame
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
@@ -25,37 +24,13 @@
 //! failure). Batch frames carry a `u32` op count followed by that many
 //! encoded ops; batch-replies a `u32` result count followed by that many
 //! status-prefixed results (see DESIGN.md §11 for the byte-level spec).
-//! Decoding is strict everywhere else: wrong magic, an unsupported
-//! version, an unknown frame kind or opcode, an oversized length prefix,
-//! a short payload, an empty batch, or trailing payload bytes are all
-//! typed [`WireError`]s — never a panic, never a silent truncation.
-//!
-//! Versioning: the four original kinds are encoded at [`VERSION`] (0x01)
-//! byte-for-byte as every prior build wrote them, so unary traffic
-//! interoperates across builds. The two batch kinds are encoded at
-//! [`VERSION_BATCH`] (0x02); a batch kind under version 0x01 is rejected
-//! as [`WireError::UnknownKind`] — exactly what a genuine v1 peer would
-//! say. The two server-to-server replication kinds (replicate and
-//! transfer) are encoded at [`VERSION_REPL`] (0x03) and rejected the same
-//! way under v1/v2 headers. The two anti-entropy kinds (digest: a
-//! member's ring key, a count that must be [`REPAIR_BUCKETS`], and that
-//! many `u64` bucket digests; digest-reply: a `u16` mask of the buckets
-//! that differ) are encoded at [`VERSION_DIGEST`] (0x04) and rejected the
-//! same way under v1–v3 headers. [`VERSION_DIGEST_READ`] (0x05) adds no
-//! kind: it marks a request or batch that carries a
-//! [`DhtOp::GetDigest`] (opcode 0x05) and a response or batch reply that
-//! carries a [`DhtResponse::Digest`] (tag 0x05: a `u32` value count and
-//! the `u64` digest of the values). Only such frames carry it, and under
-//! a v1–v4 header the two tags are [`WireError::UnknownOpcode`] /
-//! [`WireError::UnknownResponseTag`] — what a genuine earlier peer says to
-//! them. Any other version byte is [`WireError::UnsupportedVersion`].
-//! There is no in-band negotiation: a client must not send batch frames
-//! to a server it does not know to be v2-capable, only
-//! replication-configured servers speak v3 and v4 to each other, a member
-//! whose peer cannot answer a digest skips that peer's repair rather than
-//! falling back to anything, and only a client reading at a quorum above
-//! one — which presumes replicated, v5-capable members — ever asks for a
-//! digest.
+//! Decoding is strict everywhere else: wrong magic, any version byte but
+//! [`VERSION`], an unknown frame kind or opcode, an oversized length
+//! prefix, a short payload, an empty batch, or trailing payload bytes are
+//! all typed [`WireError`]s — never a panic, never a silent truncation.
+//! There is no negotiation: every peer is built from this workspace, and
+//! each extension of the protocol bumps [`VERSION`] (DESIGN.md §11 keeps
+//! the history).
 //!
 //! The request id exists for pipelining: a client may have several frames
 //! in flight on one connection and match responses by id. The bundled
@@ -73,30 +48,9 @@ use p2p_index_dht::{BucketDigests, DhtError, DhtOp, DhtResponse, Key, NodeId, RE
 /// The 4-byte magic that opens every frame.
 pub const MAGIC: [u8; 4] = *b"PDHT";
 
-/// The protocol version of the four original (unary) frame kinds.
-pub const VERSION: u8 = 1;
-
-/// The protocol version that introduced the batch frame kinds. Unary
-/// kinds keep encoding at [`VERSION`]; only batch/batch-reply frames
-/// carry this byte.
-pub const VERSION_BATCH: u8 = 2;
-
-/// The protocol version that introduced the server-to-server replication
-/// frame kinds (replicate and transfer). Earlier kinds keep their
-/// original version bytes; only replicate/transfer frames carry this one.
-pub const VERSION_REPL: u8 = 3;
-
-/// The protocol version that introduced the anti-entropy frame kinds
-/// (digest and digest-reply). Earlier kinds keep their original version
-/// bytes; only these two carry this one.
-pub const VERSION_DIGEST: u8 = 4;
-
-/// The protocol version that introduced digest reads: the
-/// [`DhtOp::GetDigest`] opcode and the [`DhtResponse::Digest`] response
-/// tag, riding the existing request, response and batch kinds. A frame
-/// carries this byte exactly when it carries one of the two; every other
-/// frame keeps the version byte it always had.
-pub const VERSION_DIGEST_READ: u8 = 5;
+/// The protocol version every frame carries; a frame with any other byte
+/// is [`WireError::UnsupportedVersion`].
+pub const VERSION: u8 = 6;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
@@ -187,8 +141,8 @@ pub enum Message {
     /// A client batch: execute every op in order and answer all of them
     /// with one [`Message::BatchReply`] carrying the same `id`.
     ///
-    /// Encoded at [`VERSION_BATCH`]; the op vector is never empty (an
-    /// empty batch is a [`WireError::BadPayload`] on decode).
+    /// The op vector is never empty (an empty batch is a
+    /// [`WireError::BadPayload`] on decode).
     Batch {
         /// Caller-chosen id echoed in the batch reply.
         id: u64,
@@ -196,7 +150,7 @@ pub enum Message {
         ops: Vec<DhtOp>,
     },
     /// A server's answer to a [`Message::Batch`]: one result per op, in
-    /// the same order. Encoded at [`VERSION_BATCH`].
+    /// the same order.
     BatchReply {
         /// The id of the batch being answered.
         id: u64,
@@ -207,11 +161,12 @@ pub enum Message {
     /// partition *without* re-forwarding it. Answered with a
     /// [`Message::Response`] carrying the same `id`.
     ///
-    /// Encoded at [`VERSION_REPL`]. This is a distinct kind (rather than
-    /// a flag on [`Message::Request`]) precisely so replication can never
-    /// cascade: a primary fans a client write out to its successors as
-    /// replicate frames, and a replicate frame is terminal by
-    /// construction.
+    /// This is a distinct kind (rather than a flag on
+    /// [`Message::Request`]) precisely so replication can never cascade:
+    /// a primary fans a client write out to its successors as replicate
+    /// frames, and a replicate frame is terminal by construction. Its op
+    /// is never a [`DhtOp::GetDigest`]: that opcode inside a replicate is
+    /// [`WireError::UnknownOpcode`].
     Replicate {
         /// Caller-chosen id echoed in the response.
         id: u64,
@@ -225,9 +180,9 @@ pub enum Message {
     /// partition to successors, and by the repair pass to restore
     /// replication factor after a restart.
     ///
-    /// Encoded at [`VERSION_REPL`]; the entry vector is never empty (an
-    /// empty transfer is a [`WireError::BadPayload`] on decode — a peer
-    /// with nothing to hand off sends nothing).
+    /// The entry vector is never empty (an empty transfer is a
+    /// [`WireError::BadPayload`] on decode — a peer with nothing to hand
+    /// off sends nothing).
     Transfer {
         /// Caller-chosen id echoed in the response.
         id: u64,
@@ -240,9 +195,9 @@ pub enum Message {
     /// [`Message::Response`] by a server that replicates nothing with
     /// `from`.
     ///
-    /// Encoded at [`VERSION_DIGEST`]. The digest array is fixed-size, so
-    /// decoding one allocates nothing; a frame announcing any other bucket
-    /// count is a [`WireError::BadPayload`].
+    /// The digest array is fixed-size, so decoding one allocates nothing;
+    /// a frame announcing any bucket count but [`REPAIR_BUCKETS`] is a
+    /// [`WireError::BadPayload`].
     Digest {
         /// Caller-chosen id echoed in the reply.
         id: u64,
@@ -251,7 +206,7 @@ pub enum Message {
         /// The sender's digest of each repair bucket.
         buckets: BucketDigests,
     },
-    /// The answer to a [`Message::Digest`]. Encoded at [`VERSION_DIGEST`].
+    /// The answer to a [`Message::Digest`].
     DigestReply {
         /// The id of the digest being answered.
         id: u64,
@@ -295,10 +250,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::BadMagic(m) => write!(f, "bad magic {m:02x?} (expected {MAGIC:02x?})"),
             WireError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this build speaks {VERSION} to {VERSION_DIGEST_READ})"
-                )
+                write!(f, "unsupported protocol version {v} (expected {VERSION})")
             }
             WireError::UnknownKind(k) => write!(f, "unknown frame kind 0x{k:02x}"),
             WireError::UnknownOpcode(o) => write!(f, "unknown request opcode 0x{o:02x}"),
@@ -346,9 +298,9 @@ impl From<WireError> for RecvError {
 
 /// Appends a frame header with a zero length prefix, returning where the
 /// prefix sits so [`end_frame`] can fill it in.
-fn begin_frame(version: u8, kind: u8, id: u64, buf: &mut Vec<u8>) -> usize {
+fn begin_frame(kind: u8, id: u64, buf: &mut Vec<u8>) -> usize {
     buf.extend_from_slice(&MAGIC);
-    buf.push(version);
+    buf.push(VERSION);
     buf.push(kind);
     buf.extend_from_slice(&id.to_be_bytes());
     let len_at = buf.len();
@@ -363,54 +315,21 @@ fn end_frame(buf: &mut [u8], len_at: usize) {
     buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_be_bytes());
 }
 
-/// The version byte of a frame whose kind dates from `introduced`:
-/// [`VERSION_DIGEST_READ`] when it carries a digest-read op or response,
-/// `introduced` — the byte every prior build wrote — when it does not.
-fn version_of(introduced: u8, carries_digest_read: bool) -> u8 {
-    if carries_digest_read {
-        VERSION_DIGEST_READ
-    } else {
-        introduced
-    }
-}
-
-fn asks_digest(op: &DhtOp) -> bool {
-    matches!(op, DhtOp::GetDigest(_))
-}
-
-fn answers_digest(result: &Result<DhtResponse, DhtError>) -> bool {
-    matches!(result, Ok(DhtResponse::Digest { .. }))
-}
-
 /// Appends the encoded frame for `msg` to `buf`.
-///
-/// Unary kinds encode at [`VERSION`] (byte-identical to every prior
-/// build); batch kinds carry [`VERSION_BATCH`]; replication kinds carry
-/// [`VERSION_REPL`]; anti-entropy kinds carry [`VERSION_DIGEST`]; a
-/// request, response, batch or batch reply that carries a digest read
-/// carries [`VERSION_DIGEST_READ`] instead.
 pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
-    let (version, kind, id) = match msg {
-        Message::Request { id, op } => (version_of(VERSION, asks_digest(op)), KIND_REQUEST, *id),
-        Message::Response { id, result } => match result {
-            Ok(_) => (version_of(VERSION, answers_digest(result)), KIND_OK, *id),
-            Err(_) => (VERSION, KIND_ERR, *id),
-        },
-        Message::Batch { id, ops } => {
-            let version = version_of(VERSION_BATCH, ops.iter().any(asks_digest));
-            (version, KIND_BATCH, *id)
-        }
-        Message::BatchReply { id, results } => {
-            let version = version_of(VERSION_BATCH, results.iter().any(answers_digest));
-            (version, KIND_BATCH_REPLY, *id)
-        }
-        Message::Replicate { id, .. } => (VERSION_REPL, KIND_REPLICATE, *id),
-        Message::Transfer { id, .. } => (VERSION_REPL, KIND_TRANSFER, *id),
-        Message::Digest { id, .. } => (VERSION_DIGEST, KIND_DIGEST, *id),
-        Message::DigestReply { id, .. } => (VERSION_DIGEST, KIND_DIGEST_REPLY, *id),
-        Message::Shutdown => (VERSION, KIND_SHUTDOWN, 0),
+    let (kind, id) = match msg {
+        Message::Request { id, .. } => (KIND_REQUEST, *id),
+        Message::Response { id, result: Ok(_) } => (KIND_OK, *id),
+        Message::Response { id, result: Err(_) } => (KIND_ERR, *id),
+        Message::Batch { id, .. } => (KIND_BATCH, *id),
+        Message::BatchReply { id, .. } => (KIND_BATCH_REPLY, *id),
+        Message::Replicate { id, .. } => (KIND_REPLICATE, *id),
+        Message::Transfer { id, .. } => (KIND_TRANSFER, *id),
+        Message::Digest { id, .. } => (KIND_DIGEST, *id),
+        Message::DigestReply { id, .. } => (KIND_DIGEST_REPLY, *id),
+        Message::Shutdown => (KIND_SHUTDOWN, 0),
     };
-    let len_at = begin_frame(version, kind, id, buf);
+    let len_at = begin_frame(kind, id, buf);
     match msg {
         Message::Request { op, .. } => encode_op(op, buf),
         Message::Response { result, .. } => match result {
@@ -463,11 +382,10 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
 /// of its pending ops without first cloning them into a vector.
 pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     id: u64,
-    ops: impl ExactSizeIterator<Item = O> + Clone,
+    ops: impl ExactSizeIterator<Item = O>,
     buf: &mut Vec<u8>,
 ) {
-    let asks = ops.clone().any(|op| asks_digest(op.borrow()));
-    let len_at = begin_frame(version_of(VERSION_BATCH, asks), KIND_BATCH, id, buf);
+    let len_at = begin_frame(KIND_BATCH, id, buf);
     encode_ops(ops, buf);
     end_frame(buf, len_at);
 }
@@ -647,39 +565,37 @@ impl<'a> Reader<'a> {
 /// complete frame with garbage anywhere is the matching typed error.
 pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
     let header = buf.first_chunk().ok_or(WireError::Truncated)?;
-    let (version, kind, id, payload_len) = parse_header(header)?;
+    let (kind, id, payload_len) = parse_header(header)?;
     let payload = buf[HEADER_LEN..]
         .get(..payload_len)
         .ok_or(WireError::Truncated)?;
-    let msg = decode_payload(version, kind, id, payload)?;
+    let msg = decode_payload(kind, id, payload)?;
     Ok((msg, HEADER_LEN + payload_len))
 }
 
-/// What a frame's fixed header announces — `(version, kind, id, payload
-/// length)` — once its magic, its version range and its length cap have
-/// been checked, in that order. The one header parser: a frame decoded
-/// from a slice and a frame read off a stream fail the same way.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, u64, usize), WireError> {
+/// What a frame's fixed header announces — `(kind, id, payload length)` —
+/// once its magic, its version and its length cap have been checked, in
+/// that order. The one header parser: a frame decoded from a slice and a
+/// frame read off a stream fail the same way.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize), WireError> {
     let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = header[4];
-    if !(VERSION..=VERSION_DIGEST_READ).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
+    if header[4] != VERSION {
+        return Err(WireError::UnsupportedVersion(header[4]));
     }
     let id = u64::from_be_bytes(header[6..14].try_into().expect("fixed slice"));
     let payload_len = u32::from_be_bytes(header[14..18].try_into().expect("fixed slice"));
     if payload_len > MAX_PAYLOAD {
         return Err(WireError::Oversized(payload_len));
     }
-    Ok((version, header[5], id, payload_len as usize))
+    Ok((header[5], id, payload_len as usize))
 }
 
-/// One encoded [`DhtOp`], shared by unary request and batch payloads.
-/// The digest-read opcode exists only from [`VERSION_DIGEST_READ`]; under
-/// an earlier header it is as unknown as it is to an earlier peer.
-fn decode_op(version: u8, r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
+/// One encoded [`DhtOp`], shared by unary request, batch and replicate
+/// payloads.
+fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
     Ok(match r.u8()? {
         OP_NODE_FOR => DhtOp::NodeFor(r.key()?),
         OP_PUT => DhtOp::Put {
@@ -691,14 +607,14 @@ fn decode_op(version: u8, r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
             key: r.key()?,
             value: r.bytes()?,
         },
-        OP_GET_DIGEST if version >= VERSION_DIGEST_READ => DhtOp::GetDigest(r.key()?),
+        OP_GET_DIGEST => DhtOp::GetDigest(r.key()?),
         other => return Err(WireError::UnknownOpcode(other)),
     })
 }
 
 /// One encoded [`DhtResponse`], shared by ok-response and batch-reply
-/// payloads; the digest tag is version-gated like its opcode.
-fn decode_response(version: u8, r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
+/// payloads.
+fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
     Ok(match r.u8()? {
         RESP_NODE => DhtResponse::Node(NodeId::from_key(r.key()?)),
         RESP_STORED => DhtResponse::Stored(r.bool()?),
@@ -716,30 +632,12 @@ fn decode_response(version: u8, r: &mut Reader<'_>) -> Result<DhtResponse, WireE
             DhtResponse::Values(values)
         }
         RESP_REMOVED => DhtResponse::Removed(r.bool()?),
-        RESP_DIGEST if version >= VERSION_DIGEST_READ => DhtResponse::Digest {
+        RESP_DIGEST => DhtResponse::Digest {
             count: r.u32()?,
             sum: r.u64()?,
         },
         other => return Err(WireError::UnknownResponseTag(other)),
     })
-}
-
-/// Batch kinds exist only from VERSION_BATCH, replication kinds from
-/// VERSION_REPL, anti-entropy kinds from VERSION_DIGEST. Under an earlier
-/// header each is rejected exactly as a
-/// genuine peer of that earlier version would reject it: as an unknown
-/// kind, not a version failure.
-fn check_kind_version(version: u8, kind: u8) -> Result<(), WireError> {
-    if version < VERSION_BATCH && matches!(kind, KIND_BATCH | KIND_BATCH_REPLY) {
-        return Err(WireError::UnknownKind(kind));
-    }
-    if version < VERSION_REPL && matches!(kind, KIND_REPLICATE | KIND_TRANSFER) {
-        return Err(WireError::UnknownKind(kind));
-    }
-    if version < VERSION_DIGEST && matches!(kind, KIND_DIGEST | KIND_DIGEST_REPLY) {
-        return Err(WireError::UnknownKind(kind));
-    }
-    Ok(())
 }
 
 /// An err-response body. Unknown error codes are forward-compatible by
@@ -751,7 +649,6 @@ fn decode_error(r: &mut Reader<'_>) -> Result<DhtError, WireError> {
 /// A batch-reply body, appended to `results`: the count (checked before
 /// anything is reserved), then that many status-prefixed results.
 fn decode_batch_results(
-    version: u8,
     r: &mut Reader<'_>,
     results: &mut Vec<Result<DhtResponse, DhtError>>,
 ) -> Result<(), WireError> {
@@ -767,7 +664,7 @@ fn decode_batch_results(
     results.reserve(count);
     for _ in 0..count {
         results.push(match r.u8()? {
-            BATCH_OK => Ok(decode_response(version, r)?),
+            BATCH_OK => Ok(decode_response(r)?),
             BATCH_ERR => Err(decode_error(r)?),
             _ => {
                 return Err(WireError::BadPayload(
@@ -784,31 +681,29 @@ fn decode_batch_results(
 /// reply kinds are told apart; any other kind is
 /// [`WireError::UnknownKind`].
 fn decode_reply(
-    version: u8,
     kind: u8,
     r: &mut Reader<'_>,
     results: &mut Vec<Result<DhtResponse, DhtError>>,
 ) -> Result<(), WireError> {
     match kind {
-        KIND_OK => results.push(Ok(decode_response(version, r)?)),
+        KIND_OK => results.push(Ok(decode_response(r)?)),
         KIND_ERR => results.push(Err(decode_error(r)?)),
-        KIND_BATCH_REPLY => decode_batch_results(version, r, results)?,
+        KIND_BATCH_REPLY => decode_batch_results(r, results)?,
         other => return Err(WireError::UnknownKind(other)),
     }
     Ok(())
 }
 
-fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireError> {
-    check_kind_version(version, kind)?;
+fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireError> {
     let mut r = Reader::new(payload);
     let msg = match kind {
         KIND_REQUEST => Message::Request {
             id,
-            op: decode_op(version, &mut r)?,
+            op: decode_op(&mut r)?,
         },
         KIND_OK | KIND_ERR | KIND_BATCH_REPLY => {
             let mut results = Vec::new();
-            decode_reply(version, kind, &mut r, &mut results)?;
+            decode_reply(kind, &mut r, &mut results)?;
             match kind {
                 KIND_BATCH_REPLY => Message::BatchReply { id, results },
                 _ => Message::Response {
@@ -829,16 +724,15 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
             }
             let mut ops = Vec::with_capacity(count);
             for _ in 0..count {
-                ops.push(decode_op(version, &mut r)?);
+                ops.push(decode_op(&mut r)?);
             }
             Message::Batch { id, ops }
         }
-        // A replicate carries a write; whatever its header says, its op is
-        // read by the rules of the version that introduced it, so a digest
-        // read is never legal here.
-        KIND_REPLICATE => Message::Replicate {
-            id,
-            op: decode_op(VERSION_REPL, &mut r)?,
+        // A replicate carries a write for a replica to apply: a digest
+        // read is never legal inside one.
+        KIND_REPLICATE => match decode_op(&mut r)? {
+            DhtOp::GetDigest(_) => return Err(WireError::UnknownOpcode(OP_GET_DIGEST)),
+            op => Message::Replicate { id, op },
         },
         KIND_TRANSFER => {
             let count = r.u32()? as usize;
@@ -899,12 +793,6 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Mess
     Ok(msg)
 }
 
-/// Writes one frame to `w` and flushes it.
-pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
-    let mut scratch = Vec::with_capacity(HEADER_LEN + 64);
-    write_message_with(w, msg, &mut scratch)
-}
-
 /// Writes one frame to `w` through a caller-owned encode buffer and
 /// flushes it.
 ///
@@ -930,20 +818,12 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<usize>
     Ok(frame.len())
 }
 
-/// Reads exactly one frame from `r`.
-///
-/// A clean EOF before the first header byte is [`RecvError::Closed`]; an
-/// EOF mid-frame is an [`RecvError::Io`] with `UnexpectedEof`. Returns
-/// the message and the number of bytes read.
-pub fn read_message(r: &mut impl Read) -> Result<(Message, usize), RecvError> {
-    let mut scratch = Vec::new();
-    read_message_with(r, &mut scratch)
-}
-
 /// Reads exactly one frame from `r`, staging the payload in a
 /// caller-owned scratch buffer.
 ///
-/// Same contract as [`read_message`], but the payload bytes land in
+/// A clean EOF before the first header byte is [`RecvError::Closed`]; an
+/// EOF mid-frame is an [`RecvError::Io`] with `UnexpectedEof`. Returns
+/// the message and the number of bytes read. The payload bytes land in
 /// `scratch` (cleared and resized in place), so a long-lived connection
 /// that passes the same buffer for every frame reuses one allocation
 /// instead of allocating per frame. Decoded values never borrow the
@@ -954,8 +834,8 @@ pub fn read_message_with(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<(Message, usize), RecvError> {
-    let (version, kind, id) = read_frame(r, scratch)?;
-    let msg = decode_payload(version, kind, id, scratch)?;
+    let (kind, id) = read_frame(r, scratch)?;
+    let msg = decode_payload(kind, id, scratch)?;
     Ok((msg, HEADER_LEN + scratch.len()))
 }
 
@@ -986,10 +866,9 @@ pub(crate) fn read_reply_with(
     results: &mut Vec<Result<DhtResponse, DhtError>>,
 ) -> Result<Reply, RecvError> {
     results.clear();
-    let (version, kind, id) = read_frame(r, scratch)?;
-    check_kind_version(version, kind)?;
+    let (kind, id) = read_frame(r, scratch)?;
     let mut payload = Reader::new(scratch);
-    decode_reply(version, kind, &mut payload, results)?;
+    decode_reply(kind, &mut payload, results)?;
     payload.finish()?;
     Ok(Reply {
         id,
@@ -1001,18 +880,18 @@ pub(crate) fn read_reply_with(
 /// Reads one frame's header and payload from `r`: the header is checked
 /// (magic, version, length cap) before the payload is read into
 /// `scratch`, which is cleared and resized in place.
-fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u8, u64), RecvError> {
+fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u64), RecvError> {
     let mut header = [0u8; HEADER_LEN];
     let first = r.read(&mut header).map_err(RecvError::Io)?;
     if first == 0 {
         return Err(RecvError::Closed);
     }
     read_exact_from(r, &mut header[first..]).map_err(RecvError::Io)?;
-    let (version, kind, id, payload_len) = parse_header(&header)?;
+    let (kind, id, payload_len) = parse_header(&header)?;
     scratch.clear();
     scratch.resize(payload_len, 0);
     read_exact_from(r, scratch).map_err(RecvError::Io)?;
-    Ok((version, kind, id))
+    Ok((kind, id))
 }
 
 /// `read_exact` that retries on `Interrupted`, used for both header and
@@ -1162,75 +1041,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_frames_carry_the_batch_version() {
-        let buf = encode_to_vec(&Message::Batch {
-            id: 1,
-            ops: vec![DhtOp::Get(Key::hash_of("k"))],
-        });
-        assert_eq!(buf[4], VERSION_BATCH);
-        let buf = encode_to_vec(&Message::BatchReply {
-            id: 1,
-            results: vec![Ok(DhtResponse::Stored(true))],
-        });
-        assert_eq!(buf[4], VERSION_BATCH);
-        // Unary frames are untouched: still version 1.
-        let buf = encode_to_vec(&Message::Request {
-            id: 1,
-            op: DhtOp::Get(Key::hash_of("k")),
-        });
-        assert_eq!(buf[4], VERSION);
-    }
-
-    #[test]
-    fn replication_frames_carry_the_repl_version() {
-        let buf = encode_to_vec(&Message::Replicate {
-            id: 1,
-            op: DhtOp::Get(Key::hash_of("k")),
-        });
-        assert_eq!(buf[4], VERSION_REPL);
-        let buf = encode_to_vec(&Message::Transfer {
-            id: 1,
-            entries: vec![(Key::hash_of("k"), vec![Bytes::from_static(b"v")])],
-        });
-        assert_eq!(buf[4], VERSION_REPL);
-        // Batch and unary frames are untouched: still versions 2 and 1.
-        let buf = encode_to_vec(&Message::Batch {
-            id: 1,
-            ops: vec![DhtOp::Get(Key::hash_of("k"))],
-        });
-        assert_eq!(buf[4], VERSION_BATCH);
-        let buf = encode_to_vec(&Message::Request {
-            id: 1,
-            op: DhtOp::Get(Key::hash_of("k")),
-        });
-        assert_eq!(buf[4], VERSION);
-    }
-
-    #[test]
-    fn replication_kind_under_v1_or_v2_is_rejected_as_unknown_kind() {
-        // A genuine v1 or v2 peer would say "unknown kind 0x07/0x08", so
-        // an earlier header smuggling a replication kind must fail the
-        // same way — not decode.
-        for version in [VERSION, VERSION_BATCH] {
-            let mut buf = encode_to_vec(&Message::Replicate {
-                id: 3,
-                op: DhtOp::Get(Key::hash_of("k")),
-            });
-            buf[4] = version;
-            assert_eq!(decode_message(&buf), Err(WireError::UnknownKind(0x07)));
-            let mut buf = encode_to_vec(&Message::Transfer {
-                id: 3,
-                entries: vec![(Key::hash_of("k"), vec![Bytes::from_static(b"v")])],
-            });
-            buf[4] = version;
-            assert_eq!(decode_message(&buf), Err(WireError::UnknownKind(0x08)));
-        }
-    }
-
-    #[test]
     fn golden_digest_frame_layouts_are_pinned() {
-        // Byte-for-byte layout of the two v4 frames, and their rejection
-        // as unknown kinds under every earlier header.
+        // Byte-for-byte layout of the two anti-entropy frames.
         let from = Key::hash_of("member");
         let digest = encode_to_vec(&Message::Digest {
             id: 7,
@@ -1239,7 +1051,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x04); // version: digest
+        expected.push(0x06); // version
         expected.push(0x09); // kind: digest
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&152u32.to_be_bytes()); // key + count + 16 * 8
@@ -1256,20 +1068,12 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x04);
+        expected.push(0x06);
         expected.push(0x0a); // kind: digest-reply
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&2u32.to_be_bytes());
         expected.extend_from_slice(&[0x01, 0x02]);
         assert_eq!(reply, expected);
-
-        for version in [VERSION, VERSION_BATCH, VERSION_REPL] {
-            for (frame, kind) in [(&digest, 0x09), (&reply, 0x0a)] {
-                let mut frame = frame.clone();
-                frame[4] = version;
-                assert_eq!(decode_message(&frame), Err(WireError::UnknownKind(kind)));
-            }
-        }
     }
 
     #[test]
@@ -1277,7 +1081,7 @@ mod tests {
         // A transfer with zero entries: header + u32(0).
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION_REPL);
+        buf.push(VERSION);
         buf.push(0x08);
         buf.extend_from_slice(&1u64.to_be_bytes());
         buf.extend_from_slice(&4u32.to_be_bytes());
@@ -1289,7 +1093,7 @@ mod tests {
         // One entry with zero values: count 1, key, u32(0).
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION_REPL);
+        buf.push(VERSION);
         buf.push(0x08);
         buf.extend_from_slice(&1u64.to_be_bytes());
         buf.extend_from_slice(&28u32.to_be_bytes());
@@ -1304,8 +1108,8 @@ mod tests {
 
     #[test]
     fn golden_replicate_frame_layout_is_pinned() {
-        // Byte-for-byte layout of one replicate frame; changing the v3
-        // codec without bumping the version must fail here.
+        // Byte-for-byte layout of one replicate frame; changing the codec
+        // without bumping VERSION must fail here.
         let key = Key::hash_of("k");
         let msg = Message::Replicate {
             id: 7,
@@ -1317,7 +1121,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x03); // version: replication
+        expected.push(0x06); // version
         expected.push(0x07); // kind: replicate
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1
@@ -1329,23 +1133,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_kind_under_v1_is_rejected_as_unknown_kind() {
-        // A genuine v1 peer would say "unknown kind 0x05", so a v1 header
-        // smuggling a batch kind must fail the same way — not decode.
-        let mut buf = encode_to_vec(&Message::Batch {
-            id: 3,
-            ops: vec![DhtOp::Get(Key::hash_of("k"))],
-        });
-        buf[4] = VERSION;
-        assert_eq!(decode_message(&buf), Err(WireError::UnknownKind(0x05)));
-    }
-
-    #[test]
     fn empty_batch_is_rejected() {
         // Hand-build a batch frame whose count is zero: header + u32(0).
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION_BATCH);
+        buf.push(VERSION);
         buf.push(0x05);
         buf.extend_from_slice(&1u64.to_be_bytes());
         buf.extend_from_slice(&4u32.to_be_bytes());
@@ -1376,7 +1168,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x01); // version
+        expected.push(0x06); // version
         expected.push(0x01); // kind: request
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1
@@ -1393,14 +1185,17 @@ mod tests {
             id: 5,
             op: DhtOp::Get(Key::hash_of("x")),
         };
-        let mut wire = Vec::new();
-        let written = write_message(&mut wire, &msg).unwrap();
+        let (mut wire, mut scratch) = (Vec::new(), Vec::new());
+        let written = write_message_with(&mut wire, &msg, &mut scratch).unwrap();
         assert_eq!(written, wire.len());
         let mut cursor = io::Cursor::new(wire);
-        let (decoded, read) = read_message(&mut cursor).unwrap();
+        let (decoded, read) = read_message_with(&mut cursor, &mut scratch).unwrap();
         assert_eq!(decoded, msg);
         assert_eq!(read, written);
-        assert!(matches!(read_message(&mut cursor), Err(RecvError::Closed)));
+        assert!(matches!(
+            read_message_with(&mut cursor, &mut scratch),
+            Err(RecvError::Closed)
+        ));
     }
 
     #[test]
@@ -1509,8 +1304,7 @@ mod tests {
             assert_eq!(&rebuilt, msg);
         }
         // Anything that is not a reply is refused, typed; so is a reply
-        // with trailing bytes, a batch reply under a v1 header, or a
-        // digest under the batch version's own.
+        // with trailing bytes, or one under any other version byte.
         let request = encode_to_vec(&Message::Request {
             id: 1,
             op: DhtOp::Get(Key::hash_of("k")),
@@ -1518,16 +1312,12 @@ mod tests {
         let mut padded = encode_to_vec(&replies[1]);
         padded.push(0);
         padded[14..18].copy_from_slice(&3u32.to_be_bytes());
-        let mut downgraded = encode_to_vec(&replies[2]);
-        downgraded[4] = VERSION;
-        let mut undigested = encode_to_vec(&replies[3]);
-        assert_eq!(undigested[4], VERSION_DIGEST_READ);
-        undigested[4] = VERSION_BATCH;
+        let mut older = encode_to_vec(&replies[3]);
+        older[4] = VERSION - 1;
         for (frame, expected) in [
             (request, WireError::UnknownKind(0x01)),
             (padded, WireError::TrailingBytes(1)),
-            (downgraded, WireError::UnknownKind(0x06)),
-            (undigested, WireError::UnknownResponseTag(0x05)),
+            (older, WireError::UnsupportedVersion(VERSION - 1)),
         ] {
             let got = read_reply_with(&mut io::Cursor::new(&frame), &mut scratch, &mut results);
             assert!(
@@ -1544,6 +1334,9 @@ mod tests {
             op: DhtOp::Get(Key::hash_of("x")),
         });
         let mut cursor = io::Cursor::new(&buf[..buf.len() - 3]);
-        assert!(matches!(read_message(&mut cursor), Err(RecvError::Io(_))));
+        assert!(matches!(
+            read_message_with(&mut cursor, &mut Vec::new()),
+            Err(RecvError::Io(_))
+        ));
     }
 }

@@ -25,17 +25,11 @@ use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64, REPAI
 use p2p_index_net::wire::{
     decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
 };
-use p2p_index_net::{
-    Message, WireError, VERSION, VERSION_BATCH, VERSION_DIGEST, VERSION_DIGEST_READ, VERSION_REPL,
-};
+use p2p_index_net::{Message, WireError, VERSION};
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng};
 
 /// Number of distinct shapes `rng_message` cycles through.
 const VARIANTS: usize = 23;
-
-/// The shapes `rng_message` builds with a digest read in them — the four
-/// that carry [`VERSION_DIGEST_READ`].
-const DIGEST_READ_VARIANTS: std::ops::Range<usize> = 18..22;
 
 fn rng_key(rng: &mut SplitMix64) -> Key {
     let mut digest = [0u8; 20];
@@ -264,10 +258,9 @@ fn mutate(frame: &mut Vec<u8>, rng: &mut SplitMix64) {
 
 /// The decoder's whole contract on arbitrary bytes: it returns (never
 /// panics); a failure is a [`WireError`] that renders; a success consumed
-/// a prefix that is *the* encoding of the message it produced. Two header
-/// fields are deliberately not carried by a [`Message`] and so are
-/// exempt: the version byte (a later version's header may carry an
-/// earlier version's kind) and a shutdown frame's request id.
+/// a prefix that is *the* encoding of the message it produced. One header
+/// field is deliberately not carried by a [`Message`] and so is exempt: a
+/// shutdown frame's request id.
 fn assert_decodes_exactly_or_fails_typed(buf: &[u8]) {
     match decode_message(buf) {
         Ok((msg, consumed)) => {
@@ -275,7 +268,6 @@ fn assert_decodes_exactly_or_fails_typed(buf: &[u8]) {
             let mut canonical = buf[..consumed].to_vec();
             let reencoded = encode_to_vec(&msg);
             assert_eq!(reencoded.len(), consumed, "{msg:?}");
-            canonical[4] = reencoded[4];
             if msg == Message::Shutdown {
                 canonical[6..14].fill(0);
             }
@@ -530,17 +522,21 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 
 #[test]
 fn every_foreign_version_is_rejected() {
-    let good = encode_to_vec(&Message::Shutdown);
-    for version in 0..=u8::MAX {
-        if (VERSION..=VERSION_DIGEST_READ).contains(&version) {
-            continue;
+    // Every frame of every kind carries the one version; the 255 other
+    // bytes are refused on the header alone, whatever the kind.
+    let mut rng = SplitMix64::new(0xd19e57);
+    for variant in 0..VARIANTS {
+        let good = encode_to_vec(&rng_message(&mut rng, variant));
+        assert_eq!(good[4], VERSION, "variant {variant}");
+        for version in (0..=u8::MAX).filter(|&byte| byte != VERSION) {
+            let mut frame = good.clone();
+            frame[4] = version;
+            assert_eq!(
+                decode_message(&frame),
+                Err(WireError::UnsupportedVersion(version)),
+                "variant {variant}"
+            );
         }
-        let mut frame = good.clone();
-        frame[4] = version;
-        assert_eq!(
-            decode_message(&frame),
-            Err(WireError::UnsupportedVersion(version))
-        );
     }
 }
 
@@ -577,10 +573,10 @@ fn unknown_error_codes_decode_as_catch_all_not_failure() {
 }
 
 /// Hand-assembles a frame with the given header fields and payload.
-fn raw_frame(version: u8, kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
+fn raw_frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(b"PDHT");
-    frame.push(version);
+    frame.push(VERSION);
     frame.push(kind);
     frame.extend_from_slice(&id.to_be_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -593,7 +589,7 @@ fn empty_batches_are_rejected() {
     // count == 0 is not a no-op, it's a protocol violation: a frame
     // carrying no work should never have been sent.
     for kind in [0x05u8, 0x06] {
-        let frame = raw_frame(VERSION_BATCH, kind, 7, &0u32.to_be_bytes());
+        let frame = raw_frame(kind, 7, &0u32.to_be_bytes());
         assert!(
             matches!(decode_message(&frame), Err(WireError::BadPayload(_))),
             "kind 0x{kind:02x}"
@@ -606,7 +602,7 @@ fn oversized_batch_count_is_rejected_before_allocation() {
     // A batch claiming u32::MAX ops in a 4-byte payload must fail on
     // arithmetic alone — Vec::with_capacity never sees attacker numbers.
     for kind in [0x05u8, 0x06] {
-        let frame = raw_frame(VERSION_BATCH, kind, 7, &u32::MAX.to_be_bytes());
+        let frame = raw_frame(kind, 7, &u32::MAX.to_be_bytes());
         assert_eq!(
             decode_message(&frame),
             Err(WireError::Truncated),
@@ -619,7 +615,7 @@ fn oversized_batch_count_is_rejected_before_allocation() {
 fn empty_transfers_are_rejected() {
     // Like empty batches: a transfer carrying nothing, or an entry
     // carrying no values, is a protocol violation — not a no-op.
-    let frame = raw_frame(VERSION_REPL, 0x08, 7, &0u32.to_be_bytes());
+    let frame = raw_frame(0x08, 7, &0u32.to_be_bytes());
     assert!(matches!(
         decode_message(&frame),
         Err(WireError::BadPayload(_))
@@ -628,7 +624,7 @@ fn empty_transfers_are_rejected() {
     payload.extend_from_slice(&1u32.to_be_bytes());
     payload.extend_from_slice(Key::hash_of("k").as_bytes());
     payload.extend_from_slice(&0u32.to_be_bytes());
-    let frame = raw_frame(VERSION_REPL, 0x08, 7, &payload);
+    let frame = raw_frame(0x08, 7, &payload);
     assert!(matches!(
         decode_message(&frame),
         Err(WireError::BadPayload(_))
@@ -639,89 +635,22 @@ fn empty_transfers_are_rejected() {
 fn oversized_transfer_counts_are_rejected_before_allocation() {
     // Entry and value counts claiming more than the payload can hold must
     // fail on arithmetic alone, like oversized batch counts.
-    let frame = raw_frame(VERSION_REPL, 0x08, 7, &u32::MAX.to_be_bytes());
+    let frame = raw_frame(0x08, 7, &u32::MAX.to_be_bytes());
     assert_eq!(decode_message(&frame), Err(WireError::Truncated));
     let mut payload = Vec::new();
     payload.extend_from_slice(&1u32.to_be_bytes());
     payload.extend_from_slice(Key::hash_of("k").as_bytes());
     payload.extend_from_slice(&u32::MAX.to_be_bytes());
-    let frame = raw_frame(VERSION_REPL, 0x08, 7, &payload);
+    let frame = raw_frame(0x08, 7, &payload);
     assert_eq!(decode_message(&frame), Err(WireError::Truncated));
 }
 
 #[test]
-fn later_kinds_under_earlier_versions_are_unknown_kinds() {
-    // A genuine peer of an earlier version says "unknown kind" to a kind
-    // introduced after it, so an earlier header carrying a later kind
-    // must fail the same way; under its own version or a later one the
-    // frame decodes.
-    let mut rng = SplitMix64::new(0xd19e57);
-    for variant in (0..VARIANTS).filter(|variant| !DIGEST_READ_VARIANTS.contains(variant)) {
-        let clean = encode_to_vec(&rng_message(&mut rng, variant));
-        let (introduced, kind) = (clean[4], clean[5]);
-        for version in VERSION..=VERSION_DIGEST_READ {
-            let mut frame = clean.clone();
-            frame[4] = version;
-            if version < introduced {
-                assert_eq!(decode_message(&frame), Err(WireError::UnknownKind(kind)));
-            } else {
-                assert!(
-                    decode_message(&frame).is_ok(),
-                    "variant {variant} at v{version}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn digest_read_tags_under_earlier_versions_are_unknown_tags() {
-    // Digest reads added no kind, only an opcode and a response tag, so
-    // what an earlier peer says to them is "unknown opcode" / "unknown
-    // response tag" — and an earlier header carrying one must fail the
-    // same way, once it is late enough to know the frame's kind at all.
-    let mut rng = SplitMix64::new(0xd19e57);
-    for variant in DIGEST_READ_VARIANTS {
-        let clean = encode_to_vec(&rng_message(&mut rng, variant));
-        assert_eq!(clean[4], VERSION_DIGEST_READ, "variant {variant}");
-        let kind = clean[5];
-        let batched = matches!(kind, 0x05 | 0x06);
-        for version in VERSION..VERSION_DIGEST_READ {
-            let mut frame = clean.clone();
-            frame[4] = version;
-            let expected = match kind {
-                _ if batched && version < VERSION_BATCH => WireError::UnknownKind(kind),
-                0x01 | 0x05 => WireError::UnknownOpcode(0x05),
-                _ => WireError::UnknownResponseTag(0x05),
-            };
-            assert_eq!(
-                decode_message(&frame),
-                Err(expected),
-                "variant {variant} at v{version}"
-            );
-        }
-    }
-    // A replicate is a write whatever its header says: the digest opcode
-    // is unknown inside one even under the version that introduced it.
-    let mut replicate = encode_to_vec(&Message::Replicate {
-        id: 1,
-        op: DhtOp::Get(Key::hash_of("k")),
-    });
-    replicate[4] = VERSION_DIGEST_READ;
-    assert!(decode_message(&replicate).is_ok());
-    replicate[HEADER_LEN] = 0x05;
-    assert_eq!(
-        decode_message(&replicate),
-        Err(WireError::UnknownOpcode(0x05))
-    );
-}
-
-#[test]
 fn golden_digest_read_frame_layouts_are_pinned() {
-    // Byte-for-byte layout of the v5 forms: a unary digest request, a
-    // batch mixing a full and a digest get, and the reply mixing a value
-    // list and a digest. Frames without a digest read keep their bytes —
-    // the golden v1-v4 frames in `wire.rs` pin that.
+    // Byte-for-byte layout of the digest-read forms: a unary digest
+    // request and its answer, a batch mixing a full and a digest get, and
+    // the reply mixing a value list and a digest.
+    assert_eq!(VERSION, 0x06, "the header byte every golden frame carries");
     let (full, vouch) = (Key::hash_of("full"), Key::hash_of("vouch"));
     let mut payload = vec![0x05]; // opcode: get-digest
     payload.extend_from_slice(vouch.as_bytes());
@@ -730,7 +659,20 @@ fn golden_digest_read_frame_layouts_are_pinned() {
             id: 7,
             op: DhtOp::GetDigest(vouch),
         }),
-        raw_frame(0x05, 0x01, 7, &payload)
+        raw_frame(0x01, 7, &payload)
+    );
+    let mut payload = vec![0x05]; // tag: digest
+    payload.extend_from_slice(&3u32.to_be_bytes());
+    payload.extend_from_slice(&0x0102_0304_0506_0708u64.to_be_bytes());
+    assert_eq!(
+        encode_to_vec(&Message::Response {
+            id: 7,
+            result: Ok(DhtResponse::Digest {
+                count: 3,
+                sum: 0x0102_0304_0506_0708,
+            }),
+        }),
+        raw_frame(0x02, 7, &payload)
     );
 
     let mut payload = 2u32.to_be_bytes().to_vec();
@@ -743,7 +685,7 @@ fn golden_digest_read_frame_layouts_are_pinned() {
             id: 8,
             ops: vec![DhtOp::Get(full), DhtOp::GetDigest(vouch)],
         }),
-        raw_frame(0x05, 0x05, 8, &payload)
+        raw_frame(0x05, 8, &payload)
     );
 
     let mut payload = 2u32.to_be_bytes().to_vec();
@@ -765,20 +707,47 @@ fn golden_digest_read_frame_layouts_are_pinned() {
                 }),
             ],
         }),
-        raw_frame(0x05, 0x06, 8, &payload)
+        raw_frame(0x06, 8, &payload)
     );
 
-    // The same batch and reply without the digest are v2 to the byte.
-    let plain = encode_to_vec(&Message::Batch {
-        id: 8,
-        ops: vec![DhtOp::Get(full)],
+    // A replicate carries a write for a replica to apply: the digest
+    // opcode is unknown inside one, though it is legal in a request.
+    let mut replicate = encode_to_vec(&Message::Replicate {
+        id: 1,
+        op: DhtOp::Get(vouch),
     });
-    assert_eq!(plain[4], VERSION_BATCH);
-    let plain = encode_to_vec(&Message::Response {
-        id: 8,
-        result: Ok(DhtResponse::Values(Vec::new())),
-    });
-    assert_eq!(plain[4], VERSION);
+    assert!(decode_message(&replicate).is_ok());
+    replicate[HEADER_LEN] = 0x05;
+    assert_eq!(
+        decode_message(&replicate),
+        Err(WireError::UnknownOpcode(0x05))
+    );
+}
+
+#[test]
+fn golden_frames_of_the_remaining_kinds_are_pinned() {
+    // The kinds no other golden covers: err-response, transfer, shutdown.
+    assert_eq!(
+        encode_to_vec(&Message::Response {
+            id: 5,
+            result: Err(DhtError::StorageFull),
+        }),
+        raw_frame(0x03, 5, &[0x00, 0x03])
+    );
+    let key = Key::hash_of("k");
+    let mut payload = 1u32.to_be_bytes().to_vec(); // one entry
+    payload.extend_from_slice(key.as_bytes());
+    payload.extend_from_slice(&1u32.to_be_bytes()); // one value
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    payload.push(b'v');
+    assert_eq!(
+        encode_to_vec(&Message::Transfer {
+            id: 9,
+            entries: vec![(key, vec![Bytes::from_static(b"v")])],
+        }),
+        raw_frame(0x08, 9, &payload)
+    );
+    assert_eq!(encode_to_vec(&Message::Shutdown), raw_frame(0x04, 0, &[]));
 }
 
 #[test]
@@ -791,7 +760,7 @@ fn a_digest_carries_exactly_the_repair_buckets() {
         let mut payload = Key::hash_of("member").as_bytes().to_vec();
         payload.extend_from_slice(&count.to_be_bytes());
         payload.extend_from_slice(&vec![0x5a; 8 * carried]);
-        raw_frame(VERSION_DIGEST, 0x09, 7, &payload)
+        raw_frame(0x09, 7, &payload)
     };
     let legal = REPAIR_BUCKETS as u32;
     assert!(decode_message(&digests_of(legal, REPAIR_BUCKETS)).is_ok());

@@ -14,7 +14,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
 use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht};
-use p2p_index_net::wire::{read_message, write_message, Message};
+use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{
     ClusterDht, DhtServer, LoopbackCluster, RemoteDht, RemoteDhtConfig, ReplicationConfig,
     ServerConfig,
@@ -425,10 +425,12 @@ fn lossy_replicated_cluster_still_blocks_a_stale_transfer_of_a_removed_value() {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
+    let mut scratch = Vec::new();
     for id in 0..40 {
         let entries = vec![(key, vec![dead.clone(), alive.clone()])];
-        write_message(&mut stream, &Message::Transfer { id, entries }).unwrap();
-        let (reply, _) = read_message(&mut stream).unwrap();
+        let transfer = Message::Transfer { id, entries };
+        write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
+        let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
         assert!(matches!(reply, Message::Response { .. }));
     }
     let mut solo = RemoteDht::connect(vec![(target, target_addr)], RemoteDhtConfig::default());
@@ -463,8 +465,10 @@ fn an_idle_connection_gives_its_big_read_buffer_back() {
         .unwrap();
     let big_key = Key::hash_of("big");
     let entries = vec![(big_key, vec![Bytes::from(vec![0xabu8; 2 << 20])])];
-    write_message(&mut stream, &Message::Transfer { id: 1, entries }).unwrap();
-    let (reply, _) = read_message(&mut stream).unwrap();
+    let mut scratch = Vec::new();
+    let transfer = Message::Transfer { id: 1, entries };
+    write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
+    let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
     assert_eq!(
         reply,
         Message::Response {
@@ -492,8 +496,8 @@ fn an_idle_connection_gives_its_big_read_buffer_back() {
         id: 2,
         op: DhtOp::Get(Key::hash_of("absent")),
     };
-    write_message(&mut stream, &small).unwrap();
-    let (reply, _) = read_message(&mut stream).unwrap();
+    write_message_with(&mut stream, &small, &mut scratch).unwrap();
+    let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
     assert_eq!(
         reply,
         Message::Response {

@@ -15,15 +15,14 @@
 //! * **Failover keeps the rule** — when the shipping replica is gone, the
 //!   next round's first attempt is a full `Get`, and a digest already in
 //!   hand is checked against it.
-//! * **No new bytes where there is no quorum** — reads the carve-out sends
+//! * **No digest where there is no quorum** — reads the carve-out sends
 //!   to the primary alone, and every read of a client at `Rq = 1`, never
-//!   emit a digest op or the version byte that carries it.
+//!   ask for a digest.
 //!
 //! The cluster is the benchmark's shape — five members, `R = 3`, `W = 2`,
 //! read at `Rq = 2` — with the repair thread off, so a replica made stale
 //! by hand stays stale until the read under test has seen it.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -31,10 +30,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use p2p_index_dht::{placement, Dht, DhtOp, DhtResponse, Key, NodeId};
-use p2p_index_net::wire::{decode_message, write_message, Message, HEADER_LEN};
+use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{
-    LoopbackCluster, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig, VERSION,
-    VERSION_BATCH, VERSION_DIGEST_READ,
+    LoopbackCluster, RecvError, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -329,8 +327,8 @@ fn the_counters_of_both_ends_account_for_every_reply() {
 }
 
 /// A member that is only a socket: it answers every read with "nothing
-/// held" and records the version byte of every frame it is sent.
-fn sniffing_member(listener: TcpListener, stop: &AtomicBool, seen: &Mutex<Vec<u8>>) {
+/// held" and records every op of every frame it is sent.
+fn sniffing_member(listener: TcpListener, stop: &AtomicBool, seen: &Mutex<Vec<DhtOp>>) {
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
@@ -346,41 +344,37 @@ fn sniffing_member(listener: TcpListener, stop: &AtomicBool, seen: &Mutex<Vec<u8
     });
 }
 
-fn sniff_connection(mut stream: TcpStream, seen: &Mutex<Vec<u8>>) {
+fn sniff_connection(mut stream: TcpStream, seen: &Mutex<Vec<DhtOp>>) {
     stream.set_nonblocking(false).expect("blocking stream");
+    let mut scratch = Vec::new();
     loop {
-        let mut frame = vec![0u8; HEADER_LEN];
-        if stream.read_exact(&mut frame).is_err() {
-            return; // the client hung up
-        }
-        let len = u32::from_be_bytes(frame[14..18].try_into().unwrap()) as usize;
-        frame.resize(HEADER_LEN + len, 0);
-        stream
-            .read_exact(&mut frame[HEADER_LEN..])
-            .expect("payload");
-        seen.lock().unwrap().push(frame[4]);
+        let msg = match read_message_with(&mut stream, &mut scratch) {
+            Ok((msg, _)) => msg,
+            Err(RecvError::Wire(e)) => panic!("a client sent an undecodable frame: {e}"),
+            Err(_) => return, // the client hung up
+        };
         let answer = |op: &DhtOp| match op {
             DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(key, &[])),
             _ => Ok(DhtResponse::Values(Vec::new())),
         };
-        let reply = match decode_message(&frame).expect("a client frame").0 {
-            Message::Request { id, op } => Message::Response {
-                id,
-                result: answer(&op),
-            },
-            Message::Batch { id, ops } => Message::BatchReply {
-                id,
-                results: ops.iter().map(answer).collect(),
-            },
+        let (reply, ops) = match msg {
+            Message::Request { id, op } => {
+                let result = answer(&op);
+                (Message::Response { id, result }, vec![op])
+            }
+            Message::Batch { id, ops } => {
+                let results = ops.iter().map(answer).collect();
+                (Message::BatchReply { id, results }, ops)
+            }
             other => panic!("a client sent {other:?}"),
         };
-        write_message(&mut stream, &reply).expect("reply");
-        stream.flush().expect("flush");
+        seen.lock().unwrap().extend(ops);
+        write_message_with(&mut stream, &reply, &mut scratch).expect("reply");
     }
 }
 
 #[test]
-fn a_client_without_a_read_quorum_never_emits_the_digest_read_version() {
+fn a_client_without_a_read_quorum_never_asks_for_a_digest() {
     let listeners: Vec<TcpListener> = (0..3)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -420,24 +414,21 @@ fn a_client_without_a_read_quorum_never_emits_the_digest_read_version() {
             assert!(client.execute_many(wave).iter().all(Result::is_ok));
             std::mem::take(&mut *seen.lock().unwrap())
         };
-        // R = 1, and R = 3 read at Rq = 1: the bytes every earlier build
-        // sent — unary frames at v1, batches at v2, nothing else.
+        let asks_digest = |op: &DhtOp| matches!(op, DhtOp::GetDigest(_));
+        // R = 1, and R = 3 read at Rq = 1: full gets, and not one digest.
         for (replicas, read_quorum) in [(1, 1), (3, 1)] {
-            let versions = read_all(replicas, read_quorum);
-            assert!(versions.contains(&VERSION) && versions.contains(&VERSION_BATCH));
+            let ops = read_all(replicas, read_quorum);
+            assert!(ops.iter().any(|op| matches!(op, DhtOp::Get(_))));
             assert!(
-                versions
-                    .iter()
-                    .all(|v| [VERSION, VERSION_BATCH].contains(v)),
-                "R = {replicas}, Rq = {read_quorum} sent versions {versions:?}"
+                !ops.iter().any(asks_digest),
+                "R = {replicas}, Rq = {read_quorum} sent {ops:?}"
             );
         }
-        // The sniffer does see the new byte when there is a quorum to
-        // vouch: a frame with a digest get in it carries it, a frame with
-        // only full gets still does not.
-        let versions = read_all(3, 2);
-        assert!(versions.contains(&VERSION_DIGEST_READ), "{versions:?}");
-        assert!(versions.contains(&VERSION), "{versions:?}");
+        // The sniffer does see digest gets when there is a quorum to
+        // vouch, beside the full gets that ship each entry.
+        let ops = read_all(3, 2);
+        assert!(ops.iter().any(asks_digest), "{ops:?}");
+        assert!(ops.iter().any(|op| matches!(op, DhtOp::Get(_))), "{ops:?}");
         stop.store(true, Ordering::SeqCst);
     });
 }

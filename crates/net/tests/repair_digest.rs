@@ -26,7 +26,7 @@ use bytes::Bytes;
 use p2p_index_dht::{
     repair_bucket, Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, REPAIR_BUCKETS,
 };
-use p2p_index_net::wire::{read_message, write_message, Message};
+use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{DhtServer, LoopbackCluster, RemoteDht, ReplicationConfig, ServerConfig};
 use p2p_index_obs::MetricsRegistry;
 
@@ -224,8 +224,9 @@ fn members_with_different_shard_counts_converge_and_go_silent() {
 
 /// Sends `msg` on `stream` and reads the reply.
 fn exchange(stream: &mut TcpStream, msg: &Message) -> Message {
-    write_message(stream, msg).expect("frame written");
-    read_message(stream)
+    let mut scratch = Vec::new();
+    write_message_with(stream, msg, &mut scratch).expect("frame written");
+    read_message_with(stream, &mut scratch)
         .expect("a reply, not a dropped connection")
         .0
 }
