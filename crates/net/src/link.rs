@@ -81,8 +81,8 @@ impl Link {
 /// The one connection kept to a remote member: dialed on first use, held
 /// by whoever is mid-exchange on it, and emptied by whoever sees an
 /// exchange fail. Callers that lease several members' links at once (a
-/// pipelined client round) take them in ring order, so two such callers
-/// sharing one client cannot deadlock.
+/// pipelined client round, a member's write fan-out) take them in ring
+/// order, so two such callers sharing one set of links cannot deadlock.
 pub(crate) struct Pooled {
     pub(crate) addr: SocketAddr,
     link: Mutex<Option<Link>>,

@@ -36,14 +36,18 @@
 //! # Replication
 //!
 //! With a [`ReplicationConfig`] the server becomes one member of a
-//! replicated cluster. Writes (`Put` / `Remove`) arriving as client
-//! `Request` / `Batch` frames are applied locally and fanned out as
-//! [`Message::Replicate`] frames to the other members of the key's replica
-//! set — the R clockwise successors shared with
-//! `p2p_index_dht::placement`, so client routing, server fan-out, and
-//! repair can never disagree. The local apply plus remote
-//! acks must reach the write quorum `W` or the client sees a transient
-//! [`DhtError::Timeout`]. Incoming `Replicate` and
+//! replicated cluster. A client frame — a `Request` is a batch of one — is
+//! applied locally op by op, in frame order; then its writes (`Put` /
+//! `Remove`) fan out to the other members of each key's replica set — the
+//! R clockwise successors shared with `p2p_index_dht::placement`, so
+//! client routing, server fan-out, and repair can never disagree — as
+//! **one** [`Message::Replicate`] frame per peer, holding that peer's
+//! writes in frame order. The peers' links are leased in ascending ring
+//! order and every frame is written before any reply is read, so a
+//! `k`-write batch costs one pipelined round trip, not `k·(R − 1)`
+//! sequential ones. Acks are counted per op: each write's local apply
+//! plus remote acks must reach the write quorum `W` or the client sees a
+//! transient [`DhtError::Timeout`] for that write. Incoming `Replicate` and
 //! [`Transfer`](crate::wire::Message::Transfer) frames apply locally and
 //! are **never re-forwarded**, so replication storms are impossible by
 //! construction. A wire shutdown first drains the local partition to the
@@ -70,8 +74,9 @@
 //!    there is no other push to fall back to.
 //! 3. *Push.* Only differing buckets are sent, **one bucket at a time**:
 //!    snapshot the bucket, one `Transfer` of its live values (receivers'
-//!    puts deduplicate, so this is idempotent), one `Replicate`-remove
-//!    per tombstone in it, drop the snapshot. What a pass holds in memory
+//!    puts deduplicate, so this is idempotent), then one `Replicate`
+//!    holding a remove per tombstone in it (the *scrub*; none if it has
+//!    no tombstones), drop the snapshot. What a pass holds in memory
 //!    is a sixteenth of one peer's share even when every bucket differs
 //!    (a member restarted empty; the false mismatches that writes still
 //!    in flight cause during a publish burst). The graceful-leave drain
@@ -113,8 +118,8 @@ use p2p_index_obs::MetricsRegistry;
 
 use crate::link::{Pooled, Timeouts};
 use crate::wire::{
-    encode_message, read_message_with, release_frame_capacity, write_message_with, Message,
-    RecvError,
+    encode_message, encode_replicate, read_message_with, release_frame_capacity,
+    write_message_with, Message, RecvError,
 };
 
 /// Cluster membership and quorum settings for one replicated server.
@@ -267,7 +272,9 @@ impl Replication {
         let exchange = sent.ok().and_then(|sent| Some((link.recv().ok()?.0, sent)));
         match exchange {
             Some((
-                reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }),
+                reply @ (Message::Response { id, .. }
+                | Message::BatchReply { id, .. }
+                | Message::DigestReply { id, .. }),
                 sent,
             )) if id == sent_id => Ok((reply, sent as u64)),
             _ => {
@@ -634,30 +641,37 @@ enum Turn {
 /// nothing but carry out the returned [`Turn`].
 fn handle(shared: &Shared, msg: Message) -> Turn {
     Turn::Reply(match msg {
-        Message::Request { id, op } => Message::Response {
-            id,
-            result: serve_op(shared, op),
-        },
+        Message::Request { id, op } => {
+            let mut results = [Err(DhtError::Timeout)];
+            serve_ops(shared, std::slice::from_ref(&op), &mut results);
+            let [result] = results;
+            Message::Response { id, result }
+        }
         Message::Batch { id, ops } => {
             // A whole batch executes in one connection turn: every op runs
-            // in order, each taking only its own shard's lock (and fanning
-            // its write out under no lock at all), and a single BatchReply
-            // answers them all.
+            // in order, each taking only its own shard's lock, its writes
+            // fan out together under no lock at all, and a single
+            // BatchReply answers them all.
             shared.metrics.incr("net.server.batches");
             shared.metrics.add("net.server.batch_ops", ops.len() as u64);
-            let results = ops.into_iter().map(|op| serve_op(shared, op)).collect();
+            let mut results = vec![Err(DhtError::Timeout); ops.len()];
+            serve_ops(shared, &ops, &mut results);
             Message::BatchReply { id, results }
         }
-        Message::Replicate { id, op } => {
-            // A peer's write fan-out: apply locally, reply, and never
-            // re-forward — only client `Request`/`Batch` frames fan out, so
-            // replication storms cannot happen. The tombstone transition
-            // rides along, so replicated removes (and the repair pass's
-            // tombstone scrubs) stick on every member, not just the one the
-            // client happened to reach.
-            let result = shared.apply_local(op, shared.fan_out().is_some());
-            shared.metrics.incr("net.server.replica.applied");
-            Message::Response { id, result }
+        Message::Replicate { id, ops } => {
+            // A peer's write fan-out (or a repair scrub): apply every op
+            // locally in order, reply, and never re-forward — only client
+            // `Request`/`Batch` frames fan out, so replication storms
+            // cannot happen. The tombstone transition rides along, so
+            // replicated removes (and scrubs) stick on every member, not
+            // just the one the client happened to reach.
+            let replicated = shared.fan_out().is_some();
+            shared
+                .metrics
+                .add("net.server.replica.applied", ops.len() as u64);
+            let apply = |op| shared.apply_local(op, replicated);
+            let results = ops.into_iter().map(apply).collect();
+            Message::BatchReply { id, results }
         }
         Message::Transfer { id, entries } => {
             // Bulk handoff from a leaving peer or a repair pass: apply
@@ -712,47 +726,101 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
     })
 }
 
-/// Serves one client op ([`replicated_execute`]) and counts it.
-fn serve_op(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtError> {
-    let kind = op.kind();
-    let result = replicated_execute(shared, op);
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.incr(kind_counter(OpFamily::Server, kind));
-    if result.is_err() {
-        shared.metrics.incr("net.server.op_errors");
-    }
-    result
+/// Whether `op` changes the store, and so fans out on a replicated member.
+fn is_write(op: &DhtOp) -> bool {
+    matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. })
 }
 
-/// Executes one client op; on a replicated server, writes are applied
-/// locally and fanned out to the rest of the key's replica set, and the
-/// write quorum `W` (local apply included) is enforced before replying.
-/// No shard lock is ever held across peer I/O.
-fn replicated_execute(shared: &Shared, op: DhtOp) -> Result<DhtResponse, DhtError> {
-    let repl = match shared.fan_out() {
-        Some(repl) if matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. }) => repl,
-        _ => return shared.apply_local(op, false),
-    };
-    let key = *op.key();
-    let local = shared.apply_local(op.clone(), true);
-    let mut acks = usize::from(local.is_ok());
-    for at in repl.replica_range(&key).indices() {
-        if repl.peers[at].is_none() {
-            continue;
-        }
-        let id = repl.next_id();
-        shared.metrics.incr("net.server.replica.fanout");
-        let replicate = Message::Replicate { id, op: op.clone() };
-        if let Ok((Message::Response { result: Ok(_), .. }, _)) = repl.peer_call(at, &replicate) {
-            acks += 1;
-            shared.metrics.incr("net.server.replica.acks");
+/// Serves one client frame's ops into `results` — a `Request` is a batch
+/// of one — and counts each. Every op is applied locally in frame order;
+/// on a replicated member the frame's writes then fan out together
+/// ([`fan_out_writes`]). No shard lock is ever held across peer I/O.
+fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, DhtError>]) {
+    let repl = shared.fan_out();
+    let replicated = |op: &DhtOp| repl.is_some() && is_write(op);
+    for (op, result) in ops.iter().zip(results.iter_mut()) {
+        *result = shared.apply_local(op.clone(), replicated(op));
+    }
+    if let Some(repl) = repl.filter(|_| ops.iter().any(is_write)) {
+        fan_out_writes(shared, repl, ops, results);
+    }
+    for (op, result) in ops.iter().zip(results.iter()) {
+        shared.served.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .incr(kind_counter(OpFamily::Server, op.kind()));
+        if result.is_err() {
+            shared.metrics.incr("net.server.op_errors");
         }
     }
-    if acks >= repl.write_quorum {
-        local
-    } else {
-        shared.metrics.incr("net.server.replica.quorum_failures");
-        Err(DhtError::Timeout)
+}
+
+/// The write fan-out of one client frame, already applied locally: every
+/// peer in the replica set of any of its writes gets those writes, in
+/// frame order, as **one** `Replicate` frame. The peers' links are leased
+/// in ascending ring order — the client's rule, so workers leasing several
+/// at once cannot wait on each other in a cycle — and every frame is
+/// written before any reply is read. Acks are counted per op: a write
+/// keeps its local result only if its local apply and its peers' oks
+/// reach `W`, and is `Err(Timeout)` otherwise.
+fn fan_out_writes(
+    shared: &Shared,
+    repl: &Replication,
+    ops: &[DhtOp],
+    results: &mut [Result<DhtResponse, DhtError>],
+) {
+    // Positions in `ops` of the writes the peer at ring position `at`
+    // replicates, in frame order: what its frame holds, and what each of
+    // its reply's results answers.
+    let writes_for = |at: usize| {
+        let bound = move |op: &DhtOp| is_write(op) && repl.replica_range(op.key()).contains(at);
+        (0..ops.len()).filter(move |&i| bound(&ops[i]))
+    };
+    let mut acks: Vec<usize> = results.iter().map(|r| usize::from(r.is_ok())).collect();
+    let mut in_flight = Vec::new();
+    for (at, peer) in repl.peers.iter().enumerate() {
+        let Some(peer) = peer else { continue };
+        let count = writes_for(at).count();
+        if count == 0 {
+            continue;
+        }
+        shared.metrics.incr("net.server.replica.frames");
+        shared
+            .metrics
+            .add("net.server.replica.fanout", count as u64);
+        let mut slot = peer.lease(PEER_TIMEOUTS);
+        let Some(link) = slot.as_mut() else { continue };
+        let id = repl.next_id();
+        let writes = writes_for(at).map(|i| &ops[i]);
+        match link.send(|frame| encode_replicate(id, writes, frame)) {
+            Ok(_) => in_flight.push((slot, at, id, count)),
+            Err(_) => *slot = None,
+        }
+    }
+    let mut replies = Vec::new();
+    for (mut slot, at, id, count) in in_flight {
+        let link = slot.as_mut().expect("link pending a reply");
+        match link.recv_reply(&mut replies) {
+            // The echoed id, the kind and one result per write, or the
+            // stream is out of sync: drop it rather than guess.
+            Ok(reply) if reply.id == id && reply.batch && replies.len() == count => {
+                let mut acked = 0;
+                for (i, result) in writes_for(at).zip(replies.drain(..)) {
+                    if result.is_ok() {
+                        acks[i] += 1;
+                        acked += 1;
+                    }
+                }
+                shared.metrics.add("net.server.replica.acks", acked);
+            }
+            _ => *slot = None,
+        }
+    }
+    for ((op, result), acks) in ops.iter().zip(results.iter_mut()).zip(acks) {
+        if is_write(op) && acks < repl.write_quorum {
+            shared.metrics.incr("net.server.replica.quorum_failures");
+            *result = Err(DhtError::Timeout);
+        }
     }
 }
 
@@ -804,9 +872,9 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
 /// once for all peers, probe each peer with its digests, and push — bucket
 /// by bucket — only what the peer says differs: the bucket's live values
 /// as one `Transfer` (what refills a member that restarted empty), then
-/// its tombstones as `Replicate`-removes (what scrubs a stale member still
-/// holding a deleted mapping). On a converged cluster a pass costs one
-/// sweep and one small frame pair per peer.
+/// its tombstones as one `Replicate` of removes (what scrubs a stale
+/// member still holding a deleted mapping). On a converged cluster a pass
+/// costs one sweep and one small frame pair per peer.
 fn repair_pass(shared: &Shared) {
     let Some(repl) = shared.fan_out() else {
         return;
@@ -853,19 +921,28 @@ fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) 
             return sent_bytes;
         };
         sent_bytes += sent;
-        for (key, values) in snapshot.dead {
-            for value in values {
-                let scrub = Message::Replicate {
-                    id: repl.next_id(),
-                    op: DhtOp::Remove { key, value },
-                };
-                let Ok((_, sent)) = repl.peer_call(at, &scrub) else {
-                    return sent_bytes;
-                };
-                shared.metrics.incr("net.server.replica.tombstone_scrubs");
-                sent_bytes += sent;
-            }
+        let removes = snapshot.dead.into_iter().flat_map(|(key, values)| {
+            values
+                .into_iter()
+                .map(move |value| DhtOp::Remove { key, value })
+        });
+        let ops: Vec<DhtOp> = removes.collect();
+        if ops.is_empty() {
+            continue;
         }
+        let scrubs = ops.len() as u64;
+        shared.metrics.incr("net.server.replica.frames");
+        let scrub = Message::Replicate {
+            id: repl.next_id(),
+            ops,
+        };
+        let Ok((_, sent)) = repl.peer_call(at, &scrub) else {
+            return sent_bytes;
+        };
+        shared
+            .metrics
+            .add("net.server.replica.tombstone_scrubs", scrubs);
+        sent_bytes += sent;
     }
     sent_bytes
 }
@@ -919,7 +996,7 @@ mod tests {
     use super::*;
     use crate::wire::{read_message_with, write_message_with};
     use bytes::Bytes;
-    use p2p_index_dht::{DhtOp, DhtResponse, Key};
+    use p2p_index_dht::{repair_bucket, DhtOp, DhtResponse, Key};
 
     fn spawn_with(config: ServerConfig) -> DhtServer {
         DhtServer::spawn_partition(NodeId::hash_of("node-0"), "127.0.0.1:0", config)
@@ -1152,13 +1229,43 @@ mod tests {
     fn handle_applies_a_replicate_frame_locally_and_never_forwards_it() {
         let (shared, metrics) = unbound_member(3);
         let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
-        let op = DhtOp::Put { key, value };
-        let applied = handle(&shared, Message::Replicate { id: 4, op });
-        assert_eq!(applied, answer(4, DhtResponse::Stored(true)));
+        let ops = vec![DhtOp::Put { key, value }];
+        let applied = handle(&shared, Message::Replicate { id: 4, ops });
+        let results = vec![Ok(DhtResponse::Stored(true))];
+        assert_eq!(applied, Turn::Reply(Message::BatchReply { id: 4, results }));
         assert_eq!(shared.store.total_values(), 1);
         assert_eq!(metrics.counter("net.server.replica.applied"), 1);
         assert_eq!(metrics.counter("net.server.replica.fanout"), 0);
         assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not a client op");
+    }
+
+    #[test]
+    fn handle_applies_a_multi_op_replicate_in_order_and_answers_each_op() {
+        let (shared, metrics) = unbound_member(3);
+        let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
+        let put = DhtOp::Put {
+            key,
+            value: value.clone(),
+        };
+        let remove = DhtOp::Remove {
+            key,
+            value: value.clone(),
+        };
+        let ops = vec![put, remove];
+        let applied = handle(&shared, Message::Replicate { id: 5, ops });
+        let results = vec![
+            Ok(DhtResponse::Stored(true)),
+            Ok(DhtResponse::Removed(true)),
+        ];
+        assert_eq!(applied, Turn::Reply(Message::BatchReply { id: 5, results }));
+        // Applied in frame order: the put landed, the remove took it away
+        // again and left the pair's tombstone behind.
+        assert_eq!(shared.store.total_values(), 0);
+        let snapshot = shared.store.bucket_snapshot(repair_bucket(&key), |_| true);
+        assert_eq!(snapshot.dead, vec![(key, vec![value])]);
+        assert_eq!(metrics.counter("net.server.replica.applied"), 2);
+        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+        assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not client ops");
     }
 
     #[test]
@@ -1171,10 +1278,16 @@ mod tests {
         let value = dead.clone();
         let remove = DhtOp::Remove { key, value };
         for op in [put, remove] {
-            let applied = handle(&shared, Message::Replicate { id: 8, op });
+            let applied = handle(
+                &shared,
+                Message::Replicate {
+                    id: 8,
+                    ops: vec![op],
+                },
+            );
             let ok = matches!(
-                applied,
-                Turn::Reply(Message::Response { result: Ok(_), .. })
+                &applied,
+                Turn::Reply(Message::BatchReply { results, .. }) if results.iter().all(Result::is_ok)
             );
             assert!(ok, "{applied:?}");
         }

@@ -7,7 +7,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
-//!      4     1  version      VERSION (0x06), on every frame
+//!      4     1  version      VERSION (0x07), on every frame
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
@@ -21,13 +21,15 @@
 //! Request payloads carry one [`DhtOp`]; ok-responses one [`DhtResponse`];
 //! err-responses a 2-byte [`DhtError`] wire code (unknown codes decode into
 //! the forward-compatible [`DhtError::Unknown`] catch-all, *not* a codec
-//! failure). Batch frames carry a `u32` op count followed by that many
-//! encoded ops; batch-replies a `u32` result count followed by that many
-//! status-prefixed results (see DESIGN.md §11 for the byte-level spec).
+//! failure). Batch and replicate frames carry a `u32` op count followed
+//! by that many encoded ops; batch-replies a `u32` result count followed
+//! by that many status-prefixed results (see DESIGN.md §11 for the
+//! byte-level spec).
 //! Decoding is strict everywhere else: wrong magic, any version byte but
 //! [`VERSION`], an unknown frame kind or opcode, an oversized length
-//! prefix, a short payload, an empty batch, or trailing payload bytes are
-//! all typed [`WireError`]s — never a panic, never a silent truncation.
+//! prefix, a short payload, an empty batch or replicate, or trailing
+//! payload bytes are all typed [`WireError`]s — never a panic, never a
+//! silent truncation.
 //! There is no negotiation: every peer is built from this workspace, and
 //! each extension of the protocol bumps [`VERSION`] (DESIGN.md §11 keeps
 //! the history).
@@ -50,7 +52,7 @@ pub const MAGIC: [u8; 4] = *b"PDHT";
 
 /// The protocol version every frame carries; a frame with any other byte
 /// is [`WireError::UnsupportedVersion`].
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
@@ -98,7 +100,7 @@ const BATCH_OK: u8 = 0x00;
 const BATCH_ERR: u8 = 0x01;
 
 /// Smallest possible encoded op (opcode + 20-byte key): the divisor for
-/// the batch count-before-allocation guard.
+/// the batch and replicate count-before-allocation guard.
 const MIN_OP_LEN: usize = 21;
 
 /// Smallest possible encoded batch result (status + tag + bool, or
@@ -157,21 +159,23 @@ pub enum Message {
         /// Per-op outcomes, positionally matching the batch's ops.
         results: Vec<Result<DhtResponse, DhtError>>,
     },
-    /// A server-to-server replica write: apply `op` to the local
-    /// partition *without* re-forwarding it. Answered with a
-    /// [`Message::Response`] carrying the same `id`.
+    /// A server-to-server replica write: apply every op, in order, to
+    /// the local partition *without* re-forwarding any. Answered with a
+    /// [`Message::BatchReply`] carrying the same `id`, one result per op.
     ///
     /// This is a distinct kind (rather than a flag on
-    /// [`Message::Request`]) precisely so replication can never cascade:
-    /// a primary fans a client write out to its successors as replicate
-    /// frames, and a replicate frame is terminal by construction. Its op
-    /// is never a [`DhtOp::GetDigest`]: that opcode inside a replicate is
-    /// [`WireError::UnknownOpcode`].
+    /// [`Message::Batch`]) precisely so replication can never cascade:
+    /// a primary fans a client frame's writes out to each replica-set
+    /// peer as one replicate frame, and a replicate frame is terminal by
+    /// construction. The op vector is never empty (an empty replicate is
+    /// a [`WireError::BadPayload`] on decode), and no op is a
+    /// [`DhtOp::GetDigest`]: that opcode inside a replicate, at any
+    /// position, is [`WireError::UnknownOpcode`].
     Replicate {
-        /// Caller-chosen id echoed in the response.
+        /// Caller-chosen id echoed in the batch reply.
         id: u64,
-        /// The storage operation to apply locally.
-        op: DhtOp,
+        /// The storage operations to apply locally, in order.
+        ops: Vec<DhtOp>,
     },
     /// A server-to-server bulk handoff: merge `entries` into the local
     /// partition (idempotent multi-value puts, duplicates collapse).
@@ -352,7 +356,7 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
                 }
             }
         }
-        Message::Replicate { op, .. } => encode_op(op, buf),
+        Message::Replicate { ops, .. } => encode_ops(ops.iter(), buf),
         Message::Transfer { entries, .. } => {
             buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
             for (key, values) in entries {
@@ -382,7 +386,7 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
 /// of its pending ops without first cloning them into a vector.
 pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     id: u64,
-    ops: impl ExactSizeIterator<Item = O>,
+    ops: impl Iterator<Item = O>,
     buf: &mut Vec<u8>,
 ) {
     let len_at = begin_frame(KIND_BATCH, id, buf);
@@ -390,12 +394,30 @@ pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     end_frame(buf, len_at);
 }
 
-/// A batch payload: the op count, then each op.
-fn encode_ops<O: Borrow<DhtOp>>(ops: impl ExactSizeIterator<Item = O>, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+/// [`encode_batch`] for `Message::Replicate { id, ops }`: what a primary
+/// frames for one peer, straight from the client frame's ops — no
+/// per-peer op vector.
+pub(crate) fn encode_replicate<O: Borrow<DhtOp>>(
+    id: u64,
+    ops: impl Iterator<Item = O>,
+    buf: &mut Vec<u8>,
+) {
+    let len_at = begin_frame(KIND_REPLICATE, id, buf);
+    encode_ops(ops, buf);
+    end_frame(buf, len_at);
+}
+
+/// A batch or replicate payload: the op count, then each op. The count is
+/// back-filled, so the ops may come from any iterator (a filter, say).
+fn encode_ops<O: Borrow<DhtOp>>(ops: impl Iterator<Item = O>, buf: &mut Vec<u8>) {
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    let mut count = 0u32;
     for op in ops {
         encode_op(op.borrow(), buf);
+        count += 1;
     }
+    buf[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
 }
 
 /// The encoded frame for `msg` as a fresh vector.
@@ -612,6 +634,25 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
     })
 }
 
+/// A batch or replicate body: the count (checked before anything is
+/// reserved; zero is `BadPayload(empty)`), then that many ops.
+fn decode_ops(r: &mut Reader<'_>, empty: &'static str) -> Result<Vec<DhtOp>, WireError> {
+    let count = r.u32()? as usize;
+    if count == 0 {
+        return Err(WireError::BadPayload(empty));
+    }
+    // Each op costs at least an opcode plus a 20-byte key, so an absurd
+    // count fails before any allocation.
+    if count > r.remaining() / MIN_OP_LEN {
+        return Err(WireError::Truncated);
+    }
+    let mut ops = Vec::with_capacity(count);
+    for _ in 0..count {
+        ops.push(decode_op(r)?);
+    }
+    Ok(ops)
+}
+
 /// One encoded [`DhtResponse`], shared by ok-response and batch-reply
 /// payloads.
 fn decode_response(r: &mut Reader<'_>) -> Result<DhtResponse, WireError> {
@@ -712,28 +753,19 @@ fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireErro
                 },
             }
         }
-        KIND_BATCH => {
-            let count = r.u32()? as usize;
-            if count == 0 {
-                return Err(WireError::BadPayload("batch must contain at least one op"));
-            }
-            // Each op costs at least an opcode plus a 20-byte key, so an
-            // absurd count fails before any allocation.
-            if count > r.remaining() / MIN_OP_LEN {
-                return Err(WireError::Truncated);
-            }
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                ops.push(decode_op(&mut r)?);
-            }
-            Message::Batch { id, ops }
-        }
-        // A replicate carries a write for a replica to apply: a digest
-        // read is never legal inside one.
-        KIND_REPLICATE => match decode_op(&mut r)? {
-            DhtOp::GetDigest(_) => return Err(WireError::UnknownOpcode(OP_GET_DIGEST)),
-            op => Message::Replicate { id, op },
+        KIND_BATCH => Message::Batch {
+            id,
+            ops: decode_ops(&mut r, "batch must contain at least one op")?,
         },
+        KIND_REPLICATE => {
+            let ops = decode_ops(&mut r, "replicate must contain at least one op")?;
+            // A replicate carries writes for a replica to apply: a digest
+            // read is never legal inside one, wherever it sits.
+            if ops.iter().any(|op| matches!(op, DhtOp::GetDigest(_))) {
+                return Err(WireError::UnknownOpcode(OP_GET_DIGEST));
+            }
+            Message::Replicate { id, ops }
+        }
         KIND_TRANSFER => {
             let count = r.u32()? as usize;
             if count == 0 {
@@ -1010,17 +1042,23 @@ mod tests {
         });
         roundtrip(Message::Replicate {
             id: 15,
-            op: DhtOp::Put {
+            ops: vec![DhtOp::Put {
                 key,
                 value: Bytes::from_static(b"copy"),
-            },
+            }],
         });
         roundtrip(Message::Replicate {
             id: 16,
-            op: DhtOp::Remove {
-                key,
-                value: Bytes::from_static(b"copy"),
-            },
+            ops: vec![
+                DhtOp::Put {
+                    key,
+                    value: Bytes::from_static(b"copy"),
+                },
+                DhtOp::Remove {
+                    key,
+                    value: Bytes::from_static(b"copy"),
+                },
+            ],
         });
         roundtrip(Message::Transfer {
             id: 17,
@@ -1051,7 +1089,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x06); // version
+        expected.push(0x07); // version
         expected.push(0x09); // kind: digest
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&152u32.to_be_bytes()); // key + count + 16 * 8
@@ -1068,7 +1106,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x06);
+        expected.push(0x07);
         expected.push(0x0a); // kind: digest-reply
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&2u32.to_be_bytes());
@@ -1108,28 +1146,45 @@ mod tests {
 
     #[test]
     fn golden_replicate_frame_layout_is_pinned() {
-        // Byte-for-byte layout of one replicate frame; changing the codec
-        // without bumping VERSION must fail here.
+        // Byte-for-byte layout of one replicate frame — a count, then the
+        // ops as a batch carries them; changing the codec without bumping
+        // VERSION must fail here.
         let key = Key::hash_of("k");
+        let value = Bytes::from_static(b"v");
         let msg = Message::Replicate {
             id: 7,
-            op: DhtOp::Put {
-                key,
-                value: Bytes::from_static(b"v"),
-            },
+            ops: vec![
+                DhtOp::Put {
+                    key,
+                    value: value.clone(),
+                },
+                DhtOp::Remove { key, value },
+            ],
         };
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x06); // version
+        expected.push(0x07); // version
         expected.push(0x07); // kind: replicate
         expected.extend_from_slice(&7u64.to_be_bytes());
-        expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1
-        expected.push(0x02); // opcode: put
-        expected.extend_from_slice(key.as_bytes());
-        expected.extend_from_slice(&1u32.to_be_bytes());
-        expected.push(b'v');
+        expected.extend_from_slice(&56u32.to_be_bytes()); // count + 2 * (opcode + key + len + 1)
+        expected.extend_from_slice(&2u32.to_be_bytes()); // two ops
+        for opcode in [0x02, 0x04] {
+            expected.push(opcode); // put, then remove
+            expected.extend_from_slice(key.as_bytes());
+            expected.extend_from_slice(&1u32.to_be_bytes());
+            expected.push(b'v');
+        }
         assert_eq!(buf, expected);
+        let Message::Replicate { ops, .. } = &msg else {
+            unreachable!("built as a replicate")
+        };
+        let mut framed = Vec::new();
+        encode_replicate(7, ops.iter().filter(|_| true), &mut framed);
+        assert_eq!(
+            framed, expected,
+            "a filtered iterator frames the same bytes"
+        );
     }
 
     #[test]
@@ -1168,7 +1223,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x06); // version
+        expected.push(0x07); // version
         expected.push(0x01); // kind: request
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1

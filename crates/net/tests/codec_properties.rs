@@ -156,7 +156,9 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
         },
         14 => Message::Replicate {
             id,
-            op: rng_op(rng, variant),
+            ops: (0..1 + (rng.next_u64() % 4) as usize)
+                .map(|i| rng_op(rng, variant + i))
+                .collect(),
         },
         15 => Message::Transfer {
             id,
@@ -331,9 +333,11 @@ fn values_of(msg: &Message) -> Vec<Bytes> {
         }
     }
     match msg {
-        Message::Request { op, .. } | Message::Replicate { op, .. } => of_op(op),
+        Message::Request { op, .. } => of_op(op),
         Message::Response { result, .. } => of_result(result),
-        Message::Batch { ops, .. } => ops.iter().flat_map(of_op).collect(),
+        Message::Batch { ops, .. } | Message::Replicate { ops, .. } => {
+            ops.iter().flat_map(of_op).collect()
+        }
         Message::BatchReply { results, .. } => results.iter().flat_map(of_result).collect(),
         Message::Transfer { entries, .. } => {
             entries.iter().flat_map(|(_, vs)| vs.clone()).collect()
@@ -523,11 +527,20 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 #[test]
 fn every_foreign_version_is_rejected() {
     // Every frame of every kind carries the one version; the 255 other
-    // bytes are refused on the header alone, whatever the kind.
+    // bytes — 0x06, the version of single-op replicate frames, among them —
+    // are refused on the header alone, whatever the kind.
+    assert_eq!(VERSION, 0x07);
     let mut rng = SplitMix64::new(0xd19e57);
     for variant in 0..VARIANTS {
         let good = encode_to_vec(&rng_message(&mut rng, variant));
         assert_eq!(good[4], VERSION, "variant {variant}");
+        let mut previous = good.clone();
+        previous[4] = 0x06;
+        assert_eq!(
+            decode_message(&previous),
+            Err(WireError::UnsupportedVersion(0x06)),
+            "variant {variant}"
+        );
         for version in (0..=u8::MAX).filter(|&byte| byte != VERSION) {
             let mut frame = good.clone();
             frame[4] = version;
@@ -587,8 +600,9 @@ fn raw_frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn empty_batches_are_rejected() {
     // count == 0 is not a no-op, it's a protocol violation: a frame
-    // carrying no work should never have been sent.
-    for kind in [0x05u8, 0x06] {
+    // carrying no work should never have been sent — a batch, its reply,
+    // or a replicate.
+    for kind in [0x05u8, 0x06, 0x07] {
         let frame = raw_frame(kind, 7, &0u32.to_be_bytes());
         assert!(
             matches!(decode_message(&frame), Err(WireError::BadPayload(_))),
@@ -599,15 +613,30 @@ fn empty_batches_are_rejected() {
 
 #[test]
 fn oversized_batch_count_is_rejected_before_allocation() {
-    // A batch claiming u32::MAX ops in a 4-byte payload must fail on
-    // arithmetic alone — Vec::with_capacity never sees attacker numbers.
-    for kind in [0x05u8, 0x06] {
+    // A batch (or replicate) claiming u32::MAX ops in a 4-byte payload must
+    // fail on arithmetic alone — Vec::with_capacity never sees attacker
+    // numbers. So must a count one op more than its payload can hold.
+    for kind in [0x05u8, 0x06, 0x07] {
         let frame = raw_frame(kind, 7, &u32::MAX.to_be_bytes());
         assert_eq!(
             decode_message(&frame),
             Err(WireError::Truncated),
             "kind 0x{kind:02x}"
         );
+    }
+    for kind in [0x05u8, 0x07] {
+        let mut payload = 3u32.to_be_bytes().to_vec();
+        for i in 0..2 {
+            payload.push(0x03); // opcode: get
+            payload.extend_from_slice(Key::hash_of(&format!("k{i}")).as_bytes());
+        }
+        assert_eq!(
+            decode_message(&raw_frame(kind, 7, &payload)),
+            Err(WireError::Truncated),
+            "kind 0x{kind:02x}"
+        );
+        payload[..4].copy_from_slice(&2u32.to_be_bytes());
+        assert!(decode_message(&raw_frame(kind, 7, &payload)).is_ok());
     }
 }
 
@@ -650,7 +679,7 @@ fn golden_digest_read_frame_layouts_are_pinned() {
     // Byte-for-byte layout of the digest-read forms: a unary digest
     // request and its answer, a batch mixing a full and a digest get, and
     // the reply mixing a value list and a digest.
-    assert_eq!(VERSION, 0x06, "the header byte every golden frame carries");
+    assert_eq!(VERSION, 0x07, "the header byte every golden frame carries");
     let (full, vouch) = (Key::hash_of("full"), Key::hash_of("vouch"));
     let mut payload = vec![0x05]; // opcode: get-digest
     payload.extend_from_slice(vouch.as_bytes());
@@ -710,18 +739,24 @@ fn golden_digest_read_frame_layouts_are_pinned() {
         raw_frame(0x06, 8, &payload)
     );
 
-    // A replicate carries a write for a replica to apply: the digest
-    // opcode is unknown inside one, though it is legal in a request.
-    let mut replicate = encode_to_vec(&Message::Replicate {
-        id: 1,
-        op: DhtOp::Get(vouch),
-    });
-    assert!(decode_message(&replicate).is_ok());
-    replicate[HEADER_LEN] = 0x05;
-    assert_eq!(
-        decode_message(&replicate),
-        Err(WireError::UnknownOpcode(0x05))
-    );
+    // A replicate carries writes for a replica to apply: the digest
+    // opcode is unknown inside one — first, middle or last — though it is
+    // legal in a request and in a batch.
+    let ops = vec![DhtOp::Get(full), DhtOp::Get(vouch), DhtOp::Get(full)];
+    let clean = encode_to_vec(&Message::Replicate { id: 1, ops });
+    assert!(decode_message(&clean).is_ok());
+    // Past the header and the op count, each op is an opcode and a key.
+    for op in 0..3 {
+        let mut replicate = clean.clone();
+        replicate[HEADER_LEN + 4 + op * 21] = 0x05;
+        assert_eq!(
+            decode_message(&replicate),
+            Err(WireError::UnknownOpcode(0x05)),
+            "get-digest as op {op}"
+        );
+        replicate[5] = 0x05; // the same payload as a batch
+        assert!(decode_message(&replicate).is_ok(), "op {op}");
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht};
+use p2p_index_dht::{
+    placement, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht,
+};
 use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{
     ClusterDht, DhtServer, LoopbackCluster, RemoteDht, RemoteDhtConfig, ReplicationConfig,
@@ -540,4 +542,162 @@ fn values_that_arrived_in_one_batch_frame_are_stored_and_removed_one_by_one() {
     assert_eq!(cluster.server(0).total_values(), 1);
     assert_eq!(Dht::get(&client, &key), vec![value(0)]);
     cluster.shutdown();
+}
+
+/// Three members, every key on all three (R = 3, W = 2), repair off, one
+/// registry shared by every member.
+fn replicated_trio(metrics: &MetricsRegistry) -> LoopbackCluster {
+    LoopbackCluster::start_with(3, |_, id, ring| {
+        let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 3, 2);
+        replication.repair_interval = None;
+        ServerConfig {
+            replication: Some(replication),
+            metrics: metrics.clone(),
+            ..ServerConfig::default()
+        }
+    })
+    .expect("loopback cluster")
+}
+
+/// `n` keys whose primary is member 0 of `cluster`.
+fn keys_on_member_0(cluster: &LoopbackCluster, n: usize) -> Vec<Key> {
+    let client = cluster.client();
+    let primary = cluster.members()[0].0;
+    (0..)
+        .map(|i| Key::hash_of(&format!("fan-out-{i}")))
+        .filter(|key| client.node_for(key) == Some(primary))
+        .take(n)
+        .collect()
+}
+
+#[test]
+fn a_primary_replicates_a_whole_batch_as_one_frame_per_peer() {
+    let metrics = MetricsRegistry::new();
+    let cluster = replicated_trio(&metrics);
+    // Replica-unaware, so the whole batch goes to the keys' primary.
+    let mut client = cluster.client();
+    let puts: Vec<DhtOp> = keys_on_member_0(&cluster, 16)
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| DhtOp::Put {
+            key,
+            value: Bytes::from(format!("Q:/article/title/t{i}")),
+        })
+        .collect();
+    let replica = |series: &str| metrics.counter(&format!("net.server.replica.{series}"));
+    for result in client.execute_many(puts) {
+        assert_eq!(result, Ok(DhtResponse::Stored(true)));
+    }
+    assert_eq!(metrics.counter("net.server.batches"), 1, "one client frame");
+    assert_eq!(replica("frames"), 2, "one Replicate frame per peer");
+    assert_eq!(replica("fanout"), 32, "every write to both peers");
+    assert_eq!(replica("acks"), 32);
+    assert_eq!(replica("applied"), 32);
+    assert_eq!(replica("quorum_failures"), 0);
+    for i in 0..3 {
+        assert_eq!(cluster.server(i).total_values(), 16, "member {i}");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_batched_fan_out_settles_each_write_on_its_own_acks_like_unary_writes() {
+    // Each key is written and then read in one batch at its primary.
+    let run = |halted: &[usize], batched: bool| {
+        let mut cluster = replicated_trio(&MetricsRegistry::disabled());
+        let ops: Vec<DhtOp> = keys_on_member_0(&cluster, 8)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, key)| {
+                let value = Bytes::from(format!("Q:/article/year/{i}"));
+                [DhtOp::Put { key, value }, DhtOp::Get(key)]
+            })
+            .collect();
+        for &member in halted {
+            cluster.server_mut(member).halt();
+        }
+        let mut client = cluster.client();
+        let results = if batched {
+            client.execute_many(ops.clone())
+        } else {
+            ops.iter().map(|op| client.execute(op.clone())).collect()
+        };
+        let stats = client.stats();
+        cluster.shutdown();
+        (ops, results, stats)
+    };
+    for halted in [&[1][..], &[1, 2]] {
+        let (ops, results, stats) = run(halted, true);
+        let stored = match halted.len() {
+            1 => Ok(DhtResponse::Stored(true)),
+            _ => Err(DhtError::Timeout),
+        };
+        for (pair, answers) in ops.chunks(2).zip(results.chunks(2)) {
+            let [DhtOp::Put { value, .. }, DhtOp::Get(_)] = pair else {
+                unreachable!("a put, then a get of its key")
+            };
+            assert_eq!(answers[0], stored, "W = 2 with peers {halted:?} down");
+            // Applied locally either way, so the batch's own read sees it.
+            let read = Ok(DhtResponse::Values(vec![value.clone()]));
+            assert_eq!(answers[1], read);
+        }
+        let (_, unary_results, unary_stats) = run(halted, false);
+        assert_eq!(results, unary_results, "halted {halted:?}");
+        assert_eq!(stats, unary_stats, "halted {halted:?}");
+    }
+}
+
+#[test]
+fn a_frame_mixing_replica_sets_settles_each_write_on_its_own_peers() {
+    // Five members at R = 3, W = 3, one of them down: a write is acked
+    // only if its whole replica set is up. A replica-aware client sends a
+    // member writes it is primary for and writes failed over to it from
+    // the dead primary, so one frame's writes fan out to different peers.
+    const DOWN: usize = 2;
+    let run = |batched: bool| {
+        let mut cluster = LoopbackCluster::start_with(5, |_, id, ring| {
+            let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 3, 3);
+            replication.repair_interval = None;
+            ServerConfig {
+                replication: Some(replication),
+                ..ServerConfig::default()
+            }
+        })
+        .expect("loopback cluster");
+        cluster.server_mut(DOWN).halt();
+        let mut ring: Vec<Key> = cluster.members().iter().map(|(id, _)| *id.key()).collect();
+        ring.sort_unstable();
+        let down = *cluster.members()[DOWN].0.key();
+        let mut client = cluster.replicated_client(3, 1);
+        let ops: Vec<DhtOp> = (0..40)
+            .map(|i| DhtOp::Put {
+                key: Key::hash_of(&format!("mixed-{i}")),
+                value: Bytes::from(format!("Q:/article/conf/c{i}")),
+            })
+            .collect();
+        let results = if batched {
+            client.execute_many(ops.clone())
+        } else {
+            ops.iter().map(|op| client.execute(op.clone())).collect()
+        };
+        let whole_set_up: Vec<bool> = ops
+            .iter()
+            .map(|op| !placement::replica_keys(&ring, op.key(), 3).contains(&down))
+            .collect();
+        let stats = client.stats();
+        cluster.shutdown();
+        (results, whole_set_up, stats)
+    };
+    let (results, whole_set_up, stats) = run(true);
+    assert!(whole_set_up.contains(&true) && whole_set_up.contains(&false));
+    for (result, up) in results.iter().zip(&whole_set_up) {
+        let settled = match up {
+            true => Ok(DhtResponse::Stored(true)),
+            false => Err(DhtError::Timeout),
+        };
+        assert_eq!(result, &settled);
+    }
+    let (unary_results, _, unary_stats) = run(false);
+    assert_eq!(results, unary_results);
+    assert_eq!(stats, unary_stats);
 }

@@ -162,14 +162,21 @@ fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
     // Member 0 runs first, finds all sixteen buckets differ and sends
     // each as a frame of its own; by the time members 1 and 2 probe,
     // there is nothing left to say. The wiped member kept its
-    // tombstones, so nothing needs scrubbing: the remove frames member 0
-    // sends along are the only `Replicate` traffic.
+    // tombstones, so nothing needs scrubbing: the removes member 0 sends
+    // along — one `Replicate` per bucket, however many tombstones the
+    // bucket holds — are the only `Replicate` traffic.
+    let frames = cluster.replica("frames");
     let [probes, mismatches, pushes, scrubs, bytes, applied, received] = cluster.round_deltas();
+    let scrub_frames = cluster.replica("frames") - frames;
     assert_eq!(probes, cluster.probes_per_round());
     assert_eq!(mismatches, REPAIR_BUCKETS as u64);
     assert_eq!(pushes, REPAIR_BUCKETS as u64, "one Transfer per bucket");
     assert_eq!(received, 300);
     assert_eq!((scrubs, applied), (100, 100));
+    assert!(
+        (1..=REPAIR_BUCKETS as u64).contains(&scrub_frames),
+        "{scrub_frames} frames for 100 scrubs"
+    );
     assert!(bytes > 300 * 20, "{bytes} bytes for 300 values");
     assert_eq!(cluster.stored(), vec![300; 3]);
     assert_eq!(
