@@ -20,7 +20,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
@@ -102,8 +102,10 @@ pub struct StepResponse {
     pub node: Option<NodeId>,
     /// Shortcut targets found in the node's adaptive cache.
     pub cached: Vec<IndexTarget>,
-    /// Regular index entries stored under the query's key.
-    pub indexed: Vec<IndexTarget>,
+    /// Regular index entries stored under the query's key: the service's
+    /// own decoded copy of the entry, shared (a refcount bump), so a warm
+    /// lookup step allocates nothing for its entries.
+    pub indexed: Arc<[IndexTarget]>,
 }
 
 impl StepResponse {
@@ -119,13 +121,27 @@ impl StepResponse {
 }
 
 /// One interaction's reply as read: the serving node, the shortcut
-/// targets its cache answered with, and where its indexed targets landed
-/// in the buffer the caller handed in (a fresh list for the public
-/// `lookup_step*`, a whole level's buffer for [`IndexService::search`]).
+/// targets its cache answered with, and its indexed targets — the entry
+/// memo's, shared.
 struct Reply {
     node: NodeId,
     cached: Vec<IndexTarget>,
-    indexed: Range<usize>,
+    indexed: Arc<[IndexTarget]>,
+}
+
+/// One index entry as this service last read it: what [`IndexService`]'s
+/// entry memo holds per key.
+#[derive(Debug)]
+struct Entry {
+    /// The `(count, sum)` digest of the values the targets were decoded
+    /// from ([`DhtResponse::seen_of`]): what the next read of the key asks
+    /// with ([`DhtOp::GetIfChanged`]).
+    seen: (u32, u64),
+    /// The decoded targets, in the order the values came.
+    targets: Arc<[IndexTarget]>,
+    /// What the reply that carried them is priced at in [`Traffic`]: the
+    /// targets' encoded lengths, summed.
+    bytes: u64,
 }
 
 /// A file located by a search: its most specific query and its handle.
@@ -204,13 +220,9 @@ impl SearchReport {
 struct SearchScratch {
     /// Queries whose index entries were already fetched (or enqueued).
     visited: HashSet<Query>,
-    /// Phase-2 BFS queue of `(query, where its index entries sit in
-    /// targets)`.
-    queue: VecDeque<(Query, Range<usize>)>,
-    /// The index entries of every reply since the last level was read, as
-    /// memo clones (refcount bumps): one buffer per search, not one list
-    /// per interaction.
-    targets: Vec<IndexTarget>,
+    /// Phase-2 BFS queue of `(query, its index entries)`, the entries
+    /// shared with the entry memo: no interaction builds a list of its own.
+    queue: VecDeque<(Query, Arc<[IndexTarget]>)>,
     /// Generalizations already probed (or queued for probing).
     seen: HashSet<Query>,
     /// Next generalization level being accumulated.
@@ -219,17 +231,20 @@ struct SearchScratch {
     level: Vec<Query>,
     /// Fresh child queries referenced by the index level being expanded.
     children: Vec<Query>,
+    /// The keys of the wave in flight, in query order, for reading its
+    /// replies back.
+    keys: Vec<Key>,
 }
 
 impl SearchScratch {
     fn clear(&mut self) {
         self.visited.clear();
         self.queue.clear();
-        self.targets.clear();
         self.seen.clear();
         self.frontier.clear();
         self.level.clear();
         self.children.clear();
+        self.keys.clear();
     }
 }
 
@@ -285,17 +300,21 @@ pub struct IndexService<D> {
     /// table grows with what was asked, not with what was stored, and an
     /// entry shares its query's one allocation with whoever asked.
     key_cache: HashMap<Query, Key>,
-    /// Interned `wire bytes → target` decodes: each distinct stored value is
-    /// parsed at most once per service lifetime. Every value a reply
-    /// carries is looked up here exactly once, when the reply is read
-    /// ([`decode`](Self::decode)), and comes out as a clone that is a
-    /// refcount bump for either target kind; the reply is priced from the
-    /// entries' `encoded_len`. Like `key_cache` this memoizes a pure
-    /// function of the bytes, so entries can never go stale, and no reader
-    /// holds a borrow of it. Keys are owned copies, by type: a value handed
-    /// back by a networked substrate is a slice of its whole reply frame,
-    /// and a table that lives as long as the service must not pin frames.
-    decode_cache: HashMap<Box<[u8]>, IndexTarget>,
+    /// The entry memo, this service's one table of read entries: `h(q) →`
+    /// the decoded targets of the last non-empty entry read under it, the
+    /// digest of the values they came from, and the reply's price. A key
+    /// the memo holds is read with [`DhtOp::GetIfChanged`]: an unchanged
+    /// answer (a digest) reuses the entry — no value crosses the wire, no
+    /// list is built, no value is decoded — and a changed one is decoded
+    /// and replaces it. An empty answer drops the key. Every read is
+    /// validated against the substrate (a read quorum, over a network), so
+    /// the memo cannot serve an entry the substrate no longer holds (up to
+    /// a 64-bit digest collision). It holds decoded targets only, never
+    /// the bytes they came in: a networked substrate's values are slices
+    /// of a whole reply frame, and a table that lives as long as the
+    /// service must not pin frames. Unbounded, like `key_cache`: it grows
+    /// with the distinct non-empty keys read.
+    entries: HashMap<Key, Entry>,
     /// Reusable scratch buffers for [`search`](Self::search): the BFS
     /// queue/visited sets and the generalization frontier survive across
     /// searches instead of being reallocated per query.
@@ -336,7 +355,7 @@ impl<D: Dht> IndexService<D> {
             retry_stats: RetryStats::default(),
             sim_clock_ms: 0,
             key_cache: HashMap::new(),
-            decode_cache: HashMap::new(),
+            entries: HashMap::new(),
             search_scratch: SearchScratch::default(),
             wave_scratch: WaveScratch::default(),
             encode_scratch: Vec::new(),
@@ -600,17 +619,58 @@ impl<D: Dht> IndexService<D> {
         k
     }
 
-    /// Decodes one value a `Get` returned through the decode memo: parsed
-    /// on its first sighting, a hash probe plus a refcount bump afterwards.
-    /// This is the lookup hot path — every reply's values come through
-    /// here exactly once, and most of them recur across lookups.
-    fn decode(&mut self, value: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
-        if let Some(target) = self.decode_cache.get(value) {
-            return Ok(target.clone());
+    /// The read a lookup of `key` sends: conditional on the digest of the
+    /// entry the memo holds for it, a plain `Get` otherwise.
+    fn read_op(&self, key: Key) -> DhtOp {
+        match self.entries.get(&key) {
+            Some(entry) => DhtOp::GetIfChanged {
+                key,
+                seen: entry.seen,
+            },
+            None => DhtOp::Get(key),
         }
-        let target = IndexTarget::from_bytes(value)?;
-        self.decode_cache.insert(value.into(), target.clone());
-        Ok(target)
+    }
+
+    /// The index entries a read of `key` answered, and the reply's price,
+    /// through the entry memo: an unchanged answer is the memo's entry (a
+    /// refcount bump), a non-empty list is decoded into a new entry that
+    /// replaces the old one, and an empty list drops the key. This is the
+    /// lookup hot path — every reply comes through here exactly once.
+    ///
+    /// A digest that vouches for no entry the memo holds answers no read
+    /// this service sent; it is a failed read ([`DhtError::Timeout`]).
+    fn read_entry(
+        &mut self,
+        key: Key,
+        answer: DhtResponse,
+    ) -> Result<(Arc<[IndexTarget]>, u64), IndexError> {
+        match answer {
+            DhtResponse::Digest { count, sum } => match self.entries.get(&key) {
+                Some(entry) if entry.seen == (count, sum) => {
+                    Ok((entry.targets.clone(), entry.bytes))
+                }
+                _ => Err(IndexError::Dht(DhtError::Timeout)),
+            },
+            DhtResponse::Values(values) if !values.is_empty() => {
+                let targets: Arc<[IndexTarget]> = values
+                    .iter()
+                    .map(|value| IndexTarget::from_bytes(value))
+                    .collect::<Result<_, _>>()?;
+                let bytes = targets.iter().map(|t| t.encoded_len() as u64).sum();
+                let seen = DhtResponse::seen_of(&key, &values);
+                let entry = Entry {
+                    seen,
+                    targets: targets.clone(),
+                    bytes,
+                };
+                self.entries.insert(key, entry);
+                Ok((targets, bytes))
+            }
+            _ => {
+                self.entries.remove(&key);
+                Ok((Arc::default(), 0))
+            }
+        }
     }
 
     /// The underlying DHT (read-only).
@@ -815,33 +875,25 @@ impl<D: Dht> IndexService<D> {
         self.step(query, false)
     }
 
-    /// The lookup both public entry points share, its index entries read
-    /// into a list of their own.
+    /// The lookup both public entry points share.
     fn step(&mut self, query: &Query, use_cache: bool) -> Result<StepResponse, IndexError> {
-        let mut indexed = Vec::new();
-        let reply = self.traced_lookup(query, use_cache, &mut indexed)?;
+        let reply = self.traced_lookup(query, use_cache)?;
         Ok(StepResponse {
             node: Some(reply.node),
             cached: reply.cached,
-            indexed,
+            indexed: reply.indexed,
         })
     }
 
-    /// One unary lookup, inside its `lookup …` trace span, its index
-    /// entries appended to `targets`. With `use_cache` the serving node
-    /// answers cache-first; without it the node's shortcut cache is
-    /// skipped entirely.
-    fn traced_lookup(
-        &mut self,
-        query: &Query,
-        use_cache: bool,
-        targets: &mut Vec<IndexTarget>,
-    ) -> Result<Reply, IndexError> {
+    /// One unary lookup, inside its `lookup …` trace span. With
+    /// `use_cache` the serving node answers cache-first; without it the
+    /// node's shortcut cache is skipped entirely.
+    fn traced_lookup(&mut self, query: &Query, use_cache: bool) -> Result<Reply, IndexError> {
         self.in_lookup_span(query, |service| {
             let key = service.cached_key(query);
             let node = service.dht_execute(DhtOp::NodeFor(key));
-            let get = |service: &mut Self| service.dht_execute(DhtOp::Get(key));
-            service.read_reply(query, node, use_cache.then_some(key), get, targets)
+            let get = |service: &mut Self| service.dht_execute(service.read_op(key));
+            service.read_reply(query, key, node, use_cache, get)
         })
     }
 
@@ -874,18 +926,19 @@ impl<D: Dht> IndexService<D> {
 
     /// Reads one interaction's reply from its `NodeFor` result — the code
     /// every lookup shares, unary or a slot of a batched wave: node load
-    /// and the `served by` event; the cache probe when `probe` names the
-    /// key to answer cache-first for, the bypass count otherwise; the
-    /// `Get` (issued by `get`, and only when no shortcut answered); each
-    /// value decoded through the memo and appended to `targets`; the
-    /// exchange's traffic, priced from the memo entries.
+    /// and the `served by` event; the cache probe of `key` with
+    /// `use_cache`, the bypass count otherwise; the read of `key` (issued
+    /// by `get`, and only when no shortcut answered) through the entry
+    /// memo ([`read_entry`](Self::read_entry)); the exchange's traffic,
+    /// priced from the decoded targets whether or not any value crossed
+    /// the wire.
     fn read_reply(
         &mut self,
         query: &Query,
+        key: Key,
         node: Result<DhtResponse, DhtError>,
-        probe: Option<Key>,
+        use_cache: bool,
         get: impl FnOnce(&mut Self) -> Result<DhtResponse, DhtError>,
-        targets: &mut Vec<IndexTarget>,
     ) -> Result<Reply, IndexError> {
         let node = node?.into_node().ok_or(IndexError::EmptyNetwork)?;
         *self.node_queries.entry(node).or_insert(0) += 1;
@@ -893,7 +946,7 @@ impl<D: Dht> IndexService<D> {
             t.event(format!("served by {node}"));
         }
 
-        let cached: Vec<IndexTarget> = if let Some(key) = probe {
+        let cached: Vec<IndexTarget> = if use_cache {
             self.metrics.incr("index.lookups.cached");
             let hit = self
                 .caches
@@ -920,25 +973,19 @@ impl<D: Dht> IndexService<D> {
             Vec::new()
         };
 
-        let values = if cached.is_empty() {
-            get(self)?.into_values()
+        let (indexed, bytes) = if cached.is_empty() {
+            let answer = get(self)?;
+            self.read_entry(key, answer)?
         } else {
-            Vec::new()
+            (Arc::default(), 0)
         };
-        let mut response: u64 = cached.iter().map(|t| t.encoded_len() as u64).sum();
-        let start = targets.len();
-        targets.reserve(values.len());
-        for value in &values {
-            let target = self.decode(value)?;
-            response += target.encoded_len() as u64;
-            targets.push(target);
-        }
+        let response = bytes + cached.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
         let request = query.canonical_text().len() as u64;
         self.traffic.record_exchange(request, response);
         Ok(Reply {
             node,
             cached,
-            indexed: start..targets.len(),
+            indexed,
         })
     }
 
@@ -949,11 +996,13 @@ impl<D: Dht> IndexService<D> {
     /// level, for every query that level references. On a networked
     /// substrate the whole wave costs one pipelined frame pair per routed
     /// member instead of two frames per query. `queries` is drained and
-    /// each query is handed to `sink`, in order, as soon as
-    /// [`read_reply`](Self::read_reply) has appended its index entries to
-    /// `targets`, with where they sit there — no reply gets a list of its
-    /// own. `None` is a lookup abandoned to a DHT fault ([`or_abandoned`]);
-    /// a hard error ends the wave. Single-query batches take this path too:
+    /// each query is handed to `sink`, in order, with its index entries as
+    /// soon as [`read_reply`](Self::read_reply) has read them — the entry
+    /// memo's, shared, so no reply gets a list of its own. `keys` is an
+    /// empty buffer the wave's keys pass through, so each query is hashed
+    /// once. `None` is a lookup abandoned to a DHT fault
+    /// ([`or_abandoned`]); a hard error ends the wave. Single-query
+    /// batches take this path too:
     /// on the networked client that pipelines the probe through
     /// `execute_many` like every other generalization wave instead of
     /// issuing a sequentially-dependent unary exchange.
@@ -966,20 +1015,21 @@ impl<D: Dht> IndexService<D> {
     fn lookup_many_bypassing_cache(
         &mut self,
         queries: &mut Vec<Query>,
-        targets: &mut Vec<IndexTarget>,
-        mut sink: impl FnMut(Query, Option<Range<usize>>),
+        keys: &mut Vec<Key>,
+        mut sink: impl FnMut(Query, Option<Arc<[IndexTarget]>>),
     ) -> Result<(), IndexError> {
         if queries.is_empty() {
             return Ok(());
         }
-        // Interleave [NodeFor, Get] per query — the op order the unary
+        // Interleave [NodeFor, read] per query — the op order the unary
         // sequence would issue. Fault injectors draw per-op randomness in
         // op order, so this keeps batched and unary runs comparable.
         let mut ops = Vec::with_capacity(queries.len() * 2);
         for query in queries.iter() {
             let key = self.cached_key(query);
+            keys.push(key);
             ops.push(DhtOp::NodeFor(key));
-            ops.push(DhtOp::Get(key));
+            ops.push(self.read_op(key));
         }
         if let Some(t) = &mut self.tracer {
             t.open(format!("wave: {} lookup(s)", queries.len()));
@@ -988,11 +1038,11 @@ impl<D: Dht> IndexService<D> {
         if let Some(t) = &mut self.tracer {
             t.close();
         }
-        for query in queries.drain(..) {
+        for (query, key) in queries.drain(..).zip(keys.drain(..)) {
             let node = raw.next().expect("one NodeFor result per query");
-            let got = raw.next().expect("one Get result per query");
+            let got = raw.next().expect("one read result per query");
             let reply = self.in_lookup_span(&query, |service| {
-                service.read_reply(&query, node, None, |_| got, targets)
+                service.read_reply(&query, key, node, false, |_| got)
             });
             sink(query, or_abandoned(reply)?.map(|reply| reply.indexed));
         }
@@ -1061,11 +1111,11 @@ impl<D: Dht> IndexService<D> {
     /// [`SearchReport::rounds`] = 1 (entry probe) + generalization levels
     /// + index levels round trips, however many index nodes it visits.
     ///
-    /// No interaction builds a target list of its own: each reply's values
-    /// pass through the decode memo once (decoding first sightings and
-    /// pricing the reply) into one buffer reused for every level, whose
-    /// entries are refcount bumps of the memo's. A child query costs `Arc`
-    /// bumps and a file is copied only into its [`FileHit`].
+    /// No interaction builds a target list of its own: each reply is read
+    /// through the entry memo, so an entry read before and unchanged since
+    /// is its memo copy (a refcount bump) and only a new or changed entry
+    /// is decoded. A child query costs `Arc` bumps and a file is copied
+    /// only into its [`FileHit`].
     ///
     /// This method neither creates nor consults cache shortcuts: automated
     /// exhaustive search must see the full index (shortcuts only cover
@@ -1150,11 +1200,11 @@ impl<D: Dht> IndexService<D> {
         let SearchScratch {
             visited,
             queue,
-            targets,
             seen,
             frontier,
             level,
             children,
+            keys,
         } = scratch;
 
         // Phase 1: find indexed entry points — the query itself, or
@@ -1163,11 +1213,11 @@ impl<D: Dht> IndexService<D> {
         // may still reach the data through another index branch.
         report.interactions += 1;
         report.rounds += 1;
-        let first = match or_abandoned(self.traced_lookup(query, false, targets))? {
+        let first = match or_abandoned(self.traced_lookup(query, false))? {
             Some(reply) => reply.indexed,
             None => {
                 report.completeness.abandoned += 1;
-                0..0
+                Arc::default()
             }
         };
         let query_not_indexed = first.is_empty();
@@ -1197,7 +1247,7 @@ impl<D: Dht> IndexService<D> {
                     }
                 }
                 report.rounds += 1;
-                self.lookup_many_bypassing_cache(level, targets, |g, reply| {
+                self.lookup_many_bypassing_cache(level, keys, |g, reply| {
                     if entered {
                         return;
                     }
@@ -1230,7 +1280,7 @@ impl<D: Dht> IndexService<D> {
                 // `visited` admits each node once, so a duplicate hit can
                 // only come from this node's own value list.
                 let node_hits = report.files.len();
-                for target in &targets[indexed] {
+                for target in indexed.iter() {
                     match target {
                         IndexTarget::File(file) => {
                             // `current` is the MSD the file is stored under; it
@@ -1254,14 +1304,12 @@ impl<D: Dht> IndexService<D> {
                     }
                 }
             }
-            // The level is read: the next wave's entries start afresh.
-            targets.clear();
             if children.is_empty() {
                 break;
             }
             report.interactions += children.len() as u32;
             report.rounds += 1;
-            self.lookup_many_bypassing_cache(children, targets, |child, reply| match reply {
+            self.lookup_many_bypassing_cache(children, keys, |child, reply| match reply {
                 Some(indexed) => queue.push_back((child, indexed)),
                 None => report.completeness.abandoned += 1,
             })?;
@@ -1404,30 +1452,58 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_keys_never_pin_the_frame_a_value_came_in() {
+    fn the_entry_memo_never_pins_the_frame_a_value_came_in() {
         // A networked substrate hands back values that are slices of a
-        // whole reply frame; the intern table outlives every frame, so it
-        // must key on a compact copy.
+        // whole reply frame; the memo outlives every frame, so it must hold
+        // decoded targets that own their bytes, never a slice of the frame.
         let mut frame = vec![0u8; 1 << 20];
         let encoded = IndexTarget::File("x.pdf".into()).to_bytes();
         frame[512..512 + encoded.len()].copy_from_slice(&encoded);
         let frame = Bytes::from(frame);
-        let value = frame.slice(512..512 + encoded.len());
+        let values = vec![frame.slice(512..512 + encoded.len())];
 
         let mut s = service(CachePolicy::None);
-        let decoded = s.decode(&value).unwrap();
-        assert_eq!(decoded, IndexTarget::File("x.pdf".into()));
-        // A second sighting is a hit on the same, single entry.
-        assert_eq!(s.decode(&value), Ok(decoded));
-        assert_eq!(s.decode_cache.len(), 1);
+        let key = Key::hash_of("entry");
+        let answer = DhtResponse::Values(values.clone());
+        let (targets, bytes) = s.read_entry(key, answer).unwrap();
+        assert_eq!(targets[..], [IndexTarget::File("x.pdf".into())]);
+        assert_eq!(bytes, encoded.len() as u64);
+        // An unchanged answer is the same, single entry: not a copy of it.
+        assert_eq!(
+            s.read_op(key),
+            DhtOp::GetIfChanged {
+                key,
+                seen: DhtResponse::seen_of(&key, &values),
+            }
+        );
+        let unchanged = DhtResponse::digest_of(&key, &values);
+        let (again, again_bytes) = s.read_entry(key, unchanged).unwrap();
+        assert!(Arc::ptr_eq(&targets, &again) && again_bytes == bytes);
+        assert_eq!(s.entries.len(), 1);
 
         let held = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-        let key = s.decode_cache.keys().next().unwrap();
-        assert_eq!(key[..], encoded[..]);
+        let IndexTarget::File(file) = &s.entries[&key].targets[0] else {
+            unreachable!("decoded as a file above")
+        };
         assert!(
-            !held.contains(&(key.as_ptr() as usize)),
-            "the cached key must own its bytes, not borrow the frame's"
+            !held.contains(&(file.as_ptr() as usize)),
+            "the memo must own its bytes, not borrow the frame's"
         );
+        // A changed answer replaces the entry, so the next read asks about
+        // the new one; a digest the memo cannot vouch for is a failed read;
+        // an empty answer drops the key.
+        let changed = vec![Bytes::from_static(b"F:y.pdf")];
+        let (now, _) = s
+            .read_entry(key, DhtResponse::Values(changed.clone()))
+            .unwrap();
+        assert_eq!(now[..], [IndexTarget::File("y.pdf".into())]);
+        let seen = DhtResponse::seen_of(&key, &changed);
+        assert_eq!(s.read_op(key), DhtOp::GetIfChanged { key, seen });
+        let other = DhtResponse::digest_of(&key, &values);
+        assert!(matches!(s.read_entry(key, other), Err(IndexError::Dht(_))));
+        let (none, zero) = s.read_entry(key, DhtResponse::Values(Vec::new())).unwrap();
+        assert!(none.is_empty() && zero == 0 && s.entries.is_empty());
+        assert_eq!(s.read_op(key), DhtOp::Get(key));
     }
 
     #[test]
@@ -1762,7 +1838,7 @@ mod tests {
         assert!(empty < 1.0);
     }
 
-    // ---- corrupt values and the decode memo ---------------------------
+    // ---- corrupt values and the entry memo ----------------------------
 
     /// Stores `value` under `query`'s key beside whatever is there.
     fn plant<D: Dht>(s: &mut IndexService<D>, query: &str, value: impl Into<Vec<u8>>) {
@@ -1834,7 +1910,7 @@ mod tests {
             for q in queries {
                 warm.search(&q.parse().unwrap()).unwrap();
             }
-            assert!(cold.decode_cache.is_empty() && !warm.decode_cache.is_empty());
+            assert!(cold.entries.is_empty() && !warm.entries.is_empty());
             let (cold_before, warm_before) = (*cold.traffic(), *warm.traffic());
             let cold_report = cold.search(&query).unwrap();
             let warm_report = warm.search(&query).unwrap();

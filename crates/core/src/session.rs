@@ -198,19 +198,16 @@ impl<'s, D: Dht> SearchSession<'s, D> {
     pub fn expand(&mut self) -> Result<SessionState, IndexError> {
         let resp = self.service.lookup_step_bypassing_cache(&self.current)?;
         self.interactions += 1;
-        for t in resp.indexed {
+        for t in resp.indexed.iter() {
             match t {
                 IndexTarget::File(f) => {
-                    if !self.files.iter().any(|known| **known == *f) {
+                    if !self.files.iter().any(|known| **known == **f) {
                         self.files.push(f.to_string());
                     }
                 }
                 IndexTarget::Query(q) => {
-                    if q != self.current {
-                        let t = IndexTarget::Query(q);
-                        if !self.options.contains(&t) {
-                            self.options.push(t);
-                        }
+                    if *q != self.current && !self.options.contains(t) {
+                        self.options.push(t.clone());
                     }
                 }
             }

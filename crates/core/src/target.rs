@@ -20,7 +20,7 @@ pub enum IndexTarget {
     /// A more specific query, covered by the lookup key.
     Query(Query),
     /// A handle to stored file content (found under an MSD key). Shared,
-    /// like a query's text: a target handed out of the decode memo or a
+    /// like a query's text: a target handed out of the entry memo or a
     /// shortcut cache is a refcount bump, not a copy of the handle.
     File(Arc<str>),
 }

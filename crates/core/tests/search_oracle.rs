@@ -322,3 +322,84 @@ fn lossy_search_terminates_with_a_subset_of_the_answer() {
         PastryNetwork::with_perfect_tables(node_keys(24))
     });
 }
+
+/// A service that has read every entry before answers exactly like a
+/// fresh one over the same stored state: same report, same `Traffic`, same
+/// `DhtStats` — its entry memo changes what crosses the substrate (a
+/// digest instead of an unchanged list), never what a search finds or is
+/// charged. Checked query by query against a fresh service over a copy of
+/// the warm one's ring, across publishes and unpublishes that change the
+/// entries the memo holds.
+#[test]
+fn a_warm_service_answers_like_a_fresh_one_across_publish_and_unpublish() {
+    let articles = corpus(29, 48);
+    let (held_back, published) = articles.split_at(8);
+    for (scheme, _) in schemes() {
+        let mut warm = populated(
+            RingDht::from_ids(node_keys(24)),
+            published,
+            scheme,
+            RetryPolicy::none(),
+        );
+        let queries: Vec<Query> = articles
+            .iter()
+            .step_by(5)
+            .flat_map(|(descriptor, _)| queries_about(descriptor))
+            .collect();
+        let check = |warm: &mut IndexService<RingDht>, phase: &str| {
+            for query in &queries {
+                let at = format!("{}/{phase}: {query}", scheme.name());
+                let mut fresh = IndexService::new(warm.dht().clone(), CachePolicy::None);
+                let traffic = *warm.traffic();
+                let warm_report = warm.search(query).expect("healthy search");
+                let fresh_report = fresh.search(query).expect("healthy search");
+                assert_eq!(
+                    format!("{warm_report:?}"),
+                    format!("{fresh_report:?}"),
+                    "{at}"
+                );
+                let moved = warm.traffic();
+                assert_eq!(
+                    (
+                        moved.normal_bytes - traffic.normal_bytes,
+                        moved.cache_bytes - traffic.cache_bytes,
+                        moved.messages - traffic.messages,
+                    ),
+                    (
+                        fresh.traffic().normal_bytes,
+                        fresh.traffic().cache_bytes,
+                        fresh.traffic().messages,
+                    ),
+                    "{at}: traffic"
+                );
+                // The copy started from the warm ring's counters.
+                assert_eq!(warm.dht().stats(), fresh.dht().stats(), "{at}: stats");
+            }
+        };
+        // Cold, then warm: every entry the second pass reads is memoised.
+        check(&mut warm, "cold");
+        check(&mut warm, "warm");
+        // New articles add values under entries the memo holds (shared
+        // authors, titles, conferences, years) and create new entries.
+        for (descriptor, file) in held_back {
+            warm.publish(descriptor, file, scheme).expect("publish");
+        }
+        check(&mut warm, "after publish");
+        // Unpublishing shrinks some held entries and empties others.
+        for (descriptor, file) in published.iter().step_by(3) {
+            warm.unpublish(descriptor, file, scheme).expect("unpublish");
+        }
+        check(&mut warm, "after unpublish");
+        // One article back, another gone, between two reads: an entry that
+        // loses one value and gains another keeps its count, and only its
+        // digest can tell.
+        let back = published.iter().step_by(3);
+        let gone = published.iter().skip(1).step_by(3);
+        for ((descriptor, file), (other, other_file)) in back.zip(gone) {
+            warm.publish(descriptor, file, scheme).expect("publish");
+            warm.unpublish(other, other_file, scheme)
+                .expect("unpublish");
+        }
+        check(&mut warm, "after swapping");
+    }
+}

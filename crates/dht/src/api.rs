@@ -109,6 +109,18 @@ pub enum DhtOp {
     /// with [`DhtResponse::Digest`] over exactly what [`DhtOp::Get`] would
     /// return. The index layer never issues it; the networked client does.
     GetDigest(Key),
+    /// A conditional [`DhtOp::Get`]: the caller already holds the entry as
+    /// it was when its values digested to `seen`, the `(count, sum)` pair
+    /// of [`DhtResponse::digest_of`]. Answered with that same
+    /// [`DhtResponse::Digest`] while the values still digest to it, and
+    /// with [`DhtResponse::Values`] exactly as `Get` would answer
+    /// otherwise. Routed and accounted exactly like `Get`.
+    GetIfChanged {
+        /// Storage key.
+        key: Key,
+        /// The digest of the values the caller holds.
+        seen: (u32, u64),
+    },
     /// Remove one specific value registered under a key.
     Remove {
         /// Storage key.
@@ -124,6 +136,7 @@ impl DhtOp {
         match self {
             DhtOp::NodeFor(key) | DhtOp::Get(key) | DhtOp::GetDigest(key) => key,
             DhtOp::Put { key, .. } | DhtOp::Remove { key, .. } => key,
+            DhtOp::GetIfChanged { key, .. } => key,
         }
     }
 
@@ -136,6 +149,7 @@ impl DhtOp {
             DhtOp::Put { .. } => "put",
             DhtOp::Get(_) => "get",
             DhtOp::GetDigest(_) => "get_digest",
+            DhtOp::GetIfChanged { .. } => "get_if_changed",
             DhtOp::Remove { .. } => "remove",
         }
     }
@@ -155,7 +169,7 @@ pub enum OpFamily {
 /// Every per-kind counter name, spelled out once: `(kind, [dht, client,
 /// server])` in [`OpFamily`] order. Static so that counting an op never
 /// formats (or allocates) a name, with metrics on or off.
-const KIND_COUNTERS: [(&str, [&str; 3]); 5] = [
+const KIND_COUNTERS: [(&str, [&str; 3]); 6] = [
     (
         "node_for",
         [
@@ -172,6 +186,14 @@ const KIND_COUNTERS: [(&str, [&str; 3]); 5] = [
             "dht.ops.get_digest",
             "net.ops.get_digest",
             "net.server.digest_gets",
+        ],
+    ),
+    (
+        "get_if_changed",
+        [
+            "dht.ops.get_if_changed",
+            "net.ops.get_if_changed",
+            "net.server.ops.get_if_changed",
         ],
     ),
     (
@@ -207,14 +229,14 @@ pub struct PairCounters {
 
 impl PairCounters {
     /// Accounts one completed request/response pair of a storage
-    /// operation: +2 messages, and +1 lookup when a `put` or `get`
-    /// succeeded. `NodeFor` is free and pairs that never completed (no
-    /// live node, no response frame) count nothing — callers simply do
-    /// not call this for them.
+    /// operation: +2 messages, and +1 lookup when a `put` or `get` (plain
+    /// or conditional) succeeded. `NodeFor` is free and pairs that never
+    /// completed (no live node, no response frame) count nothing — callers
+    /// simply do not call this for them.
     #[inline]
     pub fn record_pair(&self, kind: &str, ok: bool) {
         self.messages.fetch_add(2, Ordering::Relaxed);
-        if ok && matches!(kind, "put" | "get") {
+        if ok && matches!(kind, "put" | "get" | "get_if_changed") {
             self.lookups.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -245,11 +267,13 @@ pub enum DhtResponse {
     Node(NodeId),
     /// Answer to [`DhtOp::Put`]: `true` if the value was newly stored.
     Stored(bool),
-    /// Answer to [`DhtOp::Get`].
+    /// Answer to [`DhtOp::Get`], and to a [`DhtOp::GetIfChanged`] whose
+    /// entry changed.
     Values(Vec<Bytes>),
     /// Answer to [`DhtOp::Remove`]: `true` if the value was present.
     Removed(bool),
-    /// Answer to [`DhtOp::GetDigest`]: how many values the key holds and
+    /// Answer to [`DhtOp::GetDigest`], and to a [`DhtOp::GetIfChanged`]
+    /// whose entry did not change: how many values the key holds and
     /// their order-independent hash ([`DhtResponse::digest_of`]). Two
     /// replicas answer alike exactly when they hold the same value set,
     /// in whatever order (up to a 64-bit collision).
@@ -268,9 +292,29 @@ impl DhtResponse {
     /// by, and a quorum reader checks a replica's digest against the
     /// values another replica sent by.
     pub fn digest_of(key: &Key, values: &[Bytes]) -> DhtResponse {
-        DhtResponse::Digest {
-            count: values.len() as u32,
-            sum: digest::values_digest(digest::STORED, key, values.iter()),
+        let (count, sum) = Self::seen_of(key, values);
+        DhtResponse::Digest { count, sum }
+    }
+
+    /// The `(count, sum)` pair of [`DhtResponse::digest_of`]: what a
+    /// reader keeps to ask [`DhtOp::GetIfChanged`] with.
+    pub fn seen_of(key: &Key, values: &[Bytes]) -> (u32, u64) {
+        let sum = digest::values_digest(digest::STORED, key, values.iter());
+        (values.len() as u32, sum)
+    }
+
+    /// What a [`DhtOp::GetIfChanged`] of `key` against `seen` answers when
+    /// a [`DhtOp::Get`] of it would answer `values`: the digest alone when
+    /// they still digest to `seen` — compared in place, no list built —
+    /// and a copy of the list otherwise.
+    pub fn if_changed(key: &Key, seen: (u32, u64), values: &[Bytes]) -> DhtResponse {
+        if values.len() == seen.0 as usize && Self::seen_of(key, values) == seen {
+            DhtResponse::Digest {
+                count: seen.0,
+                sum: seen.1,
+            }
+        } else {
+            DhtResponse::Values(values.to_vec())
         }
     }
 
@@ -600,6 +644,14 @@ mod tests {
         assert_eq!(DhtOp::Get(k).key(), &k);
         assert_eq!(DhtOp::GetDigest(k).key(), &k);
         assert_eq!(
+            DhtOp::GetIfChanged {
+                key: k,
+                seen: (1, 2)
+            }
+            .key(),
+            &k
+        );
+        assert_eq!(
             DhtOp::Put {
                 key: k,
                 value: v.clone()
@@ -617,6 +669,10 @@ mod tests {
         let ops = [
             DhtOp::NodeFor(k),
             DhtOp::Get(k),
+            DhtOp::GetIfChanged {
+                key: k,
+                seen: (0, 0),
+            },
             DhtOp::Put {
                 key: k,
                 value: v.clone(),
@@ -658,11 +714,13 @@ mod tests {
         counters.record_pair("get", true);
         counters.record_pair("remove", true);
         counters.record_pair("get", false);
+        // A conditional get is a get, whatever it answered.
+        counters.record_pair("get_if_changed", true);
         assert_eq!(
             counters.stats(),
             DhtStats {
-                messages: 8,
-                lookups: 2,
+                messages: 10,
+                lookups: 3,
                 hops: 0
             }
         );
@@ -684,6 +742,38 @@ mod tests {
         assert!(DhtResponse::digest_of(&Key::hash_of("k"), &vals)
             .into_values()
             .is_empty());
+    }
+
+    #[test]
+    fn if_changed_answers_the_digest_only_while_it_still_holds() {
+        let key = Key::hash_of("k");
+        let vals = vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")];
+        let seen = DhtResponse::seen_of(&key, &vals);
+        let (count, sum) = seen;
+        assert_eq!(
+            DhtResponse::digest_of(&key, &vals),
+            DhtResponse::Digest { count, sum }
+        );
+        let reordered = [vals[1].clone(), vals[0].clone()];
+        assert_eq!(
+            DhtResponse::if_changed(&key, seen, &reordered),
+            DhtResponse::Digest { count, sum }
+        );
+        // Same count, other values; fewer values; another key's digest.
+        let other = [vals[0].clone(), Bytes::from_static(b"c")];
+        assert_eq!(
+            DhtResponse::if_changed(&key, seen, &other),
+            DhtResponse::Values(other.to_vec())
+        );
+        assert_eq!(
+            DhtResponse::if_changed(&key, seen, &vals[..1]),
+            DhtResponse::Values(vals[..1].to_vec())
+        );
+        let elsewhere = DhtResponse::seen_of(&Key::hash_of("j"), &vals);
+        assert_eq!(
+            DhtResponse::if_changed(&key, elsewhere, &vals),
+            DhtResponse::Values(vals.clone())
+        );
     }
 
     #[test]

@@ -247,6 +247,33 @@ impl<O: Overlay> OverlayDht<O> {
         Ok(changed)
     }
 
+    /// The one read: route (accounted), then one request/response pair per
+    /// member asked — the routed owner and, while the answer is empty, the
+    /// rest of the replica set in order (DHash-style: a freshly responsible
+    /// node may not hold the data yet). Borrowed, so a digest is hashed in
+    /// place and only a `Values` answer copies the list.
+    fn read(&self, key: &Key) -> &[Bytes] {
+        let Some(owner) = O::route(self, key) else {
+            return &[];
+        };
+        let ask = |node: &Key| {
+            self.bump_messages(2); // fetch request + response
+            self.stores.get(node).map_or(&[][..], |s| s.get(key))
+        };
+        let mut values = ask(&owner);
+        if values.is_empty() {
+            for replica in O::replica_set(self, key) {
+                if !values.is_empty() {
+                    break;
+                }
+                if replica != owner {
+                    values = ask(&replica);
+                }
+            }
+        }
+        values
+    }
+
     fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         if self.order.is_empty() {
             return Err(DhtError::NoLiveNodes);
@@ -257,7 +284,10 @@ impl<O: Overlay> OverlayDht<O> {
                 Ok(DhtResponse::Node(NodeId::from_key(owner)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, self.read(&key))),
+            DhtOp::GetIfChanged { key, seen } => {
+                Ok(DhtResponse::if_changed(&key, seen, self.read(&key)))
+            }
             DhtOp::Put { key, value } => self
                 .write(&key, |store| store.put(key, value.clone()))
                 .map(DhtResponse::Stored),
@@ -295,27 +325,7 @@ impl<O: Overlay> Dht for OverlayDht<O> {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        let Some(owner) = O::route(self, key) else {
-            return Vec::new();
-        };
-        let ask = |node: &Key| {
-            self.bump_messages(2); // fetch request + response
-            self.stores.get(node).map_or(&[][..], |s| s.get(key))
-        };
-        let mut values = ask(&owner);
-        if values.is_empty() {
-            // DHash-style read path: a freshly responsible node may not
-            // hold the data yet; the rest of the replica set might.
-            for replica in O::replica_set(self, key) {
-                if !values.is_empty() {
-                    break;
-                }
-                if replica != owner {
-                    values = ask(&replica);
-                }
-            }
-        }
-        values.to_vec()
+        self.read(key).to_vec()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {

@@ -177,6 +177,19 @@ impl RingDht {
 }
 
 impl RingDht {
+    /// The one read: the owner's values under `key`, borrowed, accounted
+    /// as one `get` pair. Every read op answers from this slice, so a
+    /// digest is hashed in place and only a `Values` answer copies it.
+    fn read(&self, key: &Key) -> &[Bytes] {
+        match self.owner(key) {
+            Some(owner) => {
+                self.counters.record_pair("get", true);
+                self.stores[owner.key()].get(key)
+            }
+            None => &[],
+        }
+    }
+
     fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         if self.stores.is_empty() {
             return Err(DhtError::NoLiveNodes);
@@ -187,7 +200,10 @@ impl RingDht {
                 Ok(DhtResponse::Node(owner))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, &self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, self.read(&key))),
+            DhtOp::GetIfChanged { key, seen } => {
+                Ok(DhtResponse::if_changed(&key, seen, self.read(&key)))
+            }
             DhtOp::Put { key, value } => {
                 let owner = self.owner(&key).expect("non-empty ring has an owner");
                 self.counters.record_pair("put", true);
@@ -244,13 +260,7 @@ impl Dht for RingDht {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        match self.owner(key) {
-            Some(owner) => {
-                self.counters.record_pair("get", true);
-                self.stores[owner.key()].get(key).to_vec()
-            }
-            None => Vec::new(),
-        }
+        self.read(key).to_vec()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {

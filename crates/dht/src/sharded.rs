@@ -273,6 +273,13 @@ impl ShardedDht {
                 let shard = self.read_shard(self.shard_of(&key));
                 Ok(DhtResponse::digest_of(&key, shard.store.get(&key)))
             }
+            DhtOp::GetIfChanged { key, seen } => {
+                // Compared in place under the read guard, like a digest:
+                // the list is cloned only when it changed.
+                self.counters.record_pair("get", true);
+                let shard = self.read_shard(self.shard_of(&key));
+                Ok(DhtResponse::if_changed(&key, seen, shard.store.get(&key)))
+            }
             DhtOp::Put { key, value } => {
                 self.counters.record_pair("put", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
@@ -516,9 +523,9 @@ mod tests {
         NodeId::hash_of("node-0")
     }
 
-    /// A deterministic op script: puts, gets, digest gets (hashed in place
-    /// here, derived from `get` by the ring oracle), removes (some
-    /// hitting, some missing), and a NodeFor, across a small key universe.
+    /// A deterministic op script: puts, gets, digest and conditional gets
+    /// (hashed in place on both sides), removes (some hitting, some
+    /// missing), and a NodeFor, across a small key universe.
     fn script(len: usize, seed: u64) -> Vec<DhtOp> {
         let mut ops = Vec::with_capacity(len);
         let mut state = seed | 1;
@@ -531,7 +538,12 @@ mod tests {
             let value = Bytes::from(format!("v{}", state % 5));
             ops.push(match state % 7 {
                 0 | 1 => DhtOp::Put { key, value },
-                2 | 3 => DhtOp::Get(key),
+                2 => DhtOp::Get(key),
+                // Unchanged exactly when the key holds this one value.
+                3 => DhtOp::GetIfChanged {
+                    key,
+                    seen: DhtResponse::seen_of(&key, &[value]),
+                },
                 4 => DhtOp::GetDigest(key),
                 5 => DhtOp::Remove { key, value },
                 _ => {

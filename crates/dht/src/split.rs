@@ -638,6 +638,16 @@ impl<D: Dht> Dht for SplitDht<D> {
             DhtOp::GetDigest(key) => self
                 .execute(DhtOp::Get(key))
                 .map(|resp| DhtResponse::digest_of(&key, &resp.into_values())),
+            DhtOp::GetIfChanged { key, seen } => {
+                if self.config.is_observe_only() {
+                    self.note(&key, None);
+                    return self.inner.execute(DhtOp::GetIfChanged { key, seen });
+                }
+                // A split entry is only whole once reassembled, so it is
+                // compared after the read, not in place.
+                self.do_get(key)
+                    .map(|resp| DhtResponse::if_changed(&key, seen, &resp.into_values()))
+            }
             DhtOp::Put { key, value } => {
                 if self.config.is_observe_only() {
                     self.note(&key, Some(value.len()));
@@ -661,7 +671,9 @@ impl<D: Dht> Dht for SplitDht<D> {
         if self.config.is_observe_only() {
             for op in &ops {
                 match op {
-                    DhtOp::Get(key) | DhtOp::GetDigest(key) => self.note(key, None),
+                    DhtOp::Get(key) | DhtOp::GetDigest(key) | DhtOp::GetIfChanged { key, .. } => {
+                        self.note(key, None)
+                    }
                     DhtOp::Put { key, value } => self.note(key, Some(value.len())),
                     DhtOp::Remove { key, .. } => self.note(key, Some(0)),
                     DhtOp::NodeFor(_) => {}
@@ -673,9 +685,9 @@ impl<D: Dht> Dht for SplitDht<D> {
         // substrate as one wave, marker responses trigger a second,
         // batched page-fetch wave, and page values are spliced back in —
         // two pipelined frame pairs over the wire instead of a round
-        // trip per page. Batches containing writes (or touching hot
-        // keys, whose rotation is per-op state) fall back to the unary
-        // path op by op.
+        // trip per page. Batches containing writes or conditional reads
+        // (or touching hot keys, whose rotation is per-op state) fall back
+        // to the unary path op by op.
         let read_only = ops.iter().all(|op| match op {
             DhtOp::Get(key) => !self.mirrors.contains_key(key) && self.config.hot_threshold == 0,
             DhtOp::NodeFor(_) => true,

@@ -21,8 +21,8 @@
 use bytes::Bytes;
 use p2p_index_dht::{
     BalanceConfig, ChordConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig,
-    FaultyDht, KademliaConfig, KademliaNetwork, Key, NodeChurn, PastryConfig, PastryNetwork,
-    RingDht, SplitDht,
+    FaultyDht, KademliaConfig, KademliaNetwork, Key, NodeChurn, NodeId, PastryConfig,
+    PastryNetwork, RingDht, ShardedDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -174,6 +174,143 @@ fn a_digest_get_answers_the_digest_of_what_a_get_answers() {
             Ok(DhtResponse::digest_of(&key, &held[1..])),
             "{name}"
         );
+    }
+}
+
+/// Every substrate a conditional read must conform on: the shared list,
+/// the DHash-fallback overlays, the local wrappers, the partition store,
+/// and a replicated quorum cluster. A fresh copy per call, so two twins
+/// can be driven side by side.
+fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
+    let mut all = substrates(16);
+    all.extend([
+        (
+            "chord-r3",
+            Box::new(ChordNetwork::with_perfect_tables_and_config(
+                keys(8),
+                ChordConfig {
+                    replication: 3,
+                    ..ChordConfig::default()
+                },
+            )) as Box<dyn Dht>,
+        ),
+        (
+            "faulty",
+            Box::new(FaultyDht::transparent(RingDht::from_ids(keys(16)))),
+        ),
+        (
+            "split-paged",
+            Box::new(SplitDht::new(
+                RingDht::from_ids(keys(16)),
+                BalanceConfig::mitigating(64, 0, 0),
+            )),
+        ),
+        (
+            "split-observe",
+            Box::new(SplitDht::new(
+                PastryNetwork::with_perfect_tables(keys(16)),
+                BalanceConfig::observe_only(),
+            )),
+        ),
+        (
+            "sharded",
+            Box::new(ShardedDht::new(NodeId::hash_of("node-0"), 4)),
+        ),
+        (
+            "remote-r3",
+            Box::new(
+                ClusterDht::start_replicated_ring(5, 3, 2, 2).expect("loopback cluster binds"),
+            ),
+        ),
+    ]);
+    all
+}
+
+#[test]
+fn a_conditional_get_is_accounted_as_a_get_and_answers_what_it_must() {
+    // Two twins of every substrate take the same writes; then one reads
+    // with `Get` and the other with `GetIfChanged`, against the digest of
+    // what it holds (unchanged), of something else (stale), and of an
+    // absent key. The stats move alike every time: a conditional read is
+    // routed, fallen back and counted exactly like the read it replaces.
+    // Its answer is the digest it was sent when unchanged, and the `Get`'s
+    // list otherwise.
+    for ((name, mut plain), (_, mut conditional)) in conditional_substrates()
+        .into_iter()
+        .zip(conditional_substrates())
+    {
+        let key = Key::hash_of("conditional");
+        for i in 0..6 {
+            let value = format!("Q:/article/author/last/name-{i}");
+            assert!(exec_put(plain.as_mut(), key, &value), "{name}");
+            assert!(exec_put(conditional.as_mut(), key, &value), "{name}");
+        }
+        let held = exec_get(plain.as_mut(), key);
+        assert_eq!(exec_get(conditional.as_mut(), key), held, "{name}");
+        assert_eq!(plain.stats(), conditional.stats(), "{name}");
+        let absent = Key::hash_of("never-written");
+        let reads = [
+            (key, DhtResponse::seen_of(&key, &held), true),
+            (key, DhtResponse::seen_of(&key, &held[1..]), false),
+            (
+                key,
+                DhtResponse::seen_of(&Key::hash_of("other"), &held),
+                false,
+            ),
+            (absent, DhtResponse::seen_of(&absent, &held[..1]), false),
+        ];
+        for (at, seen, unchanged) in reads {
+            let list = exec_get(plain.as_mut(), at);
+            let got = conditional.execute(DhtOp::GetIfChanged { key: at, seen });
+            let want = if unchanged {
+                DhtResponse::Digest {
+                    count: seen.0,
+                    sum: seen.1,
+                }
+            } else {
+                DhtResponse::Values(list)
+            };
+            assert_eq!(got, Ok(want), "{name}: seen {seen:?}");
+            assert_eq!(plain.stats(), conditional.stats(), "{name}: seen {seen:?}");
+        }
+    }
+}
+
+#[test]
+fn a_conditional_get_takes_the_same_load_note_as_a_get() {
+    // The balance layer's per-node load (the hot-spot exhibit's input) is
+    // blind to whether a read was conditional, paged or not, unary or in
+    // a batch.
+    for config in [
+        BalanceConfig::observe_only(),
+        BalanceConfig::mitigating(64, 0, 0),
+    ] {
+        let twin = || {
+            let mut dht = SplitDht::new(RingDht::from_ids(keys(16)), config);
+            for i in 0..12 {
+                let value = format!("Q:/article/author/last/name-{i}");
+                exec_put(&mut dht, Key::hash_of("noted"), &value);
+            }
+            dht
+        };
+        let (mut plain, mut conditional) = (twin(), twin());
+        let key = Key::hash_of("noted");
+        let held = exec_get(&mut plain, key);
+        exec_get(&mut conditional, key);
+        let seen = DhtResponse::seen_of(&key, &held);
+        plain.execute(DhtOp::Get(key)).unwrap();
+        conditional
+            .execute(DhtOp::GetIfChanged { key, seen })
+            .unwrap();
+        plain.execute_many(vec![DhtOp::NodeFor(key), DhtOp::Get(key)]);
+        conditional.execute_many(vec![DhtOp::NodeFor(key), DhtOp::GetIfChanged { key, seen }]);
+        assert_eq!(plain.load(), conditional.load(), "{config:?}");
+        assert_eq!(
+            plain.balance_stats(),
+            conditional.balance_stats(),
+            "{config:?}"
+        );
+        assert_eq!(plain.stats(), conditional.stats(), "{config:?}");
     }
 }
 

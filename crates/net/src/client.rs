@@ -129,19 +129,30 @@ struct Attempt {
     member: usize,
     op: usize,
     rank: usize,
-    /// The replica is asked to vouch for a read with the digest of its
-    /// values, not to ship them.
-    digest: bool,
+    ask: Ask,
 }
 
-/// The op an attempt puts on the wire: the route's own, or the digest
-/// request for its key.
+/// What an attempt asks its replica for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Ask {
+    /// The route's own op.
+    Op,
+    /// Only the digest of the values held (`GetDigest`): another replica
+    /// of the quorum ships them.
+    Digest,
+    /// The values in full (a plain `Get`): this replica's last answer was
+    /// disputed, and only its list can settle the read.
+    Full,
+}
+
+/// The op an attempt puts on the wire: the route's own, or the digest or
+/// plain read of its key.
 fn wire_op<'a>(routes: &'a [Route], attempt: &Attempt) -> Cow<'a, DhtOp> {
     let op = &routes[attempt.op].op;
-    if attempt.digest {
-        Cow::Owned(DhtOp::GetDigest(*op.key()))
-    } else {
-        Cow::Borrowed(op)
+    match attempt.ask {
+        Ask::Op => Cow::Borrowed(op),
+        Ask::Digest => Cow::Owned(DhtOp::GetDigest(*op.key())),
+        Ask::Full => Cow::Owned(DhtOp::Get(*op.key())),
     }
 }
 
@@ -152,7 +163,7 @@ struct Route {
     replicas: ReplicaRange,
     /// Ranks `0..tried` have been attempted (successfully or not).
     tried: usize,
-    /// Successes required to settle: the read quorum for `Get`, one for
+    /// Successes required to settle: the read quorum for reads, one for
     /// writes (the server enforces the write quorum behind one reply).
     want: usize,
     /// Successes gathered so far; they sit at the front of this op's
@@ -191,15 +202,18 @@ struct CallScratch {
 ///
 /// Replicas that agree — the steady state — settle as the lowest-ranked
 /// reply that carries the entry, untouched: the replies that ship it are
-/// equal, and every digest is the digest of what it holds. A digest that
-/// is not names a replica holding some other value set, which only its
-/// own list can tell: the `agreed` successes stay at the front of
-/// `gathered`, the disputed digests move behind them, and the caller asks
-/// those replicas again in full. Full replies that disagree merge: the
-/// answer is the union of every replica's value set, gathered in rank
-/// order with first-seen dedup, so replicas holding disjoint stale subsets
-/// still sum to the full entry (each value survives on at least one of the
-/// Rq replicas whenever Rq + W > R).
+/// equal, and every digest is the digest of what it holds. A conditional
+/// read whose replicas all answered "unchanged" settles the same way, as
+/// that digest. A digest that vouches for no shipped list names a replica
+/// holding some other value set, which only its own list can tell: the
+/// `agreed` successes stay at the front of `gathered`, the disputed
+/// digests move behind them, and the caller asks those replicas again
+/// with a plain `Get` (a conditional one would be answered "unchanged"
+/// again). Full replies that disagree merge: the answer is the union of
+/// every replica's value set, gathered in rank order with first-seen
+/// dedup, so replicas holding disjoint stale subsets still sum to the full
+/// entry (each value survives on at least one of the Rq replicas whenever
+/// Rq + W > R).
 fn settle_response(
     key: &Key,
     gathered: &mut [Option<(usize, DhtResponse)>],
@@ -229,8 +243,10 @@ fn settle_response(
             return Err(agreed);
         }
     }
-    // With no full reply at all a replica answered a `Get` with a digest;
-    // like any other mistyped reply, that is the caller's to reject.
+    // With no full reply at all every replica answered with a digest: a
+    // conditional read's replicas all said "unchanged", each echoing the
+    // digest it was sent (a `Get` answered with one is the caller's to
+    // reject, like any other mistyped reply).
     let lowest = reply(&gathered[0]);
     if gathered[1..full.max(1)]
         .iter()
@@ -371,7 +387,15 @@ impl RemoteDht {
     /// it no longer answers, the read fails over like any other. A client
     /// at `Rq = 1` — every unreplicated one — never asks for a digest.
     ///
-    /// One ordering carve-out: a `Get` whose key the *same batch* also
+    /// A conditional read (`GetIfChanged`, from a caller that already
+    /// holds the entry) is routed like a `Get` but goes to every replica
+    /// of its quorum as itself: each answers "unchanged" with the digest
+    /// the caller sent, or with its list. All unchanged settles as that
+    /// digest, with no value on the wire; full replies settle as a `Get`'s
+    /// do; and when the two mix, the replicas that said "unchanged" are
+    /// disputed and asked again with a plain `Get`.
+    ///
+    /// One ordering carve-out: a read whose key the *same batch* also
     /// writes is read from its primary alone (`want = 1`). Member frames
     /// race each other on the wire, so a non-primary replica could
     /// answer such a read before — or after — the primary's replication
@@ -423,7 +447,7 @@ impl RemoteDht {
             } else {
                 self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
                 match op {
-                    DhtOp::Get(_) => reads = true,
+                    DhtOp::Get(_) | DhtOp::GetIfChanged { .. } => reads = true,
                     DhtOp::GetDigest(_) => {}
                     _ => writes = true,
                 }
@@ -455,9 +479,8 @@ impl RemoteDht {
                 written.sort_unstable();
             }
             for route in routes.iter_mut() {
-                if matches!(route.op, DhtOp::Get(_))
-                    && written.binary_search(route.op.key()).is_err()
-                {
+                let read = matches!(route.op, DhtOp::Get(_) | DhtOp::GetIfChanged { .. });
+                if read && written.binary_search(route.op.key()).is_err() {
                     route.want = self.config.read_quorum.min(route.replicas.len());
                 }
             }
@@ -483,7 +506,9 @@ impl RemoteDht {
                 }
                 let slots = &mut gathered[op * stride..][..stride];
                 // One replica ships the entry; the rest of a read's quorum
-                // only has to vouch for it.
+                // only has to vouch for it. A conditional read asks every
+                // replica the same question instead.
+                let conditional = matches!(route.op, DhtOp::GetIfChanged { .. });
                 let mut shipped = slots[..route.have]
                     .iter()
                     .flatten()
@@ -495,7 +520,7 @@ impl RemoteDht {
                         member: route.replicas.index(disputed.0),
                         op,
                         rank: disputed.0,
-                        digest: false,
+                        ask: Ask::Full,
                     });
                     asked += 1;
                 }
@@ -520,11 +545,16 @@ impl RemoteDht {
                     if round > 1 {
                         self.metrics.incr("net.quorum.failovers");
                     }
+                    let ask = if shipped && !conditional {
+                        Ask::Digest
+                    } else {
+                        Ask::Op
+                    };
                     attempts.push(Attempt {
                         member: route.replicas.index(rank),
                         op,
                         rank,
-                        digest: shipped,
+                        ask,
                     });
                     shipped = true;
                 }
@@ -656,7 +686,10 @@ impl RemoteDht {
         let settled = match result {
             Ok(resp) => {
                 if matches!(resp, DhtResponse::Digest { .. }) {
-                    self.metrics.incr("net.quorum.digest_reads");
+                    self.metrics.incr(match route.op {
+                        DhtOp::GetIfChanged { .. } => "net.quorum.unchanged",
+                        _ => "net.quorum.digest_reads",
+                    });
                 }
                 gathered[route.have] = Some((rank, resp));
                 route.have += 1;

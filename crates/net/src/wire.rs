@@ -7,7 +7,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
-//!      4     1  version      VERSION (0x07), on every frame
+//!      4     1  version      VERSION (0x08), on every frame
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
@@ -52,7 +52,7 @@ pub const MAGIC: [u8; 4] = *b"PDHT";
 
 /// The protocol version every frame carries; a frame with any other byte
 /// is [`WireError::UnsupportedVersion`].
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
@@ -116,6 +116,7 @@ const OP_PUT: u8 = 0x02;
 const OP_GET: u8 = 0x03;
 const OP_REMOVE: u8 = 0x04;
 const OP_GET_DIGEST: u8 = 0x05;
+const OP_GET_IF_CHANGED: u8 = 0x06;
 
 const RESP_NODE: u8 = 0x01;
 const RESP_STORED: u8 = 0x02;
@@ -169,8 +170,8 @@ pub enum Message {
     /// peer as one replicate frame, and a replicate frame is terminal by
     /// construction. The op vector is never empty (an empty replicate is
     /// a [`WireError::BadPayload`] on decode), and no op is a
-    /// [`DhtOp::GetDigest`]: that opcode inside a replicate, at any
-    /// position, is [`WireError::UnknownOpcode`].
+    /// [`DhtOp::GetDigest`] or a [`DhtOp::GetIfChanged`]: either opcode
+    /// inside a replicate, at any position, is [`WireError::UnknownOpcode`].
     Replicate {
         /// Caller-chosen id echoed in the batch reply.
         id: u64,
@@ -451,6 +452,12 @@ fn encode_op(op: &DhtOp, buf: &mut Vec<u8>) {
             buf.push(OP_GET_DIGEST);
             buf.extend_from_slice(key.as_bytes());
         }
+        DhtOp::GetIfChanged { key, seen } => {
+            buf.push(OP_GET_IF_CHANGED);
+            buf.extend_from_slice(key.as_bytes());
+            buf.extend_from_slice(&seen.0.to_be_bytes());
+            buf.extend_from_slice(&seen.1.to_be_bytes());
+        }
     }
 }
 
@@ -630,6 +637,10 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
             value: r.bytes()?,
         },
         OP_GET_DIGEST => DhtOp::GetDigest(r.key()?),
+        OP_GET_IF_CHANGED => DhtOp::GetIfChanged {
+            key: r.key()?,
+            seen: (r.u32()?, r.u64()?),
+        },
         other => return Err(WireError::UnknownOpcode(other)),
     })
 }
@@ -760,9 +771,16 @@ fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireErro
         KIND_REPLICATE => {
             let ops = decode_ops(&mut r, "replicate must contain at least one op")?;
             // A replicate carries writes for a replica to apply: a digest
-            // read is never legal inside one, wherever it sits.
-            if ops.iter().any(|op| matches!(op, DhtOp::GetDigest(_))) {
-                return Err(WireError::UnknownOpcode(OP_GET_DIGEST));
+            // or conditional read is never legal inside one, wherever it
+            // sits.
+            for op in &ops {
+                match op {
+                    DhtOp::GetDigest(_) => return Err(WireError::UnknownOpcode(OP_GET_DIGEST)),
+                    DhtOp::GetIfChanged { .. } => {
+                        return Err(WireError::UnknownOpcode(OP_GET_IF_CHANGED))
+                    }
+                    _ => {}
+                }
             }
             Message::Replicate { id, ops }
         }
@@ -983,6 +1001,13 @@ mod tests {
             id: 4,
             op: DhtOp::GetDigest(key),
         });
+        roundtrip(Message::Request {
+            id: 5,
+            op: DhtOp::GetIfChanged {
+                key,
+                seen: (u32::MAX, u64::MAX - 1),
+            },
+        });
         roundtrip(Message::Response {
             id: 9,
             result: Ok(DhtResponse::Node(NodeId::hash_of("n"))),
@@ -1089,7 +1114,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x07); // version
+        expected.push(0x08); // version
         expected.push(0x09); // kind: digest
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&152u32.to_be_bytes()); // key + count + 16 * 8
@@ -1106,7 +1131,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x07);
+        expected.push(0x08);
         expected.push(0x0a); // kind: digest-reply
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&2u32.to_be_bytes());
@@ -1164,7 +1189,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x07); // version
+        expected.push(0x08); // version
         expected.push(0x07); // kind: replicate
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&56u32.to_be_bytes()); // count + 2 * (opcode + key + len + 1)
@@ -1223,7 +1248,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x07); // version
+        expected.push(0x08); // version
         expected.push(0x01); // kind: request
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1

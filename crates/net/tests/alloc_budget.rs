@@ -15,7 +15,10 @@
 //! owns no heap), and one shared buffer per value-carrying reply frame
 //! (every value of a frame is a slice of it) — plus the round's list of
 //! leased connections. Routing state, request frames and reply staging
-//! all live in buffers kept from call to call.
+//! all live in buffers kept from call to call. A service that read an
+//! entry before asks for it conditionally, and an unchanged entry comes
+//! back as digests: no shared buffer, no value list, and the service's
+//! own decoded copy of the entry.
 //!
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
@@ -138,30 +141,23 @@ fn a_warm_three_level_search_stays_inside_its_budget() {
     }
     let query: Query = "/article/conf/ICDCS".parse().expect("test query parses");
     // Warm: connections, frame buffers, the BFS and wave scratch, and the
-    // service's key and decode tables.
+    // service's key table and entry memo.
     for _ in 0..3 {
         service.search(&query).expect("search on a healthy network");
     }
     let (report, allocs) = allocs_during(|| service.search(&query));
     let report = report.expect("search on a healthy network");
     assert_eq!((report.files.len(), report.interactions), (12, 19));
-    // Measured 58; it was 77 while every interaction decoded its values
-    // into a target list of its own (one list per interaction, one
-    // `String` per file target), and 102 while both replicas of a read
-    // shipped their lists. Handed back or handed in: 12 file names and the
-    // hit list's growth (15) and a value list per get (19: the second
-    // replica of each quorum vouches with a digest). Each reply's entries
-    // are memo clones (`Arc` bumps) in one level buffer kept from search
-    // to search, and a file target is copied only into its hit. The three
-    // rounds themselves: the unary entry get (3 beyond its value list)
-    // and up to 13 per wave — ops and result vectors, the
-    // leased-connection list, a shared buffer per member reply frame that
-    // ships any values at all. `Query::covers`, which filters each of the
-    // 12 MSDs, walks the two frozen queries in place and makes none.
-    // Slack of 4: one more wave (+13), a second shipped list per get
-    // (+19), a target list per interaction again (+19) or an allocating
-    // `covers` (+12 at the least) trips it.
-    assert!(allocs <= 62, "3-level search made {allocs} allocations");
+    // 23 = 12 file names + 3 hit-list growths + 2 for the unary entry
+    // probe (the client's result scratch, handed out with the last wave,
+    // regrown; the leased-connection list) + 3 per wave (op vector, result
+    // vector, leased-connection list) x 2 waves. Every read is conditional
+    // and unchanged, so no reply ships a value: no shared buffer, no value
+    // list, and each interaction's entries are the memo's (`Arc` bumps).
+    // It was 58 while every read shipped its entry, 77 while every
+    // interaction built a target list. No slack: any value list (+1 per
+    // read) or an allocating `covers` (+12) trips it.
+    assert!(allocs <= 23, "3-level search made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -178,13 +174,13 @@ fn a_warm_msd_lookup_shares_the_file_handle_with_the_decode_memo() {
         .publish(&descriptor, "only.pdf", &SimpleScheme)
         .expect("publish on a healthy network");
     let file = |step: StepResponse| -> Arc<str> {
-        match step.indexed.as_slice() {
+        match &step.indexed[..] {
             [IndexTarget::File(f)] => Arc::clone(f),
             other => panic!("an MSD holds its one file, got {other:?}"),
         }
     };
-    // The first lookup decodes the value into the memo; the rest warm the
-    // client's buffers.
+    // The first lookup decodes the value into the entry memo; the rest
+    // warm the client's buffers.
     let first = file(service.lookup_step(&msd).expect("healthy lookup"));
     for _ in 0..2 {
         service.lookup_step(&msd).expect("healthy lookup");
@@ -194,9 +190,10 @@ fn a_warm_msd_lookup_shares_the_file_handle_with_the_decode_memo() {
     assert_eq!(&*again, "only.pdf");
     // Both lookups handed out the memo's one handle, not a copy each.
     assert!(Arc::ptr_eq(&first, &again), "a memo hit is a refcount bump");
-    // Measured 5: the unary quorum get (4, as above) and the one-entry
-    // target list. The parent made 6 — its memo hit copied the handle
-    // into a fresh `String`. No slack: a copied handle is exactly +1.
-    assert!(allocs <= 5, "warm MSD lookup made {allocs} allocations");
+    // 1 = the leased-connection list of the one quorum round: both
+    // replicas answer "unchanged" (no buffer, no list) and the step hands
+    // out the memo's entry. It was 5 while the entry was shipped and
+    // copied into a list of its own. No slack: a shipped entry is +3.
+    assert!(allocs <= 1, "warm MSD lookup made {allocs} allocations");
     cluster.shutdown();
 }

@@ -29,7 +29,7 @@ use p2p_index_net::{Message, WireError, VERSION};
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng};
 
 /// Number of distinct shapes `rng_message` cycles through.
-const VARIANTS: usize = 23;
+const VARIANTS: usize = 24;
 
 fn rng_key(rng: &mut SplitMix64) -> Key {
     let mut digest = [0u8; 20];
@@ -57,6 +57,13 @@ fn rng_op(rng: &mut SplitMix64, variant: usize) -> DhtOp {
             key: rng_key(rng),
             value: rng_value(rng),
         },
+    }
+}
+
+fn rng_conditional(rng: &mut SplitMix64) -> DhtOp {
+    DhtOp::GetIfChanged {
+        key: rng_key(rng),
+        seen: (rng.next_u64() as u32, rng.next_u64()),
     }
 }
 
@@ -189,14 +196,15 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
             id,
             result: Ok(rng_digest(rng)),
         },
-        // A quorum read wave as one member sees it: full and digest gets
-        // mixed, at least one of them a digest.
+        // A quorum read wave as one member sees it: full, digest and
+        // conditional gets mixed, at least one of them a digest.
         20 => Message::Batch {
             id,
             ops: (0..2 + rng.next_u64() % 4)
-                .map(|i| match i == 0 || rng.next_u64().is_multiple_of(2) {
-                    true => DhtOp::GetDigest(rng_key(rng)),
-                    false => DhtOp::Get(rng_key(rng)),
+                .map(|i| match (i == 0, rng.next_u64() % 3) {
+                    (true, _) | (false, 0) => DhtOp::GetDigest(rng_key(rng)),
+                    (false, 1) => rng_conditional(rng),
+                    (false, _) => DhtOp::Get(rng_key(rng)),
                 })
                 .collect(),
         },
@@ -208,6 +216,10 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
                     false => rng_result(rng, 2 + i as usize),
                 })
                 .collect(),
+        },
+        22 => Message::Request {
+            id,
+            op: rng_conditional(rng),
         },
         _ => Message::Shutdown,
     }
@@ -323,7 +335,10 @@ fn values_of(msg: &Message) -> Vec<Bytes> {
     fn of_op(op: &DhtOp) -> Vec<Bytes> {
         match op {
             DhtOp::Put { value, .. } | DhtOp::Remove { value, .. } => vec![value.clone()],
-            DhtOp::NodeFor(_) | DhtOp::Get(_) | DhtOp::GetDigest(_) => Vec::new(),
+            DhtOp::NodeFor(_)
+            | DhtOp::Get(_)
+            | DhtOp::GetDigest(_)
+            | DhtOp::GetIfChanged { .. } => Vec::new(),
         }
     }
     fn of_result(result: &Result<DhtResponse, DhtError>) -> Vec<Bytes> {
@@ -403,11 +418,15 @@ fn requests_roundtrip() {
     for_each_case(|rng| {
         let key = Key::from_digest(digest(rng));
         let value = Bytes::from(bytes(rng, 0..200));
-        let op = match rng.gen_range(0..5usize) {
+        let op = match rng.gen_range(0..6usize) {
             0 => DhtOp::NodeFor(key),
             1 => DhtOp::Put { key, value },
             2 => DhtOp::Get(key),
             3 => DhtOp::GetDigest(key),
+            4 => DhtOp::GetIfChanged {
+                key,
+                seen: (rng.gen(), rng.gen()),
+            },
             _ => DhtOp::Remove { key, value },
         };
         assert_roundtrip(&Message::Request { id: rng.gen(), op });
@@ -527,18 +546,18 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 #[test]
 fn every_foreign_version_is_rejected() {
     // Every frame of every kind carries the one version; the 255 other
-    // bytes — 0x06, the version of single-op replicate frames, among them —
+    // bytes — 0x07, the version before conditional reads, among them —
     // are refused on the header alone, whatever the kind.
-    assert_eq!(VERSION, 0x07);
+    assert_eq!(VERSION, 0x08);
     let mut rng = SplitMix64::new(0xd19e57);
     for variant in 0..VARIANTS {
         let good = encode_to_vec(&rng_message(&mut rng, variant));
         assert_eq!(good[4], VERSION, "variant {variant}");
         let mut previous = good.clone();
-        previous[4] = 0x06;
+        previous[4] = 0x07;
         assert_eq!(
             decode_message(&previous),
-            Err(WireError::UnsupportedVersion(0x06)),
+            Err(WireError::UnsupportedVersion(0x07)),
             "variant {variant}"
         );
         for version in (0..=u8::MAX).filter(|&byte| byte != VERSION) {
@@ -679,7 +698,7 @@ fn golden_digest_read_frame_layouts_are_pinned() {
     // Byte-for-byte layout of the digest-read forms: a unary digest
     // request and its answer, a batch mixing a full and a digest get, and
     // the reply mixing a value list and a digest.
-    assert_eq!(VERSION, 0x07, "the header byte every golden frame carries");
+    assert_eq!(VERSION, 0x08, "the header byte every golden frame carries");
     let (full, vouch) = (Key::hash_of("full"), Key::hash_of("vouch"));
     let mut payload = vec![0x05]; // opcode: get-digest
     payload.extend_from_slice(vouch.as_bytes());
@@ -756,6 +775,67 @@ fn golden_digest_read_frame_layouts_are_pinned() {
         );
         replicate[5] = 0x05; // the same payload as a batch
         assert!(decode_message(&replicate).is_ok(), "op {op}");
+    }
+}
+
+#[test]
+fn golden_conditional_read_frame_layout_is_pinned() {
+    // Byte-for-byte layout of a conditional read: opcode 0x06, the key,
+    // then the digest the caller holds — its count and its sum. Its
+    // answer is an ordinary digest or value list (pinned above).
+    assert_eq!(VERSION, 0x08, "the header byte every golden frame carries");
+    let key = Key::hash_of("held");
+    let op = DhtOp::GetIfChanged {
+        key,
+        seen: (3, 0x0102_0304_0506_0708),
+    };
+    let mut payload = vec![0x06]; // opcode: get-if-changed
+    payload.extend_from_slice(key.as_bytes());
+    payload.extend_from_slice(&3u32.to_be_bytes());
+    payload.extend_from_slice(&0x0102_0304_0506_0708u64.to_be_bytes());
+    assert_eq!(
+        encode_to_vec(&Message::Request { id: 7, op }),
+        raw_frame(0x01, 7, &payload)
+    );
+}
+
+#[test]
+fn a_conditional_read_is_rejected_inside_a_replicate_at_any_position() {
+    // Like the digest opcode: a replicate carries writes, and a
+    // conditional read anywhere in one — first, middle or last — is an
+    // unknown opcode, though the same payload is a legal batch.
+    let get = |payload: &mut Vec<u8>, name: &str| {
+        payload.push(0x03); // opcode: get
+        payload.extend_from_slice(Key::hash_of(name).as_bytes());
+    };
+    for at in 0..3 {
+        let mut payload = 3u32.to_be_bytes().to_vec();
+        for op in 0..3 {
+            if op == at {
+                payload.push(0x06); // opcode: get-if-changed
+                payload.extend_from_slice(Key::hash_of("held").as_bytes());
+                payload.extend_from_slice(&1u32.to_be_bytes());
+                payload.extend_from_slice(&u64::MAX.to_be_bytes());
+            } else {
+                get(&mut payload, &format!("k{op}"));
+            }
+        }
+        assert_eq!(
+            decode_message(&raw_frame(0x07, 1, &payload)),
+            Err(WireError::UnknownOpcode(0x06)),
+            "get-if-changed as op {at}"
+        );
+        let batch = decode_message(&raw_frame(0x05, 1, &payload));
+        let Ok((Message::Batch { ops, .. }, _)) = batch else {
+            panic!("a batch may carry a conditional read: {batch:?}");
+        };
+        assert!(matches!(
+            ops[at],
+            DhtOp::GetIfChanged {
+                seen: (1, u64::MAX),
+                ..
+            }
+        ));
     }
 }
 

@@ -18,6 +18,11 @@
 //! * **No digest where there is no quorum** — reads the carve-out sends
 //!   to the primary alone, and every read of a client at `Rq = 1`, never
 //!   ask for a digest.
+//! * **Conditional reads move no values when nothing changed** — a
+//!   `GetIfChanged` goes to every replica of its quorum as itself; all
+//!   "unchanged" settles in one round on the caller's digest, and a
+//!   replica that said "unchanged" beside one that did not is re-asked with
+//!   a plain `Get`, so the answer is the plain quorum read's union.
 //!
 //! The cluster is the benchmark's shape — five members, `R = 3`, `W = 2`,
 //! read at `Rq = 2` — with the repair thread off, so a replica made stale
@@ -50,6 +55,11 @@ struct Cluster {
 /// gets served, digest replies absorbed, digests disputed, re-reads
 /// scheduled, failover attempts]`.
 type Deltas = [u64; 7];
+
+/// What one conditional read moved: `[request frames sent, conditional
+/// gets served, full gets served, digest gets served, "unchanged" replies
+/// absorbed, digests disputed, re-reads scheduled, failover attempts]`.
+type Conditional = [u64; 8];
 
 impl Cluster {
     fn start() -> Cluster {
@@ -102,19 +112,48 @@ impl Cluster {
 
     /// Runs `read` and reports what it moved.
     fn deltas<T>(&self, read: impl FnOnce() -> T) -> (T, Deltas) {
-        let series = [
-            "net.frames_out",
-            "net.server.ops.get",
-            "net.server.digest_gets",
-            "net.quorum.digest_reads",
-            "net.quorum.digest_mismatches",
-            "net.quorum.rereads",
-            "net.quorum.failovers",
-        ];
+        self.moved(
+            [
+                "net.frames_out",
+                "net.server.ops.get",
+                "net.server.digest_gets",
+                "net.quorum.digest_reads",
+                "net.quorum.digest_mismatches",
+                "net.quorum.rereads",
+                "net.quorum.failovers",
+            ],
+            read,
+        )
+    }
+
+    /// Runs `read` and reports how far each of `series` moved.
+    fn moved<T, const N: usize>(
+        &self,
+        series: [&str; N],
+        read: impl FnOnce() -> T,
+    ) -> (T, [u64; N]) {
         let before = series.map(|name| self.metrics.counter(name));
         let out = read();
         let after = series.map(|name| self.metrics.counter(name));
         (out, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    /// Runs `read` and reports what a conditional read moved:
+    /// [`Conditional`]'s series.
+    fn conditional<T>(&self, read: impl FnOnce() -> T) -> (T, Conditional) {
+        self.moved(
+            [
+                "net.frames_out",
+                "net.server.ops.get_if_changed",
+                "net.server.ops.get",
+                "net.server.digest_gets",
+                "net.quorum.unchanged",
+                "net.quorum.digest_mismatches",
+                "net.quorum.rereads",
+                "net.quorum.failovers",
+            ],
+            read,
+        )
     }
 }
 
@@ -431,4 +470,130 @@ fn a_client_without_a_read_quorum_never_asks_for_a_digest() {
         assert!(ops.iter().any(|op| matches!(op, DhtOp::Get(_))), "{ops:?}");
         stop.store(true, Ordering::SeqCst);
     });
+}
+
+/// The conditional read of `key` by a caller holding `held`.
+fn if_changed(key: Key, held: &[Bytes]) -> DhtOp {
+    DhtOp::GetIfChanged {
+        key,
+        seen: DhtResponse::seen_of(&key, held),
+    }
+}
+
+#[test]
+fn an_unchanged_entry_settles_in_one_round_with_no_value_on_the_wire() {
+    let cluster = Cluster::start();
+    let mut client = cluster.client(2);
+    let key = Key::hash_of("unchanged");
+    let held = values(&["a", "b", "c"]);
+    for value in &held {
+        assert!(client.put(key, value.clone()));
+    }
+    // Both replicas of the quorum are asked the conditional question and
+    // both say "unchanged": one round, no full or digest get anywhere.
+    let unchanged = DhtResponse::digest_of(&key, &held);
+    let ((got, bytes_in), moved) = cluster.conditional(|| {
+        let before = cluster.metrics.counter("net.bytes_in");
+        let got = client.execute(if_changed(key, &held));
+        (got, cluster.metrics.counter("net.bytes_in") - before)
+    });
+    assert_eq!(got, Ok(unchanged.clone()));
+    assert_eq!(moved, [2, 2, 0, 0, 2, 0, 0, 0]);
+    // Two unary replies of a digest each (header, tag, count, sum): not
+    // one value byte.
+    assert_eq!(bytes_in, 2 * (18 + 1 + 4 + 8));
+
+    // A whole wave of unchanged entries moves no value either: every
+    // reply frame is digests and framing.
+    let wave: Vec<(Key, Vec<Bytes>)> = (0..16)
+        .map(|i| {
+            let key = Key::hash_of(&format!("unchanged-{i}"));
+            (key, vec![Bytes::from(format!("Q:/wave/{i}"))])
+        })
+        .collect();
+    for (key, held) in &wave {
+        assert!(client.put(*key, held[0].clone()));
+    }
+    let series = [
+        "net.bytes_in",
+        "net.frames_in",
+        "net.batch.frames_in",
+        "net.batch.ops",
+        "net.quorum.unchanged",
+        "net.server.ops.get",
+    ];
+    let ops = wave
+        .iter()
+        .map(|(key, held)| if_changed(*key, held))
+        .collect();
+    let (results, [bytes, frames, batches, batched, unchanged, gets]) =
+        cluster.moved(series, || client.execute_many(ops));
+    for ((key, held), result) in wave.iter().zip(results) {
+        assert_eq!(result, Ok(DhtResponse::digest_of(key, held)));
+    }
+    assert_eq!((unchanged, gets), (32, 0));
+    let unary = frames - batches;
+    assert_eq!(bytes, unary * 31 + batches * (18 + 4) + batched * (1 + 13));
+    cluster.servers.shutdown();
+}
+
+#[test]
+fn one_stale_replica_gives_exactly_the_plain_quorum_gets_union() {
+    let cluster = Cluster::start();
+    let mut client = cluster.client(2);
+    let key = Key::hash_of("stale-conditional");
+    let ranks = cluster.ranks(&key);
+    let (held, other) = (values(&["a", "b"]), values(&["b", "c"]));
+    // Either replica of the quorum may be the stale one: the other says
+    // "unchanged", is disputed, and is asked again — with a plain `Get`,
+    // never the conditional op (which it would answer "unchanged" again).
+    for stale in [ranks[0], ranks[1]] {
+        for &member in &ranks {
+            cluster.set(member, key, if member == stale { &other } else { &held });
+        }
+        let (got, moved) = cluster.conditional(|| client.execute(if_changed(key, &held)));
+        assert_eq!(moved, [3, 2, 1, 0, 1, 1, 1, 0], "stale rank {stale}");
+        let plain = get(&mut client, key);
+        assert_eq!(got, Ok(DhtResponse::Values(plain)), "stale rank {stale}");
+    }
+    // Both changed, and alike: the lists settle as a plain get's would.
+    for &member in &ranks {
+        cluster.set(member, key, &values(&["c"]));
+    }
+    let (got, moved) = cluster.conditional(|| client.execute(if_changed(key, &held)));
+    assert_eq!(got, Ok(DhtResponse::Values(values(&["c"]))));
+    assert_eq!(moved, [2, 2, 0, 0, 0, 0, 0, 0]);
+    cluster.servers.shutdown();
+}
+
+#[test]
+fn a_conditional_read_fails_over_past_a_halted_primary() {
+    let mut cluster = Cluster::start();
+    let mut client = cluster.client(2);
+    let key = Key::hash_of("conditional-failover");
+    let held = values(&["a", "b"]);
+    for value in &held {
+        assert!(client.put(key, value.clone()));
+    }
+    let ranks = cluster.ranks(&key);
+    // Warm, so the connection to rank 0 is pooled when rank 0 dies.
+    assert_eq!(get(&mut client, key), held);
+    cluster.servers.server_mut(ranks[0]).halt();
+
+    // Round one: rank 0 is gone, rank 1 says "unchanged". Round two asks
+    // rank 2 the same conditional question, and the read settles on the
+    // two digests.
+    let (got, moved) = cluster.conditional(|| client.execute(if_changed(key, &held)));
+    assert_eq!(got, Ok(DhtResponse::digest_of(&key, &held)));
+    assert_eq!(moved[1..], [2, 0, 0, 2, 0, 0, 1]);
+
+    // The replica failed over to answers with its list when it differs,
+    // and rank 1's "unchanged" is then re-read in full: the union in rank
+    // order, as the plain failover read returns it.
+    cluster.set(ranks[2], key, &values(&["b", "c"]));
+    let (got, moved) = cluster.conditional(|| client.execute(if_changed(key, &held)));
+    assert_eq!(got, Ok(DhtResponse::Values(values(&["a", "b", "c"]))));
+    assert_eq!(moved[1..], [2, 1, 0, 1, 1, 1, 1]);
+    assert_eq!(get(&mut client, key), values(&["a", "b", "c"]));
+    cluster.servers.shutdown();
 }
