@@ -19,8 +19,7 @@
 //! * [`retry`] — retry policies (attempt budget, exponential backoff in
 //!   simulated time, seeded jitter) applied to every DHT operation;
 //! * [`target`] — the wire format of index entries;
-//! * [`traffic`] — the byte-level traffic model of Fig. 12;
-//! * [`fuzzy`] — misspelling correction against known descriptors (§VI).
+//! * [`traffic`] — the byte-level traffic model of Fig. 12.
 //!
 //! # Quick start
 //!
@@ -44,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod fuzzy;
 pub mod retry;
 pub mod scheme;
 pub mod service;
@@ -53,7 +51,6 @@ pub mod target;
 pub mod traffic;
 
 pub use cache::{CachePolicy, ShortcutCache};
-pub use fuzzy::FuzzyCorrector;
 pub use retry::{RetryPolicy, RetryStats};
 pub use scheme::{
     BiblioFields, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme, IndexScheme,

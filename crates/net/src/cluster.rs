@@ -155,6 +155,14 @@ impl LoopbackCluster {
             server.shutdown();
         }
     }
+
+    /// Blocks until every member has stopped on its own — a wire shutdown
+    /// frame each ([`DhtServer::wait`] per member).
+    pub fn wait(self) {
+        for server in self.servers {
+            server.wait();
+        }
+    }
 }
 
 /// A [`RemoteDht`] bundled with the [`LoopbackCluster`] it talks to,

@@ -48,7 +48,7 @@ use p2p_index_core::CachePolicy;
 use p2p_index_sim::exec::resolve_jobs;
 use p2p_index_sim::experiments::{self, EvalConfig, Evaluation};
 use p2p_index_sim::hotspot::{self, HotspotConfig};
-use p2p_index_sim::netd::{self, ServeOptions};
+use p2p_index_sim::netd::{self, NetDemoOptions, ServeOptions};
 use p2p_index_sim::simulation::{SchemeChoice, SimConfig, Simulation};
 use p2p_index_sim::table::TextTable;
 use p2p_index_xpath::Query;
@@ -248,43 +248,24 @@ fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
     Ok(opts)
 }
 
-/// What `repro net-demo` was asked to do.
-struct NetDemoArgs {
-    members: Vec<SocketAddr>,
-    articles: usize,
-    queries: usize,
-    seed: u64,
-    replicas: usize,
-    read_quorum: usize,
-    shutdown: bool,
-}
-
-fn parse_net_demo(mut flags: Flags) -> Result<NetDemoArgs, String> {
-    let mut args = NetDemoArgs {
-        members: Vec::new(),
-        articles: 60,
-        queries: 40,
-        seed: 42,
-        replicas: 1,
-        read_quorum: 1,
-        shutdown: false,
-    };
+fn parse_net_demo(mut flags: Flags) -> Result<NetDemoOptions, String> {
+    let mut opts = NetDemoOptions::default();
     while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--members" => args.members.extend(flags.list::<SocketAddr>(&flag)?),
-            "--articles" => args.articles = flags.value(&flag)?,
-            "--queries" => args.queries = flags.value(&flag)?,
-            "--seed" => args.seed = flags.value(&flag)?,
-            "--replicas" => args.replicas = flags.value(&flag)?,
-            "--quorum" => args.read_quorum = flags.quorum()?.1,
-            "--shutdown" => args.shutdown = true,
+            "--members" => opts.members.extend(flags.list::<SocketAddr>(&flag)?),
+            "--articles" => opts.articles = flags.value(&flag)?,
+            "--queries" => opts.queries = flags.value(&flag)?,
+            "--seed" => opts.seed = flags.value(&flag)?,
+            "--replicas" => opts.replicas = flags.value(&flag)?,
+            "--quorum" => opts.read_quorum = flags.quorum()?.1,
+            "--shutdown" => opts.shutdown = true,
             other => return Err(unknown_flag(other)),
         }
     }
-    if args.members.is_empty() {
+    if opts.members.is_empty() {
         return Err("net-demo needs --members HOST:PORT,...".to_string());
     }
-    Ok(args)
+    Ok(opts)
 }
 
 fn parse_hotspot(mut flags: Flags) -> Result<(HotspotConfig, Option<PathBuf>), String> {
@@ -448,18 +429,7 @@ fn run(mut flags: Flags) -> Result<(), String> {
     let command = flags.next().ok_or_else(usage)?;
     match command.as_str() {
         "serve" => netd::serve(&parse_serve(flags)?),
-        "net-demo" => {
-            let args = parse_net_demo(flags)?;
-            netd::net_demo(
-                &args.members,
-                args.articles,
-                args.queries,
-                args.seed,
-                args.replicas,
-                args.read_quorum,
-                args.shutdown,
-            )
-        }
+        "net-demo" => netd::net_demo(&parse_net_demo(flags)?),
         "hotspot" => {
             let (config, csv_dir) = parse_hotspot(flags)?;
             run_hotspot(&config, csv_dir.as_deref())

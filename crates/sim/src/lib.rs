@@ -17,7 +17,8 @@
 //!   crowd over a large ring, measured with and without the `crates/dht`
 //!   balance subsystem in the path;
 //! * [`netd`] — networked-cluster control: the `repro serve` dhtd daemon,
-//!   the `net-demo` remote workload client, and the loopback RPC bench;
+//!   the `net-demo` remote workload client, and the publish-and-query
+//!   workload the remote-vs-in-process equality tests share;
 //! * [`table`] — text/CSV rendering.
 //!
 //! The `repro` binary drives everything:

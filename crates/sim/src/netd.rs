@@ -66,6 +66,40 @@ impl Default for ServeOptions {
     }
 }
 
+/// Options for the `repro net-demo` client.
+#[derive(Debug, Clone)]
+pub struct NetDemoOptions {
+    /// `host:port` addresses in node order: the `i`-th serves `node-i`.
+    pub members: Vec<SocketAddr>,
+    /// Articles published before the queries run.
+    pub articles: usize,
+    /// Workload queries run.
+    pub queries: usize,
+    /// Seed of the corpus, the query stream and the retry jitter.
+    pub seed: u64,
+    /// Replication factor R; must match the cluster's serve flags.
+    pub replicas: usize,
+    /// Read quorum RQ; `1` for an unreplicated cluster.
+    pub read_quorum: usize,
+    /// Send every member a wire shutdown frame after the run — handy for
+    /// tearing down a quickstart cluster.
+    pub shutdown: bool,
+}
+
+impl Default for NetDemoOptions {
+    fn default() -> Self {
+        NetDemoOptions {
+            members: Vec::new(),
+            articles: 60,
+            queries: 40,
+            seed: 42,
+            replicas: 1,
+            read_quorum: 1,
+            shutdown: false,
+        }
+    }
+}
+
 /// Runs one `dhtd` node until a wire shutdown frame arrives.
 ///
 /// Prints exactly one `DHTD LISTENING <addr>` line on stdout once the
@@ -251,21 +285,16 @@ fn publish_and_query<D: Dht>(
 }
 
 /// The `repro net-demo` client: run [`run_workload`] over a live cluster.
-///
-/// `members` are `host:port` addresses in node order (the `i`-th serves
-/// `node-i`). `replicas`/`read_quorum` must match the cluster's serve
-/// flags (`1`/`1` for an unreplicated cluster). With `shutdown` set,
-/// every member is sent a wire shutdown frame after the run — handy for
-/// tearing down a quickstart cluster.
-pub fn net_demo(
-    members: &[SocketAddr],
-    articles: usize,
-    queries: usize,
-    seed: u64,
-    replicas: usize,
-    read_quorum: usize,
-    shutdown: bool,
-) -> Result<(), String> {
+pub fn net_demo(opts: &NetDemoOptions) -> Result<(), String> {
+    let NetDemoOptions {
+        ref members,
+        articles,
+        queries,
+        seed,
+        replicas,
+        read_quorum,
+        shutdown,
+    } = *opts;
     let client_config = RemoteDhtConfig {
         replicas,
         read_quorum,
@@ -318,6 +347,29 @@ mod tests {
         // No `--peers` at all names nobody, this member included.
         opts.peers.clear();
         assert_eq!(serve(&opts), Err(off_ring.to_string()));
+    }
+
+    #[test]
+    fn net_demo_shutdown_stops_every_member() {
+        let cluster = LoopbackCluster::start_ring(3).expect("loopback cluster binds");
+        let members = cluster.members().iter().map(|&(_, addr)| addr).collect();
+        let demo = NetDemoOptions {
+            members,
+            shutdown: true,
+            ..NetDemoOptions::default()
+        };
+        assert_eq!(net_demo(&demo), Ok(()));
+        // Nothing but the demo's shutdown frames stops the members, so a
+        // lost frame would hang `wait`: fail on a clock instead.
+        let (done, stopped) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            cluster.wait();
+            done.send(()).expect("the test is still listening");
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every member's wait returns");
+        waiter.join().expect("the waiting thread does not panic");
     }
 
     #[test]

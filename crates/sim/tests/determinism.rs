@@ -165,8 +165,8 @@ fn memoized_key_matches_hash_of_rendered_text() {
 
 #[test]
 fn memoized_key_survives_query_transformations() {
-    // Derived queries (generalizations, value rewrites) re-render and
-    // re-normalize, so their memoized text must also match a fresh parse.
+    // Derived queries (generalizations) re-render, so their memoized text
+    // must also match a fresh parse.
     let q: p2p_index_xpath::Query =
         "/article[author[first/John][last/Smith]][conf/SIGCOMM][year/1989]"
             .parse()
@@ -179,12 +179,4 @@ fn memoized_key_survives_query_transformations() {
             Key::hash_of(&reparsed.to_string())
         );
     }
-    let rewritten = q.map_values(|path, value| {
-        (path == ["article", "year"] && value == "1989").then(|| "1996".to_string())
-    });
-    assert!(rewritten.canonical_text().contains("1996"));
-    assert_eq!(
-        Key::hash_of(rewritten.canonical_text()),
-        Key::hash_of(&rewritten.to_string())
-    );
 }

@@ -269,19 +269,6 @@ impl<'a> NodeRef<'a> {
     fn depth(self) -> usize {
         1 + self.children().map(NodeRef::depth).max().unwrap_or(0)
     }
-
-    /// This subtree as a construction-time tree again.
-    fn thaw(self) -> Pattern {
-        Pattern {
-            axis: self.axis(),
-            test: match self.name() {
-                Some(name) => NameTest::Name(name.to_string()),
-                None => NameTest::Wildcard,
-            },
-            comparison: self.comparison().map(|c| (c.op, c.value.to_string())),
-            children: self.children().map(NodeRef::thaw).collect(),
-        }
-    }
 }
 
 impl fmt::Debug for NodeRef<'_> {
@@ -676,76 +663,6 @@ impl Query {
     pub fn generalizations_into(&self, out: &mut Vec<Query>) {
         out.extend(self.top_branches().map(|b| self.without(b.index)));
     }
-
-    /// Rewrites the query's *values* — leaf steps (`…/title/TCP`) and
-    /// comparison right-hand sides (`[year>=1990]`) — through `f`, which
-    /// receives the element path leading to the value (e.g.
-    /// `["article", "author", "last"]`) and the current value, and returns
-    /// a replacement (or `None` to keep it). The result is re-normalized.
-    ///
-    /// This is the hook fuzzy matching builds on (the paper's §VI:
-    /// validating queries "against databases that store known file
-    /// descriptors" to absorb misspellings).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use p2p_index_xpath::parse_query;
-    ///
-    /// let q = parse_query("/article/author/last/Smiht")?;
-    /// let fixed = q.map_values(|path, value| {
-    ///     (path == ["article", "author", "last"] && value == "Smiht")
-    ///         .then(|| "Smith".to_string())
-    /// });
-    /// assert_eq!(fixed.to_string(), "/article/author/last/Smith");
-    /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
-    /// ```
-    #[must_use]
-    pub fn map_values<F>(&self, mut f: F) -> Query
-    where
-        F: FnMut(&[&str], &str) -> Option<String>,
-    {
-        let mut root = self.root().thaw();
-        let mut path: Vec<String> = Vec::new();
-        map_values_in(&mut root, &mut path, &mut f);
-        Query::from_root(root).expect("rewriting values keeps the depth")
-    }
-}
-
-fn map_values_in<F>(node: &mut Pattern, path: &mut Vec<String>, f: &mut F)
-where
-    F: FnMut(&[&str], &str) -> Option<String>,
-{
-    let name = match &node.test {
-        NameTest::Name(n) => n.clone(),
-        NameTest::Wildcard => "*".to_string(),
-    };
-    path.push(name);
-    {
-        let borrowed: Vec<&str> = path.iter().map(String::as_str).collect();
-        if let Some((_, value)) = &mut node.comparison {
-            if let Some(new) = f(&borrowed, value) {
-                *value = new;
-            }
-        }
-        // A child that is a pure leaf is a value in our semantics; its
-        // "path" is the chain of element names above it.
-        for child in &mut node.children {
-            if child.is_leaf() {
-                if let NameTest::Name(value) = &child.test {
-                    if let Some(new) = f(&borrowed, value) {
-                        child.test = NameTest::Name(new);
-                    }
-                }
-            }
-        }
-    }
-    for child in &mut node.children {
-        if !child.is_leaf() {
-            map_values_in(child, path, f);
-        }
-    }
-    path.pop();
 }
 
 impl fmt::Display for Query {
@@ -927,44 +844,6 @@ mod tests {
         assert_eq!(q.root_name(), Some("article"));
         let w = frozen(Pattern::leaf(Axis::Child, NameTest::Wildcard));
         assert_eq!(w.root_name(), None);
-    }
-
-    #[test]
-    fn map_values_rewrites_leaves_and_comparisons() {
-        let q: Query = "/article[author[first/John][last/Smiht]][year>=199O]"
-            .parse()
-            .unwrap();
-        let fixed = q.map_values(|path, value| match (path, value) {
-            (["article", "author", "last"], "Smiht") => Some("Smith".into()),
-            (["article", "year"], "199O") => Some("1990".into()),
-            _ => None,
-        });
-        assert_eq!(
-            fixed.to_string(),
-            "/article[author[first/John][last/Smith]][year>=1990]"
-        );
-        // The original is untouched.
-        assert!(q.to_string().contains("Smiht"));
-    }
-
-    #[test]
-    fn map_values_identity_when_f_returns_none() {
-        let q: Query = "/article[title/TCP][conf/SIGCOMM]".parse().unwrap();
-        assert_eq!(q.map_values(|_, _| None), q);
-    }
-
-    #[test]
-    fn map_values_skips_element_presence_leaves_by_path() {
-        // [title] is an element-presence test; its leaf name reaches f with
-        // path ["article"], so a value-vocabulary keyed by full paths never
-        // rewrites it.
-        let q: Query = "/article[title]".parse().unwrap();
-        let mut seen = Vec::new();
-        let _ = q.map_values(|path, value| {
-            seen.push((path.join("/"), value.to_string()));
-            None
-        });
-        assert_eq!(seen, vec![("article".to_string(), "title".to_string())]);
     }
 
     #[test]

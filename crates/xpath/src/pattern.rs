@@ -46,12 +46,6 @@ impl Pattern {
         }
     }
 
-    /// True when the node constrains nothing below itself: a pure
-    /// name/value leaf.
-    pub(crate) fn is_leaf(&self) -> bool {
-        self.children.is_empty() && self.comparison.is_none()
-    }
-
     /// Sorts and deduplicates the subtree, in place. `room` is how many
     /// levels, this node's included, may still nest.
     pub(crate) fn normalize(&mut self, room: usize) -> Result<(), TooDeep> {

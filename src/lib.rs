@@ -12,7 +12,8 @@
 //!
 //! | Layer | Crate | Contents |
 //! |---|---|---|
-//! | Substrate | [`dht`] | SHA-1, 160-bit key space, Chord protocol simulation, consistent-hash ring, multi-value storage, fault injection (`FaultyDht`) |
+//! | Substrate | [`dht`] | SHA-1, 160-bit key space, four substrates (Chord, Kademlia and Pastry simulations on one routed-overlay skeleton, plus a consistent-hash ring), multi-value storage, fault injection (`FaultyDht`) |
+//! | Network | [`net`] | wire codec, the `dhtd` server (replication, quorums, digest repair), `RemoteDht` client |
 //! | Data model | [`xmldoc`] | XML descriptors: tree, parser, canonical form |
 //! | Query language | [`xpath`] | XPath-subset parsing, evaluation, covering relation `⊒` |
 //! | **Contribution** | [`index`] | index schemes, publish/search, generalization, adaptive shortcut cache |
@@ -42,10 +43,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See the `examples/` directory for larger scenarios (an interactive-style
-//! bibliographic search session, adaptive caching under a skewed workload,
-//! and churn on the Chord substrate), and the `repro` binary in
-//! `p2p-index-sim` for regenerating every table and figure of the paper.
+//! `examples/quickstart.rs` walks the paper's running example (Figures
+//! 1-6) end to end; the `repro` binary in `p2p-index-sim` regenerates
+//! every table and figure of the paper and runs a networked cluster.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,10 +69,9 @@ pub use p2p_index_xpath as xpath;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use p2p_index_core::{
-        CachePolicy, Completeness, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme,
-        FuzzyCorrector, IndexError, IndexScheme, IndexService, IndexTarget, InitialLetterScheme,
-        KeywordTitleScheme, RetryPolicy, SearchReport, SearchSession, SessionReport, SessionState,
-        SimpleScheme,
+        CachePolicy, Completeness, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme, IndexError,
+        IndexScheme, IndexService, IndexTarget, InitialLetterScheme, KeywordTitleScheme,
+        RetryPolicy, SearchReport, SearchSession, SessionReport, SessionState, SimpleScheme,
     };
     pub use p2p_index_dht::{
         ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, KademliaNetwork,
