@@ -437,12 +437,15 @@ impl std::error::Error for DhtError {}
 /// their return values (`None` / empty).
 ///
 /// Implementations in this crate:
+/// [`OverlayDht`](crate::overlay::OverlayDht) — as
 /// [`ChordNetwork`](crate::chord::ChordNetwork),
 /// [`KademliaNetwork`](crate::kademlia::KademliaNetwork) and
 /// [`PastryNetwork`](crate::pastry::PastryNetwork) (protocol simulations),
-/// [`RingDht`](crate::ring::RingDht) (direct consistent hashing), and
-/// [`FaultyDht`](crate::faulty::FaultyDht) (fault-injecting wrapper over any
-/// of them).
+/// [`RingDht`](crate::ring::RingDht) (direct consistent hashing),
+/// [`ShardedDht`](crate::sharded::ShardedDht) (one node's partition, the
+/// store a `dhtd` server serves), and two wrappers over any of them:
+/// [`FaultyDht`](crate::faulty::FaultyDht) (fault injection) and
+/// [`SplitDht`](crate::split::SplitDht) (hot-entry splitting).
 pub trait Dht {
     /// Executes one operation, reporting faults instead of swallowing them.
     ///
@@ -504,14 +507,15 @@ pub trait Dht {
     /// A snapshot of every `(key, values)` entry the substrate holds, in
     /// ascending key order with duplicate replica copies collapsed.
     ///
-    /// This is the enumeration surface replication maintenance needs: a
-    /// networked server drains its partition to successors on graceful
-    /// leave and pushes under-replicated entries during a repair pass by
-    /// walking exactly this list. It is a maintenance API, not a query
-    /// path — no messages or lookups are accounted.
+    /// An inspection API, not a query path — no messages or lookups are
+    /// accounted. Tests compare substrates' contents through it, and
+    /// forwarding wrappers pass it through to what they wrap. (A `dhtd`
+    /// server's drain and repair do not walk it: they enumerate one repair
+    /// bucket at a time through
+    /// [`ShardedDht::bucket_snapshot`](crate::sharded::ShardedDht::bucket_snapshot).)
     ///
     /// Default: empty, for substrates that cannot enumerate their
-    /// storage; drain and repair degrade to no-ops over them.
+    /// storage.
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
         Vec::new()
     }

@@ -76,8 +76,6 @@ pub use key::{Key, KEY_BITS};
 pub use overlay::{Overlay, OverlayDht};
 pub use pastry::{PastryConfig, PastryNetwork};
 pub use ring::RingDht;
-pub use sharded::{
-    repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, DEFAULT_SHARDS, REPAIR_BUCKETS,
-};
+pub use sharded::{repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, REPAIR_BUCKETS};
 pub use split::{page_key, BalanceConfig, NodeLoad, SplitDht};
 pub use storage::NodeStore;

@@ -7,19 +7,19 @@
 //! multi-core scaling of the serving path.
 //!
 //! [`ShardedDht`] is that store, the only one a server has: the
-//! partition's key space is split
-//! across N key-hash shards, each behind its own [`std::sync::RwLock`], so
-//! concurrent `Get`s proceed in parallel (shared read locks) and only
-//! `Put`/`Remove` takes a single shard's write lock. The paper's workloads
-//! are overwhelmingly read-heavy — searches dominate publishes by orders of
-//! magnitude in the §V grids — which is exactly the shape reader-writer
-//! shard locks serve well.
+//! partition's key space is split across [`REPAIR_BUCKETS`] key-hash
+//! shards, each behind its own [`std::sync::RwLock`], so concurrent `Get`s
+//! proceed in parallel (shared read locks) and only `Put`/`Remove` takes a
+//! single shard's write lock. The paper's workloads are overwhelmingly
+//! read-heavy — searches dominate publishes by orders of magnitude in the
+//! §V grids — which is exactly the shape reader-writer shard locks serve
+//! well.
 //!
 //! Behavior is pinned to `RingDht::from_ids([id])`: same responses, same
 //! [`DhtStats`] accounting (`Put`/`Get` → +1 lookup +2 messages, `Remove`
 //! → +2 messages, `NodeFor` → free), same [`Dht::entries`] snapshot shape
-//! (ascending key order). A shard-count-invariance property test holds a
-//! 1-shard and a 16-shard store to the plain-ring oracle.
+//! (ascending key order). A seeded property test holds the store to that
+//! plain-ring oracle.
 //!
 //! Replication tombstones (deleted values a stale replica must not push
 //! back) live *inside* the shards — their only home — guarded by the same
@@ -29,14 +29,14 @@
 //! disagreeing.
 //!
 //! The store is also what anti-entropy repair compares and enumerates,
-//! through **repair buckets**: [`REPAIR_BUCKETS`] slices of the key space
-//! chosen by the key's low bits ([`repair_bucket`]), the same whatever the
-//! shard count, so two members with different `shards` settings agree on
-//! them. [`ShardedDht::bucket_digests`] folds every stored pair and every
-//! tombstone into one order-independent 64-bit digest per bucket without
-//! allocating per key; [`ShardedDht::bucket_snapshot`] enumerates one
-//! bucket, so what a repair push holds in memory at a time is a sixteenth
-//! of a partition, never the whole of it.
+//! through **repair buckets**: the key space cut by the key's low bits
+//! ([`repair_bucket`]) — the one cut there is, so shard *b* holds exactly
+//! bucket *b*. [`ShardedDht::bucket_digests`] folds every stored pair and
+//! every tombstone of shard *b* into bucket *b*'s order-independent 64-bit
+//! digest without allocating per key; [`ShardedDht::bucket_snapshot`]
+//! enumerates one bucket under its one shard guard, so what a repair push
+//! holds in memory at a time is a sixteenth of a partition, never the
+//! whole of it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -49,15 +49,8 @@ use crate::digest::{self, values_digest};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
-/// Default shard count for a served partition.
-///
-/// Fixed (not derived from the host's core count) so a partition's layout
-/// is identical on a laptop, a CI runner, and a many-core server; 16 gives
-/// a low collision probability for the bench's 16-thread cells at a
-/// negligible footprint per shard.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Number of repair buckets a partition is compared and pushed in.
+/// Number of repair buckets a partition is compared and pushed in, and
+/// the number of shards its store is cut into.
 ///
 /// A constant of the protocol, not of a deployment: both ends of a digest
 /// exchange must cut the key space the same way, and a `Digest` frame
@@ -67,18 +60,17 @@ pub const REPAIR_BUCKETS: usize = 16;
 /// One order-independent digest per repair bucket.
 pub type BucketDigests = [u64; REPAIR_BUCKETS];
 
-/// The repair bucket `key` falls in: its low bits, the bits shard
-/// selection starts from, so a bucket lives in one shard of a 16-shard
-/// store (in four of a 64-shard one, and shares the only shard of a
-/// 1-shard one) and enumerating it never visits the others.
+/// The repair bucket `key` falls in, which is also the shard that holds
+/// it: the key's low bits.
 pub fn repair_bucket(key: &Key) -> usize {
     key.low_u64() as usize & (REPAIR_BUCKETS - 1)
 }
 
-/// Adds `key`'s digest to its bucket of every audience in `members`,
-/// hashing only if there is one.
+/// Adds the digest of `key`'s `values` to `bucket` of every audience in
+/// `members`, hashing only if there is one.
 fn fold_key<'a>(
     digests: &mut [BucketDigests],
+    bucket: usize,
     members: impl IntoIterator<Item = usize>,
     class: u64,
     key: &Key,
@@ -88,7 +80,7 @@ fn fold_key<'a>(
     if members.peek().is_none() {
         return;
     }
-    let (bucket, hash) = (repair_bucket(key), values_digest(class, key, values));
+    let hash = values_digest(class, key, values);
     for member in members {
         let slot = &mut digests[member][bucket];
         *slot = slot.wrapping_add(hash);
@@ -107,8 +99,9 @@ pub struct BucketSnapshot {
     pub dead: Vec<(Key, Vec<Bytes>)>,
 }
 
-/// One key-hash shard: a slice of the partition's store plus the
-/// replication tombstones shadowing it, consistent under one lock.
+/// One key-hash shard — one repair bucket's slice of the partition's
+/// store plus the replication tombstones shadowing it, consistent under
+/// one lock.
 #[derive(Debug, Default)]
 struct Shard {
     store: NodeStore,
@@ -146,7 +139,7 @@ impl Shard {
 /// use bytes::Bytes;
 /// use p2p_index_dht::{Dht, Key, NodeId, ShardedDht};
 ///
-/// let mut dht = ShardedDht::new(NodeId::hash_of("node-0"), 16);
+/// let mut dht = ShardedDht::with_default_shards(NodeId::hash_of("node-0"));
 /// let key = Key::hash_of("hello");
 /// dht.put(key, Bytes::from_static(b"world"));
 /// assert_eq!(dht.get(&key), vec![Bytes::from_static(b"world")]);
@@ -154,10 +147,8 @@ impl Shard {
 #[derive(Debug)]
 pub struct ShardedDht {
     id: NodeId,
-    shards: Box<[RwLock<Shard>]>,
-    /// `shards.len() - 1`; the count is a power of two so shard selection
-    /// is a mask over the key's low bits.
-    mask: u64,
+    /// `shards[b]` holds exactly the keys of repair bucket `b`.
+    shards: [RwLock<Shard>; REPAIR_BUCKETS],
     counters: PairCounters,
     metrics: MetricsRegistry,
     /// Registry for `net.server.shard.*` lock-acquisition counters,
@@ -168,35 +159,21 @@ pub struct ShardedDht {
 }
 
 impl ShardedDht {
-    /// Creates an empty partition store for node `id` with `shards`
-    /// key-hash shards (rounded up to a power of two, minimum 1).
-    pub fn new(id: NodeId, shards: usize) -> ShardedDht {
-        let count = shards.max(1).next_power_of_two();
-        let shards: Box<[RwLock<Shard>]> =
-            (0..count).map(|_| RwLock::new(Shard::default())).collect();
+    /// Creates an empty partition store for node `id`: [`REPAIR_BUCKETS`]
+    /// shards, shard `b` holding the keys of repair bucket `b`.
+    pub fn with_default_shards(id: NodeId) -> ShardedDht {
         ShardedDht {
             id,
-            mask: count as u64 - 1,
-            shards,
+            shards: Default::default(),
             counters: PairCounters::default(),
             metrics: MetricsRegistry::default(),
             shard_metrics: MetricsRegistry::default(),
         }
     }
 
-    /// Creates a partition store with [`DEFAULT_SHARDS`] shards.
-    pub fn with_default_shards(id: NodeId) -> ShardedDht {
-        ShardedDht::new(id, DEFAULT_SHARDS)
-    }
-
     /// The node this partition belongs to.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Attaches a registry for the `net.server.shard.*` lock counters
@@ -209,12 +186,8 @@ impl ShardedDht {
         self.shard_metrics = metrics;
     }
 
-    fn shard_index(&self, key: &Key) -> usize {
-        (key.low_u64() & self.mask) as usize
-    }
-
     fn shard_of(&self, key: &Key) -> &RwLock<Shard> {
-        &self.shards[self.shard_index(key)]
+        &self.shards[repair_bucket(key)]
     }
 
     /// Acquires a shard read lock, counting the acquisition and — via a
@@ -342,8 +315,8 @@ impl ShardedDht {
     ///
     /// `audience(key)` names the audiences (indices below `audiences`)
     /// `key` counts towards; a key it names none for is not hashed at all.
-    /// Every stored `(key, value)` pair and every tombstone is folded into
-    /// its key's bucket as its own tagged class — *not* "stored minus
+    /// Every stored `(key, value)` pair and every tombstone of shard `b` is
+    /// folded into bucket `b` as its own tagged class — *not* "stored minus
     /// dead" — so two stores digest equal exactly when they hold the same
     /// pairs **and** the same tombstones (up to 64-bit collisions).
     ///
@@ -356,56 +329,53 @@ impl ShardedDht {
         mut audience: impl FnMut(&Key) -> I,
     ) -> Vec<BucketDigests> {
         let mut digests = vec![[0u64; REPAIR_BUCKETS]; audiences];
-        for lock in self.shards.iter() {
+        for (bucket, lock) in self.shards.iter().enumerate() {
             let shard = self.read_shard(lock);
             for (key, values) in shard.store.iter() {
+                let class = digest::STORED;
                 fold_key(
                     &mut digests,
+                    bucket,
                     audience(key),
-                    digest::STORED,
+                    class,
                     key,
                     values.iter(),
                 );
             }
             for (key, dead) in &shard.deleted {
-                fold_key(&mut digests, audience(key), digest::DEAD, key, dead.iter());
+                let class = digest::DEAD;
+                fold_key(&mut digests, bucket, audience(key), class, key, dead.iter());
             }
         }
         digests
     }
 
-    /// Snapshot of repair bucket `bucket`, restricted to the keys
-    /// `include` accepts — the repair/drain enumeration surface. Only the
-    /// shards that can hold the bucket are visited, each under one read
-    /// guard, so a shard's live values and the tombstones shadowing them
-    /// are mutually consistent.
+    /// Snapshot of repair bucket `bucket` (below [`REPAIR_BUCKETS`]),
+    /// restricted to the keys `include` accepts — the repair/drain
+    /// enumeration surface. Taken under the bucket's one shard read guard,
+    /// so its live values and the tombstones shadowing them are mutually
+    /// consistent.
     pub fn bucket_snapshot(
         &self,
         bucket: usize,
         mut include: impl FnMut(&Key) -> bool,
     ) -> BucketSnapshot {
-        let mut wanted = |key: &Key| repair_bucket(key) == bucket && include(key);
         let mut snapshot = BucketSnapshot::default();
-        let shared_bits = self.mask as usize & (REPAIR_BUCKETS - 1);
-        for (index, lock) in self.shards.iter().enumerate() {
-            if (index ^ bucket) & shared_bits != 0 {
-                continue;
-            }
-            let shard = self.read_shard(lock);
-            for (key, values) in shard.store.iter() {
-                if wanted(key) {
-                    let kept = shard.without_dead(key, values.iter().cloned());
-                    if !kept.is_empty() {
-                        snapshot.live.push((*key, kept));
-                    }
-                }
-            }
-            for (key, dead) in &shard.deleted {
-                if wanted(key) {
-                    snapshot.dead.push((*key, dead.iter().cloned().collect()));
+        let shard = self.read_shard(&self.shards[bucket]);
+        for (key, values) in shard.store.iter() {
+            if include(key) {
+                let kept = shard.without_dead(key, values.iter().cloned());
+                if !kept.is_empty() {
+                    snapshot.live.push((*key, kept));
                 }
             }
         }
+        for (key, dead) in &shard.deleted {
+            if include(key) {
+                snapshot.dead.push((*key, dead.iter().cloned().collect()));
+            }
+        }
+        drop(shard);
         snapshot.live.sort_unstable_by_key(|(key, _)| *key);
         snapshot.dead.sort_unstable_by_key(|(key, _)| *key);
         snapshot
@@ -438,9 +408,9 @@ impl ShardedDht {
     /// one shard at a time, so each key changes atomically and the
     /// one-lock-at-a-time discipline holds here too.
     pub fn replace_entries(&self, entries: Vec<(Key, Vec<Bytes>)>) {
-        let mut stores: Vec<NodeStore> = self.shards.iter().map(|_| NodeStore::default()).collect();
+        let mut stores: [NodeStore; REPAIR_BUCKETS] = Default::default();
         for (key, values) in entries {
-            let store = &mut stores[self.shard_index(&key)];
+            let store = &mut stores[repair_bucket(&key)];
             for value in values {
                 store.put(key, value);
             }
@@ -570,14 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_up_to_power_of_two() {
-        assert_eq!(ShardedDht::new(node(), 0).shard_count(), 1);
-        assert_eq!(ShardedDht::new(node(), 1).shard_count(), 1);
-        assert_eq!(ShardedDht::new(node(), 3).shard_count(), 4);
-        assert_eq!(ShardedDht::new(node(), 16).shard_count(), 16);
-    }
-
-    #[test]
     fn matches_single_node_ring_on_a_script() {
         let mut sharded = ShardedDht::with_default_shards(node());
         let mut ring = RingDht::from_ids([*node().key()]);
@@ -617,7 +579,7 @@ mod tests {
 
     #[test]
     fn replicated_remove_shadows_and_readd_lifts() {
-        let dht = ShardedDht::new(node(), 4);
+        let dht = ShardedDht::with_default_shards(node());
         let k = Key::hash_of("k");
         replicated_remove(&dht, k, "gone");
         let (live, withheld) =
@@ -649,7 +611,7 @@ mod tests {
         // keeps must be a compact copy, or one 40-byte value would hold a
         // megabyte frame alive.
         let frame = Bytes::from(vec![7u8; 1 << 20]);
-        let dht = ShardedDht::new(node(), 4);
+        let dht = ShardedDht::with_default_shards(node());
         let key = Key::hash_of("k");
         let put = || DhtOp::Put {
             key,
@@ -698,14 +660,14 @@ mod tests {
         assert_eq!(tombstones(&dht)[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
 
         // The unreplicated path owns what it stores as well.
-        let plain = ShardedDht::new(node(), 1);
+        let plain = ShardedDht::with_default_shards(node());
         assert_eq!(plain.execute_shared(put()), Ok(DhtResponse::Stored(true)));
         assert!(!inside(&frame, &Dht::get(&plain, &key)[0]));
     }
 
     #[test]
     fn live_entries_sweeps_store_minus_tombstones() {
-        let mut dht = ShardedDht::new(node(), 8);
+        let mut dht = ShardedDht::with_default_shards(node());
         let k1 = Key::hash_of("k1");
         let k2 = Key::hash_of("k2");
         dht.put(k1, b("a"));
@@ -725,7 +687,7 @@ mod tests {
 
     #[test]
     fn replace_entries_swaps_stores_but_keeps_tombstones_and_counters() {
-        let mut dht = ShardedDht::new(node(), 8);
+        let mut dht = ShardedDht::with_default_shards(node());
         let k = Key::hash_of("old");
         dht.put(k, b("old-value"));
         replicated_remove(&dht, k, "shadow");
@@ -779,7 +741,7 @@ mod tests {
 
     #[test]
     fn shard_lock_metrics_count_acquisitions_only_when_enabled() {
-        let mut dht = ShardedDht::new(node(), 4);
+        let mut dht = ShardedDht::with_default_shards(node());
         let k = Key::hash_of("k");
         dht.put(k, b("v"));
         // Disabled registry: nothing recorded anywhere.
@@ -801,26 +763,21 @@ mod tests {
         assert_eq!(tombstones(&dht), vec![(k, vec![b("v3")])]);
     }
 
-    /// Shard-count invariance: a 1-shard store, a 16-shard store, and
-    /// the plain single-node ring all produce identical per-op
-    /// results, identical stats, and identical entry snapshots for
-    /// any op script.
+    /// Shard invisibility: the [`REPAIR_BUCKETS`]-shard store and the
+    /// plain single-node ring produce identical per-op results, identical
+    /// stats, and identical entry snapshots for any op script.
     #[test]
     fn shard_count_is_invisible() {
         for_each_case(|rng| {
             let (len, seed) = (rng.gen_range(1..120usize), rng.gen());
-            let mut one = ShardedDht::new(node(), 1);
-            let mut sixteen = ShardedDht::new(node(), 16);
+            let mut sharded = ShardedDht::with_default_shards(node());
             let mut ring = RingDht::from_ids([*node().key()]);
             for op in script(len, seed) {
-                let expected = ring.execute(op.clone());
-                assert_eq!(one.execute(op.clone()), expected.clone());
-                assert_eq!(sixteen.execute(op), expected);
+                assert_eq!(sharded.execute(op.clone()), ring.execute(op));
             }
-            assert_eq!(one.stats(), ring.stats());
-            assert_eq!(sixteen.stats(), ring.stats());
-            assert_eq!(one.entries(), ring.entries());
-            assert_eq!(sixteen.entries(), ring.entries());
+            assert_eq!(sharded.stats(), ring.stats());
+            assert_eq!(sharded.entries(), ring.entries());
+            assert_eq!(sharded.total_keys(), ring.total_keys());
         });
     }
 }

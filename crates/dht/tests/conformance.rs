@@ -24,11 +24,23 @@ use p2p_index_dht::{
     FaultyDht, KademliaConfig, KademliaNetwork, Key, NodeChurn, NodeId, PastryConfig,
     PastryNetwork, RingDht, ShardedDht, SplitDht,
 };
-use p2p_index_net::{ClusterDht, RemoteDht, RemoteDhtConfig};
+use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
 
 fn keys(n: usize) -> Vec<Key> {
     (0..n).map(|i| Key::hash_of(&format!("node-{i}"))).collect()
+}
+
+/// A loopback cluster of `n` members at R = 3, W = 2, behind a client
+/// reading at quorum 2.
+fn replicated_cluster(n: usize) -> ClusterDht {
+    let cluster = LoopbackCluster::start_replicated_ring(n, 3, 2).expect("loopback cluster binds");
+    let config = RemoteDhtConfig {
+        replicas: 3,
+        read_quorum: 2,
+        ..RemoteDhtConfig::default()
+    };
+    ClusterDht::new(cluster, config)
 }
 
 /// Every substrate, behind the trait, at the given network size.
@@ -46,7 +58,10 @@ fn substrates(n: usize) -> Vec<(&'static str, Box<dyn Dht>)> {
         ),
         (
             "remote",
-            Box::new(ClusterDht::start_ring(n).expect("loopback cluster binds")),
+            Box::new(ClusterDht::new(
+                LoopbackCluster::start_ring(n).expect("loopback cluster binds"),
+                RemoteDhtConfig::default(),
+            )),
         ),
     ]
 }
@@ -214,14 +229,9 @@ fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
         ),
         (
             "sharded",
-            Box::new(ShardedDht::new(NodeId::hash_of("node-0"), 4)),
+            Box::new(ShardedDht::with_default_shards(NodeId::hash_of("node-0"))),
         ),
-        (
-            "remote-r3",
-            Box::new(
-                ClusterDht::start_replicated_ring(5, 3, 2, 2).expect("loopback cluster binds"),
-            ),
-        ),
+        ("remote-r3", Box::new(replicated_cluster(5))),
     ]);
     all
 }
@@ -513,7 +523,8 @@ fn remote_cluster_conforms_with_faulty_substrate_behind_the_server() {
     // travel the wire as typed error frames and the remote client's
     // caller retries them exactly as it would retry a local FaultyDht.
     // The seed is fixed, so the fault schedule is reproducible.
-    let mut dht = ClusterDht::start_lossy_ring(1, 7, 0.4).expect("loopback cluster binds");
+    let cluster = LoopbackCluster::start_lossy_ring(1, 7, 0.4).expect("loopback cluster binds");
+    let mut dht = ClusterDht::new(cluster, RemoteDhtConfig::default());
     let key = Key::hash_of("retried");
     let mut timeouts = 0u64;
     for value in ["a", "b", "c"] {
@@ -685,9 +696,8 @@ fn replicated_remote_cluster_matches_in_process_twin_batch_and_unary() {
     // completed op = two messages + one lookup, independent of how many
     // replicas were touched.
     let ops = mixed_ops(24);
-    let mut batched =
-        ClusterDht::start_replicated_ring(5, 3, 2, 2).expect("loopback cluster binds");
-    let mut unary = ClusterDht::start_replicated_ring(5, 3, 2, 2).expect("loopback cluster binds");
+    let mut batched = replicated_cluster(5);
+    let mut unary = replicated_cluster(5);
     let mut twin = RingDht::from_ids(keys(5));
     let batch_results = batched.execute_many(ops.clone());
     let unary_results: Vec<_> = ops.iter().cloned().map(|op| unary.execute(op)).collect();
@@ -715,7 +725,7 @@ fn stale_replica_is_invisible_to_conformance_and_repair_restores_it() {
     // exactly like the in-process twin (the lowest-ranked non-empty
     // reply wins), with unchanged accounting; after an anti-entropy
     // pass the wiped member holds its copies again and answers alike.
-    let mut remote = ClusterDht::start_replicated_ring(3, 3, 2, 2).expect("loopback cluster binds");
+    let mut remote = replicated_cluster(3);
     let mut twin = RingDht::from_ids(keys(3));
     let data: Vec<Key> = (0..12)
         .map(|i| Key::hash_of(&format!("stale-{i}")))

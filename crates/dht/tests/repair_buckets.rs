@@ -6,8 +6,7 @@
 //! cluster-convergence invariants:
 //!
 //! * **Content-only** — the same stored pairs and tombstones digest the
-//!   same whatever order they arrived in and however many shards hold
-//!   them (members may run different `shards` settings).
+//!   same whatever order they arrived in.
 //! * **Local** — one pair stored, removed or tombstoned moves exactly its
 //!   own bucket's digest, so a single write never costs more than one
 //!   bucket's push.
@@ -27,8 +26,6 @@ use p2p_index_dht::{
     repair_bucket, BucketDigests, Dht, DhtOp, Key, NodeId, ShardedDht, REPAIR_BUCKETS,
 };
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng, StdRng};
-
-const SHARD_COUNTS: [usize; 3] = [1, 16, 64];
 
 /// A replicated write to `(key, value)`: a put stores the pair and lifts
 /// its tombstone, a remove drops it and records the tombstone.
@@ -58,8 +55,8 @@ fn pair_set(rng: &mut StdRng) -> Vec<(Key, Bytes, bool)> {
     pairs.map(|((key, value), put)| (key, value, put)).collect()
 }
 
-fn store_of(shards: usize, pairs: &[(Key, Bytes, bool)]) -> ShardedDht {
-    let store = ShardedDht::new(NodeId::hash_of("node-0"), shards);
+fn store_of(pairs: &[(Key, Bytes, bool)]) -> ShardedDht {
+    let store = ShardedDht::with_default_shards(NodeId::hash_of("node-0"));
     for (key, value, put) in pairs {
         store
             .execute_replicated(write(*key, value, *put))
@@ -80,13 +77,13 @@ fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
 }
 
 #[test]
-fn digests_depend_on_content_not_on_order_or_shard_count() {
+fn digests_depend_on_content_not_on_order() {
     for_each_case(|rng| {
         let mut pairs = pair_set(rng);
-        let reference = digests(&store_of(16, &pairs));
-        for shards in SHARD_COUNTS {
+        let reference = digests(&store_of(&pairs));
+        for shuffled in 0..3 {
             shuffle(rng, &mut pairs);
-            assert_eq!(digests(&store_of(shards, &pairs)), reference, "{shards}");
+            assert_eq!(digests(&store_of(&pairs)), reference, "{shuffled}");
         }
     });
 }
@@ -95,8 +92,7 @@ fn digests_depend_on_content_not_on_order_or_shard_count() {
 fn one_changed_pair_moves_exactly_its_own_bucket() {
     for_each_case(|rng| {
         let pairs = pair_set(rng);
-        let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
-        let store = store_of(shards, &pairs);
+        let store = store_of(&pairs);
         let before = digests(&store);
         // A pair already present (drop it, or tombstone it) or a new one
         // (store it, or tombstone it unseen).
@@ -139,12 +135,12 @@ fn a_stored_and_tombstoned_pair_is_not_a_tombstoned_only_pair() {
     for_each_case(|rng| {
         let key = Key::from_digest(digest(rng));
         let value = Bytes::from(bytes(rng, 0..24));
-        let healthy = store_of(16, &[(key, value.clone(), false)]);
+        let healthy = store_of(&[(key, value.clone(), false)]);
         // Restored from an image taken before the delete: the value is
         // back, the tombstone never left.
-        let restored = store_of(16, &[(key, value.clone(), false)]);
+        let restored = store_of(&[(key, value.clone(), false)]);
         restored.replace_entries(vec![(key, vec![value.clone()])]);
-        let stored_only = store_of(16, &[(key, value, true)]);
+        let stored_only = store_of(&[(key, value, true)]);
         let bucket = repair_bucket(&key);
         assert_ne!(digests(&restored)[bucket], digests(&healthy)[bucket]);
         assert_ne!(digests(&restored)[bucket], digests(&stored_only)[bucket]);
@@ -158,8 +154,7 @@ fn a_stored_and_tombstoned_pair_is_not_a_tombstoned_only_pair() {
 fn all_buckets_together_are_the_whole_partition() {
     for_each_case(|rng| {
         let pairs = pair_set(rng);
-        let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
-        let store = store_of(shards, &pairs);
+        let store = store_of(&pairs);
         let mut live = Vec::new();
         let mut dead = Vec::new();
         for bucket in 0..REPAIR_BUCKETS {
@@ -192,7 +187,7 @@ fn all_buckets_together_are_the_whole_partition() {
 fn one_sweep_for_many_audiences_is_each_audiences_own_sweep() {
     for_each_case(|rng| {
         let pairs = pair_set(rng);
-        let store = store_of(16, &pairs);
+        let store = store_of(&pairs);
         // Audience `a` holds the keys whose second-lowest nibble has bit
         // `a` set — overlapping sets, and some keys in none.
         let member = |key: &Key, audience: usize| key.low_u64() >> (4 + audience) & 1 == 1;
@@ -210,7 +205,7 @@ fn one_sweep_for_many_audiences_is_each_audiences_own_sweep() {
                 .filter(|(key, _, _)| member(key, audience))
                 .cloned()
                 .collect();
-            assert_eq!(*digests, self::digests(&store_of(1, &theirs)));
+            assert_eq!(*digests, self::digests(&store_of(&theirs)));
             for bucket in 0..REPAIR_BUCKETS {
                 let snapshot = store.bucket_snapshot(bucket, |key| member(key, audience));
                 let keys = snapshot.live.iter().chain(&snapshot.dead);

@@ -69,7 +69,7 @@ impl LoopbackCluster {
     /// Starts `n` servers named `node-0..n-1`, each configured by
     /// `config_for(its index, its id, the whole ring)` — the constructor
     /// the others are written in, for a cluster they do not cover (a
-    /// metrics registry, per-member shard counts, a repair interval). All
+    /// metrics registry, a repair interval). All
     /// listeners are bound *before* any server spawns, so replicated
     /// members can dial every other member from their very first frame —
     /// no bootstrap races.
@@ -177,52 +177,18 @@ pub struct ClusterDht {
 }
 
 impl ClusterDht {
-    /// Starts a ring cluster of `n` nodes and a client over it.
-    pub fn start_ring(n: usize) -> io::Result<ClusterDht> {
-        let cluster = LoopbackCluster::start_ring(n)?;
-        let client = cluster.client();
-        Ok(ClusterDht {
-            client,
+    /// A client configured by `config` over `cluster`, which it owns from
+    /// here on.
+    pub fn new(cluster: LoopbackCluster, config: RemoteDhtConfig) -> ClusterDht {
+        ClusterDht {
+            client: cluster.client_with(config),
             cluster: Some(cluster),
-        })
-    }
-
-    /// Starts a replicated ring cluster (factor `replicas`, write quorum
-    /// `write_quorum`) and a replica-aware client reading at
-    /// `read_quorum` over it.
-    pub fn start_replicated_ring(
-        n: usize,
-        replicas: usize,
-        write_quorum: usize,
-        read_quorum: usize,
-    ) -> io::Result<ClusterDht> {
-        let cluster = LoopbackCluster::start_replicated_ring(n, replicas, write_quorum)?;
-        let client = cluster.replicated_client(replicas, read_quorum);
-        Ok(ClusterDht {
-            client,
-            cluster: Some(cluster),
-        })
+        }
     }
 
     /// The underlying cluster (kill, wipe, or repair individual members).
     pub fn cluster(&self) -> &LoopbackCluster {
         self.cluster.as_ref().expect("cluster alive until drop")
-    }
-
-    /// Starts a fault-injecting ring cluster (see
-    /// [`LoopbackCluster::start_lossy_ring`]) and a client over it.
-    pub fn start_lossy_ring(n: usize, seed: u64, loss: f64) -> io::Result<ClusterDht> {
-        let cluster = LoopbackCluster::start_lossy_ring(n, seed, loss)?;
-        let client = cluster.client();
-        Ok(ClusterDht {
-            client,
-            cluster: Some(cluster),
-        })
-    }
-
-    /// The underlying client.
-    pub fn client(&self) -> &RemoteDht {
-        &self.client
     }
 }
 
@@ -275,7 +241,8 @@ mod tests {
 
     #[test]
     fn cluster_matches_in_process_ring() {
-        let mut cluster = ClusterDht::start_ring(5).expect("loopback cluster");
+        let cluster = LoopbackCluster::start_ring(5).expect("loopback cluster");
+        let mut cluster = ClusterDht::new(cluster, RemoteDhtConfig::default());
         let mut ring = RingDht::with_named_nodes(5);
         assert_eq!(cluster.nodes(), ring.nodes());
         for i in 0..30 {
@@ -291,7 +258,13 @@ mod tests {
     fn replicated_cluster_matches_unreplicated_twin_results_and_stats() {
         // Replication must be invisible to correct clients: same results
         // and the same per-op accounting as the plain ring convention.
-        let mut cluster = ClusterDht::start_replicated_ring(5, 3, 2, 2).expect("cluster");
+        let cluster = LoopbackCluster::start_replicated_ring(5, 3, 2).expect("cluster");
+        let config = RemoteDhtConfig {
+            replicas: 3,
+            read_quorum: 2,
+            ..RemoteDhtConfig::default()
+        };
+        let mut cluster = ClusterDht::new(cluster, config);
         let mut ring = RingDht::with_named_nodes(5);
         for i in 0..30 {
             let key = Key::hash_of(&format!("k{i}"));
@@ -458,7 +431,8 @@ mod tests {
 
     #[test]
     fn lossy_cluster_surfaces_remote_faults_as_typed_errors() {
-        let mut cluster = ClusterDht::start_lossy_ring(3, 42, 1.0).expect("loopback cluster");
+        let cluster = LoopbackCluster::start_lossy_ring(3, 42, 1.0).expect("loopback cluster");
+        let mut cluster = ClusterDht::new(cluster, RemoteDhtConfig::default());
         // Loss probability 1.0: every storage op must fail with a *remote*
         // DhtError carried over the wire (not a transport failure).
         let err = cluster

@@ -8,10 +8,10 @@
 //! decoded frame and the shared state in, the reply frame (or "leave") out,
 //! with no socket, reader or writer in sight — and writes the response
 //! frame back with the echoed request id. `handle` executes against the
-//! one store a daemon has: a [`ShardedDht`] of [`ServerConfig::shards`]
-//! key-hash shards, each behind its own `RwLock` held only for the
-//! in-memory operation, never across I/O. Frames this member sends its
-//! peers go out through `link.rs`, the same dialing code the client uses.
+//! one store a daemon has: a [`ShardedDht`] of [`REPAIR_BUCKETS`] key-hash
+//! shards, each behind its own `RwLock` held only for the in-memory
+//! operation, never across I/O. Frames this member sends its peers go out
+//! through `link.rs`, the same dialing code the client uses.
 //! Whatever routing a deployment puts in front (ring, Chord, Kademlia,
 //! Pastry), what a node *serves* is this one multi-value
 //! `put/get/remove` store; the client routes and accounts.
@@ -31,7 +31,9 @@
 //!
 //! Per-connection read timeouts double as the shutdown poll interval: a
 //! worker blocked in `read` wakes at least every `read_timeout` to check
-//! the flag, so shutdown latency is bounded without extra machinery.
+//! the flag, so shutdown latency is bounded without extra machinery. Only
+//! a timeout between frames is such a tick: a frame that has begun is read
+//! to its end, however many timeouts its bytes straddle.
 //!
 //! # Replication
 //!
@@ -64,8 +66,8 @@
 //!    ([`ShardedDht::bucket_digests`]) computes, for every peer at once
 //!    and without allocating per key, one 64-bit order-independent digest
 //!    per **repair bucket** ([`REPAIR_BUCKETS`] slices of the key space by
-//!    the key's low bits, the same on every member whatever its shard
-//!    count) over the keys whose replica set contains that peer.
+//!    the key's low bits — one per shard, the same on every member) over
+//!    the keys whose replica set contains that peer.
 //! 2. *Probe.* Each peer gets its sixteen digests in one
 //!    [`Digest`](crate::wire::Message::Digest) frame, computes the same
 //!    digests over the keys whose replica set contains the sender, and
@@ -102,17 +104,17 @@
 //! buckets that differ.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_dht::{
     kind_counter, placement, BucketDigests, Delivery, DhtError, DhtOp, DhtResponse, FaultConfig,
-    Key, LossRoll, NodeId, OpFamily, ShardedDht, DEFAULT_SHARDS, REPAIR_BUCKETS,
+    Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -170,10 +172,6 @@ pub struct ServerConfig {
     /// Replicated-cluster membership; `None` (the default) serves a
     /// plain unreplicated partition.
     pub replication: Option<ReplicationConfig>,
-    /// Key-hash shard count of the partition store, rounded up to a
-    /// power of two. A value, not a mode: `1` is the same store with one
-    /// `RwLock` (the contention baseline of the bench sweep).
-    pub shards: usize,
     /// Message loss injected in front of the store (none by default):
     /// each storage operation first draws from a [`LossRoll`] seeded with
     /// `fault.seed`, exactly like an in-process `FaultyDht`. Churn does
@@ -193,7 +191,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(100),
             metrics: MetricsRegistry::disabled(),
             replication: None,
-            shards: DEFAULT_SHARDS,
             fault: FaultConfig::none(),
             max_connections: 1024,
         }
@@ -315,7 +312,7 @@ impl Shared {
     /// The state of a member serving `node`'s partition from a fresh, empty
     /// store. Needs no listener: [`handle`] can be driven on it directly.
     fn new(node: NodeId, config: &ServerConfig) -> Shared {
-        let mut store = ShardedDht::new(node, config.shards);
+        let mut store = ShardedDht::with_default_shards(node);
         store.set_shard_metrics(config.metrics.clone());
         Shared {
             store,
@@ -551,17 +548,64 @@ impl Drop for ConnectionSlot {
     }
 }
 
-/// Socket write timeout of a served connection.
+/// Socket write timeout of a served connection, and how long a frame that
+/// has begun may stall before the connection is given up on.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Whether a read error is the socket's read timeout firing.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// The read side of a served connection. A read timeout before a frame's
+/// first byte goes back to the caller, an idle poll tick; once the frame
+/// has begun, a timeout is retried — the stop flag checked at each — until
+/// the frame stalls for [`WRITE_TIMEOUT`]. So a frame's tail is never read
+/// as the start of the next one.
+struct FrameReader<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+    /// When the frame being read last delivered bytes; `None` before its
+    /// first byte.
+    progress: Option<Instant>,
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) if n > 0 => {
+                    self.progress = Some(Instant::now());
+                    return Ok(n);
+                }
+                Err(e)
+                    if is_timeout(&e)
+                        && self.progress.is_some_and(|at| at.elapsed() < WRITE_TIMEOUT)
+                        && !self.stop.load(Ordering::Relaxed) => {}
+                other => return other,
+            }
+        }
+    }
+}
 
 /// Serves one connection until the peer closes, a protocol error poisons
 /// the stream, or shutdown is requested.
 fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
     let shared = Arc::clone(&slot.0);
+    // BSD-derived systems hand an accepted socket the listener's
+    // non-blocking flag; a worker must block (up to its timeouts) instead.
+    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
+    let mut reader = FrameReader {
+        stream: &stream,
+        stop: &shared.stop,
+        progress: None,
+    };
     // Per-connection frame buffers, reused across every frame this worker
     // reads and writes: the per-frame payload and encode allocations of
     // the old path amortize to a few capacity growths per connection.
@@ -571,12 +615,11 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }
-        let (msg, bytes_in) = match read_message_with(&mut stream, &mut read_scratch) {
+        reader.progress = None;
+        let (msg, bytes_in) = match read_message_with(&mut reader, &mut read_scratch) {
             Ok(ok) => ok,
             Err(RecvError::Closed) => return,
-            Err(RecvError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(RecvError::Io(e)) if is_timeout(&e) && reader.progress.is_none() => {
                 // Idle poll tick: loop to re-check the shutdown flag. An
                 // idle connection also hands back what one large frame
                 // (a multi-megabyte `Transfer`, say) grew its read buffer
@@ -587,6 +630,8 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
                 }
                 continue;
             }
+            // A frame cut short by shutdown is no transport fault.
+            Err(RecvError::Io(_)) if shared.stop.load(Ordering::Relaxed) => return,
             Err(RecvError::Io(_)) => {
                 shared.metrics.incr("net.server.transport_errors");
                 return;
@@ -605,7 +650,7 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
             Turn::Reply(reply) => reply,
             Turn::Leave | Turn::Abuse => return,
         };
-        match write_message_with(&mut stream, &reply, &mut write_scratch) {
+        match write_message_with(&mut &stream, &reply, &mut write_scratch) {
             Ok(bytes_out) => {
                 shared.metrics.incr("net.server.frames_out");
                 shared.metrics.add("net.server.bytes_out", bytes_out as u64);
@@ -1111,6 +1156,38 @@ mod tests {
         let mut buf = [0u8; 16];
         assert_eq!(stream.read(&mut buf).unwrap_or(0), 0);
         assert_eq!(metrics.counter("net.server.decode_errors"), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_straddling_read_timeouts_is_read_whole() {
+        // The frame's first bytes arrive, then the rest only after several
+        // read timeouts have fired: the worker must wait for the tail, not
+        // take it for the start of a new frame.
+        let metrics = MetricsRegistry::new();
+        let server = spawn_with(ServerConfig {
+            read_timeout: Duration::from_millis(20),
+            metrics: metrics.clone(),
+            ..ServerConfig::default()
+        });
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        let op = DhtOp::Get(Key::hash_of("k"));
+        let frame = crate::wire::encode_to_vec(&Message::Request { id: 3, op });
+        use std::io::Write;
+        stream.write_all(&frame[..5]).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        stream.write_all(&frame[5..]).unwrap();
+        let reply = read_message_with(&mut stream, &mut Vec::new()).ok();
+        let result = Ok(DhtResponse::Values(Vec::new()));
+        assert_eq!(
+            reply.map(|(reply, _)| reply),
+            Some(Message::Response { id: 3, result })
+        );
+        assert_eq!(metrics.counter("net.server.decode_errors"), 0);
         server.shutdown();
     }
 

@@ -9,7 +9,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
@@ -83,8 +83,9 @@ fn drive<D: Dht>(dht: D) -> (Vec<(Vec<String>, u32, u32)>, p2p_index_dht::DhtSta
 
 #[test]
 fn index_service_over_sockets_equals_in_process() {
-    let cluster = ClusterDht::start_ring(5).expect("loopback cluster");
-    let (remote_reports, remote_stats) = drive(cluster);
+    let cluster = LoopbackCluster::start_ring(5).expect("loopback cluster");
+    let (remote_reports, remote_stats) =
+        drive(ClusterDht::new(cluster, RemoteDhtConfig::default()));
     let (local_reports, local_stats) = drive(RingDht::with_named_nodes(5));
     assert_eq!(
         remote_reports, local_reports,
@@ -159,7 +160,8 @@ fn retry_policy_absorbs_faults_injected_behind_the_server() {
     // 20% loss injected *server-side*: the client sees typed DhtError
     // frames come back over the wire and its RetryPolicy — the same one
     // that handles in-process FaultyDht — retries them to completion.
-    let cluster = ClusterDht::start_lossy_ring(3, 0xfau64, 0.2).expect("loopback cluster");
+    let cluster = LoopbackCluster::start_lossy_ring(3, 0xfau64, 0.2).expect("loopback cluster");
+    let cluster = ClusterDht::new(cluster, RemoteDhtConfig::default());
     let mut service =
         IndexService::with_retry(cluster, CachePolicy::Single, RetryPolicy::with_budget(5, 8));
     for (descriptor, file) in corpus() {
@@ -700,4 +702,62 @@ fn a_frame_mixing_replica_sets_settles_each_write_on_its_own_peers() {
     let (unary_results, _, unary_stats) = run(false);
     assert_eq!(results, unary_results);
     assert_eq!(stats, unary_stats);
+}
+
+#[test]
+fn a_leaving_member_drains_each_key_to_its_replica_set_on_the_survivors_ring() {
+    // Five members at R = W = 2, repair off, metrics on member 0 alone. A
+    // key member 0 held moves, on the ring without it, to a survivor that
+    // never held it: only the drain can put it there.
+    let metrics = MetricsRegistry::new();
+    let cluster = LoopbackCluster::start_with(5, |i, id, ring| {
+        let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 2, 2);
+        replication.repair_interval = None;
+        let mut config = ServerConfig {
+            replication: Some(replication),
+            ..ServerConfig::default()
+        };
+        if i == 0 {
+            config.metrics = metrics.clone();
+        }
+        config
+    })
+    .expect("loopback cluster");
+    let key = |i: usize| Key::hash_of(&format!("drained-{i}"));
+    let value = |i: usize| Bytes::from(format!("Q:/article/title/t{i}"));
+    let mut client = cluster.replicated_client(2, 2);
+    for i in 0..64 {
+        assert!(client.put(key(i), value(i)));
+    }
+
+    let mut leaving = TcpStream::connect(cluster.members()[0].1).unwrap();
+    write_message_with(&mut leaving, &Message::Shutdown, &mut Vec::new()).unwrap();
+    // The stop flag is set only once the drain has returned.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cluster.server(0).is_shutting_down() {
+        assert!(Instant::now() < deadline, "the drain never ended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pushes = metrics.counter("net.server.replica.drain_pushes");
+    let most = 4 * p2p_index_dht::REPAIR_BUCKETS as u64;
+    assert!((1..=most).contains(&pushes), "{pushes} drain pushes");
+
+    let mut survivors = cluster.members()[1..].to_vec();
+    survivors.sort_unstable();
+    let ring: Vec<Key> = survivors.iter().map(|(id, _)| *id.key()).collect();
+    let mut scratch = Vec::new();
+    for i in 0..64 {
+        for at in placement::replica_range(&ring, &key(i), 2).indices() {
+            let mut stream = TcpStream::connect(survivors[at].1).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            let (id, op) = (i as u64, DhtOp::Get(key(i)));
+            write_message_with(&mut stream, &Message::Request { id, op }, &mut scratch).unwrap();
+            let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
+            let result = Ok(DhtResponse::Values(vec![value(i)]));
+            assert_eq!(reply, Message::Response { id, result }, "key {i} at {at}");
+        }
+    }
+    cluster.shutdown();
 }

@@ -10,8 +10,6 @@
 //! * **One round to refill** — a member wiped in place is whole again
 //!   after one round, sent one bucket per frame, and the round after that
 //!   is silent.
-//! * **Shard-count blind** — members running 1, 16 and 64 shards cut the
-//!   key space into the same buckets, so they converge and go silent too.
 //! * **Typed refusal** — a server that replicates nothing with the sender
 //!   of a `Digest` answers with an error frame and keeps the connection.
 //!
@@ -41,17 +39,16 @@ struct Cluster {
 }
 
 impl Cluster {
-    /// Member `i` runs `shards[i]` shards; `interval` is every member's
-    /// repair interval (`None`: rounds happen only when the test says).
-    fn start(shards: &[usize], interval: Option<Duration>) -> Cluster {
+    /// `members` members; `interval` is every member's repair interval
+    /// (`None`: rounds happen only when the test says).
+    fn start(members: usize, interval: Option<Duration>) -> Cluster {
         let metrics = MetricsRegistry::new();
-        let servers = LoopbackCluster::start_with(shards.len(), |i, id, ring| {
+        let servers = LoopbackCluster::start_with(members, |_, id, ring| {
             let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), REPLICAS, 2);
             replication.repair_interval = interval;
             ServerConfig {
                 replication: Some(replication),
                 metrics: metrics.clone(),
-                shards: shards[i],
                 ..ServerConfig::default()
             }
         })
@@ -136,7 +133,7 @@ fn fill(client: &mut RemoteDht, live: usize, dead: usize) {
 
 #[test]
 fn a_converged_cluster_repairs_in_silence_tombstones_and_all() {
-    let cluster = Cluster::start(&[16, 16, 16], None);
+    let cluster = Cluster::start(3, None);
     let mut client = cluster.client();
     fill(&mut client, 300, 100);
     // Every write reached its whole replica set before it was
@@ -153,7 +150,7 @@ fn a_converged_cluster_repairs_in_silence_tombstones_and_all() {
 
 #[test]
 fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
-    let cluster = Cluster::start(&[16, 16, 16], None);
+    let cluster = Cluster::start(3, None);
     let mut client = cluster.client();
     fill(&mut client, 300, 100);
     cluster.wipe(1);
@@ -186,7 +183,7 @@ fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
 
     // On a ring larger than the replica set a member shares only part of
     // each peer's keys; the digests are over exactly that part.
-    let wide = Cluster::start(&[16; 5], None);
+    let wide = Cluster::start(5, None);
     let mut client = wide.client();
     fill(&mut client, 300, 100);
     assert_eq!(wide.round_deltas()[1..], [0; 6]);
@@ -203,29 +200,6 @@ fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
         assert_eq!(Dht::get(&client, &key(i)), vec![value(i)]);
     }
     wide.shutdown();
-    cluster.shutdown();
-}
-
-#[test]
-fn members_with_different_shard_counts_converge_and_go_silent() {
-    let cluster = Cluster::start(&[1, 16, 64], None);
-    let mut client = cluster.client();
-    fill(&mut client, 300, 100);
-    assert_eq!(
-        cluster.round_deltas(),
-        [cluster.probes_per_round(), 0, 0, 0, 0, 0, 0]
-    );
-    // Each member in turn loses everything and gets it back from peers
-    // sharded differently from itself.
-    for wiped in 0..3 {
-        cluster.wipe(wiped);
-        cluster.servers.repair_all();
-        assert_eq!(cluster.stored(), vec![300; 3], "member {wiped} refilled");
-        assert_eq!(
-            cluster.round_deltas(),
-            [cluster.probes_per_round(), 0, 0, 0, 0, 0, 0]
-        );
-    }
     cluster.shutdown();
 }
 
@@ -295,7 +269,7 @@ fn a_digest_nobody_can_answer_gets_a_typed_error_and_keeps_the_connection() {
 
     // A replicating member refuses a sender outside its ring (and
     // itself), and answers a real peer with the buckets that differ.
-    let cluster = Cluster::start(&[16, 16, 16], None);
+    let cluster = Cluster::start(3, None);
     let mut client = cluster.client();
     fill(&mut client, 300, 0);
     let mut stream = connect(cluster.servers.members()[0].1);
@@ -318,7 +292,7 @@ fn a_digest_nobody_can_answer_gets_a_typed_error_and_keeps_the_connection() {
 #[test]
 fn the_periodic_thread_refills_a_wiped_member_and_then_stops_pushing() {
     let interval = Duration::from_millis(50);
-    let cluster = Cluster::start(&[16, 1, 16], Some(interval));
+    let cluster = Cluster::start(3, Some(interval));
     let mut client = cluster.client();
     fill(&mut client, 300, 100);
     cluster.wipe(1);

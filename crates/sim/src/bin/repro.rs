@@ -20,10 +20,10 @@
 //! steps, index hops, per-hop DHT operations, cache probes.
 //!
 //! `serve` runs one networked DHT node (`dhtd`): one node's partition
-//! store (`--shards N` key-hash shards, optionally with `--loss` injected
-//! in front of it) behind the `crates/net` wire protocol, until it
-//! receives a shutdown frame. `net-demo` is the matching client: it points
-//! the full indexing stack at a running cluster over TCP. See the README's
+//! store (optionally with `--loss` injected in front of it) behind the
+//! `crates/net` wire protocol, until it receives a shutdown frame.
+//! `net-demo` is the matching client: it points the full indexing stack
+//! at a running cluster over TCP. See the README's
 //! networking quickstart for a 5-node loopback ring.
 //!
 //! `hotspot` runs the skewed-load scenario: a flash crowd on one title
@@ -58,7 +58,7 @@ fn usage() -> String {
      [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]\n\
      \x20      repro trace <query> [--small] [--nodes N] [--articles N] [--seed N]\n\
      \x20      repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
-     [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...] [--repair-ms N] [--shards N]\n\
+     [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...] [--repair-ms N]\n\
      \x20      repro net-demo --members HOST:PORT,... [--articles N] [--queries N] [--seed N] [--replicas R] [--quorum W,RQ] [--shutdown]\n\
      \x20      repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N] [--queries N] [--seed N] \
      [--hot-rank N] [--boost F] [--budget N] [--threshold N] [--fanout N]"
@@ -241,7 +241,6 @@ fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
                 }
             }
             "--repair-ms" => opts.repair_ms = flags.value(&flag)?,
-            "--shards" => opts.shards = flags.value(&flag)?,
             other => return Err(unknown_flag(other)),
         }
     }
@@ -580,12 +579,11 @@ mod tests {
 
     #[test]
     fn serve_reads_peers_as_name_address_pairs() {
-        let opts = parse_serve(flags("--node-name node-1 --replicas 3 --peers node-0=127.0.0.1:7000,node-1=127.0.0.1:7001 --shards 4"))
+        let opts = parse_serve(flags(
+            "--node-name node-1 --replicas 3 --peers node-0=127.0.0.1:7000,node-1=127.0.0.1:7001",
+        ))
         .expect("serve flags");
-        assert_eq!(
-            (opts.node_name.as_str(), opts.replicas, opts.shards),
-            ("node-1", 3, 4)
-        );
+        assert_eq!((opts.node_name.as_str(), opts.replicas), ("node-1", 3));
         assert_eq!(
             opts.peers,
             [

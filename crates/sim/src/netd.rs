@@ -45,9 +45,6 @@ pub struct ServeOptions {
     pub peers: Vec<(String, SocketAddr)>,
     /// Anti-entropy repair interval in milliseconds (0 disables).
     pub repair_ms: u64,
-    /// Key-hash shard count of the partition store (`1` = one lock, the
-    /// contention baseline).
-    pub shards: usize,
 }
 
 impl Default for ServeOptions {
@@ -61,7 +58,6 @@ impl Default for ServeOptions {
             write_quorum: 1,
             peers: Vec::new(),
             repair_ms: 200,
-            shards: ServerConfig::default().shards,
         }
     }
 }
@@ -134,7 +130,6 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     };
     let config = ServerConfig {
         replication,
-        shards: opts.shards,
         fault: FaultConfig::lossy(opts.fault_seed, opts.loss),
         ..ServerConfig::default()
     };
