@@ -10,9 +10,8 @@
 //! covering partial order downward until files are reached.
 //!
 //! * [`service`] — [`IndexService`]: publish/unpublish, single lookup
-//!   steps, automated search with generalization, shortcut creation;
-//! * [`session`] — [`SearchSession`]: the interactive, user-directed
-//!   search mode;
+//!   steps and shortcut creation (the primitives of the paper's
+//!   interactive mode), automated search with generalization;
 //! * [`scheme`] — the index schemes of the paper's Fig. 8 and Fig. 4, plus
 //!   custom schemes;
 //! * [`cache`] — the adaptive distributed cache (multi/single/LRU);
@@ -46,7 +45,6 @@ pub mod cache;
 pub mod retry;
 pub mod scheme;
 pub mod service;
-pub mod session;
 pub mod target;
 pub mod traffic;
 
@@ -57,6 +55,5 @@ pub use scheme::{
     InitialLetterScheme, KeywordTitleScheme, SimpleScheme,
 };
 pub use service::{Completeness, FileHit, IndexError, IndexService, SearchReport, StepResponse};
-pub use session::{SearchSession, SessionReport, SessionState};
 pub use target::{DecodeTargetError, IndexTarget};
 pub use traffic::{Traffic, MESSAGE_HEADER_BYTES};

@@ -1122,8 +1122,8 @@ impl<D: Dht> IndexService<D> {
     /// previously-searched files) and its results therefore never depend on
     /// cache state. Interactive callers that want adaptive caching drive
     /// [`lookup_step`](Self::lookup_step) and
-    /// [`create_shortcuts`](Self::create_shortcuts) directly (as the
-    /// simulator and [`SearchSession`](crate::SearchSession) do).
+    /// [`create_shortcuts`](Self::create_shortcuts) directly, as the
+    /// simulator's user model does.
     ///
     /// # Errors
     ///
@@ -1716,6 +1716,29 @@ mod tests {
         assert_eq!(resp.cached, vec![target]);
         let resp2 = s.lookup_step(&q2).unwrap();
         assert!(resp2.cached.is_empty());
+    }
+
+    #[test]
+    fn a_cache_hit_hides_the_regular_entries_until_a_bypassing_lookup() {
+        // Cache-first (§IV-C): a node holding a shortcut answers with it
+        // alone; the follow-up that bypasses the cache lists the index.
+        let mut s = service(CachePolicy::Single);
+        publish_figure1(&mut s, &SimpleScheme);
+        let q: Query = "/article/author[first/John][last/Smith]".parse().unwrap();
+        let n = s.dht().owner(&IndexService::<RingDht>::key_of(&q)).unwrap();
+        let msd = Query::most_specific(&descriptor("John", "Smith", "TCP", "SIGCOMM", "1989"));
+        let target = IndexTarget::Query(msd);
+        assert_eq!(s.create_shortcuts(&[(n, q.clone())], &target), 1);
+        let hit = s.lookup_step(&q).unwrap();
+        assert_eq!(hit.cached, vec![target]);
+        assert!(hit.indexed.is_empty(), "the shortcut alone");
+        let full = s.lookup_step_bypassing_cache(&q).unwrap();
+        assert!(full.cached.is_empty());
+        assert_eq!(
+            full.indexed.len(),
+            2,
+            "John Smith's two author+title entries"
+        );
     }
 
     #[test]

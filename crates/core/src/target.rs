@@ -80,14 +80,6 @@ impl IndexTarget {
             IndexTarget::File(_) => None,
         }
     }
-
-    /// The file handle inside, if this is a file target.
-    pub fn as_file(&self) -> Option<&str> {
-        match self {
-            IndexTarget::Query(_) => None,
-            IndexTarget::File(f) => Some(f),
-        }
-    }
 }
 
 impl fmt::Display for IndexTarget {
@@ -148,7 +140,6 @@ mod tests {
         let decoded = IndexTarget::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(decoded, t);
         assert_eq!(decoded.as_query(), Some(&q));
-        assert_eq!(decoded.as_file(), None);
     }
 
     #[test]
@@ -156,7 +147,6 @@ mod tests {
         let t = IndexTarget::File("x.pdf".into());
         let decoded = IndexTarget::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(decoded, t);
-        assert_eq!(decoded.as_file(), Some("x.pdf"));
         assert_eq!(decoded.as_query(), None);
     }
 

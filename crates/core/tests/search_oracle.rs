@@ -18,8 +18,7 @@ use p2p_index_core::{
     IndexTarget, RetryPolicy, SimpleScheme, StepResponse,
 };
 use p2p_index_dht::{
-    ChordNetwork, Dht, FaultConfig, FaultyDht, KademliaNetwork, Key, NodeChurn, PastryNetwork,
-    RingDht, SplitMix64,
+    ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeChurn, RingDht, SplitMix64,
 };
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -252,10 +251,6 @@ fn assert_search_matches_reference<D: Dht>(substrate: &str, make: impl Fn() -> D
 fn level_synchronous_search_equals_per_node_bfs_on_every_substrate() {
     assert_search_matches_reference("ring", || RingDht::from_ids(node_keys(24)));
     assert_search_matches_reference("chord", || ChordNetwork::with_perfect_tables(node_keys(24)));
-    assert_search_matches_reference("kademlia", || KademliaNetwork::with_nodes(node_keys(24)));
-    assert_search_matches_reference("pastry", || {
-        PastryNetwork::with_perfect_tables(node_keys(24))
-    });
 }
 
 /// Under 20 % loss with an 8-attempt budget a search still terminates,
@@ -317,10 +312,6 @@ fn assert_lossy_search_is_sound<D: Dht + NodeChurn>(substrate: &str, make: impl 
 fn lossy_search_terminates_with_a_subset_of_the_answer() {
     assert_lossy_search_is_sound("ring", || RingDht::from_ids(node_keys(24)));
     assert_lossy_search_is_sound("chord", || ChordNetwork::with_perfect_tables(node_keys(24)));
-    assert_lossy_search_is_sound("kademlia", || KademliaNetwork::with_nodes(node_keys(24)));
-    assert_lossy_search_is_sound("pastry", || {
-        PastryNetwork::with_perfect_tables(node_keys(24))
-    });
 }
 
 /// A service that has read every entry before answers exactly like a

@@ -437,10 +437,7 @@ impl std::error::Error for DhtError {}
 /// their return values (`None` / empty).
 ///
 /// Implementations in this crate:
-/// [`OverlayDht`](crate::overlay::OverlayDht) — as
-/// [`ChordNetwork`](crate::chord::ChordNetwork),
-/// [`KademliaNetwork`](crate::kademlia::KademliaNetwork) and
-/// [`PastryNetwork`](crate::pastry::PastryNetwork) (protocol simulations),
+/// [`ChordNetwork`](crate::chord::ChordNetwork) (protocol simulation),
 /// [`RingDht`](crate::ring::RingDht) (direct consistent hashing),
 /// [`ShardedDht`](crate::sharded::ShardedDht) (one node's partition, the
 /// store a `dhtd` server serves), and two wrappers over any of them:

@@ -12,9 +12,20 @@
 //! Stoica et al. (SIGCOMM 2001): `find_successor` routes iteratively via
 //! `closest_preceding_node`; ring pointers are maintained by
 //! `stabilize`/`notify`/`fix_fingers`; successor lists provide fault
-//! tolerance; joining nodes take over their slice of the key space from
-//! whichever nodes hold it (the [overlay skeleton](crate::overlay)'s join
-//! takeover).
+//! tolerance. Three rules sit on top of the routing:
+//!
+//! * **Accounting.** Every operation is "route for accounting, then one
+//!   request/response pair (2 messages) per node asked". A write asks the
+//!   routed owner once and lands on the replica set (the responsible node
+//!   and its `replication - 1` successors) by global view; a read asks the
+//!   routed owner and, while the answer is empty, the rest of the replica
+//!   set in order (DHash-style). Each routed operation consumes exactly
+//!   one lookup origin; origins rotate over the members.
+//! * **Join takeover.** After a newcomer is routed to its place, every key
+//!   whose replica set now contains it lands on exactly that set, from
+//!   whichever members hold it.
+//! * **Re-replication.** The same placement pass over every key
+//!   ([`ChordNetwork::repair_replication`]).
 //!
 //! Two construction paths are provided:
 //!
@@ -38,13 +49,17 @@
 //! assert_eq!(net.get(&key), vec![Bytes::from_static(b"payload")]);
 //! ```
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::api::NodeId;
+use bytes::Bytes;
+use p2p_index_obs::MetricsRegistry;
+
+use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
 use crate::key::{Key, KEY_BITS};
-use crate::overlay::{Overlay, OverlayDht};
+use crate::storage::{merged_entries, NodeStore};
 
 /// Tuning knobs for the Chord simulation.
 #[derive(Debug, Clone)]
@@ -74,8 +89,6 @@ pub enum ChordError {
     UnknownNode(NodeId),
     /// A node with this identifier is already in the network.
     DuplicateNode(NodeId),
-    /// The network contains no live nodes.
-    EmptyNetwork,
 }
 
 impl fmt::Display for ChordError {
@@ -83,7 +96,6 @@ impl fmt::Display for ChordError {
         match self {
             ChordError::UnknownNode(n) => write!(f, "unknown node {n}"),
             ChordError::DuplicateNode(n) => write!(f, "duplicate node {n}"),
-            ChordError::EmptyNetwork => write!(f, "network has no live nodes"),
         }
     }
 }
@@ -92,8 +104,8 @@ impl Error for ChordError {}
 
 /// One Chord member's protocol state: predecessor pointer, successor
 /// list and finger table.
-#[derive(Debug, Clone)]
-pub struct NodeState {
+#[derive(Debug)]
+struct NodeState {
     /// Predecessor pointer; `None` until learned via `notify`.
     predecessor: Option<Key>,
     /// Successor list; entry 0 is the immediate successor. Never empty.
@@ -115,53 +127,35 @@ impl NodeState {
     }
 }
 
-/// The simulated Chord network: the [overlay skeleton](crate::overlay)
-/// routed by [`ChordConfig`].
+/// The simulated Chord network: every member's protocol state and store,
+/// plus the work counters behind [`Dht::stats`].
 ///
 /// See the [module docs](self) for an overview and examples.
-pub type ChordNetwork = OverlayDht<ChordConfig>;
-
-impl Overlay for ChordConfig {
-    type Tables = NodeState;
-
-    fn route(net: &ChordNetwork, key: &Key) -> Option<Key> {
-        let origin = net.pick_origin()?;
-        Some(net.find_successor_from(origin, key).0)
-    }
-
-    /// The responsible node followed by `replication - 1` of its
-    /// successors.
-    fn replica_set(net: &ChordNetwork, key: &Key) -> Vec<Key> {
-        let Some(primary) = net.responsible_node(key) else {
-            return Vec::new();
-        };
-        let n = net.order.len();
-        let pos = net.order.binary_search(&primary).expect("live node");
-        (0..net.cfg.replication.max(1).min(n))
-            .map(|k| net.order[(pos + k) % n])
-            .collect()
-    }
-
-    /// The new node learns its successor through a routed lookup from
-    /// `bootstrap` and relies on subsequent
-    /// [`ChordNetwork::run_maintenance`] rounds to converge predecessor
-    /// pointers, successor lists, and fingers — exactly as in the Chord
-    /// paper.
-    fn join(net: &mut ChordNetwork, id: Key, bootstrap: Key) {
-        let (succ, _hops) = net.find_successor_from(bootstrap, &id);
-        let mut state = NodeState::solitary(id);
-        state.successors = vec![succ];
-        net.insert_member(id, state);
-        net.bump_messages(2); // join request + key transfer
-    }
-
-    fn stabilize(net: &mut ChordNetwork) {
-        net.converge(64);
-        net.repair_replication();
-    }
+#[derive(Debug)]
+pub struct ChordNetwork {
+    cfg: ChordConfig,
+    /// Per-member protocol state.
+    nodes: BTreeMap<Key, NodeState>,
+    /// Per-member multi-value store (same key set as `nodes`).
+    stores: BTreeMap<Key, NodeStore>,
+    /// Sorted cache of live node identifiers (mirrors `nodes` keys).
+    order: Vec<Key>,
+    /// Work counters, atomic so `&self` read paths account like
+    /// everything else.
+    messages: AtomicU64,
+    lookups: AtomicU64,
+    hops: AtomicU64,
+    /// Rotates lookup origins so routed traffic spreads over the members.
+    next_origin: AtomicU64,
+    metrics: MetricsRegistry,
 }
 
 impl ChordNetwork {
+    /// Creates an empty network with the default configuration.
+    pub fn new() -> Self {
+        Self::with_perfect_tables([])
+    }
+
     /// Builds a fully converged ring over `ids` in one step.
     ///
     /// Successors, predecessors, successor lists and all finger tables are
@@ -176,9 +170,44 @@ impl ChordNetwork {
         ids: impl IntoIterator<Item = Key>,
         cfg: ChordConfig,
     ) -> Self {
-        let mut net = Self::with_members(cfg, ids, NodeState::solitary);
+        let mut net = ChordNetwork {
+            cfg,
+            nodes: BTreeMap::new(),
+            stores: BTreeMap::new(),
+            order: Vec::new(),
+            messages: AtomicU64::new(0),
+            lookups: AtomicU64::new(0),
+            hops: AtomicU64::new(0),
+            next_origin: AtomicU64::new(0),
+            metrics: MetricsRegistry::default(),
+        };
+        for id in ids {
+            net.insert_member(id, NodeState::solitary(id));
+        }
         net.rebuild_all_tables();
         net
+    }
+
+    /// Adds `id` with the given state and an empty store; a no-op if it
+    /// is already a member.
+    fn insert_member(&mut self, id: Key, state: NodeState) {
+        if let Err(pos) = self.order.binary_search(&id) {
+            self.order.insert(pos, id);
+            self.nodes.insert(id, state);
+            self.stores.insert(id, NodeStore::new());
+        }
+    }
+
+    /// Drops `id` from the member list, handing back what it stored.
+    fn remove_member(&mut self, id: &Key) -> Option<NodeStore> {
+        let pos = self.order.binary_search(id).ok()?;
+        self.order.remove(pos);
+        self.nodes.remove(id);
+        self.stores.remove(id)
+    }
+
+    fn bump_messages(&self, n: u64) {
+        self.messages.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Recomputes every pointer from the global view (test/bench helper).
@@ -226,6 +255,32 @@ impl ChordNetwork {
         }
     }
 
+    /// Routes a lookup for `key` from the next origin in rotation and
+    /// charges its lookup, hops and per-hop messages. `None` only on an
+    /// empty network.
+    fn route(&self, key: &Key) -> Option<Key> {
+        if self.order.is_empty() {
+            return None;
+        }
+        let i = self.next_origin.fetch_add(1, Ordering::Relaxed) as usize;
+        let origin = self.order[i % self.order.len()];
+        Some(self.find_successor_from(origin, key).0)
+    }
+
+    /// The members that should hold `key`, primary first, by global view:
+    /// the responsible node followed by `replication - 1` of its
+    /// successors.
+    fn replica_set(&self, key: &Key) -> Vec<Key> {
+        let Some(primary) = self.responsible_node(key) else {
+            return Vec::new();
+        };
+        let n = self.order.len();
+        let pos = self.order.binary_search(&primary).expect("live node");
+        (0..self.cfg.replication.max(1).min(n))
+            .map(|k| self.order[(pos + k) % n])
+            .collect()
+    }
+
     /// Starts a brand-new network consisting of the single node `id`.
     ///
     /// # Errors
@@ -237,6 +292,37 @@ impl ChordNetwork {
             return Err(ChordError::DuplicateNode(id));
         }
         self.insert_member(key, NodeState::solitary(key));
+        Ok(())
+    }
+
+    /// Joins `id` to the network via the live `bootstrap` node.
+    ///
+    /// The newcomer learns its successor through a routed lookup from
+    /// `bootstrap` (counted in the stats) and relies on subsequent
+    /// [`ChordNetwork::run_maintenance`] rounds to converge predecessor
+    /// pointers, successor lists, and fingers — exactly as in the Chord
+    /// paper. Then every key whose replica set now contains the newcomer
+    /// lands on exactly that set, from whichever members hold it — data
+    /// is never stranded, however stale the routing tables the join
+    /// travelled through.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChordError::DuplicateNode`] if `id` is already present, or
+    /// [`ChordError::UnknownNode`] if `bootstrap` is not live.
+    pub fn join(&mut self, id: NodeId, bootstrap: NodeId) -> Result<(), ChordError> {
+        if self.nodes.contains_key(id.key()) {
+            return Err(ChordError::DuplicateNode(id));
+        }
+        if !self.nodes.contains_key(bootstrap.key()) {
+            return Err(ChordError::UnknownNode(bootstrap));
+        }
+        let (succ, _hops) = self.find_successor_from(*bootstrap.key(), id.key());
+        let mut state = NodeState::solitary(*id.key());
+        state.successors = vec![succ];
+        self.insert_member(*id.key(), state);
+        self.bump_messages(2); // join request + key transfer
+        self.place(Some(id.key()));
         Ok(())
     }
 
@@ -263,6 +349,19 @@ impl ChordNetwork {
         Ok(())
     }
 
+    /// Abruptly kills `id`: its data is lost (unless replicated) and
+    /// routing state heals only through stabilization.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChordError::UnknownNode`] if `id` is not live.
+    pub fn fail(&mut self, id: NodeId) -> Result<(), ChordError> {
+        match self.remove_member(id.key()) {
+            Some(_lost) => Ok(()),
+            None => Err(ChordError::UnknownNode(id)),
+        }
+    }
+
     /// Iteratively routes a lookup for `key` starting at the live node
     /// `origin`, returning the responsible node and the hop count.
     ///
@@ -281,8 +380,8 @@ impl ChordNetwork {
         loop {
             let succ = self.first_live_successor(&current);
             if key.in_interval(&current, &succ) {
-                self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-                self.stats.hops.fetch_add(hops as u64, Ordering::Relaxed);
+                self.lookups.fetch_add(1, Ordering::Relaxed);
+                self.hops.fetch_add(hops as u64, Ordering::Relaxed);
                 // Each hop is a request/response pair.
                 self.bump_messages(2 * hops as u64);
                 return (succ, hops);
@@ -293,7 +392,7 @@ impl ChordNetwork {
                 // back to following successors, which always makes progress.
                 let fallback = succ;
                 if fallback == current {
-                    self.stats.lookups.fetch_add(1, Ordering::Relaxed);
+                    self.lookups.fetch_add(1, Ordering::Relaxed);
                     return (current, hops);
                 }
                 current = fallback;
@@ -304,7 +403,7 @@ impl ChordNetwork {
             if hops > 4 * cap {
                 // Unreachable in practice; avoid infinite loops under
                 // pathological churn in tests.
-                self.stats.lookups.fetch_add(1, Ordering::Relaxed);
+                self.lookups.fetch_add(1, Ordering::Relaxed);
                 return (current, hops);
             }
         }
@@ -477,6 +576,31 @@ impl ChordNetwork {
         }
     }
 
+    /// The placement pass: each key's copies end up on exactly its current
+    /// replica set, merged from whichever members hold them. With a
+    /// `newcomer` only the keys that member should now hold move (the join
+    /// takeover); without, every key does (re-replication). Returns the
+    /// number of copies created. Accounts no messages.
+    fn place(&mut self, newcomer: Option<&Key>) -> usize {
+        let mut created = 0;
+        for (key, values) in merged_entries(self.stores.values()) {
+            let replicas = self.replica_set(&key);
+            if newcomer.is_some_and(|id| !replicas.contains(id)) {
+                continue;
+            }
+            for (node, store) in self.stores.iter_mut() {
+                if replicas.contains(node) {
+                    for v in &values {
+                        created += usize::from(store.put(key, v.clone()));
+                    }
+                } else {
+                    store.remove_all(&key);
+                }
+            }
+        }
+        created
+    }
+
     /// Restores the replication invariant after churn: every stored key's
     /// copies end up on exactly its current replica set (the responsible
     /// node and its `replication - 1` successors).
@@ -500,16 +624,163 @@ impl ChordNetwork {
             .map(|id| (NodeId::from_key(*id), self.stores[id].key_count()))
             .collect()
     }
+
+    /// Direct access to a node's local store (read-only, for inspection).
+    pub fn store_of(&self, id: &NodeId) -> Option<&NodeStore> {
+        self.stores.get(id.key())
+    }
+
+    /// The one write: route (accounted), one request/ack pair, then
+    /// `apply` on every member of the replica set.
+    fn write(
+        &mut self,
+        key: &Key,
+        mut apply: impl FnMut(&mut NodeStore) -> bool,
+    ) -> Result<bool, DhtError> {
+        self.route(key).ok_or(DhtError::NoLiveNodes)?;
+        self.bump_messages(2);
+        let mut changed = false;
+        for node in self.replica_set(key) {
+            changed |= apply(self.stores.get_mut(&node).expect("live replica"));
+        }
+        Ok(changed)
+    }
+
+    /// The one read: route (accounted), then one request/response pair per
+    /// member asked — the routed owner and, while the answer is empty, the
+    /// rest of the replica set in order (DHash-style: a freshly responsible
+    /// node may not hold the data yet). Borrowed, so a digest is hashed in
+    /// place and only a `Values` answer copies the list.
+    fn read(&self, key: &Key) -> &[Bytes] {
+        let Some(owner) = self.route(key) else {
+            return &[];
+        };
+        let ask = |node: &Key| {
+            self.bump_messages(2); // fetch request + response
+            self.stores.get(node).map_or(&[][..], |s| s.get(key))
+        };
+        let mut values = ask(&owner);
+        if values.is_empty() {
+            for replica in self.replica_set(key) {
+                if !values.is_empty() {
+                    break;
+                }
+                if replica != owner {
+                    values = ask(&replica);
+                }
+            }
+        }
+        values
+    }
+
+    fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+        if self.order.is_empty() {
+            return Err(DhtError::NoLiveNodes);
+        }
+        match op {
+            DhtOp::NodeFor(key) => {
+                let owner = self.route(&key).ok_or(DhtError::NoLiveNodes)?;
+                Ok(DhtResponse::Node(NodeId::from_key(owner)))
+            }
+            DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, self.read(&key))),
+            DhtOp::GetIfChanged { key, seen } => {
+                Ok(DhtResponse::if_changed(&key, seen, self.read(&key)))
+            }
+            DhtOp::Put { key, value } => self
+                .write(&key, |store| store.put(key, value.clone()))
+                .map(DhtResponse::Stored),
+            DhtOp::Remove { key, value } => self
+                .write(&key, |store| store.remove(&key, &value))
+                .map(DhtResponse::Removed),
+        }
+    }
+}
+
+impl Default for ChordNetwork {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Dht for ChordNetwork {
+    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+        if !self.metrics.is_enabled() {
+            return self.execute_inner(op);
+        }
+        let kind = op.kind();
+        let before = self.stats();
+        let result = self.execute_inner(op);
+        api::record_op(&self.metrics, kind, before, self.stats(), &result);
+        result
+    }
+
+    fn node_for(&self, key: &Key) -> Option<NodeId> {
+        self.route(key).map(NodeId::from_key)
+    }
+
+    fn nodes(&self) -> Vec<NodeId> {
+        self.order.iter().copied().map(NodeId::from_key).collect()
+    }
+
+    fn get(&self, key: &Key) -> Vec<Bytes> {
+        self.read(key).to_vec()
+    }
+
+    fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
+        merged_entries(self.stores.values())
+    }
+
+    fn stats(&self) -> DhtStats {
+        DhtStats {
+            messages: self.messages.load(Ordering::Relaxed),
+            lookups: self.lookups.load(Ordering::Relaxed),
+            hops: self.hops.load(Ordering::Relaxed),
+        }
+    }
+
+    fn set_metrics(&mut self, metrics: MetricsRegistry) {
+        self.metrics = metrics;
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+}
+
+impl NodeChurn for ChordNetwork {
+    fn spawn(&mut self, id: NodeId) -> bool {
+        let Some(bootstrap) = self.order.first().copied() else {
+            return false;
+        };
+        self.join(id, NodeId::from_key(bootstrap)).is_ok()
+    }
+
+    fn kill(&mut self, id: NodeId) -> bool {
+        self.fail(id).is_ok()
+    }
+
+    /// Converges the ring pointers, then re-replicates.
+    fn stabilize(&mut self) {
+        self.converge(64);
+        self.repair_replication();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Dht;
-    use bytes::Bytes;
 
     fn keys(n: usize) -> Vec<Key> {
         (0..n).map(|i| Key::hash_of(&format!("node-{i}"))).collect()
+    }
+
+    fn replicated(n: usize, replication: usize) -> ChordNetwork {
+        let cfg = ChordConfig {
+            replication,
+            ..ChordConfig::default()
+        };
+        ChordNetwork::with_perfect_tables_and_config(keys(n), cfg)
     }
 
     #[test]
@@ -558,6 +829,55 @@ mod tests {
             let key = Key::hash_of(&format!("item-{i}"));
             assert_eq!(net.get(&key), vec![Bytes::from(format!("value-{i}"))]);
         }
+    }
+
+    /// Wipes the first `wiped` replicas' copies of a key and reads it: the
+    /// value comes back while any replica holds it, and the read costs
+    /// its route plus one RPC pair per node asked.
+    #[test]
+    fn get_falls_back_through_the_replica_set_one_pair_per_node_asked() {
+        for wiped in 0..=3usize {
+            let mut net = replicated(16, 3);
+            let key = Key::hash_of("resilient");
+            net.put(key, Bytes::from_static(b"v"));
+            let replicas = net.replica_set(&key);
+            assert_eq!(replicas.len(), 3);
+            for node in &replicas[..wiped] {
+                net.stores.get_mut(node).unwrap().remove_all(&key);
+            }
+            let before = net.stats();
+            let got = net.get(&key);
+            let after = net.stats();
+            if wiped < 3 {
+                assert_eq!(got, vec![Bytes::from_static(b"v")], "wiped={wiped}");
+            } else {
+                assert!(got.is_empty(), "every copy is gone");
+            }
+            let asked = (wiped as u64 + 1).min(3);
+            assert_eq!(
+                after.messages - before.messages,
+                2 * (after.hops - before.hops) + 2 * asked,
+                "wiped={wiped}: route + one pair per node asked"
+            );
+        }
+    }
+
+    /// Reads through `execute(Get)` and through `get` are the same read:
+    /// same origins consumed, same route, same accounting.
+    #[test]
+    fn execute_get_and_get_account_alike() {
+        let (mut via_execute, mut via_get) = (replicated(16, 1), replicated(16, 1));
+        let data: Vec<Key> = (0..40).map(|i| Key::hash_of(&format!("d{i}"))).collect();
+        for net in [&mut via_execute, &mut via_get] {
+            for (i, k) in data.iter().enumerate() {
+                net.put(*k, Bytes::from(format!("v{i}")));
+            }
+        }
+        for k in &data {
+            let values = via_execute.execute(DhtOp::Get(*k)).unwrap().into_values();
+            assert_eq!(values, via_get.get(k));
+        }
+        assert_eq!(via_execute.stats(), via_get.stats());
     }
 
     #[test]
@@ -677,12 +997,7 @@ mod tests {
 
     #[test]
     fn replication_survives_failure() {
-        let ids = keys(8);
-        let cfg = ChordConfig {
-            replication: 3,
-            ..ChordConfig::default()
-        };
-        let mut net = ChordNetwork::with_perfect_tables_and_config(ids.clone(), cfg);
+        let mut net = replicated(8, 3);
         let key = Key::hash_of("precious");
         net.put(key, Bytes::from_static(b"data"));
         let primary = net.responsible_node(&key).unwrap();
@@ -706,11 +1021,7 @@ mod tests {
     #[test]
     fn repair_replication_restores_full_sets() {
         let ids = keys(24);
-        let cfg = ChordConfig {
-            replication: 3,
-            ..ChordConfig::default()
-        };
-        let mut net = ChordNetwork::with_perfect_tables_and_config(ids.clone(), cfg);
+        let mut net = replicated(24, 3);
         let data: Vec<Key> = (0..60).map(|i| Key::hash_of(&format!("d{i}"))).collect();
         for (i, k) in data.iter().enumerate() {
             net.put(*k, Bytes::from(format!("v{i}")));
@@ -742,12 +1053,7 @@ mod tests {
 
     #[test]
     fn repair_replication_drops_stray_copies() {
-        let ids = keys(12);
-        let cfg = ChordConfig {
-            replication: 2,
-            ..ChordConfig::default()
-        };
-        let mut net = ChordNetwork::with_perfect_tables_and_config(ids.clone(), cfg);
+        let mut net = replicated(12, 2);
         let key = Key::hash_of("item");
         net.put(key, Bytes::from_static(b"v"));
         // A graceful leave consolidates copies onto the successor, leaving

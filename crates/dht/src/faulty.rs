@@ -1,7 +1,7 @@
 //! Deterministic fault injection around any [`Dht`] substrate.
 //!
-//! Real DHT deployments lose messages and churn nodes; the Kademlia
-//! harvesting literature treats partial failure as the normal case. This
+//! Real DHT deployments lose messages and churn nodes; the DHT
+//! measurement literature treats partial failure as the normal case. This
 //! module wraps a healthy substrate in [`FaultyDht`], which injects three
 //! fault classes into every [`Dht::execute`] call, driven by a seeded RNG
 //! so experiment runs are exactly reproducible:

@@ -132,32 +132,6 @@ impl Key {
         target.wrapping_sub(self)
     }
 
-    /// The XOR of two keys — the distance metric of Kademlia.
-    #[must_use]
-    pub fn xor(&self, other: &Key) -> Key {
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = self.0[i] ^ other.0[i];
-        }
-        Key(out)
-    }
-
-    /// Number of leading zero bits (0 for the top-bit-set keys, 160 for
-    /// [`Key::ZERO`]). `159 - leading_zeros(a XOR b)` is the Kademlia
-    /// bucket index of `b` relative to `a`.
-    pub fn leading_zeros(&self) -> usize {
-        let mut zeros = 0;
-        for byte in &self.0 {
-            if *byte == 0 {
-                zeros += 8;
-            } else {
-                zeros += byte.leading_zeros() as usize;
-                break;
-            }
-        }
-        zeros
-    }
-
     /// Tests membership in the half-open ring interval `(from, to]`.
     ///
     /// This is the interval Chord uses to decide key responsibility: a node
@@ -320,26 +294,6 @@ mod tests {
         let b = Key::from_u64(20);
         assert!(!Key::from_u64(20).in_open_interval(&a, &b));
         assert!(Key::from_u64(19).in_open_interval(&a, &b));
-    }
-
-    #[test]
-    fn xor_properties() {
-        let a = Key::hash_of("a");
-        let b = Key::hash_of("b");
-        assert_eq!(a.xor(&a), Key::ZERO);
-        assert_eq!(a.xor(&b), b.xor(&a));
-        assert_eq!(a.xor(&b).xor(&b), a);
-        assert_eq!(a.xor(&Key::ZERO), a);
-    }
-
-    #[test]
-    fn leading_zeros_counts() {
-        assert_eq!(Key::ZERO.leading_zeros(), 160);
-        assert_eq!(Key::MAX.leading_zeros(), 0);
-        assert_eq!(Key::from_u64(1).leading_zeros(), 159);
-        assert_eq!(Key::from_u64(2).leading_zeros(), 158);
-        assert_eq!(Key::power_of_two(159).leading_zeros(), 0);
-        assert_eq!(Key::power_of_two(100).leading_zeros(), 59);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! [`Chord`](crate::chord) substrate exists to show the indexing layer
 //! really does run over the full protocol
 //! (`crates/core/tests/search_oracle.rs` runs the same searches over the
-//! ring, Chord, Kademlia and Pastry against one reference).
+//! ring and Chord against one reference).
 //!
-//! `RingDht` is deliberately not an [`Overlay`](crate::overlay::Overlay):
-//! it has no routing state and no lookup origin, it keeps the
-//! [`PairCounters`] convention (`NodeFor` and `remove` count no lookup)
-//! that the networked substrates share, and it is the one substrate on a
-//! benchmark hot path (`sim-lookup`, every cluster twin), where the
-//! skeleton's `Vec<Key>` replica set per operation would be pure cost.
+//! `RingDht` deliberately shares no code with Chord's op path: it has no
+//! routing state and no lookup origin, it keeps the [`PairCounters`]
+//! convention (`NodeFor` and `remove` count no lookup) that the networked
+//! substrates share, and it is the one substrate on a benchmark hot path
+//! (`sim-lookup`, every cluster twin), where Chord's `Vec<Key>` replica
+//! set per operation would be pure cost.
 
 use std::collections::BTreeMap;
 

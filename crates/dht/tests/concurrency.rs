@@ -4,14 +4,13 @@
 use std::sync::RwLock;
 
 use bytes::Bytes;
-use p2p_index_dht::{ChordNetwork, Dht, KademliaNetwork, Key, NodeId, RingDht};
+use p2p_index_dht::{ChordNetwork, Dht, Key, NodeId, RingDht};
 
 #[test]
 fn substrates_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ChordNetwork>();
     assert_send_sync::<RingDht>();
-    assert_send_sync::<KademliaNetwork>();
     assert_send_sync::<Key>();
     assert_send_sync::<NodeId>();
 }
@@ -82,26 +81,4 @@ fn concurrent_readers_with_writer_behind_rwlock() {
         });
     });
     assert_eq!(net.read().expect("no writer panicked").total_keys(), 260);
-}
-
-#[test]
-fn parallel_kademlia_reads() {
-    let mut net = KademliaNetwork::with_nodes((0..64).map(|i| Key::hash_of(&format!("node-{i}"))));
-    for i in 0..200 {
-        net.put(
-            Key::hash_of(&format!("item-{i}")),
-            Bytes::from(format!("v{i}")),
-        );
-    }
-    let net = &net;
-    std::thread::scope(|scope| {
-        for t in 0..8 {
-            scope.spawn(move || {
-                for i in (t..200).step_by(8) {
-                    let key = Key::hash_of(&format!("item-{i}"));
-                    assert_eq!(net.get(&key), vec![Bytes::from(format!("v{i}"))]);
-                }
-            });
-        }
-    });
 }

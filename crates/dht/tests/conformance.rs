@@ -1,8 +1,7 @@
 //! Shared trait-conformance suite, instantiated for every substrate.
 //!
 //! The index layer is written against [`Dht`] alone, so each substrate —
-//! Chord, Kademlia, Pastry, the plain ring, and the TCP-backed remote
-//! cluster — must agree on the observable contract: multi-value
+//! Chord, the plain ring, and the TCP-backed remote cluster — must agree on the observable contract: multi-value
 //! registration, duplicate suppression, removal of one value among
 //! several, `node_for` consistency with `nodes()`, and the
 //! message-accounting promise that one RPC request/response pair counts
@@ -21,8 +20,7 @@
 use bytes::Bytes;
 use p2p_index_dht::{
     BalanceConfig, ChordConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig,
-    FaultyDht, KademliaConfig, KademliaNetwork, Key, NodeChurn, NodeId, PastryConfig,
-    PastryNetwork, RingDht, ShardedDht, SplitDht,
+    FaultyDht, Key, NodeChurn, NodeId, RingDht, ShardedDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -43,6 +41,16 @@ fn replicated_cluster(n: usize) -> ClusterDht {
     ClusterDht::new(cluster, config)
 }
 
+/// Chord at replication 3 over `n` members: a read of an empty owner
+/// falls back through the rest of the replica set (DHash-style).
+fn chord_r3(n: usize) -> ChordNetwork {
+    let config = ChordConfig {
+        replication: 3,
+        ..ChordConfig::default()
+    };
+    ChordNetwork::with_perfect_tables_and_config(keys(n), config)
+}
+
 /// Every substrate, behind the trait, at the given network size.
 fn substrates(n: usize) -> Vec<(&'static str, Box<dyn Dht>)> {
     vec![
@@ -50,11 +58,6 @@ fn substrates(n: usize) -> Vec<(&'static str, Box<dyn Dht>)> {
         (
             "chord",
             Box::new(ChordNetwork::with_perfect_tables(keys(n))),
-        ),
-        ("kademlia", Box::new(KademliaNetwork::with_nodes(keys(n)))),
-        (
-            "pastry",
-            Box::new(PastryNetwork::with_perfect_tables(keys(n))),
         ),
         (
             "remote",
@@ -193,22 +196,13 @@ fn a_digest_get_answers_the_digest_of_what_a_get_answers() {
 }
 
 /// Every substrate a conditional read must conform on: the shared list,
-/// the DHash-fallback overlays, the local wrappers, the partition store,
-/// and a replicated quorum cluster. A fresh copy per call, so two twins
-/// can be driven side by side.
+/// DHash-fallback Chord, the local wrappers, the partition store, and a
+/// replicated quorum cluster. A fresh copy per call, so two twins can be
+/// driven side by side.
 fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
     let mut all = substrates(16);
     all.extend([
-        (
-            "chord-r3",
-            Box::new(ChordNetwork::with_perfect_tables_and_config(
-                keys(8),
-                ChordConfig {
-                    replication: 3,
-                    ..ChordConfig::default()
-                },
-            )) as Box<dyn Dht>,
-        ),
+        ("chord-r3", Box::new(chord_r3(8)) as Box<dyn Dht>),
         (
             "faulty",
             Box::new(FaultyDht::transparent(RingDht::from_ids(keys(16)))),
@@ -222,10 +216,7 @@ fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
         ),
         (
             "split-observe",
-            Box::new(SplitDht::new(
-                PastryNetwork::with_perfect_tables(keys(16)),
-                BalanceConfig::observe_only(),
-            )),
+            Box::new(SplitDht::new(chord_r3(16), BalanceConfig::observe_only())),
         ),
         (
             "sharded",
@@ -377,48 +368,16 @@ fn rpc_pairs_count_as_two_messages() {
     }
     // A replicated read asks one replica at a time while the answer is
     // empty, so a key nobody holds costs its route (two messages a hop)
-    // plus one pair per member of the replica set, on every overlay.
-    let (chord, kademlia, pastry) = (
-        ChordConfig {
-            replication: 3,
-            ..ChordConfig::default()
-        },
-        KademliaConfig {
-            store_width: 3,
-            ..KademliaConfig::default()
-        },
-        PastryConfig {
-            replication: 3,
-            ..PastryConfig::default()
-        },
+    // plus one pair per member of the replica set.
+    let mut chord = chord_r3(8);
+    let before = chord.stats();
+    assert!(exec_get(&mut chord, Key::hash_of("absent")).is_empty());
+    let after = chord.stats();
+    assert_eq!(
+        after.messages - before.messages,
+        2 * (after.hops - before.hops) + 2 * 3,
+        "an empty replicated read = route + three request/response pairs"
     );
-    let replicated: Vec<(&'static str, Box<dyn Dht>)> = vec![
-        (
-            "chord",
-            Box::new(ChordNetwork::with_perfect_tables_and_config(keys(8), chord)),
-        ),
-        (
-            "kademlia",
-            Box::new(KademliaNetwork::with_nodes_and_config(keys(8), kademlia)),
-        ),
-        (
-            "pastry",
-            Box::new(PastryNetwork::with_perfect_tables_and_config(
-                keys(8),
-                pastry,
-            )),
-        ),
-    ];
-    for (name, mut dht) in replicated {
-        let before = dht.stats();
-        assert!(exec_get(dht.as_mut(), Key::hash_of("absent")).is_empty());
-        let after = dht.stats();
-        assert_eq!(
-            after.messages - before.messages,
-            2 * (after.hops - before.hops) + 2 * 3,
-            "{name}: an empty replicated read = route + three request/response pairs"
-        );
-    }
 }
 
 #[test]
@@ -513,8 +472,6 @@ fn faulty_metrics_case<D: Dht + NodeChurn>(name: &str, inner: D) {
 fn metrics_survive_faulty_retries() {
     faulty_metrics_case("ring", RingDht::from_ids(keys(1)));
     faulty_metrics_case("chord", ChordNetwork::with_perfect_tables(keys(1)));
-    faulty_metrics_case("kademlia", KademliaNetwork::with_nodes(keys(1)));
-    faulty_metrics_case("pastry", PastryNetwork::with_perfect_tables(keys(1)));
 }
 
 #[test]
@@ -579,8 +536,6 @@ fn empty_network_reports_no_live_nodes() {
     let empties: Vec<(&'static str, Box<dyn Dht>)> = vec![
         ("ring", Box::new(RingDht::new())),
         ("chord", Box::new(ChordNetwork::new())),
-        ("kademlia", Box::new(KademliaNetwork::new())),
-        ("pastry", Box::new(PastryNetwork::new())),
         (
             "remote",
             Box::new(RemoteDht::connect(Vec::new(), RemoteDhtConfig::default())),

@@ -1,24 +1,18 @@
-//! Behaviour goldens for the three routed overlays.
+//! Behaviour goldens for the routed overlay, Chord.
 //!
 //! One fixed script — 32 nodes, 200 puts over 150 keys, 200 gets, 40
-//! removes, 4 spawns, 2 kills, `stabilize`, 200 gets — runs over Chord,
-//! Kademlia and Pastry at the default config and at replication (store
-//! width) 3. After each phase the transcript pins [`DhtStats`] and the
-//! per-node key counts, and at the end a hash of `entries()`, so a
-//! refactor of the shared op path, the accounting, the join takeover or
-//! the re-replication pass shows up as a changed line with a phase name
-//! on it. The literals were generated on the commit before the overlay
-//! skeleton (`overlay.rs`) landed; CHANGES.md (PR 23) lists every line
-//! that skeleton changed and why.
+//! removes, 4 spawns, 2 kills, `stabilize`, 200 gets — runs over Chord at
+//! the default config and at replication 3. After each phase the
+//! transcript pins [`DhtStats`] and the per-node key counts, and at the
+//! end a hash of `entries()`, so a refactor of the op path, the
+//! accounting, the join takeover or the re-replication pass shows up as a
+//! changed line with a phase name on it.
 //!
 //! On a mismatch the assertion prints the whole transcript, which is
 //! also how the literals are regenerated.
 
 use bytes::Bytes;
-use p2p_index_dht::{
-    ChordConfig, ChordNetwork, Dht, KademliaConfig, KademliaNetwork, Key, NodeChurn, NodeId,
-    PastryConfig, PastryNetwork,
-};
+use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeChurn, NodeId};
 
 fn ids() -> Vec<Key> {
     (0..32)
@@ -126,28 +120,6 @@ fn chord(replication: usize) -> String {
     )
 }
 
-fn kademlia(store_width: usize) -> String {
-    let cfg = KademliaConfig {
-        store_width,
-        ..KademliaConfig::default()
-    };
-    transcript(
-        KademliaNetwork::with_nodes_and_config(ids(), cfg),
-        |net, id| net.store_of(id).map_or(0, |s| s.key_count()),
-    )
-}
-
-fn pastry(replication: usize) -> String {
-    let cfg = PastryConfig {
-        replication,
-        ..PastryConfig::default()
-    };
-    transcript(
-        PastryNetwork::with_perfect_tables_and_config(ids(), cfg),
-        |net, id| net.store_of(id).map_or(0, |s| s.key_count()),
-    )
-}
-
 const CHORD_DEFAULT: &str = "\
 puts: m=1256 l=200 h=428 keys=[5,2,6,3,7,0,1,0,5,11,20,11,0,2,3,3,4,8,11,2,0,1,5,7,2,16,2,3,5,4,0,1]
 gets found=300: m=2574 l=400 h=887 keys=[5,2,6,3,7,0,1,0,5,11,20,11,0,2,3,3,4,8,11,2,0,1,5,7,2,16,2,3,5,4,0,1]
@@ -176,64 +148,4 @@ entries: keys=110 values=160 hash=d1970c3a0446c6bc";
 #[test]
 fn chord_replicated() {
     check("chord r=3", chord(3), CHORD_REPLICATED);
-}
-
-const KADEMLIA_DEFAULT: &str = "\
-puts: m=1600 l=200 h=200 keys=[3,5,3,4,3,2,1,4,11,13,15,0,2,7,1,2,4,10,10,2,3,2,5,6,7,9,3,5,4,0,2,2]
-gets found=300: m=2000 l=200 h=200 keys=[3,5,3,4,3,2,1,4,11,13,15,0,2,7,1,2,4,10,10,2,3,2,5,6,7,9,3,5,4,0,2,2]
-removes: m=2320 l=240 h=240 keys=[1,3,2,4,3,2,1,3,7,11,10,0,2,4,0,1,4,8,7,0,2,1,4,6,6,5,2,5,2,0,2,2]
-spawns: m=2352 l=244 h=248 keys=[1,3,2,4,3,2,1,3,7,6,5,7,3,0,2,4,0,1,4,8,7,0,2,1,4,6,6,5,0,2,5,0,2,0,2,2]
-kills: m=2352 l=244 h=248 keys=[1,3,2,4,3,2,1,3,7,6,7,3,0,2,4,0,1,4,8,7,0,1,4,6,6,5,0,2,5,0,2,0,2,2]
-stabilize: m=2352 l=244 h=248 keys=[1,3,2,4,3,2,1,3,7,6,7,3,0,2,4,0,1,4,8,7,0,1,4,6,6,5,0,2,5,0,2,0,2,2]
-gets after churn found=238: m=2752 l=244 h=248 keys=[1,3,2,4,3,2,1,3,7,6,7,3,0,2,4,0,1,4,8,7,0,1,4,6,6,5,0,2,5,0,2,0,2,2]
-entries: keys=103 values=148 hash=00f3b23a3d01cadd";
-
-#[test]
-fn kademlia_default() {
-    check("kademlia", kademlia(1), KADEMLIA_DEFAULT);
-}
-
-const KADEMLIA_REPLICATED: &str = "\
-puts: m=1600 l=200 h=200 keys=[10,10,11,10,9,13,15,15,15,13,21,30,27,20,15,13,13,10,10,15,14,16,11,22,22,22,8,8,6,11,7,8]
-gets found=300: m=2000 l=200 h=200 keys=[10,10,11,10,9,13,15,15,15,13,21,30,27,20,15,13,13,10,10,15,14,16,11,22,22,22,8,8,6,11,7,8]
-removes: m=2320 l=240 h=240 keys=[5,6,8,7,9,10,13,10,10,11,14,23,17,16,11,9,11,8,7,9,9,9,8,17,17,17,7,7,4,9,6,6]
-spawns: m=2352 l=244 h=248 keys=[5,6,8,7,9,10,13,10,10,11,11,12,12,10,11,14,11,9,11,8,7,9,9,9,8,17,17,17,7,7,7,2,3,5,4,4]
-kills: m=2352 l=244 h=248 keys=[5,6,8,7,9,10,13,10,10,11,12,12,10,11,14,11,9,11,8,7,9,9,8,17,17,17,7,7,7,2,3,5,4,4]
-stabilize: m=2352 l=244 h=248 keys=[5,6,8,7,9,10,13,10,10,11,14,14,15,13,14,11,9,11,8,7,13,11,11,17,17,17,7,7,7,2,3,5,4,4]
-gets after churn found=260: m=2912 l=244 h=248 keys=[5,6,8,7,9,10,13,10,10,11,14,14,15,13,14,11,9,11,8,7,13,11,11,17,17,17,7,7,7,2,3,5,4,4]
-entries: keys=110 values=160 hash=d1970c3a0446c6bc";
-
-#[test]
-fn kademlia_replicated() {
-    check("kademlia w=3", kademlia(3), KADEMLIA_REPLICATED);
-}
-
-const PASTRY_DEFAULT: &str = "\
-puts: m=902 l=200 h=251 keys=[3,4,4,6,3,1,0,2,10,11,20,4,1,3,3,3,6,8,8,1,0,3,5,7,9,9,0,6,6,0,0,4]
-gets found=300: m=1802 l=400 h=501 keys=[3,4,4,6,3,1,0,2,10,11,20,4,1,3,3,3,6,8,8,1,0,3,5,7,9,9,0,6,6,0,0,4]
-removes: m=1976 l=440 h=548 keys=[1,2,3,6,3,1,0,1,8,7,15,3,1,1,1,3,4,7,6,0,0,1,3,7,8,5,0,6,3,0,0,4]
-spawns: m=1996 l=444 h=552 keys=[1,2,3,6,3,1,0,1,8,1,6,11,4,3,1,1,1,3,4,7,6,0,0,1,3,7,8,5,0,2,4,1,2,0,0,4]
-kills: m=1996 l=444 h=552 keys=[1,2,3,6,3,1,0,1,8,1,11,4,3,1,1,1,3,4,7,6,0,1,3,7,8,5,0,2,4,1,2,0,0,4]
-stabilize: m=1996 l=444 h=552 keys=[1,2,3,6,3,1,0,1,8,1,11,4,3,1,1,1,3,4,7,6,0,1,3,7,8,5,0,2,4,1,2,0,0,4]
-gets after churn found=248: m=2946 l=644 h=827 keys=[1,2,3,6,3,1,0,1,8,1,11,4,3,1,1,1,3,4,7,6,0,1,3,7,8,5,0,2,4,1,2,0,0,4]
-entries: keys=104 values=152 hash=000a9f18714f2fb9";
-
-#[test]
-fn pastry_default() {
-    check("pastry", pastry(1), PASTRY_DEFAULT);
-}
-
-const PASTRY_REPLICATED: &str = "\
-puts: m=902 l=200 h=251 keys=[9,9,12,11,10,8,8,16,21,22,27,28,25,10,9,11,16,14,16,12,12,9,17,18,22,18,16,11,9,7,10,7]
-gets found=300: m=1802 l=400 h=501 keys=[9,9,12,11,10,8,8,16,21,22,27,28,25,10,9,11,16,14,16,12,12,9,17,18,22,18,16,11,9,7,10,7]
-removes: m=1976 l=440 h=548 keys=[5,5,9,10,10,7,6,11,15,17,20,20,17,6,6,7,13,12,13,7,6,4,14,16,18,13,11,9,6,5,7,5]
-spawns: m=1996 l=444 h=552 keys=[5,5,9,10,10,7,6,3,13,13,17,17,15,16,6,6,6,7,13,12,13,7,6,4,14,16,18,10,10,8,7,4,3,4,5,5]
-kills: m=1996 l=444 h=552 keys=[5,5,9,10,10,7,6,3,13,13,17,15,16,6,6,6,7,13,12,13,7,4,14,16,18,10,10,8,7,4,3,4,5,5]
-stabilize: m=1996 l=444 h=552 keys=[5,5,9,10,10,7,6,11,13,16,20,17,17,6,6,6,7,13,12,13,10,7,14,16,18,10,10,8,7,4,3,4,5,5]
-gets after churn found=260: m=3106 l=644 h=827 keys=[5,5,9,10,10,7,6,11,13,16,20,17,17,6,6,6,7,13,12,13,10,7,14,16,18,10,10,8,7,4,3,4,5,5]
-entries: keys=110 values=160 hash=d1970c3a0446c6bc";
-
-#[test]
-fn pastry_replicated() {
-    check("pastry r=3", pastry(3), PASTRY_REPLICATED);
 }

@@ -17,8 +17,7 @@
 //! * **Determinism** — `page_key` is a pure function, collision-free
 //!   across `(parent, page)` pairs.
 //! * **Portability** — split-then-read equals unsplit-read on every
-//!   substrate (ring, Chord, Kademlia, Pastry, and the TCP-backed
-//!   loopback cluster).
+//!   substrate (ring, Chord, and the TCP-backed loopback cluster).
 //!
 //! Each property runs over seeded cases (`p2p_index_testkit`), so a run
 //! repeats exactly and a failure names the seed of its case.
@@ -27,8 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    page_key, BalanceConfig, ChordNetwork, Dht, DhtOp, KademliaNetwork, Key, PastryNetwork,
-    RingDht, SplitDht, SplitMix64,
+    page_key, BalanceConfig, ChordNetwork, Dht, DhtOp, Key, RingDht, SplitDht, SplitMix64,
 };
 use p2p_index_net::LoopbackCluster;
 use p2p_index_testkit::{for_each_case, Rng};
@@ -327,18 +325,6 @@ fn split_reads_are_substrate_independent() {
         check_substrate(
             "chord",
             ChordNetwork::with_perfect_tables(node_keys(16)),
-            &script,
-            config,
-        );
-        check_substrate(
-            "kademlia",
-            KademliaNetwork::with_nodes(node_keys(16)),
-            &script,
-            config,
-        );
-        check_substrate(
-            "pastry",
-            PastryNetwork::with_perfect_tables(node_keys(16)),
             &script,
             config,
         );

@@ -12,9 +12,9 @@
 //! shards, each behind its own `RwLock` held only for the in-memory
 //! operation, never across I/O. Frames this member sends its peers go out
 //! through `link.rs`, the same dialing code the client uses.
-//! Whatever routing a deployment puts in front (ring, Chord, Kademlia,
-//! Pastry), what a node *serves* is this one multi-value
-//! `put/get/remove` store; the client routes and accounts.
+//! Whatever routing a deployment puts in front (ring, Chord), what a
+//! node *serves* is this one multi-value `put/get/remove` store; the
+//! client routes and accounts.
 //!
 //! Every storage operation of every frame kind reaches the store through
 //! one function, `Shared::apply_local`. That is also where

@@ -21,10 +21,7 @@
 //! produce identical snapshots.
 
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{
-    ChordNetwork, Dht, FaultConfig, FaultyDht, KademliaNetwork, Key, NodeChurn, PastryNetwork,
-    RingDht,
-};
+use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeChurn, RingDht};
 use p2p_index_obs::{MetricsRegistry, MetricsSnapshot};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -264,12 +261,6 @@ fn registry_mirrors_every_substrate_and_policy() {
     for policy in policies() {
         run_case("ring", RingDht::from_ids(keys(16)), policy);
         run_case("chord", ChordNetwork::with_perfect_tables(keys(16)), policy);
-        run_case("kademlia", KademliaNetwork::with_nodes(keys(16)), policy);
-        run_case(
-            "pastry",
-            PastryNetwork::with_perfect_tables(keys(16)),
-            policy,
-        );
     }
 }
 
@@ -376,8 +367,6 @@ fn run_faulty_case<D: Dht + NodeChurn>(name: &str, inner: D) {
 fn faulty_substrate_invariants_hold_with_retries() {
     run_faulty_case("ring", RingDht::from_ids(keys(16)));
     run_faulty_case("chord", ChordNetwork::with_perfect_tables(keys(16)));
-    run_faulty_case("kademlia", KademliaNetwork::with_nodes(keys(16)));
-    run_faulty_case("pastry", PastryNetwork::with_perfect_tables(keys(16)));
 }
 
 /// Everything a recording trace must not perturb.

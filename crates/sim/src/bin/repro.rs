@@ -87,6 +87,16 @@ impl Flags {
         parse_as(flag, &self.text(flag)?)
     }
 
+    /// The value after `flag`, which must be at least 1: a network of no
+    /// nodes or a corpus of no articles has nothing to measure.
+    fn count(&mut self, flag: &str) -> Result<usize, String> {
+        let text = self.text(flag)?;
+        match parse_as(flag, &text)? {
+            0 => Err(format!("{flag} {text:?}: must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
     /// The comma-separated values after `flag`.
     fn list<T: FromStr<Err: Display>>(&mut self, flag: &str) -> Result<Vec<T>, String> {
         self.text(flag)?
@@ -201,8 +211,8 @@ fn parse_eval(command: &str, mut flags: Flags) -> Result<EvalArgs, String> {
     while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--small" => args.config = EvalConfig::small(),
-            "--nodes" => args.config.nodes = flags.value(&flag)?,
-            "--articles" => args.config.articles = flags.value(&flag)?,
+            "--nodes" => args.config.nodes = flags.count(&flag)?,
+            "--articles" => args.config.articles = flags.count(&flag)?,
             "--queries" => args.config.queries = flags.value(&flag)?,
             "--seed" => args.config.seed = flags.value(&flag)?,
             "--csv" => args.csv_dir = Some(flags.value(&flag)?),
@@ -273,8 +283,8 @@ fn parse_hotspot(mut flags: Flags) -> Result<(HotspotConfig, Option<PathBuf>), S
     while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--small" => config = HotspotConfig::small(),
-            "--nodes" => config.nodes = flags.value(&flag)?,
-            "--articles" => config.articles = flags.value(&flag)?,
+            "--nodes" => config.nodes = flags.count(&flag)?,
+            "--articles" => config.articles = flags.count(&flag)?,
             "--queries" => config.queries = flags.value(&flag)?,
             "--seed" => config.seed = flags.value(&flag)?,
             "--hot-rank" => config.hot_rank = flags.value(&flag)?,
@@ -549,6 +559,17 @@ mod tests {
                 rejected(parse_serve(flags(&format!("--loss {loss}")))),
                 format!("--loss {loss:?}: must be within 0..=1")
             );
+        }
+        // An empty network or corpus used to panic deep in the run.
+        for flag in ["--nodes", "--articles"] {
+            let line = format!("--small {flag} 0");
+            for error in [
+                rejected(parse_eval("fig11", flags(&line))),
+                rejected(parse_eval("trace", flags(&format!("/article {line}")))),
+                rejected(parse_hotspot(flags(&line))),
+            ] {
+                assert_eq!(error, format!("{flag} \"0\": must be at least 1"));
+            }
         }
         let opts = parse_serve(flags(
             "--port 65535 --fault-seed 18446744073709551615 --loss 1",

@@ -12,7 +12,7 @@
 //!
 //! | Layer | Crate | Contents |
 //! |---|---|---|
-//! | Substrate | [`dht`] | SHA-1, 160-bit key space, four substrates (Chord, Kademlia and Pastry simulations on one routed-overlay skeleton, plus a consistent-hash ring), multi-value storage, fault injection (`FaultyDht`) |
+//! | Substrate | [`dht`] | SHA-1, 160-bit key space, two in-process substrates (a Chord protocol simulation and a consistent-hash ring with identical placement), multi-value storage, fault injection (`FaultyDht`) |
 //! | Network | [`net`] | wire codec, the `dhtd` server (replication, quorums, digest repair), `RemoteDht` client |
 //! | Data model | [`xmldoc`] | XML descriptors: tree, parser, canonical form |
 //! | Query language | [`xpath`] | XPath-subset parsing, evaluation, covering relation `⊒` |
@@ -71,11 +71,11 @@ pub mod prelude {
     pub use p2p_index_core::{
         CachePolicy, Completeness, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme, IndexError,
         IndexScheme, IndexService, IndexTarget, InitialLetterScheme, KeywordTitleScheme,
-        RetryPolicy, SearchReport, SearchSession, SessionReport, SessionState, SimpleScheme,
+        RetryPolicy, SearchReport, SimpleScheme,
     };
     pub use p2p_index_dht::{
-        ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, KademliaNetwork,
-        Key, NodeChurn, NodeId, PastryNetwork, RingDht,
+        ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeChurn,
+        NodeId, RingDht,
     };
     pub use p2p_index_workload::{
         Corpus, CorpusConfig, QueryGenerator, QueryStructure, StructureMix,

@@ -291,50 +291,6 @@ fn fig4_scheme_supports_last_name_searches() {
 }
 
 #[test]
-fn kademlia_substrate_gives_identical_results() {
-    // Third substrate family (XOR metric): the index layer is agnostic.
-    let corpus = Corpus::generate(CorpusConfig {
-        articles: 100,
-        author_pool: 30,
-        seed: 8,
-        ..CorpusConfig::default()
-    });
-    let ids: Vec<p2p_index::dht::Key> = (0..32)
-        .map(|i| p2p_index::dht::Key::hash_of(&format!("node-{i}")))
-        .collect();
-    let mut over_ring = IndexService::new(RingDht::from_ids(ids.clone()), CachePolicy::None);
-    let mut over_kad = IndexService::new(KademliaNetwork::with_nodes(ids), CachePolicy::None);
-    for article in corpus.articles() {
-        over_ring
-            .publish(&article.descriptor(), article.file_name(), &ComplexScheme)
-            .unwrap();
-        over_kad
-            .publish(&article.descriptor(), article.file_name(), &ComplexScheme)
-            .unwrap();
-    }
-    let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), 77);
-    for item in generator.take_queries(100) {
-        let mut a: Vec<String> = over_ring
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        let mut b: Vec<String> = over_kad
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "kademlia disagrees on {}", item.query);
-    }
-}
-
-#[test]
 fn browse_by_author_initial_letter() {
     // §IV-C substring indexes: initial-letter entries let users browse
     // authors alphabetically and refine.
@@ -377,50 +333,5 @@ fn browse_by_author_initial_letter() {
                 hit.file
             );
         }
-    }
-}
-
-#[test]
-fn pastry_substrate_gives_identical_results() {
-    // Fourth substrate (prefix routing / PAST): still the same results.
-    let corpus = Corpus::generate(CorpusConfig {
-        articles: 100,
-        author_pool: 30,
-        seed: 8,
-        ..CorpusConfig::default()
-    });
-    let ids: Vec<p2p_index::dht::Key> = (0..32)
-        .map(|i| p2p_index::dht::Key::hash_of(&format!("node-{i}")))
-        .collect();
-    let mut over_ring = IndexService::new(RingDht::from_ids(ids.clone()), CachePolicy::None);
-    let mut over_pastry =
-        IndexService::new(PastryNetwork::with_perfect_tables(ids), CachePolicy::None);
-    for article in corpus.articles() {
-        over_ring
-            .publish(&article.descriptor(), article.file_name(), &SimpleScheme)
-            .unwrap();
-        over_pastry
-            .publish(&article.descriptor(), article.file_name(), &SimpleScheme)
-            .unwrap();
-    }
-    let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), 91);
-    for item in generator.take_queries(100) {
-        let mut a: Vec<String> = over_ring
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        let mut b: Vec<String> = over_pastry
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "pastry disagrees on {}", item.query);
     }
 }
