@@ -7,13 +7,15 @@
 //!
 //! [`CachePolicy`] selects the paper's three §V-D variants (plus no
 //! caching); [`ShortcutCache`] is the per-node store with optional LRU
-//! eviction.
+//! eviction; `NodeCaches` holds every node's store under one policy, for
+//! the index service to probe, fill and purge.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use p2p_index_dht::Key;
+use p2p_index_dht::{Key, NodeId};
 use p2p_index_obs::MetricsRegistry;
+use p2p_index_xpath::Query;
 
 use crate::target::IndexTarget;
 
@@ -68,11 +70,11 @@ impl fmt::Display for CachePolicy {
 
 #[derive(Debug, Clone)]
 struct Slot {
-    targets: Vec<IndexTarget>,
+    target: IndexTarget,
     last_used: u64,
 }
 
-/// One node's shortcut cache: query key `h(q)` → direct targets,
+/// One node's shortcut cache: query key `h(q)` → direct target,
 /// LRU-evicted when a capacity is set.
 ///
 /// Slots are keyed by the query's memoized DHT key rather than the query
@@ -88,11 +90,6 @@ pub struct ShortcutCache {
     slots: HashMap<Key, Slot>,
     capacity: Option<usize>,
     clock: u64,
-    /// Admission gate: a key must be offered this many times before a
-    /// slot is created for it (`0` admits immediately).
-    admission_threshold: u32,
-    /// Offers seen per not-yet-admitted key.
-    sightings: HashMap<Key, u32>,
     metrics: MetricsRegistry,
 }
 
@@ -130,24 +127,6 @@ impl ShortcutCache {
         self
     }
 
-    /// Sets the admission threshold: a key must be offered to
-    /// [`insert`](Self::insert) this many times before a slot is created
-    /// for it. `0` (the default) admits on first offer — the paper's
-    /// behavior. Under skewed load this keeps one-off queries from
-    /// churning LRU caches while flash-crowd keys clear the bar within a
-    /// few repeats. Keys already cached are unaffected.
-    pub fn set_admission_threshold(&mut self, threshold: u32) {
-        self.admission_threshold = threshold;
-        if threshold == 0 {
-            self.sightings.clear();
-        }
-    }
-
-    /// The configured admission threshold.
-    pub fn admission_threshold(&self) -> u32 {
-        self.admission_threshold
-    }
-
     /// Inserts a shortcut `h(query) → target`, *replacing* any previous
     /// shortcut under the same key.
     ///
@@ -157,9 +136,7 @@ impl ShortcutCache {
     /// confirmed target and responses stay small. Returns `true` if the
     /// cache changed (new key, or a different target than before).
     /// Inserting into a full LRU cache evicts the least-recently-used key
-    /// first; a capacity of 0 stores nothing. When an admission threshold
-    /// is set ([`set_admission_threshold`](Self::set_admission_threshold)),
-    /// a new key is rejected until it has been offered that many times.
+    /// first; a capacity of 0 stores nothing.
     pub fn insert(&mut self, key: Key, target: IndexTarget) -> bool {
         if self.capacity == Some(0) {
             return false;
@@ -167,26 +144,13 @@ impl ShortcutCache {
         self.clock += 1;
         if let Some(slot) = self.slots.get_mut(&key) {
             slot.last_used = self.clock;
-            if slot.targets.first() == Some(&target) {
+            if slot.target == target {
                 self.metrics.incr("cache.insert.unchanged");
                 return false;
             }
-            // Reuse the slot's buffer: replace-on-write is the cache's
-            // steady state under popular queries, so it must not allocate.
-            slot.targets.clear();
-            slot.targets.push(target);
+            slot.target = target;
             self.metrics.incr("cache.insert.replaced");
             return true;
-        }
-        if self.admission_threshold > 0 {
-            let seen = self.sightings.entry(key).or_insert(0);
-            *seen += 1;
-            if *seen < self.admission_threshold {
-                self.metrics.incr("cache.admission.rejected");
-                return false;
-            }
-            self.sightings.remove(&key);
-            self.metrics.incr("cache.admission.admitted");
         }
         if let Some(cap) = self.capacity {
             while self.slots.len() >= cap {
@@ -203,7 +167,7 @@ impl ShortcutCache {
         self.slots.insert(
             key,
             Slot {
-                targets: vec![target],
+                target,
                 last_used: self.clock,
             },
         );
@@ -211,14 +175,14 @@ impl ShortcutCache {
         true
     }
 
-    /// Looks up the shortcuts for query key `key`, refreshing its LRU
-    /// position.
+    /// Looks up the shortcut for query key `key`, refreshing its LRU
+    /// position. A hit is a one-element slice.
     pub fn get(&mut self, key: &Key) -> Option<&[IndexTarget]> {
         self.clock += 1;
         let clock = self.clock;
         let hit = self.slots.get_mut(key).map(|slot| {
             slot.last_used = clock;
-            slot.targets.as_slice()
+            std::slice::from_ref(&slot.target)
         });
         self.metrics.incr(if hit.is_some() {
             "cache.get.hit"
@@ -230,7 +194,7 @@ impl ShortcutCache {
 
     /// Looks up without touching recency (for inspection).
     pub fn peek(&self, key: &Key) -> Option<&[IndexTarget]> {
-        self.slots.get(key).map(|s| s.targets.as_slice())
+        self.slots.get(key).map(|s| std::slice::from_ref(&s.target))
     }
 
     /// Number of cached keys.
@@ -258,16 +222,133 @@ impl ShortcutCache {
         self.slots.clear();
     }
 
-    /// Removes `target` from every slot, dropping slots that become empty.
-    /// Used to purge shortcuts that dangle after a file is unpublished.
+    /// Drops every slot that points at `target`. Used to purge shortcuts
+    /// that dangle after a file is unpublished.
     pub fn purge_target(&mut self, target: &IndexTarget) {
         let before = self.slots.len();
-        self.slots.retain(|_, slot| {
-            slot.targets.retain(|t| t != target);
-            !slot.targets.is_empty()
-        });
+        self.slots.retain(|_, slot| slot.target != *target);
         self.metrics
             .add("cache.purged_slots", (before - self.slots.len()) as u64);
+    }
+}
+
+/// Every node's shortcut cache under one [`CachePolicy`]: the §IV-D model
+/// of per-node state that the index service drives. It decides which
+/// nodes of a successful path get a shortcut, creates a node's cache on
+/// its first shortcut, and answers probes, purges and the Fig. 13/14 size
+/// statistics. Counting what a probe or an install means for the lookup
+/// (`index.*` series, trace events, [`Traffic`](crate::Traffic)) is the
+/// caller's.
+#[derive(Debug)]
+pub(crate) struct NodeCaches {
+    policy: CachePolicy,
+    caches: HashMap<NodeId, ShortcutCache>,
+    /// Handed to every existing and future node cache.
+    metrics: MetricsRegistry,
+}
+
+impl NodeCaches {
+    /// No node caches yet; each is created on its first shortcut.
+    pub(crate) fn new(policy: CachePolicy) -> Self {
+        NodeCaches {
+            policy,
+            caches: HashMap::new(),
+            metrics: MetricsRegistry::default(),
+        }
+    }
+
+    /// The policy every node cache runs.
+    pub(crate) fn policy(&self) -> CachePolicy {
+        self.policy
+    }
+
+    /// Attaches `metrics` to every existing and future node cache.
+    pub(crate) fn set_metrics(&mut self, metrics: MetricsRegistry) {
+        for cache in self.caches.values_mut() {
+            cache.set_metrics(metrics.clone());
+        }
+        self.metrics = metrics;
+    }
+
+    /// The steps of a successful lookup path that get a shortcut (§IV-C,
+    /// §V-D): every step under `Multi`, the first node contacted under
+    /// `Single` and `Lru(k)`, none under `None`.
+    pub(crate) fn shortcut_steps<'p>(&self, path: &'p [(NodeId, Query)]) -> &'p [(NodeId, Query)] {
+        if !self.policy.caches() {
+            &[]
+        } else if self.policy.caches_whole_path() {
+            path
+        } else {
+            &path[..path.len().min(1)]
+        }
+    }
+
+    /// What `node`'s cache holds for `key` (empty when the node never
+    /// cached anything), refreshing its LRU position.
+    pub(crate) fn probe(&mut self, node: NodeId, key: &Key) -> Vec<IndexTarget> {
+        self.caches
+            .get_mut(&node)
+            .and_then(|c| c.get(key))
+            .map(<[IndexTarget]>::to_vec)
+            .unwrap_or_default()
+    }
+
+    /// Installs the shortcut `key → target` at `node`, creating the node's
+    /// cache first if it has none. `true` if the cache changed.
+    pub(crate) fn install(&mut self, node: NodeId, key: Key, target: &IndexTarget) -> bool {
+        let (policy, metrics) = (self.policy, &self.metrics);
+        self.caches
+            .entry(node)
+            .or_insert_with(|| ShortcutCache::for_policy(policy).with_metrics(metrics.clone()))
+            .insert(key, target.clone())
+    }
+
+    /// Drops every shortcut to an unpublished file: those to its MSD and
+    /// those to the file itself.
+    pub(crate) fn purge(&mut self, msd: &Query, file: &str) {
+        if self.caches.is_empty() {
+            // Nothing cached anywhere: skip building the file target.
+            return;
+        }
+        let targets = [
+            IndexTarget::Query(msd.clone()),
+            IndexTarget::File(file.into()),
+        ];
+        for cache in self.caches.values_mut() {
+            for target in &targets {
+                cache.purge_target(target);
+            }
+        }
+    }
+
+    /// Each of `nodes` with its cache size (0 for a node with no cache).
+    pub(crate) fn sizes(&self, nodes: &[NodeId]) -> Vec<(NodeId, usize)> {
+        nodes
+            .iter()
+            .map(|&n| (n, self.caches.get(&n).map_or(0, ShortcutCache::len)))
+            .collect()
+    }
+
+    /// The fractions of `nodes` whose cache is at capacity and empty
+    /// (`(full, empty)`; a node with no cache is empty).
+    pub(crate) fn fill_fractions(&self, nodes: &[NodeId]) -> (f64, f64) {
+        if nodes.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut full = 0usize;
+        let mut empty = 0usize;
+        for n in nodes {
+            match self.caches.get(n) {
+                Some(c) if c.is_full() => full += 1,
+                Some(c) if c.is_empty() => empty += 1,
+                None => empty += 1,
+                _ => {}
+            }
+        }
+        (
+            full as f64 / nodes.len() as f64,
+            empty as f64 / nodes.len() as f64,
+        )
     }
 }
 
@@ -382,43 +463,6 @@ mod tests {
         assert_eq!(CachePolicy::Lru(30).to_string(), "lru-30");
         assert_eq!(CachePolicy::None.to_string(), "no-cache");
         assert_eq!(CachePolicy::default(), CachePolicy::None);
-    }
-
-    #[test]
-    fn admission_threshold_gates_new_keys() {
-        let mut c = ShortcutCache::new();
-        c.set_admission_threshold(3);
-        assert_eq!(c.admission_threshold(), 3);
-        assert!(!c.insert(q("/a"), file("f")), "offer 1 rejected");
-        assert!(!c.insert(q("/a"), file("f")), "offer 2 rejected");
-        assert!(c.insert(q("/a"), file("f")), "offer 3 admitted");
-        assert_eq!(c.get(&q("/a")).unwrap(), &[file("f")]);
-        // Once admitted, the slot behaves normally (replace-on-write).
-        assert!(c.insert(q("/a"), file("g")));
-        assert_eq!(c.get(&q("/a")).unwrap(), &[file("g")]);
-    }
-
-    #[test]
-    fn admission_protects_lru_from_one_off_keys() {
-        let mut c = ShortcutCache::with_capacity(1);
-        c.set_admission_threshold(2);
-        c.insert(q("/hot"), file("f"));
-        c.insert(q("/hot"), file("f"));
-        assert!(c.peek(&q("/hot")).is_some(), "repeated key admitted");
-        // A parade of one-off keys never gets in, so the hot key stays.
-        for i in 0..50 {
-            assert!(!c.insert(q(&format!("/one-off/{i}")), file("f")));
-        }
-        assert!(c.peek(&q("/hot")).is_some());
-    }
-
-    #[test]
-    fn zero_threshold_restores_immediate_admission() {
-        let mut c = ShortcutCache::new();
-        c.set_admission_threshold(5);
-        assert!(!c.insert(q("/a"), file("f")));
-        c.set_admission_threshold(0);
-        assert!(c.insert(q("/a"), file("f")), "gate removed");
     }
 
     #[test]

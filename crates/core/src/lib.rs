@@ -9,12 +9,17 @@
 //! broad queries to more specific queries they cover; searching walks the
 //! covering partial order downward until files are reached.
 //!
-//! * [`service`] — [`IndexService`]: publish/unpublish, single lookup
-//!   steps and shortcut creation (the primitives of the paper's
-//!   interactive mode), automated search with generalization;
+//! * [`service`] — [`IndexService`]: the protocol — publish/unpublish,
+//!   single lookup steps and shortcut creation (the primitives of the
+//!   paper's interactive mode), automated search with generalization —
+//!   with its retries, traffic, node load and tracing;
 //! * [`scheme`] — the index schemes of the paper's Fig. 8 and Fig. 4, plus
 //!   custom schemes;
-//! * [`cache`] — the adaptive distributed cache (multi/single/LRU);
+//! * [`cache`] — the adaptive distributed cache (multi/single/LRU): one
+//!   node's [`ShortcutCache`], and `NodeCaches`, every node's under one
+//!   policy, which the service probes, fills and purges;
+//! * `memo` — `ReadMemo`, what the querying client keeps of what it read:
+//!   interned query keys and the decoded entry memo;
 //! * [`retry`] — retry policies (attempt budget, exponential backoff in
 //!   simulated time, seeded jitter) applied to every DHT operation;
 //! * [`target`] — the wire format of index entries;
@@ -42,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod memo;
 pub mod retry;
 pub mod scheme;
 pub mod service;

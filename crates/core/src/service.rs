@@ -16,6 +16,12 @@
 //!   adaptive cache write path for the configured [`CachePolicy`];
 //! * [`unpublish`](IndexService::unpublish) removes a file and recursively
 //!   cleans up dangling index entries (§IV-C read/write semantics).
+//!
+//! The service keeps the protocol, its retries, [`Traffic`], node load and
+//! tracing. The per-node shortcut caches it drives are `NodeCaches`
+//! (`cache.rs`), and what it remembers of its reads is `ReadMemo`
+//! (`memo.rs`); every trace event and `index.*` counter is still emitted
+//! here.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
@@ -28,7 +34,8 @@ use p2p_index_obs::{MetricsRegistry, Trace, TraceRecorder};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
 
-use crate::cache::{CachePolicy, ShortcutCache};
+use crate::cache::{CachePolicy, NodeCaches};
+use crate::memo::ReadMemo;
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::scheme::IndexScheme;
 use crate::target::{encode_file_into, DecodeTargetError, IndexTarget};
@@ -118,30 +125,6 @@ impl StepResponse {
     pub fn is_empty(&self) -> bool {
         self.cached.is_empty() && self.indexed.is_empty()
     }
-}
-
-/// One interaction's reply as read: the serving node, the shortcut
-/// targets its cache answered with, and its indexed targets — the entry
-/// memo's, shared.
-struct Reply {
-    node: NodeId,
-    cached: Vec<IndexTarget>,
-    indexed: Arc<[IndexTarget]>,
-}
-
-/// One index entry as this service last read it: what [`IndexService`]'s
-/// entry memo holds per key.
-#[derive(Debug)]
-struct Entry {
-    /// The `(count, sum)` digest of the values the targets were decoded
-    /// from ([`DhtResponse::seen_of`]): what the next read of the key asks
-    /// with ([`DhtOp::GetIfChanged`]).
-    seen: (u32, u64),
-    /// The decoded targets, in the order the values came.
-    targets: Arc<[IndexTarget]>,
-    /// What the reply that carried them is priced at in [`Traffic`]: the
-    /// targets' encoded lengths, summed.
-    bytes: u64,
 }
 
 /// A file located by a search: its most specific query and its handle.
@@ -283,8 +266,10 @@ struct WaveScratch {
 #[derive(Debug)]
 pub struct IndexService<D> {
     dht: D,
-    policy: CachePolicy,
-    caches: HashMap<NodeId, ShortcutCache>,
+    /// The per-node shortcut caches of §IV-D, under the service's policy.
+    caches: NodeCaches,
+    /// What this client read: interned keys and the entry memo.
+    memo: ReadMemo,
     traffic: Traffic,
     node_queries: HashMap<NodeId, u64>,
     retry: RetryPolicy,
@@ -292,29 +277,6 @@ pub struct IndexService<D> {
     retry_stats: RetryStats,
     /// Simulated clock, advanced by retry backoff (milliseconds).
     sim_clock_ms: u64,
-    /// Interned `query → h(q)` keys of the queries this service *looked
-    /// up*: each is SHA-1-hashed once, and steady-state lookups pay a
-    /// `HashMap` probe on the query's canonical text. Memo tables memoise
-    /// reads, never writes — `publish`, `unpublish` and `insert_mapping`
-    /// hash their write-once keys with [`key_of`](Self::key_of) — so the
-    /// table grows with what was asked, not with what was stored, and an
-    /// entry shares its query's one allocation with whoever asked.
-    key_cache: HashMap<Query, Key>,
-    /// The entry memo, this service's one table of read entries: `h(q) →`
-    /// the decoded targets of the last non-empty entry read under it, the
-    /// digest of the values they came from, and the reply's price. A key
-    /// the memo holds is read with [`DhtOp::GetIfChanged`]: an unchanged
-    /// answer (a digest) reuses the entry — no value crosses the wire, no
-    /// list is built, no value is decoded — and a changed one is decoded
-    /// and replaces it. An empty answer drops the key. Every read is
-    /// validated against the substrate (a read quorum, over a network), so
-    /// the memo cannot serve an entry the substrate no longer holds (up to
-    /// a 64-bit digest collision). It holds decoded targets only, never
-    /// the bytes they came in: a networked substrate's values are slices
-    /// of a whole reply frame, and a table that lives as long as the
-    /// service must not pin frames. Unbounded, like `key_cache`: it grows
-    /// with the distinct non-empty keys read.
-    entries: HashMap<Key, Entry>,
     /// Reusable scratch buffers for [`search`](Self::search): the BFS
     /// queue/visited sets and the generalization frontier survive across
     /// searches instead of being reallocated per query.
@@ -326,9 +288,6 @@ pub struct IndexService<D> {
     /// per-entry `format!` temporary (publish is the allocation-heaviest
     /// phase of a run).
     encode_scratch: Vec<u8>,
-    /// Shortcut-cache admission threshold applied to every node cache
-    /// (see [`set_cache_admission`](Self::set_cache_admission)).
-    cache_admission: u32,
     /// Observability sink (disabled by default; see [`set_metrics`](Self::set_metrics)).
     metrics: MetricsRegistry,
     /// Active lookup trace, if [`start_trace`](Self::start_trace) is pending.
@@ -346,35 +305,19 @@ impl<D: Dht> IndexService<D> {
     pub fn with_retry(dht: D, policy: CachePolicy, retry: RetryPolicy) -> Self {
         IndexService {
             dht,
-            policy,
-            caches: HashMap::new(),
+            caches: NodeCaches::new(policy),
+            memo: ReadMemo::default(),
             traffic: Traffic::new(),
             node_queries: HashMap::new(),
             retry,
             retry_rng: SplitMix64::new(retry.seed),
             retry_stats: RetryStats::default(),
             sim_clock_ms: 0,
-            key_cache: HashMap::new(),
-            entries: HashMap::new(),
             search_scratch: SearchScratch::default(),
             wave_scratch: WaveScratch::default(),
             encode_scratch: Vec::new(),
-            cache_admission: 0,
             metrics: MetricsRegistry::default(),
             tracer: None,
-        }
-    }
-
-    /// Sets the shortcut-cache admission threshold: a key must be seen
-    /// this many times before a cache slot is created for it (`0`, the
-    /// default, admits on first sight — the paper's behavior). Applies to
-    /// every existing and future node cache. Load-driven tuning for
-    /// hot-spot scenarios: flash-crowd keys clear the bar immediately,
-    /// one-off queries stop churning the cache.
-    pub fn set_cache_admission(&mut self, threshold: u32) {
-        self.cache_admission = threshold;
-        for cache in self.caches.values_mut() {
-            cache.set_admission_threshold(threshold);
         }
     }
 
@@ -399,9 +342,7 @@ impl<D: Dht> IndexService<D> {
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.metrics = metrics.clone();
         self.dht.set_metrics(metrics.clone());
-        for cache in self.caches.values_mut() {
-            cache.set_metrics(metrics.clone());
-        }
+        self.caches.set_metrics(metrics);
     }
 
     /// The attached metrics registry (disabled unless
@@ -611,66 +552,7 @@ impl<D: Dht> IndexService<D> {
     /// table afterwards. The table caches a pure function of the query's
     /// canonical text, so entries can never go stale.
     pub fn cached_key(&mut self, query: &Query) -> Key {
-        if let Some(k) = self.key_cache.get(query) {
-            return *k;
-        }
-        let k = Key::hash_of(query.canonical_text());
-        self.key_cache.insert(query.clone(), k);
-        k
-    }
-
-    /// The read a lookup of `key` sends: conditional on the digest of the
-    /// entry the memo holds for it, a plain `Get` otherwise.
-    fn read_op(&self, key: Key) -> DhtOp {
-        match self.entries.get(&key) {
-            Some(entry) => DhtOp::GetIfChanged {
-                key,
-                seen: entry.seen,
-            },
-            None => DhtOp::Get(key),
-        }
-    }
-
-    /// The index entries a read of `key` answered, and the reply's price,
-    /// through the entry memo: an unchanged answer is the memo's entry (a
-    /// refcount bump), a non-empty list is decoded into a new entry that
-    /// replaces the old one, and an empty list drops the key. This is the
-    /// lookup hot path — every reply comes through here exactly once.
-    ///
-    /// A digest that vouches for no entry the memo holds answers no read
-    /// this service sent; it is a failed read ([`DhtError::Timeout`]).
-    fn read_entry(
-        &mut self,
-        key: Key,
-        answer: DhtResponse,
-    ) -> Result<(Arc<[IndexTarget]>, u64), IndexError> {
-        match answer {
-            DhtResponse::Digest { count, sum } => match self.entries.get(&key) {
-                Some(entry) if entry.seen == (count, sum) => {
-                    Ok((entry.targets.clone(), entry.bytes))
-                }
-                _ => Err(IndexError::Dht(DhtError::Timeout)),
-            },
-            DhtResponse::Values(values) if !values.is_empty() => {
-                let targets: Arc<[IndexTarget]> = values
-                    .iter()
-                    .map(|value| IndexTarget::from_bytes(value))
-                    .collect::<Result<_, _>>()?;
-                let bytes = targets.iter().map(|t| t.encoded_len() as u64).sum();
-                let seen = DhtResponse::seen_of(&key, &values);
-                let entry = Entry {
-                    seen,
-                    targets: targets.clone(),
-                    bytes,
-                };
-                self.entries.insert(key, entry);
-                Ok((targets, bytes))
-            }
-            _ => {
-                self.entries.remove(&key);
-                Ok((Arc::default(), 0))
-            }
-        }
+        self.memo.cached_key(query)
     }
 
     /// The underlying DHT (read-only).
@@ -685,7 +567,7 @@ impl<D: Dht> IndexService<D> {
 
     /// The active cache policy.
     pub fn policy(&self) -> CachePolicy {
-        self.policy
+        self.caches.policy()
     }
 
     /// Accumulated traffic counters.
@@ -701,34 +583,13 @@ impl<D: Dht> IndexService<D> {
     /// Per-node shortcut-cache sizes, for every live node (zero when a node
     /// has never cached anything).
     pub fn cache_sizes(&self) -> Vec<(NodeId, usize)> {
-        self.dht
-            .nodes()
-            .into_iter()
-            .map(|n| (n, self.caches.get(&n).map_or(0, ShortcutCache::len)))
-            .collect()
+        self.caches.sizes(&self.dht.nodes())
     }
 
     /// Fraction of node caches that are at capacity / completely empty
     /// (`(full, empty)`), over all live nodes.
     pub fn cache_fill_fractions(&self) -> (f64, f64) {
-        let nodes = self.dht.nodes();
-        if nodes.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut full = 0usize;
-        let mut empty = 0usize;
-        for n in &nodes {
-            match self.caches.get(n) {
-                Some(c) if c.is_full() => full += 1,
-                Some(c) if c.is_empty() => empty += 1,
-                None => empty += 1,
-                _ => {}
-            }
-        }
-        (
-            full as f64 / nodes.len() as f64,
-            empty as f64 / nodes.len() as f64,
-        )
+        self.caches.fill_fractions(&self.dht.nodes())
     }
 
     /// Zeroes the traffic and per-node counters (cache contents are kept).
@@ -774,8 +635,8 @@ impl<D: Dht> IndexService<D> {
             }
         }
         // Keys written here are hashed, not interned: a publisher writes
-        // each key once, and remembering the query would make `key_cache`
-        // the owner of every tree ever published.
+        // each key once, and remembering the query would make the read
+        // memo the owner of every tree ever published.
         let mut ops = Vec::with_capacity(1 + edges.len());
         let msd_key = Self::key_of(&msd);
         let file_value = self.encode_with(|buf| encode_file_into(file.as_ref(), buf));
@@ -856,7 +717,7 @@ impl<D: Dht> IndexService<D> {
     /// [`IndexError::EmptyNetwork`] without live nodes; [`IndexError::Decode`]
     /// if a stored entry is corrupt.
     pub fn lookup_step(&mut self, query: &Query) -> Result<StepResponse, IndexError> {
-        self.step(query, true)
+        self.traced_lookup(query, true)
     }
 
     /// Like [`lookup_step`](Self::lookup_step), but skips the node's
@@ -872,27 +733,21 @@ impl<D: Dht> IndexService<D> {
         &mut self,
         query: &Query,
     ) -> Result<StepResponse, IndexError> {
-        self.step(query, false)
-    }
-
-    /// The lookup both public entry points share.
-    fn step(&mut self, query: &Query, use_cache: bool) -> Result<StepResponse, IndexError> {
-        let reply = self.traced_lookup(query, use_cache)?;
-        Ok(StepResponse {
-            node: Some(reply.node),
-            cached: reply.cached,
-            indexed: reply.indexed,
-        })
+        self.traced_lookup(query, false)
     }
 
     /// One unary lookup, inside its `lookup …` trace span. With
     /// `use_cache` the serving node answers cache-first; without it the
     /// node's shortcut cache is skipped entirely.
-    fn traced_lookup(&mut self, query: &Query, use_cache: bool) -> Result<Reply, IndexError> {
+    fn traced_lookup(
+        &mut self,
+        query: &Query,
+        use_cache: bool,
+    ) -> Result<StepResponse, IndexError> {
         self.in_lookup_span(query, |service| {
-            let key = service.cached_key(query);
+            let key = service.memo.cached_key(query);
             let node = service.dht_execute(DhtOp::NodeFor(key));
-            let get = |service: &mut Self| service.dht_execute(service.read_op(key));
+            let get = |service: &mut Self| service.dht_execute(service.memo.read_op(key));
             service.read_reply(query, key, node, use_cache, get)
         })
     }
@@ -904,8 +759,8 @@ impl<D: Dht> IndexService<D> {
     fn in_lookup_span(
         &mut self,
         query: &Query,
-        lookup: impl FnOnce(&mut Self) -> Result<Reply, IndexError>,
-    ) -> Result<Reply, IndexError> {
+        lookup: impl FnOnce(&mut Self) -> Result<StepResponse, IndexError>,
+    ) -> Result<StepResponse, IndexError> {
         if let Some(t) = &mut self.tracer {
             t.open(format!("lookup {query}"));
         }
@@ -929,7 +784,7 @@ impl<D: Dht> IndexService<D> {
     /// and the `served by` event; the cache probe of `key` with
     /// `use_cache`, the bypass count otherwise; the read of `key` (issued
     /// by `get`, and only when no shortcut answered) through the entry
-    /// memo ([`read_entry`](Self::read_entry)); the exchange's traffic,
+    /// memo (`ReadMemo::read_entry`); the exchange's traffic,
     /// priced from the decoded targets whether or not any value crossed
     /// the wire.
     fn read_reply(
@@ -939,7 +794,7 @@ impl<D: Dht> IndexService<D> {
         node: Result<DhtResponse, DhtError>,
         use_cache: bool,
         get: impl FnOnce(&mut Self) -> Result<DhtResponse, DhtError>,
-    ) -> Result<Reply, IndexError> {
+    ) -> Result<StepResponse, IndexError> {
         let node = node?.into_node().ok_or(IndexError::EmptyNetwork)?;
         *self.node_queries.entry(node).or_insert(0) += 1;
         if let Some(t) = &mut self.tracer {
@@ -948,12 +803,7 @@ impl<D: Dht> IndexService<D> {
 
         let cached: Vec<IndexTarget> = if use_cache {
             self.metrics.incr("index.lookups.cached");
-            let hit = self
-                .caches
-                .get_mut(&node)
-                .and_then(|c| c.get(&key))
-                .map(<[IndexTarget]>::to_vec)
-                .unwrap_or_default();
+            let hit = self.caches.probe(node, &key);
             // A node that never cached anything still answers the probe:
             // count it as a miss so hit + miss == cached-mode lookups.
             if hit.is_empty() {
@@ -975,15 +825,15 @@ impl<D: Dht> IndexService<D> {
 
         let (indexed, bytes) = if cached.is_empty() {
             let answer = get(self)?;
-            self.read_entry(key, answer)?
+            self.memo.read_entry(key, answer)?
         } else {
             (Arc::default(), 0)
         };
         let response = bytes + cached.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
         let request = query.canonical_text().len() as u64;
         self.traffic.record_exchange(request, response);
-        Ok(Reply {
-            node,
+        Ok(StepResponse {
+            node: Some(node),
             cached,
             indexed,
         })
@@ -1026,10 +876,10 @@ impl<D: Dht> IndexService<D> {
         // op order, so this keeps batched and unary runs comparable.
         let mut ops = Vec::with_capacity(queries.len() * 2);
         for query in queries.iter() {
-            let key = self.cached_key(query);
+            let key = self.memo.cached_key(query);
             keys.push(key);
             ops.push(DhtOp::NodeFor(key));
-            ops.push(self.read_op(key));
+            ops.push(self.memo.read_op(key));
         }
         if let Some(t) = &mut self.tracer {
             t.open(format!("wave: {} lookup(s)", queries.len()));
@@ -1060,29 +910,13 @@ impl<D: Dht> IndexService<D> {
     /// MSD to itself would be useless). Returns the number of entries
     /// created; each creation is accounted as cache traffic.
     pub fn create_shortcuts(&mut self, path: &[(NodeId, Query)], target: &IndexTarget) -> usize {
-        if !self.policy.caches() {
-            return 0;
-        }
-        let steps: &[(NodeId, Query)] = if self.policy.caches_whole_path() {
-            path
-        } else {
-            path.get(..1.min(path.len())).unwrap_or(&[])
-        };
         let mut created = 0;
-        for (node, query) in steps {
+        for (node, query) in self.caches.shortcut_steps(path) {
             if Some(query) == target.as_query() {
                 continue;
             }
-            let key = self.cached_key(query);
-            let policy = self.policy;
-            let metrics = &self.metrics;
-            let admission = self.cache_admission;
-            let cache = self.caches.entry(*node).or_insert_with(|| {
-                let mut cache = ShortcutCache::for_policy(policy).with_metrics(metrics.clone());
-                cache.set_admission_threshold(admission);
-                cache
-            });
-            if cache.insert(key, target.clone()) {
+            let key = self.memo.cached_key(query);
+            if self.caches.install(*node, key, target) {
                 self.traffic.record_cache_update(
                     (query.canonical_text().len() + target.encoded_len()) as u64,
                 );
@@ -1379,11 +1213,7 @@ impl<D: Dht> IndexService<D> {
             }
         }
 
-        // Purge dangling shortcuts.
-        let dangling = IndexTarget::Query(msd.clone());
-        for cache in self.caches.values_mut() {
-            cache.purge_target(&dangling);
-        }
+        self.caches.purge(&msd, file);
         self.metrics.incr("index.unpublish");
         Ok(msd)
     }
@@ -1452,61 +1282,6 @@ mod tests {
     }
 
     #[test]
-    fn the_entry_memo_never_pins_the_frame_a_value_came_in() {
-        // A networked substrate hands back values that are slices of a
-        // whole reply frame; the memo outlives every frame, so it must hold
-        // decoded targets that own their bytes, never a slice of the frame.
-        let mut frame = vec![0u8; 1 << 20];
-        let encoded = IndexTarget::File("x.pdf".into()).to_bytes();
-        frame[512..512 + encoded.len()].copy_from_slice(&encoded);
-        let frame = Bytes::from(frame);
-        let values = vec![frame.slice(512..512 + encoded.len())];
-
-        let mut s = service(CachePolicy::None);
-        let key = Key::hash_of("entry");
-        let answer = DhtResponse::Values(values.clone());
-        let (targets, bytes) = s.read_entry(key, answer).unwrap();
-        assert_eq!(targets[..], [IndexTarget::File("x.pdf".into())]);
-        assert_eq!(bytes, encoded.len() as u64);
-        // An unchanged answer is the same, single entry: not a copy of it.
-        assert_eq!(
-            s.read_op(key),
-            DhtOp::GetIfChanged {
-                key,
-                seen: DhtResponse::seen_of(&key, &values),
-            }
-        );
-        let unchanged = DhtResponse::digest_of(&key, &values);
-        let (again, again_bytes) = s.read_entry(key, unchanged).unwrap();
-        assert!(Arc::ptr_eq(&targets, &again) && again_bytes == bytes);
-        assert_eq!(s.entries.len(), 1);
-
-        let held = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-        let IndexTarget::File(file) = &s.entries[&key].targets[0] else {
-            unreachable!("decoded as a file above")
-        };
-        assert!(
-            !held.contains(&(file.as_ptr() as usize)),
-            "the memo must own its bytes, not borrow the frame's"
-        );
-        // A changed answer replaces the entry, so the next read asks about
-        // the new one; a digest the memo cannot vouch for is a failed read;
-        // an empty answer drops the key.
-        let changed = vec![Bytes::from_static(b"F:y.pdf")];
-        let (now, _) = s
-            .read_entry(key, DhtResponse::Values(changed.clone()))
-            .unwrap();
-        assert_eq!(now[..], [IndexTarget::File("y.pdf".into())]);
-        let seen = DhtResponse::seen_of(&key, &changed);
-        assert_eq!(s.read_op(key), DhtOp::GetIfChanged { key, seen });
-        let other = DhtResponse::digest_of(&key, &values);
-        assert!(matches!(s.read_entry(key, other), Err(IndexError::Dht(_))));
-        let (none, zero) = s.read_entry(key, DhtResponse::Values(Vec::new())).unwrap();
-        assert!(none.is_empty() && zero == 0 && s.entries.is_empty());
-        assert_eq!(s.read_op(key), DhtOp::Get(key));
-    }
-
-    #[test]
     fn key_cache_memoises_reads_never_writes() {
         let mut s = service(CachePolicy::None);
         let descriptors: Vec<Descriptor> = (0..100)
@@ -1529,7 +1304,7 @@ mod tests {
         s.insert_mapping(conf.clone(), conf_2001.clone()).unwrap();
         s.unpublish(&descriptors[0], "file-0.pdf", &SimpleScheme)
             .unwrap();
-        assert!(s.key_cache.is_empty(), "writes hash their keys once");
+        assert!(s.memo.interned().is_empty(), "writes hash their keys once");
 
         // A lookup interns exactly the queries it steps through — and the
         // entry is the asker's query, not a copy of it.
@@ -1537,11 +1312,10 @@ mod tests {
         assert!(step
             .indexed
             .contains(&IndexTarget::Query(conf_2001.clone())));
-        assert_eq!(s.key_cache.len(), 1);
+        assert_eq!(s.memo.interned(), [&conf]);
         s.lookup_step(&conf_2001).unwrap();
         s.lookup_step(&conf).unwrap();
-        let mut interned: Vec<&Query> = s.key_cache.keys().collect();
-        interned.sort();
+        let interned = s.memo.interned();
         assert_eq!(interned, [&conf, &conf_2001]);
         assert!(std::ptr::eq(
             interned[0].canonical_text(),
@@ -1832,8 +1606,26 @@ mod tests {
         let n = s.dht().owner(&IndexService::<RingDht>::key_of(&q)).unwrap();
         s.create_shortcuts(&[(n, q.clone())], &IndexTarget::Query(msd));
         assert!(!s.lookup_step(&q).unwrap().cached.is_empty());
+        // Shortcuts straight to a file handle: x.pdf's dangles once x.pdf
+        // is gone, y.pdf's does not.
+        let file_shortcut = |s: &mut IndexService<RingDht>, query: &str, file: &str| {
+            let query: Query = query.parse().unwrap();
+            let n = s
+                .dht()
+                .owner(&IndexService::<RingDht>::key_of(&query))
+                .unwrap();
+            s.create_shortcuts(&[(n, query.clone())], &IndexTarget::File(file.into()));
+            query
+        };
+        let to_x = file_shortcut(&mut s, "/article/conf/SIGCOMM", "x.pdf");
+        let to_y = file_shortcut(&mut s, "/article/conf/INFOCOM", "y.pdf");
         s.unpublish(&d1, "x.pdf", &SimpleScheme).unwrap();
         assert!(s.lookup_step(&q).unwrap().cached.is_empty());
+        assert!(s.lookup_step(&to_x).unwrap().cached.is_empty());
+        assert_eq!(
+            s.lookup_step(&to_y).unwrap().cached,
+            [IndexTarget::File("y.pdf".into())]
+        );
     }
 
     #[test]
@@ -1933,7 +1725,7 @@ mod tests {
             for q in queries {
                 warm.search(&q.parse().unwrap()).unwrap();
             }
-            assert!(cold.entries.is_empty() && !warm.entries.is_empty());
+            assert!(cold.memo.entry_count() == 0 && warm.memo.entry_count() > 0);
             let (cold_before, warm_before) = (*cold.traffic(), *warm.traffic());
             let cold_report = cold.search(&query).unwrap();
             let warm_report = warm.search(&query).unwrap();

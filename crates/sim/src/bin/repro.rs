@@ -28,12 +28,11 @@
 //!
 //! `hotspot` runs the skewed-load scenario: a flash crowd on one title
 //! over a 10 000-node ring, once with the balance subsystem observing
-//! only and once mitigating (entry splitting + hot-key read fan-out),
-//! plus a cache-admission comparison under tight LRU caches. It prints
-//! the per-node imbalance tables and, under `--csv DIR`, writes them as
-//! CSVs beside the whole report as `hotspot.json`. Exits non-zero if the
-//! mitigation makes the headline max/mean load ratio *worse* than
-//! baseline.
+//! only and once mitigating (entry splitting + hot-key read fan-out).
+//! It prints the per-node imbalance tables and, under `--csv DIR`,
+//! writes them as CSVs beside the whole report as `hotspot.json`. Exits
+//! non-zero if the mitigation makes the headline max/mean load ratio
+//! *worse* than baseline.
 //!
 //! Nothing here times anything: throughput, latency and allocation
 //! counts are `p2p-bench`'s (`BENCHMARK.json`, `benchmark/`).

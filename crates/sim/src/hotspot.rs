@@ -16,9 +16,6 @@
 //!
 //! Both cells run the *same* corpus, workload seed, and query stream, so
 //! the per-node load difference is attributable to the subsystem alone.
-//! A second cell pair exercises the cache-admission control under tight
-//! per-node LRU caches: without admission gating, one-off tail queries
-//! evict the flash crowd's shortcut; with it, the hot entry survives.
 //!
 //! The headline exhibit is the per-node imbalance summary
 //! ([`ImbalanceSummary`]: max/mean, Gini, top-k) over operations served
@@ -41,13 +38,6 @@ use crate::table::{fmt_f, TextTable};
 
 /// How many heaviest nodes the imbalance summaries retain.
 const TOP_K: usize = 5;
-
-/// Per-node LRU capacity of the cache-admission cell pair: one slot, so
-/// every ungated insert evicts whatever the node held. Repeated keys keep
-/// themselves resident through LRU recency at any larger capacity; the
-/// one-slot cache is where eviction by one-off tail keys actually costs
-/// hits, and therefore where admission gating pays.
-const ADMISSION_LRU_CAPACITY: usize = 1;
 
 /// Full configuration of one hot-spot scenario run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,13 +68,6 @@ pub struct HotspotConfig {
     /// and cold lookups still land on the owners — that residual load is
     /// what the balance subsystem spreads.
     pub policy: CachePolicy,
-    /// Admission threshold of the cache-admission comparison cell (and of
-    /// the mitigated headline cell, where it only matters if `policy`
-    /// creates caches).
-    pub admission: u32,
-    /// Also run the cache-admission cell pair (two extra cells under
-    /// `Lru(4)` caches). On for the full exhibit, off for quick checks.
-    pub admission_cells: bool,
 }
 
 impl HotspotConfig {
@@ -104,8 +87,6 @@ impl HotspotConfig {
             hot_threshold: 64,
             fanout: 7,
             policy: CachePolicy::None,
-            admission: 3,
-            admission_cells: true,
         }
     }
 
@@ -210,8 +191,7 @@ impl CellResult {
     }
 }
 
-/// The full scenario result: the headline cell pair plus the optional
-/// cache-admission pair.
+/// The full scenario result: the baseline and mitigated cells.
 #[derive(Debug, Clone)]
 pub struct HotspotReport {
     /// The configuration that produced this report.
@@ -220,10 +200,6 @@ pub struct HotspotReport {
     pub baseline: CellResult,
     /// Splitting + fan-out cell.
     pub mitigated: CellResult,
-    /// `Lru(4)` caches, admission gating off.
-    pub admission_off: Option<CellResult>,
-    /// `Lru(4)` caches, admission gating on.
-    pub admission_on: Option<CellResult>,
 }
 
 impl HotspotReport {
@@ -277,7 +253,7 @@ impl HotspotReport {
             "cache hits",
             "errors",
         ]);
-        for cell in self.cells() {
+        for cell in [&self.baseline, &self.mitigated] {
             t.row([
                 cell.label.clone(),
                 cell.splits.to_string(),
@@ -294,36 +270,17 @@ impl HotspotReport {
         t
     }
 
-    /// All cells that ran, headline pair first.
-    pub fn cells(&self) -> Vec<&CellResult> {
-        let mut cells = vec![&self.baseline, &self.mitigated];
-        cells.extend(self.admission_off.iter());
-        cells.extend(self.admission_on.iter());
-        cells
-    }
-
     /// The report as one JSON document: the `hotspot.json` that `repro
     /// hotspot --csv DIR` writes (hand-rolled, like every other JSON
     /// emitter in this workspace).
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let (w0, w1) = c.window_indices();
-        let admission = match (&self.admission_off, &self.admission_on) {
-            (Some(off), Some(on)) => format!(
-                ",\n  \"admission\": {{\"lru_capacity\": {}, \"threshold\": {}, \
-                 \"off\": {}, \"on\": {}}}",
-                ADMISSION_LRU_CAPACITY,
-                c.admission,
-                off.to_json(),
-                on.to_json()
-            ),
-            _ => String::new(),
-        };
         format!(
             "{{\n  \"config\": {{\"nodes\": {}, \"articles\": {}, \"queries\": {}, \
              \"seed\": {}, \"hot_rank\": {}, \"window\": [{w0}, {w1}], \"boost\": {:.2}, \
              \"page_budget\": {}, \"hot_threshold\": {}, \"fanout\": {}}},\n  \
-             \"baseline\": {},\n  \"mitigated\": {}{admission},\n  \"improved\": {}\n}}\n",
+             \"baseline\": {},\n  \"mitigated\": {},\n  \"improved\": {}\n}}\n",
             c.nodes,
             c.articles,
             c.queries,
@@ -340,55 +297,13 @@ impl HotspotReport {
     }
 }
 
-/// Runs the whole scenario: the shared corpus, the headline cell pair,
-/// and (when configured) the cache-admission pair.
+/// Runs the whole scenario: the shared corpus and both cells.
 pub fn run(config: &HotspotConfig) -> HotspotReport {
     let corpus = Arc::new(Corpus::generate(config.corpus_config()));
-    let baseline = run_cell(
-        config,
-        &corpus,
-        BalanceConfig::observe_only(),
-        config.policy,
-        0,
-        "baseline",
-    );
-    let mitigated = run_cell(
-        config,
-        &corpus,
-        config.balance(),
-        config.policy,
-        config.admission,
-        "mitigated",
-    );
-    let (admission_off, admission_on) = if config.admission_cells {
-        let lru = CachePolicy::Lru(ADMISSION_LRU_CAPACITY);
-        (
-            Some(run_cell(
-                config,
-                &corpus,
-                config.balance(),
-                lru,
-                0,
-                "lru/no-admission",
-            )),
-            Some(run_cell(
-                config,
-                &corpus,
-                config.balance(),
-                lru,
-                config.admission.max(2),
-                "lru/admission",
-            )),
-        )
-    } else {
-        (None, None)
-    };
     HotspotReport {
         config: *config,
-        baseline,
-        mitigated,
-        admission_off,
-        admission_on,
+        baseline: run_cell(config, &corpus, BalanceConfig::observe_only(), "baseline"),
+        mitigated: run_cell(config, &corpus, config.balance(), "mitigated"),
     }
 }
 
@@ -398,13 +313,10 @@ fn run_cell(
     config: &HotspotConfig,
     corpus: &Arc<Corpus>,
     balance: BalanceConfig,
-    policy: CachePolicy,
-    admission: u32,
     label: &str,
 ) -> CellResult {
     let dht = SplitDht::new(RingDht::with_named_nodes(config.nodes), balance);
-    let mut service = IndexService::new(dht, policy);
-    service.set_cache_admission(admission);
+    let mut service = IndexService::new(dht, config.policy);
     let scheme: &dyn IndexScheme = &SimpleScheme;
 
     let mut msds = Vec::with_capacity(corpus.len());
@@ -526,8 +438,6 @@ mod tests {
             hot_threshold: 16,
             fanout: 4,
             policy: CachePolicy::None,
-            admission: 2,
-            admission_cells: false,
         }
     }
 
@@ -560,32 +470,6 @@ mod tests {
         let report = run(&tiny());
         assert_eq!(report.baseline.errors, report.mitigated.errors);
         assert_eq!(report.baseline.failed, report.mitigated.failed);
-    }
-
-    #[test]
-    fn admission_cells_protect_tight_caches() {
-        // A sustained crowd over a mostly one-off tail: without gating,
-        // tail queries churn the one-slot caches and evict the crowd's
-        // shortcut between hits; with it, one-off keys never enter.
-        let config = HotspotConfig {
-            nodes: 20,
-            articles: 4_000,
-            queries: 4_000,
-            window: (0.0, 1.0),
-            boost: 0.4,
-            admission: 2,
-            admission_cells: true,
-            ..tiny()
-        };
-        let report = run(&config);
-        let off = report.admission_off.expect("pair requested");
-        let on = report.admission_on.expect("pair requested");
-        assert!(
-            on.cache_hits > off.cache_hits,
-            "admission lowered hits: {} <= {}",
-            on.cache_hits,
-            off.cache_hits
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full stack (workload → descriptors →
 //! queries → index schemes → DHT) exercised end to end.
 
+use p2p_index::index::Traffic;
 use p2p_index::prelude::*;
 
 fn publish_corpus(service: &mut IndexService<RingDht>, corpus: &Corpus, scheme: &dyn IndexScheme) {
@@ -245,27 +246,44 @@ fn cached_and_uncached_searches_return_identical_files() {
         );
     }
 
-    // Shortcut entries must never change the *result set* of searches.
+    // Automated search never consults shortcuts: the warmed caches change
+    // neither its result set nor the work it does — interactions, rounds
+    // and traffic are the uncached service's, query by query.
+    let delta = |after: Traffic, before: Traffic| {
+        (
+            after.normal_bytes - before.normal_bytes,
+            after.cache_bytes - before.cache_bytes,
+            after.messages - before.messages,
+        )
+    };
+    fn files(report: &SearchReport) -> Vec<&str> {
+        let mut files: Vec<&str> = report.files.iter().map(|h| h.file.as_str()).collect();
+        files.sort();
+        files
+    }
     let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), 62);
     for item in generator.take_queries(150) {
-        let mut a: Vec<String> = plain
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        let mut b: Vec<String> = cached
-            .search(&item.query)
-            .unwrap()
-            .files
-            .into_iter()
-            .map(|h| h.file)
-            .collect();
-        a.sort();
-        b.sort();
-        b.dedup();
-        assert_eq!(a, b, "cache changed results of {}", item.query);
+        let (plain_before, cached_before) = (*plain.traffic(), *cached.traffic());
+        let a = plain.search(&item.query).unwrap();
+        let b = cached.search(&item.query).unwrap();
+        assert_eq!(
+            files(&a),
+            files(&b),
+            "cache changed results of {}",
+            item.query
+        );
+        assert_eq!(
+            (a.interactions, a.rounds),
+            (b.interactions, b.rounds),
+            "cache changed the walk of {}",
+            item.query
+        );
+        assert_eq!(
+            delta(*plain.traffic(), plain_before),
+            delta(*cached.traffic(), cached_before),
+            "cache changed the traffic of {}",
+            item.query
+        );
     }
 }
 
