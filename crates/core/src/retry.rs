@@ -59,14 +59,15 @@ impl RetryPolicy {
         self.max_attempts > 1
     }
 
-    /// The simulated delay before retry number `retry` (1-based), with
-    /// jitter drawn from `rng`.
+    /// The simulated delay before retry number `retry` (1-based; 0 reads
+    /// as 1), with jitter drawn from `rng`. Saturates at `u64::MAX`
+    /// instead of overflowing.
     pub fn backoff_ms(&self, retry: u32, rng: &mut SplitMix64) -> u64 {
         let base = self
             .base_backoff_ms
-            .saturating_mul(1u64 << (retry - 1).min(32));
+            .saturating_mul(1u64 << retry.saturating_sub(1).min(32));
         if self.jitter > 0.0 && base > 0 {
-            base + (self.jitter * base as f64 * rng.next_f64()) as u64
+            base.saturating_add((self.jitter * base as f64 * rng.next_f64()) as u64)
         } else {
             base
         }
@@ -142,5 +143,14 @@ mod tests {
         // The shift is clamped, so very deep retries plateau instead of
         // overflowing the u64 backoff.
         assert_eq!(p.backoff_ms(64, &mut rng), p.backoff_ms(33, &mut rng));
+        // A base at the top of the range saturates through the jitter, and
+        // retry 0 (outside the 1-based contract) reads as retry 1.
+        let p = RetryPolicy {
+            base_backoff_ms: u64::MAX,
+            jitter: 0.5,
+            ..RetryPolicy::with_budget(1, 4)
+        };
+        assert_eq!(p.backoff_ms(1, &mut rng), u64::MAX);
+        assert_eq!(p.backoff_ms(0, &mut rng), u64::MAX);
     }
 }

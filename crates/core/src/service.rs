@@ -274,9 +274,8 @@ pub struct IndexService<D> {
     node_queries: HashMap<NodeId, u64>,
     retry: RetryPolicy,
     retry_rng: SplitMix64,
+    /// Retry counters; `backoff_ms` is also the simulated clock.
     retry_stats: RetryStats,
-    /// Simulated clock, advanced by retry backoff (milliseconds).
-    sim_clock_ms: u64,
     /// Reusable scratch buffers for [`search`](Self::search): the BFS
     /// queue/visited sets and the generalization frontier survive across
     /// searches instead of being reallocated per query.
@@ -312,7 +311,6 @@ impl<D: Dht> IndexService<D> {
             retry,
             retry_rng: SplitMix64::new(retry.seed),
             retry_stats: RetryStats::default(),
-            sim_clock_ms: 0,
             search_scratch: SearchScratch::default(),
             wave_scratch: WaveScratch::default(),
             encode_scratch: Vec::new(),
@@ -385,9 +383,10 @@ impl<D: Dht> IndexService<D> {
     }
 
     /// The simulated clock: total backoff delay accumulated, in
-    /// milliseconds. Stays 0 on a healthy substrate.
+    /// milliseconds (`retry_stats().backoff_ms`). Stays 0 on a healthy
+    /// substrate.
     pub fn sim_clock_ms(&self) -> u64 {
-        self.sim_clock_ms
+        self.retry_stats.backoff_ms
     }
 
     /// Issues one DHT operation under the retry policy: transient faults
@@ -500,8 +499,7 @@ impl<D: Dht> IndexService<D> {
         let mut pending = Some(op);
         loop {
             let delay = self.retry.backoff_ms(attempt, &mut self.retry_rng);
-            self.sim_clock_ms += delay;
-            self.retry_stats.backoff_ms += delay;
+            self.retry_stats.backoff_ms = self.retry_stats.backoff_ms.saturating_add(delay);
             self.retry_stats.retries += 1;
             self.metrics.incr("retry.retries");
             self.metrics.add("retry.backoff_ms", delay);

@@ -17,9 +17,7 @@ use p2p_index_core::{
     BiblioFields, CachePolicy, ComplexScheme, FileHit, FlatScheme, IndexScheme, IndexService,
     IndexTarget, RetryPolicy, SimpleScheme, StepResponse,
 };
-use p2p_index_dht::{
-    ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeChurn, RingDht, SplitMix64,
-};
+use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, RingDht, SplitMix64};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
 
@@ -256,7 +254,7 @@ fn level_synchronous_search_equals_per_node_bfs_on_every_substrate() {
 /// Under 20 % loss with an 8-attempt budget a search still terminates,
 /// never invents a file, keeps one `lookup` span per interaction, and
 /// keeps its round count inside the depth bound.
-fn assert_lossy_search_is_sound<D: Dht + NodeChurn>(substrate: &str, make: impl Fn() -> D) {
+fn assert_lossy_search_is_sound<D: Dht>(substrate: &str, make: impl Fn() -> D) {
     let articles = corpus(17, 40);
     for (scheme, scheme_depth) in schemes() {
         let mut healthy = populated(make(), &articles, scheme, RetryPolicy::none());

@@ -440,8 +440,9 @@ impl std::error::Error for DhtError {}
 /// [`ChordNetwork`](crate::chord::ChordNetwork) (protocol simulation),
 /// [`RingDht`](crate::ring::RingDht) (direct consistent hashing),
 /// [`ShardedDht`](crate::sharded::ShardedDht) (one node's partition, the
-/// store a `dhtd` server serves), and two wrappers over any of them:
-/// [`FaultyDht`](crate::faulty::FaultyDht) (fault injection) and
+/// store a `dhtd` server serves), and two wrappers over any `Dht`, the
+/// networked `RemoteDht` of `p2p-index-net` included:
+/// [`FaultyDht`](crate::faulty::FaultyDht) (seeded message loss) and
 /// [`SplitDht`](crate::split::SplitDht) (hot-entry splitting).
 pub trait Dht {
     /// Executes one operation, reporting faults instead of swallowing them.
@@ -594,26 +595,6 @@ pub fn record_many(
     metrics.add("dht.messages", after.messages - before.messages);
     metrics.add("dht.lookups", after.lookups - before.lookups);
     metrics.add("dht.hops", after.hops - before.hops);
-}
-
-/// Substrate-level membership control, used by fault injection to model
-/// node churn uniformly across substrates.
-///
-/// `spawn`/`kill` change membership only; substrates with routing state may
-/// need [`NodeChurn::stabilize`] afterwards to restore their invariants
-/// (successor lists, leaf sets, replica placement).
-pub trait NodeChurn {
-    /// Adds a live node. Returns `false` if it was already present or the
-    /// substrate cannot bootstrap it (e.g. protocol join into an empty net).
-    fn spawn(&mut self, id: NodeId) -> bool;
-
-    /// Removes a live node abruptly (a crash, not a graceful leave).
-    /// Returns `false` if the node was not present.
-    fn kill(&mut self, id: NodeId) -> bool;
-
-    /// Repairs routing and replication state after membership changes.
-    /// Default: no-op, for substrates whose state is always consistent.
-    fn stabilize(&mut self) {}
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
+use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
 use crate::key::{Key, KEY_BITS};
 use crate::storage::{merged_entries, NodeStore};
 
@@ -745,25 +745,6 @@ impl Dht for ChordNetwork {
 
     fn len(&self) -> usize {
         self.order.len()
-    }
-}
-
-impl NodeChurn for ChordNetwork {
-    fn spawn(&mut self, id: NodeId) -> bool {
-        let Some(bootstrap) = self.order.first().copied() else {
-            return false;
-        };
-        self.join(id, NodeId::from_key(bootstrap)).is_ok()
-    }
-
-    fn kill(&mut self, id: NodeId) -> bool {
-        self.fail(id).is_ok()
-    }
-
-    /// Converges the ring pointers, then re-replicates.
-    fn stabilize(&mut self) {
-        self.converge(64);
-        self.repair_replication();
     }
 }
 

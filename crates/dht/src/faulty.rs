@@ -1,23 +1,23 @@
 //! Deterministic fault injection around any [`Dht`] substrate.
 //!
-//! Real DHT deployments lose messages and churn nodes; the DHT
-//! measurement literature treats partial failure as the normal case. This
-//! module wraps a healthy substrate in [`FaultyDht`], which injects three
-//! fault classes into every [`Dht::execute`] call, driven by a seeded RNG
-//! so experiment runs are exactly reproducible:
+//! Real DHT deployments lose messages; the DHT measurement literature
+//! treats partial failure as the normal case. This module wraps a healthy
+//! substrate in [`FaultyDht`], which injects one fault class, seeded
+//! message loss, into every [`Dht::execute`] call, so experiment runs are
+//! exactly reproducible. A lost message is either
 //!
-//! * **request loss** — the operation never reaches the responsible node
-//!   (no effect on storage, the caller sees [`DhtError::Timeout`]);
-//! * **response loss** — the operation takes effect but the acknowledgement
+//! * the **request** — the operation never reaches the responsible node
+//!   (no effect on storage, the caller sees [`DhtError::Timeout`]); or
+//! * the **response** — the operation takes effect but the acknowledgement
 //!   is lost (storage mutated, the caller still sees a timeout — the
-//!   at-least-once ambiguity retry layers must tolerate);
-//! * **node churn** — a random live node crashes, or a fresh node joins,
-//!   after which the substrate's [`NodeChurn::stabilize`] repair runs.
+//!   at-least-once ambiguity retry layers must tolerate).
 //!
-//! The loss half of that — deliver, lose the request, or lose the response
-//! — is [`LossRoll`], which owns no substrate: a networked `dhtd` server
-//! puts the same roll in front of its partition store, so faults injected
-//! behind a socket follow the schedule they follow in process.
+//! That decision is [`LossRoll`], which owns no substrate: a networked
+//! `dhtd` server puts the same roll in front of its partition store, so
+//! faults injected behind a socket follow the schedule they follow in
+//! process. Membership change is not a fault class here: a test that
+//! crashes a node calls the substrate's own API (`RingDht::remove_node`,
+//! `ChordNetwork::fail`) or kills a `dhtd` process.
 //!
 //! The `&self` read paths (`node_for`, `get`, `nodes`) pass through
 //! fault-free: the index layer drives all accounted traffic through
@@ -47,7 +47,7 @@
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId};
+use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
 use crate::key::Key;
 
 /// A small, fast, deterministic RNG (SplitMix64).
@@ -91,7 +91,7 @@ impl SplitMix64 {
     }
 }
 
-/// Fault rates and the seed that drives them.
+/// The loss rate and the seed that drives it.
 ///
 /// The default configuration injects nothing, so wrapping a substrate in
 /// [`FaultyDht`] with `FaultConfig::default()` is behavior-neutral.
@@ -101,33 +101,22 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability that an operation's request or response is lost.
     pub loss: f64,
-    /// Probability that an operation is preceded by a churn event
-    /// (alternating crash / join).
-    pub churn: f64,
 }
 
 impl FaultConfig {
     /// No faults at all (the default).
     pub fn none() -> Self {
-        FaultConfig {
-            seed: 0,
-            loss: 0.0,
-            churn: 0.0,
-        }
+        Self::lossy(0, 0.0)
     }
 
-    /// Message loss only, at rate `loss`, driven by `seed`.
+    /// Message loss at rate `loss`, driven by `seed`.
     pub fn lossy(seed: u64, loss: f64) -> Self {
-        FaultConfig {
-            seed,
-            loss,
-            churn: 0.0,
-        }
+        FaultConfig { seed, loss }
     }
 
     /// `true` if this configuration can inject any fault.
     pub fn is_active(&self) -> bool {
-        self.loss > 0.0 || self.churn > 0.0
+        self.loss > 0.0
     }
 }
 
@@ -170,13 +159,13 @@ impl Delivery {
 
 /// The seeded message-loss roll: one [`Delivery`] per operation.
 ///
-/// This is the one piece of fault injection that is not tied to owning a
-/// substrate, so [`FaultyDht`] (in process) and a networked `dhtd` server
-/// (in front of its partition store) both draw from it — same draws, same
-/// order, hence the same `Ok`/`Timeout` schedule for the same seed.
+/// It owns no substrate, so [`FaultyDht`] (in process) and a networked
+/// `dhtd` server (in front of its partition store) both draw from it —
+/// same draws, same order, hence the same `Ok`/`Timeout` schedule for the
+/// same seed.
 #[derive(Debug, Clone)]
 pub struct LossRoll {
-    cfg: FaultConfig,
+    loss: f64,
     rng: SplitMix64,
 }
 
@@ -184,7 +173,7 @@ impl LossRoll {
     /// A roll at `cfg.loss`, seeded from `cfg.seed`.
     pub fn new(cfg: FaultConfig) -> Self {
         LossRoll {
-            cfg,
+            loss: cfg.loss,
             rng: SplitMix64::new(cfg.seed),
         }
     }
@@ -193,7 +182,7 @@ impl LossRoll {
     /// odds, the request (the operation never happened) or the response
     /// (it happened but the caller cannot know). Draws nothing at loss 0.
     pub fn roll(&mut self) -> Delivery {
-        if self.cfg.loss <= 0.0 || !self.rng.gen_bool(self.cfg.loss) {
+        if self.loss <= 0.0 || !self.rng.gen_bool(self.loss) {
             Delivery::Delivered
         } else if self.rng.gen_bool(0.5) {
             Delivery::RequestLost
@@ -212,20 +201,16 @@ pub struct FaultStats {
     pub requests_lost: u64,
     /// Operations applied whose acknowledgement was then dropped.
     pub responses_lost: u64,
-    /// Nodes crashed by churn.
-    pub crashes: u64,
-    /// Nodes joined by churn.
-    pub joins: u64,
 }
 
 impl FaultStats {
-    /// Total injected faults of any class.
+    /// Total messages lost, requests and responses.
     pub fn injected(&self) -> u64 {
-        self.requests_lost + self.responses_lost + self.crashes + self.joins
+        self.requests_lost + self.responses_lost
     }
 }
 
-/// A fault-injecting wrapper around any substrate that supports churn.
+/// A fault-injecting wrapper around any [`Dht`] substrate.
 ///
 /// All faults are injected in [`Dht::execute`]; see the [module
 /// docs](self) for the fault model. Reads through `&self` pass through
@@ -234,13 +219,8 @@ impl FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultyDht<D> {
     inner: D,
-    /// The fault configuration and the one RNG stream churn and loss
-    /// rolls share.
     roll: LossRoll,
     fstats: FaultStats,
-    /// Sequence number for naming churn joiners; also alternates
-    /// crash/join so membership stays roughly stable.
-    churn_events: u64,
     metrics: MetricsRegistry,
 }
 
@@ -251,7 +231,6 @@ impl<D> FaultyDht<D> {
             inner,
             roll: LossRoll::new(cfg),
             fstats: FaultStats::default(),
-            churn_events: 0,
             metrics: MetricsRegistry::default(),
         }
     }
@@ -259,11 +238,6 @@ impl<D> FaultyDht<D> {
     /// Wraps `inner` with faults disabled (transparent passthrough).
     pub fn transparent(inner: D) -> Self {
         Self::new(inner, FaultConfig::none())
-    }
-
-    /// The active fault configuration.
-    pub fn fault_config(&self) -> FaultConfig {
-        self.roll.cfg
     }
 
     /// Replaces the fault configuration and reseeds the fault RNG.
@@ -283,53 +257,12 @@ impl<D> FaultyDht<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
-
-    /// Mutable access to the wrapped substrate (bypasses fault injection).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
-    /// Unwraps the substrate, discarding fault state.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
 }
 
-impl<D: Dht + NodeChurn> FaultyDht<D> {
-    /// Rolls for a churn event before an operation.
-    fn maybe_churn(&mut self) {
-        if self.roll.cfg.churn <= 0.0 || !self.roll.rng.gen_bool(self.roll.cfg.churn) {
-            return;
-        }
-        self.churn_events += 1;
-        if self.churn_events % 2 == 1 {
-            // Crash a random live node — but never the last one, which
-            // would wipe the network (and its data) outright.
-            let nodes = self.inner.nodes();
-            if nodes.len() > 1 {
-                let victim = nodes[self.roll.rng.gen_index(nodes.len())];
-                if self.inner.kill(victim) {
-                    self.fstats.crashes += 1;
-                    self.metrics.incr("fault.crashes");
-                    self.inner.stabilize();
-                }
-            }
-        } else {
-            let id = NodeId::hash_of(&format!("faulty-churn-{}", self.churn_events));
-            if self.inner.spawn(id) {
-                self.fstats.joins += 1;
-                self.metrics.incr("fault.joins");
-                self.inner.stabilize();
-            }
-        }
-    }
-}
-
-impl<D: Dht + NodeChurn> Dht for FaultyDht<D> {
+impl<D: Dht> Dht for FaultyDht<D> {
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         self.fstats.attempts += 1;
         self.metrics.incr("fault.attempts");
-        self.maybe_churn();
         let delivery = self.roll.roll();
         match delivery {
             Delivery::Delivered => {}
@@ -377,20 +310,6 @@ impl<D: Dht + NodeChurn> Dht for FaultyDht<D> {
 
     fn len(&self) -> usize {
         self.inner.len()
-    }
-}
-
-impl<D: Dht + NodeChurn> NodeChurn for FaultyDht<D> {
-    fn spawn(&mut self, id: NodeId) -> bool {
-        self.inner.spawn(id)
-    }
-
-    fn kill(&mut self, id: NodeId) -> bool {
-        self.inner.kill(id)
-    }
-
-    fn stabilize(&mut self) {
-        self.inner.stabilize();
     }
 }
 
@@ -467,25 +386,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn churn_crashes_and_joins_nodes() {
-        let cfg = FaultConfig {
-            seed: 5,
-            loss: 0.0,
-            churn: 1.0,
-        };
-        let mut dht = FaultyDht::new(RingDht::with_named_nodes(16), cfg);
-        for i in 0..40 {
-            let _ = dht.execute(put_op(&format!("c{i}")));
-        }
-        let s = dht.fault_stats();
-        assert!(s.crashes > 0, "expected crashes, got {s:?}");
-        assert!(s.joins > 0, "expected joins, got {s:?}");
-        // Alternating crash/join keeps the network near its original size.
-        assert!(dht.len() >= 8 && dht.len() <= 24, "len = {}", dht.len());
-        assert!(!dht.is_empty());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`placement`] — the successor-list replica placement rule, shared by
 //!   the substrates here and the networked client/server in
 //!   `p2p-index-net` so routing and repair can never disagree;
-//! * [`faulty`] — a deterministic fault-injecting wrapper (message loss,
-//!   timeouts, node churn) around any substrate, for robustness studies;
+//! * [`faulty`] — a deterministic fault-injecting wrapper (seeded message
+//!   loss, seen as timeouts) around any substrate, for robustness studies;
 //! * [`api`] — the [`Dht`] trait all substrates implement, which is all the
 //!   indexing layer ever sees. Operations go through the fallible
 //!   [`Dht::execute`] entry point ([`DhtOp`] → [`DhtResponse`] /
@@ -55,8 +55,8 @@ pub mod split;
 pub mod storage;
 
 pub use api::{
-    kind_counter, record_many, record_op, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn,
-    NodeId, OpFamily, PairCounters,
+    kind_counter, record_many, record_op, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId,
+    OpFamily, PairCounters,
 };
 pub use chord::{ChordConfig, ChordError, ChordNetwork};
 pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMix64};

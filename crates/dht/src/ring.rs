@@ -24,9 +24,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{
-    self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeChurn, NodeId, PairCounters,
-};
+use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
@@ -277,16 +275,6 @@ impl Dht for RingDht {
 
     fn len(&self) -> usize {
         self.stores.len()
-    }
-}
-
-impl NodeChurn for RingDht {
-    fn spawn(&mut self, id: NodeId) -> bool {
-        self.add_node(id)
-    }
-
-    fn kill(&mut self, id: NodeId) -> bool {
-        self.remove_node(id)
     }
 }
 

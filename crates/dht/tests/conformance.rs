@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use p2p_index_dht::{
     BalanceConfig, ChordConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig,
-    FaultyDht, Key, NodeChurn, NodeId, RingDht, ShardedDht, SplitDht,
+    FaultyDht, Key, NodeId, RingDht, ShardedDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -417,7 +417,7 @@ fn metrics_registry_mirrors_message_accounting() {
     }
 }
 
-fn faulty_metrics_case<D: Dht + NodeChurn>(name: &str, inner: D) {
+fn faulty_metrics_case<D: Dht>(name: &str, inner: D) {
     let mut dht = FaultyDht::new(inner, FaultConfig::lossy(7, 0.4));
     let registry = MetricsRegistry::new();
     dht.set_metrics(registry.clone());
@@ -472,6 +472,11 @@ fn faulty_metrics_case<D: Dht + NodeChurn>(name: &str, inner: D) {
 fn metrics_survive_faulty_retries() {
     faulty_metrics_case("ring", RingDht::from_ids(keys(1)));
     faulty_metrics_case("chord", ChordNetwork::with_perfect_tables(keys(1)));
+    // A substrate with no membership API: the wrapper needs only `Dht`.
+    faulty_metrics_case(
+        "sharded",
+        ShardedDht::with_default_shards(NodeId::hash_of("node-0")),
+    );
 }
 
 #[test]

@@ -1,18 +1,18 @@
 //! Behaviour goldens for the routed overlay, Chord.
 //!
 //! One fixed script — 32 nodes, 200 puts over 150 keys, 200 gets, 40
-//! removes, 4 spawns, 2 kills, `stabilize`, 200 gets — runs over Chord at
-//! the default config and at replication 3. After each phase the
-//! transcript pins [`DhtStats`] and the per-node key counts, and at the
-//! end a hash of `entries()`, so a refactor of the op path, the
-//! accounting, the join takeover or the re-replication pass shows up as a
-//! changed line with a phase name on it.
+//! removes, 4 joins, 2 failures, `converge` + `repair_replication`, 200
+//! gets — runs over Chord at the default config and at replication 3.
+//! After each phase the transcript pins [`DhtStats`] and the per-node key
+//! counts, and at the end a hash of `entries()`, so a refactor of the op
+//! path, the accounting, the join takeover or the re-replication pass
+//! shows up as a changed line with a phase name on it.
 //!
 //! On a mismatch the assertion prints the whole transcript, which is
 //! also how the literals are regenerated.
 
 use bytes::Bytes;
-use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeChurn, NodeId};
+use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeId};
 
 fn ids() -> Vec<Key> {
     (0..32)
@@ -45,14 +45,14 @@ fn entries_hash(entries: &[(Key, Vec<Bytes>)]) -> u64 {
     h
 }
 
-fn transcript<D: Dht + NodeChurn>(mut net: D, key_count: impl Fn(&D, &NodeId) -> usize) -> String {
+fn transcript(mut net: ChordNetwork) -> String {
     let mut out = String::new();
-    let mut phase = |net: &D, name: &str| {
+    let mut phase = |net: &ChordNetwork, name: &str| {
         let s = net.stats();
         let counts: Vec<String> = net
             .nodes()
             .iter()
-            .map(|n| key_count(net, n).to_string())
+            .map(|n| net.store_of(n).map_or(0, |s| s.key_count()).to_string())
             .collect();
         out.push_str(&format!(
             "{name}: m={} l={} h={} keys=[{}]\n",
@@ -78,14 +78,19 @@ fn transcript<D: Dht + NodeChurn>(mut net: D, key_count: impl Fn(&D, &NodeId) ->
     }
     phase(&net, "removes");
     for i in 0..4 {
-        assert!(net.spawn(NodeId::hash_of(&format!("spawn-{i}"))));
+        // Each joiner bootstraps through the lowest live identifier.
+        let bootstrap = net.nodes()[0];
+        net.join(NodeId::hash_of(&format!("spawn-{i}")), bootstrap)
+            .expect("a fresh identifier joins");
     }
     phase(&net, "spawns");
     for i in [5, 20] {
-        assert!(net.kill(NodeId::from_key(ids()[i])));
+        net.fail(NodeId::from_key(ids()[i]))
+            .expect("a live node fails");
     }
     phase(&net, "kills");
-    net.stabilize();
+    net.converge(64);
+    net.repair_replication();
     phase(&net, "stabilize");
     let mut found = 0;
     for i in 0..200 {
@@ -114,10 +119,7 @@ fn chord(replication: usize) -> String {
         replication,
         ..ChordConfig::default()
     };
-    transcript(
-        ChordNetwork::with_perfect_tables_and_config(ids(), cfg),
-        |net, id| net.store_of(id).map_or(0, |s| s.key_count()),
-    )
+    transcript(ChordNetwork::with_perfect_tables_and_config(ids(), cfg))
 }
 
 const CHORD_DEFAULT: &str = "\

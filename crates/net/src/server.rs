@@ -174,8 +174,7 @@ pub struct ServerConfig {
     pub replication: Option<ReplicationConfig>,
     /// Message loss injected in front of the store (none by default):
     /// each storage operation first draws from a [`LossRoll`] seeded with
-    /// `fault.seed`, exactly like an in-process `FaultyDht`. Churn does
-    /// not apply to a one-node partition and is ignored.
+    /// `fault.seed`, exactly like an in-process `FaultyDht`.
     pub fault: FaultConfig,
     /// How many connections are served at once — each costs a worker
     /// thread. A connection accepted beyond it is closed at once

@@ -21,7 +21,7 @@
 //! produce identical snapshots.
 
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeChurn, RingDht};
+use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, RingDht};
 use p2p_index_obs::{MetricsRegistry, MetricsSnapshot};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -278,7 +278,7 @@ fn identical_runs_produce_identical_snapshots() {
 /// Under injected faults with a live retry policy, the registry must
 /// still mirror all three independent accountings: the fault injector's,
 /// the retry machinery's, and the wrapped substrate's.
-fn run_faulty_case<D: Dht + NodeChurn>(name: &str, inner: D) {
+fn run_faulty_case<D: Dht>(name: &str, inner: D) {
     let faulty = FaultyDht::new(inner, FaultConfig::lossy(11, 0.2));
     let mut service =
         IndexService::with_retry(faulty, CachePolicy::Single, RetryPolicy::with_budget(5, 8));

@@ -221,7 +221,7 @@ pub struct ChurnOutcome {
 /// corpus, runs the query workload, and invokes `kill` on the service
 /// right before query `kill_at` fires. The closure gets the service so
 /// in-process twins can reach the substrate
-/// (`service.dht_mut().kill(..)`); multi-process harnesses ignore the
+/// (`service.dht_mut().fail(..)` on Chord); multi-process harnesses ignore the
 /// argument and SIGKILL a child instead.
 ///
 /// Any search returning `Err` aborts the run — "zero failed searches

@@ -18,7 +18,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use p2p_index_dht::placement::replica_keys;
-use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeChurn, NodeId, RingDht};
+use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeId, RingDht};
 use p2p_index_net::{RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
 use p2p_index_sim::netd::{run_workload, run_workload_with_churn};
@@ -376,8 +376,10 @@ fn sigkilled_daemon_is_masked_by_quorum_and_refilled_after_restart() {
     );
     let local = run_workload_with_churn(twin_dht, ARTICLES, QUERIES, SEED, KILL_AT, |service| {
         let dht = service.dht_mut();
-        assert!(dht.kill(NodeId::hash_of(&format!("node-{VICTIM}"))));
-        dht.stabilize();
+        dht.fail(NodeId::hash_of(&format!("node-{VICTIM}")))
+            .expect("the victim is a live member");
+        dht.converge(64);
+        dht.repair_replication();
     })
     .expect("in-process replicated twin");
     assert_eq!(remote, local, "churned cluster diverged from its twin");

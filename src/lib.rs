@@ -12,7 +12,7 @@
 //!
 //! | Layer | Crate | Contents |
 //! |---|---|---|
-//! | Substrate | [`dht`] | SHA-1, 160-bit key space, two in-process substrates (a Chord protocol simulation and a consistent-hash ring with identical placement), multi-value storage, fault injection (`FaultyDht`) |
+//! | Substrate | [`dht`] | SHA-1, 160-bit key space, two in-process substrates (a Chord protocol simulation and a consistent-hash ring with identical placement), multi-value storage, seeded message-loss injection around any substrate (`FaultyDht`) |
 //! | Network | [`net`] | wire codec, the `dhtd` server (replication, quorums, digest repair), `RemoteDht` client |
 //! | Data model | [`xmldoc`] | XML descriptors: tree, parser, canonical form |
 //! | Query language | [`xpath`] | XPath-subset parsing, evaluation, covering relation `⊒` |
@@ -74,8 +74,8 @@ pub mod prelude {
         RetryPolicy, SearchReport, SimpleScheme,
     };
     pub use p2p_index_dht::{
-        ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeChurn,
-        NodeId, RingDht,
+        ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeId,
+        RingDht,
     };
     pub use p2p_index_workload::{
         Corpus, CorpusConfig, QueryGenerator, QueryStructure, StructureMix,
