@@ -19,7 +19,8 @@
 //!   node's [`ShortcutCache`], and `NodeCaches`, every node's under one
 //!   policy, which the service probes, fills and purges;
 //! * `memo` — `ReadMemo`, what the querying client keeps of what it read:
-//!   interned query keys and the decoded entry memo;
+//!   its known queries (one decoded copy each, with its key) and the
+//!   decoded entry memo, both bounded by two generations;
 //! * [`retry`] — retry policies (attempt budget, exponential backoff in
 //!   simulated time, seeded jitter) applied to every DHT operation;
 //! * [`target`] — the wire format of index entries;

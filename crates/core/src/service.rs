@@ -268,7 +268,9 @@ pub struct IndexService<D> {
     dht: D,
     /// The per-node shortcut caches of §IV-D, under the service's policy.
     caches: NodeCaches,
-    /// What this client read: interned keys and the entry memo.
+    /// What this client read: its known queries with their keys, and the
+    /// entry memo. Every public method that touches it starts with
+    /// `ReadMemo::rotate`, the one place its bound evicts.
     memo: ReadMemo,
     traffic: Traffic,
     node_queries: HashMap<NodeId, u64>,
@@ -546,10 +548,12 @@ impl<D: Dht> IndexService<D> {
     }
 
     /// The DHT key of a query, interned: the SHA-1 is computed on the first
-    /// sighting of each distinct query and served from the `query → key`
-    /// table afterwards. The table caches a pure function of the query's
-    /// canonical text, so entries can never go stale.
+    /// sighting of each distinct query and served from the client's table
+    /// of known queries afterwards (until the table's bound evicts it). The
+    /// table caches a pure function of the query's canonical text, so
+    /// entries can never go stale.
     pub fn cached_key(&mut self, query: &Query) -> Key {
+        self.memo.rotate();
         self.memo.cached_key(query)
     }
 
@@ -715,6 +719,7 @@ impl<D: Dht> IndexService<D> {
     /// [`IndexError::EmptyNetwork`] without live nodes; [`IndexError::Decode`]
     /// if a stored entry is corrupt.
     pub fn lookup_step(&mut self, query: &Query) -> Result<StepResponse, IndexError> {
+        self.memo.rotate();
         self.traced_lookup(query, true)
     }
 
@@ -731,6 +736,7 @@ impl<D: Dht> IndexService<D> {
         &mut self,
         query: &Query,
     ) -> Result<StepResponse, IndexError> {
+        self.memo.rotate();
         self.traced_lookup(query, false)
     }
 
@@ -908,6 +914,7 @@ impl<D: Dht> IndexService<D> {
     /// MSD to itself would be useless). Returns the number of entries
     /// created; each creation is accounted as cache traffic.
     pub fn create_shortcuts(&mut self, path: &[(NodeId, Query)], target: &IndexTarget) -> usize {
+        self.memo.rotate();
         let mut created = 0;
         for (node, query) in self.caches.shortcut_steps(path) {
             if Some(query) == target.as_query() {
@@ -966,6 +973,7 @@ impl<D: Dht> IndexService<D> {
     /// [`SearchReport::completeness`], and the remaining branches are
     /// still explored — a degraded-but-useful answer instead of an error.
     pub fn search(&mut self, query: &Query) -> Result<SearchReport, IndexError> {
+        self.memo.rotate();
         if self.tracer.is_some() {
             let label = format!("search {query}");
             if let Some(t) = &mut self.tracer {
@@ -1241,7 +1249,7 @@ fn describe_response(resp: &DhtResponse) -> String {
 
 #[cfg(test)]
 mod tests {
-    use p2p_index_dht::RingDht;
+    use p2p_index_dht::{DhtStats, RingDht};
 
     use super::*;
     use crate::scheme::{FlatScheme, SimpleScheme};
@@ -1304,21 +1312,43 @@ mod tests {
             .unwrap();
         assert!(s.memo.interned().is_empty(), "writes hash their keys once");
 
-        // A lookup interns exactly the queries it steps through — and the
-        // entry is the asker's query, not a copy of it.
-        let step = s.lookup_step(&conf).unwrap();
-        assert!(step
+        // A lookup adds the queries it steps through — the asker's query,
+        // not a copy of it — and the query targets its reply names, as
+        // decoded: conf's reply names its four conf+year queries.
+        let named = |step: &StepResponse| -> Vec<Query> {
+            step.indexed
+                .iter()
+                .filter_map(IndexTarget::as_query)
+                .cloned()
+                .collect()
+        };
+        let conf_step = s.lookup_step(&conf).unwrap();
+        assert!(conf_step
             .indexed
             .contains(&IndexTarget::Query(conf_2001.clone())));
-        assert_eq!(s.memo.interned(), [&conf]);
-        s.lookup_step(&conf_2001).unwrap();
+        let mut known: Vec<Query> = named(&conf_step);
+        known.push(conf.clone());
+        known.sort();
+        assert_eq!(s.memo.interned(), known.iter().collect::<Vec<_>>());
+        assert_eq!(known.len(), 1 + 4);
+        // conf_2001's reply names its 25 MSDs; asking conf again adds nothing.
+        let step = s.lookup_step(&conf_2001).unwrap();
+        known.extend(named(&step));
         s.lookup_step(&conf).unwrap();
+        known.sort();
         let interned = s.memo.interned();
-        assert_eq!(interned, [&conf, &conf_2001]);
+        assert_eq!(interned, known.iter().collect::<Vec<_>>());
+        assert_eq!(interned.len(), 1 + 4 + 25);
+        let held = |q: &Query| interned.iter().find(|k| **k == q).unwrap().canonical_text();
+        assert!(std::ptr::eq(held(&conf), conf.canonical_text()));
+        // conf_2001 is the copy conf's reply decoded, not the asker's.
+        let decoded = conf_step.indexed.iter().filter_map(IndexTarget::as_query);
+        let decoded_2001 = decoded.into_iter().find(|q| **q == conf_2001);
         assert!(std::ptr::eq(
-            interned[0].canonical_text(),
-            conf.canonical_text()
+            held(&conf_2001),
+            decoded_2001.unwrap().canonical_text()
         ));
+        assert!(!std::ptr::eq(held(&conf_2001), conf_2001.canonical_text()));
     }
 
     #[test]
@@ -1741,6 +1771,71 @@ mod tests {
                 "{query}"
             );
         }
+    }
+
+    #[test]
+    fn a_level_wider_than_a_generation_reads_whole_and_the_tables_stay_bounded() {
+        // A search wave builds every read before it reads a reply, so the
+        // memo may only rotate between calls: a level of more fresh keys
+        // than one generation must still be served from the memo whole.
+        const TINY: usize = 2;
+        let articles: Vec<Descriptor> = (0..10 * TINY)
+            .map(|i| {
+                let (first, last, title) = (format!("F{i}"), format!("L{i}"), format!("T{i}"));
+                descriptor(&first, &last, &title, "INFOCOM", "1996")
+            })
+            .collect();
+        let populated = |memo: ReadMemo| {
+            let mut s = service(CachePolicy::None);
+            s.memo = memo;
+            for (i, d) in articles.iter().enumerate() {
+                s.publish(d, format!("f{i}.pdf"), &SimpleScheme).unwrap();
+            }
+            s
+        };
+        let query: Query = "/article/conf/INFOCOM".parse().unwrap();
+        let mut fresh = populated(ReadMemo::default());
+        let mut tiny = populated(ReadMemo::with_generation(TINY));
+        tiny.search(&query).unwrap();
+        let cost = |s: &IndexService<RingDht>| (s.dht().stats(), *s.traffic());
+        let (fresh_before, tiny_before) = (cost(&fresh), cost(&tiny));
+        let cold = fresh.search(&query).unwrap();
+        let warm = tiny.search(&query).unwrap();
+        assert!(!warm.is_partial(), "{:?}", warm.completeness);
+        assert_eq!(warm.files.len(), 10 * TINY);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        let delta = |(stats, traffic): (DhtStats, Traffic), (s0, t0): (DhtStats, Traffic)| {
+            let messages = stats.messages - s0.messages;
+            (
+                messages,
+                stats.lookups - s0.lookups,
+                stats.hops - s0.hops,
+                traffic.since(&t0),
+            )
+        };
+        assert_eq!(
+            delta(cost(&fresh), fresh_before),
+            delta(cost(&tiny), tiny_before)
+        );
+
+        // Ten generations of distinct lookups later, each table holds two
+        // generations plus one call's key, and the first key is gone.
+        let keys: Vec<Key> = articles
+            .iter()
+            .map(|d| {
+                let msd = Query::most_specific(d);
+                tiny.lookup_step(&msd).unwrap();
+                IndexService::<RingDht>::key_of(&msd)
+            })
+            .collect();
+        assert!(tiny.memo.query_count() <= 2 * TINY + 1);
+        assert!(tiny.memo.entry_count() <= 2 * TINY + 1);
+        assert_eq!(tiny.memo.read_op(keys[0]), DhtOp::Get(keys[0]));
+        let last = keys[keys.len() - 1];
+        assert!(matches!(
+            tiny.memo.read_op(last),
+            DhtOp::GetIfChanged { .. }
+        ));
     }
 
     // ---- faults, retries, and completeness ----------------------------
