@@ -443,7 +443,7 @@ impl std::error::Error for DhtError {}
 /// store a `dhtd` server serves), and two wrappers over any `Dht`, the
 /// networked `RemoteDht` of `p2p-index-net` included:
 /// [`FaultyDht`](crate::faulty::FaultyDht) (seeded message loss) and
-/// [`SplitDht`](crate::split::SplitDht) (hot-entry splitting).
+/// [`SplitDht`](crate::split::SplitDht) (hot-key fan-out).
 pub trait Dht {
     /// Executes one operation, reporting faults instead of swallowing them.
     ///

@@ -63,5 +63,5 @@ pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMi
 pub use key::{Key, KEY_BITS};
 pub use ring::RingDht;
 pub use sharded::{repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, REPAIR_BUCKETS};
-pub use split::{page_key, BalanceConfig, NodeLoad, SplitDht};
+pub use split::{BalanceConfig, NodeLoad, SplitDht};
 pub use storage::NodeStore;

@@ -157,14 +157,12 @@ fn remove_one_value_among_several() {
 #[test]
 fn a_digest_get_answers_the_digest_of_what_a_get_answers() {
     // Whatever a substrate's `Get` returns, its `GetDigest` vouches for
-    // exactly that: same count, same order-independent hash. Split
-    // storage included, whose entry is reassembled from pages first.
+    // exactly that: same count, same order-independent hash. A fan-out
+    // decorator included, which promotes on the first read, so its later
+    // reads rotate onto mirrors.
     let mut all = substrates(32);
-    let paged = SplitDht::new(
-        RingDht::from_ids(keys(32)),
-        BalanceConfig::mitigating(64, 0, 0),
-    );
-    all.push(("split", Box::new(paged)));
+    let fanned = SplitDht::new(RingDht::from_ids(keys(32)), BalanceConfig::mitigating(1, 3));
+    all.push(("split-fanout", Box::new(fanned)));
     for (name, mut dht) in all {
         let key = Key::hash_of("vouched-for");
         let absent = dht.execute(DhtOp::GetDigest(key));
@@ -208,10 +206,10 @@ fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
             Box::new(FaultyDht::transparent(RingDht::from_ids(keys(16)))),
         ),
         (
-            "split-paged",
+            "split-fanout",
             Box::new(SplitDht::new(
                 RingDht::from_ids(keys(16)),
-                BalanceConfig::mitigating(64, 0, 0),
+                BalanceConfig::mitigating(1, 3),
             )),
         ),
         (
@@ -280,11 +278,11 @@ fn a_conditional_get_is_accounted_as_a_get_and_answers_what_it_must() {
 #[test]
 fn a_conditional_get_takes_the_same_load_note_as_a_get() {
     // The balance layer's per-node load (the hot-spot exhibit's input) is
-    // blind to whether a read was conditional, paged or not, unary or in
-    // a batch.
+    // blind to whether a read was conditional or not, served by the
+    // primary or a mirror, unary or in a batch.
     for config in [
         BalanceConfig::observe_only(),
-        BalanceConfig::mitigating(64, 0, 0),
+        BalanceConfig::mitigating(1, 3),
     ] {
         let twin = || {
             let mut dht = SplitDht::new(RingDht::from_ids(keys(16)), config);
@@ -310,6 +308,11 @@ fn a_conditional_get_takes_the_same_load_note_as_a_get() {
             plain.balance_stats(),
             conditional.balance_stats(),
             "{config:?}"
+        );
+        assert_eq!(
+            plain.balance_stats().1 > 0,
+            !config.is_observe_only(),
+            "{config:?}: mirror reads happen exactly under fan-out"
         );
         assert_eq!(plain.stats(), conditional.stats(), "{config:?}");
     }

@@ -10,9 +10,8 @@
 //! * **baseline** — [`BalanceConfig::observe_only`]: every operation
 //!   passes through unchanged; the decorator only attributes physical
 //!   puts/gets to the owning node.
-//! * **mitigated** — entry splitting (oversized entries paginate onto
-//!   deterministic child keys owned by other nodes) plus hot-key read
-//!   fan-out (reads of promoted keys rotate across successor mirrors).
+//! * **mitigated** — hot-key read fan-out: reads of a key promoted to
+//!   hot rotate across its primary and successor mirrors.
 //!
 //! Both cells run the *same* corpus, workload seed, and query stream, so
 //! the per-node load difference is attributable to the subsystem alone.
@@ -39,6 +38,13 @@ use crate::table::{fmt_f, TextTable};
 /// How many heaviest nodes the imbalance summaries retain.
 const TOP_K: usize = 5;
 
+/// Cache policy of both cells: none, so the exhibit isolates the DHT
+/// layer. The paper's shortcut caches absorb repeated *lookups*, but a
+/// shortcut is answered by the node the query lands on, so publishes,
+/// cold lookups and the crowd's own chain still load the owners — that
+/// residual load is what the balance subsystem spreads.
+const POLICY: CachePolicy = CachePolicy::None;
+
 /// Full configuration of one hot-spot scenario run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotConfig {
@@ -56,18 +62,10 @@ pub struct HotspotConfig {
     pub window: (f64, f64),
     /// In-window probability that a query redirects to the hot title.
     pub boost: f64,
-    /// [`BalanceConfig::page_budget`] of the mitigated cell.
-    pub page_budget: usize,
     /// [`BalanceConfig::hot_threshold`] of the mitigated cell.
     pub hot_threshold: u64,
     /// [`BalanceConfig::fanout`] of the mitigated cell.
     pub fanout: usize,
-    /// Cache policy of the two headline cells. Defaults to
-    /// [`CachePolicy::None`] so the exhibit isolates the DHT layer: the
-    /// paper's shortcut caches absorb repeated *lookups*, but publishes
-    /// and cold lookups still land on the owners — that residual load is
-    /// what the balance subsystem spreads.
-    pub policy: CachePolicy,
 }
 
 impl HotspotConfig {
@@ -83,10 +81,8 @@ impl HotspotConfig {
             hot_rank: 7,
             window: (0.4, 0.6),
             boost: 0.9,
-            page_budget: 1536,
             hot_threshold: 64,
             fanout: 7,
-            policy: CachePolicy::None,
         }
     }
 
@@ -110,7 +106,7 @@ impl HotspotConfig {
 
     /// The mitigated cell's balance configuration.
     pub fn balance(&self) -> BalanceConfig {
-        BalanceConfig::mitigating(self.page_budget, self.hot_threshold, self.fanout)
+        BalanceConfig::mitigating(self.hot_threshold, self.fanout)
     }
 
     /// The corpus implied by this config (same sizing rule as the paper
@@ -141,24 +137,14 @@ pub struct CellResult {
     pub puts: u64,
     /// Total user-system interactions.
     pub interactions: u64,
-    /// Queries resolved through a cache shortcut.
-    pub cache_hits: u64,
     /// Non-indexed initial queries (recoverable errors).
     pub errors: u64,
     /// Queries whose target was never located (expected 0).
     pub failed: u64,
-    /// Entries split into pages over the whole run.
-    pub splits: u64,
-    /// Pages opened over the whole run.
-    pub pages_opened: u64,
     /// Keys promoted to hot.
     pub promotions: u64,
-    /// Gets that reassembled a split entry.
-    pub reassembled_gets: u64,
     /// Gets served from a mirror instead of the primary.
     pub mirror_reads: u64,
-    /// Keys currently split.
-    pub split_keys: usize,
     /// Keys currently hot.
     pub hot_keys: usize,
 }
@@ -168,24 +154,17 @@ impl CellResult {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"ops\": {}, \"stored_bytes\": {}, \"gets\": {}, \"puts\": {}, \
-             \"interactions\": {}, \"cache_hits\": {}, \"errors\": {}, \"failed\": {}, \
-             \"splits\": {}, \"pages_opened\": {}, \"promotions\": {}, \
-             \"reassembled_gets\": {}, \"mirror_reads\": {}, \
-             \"split_keys\": {}, \"hot_keys\": {}}}",
+             \"interactions\": {}, \"errors\": {}, \"failed\": {}, \
+             \"promotions\": {}, \"mirror_reads\": {}, \"hot_keys\": {}}}",
             self.ops.to_json(),
             self.stored_bytes.to_json(),
             self.gets,
             self.puts,
             self.interactions,
-            self.cache_hits,
             self.errors,
             self.failed,
-            self.splits,
-            self.pages_opened,
             self.promotions,
-            self.reassembled_gets,
             self.mirror_reads,
-            self.split_keys,
             self.hot_keys,
         )
     }
@@ -198,16 +177,19 @@ pub struct HotspotReport {
     pub config: HotspotConfig,
     /// Observe-only cell.
     pub baseline: CellResult,
-    /// Splitting + fan-out cell.
+    /// Hot-key fan-out cell.
     pub mitigated: CellResult,
 }
 
 impl HotspotReport {
-    /// `true` when the mitigation did not worsen the headline number
-    /// (max/mean of per-node operations served). The CI smoke step greps
-    /// for this.
+    /// `true` when the mitigation unloaded the hottest node (fewer
+    /// operations served by it) without worsening max/mean of per-node
+    /// operations served. Max/mean alone could "improve" by adding ops
+    /// elsewhere, which raises the mean without unloading anyone.
+    /// `repro hotspot` exits non-zero when this is `false`.
     pub fn improved(&self) -> bool {
-        self.mitigated.ops.max_over_mean <= self.baseline.ops.max_over_mean
+        self.mitigated.ops.max < self.baseline.ops.max
+            && self.mitigated.ops.max_over_mean <= self.baseline.ops.max_over_mean
     }
 
     /// The headline table: per-node imbalance of operations served and
@@ -237,33 +219,17 @@ impl HotspotReport {
         t
     }
 
-    /// The mechanism table: what the balance subsystem (and the caches)
-    /// actually did in each cell.
+    /// The mechanism table: what the balance subsystem actually did in
+    /// each cell.
     pub fn mitigation_table(&self) -> TextTable {
         let mut t = TextTable::new("Hot-spot mitigation counters".to_string());
-        t.header([
-            "cell",
-            "splits",
-            "pages",
-            "promotions",
-            "split keys",
-            "hot keys",
-            "reassembled",
-            "mirror reads",
-            "cache hits",
-            "errors",
-        ]);
+        t.header(["cell", "promotions", "hot keys", "mirror reads", "errors"]);
         for cell in [&self.baseline, &self.mitigated] {
             t.row([
                 cell.label.clone(),
-                cell.splits.to_string(),
-                cell.pages_opened.to_string(),
                 cell.promotions.to_string(),
-                cell.split_keys.to_string(),
                 cell.hot_keys.to_string(),
-                cell.reassembled_gets.to_string(),
                 cell.mirror_reads.to_string(),
-                cell.cache_hits.to_string(),
                 cell.errors.to_string(),
             ]);
         }
@@ -279,7 +245,7 @@ impl HotspotReport {
         format!(
             "{{\n  \"config\": {{\"nodes\": {}, \"articles\": {}, \"queries\": {}, \
              \"seed\": {}, \"hot_rank\": {}, \"window\": [{w0}, {w1}], \"boost\": {:.2}, \
-             \"page_budget\": {}, \"hot_threshold\": {}, \"fanout\": {}}},\n  \
+             \"hot_threshold\": {}, \"fanout\": {}}},\n  \
              \"baseline\": {},\n  \"mitigated\": {},\n  \"improved\": {}\n}}\n",
             c.nodes,
             c.articles,
@@ -287,7 +253,6 @@ impl HotspotReport {
             c.seed,
             c.hot_rank,
             c.boost,
-            c.page_budget,
             c.hot_threshold,
             c.fanout,
             self.baseline.to_json(),
@@ -316,7 +281,7 @@ fn run_cell(
     label: &str,
 ) -> CellResult {
     let dht = SplitDht::new(RingDht::with_named_nodes(config.nodes), balance);
-    let mut service = IndexService::new(dht, config.policy);
+    let mut service = IndexService::new(dht, POLICY);
     let scheme: &dyn IndexScheme = &SimpleScheme;
 
     let mut msds = Vec::with_capacity(corpus.len());
@@ -330,8 +295,7 @@ fn run_cell(
         files.push(file);
     }
     // The query phase is the exhibit: drop the publish wave from the load
-    // table (splitting done during publish still shows in the counters
-    // and in the stored-bytes distribution).
+    // table (it still shows in the stored-bytes distribution).
     service.dht_mut().reset_load();
     service.reset_metrics();
 
@@ -345,7 +309,6 @@ fn run_cell(
     let mut path = Vec::new();
     let mut generalizations = Vec::new();
     let mut interactions = 0u64;
-    let mut cache_hits = 0u64;
     let mut errors = 0u64;
     let mut failed = 0u64;
     for qi in 0..config.queries {
@@ -374,9 +337,6 @@ fn run_cell(
             &mut generalizations,
         );
         interactions += outcome.interactions as u64;
-        if outcome.cache_hit {
-            cache_hits += 1;
-        }
         if outcome.error {
             errors += 1;
         }
@@ -400,7 +360,7 @@ fn run_cell(
         .iter()
         .map(|(_, _, bytes)| *bytes as u64)
         .collect();
-    let (splits, pages_opened, promotions, reassembled_gets, mirror_reads) = split.balance_stats();
+    let (promotions, mirror_reads) = split.balance_stats();
     CellResult {
         label: label.to_string(),
         ops: ImbalanceSummary::from_counts(&ops_counts, TOP_K),
@@ -408,15 +368,10 @@ fn run_cell(
         gets,
         puts,
         interactions,
-        cache_hits,
         errors,
         failed,
-        splits,
-        pages_opened,
         promotions,
-        reassembled_gets,
         mirror_reads,
-        split_keys: split.split_key_count(),
         hot_keys: split.hot_key_count(),
     }
 }
@@ -434,10 +389,8 @@ mod tests {
             hot_rank: 3,
             window: (0.3, 0.8),
             boost: 1.0,
-            page_budget: 256,
             hot_threshold: 16,
             fanout: 4,
-            policy: CachePolicy::None,
         }
     }
 
@@ -446,14 +399,19 @@ mod tests {
         let report = run(&tiny());
         assert_eq!(report.baseline.failed, 0);
         assert_eq!(report.mitigated.failed, 0);
-        // The observe-only cell never splits or promotes…
-        assert_eq!(report.baseline.splits, 0);
+        // The observe-only cell never promotes…
         assert_eq!(report.baseline.promotions, 0);
-        // …the mitigated cell does both…
-        assert!(report.mitigated.splits > 0, "no entry ever split");
+        // …the mitigated cell does…
         assert!(report.mitigated.promotions > 0, "no key ever promoted");
         assert!(report.mitigated.mirror_reads > 0, "no read hit a mirror");
-        // …and the flash crowd's peak flattens.
+        // …and the flash crowd's hottest node serves fewer ops…
+        assert!(
+            report.mitigated.ops.max < report.baseline.ops.max,
+            "hottest node {} (mitigated) !< {} (baseline)",
+            report.mitigated.ops.max,
+            report.baseline.ops.max
+        );
+        // …while the peak flattens.
         assert!(
             report.mitigated.ops.max_over_mean < report.baseline.ops.max_over_mean,
             "max/mean {} (mitigated) !< {} (baseline)",
