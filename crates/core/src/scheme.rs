@@ -15,39 +15,50 @@
 //! may carry several `author` elements, in which case per-author index
 //! entries are generated.
 
+use std::borrow::Cow;
+
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::{Query, QueryBuilder};
 
-/// The bibliographic fields a scheme indexes (extracted from a descriptor).
+/// The bibliographic fields a scheme indexes, borrowed from a descriptor.
+///
+/// Each text is the element's [`trimmed_text`](p2p_index_xmldoc::Element::trimmed_text)
+/// — a borrow of the descriptor whenever one text run holds it all, as in
+/// every canonical descriptor — so extracting the fields copies nothing
+/// but the author list.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BiblioFields {
+pub struct BiblioFields<'a> {
     /// Root element name (normally `article`).
-    pub root: String,
+    pub root: &'a str,
     /// All `(first, last)` author name pairs.
-    pub authors: Vec<(String, String)>,
+    pub authors: Vec<(Cow<'a, str>, Cow<'a, str>)>,
     /// The title text.
-    pub title: Option<String>,
+    pub title: Option<Cow<'a, str>>,
     /// The conference/journal text.
-    pub conf: Option<String>,
+    pub conf: Option<Cow<'a, str>>,
     /// The publication year text.
-    pub year: Option<String>,
+    pub year: Option<Cow<'a, str>>,
 }
 
-impl BiblioFields {
+impl<'a> BiblioFields<'a> {
     /// Extracts the indexable fields from a descriptor.
-    pub fn of(descriptor: &Descriptor) -> BiblioFields {
+    pub fn of(descriptor: &'a Descriptor) -> BiblioFields<'a> {
         let root = descriptor.root();
         let authors = root
             .find_all("author")
             .filter_map(|a| {
-                let first = a.find("first")?.text();
-                let last = a.find("last")?.text();
+                let first = a.find("first")?.trimmed_text();
+                let last = a.find("last")?.trimmed_text();
                 (!first.is_empty() && !last.is_empty()).then_some((first, last))
             })
             .collect();
-        let field = |name: &str| root.find(name).map(|e| e.text()).filter(|t| !t.is_empty());
+        let field = |name: &str| {
+            root.find(name)
+                .map(|e| e.trimmed_text())
+                .filter(|t| !t.is_empty())
+        };
         BiblioFields {
-            root: root.name().to_string(),
+            root: root.name(),
             authors,
             title: field("title"),
             conf: field("conf"),
@@ -56,16 +67,16 @@ impl BiblioFields {
     }
 
     /// `/root/author[first/F][last/L]`
-    pub fn author_query(&self, author: &(String, String)) -> Query {
-        QueryBuilder::new(&self.root)
+    pub fn author_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Query {
+        QueryBuilder::new(self.root)
             .value("author/first", &author.0)
             .value("author/last", &author.1)
             .build()
     }
 
     /// `/root/author/last/L` — the *Last name* index level of Fig. 4.
-    pub fn last_name_query(&self, author: &(String, String)) -> Query {
-        QueryBuilder::new(&self.root)
+    pub fn last_name_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Query {
+        QueryBuilder::new(self.root)
             .value("author/last", &author.1)
             .build()
     }
@@ -73,26 +84,26 @@ impl BiblioFields {
     /// `/root/title/T`
     pub fn title_query(&self) -> Option<Query> {
         let t = self.title.as_ref()?;
-        Some(QueryBuilder::new(&self.root).value("title", t).build())
+        Some(QueryBuilder::new(self.root).value("title", t).build())
     }
 
     /// `/root/conf/C`
     pub fn conf_query(&self) -> Option<Query> {
         let c = self.conf.as_ref()?;
-        Some(QueryBuilder::new(&self.root).value("conf", c).build())
+        Some(QueryBuilder::new(self.root).value("conf", c).build())
     }
 
     /// `/root/year/Y`
     pub fn year_query(&self) -> Option<Query> {
         let y = self.year.as_ref()?;
-        Some(QueryBuilder::new(&self.root).value("year", y).build())
+        Some(QueryBuilder::new(self.root).value("year", y).build())
     }
 
     /// `/root[author[...]][title/T]`
-    pub fn author_title_query(&self, author: &(String, String)) -> Option<Query> {
+    pub fn author_title_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
         let t = self.title.as_ref()?;
         Some(
-            QueryBuilder::new(&self.root)
+            QueryBuilder::new(self.root)
                 .value("author/first", &author.0)
                 .value("author/last", &author.1)
                 .value("title", t)
@@ -105,7 +116,7 @@ impl BiblioFields {
         let c = self.conf.as_ref()?;
         let y = self.year.as_ref()?;
         Some(
-            QueryBuilder::new(&self.root)
+            QueryBuilder::new(self.root)
                 .value("conf", c)
                 .value("year", y)
                 .build(),
@@ -113,10 +124,10 @@ impl BiblioFields {
     }
 
     /// `/root[author[...]][conf/C]`
-    pub fn author_conf_query(&self, author: &(String, String)) -> Option<Query> {
+    pub fn author_conf_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
         let c = self.conf.as_ref()?;
         Some(
-            QueryBuilder::new(&self.root)
+            QueryBuilder::new(self.root)
                 .value("author/first", &author.0)
                 .value("author/last", &author.1)
                 .value("conf", c)
@@ -125,11 +136,11 @@ impl BiblioFields {
     }
 
     /// `/root[author[...]][conf/C][year/Y]`
-    pub fn author_conf_year_query(&self, author: &(String, String)) -> Option<Query> {
+    pub fn author_conf_year_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
         let c = self.conf.as_ref()?;
         let y = self.year.as_ref()?;
         Some(
-            QueryBuilder::new(&self.root)
+            QueryBuilder::new(self.root)
                 .value("author/first", &author.0)
                 .value("author/last", &author.1)
                 .value("conf", c)
@@ -440,7 +451,7 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
             if prefix.is_empty() {
                 continue;
             }
-            let initial = QueryBuilder::new(&f.root)
+            let initial = QueryBuilder::new(f.root)
                 .compare("author/last", p2p_index_xpath::CmpOp::StartsWith, prefix)
                 .build();
             push_edge(&mut edges, initial, f.author_query(author));
@@ -508,7 +519,7 @@ impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
             if word.chars().count() < self.min_len {
                 continue;
             }
-            let keyword = QueryBuilder::new(&f.root)
+            let keyword = QueryBuilder::new(f.root)
                 .compare("title", p2p_index_xpath::CmpOp::Contains, word)
                 .build();
             push_edge(&mut edges, keyword, title_query.clone());
@@ -596,9 +607,13 @@ mod tests {
 
     #[test]
     fn fields_extraction() {
-        let f = BiblioFields::of(&d2());
+        let d = d2();
+        let f = BiblioFields::of(&d);
         assert_eq!(f.root, "article");
-        assert_eq!(f.authors, vec![("John".to_string(), "Smith".to_string())]);
+        assert_eq!(f.authors, vec![("John".into(), "Smith".into())]);
+        // Borrowed from the descriptor, not copied.
+        assert!(matches!(f.authors[0], (Cow::Borrowed(_), Cow::Borrowed(_))));
+        assert!(matches!(f.title, Some(Cow::Borrowed(_))));
         assert_eq!(f.title.as_deref(), Some("IPv6"));
         assert_eq!(f.conf.as_deref(), Some("INFOCOM"));
         assert_eq!(f.year.as_deref(), Some("1996"));
@@ -702,7 +717,8 @@ mod tests {
     fn complex_scheme_has_deeper_chains() {
         let edges = edges_of(&ComplexScheme, &d2());
         // Depth of chain conf → conf+year → author+conf+year → msd is 3 edges.
-        let f = BiblioFields::of(&d2());
+        let d = d2();
+        let f = BiblioFields::of(&d);
         let author = &f.authors[0];
         let conf = f.conf_query().unwrap();
         let cy = f.conf_year_query().unwrap();
@@ -716,7 +732,8 @@ mod tests {
 
     #[test]
     fn fig4_scheme_has_last_name_level() {
-        let f = BiblioFields::of(&d2());
+        let d = d2();
+        let f = BiblioFields::of(&d);
         let author = &f.authors[0];
         let edges = edges_of(&Fig4Scheme, &d2());
         assert!(edges.contains(&(f.last_name_query(author), f.author_query(author))));

@@ -1192,17 +1192,20 @@ impl<D: Dht> IndexService<D> {
         })?;
 
         let edges = scheme.index_edges(descriptor, &msd);
+        // Each edge's keys, hashed once for every pass of the fixpoint.
+        let keys: Vec<(Key, Key)> = edges
+            .iter()
+            .map(|(from, to)| (Self::key_of(from), Self::key_of(to)))
+            .collect();
         loop {
             let mut changed = false;
-            for (from, to) in &edges {
-                let to_key = Self::key_of(to);
+            for ((_, to), &(from_key, to_key)) in edges.iter().zip(&keys) {
                 if self
                     .dht_execute(DhtOp::Get(to_key))?
                     .into_values()
                     .is_empty()
                 {
-                    let entry = IndexTarget::Query(to.clone()).to_bytes();
-                    let from_key = Self::key_of(from);
+                    let entry = self.encode_target(&IndexTarget::Query(to.clone()));
                     if self
                         .dht_execute(DhtOp::Remove {
                             key: from_key,

@@ -6,8 +6,9 @@
 //! a warm client over a replicated loopback cluster, how many heap
 //! allocations the *calling thread* makes for one quorum read, for one
 //! 16-get wave, for a read that finds nothing, and — the client's whole
-//! stack on top of the round — for one three-level index search and one
-//! lookup of a file's MSD.
+//! stack on top of the round — for one three-level index search, one
+//! lookup of a file's MSD, and one publish and unpublish of an article
+//! (the write path: its MSD, its index edges and their wave).
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
@@ -195,5 +196,48 @@ fn a_warm_msd_lookup_shares_the_file_handle_with_the_decode_memo() {
     // out the memo's entry. It was 5 while the entry was shipped and
     // copied into a list of its own. No slack: a shipped entry is +3.
     assert!(allocs <= 1, "warm MSD lookup made {allocs} allocations");
+    cluster.shutdown();
+}
+
+/// The Figure 1 article of the paper.
+const FIGURE_1: &str = "<article><author><first>John</first><last>Smith</last></author>\
+     <title>TCP</title><conf>SIGCOMM</conf><year>1989</year><size>315635</size></article>";
+
+#[test]
+fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
+    let (cluster, client) = warm_cluster();
+    let mut service = IndexService::new(client, CachePolicy::None);
+    let descriptor = Descriptor::parse(FIGURE_1).expect("Figure 1 parses");
+    // Warm: connections, frame buffers, the encode scratch and this
+    // thread's query draft.
+    for _ in 0..3 {
+        service
+            .publish(&descriptor, "fig-1.pdf", &SimpleScheme)
+            .expect("publish on a healthy network");
+        service
+            .unpublish(&descriptor, "fig-1.pdf", &SimpleScheme)
+            .expect("unpublish on a healthy network");
+    }
+    let (msd, publish) = allocs_during(|| service.publish(&descriptor, "fig-1.pdf", &SimpleScheme));
+    let msd = msd.expect("publish on a healthy network");
+    let (again, unpublish) =
+        allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
+    assert_eq!(again.expect("unpublish on a healthy network"), msd);
+    // Measured 51 = the MSD (3: the frozen query's node array, text and
+    // `Arc`) + the scheme's edges (33: six index queries at 5 each — the
+    // builder's two buffers and the frozen three — the author list, the
+    // edge list's two growths) + the wave (15: op vector, six encoded
+    // values at 2 each, the round). It was 114 while every query was
+    // built as a pointer tree (MSD 26, edges 73). No slack: one more
+    // allocation per built query is +7.
+    assert!(publish <= 51, "a warm publish made {publish} allocations");
+    // Measured 113 = the MSD (3) + the edges (33) + the cascade (77: a
+    // quorum get per edge per pass, a remove and an encoded entry per
+    // removed edge, the edges' keys hashed once into one list). It was
+    // 175 (MSD 26, edges 73, cascade 76).
+    assert!(
+        unpublish <= 113,
+        "a warm unpublish made {unpublish} allocations"
+    );
     cluster.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Determinism guarantees of the performance layer.
 //!
-//! Two contracts are locked down here:
+//! Three contracts are locked down here:
 //!
 //! 1. The parallel experiment executor produces **byte-identical** CSV/text
 //!    output to a serial run — every cell is a pure function of its config
@@ -8,12 +8,20 @@
 //! 2. The memoized query key (`Query::canonical_text` + the service's
 //!    interning table) equals the historical `Key::hash_of(&q.to_string())`
 //!    for every query the generator can produce.
+//! 3. Every key a publish writes is where it always was: the canonical
+//!    text of each MSD and of both ends of each index edge, under every
+//!    built-in scheme, folds to one pinned hash.
 
-use p2p_index_core::{CachePolicy, IndexService};
+use p2p_index_core::{
+    CachePolicy, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, IndexService,
+    InitialLetterScheme, KeywordTitleScheme, SimpleScheme,
+};
 use p2p_index_dht::{Key, RingDht};
 use p2p_index_sim::experiments::{self, EvalConfig, Evaluation};
 use p2p_index_sim::simulation::SchemeChoice;
 use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
+use p2p_index_xmldoc::{Descriptor, Element};
+use p2p_index_xpath::Query;
 
 /// Tiny but non-degenerate scale: enough activity for every policy to
 /// cache, evict, and generalize.
@@ -179,4 +187,80 @@ fn memoized_key_survives_query_transformations() {
             Key::hash_of(&reparsed.to_string())
         );
     }
+}
+
+/// FNV-1a, 64-bit, over `bytes` and a terminator, so that no two
+/// sequences of texts fold alike by moving a boundary.
+fn fnv_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().chain([&0xff]).fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Descriptors the corpus never makes: two authors, no title, and names
+/// and values that need quoting, one of them escaping too.
+fn odd_descriptors() -> Vec<Descriptor> {
+    let author = |first: &str, last: &str| {
+        Element::new("author")
+            .with_child(Element::with_text("first", first))
+            .with_child(Element::with_text("last", last))
+    };
+    vec![
+        Descriptor::new(
+            Element::new("article")
+                .with_child(author("John", "Smith"))
+                .with_child(author("Jane", "Doe"))
+                .with_child(Element::with_text("title", "TCP"))
+                .with_child(Element::with_text("conf", "SIGCOMM"))
+                .with_child(Element::with_text("year", "1989")),
+        ),
+        Descriptor::new(
+            Element::new("article")
+                .with_child(author("Ann", "Lee"))
+                .with_child(Element::with_text("conf", "INFOCOM"))
+                .with_child(Element::with_text("year", "1996")),
+        ),
+        Descriptor::new(
+            Element::new("article")
+                .with_child(author("Jean Luc", "O\\Brien"))
+                .with_child(Element::with_text("title", "Say \"hi\" to [P2P] / DHTs"))
+                .with_child(Element::with_text("conf", "IPTPS 2003"))
+                .with_child(Element::with_text("year", "2003")),
+        ),
+    ]
+}
+
+#[test]
+fn the_keys_a_publish_writes_do_not_move() {
+    let corpus = Corpus::generate(CorpusConfig::default());
+    let descriptors: Vec<Descriptor> = corpus.articles()[..2_000]
+        .iter()
+        .map(|a| a.descriptor())
+        .chain(odd_descriptors())
+        .collect();
+    let schemes: [&dyn IndexScheme; 6] = [
+        &SimpleScheme,
+        &FlatScheme,
+        &ComplexScheme,
+        &Fig4Scheme,
+        &InitialLetterScheme::new(SimpleScheme, 1),
+        &KeywordTitleScheme::new(SimpleScheme, 4),
+    ];
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut edges = 0usize;
+    for d in &descriptors {
+        let msd = Query::most_specific(d);
+        hash = fnv_fold(hash, msd.canonical_text().as_bytes());
+        for scheme in schemes {
+            for (from, to) in scheme.index_edges(d, &msd) {
+                hash = fnv_fold(hash, from.canonical_text().as_bytes());
+                hash = fnv_fold(hash, to.canonical_text().as_bytes());
+                edges += 1;
+            }
+        }
+    }
+    assert_eq!(edges, 89_971, "every scheme emitted its edges");
+    // Folded on the code that built queries as pointer trees: a change
+    // to normalization, rendering, quoting or a scheme moves it.
+    assert_eq!(hash, 0x4c88_7051_04c0_a290, "{hash:#018x}");
 }

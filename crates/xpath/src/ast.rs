@@ -14,8 +14,11 @@
 //! with the canonical text — so `Key::hash_of(query.canonical_text())` is
 //! well-defined and free — and in which every name and comparison value is
 //! a span. Covering, matching, rendering and generalizing all walk this
-//! form ([`NodeRef`] is the borrowed view of one node); the pointer tree of the
-//! private `pattern` module exists only while a query is being built.
+//! form ([`NodeRef`] is the borrowed view of one node). Construction writes
+//! into an index-linked arena of the private `draft` module instead, which
+//! `Query::from_draft` sorts and freezes: a constructed query allocates
+//! its node array, its text buffer and the `Arc` that holds both, and
+//! nothing else.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -26,7 +29,7 @@ use std::sync::Arc;
 
 use p2p_index_xmldoc as xmldoc;
 
-use crate::pattern::{NameTest, Pattern};
+use crate::draft::{Draft, NodeId};
 
 /// The deepest a query may nest (`/article` has depth 1): one more than
 /// [`xmldoc::MAX_DEPTH`], so the most specific query of the deepest
@@ -176,7 +179,7 @@ struct Node {
 
 /// Offsets and node indices are stored as `u32`: a query comes from a
 /// frame of at most 16 MiB or from a descriptor already in memory.
-fn offset(n: usize) -> u32 {
+pub(crate) fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("a query's text and node count fit in 32 bits")
 }
 
@@ -445,21 +448,12 @@ fn render(root: NodeRef<'_>, skip: usize, out: &mut Frozen) -> Query {
     out.freeze()
 }
 
-/// Lays a normalized construction-time tree out in pre-order, names copied
-/// as they are: the renderer's input.
-fn stage(p: &Pattern, nodes: &mut Vec<Node>, text: &mut String) {
-    let mut put = |token: &str| {
-        text.push_str(token);
-        (offset(text.len() - token.len()), offset(token.len()))
-    };
-    let (name, name_len) = match &p.test {
-        NameTest::Name(name) => put(name),
-        NameTest::Wildcard => (0, 0),
-    };
-    let (value, value_len) = match &p.comparison {
-        Some((_, value)) => put(value),
-        None => (0, 0),
-    };
+/// Lays a normalized draft out in pre-order, every span pointing into the
+/// draft's own text: the renderer's input.
+fn stage(draft: &Draft, id: NodeId, nodes: &mut Vec<Node>) {
+    let n = draft.node(id);
+    let (name, name_len) = n.name.map_or((0, 0), |s| (s.start, s.len));
+    let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
     let at = nodes.len();
     nodes.push(Node {
         name,
@@ -467,29 +461,33 @@ fn stage(p: &Pattern, nodes: &mut Vec<Node>, text: &mut String) {
         value,
         value_len,
         end: 0,
-        axis: p.axis,
-        wildcard: p.test == NameTest::Wildcard,
-        op: p.comparison.as_ref().map(|&(op, _)| op),
+        axis: n.axis,
+        wildcard: n.name.is_none(),
+        op: n.comparison.map(|(op, _)| op),
     });
-    for child in &p.children {
-        stage(child, nodes, text);
+    for child in draft.children(id) {
+        stage(draft, child, nodes);
     }
     nodes[at].end = offset(nodes.len());
 }
 
-/// Per-thread buffers of the freeze step, so that building a query
-/// allocates only what the query keeps.
+/// Per-thread buffers of construction, so that building a query allocates
+/// only what the query keeps: the draft the parser and
+/// [`Query::most_specific`] write into, and the freeze step's sorting
+/// room, staging array and renderer.
 struct Scratch {
-    staged_nodes: Vec<Node>,
-    staged_text: String,
+    draft: Draft,
+    order: Vec<NodeId>,
+    staged: Vec<Node>,
     out: Frozen,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
-            staged_nodes: Vec::new(),
-            staged_text: String::new(),
+            draft: Draft::new(),
+            order: Vec::new(),
+            staged: Vec::new(),
             out: Frozen {
                 nodes: Vec::new(),
                 canon: String::new(),
@@ -498,6 +496,26 @@ thread_local! {
             },
         })
     };
+}
+
+/// Normalizes the draft rooted at node 0 and freezes it, rendering the
+/// canonical text exactly once.
+fn freeze_draft(
+    draft: &mut Draft,
+    order: &mut Vec<NodeId>,
+    staged: &mut Vec<Node>,
+    out: &mut Frozen,
+) -> Result<Query, TooDeep> {
+    order.clear();
+    draft.normalize(0, MAX_DEPTH, order)?;
+    staged.clear();
+    stage(draft, 0, staged);
+    let root = NodeRef {
+        nodes: staged,
+        text: draft.buffer(),
+        index: 0,
+    };
+    Ok(render(root, NO_SKIP, out))
 }
 
 /// A normalized query over descriptors.
@@ -571,25 +589,34 @@ impl Ord for Query {
 }
 
 impl Query {
-    /// Normalizes a construction-time tree and freezes it, rendering the
-    /// canonical text exactly once.
-    pub(crate) fn from_root(mut root: Pattern) -> Result<Query, TooDeep> {
-        root.normalize(MAX_DEPTH)?;
+    /// Normalizes a draft (its root is node 0) and freezes it, rendering
+    /// the canonical text exactly once. The draft is left sorted.
+    pub(crate) fn from_draft(draft: &mut Draft) -> Result<Query, TooDeep> {
         SCRATCH.with(|scratch| {
             let Scratch {
-                staged_nodes,
-                staged_text,
+                order, staged, out, ..
+            } = &mut *scratch.borrow_mut();
+            freeze_draft(draft, order, staged, out)
+        })
+    }
+
+    /// Lets `write` build a query in this thread's draft, then freezes it:
+    /// the parser's and [`most_specific`](Query::most_specific)'s path,
+    /// which allocates nothing but the query. The outer error is
+    /// `write`'s own.
+    pub(crate) fn in_scratch<E>(
+        write: impl FnOnce(&mut Draft) -> Result<(), E>,
+    ) -> Result<Result<Query, TooDeep>, E> {
+        SCRATCH.with(|scratch| {
+            let Scratch {
+                draft,
+                order,
+                staged,
                 out,
             } = &mut *scratch.borrow_mut();
-            staged_nodes.clear();
-            staged_text.clear();
-            stage(&root, staged_nodes, staged_text);
-            let staged = NodeRef {
-                nodes: staged_nodes,
-                text: staged_text,
-                index: 0,
-            };
-            Ok(render(staged, NO_SKIP, out))
+            draft.clear();
+            write(draft)?;
+            Ok(freeze_draft(draft, order, staged, out))
         })
     }
 
@@ -675,17 +702,25 @@ impl fmt::Display for Query {
 mod tests {
     use super::*;
 
-    fn frozen(root: Pattern) -> Query {
-        Query::from_root(root).expect("test trees are shallow")
+    /// Freezes the draft `build` writes (its first node is the root).
+    fn frozen(build: impl FnOnce(&mut Draft)) -> Query {
+        let mut draft = Draft::new();
+        build(&mut draft);
+        Query::from_draft(&mut draft).expect("test trees are shallow")
     }
 
-    fn node(test: &str, children: Vec<Pattern>) -> Pattern {
-        Pattern {
-            axis: Axis::Child,
-            test: NameTest::Name(test.into()),
-            comparison: None,
-            children,
-        }
+    /// A child-axis node named `name` under `parent`.
+    fn node(d: &mut Draft, parent: Option<NodeId>, name: &str) -> NodeId {
+        let name = d.push_text(name);
+        d.add(parent, Axis::Child, Some(name))
+    }
+
+    /// A path of child-axis nodes under `parent`; returns the last.
+    fn chain(d: &mut Draft, parent: Option<NodeId>, names: &[&str]) -> NodeId {
+        names
+            .iter()
+            .fold(parent, |at, name| Some(node(d, at, name)))
+            .expect("a non-empty path")
     }
 
     #[test]
@@ -701,31 +736,21 @@ mod tests {
 
     #[test]
     fn display_chain_as_path() {
-        let q = frozen(node(
-            "article",
-            vec![node(
-                "author",
-                vec![node("last", vec![node("Smith", vec![])])],
-            )],
-        ));
+        let q = frozen(|d| {
+            chain(d, None, &["article", "author", "last", "Smith"]);
+        });
         assert_eq!(q.to_string(), "/article/author/last/Smith");
     }
 
     #[test]
     fn display_branches_as_predicates() {
-        let q = frozen(node(
-            "article",
-            vec![
-                node("title", vec![node("TCP", vec![])]),
-                node(
-                    "author",
-                    vec![
-                        node("first", vec![node("John", vec![])]),
-                        node("last", vec![node("Smith", vec![])]),
-                    ],
-                ),
-            ],
-        ));
+        let q = frozen(|d| {
+            let article = node(d, None, "article");
+            chain(d, Some(article), &["title", "TCP"]);
+            let author = node(d, Some(article), "author");
+            chain(d, Some(author), &["first", "John"]);
+            chain(d, Some(author), &["last", "Smith"]);
+        });
         // Children sort deterministically (author < title).
         assert_eq!(
             q.to_string(),
@@ -735,84 +760,98 @@ mod tests {
 
     #[test]
     fn normalization_sorts_and_dedups() {
-        let a = frozen(node(
-            "article",
-            vec![
-                node("year", vec![node("1996", vec![])]),
-                node("conf", vec![node("INFOCOM", vec![])]),
-                node("conf", vec![node("INFOCOM", vec![])]),
-            ],
-        ));
-        let b = frozen(node(
-            "article",
-            vec![
-                node("conf", vec![node("INFOCOM", vec![])]),
-                node("year", vec![node("1996", vec![])]),
-            ],
-        ));
+        let a = frozen(|d| {
+            let article = node(d, None, "article");
+            chain(d, Some(article), &["year", "1996"]);
+            chain(d, Some(article), &["conf", "INFOCOM"]);
+            chain(d, Some(article), &["conf", "INFOCOM"]);
+        });
+        let b = frozen(|d| {
+            let article = node(d, None, "article");
+            chain(d, Some(article), &["conf", "INFOCOM"]);
+            chain(d, Some(article), &["year", "1996"]);
+        });
         assert_eq!(a, b);
         assert_eq!(a.size(), 5);
     }
 
     #[test]
+    fn normalization_dedups_whole_subtrees_only() {
+        // Equal after their own children sort; unequal below the first
+        // level.
+        let q = frozen(|d| {
+            let root = node(d, None, "r");
+            for (x, y) in [("x", "y"), ("y", "x"), ("x", "z")] {
+                let a = node(d, Some(root), "a");
+                node(d, Some(a), x);
+                node(d, Some(a), y);
+            }
+        });
+        assert_eq!(q.to_string(), "/r[a[x][y]][a[x][z]]");
+    }
+
+    #[test]
     fn quoting_in_display() {
-        let q = frozen(node(
-            "article",
-            vec![node("title", vec![node("A Space Odyssey", vec![])])],
-        ));
+        let q = frozen(|d| {
+            chain(d, None, &["article", "title", "A Space Odyssey"]);
+        });
         assert_eq!(q.to_string(), "/article/title/\"A Space Odyssey\"");
     }
 
     #[test]
     fn quoting_escapes_quotes_and_backslashes() {
-        let q = frozen(node("t", vec![node("say \"hi\" \\ bye", vec![])]));
+        let q = frozen(|d| {
+            chain(d, None, &["t", "say \"hi\" \\ bye"]);
+        });
         assert_eq!(q.to_string(), r#"/t/"say \"hi\" \\ bye""#);
     }
 
     #[test]
     fn comparison_renders_in_predicate() {
-        let mut year = node("year", vec![]);
-        year.comparison = Some((CmpOp::Ge, "1990".into()));
-        let q = frozen(node("article", vec![year]));
+        let q = frozen(|d| {
+            let year = chain(d, None, &["article", "year"]);
+            let value = d.push_text("1990");
+            d.set_comparison(year, CmpOp::Ge, value);
+        });
         assert_eq!(q.to_string(), "/article[year>=1990]");
     }
 
     #[test]
     fn single_child_with_comparison_is_predicate_not_path() {
-        let mut year = node("year", vec![]);
-        year.comparison = Some((CmpOp::Lt, "2000".into()));
-        let q = frozen(node("article", vec![year]));
+        let q = frozen(|d| {
+            let year = chain(d, None, &["article", "year"]);
+            let value = d.push_text("2000");
+            d.set_comparison(year, CmpOp::Lt, value);
+        });
         assert!(q.to_string().contains('['));
     }
 
     #[test]
     fn descendant_axis_renders_double_slash() {
-        let mut smith = node("Smith", vec![]);
-        smith.axis = Axis::Descendant;
-        let q = frozen(node("article", vec![smith]));
+        let q = frozen(|d| {
+            let article = node(d, None, "article");
+            let smith = d.push_text("Smith");
+            d.add(Some(article), Axis::Descendant, Some(smith));
+        });
         assert_eq!(q.to_string(), "/article//Smith");
     }
 
     #[test]
     fn wildcard_renders_star() {
-        let q = frozen(Pattern {
-            axis: Axis::Child,
-            test: NameTest::Wildcard,
-            comparison: None,
-            children: vec![node("title", vec![])],
+        let q = frozen(|d| {
+            let any = d.add(None, Axis::Child, None);
+            node(d, Some(any), "title");
         });
         assert_eq!(q.to_string(), "/*/title");
     }
 
     #[test]
     fn drop_top_branch_generalizes() {
-        let q = frozen(node(
-            "article",
-            vec![
-                node("author", vec![node("last", vec![node("Smith", vec![])])]),
-                node("conf", vec![node("INFOCOM", vec![])]),
-            ],
-        ));
+        let q = frozen(|d| {
+            let article = node(d, None, "article");
+            chain(d, Some(article), &["author", "last", "Smith"]);
+            chain(d, Some(article), &["conf", "INFOCOM"]);
+        });
         let gens = q.generalizations();
         assert_eq!(gens.len(), 2);
         assert!(gens
@@ -826,32 +865,49 @@ mod tests {
 
     #[test]
     fn size_and_depth() {
-        let q = frozen(node(
-            "article",
-            vec![node(
-                "author",
-                vec![node("last", vec![node("Smith", vec![])])],
-            )],
-        ));
+        let q = frozen(|d| {
+            chain(d, None, &["article", "author", "last", "Smith"]);
+        });
         assert_eq!(q.size(), 4);
         assert_eq!(q.depth(), 4);
-        assert_eq!(frozen(node("a", vec![])).depth(), 1);
+        assert_eq!(
+            frozen(|d| {
+                node(d, None, "a");
+            })
+            .depth(),
+            1
+        );
     }
 
     #[test]
     fn root_name() {
-        let q = frozen(node("article", vec![]));
+        let q = frozen(|d| {
+            node(d, None, "article");
+        });
         assert_eq!(q.root_name(), Some("article"));
-        let w = frozen(Pattern::leaf(Axis::Child, NameTest::Wildcard));
+        let w = frozen(|d| {
+            d.add(None, Axis::Child, None);
+        });
         assert_eq!(w.root_name(), None);
     }
 
     #[test]
     fn name_test_accepts() {
-        let wildcard = frozen(Pattern::leaf(Axis::Child, NameTest::Wildcard));
+        let wildcard = frozen(|d| {
+            d.add(None, Axis::Child, None);
+        });
         assert!(wildcard.root().accepts("anything"));
-        let a = frozen(node("a", vec![]));
+        let a = frozen(|d| {
+            node(d, None, "a");
+        });
         assert!(a.root().accepts("a"));
         assert!(!a.root().accepts("b"));
+    }
+
+    #[test]
+    fn a_draft_deeper_than_the_limit_is_a_typed_error() {
+        let mut draft = Draft::new();
+        (0..=MAX_DEPTH).fold(None, |at, _| Some(node(&mut draft, at, "a")));
+        assert_eq!(Query::from_draft(&mut draft).unwrap_err(), TooDeep);
     }
 }

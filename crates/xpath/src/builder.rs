@@ -10,11 +10,24 @@
 //! [`Query::most_specific`] derives the MSD — "the most specific query for
 //! d" — from a descriptor, the query that is `≡ d` and hashes to the file's
 //! storage key.
+//!
+//! Both write straight into a draft, the index-linked arena behind every
+//! constructor, and freeze it. A builder owns its draft: one node array
+//! and one text buffer, sized so that a scheme's queries never regrow
+//! them. So a `QueryBuilder::new(..).value(..).build()` chain allocates
+//! those two and the three the frozen query keeps, and `most_specific`,
+//! which writes into this thread's draft, allocates only the three.
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
 use crate::ast::{Axis, CmpOp, Query, TooDeep, MAX_DEPTH};
-use crate::pattern::{NameTest, Pattern};
+use crate::draft::{Draft, NodeId};
+
+/// A new builder's room: enough for the index queries a scheme makes
+/// (`/article[author[first/F][last/L]][title/T]` is 8 nodes) without
+/// regrowing either buffer.
+const NODES: usize = 16;
+const TEXT: usize = 128;
 
 /// Incrementally builds a [`Query`].
 ///
@@ -37,17 +50,25 @@ use crate::pattern::{NameTest, Pattern};
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryBuilder {
-    /// Never deeper than [`MAX_DEPTH`]: a constraint that would not fit
-    /// is dropped and remembered in `too_deep` instead.
-    root: Pattern,
+    /// The query so far; node 0 is the root. Never deeper than
+    /// [`MAX_DEPTH`]: a constraint that would not fit is dropped and
+    /// remembered in `too_deep` instead.
+    draft: Draft,
+    /// How deep the draft nests (the root alone is 1).
+    depth: usize,
     too_deep: bool,
 }
 
 impl QueryBuilder {
     /// Starts a query rooted at element `root` (e.g. `"article"`).
-    pub fn new(root: impl Into<String>) -> QueryBuilder {
+    pub fn new(root: impl AsRef<str>) -> QueryBuilder {
+        let root = root.as_ref();
+        let mut draft = Draft::with_capacity(NODES, TEXT + root.len());
+        let name = draft.push_text(root);
+        draft.add(None, Axis::Child, Some(name));
         QueryBuilder {
-            root: Pattern::leaf(Axis::Child, NameTest::Name(root.into())),
+            draft,
+            depth: 1,
             too_deep: false,
         }
     }
@@ -55,10 +76,10 @@ impl QueryBuilder {
     /// Requires the element at `path` to have text equal to `value`
     /// (a value-leaf step, `…/title/TCP` style).
     #[must_use]
-    pub fn value(mut self, path: &str, value: impl Into<String>) -> QueryBuilder {
+    pub fn value(mut self, path: &str, value: impl AsRef<str>) -> QueryBuilder {
         if let Some(node) = self.descend(path, 1) {
-            node.children
-                .push(Pattern::leaf(Axis::Child, NameTest::Name(value.into())));
+            let value = self.draft.push_text(value.as_ref());
+            self.draft.add(Some(node), Axis::Child, Some(value));
         }
         self
     }
@@ -73,9 +94,10 @@ impl QueryBuilder {
     /// Constrains the text of the element at `path` with `op value`
     /// (`[year>=1990]` style).
     #[must_use]
-    pub fn compare(mut self, path: &str, op: CmpOp, value: impl Into<String>) -> QueryBuilder {
+    pub fn compare(mut self, path: &str, op: CmpOp, value: impl AsRef<str>) -> QueryBuilder {
         if let Some(node) = self.descend(path, 0) {
-            node.comparison = Some((op, value.into()));
+            let value = self.draft.push_text(value.as_ref());
+            self.draft.set_comparison(node, op, value);
         }
         self
     }
@@ -89,10 +111,11 @@ impl QueryBuilder {
         f: impl FnOnce(QueryBuilder) -> QueryBuilder,
     ) -> QueryBuilder {
         let sub = f(QueryBuilder::new(branch_root));
-        if sub.too_deep || 1 + sub.root.depth() > MAX_DEPTH {
+        if sub.too_deep || 1 + sub.depth > MAX_DEPTH {
             self.too_deep = true;
         } else {
-            self.root.children.push(sub.root);
+            self.draft.graft(0, &sub.draft);
+            self.depth = self.depth.max(1 + sub.depth);
         }
         self
     }
@@ -111,28 +134,23 @@ impl QueryBuilder {
     /// existing comparison-free branches, and returns the final node — or
     /// `None`, with nothing created, when that node plus `below` more
     /// levels would nest deeper than [`MAX_DEPTH`].
-    fn descend(&mut self, path: &str, below: usize) -> Option<&mut Pattern> {
+    fn descend(&mut self, path: &str, below: usize) -> Option<NodeId> {
         let steps = || path.split('/').filter(|s| !s.is_empty());
-        if 1 + steps().count() + below > MAX_DEPTH {
+        let depth = 1 + steps().count() + below;
+        if depth > MAX_DEPTH {
             self.too_deep = true;
             return None;
         }
-        let mut node = &mut self.root;
+        self.depth = self.depth.max(depth);
+        let mut node = 0;
         for step in steps() {
-            let pos = node.children.iter().position(|c| {
-                c.axis == Axis::Child
-                    && c.comparison.is_none()
-                    && matches!(&c.test, NameTest::Name(n) if n == step)
-            });
-            let idx = match pos {
-                Some(i) => i,
+            node = match self.draft.step(node, step) {
+                Some(existing) => existing,
                 None => {
-                    node.children
-                        .push(Pattern::leaf(Axis::Child, NameTest::Name(step.to_string())));
-                    node.children.len() - 1
+                    let name = self.draft.push_text(step);
+                    self.draft.add(Some(node), Axis::Child, Some(name))
                 }
             };
-            node = &mut node.children[idx];
         }
         Some(node)
     }
@@ -143,11 +161,11 @@ impl TryFrom<QueryBuilder> for Query {
 
     /// [`QueryBuilder::build`], with a constraint nested deeper than
     /// [`MAX_DEPTH`] reported instead of panicking.
-    fn try_from(builder: QueryBuilder) -> Result<Query, TooDeep> {
+    fn try_from(mut builder: QueryBuilder) -> Result<Query, TooDeep> {
         if builder.too_deep {
             return Err(TooDeep);
         }
-        Query::from_root(builder.root)
+        Query::from_draft(&mut builder.draft)
     }
 }
 
@@ -185,28 +203,32 @@ impl TryFrom<&Descriptor> for Query {
     /// [`Query::most_specific`], with a descriptor built deeper than the
     /// XML parser would accept reported instead of panicking.
     fn try_from(descriptor: &Descriptor) -> Result<Query, TooDeep> {
-        Query::from_root(element_to_pattern(descriptor.root(), MAX_DEPTH)?)
+        Query::in_scratch(|draft| write_element(draft, descriptor.root(), None, MAX_DEPTH))?
     }
 }
 
-/// `e` as a pattern; `room` is how many levels, this one included, may
-/// still nest.
-fn element_to_pattern(e: &Element, room: usize) -> Result<Pattern, TooDeep> {
+/// Writes `e` into `draft` under `parent`; `room` is how many levels, this
+/// one included, may still nest.
+fn write_element(
+    draft: &mut Draft,
+    e: &Element,
+    parent: Option<NodeId>,
+    room: usize,
+) -> Result<(), TooDeep> {
     let text = e.trimmed_text();
     if room < 1 + usize::from(!text.is_empty()) {
         return Err(TooDeep);
     }
-    let mut node = Pattern::leaf(Axis::Child, NameTest::Name(e.name().to_string()));
+    let name = draft.push_text(e.name());
+    let node = draft.add(parent, Axis::Child, Some(name));
     if !text.is_empty() {
-        node.children.push(Pattern::leaf(
-            Axis::Child,
-            NameTest::Name(text.into_owned()),
-        ));
+        let value = draft.push_text(&text);
+        draft.add(Some(node), Axis::Child, Some(value));
     }
     for child in e.child_elements() {
-        node.children.push(element_to_pattern(child, room - 1)?);
+        write_element(draft, child, Some(node), room - 1)?;
     }
-    Ok(node)
+    Ok(())
 }
 
 #[cfg(test)]

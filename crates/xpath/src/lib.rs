@@ -38,9 +38,9 @@
 pub mod ast;
 pub mod builder;
 pub mod cover;
+mod draft;
 pub mod eval;
 pub mod parse;
-mod pattern;
 
 pub use ast::{Axis, CmpOp, Comparison, NodeRef, Query, TooDeep, MAX_DEPTH};
 pub use builder::QueryBuilder;

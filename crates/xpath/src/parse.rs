@@ -22,7 +22,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::ast::{Axis, CmpOp, Query, MAX_DEPTH};
-use crate::pattern::{NameTest, Pattern};
+use crate::draft::{Draft, NodeId, Span};
 
 /// Why query parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,19 +66,20 @@ impl fmt::Display for ParseQueryError {
 
 impl Error for ParseQueryError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
     Slash,
     DoubleSlash,
     LBracket,
     RBracket,
     Star,
     Op(CmpOp),
-    /// A bare or quoted name/value (flag: was quoted).
-    Name(String, bool),
+    /// A bare name/value, or what a quoted one holds between its quotes
+    /// (escapes and all), borrowed from the input.
+    Name(&'a str),
 }
 
-impl Token {
+impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Slash => "/".into(),
@@ -87,7 +88,31 @@ impl Token {
             Token::RBracket => "]".into(),
             Token::Star => "*".into(),
             Token::Op(op) => op.symbol().into(),
-            Token::Name(n, _) => n.clone(),
+            Token::Name(raw) => {
+                let mut name = String::new();
+                write_name(raw, &mut name);
+                name
+            }
+        }
+    }
+}
+
+/// Writes a name token's text to `out`. Only a quoted token can hold a
+/// backslash, and only then is anything unescaped: `\"` and `\\` stand for
+/// `"` and `\`, any other backslash for itself.
+fn write_name(raw: &str, out: &mut String) {
+    if !raw.contains('\\') {
+        out.push_str(raw);
+        return;
+    }
+    let mut chars = raw.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (c, chars.peek()) {
+            ('\\', Some(&e @ ('"' | '\\'))) => {
+                out.push(e);
+                chars.next();
+            }
+            _ => out.push(c),
         }
     }
 }
@@ -96,167 +121,132 @@ fn is_bare_char(c: char) -> bool {
     c.is_alphanumeric() || matches!(c, '-' | '_' | '.' | ':' | ',' | '&' | '+' | '\'')
 }
 
-fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, ParseQueryError> {
-    let mut tokens = Vec::new();
-    let bytes: Vec<(usize, char)> = input.char_indices().collect();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (offset, c) = bytes[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '/' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('/') {
-                    tokens.push((Token::DoubleSlash, offset));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Slash, offset));
-                    i += 1;
-                }
-            }
-            '[' => {
-                tokens.push((Token::LBracket, offset));
-                i += 1;
-            }
-            ']' => {
-                tokens.push((Token::RBracket, offset));
-                i += 1;
-            }
-            '*' => {
-                // Where a step must start, `*` is the wildcard even in front
-                // of `=`: `[*=5]` is what a wildcard compared for equality
-                // prints as, and canonical text must parse back.
-                let starts_step = matches!(
-                    tokens.last(),
-                    Some((Token::Slash | Token::DoubleSlash | Token::LBracket, _))
-                );
-                if !starts_step && bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push((Token::Op(CmpOp::Contains), offset));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Star, offset));
-                    i += 1;
-                }
-            }
-            '=' => {
-                tokens.push((Token::Op(CmpOp::Eq), offset));
-                i += 1;
-            }
-            '^' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push((Token::Op(CmpOp::StartsWith), offset));
-                    i += 2;
-                } else {
-                    return Err(ParseQueryError {
-                        kind: QueryErrorKind::UnexpectedToken("^".into()),
-                        offset,
-                    });
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push((Token::Op(CmpOp::Ne), offset));
-                    i += 2;
-                } else {
-                    return Err(ParseQueryError {
-                        kind: QueryErrorKind::UnexpectedToken("!".into()),
-                        offset,
-                    });
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push((Token::Op(CmpOp::Le), offset));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Op(CmpOp::Lt), offset));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push((Token::Op(CmpOp::Ge), offset));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Op(CmpOp::Gt), offset));
-                    i += 1;
-                }
-            }
+/// Byte length of a quoted token's body (what follows its opening quote,
+/// up to the closing one), or `None` if it is not terminated. The quote
+/// and the backslash are ASCII, so a byte scan never splits a character.
+fn quoted_len(body: &str) -> Option<usize> {
+    let bytes = body.as_bytes();
+    let mut j = 0;
+    while j < bytes.len() {
+        match bytes[j] {
+            b'"' => return Some(j),
+            b'\\' if matches!(bytes.get(j + 1), Some(b'"' | b'\\')) => j += 2,
+            _ => j += 1,
+        }
+    }
+    None
+}
+
+/// The tokens of a query's text, each with its byte offset; ends after
+/// the first malformed one.
+struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+    /// The last token was `/`, `//` or `[`: a step starts here.
+    starts_step: bool,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(input: &'a str) -> Lexer<'a> {
+        Lexer {
+            input,
+            pos: 0,
+            starts_step: false,
+        }
+    }
+
+    fn token(&self, rest: &'a str) -> Result<(Token<'a>, usize), QueryErrorKind> {
+        let mut chars = rest.chars();
+        let c = chars.next().expect("called on a non-empty rest");
+        let equals = chars.next() == Some('=');
+        Ok(match c {
+            '/' if rest.starts_with("//") => (Token::DoubleSlash, 2),
+            '/' => (Token::Slash, 1),
+            '[' => (Token::LBracket, 1),
+            ']' => (Token::RBracket, 1),
+            // Where a step must start, `*` is the wildcard even in front
+            // of `=`: `[*=5]` is what a wildcard compared for equality
+            // prints as, and canonical text must parse back.
+            '*' if equals && !self.starts_step => (Token::Op(CmpOp::Contains), 2),
+            '*' => (Token::Star, 1),
+            '=' => (Token::Op(CmpOp::Eq), 1),
+            '^' if equals => (Token::Op(CmpOp::StartsWith), 2),
+            '!' if equals => (Token::Op(CmpOp::Ne), 2),
+            '<' if equals => (Token::Op(CmpOp::Le), 2),
+            '<' => (Token::Op(CmpOp::Lt), 1),
+            '>' if equals => (Token::Op(CmpOp::Ge), 2),
+            '>' => (Token::Op(CmpOp::Gt), 1),
             '"' => {
-                let mut value = String::new();
-                let mut j = i + 1;
-                loop {
-                    match bytes.get(j) {
-                        None => {
-                            return Err(ParseQueryError {
-                                kind: QueryErrorKind::UnterminatedString,
-                                offset,
-                            })
-                        }
-                        Some(&(_, '"')) => {
-                            j += 1;
-                            break;
-                        }
-                        Some(&(_, '\\')) => match bytes.get(j + 1) {
-                            Some(&(_, e @ ('"' | '\\'))) => {
-                                value.push(e);
-                                j += 2;
-                            }
-                            _ => {
-                                value.push('\\');
-                                j += 1;
-                            }
-                        },
-                        Some(&(_, c)) => {
-                            value.push(c);
-                            j += 1;
-                        }
-                    }
-                }
-                tokens.push((Token::Name(value, true), offset));
-                i = j;
+                let len = quoted_len(&rest[1..]).ok_or(QueryErrorKind::UnterminatedString)?;
+                (Token::Name(&rest[1..1 + len]), len + 2)
             }
             c if is_bare_char(c) => {
-                let mut value = String::new();
-                while i < bytes.len() && is_bare_char(bytes[i].1) {
-                    value.push(bytes[i].1);
-                    i += 1;
-                }
-                tokens.push((Token::Name(value, false), offset));
+                let len = rest.find(|c| !is_bare_char(c)).unwrap_or(rest.len());
+                (Token::Name(&rest[..len]), len)
             }
-            other => {
-                return Err(ParseQueryError {
-                    kind: QueryErrorKind::UnexpectedToken(other.to_string()),
-                    offset,
-                })
+            other => return Err(QueryErrorKind::UnexpectedToken(other.to_string())),
+        })
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<(Token<'a>, usize), ParseQueryError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = self.input[self.pos..].trim_start();
+        if rest.is_empty() {
+            self.pos = self.input.len();
+            return None;
+        }
+        let offset = self.input.len() - rest.len();
+        match self.token(rest) {
+            Ok((token, len)) => {
+                self.pos = offset + len;
+                self.starts_step =
+                    matches!(token, Token::Slash | Token::DoubleSlash | Token::LBracket);
+                Some(Ok((token, offset)))
+            }
+            Err(kind) => {
+                self.pos = self.input.len();
+                Some(Err(ParseQueryError { kind, offset }))
             }
         }
     }
-    Ok(tokens)
 }
 
-struct QueryParser {
-    tokens: Vec<(Token, usize)>,
-    pos: usize,
+struct QueryParser<'a> {
+    tokens: Lexer<'a>,
+    /// The next token and its offset.
+    peeked: Option<(Token<'a>, usize)>,
     input_len: usize,
 }
 
-impl QueryParser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+impl<'a> QueryParser<'a> {
+    /// A parser over `input`, which must lex without error.
+    fn new(input: &'a str) -> QueryParser<'a> {
+        let mut p = QueryParser {
+            tokens: Lexer::new(input),
+            peeked: None,
+            input_len: input.len(),
+        };
+        p.bump();
+        p
+    }
+
+    fn peek(&self) -> Option<Token<'a>> {
+        self.peeked.map(|(t, _)| t)
     }
 
     fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map(|&(_, o)| o)
-            .unwrap_or(self.input_len)
+        self.peeked.map_or(self.input_len, |(_, o)| o)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
+        self.peeked = self
+            .tokens
+            .next()
+            .map(|t| t.expect("the input lexed whole before parsing"));
         t
     }
 
@@ -274,83 +264,75 @@ impl QueryParser {
         }
     }
 
-    fn parse_name_test(&mut self) -> Result<NameTest, ParseQueryError> {
+    /// A name test's name, written into the draft; `None` for `*`.
+    fn parse_name_test(&mut self, draft: &mut Draft) -> Result<Option<Span>, ParseQueryError> {
         match self.peek() {
             Some(Token::Star) => {
                 self.bump();
-                Ok(NameTest::Wildcard)
+                Ok(None)
             }
-            Some(Token::Name(_, _)) => {
-                let Some(Token::Name(n, _)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(NameTest::Name(n))
+            Some(Token::Name(raw)) => {
+                self.bump();
+                Ok(Some(draft.push_with(|text| write_name(raw, text))))
             }
             _ => Err(self.err_here()),
         }
     }
 
-    /// Parses `step (axis step)* comparison?` and returns the head pattern
-    /// with the rest of the chain nested inside it. `room` is how many
-    /// levels, the head's included, may still nest.
-    fn parse_steps(&mut self, axis: Axis, room: usize) -> Result<Pattern, ParseQueryError> {
+    /// Parses `step (axis step)* comparison?` into the draft, the head
+    /// under `parent` and the rest of the chain nested inside it. `room`
+    /// is how many levels, the head's included, may still nest.
+    fn parse_steps(
+        &mut self,
+        draft: &mut Draft,
+        parent: Option<NodeId>,
+        axis: Axis,
+        room: usize,
+    ) -> Result<(), ParseQueryError> {
         if room == 0 {
             return Err(self.err(QueryErrorKind::TooDeep));
         }
-        let test = self.parse_name_test()?;
-        let mut node = Pattern::leaf(axis, test);
+        let name = self.parse_name_test(draft)?;
+        let node = draft.add(parent, axis, name);
 
         // Predicates.
-        while self.peek() == Some(&Token::LBracket) {
+        while self.peek() == Some(Token::LBracket) {
             self.bump();
-            let inner_axis = if self.peek() == Some(&Token::DoubleSlash) {
+            let inner_axis = if self.peek() == Some(Token::DoubleSlash) {
                 self.bump();
                 Axis::Descendant
             } else {
                 Axis::Child
             };
-            let child = self.parse_steps(inner_axis, room - 1)?;
-            match self.bump() {
-                Some(Token::RBracket) => {}
-                Some(t) => {
-                    self.pos -= 1;
-                    return Err(self.err(QueryErrorKind::UnexpectedToken(t.describe())));
-                }
-                None => return Err(self.err(QueryErrorKind::UnexpectedEnd)),
+            self.parse_steps(draft, Some(node), inner_axis, room - 1)?;
+            if self.peek() != Some(Token::RBracket) {
+                return Err(self.err_here());
             }
-            node.children.push(child);
+            self.bump();
         }
 
         // Path continuation or comparison.
         match self.peek() {
             Some(Token::Slash) => {
                 self.bump();
-                let tail = self.parse_steps(Axis::Child, room - 1)?;
-                node.children.push(tail);
+                self.parse_steps(draft, Some(node), Axis::Child, room - 1)?;
             }
             Some(Token::DoubleSlash) => {
                 self.bump();
-                let tail = self.parse_steps(Axis::Descendant, room - 1)?;
-                node.children.push(tail);
+                self.parse_steps(draft, Some(node), Axis::Descendant, room - 1)?;
             }
-            Some(Token::Op(_)) => {
-                let Some(Token::Op(op)) = self.bump() else {
-                    unreachable!()
+            Some(Token::Op(op)) => {
+                self.bump();
+                let Some(Token::Name(raw)) = self.peek() else {
+                    return Err(self.err_here());
                 };
-                match self.bump() {
-                    Some(Token::Name(value, _)) => {
-                        node.comparison = Some((op, value));
-                    }
-                    Some(t) => {
-                        self.pos -= 1;
-                        return Err(self.err(QueryErrorKind::UnexpectedToken(t.describe())));
-                    }
-                    None => return Err(self.err(QueryErrorKind::UnexpectedEnd)),
-                }
+                self.bump();
+                let value = draft.push_with(|text| write_name(raw, text));
+                draft.set_comparison(node, op, value);
             }
             _ => {}
         }
-        Ok(node)
+        Ok(())
     }
 }
 
@@ -370,12 +352,12 @@ impl QueryParser {
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
-    let tokens = tokenize(input)?;
-    let mut p = QueryParser {
-        tokens,
-        pos: 0,
-        input_len: input.len(),
-    };
+    // A malformed token anywhere is the error, even one after a grammar
+    // error: the input is lexed whole before it is parsed.
+    for token in Lexer::new(input) {
+        token?;
+    }
+    let mut p = QueryParser::new(input);
     let axis = match p.bump() {
         Some(Token::Slash) => Axis::Child,
         Some(Token::DoubleSlash) => Axis::Descendant,
@@ -386,12 +368,14 @@ pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
             })
         }
     };
-    let root = p.parse_steps(axis, MAX_DEPTH)?;
-    if let Some(t) = p.peek() {
-        let desc = t.describe();
-        return Err(p.err(QueryErrorKind::TrailingInput(desc)));
-    }
-    Ok(Query::from_root(root).expect("the parser stops at MAX_DEPTH"))
+    let parsed = Query::in_scratch(|draft| {
+        p.parse_steps(draft, None, axis, MAX_DEPTH)?;
+        match p.peek() {
+            Some(t) => Err(p.err(QueryErrorKind::TrailingInput(t.describe()))),
+            None => Ok(()),
+        }
+    })?;
+    Ok(parsed.expect("the parser stops at MAX_DEPTH"))
 }
 
 impl FromStr for Query {
@@ -529,6 +513,22 @@ mod tests {
         assert!(matches!(err.kind, QueryErrorKind::UnexpectedToken(_)));
         let err = parse_query("/a!b").unwrap_err();
         assert!(matches!(err.kind, QueryErrorKind::UnexpectedToken(_)));
+    }
+
+    #[test]
+    fn a_malformed_token_outranks_an_earlier_grammar_error() {
+        // The whole input is lexed before it is parsed, as it was when the
+        // token list was built first: `]` at 2 and the missing slash at 0
+        // are grammar errors, `§` a lexical one.
+        for src in ["/a]§", "a§", "/a[]\"x"] {
+            let err = parse_query(src).unwrap_err();
+            let lexical = matches!(
+                err.kind,
+                QueryErrorKind::UnexpectedToken(ref t) if t == "§"
+            ) || err.kind == QueryErrorKind::UnterminatedString;
+            assert!(lexical, "{src}: {err:?}");
+        }
+        assert_eq!(parse_query("/a]§").unwrap_err().offset, 3);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! is answered by walking those two in place. This suite pins that: the
 //! read paths allocate nothing, building a query allocates what the query
 //! keeps and nothing that grows with its size, and the handle is a
-//! pointer. The count is thread-local (`p2p_index_testkit::Counting`), so
+//! pointer. Construction is pinned per constructor: the parser and
+//! `Query::most_specific` write into a per-thread draft and allocate only
+//! the three things the query keeps; a `QueryBuilder` chain adds its own
+//! draft's two buffers. The count is thread-local (`p2p_index_testkit::Counting`), so
 //! tests running in parallel never touch each other's.
 
 use std::collections::hash_map::DefaultHasher;
@@ -80,6 +83,53 @@ fn clone_eq_and_hash_allocate_nothing() {
     let mut hasher = DefaultHasher::new();
     b.hash(&mut hasher);
     assert_eq!(hash, hasher.finish());
+}
+
+#[test]
+fn parsing_an_msd_text_allocates_only_what_the_query_keeps() {
+    let text = Query::most_specific(&figure_1())
+        .canonical_text()
+        .to_string();
+    let warm = parse_query(&text).expect("canonical text parses");
+    let (q, allocs) = allocs_during(|| parse_query(&text));
+    assert_eq!(q.expect("canonical text parses"), warm);
+    // The node array, the text buffer and the `Arc`: tokens borrow the
+    // input and the draft is this thread's. It was 48 while every token,
+    // name and node was a heap object of its own.
+    assert!(allocs <= 3, "parsing {text} made {allocs}");
+}
+
+#[test]
+fn deriving_an_msd_allocates_only_what_the_query_keeps() {
+    let d = figure_1();
+    let warm = Query::most_specific(&d);
+    let (msd, allocs) = allocs_during(|| Query::most_specific(&d));
+    assert_eq!(msd, warm);
+    // The three the query keeps; it was 26 with a `String` per name and
+    // a `Vec` per element.
+    assert!(allocs <= 3, "most_specific made {allocs}");
+}
+
+#[test]
+fn a_builder_chain_allocates_its_draft_and_the_query() {
+    let chain = || {
+        QueryBuilder::new("article")
+            .value("author/first", "John")
+            .value("author/last", "Smith")
+            .value("title", "TCP")
+            .build()
+    };
+    let warm = chain();
+    let (q, allocs) = allocs_during(chain);
+    assert_eq!(q, warm);
+    assert_eq!(
+        q.canonical_text(),
+        "/article[author[first/John][last/Smith]][title/TCP]"
+    );
+    // The builder's node array and text buffer (sized so that a scheme's
+    // queries never regrow them), then the three the query keeps. It was
+    // 16 with a `String` per name and a `Vec` per node.
+    assert!(allocs <= 5, "a three-value builder chain made {allocs}");
 }
 
 /// A builder for an `n`-branch query whose branches alternate between a

@@ -10,12 +10,17 @@
 //! agree: the canonical text first of all, since every DHT key is a hash
 //! of it. The benchmark workloads only ever build XP{/,[]} queries, so
 //! this suite is what guards the rest of the language.
+//!
+//! `QueryBuilder` writes its drafts with code of its own, so every seeded
+//! tree it can express — child axes and named nodes only — is also built
+//! through it, by `value`, `exists`, `compare` and `branch`, and must
+//! come out as the reference's canonical text.
 
 use std::fmt::Write;
 
 use p2p_index_testkit::{for_each_case, Rng, StdRng};
 use p2p_index_xmldoc::Element;
-use p2p_index_xpath::{parse_query, Axis, CmpOp, NodeRef, Query};
+use p2p_index_xpath::{parse_query, Axis, CmpOp, NodeRef, Query, QueryBuilder};
 
 // ---------------------------------------------------------------------
 // The reference: the tree as it was at rest before the port.
@@ -604,4 +609,91 @@ fn generalizations_equal_the_reference() {
         }
         assert_eq!(q.drop_top_branch(expected.len()), None);
     });
+}
+
+// ---------------------------------------------------------------------
+// The builder.
+// ---------------------------------------------------------------------
+
+/// `t` as a builder can say it: every axis a child axis, every wildcard
+/// a name. A tree that was expressible already comes back as it was.
+fn expressible(t: &Tree) -> Tree {
+    Tree {
+        axis: Axis::Child,
+        test: match &t.test {
+            NameTest::Wildcard => NameTest::Name("w".to_string()),
+            named => named.clone(),
+        },
+        comparison: t.comparison.clone(),
+        children: t.children.iter().map(expressible).collect(),
+    }
+}
+
+fn name_of(t: &Tree) -> &str {
+    match &t.test {
+        NameTest::Name(n) => n,
+        NameTest::Wildcard => unreachable!("expressible trees name every node"),
+    }
+}
+
+/// Adds `t`'s comparison and children to `b`, whose root is `t`'s, each
+/// child through a builder call picked at random among those that say
+/// it. A path step merges into the first comparison-free child of that
+/// name, so a child is reached by path only when no earlier sibling is
+/// one — and its name is a single non-empty step.
+fn fill(rng: &mut StdRng, t: &Tree, mut b: QueryBuilder) -> QueryBuilder {
+    if let Some(c) = &t.comparison {
+        b = b.compare("", c.op, &c.value);
+    }
+    for (i, child) in t.children.iter().enumerate() {
+        let name = name_of(child);
+        let by_path = !name.is_empty()
+            && !name.contains('/')
+            && !t.children[..i]
+                .iter()
+                .any(|s| s.comparison.is_none() && s.test == child.test)
+            && one_in(rng, 2);
+        b = match (&child.comparison, by_path) {
+            (None, _) if child.children.is_empty() => {
+                if by_path {
+                    b.exists(name)
+                } else {
+                    b.value("", name)
+                }
+            }
+            (Some(c), true) if child.children.is_empty() => b.compare(name, c.op, &c.value),
+            (None, true) if child.children.iter().all(Tree::is_leaf) => child
+                .children
+                .iter()
+                .fold(b, |b, leaf| b.value(name, name_of(leaf))),
+            _ => b.branch(name, |sub| fill(rng, child, sub)),
+        };
+    }
+    b
+}
+
+/// Building a tree equals parsing it: the builder's draft code sorts,
+/// deduplicates, quotes and escapes as the reference does.
+#[test]
+fn building_equals_the_reference() {
+    let (mut as_typed, mut wide) = (0u32, 0u32);
+    for_each_case(|rng| {
+        for _ in 0..4 {
+            let typed = arb_tree(rng, 4);
+            let mut tree = expressible(&typed);
+            as_typed += u32::from(tree == typed);
+            let q = fill(rng, &tree, QueryBuilder::new(name_of(&tree))).build();
+            tree.normalize();
+            let canon = tree.canonical();
+            assert_eq!(q.canonical_text(), canon);
+            assert_eq!(seen_through(q.root()), tree, "{canon}");
+            assert_eq!(parse_query(&canon).expect("canonical text parses"), q);
+            wide += u32::from(tree.children.iter().any(|c| c.children.len() > 1));
+        }
+    });
+    assert!(
+        as_typed >= 100,
+        "only {as_typed} trees were expressible as typed"
+    );
+    assert!(wide >= 100, "only {wide} trees had a branch of two or more");
 }
