@@ -242,6 +242,33 @@ struct WaveScratch {
     retained: Vec<Option<DhtOp>>,
 }
 
+/// Reusable per-pass state of [`IndexService::unpublish`]'s cascade: the
+/// edges' keys and each pass's key lists are kept on the service and
+/// cleared between calls, like [`SearchScratch`], so a cascade pays for
+/// its waves and nothing else.
+#[derive(Debug, Default)]
+struct CascadeScratch {
+    /// Each index edge's `(from, to)` keys, hashed once per call.
+    keys: Vec<(Key, Key)>,
+    /// Whether each edge's `Remove` was already sent during this call.
+    attempted: Vec<bool>,
+    /// The distinct keys the next read wave `Get`s: every edge's `to` in
+    /// pass 1, then the ones the last remove wave may have emptied.
+    pending: Vec<Key>,
+    /// The `from` key of each op of the remove wave in flight, in op
+    /// order, for reading its replies back.
+    removing: Vec<Key>,
+}
+
+impl CascadeScratch {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.attempted.clear();
+        self.pending.clear();
+        self.removing.clear();
+    }
+}
+
 /// The distributed index service over a DHT substrate.
 ///
 /// # Examples
@@ -284,6 +311,8 @@ pub struct IndexService<D> {
     search_scratch: SearchScratch,
     /// Reusable retry/trace bookkeeping of a batched wave.
     wave_scratch: WaveScratch,
+    /// Reusable key lists of [`unpublish`](Self::unpublish)'s cascade.
+    cascade_scratch: CascadeScratch,
     /// Reusable wire-encode buffer for the write paths: every entry of a
     /// publish wave is encoded into this one buffer instead of through a
     /// per-entry `format!` temporary (publish is the allocation-heaviest
@@ -315,6 +344,7 @@ impl<D: Dht> IndexService<D> {
             retry_stats: RetryStats::default(),
             search_scratch: SearchScratch::default(),
             wave_scratch: WaveScratch::default(),
+            cascade_scratch: CascadeScratch::default(),
             encode_scratch: Vec::new(),
             metrics: MetricsRegistry::default(),
             tracer: None,
@@ -1162,18 +1192,45 @@ impl<D: Dht> IndexService<D> {
         Ok(report)
     }
 
-    /// Removes a published file and cleans up after it: the file entry is
-    /// deleted, then index mappings whose target key no longer holds any
-    /// entry are removed, cascading up the hierarchy until a fixpoint
-    /// ("when deleting the last mapping for a given key, we can recursively
-    /// delete the references to that key", §IV-C). Shortcut-cache entries
-    /// pointing at the deleted MSD are purged as well.
+    /// Removes a published file and cleans up after it ("when deleting
+    /// the last mapping for a given key, we can recursively delete the
+    /// references to that key", §IV-C). Returns the MSD the file was
+    /// stored under.
     ///
-    /// Returns the MSD the file was stored under.
+    /// The file's `Remove` goes first, as one unary exchange; once it has
+    /// succeeded, every shortcut-cache entry that leads to the file is
+    /// purged, whatever the cleanup below then does. The cleanup is the
+    /// *semi-naive* form of the fixpoint "remove every index edge whose
+    /// target key holds no entry", run in passes of two batched waves:
+    ///
+    /// * a **read wave** of quorum `Get`s, one per distinct key: in pass 1
+    ///   every edge's `to` key, afterwards only the keys the last pass
+    ///   could have emptied — the `from` keys of its edges whose `Remove`
+    ///   reported the value present that are themselves some edge's `to`;
+    /// * a **remove wave** with every edge whose `to` key read empty and
+    ///   that was not already sent, edges sharing a `to` sharing its
+    ///   encoded entry.
+    ///
+    /// A wave is all reads or all writes, so a replicated substrate
+    /// never trades a read's quorum for write ordering. Each edge's
+    /// `Remove` is sent at most once per call, so the cascade ends after
+    /// at most one pass per edge — self-loops and cycles included — with no
+    /// ordering of the edges. Entries only ever shrink during the call,
+    /// so a key's last read is its final state, and the result is the
+    /// naive fixpoint's (re-read every edge's target, repeat until a
+    /// pass removes nothing) from any starting store, edges an
+    /// interrupted earlier call left dangling included: pass 1 reads
+    /// every target, so calling `unpublish` again completes the cleanup.
+    /// Both hold while no other writer touches those keys during the
+    /// call. A no-op unpublish costs three round trips: the file's
+    /// `Remove`, one read wave, one remove wave.
     ///
     /// # Errors
     ///
-    /// [`IndexError::EmptyNetwork`] without live nodes.
+    /// [`IndexError::EmptyNetwork`] without live nodes. DHT faults surface
+    /// as the first failed op's error once the rest of its wave was
+    /// attempted (and retried) independently, as in
+    /// [`publish`](Self::publish); no further wave is sent.
     pub fn unpublish(
         &mut self,
         descriptor: &Descriptor,
@@ -1190,41 +1247,82 @@ impl<D: Dht> IndexService<D> {
             key: msd_key,
             value,
         })?;
+        self.caches.purge(&msd, file);
 
         let edges = scheme.index_edges(descriptor, &msd);
-        // Each edge's keys, hashed once for every pass of the fixpoint.
-        let keys: Vec<(Key, Key)> = edges
-            .iter()
-            .map(|(from, to)| (Self::key_of(from), Self::key_of(to)))
-            .collect();
-        loop {
-            let mut changed = false;
-            for ((_, to), &(from_key, to_key)) in edges.iter().zip(&keys) {
-                if self
-                    .dht_execute(DhtOp::Get(to_key))?
-                    .into_values()
-                    .is_empty()
-                {
-                    let entry = self.encode_target(&IndexTarget::Query(to.clone()));
-                    if self
-                        .dht_execute(DhtOp::Remove {
-                            key: from_key,
-                            value: entry,
-                        })?
-                        .into_removed()
-                    {
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        self.caches.purge(&msd, file);
+        // Taken out for the cascade (its waves need `&mut self`) and put
+        // back emptied, even on error.
+        let mut scratch = std::mem::take(&mut self.cascade_scratch);
+        let result = self.cascade(&edges, &mut scratch);
+        scratch.clear();
+        self.cascade_scratch = scratch;
+        result?;
         self.metrics.incr("index.unpublish");
         Ok(msd)
+    }
+
+    /// [`unpublish`](Self::unpublish)'s cleanup of `edges`, pass by pass.
+    fn cascade(
+        &mut self,
+        edges: &[(Query, Query)],
+        scratch: &mut CascadeScratch,
+    ) -> Result<(), IndexError> {
+        let CascadeScratch {
+            keys,
+            attempted,
+            pending,
+            removing,
+        } = scratch;
+        keys.extend(
+            edges
+                .iter()
+                .map(|(from, to)| (Self::key_of(from), Self::key_of(to))),
+        );
+        attempted.resize(edges.len(), false);
+        for &(_, to) in keys.iter() {
+            if !pending.contains(&to) {
+                pending.push(to);
+            }
+        }
+        while !pending.is_empty() {
+            let reads = pending.iter().map(|&key| DhtOp::Get(key)).collect();
+            let results = self.dht_execute_many(reads);
+            // Every edge not sent yet whose target read empty; edges
+            // sharing a target share its encoded entry.
+            let mut removes = Vec::with_capacity(keys.len());
+            for (&target, result) in pending.iter().zip(results) {
+                if !result?.into_values().is_empty() {
+                    continue;
+                }
+                let mut entry: Option<Bytes> = None;
+                for (i, &(from, to)) in keys.iter().enumerate() {
+                    if to != target || attempted[i] {
+                        continue;
+                    }
+                    attempted[i] = true;
+                    let value = entry
+                        .get_or_insert_with(|| {
+                            self.encode_target(&IndexTarget::Query(edges[i].1.clone()))
+                        })
+                        .clone();
+                    removing.push(from);
+                    removes.push(DhtOp::Remove { key: from, value });
+                }
+            }
+            pending.clear();
+
+            let results = self.dht_execute_many(removes);
+            // Only a removal that found its value can have emptied `from`,
+            // and only an edge's target is worth reading again.
+            for (&from, result) in removing.iter().zip(results) {
+                let emptiable = keys.iter().any(|&(_, to)| to == from);
+                if result?.into_removed() && emptiable && !pending.contains(&from) {
+                    pending.push(from);
+                }
+            }
+            removing.clear();
+        }
+        Ok(())
     }
 }
 
@@ -1255,7 +1353,7 @@ mod tests {
     use p2p_index_dht::{DhtStats, RingDht};
 
     use super::*;
-    use crate::scheme::{FlatScheme, SimpleScheme};
+    use crate::scheme::{ComplexScheme, Fig4Scheme, FlatScheme, SimpleScheme};
 
     fn descriptor(first: &str, last: &str, title: &str, conf: &str, year: &str) -> Descriptor {
         Descriptor::parse(&format!(
@@ -1656,6 +1754,153 @@ mod tests {
         assert_eq!(
             s.lookup_step(&to_y).unwrap().cached,
             [IndexTarget::File("y.pdf".into())]
+        );
+    }
+
+    // ---- unpublish's cascade ------------------------------------------
+
+    /// A ring that counts the calls the service makes into it — one per
+    /// unary exchange or batched wave, so one per round trip — and, while
+    /// `failing` is set, answers every op after the first `Remove` with a
+    /// timeout.
+    #[derive(Debug)]
+    struct Probe {
+        ring: RingDht,
+        calls: usize,
+        failing: bool,
+        removed: bool,
+    }
+
+    impl Probe {
+        fn new() -> Self {
+            Probe {
+                ring: RingDht::with_named_nodes(64),
+                calls: 0,
+                failing: false,
+                removed: false,
+            }
+        }
+
+        fn answer(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+            if self.failing && self.removed {
+                return Err(DhtError::Timeout);
+            }
+            self.removed |= matches!(op, DhtOp::Remove { .. });
+            self.ring.execute(op)
+        }
+    }
+
+    impl Dht for Probe {
+        fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+            self.calls += 1;
+            self.answer(op)
+        }
+
+        fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
+            self.calls += 1;
+            ops.into_iter().map(|op| self.answer(op)).collect()
+        }
+
+        fn node_for(&self, key: &Key) -> Option<NodeId> {
+            self.ring.node_for(key)
+        }
+
+        fn nodes(&self) -> Vec<NodeId> {
+            self.ring.nodes()
+        }
+
+        fn get(&self, key: &Key) -> Vec<Bytes> {
+            self.ring.get(key)
+        }
+
+        fn stats(&self) -> DhtStats {
+            self.ring.stats()
+        }
+    }
+
+    /// The Figure 1 article, and a second one by the same author.
+    fn publish_two_articles<D: Dht>(s: &mut IndexService<D>, scheme: &dyn IndexScheme) {
+        s.publish(&figure1(), "x.pdf", scheme).unwrap();
+        let second = descriptor("John", "Smith", "IPv6", "INFOCOM", "1996");
+        s.publish(&second, "y.pdf", scheme).unwrap();
+    }
+
+    fn figure1() -> Descriptor {
+        descriptor("John", "Smith", "TCP", "SIGCOMM", "1989")
+    }
+
+    /// Never published beside [`publish_two_articles`]: it shares only its
+    /// conference and year.
+    fn unpublished() -> Descriptor {
+        descriptor("Alan", "Doe", "Wavelets", "INFOCOM", "1996")
+    }
+
+    /// Messages of a real unpublish (the Figure 1 article) and of a
+    /// never-published one, per scheme. The naive fixpoint this cascade
+    /// replaced re-read every edge's target once per pass and ended on a
+    /// pass that removed nothing: 66/22 (simple), 50/26 (flat), 130/34
+    /// (complex) and 72/26 (Fig. 4).
+    #[test]
+    fn unpublish_messages_are_pinned_per_scheme() {
+        let pins: [(&dyn IndexScheme, u64, u64); 4] = [
+            (&SimpleScheme, 24, 16),
+            (&FlatScheme, 16, 16),
+            (&ComplexScheme, 38, 26),
+            (&Fig4Scheme, 28, 20),
+        ];
+        for (scheme, real, never) in pins {
+            let mut s = service(CachePolicy::None);
+            publish_two_articles(&mut s, scheme);
+            let before = s.dht().stats().messages;
+            s.unpublish(&figure1(), "x.pdf", scheme).unwrap();
+            let after_real = s.dht().stats().messages;
+            s.unpublish(&unpublished(), "z.pdf", scheme).unwrap();
+            let after_never = s.dht().stats().messages;
+            assert_eq!(
+                (after_real - before, after_never - after_real),
+                (real, never),
+                "{}",
+                scheme.name()
+            );
+        }
+    }
+
+    /// Round trips of the Figure 1 unpublish under the simple scheme: the
+    /// file's `Remove`, then two passes of a read wave and a remove wave.
+    /// The naive fixpoint made 33, one unary exchange per op. A
+    /// never-published article costs 3 (it was 11).
+    #[test]
+    fn unpublish_round_trips_are_pinned() {
+        let mut s = IndexService::new(Probe::new(), CachePolicy::None);
+        publish_two_articles(&mut s, &SimpleScheme);
+        let before = s.dht().calls;
+        s.unpublish(&figure1(), "x.pdf", &SimpleScheme).unwrap();
+        let after_real = s.dht().calls;
+        s.unpublish(&unpublished(), "z.pdf", &SimpleScheme).unwrap();
+        assert_eq!((after_real - before, s.dht().calls - after_real), (5, 3));
+    }
+
+    #[test]
+    fn unpublish_purges_shortcuts_to_the_file_even_when_the_cascade_fails() {
+        let mut s = IndexService::new(Probe::new(), CachePolicy::Single);
+        publish_two_articles(&mut s, &SimpleScheme);
+        let q: Query = "/article/conf/SIGCOMM".parse().unwrap();
+        let key = IndexService::<Probe>::key_of(&q);
+        let n = s.dht().node_for(&key).unwrap();
+        let to_file = IndexTarget::File("x.pdf".into());
+        s.create_shortcuts(&[(n, q)], &to_file);
+        assert_eq!(s.caches.probe(n, &key), [to_file]);
+
+        s.dht_mut().failing = true;
+        assert_eq!(
+            s.unpublish(&figure1(), "x.pdf", &SimpleScheme),
+            Err(IndexError::Dht(DhtError::Timeout))
+        );
+        let msd_key = IndexService::<Probe>::key_of(&Query::most_specific(&figure1()));
+        assert!(s.dht().get(&msd_key).is_empty(), "the file is gone");
+        assert!(
+            s.caches.probe(n, &key).is_empty(),
+            "a shortcut still leads to the deleted file"
         );
     }
 

@@ -231,12 +231,18 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     // built as a pointer tree (MSD 26, edges 73). No slack: one more
     // allocation per built query is +7.
     assert!(publish <= 51, "a warm publish made {publish} allocations");
-    // Measured 113 = the MSD (3) + the edges (33) + the cascade (77: a
-    // quorum get per edge per pass, a remove and an encoded entry per
-    // removed edge, the edges' keys hashed once into one list). It was
-    // 175 (MSD 26, edges 73, cascade 76).
+    // Measured 61 = the MSD (3) + the edges (33) + the cascade (25): the
+    // file's remove (4: its encoded handle and its round), then two
+    // passes of one read wave and one remove wave (6 + 5, then 3 + 7).
+    // A wave is its op vector and its round — the result vector, the
+    // leased links, and a list and shared buffer for the entries the
+    // first pass's reads ship — and a remove wave adds one encoded entry
+    // per target key that read empty (2 each). It was 113 while the
+    // cascade re-read every edge's target in unary exchanges until a
+    // pass removed nothing (cascade 77), and 175 before that (MSD 26,
+    // edges 73, cascade 76). No slack: one more wave is +3 at least.
     assert!(
-        unpublish <= 113,
+        unpublish <= 61,
         "a warm unpublish made {unpublish} allocations"
     );
     cluster.shutdown();
