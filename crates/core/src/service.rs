@@ -29,7 +29,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64};
+use p2p_index_dht::{
+    kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId, OpFamily, SplitMix64,
+};
 use p2p_index_obs::{MetricsRegistry, Trace, TraceRecorder};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -365,10 +367,11 @@ impl<D: Dht> IndexService<D> {
     }
 
     /// Attaches a metrics registry to the whole stack: the service itself
-    /// (`index.*`, `retry.*` series), every existing and future shortcut
-    /// cache (`cache.*`), and the DHT substrate (`dht.*`, via
-    /// [`Dht::set_metrics`]). Pass [`MetricsRegistry::disabled`] to turn
-    /// recording back off.
+    /// (`index.*`, `retry.*`, and `dht.*` — every DHT call is metered
+    /// here, once), every existing and future shortcut cache (`cache.*`),
+    /// and the DHT substrate, for the series only it can see (`net.*`,
+    /// `fault.*`, `load.*`, via [`Dht::set_metrics`]). Pass
+    /// [`MetricsRegistry::disabled`] to turn recording back off.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.metrics = metrics.clone();
         self.dht.set_metrics(metrics.clone());
@@ -438,16 +441,9 @@ impl<D: Dht> IndexService<D> {
         // batched path's `retained` slots.
         let retained = if may_retry { Some(op.clone()) } else { None };
         let kind = op.kind();
-        self.retry_stats.attempts += 1;
-        self.metrics.incr("retry.attempts");
+        let before = self.stats_if_metered();
         let result = self.dht.execute(op);
-        if let Some(t) = &mut self.tracer {
-            let event = match &result {
-                Ok(resp) => format!("dht {kind} -> {}", describe_response(resp)),
-                Err(e) => format!("dht {kind} attempt 1 -> {e}"),
-            };
-            t.event(event);
-        }
+        self.account(before, 1, &[kind], std::slice::from_ref(&result));
         match result {
             Ok(resp) => Ok(resp),
             Err(e) if e.is_transient() && may_retry => {
@@ -486,21 +482,9 @@ impl<D: Dht> IndexService<D> {
         if may_retry {
             retained.extend(ops.iter().cloned().map(Some));
         }
-        let count = ops.len() as u64;
-        self.retry_stats.attempts += count;
-        self.metrics.add("retry.attempts", count);
+        let before = self.stats_if_metered();
         let mut results = self.dht.execute_many(ops);
-        if self.tracer.is_some() {
-            for (kind, result) in kinds.iter().zip(&results) {
-                let event = match result {
-                    Ok(resp) => format!("dht {kind} -> {}", describe_response(resp)),
-                    Err(e) => format!("dht {kind} attempt 1 -> {e}"),
-                };
-                if let Some(t) = &mut self.tracer {
-                    t.event(event);
-                }
-            }
-        }
+        self.account(before, 1, &kinds, &results);
         for (i, slot) in results.iter_mut().enumerate() {
             match slot {
                 Ok(_) => {}
@@ -539,8 +523,6 @@ impl<D: Dht> IndexService<D> {
                 t.event(format!("backoff {delay}ms, retrying"));
             }
             attempt += 1;
-            self.retry_stats.attempts += 1;
-            self.metrics.incr("retry.attempts");
             let current = pending.take().expect("op retained while retries remain");
             let send = if attempt < self.retry.max_attempts {
                 pending = Some(current.clone());
@@ -548,13 +530,9 @@ impl<D: Dht> IndexService<D> {
             } else {
                 current
             };
+            let before = self.stats_if_metered();
             let result = self.dht.execute(send);
-            if let Some(t) = &mut self.tracer {
-                match &result {
-                    Ok(resp) => t.event(format!("dht {kind} -> {}", describe_response(resp))),
-                    Err(e) => t.event(format!("dht {kind} attempt {attempt} -> {e}")),
-                }
-            }
+            self.account(before, attempt, &[kind], std::slice::from_ref(&result));
             match result {
                 Ok(resp) => return Ok(resp),
                 Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {}
@@ -563,6 +541,56 @@ impl<D: Dht> IndexService<D> {
                     self.metrics.incr("retry.gave_up");
                     return Err(e);
                 }
+            }
+        }
+    }
+
+    /// The substrate's work counters before a call, read only while
+    /// metrics are on (the one thing [`account`](Self::account) needs
+    /// them for).
+    fn stats_if_metered(&self) -> Option<DhtStats> {
+        self.metrics.is_enabled().then(|| self.dht.stats())
+    }
+
+    /// The one accounting of a DHT call, whichever of `dht_execute`,
+    /// `dht_execute_many` and `retry_tail` issued it: for each op (of
+    /// `kinds`, answered by `results`) one attempt in [`RetryStats`] and
+    /// `retry.attempts`, one `dht.ops` and `dht.ops.{kind}`, a
+    /// `dht.errors` if it failed, and its `dht {kind} …` trace event
+    /// (`attempt` numbers a failure). With metrics on, `before` is the
+    /// substrate's [`Dht::stats`] before the call, and the messages,
+    /// lookups and hops the call moved go to `dht.messages`,
+    /// `dht.lookups` and `dht.hops`.
+    fn account(
+        &mut self,
+        before: Option<DhtStats>,
+        attempt: u32,
+        kinds: &[&'static str],
+        results: &[Result<DhtResponse, DhtError>],
+    ) {
+        let count = results.len() as u64;
+        self.retry_stats.attempts += count;
+        if let Some(before) = before {
+            let metrics = &self.metrics;
+            metrics.add("retry.attempts", count);
+            metrics.add("dht.ops", count);
+            for (kind, result) in kinds.iter().zip(results) {
+                metrics.incr(kind_counter(OpFamily::Dht, kind));
+                if result.is_err() {
+                    metrics.incr("dht.errors");
+                }
+            }
+            let after = self.dht.stats();
+            metrics.add("dht.messages", after.messages - before.messages);
+            metrics.add("dht.lookups", after.lookups - before.lookups);
+            metrics.add("dht.hops", after.hops - before.hops);
+        }
+        if let Some(t) = &mut self.tracer {
+            for (kind, result) in kinds.iter().zip(results) {
+                t.event(match result {
+                    Ok(resp) => format!("dht {kind} -> {}", describe_response(resp)),
+                    Err(e) => format!("dht {kind} attempt {attempt} -> {e}"),
+                });
             }
         }
     }

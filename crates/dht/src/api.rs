@@ -158,7 +158,8 @@ impl DhtOp {
 /// The metric families that keep one counter per operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpFamily {
-    /// `dht.ops.{kind}` — substrate-level, fed by [`record_op`].
+    /// `dht.ops.{kind}` — calls the index layer issued, recorded by
+    /// `IndexService` (`p2p-index-core`).
     Dht,
     /// `net.ops.{kind}` — storage ops a networked client routed.
     Client,
@@ -521,12 +522,16 @@ pub trait Dht {
     /// Work counters accumulated since construction.
     fn stats(&self) -> DhtStats;
 
-    /// Attaches a metrics registry; subsequent [`Dht::execute`] calls
-    /// record per-operation counters (`dht.ops.*`, `dht.messages`,
-    /// `dht.lookups`, `dht.hops`, `dht.errors`) into it.
+    /// Attaches a metrics registry for the series only this substrate
+    /// can see: `fault.*` ([`FaultyDht`](crate::faulty::FaultyDht)),
+    /// `load.*` ([`SplitDht`](crate::split::SplitDht)),
+    /// `net.server.shard.*` ([`ShardedDht`](crate::sharded::ShardedDht))
+    /// and the networked client's `net.*`. Wrappers pass it on to what
+    /// they wrap. The `dht.*` series are not a substrate's: the index
+    /// layer records them once per call from the [`Dht::stats`] it moved.
     ///
-    /// Default: no-op, so substrates outside this crate keep compiling
-    /// and a disabled registry costs nothing on the hot path.
+    /// Default: no-op, for substrates with nothing of their own to
+    /// record.
     fn set_metrics(&mut self, _metrics: MetricsRegistry) {}
 
     /// Number of live nodes.
@@ -538,63 +543,6 @@ pub trait Dht {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Records one executed operation into `metrics` from the substrate's
-/// own stats delta — the registry never counts independently, it only
-/// mirrors the accounting the substrate already keeps, which is what
-/// makes `registry["dht.messages"] == stats().messages` an invariant
-/// rather than a coincidence.
-///
-/// Callers snapshot [`Dht::stats`] before and after the operation and
-/// pass both; `kind` comes from [`DhtOp::kind`].
-pub fn record_op(
-    metrics: &MetricsRegistry,
-    kind: &'static str,
-    before: DhtStats,
-    after: DhtStats,
-    result: &Result<DhtResponse, DhtError>,
-) {
-    metrics.incr("dht.ops");
-    metrics.incr(kind_counter(OpFamily::Dht, kind));
-    metrics.add("dht.messages", after.messages - before.messages);
-    metrics.add("dht.lookups", after.lookups - before.lookups);
-    metrics.add("dht.hops", after.hops - before.hops);
-    if after.lookups > before.lookups {
-        metrics.observe("dht.hops_per_op", after.hops - before.hops);
-    }
-    if result.is_err() {
-        metrics.incr("dht.errors");
-    }
-}
-
-/// Records an executed batch into `metrics` from the substrate's
-/// aggregate stats delta, the batch-shaped sibling of [`record_op`].
-///
-/// Per-op counters (`dht.ops`, `dht.ops.{kind}`, `dht.errors`) are
-/// attributed exactly; the work counters (`dht.messages`, `dht.lookups`,
-/// `dht.hops`) are mirrored as one aggregate delta because a pipelined
-/// batch cannot attribute them per op. The `dht.hops_per_op` histogram is
-/// *not* fed here for the same reason — substrates that loop over
-/// [`Dht::execute`] (the trait default) keep per-op recording and never
-/// reach this helper.
-pub fn record_many(
-    metrics: &MetricsRegistry,
-    kinds: &[&'static str],
-    before: DhtStats,
-    after: DhtStats,
-    results: &[Result<DhtResponse, DhtError>],
-) {
-    for (kind, result) in kinds.iter().zip(results) {
-        metrics.incr("dht.ops");
-        metrics.incr(kind_counter(OpFamily::Dht, kind));
-        if result.is_err() {
-            metrics.incr("dht.errors");
-        }
-    }
-    metrics.add("dht.messages", after.messages - before.messages);
-    metrics.add("dht.lookups", after.lookups - before.lookups);
-    metrics.add("dht.hops", after.hops - before.hops);
 }
 
 #[cfg(test)]

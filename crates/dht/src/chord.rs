@@ -55,10 +55,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
+use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
 use crate::key::{Key, KEY_BITS};
+use crate::placement;
 use crate::storage::{merged_entries, NodeStore};
 
 /// Tuning knobs for the Chord simulation.
@@ -147,7 +147,6 @@ pub struct ChordNetwork {
     hops: AtomicU64,
     /// Rotates lookup origins so routed traffic spreads over the members.
     next_origin: AtomicU64,
-    metrics: MetricsRegistry,
 }
 
 impl ChordNetwork {
@@ -179,7 +178,6 @@ impl ChordNetwork {
             lookups: AtomicU64::new(0),
             hops: AtomicU64::new(0),
             next_origin: AtomicU64::new(0),
-            metrics: MetricsRegistry::default(),
         };
         for id in ids {
             net.insert_member(id, NodeState::solitary(id));
@@ -223,7 +221,10 @@ impl ChordNetwork {
                 .collect();
             let pred = order[(pos + n - 1) % n];
             let fingers: Vec<Key> = (0..KEY_BITS)
-                .map(|i| Self::successor_in(&order, &id.wrapping_add(&Key::power_of_two(i))))
+                .map(|i| {
+                    self.responsible_node(&id.wrapping_add(&Key::power_of_two(i)))
+                        .expect("non-empty ring")
+                })
                 .collect();
             let state = self.nodes.get_mut(id).expect("node in order cache");
             state.successors = succs;
@@ -232,27 +233,12 @@ impl ChordNetwork {
         }
     }
 
-    /// Ground-truth successor of `key` among `sorted` ids (first id
-    /// clockwise at or after `key`).
-    fn successor_in(sorted: &[Key], key: &Key) -> Key {
-        debug_assert!(!sorted.is_empty());
-        match sorted.binary_search(key) {
-            Ok(i) => sorted[i],
-            Err(i) if i == sorted.len() => sorted[0],
-            Err(i) => sorted[i],
-        }
-    }
-
     /// The node responsible for `key` according to the global view.
     ///
     /// This is the oracle used by tests to validate routed lookups, and by
     /// the storage API to place data once routing has been accounted.
     pub fn responsible_node(&self, key: &Key) -> Option<Key> {
-        if self.order.is_empty() {
-            None
-        } else {
-            Some(Self::successor_in(&self.order, key))
-        }
+        placement::successor_index(&self.order, key).map(|at| self.order[at])
     }
 
     /// Routes a lookup for `key` from the next origin in rotation and
@@ -271,14 +257,7 @@ impl ChordNetwork {
     /// the responsible node followed by `replication - 1` of its
     /// successors.
     fn replica_set(&self, key: &Key) -> Vec<Key> {
-        let Some(primary) = self.responsible_node(key) else {
-            return Vec::new();
-        };
-        let n = self.order.len();
-        let pos = self.order.binary_search(&primary).expect("live node");
-        (0..self.cfg.replication.max(1).min(n))
-            .map(|k| self.order[(pos + k) % n])
-            .collect()
+        placement::replica_keys(&self.order, key, self.cfg.replication)
     }
 
     /// Starts a brand-new network consisting of the single node `id`.
@@ -672,8 +651,16 @@ impl ChordNetwork {
         }
         values
     }
+}
 
-    fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+impl Default for ChordNetwork {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Dht for ChordNetwork {
+    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         if self.order.is_empty() {
             return Err(DhtError::NoLiveNodes);
         }
@@ -694,25 +681,6 @@ impl ChordNetwork {
                 .write(&key, |store| store.remove(&key, &value))
                 .map(DhtResponse::Removed),
         }
-    }
-}
-
-impl Default for ChordNetwork {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Dht for ChordNetwork {
-    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_inner(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_inner(op);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {
@@ -737,10 +705,6 @@ impl Dht for ChordNetwork {
             lookups: self.lookups.load(Ordering::Relaxed),
             hops: self.hops.load(Ordering::Relaxed),
         }
-    }
-
-    fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
     }
 
     fn len(&self) -> usize {

@@ -302,8 +302,8 @@ impl<D: Dht> Dht for FaultyDht<D> {
     }
 
     fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        // Keep a handle for fault counters and forward the same registry
-        // to the wrapped substrate, which records the `dht.*` series.
+        // Keep a handle for the `fault.*` counters and forward the same
+        // registry to the wrapped substrate, for the series it records.
         self.metrics = metrics.clone();
         self.inner.set_metrics(metrics);
     }

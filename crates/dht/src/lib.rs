@@ -55,8 +55,7 @@ pub mod split;
 pub mod storage;
 
 pub use api::{
-    kind_counter, record_many, record_op, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId,
-    OpFamily, PairCounters,
+    kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, OpFamily, PairCounters,
 };
 pub use chord::{ChordConfig, ChordError, ChordNetwork};
 pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMix64};

@@ -6,9 +6,11 @@
 //! the next `r - 1` distinct successors. Three independent components
 //! need this rule and must never disagree:
 //!
-//! * [`RingDht`](crate::ring::RingDht) and
-//!   [`ChordNetwork`](crate::chord::ChordNetwork) place primaries (and,
-//!   for Chord, replica sets) with it;
+//! * [`ChordNetwork`](crate::chord::ChordNetwork) places primaries,
+//!   replica sets and finger targets with it
+//!   ([`RingDht`](crate::ring::RingDht) applies the same rule through its
+//!   own `BTreeMap::range` successor lookup; `ring.rs`'s
+//!   `matches_chord_placement` test pins that the two agree);
 //! * the networked client (`RemoteDht` in `p2p-index-net`) routes
 //!   operations to replica members with it;
 //! * the networked server's repair pass decides which peers should hold

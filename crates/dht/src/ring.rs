@@ -22,9 +22,8 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
+use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::key::Key;
 use crate::storage::NodeStore;
 
@@ -52,7 +51,6 @@ pub struct RingDht {
     /// table: `range(key..)` resolves the clockwise successor in O(log n).
     stores: BTreeMap<Key, NodeStore>,
     counters: PairCounters,
-    metrics: MetricsRegistry,
 }
 
 impl RingDht {
@@ -187,8 +185,10 @@ impl RingDht {
             None => &[],
         }
     }
+}
 
-    fn execute_inner(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
+impl Dht for RingDht {
+    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         if self.stores.is_empty() {
             return Err(DhtError::NoLiveNodes);
         }
@@ -224,30 +224,6 @@ impl RingDht {
             }
         }
     }
-}
-
-impl Dht for RingDht {
-    fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_inner(op);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_inner(op);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
-    }
-
-    fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
-        if self.metrics.is_enabled() {
-            // Per-op recording must stay identical to the unary sequence,
-            // so a metered batch is exactly the loop the trait default runs.
-            return ops.into_iter().map(|op| self.execute(op)).collect();
-        }
-        // The unmetered fast path: everything is in-process, so a batch
-        // is the plain loop minus the per-op metrics branch.
-        ops.into_iter().map(|op| self.execute_inner(op)).collect()
-    }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {
         self.owner(key)
@@ -267,10 +243,6 @@ impl Dht for RingDht {
 
     fn stats(&self) -> DhtStats {
         self.counters.stats()
-    }
-
-    fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
     }
 
     fn len(&self) -> usize {

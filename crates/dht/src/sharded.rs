@@ -44,7 +44,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockE
 use bytes::Bytes;
 use p2p_index_obs::MetricsRegistry;
 
-use crate::api::{self, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
+use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::digest::{self, values_digest};
 use crate::key::Key;
 use crate::storage::NodeStore;
@@ -150,12 +150,12 @@ pub struct ShardedDht {
     /// `shards[b]` holds exactly the keys of repair bucket `b`.
     shards: [RwLock<Shard>; REPAIR_BUCKETS],
     counters: PairCounters,
+    /// Registry for the `net.server.shard.*` lock-acquisition counters
+    /// (`read_locks`, `write_locks`, `read_contended`,
+    /// `write_contended`), attached through [`Dht::set_metrics`]. While
+    /// it is disabled the lock paths are the plain `read()`/`write()`
+    /// calls and no counter is touched.
     metrics: MetricsRegistry,
-    /// Registry for `net.server.shard.*` lock-acquisition counters,
-    /// attached by the networked server. Separate from `metrics` so
-    /// substrate-level `dht.*` recording and server-level contention
-    /// observability can be enabled independently.
-    shard_metrics: MetricsRegistry,
 }
 
 impl ShardedDht {
@@ -167,23 +167,12 @@ impl ShardedDht {
             shards: Default::default(),
             counters: PairCounters::default(),
             metrics: MetricsRegistry::default(),
-            shard_metrics: MetricsRegistry::default(),
         }
     }
 
     /// The node this partition belongs to.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Attaches a registry for the `net.server.shard.*` lock counters
-    /// (`read_locks`, `write_locks`, `read_contended`, `write_contended`).
-    ///
-    /// When the registry is disabled the lock paths are the plain
-    /// `read()`/`write()` calls — no counter is touched, preserving the
-    /// metrics-off hot path.
-    pub fn set_shard_metrics(&mut self, metrics: MetricsRegistry) {
-        self.shard_metrics = metrics;
     }
 
     fn shard_of(&self, key: &Key) -> &RwLock<Shard> {
@@ -193,15 +182,15 @@ impl ShardedDht {
     /// Acquires a shard read lock, counting the acquisition and — via a
     /// `try_read` probe — contended waits when shard metrics are enabled.
     fn read_shard<'a>(&self, shard: &'a RwLock<Shard>) -> RwLockReadGuard<'a, Shard> {
-        if !self.shard_metrics.is_enabled() {
+        if !self.metrics.is_enabled() {
             return shard.read().unwrap_or_else(PoisonError::into_inner);
         }
-        self.shard_metrics.incr("net.server.shard.read_locks");
+        self.metrics.incr("net.server.shard.read_locks");
         match shard.try_read() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                self.shard_metrics.incr("net.server.shard.read_contended");
+                self.metrics.incr("net.server.shard.read_contended");
                 shard.read().unwrap_or_else(PoisonError::into_inner)
             }
         }
@@ -209,15 +198,15 @@ impl ShardedDht {
 
     /// Write-lock twin of [`ShardedDht::read_shard`].
     fn write_shard<'a>(&self, shard: &'a RwLock<Shard>) -> RwLockWriteGuard<'a, Shard> {
-        if !self.shard_metrics.is_enabled() {
+        if !self.metrics.is_enabled() {
             return shard.write().unwrap_or_else(PoisonError::into_inner);
         }
-        self.shard_metrics.incr("net.server.shard.write_locks");
+        self.metrics.incr("net.server.shard.write_locks");
         match shard.try_write() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                self.shard_metrics.incr("net.server.shard.write_contended");
+                self.metrics.incr("net.server.shard.write_contended");
                 shard.write().unwrap_or_else(PoisonError::into_inner)
             }
         }
@@ -281,25 +270,14 @@ impl ShardedDht {
         }
     }
 
-    fn execute_recorded(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
-        if !self.metrics.is_enabled() {
-            return self.execute_op(op, replicated);
-        }
-        let kind = op.kind();
-        let before = self.stats();
-        let result = self.execute_op(op, replicated);
-        api::record_op(&self.metrics, kind, before, self.stats(), &result);
-        result
-    }
-
     /// Executes one operation through a shared reference — the entry point
     /// the networked server's connection workers call concurrently.
     ///
-    /// Semantics (responses, accounting, metrics recording) are identical
-    /// to [`Dht::execute`]; only the receiver differs. Records no
+    /// Semantics (responses, accounting) are identical to
+    /// [`Dht::execute`]; only the receiver differs. Records no
     /// tombstones: this is the write path of an unreplicated partition.
     pub fn execute_shared(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.execute_recorded(op, false)
+        self.execute_op(op, false)
     }
 
     /// [`ShardedDht::execute_shared`] for a member of a replicated
@@ -307,7 +285,7 @@ impl ShardedDht {
     /// `Put` clears it, in the same shard write-lock acquisition as the
     /// store change itself. Reads are unaffected.
     pub fn execute_replicated(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.execute_recorded(op, true)
+        self.execute_op(op, true)
     }
 
     /// One digest per repair bucket for each of `audiences` audiences, in
@@ -746,10 +724,10 @@ mod tests {
         dht.put(k, b("v"));
         // Disabled registry: nothing recorded anywhere.
         let registry = MetricsRegistry::default();
-        dht.set_shard_metrics(registry.clone());
+        dht.set_metrics(registry.clone());
         dht.put(k, b("v2"));
         let enabled = MetricsRegistry::new();
-        dht.set_shard_metrics(enabled.clone());
+        dht.set_metrics(enabled.clone());
         dht.put(k, b("v3"));
         let _ = Dht::get(&dht, &k);
         let snapshot = enabled.snapshot();

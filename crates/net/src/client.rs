@@ -55,8 +55,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use p2p_index_dht::placement::{self, ReplicaRange};
 use p2p_index_dht::{
-    self as dht_api, kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId,
-    OpFamily, PairCounters,
+    kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId, OpFamily, PairCounters,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -736,41 +735,17 @@ impl RemoteDht {
         self.run(std::iter::once(op), scratch);
         scratch.results.pop().expect("one result per op")
     }
-
-    fn execute_many_inner(
-        &self,
-        ops: Vec<DhtOp>,
-        scratch: &mut CallScratch,
-    ) -> Vec<Result<DhtResponse, DhtError>> {
-        self.run(ops.into_iter(), scratch);
-        std::mem::take(&mut scratch.results)
-    }
 }
 
 impl Dht for RemoteDht {
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.with_scratch(|dht, scratch| {
-            if !dht.metrics.is_enabled() {
-                return dht.execute_inner(op, scratch);
-            }
-            let kind = op.kind();
-            let before = dht.stats();
-            let result = dht.execute_inner(op, scratch);
-            dht_api::record_op(&dht.metrics, kind, before, dht.stats(), &result);
-            result
-        })
+        self.with_scratch(|dht, scratch| dht.execute_inner(op, scratch))
     }
 
     fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
         self.with_scratch(|dht, scratch| {
-            if !dht.metrics.is_enabled() {
-                return dht.execute_many_inner(ops, scratch);
-            }
-            let kinds: Vec<&'static str> = ops.iter().map(|op| op.kind()).collect();
-            let before = dht.stats();
-            let results = dht.execute_many_inner(ops, scratch);
-            dht_api::record_many(&dht.metrics, &kinds, before, dht.stats(), &results);
-            results
+            dht.run(ops.into_iter(), scratch);
+            std::mem::take(&mut scratch.results)
         })
     }
 

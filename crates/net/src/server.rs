@@ -113,8 +113,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    kind_counter, placement, BucketDigests, Delivery, DhtError, DhtOp, DhtResponse, FaultConfig,
-    Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
+    kind_counter, placement, BucketDigests, Delivery, Dht, DhtError, DhtOp, DhtResponse,
+    FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -312,7 +312,7 @@ impl Shared {
     /// store. Needs no listener: [`handle`] can be driven on it directly.
     fn new(node: NodeId, config: &ServerConfig) -> Shared {
         let mut store = ShardedDht::with_default_shards(node);
-        store.set_shard_metrics(config.metrics.clone());
+        store.set_metrics(config.metrics.clone());
         Shared {
             store,
             fault: config

@@ -106,10 +106,8 @@ fn net_frames_cross_check_message_accounting() {
     // messages counter must agree exactly.
     let cluster = LoopbackCluster::start_ring(3).expect("loopback cluster");
     let metrics = MetricsRegistry::new();
-    let mut client = cluster.client();
-    client.set_metrics(metrics.clone());
-
-    let mut service = IndexService::new(client, CachePolicy::None);
+    let mut service = IndexService::new(cluster.client(), CachePolicy::None);
+    service.set_metrics(metrics.clone());
     for (descriptor, file) in corpus() {
         service
             .publish(&descriptor, &file, &SimpleScheme)

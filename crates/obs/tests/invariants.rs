@@ -2,26 +2,30 @@
 //!
 //! The metrics registry is only trustworthy if it *structurally mirrors*
 //! the accounting the instrumented layers already keep for themselves.
-//! This suite closes that loop: for every DHT substrate × cache policy it
-//! publishes a corpus, attaches a registry, drives traced searches and
-//! manual interactive lookups, and then asserts equalities between the
+//! This suite closes that loop: for every DHT substrate (ring, Chord, the
+//! sharded store, a loopback TCP cluster) × cache policy it publishes a
+//! corpus, attaches a registry, drives traced searches and manual
+//! interactive lookups, and then asserts equalities between the
 //! registry's counters and the independent sources of truth —
 //!
 //! * `dht.messages` / `dht.lookups` / `dht.hops` == the substrate's own
-//!   [`DhtStats`](p2p_index_dht::DhtStats) deltas;
+//!   [`DhtStats`](p2p_index_dht::DhtStats) deltas, whoever the substrate
+//!   is: `IndexService` meters every call it issues, once;
 //! * trace `lookup` span counts == [`SearchReport::interactions`];
 //! * `index.cache_probe.hit + index.cache_probe.miss` == cached-mode
 //!   lookup totals, and `cache.get.hit` == the probe hits;
 //! * `retry.*` == [`RetryStats`](p2p_index_core::RetryStats) deltas, and
 //!   `fault.*` == [`FaultyDht::fault_stats`] — including under injected
-//!   faults with a live retry policy.
+//!   faults with a live retry policy, where every attempt is one
+//!   `dht.ops` and every lost message one `dht.errors`.
 //!
 //! Everything here is deterministic (seeded RNGs, no clocks), so each
 //! case also doubles as a byte-equality check: two identical runs must
 //! produce identical snapshots.
 
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
-use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, RingDht};
+use p2p_index_dht::{ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeId, RingDht, ShardedDht};
+use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDhtConfig};
 use p2p_index_obs::{MetricsRegistry, MetricsSnapshot};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -261,6 +265,17 @@ fn registry_mirrors_every_substrate_and_policy() {
     for policy in policies() {
         run_case("ring", RingDht::from_ids(keys(16)), policy);
         run_case("chord", ChordNetwork::with_perfect_tables(keys(16)), policy);
+        run_case(
+            "sharded",
+            ShardedDht::with_default_shards(NodeId::hash_of("node-0")),
+            policy,
+        );
+        let cluster = LoopbackCluster::start_ring(4).expect("loopback cluster starts");
+        run_case(
+            "cluster",
+            ClusterDht::new(cluster, RemoteDhtConfig::default()),
+            policy,
+        );
     }
 }
 
@@ -352,8 +367,27 @@ fn run_faulty_case<D: Dht>(name: &str, inner: D) {
         "{name}"
     );
 
+    // The index layer meters what it issued: every attempt is one op,
+    // whether or not its request survived, and every lost message is
+    // one error.
+    assert_eq!(
+        snap.counter("dht.ops"),
+        snap.counter("retry.attempts"),
+        "{name}: one dht op per attempt"
+    );
+    assert_eq!(
+        snap.counter("dht.ops"),
+        snap.counter("fault.attempts"),
+        "{name}: every attempt reaches the fault injector"
+    );
+    assert_eq!(
+        snap.counter("dht.errors"),
+        snap.counter("fault.requests_lost") + snap.counter("fault.responses_lost"),
+        "{name}: every lost message is an error"
+    );
+
     // The wrapped substrate only sees operations whose *request*
-    // survived; the registry's dht.* series must agree with it even
+    // survived; the registry's dht.* work series must agree with it even
     // through the retry storm.
     let stats = service.dht().stats();
     assert_eq!(

@@ -368,7 +368,6 @@ fn trace(cfg: &EvalConfig, query_text: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot parse query {query_text:?}: {e}"))?;
     let mut sim = Simulation::prepare(SimConfig {
         queries: 0,
-        collect_metrics: true,
         ..cfg.sim(SchemeChoice::Simple, CachePolicy::Single)
     });
     let service = sim.service_mut();
