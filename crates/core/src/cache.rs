@@ -176,7 +176,9 @@ impl ShortcutCache {
     }
 
     /// Looks up the shortcut for query key `key`, refreshing its LRU
-    /// position. A hit is a one-element slice.
+    /// position. A hit is a one-element slice: the benchmark's layer
+    /// timings read it through `<[_]>::len`, so it keeps this shape
+    /// while [`peek`](Self::peek) hands out the one target.
     pub fn get(&mut self, key: &Key) -> Option<&[IndexTarget]> {
         self.clock += 1;
         let clock = self.clock;
@@ -193,8 +195,8 @@ impl ShortcutCache {
     }
 
     /// Looks up without touching recency (for inspection).
-    pub fn peek(&self, key: &Key) -> Option<&[IndexTarget]> {
-        self.slots.get(key).map(|s| std::slice::from_ref(&s.target))
+    pub fn peek(&self, key: &Key) -> Option<&IndexTarget> {
+        self.slots.get(key).map(|slot| &slot.target)
     }
 
     /// Number of cached keys.
@@ -283,14 +285,12 @@ impl NodeCaches {
         }
     }
 
-    /// What `node`'s cache holds for `key` (empty when the node never
-    /// cached anything), refreshing its LRU position.
-    pub(crate) fn probe(&mut self, node: NodeId, key: &Key) -> Vec<IndexTarget> {
-        self.caches
-            .get_mut(&node)
-            .and_then(|c| c.get(key))
-            .map(<[IndexTarget]>::to_vec)
-            .unwrap_or_default()
+    /// The one target `node`'s cache holds for `key` (`None` when the
+    /// node never cached anything), refreshing its LRU position. A hit is
+    /// a refcount bump, not a copy.
+    pub(crate) fn probe(&mut self, node: NodeId, key: &Key) -> Option<IndexTarget> {
+        let hit = self.caches.get_mut(&node)?.get(key)?;
+        hit.first().cloned()
     }
 
     /// Installs the shortcut `key → target` at `node`, creating the node's
@@ -369,6 +369,7 @@ mod tests {
         let mut c = ShortcutCache::new();
         assert!(c.insert(q("/a/b"), file("f1")));
         assert_eq!(c.get(&q("/a/b")).unwrap(), &[file("f1")]);
+        assert_eq!(c.peek(&q("/a/b")), Some(&file("f1")));
         assert!(c.get(&q("/a/c")).is_none());
     }
 
@@ -377,7 +378,7 @@ mod tests {
         let mut c = ShortcutCache::new();
         assert!(c.insert(q("/a"), file("f")));
         assert!(!c.insert(q("/a"), file("f")));
-        assert_eq!(c.get(&q("/a")).unwrap().len(), 1);
+        assert_eq!(c.peek(&q("/a")), Some(&file("f")));
     }
 
     #[test]
@@ -386,7 +387,7 @@ mod tests {
         assert!(c.insert(q("/a"), file("f1")));
         assert!(c.insert(q("/a"), file("f2")));
         // Replace-on-write: the slot holds only the newest descriptor.
-        assert_eq!(c.get(&q("/a")).unwrap(), &[file("f2")]);
+        assert_eq!(c.peek(&q("/a")), Some(&file("f2")));
         assert_eq!(c.len(), 1);
     }
 
@@ -398,9 +399,9 @@ mod tests {
         // Touch /a so /b becomes LRU.
         c.get(&q("/a"));
         c.insert(q("/c"), file("fc"));
-        assert!(c.peek(&q("/a")).is_some());
-        assert!(c.peek(&q("/b")).is_none(), "LRU key should be evicted");
-        assert!(c.peek(&q("/c")).is_some());
+        assert_eq!(c.peek(&q("/a")), Some(&file("fa")));
+        assert_eq!(c.peek(&q("/b")), None, "LRU key should be evicted");
+        assert_eq!(c.peek(&q("/c")), Some(&file("fc")));
         assert_eq!(c.len(), 2);
         assert!(c.is_full());
     }
@@ -413,8 +414,8 @@ mod tests {
         // Re-inserting /a (new target) refreshes it; /b is evicted next.
         c.insert(q("/a"), file("fa2"));
         c.insert(q("/c"), file("fc"));
-        assert!(c.peek(&q("/a")).is_some());
-        assert!(c.peek(&q("/b")).is_none());
+        assert_eq!(c.peek(&q("/a")), Some(&file("fa2")));
+        assert_eq!(c.peek(&q("/b")), None);
     }
 
     #[test]
@@ -473,7 +474,7 @@ mod tests {
         // Peeking /a must NOT protect it: /a stays LRU and is evicted.
         c.peek(&q("/a"));
         c.insert(q("/c"), file("fc"));
-        assert!(c.peek(&q("/a")).is_none());
-        assert!(c.peek(&q("/b")).is_some());
+        assert_eq!(c.peek(&q("/a")), None);
+        assert_eq!(c.peek(&q("/b")), Some(&file("fb")));
     }
 }

@@ -164,6 +164,13 @@ pub trait IndexScheme {
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)>;
 }
 
+/// An empty edge list sized up front for a scheme that emits at most
+/// `per_author` edges per author of `f`, plus at most one out of each
+/// query that names no author: title, conference, year, conference+year.
+fn edge_list(f: &BiblioFields<'_>, per_author: usize) -> Vec<(Query, Query)> {
+    Vec::with_capacity(per_author * f.authors.len() + 4)
+}
+
 fn push_edge(edges: &mut Vec<(Query, Query)>, from: Query, to: Query) {
     let edge = (from, to);
     if !edges.contains(&edge) {
@@ -185,7 +192,7 @@ impl IndexScheme for SimpleScheme {
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let f = BiblioFields::of(descriptor);
-        let mut edges = Vec::new();
+        let mut edges = edge_list(&f, 3);
         // Built once: the title query is the same for every author, and a
         // `Query` clone is two `Arc` bumps.
         let title = f.title_query();
@@ -242,7 +249,7 @@ impl IndexScheme for FlatScheme {
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let f = BiblioFields::of(descriptor);
-        let mut edges = Vec::new();
+        let mut edges = edge_list(&f, 2);
         for author in &f.authors {
             push_edge(&mut edges, f.author_query(author), msd.clone());
             if let Some(at) = f.author_title_query(author) {
@@ -278,7 +285,7 @@ impl IndexScheme for ComplexScheme {
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let f = BiblioFields::of(descriptor);
-        let mut edges = Vec::new();
+        let mut edges = edge_list(&f, 7);
         // Built once: these are author-independent, and a `Query` clone
         // is two `Arc` bumps.
         let title = f.title_query();
@@ -352,7 +359,7 @@ impl IndexScheme for Fig4Scheme {
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let f = BiblioFields::of(descriptor);
-        let mut edges = Vec::new();
+        let mut edges = edge_list(&f, 4);
         // Built once: the title query is the same for every author, and a
         // `Query` clone is two `Arc` bumps.
         let title = f.title_query();
@@ -446,6 +453,7 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let mut edges = self.inner.index_edges(descriptor, msd);
         let f = BiblioFields::of(descriptor);
+        edges.reserve(f.authors.len());
         for author in &f.authors {
             let prefix: String = author.1.chars().take(self.prefix_len).collect();
             if prefix.is_empty() {
@@ -514,6 +522,7 @@ impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
         let (Some(title), Some(title_query)) = (&f.title, f.title_query()) else {
             return edges;
         };
+        edges.reserve(title.split_whitespace().count());
         for word in title.split_whitespace() {
             let word = word.trim_matches(|c: char| !c.is_alphanumeric());
             if word.chars().count() < self.min_len {
@@ -755,6 +764,34 @@ mod tests {
             .filter(|(from, _)| from.to_string().contains("first"))
             .count();
         assert!(author_sources >= 2, "each author gets an index entry");
+    }
+
+    #[test]
+    fn every_scheme_sizes_its_edge_list_up_front() {
+        // The edge list is allocated once: no descriptor shape makes a
+        // scheme emit more edges than `edge_list` made room for.
+        let shapes = [
+            "<article><author><first>A</first><last>B</last></author>\
+             <author><first>C</first><last>D</last></author>\
+             <title>T</title><conf>X</conf><year>2000</year></article>",
+            "<article><author><first>A</first><last>B</last></author><conf>X</conf></article>",
+            "<article><title>T</title><conf>X</conf><year>2000</year></article>",
+            "<article><title>T</title><year>2000</year></article>",
+        ];
+        for xml in shapes {
+            let d = Descriptor::parse(xml).unwrap();
+            let authors = BiblioFields::of(&d).authors.len();
+            for (scheme, per_author) in [
+                (&SimpleScheme as &dyn IndexScheme, 3),
+                (&FlatScheme, 2),
+                (&ComplexScheme, 7),
+                (&Fig4Scheme, 4),
+            ] {
+                let edges = edges_of(scheme, &d);
+                let room = per_author * authors + 4;
+                assert!(edges.len() <= room, "{}: {xml}", scheme.name());
+            }
+        }
     }
 
     #[test]

@@ -109,8 +109,9 @@ impl From<DhtError> for IndexError {
 pub struct StepResponse {
     /// The node that served the lookup.
     pub node: Option<NodeId>,
-    /// Shortcut targets found in the node's adaptive cache.
-    pub cached: Vec<IndexTarget>,
+    /// The shortcut target found in the node's adaptive cache, if any: a
+    /// cached key holds one target, handed out as a refcount bump.
+    pub cached: Option<IndexTarget>,
     /// Regular index entries stored under the query's key: the service's
     /// own decoded copy of the entry, shared (a refcount bump), so a warm
     /// lookup step allocates nothing for its entries.
@@ -125,7 +126,7 @@ impl StepResponse {
 
     /// `true` when the node returned nothing — the query is not indexed.
     pub fn is_empty(&self) -> bool {
-        self.cached.is_empty() && self.indexed.is_empty()
+        self.cached.is_none() && self.indexed.is_empty()
     }
 }
 
@@ -704,26 +705,18 @@ impl<D: Dht> IndexService<D> {
             key: msd_key,
             value: file_value,
         });
-        // Most schemes terminate several chains at the MSD, so the encoded
-        // `Query(msd)` value is shared across those edges (a `Bytes` clone
-        // is a refcount bump) instead of re-encoded per edge.
-        let mut msd_value: Option<Bytes> = None;
-        for (from, to) in edges {
-            let from_key = Self::key_of(&from);
-            let value = if to == msd {
-                match &msd_value {
-                    Some(v) => v.clone(),
-                    None => {
-                        let v = self.encode_target(&IndexTarget::Query(to));
-                        msd_value = Some(v.clone());
-                        v
-                    }
-                }
-            } else {
-                self.encode_target(&IndexTarget::Query(to))
+        // Edges sharing a target share its encoded entry (a `Bytes` clone
+        // is a refcount bump), as in the cascade's remove wave: schemes end
+        // several chains at the MSD and fan queries into shared
+        // intermediate ones.
+        for (i, (from, to)) in edges.iter().enumerate() {
+            let encoded = edges[..i].iter().position(|(_, earlier)| earlier == to);
+            let value = match encoded.map(|j| &ops[1 + j]) {
+                Some(DhtOp::Put { value, .. }) => value.clone(),
+                _ => self.encode_target(&IndexTarget::Query(to.clone())),
             };
             ops.push(DhtOp::Put {
-                key: from_key,
+                key: Self::key_of(from),
                 value,
             });
         }
@@ -831,7 +824,7 @@ impl<D: Dht> IndexService<D> {
             match &result {
                 Ok(reply) => t.event(format!(
                     "returned {} cached + {} indexed target(s)",
-                    reply.cached.len(),
+                    usize::from(reply.cached.is_some()),
                     reply.indexed.len()
                 )),
                 Err(e) => t.event(format!("failed: {e}")),
@@ -863,35 +856,32 @@ impl<D: Dht> IndexService<D> {
             t.event(format!("served by {node}"));
         }
 
-        let cached: Vec<IndexTarget> = if use_cache {
+        let cached = if use_cache {
             self.metrics.incr("index.lookups.cached");
             let hit = self.caches.probe(node, &key);
             // A node that never cached anything still answers the probe:
             // count it as a miss so hit + miss == cached-mode lookups.
-            if hit.is_empty() {
-                self.metrics.incr("index.cache_probe.miss");
-                if let Some(t) = &mut self.tracer {
-                    t.event("cache probe: miss".to_string());
-                }
-            } else {
-                self.metrics.incr("index.cache_probe.hit");
-                if let Some(t) = &mut self.tracer {
-                    t.event(format!("cache probe: hit ({} shortcut(s))", hit.len()));
-                }
+            let (counter, event) = match hit {
+                None => ("index.cache_probe.miss", "cache probe: miss"),
+                Some(_) => ("index.cache_probe.hit", "cache probe: hit (1 shortcut(s))"),
+            };
+            self.metrics.incr(counter);
+            if let Some(t) = &mut self.tracer {
+                t.event(event.to_string());
             }
             hit
         } else {
             self.metrics.incr("index.lookups.bypass");
-            Vec::new()
+            None
         };
 
-        let (indexed, bytes) = if cached.is_empty() {
-            let answer = get(self)?;
-            self.memo.read_entry(key, answer)?
-        } else {
-            (Arc::default(), 0)
+        let (indexed, response) = match &cached {
+            None => {
+                let answer = get(self)?;
+                self.memo.read_entry(key, answer)?
+            }
+            Some(shortcut) => (Arc::default(), shortcut.encoded_len() as u64),
         };
-        let response = bytes + cached.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
         let request = query.canonical_text().len() as u64;
         self.traffic.record_exchange(request, response);
         Ok(StepResponse {
@@ -1174,6 +1164,13 @@ impl<D: Dht> IndexService<D> {
         // order, so scanning the level in queue order visits, dedups and
         // reports in the order a node-at-a-time BFS would.
         while !queue.is_empty() {
+            // Room for every file this level references, made once.
+            let level_files = queue.iter().flat_map(|(_, indexed)| indexed.iter());
+            report.files.reserve(
+                level_files
+                    .filter(|target| matches!(target, IndexTarget::File(_)))
+                    .count(),
+            );
             for (current, indexed) in queue.drain(..) {
                 // `visited` admits each node once, so a duplicate hit can
                 // only come from this node's own value list.
@@ -1644,9 +1641,9 @@ mod tests {
         assert_eq!(created, 1);
         // Only the first node caches.
         let resp = s.lookup_step(&q1).unwrap();
-        assert_eq!(resp.cached, vec![target]);
+        assert_eq!(resp.cached, Some(target));
         let resp2 = s.lookup_step(&q2).unwrap();
-        assert!(resp2.cached.is_empty());
+        assert_eq!(resp2.cached, None);
     }
 
     #[test]
@@ -1661,10 +1658,10 @@ mod tests {
         let target = IndexTarget::Query(msd);
         assert_eq!(s.create_shortcuts(&[(n, q.clone())], &target), 1);
         let hit = s.lookup_step(&q).unwrap();
-        assert_eq!(hit.cached, vec![target]);
+        assert_eq!(hit.cached, Some(target));
         assert!(hit.indexed.is_empty(), "the shortcut alone");
         let full = s.lookup_step_bypassing_cache(&q).unwrap();
-        assert!(full.cached.is_empty());
+        assert_eq!(full.cached, None);
         assert_eq!(
             full.indexed.len(),
             2,
@@ -1690,8 +1687,8 @@ mod tests {
         let target = IndexTarget::Query(msd);
         let created = s.create_shortcuts(&[(n1, q1.clone()), (n2, q2.clone())], &target);
         assert_eq!(created, 2);
-        assert!(!s.lookup_step(&q1).unwrap().cached.is_empty());
-        assert!(!s.lookup_step(&q2).unwrap().cached.is_empty());
+        assert!(s.lookup_step(&q1).unwrap().cached.is_some());
+        assert!(s.lookup_step(&q2).unwrap().cached.is_some());
         assert!(s.traffic().cache_bytes > 0);
     }
 
@@ -1762,7 +1759,7 @@ mod tests {
         let q: Query = "/article/title/TCP".parse().unwrap();
         let n = s.dht().owner(&IndexService::<RingDht>::key_of(&q)).unwrap();
         s.create_shortcuts(&[(n, q.clone())], &IndexTarget::Query(msd));
-        assert!(!s.lookup_step(&q).unwrap().cached.is_empty());
+        assert!(s.lookup_step(&q).unwrap().cached.is_some());
         // Shortcuts straight to a file handle: x.pdf's dangles once x.pdf
         // is gone, y.pdf's does not.
         let file_shortcut = |s: &mut IndexService<RingDht>, query: &str, file: &str| {
@@ -1777,11 +1774,11 @@ mod tests {
         let to_x = file_shortcut(&mut s, "/article/conf/SIGCOMM", "x.pdf");
         let to_y = file_shortcut(&mut s, "/article/conf/INFOCOM", "y.pdf");
         s.unpublish(&d1, "x.pdf", &SimpleScheme).unwrap();
-        assert!(s.lookup_step(&q).unwrap().cached.is_empty());
-        assert!(s.lookup_step(&to_x).unwrap().cached.is_empty());
+        assert!(s.lookup_step(&q).unwrap().cached.is_none());
+        assert!(s.lookup_step(&to_x).unwrap().cached.is_none());
         assert_eq!(
             s.lookup_step(&to_y).unwrap().cached,
-            [IndexTarget::File("y.pdf".into())]
+            Some(IndexTarget::File("y.pdf".into()))
         );
     }
 
@@ -1917,7 +1914,7 @@ mod tests {
         let n = s.dht().node_for(&key).unwrap();
         let to_file = IndexTarget::File("x.pdf".into());
         s.create_shortcuts(&[(n, q)], &to_file);
-        assert_eq!(s.caches.probe(n, &key), [to_file]);
+        assert_eq!(s.caches.probe(n, &key), Some(to_file));
 
         s.dht_mut().failing = true;
         assert_eq!(
@@ -1927,7 +1924,7 @@ mod tests {
         let msd_key = IndexService::<Probe>::key_of(&Query::most_specific(&figure1()));
         assert!(s.dht().get(&msd_key).is_empty(), "the file is gone");
         assert!(
-            s.caches.probe(n, &key).is_empty(),
+            s.caches.probe(n, &key).is_none(),
             "a shortcut still leads to the deleted file"
         );
     }

@@ -87,10 +87,8 @@ impl ModelCache {
             })
     }
 
-    fn keys(&self) -> Vec<Key> {
-        let mut ks: Vec<Key> = self.slots.iter().map(|(k, _, _)| *k).collect();
-        ks.sort();
-        ks
+    fn entries(&self) -> impl Iterator<Item = (&Key, &IndexTarget)> {
+        self.slots.iter().map(|(k, t, _)| (k, t))
     }
 }
 
@@ -106,9 +104,12 @@ fn run_against_model(cap: usize, ops: &[Op]) {
                 model.insert(key(k), target(t));
             }
             Op::Get(k) => {
-                let real = cache.get(&key(k)).map(|ts| ts[0].clone());
-                let modeled = model.get(&key(k)).cloned();
-                assert_eq!(real, modeled, "step {step}: get({k}) disagrees");
+                let modeled = model.get(&key(k)).map(std::slice::from_ref);
+                assert_eq!(
+                    cache.get(&key(k)),
+                    modeled,
+                    "step {step}: get({k}) disagrees"
+                );
             }
         }
         assert!(
@@ -117,10 +118,11 @@ fn run_against_model(cap: usize, ops: &[Op]) {
             cache.len()
         );
         assert_eq!(cache.len(), model.slots.len(), "step {step}: size");
-        for k in model.keys() {
-            assert!(
-                cache.peek(&k).is_some(),
-                "step {step}: model key missing from cache"
+        for (k, t) in model.entries() {
+            assert_eq!(
+                cache.peek(k),
+                Some(t),
+                "step {step}: model entry missing from cache"
             );
         }
     }
@@ -176,7 +178,7 @@ fn most_recently_probed_key_survives() {
         for fresh in 100..(100 + cap - 1) {
             cache.insert(key(fresh), target(1));
         }
-        assert!(cache.peek(&key(0)).is_some(), "cap {cap}");
+        assert_eq!(cache.peek(&key(0)), Some(&target(0)), "cap {cap}");
     });
 }
 
@@ -199,8 +201,8 @@ fn unbounded_cache_never_evicts() {
             }
         }
         assert_eq!(cache.len(), model.slots.len());
-        for k in model.keys() {
-            assert!(cache.peek(&k).is_some());
+        for (k, t) in model.entries() {
+            assert_eq!(cache.peek(k), Some(t));
         }
     });
 }
@@ -215,12 +217,12 @@ fn eviction_order_matches_recency() {
     cache.insert(key(3), target(3));
     cache.get(&key(1)); // recency now: 2 < 3 < 1
     cache.insert(key(4), target(4)); // evicts 2
-    assert!(cache.peek(&key(2)).is_none());
-    assert!(cache.peek(&key(3)).is_some());
+    assert_eq!(cache.peek(&key(2)), None);
+    assert_eq!(cache.peek(&key(3)), Some(&target(3)));
     cache.get(&key(3)); // recency now: 1 < 4 < 3
     cache.insert(key(5), target(5)); // evicts 1
-    assert!(cache.peek(&key(1)).is_none());
-    assert!(cache.peek(&key(4)).is_some());
-    assert!(cache.peek(&key(3)).is_some());
-    assert!(cache.peek(&key(5)).is_some());
+    assert_eq!(cache.peek(&key(1)), None);
+    assert_eq!(cache.peek(&key(4)), Some(&target(4)));
+    assert_eq!(cache.peek(&key(3)), Some(&target(3)));
+    assert_eq!(cache.peek(&key(5)), Some(&target(5)));
 }

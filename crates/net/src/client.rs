@@ -17,9 +17,10 @@
 //! [`DhtError::Timeout`], the transient variant, so the index layer's
 //! existing `RetryPolicy` retries them without knowing sockets exist. A
 //! failed connection is dropped and redialed on the next call. The client
-//! keeps one `Pooled` link per member (`link.rs`): a caller sends a round
-//! and then reads it back, so it never has two frames to one member in
-//! flight.
+//! keeps one `Pooled` link per member (`link.rs`): a round checks each
+//! member's link out, sends, reads the reply back and returns the link,
+//! so it never has two frames to one member in flight and holds no lock
+//! across its I/O.
 //!
 //! # Batching
 //!
@@ -49,7 +50,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::net::SocketAddr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -107,10 +107,12 @@ struct Member {
 }
 
 /// One routed member's in-flight frame pair during a pipelined batch.
-/// The link's guard is held from write to read so the reply phase reads
-/// the same stream the request went out on.
-struct InFlight<'a> {
-    slot: MutexGuard<'a, Option<Link>>,
+/// The link is checked out of `member`'s slot from write to read, so the
+/// reply phase reads the same stream the request went out on; a good
+/// reply returns it, any failure drops it.
+struct InFlight {
+    member: usize,
+    link: Link,
     id: u64,
     started: Instant,
     /// This member's attempts, as a range of the round's attempt list.
@@ -194,6 +196,8 @@ struct CallScratch {
     replies: Vec<Result<DhtResponse, DhtError>>,
     /// Keys the batch writes, sorted — filled only when it also reads.
     written: Vec<Key>,
+    /// The current round's sent frames, in member order.
+    in_flight: Vec<InFlight>,
 }
 
 /// The settled response once an op's quorum of successes is in, or
@@ -289,6 +293,13 @@ pub struct RemoteDht {
     /// The call state `&mut self` entry points reuse.
     scratch: CallScratch,
 }
+
+// The client is `Send + Sync` like every in-process substrate; a round's
+// checked-out links, kept in the call scratch, must not cost it either.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<RemoteDht>();
+};
 
 impl RemoteDht {
     /// Creates a client for the given `(node id, address)` members.
@@ -423,7 +434,7 @@ impl RemoteDht {
     /// link, and replies are absorbed out of one reused vector.
     /// What a warm call still allocates is what it returns — the result
     /// vector, each `Values` list, one shared buffer per value-carrying
-    /// reply frame — plus the round's list of leased links.
+    /// reply frame.
     fn run(&self, ops: impl ExactSizeIterator<Item = DhtOp>, scratch: &mut CallScratch) {
         let CallScratch {
             routes,
@@ -432,6 +443,7 @@ impl RemoteDht {
             attempts,
             replies,
             written,
+            in_flight,
         } = scratch;
         results.reserve(ops.len());
         if self.members.is_empty() {
@@ -487,9 +499,6 @@ impl RemoteDht {
         let stride = self.config.read_quorum;
         let timeouts = self.timeouts();
         gathered.resize_with(routes.len() * stride, || None);
-        // Links are leased in ring order, so concurrent batches cannot
-        // deadlock; the list is reused from round to round.
-        let mut in_flight: Vec<InFlight<'_>> = Vec::new();
         let mut round = 0usize;
         loop {
             round += 1;
@@ -572,9 +581,8 @@ impl RemoteDht {
             for chunk in attempts.chunk_by(|a, b| a.member == b.member) {
                 let group = next..next + chunk.len();
                 next = group.end;
-                let member = &self.members[chunk[0].member];
-                let mut slot = member.link.lease(timeouts);
-                let Some(link) = slot.as_mut() else {
+                let member = chunk[0].member;
+                let Some(mut link) = self.members[member].link.lease(timeouts).take() else {
                     self.metrics.incr("net.connect_errors");
                     continue;
                 };
@@ -598,32 +606,28 @@ impl RemoteDht {
                             self.metrics.incr("net.batch.frames_out");
                         }
                         in_flight.push(InFlight {
-                            slot,
+                            member,
+                            link,
                             id,
                             started,
                             group,
                         });
                     }
-                    Err(_) => {
-                        self.metrics.incr("net.transport_errors");
-                        *slot = None;
-                    }
+                    Err(_) => self.metrics.incr("net.transport_errors"),
                 }
             }
             // Read phase, same member order: each reply feeds its ops'
-            // routes; ops settle the moment their quorum is reached.
+            // routes; ops settle the moment their quorum is reached. A
+            // link that failed is dropped here, so the next call redials.
             for mut flight in in_flight.drain(..) {
-                let link = flight.slot.as_mut().expect("link pending a reply");
-                let reply = match link.recv_reply(replies) {
+                let reply = match flight.link.recv_reply(replies) {
                     Ok(reply) => reply,
                     Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                         self.metrics.incr("net.transport_errors");
-                        *flight.slot = None;
                         continue;
                     }
                     Err(RecvError::Wire(_)) => {
                         self.metrics.incr("net.decode_errors");
-                        *flight.slot = None;
                         continue;
                     }
                 };
@@ -636,9 +640,9 @@ impl RemoteDht {
                     || replies.len() != flight.group.len()
                 {
                     self.metrics.incr("net.decode_errors");
-                    *flight.slot = None;
                     continue;
                 }
+                self.members[flight.member].link.put_back(flight.link);
                 let elapsed = flight.started.elapsed().as_micros() as u64;
                 if reply.batch {
                     self.metrics.incr("net.batch.frames_in");

@@ -78,11 +78,14 @@ impl Link {
     }
 }
 
-/// The one connection kept to a remote member: dialed on first use, held
-/// by whoever is mid-exchange on it, and emptied by whoever sees an
-/// exchange fail. Callers that lease several members' links at once (a
-/// pipelined client round, a member's write fan-out) take them in ring
-/// order, so two such callers sharing one set of links cannot deadlock.
+/// The one connection kept to a remote member: dialed on first use and
+/// emptied by whoever sees an exchange fail. A caller either holds the
+/// slot's lock for its whole exchange (a member's write fan-out, which
+/// leases several peers at once and so takes them in ring order: two
+/// fan-outs sharing one set of links cannot deadlock), or checks the link
+/// out — `lease(..).take()`, lock released at once — and returns it with
+/// [`put_back`](Self::put_back) after a good reply (a pipelined client
+/// round, which holds no lock across its I/O).
 pub(crate) struct Pooled {
     pub(crate) addr: SocketAddr,
     link: Mutex<Option<Link>>,
@@ -106,6 +109,16 @@ impl Pooled {
         }
         slot
     }
+
+    /// Returns a checked-out link to its empty slot. If another caller
+    /// refilled the slot meanwhile, the slot keeps that link and this one
+    /// is dropped: a member keeps one connection.
+    pub(crate) fn put_back(&self, link: Link) {
+        let mut slot = self.link.lock().expect("link holder panicked");
+        if slot.is_none() {
+            *slot = Some(link);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -115,5 +128,42 @@ impl Pooled {
     pub(crate) fn frame_capacity(&self) -> Option<usize> {
         let slot = self.link.lock().unwrap();
         slot.as_ref().map(|link| link.frame.capacity())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    #[test]
+    fn a_checked_out_link_goes_back_only_into_an_empty_slot() {
+        // The listener never accepts; its backlog completes the dials.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pooled = Pooled::new(listener.local_addr().unwrap());
+        let timeouts = Timeouts {
+            connect: Duration::from_secs(1),
+            read: Duration::from_secs(1),
+            write: Duration::from_secs(1),
+        };
+        let port_in_slot = || {
+            let slot = pooled.lease(timeouts);
+            slot.as_ref()
+                .expect("the listener is up")
+                .stream
+                .local_addr()
+                .unwrap()
+        };
+        let out = pooled.lease(timeouts).take().expect("the listener is up");
+        let out_port = out.stream.local_addr().unwrap();
+        // Someone else asks the member meanwhile: the empty slot redials.
+        let refilled = port_in_slot();
+        assert_ne!(refilled, out_port);
+        pooled.put_back(out);
+        assert_eq!(port_in_slot(), refilled, "the slot keeps the link it has");
+        let out = pooled.lease(timeouts).take().unwrap();
+        pooled.put_back(out);
+        assert_eq!(port_in_slot(), refilled, "an empty slot takes it back");
     }
 }

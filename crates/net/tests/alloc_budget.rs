@@ -14,12 +14,15 @@
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
 //! quorum that ships the entry; the others answer with a digest, which
 //! owns no heap), and one shared buffer per value-carrying reply frame
-//! (every value of a frame is a slice of it) — plus the round's list of
-//! leased connections. Routing state, request frames and reply staging
-//! all live in buffers kept from call to call. A service that read an
-//! entry before asks for it conditionally, and an unchanged entry comes
-//! back as digests: no shared buffer, no value list, and the service's
-//! own decoded copy of the entry.
+//! (every value of a frame is a slice of it) — and nothing else. Routing
+//! state, request frames, reply staging and the list of frames in flight
+//! (each holding the link it checked out of its member's slot) all live
+//! in buffers kept from call to call. A service that read an entry before
+//! asks for it conditionally, and an unchanged entry comes back as
+//! digests: no shared buffer, no value list, and the service's own
+//! decoded copy of the entry. A unary call hands its one result back out
+//! of the reused result vector, so a warm read of an absent or unchanged
+//! entry allocates nothing at all.
 //!
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
@@ -66,14 +69,14 @@ fn a_warm_unary_quorum_get_stays_inside_its_budget() {
     let mut got = got.unwrap().into_values();
     got.sort();
     assert_eq!(got, values);
-    // Measured 4: the leased-connection list (1) and, for the one reply
-    // that ships the entry, the frame's shared value buffer (2 with an
-    // `Arc<Vec<u8>>`-style `Bytes`) and the value list (1). The second
-    // replica's reply is a digest and allocates nothing; when it shipped
-    // its list as well this read made 7. Slack of 1 for a `Bytes` that
-    // shares differently; a second shipped list (+3) or one more copy per
-    // value (+3) trips it.
-    assert!(allocs <= 5, "unary quorum get made {allocs} allocations");
+    // Measured 3: for the one reply that ships the entry, the frame's
+    // shared value buffer (2 with an `Arc<Vec<u8>>`-style `Bytes`) and the
+    // value list (1). The second replica's reply is a digest and allocates
+    // nothing. It was 4 while each round built a list of the links it had
+    // leased, and 7 when the second replica shipped its list as well. No
+    // slack: a second shipped list (+3), one more copy per value (+3) or
+    // a per-round list (+1) trips it.
+    assert!(allocs <= 3, "unary quorum get made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -94,12 +97,12 @@ fn a_warm_sixteen_get_wave_stays_inside_its_budget() {
     for (i, result) in results.into_iter().enumerate() {
         assert_eq!(result.unwrap().into_values().len(), 2, "wave-{i}");
     }
-    // Measured 28: the result vector (1), the leased-connection list (1),
-    // a shared value buffer for each of the five members' reply frames
-    // (5 x 2: each member ships some key of the wave) and one value list
-    // for each of the 16 gets — the 16 vouching attempts answer with
-    // digests. With both replicas shipping it made 44. Slack of 2.
-    assert!(allocs <= 30, "16-get wave made {allocs} allocations");
+    // Measured 27: the result vector (1), a shared value buffer for each
+    // of the five members' reply frames (5 x 2: each member ships some key
+    // of the wave) and one value list for each of the 16 gets — the 16
+    // vouching attempts answer with digests. It was 28 with the round's
+    // leased-link list, 44 with both replicas shipping. No slack.
+    assert!(allocs <= 27, "16-get wave made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -116,10 +119,11 @@ fn a_get_of_an_absent_key_allocates_no_bytes_at_all() {
     let (got, allocs) = allocs_during(|| client.execute(DhtOp::Get(absent)));
     assert_eq!(got, Ok(DhtResponse::Values(Vec::new())));
     // Two value-free replies, an empty list and the digest of one: no
-    // shared buffer is ever materialised, neither owns any heap, and what
-    // is left is the round's leased-connection list. Any `Bytes` at all
-    // would make it 2 or more.
-    assert_eq!(allocs, 1, "absent-key get made {allocs} allocations");
+    // shared buffer is ever materialised, neither owns any heap, and the
+    // round keeps its links in its reused scratch. It was 1 while each
+    // round built a list of leased links. Any `Bytes` at all would make it
+    // 2 or more.
+    assert_eq!(allocs, 0, "absent-key get made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -149,16 +153,17 @@ fn a_warm_three_level_search_stays_inside_its_budget() {
     let (report, allocs) = allocs_during(|| service.search(&query));
     let report = report.expect("search on a healthy network");
     assert_eq!((report.files.len(), report.interactions), (12, 19));
-    // 23 = 12 file names + 3 hit-list growths + 2 for the unary entry
-    // probe (the client's result scratch, handed out with the last wave,
-    // regrown; the leased-connection list) + 3 per wave (op vector, result
-    // vector, leased-connection list) x 2 waves. Every read is conditional
-    // and unchanged, so no reply ships a value: no shared buffer, no value
-    // list, and each interaction's entries are the memo's (`Arc` bumps).
-    // It was 58 while every read shipped its entry, 77 while every
-    // interaction built a target list. No slack: any value list (+1 per
-    // read) or an allocating `covers` (+12) trips it.
-    assert!(allocs <= 23, "3-level search made {allocs} allocations");
+    // 18 = 12 file names + 1 hit list (sized once for the MSD level's 12
+    // files) + 1 for the unary entry probe (the client's result scratch,
+    // handed out with the last wave, regrown) + 2 per wave (op vector,
+    // result vector) x 2 waves. Every read is conditional and unchanged,
+    // so no reply ships a value: no shared buffer, no value list, and each
+    // interaction's entries are the memo's (`Arc` bumps). It was 23 while
+    // each round built a list of leased links (+3) and the hit list grew
+    // one hit at a time (+2), 58 while every read shipped its entry, 77
+    // while every interaction built a target list. No slack: any value
+    // list (+1 per read) or an allocating `covers` (+12) trips it.
+    assert!(allocs <= 18, "3-level search made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -191,11 +196,12 @@ fn a_warm_msd_lookup_shares_the_file_handle_with_the_decode_memo() {
     assert_eq!(&*again, "only.pdf");
     // Both lookups handed out the memo's one handle, not a copy each.
     assert!(Arc::ptr_eq(&first, &again), "a memo hit is a refcount bump");
-    // 1 = the leased-connection list of the one quorum round: both
-    // replicas answer "unchanged" (no buffer, no list) and the step hands
-    // out the memo's entry. It was 5 while the entry was shipped and
-    // copied into a list of its own. No slack: a shipped entry is +3.
-    assert!(allocs <= 1, "warm MSD lookup made {allocs} allocations");
+    // Nothing: both replicas of the one quorum round answer "unchanged"
+    // (no buffer, no list), the round keeps its links in its reused
+    // scratch, and the step hands out the memo's entry. It was 1 while
+    // each round built a list of leased links, and 5 while the entry was
+    // shipped and copied into a list of its own. A shipped entry is +3.
+    assert_eq!(allocs, 0, "warm MSD lookup made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -223,26 +229,30 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     let (again, unpublish) =
         allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
     assert_eq!(again.expect("unpublish on a healthy network"), msd);
-    // Measured 51 = the MSD (3: the frozen query's node array, text and
-    // `Arc`) + the scheme's edges (33: six index queries at 5 each — the
+    // Measured 45 = the MSD (3: the frozen query's node array, text and
+    // `Arc`) + the scheme's edges (32: six index queries at 5 each — the
     // builder's two buffers and the frozen three — the author list, the
-    // edge list's two growths) + the wave (15: op vector, six encoded
-    // values at 2 each, the round). It was 114 while every query was
-    // built as a pointer tree (MSD 26, edges 73). No slack: one more
-    // allocation per built query is +7.
-    assert!(publish <= 51, "a warm publish made {publish} allocations");
-    // Measured 61 = the MSD (3) + the edges (33) + the cascade (25): the
-    // file's remove (4: its encoded handle and its round), then two
-    // passes of one read wave and one remove wave (6 + 5, then 3 + 7).
-    // A wave is its op vector and its round — the result vector, the
-    // leased links, and a list and shared buffer for the entries the
-    // first pass's reads ship — and a remove wave adds one encoded entry
-    // per target key that read empty (2 each). It was 113 while the
-    // cascade re-read every edge's target in unary exchanges until a
-    // pass removed nothing (cascade 77), and 175 before that (MSD 26,
-    // edges 73, cascade 76). No slack: one more wave is +3 at least.
+    // edge list, sized once) + the wave (10: op vector, result vector, and
+    // one encoded value at 2 each per distinct target: the file, the
+    // author+title, the conf+year and the MSD). It was 51 while the edge
+    // list grew twice, each edge encoded its own target unless it was the
+    // MSD, and the round built a list of leased links; 114 while every
+    // query was built as a pointer tree (MSD 26, edges 73). No slack: one
+    // more allocation per built query is +7, per edge +6.
+    assert!(publish <= 45, "a warm publish made {publish} allocations");
+    // Measured 55 = the MSD (3) + the edges (32) + the cascade (20): the
+    // file's remove (3: its encoded handle, and the client's result
+    // scratch, handed out with the publish wave, regrown), then two
+    // passes of one read wave and one remove wave (5 + 4, then 2 + 6).
+    // A wave is its op vector and result vector, plus a list and shared
+    // buffer for the entries the first pass's reads ship, and a remove
+    // wave adds one encoded entry per target key that read empty (2
+    // each). It was 61 with a leased-link list per round (+5) and an edge
+    // list that grew twice (+1), 113 while the cascade re-read every
+    // edge's target in unary exchanges until a pass removed nothing, and
+    // 175 before that. No slack: one more wave is +2 at least.
     assert!(
-        unpublish <= 61,
+        unpublish <= 55,
         "a warm unpublish made {unpublish} allocations"
     );
     cluster.shutdown();

@@ -578,11 +578,10 @@ pub fn user_search_buffered<D: Dht>(
         path.push((node, current.clone()));
 
         // 1. Cached shortcut leading to the target?
+        let shortcut = resp.cached.is_some();
         let cached_next = resp
             .cached
-            .iter()
-            .find(|t| leads_to_target(t, &current, target_msd, target_file))
-            .cloned();
+            .filter(|t| leads_to_target(t, &current, target_msd, target_file));
         if let Some(t) = cached_next {
             if !outcome.cache_hit {
                 outcome.cache_hit = true;
@@ -602,7 +601,7 @@ pub fn user_search_buffered<D: Dht>(
 
         // 2. Unhelpful shortcut: fetch the regular entries from the same
         // node — extra traffic, but the same logical user interaction.
-        let indexed = if resp.cached.is_empty() {
+        let indexed = if !shortcut {
             resp.indexed
         } else {
             match service.lookup_step_bypassing_cache(&current) {
@@ -635,7 +634,7 @@ pub fn user_search_buffered<D: Dht>(
         // it doesn't lead to this user's target: "an index entry is
         // created automatically after the first lookup; subsequent queries
         // … do not experience an error" (§V-E(h)). Generalize either way.
-        if first_contact && resp.cached.is_empty() && indexed.is_empty() {
+        if first_contact && !shortcut && indexed.is_empty() {
             outcome.error = true;
         }
         if !tried_generalizing {

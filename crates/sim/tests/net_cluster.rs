@@ -264,9 +264,9 @@ fn wait_until_bindable(addr: SocketAddr) {
     }
 }
 
-/// The churn acceptance test (ROADMAP item 3): a 5-daemon cluster at
-/// replication 3 loses one member to SIGKILL mid-workload and the user
-/// never notices — zero failed searches, zero abandoned branches at
+/// The churn acceptance test (one of ROADMAP item 1(d)'s wall-clock
+/// suites): a 5-daemon cluster at replication 3 loses one member to
+/// SIGKILL mid-workload and the user never notices — zero failed searches, zero abandoned branches at
 /// read quorum 2, answers equal to an in-process replicated Chord twin
 /// churned at the same query index. Afterwards the killed daemon
 /// restarts empty on its old port and the survivors' anti-entropy
