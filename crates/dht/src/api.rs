@@ -140,6 +140,11 @@ impl DhtOp {
         }
     }
 
+    /// `true` for the operations that change a store: `Put` and `Remove`.
+    pub fn is_write(&self) -> bool {
+        matches!(self, DhtOp::Put { .. } | DhtOp::Remove { .. })
+    }
+
     /// A stable short name for this operation kind, used as a metrics
     /// label suffix (`dht.ops.put`, see [`kind_counter`]) and in trace
     /// events.

@@ -22,6 +22,14 @@
 //! so it never has two frames to one member in flight and holds no lock
 //! across its I/O.
 //!
+//! # Writes
+//!
+//! The client coordinates its own writes, as the paper's publisher stores
+//! its own mappings: a `Put` or `Remove` goes to every member of its key's
+//! replica set in one round, and settles `Ok` once the write quorum `W`
+//! of them has applied it. No member forwards a client's write to
+//! another, so a write costs one hop, not two.
+//!
 //! # Batching
 //!
 //! Everything rides one code path: [`Dht::execute_many`]. The ops are
@@ -85,6 +93,11 @@ pub struct RemoteDhtConfig {
     /// values and the others vouch for them with a digest; only a
     /// replica whose digest disagrees is asked for its list as well.
     pub read_quorum: usize,
+    /// Write quorum W: a `Put` or `Remove` goes to all R replicas at once
+    /// and succeeds once W of them have applied it. `None` (the default)
+    /// is a majority, ⌊R/2⌋ + 1; any value is clamped to `1..=R`. With
+    /// `Rq + W > R` every quorum read overlaps every successful write.
+    pub write_quorum: Option<usize>,
 }
 
 impl Default for RemoteDhtConfig {
@@ -95,6 +108,7 @@ impl Default for RemoteDhtConfig {
             write_timeout: Duration::from_secs(2),
             replicas: 1,
             read_quorum: 1,
+            write_quorum: None,
         }
     }
 }
@@ -164,12 +178,13 @@ struct Route {
     replicas: ReplicaRange,
     /// Ranks `0..tried` have been attempted (successfully or not).
     tried: usize,
-    /// Successes required to settle: the read quorum for reads, one for
-    /// writes (the server enforces the write quorum behind one reply).
+    /// Successes required to settle: the read quorum for reads, the
+    /// write quorum for writes.
     want: usize,
-    /// Successes gathered so far; they sit at the front of this op's
-    /// stride of [`CallScratch::gathered`]. Digests a settle disputed sit
-    /// right behind them until the next round asks their replicas again.
+    /// Successes gathered so far. A read's sit at the front of this op's
+    /// stride of [`CallScratch::gathered`], and digests a settle disputed
+    /// sit right behind them until the next round asks their replicas
+    /// again. A write keeps only its lowest-ranked success there.
     have: usize,
     /// The op has its final result.
     settled: bool,
@@ -188,7 +203,8 @@ struct CallScratch {
     routes: Vec<Route>,
     /// One result per op, positionally; what the call hands back.
     results: Vec<Result<DhtResponse, DhtError>>,
-    /// `(rank, response)` successes, `read_quorum` slots per op.
+    /// `(rank, response)` successes, `read_quorum` slots per op (a write
+    /// needs one).
     gathered: Vec<Option<(usize, DhtResponse)>>,
     /// The current round's attempts, sorted into wire order.
     attempts: Vec<Attempt>,
@@ -283,9 +299,11 @@ pub struct RemoteDht {
     /// The members in ring order: `members[i]` serves `ring[i]`.
     members: Vec<Member>,
     /// The member ring keys, ascending — the placement ring shared with
-    /// the servers' replica fan-out and repair. The clockwise successor
+    /// the servers' repair. The clockwise successor
     /// of a key on it is the key's owner, as in `RingDht`.
     ring: Vec<Key>,
+    /// `config.write_quorum` resolved: W, within `1..=R`.
+    write_quorum: usize,
     config: RemoteDhtConfig,
     next_request_id: AtomicU64,
     counters: PairCounters,
@@ -306,7 +324,7 @@ impl RemoteDht {
     /// Connections are dialed lazily on first use, so constructing a
     /// client never blocks; an empty member list yields a valid client
     /// whose operations report [`DhtError::NoLiveNodes`]. Quorum settings
-    /// are clamped to sane bounds (`1 ≤ Rq ≤ R ≤ n`).
+    /// are clamped to sane bounds (`1 ≤ Rq ≤ R ≤ n`, `1 ≤ W ≤ R`).
     pub fn connect(members: Vec<(NodeId, SocketAddr)>, mut config: RemoteDhtConfig) -> RemoteDht {
         let by_key: BTreeMap<Key, Member> = members
             .into_iter()
@@ -318,9 +336,12 @@ impl RemoteDht {
         let ring: Vec<Key> = by_key.keys().copied().collect();
         config.replicas = config.replicas.clamp(1, ring.len().max(1));
         config.read_quorum = config.read_quorum.clamp(1, config.replicas);
+        let majority = config.replicas / 2 + 1;
+        let write_quorum = config.write_quorum.unwrap_or(majority);
         RemoteDht {
             members: by_key.into_values().collect(),
             ring,
+            write_quorum: write_quorum.clamp(1, config.replicas),
             config,
             next_request_id: AtomicU64::new(1),
             counters: PairCounters::default(),
@@ -348,10 +369,11 @@ impl RemoteDht {
 
     /// Sends a shutdown frame to every member, telling each `dhtd` to stop
     /// gracefully. Dial or write failures are ignored: an unreachable
-    /// server needs no shutdown.
+    /// server needs no shutdown. A shutdown has no reply and the member
+    /// closes the connection, so the link checked out for it is dropped.
     pub fn shutdown_members(&self) {
         for member in &self.members {
-            if let Some(link) = member.link.lease(self.timeouts()).as_mut() {
+            if let Some(mut link) = member.link.check_out(self.timeouts()) {
                 let _ = link.send(|frame| encode_message(&Message::Shutdown, frame));
             }
         }
@@ -380,9 +402,19 @@ impl RemoteDht {
     /// storage op routes to its key's replica set (`R` clockwise
     /// successors; at the default `R = 1`, exactly the single owner).
     /// Round one sends reads to their first `Rq` replicas and writes to
-    /// the primary, grouped per member in ring order — a single-op group
-    /// as a plain unary `Request`, a multi-op group as one batch frame. All of a round's frames are written before any
-    /// reply is read, so member servers work concurrently.
+    /// all `R`, grouped per member in ring order — a single-op group as a
+    /// plain unary `Request`, a multi-op group as one batch frame. All of
+    /// a round's frames are written before any reply is read, so member
+    /// servers work concurrently.
+    ///
+    /// A write is coordinated here, not by a member: every replica gets
+    /// the op itself (never a digest) in that one round, and the op
+    /// settles after it — `Ok` once `W` replicas applied it, answered with
+    /// the lowest-ranked success (the primary's whenever the primary
+    /// answered), or [`DhtError::Timeout`] with fewer
+    /// (`net.quorum.write_failures`). It has no replica left to fail
+    /// over to. Since the round reads every reply before it returns, each
+    /// replica that answered holds the write when the call does.
     ///
     /// A quorum read moves its entry once. In each round, the first
     /// replica an op asks while it holds no values gets the `Get`; every
@@ -406,27 +438,29 @@ impl RemoteDht {
     /// disputed and asked again with a plain `Get`.
     ///
     /// One ordering carve-out: a read whose key the *same batch* also
-    /// writes is read from its primary alone (`want = 1`). Member frames
-    /// race each other on the wire, so a non-primary replica could
-    /// answer such a read before — or after — the primary's replication
-    /// fan-out for the conflicting write reaches it, and the
-    /// lowest-rank-non-empty settle rule would then leak the reordered
-    /// state. The primary applies its frame's ops in batch order, so its
-    /// answer is exactly the sequential one. Pure read batches (every
-    /// multi-get a search issues) keep full quorum protection.
+    /// writes is read from its primary alone (`want = 1`). Each replica
+    /// applies its frame in batch order, so fault-free every replica
+    /// would answer the sequential state. Under injected loss, though, a
+    /// replica can miss a write that came earlier in the same frame while
+    /// the write still settles on `W` others; a quorum read would then
+    /// union the pre-write state in (a removed value back). The primary
+    /// alone gives the read the replica the write's own answer came from.
+    /// Pure read batches (every multi-get a search issues) keep full
+    /// quorum protection.
     ///
-    /// A failed attempt — transport failure or a remote transient
+    /// A failed read attempt — transport failure or a remote transient
     /// [`DhtError::Timeout`] — is retried against the op's next untried
     /// replica in the following round, so a dead member costs one extra
     /// pipelined round, not a client-visible error and not any of the
     /// index layer's `RetryPolicy` budget. Non-transient remote errors
-    /// settle immediately. An op whose replicas are exhausted settles as
+    /// settle immediately. A read whose replicas are exhausted settles as
     /// [`DhtError::Timeout`].
     ///
     /// Accounting is per *op*, not per attempt: one completed RPC pair
     /// (+2 messages, +1 lookup for ok put/get) when an op settles from a
-    /// reply, nothing when it settles by transport exhaustion — which at
-    /// `R = 1` is bit-for-bit the historical convention.
+    /// reply — a write that fell short of `W` included, if any replica
+    /// answered — and nothing when it settles by transport failure alone,
+    /// which at `R = 1` is bit-for-bit the historical convention.
     ///
     /// The round is flat: attempts are one list sorted into wire order
     /// (a member's group is a sub-slice), request frames are encoded
@@ -466,10 +500,11 @@ impl RemoteDht {
                 // overwrites it.
                 Err(DhtError::Timeout)
             };
+            let want = if op.is_write() { self.write_quorum } else { 1 };
             routes.push(Route {
                 replicas,
                 tried: 0,
-                want: 1,
+                want,
                 have: 0,
                 settled: result.is_ok(),
                 reply_error: None,
@@ -483,9 +518,7 @@ impl RemoteDht {
         written.clear();
         if self.config.read_quorum > 1 && reads {
             if writes {
-                let writing = routes
-                    .iter()
-                    .filter(|route| matches!(route.op, DhtOp::Put { .. } | DhtOp::Remove { .. }));
+                let writing = routes.iter().filter(|route| route.op.is_write());
                 written.extend(writing.map(|route| *route.op.key()));
                 written.sort_unstable();
             }
@@ -502,17 +535,32 @@ impl RemoteDht {
         let mut round = 0usize;
         loop {
             round += 1;
-            // Scheduling: every unsettled op first asks again, in full,
-            // the replicas whose digests its last settle disputed, then
-            // claims its next untried replicas up to its remaining quorum
-            // deficit; an op with nobody left to ask settles by
-            // exhaustion.
+            // Scheduling: a write asks every replica in the first round
+            // and settles in the next. Every unsettled read first asks
+            // again, in full, the replicas whose digests its last settle
+            // disputed, then claims its next untried replicas up to its
+            // remaining quorum deficit; a read with nobody left to ask
+            // settles by exhaustion.
             attempts.clear();
             for (op, route) in routes.iter_mut().enumerate() {
                 if route.settled {
                     continue;
                 }
                 let slots = &mut gathered[op * stride..][..stride];
+                if route.op.is_write() {
+                    if route.tried == 0 {
+                        route.tried = route.replicas.len();
+                        attempts.extend((0..route.tried).map(|rank| Attempt {
+                            member: route.replicas.index(rank),
+                            op,
+                            rank,
+                            ask: Ask::Op,
+                        }));
+                    } else {
+                        results[op] = self.settle_write(route, &mut slots[0]);
+                    }
+                    continue;
+                }
                 // One replica ships the entry; the rest of a read's quorum
                 // only has to vouch for it. A conditional read asks every
                 // replica the same question instead.
@@ -582,7 +630,7 @@ impl RemoteDht {
                 let group = next..next + chunk.len();
                 next = group.end;
                 let member = chunk[0].member;
-                let Some(mut link) = self.members[member].link.lease(timeouts).take() else {
+                let Some(mut link) = self.members[member].link.check_out(timeouts) else {
                     self.metrics.incr("net.connect_errors");
                     continue;
                 };
@@ -671,10 +719,35 @@ impl RemoteDht {
         replies.clear();
     }
 
+    /// Settles a write once the round that asked all its replicas is
+    /// over: `Ok` with `lowest`, its lowest-ranked success, if `W`
+    /// replicas applied it, [`DhtError::Timeout`] otherwise. Any reply
+    /// at all completes the op's one RPC pair.
+    fn settle_write(
+        &self,
+        route: &mut Route,
+        lowest: &mut Option<(usize, DhtResponse)>,
+    ) -> Result<DhtResponse, DhtError> {
+        route.settled = true;
+        let answered = route.have > 0 || route.reply_error.is_some();
+        let reached = route.have >= route.want;
+        if answered {
+            self.counters.record_pair(route.op.kind(), reached);
+        }
+        match lowest.take() {
+            Some((_, resp)) if reached => Ok(resp),
+            _ => {
+                self.metrics.incr("net.quorum.write_failures");
+                Err(DhtError::Timeout)
+            }
+        }
+    }
+
     /// Feeds one attempt's remote reply into its op's route. Returns the
     /// op's final result — accounted as one completed RPC pair (the
     /// shared ring convention) — if the quorum is now reached or the
-    /// error is final.
+    /// error is final. A write's successes only count toward its quorum
+    /// here; [`settle_write`](Self::settle_write) settles it.
     fn absorb(
         &self,
         route: &mut Route,
@@ -687,6 +760,16 @@ impl RemoteDht {
             return None;
         }
         let settled = match result {
+            Ok(resp) if route.op.is_write() => {
+                route.have += 1;
+                if gathered[0]
+                    .as_ref()
+                    .is_none_or(|(lowest, _)| rank < *lowest)
+                {
+                    gathered[0] = Some((rank, resp));
+                }
+                return None;
+            }
             Ok(resp) => {
                 if matches!(resp, DhtResponse::Digest { .. }) {
                     self.metrics.incr(match route.op {

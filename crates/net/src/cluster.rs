@@ -26,6 +26,11 @@ use crate::server::{DhtServer, ReplicationConfig, ServerConfig};
 pub struct LoopbackCluster {
     servers: Vec<DhtServer>,
     members: Vec<(NodeId, SocketAddr)>,
+    /// The replication factor R and write quorum W the members were
+    /// started with (`1, 1` for an unreplicated cluster): what every
+    /// client this cluster hands out writes with.
+    replicas: usize,
+    write_quorum: usize,
 }
 
 impl LoopbackCluster {
@@ -48,8 +53,9 @@ impl LoopbackCluster {
     }
 
     /// Starts `n` servers named `node-0..n-1` forming one replicated
-    /// cluster: every key lives on `replicas` clockwise successors and
-    /// writes need `write_quorum` acks.
+    /// cluster: every key lives on `replicas` clockwise successors, and
+    /// the clients it hands out settle a write once `write_quorum` of
+    /// them applied it.
     pub fn start_replicated_ring(
         n: usize,
         replicas: usize,
@@ -72,7 +78,8 @@ impl LoopbackCluster {
     /// metrics registry, a repair interval). All
     /// listeners are bound *before* any server spawns, so replicated
     /// members can dial every other member from their very first frame —
-    /// no bootstrap races.
+    /// no bootstrap races. The first member's [`ReplicationConfig`]
+    /// declares the R and W its clients write with.
     pub fn start_with(
         n: usize,
         config_for: impl Fn(usize, NodeId, &[(Key, SocketAddr)]) -> ServerConfig,
@@ -89,15 +96,22 @@ impl LoopbackCluster {
             .iter()
             .map(|(id, addr)| (*id.key(), *addr))
             .collect();
-        let servers = listeners
-            .into_iter()
-            .zip(&members)
-            .enumerate()
-            .map(|(index, (listener, (id, _)))| {
-                DhtServer::spawn_partition_on(listener, *id, config_for(index, *id, &ring))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(LoopbackCluster { servers, members })
+        let mut declared = (1, 1);
+        let mut servers = Vec::with_capacity(n);
+        for (index, (listener, (id, _))) in listeners.into_iter().zip(&members).enumerate() {
+            let config = config_for(index, *id, &ring);
+            if let (0, Some(repl)) = (index, &config.replication) {
+                declared = (repl.replicas, repl.write_quorum);
+            }
+            servers.push(DhtServer::spawn_partition_on(listener, *id, config)?);
+        }
+        let (replicas, write_quorum) = declared;
+        Ok(LoopbackCluster {
+            servers,
+            members,
+            replicas,
+            write_quorum,
+        })
     }
 
     /// The `(node id, address)` member list, in start order.
@@ -105,9 +119,10 @@ impl LoopbackCluster {
         &self.members
     }
 
-    /// A fresh client over every member.
+    /// A fresh client over every member, writing with the cluster's R
+    /// and W and reading from each key's primary.
     pub fn client(&self) -> RemoteDht {
-        self.client_with(RemoteDhtConfig::default())
+        self.replicated_client(self.replicas, 1)
     }
 
     /// A fresh client with explicit transport configuration.
@@ -116,11 +131,13 @@ impl LoopbackCluster {
     }
 
     /// A fresh replica-aware client: routes over `replicas` candidate
-    /// members per key and reads at quorum `read_quorum`.
+    /// members per key, reads at quorum `read_quorum` and writes at the
+    /// cluster's W.
     pub fn replicated_client(&self, replicas: usize, read_quorum: usize) -> RemoteDht {
         self.client_with(RemoteDhtConfig {
             replicas,
             read_quorum,
+            write_quorum: Some(self.write_quorum),
             ..RemoteDhtConfig::default()
         })
     }
@@ -295,8 +312,8 @@ mod tests {
             let values = Dht::get(&client, &key);
             assert_eq!(values, vec![Bytes::from(format!("v{i}"))], "churn-{i}");
         }
-        // Writes keep succeeding too: a primary-dead key fails over to a
-        // surviving replica, whose fan-out still reaches quorum 2.
+        // Writes keep succeeding too: a key whose replica set holds the
+        // dead member is still applied by the other two, quorum 2.
         for i in 0..10 {
             let key = Key::hash_of(&format!("post-crash-{i}"));
             assert!(client.put(key, Bytes::from_static(b"pv")));

@@ -1,7 +1,7 @@
 //! The dialing side of a connection — the only dial in the crate.
 //!
 //! A [`RemoteDht`](crate::client::RemoteDht) asking a member for a key and
-//! a `dhtd` member asking a peer to replicate one make the same exchange:
+//! a `dhtd` member asking a peer to repair a bucket make the same exchange:
 //! dial on first use, send one frame, read the reply back through the same
 //! buffer, and drop the connection the moment an exchange fails so the
 //! next call redials. [`Pooled`] is that exchange's one connection slot
@@ -11,7 +11,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use p2p_index_dht::{DhtError, DhtResponse};
@@ -78,14 +78,13 @@ impl Link {
     }
 }
 
-/// The one connection kept to a remote member: dialed on first use and
-/// emptied by whoever sees an exchange fail. A caller either holds the
-/// slot's lock for its whole exchange (a member's write fan-out, which
-/// leases several peers at once and so takes them in ring order: two
-/// fan-outs sharing one set of links cannot deadlock), or checks the link
-/// out — `lease(..).take()`, lock released at once — and returns it with
-/// [`put_back`](Self::put_back) after a good reply (a pipelined client
-/// round, which holds no lock across its I/O).
+/// The one connection kept to a remote member. A caller checks the link
+/// out for its exchange ([`check_out`](Self::check_out), which dials if
+/// the slot is empty) and returns it with [`put_back`](Self::put_back)
+/// after a good reply; a link whose exchange failed is dropped, so the
+/// next exchange redials. The slot's lock is held only to take or return
+/// the link, never across I/O, so no two callers ever wait on each other
+/// through it.
 pub(crate) struct Pooled {
     pub(crate) addr: SocketAddr,
     link: Mutex<Option<Link>>,
@@ -99,15 +98,12 @@ impl Pooled {
         }
     }
 
-    /// Locks the slot, dialing if it is empty. `None` inside the guard
-    /// means the member could not be reached; a caller whose exchange then
-    /// fails sets it back to `None`.
-    pub(crate) fn lease(&self, timeouts: Timeouts) -> MutexGuard<'_, Option<Link>> {
-        let mut slot = self.link.lock().expect("link holder panicked");
-        if slot.is_none() {
-            *slot = Link::dial(&self.addr, timeouts).ok();
-        }
-        slot
+    /// Takes the slot's link out, or dials a new one if the slot is
+    /// empty; `None` when the member could not be reached. The slot stays
+    /// empty until a link is put back.
+    pub(crate) fn check_out(&self, timeouts: Timeouts) -> Option<Link> {
+        let parked = self.link.lock().expect("link holder panicked").take();
+        parked.or_else(|| Link::dial(&self.addr, timeouts).ok())
     }
 
     /// Returns a checked-out link to its empty slot. If another caller
@@ -147,23 +143,18 @@ mod tests {
             read: Duration::from_secs(1),
             write: Duration::from_secs(1),
         };
-        let port_in_slot = || {
-            let slot = pooled.lease(timeouts);
-            slot.as_ref()
-                .expect("the listener is up")
-                .stream
-                .local_addr()
-                .unwrap()
-        };
-        let out = pooled.lease(timeouts).take().expect("the listener is up");
-        let out_port = out.stream.local_addr().unwrap();
+        let port = |link: &Link| link.stream.local_addr().unwrap();
+        let out = pooled.check_out(timeouts).expect("the listener is up");
         // Someone else asks the member meanwhile: the empty slot redials.
-        let refilled = port_in_slot();
-        assert_ne!(refilled, out_port);
+        let refilled = pooled.check_out(timeouts).expect("the listener is up");
+        assert_ne!(port(&refilled), port(&out));
+        let refilled_port = port(&refilled);
+        pooled.put_back(refilled);
         pooled.put_back(out);
-        assert_eq!(port_in_slot(), refilled, "the slot keeps the link it has");
-        let out = pooled.lease(timeouts).take().unwrap();
-        pooled.put_back(out);
-        assert_eq!(port_in_slot(), refilled, "an empty slot takes it back");
+        let kept = pooled.check_out(timeouts).unwrap();
+        assert_eq!(port(&kept), refilled_port, "the slot keeps the link it has");
+        pooled.put_back(kept);
+        let again = pooled.check_out(timeouts).unwrap();
+        assert_eq!(port(&again), refilled_port, "an empty slot takes it back");
     }
 }

@@ -10,8 +10,9 @@
 //! frame back with the echoed request id. `handle` executes against the
 //! one store a daemon has: a [`ShardedDht`] of [`REPAIR_BUCKETS`] key-hash
 //! shards, each behind its own `RwLock` held only for the in-memory
-//! operation, never across I/O. Frames this member sends its peers go out
-//! through `link.rs`, the same dialing code the client uses.
+//! operation, never across I/O. Frames this member sends its peers —
+//! repair traffic and a leaving member's drain, never a client's write —
+//! go out through `link.rs`, the same dialing code the client uses.
 //! Whatever routing a deployment puts in front (ring, Chord), what a
 //! node *serves* is this one multi-value `put/get/remove` store; the
 //! client routes and accounts.
@@ -38,18 +39,16 @@
 //! # Replication
 //!
 //! With a [`ReplicationConfig`] the server becomes one member of a
-//! replicated cluster. A client frame — a `Request` is a batch of one — is
-//! applied locally op by op, in frame order; then its writes (`Put` /
-//! `Remove`) fan out to the other members of each key's replica set — the
-//! R clockwise successors shared with `p2p_index_dht::placement`, so
-//! client routing, server fan-out, and repair can never disagree — as
-//! **one** [`Message::Replicate`] frame per peer, holding that peer's
-//! writes in frame order. The peers' links are leased in ascending ring
-//! order and every frame is written before any reply is read, so a
-//! `k`-write batch costs one pipelined round trip, not `k·(R − 1)`
-//! sequential ones. Acks are counted per op: each write's local apply
-//! plus remote acks must reach the write quorum `W` or the client sees a
-//! transient [`DhtError::Timeout`] for that write. Incoming `Replicate` and
+//! replicated cluster: it holds the keys whose replica set — the R
+//! clockwise successors shared with `p2p_index_dht::placement`, so client
+//! routing and repair can never disagree — contains it. The client
+//! coordinates every write: it sends a `Put` / `Remove` to each member of
+//! the key's replica set itself and counts the write quorum W
+//! ([`RemoteDhtConfig::write_quorum`](crate::RemoteDhtConfig::write_quorum)).
+//! So a client frame — a `Request` is a batch of one — is applied
+//! locally op by op, in frame order, and answered; writes make their
+//! tombstone transition on the way. Nothing a client sends makes this
+//! member call a peer. Incoming `Replicate` (a repair scrub) and
 //! [`Transfer`](crate::wire::Message::Transfer) frames apply locally and
 //! are **never re-forwarded**, so replication storms are impossible by
 //! construction. A wire shutdown first drains the local partition to the
@@ -120,8 +119,8 @@ use p2p_index_obs::MetricsRegistry;
 
 use crate::link::{Pooled, Timeouts};
 use crate::wire::{
-    encode_message, encode_replicate, read_message_with, release_frame_capacity,
-    write_message_with, Message, RecvError,
+    encode_message, read_message_with, release_frame_capacity, write_message_with, Message,
+    RecvError,
 };
 
 /// Cluster membership and quorum settings for one replicated server.
@@ -134,8 +133,11 @@ pub struct ReplicationConfig {
     /// Replication factor R: each key lives on the R clockwise
     /// successors of its hash (clamped to the cluster size).
     pub replicas: usize,
-    /// Write quorum W: a write succeeds once `W` replicas (the local
-    /// apply counts as one) have acknowledged it.
+    /// Write quorum W the cluster is declared with. No server reads it:
+    /// the client counts W
+    /// ([`RemoteDhtConfig::write_quorum`](crate::RemoteDhtConfig::write_quorum)),
+    /// and a [`LoopbackCluster`](crate::LoopbackCluster) hands it to the
+    /// clients it makes.
     pub write_quorum: usize,
     /// Anti-entropy interval; `None` disables the repair thread.
     pub repair_interval: Option<Duration>,
@@ -196,9 +198,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-to-server calls stay well under typical client read timeouts, so
-/// one dead peer can stall a quorum write only briefly — the client never
-/// times out waiting on our timeout.
+/// Server-to-server calls (repair and drain) give up on a dead peer well
+/// before a client's read timeout, so a pass or a leave stalls on one only
+/// briefly.
 const PEER_TIMEOUTS: Timeouts = Timeouts {
     connect: Duration::from_millis(300),
     read: Duration::from_millis(700),
@@ -214,7 +216,6 @@ struct Replication {
     /// this node's own position.
     peers: Vec<Option<Pooled>>,
     replicas: usize,
-    write_quorum: usize,
     repair_interval: Option<Duration>,
     next_request_id: AtomicU64,
 }
@@ -232,14 +233,13 @@ impl Replication {
             ring,
             peers,
             replicas: config.replicas,
-            write_quorum: config.write_quorum,
             repair_interval: config.repair_interval,
             next_request_id: AtomicU64::new(1),
         }
     }
 
     /// The replica set of `key` as a window of `ring` positions — the
-    /// allocation-free form the fan-out and the repair sweeps ask per key.
+    /// allocation-free form the repair sweeps ask per key.
     fn replica_range(&self, key: &Key) -> placement::ReplicaRange {
         placement::replica_range(&self.ring, key, self.replicas)
     }
@@ -251,12 +251,13 @@ impl Replication {
 
     /// Sends one frame to the member at ring position `at` and awaits the
     /// reply carrying the same id, returning it with the number of bytes
-    /// sent. Any transport or protocol failure drops the link and reports
-    /// `Err(())` — the caller treats it as a missing ack, never as fatal.
+    /// sent. The peer's link is checked out for the exchange and put back
+    /// after a good reply; any transport or protocol failure drops it and
+    /// reports `Err(())` — the caller treats it as a missing ack, never as
+    /// fatal.
     fn peer_call(&self, at: usize, msg: &Message) -> Result<(Message, u64), ()> {
         let peer = self.peers.get(at).and_then(Option::as_ref).ok_or(())?;
-        let mut slot = peer.lease(PEER_TIMEOUTS);
-        let link = slot.as_mut().ok_or(())?;
+        let mut link = peer.check_out(PEER_TIMEOUTS).ok_or(())?;
         let sent_id = match msg {
             Message::Replicate { id, .. }
             | Message::Transfer { id, .. }
@@ -272,11 +273,11 @@ impl Replication {
                 | Message::BatchReply { id, .. }
                 | Message::DigestReply { id, .. }),
                 sent,
-            )) if id == sent_id => Ok((reply, sent as u64)),
-            _ => {
-                *slot = None;
-                Err(())
+            )) if id == sent_id => {
+                peer.put_back(link);
+                Ok((reply, sent as u64))
             }
+            _ => Err(()),
         }
     }
 
@@ -291,7 +292,7 @@ struct Shared {
     store: ShardedDht,
     /// The fault roll, present only when [`ServerConfig::fault`] can
     /// inject something. Locked for the roll alone, never across the
-    /// store operation or peer I/O.
+    /// store operation.
     fault: Option<Mutex<LossRoll>>,
     stop: AtomicBool,
     metrics: MetricsRegistry,
@@ -329,9 +330,10 @@ impl Shared {
         }
     }
 
-    /// The cluster state when writes actually fan out (`R > 1`): the
-    /// condition under which this member keeps tombstones and repairs.
-    fn fan_out(&self) -> Option<&Replication> {
+    /// The cluster state when keys actually have several replicas
+    /// (`R > 1`): the condition under which this member keeps tombstones
+    /// and repairs.
+    fn replicating(&self) -> Option<&Replication> {
         self.replication.as_ref().filter(|repl| repl.replicas > 1)
     }
 
@@ -391,7 +393,7 @@ impl DhtServer {
             .name(format!("dhtd-accept-{}", local_addr.port()))
             .spawn(move || accept_loop(listener, accept_shared))?;
         let repair_thread = shared
-            .fan_out()
+            .replicating()
             .and_then(|repl| repl.repair_interval)
             .map(|interval| {
                 let repair_shared = Arc::clone(&shared);
@@ -680,9 +682,10 @@ enum Turn {
 
 /// The server's step function: what this member does with one decoded
 /// frame. Everything a frame can cause — store operations, the fault roll,
-/// the replication fan-out to peers, counters, the stop flag — happens in
-/// here; the caller owns the connection the frame came in on and does
-/// nothing but carry out the returned [`Turn`].
+/// counters, the stop flag, a leaving member's drain — happens in here;
+/// the caller owns the connection the frame came in on and does nothing
+/// but carry out the returned [`Turn`]. Only a wire `Shutdown` makes it
+/// call a peer.
 fn handle(shared: &Shared, msg: Message) -> Turn {
     Turn::Reply(match msg {
         Message::Request { id, op } => {
@@ -693,8 +696,7 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
         }
         Message::Batch { id, ops } => {
             // A whole batch executes in one connection turn: every op runs
-            // in order, each taking only its own shard's lock, its writes
-            // fan out together under no lock at all, and a single
+            // in order, each taking only its own shard's lock, and a single
             // BatchReply answers them all.
             shared.metrics.incr("net.server.batches");
             shared.metrics.add("net.server.batch_ops", ops.len() as u64);
@@ -703,13 +705,10 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
             Message::BatchReply { id, results }
         }
         Message::Replicate { id, ops } => {
-            // A peer's write fan-out (or a repair scrub): apply every op
-            // locally in order, reply, and never re-forward — only client
-            // `Request`/`Batch` frames fan out, so replication storms
-            // cannot happen. The tombstone transition rides along, so
-            // replicated removes (and scrubs) stick on every member, not
-            // just the one the client happened to reach.
-            let replicated = shared.fan_out().is_some();
+            // A peer's repair scrub: apply every op locally in order,
+            // reply, and never re-forward. The tombstone transition rides
+            // along, so a scrubbed remove sticks on the stale member.
+            let replicated = shared.replicating().is_some();
             shared
                 .metrics
                 .add("net.server.replica.applied", ops.len() as u64);
@@ -770,25 +769,15 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
     })
 }
 
-/// Whether `op` changes the store, and so fans out on a replicated member.
-fn is_write(op: &DhtOp) -> bool {
-    matches!(op, DhtOp::Put { .. } | DhtOp::Remove { .. })
-}
-
 /// Serves one client frame's ops into `results` — a `Request` is a batch
 /// of one — and counts each. Every op is applied locally in frame order;
-/// on a replicated member the frame's writes then fan out together
-/// ([`fan_out_writes`]). No shard lock is ever held across peer I/O.
+/// on a replicated member a write makes its tombstone transition in the
+/// same shard guard. The client has sent the write to every other replica
+/// itself, so nothing here calls a peer.
 fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, DhtError>]) {
-    let repl = shared.fan_out();
-    let replicated = |op: &DhtOp| repl.is_some() && is_write(op);
+    let replicating = shared.replicating().is_some();
     for (op, result) in ops.iter().zip(results.iter_mut()) {
-        *result = shared.apply_local(op.clone(), replicated(op));
-    }
-    if let Some(repl) = repl.filter(|_| ops.iter().any(is_write)) {
-        fan_out_writes(shared, repl, ops, results);
-    }
-    for (op, result) in ops.iter().zip(results.iter()) {
+        *result = shared.apply_local(op.clone(), replicating && op.is_write());
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared
             .metrics
@@ -799,101 +788,59 @@ fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, 
     }
 }
 
-/// The write fan-out of one client frame, already applied locally: every
-/// peer in the replica set of any of its writes gets those writes, in
-/// frame order, as **one** `Replicate` frame. The peers' links are leased
-/// in ascending ring order — the client's rule, so workers leasing several
-/// at once cannot wait on each other in a cycle — and every frame is
-/// written before any reply is read. Acks are counted per op: a write
-/// keeps its local result only if its local apply and its peers' oks
-/// reach `W`, and is `Err(Timeout)` otherwise.
-fn fan_out_writes(
-    shared: &Shared,
-    repl: &Replication,
-    ops: &[DhtOp],
-    results: &mut [Result<DhtResponse, DhtError>],
-) {
-    // Positions in `ops` of the writes the peer at ring position `at`
-    // replicates, in frame order: what its frame holds, and what each of
-    // its reply's results answers.
-    let writes_for = |at: usize| {
-        let bound = move |op: &DhtOp| is_write(op) && repl.replica_range(op.key()).contains(at);
-        (0..ops.len()).filter(move |&i| bound(&ops[i]))
-    };
-    let mut acks: Vec<usize> = results.iter().map(|r| usize::from(r.is_ok())).collect();
-    let mut in_flight = Vec::new();
-    for (at, peer) in repl.peers.iter().enumerate() {
-        let Some(peer) = peer else { continue };
-        let count = writes_for(at).count();
-        if count == 0 {
-            continue;
-        }
-        shared.metrics.incr("net.server.replica.frames");
-        shared
-            .metrics
-            .add("net.server.replica.fanout", count as u64);
-        let mut slot = peer.lease(PEER_TIMEOUTS);
-        let Some(link) = slot.as_mut() else { continue };
-        let id = repl.next_id();
-        let writes = writes_for(at).map(|i| &ops[i]);
-        match link.send(|frame| encode_replicate(id, writes, frame)) {
-            Ok(_) => in_flight.push((slot, at, id, count)),
-            Err(_) => *slot = None,
-        }
-    }
-    let mut replies = Vec::new();
-    for (mut slot, at, id, count) in in_flight {
-        let link = slot.as_mut().expect("link pending a reply");
-        match link.recv_reply(&mut replies) {
-            // The echoed id, the kind and one result per write, or the
-            // stream is out of sync: drop it rather than guess.
-            Ok(reply) if reply.id == id && reply.batch && replies.len() == count => {
-                let mut acked = 0;
-                for (i, result) in writes_for(at).zip(replies.drain(..)) {
-                    if result.is_ok() {
-                        acks[i] += 1;
-                        acked += 1;
-                    }
-                }
-                shared.metrics.add("net.server.replica.acks", acked);
-            }
-            _ => *slot = None,
-        }
-    }
-    for ((op, result), acks) in ops.iter().zip(results.iter_mut()).zip(acks) {
-        if is_write(op) && acks < repl.write_quorum {
-            shared.metrics.incr("net.server.replica.quorum_failures");
-            *result = Err(DhtError::Timeout);
-        }
-    }
+/// The counters an acknowledged `Transfer` of a repair push and of a
+/// graceful-leave drain moves: frames, then values.
+const REPAIR_SERIES: [&str; 2] = [
+    "net.server.replica.repair_pushes",
+    "net.server.replica.repair_values",
+];
+const DRAIN_SERIES: [&str; 2] = [
+    "net.server.replica.drain_pushes",
+    "net.server.replica.drain_values",
+];
+
+/// One repair bucket's live values (what [`ShardedDht::bucket_snapshot`]
+/// returned for a peer) as one `Transfer` frame, or `None` if there are
+/// none — so no push frames more than one bucket.
+fn transfer_frame(repl: &Replication, live: Vec<(Key, Vec<Bytes>)>) -> Option<Message> {
+    (!live.is_empty()).then(|| Message::Transfer {
+        id: repl.next_id(),
+        entries: live,
+    })
 }
 
-/// The one push path, shared by repair and drain: sends the member at
-/// ring position `at` one repair bucket's live values (what
-/// [`ShardedDht::bucket_snapshot`] returned for it) as one `Transfer`
-/// frame — none if there are none — and drops them, so a push never holds
-/// or frames more than one bucket. Counts an acknowledged frame and its
-/// values under `net.server.replica.{series}_pushes` / `…_values`.
-/// Returns the bytes sent, or `Err(())` when the peer did not answer (the
-/// caller gives up on it for this pass).
-fn push_bucket(
+/// The one send path, shared by repair and drain: sends one bucket frame
+/// to the member at ring position `at` and counts it. A `Transfer` counts,
+/// once acknowledged, under `series` (frames, values); a scrub `Replicate`
+/// counts under `net.server.replica.frames` when sent and its removes
+/// under `tombstone_scrubs` once acknowledged. Returns the bytes sent, or
+/// `Err(())` when the peer did not answer (the caller gives up on it for
+/// this pass).
+fn push_frame(
     shared: &Shared,
     repl: &Replication,
     at: usize,
-    live: Vec<(Key, Vec<Bytes>)>,
+    frame: &Message,
     [pushes, pushed_values]: [&'static str; 2],
 ) -> Result<u64, ()> {
-    if live.is_empty() {
-        return Ok(0);
+    if let Message::Replicate { .. } = frame {
+        shared.metrics.incr("net.server.replica.frames");
     }
-    let values: u64 = live.iter().map(|(_, vs)| vs.len() as u64).sum();
-    let transfer = Message::Transfer {
-        id: repl.next_id(),
-        entries: live,
-    };
-    let (_, sent) = repl.peer_call(at, &transfer)?;
-    shared.metrics.incr(pushes);
-    shared.metrics.add(pushed_values, values);
+    let (_, sent) = repl.peer_call(at, frame)?;
+    match frame {
+        Message::Transfer { entries, .. } => {
+            shared.metrics.incr(pushes);
+            let values = entries.iter().map(|(_, vs)| vs.len() as u64).sum();
+            shared.metrics.add(pushed_values, values);
+        }
+        Message::Replicate { ops, .. } => {
+            let scrubs = ops.len() as u64;
+            shared
+                .metrics
+                .add("net.server.replica.tombstone_scrubs", scrubs);
+        }
+        _ => {}
+    }
     Ok(sent)
 }
 
@@ -920,13 +867,10 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
 /// member still holding a deleted mapping). On a converged cluster a pass
 /// costs one sweep and one small frame pair per peer.
 fn repair_pass(shared: &Shared) {
-    let Some(repl) = shared.fan_out() else {
+    let Some(repl) = shared.replicating() else {
         return;
     };
-    let digests = shared.store.bucket_digests(repl.ring.len(), |key| {
-        let holders = repl.replica_range(key).indices();
-        holders.filter(|at| repl.peers[*at].is_some())
-    });
+    let digests = peer_digests(shared, repl);
     let mut pushed_bytes = 0;
     for at in repl.peer_positions() {
         shared.metrics.incr("net.server.replica.digest_probes");
@@ -949,46 +893,51 @@ fn repair_pass(shared: &Shared) {
         .add("net.server.replica.repair_bytes", pushed_bytes);
 }
 
+/// This member's bucket digests for every peer, indexed by ring position:
+/// for the peer at `at`, over the keys whose replica set contains it.
+fn peer_digests(shared: &Shared, repl: &Replication) -> Vec<BucketDigests> {
+    shared.store.bucket_digests(repl.ring.len(), |key| {
+        let holders = repl.replica_range(key).indices();
+        holders.filter(|at| repl.peers[*at].is_some())
+    })
+}
+
 /// Pushes and scrubs the buckets `differs` names to the member at `at`,
-/// giving up on the first frame it does not answer. Returns the bytes
-/// sent.
+/// one bucket at a time, giving up on the first frame it does not answer.
+/// Returns the bytes sent.
 fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) -> u64 {
     let mut sent_bytes = 0;
     for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
-        let holds = |key: &Key| repl.replica_range(key).contains(at);
-        let snapshot = shared.store.bucket_snapshot(bucket, holds);
-        let series = [
-            "net.server.replica.repair_pushes",
-            "net.server.replica.repair_values",
-        ];
-        let Ok(sent) = push_bucket(shared, repl, at, snapshot.live, series) else {
-            return sent_bytes;
-        };
-        sent_bytes += sent;
-        let removes = snapshot.dead.into_iter().flat_map(|(key, values)| {
-            values
-                .into_iter()
-                .map(move |value| DhtOp::Remove { key, value })
-        });
-        let ops: Vec<DhtOp> = removes.collect();
-        if ops.is_empty() {
-            continue;
+        for frame in bucket_frames(shared, repl, at, bucket) {
+            let Ok(sent) = push_frame(shared, repl, at, &frame, REPAIR_SERIES) else {
+                return sent_bytes;
+            };
+            sent_bytes += sent;
         }
-        let scrubs = ops.len() as u64;
-        shared.metrics.incr("net.server.replica.frames");
-        let scrub = Message::Replicate {
-            id: repl.next_id(),
-            ops,
-        };
-        let Ok((_, sent)) = repl.peer_call(at, &scrub) else {
-            return sent_bytes;
-        };
-        shared
-            .metrics
-            .add("net.server.replica.tombstone_scrubs", scrubs);
-        sent_bytes += sent;
     }
     sent_bytes
+}
+
+/// Plans one differing bucket's push to the member at `at` from a snapshot
+/// of it, sending nothing: the bucket's live values as one `Transfer`,
+/// then its tombstones re-sent as removes in one scrub `Replicate` — each
+/// frame only if it carries something. [`push_differing`] sends them in
+/// this order.
+fn bucket_frames(shared: &Shared, repl: &Replication, at: usize, bucket: usize) -> Vec<Message> {
+    let holds = |key: &Key| repl.replica_range(key).contains(at);
+    let snapshot = shared.store.bucket_snapshot(bucket, holds);
+    let mut frames: Vec<Message> = transfer_frame(repl, snapshot.live).into_iter().collect();
+    let removes = snapshot.dead.into_iter().flat_map(|(key, values)| {
+        values
+            .into_iter()
+            .map(move |value| DhtOp::Remove { key, value })
+    });
+    let ops: Vec<DhtOp> = removes.collect();
+    if !ops.is_empty() {
+        let id = repl.next_id();
+        frames.push(Message::Replicate { id, ops });
+    }
+    frames
 }
 
 /// The `Digest` handler: this member's digests over the keys whose
@@ -997,7 +946,7 @@ fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) 
 /// replicates nothing with `from` (unreplicated, `R = 1`, or `from` is not
 /// another member of its ring).
 fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Option<u16> {
-    let repl = shared.fan_out()?;
+    let repl = shared.replicating()?;
     let from_at = repl.ring.binary_search(from).ok()?;
     repl.peers[from_at].as_ref()?;
     let ours = shared.store.bucket_digests(1, |key| {
@@ -1013,7 +962,8 @@ fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Opt
 /// bucket, to each key's replica set as recomputed over the ring
 /// *without* this node, so the replication factor survives the departure.
 /// Best-effort — a peer that stops answering is skipped; the survivors'
-/// repair passes finish the job.
+/// repair passes finish the job. This is the only peer I/O a frame from a
+/// client can cause: a wire `Shutdown`'s.
 fn drain_partition(shared: &Shared) {
     let Some(repl) = &shared.replication else {
         return;
@@ -1024,11 +974,10 @@ fn drain_partition(shared: &Shared) {
             |key: &Key| placement::replica_range(&survivors, key, repl.replicas).contains(rank);
         for bucket in 0..REPAIR_BUCKETS {
             let live = shared.store.bucket_snapshot(bucket, holds).live;
-            let series = [
-                "net.server.replica.drain_pushes",
-                "net.server.replica.drain_values",
-            ];
-            if push_bucket(shared, repl, at, live, series).is_err() {
+            let Some(transfer) = transfer_frame(repl, live) else {
+                continue;
+            };
+            if push_frame(shared, repl, at, &transfer, DRAIN_SERIES).is_err() {
                 break;
             }
         }
@@ -1263,17 +1212,22 @@ mod tests {
     /// With `replicas > 1` it is one of three ring members whose peers'
     /// address nothing here ever dials.
     fn unbound_member(replicas: usize) -> (Shared, MetricsRegistry) {
-        let metrics = MetricsRegistry::new();
         let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let ring = (0..3).map(|i| (Key::hash_of(&format!("node-{i}")), nowhere));
+        unbound("node-0", replicas, nowhere)
+    }
+
+    /// The state of member `name` of the ring `node-0..2`, bound to
+    /// nothing, whose peers all have the address `peers`.
+    fn unbound(name: &str, replicas: usize, peers: SocketAddr) -> (Shared, MetricsRegistry) {
+        let metrics = MetricsRegistry::new();
+        let ring = (0..3).map(|i| (Key::hash_of(&format!("node-{i}")), peers));
         let config = ServerConfig {
             metrics: metrics.clone(),
-            replication: (replicas > 1).then(|| {
-                ReplicationConfig::new(Key::hash_of("node-0"), ring.collect(), replicas, 1)
-            }),
+            replication: (replicas > 1)
+                .then(|| ReplicationConfig::new(Key::hash_of(name), ring.collect(), replicas, 1)),
             ..ServerConfig::default()
         };
-        (Shared::new(NodeId::hash_of("node-0"), &config), metrics)
+        (Shared::new(NodeId::hash_of(name), &config), metrics)
     }
 
     fn answer(id: u64, response: DhtResponse) -> Turn {
@@ -1311,8 +1265,116 @@ mod tests {
         assert_eq!(applied, Turn::Reply(Message::BatchReply { id: 4, results }));
         assert_eq!(shared.store.total_values(), 1);
         assert_eq!(metrics.counter("net.server.replica.applied"), 1);
-        assert_eq!(metrics.counter("net.server.replica.fanout"), 0);
+        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
         assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not a client op");
+    }
+
+    #[test]
+    fn handle_applies_a_client_write_on_a_replica_and_calls_no_peer() {
+        // Every peer's address is a listener that counts nobody in: the
+        // client sends each replica the write itself, so serving it must
+        // not dial one.
+        let peers = TcpListener::bind("127.0.0.1:0").unwrap();
+        peers.set_nonblocking(true).unwrap();
+        let (shared, metrics) = unbound("node-0", 3, peers.local_addr().unwrap());
+        let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
+        let op = DhtOp::Put {
+            key,
+            value: value.clone(),
+        };
+        let put = handle(&shared, Message::Request { id: 1, op });
+        assert_eq!(put, answer(1, DhtResponse::Stored(true)));
+        let ops = vec![DhtOp::Remove {
+            key,
+            value: value.clone(),
+        }];
+        let batch = handle(&shared, Message::Batch { id: 2, ops });
+        let results = vec![Ok(DhtResponse::Removed(true))];
+        assert_eq!(batch, Turn::Reply(Message::BatchReply { id: 2, results }));
+        // The remove made its tombstone transition on the way.
+        let snapshot = shared.store.bucket_snapshot(repair_bucket(&key), |_| true);
+        assert_eq!(snapshot.dead, vec![(key, vec![value])]);
+        let dialed = peers.accept().map(|_| ());
+        assert_eq!(dialed.map_err(|e| e.kind()), Err(io::ErrorKind::WouldBlock));
+        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+    }
+
+    /// One repair pass from `from` to the member `to`, as `repair_pass`
+    /// runs it with `handle` standing in for the peer link: probe with
+    /// `from`'s digests for `to`, then plan and apply every differing
+    /// bucket's frames.
+    fn repair_by_hand(from: &Shared, to: &Shared, to_name: &str) {
+        let repl = from.replicating().expect("a replicating member");
+        let at = repl.ring.binary_search(&Key::hash_of(to_name)).unwrap();
+        let buckets = peer_digests(from, repl)[at];
+        let probe = Message::Digest {
+            id: 1,
+            from: repl.node_key,
+            buckets,
+        };
+        let Turn::Reply(Message::DigestReply { differs, .. }) = handle(to, probe) else {
+            panic!("{to_name} shares keys with its ring peer");
+        };
+        for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
+            for frame in bucket_frames(from, repl, at, bucket) {
+                handle(to, frame);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "scrub-vs-re-put: ROADMAP item 2"]
+    fn a_re_put_that_lands_between_a_scrub_snapshot_and_its_send_survives_repair() {
+        // Two of three members holding every key (R = 3). Fails today:
+        // the acknowledged re-put ends up gone from both. The scrub that
+        // S planned before the re-put removes the pair at R and leaves a
+        // tombstone there; R's tombstone drops S's next `Transfer` of it,
+        // and R's own pass scrubs it from S. Per-pair versions (item 2(a))
+        // let the re-put win on both.
+        let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let (s, _) = unbound("node-0", 3, nowhere);
+        let (r, _) = unbound("node-1", 3, nowhere);
+        let key = Key::hash_of("re-put");
+        let value = Bytes::from_static(b"Q:/article/title/re-put");
+        let put = DhtOp::Put {
+            key,
+            value: value.clone(),
+        };
+        let remove = DhtOp::Remove {
+            key,
+            value: value.clone(),
+        };
+        let write = |member: &Shared, op: &DhtOp| {
+            let op = op.clone();
+            handle(member, Message::Request { id: 1, op })
+        };
+        // A client writes the pair to both replicas and removes it again:
+        // both hold its tombstone.
+        for op in [&put, &remove] {
+            write(&s, op);
+            write(&r, op);
+        }
+        // S snapshots the pair's bucket for R (some write still in flight
+        // made it differ) and plans the push: a scrub of the pair.
+        let repl = s.replicating().unwrap();
+        let at = repl.ring.binary_search(&Key::hash_of("node-1")).unwrap();
+        let frames = bucket_frames(&s, repl, at, repair_bucket(&key));
+        assert!(matches!(frames.last(), Some(Message::Replicate { .. })));
+        // The client re-puts the pair on both replicas: acknowledged.
+        for member in [&s, &r] {
+            assert_eq!(write(member, &put), answer(1, DhtResponse::Stored(true)));
+        }
+        // Only then does S's planned push reach R.
+        for frame in frames {
+            handle(&r, frame);
+        }
+        repair_by_hand(&s, &r, "node-1");
+        repair_by_hand(&r, &s, "node-0");
+        for (name, member) in [("S", &s), ("R", &r)] {
+            let held = write(member, &DhtOp::Get(key));
+            let values = DhtResponse::Values(vec![value.clone()]);
+            assert_eq!(held, answer(1, values), "the re-put is gone from {name}");
+        }
     }
 
     #[test]

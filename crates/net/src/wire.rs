@@ -165,9 +165,9 @@ pub enum Message {
     /// [`Message::BatchReply`] carrying the same `id`, one result per op.
     ///
     /// This is a distinct kind (rather than a flag on
-    /// [`Message::Batch`]) precisely so replication can never cascade:
-    /// a primary fans a client frame's writes out to each replica-set
-    /// peer as one replicate frame, and a replicate frame is terminal by
+    /// [`Message::Batch`]) precisely so replication can never cascade: a
+    /// repair pass re-sends one bucket's tombstones to a peer as one
+    /// replicate frame (the scrub), and a replicate frame is terminal by
     /// construction. The op vector is never empty (an empty replicate is
     /// a [`WireError::BadPayload`] on decode), and no op is a
     /// [`DhtOp::GetDigest`] or a [`DhtOp::GetIfChanged`]: either opcode
@@ -391,19 +391,6 @@ pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     buf: &mut Vec<u8>,
 ) {
     let len_at = begin_frame(KIND_BATCH, id, buf);
-    encode_ops(ops, buf);
-    end_frame(buf, len_at);
-}
-
-/// [`encode_batch`] for `Message::Replicate { id, ops }`: what a primary
-/// frames for one peer, straight from the client frame's ops — no
-/// per-peer op vector.
-pub(crate) fn encode_replicate<O: Borrow<DhtOp>>(
-    id: u64,
-    ops: impl Iterator<Item = O>,
-    buf: &mut Vec<u8>,
-) {
-    let len_at = begin_frame(KIND_REPLICATE, id, buf);
     encode_ops(ops, buf);
     end_frame(buf, len_at);
 }
@@ -1201,15 +1188,6 @@ mod tests {
             expected.push(b'v');
         }
         assert_eq!(buf, expected);
-        let Message::Replicate { ops, .. } = &msg else {
-            unreachable!("built as a replicate")
-        };
-        let mut framed = Vec::new();
-        encode_replicate(7, ops.iter().filter(|_| true), &mut framed);
-        assert_eq!(
-            framed, expected,
-            "a filtered iterator frames the same bytes"
-        );
     }
 
     #[test]

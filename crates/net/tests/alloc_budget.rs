@@ -8,7 +8,8 @@
 //! 16-get wave, for a read that finds nothing, and — the client's whole
 //! stack on top of the round — for one three-level index search, one
 //! lookup of a file's MSD, and one publish and unpublish of an article
-//! (the write path: its MSD, its index edges and their wave).
+//! (the write path: its MSD, its index edges and their wave, which the
+//! client sends to every replica of each key itself).
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
@@ -237,8 +238,11 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     // author+title, the conf+year and the MSD). It was 51 while the edge
     // list grew twice, each edge encoded its own target unless it was the
     // MSD, and the round built a list of leased links; 114 while every
-    // query was built as a pointer tree (MSD 26, edges 73). No slack: one
-    // more allocation per built query is +7, per edge +6.
+    // query was built as a pointer tree (MSD 26, edges 73). Still 45 with
+    // the client writing all three replicas itself instead of a primary
+    // forwarding to two: the extra frames reuse the round's buffers and
+    // their replies carry no value. No slack: one more allocation per
+    // built query is +7, per edge +6.
     assert!(publish <= 45, "a warm publish made {publish} allocations");
     // Measured 55 = the MSD (3) + the edges (32) + the cascade (20): the
     // file's remove (3: its encoded handle, and the client's result
@@ -250,7 +254,8 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     // each). It was 61 with a leased-link list per round (+5) and an edge
     // list that grew twice (+1), 113 while the cascade re-read every
     // edge's target in unary exchanges until a pass removed nothing, and
-    // 175 before that. No slack: one more wave is +2 at least.
+    // 175 before that; unchanged by client-coordinated writes, like the
+    // publish. No slack: one more wave is +2 at least.
     assert!(
         unpublish <= 55,
         "a warm unpublish made {unpublish} allocations"

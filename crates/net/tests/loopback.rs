@@ -544,11 +544,11 @@ fn values_that_arrived_in_one_batch_frame_are_stored_and_removed_one_by_one() {
     cluster.shutdown();
 }
 
-/// Three members, every key on all three (R = 3, W = 2), repair off, one
+/// `n` members declared at R = 3 and write quorum `w`, repair off, one
 /// registry shared by every member.
-fn replicated_trio(metrics: &MetricsRegistry) -> LoopbackCluster {
-    LoopbackCluster::start_with(3, |_, id, ring| {
-        let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 3, 2);
+fn replicated_ring(n: usize, w: usize, metrics: &MetricsRegistry) -> LoopbackCluster {
+    LoopbackCluster::start_with(n, |_, id, ring| {
+        let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 3, w);
         replication.repair_interval = None;
         ServerConfig {
             replication: Some(replication),
@@ -559,59 +559,172 @@ fn replicated_trio(metrics: &MetricsRegistry) -> LoopbackCluster {
     .expect("loopback cluster")
 }
 
+/// The members (by start index) of `key`'s replica set, primary first.
+fn replica_set(cluster: &LoopbackCluster, key: &Key) -> Vec<usize> {
+    let members = cluster.members();
+    let mut ring: Vec<Key> = members.iter().map(|(id, _)| *id.key()).collect();
+    ring.sort_unstable();
+    placement::replica_keys(&ring, key, 3)
+        .iter()
+        .map(|holder| {
+            let at = members.iter().position(|(id, _)| id.key() == holder);
+            at.expect("a replica is a member")
+        })
+        .collect()
+}
+
 /// `n` keys whose primary is member 0 of `cluster`.
 fn keys_on_member_0(cluster: &LoopbackCluster, n: usize) -> Vec<Key> {
-    let client = cluster.client();
-    let primary = cluster.members()[0].0;
     (0..)
-        .map(|i| Key::hash_of(&format!("fan-out-{i}")))
-        .filter(|key| client.node_for(key) == Some(primary))
+        .map(|i| Key::hash_of(&format!("written-{i}")))
+        .filter(|key| replica_set(cluster, key)[0] == 0)
         .take(n)
         .collect()
 }
 
+/// What `member` holds under `key`, asked directly.
+fn held(cluster: &LoopbackCluster, member: usize, key: &Key) -> Vec<Bytes> {
+    let only = vec![cluster.members()[member]];
+    Dht::get(&RemoteDht::connect(only, RemoteDhtConfig::default()), key)
+}
+
+fn put(key: Key, i: usize) -> DhtOp {
+    let value = Bytes::from(format!("Q:/article/title/t{i}"));
+    DhtOp::Put { key, value }
+}
+
 #[test]
-fn a_primary_replicates_a_whole_batch_as_one_frame_per_peer() {
+fn a_write_wave_sends_each_replica_one_frame_and_no_member_calls_a_peer() {
+    // Sixteen writes sharing one replica set: the client frames them once
+    // per replica, and each member applies its frame without a hop on.
     let metrics = MetricsRegistry::new();
-    let cluster = replicated_trio(&metrics);
-    // Replica-unaware, so the whole batch goes to the keys' primary.
+    let cluster = replicated_ring(5, 2, &metrics);
     let mut client = cluster.client();
-    let puts: Vec<DhtOp> = keys_on_member_0(&cluster, 16)
-        .into_iter()
+    client.set_metrics(metrics.clone());
+    let keys = keys_on_member_0(&cluster, 16);
+    let puts = keys
+        .iter()
         .enumerate()
-        .map(|(i, key)| DhtOp::Put {
-            key,
-            value: Bytes::from(format!("Q:/article/title/t{i}")),
-        })
+        .map(|(i, key)| put(*key, i))
         .collect();
-    let replica = |series: &str| metrics.counter(&format!("net.server.replica.{series}"));
     for result in client.execute_many(puts) {
         assert_eq!(result, Ok(DhtResponse::Stored(true)));
     }
-    assert_eq!(metrics.counter("net.server.batches"), 1, "one client frame");
-    assert_eq!(replica("frames"), 2, "one Replicate frame per peer");
-    assert_eq!(replica("fanout"), 32, "every write to both peers");
-    assert_eq!(replica("acks"), 32);
-    assert_eq!(replica("applied"), 32);
-    assert_eq!(replica("quorum_failures"), 0);
-    for i in 0..3 {
-        assert_eq!(cluster.server(i).total_values(), 16, "member {i}");
+    // One batch frame to each of the three replicas, and no `Replicate`.
+    assert_eq!(metrics.counter("net.frames_out"), 3);
+    assert_eq!(metrics.counter("net.batch.frames_out"), 3);
+    assert_eq!(metrics.counter("net.server.batches"), 3);
+    assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+    // Every replica applied every write, once.
+    assert_eq!(metrics.counter("net.ops.put"), 16);
+    assert_eq!(metrics.counter("net.server.ops.put"), 3 * 16);
+    assert_eq!(metrics.counter("net.quorum.write_failures"), 0);
+    // Accounting stays one pair per settled write.
+    assert_eq!(client.stats().messages, 2 * 16);
+
+    // A wave over many replica sets: one frame per member of their union.
+    let keys: Vec<Key> = (0..3)
+        .map(|i| Key::hash_of(&format!("spread-{i}")))
+        .collect();
+    let union: HashSet<usize> = keys.iter().flat_map(|k| replica_set(&cluster, k)).collect();
+    let before = metrics.counter("net.frames_out");
+    let puts = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| put(*key, i))
+        .collect();
+    client.execute_many(puts);
+    assert_eq!(
+        metrics.counter("net.frames_out") - before,
+        union.len() as u64
+    );
+    let writes = metrics.counter("net.ops.put") + metrics.counter("net.ops.remove");
+    let applied = metrics.counter("net.server.ops.put") + metrics.counter("net.server.ops.remove");
+    assert_eq!(applied, 3 * writes, "R applies per settled write");
+    assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+    cluster.shutdown();
+}
+
+#[test]
+fn every_replica_holds_a_write_when_the_call_returns() {
+    // Repair is off, so nothing but the write itself can put the value on
+    // a replica: a write that reached fewer members would show here.
+    let cluster = replicated_ring(5, 2, &MetricsRegistry::disabled());
+    let mut client = cluster.replicated_client(3, 2);
+    let keys: Vec<Key> = (0..24)
+        .map(|i| Key::hash_of(&format!("held-{i}")))
+        .collect();
+    let puts = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| put(*key, i))
+        .collect();
+    client.execute_many(puts);
+    for (i, key) in keys.iter().enumerate() {
+        let set = replica_set(&cluster, key);
+        for member in 0..5 {
+            let want = match set.contains(&member) {
+                true => vec![Bytes::from(format!("Q:/article/title/t{i}"))],
+                false => Vec::new(),
+            };
+            assert_eq!(held(&cluster, member, key), want, "key {i} at {member}");
+        }
+    }
+    // A unary remove leaves no replica holding the value either.
+    let value = Bytes::from_static(b"Q:/article/title/t0");
+    assert!(client.remove(&keys[0], &value));
+    for member in replica_set(&cluster, &keys[0]) {
+        assert!(held(&cluster, member, &keys[0]).is_empty(), "at {member}");
     }
     cluster.shutdown();
 }
 
 #[test]
-fn a_batched_fan_out_settles_each_write_on_its_own_acks_like_unary_writes() {
-    // Each key is written and then read in one batch at its primary.
+fn a_write_settles_on_w_of_its_replicas_in_one_round() {
+    let metrics = MetricsRegistry::new();
+    let mut cluster = replicated_ring(3, 2, &metrics);
+    let mut client = cluster.client();
+    client.set_metrics(metrics.clone());
+    let keys = keys_on_member_0(&cluster, 2);
+    let quorum = |name: &str| metrics.counter(&format!("net.quorum.{name}"));
+    // The primary is down: the two others apply the write, and its answer
+    // is the lowest-ranked success's.
+    cluster.server_mut(0).halt();
+    assert_eq!(
+        client.execute(put(keys[0], 0)),
+        Ok(DhtResponse::Stored(true))
+    );
+    assert_eq!(client.stats().messages, 2);
+    // Two of three down: one replica applies it, short of W = 2. It
+    // settles after that one round, with no failover round to try.
+    cluster.server_mut(1).halt();
+    let replies = metrics.counter("net.frames_in");
+    assert_eq!(client.execute(put(keys[1], 1)), Err(DhtError::Timeout));
+    assert_eq!(metrics.counter("net.frames_in") - replies, 1);
+    assert_eq!((quorum("failovers"), quorum("write_failures")), (0, 1));
+    // A replica answered, so the pair completed, as a failed one.
+    assert_eq!(client.stats().messages, 4);
+    assert_eq!(client.stats().lookups, 1);
+    assert_eq!(
+        held(&cluster, 2, &keys[1]).len(),
+        1,
+        "applied where it could be"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn batched_and_unary_writes_settle_alike_on_their_own_replicas() {
+    // Each key is written and then read in one batch (the read asks the
+    // primary alone): with members down, every write settles on its own
+    // replicas' answers, and a batch settles exactly as the same ops one
+    // call at a time.
     let run = |halted: &[usize], batched: bool| {
-        let mut cluster = replicated_trio(&MetricsRegistry::disabled());
+        let mut cluster = replicated_ring(3, 2, &MetricsRegistry::disabled());
         let ops: Vec<DhtOp> = keys_on_member_0(&cluster, 8)
             .into_iter()
             .enumerate()
-            .flat_map(|(i, key)| {
-                let value = Bytes::from(format!("Q:/article/year/{i}"));
-                [DhtOp::Put { key, value }, DhtOp::Get(key)]
-            })
+            .flat_map(|(i, key)| [put(key, i), DhtOp::Get(key)])
             .collect();
         for &member in halted {
             cluster.server_mut(member).halt();
@@ -626,18 +739,18 @@ fn a_batched_fan_out_settles_each_write_on_its_own_acks_like_unary_writes() {
         cluster.shutdown();
         (ops, results, stats)
     };
-    for halted in [&[1][..], &[1, 2]] {
+    for halted in [&[][..], &[1], &[1, 2]] {
         let (ops, results, stats) = run(halted, true);
         let stored = match halted.len() {
-            1 => Ok(DhtResponse::Stored(true)),
-            _ => Err(DhtError::Timeout),
+            2 => Err(DhtError::Timeout),
+            _ => Ok(DhtResponse::Stored(true)),
         };
         for (pair, answers) in ops.chunks(2).zip(results.chunks(2)) {
             let [DhtOp::Put { value, .. }, DhtOp::Get(_)] = pair else {
                 unreachable!("a put, then a get of its key")
             };
-            assert_eq!(answers[0], stored, "W = 2 with peers {halted:?} down");
-            // Applied locally either way, so the batch's own read sees it.
+            assert_eq!(answers[0], stored, "W = 2 with {halted:?} down");
+            // The primary applied it either way, so its read sees it.
             let read = Ok(DhtResponse::Values(vec![value.clone()]));
             assert_eq!(answers[1], read);
         }
@@ -648,32 +761,17 @@ fn a_batched_fan_out_settles_each_write_on_its_own_acks_like_unary_writes() {
 }
 
 #[test]
-fn a_frame_mixing_replica_sets_settles_each_write_on_its_own_peers() {
-    // Five members at R = 3, W = 3, one of them down: a write is acked
-    // only if its whole replica set is up. A replica-aware client sends a
-    // member writes it is primary for and writes failed over to it from
-    // the dead primary, so one frame's writes fan out to different peers.
+fn a_cluster_declared_with_w_3_makes_its_clients_write_at_w_3() {
+    // Five members at R = 3, W = 3, one of them down: a write succeeds
+    // only if its whole replica set is up — through `replicated_client`,
+    // which takes W from the cluster, batched and unary alike.
     const DOWN: usize = 2;
     let run = |batched: bool| {
-        let mut cluster = LoopbackCluster::start_with(5, |_, id, ring| {
-            let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 3, 3);
-            replication.repair_interval = None;
-            ServerConfig {
-                replication: Some(replication),
-                ..ServerConfig::default()
-            }
-        })
-        .expect("loopback cluster");
+        let mut cluster = replicated_ring(5, 3, &MetricsRegistry::disabled());
         cluster.server_mut(DOWN).halt();
-        let mut ring: Vec<Key> = cluster.members().iter().map(|(id, _)| *id.key()).collect();
-        ring.sort_unstable();
-        let down = *cluster.members()[DOWN].0.key();
         let mut client = cluster.replicated_client(3, 1);
         let ops: Vec<DhtOp> = (0..40)
-            .map(|i| DhtOp::Put {
-                key: Key::hash_of(&format!("mixed-{i}")),
-                value: Bytes::from(format!("Q:/article/conf/c{i}")),
-            })
+            .map(|i| put(Key::hash_of(&format!("mixed-{i}")), i))
             .collect();
         let results = if batched {
             client.execute_many(ops.clone())
@@ -682,7 +780,7 @@ fn a_frame_mixing_replica_sets_settles_each_write_on_its_own_peers() {
         };
         let whole_set_up: Vec<bool> = ops
             .iter()
-            .map(|op| !placement::replica_keys(&ring, op.key(), 3).contains(&down))
+            .map(|op| !replica_set(&cluster, op.key()).contains(&DOWN))
             .collect();
         let stats = client.stats();
         cluster.shutdown();

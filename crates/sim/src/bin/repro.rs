@@ -57,7 +57,7 @@ fn usage() -> String {
      [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]\n\
      \x20      repro trace <query> [--small] [--nodes N] [--articles N] [--seed N]\n\
      \x20      repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
-     [--replicas R] [--quorum W,RQ] [--peers NAME=HOST:PORT,...] [--repair-ms N]\n\
+     [--replicas R] [--peers NAME=HOST:PORT,...] [--repair-ms N]\n\
      \x20      repro net-demo --members HOST:PORT,... [--articles N] [--queries N] [--seed N] [--replicas R] [--quorum W,RQ] [--shutdown]\n\
      \x20      repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N] [--queries N] [--seed N] \
      [--hot-rank N] [--boost F] [--threshold N] [--fanout N]"
@@ -240,7 +240,6 @@ fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
             }
             "--fault-seed" => opts.fault_seed = flags.value(&flag)?,
             "--replicas" => opts.replicas = flags.value(&flag)?,
-            "--quorum" => opts.write_quorum = flags.quorum()?.0,
             "--peers" => {
                 for peer in flags.list::<String>(&flag)? {
                     let (name, addr) = peer
@@ -265,7 +264,11 @@ fn parse_net_demo(mut flags: Flags) -> Result<NetDemoOptions, String> {
             "--queries" => opts.queries = flags.value(&flag)?,
             "--seed" => opts.seed = flags.value(&flag)?,
             "--replicas" => opts.replicas = flags.value(&flag)?,
-            "--quorum" => opts.read_quorum = flags.quorum()?.1,
+            "--quorum" => {
+                let (write_quorum, read_quorum) = flags.quorum()?;
+                opts.write_quorum = Some(write_quorum);
+                opts.read_quorum = read_quorum;
+            }
             "--shutdown" => opts.shutdown = true,
             other => return Err(unknown_flag(other)),
         }
@@ -580,19 +583,22 @@ mod tests {
 
     #[test]
     fn quorum_takes_one_number_for_both_or_write_then_read() {
-        let serve = |args| parse_serve(flags(args)).expect("serve flags").write_quorum;
-        let demo = |quorum: &str| {
-            parse_net_demo(flags(&format!("--members 127.0.0.1:1 --quorum {quorum}")))
-                .expect("net-demo flags")
-                .read_quorum
+        let demo = |args: &str| {
+            let opts = parse_net_demo(flags(&format!("--members 127.0.0.1:1 {args}")))
+                .expect("net-demo flags");
+            (opts.write_quorum, opts.read_quorum)
         };
-        assert_eq!((serve("--quorum 2"), demo("2")), (2, 2));
-        assert_eq!((serve("--quorum 2,3"), demo("2,3")), (2, 3));
-        assert_eq!(serve(""), 1);
+        assert_eq!(demo("--quorum 2"), (Some(2), 2));
+        assert_eq!(demo("--quorum 2,3"), (Some(2), 3));
+        assert_eq!(demo(""), (None, 1), "a majority of R, and the primary");
         for bad in ["2,3,4", "2,", "two"] {
-            let error = rejected(parse_serve(flags(&format!("--quorum {bad}"))));
+            let args = format!("--members 127.0.0.1:1 --quorum {bad}");
+            let error = rejected(parse_net_demo(flags(&args)));
             assert!(error.starts_with("--quorum "), "{error}");
         }
+        // The client coordinates writes, so a daemon takes no quorum.
+        let error = rejected(parse_serve(flags("--quorum 2")));
+        assert!(error.starts_with("unknown flag --quorum"), "{error}");
     }
 
     #[test]

@@ -35,13 +35,12 @@ pub struct ServeOptions {
     pub fault_seed: u64,
     /// Replication factor R; together with a non-empty `peers` list this
     /// makes the daemon a member of a replicated cluster. `1` (the
-    /// default) serves a plain unreplicated partition.
+    /// default) serves a plain unreplicated partition. A daemon takes no
+    /// write quorum: the client that writes counts it.
     pub replicas: usize,
-    /// Write quorum W (local apply counts as one ack).
-    pub write_quorum: usize,
     /// Full cluster membership as `(node name, address)` pairs, self
     /// included — every daemon gets the same list, which is what keeps
-    /// client routing, fan-out, and repair on one shared placement ring.
+    /// client routing and repair on one shared placement ring.
     pub peers: Vec<(String, SocketAddr)>,
     /// Anti-entropy repair interval in milliseconds (0 disables).
     pub repair_ms: u64,
@@ -55,7 +54,6 @@ impl Default for ServeOptions {
             loss: 0.0,
             fault_seed: 0,
             replicas: 1,
-            write_quorum: 1,
             peers: Vec::new(),
             repair_ms: 200,
         }
@@ -75,6 +73,9 @@ pub struct NetDemoOptions {
     pub seed: u64,
     /// Replication factor R; must match the cluster's serve flags.
     pub replicas: usize,
+    /// Write quorum W: how many of a key's R replicas must apply a write
+    /// the client sends them all; `None` is a majority, ⌊R/2⌋ + 1.
+    pub write_quorum: Option<usize>,
     /// Read quorum RQ; `1` for an unreplicated cluster.
     pub read_quorum: usize,
     /// Send every member a wire shutdown frame after the run — handy for
@@ -90,6 +91,7 @@ impl Default for NetDemoOptions {
             queries: 40,
             seed: 42,
             replicas: 1,
+            write_quorum: None,
             read_quorum: 1,
             shutdown: false,
         }
@@ -104,9 +106,9 @@ impl Default for NetDemoOptions {
 pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     use std::io::Write;
     let replication = if opts.replicas > 1 {
-        // `--peers` names every member, this one included: a member off
-        // its own ring would fan every write out to all R replicas and
-        // store keys no client ever routes to it.
+        // `--peers` names every member, this one included: placement and
+        // repair run on that ring, and a member off it would push every
+        // key it holds to the others and never be pushed one back.
         if !opts.peers.iter().any(|(name, _)| *name == opts.node_name) {
             let name = &opts.node_name;
             return Err(format!("--node-name {name:?}: not among --peers"));
@@ -116,12 +118,10 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
             .iter()
             .map(|(name, addr)| (Key::hash_of(name), *addr))
             .collect();
-        let mut config = ReplicationConfig::new(
-            Key::hash_of(&opts.node_name),
-            members,
-            opts.replicas,
-            opts.write_quorum,
-        );
+        // The write quorum argument is the client's to count; no daemon
+        // reads it.
+        let mut config =
+            ReplicationConfig::new(Key::hash_of(&opts.node_name), members, opts.replicas, 1);
         config.repair_interval =
             (opts.repair_ms > 0).then(|| Duration::from_millis(opts.repair_ms));
         Some(config)
@@ -145,12 +145,11 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     println!("DHTD LISTENING {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "# dhtd: partition for {} ({}), loss {}, replicas {} (W={})",
+        "# dhtd: partition for {} ({}), loss {}, replicas {}",
         opts.node_name,
         NodeId::hash_of(&opts.node_name),
         opts.loss,
-        opts.replicas,
-        opts.write_quorum
+        opts.replicas
     );
     server.wait();
     eprintln!("# dhtd: shutdown");
@@ -287,19 +286,22 @@ pub fn net_demo(opts: &NetDemoOptions) -> Result<(), String> {
         queries,
         seed,
         replicas,
+        write_quorum,
         read_quorum,
         shutdown,
     } = *opts;
     let client_config = RemoteDhtConfig {
         replicas,
         read_quorum,
+        write_quorum,
         ..RemoteDhtConfig::default()
     };
     let connect = || RemoteDht::connect(RemoteDht::named_members(members), client_config.clone());
     eprintln!(
         "# net-demo: {} member(s), {articles} articles, {queries} queries, seed {seed}, \
-         replicas {replicas} (Rq={read_quorum})",
-        members.len()
+         replicas {replicas} (W={}, Rq={read_quorum})",
+        members.len(),
+        write_quorum.map_or_else(|| "majority".to_string(), |w| w.to_string())
     );
     // Keep a second client for teardown: run_workload consumes the first.
     let closer = shutdown.then(connect);

@@ -288,16 +288,9 @@ fn sigkilled_daemon_is_masked_by_quorum_and_refilled_after_restart() {
         .map(|(i, addr)| format!("node-{i}={addr}"))
         .collect::<Vec<_>>()
         .join(",");
-    let extra = [
-        "--replicas",
-        "3",
-        "--quorum",
-        "2,2",
-        "--peers",
-        &peers,
-        "--repair-ms",
-        "40",
-    ];
+    // The daemons take R alone: the client below writes each key to all
+    // three of its replicas and counts W itself.
+    let extra = ["--replicas", "3", "--peers", &peers, "--repair-ms", "40"];
     let mut children: Vec<DhtdChild> = addrs
         .iter()
         .enumerate()
@@ -311,6 +304,7 @@ fn sigkilled_daemon_is_masked_by_quorum_and_refilled_after_restart() {
     let quorum_config = RemoteDhtConfig {
         replicas: REPLICAS,
         read_quorum: 2,
+        write_quorum: Some(2),
         ..RemoteDhtConfig::default()
     };
     let client = || RemoteDht::connect(RemoteDht::named_members(&addrs), quorum_config.clone());
