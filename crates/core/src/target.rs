@@ -185,10 +185,24 @@ mod tests {
             IndexTarget::from_bytes(b"Q"),
             Err(DecodeTargetError::UnknownPrefix)
         );
-        assert!(matches!(
-            IndexTarget::from_bytes(b"Q:not a query"),
-            Err(DecodeTargetError::BadQuery(_))
-        ));
+        // Malformed text, and text in syntax the language no longer has.
+        for value in [
+            &b"Q:not a query"[..],
+            b"Q://x",
+            b"Q:/a/*",
+            b"Q:/a[y!=1]",
+            b"Q:/a[y<1]",
+            b"Q:/a[y>=1]",
+        ] {
+            assert!(
+                matches!(
+                    IndexTarget::from_bytes(value),
+                    Err(DecodeTargetError::BadQuery(_))
+                ),
+                "{}",
+                String::from_utf8_lossy(value)
+            );
+        }
     }
 
     #[test]

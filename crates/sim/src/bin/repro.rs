@@ -485,6 +485,17 @@ mod tests {
     }
 
     #[test]
+    fn trace_refuses_the_old_syntax_before_it_builds_anything() {
+        // The parse error, not a search's: the query is read before the
+        // corpus is published.
+        for (query, offset) in [("/article//Smith", 9), ("/article[year>=1990]", 13)] {
+            let err = trace(&EvalConfig::small(), query).unwrap_err();
+            assert!(err.starts_with("cannot parse query"), "{err}");
+            assert!(err.ends_with(&format!("at offset {offset}")), "{err}");
+        }
+    }
+
+    #[test]
     fn the_cursor_parses_into_the_asked_for_type_and_names_the_flag() {
         assert_eq!(flags("7").value::<u16>("--port"), Ok(7));
         assert_eq!(flags("0.25").value::<f64>("--loss"), Ok(0.25));

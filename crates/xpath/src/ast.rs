@@ -1,8 +1,8 @@
 //! The query AST: frozen, normalized tree patterns.
 //!
-//! A query in the paper's XPath subset — location steps, predicates,
-//! wildcard `*`, descendant `//`, and value comparisons — is a *tree
-//! pattern*: a rooted tree of nodes where the syntactic distinction between
+//! A query in the paper's XPath subset — child steps, predicates, value
+//! leaves, and the comparisons `=`, `^=` and `*=` — is a *tree pattern*:
+//! a rooted tree of nodes where the syntactic distinction between
 //! a path continuation (`/article/title/TCP`) and a predicate
 //! (`/article[title/TCP]`) disappears. Boolean matching semantics make the
 //! two forms equivalent, so collapsing them (plus sorting and deduplicating
@@ -30,6 +30,7 @@ use std::sync::Arc;
 use p2p_index_xmldoc as xmldoc;
 
 use crate::draft::{Draft, NodeId};
+use crate::parse::is_bare_char;
 
 /// The deepest a query may nest (`/article` has depth 1): one more than
 /// [`xmldoc::MAX_DEPTH`], so the most specific query of the deepest
@@ -56,30 +57,11 @@ impl fmt::Display for TooDeep {
 
 impl Error for TooDeep {}
 
-/// How a pattern node relates to its parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Axis {
-    /// Direct child (`/`).
-    Child,
-    /// Any strict descendant (`//`).
-    Descendant,
-}
-
-/// Comparison operators usable in predicates (`[year>=1990]`).
+/// Comparison operators usable in predicates (`[year=1990]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
     /// `^=` — string prefix test (`[author/last^=S]` selects last names
     /// starting with "S"; the initial-letter indexes of §IV-C).
     StartsWith,
@@ -94,11 +76,6 @@ impl CmpOp {
     pub fn symbol(&self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
             CmpOp::StartsWith => "^=",
             CmpOp::Contains => "*=",
         }
@@ -106,29 +83,17 @@ impl CmpOp {
 
     /// Evaluates `left OP right`.
     ///
-    /// If both operands parse as numbers the comparison is numeric (so
-    /// `"0100" = "100"` and `"9" < "10"`); otherwise it is lexicographic on
-    /// the raw strings.
+    /// `=` is numeric if both operands parse as numbers (so `"0100" =
+    /// "100"`) and string equality otherwise; `^=` and `*=` test the raw
+    /// strings.
     pub fn eval(&self, left: &str, right: &str) -> bool {
-        use std::cmp::Ordering::*;
         match self {
-            CmpOp::StartsWith => return left.starts_with(right),
-            CmpOp::Contains => return left.contains(right),
-            _ => {}
-        }
-        let ord = match (left.trim().parse::<f64>(), right.trim().parse::<f64>()) {
-            (Ok(l), Ok(r)) => l.partial_cmp(&r),
-            _ => Some(left.cmp(right)),
-        };
-        let Some(ord) = ord else { return false };
-        match self {
-            CmpOp::Eq => ord == Equal,
-            CmpOp::Ne => ord != Equal,
-            CmpOp::Lt => ord == Less,
-            CmpOp::Le => ord != Greater,
-            CmpOp::Gt => ord == Greater,
-            CmpOp::Ge => ord != Less,
-            CmpOp::StartsWith | CmpOp::Contains => unreachable!("handled above"),
+            CmpOp::Eq => match (left.trim().parse::<f64>(), right.trim().parse::<f64>()) {
+                (Ok(l), Ok(r)) => l == r,
+                _ => left == right,
+            },
+            CmpOp::StartsWith => left.starts_with(right),
+            CmpOp::Contains => left.contains(right),
         }
     }
 }
@@ -149,14 +114,11 @@ pub struct Comparison<'a> {
     pub value: &'a str,
 }
 
-/// Bare tokens may contain alphanumerics and a few safe punctuation marks;
-/// anything else (spaces, slashes, brackets, quotes, operators) is quoted.
+/// A token is written bare only if the parser reads it back as one bare
+/// name; anything else (spaces, slashes, brackets, quotes, operators) is
+/// quoted.
 fn needs_quoting(token: &str) -> bool {
-    token.is_empty()
-        || token == "*"
-        || !token.chars().all(|c| {
-            c.is_alphanumeric() || matches!(c, '-' | '_' | '.' | ':' | ',' | '&' | '+' | '\'')
-        })
+    token.is_empty() || !token.chars().all(is_bare_char)
 }
 
 /// One node of a frozen query. Nodes sit in pre-order, so a node's strict
@@ -164,7 +126,7 @@ fn needs_quoting(token: &str) -> bool {
 /// reached by hopping from one child's `end` to the next.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Where the name starts in the text buffer (a wildcard has none).
+    /// Where the name starts in the text buffer.
     name: u32,
     name_len: u32,
     /// Where the comparison's right-hand side starts (if `op` is set).
@@ -172,8 +134,6 @@ struct Node {
     value_len: u32,
     /// One past the last node of this node's subtree.
     end: u32,
-    axis: Axis,
-    wildcard: bool,
     op: Option<CmpOp>,
 }
 
@@ -194,10 +154,9 @@ struct Flat {
 
 /// A borrowed view of one pattern node of a [`Query`].
 ///
-/// The derived-looking order — axis, name (a wildcard after every name),
-/// comparison, children — is the normalization order: siblings are
-/// strictly ascending in it, which is what makes the canonical text, and
-/// every DHT key, unique.
+/// The derived-looking order — name, comparison, children — is the
+/// normalization order: siblings are strictly ascending in it, which is
+/// what makes the canonical text, and every DHT key, unique.
 #[derive(Clone, Copy)]
 pub struct NodeRef<'a> {
     nodes: &'a [Node],
@@ -214,21 +173,11 @@ impl<'a> NodeRef<'a> {
         &self.text[start as usize..(start + len) as usize]
     }
 
-    /// The edge type from this node's parent.
-    pub fn axis(&self) -> Axis {
-        self.node().axis
-    }
-
     /// The exact element name — or, for a leaf, the exact text value —
-    /// this node requires; `None` for the wildcard `*`.
-    pub fn name(&self) -> Option<&'a str> {
+    /// this node requires.
+    pub fn name(&self) -> &'a str {
         let n = self.node();
-        (!n.wildcard).then(|| self.span(n.name, n.name_len))
-    }
-
-    /// Does this node's name test accept element name `name`?
-    pub fn accepts(&self, name: &str) -> bool {
-        self.name().is_none_or(|n| n == name)
+        self.span(n.name, n.name_len)
     }
 
     /// The comparison constraining the matched element's text, if any.
@@ -256,11 +205,6 @@ impl<'a> NodeRef<'a> {
         })
     }
 
-    /// All strict descendants of this node, pre-order.
-    pub(crate) fn descendants(self) -> impl Iterator<Item = NodeRef<'a>> {
-        (self.index + 1..self.node().end as usize).map(move |index| NodeRef { index, ..self })
-    }
-
     /// True when the node constrains nothing below itself: a pure
     /// name/value leaf.
     pub fn is_leaf(&self) -> bool {
@@ -277,7 +221,6 @@ impl<'a> NodeRef<'a> {
 impl fmt::Debug for NodeRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeRef")
-            .field("axis", &self.axis())
             .field("name", &self.name())
             .field("comparison", &self.comparison())
             .field("children", &self.children().count())
@@ -287,9 +230,8 @@ impl fmt::Debug for NodeRef<'_> {
 
 impl Ord for NodeRef<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        let name = |n: &Self| (n.name().is_none(), n.name());
-        (self.axis(), name(self), self.comparison())
-            .cmp(&(other.axis(), name(other), other.comparison()))
+        (self.name(), self.comparison())
+            .cmp(&(other.name(), other.comparison()))
             .then_with(|| self.children().cmp(other.children()))
     }
 }
@@ -325,9 +267,8 @@ const NO_SKIP: usize = usize::MAX;
 impl Frozen {
     /// Renders the subtree of `node`, minus the subtree rooted at index
     /// `skip`, in canonical syntax, laying its nodes out as it goes.
-    /// `relative` suppresses the leading axis token of the first step
-    /// inside a predicate (`[author[...]]`, not `[/author[...]]`); a
-    /// descendant first step keeps its `//`.
+    /// `relative` suppresses the `/` of the first step inside a predicate
+    /// (`[author[...]]`, not `[/author[...]]`).
     fn emit(&mut self, node: NodeRef<'_>, skip: usize, relative: bool) {
         debug_assert!(
             node.children()
@@ -336,21 +277,12 @@ impl Frozen {
             "siblings must be strictly ascending"
         );
         let n = *node.node();
-        if !(relative && n.axis == Axis::Child) {
-            self.canon.push_str(match n.axis {
-                Axis::Child => "/",
-                Axis::Descendant => "//",
-            });
+        if !relative {
+            self.canon.push('/');
         }
         let at = self.nodes.len();
         self.nodes.push(n);
-        let (name, name_len) = match node.name() {
-            Some(name) => self.token(name, at, false),
-            None => {
-                self.canon.push('*');
-                (0, 0)
-            }
-        };
+        let (name, name_len) = self.token(node.name(), at, false);
         // A single comparison-free child continues the path; anything else
         // renders as sorted predicates. This reproduces the paper's style:
         // chains print as `/article/author/last/Smith`, branches as
@@ -452,17 +384,14 @@ fn render(root: NodeRef<'_>, skip: usize, out: &mut Frozen) -> Query {
 /// draft's own text: the renderer's input.
 fn stage(draft: &Draft, id: NodeId, nodes: &mut Vec<Node>) {
     let n = draft.node(id);
-    let (name, name_len) = n.name.map_or((0, 0), |s| (s.start, s.len));
     let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
     let at = nodes.len();
     nodes.push(Node {
-        name,
-        name_len,
+        name: n.name.start,
+        name_len: n.name.len,
         value,
         value_len,
         end: 0,
-        axis: n.axis,
-        wildcard: n.name.is_none(),
         op: n.comparison.map(|(op, _)| op),
     });
     for child in draft.children(id) {
@@ -629,9 +558,8 @@ impl Query {
         }
     }
 
-    /// The root element name this query requires, if it names one
-    /// (`None` for a wildcard root).
-    pub fn root_name(&self) -> Option<&str> {
+    /// The root element name this query requires.
+    pub fn root_name(&self) -> &str {
         self.root().name()
     }
 
@@ -709,13 +637,13 @@ mod tests {
         Query::from_draft(&mut draft).expect("test trees are shallow")
     }
 
-    /// A child-axis node named `name` under `parent`.
+    /// A node named `name` under `parent`.
     fn node(d: &mut Draft, parent: Option<NodeId>, name: &str) -> NodeId {
         let name = d.push_text(name);
-        d.add(parent, Axis::Child, Some(name))
+        d.add(parent, name)
     }
 
-    /// A path of child-axis nodes under `parent`; returns the last.
+    /// A path of nodes under `parent`; returns the last.
     fn chain(d: &mut Draft, parent: Option<NodeId>, names: &[&str]) -> NodeId {
         names
             .iter()
@@ -725,13 +653,17 @@ mod tests {
 
     #[test]
     fn cmp_op_numeric_and_lexicographic() {
-        assert!(CmpOp::Lt.eval("9", "10")); // numeric
         assert!(CmpOp::Eq.eval("0100", "100")); // numeric equality
-        assert!(CmpOp::Lt.eval("apple", "banana")); // lexicographic
-        assert!(CmpOp::Ge.eval("1996", "1996"));
-        assert!(CmpOp::Ne.eval("a", "b"));
-        assert!(!CmpOp::Gt.eval("5", "5"));
-        assert!(CmpOp::Le.eval("5", "5"));
+        assert!(CmpOp::Eq.eval(" 1996", "1996.0"));
+        assert!(!CmpOp::Eq.eval("NaN", "NaN"));
+        assert!(CmpOp::Eq.eval("apple", "apple")); // string equality
+        assert!(!CmpOp::Eq.eval("apple", "Apple"));
+        assert!(!CmpOp::Eq.eval("0100", "x100"));
+        // `^=` and `*=` read the raw strings, numbers included.
+        assert!(CmpOp::StartsWith.eval("1996", "19"));
+        assert!(!CmpOp::StartsWith.eval("0100", "1"));
+        assert!(CmpOp::Contains.eval("Adaptive Routing", "Rout"));
+        assert!(!CmpOp::Contains.eval("Routing", "routing"));
     }
 
     #[test]
@@ -804,6 +736,12 @@ mod tests {
             chain(d, None, &["t", "say \"hi\" \\ bye"]);
         });
         assert_eq!(q.to_string(), r#"/t/"say \"hi\" \\ bye""#);
+        // `*` is no bare character, so a name `*` is quoted like any
+        // other punctuation.
+        let star = frozen(|d| {
+            chain(d, None, &["a", "*"]);
+        });
+        assert_eq!(star.to_string(), r#"/a/"*""#);
     }
 
     #[test]
@@ -811,9 +749,9 @@ mod tests {
         let q = frozen(|d| {
             let year = chain(d, None, &["article", "year"]);
             let value = d.push_text("1990");
-            d.set_comparison(year, CmpOp::Ge, value);
+            d.set_comparison(year, CmpOp::StartsWith, value);
         });
-        assert_eq!(q.to_string(), "/article[year>=1990]");
+        assert_eq!(q.to_string(), "/article[year^=1990]");
     }
 
     #[test]
@@ -821,28 +759,9 @@ mod tests {
         let q = frozen(|d| {
             let year = chain(d, None, &["article", "year"]);
             let value = d.push_text("2000");
-            d.set_comparison(year, CmpOp::Lt, value);
+            d.set_comparison(year, CmpOp::Eq, value);
         });
-        assert!(q.to_string().contains('['));
-    }
-
-    #[test]
-    fn descendant_axis_renders_double_slash() {
-        let q = frozen(|d| {
-            let article = node(d, None, "article");
-            let smith = d.push_text("Smith");
-            d.add(Some(article), Axis::Descendant, Some(smith));
-        });
-        assert_eq!(q.to_string(), "/article//Smith");
-    }
-
-    #[test]
-    fn wildcard_renders_star() {
-        let q = frozen(|d| {
-            let any = d.add(None, Axis::Child, None);
-            node(d, Some(any), "title");
-        });
-        assert_eq!(q.to_string(), "/*/title");
+        assert_eq!(q.to_string(), "/article[year=2000]");
     }
 
     #[test]
@@ -884,24 +803,8 @@ mod tests {
         let q = frozen(|d| {
             node(d, None, "article");
         });
-        assert_eq!(q.root_name(), Some("article"));
-        let w = frozen(|d| {
-            d.add(None, Axis::Child, None);
-        });
-        assert_eq!(w.root_name(), None);
-    }
-
-    #[test]
-    fn name_test_accepts() {
-        let wildcard = frozen(|d| {
-            d.add(None, Axis::Child, None);
-        });
-        assert!(wildcard.root().accepts("anything"));
-        let a = frozen(|d| {
-            node(d, None, "a");
-        });
-        assert!(a.root().accepts("a"));
-        assert!(!a.root().accepts("b"));
+        assert_eq!(q.root_name(), "article");
+        assert_eq!(q.root().name(), "article");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
-use crate::ast::{Axis, CmpOp, Query, TooDeep, MAX_DEPTH};
+use crate::ast::{CmpOp, Query, TooDeep, MAX_DEPTH};
 use crate::draft::{Draft, NodeId};
 
 /// A new builder's room: enough for the index queries a scheme makes
@@ -41,11 +41,11 @@ const TEXT: usize = 128;
 /// let q = QueryBuilder::new("article")
 ///     .value("author/first", "John")
 ///     .value("author/last", "Smith")
-///     .compare("year", CmpOp::Ge, "1990")
+///     .compare("title", CmpOp::StartsWith, "TC")
 ///     .build();
 /// assert_eq!(
 ///     q.to_string(),
-///     "/article[author[first/John][last/Smith]][year>=1990]"
+///     "/article[author[first/John][last/Smith]][title^=TC]"
 /// );
 /// ```
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ impl QueryBuilder {
         let root = root.as_ref();
         let mut draft = Draft::with_capacity(NODES, TEXT + root.len());
         let name = draft.push_text(root);
-        draft.add(None, Axis::Child, Some(name));
+        draft.add(None, name);
         QueryBuilder {
             draft,
             depth: 1,
@@ -79,7 +79,7 @@ impl QueryBuilder {
     pub fn value(mut self, path: &str, value: impl AsRef<str>) -> QueryBuilder {
         if let Some(node) = self.descend(path, 1) {
             let value = self.draft.push_text(value.as_ref());
-            self.draft.add(Some(node), Axis::Child, Some(value));
+            self.draft.add(Some(node), value);
         }
         self
     }
@@ -92,7 +92,7 @@ impl QueryBuilder {
     }
 
     /// Constrains the text of the element at `path` with `op value`
-    /// (`[year>=1990]` style).
+    /// (`[title^=TC]` style).
     #[must_use]
     pub fn compare(mut self, path: &str, op: CmpOp, value: impl AsRef<str>) -> QueryBuilder {
         if let Some(node) = self.descend(path, 0) {
@@ -148,7 +148,7 @@ impl QueryBuilder {
                 Some(existing) => existing,
                 None => {
                     let name = self.draft.push_text(step);
-                    self.draft.add(Some(node), Axis::Child, Some(name))
+                    self.draft.add(Some(node), name)
                 }
             };
         }
@@ -220,10 +220,10 @@ fn write_element(
         return Err(TooDeep);
     }
     let name = draft.push_text(e.name());
-    let node = draft.add(parent, Axis::Child, Some(name));
+    let node = draft.add(parent, name);
     if !text.is_empty() {
         let value = draft.push_text(&text);
-        draft.add(Some(node), Axis::Child, Some(value));
+        draft.add(Some(node), value);
     }
     for child in e.child_elements() {
         write_element(draft, child, Some(node), room - 1)?;
@@ -255,9 +255,9 @@ mod tests {
     fn builder_exists_and_compare() {
         let q = QueryBuilder::new("article")
             .exists("title")
-            .compare("year", CmpOp::Lt, "2000")
+            .compare("year", CmpOp::Eq, "2000")
             .build();
-        assert_eq!(q.to_string(), "/article[title][year<2000]");
+        assert_eq!(q.to_string(), "/article[title][year=2000]");
     }
 
     #[test]
@@ -309,7 +309,8 @@ mod tests {
             "/article/author/last/Smith",
             "/article/conf/INFOCOM",
             "/article[author[first/John][last/Smith]][conf/INFOCOM]",
-            "/article[year>=1990]",
+            "/article[year=1996]",
+            "/article[title^=IP]",
         ] {
             assert!(parse_query(broad).unwrap().covers(&msd), "{broad}");
         }

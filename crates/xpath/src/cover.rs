@@ -10,32 +10,40 @@
 //! # Algorithm and exactness
 //!
 //! Containment is decided with the canonical *homomorphism* check: `q'`'s
-//! pattern tree must embed into `q`'s, mapping child edges to child edges,
-//! descendant edges to arbitrary strict-descendant positions, name tests to
-//! compatible tests, and comparisons to implied constraints.
+//! pattern tree must embed into `q`'s, mapping each node to a child of the
+//! image of its parent with the same name, and each comparison to a
+//! constraint on the image's text that implies it.
 //!
-//! For the fragment XP{/,[]} (child axis and predicates only — everything
-//! the built-in index schemes generate), the homomorphism condition is
-//! **exact**. With wildcard `*` and descendant `//` in the picture general
-//! containment is coNP-complete (Miklau & Suciu), and the homomorphism
-//! check is **sound but not complete**: `covers` never answers `true`
-//! incorrectly, but may answer `false` for exotic `*`/`//` combinations.
-//! A sound-only check preserves every safety property the paper relies on.
+//! The language is XP{/,[]} — child steps and predicates — plus value
+//! leaves and the comparisons `=`, `^=` and `*=`. For XP{/,[]} the
+//! homomorphism check is **exact** (Miklau & Suciu): `covers` answers
+//! `true` exactly when every descriptor matching `q` matches `q'`. The
+//! comparisons keep it exact, because a node constrains its text with at
+//! most one comparison plus value leaves that pin it, and each of those
+//! decides on its own whether it implies the general comparison.
 //!
 //! One schema assumption is baked in (documented on [`Query::covers`]):
 //! element *names* and leaf *values* are assumed not to collide, which
 //! holds for every descriptor vocabulary in this repository.
+//!
+//! Three corners fall outside that statement, none of which an index
+//! scheme or workload here builds: a specific query no descriptor can
+//! match (`/a/y[1][2]`), which every query covers but `covers` may deny;
+//! an empty prefix or substring (`[y^=""]`), which any `y` satisfies but
+//! only a constraint on `y`'s text implies here; and a numeric `=`
+//! (`[y=0100]`), which matches every spelling of the number but is read
+//! as pinning the text to the one written, so `/a/y/100 ⊒ /a[y=0100]`
+//! although `<a><y>100.0</y></a>` matches only the right-hand side.
 
-use crate::ast::{Axis, CmpOp, Comparison, NodeRef, Query};
+use crate::ast::{CmpOp, Comparison, NodeRef, Query};
 
 impl Query {
     /// Does `self` cover `other` — i.e. does every descriptor matching
     /// `other` also match `self`?
     ///
-    /// The check is exact for queries without `*`/`//` (all index schemes
-    /// in this repo), and sound (never falsely `true`) in general; see the
-    /// [module docs](self) for details. It assumes element names and leaf
-    /// values do not collide in the descriptor vocabulary.
+    /// The check is exact (see the [module docs](self) for three corners
+    /// no scheme builds) under one schema assumption: element names and
+    /// leaf values do not collide in the descriptor vocabulary.
     ///
     /// It walks both frozen queries in place and allocates nothing.
     ///
@@ -51,11 +59,7 @@ impl Query {
     /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
     /// ```
     pub fn covers(&self, other: &Query) -> bool {
-        let (g, s) = (self.root(), other.root());
-        match g.axis() {
-            Axis::Child => s.axis() == Axis::Child && contains(g, s),
-            Axis::Descendant => self_and_descendants(s).any(|n| contains(g, n)),
-        }
+        contains(self.root(), other.root())
     }
 
     /// `self ⊒ other && self != other` (strict covering).
@@ -64,49 +68,19 @@ impl Query {
     }
 }
 
-fn self_and_descendants(n: NodeRef<'_>) -> impl Iterator<Item = NodeRef<'_>> {
-    std::iter::once(n).chain(n.descendants())
-}
-
 /// Can general pattern node `g` be mapped onto specific node `s`?
 fn contains(g: NodeRef<'_>, s: NodeRef<'_>) -> bool {
-    // Name test: wildcard accepts anything; a concrete name requires the
-    // same concrete name (a wildcard in the *specific* query guarantees
-    // nothing about the actual element name).
-    match (g.name(), s.name()) {
-        (None, _) => {}
-        (Some(gn), Some(sn)) if gn == sn => {}
-        _ => return false,
-    }
-    if let Some(gc) = g.comparison() {
-        if !comparison_implied(gc, s) {
-            return false;
-        }
-    }
-    g.children().all(|gc| child_mapped(gc, s))
+    g.name() == s.name()
+        && g.comparison().is_none_or(|gc| comparison_implied(gc, s))
+        && g.children().all(|gc| child_mapped(gc, s))
 }
 
 /// Can the general child constraint `gc` be satisfied under specific node `s`?
 fn child_mapped(gc: NodeRef<'_>, s: NodeRef<'_>) -> bool {
-    let mapped = match gc.axis() {
-        Axis::Child => s
-            .children()
-            .any(|t| t.axis() == Axis::Child && contains(gc, t)),
-        Axis::Descendant => s.descendants().any(|t| contains(gc, t)),
-    };
-    if mapped {
-        return true;
-    }
     // A general value-leaf (`[title/TCP]` style) is also implied by an
     // equality comparison on the corresponding node (`[title="TCP"]`):
     // text equal to the value means the value node exists.
-    match gc.name() {
-        Some(v) if gc.is_leaf() => match gc.axis() {
-            Axis::Child => equality_implies(s, v),
-            Axis::Descendant => self_and_descendants(s).any(|n| equality_implies(n, v)),
-        },
-        _ => false,
-    }
+    s.children().any(|t| contains(gc, t)) || (gc.is_leaf() && equality_implies(s, gc.name()))
 }
 
 /// Does node `s` carry an `= v` constraint on its own text?
@@ -123,11 +97,10 @@ fn equality_implies(s: NodeRef<'_>, v: &str) -> bool {
 fn comparison_implied(gc: Comparison<'_>, s: NodeRef<'_>) -> bool {
     let pinned = s
         .children()
-        .filter(|child| child.axis() == Axis::Child && child.is_leaf())
-        .filter_map(|leaf| leaf.name())
-        .map(|value| Comparison {
+        .filter(|child| child.is_leaf())
+        .map(|leaf| Comparison {
             op: CmpOp::Eq,
-            value,
+            value: leaf.name(),
         });
     s.comparison()
         .into_iter()
@@ -140,51 +113,21 @@ fn comparison_implies(spec: Comparison<'_>, gen: Comparison<'_>) -> bool {
     if spec == gen {
         return true;
     }
-    // Equality pins the value: just evaluate the general constraint on it.
-    if spec.op == CmpOp::Eq {
-        return gen.op.eval(spec.value, gen.value);
-    }
-    // Prefix reasoning: text starting with q also starts with every prefix
-    // of q, contains every substring of q, and cannot equal any value that
-    // does not extend q.
-    if spec.op == CmpOp::StartsWith {
-        return match gen.op {
+    match spec.op {
+        // Equality pins the value: just evaluate the general constraint on
+        // it.
+        CmpOp::Eq => gen.op.eval(spec.value, gen.value),
+        // Text starting with p also starts with every prefix of p and
+        // contains every substring of p, but need not equal any one
+        // value.
+        CmpOp::StartsWith => match gen.op {
             CmpOp::StartsWith => spec.value.starts_with(gen.value),
             CmpOp::Contains => spec.value.contains(gen.value),
-            CmpOp::Ne => !gen.value.starts_with(spec.value),
-            _ => false,
-        };
-    }
-    // Substring reasoning: text containing w also contains every substring
-    // of w.
-    if spec.op == CmpOp::Contains {
-        return gen.op == CmpOp::Contains && spec.value.contains(gen.value);
-    }
-    if matches!(gen.op, CmpOp::StartsWith | CmpOp::Contains) {
-        // Only equality or a stronger string constraint (handled above)
-        // can imply these; numeric ranges cannot.
-        return false;
-    }
-    // Interval reasoning needs a total order; restrict to numerics, where
-    // the runtime comparison semantics are guaranteed numeric too.
-    let (Ok(s), Ok(g)) = (
-        spec.value.trim().parse::<f64>(),
-        gen.value.trim().parse::<f64>(),
-    ) else {
-        return false;
-    };
-    use CmpOp::*;
-    match (spec.op, gen.op) {
-        (Ge, Ge) | (Gt, Ge) | (Gt, Gt) => s >= g,
-        (Ge, Gt) => s > g,
-        (Le, Le) | (Lt, Le) | (Lt, Lt) => s <= g,
-        (Le, Lt) => s < g,
-        (Gt, Ne) => s >= g,
-        (Ge, Ne) => s > g,
-        (Lt, Ne) => s <= g,
-        (Le, Ne) => s < g,
-        (Ne, Ne) => s == g,
-        _ => false,
+            CmpOp::Eq => false,
+        },
+        // Text containing w also contains every substring of w, and that
+        // is all it promises.
+        CmpOp::Contains => gen.op == CmpOp::Contains && spec.value.contains(gen.value),
     }
 }
 
@@ -258,49 +201,25 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_covers_concrete_names() {
-        assert!(q("/*/title/TCP").covers(&q("/article/title/TCP")));
-        assert!(q("/article/*/Smith").covers(&q("/article/last/Smith")));
-        // ...but a concrete name does not cover a wildcard.
-        assert!(!q("/article/title/TCP").covers(&q("/*/title/TCP")));
-    }
-
-    #[test]
-    fn descendant_covers_deeper_paths() {
-        assert!(q("//Smith").covers(&q("/article/author/last/Smith")));
-        assert!(q("/article//Smith").covers(&q("/article/author/last/Smith")));
-        assert!(q("//last/Smith").covers(&q("/article/author/last/Smith")));
-        // A child-axis path does not cover a descendant query.
-        assert!(!q("/article/author/last/Smith").covers(&q("/article//Smith")));
-    }
-
-    #[test]
-    fn descendant_root_covers_shallow_and_deep() {
-        assert!(q("//article").covers(&q("/article/title/TCP")));
-        assert!(q("//title").covers(&q("/article/title/TCP")));
-    }
-
-    #[test]
     fn comparison_implication_numeric() {
-        assert!(q("/a[y>=1990]").covers(&q("/a[y>=1995]")));
-        assert!(q("/a[y>=1990]").covers(&q("/a[y>1990]")));
-        assert!(q("/a[y>1990]").covers(&q("/a[y>=1991]")));
-        assert!(q("/a[y<=2000]").covers(&q("/a[y<1999]")));
-        assert!(q("/a[y!=5]").covers(&q("/a[y>5]")));
-        assert!(q("/a[y!=5]").covers(&q("/a[y!=5]")));
-        // Not implied:
-        assert!(!q("/a[y>=1995]").covers(&q("/a[y>=1990]")));
-        assert!(!q("/a[y<=1990]").covers(&q("/a[y>=1990]")));
-        assert!(!q("/a[y!=5]").covers(&q("/a[y>=5]")));
+        // `=` between numbers is numeric, both ways.
+        assert!(q("/a[y=1990]").covers(&q("/a[y=01990]")));
+        assert!(q("/a[y=01990]").covers(&q("/a[y=1990.0]")));
+        assert!(!q("/a[y=1990]").covers(&q("/a[y=1995]")));
+        // A prefix or substring of a number is one of its text.
+        assert!(q("/a[y^=19]").covers(&q("/a[y=1990]")));
+        assert!(!q("/a[y^=1990]").covers(&q("/a[y^=19]")));
+        assert!(!q("/a[y=1990]").covers(&q("/a[y^=1990]")));
     }
 
     #[test]
     fn comparison_implied_by_value_leaf() {
-        // The MSD pins year/1996; a range query covering 1996 covers it.
-        assert!(q("/article[year>=1990]").covers(&q("/article/year/1996")));
-        assert!(q("/article[year<=1996]").covers(&q("/article/year/1996")));
-        assert!(q("/article[year!=1989]").covers(&q("/article/year/1996")));
-        assert!(!q("/article[year>=1997]").covers(&q("/article/year/1996")));
+        // The MSD pins year/1996; a comparison 1996 satisfies covers it.
+        assert!(q("/article[year=1996]").covers(&q("/article/year/1996")));
+        assert!(q("/article[year^=199]").covers(&q("/article/year/1996")));
+        assert!(q("/article[year*=99]").covers(&q("/article/year/1996")));
+        assert!(!q("/article[year=1997]").covers(&q("/article/year/1996")));
+        assert!(!q("/article[year^=1997]").covers(&q("/article/year/1996")));
     }
 
     #[test]
@@ -324,12 +243,9 @@ mod tests {
         // Longer prefixes are covered by shorter ones.
         assert!(q("/article[author/last^=S]").covers(&q("/article[author/last^=Smi]")));
         assert!(!q("/article[author/last^=Smi]").covers(&q("/article[author/last^=S]")));
-        // A prefix constraint implies inequality with non-extending values.
-        assert!(q("/article[author/last!=Doe]").covers(&q("/article[author/last^=S]")));
-        assert!(!q("/article[author/last!=Smith]").covers(&q("/article[author/last^=S]")));
-        // Prefix does not imply equality or ranges.
+        // Prefix does not imply equality.
         assert!(!q("/article/author/last/Smith").covers(&q("/article[author/last^=Smith]")));
-        assert!(!q("/article[year>=1990]").covers(&q("/article[year^=19]")));
+        assert!(!q("/article[author/last=Smith]").covers(&q("/article[author/last^=Smith]")));
     }
 
     #[test]
@@ -350,10 +266,13 @@ mod tests {
 
     #[test]
     fn string_comparisons_only_imply_identity() {
-        assert!(q("/a[t>=apple]").covers(&q("/a[t>=apple]")));
-        assert!(!q("/a[t>=apple]").covers(&q("/a[t>=banana]")));
-        // Equality on strings still evaluates.
-        assert!(q("/a[t!=x]").covers(&q("/a[t=y]")));
+        // String equality is implied by the same value only, as a
+        // comparison or as a value leaf.
+        assert!(q("/a[t=apple]").covers(&q("/a[t=apple]")));
+        assert!(q("/a[t=apple]").covers(&q("/a/t/apple")));
+        assert!(!q("/a[t=apple]").covers(&q("/a[t=Apple]")));
+        assert!(!q("/a[t=apple]").covers(&q("/a[t^=apple]")));
+        assert!(!q("/a[t=apple]").covers(&q("/a[t*=apple]")));
     }
 
     #[test]

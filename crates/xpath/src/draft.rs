@@ -15,7 +15,7 @@
 
 use std::cmp::Ordering;
 
-use crate::ast::{offset, Axis, CmpOp, TooDeep};
+use crate::ast::{offset, CmpOp, TooDeep};
 
 /// Index of a node in its draft.
 pub(crate) type NodeId = u32;
@@ -33,10 +33,8 @@ pub(crate) struct Span {
 /// One node of a draft.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DraftNode {
-    pub(crate) axis: Axis,
-    /// The exact element name — or, for a leaf, the exact text value;
-    /// `None` for the wildcard `*`.
-    pub(crate) name: Option<Span>,
+    /// The exact element name — or, for a leaf, the exact text value.
+    pub(crate) name: Span,
     /// Constrains the matched element's text: `op value`.
     pub(crate) comparison: Option<(CmpOp, Span)>,
     first_child: NodeId,
@@ -91,10 +89,9 @@ impl Draft {
 
     /// Adds a node with no comparison and no children as the last child of
     /// `parent` (or unattached, for a root).
-    pub(crate) fn add(&mut self, parent: Option<NodeId>, axis: Axis, name: Option<Span>) -> NodeId {
+    pub(crate) fn add(&mut self, parent: Option<NodeId>, name: Span) -> NodeId {
         let id = offset(self.nodes.len());
         self.nodes.push(DraftNode {
-            axis,
             name,
             comparison: None,
             first_child: NONE,
@@ -133,12 +130,11 @@ impl Draft {
         };
         let relink = |id: NodeId| if id == NONE { NONE } else { id + base };
         self.nodes.extend(other.nodes.iter().map(|n| DraftNode {
-            name: n.name.map(shift),
+            name: shift(n.name),
             comparison: n.comparison.map(|(op, value)| (op, shift(value))),
             first_child: relink(n.first_child),
             last_child: relink(n.last_child),
             next_sibling: relink(n.next_sibling),
-            ..*n
         }));
         self.link(parent, base);
     }
@@ -171,13 +167,11 @@ impl Draft {
     }
 
     /// The first child of `id` that is a plain `/name` step a path may
-    /// continue through: child axis, exactly `name`, no comparison.
+    /// continue through: exactly `name`, no comparison.
     pub(crate) fn step(&self, id: NodeId, name: &str) -> Option<NodeId> {
         self.children(id).find(|&c| {
             let n = self.node(c);
-            n.axis == Axis::Child
-                && n.comparison.is_none()
-                && n.name.is_some_and(|s| self.text(s) == name)
+            n.comparison.is_none() && self.text(n.name) == name
         })
     }
 
@@ -217,15 +211,13 @@ impl Draft {
         Ok(())
     }
 
-    /// The normalization order: axis, name (a wildcard after every name),
-    /// comparison, then the children, which must already be sorted.
+    /// The normalization order: name, comparison, then the children,
+    /// which must already be sorted.
     fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
         let key = |id: NodeId| {
             let n = self.node(id);
             (
-                n.axis,
-                n.name.is_none(),
-                n.name.map(|s| self.text(s)),
+                self.text(n.name),
                 n.comparison.map(|(op, value)| (op, self.text(value))),
             )
         };

@@ -3,23 +3,26 @@
 //! An XML document *matches* an XPath expression "when the evaluation of
 //! the expression on the document yields a non-null object" (§III-B). For
 //! tree patterns this becomes an embedding check: every pattern node must
-//! map to an element (or text value) of the document, respecting axes,
-//! name tests, and comparisons.
+//! map to a child element (or the text value) of the element its parent
+//! maps to, with the same name and a text its comparison accepts.
 //!
 //! Value steps follow the paper's simplified syntax: a leaf pattern node
 //! named `TCP` is satisfied either by a child element `<TCP>` or by the
 //! context element's text being exactly `"TCP"` — so
 //! `/article/title/TCP` matches `<article><title>TCP</title></article>`.
+//!
+//! No index path calls this: it is the semantic oracle the tests check
+//! [`Query::covers`] against.
 
 use p2p_index_xmldoc::Element;
 
-use crate::ast::{Axis, NodeRef, Query};
+use crate::ast::{NodeRef, Query};
 
 impl Query {
     /// Evaluates this query against a descriptor's root element.
     ///
-    /// A query without `//` is matched in place: no allocation, as long as
-    /// each element's text is one run (true of every canonical descriptor).
+    /// The query is matched in place: no allocation, as long as each
+    /// element's text is one run (true of every canonical descriptor).
     ///
     /// # Examples
     ///
@@ -29,77 +32,30 @@ impl Query {
     ///
     /// let doc = parse("<article><title>TCP</title><year>1989</year></article>")?;
     /// assert!(parse_query("/article/title/TCP")?.matches(&doc));
-    /// assert!(parse_query("/article[year>=1980]")?.matches(&doc));
+    /// assert!(parse_query("/article[year=1989][title^=TC]")?.matches(&doc));
     /// assert!(!parse_query("/article/title/IPv6")?.matches(&doc));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn matches(&self, doc: &Element) -> bool {
-        let root = self.root();
-        match root.axis() {
-            Axis::Child => node_matches(root, doc),
-            // `//x` from the document node: the root element and all its
-            // descendants are candidates — including, for a pure value
-            // pattern like `//Smith`, any element whose text equals it.
-            Axis::Descendant => {
-                let mut elements = std::iter::once(doc).chain(descendant_elements(doc));
-                match root.name() {
-                    Some(value) if root.is_leaf() => {
-                        elements.any(|e| e.name() == value || e.trimmed_text() == value)
-                    }
-                    _ => elements.any(|e| node_matches(root, e)),
-                }
-            }
-        }
+        node_matches(self.root(), doc)
     }
-}
-
-/// All strict descendant elements of `e`, pre-order.
-fn descendant_elements(e: &Element) -> impl Iterator<Item = &Element> {
-    let mut open = vec![e.child_elements()];
-    std::iter::from_fn(move || loop {
-        match open.last_mut()?.next() {
-            Some(element) => {
-                open.push(element.child_elements());
-                return Some(element);
-            }
-            None => {
-                open.pop();
-            }
-        }
-    })
 }
 
 /// Does element `e` itself satisfy pattern node `p` (name, comparison, and
 /// all child constraints)?
 fn node_matches(p: NodeRef<'_>, e: &Element) -> bool {
-    if !p.accepts(e.name()) {
-        return false;
-    }
-    if let Some(cmp) = p.comparison() {
-        if !cmp.op.eval(&e.trimmed_text(), cmp.value) {
-            return false;
-        }
-    }
-    p.children().all(|c| child_satisfied(c, e))
+    p.name() == e.name()
+        && p.comparison()
+            .is_none_or(|cmp| cmp.op.eval(&e.trimmed_text(), cmp.value))
+        && p.children().all(|c| child_satisfied(c, e))
 }
 
 /// Is the child constraint `c` satisfied at context element `e`?
 fn child_satisfied(c: NodeRef<'_>, e: &Element) -> bool {
-    // Value-node interpretation: a pure leaf with a concrete name may be
-    // satisfied by text content equal to that name.
-    if let (true, Some(value)) = (c.is_leaf(), c.name()) {
-        let text_hit = e.trimmed_text() == value
-            || (c.axis() == Axis::Descendant
-                && descendant_elements(e).any(|d| d.trimmed_text() == value));
-        if text_hit {
-            return true;
-        }
-    }
-    // Element interpretation.
-    match c.axis() {
-        Axis::Child => e.child_elements().any(|child| node_matches(c, child)),
-        Axis::Descendant => descendant_elements(e).any(|d| node_matches(c, d)),
-    }
+    // Value-node interpretation: a pure leaf may be satisfied by text
+    // content equal to its name; else the element interpretation.
+    (c.is_leaf() && e.trimmed_text() == c.name())
+        || e.child_elements().any(|child| node_matches(c, child))
 }
 
 #[cfg(test)]
@@ -175,46 +131,21 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_matches_any_element() {
-        assert!(parse_query("/*/title/TCP").unwrap().matches(&d1()));
-        // `*` matches exactly one level: Smith is text of author's child.
-        assert!(parse_query("/article/author/*/Smith")
+    fn comparisons_on_text() {
+        assert!(parse_query("/article[year=1989]").unwrap().matches(&d1()));
+        assert!(parse_query("/article[year=01989]").unwrap().matches(&d1()));
+        assert!(!parse_query("/article[year=1996]").unwrap().matches(&d1()));
+        assert!(parse_query("/article[size=315635]").unwrap().matches(&d1()));
+        assert!(!parse_query("/article[size=315635]").unwrap().matches(&d3()));
+        // A comparison binds to its element: `author` has no text.
+        assert!(!parse_query("/article[author=Smith]")
             .unwrap()
             .matches(&d1()));
-        assert!(!parse_query("/article/*/Smith").unwrap().matches(&d1()));
-        assert!(!parse_query("/article/*/Nowhere").unwrap().matches(&d1()));
-        // `*` one-level value match: TCP is direct text of title.
-        assert!(parse_query("/article/*/TCP").unwrap().matches(&d1()));
-    }
-
-    #[test]
-    fn descendant_axis_reaches_deep_values() {
-        assert!(parse_query("//Smith").unwrap().matches(&d1()));
-        assert!(parse_query("/article//Smith").unwrap().matches(&d1()));
-        assert!(parse_query("//last/Smith").unwrap().matches(&d1()));
-        assert!(!parse_query("//Nobody").unwrap().matches(&d1()));
-        assert!(parse_query("//title").unwrap().matches(&d1()));
-    }
-
-    #[test]
-    fn descendant_root_matches_root_element_itself() {
-        assert!(parse_query("//article").unwrap().matches(&d1()));
-    }
-
-    #[test]
-    fn comparisons_on_text() {
-        assert!(parse_query("/article[year>=1989]").unwrap().matches(&d1()));
-        assert!(parse_query("/article[year<=1989]").unwrap().matches(&d1()));
-        assert!(!parse_query("/article[year>1989]").unwrap().matches(&d1()));
-        assert!(parse_query("/article[year!=1996]").unwrap().matches(&d1()));
-        assert!(parse_query("/article[year=1989]").unwrap().matches(&d1()));
-        assert!(parse_query("/article[size>300000]").unwrap().matches(&d1()));
-        assert!(!parse_query("/article[size>300000]").unwrap().matches(&d3()));
     }
 
     #[test]
     fn multiple_predicates_are_conjunctive() {
-        let q = parse_query("/article[year>=1990][conf/INFOCOM]").unwrap();
+        let q = parse_query("/article[year=1996][conf/INFOCOM]").unwrap();
         assert!(!q.matches(&d1()));
         assert!(q.matches(&d2()));
     }
@@ -296,8 +227,6 @@ mod tests {
     fn comparison_with_string_values() {
         let doc = parse("<article><conf>INFOCOM</conf></article>").unwrap();
         assert!(parse_query("/article[conf=INFOCOM]").unwrap().matches(&doc));
-        assert!(parse_query("/article[conf!=SIGCOMM]")
-            .unwrap()
-            .matches(&doc));
+        assert!(!parse_query("/article[conf=SIGCOMM]").unwrap().matches(&doc));
     }
 }

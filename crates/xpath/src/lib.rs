@@ -3,15 +3,19 @@
 //! Users locate files with *queries* — expressions in "a subset of the
 //! XPath XML addressing language, which offers a good compromise between
 //! expressiveness and simplicity" (§III-B of *Data Indexing in Peer-to-Peer
-//! DHT Networks*). This crate provides the full query toolchain:
+//! DHT Networks*). The subset is the paper's: child steps and predicates,
+//! XP{/,[]}, with value leaves (`/article/title/TCP`) and the comparisons
+//! the index schemes emit, `=`, `^=` and `*=`. This crate provides the
+//! full query toolchain:
 //!
 //! * [`ast`] — normalized tree patterns ([`Query`]), frozen into one node
 //!   array and one text buffer whose head, the canonical `Display` text, is
 //!   the hash input `h(q)`; [`NodeRef`] is the borrowed view of one node;
 //! * [`parse`](mod@parse) — the surface-syntax parser ([`parse_query`]);
-//! * [`eval`] — matching queries against descriptors ([`Query::matches`]);
+//! * [`eval`] — matching queries against descriptors ([`Query::matches`]),
+//!   the semantics `covers` is tested against;
 //! * [`cover`] — the covering relation `⊒` ([`Query::covers`]), the partial
-//!   order that index paths traverse;
+//!   order that index paths traverse, exact on this language;
 //! * [`builder`] — programmatic construction ([`QueryBuilder`]) and MSD
 //!   derivation ([`Query::most_specific`]).
 //!
@@ -42,6 +46,6 @@ mod draft;
 pub mod eval;
 pub mod parse;
 
-pub use ast::{Axis, CmpOp, Comparison, NodeRef, Query, TooDeep, MAX_DEPTH};
+pub use ast::{CmpOp, Comparison, NodeRef, Query, TooDeep, MAX_DEPTH};
 pub use builder::QueryBuilder;
 pub use parse::{parse_query, ParseQueryError, QueryErrorKind};

@@ -1,27 +1,30 @@
 //! Parser for the query surface syntax.
 //!
-//! The grammar covers the paper's XPath subset:
+//! The grammar is the paper's XPath subset — child steps and predicates,
+//! XP{/,[]}, plus the comparisons the index schemes emit:
 //!
 //! ```text
-//! query      := axis step (axis step)* comparison?
-//! axis       := '//' | '/'
-//! step       := nametest predicate*
-//! nametest   := '*' | NAME | QUOTED
+//! query      := '/' relpath
+//! relpath    := step ('/' step)* comparison?
+//! step       := name predicate*
 //! predicate  := '[' relpath ']'
-//! relpath    := '//'? step (axis step)* comparison?
-//! comparison := ('=' | '!=' | '<' | '<=' | '>' | '>=' | '^=' | '*=') (NAME | QUOTED)
+//! comparison := ('=' | '^=' | '*=') name
+//! name       := NAME | QUOTED
 //! ```
 //!
 //! Bare `NAME` tokens may contain alphanumerics and `- _ . : , & + '`;
-//! anything else (spaces in titles, operators, brackets) must be quoted:
-//! `"A Space Odyssey"`, with `\"` and `\\` escapes. A comparison binds to
-//! the last step of its path: `[author/year>=1990]` constrains `year`.
+//! anything else (spaces in titles, operators, brackets, `*`) must be
+//! quoted: `"A Space Odyssey"`, with `\"` and `\\` escapes. A comparison
+//! binds to the last step of its path: `[author/last^=S]` constrains
+//! `last`. Anything else is an error with an offset: `*` (but in `*=`),
+//! `!`, `<` and `>` are no tokens, so there is no wildcard and no ordering
+//! comparison, and in `//` the second `/` stands where a name must.
 
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::ast::{Axis, CmpOp, Query, MAX_DEPTH};
+use crate::ast::{CmpOp, Query, MAX_DEPTH};
 use crate::draft::{Draft, NodeId, Span};
 
 /// Why query parsing failed.
@@ -33,7 +36,7 @@ pub enum QueryErrorKind {
     UnexpectedToken(String),
     /// A quoted string was not terminated.
     UnterminatedString,
-    /// The query did not start with `/` or `//`.
+    /// The query did not start with `/`.
     MissingLeadingSlash,
     /// Extra input after a complete query.
     TrailingInput(String),
@@ -56,7 +59,7 @@ impl fmt::Display for ParseQueryError {
             QueryErrorKind::UnexpectedEnd => "unexpected end of query".to_string(),
             QueryErrorKind::UnexpectedToken(t) => format!("unexpected token {t:?}"),
             QueryErrorKind::UnterminatedString => "unterminated quoted string".to_string(),
-            QueryErrorKind::MissingLeadingSlash => "query must start with / or //".to_string(),
+            QueryErrorKind::MissingLeadingSlash => "query must start with /".to_string(),
             QueryErrorKind::TrailingInput(t) => format!("trailing input {t:?}"),
             QueryErrorKind::TooDeep => format!("steps nest deeper than {MAX_DEPTH} levels"),
         };
@@ -69,10 +72,8 @@ impl Error for ParseQueryError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Token<'a> {
     Slash,
-    DoubleSlash,
     LBracket,
     RBracket,
-    Star,
     Op(CmpOp),
     /// A bare name/value, or what a quoted one holds between its quotes
     /// (escapes and all), borrowed from the input.
@@ -83,10 +84,8 @@ impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Slash => "/".into(),
-            Token::DoubleSlash => "//".into(),
             Token::LBracket => "[".into(),
             Token::RBracket => "]".into(),
-            Token::Star => "*".into(),
             Token::Op(op) => op.symbol().into(),
             Token::Name(raw) => {
                 let mut name = String::new();
@@ -117,7 +116,8 @@ fn write_name(raw: &str, out: &mut String) {
     }
 }
 
-fn is_bare_char(c: char) -> bool {
+/// The characters of a bare `NAME` token.
+pub(crate) fn is_bare_char(c: char) -> bool {
     c.is_alphanumeric() || matches!(c, '-' | '_' | '.' | ':' | ',' | '&' | '+' | '\'')
 }
 
@@ -142,40 +142,24 @@ fn quoted_len(body: &str) -> Option<usize> {
 struct Lexer<'a> {
     input: &'a str,
     pos: usize,
-    /// The last token was `/`, `//` or `[`: a step starts here.
-    starts_step: bool,
 }
 
 impl<'a> Lexer<'a> {
     fn new(input: &'a str) -> Lexer<'a> {
-        Lexer {
-            input,
-            pos: 0,
-            starts_step: false,
-        }
+        Lexer { input, pos: 0 }
     }
 
-    fn token(&self, rest: &'a str) -> Result<(Token<'a>, usize), QueryErrorKind> {
+    fn token(rest: &'a str) -> Result<(Token<'a>, usize), QueryErrorKind> {
         let mut chars = rest.chars();
         let c = chars.next().expect("called on a non-empty rest");
         let equals = chars.next() == Some('=');
         Ok(match c {
-            '/' if rest.starts_with("//") => (Token::DoubleSlash, 2),
             '/' => (Token::Slash, 1),
             '[' => (Token::LBracket, 1),
             ']' => (Token::RBracket, 1),
-            // Where a step must start, `*` is the wildcard even in front
-            // of `=`: `[*=5]` is what a wildcard compared for equality
-            // prints as, and canonical text must parse back.
-            '*' if equals && !self.starts_step => (Token::Op(CmpOp::Contains), 2),
-            '*' => (Token::Star, 1),
             '=' => (Token::Op(CmpOp::Eq), 1),
             '^' if equals => (Token::Op(CmpOp::StartsWith), 2),
-            '!' if equals => (Token::Op(CmpOp::Ne), 2),
-            '<' if equals => (Token::Op(CmpOp::Le), 2),
-            '<' => (Token::Op(CmpOp::Lt), 1),
-            '>' if equals => (Token::Op(CmpOp::Ge), 2),
-            '>' => (Token::Op(CmpOp::Gt), 1),
+            '*' if equals => (Token::Op(CmpOp::Contains), 2),
             '"' => {
                 let len = quoted_len(&rest[1..]).ok_or(QueryErrorKind::UnterminatedString)?;
                 (Token::Name(&rest[1..1 + len]), len + 2)
@@ -199,11 +183,9 @@ impl<'a> Iterator for Lexer<'a> {
             return None;
         }
         let offset = self.input.len() - rest.len();
-        match self.token(rest) {
+        match Lexer::token(rest) {
             Ok((token, len)) => {
                 self.pos = offset + len;
-                self.starts_step =
-                    matches!(token, Token::Slash | Token::DoubleSlash | Token::LBracket);
                 Some(Ok((token, offset)))
             }
             Err(kind) => {
@@ -264,47 +246,34 @@ impl<'a> QueryParser<'a> {
         }
     }
 
-    /// A name test's name, written into the draft; `None` for `*`.
-    fn parse_name_test(&mut self, draft: &mut Draft) -> Result<Option<Span>, ParseQueryError> {
-        match self.peek() {
-            Some(Token::Star) => {
-                self.bump();
-                Ok(None)
-            }
-            Some(Token::Name(raw)) => {
-                self.bump();
-                Ok(Some(draft.push_with(|text| write_name(raw, text))))
-            }
-            _ => Err(self.err_here()),
-        }
+    /// A name or value token, written into the draft.
+    fn parse_name(&mut self, draft: &mut Draft) -> Result<Span, ParseQueryError> {
+        let Some(Token::Name(raw)) = self.peek() else {
+            return Err(self.err_here());
+        };
+        self.bump();
+        Ok(draft.push_with(|text| write_name(raw, text)))
     }
 
-    /// Parses `step (axis step)* comparison?` into the draft, the head
+    /// Parses `step ('/' step)* comparison?` into the draft, the head
     /// under `parent` and the rest of the chain nested inside it. `room`
     /// is how many levels, the head's included, may still nest.
     fn parse_steps(
         &mut self,
         draft: &mut Draft,
         parent: Option<NodeId>,
-        axis: Axis,
         room: usize,
     ) -> Result<(), ParseQueryError> {
         if room == 0 {
             return Err(self.err(QueryErrorKind::TooDeep));
         }
-        let name = self.parse_name_test(draft)?;
-        let node = draft.add(parent, axis, name);
+        let name = self.parse_name(draft)?;
+        let node = draft.add(parent, name);
 
         // Predicates.
         while self.peek() == Some(Token::LBracket) {
             self.bump();
-            let inner_axis = if self.peek() == Some(Token::DoubleSlash) {
-                self.bump();
-                Axis::Descendant
-            } else {
-                Axis::Child
-            };
-            self.parse_steps(draft, Some(node), inner_axis, room - 1)?;
+            self.parse_steps(draft, Some(node), room - 1)?;
             if self.peek() != Some(Token::RBracket) {
                 return Err(self.err_here());
             }
@@ -315,19 +284,11 @@ impl<'a> QueryParser<'a> {
         match self.peek() {
             Some(Token::Slash) => {
                 self.bump();
-                self.parse_steps(draft, Some(node), Axis::Child, room - 1)?;
-            }
-            Some(Token::DoubleSlash) => {
-                self.bump();
-                self.parse_steps(draft, Some(node), Axis::Descendant, room - 1)?;
+                self.parse_steps(draft, Some(node), room - 1)?;
             }
             Some(Token::Op(op)) => {
                 self.bump();
-                let Some(Token::Name(raw)) = self.peek() else {
-                    return Err(self.err_here());
-                };
-                self.bump();
-                let value = draft.push_with(|text| write_name(raw, text));
+                let value = self.parse_name(draft)?;
                 draft.set_comparison(node, op, value);
             }
             _ => {}
@@ -348,7 +309,7 @@ impl<'a> QueryParser<'a> {
 /// use p2p_index_xpath::parse_query;
 ///
 /// let q = parse_query("/article[author[first/John][last/Smith]][conf/INFOCOM]")?;
-/// assert_eq!(q.root_name(), Some("article"));
+/// assert_eq!(q.root_name(), "article");
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
@@ -358,18 +319,14 @@ pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
         token?;
     }
     let mut p = QueryParser::new(input);
-    let axis = match p.bump() {
-        Some(Token::Slash) => Axis::Child,
-        Some(Token::DoubleSlash) => Axis::Descendant,
-        _ => {
-            return Err(ParseQueryError {
-                kind: QueryErrorKind::MissingLeadingSlash,
-                offset: 0,
-            })
-        }
-    };
+    if p.bump() != Some(Token::Slash) {
+        return Err(ParseQueryError {
+            kind: QueryErrorKind::MissingLeadingSlash,
+            offset: 0,
+        });
+    }
     let parsed = Query::in_scratch(|draft| {
-        p.parse_steps(draft, None, axis, MAX_DEPTH)?;
+        p.parse_steps(draft, None, MAX_DEPTH)?;
         match p.peek() {
             Some(t) => Err(p.err(QueryErrorKind::TrailingInput(t.describe()))),
             None => Ok(()),
@@ -402,7 +359,7 @@ mod tests {
             "/article/author/last/Smith",
         ] {
             let parsed = parse_query(q).unwrap();
-            assert_eq!(parsed.root_name(), Some("article"), "{q}");
+            assert_eq!(parsed.root_name(), "article", "{q}");
         }
     }
 
@@ -411,9 +368,8 @@ mod tests {
         for q in [
             "/article/author/last/Smith",
             "/article[author[first/John][last/Smith]][conf/INFOCOM]",
-            "/article[year>=1990]",
-            "/article//Smith",
-            "/*/title/TCP",
+            "/article[year=1990]",
+            "/article[author/last^=Sm][title*=\"A Space\"]",
             "/article/title/\"A Space Odyssey\"",
         ] {
             let once = parse_query(q).unwrap();
@@ -444,10 +400,10 @@ mod tests {
 
     #[test]
     fn comparisons_parse() {
-        let q = parse_query("/article[year>=1990][year<2000]").unwrap();
+        let q = parse_query("/article[year^=19][year*=9]").unwrap();
         assert_eq!(q.top_branches().count(), 2);
         assert!(q.top_branches().all(|b| b.comparison().is_some()));
-        for op in ["=", "!=", "<", "<=", ">", ">=", "^=", "*="] {
+        for op in ["=", "^=", "*="] {
             let q = parse_query(&format!("/a[y{op}5]")).unwrap();
             let branch = q.top_branches().next().unwrap();
             assert_eq!(branch.comparison().unwrap().op.symbol(), op);
@@ -456,10 +412,10 @@ mod tests {
 
     #[test]
     fn comparison_binds_to_last_step() {
-        let q = parse_query("/article[author/papers>=5]").unwrap();
+        let q = parse_query("/article[author/papers=5]").unwrap();
         let author = q.top_branches().next().unwrap();
         assert!(author.comparison().is_none());
-        assert!(q.to_string().contains("papers>=5"));
+        assert!(q.to_string().contains("papers=5"));
     }
 
     #[test]
@@ -472,12 +428,20 @@ mod tests {
 
     #[test]
     fn descendant_axis() {
-        let q = parse_query("//title").unwrap();
-        assert_eq!(q.root().axis(), Axis::Descendant);
-        let q = parse_query("/article//Smith").unwrap();
-        assert_eq!(q.top_branches().next().unwrap().axis(), Axis::Descendant);
-        let q = parse_query("/article[//Smith]").unwrap();
-        assert_eq!(q.top_branches().next().unwrap().axis(), Axis::Descendant);
+        // No `//` token: the second `/` is where a name must be.
+        for (src, offset) in [
+            ("//title", 1),
+            ("/article//Smith", 9),
+            ("/article[//Smith]", 9),
+        ] {
+            let err = parse_query(src).unwrap_err();
+            assert_eq!(
+                err.kind,
+                QueryErrorKind::UnexpectedToken("/".into()),
+                "{src}"
+            );
+            assert_eq!(err.offset, offset, "{src}");
+        }
     }
 
     #[test]
@@ -501,7 +465,7 @@ mod tests {
 
     #[test]
     fn error_unexpected_end() {
-        for src in ["/", "/a[", "/a[b", "/a/b/", "/a[y>="] {
+        for src in ["/", "/a[", "/a[b", "/a/b/", "/a[y^="] {
             let err = parse_query(src).unwrap_err();
             assert_eq!(err.kind, QueryErrorKind::UnexpectedEnd, "{src}");
         }
@@ -511,8 +475,28 @@ mod tests {
     fn error_unexpected_token() {
         let err = parse_query("/a[]").unwrap_err();
         assert!(matches!(err.kind, QueryErrorKind::UnexpectedToken(_)));
-        let err = parse_query("/a!b").unwrap_err();
-        assert!(matches!(err.kind, QueryErrorKind::UnexpectedToken(_)));
+        // `*`, `!`, `<` and `>` are no tokens: no wildcard, no ordering
+        // comparison. `*=` is always the substring operator, which cannot
+        // start a step.
+        for (src, bad, offset) in [
+            ("/a!b", "!", 2),
+            ("/*/title", "*", 1),
+            ("/article/*", "*", 9),
+            ("/a[*=5]", "*=", 3),
+            ("/a[y!=1]", "!", 4),
+            ("/a[y<1]", "<", 4),
+            ("/a[y<=1]", "<", 4),
+            ("/a[y>1]", ">", 4),
+            ("/a[y>=1]", ">", 4),
+        ] {
+            let err = parse_query(src).unwrap_err();
+            assert_eq!(
+                err.kind,
+                QueryErrorKind::UnexpectedToken(bad.into()),
+                "{src}"
+            );
+            assert_eq!(err.offset, offset, "{src}");
+        }
     }
 
     #[test]
@@ -544,23 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_compared_for_equality_round_trips() {
-        // `* = 5` and `*=5` are the same tokens where a step starts...
-        let spaced = parse_query("/a[* = 5]").unwrap();
-        let branch = spaced.top_branches().next().unwrap();
-        assert_eq!(branch.name(), None);
-        assert_eq!(branch.comparison().unwrap().op, CmpOp::Eq);
-        assert_eq!(spaced.to_string(), "/a[*=5]");
-        assert_eq!(parse_query("/a[*=5]").unwrap(), spaced);
-        // ...and after a name `*=` is still the substring operator.
-        let substring = parse_query("/a[b*=5]").unwrap();
-        let branch = substring.top_branches().next().unwrap();
-        assert_eq!(branch.comparison().unwrap().op, CmpOp::Contains);
-        let both = parse_query("/a/**=5").unwrap();
-        assert_eq!(parse_query(&both.to_string()).unwrap(), both);
-    }
-
-    #[test]
     fn from_str_works() {
         let q: Query = "/article/title/TCP".parse().unwrap();
         assert_eq!(q.to_string(), "/article/title/TCP");
@@ -572,7 +539,7 @@ mod tests {
         let err = parse_query("/a[").unwrap_err();
         assert!(err.to_string().contains("unexpected end"));
         let err = parse_query("no").unwrap_err();
-        assert!(err.to_string().contains("must start"));
+        assert_eq!(err.to_string(), "query must start with / at offset 0");
     }
 
     #[test]

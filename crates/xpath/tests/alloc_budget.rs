@@ -36,11 +36,9 @@ fn covering_allocates_nothing() {
         "/article/author/last/Smith",
         "/article/author[first/John][last/Smith]",
         "/article[conf/SIGCOMM][year/1989]",
-        "/article[year>=1980][title^=TC]",
+        "/article[year=1989][title^=TC]",
+        "/article[author/last*=mit][size=0315635]",
         "/article/conf/INFOCOM",
-        "/*/title/TCP",
-        "//last/Smith",
-        "/article//Smith",
     ]
     .map(|text| parse_query(text).expect("test query parses"));
     for g in &general {
@@ -51,6 +49,8 @@ fn covering_allocates_nothing() {
     }
 }
 
+/// Every query is a child-axis one: the language has no `//` for
+/// `matches` to collect descendants for.
 #[test]
 fn matching_a_child_axis_query_allocates_nothing() {
     let d = figure_1();
@@ -58,8 +58,8 @@ fn matching_a_child_axis_query_allocates_nothing() {
     let queries = [
         "/article/author/last/Smith",
         "/article/author[first/John][last/Doe]",
-        "/article[year>=1980][size<400000][title^=TC][conf*=COMM]",
-        "/article/*/TCP",
+        "/article[year=1989][size=0315635][title^=TC][conf*=COMM]",
+        "/article[author=Smith]",
         "/book/title/TCP",
     ]
     .map(|text| parse_query(text).expect("test query parses"));
@@ -140,7 +140,7 @@ fn wide(n: usize) -> QueryBuilder {
         0 => b.value(&format!("field{i}"), format!("value \"{i}\"")),
         1 => b.compare(
             &format!("field{i}"),
-            p2p_index_xpath::CmpOp::Ge,
+            p2p_index_xpath::CmpOp::StartsWith,
             i.to_string(),
         ),
         _ => b.value(&format!("chain{i}/{deep}"), "leaf"),

@@ -5,7 +5,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use p2p_index_testkit::{ascii, for_each_case, Rng, StdRng, PRINTABLE};
-use p2p_index_xpath::{parse_query, Axis, CmpOp, Query, QueryBuilder};
+use p2p_index_xpath::{parse_query, CmpOp, Query, QueryBuilder};
 
 const FIELDS: [&str; 6] = [
     "author/first",
@@ -16,16 +16,7 @@ const FIELDS: [&str; 6] = [
     "journal/volume",
 ];
 
-const OPS: [CmpOp; 8] = [
-    CmpOp::Eq,
-    CmpOp::Ne,
-    CmpOp::Lt,
-    CmpOp::Le,
-    CmpOp::Gt,
-    CmpOp::Ge,
-    CmpOp::StartsWith,
-    CmpOp::Contains,
-];
+const OPS: [CmpOp; 3] = [CmpOp::Eq, CmpOp::StartsWith, CmpOp::Contains];
 
 fn arb_field(rng: &mut StdRng) -> &'static str {
     FIELDS[rng.gen_range(0..FIELDS.len())]
@@ -118,13 +109,12 @@ fn branches_sorted_and_unique() {
     });
 }
 
-/// The root axis of builder queries is Child and the root name sticks.
+/// The root name of builder queries sticks.
 #[test]
 fn root_invariants() {
     for_each_case(|rng| {
         let q = arb_query(rng);
-        assert_eq!(q.root().axis(), Axis::Child);
-        assert_eq!(q.root_name(), Some("article"));
+        assert_eq!(q.root_name(), "article");
     });
 }
 

@@ -63,10 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Queries can also be built programmatically, with comparisons.
     let nineties = QueryBuilder::new("article")
-        .compare("year", CmpOp::Ge, "1990")
-        .compare("year", CmpOp::Lt, "2000")
+        .compare("year", CmpOp::StartsWith, "199")
         .build();
-    println!("range query {nineties} covers IPv6's MSD: it matches both 1996 papers");
+    println!("prefix query {nineties} covers IPv6's MSD: it matches both 1996 papers");
     let d = Descriptor::parse(
         "<article><author><first>John</first><last>Smith</last></author>\
          <title>IPv6</title><conf>INFOCOM</conf><year>1996</year><size>312352</size></article>",

@@ -33,7 +33,10 @@ fn arb_descriptor(rng: &mut StdRng) -> Descriptor {
     )
 }
 
-/// A random query over the same vocabulary: any subset of constraints.
+/// A random query over the same vocabulary: any subset of constraints,
+/// and at times a comparison on the title or the year — `=` a word of
+/// the field's, `^=` a prefix of one, `*=` a substring of one — so that
+/// a comparison holds for some descriptors and not for others.
 fn arb_query(rng: &mut StdRng) -> Query {
     let mut b = QueryBuilder::new("article");
     for (field, words) in [
@@ -48,8 +51,16 @@ fn arb_query(rng: &mut StdRng) -> Query {
         }
     }
     if rng.gen() {
-        let op = [CmpOp::Ge, CmpOp::Le, CmpOp::Ne][rng.gen_range(0..3usize)];
-        b = b.compare("year2", op, pick(rng, YEARS));
+        let (field, words) = [("title", TITLES), ("year", YEARS)][rng.gen_range(0..2usize)];
+        let word = pick(rng, words);
+        let start = rng.gen_range(0..=word.len());
+        let end = rng.gen_range(start..=word.len());
+        let (op, value) = match rng.gen_range(0..3usize) {
+            0 => (CmpOp::Eq, word),
+            1 => (CmpOp::StartsWith, &word[..end]),
+            _ => (CmpOp::Contains, &word[start..end]),
+        };
+        b = b.compare(field, op, value);
     }
     b.build()
 }
@@ -100,7 +111,7 @@ fn covering_is_a_partial_order() {
 
 /// A query covers the MSD of a descriptor iff it matches the
 /// descriptor — the bridge between the evaluation and containment
-/// semantics (exact on the XP{/,[]} fragment the schemes use).
+/// semantics, comparisons included.
 #[test]
 fn covers_msd_iff_matches() {
     for_each_case(|rng| {
