@@ -514,7 +514,7 @@ pub trait Dht {
     /// An inspection API, not a query path — no messages or lookups are
     /// accounted. Tests compare substrates' contents through it, and
     /// forwarding wrappers pass it through to what they wrap. (A `dhtd`
-    /// server's drain and repair do not walk it: they enumerate one repair
+    /// server's repair does not walk it: it enumerates one repair
     /// bucket at a time through
     /// [`ShardedDht::bucket_snapshot`](crate::sharded::ShardedDht::bucket_snapshot).)
     ///

@@ -291,9 +291,9 @@ impl<D: Dht> Dht for FaultyDht<D> {
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        // Maintenance enumeration bypasses fault injection: drain and
-        // repair walk the substrate's real contents, faults apply only
-        // to the operation path.
+        // Maintenance enumeration bypasses fault injection: repair walks
+        // the substrate's real contents, faults apply only to the
+        // operation path.
         self.inner.entries()
     }
 

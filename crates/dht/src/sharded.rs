@@ -88,15 +88,22 @@ fn fold_key<'a>(
 }
 
 /// What [`ShardedDht::bucket_snapshot`] returns: one repair bucket's
-/// share of the partition, both lists in ascending key order.
-#[derive(Debug, Default)]
+/// share of the partition, both lists in ascending key order. A `dhtd`
+/// repair push carries one as its `Transfer` frame.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BucketSnapshot {
-    /// Stored entries minus tombstoned values — what a repair or drain
-    /// push sends.
+    /// Stored entries minus tombstoned values — what a repair push puts.
     pub live: Vec<(Key, Vec<Bytes>)>,
-    /// Tombstones as `(key, deleted values)` — what a repair pass
-    /// re-sends as removes.
+    /// Tombstones as `(key, deleted values)` — what a repair push re-sends
+    /// as removes.
     pub dead: Vec<(Key, Vec<Bytes>)>,
+}
+
+impl BucketSnapshot {
+    /// `true` when the bucket holds neither a live value nor a tombstone.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty() && self.dead.is_empty()
+    }
 }
 
 /// One key-hash shard — one repair bucket's slice of the partition's
@@ -329,8 +336,8 @@ impl ShardedDht {
     }
 
     /// Snapshot of repair bucket `bucket` (below [`REPAIR_BUCKETS`]),
-    /// restricted to the keys `include` accepts — the repair/drain
-    /// enumeration surface. Taken under the bucket's one shard read guard,
+    /// restricted to the keys `include` accepts — the repair enumeration
+    /// surface. Taken under the bucket's one shard read guard,
     /// so its live values and the tombstones shadowing them are mutually
     /// consistent.
     pub fn bucket_snapshot(

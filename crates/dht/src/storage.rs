@@ -165,8 +165,8 @@ impl NodeStore {
 /// (the normal state of a replicated substrate) collapsed.
 ///
 /// This is the snapshot shape [`Dht::entries`](crate::api::Dht::entries)
-/// returns and the shape replication maintenance (drain on graceful
-/// leave, repair pushes) walks.
+/// returns and the shape Chord's re-replication (its placement pass)
+/// walks.
 pub fn merged_entries<'a>(stores: impl Iterator<Item = &'a NodeStore>) -> Vec<(Key, Vec<Bytes>)> {
     let mut all: std::collections::BTreeMap<Key, Vec<Bytes>> = std::collections::BTreeMap::new();
     for store in stores {

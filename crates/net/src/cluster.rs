@@ -376,13 +376,17 @@ mod tests {
         // A stale peer — restored from an image taken before the delete,
         // so with no tombstone knowledge — pushes the deleted value as an
         // add-only repair Transfer to a healthy member.
-        let push = |entries: Vec<(Key, Vec<Bytes>)>| {
+        let push = |live: Vec<(Key, Vec<Bytes>)>| {
             let mut stream = TcpStream::connect(cluster.members()[0].1).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
             let mut scratch = Vec::new();
-            let transfer = Message::Transfer { id: 9, entries };
+            let snapshot = p2p_index_dht::BucketSnapshot {
+                live,
+                dead: Vec::new(),
+            };
+            let transfer = Message::Transfer { id: 9, snapshot };
             write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
             let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
             assert!(matches!(reply, Message::Response { .. }));

@@ -10,9 +10,10 @@
 //! frame back with the echoed request id. `handle` executes against the
 //! one store a daemon has: a [`ShardedDht`] of [`REPAIR_BUCKETS`] key-hash
 //! shards, each behind its own `RwLock` held only for the in-memory
-//! operation, never across I/O. Frames this member sends its peers —
-//! repair traffic and a leaving member's drain, never a client's write —
-//! go out through `link.rs`, the same dialing code the client uses.
+//! operation, never across I/O. The only frames this member sends its
+//! peers are its own repair traffic — never a client's write, and never on
+//! account of a frame it was sent — and they go out through `link.rs`, the
+//! same dialing code the client uses.
 //! Whatever routing a deployment puts in front (ring, Chord), what a
 //! node *serves* is this one multi-value `put/get/remove` store; the
 //! client routes and accounts.
@@ -48,12 +49,13 @@
 //! So a client frame — a `Request` is a batch of one — is applied
 //! locally op by op, in frame order, and answered; writes make their
 //! tombstone transition on the way. Nothing a client sends makes this
-//! member call a peer. Incoming `Replicate` (a repair scrub) and
-//! [`Transfer`](crate::wire::Message::Transfer) frames apply locally and
-//! are **never re-forwarded**, so replication storms are impossible by
-//! construction. A wire shutdown first drains the local partition to the
-//! surviving members of each key's replica set (graceful leave), then
-//! stops.
+//! member call a peer. An incoming
+//! [`Transfer`](crate::wire::Message::Transfer) — a peer's repair push —
+//! applies locally and is **never re-forwarded**, so replication storms
+//! are impossible by construction. A wire shutdown stops the member the
+//! way a crash does: nothing is handed off, the quorum masks its absence,
+//! and repair refills it if it comes back (membership is static, so no
+//! other member ever takes its keys over).
 //!
 //! # Repair
 //!
@@ -74,33 +76,28 @@
 //!    is unreachable, or cannot answer a digest, is skipped for the pass —
 //!    there is no other push to fall back to.
 //! 3. *Push.* Only differing buckets are sent, **one bucket at a time**:
-//!    snapshot the bucket, one `Transfer` of its live values (receivers'
-//!    puts deduplicate, so this is idempotent), then one `Replicate`
-//!    holding a remove per tombstone in it (the *scrub*; none if it has
-//!    no tombstones), drop the snapshot. What a pass holds in memory
-//!    is a sixteenth of one peer's share even when every bucket differs
-//!    (a member restarted empty; the false mismatches that writes still
-//!    in flight cause during a publish burst). The graceful-leave drain
-//!    sends through the same bucket sender, so no frame this server
-//!    builds is larger than a bucket.
+//!    snapshot the bucket, send it as one `Transfer` — its live values,
+//!    then its tombstones (the *scrub*) — and drop the snapshot. Receivers'
+//!    puts deduplicate and a remove of a dead pair is a no-op, so a push is
+//!    idempotent. What a pass holds in memory is a sixteenth of one peer's
+//!    share even when every bucket differs (a member restarted empty; the
+//!    false mismatches that writes still in flight cause during a publish
+//!    burst), and no frame this server builds is larger than a bucket.
 //!
 //! What is digested is the **raw stored pairs and the tombstones, as two
 //! tagged classes** — not "stored minus dead". Deletes leave tombstones:
 //! a `Remove` marks the `(key, value)` pair dead, pushes withhold
-//! tombstoned values, incoming `Transfer` frames drop them, and the scrub
-//! re-sends the remove so a stale member drops the value and records the
-//! tombstone itself. A member restored from an old image with its
-//! tombstones intact holds a deleted pair *and* its tombstone; under
-//! "stored minus dead" it would digest equal to its healthy peers and
-//! never be scrubbed, under two classes it differs and is.
+//! tombstoned values, an incoming `Transfer` drops them from its live
+//! list, and its scrub re-applies the remove so a stale member drops the
+//! value and records the tombstone itself. A member restored from an old
+//! image with its tombstones intact holds a deleted pair *and* its
+//! tombstone; under "stored minus dead" it would digest equal to its
+//! healthy peers and never be scrubbed, under two classes it differs and
+//! is.
 //!
-//! Two things this pass does not do. A key held by a member outside its
-//! replica set (after a drain) is in the holder's digests and in nobody
-//! else's, so its bucket reads "differs" and is pushed every pass:
-//! redundant, harmless, and bounded by that bucket. And a scrub
-//! can still undo a re-put that lands between a bucket's snapshot and its
-//! send: that needs per-pair versions; here the window merely narrows to
-//! buckets that differ.
+//! One thing this pass does not do: a scrub can still undo a re-put that
+//! lands between a bucket's snapshot and its send. That needs per-pair
+//! versions; here the window merely narrows to buckets that differ.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read};
@@ -112,8 +109,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    kind_counter, placement, BucketDigests, Delivery, Dht, DhtError, DhtOp, DhtResponse,
-    FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
+    kind_counter, placement, BucketDigests, BucketSnapshot, Delivery, Dht, DhtError, DhtOp,
+    DhtResponse, FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
 };
 use p2p_index_obs::MetricsRegistry;
 
@@ -198,9 +195,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-to-server calls (repair and drain) give up on a dead peer well
-/// before a client's read timeout, so a pass or a leave stalls on one only
-/// briefly.
+/// Server-to-server calls (repair's) give up on a dead peer well before a
+/// client's read timeout, so a pass stalls on one only briefly.
 const PEER_TIMEOUTS: Timeouts = Timeouts {
     connect: Duration::from_millis(300),
     read: Duration::from_millis(700),
@@ -259,9 +255,7 @@ impl Replication {
         let peer = self.peers.get(at).and_then(Option::as_ref).ok_or(())?;
         let mut link = peer.check_out(PEER_TIMEOUTS).ok_or(())?;
         let sent_id = match msg {
-            Message::Replicate { id, .. }
-            | Message::Transfer { id, .. }
-            | Message::Digest { id, .. } => *id,
+            Message::Transfer { id, .. } | Message::Digest { id, .. } => *id,
             _ => 0,
         };
         // Nothing is read back after a failed send.
@@ -269,9 +263,7 @@ impl Replication {
         let exchange = sent.ok().and_then(|sent| Some((link.recv().ok()?.0, sent)));
         match exchange {
             Some((
-                reply @ (Message::Response { id, .. }
-                | Message::BatchReply { id, .. }
-                | Message::DigestReply { id, .. }),
+                reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }),
                 sent,
             )) if id == sent_id => {
                 peer.put_back(link);
@@ -304,7 +296,9 @@ struct Shared {
     /// overshoot; each worker subtracts itself on the way out.
     connections: AtomicUsize,
     max_connections: usize,
-    /// `Some` when this server is a member of a replicated cluster.
+    /// `Some` when this server is a member of a replicated cluster whose
+    /// keys have several replicas (`R > 1`): the condition under which it
+    /// keeps tombstones and repairs.
     replication: Option<Replication>,
 }
 
@@ -326,15 +320,12 @@ impl Shared {
             served: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections,
-            replication: config.replication.clone().map(Replication::from_config),
+            replication: config
+                .replication
+                .clone()
+                .filter(|config| config.replicas > 1)
+                .map(Replication::from_config),
         }
-    }
-
-    /// The cluster state when keys actually have several replicas
-    /// (`R > 1`): the condition under which this member keeps tombstones
-    /// and repairs.
-    fn replicating(&self) -> Option<&Replication> {
-        self.replication.as_ref().filter(|repl| repl.replicas > 1)
     }
 
     /// Applies one operation to the local store — the single function
@@ -393,7 +384,8 @@ impl DhtServer {
             .name(format!("dhtd-accept-{}", local_addr.port()))
             .spawn(move || accept_loop(listener, accept_shared))?;
         let repair_thread = shared
-            .replicating()
+            .replication
+            .as_ref()
             .and_then(|repl| repl.repair_interval)
             .map(|interval| {
                 let repair_shared = Arc::clone(&shared);
@@ -464,8 +456,7 @@ impl DhtServer {
     }
 
     /// Like [`DhtServer::shutdown`] but by reference, so a cluster can
-    /// crash one member in place while the rest keep serving. No
-    /// graceful-leave drain happens — this models failure, not leave.
+    /// crash one member in place while the rest keep serving.
     pub fn halt(&mut self) {
         self.shutdown_in_place();
     }
@@ -674,7 +665,7 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
 enum Turn {
     /// Answer with this frame and keep serving.
     Reply(Message),
-    /// A wire shutdown: the member has drained and is stopping.
+    /// A wire shutdown: the member is stopping.
     Leave,
     /// A frame no client may send; the connection is dropped.
     Abuse,
@@ -682,10 +673,9 @@ enum Turn {
 
 /// The server's step function: what this member does with one decoded
 /// frame. Everything a frame can cause — store operations, the fault roll,
-/// counters, the stop flag, a leaving member's drain — happens in here;
-/// the caller owns the connection the frame came in on and does nothing
-/// but carry out the returned [`Turn`]. Only a wire `Shutdown` makes it
-/// call a peer.
+/// counters, the stop flag — happens in here; the caller owns the
+/// connection the frame came in on and does nothing but carry out the
+/// returned [`Turn`]. No frame makes it call a peer.
 fn handle(shared: &Shared, msg: Message) -> Turn {
     Turn::Reply(match msg {
         Message::Request { id, op } => {
@@ -704,38 +694,30 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
             serve_ops(shared, &ops, &mut results);
             Message::BatchReply { id, results }
         }
-        Message::Replicate { id, ops } => {
-            // A peer's repair scrub: apply every op locally in order,
-            // reply, and never re-forward. The tombstone transition rides
-            // along, so a scrubbed remove sticks on the stale member.
-            let replicated = shared.replicating().is_some();
-            shared
-                .metrics
-                .add("net.server.replica.applied", ops.len() as u64);
-            let apply = |op| shared.apply_local(op, replicated);
-            let results = ops.into_iter().map(apply).collect();
-            Message::BatchReply { id, results }
-        }
-        Message::Transfer { id, entries } => {
-            // Bulk handoff from a leaving peer or a repair pass: apply
-            // every value locally (puts deduplicate, so re-transfers are
-            // no-ops), never re-forward. Values this member holds a
-            // tombstone for are dropped — a stale peer's add-only repair
-            // push must not resurrect a mapping deleted here.
-            let (entries, dropped) = shared.store.filter_live(entries);
-            let mut values = 0u64;
-            for (key, list) in entries {
-                for value in list {
-                    values += 1;
-                    let _ = shared.apply_local(DhtOp::Put { key, value }, false);
-                }
+        Message::Transfer { id, snapshot } => {
+            // A peer's repair push of one bucket: apply it locally, never
+            // re-forward. Live values go first — puts deduplicate, and a
+            // value this member holds a tombstone for is dropped, so a
+            // stale peer's push cannot resurrect a mapping deleted here.
+            // Then the scrub: each dead pair as a replicated remove, so it
+            // sticks on a stale member with its tombstone.
+            let BucketSnapshot { live, dead } = snapshot;
+            let (live, dropped) = shared.store.filter_live(live);
+            let mut values = 0;
+            for (key, value) in pairs(live) {
+                values += 1;
+                let _ = shared.apply_local(DhtOp::Put { key, value }, false);
             }
-            shared
-                .metrics
-                .add("net.server.replica.transfer_values", values);
-            shared
-                .metrics
-                .add("net.server.replica.tombstone_drops", dropped);
+            let replicated = shared.replication.is_some();
+            let mut applied = 0;
+            for (key, value) in pairs(dead) {
+                applied += 1;
+                let _ = shared.apply_local(DhtOp::Remove { key, value }, replicated);
+            }
+            let metrics = &shared.metrics;
+            metrics.add("net.server.replica.transfer_values", values);
+            metrics.add("net.server.replica.tombstone_drops", dropped);
+            metrics.add("net.server.replica.applied", applied);
             Message::Response {
                 id,
                 result: Ok(DhtResponse::Stored(true)),
@@ -755,9 +737,6 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
         }
         Message::Shutdown => {
             shared.metrics.incr("net.server.shutdowns");
-            // Graceful leave: hand this node's partition to the surviving
-            // replica-set members before going quiet.
-            drain_partition(shared);
             shared.stop.store(true, Ordering::SeqCst);
             return Turn::Leave;
         }
@@ -775,7 +754,7 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
 /// same shard guard. The client has sent the write to every other replica
 /// itself, so nothing here calls a peer.
 fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, DhtError>]) {
-    let replicating = shared.replicating().is_some();
+    let replicating = shared.replication.is_some();
     for (op, result) in ops.iter().zip(results.iter_mut()) {
         *result = shared.apply_local(op.clone(), replicating && op.is_write());
         shared.served.fetch_add(1, Ordering::Relaxed);
@@ -788,60 +767,10 @@ fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, 
     }
 }
 
-/// The counters an acknowledged `Transfer` of a repair push and of a
-/// graceful-leave drain moves: frames, then values.
-const REPAIR_SERIES: [&str; 2] = [
-    "net.server.replica.repair_pushes",
-    "net.server.replica.repair_values",
-];
-const DRAIN_SERIES: [&str; 2] = [
-    "net.server.replica.drain_pushes",
-    "net.server.replica.drain_values",
-];
-
-/// One repair bucket's live values (what [`ShardedDht::bucket_snapshot`]
-/// returned for a peer) as one `Transfer` frame, or `None` if there are
-/// none — so no push frames more than one bucket.
-fn transfer_frame(repl: &Replication, live: Vec<(Key, Vec<Bytes>)>) -> Option<Message> {
-    (!live.is_empty()).then(|| Message::Transfer {
-        id: repl.next_id(),
-        entries: live,
-    })
-}
-
-/// The one send path, shared by repair and drain: sends one bucket frame
-/// to the member at ring position `at` and counts it. A `Transfer` counts,
-/// once acknowledged, under `series` (frames, values); a scrub `Replicate`
-/// counts under `net.server.replica.frames` when sent and its removes
-/// under `tombstone_scrubs` once acknowledged. Returns the bytes sent, or
-/// `Err(())` when the peer did not answer (the caller gives up on it for
-/// this pass).
-fn push_frame(
-    shared: &Shared,
-    repl: &Replication,
-    at: usize,
-    frame: &Message,
-    [pushes, pushed_values]: [&'static str; 2],
-) -> Result<u64, ()> {
-    if let Message::Replicate { .. } = frame {
-        shared.metrics.incr("net.server.replica.frames");
-    }
-    let (_, sent) = repl.peer_call(at, frame)?;
-    match frame {
-        Message::Transfer { entries, .. } => {
-            shared.metrics.incr(pushes);
-            let values = entries.iter().map(|(_, vs)| vs.len() as u64).sum();
-            shared.metrics.add(pushed_values, values);
-        }
-        Message::Replicate { ops, .. } => {
-            let scrubs = ops.len() as u64;
-            shared
-                .metrics
-                .add("net.server.replica.tombstone_scrubs", scrubs);
-        }
-        _ => {}
-    }
-    Ok(sent)
+/// Every `(key, value)` pair of an entry list, in list order.
+fn pairs(entries: Vec<(Key, Vec<Bytes>)>) -> impl Iterator<Item = (Key, Bytes)> {
+    let each = |(key, values): (Key, Vec<Bytes>)| values.into_iter().map(move |v| (key, v));
+    entries.into_iter().flat_map(each)
 }
 
 /// The periodic anti-entropy driver: a repair pass every `interval`,
@@ -861,13 +790,13 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
 
 /// One anti-entropy pass (module docs, "Repair"): digest the partition
 /// once for all peers, probe each peer with its digests, and push — bucket
-/// by bucket — only what the peer says differs: the bucket's live values
-/// as one `Transfer` (what refills a member that restarted empty), then
-/// its tombstones as one `Replicate` of removes (what scrubs a stale
-/// member still holding a deleted mapping). On a converged cluster a pass
-/// costs one sweep and one small frame pair per peer.
+/// by bucket — only what the peer says differs, each bucket as one
+/// `Transfer` of its live values (what refills a member that restarted
+/// empty) and then its tombstones (what scrubs a stale member still holding
+/// a deleted mapping). On a converged cluster a pass costs one sweep and
+/// one small frame pair per peer.
 fn repair_pass(shared: &Shared) {
-    let Some(repl) = shared.replicating() else {
+    let Some(repl) = &shared.replication else {
         return;
     };
     let digests = peer_digests(shared, repl);
@@ -902,42 +831,45 @@ fn peer_digests(shared: &Shared, repl: &Replication) -> Vec<BucketDigests> {
     })
 }
 
-/// Pushes and scrubs the buckets `differs` names to the member at `at`,
-/// one bucket at a time, giving up on the first frame it does not answer.
-/// Returns the bytes sent.
+/// Pushes the buckets `differs` names to the member at `at`, one bucket
+/// and one `Transfer` at a time, giving up on the first it does not
+/// answer. Counts each acknowledged push with its live values and its
+/// scrubbed pairs, and returns the bytes sent.
 fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) -> u64 {
+    let buckets = (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1);
     let mut sent_bytes = 0;
-    for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
-        for frame in bucket_frames(shared, repl, at, bucket) {
-            let Ok(sent) = push_frame(shared, repl, at, &frame, REPAIR_SERIES) else {
-                return sent_bytes;
-            };
-            sent_bytes += sent;
-        }
+    for snapshot in buckets.filter_map(|bucket| plan_push(shared, repl, at, bucket)) {
+        let [values, scrubs]: [u64; 2] = [&snapshot.live, &snapshot.dead]
+            .map(|entries| entries.iter().map(|(_, vs)| vs.len() as u64).sum());
+        let transfer = Message::Transfer {
+            id: repl.next_id(),
+            snapshot,
+        };
+        let Ok((_, sent)) = repl.peer_call(at, &transfer) else {
+            return sent_bytes;
+        };
+        sent_bytes += sent;
+        let metrics = &shared.metrics;
+        metrics.incr("net.server.replica.repair_pushes");
+        metrics.add("net.server.replica.repair_values", values);
+        metrics.add("net.server.replica.tombstone_scrubs", scrubs);
     }
     sent_bytes
 }
 
-/// Plans one differing bucket's push to the member at `at` from a snapshot
-/// of it, sending nothing: the bucket's live values as one `Transfer`,
-/// then its tombstones re-sent as removes in one scrub `Replicate` — each
-/// frame only if it carries something. [`push_differing`] sends them in
-/// this order.
-fn bucket_frames(shared: &Shared, repl: &Replication, at: usize, bucket: usize) -> Vec<Message> {
+/// Plans one differing bucket's push to the member at `at`, sending
+/// nothing: a snapshot of the bucket's live values and tombstones over the
+/// keys that member holds, or `None` when there are neither.
+/// [`push_differing`] sends it as one `Transfer`.
+fn plan_push(
+    shared: &Shared,
+    repl: &Replication,
+    at: usize,
+    bucket: usize,
+) -> Option<BucketSnapshot> {
     let holds = |key: &Key| repl.replica_range(key).contains(at);
     let snapshot = shared.store.bucket_snapshot(bucket, holds);
-    let mut frames: Vec<Message> = transfer_frame(repl, snapshot.live).into_iter().collect();
-    let removes = snapshot.dead.into_iter().flat_map(|(key, values)| {
-        values
-            .into_iter()
-            .map(move |value| DhtOp::Remove { key, value })
-    });
-    let ops: Vec<DhtOp> = removes.collect();
-    if !ops.is_empty() {
-        let id = repl.next_id();
-        frames.push(Message::Replicate { id, ops });
-    }
-    frames
+    (!snapshot.is_empty()).then_some(snapshot)
 }
 
 /// The `Digest` handler: this member's digests over the keys whose
@@ -946,7 +878,7 @@ fn bucket_frames(shared: &Shared, repl: &Replication, at: usize, bucket: usize) 
 /// replicates nothing with `from` (unreplicated, `R = 1`, or `from` is not
 /// another member of its ring).
 fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Option<u16> {
-    let repl = shared.replicating()?;
+    let repl = shared.replication.as_ref()?;
     let from_at = repl.ring.binary_search(from).ok()?;
     repl.peers[from_at].as_ref()?;
     let ours = shared.store.bucket_digests(1, |key| {
@@ -956,32 +888,6 @@ fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Opt
     Some(differs.fold(0, |mask, (bucket, (ours, theirs))| {
         mask | u16::from(ours != theirs) << bucket
     }))
-}
-
-/// Graceful-leave drain: push this node's whole partition, bucket by
-/// bucket, to each key's replica set as recomputed over the ring
-/// *without* this node, so the replication factor survives the departure.
-/// Best-effort — a peer that stops answering is skipped; the survivors'
-/// repair passes finish the job. This is the only peer I/O a frame from a
-/// client can cause: a wire `Shutdown`'s.
-fn drain_partition(shared: &Shared) {
-    let Some(repl) = &shared.replication else {
-        return;
-    };
-    let survivors: Vec<Key> = repl.peer_positions().map(|at| repl.ring[at]).collect();
-    for (rank, at) in repl.peer_positions().enumerate() {
-        let holds =
-            |key: &Key| placement::replica_range(&survivors, key, repl.replicas).contains(rank);
-        for bucket in 0..REPAIR_BUCKETS {
-            let live = shared.store.bucket_snapshot(bucket, holds).live;
-            let Some(transfer) = transfer_frame(repl, live) else {
-                continue;
-            };
-            if push_frame(shared, repl, at, &transfer, DRAIN_SERIES).is_err() {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1205,7 +1111,7 @@ mod tests {
         assert!(TcpStream::connect(addr).is_err());
     }
 
-    // `handle` driven directly, all nine frame kinds: nothing below binds a
+    // `handle` driven directly, every message kind: nothing below binds a
     // listener or opens a stream.
 
     /// The state of member `node-0`, bound to nothing, and its counters.
@@ -1235,6 +1141,12 @@ mod tests {
         Turn::Reply(Message::Response { id, result })
     }
 
+    /// A `Transfer` of one bucket holding `live` and `dead` pairs.
+    fn transfer(id: u64, live: Vec<(Key, Vec<Bytes>)>, dead: Vec<(Key, Vec<Bytes>)>) -> Message {
+        let snapshot = BucketSnapshot { live, dead };
+        Message::Transfer { id, snapshot }
+    }
+
     #[test]
     fn handle_answers_requests_and_batches_and_counts_each_op() {
         let (shared, metrics) = unbound_member(1);
@@ -1256,24 +1168,22 @@ mod tests {
     }
 
     #[test]
-    fn handle_applies_a_replicate_frame_locally_and_never_forwards_it() {
+    fn handle_applies_a_transfer_locally_and_never_forwards_it() {
         let (shared, metrics) = unbound_member(3);
         let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
-        let ops = vec![DhtOp::Put { key, value }];
-        let applied = handle(&shared, Message::Replicate { id: 4, ops });
-        let results = vec![Ok(DhtResponse::Stored(true))];
-        assert_eq!(applied, Turn::Reply(Message::BatchReply { id: 4, results }));
+        let applied = handle(&shared, transfer(4, vec![(key, vec![value])], Vec::new()));
+        assert_eq!(applied, answer(4, DhtResponse::Stored(true)));
         assert_eq!(shared.store.total_values(), 1);
-        assert_eq!(metrics.counter("net.server.replica.applied"), 1);
-        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+        assert_eq!(metrics.counter("net.server.replica.transfer_values"), 1);
+        assert_eq!(metrics.counter("net.server.replica.applied"), 0);
         assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not a client op");
     }
 
     #[test]
     fn handle_applies_a_client_write_on_a_replica_and_calls_no_peer() {
         // Every peer's address is a listener that counts nobody in: the
-        // client sends each replica the write itself, so serving it must
-        // not dial one.
+        // client sends each replica the write itself, and no other frame
+        // — a peer's push or probe, a wire shutdown — may dial one either.
         let peers = TcpListener::bind("127.0.0.1:0").unwrap();
         peers.set_nonblocking(true).unwrap();
         let (shared, metrics) = unbound("node-0", 3, peers.local_addr().unwrap());
@@ -1294,17 +1204,33 @@ mod tests {
         // The remove made its tombstone transition on the way.
         let snapshot = shared.store.bucket_snapshot(repair_bucket(&key), |_| true);
         assert_eq!(snapshot.dead, vec![(key, vec![value])]);
+        let other = Key::hash_of("pushed");
+        let live = vec![(other, vec![Bytes::from_static(b"w")])];
+        let pushed = handle(&shared, transfer(3, live, Vec::new()));
+        assert_eq!(pushed, answer(3, DhtResponse::Stored(true)));
+        let (from, buckets) = (Key::hash_of("node-1"), [0; REPAIR_BUCKETS]);
+        let probe = Message::Digest {
+            id: 4,
+            from,
+            buckets,
+        };
+        let differs = handle(&shared, probe);
+        assert!(matches!(differs, Turn::Reply(Message::DigestReply { .. })));
+        // Last, a shutdown of a member holding a value and a tombstone:
+        // it leaves as a crash does, handing nothing to anyone.
+        assert_eq!(shared.store.total_values(), 1);
+        assert_eq!(handle(&shared, Message::Shutdown), Turn::Leave);
         let dialed = peers.accept().map(|_| ());
         assert_eq!(dialed.map_err(|e| e.kind()), Err(io::ErrorKind::WouldBlock));
-        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+        assert_eq!(metrics.counter("net.server.replica.repair_pushes"), 0);
     }
 
     /// One repair pass from `from` to the member `to`, as `repair_pass`
     /// runs it with `handle` standing in for the peer link: probe with
     /// `from`'s digests for `to`, then plan and apply every differing
-    /// bucket's frames.
+    /// bucket's push.
     fn repair_by_hand(from: &Shared, to: &Shared, to_name: &str) {
-        let repl = from.replicating().expect("a replicating member");
+        let repl = from.replication.as_ref().expect("a replicating member");
         let at = repl.ring.binary_search(&Key::hash_of(to_name)).unwrap();
         let buckets = peer_digests(from, repl)[at];
         let probe = Message::Digest {
@@ -1316,8 +1242,8 @@ mod tests {
             panic!("{to_name} shares keys with its ring peer");
         };
         for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
-            for frame in bucket_frames(from, repl, at, bucket) {
-                handle(to, frame);
+            if let Some(snapshot) = plan_push(from, repl, at, bucket) {
+                handle(to, Message::Transfer { id: 1, snapshot });
             }
         }
     }
@@ -1326,11 +1252,11 @@ mod tests {
     #[ignore = "scrub-vs-re-put: ROADMAP item 2"]
     fn a_re_put_that_lands_between_a_scrub_snapshot_and_its_send_survives_repair() {
         // Two of three members holding every key (R = 3). Fails today:
-        // the acknowledged re-put ends up gone from both. The scrub that
-        // S planned before the re-put removes the pair at R and leaves a
-        // tombstone there; R's tombstone drops S's next `Transfer` of it,
-        // and R's own pass scrubs it from S. Per-pair versions (item 2(a))
-        // let the re-put win on both.
+        // the acknowledged re-put ends up gone from both. The push that S
+        // planned before the re-put scrubs the pair at R and leaves a
+        // tombstone there; R's tombstone drops S's next push of it, and
+        // R's own pass scrubs it from S. Per-pair versions (item 2(a)) let
+        // the re-put win on both.
         let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let (s, _) = unbound("node-0", 3, nowhere);
         let (r, _) = unbound("node-1", 3, nowhere);
@@ -1355,19 +1281,17 @@ mod tests {
             write(&r, op);
         }
         // S snapshots the pair's bucket for R (some write still in flight
-        // made it differ) and plans the push: a scrub of the pair.
-        let repl = s.replicating().unwrap();
+        // made it differ) and plans the push: one frame, scrubbing the pair.
+        let repl = s.replication.as_ref().unwrap();
         let at = repl.ring.binary_search(&Key::hash_of("node-1")).unwrap();
-        let frames = bucket_frames(&s, repl, at, repair_bucket(&key));
-        assert!(matches!(frames.last(), Some(Message::Replicate { .. })));
+        let snapshot = plan_push(&s, repl, at, repair_bucket(&key)).unwrap();
+        assert_eq!(snapshot.dead, vec![(key, vec![value.clone()])]);
         // The client re-puts the pair on both replicas: acknowledged.
         for member in [&s, &r] {
             assert_eq!(write(member, &put), answer(1, DhtResponse::Stored(true)));
         }
         // Only then does S's planned push reach R.
-        for frame in frames {
-            handle(&r, frame);
-        }
+        handle(&r, Message::Transfer { id: 1, snapshot });
         repair_by_hand(&s, &r, "node-1");
         repair_by_hand(&r, &s, "node-0");
         for (name, member) in [("S", &s), ("R", &r)] {
@@ -1378,31 +1302,19 @@ mod tests {
     }
 
     #[test]
-    fn handle_applies_a_multi_op_replicate_in_order_and_answers_each_op() {
+    fn handle_applies_a_transfers_live_values_before_its_dead_pairs() {
         let (shared, metrics) = unbound_member(3);
         let (key, value) = (Key::hash_of("k"), Bytes::from_static(b"v"));
-        let put = DhtOp::Put {
-            key,
-            value: value.clone(),
-        };
-        let remove = DhtOp::Remove {
-            key,
-            value: value.clone(),
-        };
-        let ops = vec![put, remove];
-        let applied = handle(&shared, Message::Replicate { id: 5, ops });
-        let results = vec![
-            Ok(DhtResponse::Stored(true)),
-            Ok(DhtResponse::Removed(true)),
-        ];
-        assert_eq!(applied, Turn::Reply(Message::BatchReply { id: 5, results }));
+        let entry = vec![(key, vec![value.clone()])];
+        let applied = handle(&shared, transfer(5, entry.clone(), entry));
+        assert_eq!(applied, answer(5, DhtResponse::Stored(true)));
         // Applied in frame order: the put landed, the remove took it away
         // again and left the pair's tombstone behind.
         assert_eq!(shared.store.total_values(), 0);
         let snapshot = shared.store.bucket_snapshot(repair_bucket(&key), |_| true);
         assert_eq!(snapshot.dead, vec![(key, vec![value])]);
-        assert_eq!(metrics.counter("net.server.replica.applied"), 2);
-        assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+        assert_eq!(metrics.counter("net.server.replica.transfer_values"), 1);
+        assert_eq!(metrics.counter("net.server.replica.applied"), 1);
         assert_eq!(shared.served.load(Ordering::Relaxed), 0, "not client ops");
     }
 
@@ -1415,22 +1327,16 @@ mod tests {
         let put = DhtOp::Put { key, value };
         let value = dead.clone();
         let remove = DhtOp::Remove { key, value };
-        for op in [put, remove] {
-            let applied = handle(
-                &shared,
-                Message::Replicate {
-                    id: 8,
-                    ops: vec![op],
-                },
-            );
-            let ok = matches!(
-                &applied,
-                Turn::Reply(Message::BatchReply { results, .. }) if results.iter().all(Result::is_ok)
-            );
-            assert!(ok, "{applied:?}");
-        }
-        let entries = vec![(key, vec![dead, live.clone()])];
-        let merged = handle(&shared, Message::Transfer { id: 9, entries });
+        // A client put and remove: the replicated remove leaves a tombstone.
+        let ops = vec![put, remove];
+        let written = handle(&shared, Message::Batch { id: 8, ops });
+        let ok = matches!(
+            &written,
+            Turn::Reply(Message::BatchReply { results, .. }) if results.iter().all(Result::is_ok)
+        );
+        assert!(ok, "{written:?}");
+        let pushed = vec![(key, vec![dead, live.clone()])];
+        let merged = handle(&shared, transfer(9, pushed, Vec::new()));
         assert_eq!(merged, answer(9, DhtResponse::Stored(true)));
         assert_eq!(metrics.counter("net.server.replica.tombstone_drops"), 1);
         assert_eq!(metrics.counter("net.server.replica.transfer_values"), 1);

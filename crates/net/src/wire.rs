@@ -7,12 +7,12 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     4  magic        "PDHT"
-//!      4     1  version      VERSION (0x08), on every frame
+//!      4     1  version      VERSION (0x09), on every frame
 //!      5     1  kind         0x01 request | 0x02 ok-response |
 //!                            0x03 err-response | 0x04 shutdown |
 //!                            0x05 batch | 0x06 batch-reply |
-//!                            0x07 replicate | 0x08 transfer |
-//!                            0x09 digest | 0x0a digest-reply
+//!                            0x08 transfer | 0x09 digest |
+//!                            0x0a digest-reply
 //!      6     8  request id   big-endian u64 (0 for shutdown)
 //!     14     4  payload len  big-endian u32, <= MAX_PAYLOAD
 //!     18     n  payload      kind-specific, see below
@@ -21,13 +21,13 @@
 //! Request payloads carry one [`DhtOp`]; ok-responses one [`DhtResponse`];
 //! err-responses a 2-byte [`DhtError`] wire code (unknown codes decode into
 //! the forward-compatible [`DhtError::Unknown`] catch-all, *not* a codec
-//! failure). Batch and replicate frames carry a `u32` op count followed
-//! by that many encoded ops; batch-replies a `u32` result count followed
-//! by that many status-prefixed results (see DESIGN.md §11 for the
-//! byte-level spec).
+//! failure). Batch frames carry a `u32` op count followed by that many
+//! encoded ops; batch-replies a `u32` result count followed by that many
+//! status-prefixed results; transfers two entry lists, live then dead
+//! (see DESIGN.md §11 for the byte-level spec).
 //! Decoding is strict everywhere else: wrong magic, any version byte but
 //! [`VERSION`], an unknown frame kind or opcode, an oversized length
-//! prefix, a short payload, an empty batch or replicate, or trailing
+//! prefix, a short payload, an empty batch or transfer, or trailing
 //! payload bytes are all typed [`WireError`]s — never a panic, never a
 //! silent truncation.
 //! There is no negotiation: every peer is built from this workspace, and
@@ -45,14 +45,16 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use bytes::Bytes;
-use p2p_index_dht::{BucketDigests, DhtError, DhtOp, DhtResponse, Key, NodeId, REPAIR_BUCKETS};
+use p2p_index_dht::{
+    BucketDigests, BucketSnapshot, DhtError, DhtOp, DhtResponse, Key, NodeId, REPAIR_BUCKETS,
+};
 
 /// The 4-byte magic that opens every frame.
 pub const MAGIC: [u8; 4] = *b"PDHT";
 
 /// The protocol version every frame carries; a frame with any other byte
 /// is [`WireError::UnsupportedVersion`].
-pub const VERSION: u8 = 8;
+pub const VERSION: u8 = 9;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 18;
@@ -90,7 +92,6 @@ const KIND_ERR: u8 = 0x03;
 const KIND_SHUTDOWN: u8 = 0x04;
 const KIND_BATCH: u8 = 0x05;
 const KIND_BATCH_REPLY: u8 = 0x06;
-const KIND_REPLICATE: u8 = 0x07;
 const KIND_TRANSFER: u8 = 0x08;
 const KIND_DIGEST: u8 = 0x09;
 const KIND_DIGEST_REPLY: u8 = 0x0a;
@@ -100,7 +101,7 @@ const BATCH_OK: u8 = 0x00;
 const BATCH_ERR: u8 = 0x01;
 
 /// Smallest possible encoded op (opcode + 20-byte key): the divisor for
-/// the batch and replicate count-before-allocation guard.
+/// the batch count-before-allocation guard.
 const MIN_OP_LEN: usize = 21;
 
 /// Smallest possible encoded batch result (status + tag + bool, or
@@ -160,39 +161,22 @@ pub enum Message {
         /// Per-op outcomes, positionally matching the batch's ops.
         results: Vec<Result<DhtResponse, DhtError>>,
     },
-    /// A server-to-server replica write: apply every op, in order, to
-    /// the local partition *without* re-forwarding any. Answered with a
-    /// [`Message::BatchReply`] carrying the same `id`, one result per op.
+    /// A member's repair push of one repair bucket: put every live value
+    /// into the local partition (idempotent multi-value puts, duplicates
+    /// collapse), then apply every dead pair as a remove, and never
+    /// re-forward either. Answered with a [`Message::Response`] carrying
+    /// `Stored(true)`.
     ///
-    /// This is a distinct kind (rather than a flag on
-    /// [`Message::Batch`]) precisely so replication can never cascade: a
-    /// repair pass re-sends one bucket's tombstones to a peer as one
-    /// replicate frame (the scrub), and a replicate frame is terminal by
-    /// construction. The op vector is never empty (an empty replicate is
-    /// a [`WireError::BadPayload`] on decode), and no op is a
-    /// [`DhtOp::GetDigest`] or a [`DhtOp::GetIfChanged`]: either opcode
-    /// inside a replicate, at any position, is [`WireError::UnknownOpcode`].
-    Replicate {
-        /// Caller-chosen id echoed in the batch reply.
-        id: u64,
-        /// The storage operations to apply locally, in order.
-        ops: Vec<DhtOp>,
-    },
-    /// A server-to-server bulk handoff: merge `entries` into the local
-    /// partition (idempotent multi-value puts, duplicates collapse).
-    /// Answered with a [`Message::Response`] carrying `Stored(true)` on
-    /// success. Used by a gracefully-leaving daemon to drain its
-    /// partition to successors, and by the repair pass to restore
-    /// replication factor after a restart.
-    ///
-    /// The entry vector is never empty (an empty transfer is a
-    /// [`WireError::BadPayload`] on decode — a peer with nothing to hand
-    /// off sends nothing).
+    /// On the wire the live list comes first, then the dead one; either
+    /// may be empty, but not both (a [`WireError::BadPayload`] on decode —
+    /// a member with nothing to push sends nothing), and no entry is
+    /// without values.
     Transfer {
         /// Caller-chosen id echoed in the response.
         id: u64,
-        /// `(key, values)` entries to merge, each with at least one value.
-        entries: Vec<(Key, Vec<Bytes>)>,
+        /// The bucket's `(key, values)` entries: live values to merge,
+        /// then tombstoned pairs to remove.
+        snapshot: BucketSnapshot,
     },
     /// A member's anti-entropy probe: "these are my bucket digests over
     /// the keys you and I both replicate". Answered with a
@@ -328,7 +312,6 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
         Message::Response { id, result: Err(_) } => (KIND_ERR, *id),
         Message::Batch { id, .. } => (KIND_BATCH, *id),
         Message::BatchReply { id, .. } => (KIND_BATCH_REPLY, *id),
-        Message::Replicate { id, .. } => (KIND_REPLICATE, *id),
         Message::Transfer { id, .. } => (KIND_TRANSFER, *id),
         Message::Digest { id, .. } => (KIND_DIGEST, *id),
         Message::DigestReply { id, .. } => (KIND_DIGEST_REPLY, *id),
@@ -357,14 +340,15 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
                 }
             }
         }
-        Message::Replicate { ops, .. } => encode_ops(ops.iter(), buf),
-        Message::Transfer { entries, .. } => {
-            buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-            for (key, values) in entries {
-                buf.extend_from_slice(key.as_bytes());
-                buf.extend_from_slice(&(values.len() as u32).to_be_bytes());
-                for v in values {
-                    encode_bytes(v, buf);
+        Message::Transfer { snapshot, .. } => {
+            for entries in [&snapshot.live, &snapshot.dead] {
+                buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+                for (key, values) in entries {
+                    buf.extend_from_slice(key.as_bytes());
+                    buf.extend_from_slice(&(values.len() as u32).to_be_bytes());
+                    for v in values {
+                        encode_bytes(v, buf);
+                    }
                 }
             }
         }
@@ -395,7 +379,7 @@ pub(crate) fn encode_batch<O: Borrow<DhtOp>>(
     end_frame(buf, len_at);
 }
 
-/// A batch or replicate payload: the op count, then each op. The count is
+/// A batch payload: the op count, then each op. The count is
 /// back-filled, so the ops may come from any iterator (a filter, say).
 fn encode_ops<O: Borrow<DhtOp>>(ops: impl Iterator<Item = O>, buf: &mut Vec<u8>) {
     let count_at = buf.len();
@@ -609,8 +593,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, usize), WireError
     Ok((header[5], id, payload_len as usize))
 }
 
-/// One encoded [`DhtOp`], shared by unary request, batch and replicate
-/// payloads.
+/// One encoded [`DhtOp`], shared by unary request and batch payloads.
 fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
     Ok(match r.u8()? {
         OP_NODE_FOR => DhtOp::NodeFor(r.key()?),
@@ -632,12 +615,12 @@ fn decode_op(r: &mut Reader<'_>) -> Result<DhtOp, WireError> {
     })
 }
 
-/// A batch or replicate body: the count (checked before anything is
-/// reserved; zero is `BadPayload(empty)`), then that many ops.
-fn decode_ops(r: &mut Reader<'_>, empty: &'static str) -> Result<Vec<DhtOp>, WireError> {
+/// A batch body: the count (checked before anything is reserved; zero is
+/// a `BadPayload`), then that many ops.
+fn decode_ops(r: &mut Reader<'_>) -> Result<Vec<DhtOp>, WireError> {
     let count = r.u32()? as usize;
     if count == 0 {
-        return Err(WireError::BadPayload(empty));
+        return Err(WireError::BadPayload("batch must contain at least one op"));
     }
     // Each op costs at least an opcode plus a 20-byte key, so an absurd
     // count fails before any allocation.
@@ -649,6 +632,36 @@ fn decode_ops(r: &mut Reader<'_>, empty: &'static str) -> Result<Vec<DhtOp>, Wir
         ops.push(decode_op(r)?);
     }
     Ok(ops)
+}
+
+/// One transfer entry list: the count (checked before anything is
+/// reserved), then that many keys, each with its non-empty value list.
+fn decode_entries(r: &mut Reader<'_>) -> Result<Vec<(Key, Vec<Bytes>)>, WireError> {
+    let count = r.u32()? as usize;
+    // Each entry costs at least its 20-byte key plus a 4-byte value count,
+    // so an absurd count fails before any allocation.
+    if count > r.remaining() / MIN_ENTRY_LEN {
+        return Err(WireError::Truncated);
+    }
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let key = r.key()?;
+        let vcount = r.u32()? as usize;
+        if vcount == 0 {
+            return Err(WireError::BadPayload(
+                "transfer entry must carry at least one value",
+            ));
+        }
+        if vcount > r.remaining() / 4 {
+            return Err(WireError::Truncated);
+        }
+        let mut values = Vec::with_capacity(vcount);
+        for _ in 0..vcount {
+            values.push(r.bytes()?);
+        }
+        entries.push((key, values));
+    }
+    Ok(entries)
 }
 
 /// One encoded [`DhtResponse`], shared by ok-response and batch-reply
@@ -753,55 +766,19 @@ fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Message, WireErro
         }
         KIND_BATCH => Message::Batch {
             id,
-            ops: decode_ops(&mut r, "batch must contain at least one op")?,
+            ops: decode_ops(&mut r)?,
         },
-        KIND_REPLICATE => {
-            let ops = decode_ops(&mut r, "replicate must contain at least one op")?;
-            // A replicate carries writes for a replica to apply: a digest
-            // or conditional read is never legal inside one, wherever it
-            // sits.
-            for op in &ops {
-                match op {
-                    DhtOp::GetDigest(_) => return Err(WireError::UnknownOpcode(OP_GET_DIGEST)),
-                    DhtOp::GetIfChanged { .. } => {
-                        return Err(WireError::UnknownOpcode(OP_GET_IF_CHANGED))
-                    }
-                    _ => {}
-                }
-            }
-            Message::Replicate { id, ops }
-        }
         KIND_TRANSFER => {
-            let count = r.u32()? as usize;
-            if count == 0 {
+            let snapshot = BucketSnapshot {
+                live: decode_entries(&mut r)?,
+                dead: decode_entries(&mut r)?,
+            };
+            if snapshot.is_empty() {
                 return Err(WireError::BadPayload(
                     "transfer must contain at least one entry",
                 ));
             }
-            // Each entry costs at least its 20-byte key plus a 4-byte
-            // value count, so an absurd count fails before any allocation.
-            if count > r.remaining() / MIN_ENTRY_LEN {
-                return Err(WireError::Truncated);
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let key = r.key()?;
-                let vcount = r.u32()? as usize;
-                if vcount == 0 {
-                    return Err(WireError::BadPayload(
-                        "transfer entry must carry at least one value",
-                    ));
-                }
-                if vcount > r.remaining() / 4 {
-                    return Err(WireError::Truncated);
-                }
-                let mut values = Vec::with_capacity(vcount);
-                for _ in 0..vcount {
-                    values.push(r.bytes()?);
-                }
-                entries.push((key, values));
-            }
-            Message::Transfer { id, entries }
+            Message::Transfer { id, snapshot }
         }
         KIND_DIGEST => {
             let from = r.key()?;
@@ -1052,33 +1029,21 @@ mod tests {
                 Err(DhtError::Timeout),
             ],
         });
-        roundtrip(Message::Replicate {
-            id: 15,
-            ops: vec![DhtOp::Put {
-                key,
-                value: Bytes::from_static(b"copy"),
-            }],
-        });
-        roundtrip(Message::Replicate {
-            id: 16,
-            ops: vec![
-                DhtOp::Put {
-                    key,
-                    value: Bytes::from_static(b"copy"),
-                },
-                DhtOp::Remove {
-                    key,
-                    value: Bytes::from_static(b"copy"),
-                },
-            ],
-        });
-        roundtrip(Message::Transfer {
-            id: 17,
-            entries: vec![
-                (key, vec![Bytes::from_static(b""), Bytes::from_static(b"a")]),
-                (Key::hash_of("k2"), vec![Bytes::from_static(b"b")]),
-            ],
-        });
+        let entries = vec![
+            (key, vec![Bytes::from_static(b""), Bytes::from_static(b"a")]),
+            (Key::hash_of("k2"), vec![Bytes::from_static(b"b")]),
+        ];
+        let dead = vec![(Key::hash_of("k3"), vec![Bytes::from_static(b"c")])];
+        for (live, dead) in [
+            (entries.clone(), Vec::new()),
+            (Vec::new(), dead.clone()),
+            (entries, dead),
+        ] {
+            roundtrip(Message::Transfer {
+                id: 17,
+                snapshot: BucketSnapshot { live, dead },
+            });
+        }
         roundtrip(Message::Digest {
             id: 18,
             from: key,
@@ -1101,7 +1066,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x08); // version
+        expected.push(0x09); // version
         expected.push(0x09); // kind: digest
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&152u32.to_be_bytes()); // key + count + 16 * 8
@@ -1118,7 +1083,7 @@ mod tests {
         });
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x08);
+        expected.push(0x09);
         expected.push(0x0a); // kind: digest-reply
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&2u32.to_be_bytes());
@@ -1128,64 +1093,72 @@ mod tests {
 
     #[test]
     fn empty_transfer_and_valueless_entry_are_rejected() {
-        // A transfer with zero entries: header + u32(0).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION);
-        buf.push(0x08);
-        buf.extend_from_slice(&1u64.to_be_bytes());
-        buf.extend_from_slice(&4u32.to_be_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes());
+        // A transfer frame carrying `payload`.
+        let frame = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC);
+            buf.push(VERSION);
+            buf.push(0x08);
+            buf.extend_from_slice(&1u64.to_be_bytes());
+            buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            buf.extend_from_slice(payload);
+            buf
+        };
+        // Neither live nor dead entries: u32(0), u32(0).
         assert!(matches!(
-            decode_message(&buf),
+            decode_message(&frame(&[0; 8])),
             Err(WireError::BadPayload(_))
         ));
-        // One entry with zero values: count 1, key, u32(0).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION);
-        buf.push(0x08);
-        buf.extend_from_slice(&1u64.to_be_bytes());
-        buf.extend_from_slice(&28u32.to_be_bytes());
-        buf.extend_from_slice(&1u32.to_be_bytes());
-        buf.extend_from_slice(Key::hash_of("k").as_bytes());
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        assert!(matches!(
-            decode_message(&buf),
-            Err(WireError::BadPayload(_))
-        ));
+        // One entry with zero values, in either list.
+        let mut valueless = 1u32.to_be_bytes().to_vec();
+        valueless.extend_from_slice(Key::hash_of("k").as_bytes());
+        valueless.extend_from_slice(&0u32.to_be_bytes());
+        for dead in [false, true] {
+            let mut payload = Vec::new();
+            if dead {
+                payload.extend_from_slice(&0u32.to_be_bytes());
+            }
+            payload.extend_from_slice(&valueless);
+            if !dead {
+                payload.extend_from_slice(&0u32.to_be_bytes());
+            }
+            assert!(
+                matches!(
+                    decode_message(&frame(&payload)),
+                    Err(WireError::BadPayload(_))
+                ),
+                "dead list: {dead}"
+            );
+        }
     }
 
     #[test]
-    fn golden_replicate_frame_layout_is_pinned() {
-        // Byte-for-byte layout of one replicate frame — a count, then the
-        // ops as a batch carries them; changing the codec without bumping
-        // VERSION must fail here.
+    fn golden_transfer_frame_layout_is_pinned() {
+        // Byte-for-byte layout of one transfer frame — the live entry list,
+        // then the dead one, each a count and then per key its value list;
+        // changing the codec without bumping VERSION must fail here.
         let key = Key::hash_of("k");
-        let value = Bytes::from_static(b"v");
-        let msg = Message::Replicate {
+        let value = |v: &'static [u8]| vec![Bytes::from_static(v)];
+        let msg = Message::Transfer {
             id: 7,
-            ops: vec![
-                DhtOp::Put {
-                    key,
-                    value: value.clone(),
-                },
-                DhtOp::Remove { key, value },
-            ],
+            snapshot: BucketSnapshot {
+                live: vec![(key, value(b"v"))],
+                dead: vec![(key, value(b"d"))],
+            },
         };
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x08); // version
-        expected.push(0x07); // kind: replicate
+        expected.push(0x09); // version
+        expected.push(0x08); // kind: transfer
         expected.extend_from_slice(&7u64.to_be_bytes());
-        expected.extend_from_slice(&56u32.to_be_bytes()); // count + 2 * (opcode + key + len + 1)
-        expected.extend_from_slice(&2u32.to_be_bytes()); // two ops
-        for opcode in [0x02, 0x04] {
-            expected.push(opcode); // put, then remove
+        expected.extend_from_slice(&66u32.to_be_bytes()); // 2 * (count + key + count + len + 1)
+        for byte in [b'v', b'd'] {
+            expected.extend_from_slice(&1u32.to_be_bytes()); // one entry: live, then dead
             expected.extend_from_slice(key.as_bytes());
+            expected.extend_from_slice(&1u32.to_be_bytes()); // one value
             expected.extend_from_slice(&1u32.to_be_bytes());
-            expected.push(b'v');
+            expected.push(byte);
         }
         assert_eq!(buf, expected);
     }
@@ -1226,7 +1199,7 @@ mod tests {
         let buf = encode_to_vec(&msg);
         let mut expected = Vec::new();
         expected.extend_from_slice(b"PDHT");
-        expected.push(0x08); // version
+        expected.push(0x09); // version
         expected.push(0x01); // kind: request
         expected.extend_from_slice(&7u64.to_be_bytes());
         expected.extend_from_slice(&26u32.to_be_bytes()); // opcode + key + len + 1
@@ -1268,10 +1241,10 @@ mod tests {
         ));
 
         let mut bad_version = good.clone();
-        bad_version[4] = 9;
+        bad_version[4] = 10;
         assert_eq!(
             decode_message(&bad_version),
-            Err(WireError::UnsupportedVersion(9))
+            Err(WireError::UnsupportedVersion(10))
         );
 
         let mut bad_kind = good.clone();

@@ -21,7 +21,9 @@
 //! repeats exactly and a failure names the seed of its case.
 
 use bytes::Bytes;
-use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64, REPAIR_BUCKETS};
+use p2p_index_dht::{
+    BucketSnapshot, DhtError, DhtOp, DhtResponse, Key, NodeId, SplitMix64, REPAIR_BUCKETS,
+};
 use p2p_index_net::wire::{
     decode_message, encode_message, encode_to_vec, read_message_with, HEADER_LEN, MAX_PAYLOAD,
 };
@@ -87,6 +89,17 @@ fn rng_result(rng: &mut SplitMix64, variant: usize) -> Result<DhtResponse, DhtEr
         6 => Err(DhtError::StorageFull),
         _ => Err(DhtError::from_wire_code(rng.next_u64() as u16)),
     }
+}
+
+/// One to three `(key, values)` entries of one to three values each.
+fn rng_entries(rng: &mut SplitMix64) -> Vec<(Key, Vec<Bytes>)> {
+    (0..1 + rng.next_u64() % 3)
+        .map(|_| {
+            let key = rng_key(rng);
+            let values = (0..1 + rng.next_u64() % 3).map(|_| rng_value(rng));
+            (key, values.collect())
+        })
+        .collect()
 }
 
 /// A message cycling through every variant, with rng-derived contents.
@@ -161,24 +174,20 @@ fn rng_message(rng: &mut SplitMix64, variant: usize) -> Message {
                 .map(|i| rng_result(rng, variant + i))
                 .collect(),
         },
-        14 => Message::Replicate {
-            id,
-            ops: (0..1 + (rng.next_u64() % 4) as usize)
-                .map(|i| rng_op(rng, variant + i))
-                .collect(),
-        },
-        15 => Message::Transfer {
-            id,
-            entries: (0..1 + (rng.next_u64() % 3) as usize)
-                .map(|_| {
-                    let key = rng_key(rng);
-                    let values = (0..1 + (rng.next_u64() % 3) as usize)
-                        .map(|_| rng_value(rng))
-                        .collect();
-                    (key, values)
-                })
-                .collect(),
-        },
+        // A repair push: live entries only, dead only, or both.
+        14 | 15 => {
+            let shape = rng.next_u64() % 3;
+            let live = match shape {
+                1 => Vec::new(),
+                _ => rng_entries(rng),
+            };
+            let dead = match shape {
+                0 => Vec::new(),
+                _ => rng_entries(rng),
+            };
+            let snapshot = BucketSnapshot { live, dead };
+            Message::Transfer { id, snapshot }
+        }
         16 => Message::Digest {
             id,
             from: rng_key(rng),
@@ -350,12 +359,11 @@ fn values_of(msg: &Message) -> Vec<Bytes> {
     match msg {
         Message::Request { op, .. } => of_op(op),
         Message::Response { result, .. } => of_result(result),
-        Message::Batch { ops, .. } | Message::Replicate { ops, .. } => {
-            ops.iter().flat_map(of_op).collect()
-        }
+        Message::Batch { ops, .. } => ops.iter().flat_map(of_op).collect(),
         Message::BatchReply { results, .. } => results.iter().flat_map(of_result).collect(),
-        Message::Transfer { entries, .. } => {
-            entries.iter().flat_map(|(_, vs)| vs.clone()).collect()
+        Message::Transfer { snapshot, .. } => {
+            let entries = snapshot.live.iter().chain(&snapshot.dead);
+            entries.flat_map(|(_, vs)| vs.clone()).collect()
         }
         Message::Digest { .. } | Message::DigestReply { .. } | Message::Shutdown => Vec::new(),
     }
@@ -390,7 +398,10 @@ fn decoded_values_survive_the_read_scratch_being_reused() {
     };
     let second = Message::Transfer {
         id: 2,
-        entries: vec![(Key::hash_of("k"), vec![Bytes::from(vec![0x55u8; 4096])])],
+        snapshot: BucketSnapshot {
+            live: vec![(Key::hash_of("k"), vec![Bytes::from(vec![0x55u8; 4096])])],
+            dead: Vec::new(),
+        },
     };
     let mut stream = Vec::new();
     encode_message(&first, &mut stream);
@@ -546,18 +557,18 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 #[test]
 fn every_foreign_version_is_rejected() {
     // Every frame of every kind carries the one version; the 255 other
-    // bytes — 0x07, the version before conditional reads, among them —
-    // are refused on the header alone, whatever the kind.
-    assert_eq!(VERSION, 0x08);
+    // bytes — 0x08, the version before one-frame repair pushes, among
+    // them — are refused on the header alone, whatever the kind.
+    assert_eq!(VERSION, 0x09);
     let mut rng = SplitMix64::new(0xd19e57);
     for variant in 0..VARIANTS {
         let good = encode_to_vec(&rng_message(&mut rng, variant));
         assert_eq!(good[4], VERSION, "variant {variant}");
         let mut previous = good.clone();
-        previous[4] = 0x07;
+        previous[4] = 0x08;
         assert_eq!(
             decode_message(&previous),
-            Err(WireError::UnsupportedVersion(0x07)),
+            Err(WireError::UnsupportedVersion(0x08)),
             "variant {variant}"
         );
         for version in (0..=u8::MAX).filter(|&byte| byte != VERSION) {
@@ -619,9 +630,8 @@ fn raw_frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn empty_batches_are_rejected() {
     // count == 0 is not a no-op, it's a protocol violation: a frame
-    // carrying no work should never have been sent — a batch, its reply,
-    // or a replicate.
-    for kind in [0x05u8, 0x06, 0x07] {
+    // carrying no work should never have been sent — a batch or its reply.
+    for kind in [0x05u8, 0x06] {
         let frame = raw_frame(kind, 7, &0u32.to_be_bytes());
         assert!(
             matches!(decode_message(&frame), Err(WireError::BadPayload(_))),
@@ -632,10 +642,11 @@ fn empty_batches_are_rejected() {
 
 #[test]
 fn oversized_batch_count_is_rejected_before_allocation() {
-    // A batch (or replicate) claiming u32::MAX ops in a 4-byte payload must
-    // fail on arithmetic alone — Vec::with_capacity never sees attacker
-    // numbers. So must a count one op more than its payload can hold.
-    for kind in [0x05u8, 0x06, 0x07] {
+    // A batch (or its reply) claiming u32::MAX ops in a 4-byte payload
+    // must fail on arithmetic alone — Vec::with_capacity never sees
+    // attacker numbers. So must a count one op more than its payload can
+    // hold.
+    for kind in [0x05u8, 0x06] {
         let frame = raw_frame(kind, 7, &u32::MAX.to_be_bytes());
         assert_eq!(
             decode_message(&frame),
@@ -643,54 +654,83 @@ fn oversized_batch_count_is_rejected_before_allocation() {
             "kind 0x{kind:02x}"
         );
     }
-    for kind in [0x05u8, 0x07] {
-        let mut payload = 3u32.to_be_bytes().to_vec();
-        for i in 0..2 {
-            payload.push(0x03); // opcode: get
-            payload.extend_from_slice(Key::hash_of(&format!("k{i}")).as_bytes());
-        }
+    let mut payload = 3u32.to_be_bytes().to_vec();
+    for i in 0..2 {
+        payload.push(0x03); // opcode: get
+        payload.extend_from_slice(Key::hash_of(&format!("k{i}")).as_bytes());
+    }
+    assert_eq!(
+        decode_message(&raw_frame(0x05, 7, &payload)),
+        Err(WireError::Truncated)
+    );
+    payload[..4].copy_from_slice(&2u32.to_be_bytes());
+    assert!(decode_message(&raw_frame(0x05, 7, &payload)).is_ok());
+}
+
+#[test]
+fn the_retired_replicate_kind_is_unknown() {
+    // Kind 0x07 carried repair scrubs up to version 8; a repair push is
+    // one transfer now, and 0x07 is no kind at all — whatever it carries,
+    // a well-formed batch payload included.
+    let mut payload = 1u32.to_be_bytes().to_vec();
+    payload.push(0x04); // opcode: remove
+    payload.extend_from_slice(Key::hash_of("k").as_bytes());
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    payload.push(b'v');
+    assert!(decode_message(&raw_frame(0x05, 7, &payload)).is_ok());
+    for payload in [&payload[..], &[]] {
         assert_eq!(
-            decode_message(&raw_frame(kind, 7, &payload)),
-            Err(WireError::Truncated),
-            "kind 0x{kind:02x}"
+            decode_message(&raw_frame(0x07, 7, payload)),
+            Err(WireError::UnknownKind(0x07))
         );
-        payload[..4].copy_from_slice(&2u32.to_be_bytes());
-        assert!(decode_message(&raw_frame(kind, 7, &payload)).is_ok());
     }
 }
 
 #[test]
 fn empty_transfers_are_rejected() {
-    // Like empty batches: a transfer carrying nothing, or an entry
-    // carrying no values, is a protocol violation — not a no-op.
-    let frame = raw_frame(0x08, 7, &0u32.to_be_bytes());
+    // Like empty batches: a transfer carrying neither live nor dead
+    // entries, or an entry in either list carrying no values, is a
+    // protocol violation — not a no-op.
+    let frame = raw_frame(0x08, 7, &[0; 8]);
     assert!(matches!(
         decode_message(&frame),
         Err(WireError::BadPayload(_))
     ));
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u32.to_be_bytes());
-    payload.extend_from_slice(Key::hash_of("k").as_bytes());
-    payload.extend_from_slice(&0u32.to_be_bytes());
-    let frame = raw_frame(0x08, 7, &payload);
-    assert!(matches!(
-        decode_message(&frame),
-        Err(WireError::BadPayload(_))
-    ));
+    let mut valueless = 1u32.to_be_bytes().to_vec();
+    valueless.extend_from_slice(Key::hash_of("k").as_bytes());
+    valueless.extend_from_slice(&0u32.to_be_bytes());
+    let empty = 0u32.to_be_bytes();
+    for payload in [
+        [&valueless[..], &empty].concat(),
+        [&empty[..], &valueless].concat(),
+    ] {
+        let frame = raw_frame(0x08, 7, &payload);
+        assert!(matches!(
+            decode_message(&frame),
+            Err(WireError::BadPayload(_))
+        ));
+    }
 }
 
 #[test]
 fn oversized_transfer_counts_are_rejected_before_allocation() {
     // Entry and value counts claiming more than the payload can hold must
-    // fail on arithmetic alone, like oversized batch counts.
-    let frame = raw_frame(0x08, 7, &u32::MAX.to_be_bytes());
-    assert_eq!(decode_message(&frame), Err(WireError::Truncated));
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&1u32.to_be_bytes());
-    payload.extend_from_slice(Key::hash_of("k").as_bytes());
-    payload.extend_from_slice(&u32::MAX.to_be_bytes());
-    let frame = raw_frame(0x08, 7, &payload);
-    assert_eq!(decode_message(&frame), Err(WireError::Truncated));
+    // fail on arithmetic alone, like oversized batch counts — in the live
+    // list and in the dead one.
+    let absurd = u32::MAX.to_be_bytes();
+    let mut entry = 1u32.to_be_bytes().to_vec();
+    entry.extend_from_slice(Key::hash_of("k").as_bytes());
+    entry.extend_from_slice(&absurd);
+    let empty = 0u32.to_be_bytes();
+    for payload in [
+        absurd.to_vec(),
+        [&empty[..], &absurd].concat(),
+        entry.clone(),
+        [&empty[..], &entry].concat(),
+    ] {
+        let frame = raw_frame(0x08, 7, &payload);
+        assert_eq!(decode_message(&frame), Err(WireError::Truncated));
+    }
 }
 
 #[test]
@@ -698,7 +738,7 @@ fn golden_digest_read_frame_layouts_are_pinned() {
     // Byte-for-byte layout of the digest-read forms: a unary digest
     // request and its answer, a batch mixing a full and a digest get, and
     // the reply mixing a value list and a digest.
-    assert_eq!(VERSION, 0x08, "the header byte every golden frame carries");
+    assert_eq!(VERSION, 0x09, "the header byte every golden frame carries");
     let (full, vouch) = (Key::hash_of("full"), Key::hash_of("vouch"));
     let mut payload = vec![0x05]; // opcode: get-digest
     payload.extend_from_slice(vouch.as_bytes());
@@ -757,25 +797,6 @@ fn golden_digest_read_frame_layouts_are_pinned() {
         }),
         raw_frame(0x06, 8, &payload)
     );
-
-    // A replicate carries writes for a replica to apply: the digest
-    // opcode is unknown inside one — first, middle or last — though it is
-    // legal in a request and in a batch.
-    let ops = vec![DhtOp::Get(full), DhtOp::Get(vouch), DhtOp::Get(full)];
-    let clean = encode_to_vec(&Message::Replicate { id: 1, ops });
-    assert!(decode_message(&clean).is_ok());
-    // Past the header and the op count, each op is an opcode and a key.
-    for op in 0..3 {
-        let mut replicate = clean.clone();
-        replicate[HEADER_LEN + 4 + op * 21] = 0x05;
-        assert_eq!(
-            decode_message(&replicate),
-            Err(WireError::UnknownOpcode(0x05)),
-            "get-digest as op {op}"
-        );
-        replicate[5] = 0x05; // the same payload as a batch
-        assert!(decode_message(&replicate).is_ok(), "op {op}");
-    }
 }
 
 #[test]
@@ -783,7 +804,7 @@ fn golden_conditional_read_frame_layout_is_pinned() {
     // Byte-for-byte layout of a conditional read: opcode 0x06, the key,
     // then the digest the caller holds — its count and its sum. Its
     // answer is an ordinary digest or value list (pinned above).
-    assert_eq!(VERSION, 0x08, "the header byte every golden frame carries");
+    assert_eq!(VERSION, 0x09, "the header byte every golden frame carries");
     let key = Key::hash_of("held");
     let op = DhtOp::GetIfChanged {
         key,
@@ -800,46 +821,6 @@ fn golden_conditional_read_frame_layout_is_pinned() {
 }
 
 #[test]
-fn a_conditional_read_is_rejected_inside_a_replicate_at_any_position() {
-    // Like the digest opcode: a replicate carries writes, and a
-    // conditional read anywhere in one — first, middle or last — is an
-    // unknown opcode, though the same payload is a legal batch.
-    let get = |payload: &mut Vec<u8>, name: &str| {
-        payload.push(0x03); // opcode: get
-        payload.extend_from_slice(Key::hash_of(name).as_bytes());
-    };
-    for at in 0..3 {
-        let mut payload = 3u32.to_be_bytes().to_vec();
-        for op in 0..3 {
-            if op == at {
-                payload.push(0x06); // opcode: get-if-changed
-                payload.extend_from_slice(Key::hash_of("held").as_bytes());
-                payload.extend_from_slice(&1u32.to_be_bytes());
-                payload.extend_from_slice(&u64::MAX.to_be_bytes());
-            } else {
-                get(&mut payload, &format!("k{op}"));
-            }
-        }
-        assert_eq!(
-            decode_message(&raw_frame(0x07, 1, &payload)),
-            Err(WireError::UnknownOpcode(0x06)),
-            "get-if-changed as op {at}"
-        );
-        let batch = decode_message(&raw_frame(0x05, 1, &payload));
-        let Ok((Message::Batch { ops, .. }, _)) = batch else {
-            panic!("a batch may carry a conditional read: {batch:?}");
-        };
-        assert!(matches!(
-            ops[at],
-            DhtOp::GetIfChanged {
-                seen: (1, u64::MAX),
-                ..
-            }
-        ));
-    }
-}
-
-#[test]
 fn golden_frames_of_the_remaining_kinds_are_pinned() {
     // The kinds no other golden covers: err-response, transfer, shutdown.
     assert_eq!(
@@ -849,17 +830,20 @@ fn golden_frames_of_the_remaining_kinds_are_pinned() {
         }),
         raw_frame(0x03, 5, &[0x00, 0x03])
     );
+    // A transfer that only scrubs: no live entry, then one dead one.
     let key = Key::hash_of("k");
-    let mut payload = 1u32.to_be_bytes().to_vec(); // one entry
+    let mut payload = 0u32.to_be_bytes().to_vec(); // no live entry
+    payload.extend_from_slice(&1u32.to_be_bytes()); // one dead entry
     payload.extend_from_slice(key.as_bytes());
     payload.extend_from_slice(&1u32.to_be_bytes()); // one value
     payload.extend_from_slice(&1u32.to_be_bytes());
     payload.push(b'v');
+    let snapshot = BucketSnapshot {
+        live: Vec::new(),
+        dead: vec![(key, vec![Bytes::from_static(b"v")])],
+    };
     assert_eq!(
-        encode_to_vec(&Message::Transfer {
-            id: 9,
-            entries: vec![(key, vec![Bytes::from_static(b"v")])],
-        }),
+        encode_to_vec(&Message::Transfer { id: 9, snapshot }),
         raw_frame(0x08, 9, &payload)
     );
     assert_eq!(encode_to_vec(&Message::Shutdown), raw_frame(0x04, 0, &[]));
@@ -908,13 +892,16 @@ fn transfer_cut_at_every_byte_is_truncated() {
     let mut rng = SplitMix64::new(23);
     let msg = Message::Transfer {
         id: 9,
-        entries: vec![
-            (rng_key(&mut rng), vec![rng_value(&mut rng)]),
-            (
-                rng_key(&mut rng),
-                vec![rng_value(&mut rng), rng_value(&mut rng)],
-            ),
-        ],
+        snapshot: BucketSnapshot {
+            live: vec![
+                (rng_key(&mut rng), vec![rng_value(&mut rng)]),
+                (
+                    rng_key(&mut rng),
+                    vec![rng_value(&mut rng), rng_value(&mut rng)],
+                ),
+            ],
+            dead: vec![(rng_key(&mut rng), vec![rng_value(&mut rng)])],
+        },
     };
     let buf = encode_to_vec(&msg);
     for cut in HEADER_LEN..buf.len() {

@@ -9,12 +9,12 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use p2p_index_core::{CachePolicy, IndexService, IndexTarget, RetryPolicy, SimpleScheme};
 use p2p_index_dht::{
-    placement, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht,
+    placement, BucketSnapshot, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, Key, NodeId, RingDht,
 };
 use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{
@@ -429,8 +429,11 @@ fn lossy_replicated_cluster_still_blocks_a_stale_transfer_of_a_removed_value() {
         .unwrap();
     let mut scratch = Vec::new();
     for id in 0..40 {
-        let entries = vec![(key, vec![dead.clone(), alive.clone()])];
-        let transfer = Message::Transfer { id, entries };
+        let snapshot = BucketSnapshot {
+            live: vec![(key, vec![dead.clone(), alive.clone()])],
+            dead: Vec::new(),
+        };
+        let transfer = Message::Transfer { id, snapshot };
         write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
         let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
         assert!(matches!(reply, Message::Response { .. }));
@@ -466,9 +469,12 @@ fn an_idle_connection_gives_its_big_read_buffer_back() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     let big_key = Key::hash_of("big");
-    let entries = vec![(big_key, vec![Bytes::from(vec![0xabu8; 2 << 20])])];
+    let snapshot = BucketSnapshot {
+        live: vec![(big_key, vec![Bytes::from(vec![0xabu8; 2 << 20])])],
+        dead: Vec::new(),
+    };
     let mut scratch = Vec::new();
-    let transfer = Message::Transfer { id: 1, entries };
+    let transfer = Message::Transfer { id: 1, snapshot };
     write_message_with(&mut stream, &transfer, &mut scratch).unwrap();
     let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
     assert_eq!(
@@ -610,11 +616,11 @@ fn a_write_wave_sends_each_replica_one_frame_and_no_member_calls_a_peer() {
     for result in client.execute_many(puts) {
         assert_eq!(result, Ok(DhtResponse::Stored(true)));
     }
-    // One batch frame to each of the three replicas, and no `Replicate`.
+    // One batch frame to each of the three replicas, and no repair push.
     assert_eq!(metrics.counter("net.frames_out"), 3);
     assert_eq!(metrics.counter("net.batch.frames_out"), 3);
     assert_eq!(metrics.counter("net.server.batches"), 3);
-    assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+    assert_eq!(metrics.counter("net.server.replica.repair_pushes"), 0);
     // Every replica applied every write, once.
     assert_eq!(metrics.counter("net.ops.put"), 16);
     assert_eq!(metrics.counter("net.server.ops.put"), 3 * 16);
@@ -641,7 +647,7 @@ fn a_write_wave_sends_each_replica_one_frame_and_no_member_calls_a_peer() {
     let writes = metrics.counter("net.ops.put") + metrics.counter("net.ops.remove");
     let applied = metrics.counter("net.server.ops.put") + metrics.counter("net.server.ops.remove");
     assert_eq!(applied, 3 * writes, "R applies per settled write");
-    assert_eq!(metrics.counter("net.server.replica.frames"), 0);
+    assert_eq!(metrics.counter("net.server.replica.repair_pushes"), 0);
     cluster.shutdown();
 }
 
@@ -798,62 +804,4 @@ fn a_cluster_declared_with_w_3_makes_its_clients_write_at_w_3() {
     let (unary_results, _, unary_stats) = run(false);
     assert_eq!(results, unary_results);
     assert_eq!(stats, unary_stats);
-}
-
-#[test]
-fn a_leaving_member_drains_each_key_to_its_replica_set_on_the_survivors_ring() {
-    // Five members at R = W = 2, repair off, metrics on member 0 alone. A
-    // key member 0 held moves, on the ring without it, to a survivor that
-    // never held it: only the drain can put it there.
-    let metrics = MetricsRegistry::new();
-    let cluster = LoopbackCluster::start_with(5, |i, id, ring| {
-        let mut replication = ReplicationConfig::new(*id.key(), ring.to_vec(), 2, 2);
-        replication.repair_interval = None;
-        let mut config = ServerConfig {
-            replication: Some(replication),
-            ..ServerConfig::default()
-        };
-        if i == 0 {
-            config.metrics = metrics.clone();
-        }
-        config
-    })
-    .expect("loopback cluster");
-    let key = |i: usize| Key::hash_of(&format!("drained-{i}"));
-    let value = |i: usize| Bytes::from(format!("Q:/article/title/t{i}"));
-    let mut client = cluster.replicated_client(2, 2);
-    for i in 0..64 {
-        assert!(client.put(key(i), value(i)));
-    }
-
-    let mut leaving = TcpStream::connect(cluster.members()[0].1).unwrap();
-    write_message_with(&mut leaving, &Message::Shutdown, &mut Vec::new()).unwrap();
-    // The stop flag is set only once the drain has returned.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !cluster.server(0).is_shutting_down() {
-        assert!(Instant::now() < deadline, "the drain never ended");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let pushes = metrics.counter("net.server.replica.drain_pushes");
-    let most = 4 * p2p_index_dht::REPAIR_BUCKETS as u64;
-    assert!((1..=most).contains(&pushes), "{pushes} drain pushes");
-
-    let mut survivors = cluster.members()[1..].to_vec();
-    survivors.sort_unstable();
-    let ring: Vec<Key> = survivors.iter().map(|(id, _)| *id.key()).collect();
-    let mut scratch = Vec::new();
-    for i in 0..64 {
-        for at in placement::replica_range(&ring, &key(i), 2).indices() {
-            let mut stream = TcpStream::connect(survivors[at].1).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            let (id, op) = (i as u64, DhtOp::Get(key(i)));
-            write_message_with(&mut stream, &Message::Request { id, op }, &mut scratch).unwrap();
-            let (reply, _) = read_message_with(&mut stream, &mut scratch).unwrap();
-            let result = Ok(DhtResponse::Values(vec![value(i)]));
-            assert_eq!(reply, Message::Response { id, result }, "key {i} at {at}");
-        }
-    }
-    cluster.shutdown();
 }

@@ -138,24 +138,10 @@ impl Evaluation {
         self.collect_metrics = collect;
     }
 
-    fn cell_config(&self, scheme: SchemeChoice, policy: CachePolicy) -> SimConfig {
-        SimConfig {
-            collect_metrics: self.collect_metrics,
-            ..self.base.sim(scheme, policy)
-        }
-    }
-
-    /// Runs (or recalls) one grid cell.
+    /// Runs (or recalls) one grid cell — [`run_cells`](Self::run_cells)
+    /// of that one cell, which runs it inline.
     pub fn cell(&mut self, scheme: SchemeChoice, policy: CachePolicy) -> &Metrics {
-        if !self.cells.contains_key(&(scheme, policy)) {
-            let corpus = self.shared_corpus();
-            let (metrics, snapshot) =
-                Simulation::run_with_snapshot_on(self.cell_config(scheme, policy), corpus);
-            if let Some(s) = snapshot {
-                self.snapshots.insert((scheme, policy), s);
-            }
-            self.cells.insert((scheme, policy), metrics);
-        }
+        self.run_cells(&[(scheme, policy)], 1);
         &self.cells[&(scheme, policy)]
     }
 
@@ -163,10 +149,10 @@ impl Evaluation {
     /// the results.
     ///
     /// Duplicate requests and cells that already ran are skipped; the
-    /// remaining cells fan out over the [work-queue executor](crate::exec).
-    /// Every cell is a pure function of `(config, scheme, policy)` — the
-    /// same per-cell seeds a serial [`cell`](Self::cell) call would use —
-    /// so tables rendered afterwards are byte-identical to a serial run.
+    /// remaining cells fan out over the [work-queue executor](crate::exec),
+    /// which runs them inline at one job. Every cell is a pure function of
+    /// `(config, scheme, policy)`, so tables rendered afterwards are
+    /// byte-identical whatever `jobs` is.
     pub fn run_cells(&mut self, cells: &[(SchemeChoice, CachePolicy)], jobs: usize) {
         let mut pending: Vec<(SchemeChoice, CachePolicy)> = Vec::new();
         for &cell in cells {

@@ -81,17 +81,12 @@ impl CmpOp {
         }
     }
 
-    /// Evaluates `left OP right`.
-    ///
-    /// `=` is numeric if both operands parse as numbers (so `"0100" =
-    /// "100"`) and string equality otherwise; `^=` and `*=` test the raw
-    /// strings.
+    /// Evaluates `left OP right` on the raw strings: `=` is string
+    /// equality (so `[y=100]` means what the value leaf `y/100` means, and
+    /// `"0100"` is not `"100"`), `^=` a prefix test, `*=` a substring test.
     pub fn eval(&self, left: &str, right: &str) -> bool {
         match self {
-            CmpOp::Eq => match (left.trim().parse::<f64>(), right.trim().parse::<f64>()) {
-                (Ok(l), Ok(r)) => l == r,
-                _ => left == right,
-            },
+            CmpOp::Eq => left == right,
             CmpOp::StartsWith => left.starts_with(right),
             CmpOp::Contains => left.contains(right),
         }
@@ -653,9 +648,12 @@ mod tests {
 
     #[test]
     fn cmp_op_numeric_and_lexicographic() {
-        assert!(CmpOp::Eq.eval("0100", "100")); // numeric equality
-        assert!(CmpOp::Eq.eval(" 1996", "1996.0"));
-        assert!(!CmpOp::Eq.eval("NaN", "NaN"));
+        // `=` compares the text, numbers included: no spelling of a
+        // number equals another.
+        assert!(CmpOp::Eq.eval("100", "100"));
+        assert!(!CmpOp::Eq.eval("0100", "100"));
+        assert!(!CmpOp::Eq.eval(" 1996", "1996.0"));
+        assert!(CmpOp::Eq.eval("NaN", "NaN"));
         assert!(CmpOp::Eq.eval("apple", "apple")); // string equality
         assert!(!CmpOp::Eq.eval("apple", "Apple"));
         assert!(!CmpOp::Eq.eval("0100", "x100"));

@@ -26,14 +26,9 @@
 //! element *names* and leaf *values* are assumed not to collide, which
 //! holds for every descriptor vocabulary in this repository.
 //!
-//! Three corners fall outside that statement, none of which an index
-//! scheme or workload here builds: a specific query no descriptor can
-//! match (`/a/y[1][2]`), which every query covers but `covers` may deny;
-//! an empty prefix or substring (`[y^=""]`), which any `y` satisfies but
-//! only a constraint on `y`'s text implies here; and a numeric `=`
-//! (`[y=0100]`), which matches every spelling of the number but is read
-//! as pinning the text to the one written, so `/a/y/100 ⊒ /a[y=0100]`
-//! although `<a><y>100.0</y></a>` matches only the right-hand side.
+//! One corner falls outside that statement, and no index scheme or
+//! workload here builds it: a specific query no descriptor can match
+//! (`/a/y[1][2]`), which every query covers but `covers` may deny.
 
 use crate::ast::{CmpOp, Comparison, NodeRef, Query};
 
@@ -41,7 +36,7 @@ impl Query {
     /// Does `self` cover `other` — i.e. does every descriptor matching
     /// `other` also match `self`?
     ///
-    /// The check is exact (see the [module docs](self) for three corners
+    /// The check is exact (see the [module docs](self) for the one corner
     /// no scheme builds) under one schema assumption: element names and
     /// leaf values do not collide in the descriptor vocabulary.
     ///
@@ -93,8 +88,12 @@ fn equality_implies(s: NodeRef<'_>, v: &str) -> bool {
 ///
 /// `s` constrains its text through its own comparison and through value
 /// leaves (`year/1996` pins the text to `1996` under the no-collision
-/// schema assumption).
+/// schema assumption). Every text starts with and contains `""`, so an
+/// empty `^=` or `*=` asks only that the node be there.
 fn comparison_implied(gc: Comparison<'_>, s: NodeRef<'_>) -> bool {
+    if gc.value.is_empty() && gc.op != CmpOp::Eq {
+        return true;
+    }
     let pinned = s
         .children()
         .filter(|child| child.is_leaf())
@@ -202,9 +201,11 @@ mod tests {
 
     #[test]
     fn comparison_implication_numeric() {
-        // `=` between numbers is numeric, both ways.
-        assert!(q("/a[y=1990]").covers(&q("/a[y=01990]")));
-        assert!(q("/a[y=01990]").covers(&q("/a[y=1990.0]")));
+        // `=` between numbers compares their text: one spelling of a
+        // number implies no other, either way.
+        assert!(q("/a[y=1990]").covers(&q("/a[y=1990]")));
+        assert!(!q("/a[y=1990]").covers(&q("/a[y=01990]")));
+        assert!(!q("/a[y=01990]").covers(&q("/a[y=1990.0]")));
         assert!(!q("/a[y=1990]").covers(&q("/a[y=1995]")));
         // A prefix or substring of a number is one of its text.
         assert!(q("/a[y^=19]").covers(&q("/a[y=1990]")));
@@ -230,7 +231,11 @@ mod tests {
 
     #[test]
     fn equality_implied_with_numeric_normalization() {
-        assert!(q("/a/y/100").covers(&q("/a[y=0100]")));
+        // No normalization: `[y=0100]` pins the text `0100`, which is not
+        // the value `100` — `<a><y>0100</y></a>` matches only the right.
+        assert!(q("/a/y/100").covers(&q("/a[y=100]")));
+        assert!(!q("/a/y/100").covers(&q("/a[y=0100]")));
+        assert!(!q("/a[y=0100]").covers(&q("/a/y/100")));
     }
 
     #[test]
@@ -246,6 +251,10 @@ mod tests {
         // Prefix does not imply equality.
         assert!(!q("/article/author/last/Smith").covers(&q("/article[author/last^=Smith]")));
         assert!(!q("/article[author/last=Smith]").covers(&q("/article[author/last^=Smith]")));
+        // Every text starts with the empty prefix: any `last` will do.
+        assert!(q("/article[author/last^=\"\"]").covers(&q("/article[author/last*=mi]")));
+        assert!(q("/article[author/last*=\"\"]").covers(&q("/article/author/last")));
+        assert!(!q("/article[author/last^=\"\"]").covers(&q("/article/author/first")));
     }
 
     #[test]

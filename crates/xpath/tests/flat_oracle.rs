@@ -5,7 +5,8 @@
 //! reference below is the code they were ported from — a `String` + `Vec`
 //! node, the recursive `normalize` / `write` / `contains` / `node_matches`
 //! — kept verbatim on a test-local tree, minus the constructs the
-//! language no longer has. Seeded trees (every operator, names that need
+//! language no longer has, and with the one rule `covers` gained since:
+//! an empty `^=` or `*=` is implied by its node being there. Seeded trees (every operator, names that need
 //! quoting and escaping, duplicate and unsorted branches) go through
 //! both, and everything observable must agree: the canonical text first
 //! of all, since every DHT key is a hash of it.
@@ -150,6 +151,9 @@ fn equality_implies(s: &Tree, v: &str) -> bool {
 }
 
 fn comparison_implied(gc: &Comparison, s: &Tree) -> bool {
+    if gc.value.is_empty() && gc.op != CmpOp::Eq {
+        return true;
+    }
     let mut sources: Vec<Comparison> = Vec::new();
     if let Some(c) = &s.comparison {
         sources.push(c.clone());
