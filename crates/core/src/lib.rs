@@ -13,8 +13,8 @@
 //!   single lookup steps and shortcut creation (the primitives of the
 //!   paper's interactive mode), automated search with generalization —
 //!   with its retries, traffic, node load and tracing;
-//! * [`scheme`] — the index schemes of the paper's Fig. 8 and Fig. 4, plus
-//!   custom schemes;
+//! * [`scheme`] — the index schemes of the paper's Fig. 8 and Fig. 4, as
+//!   tables of index edges run by one interpreter, and two decorators;
 //! * [`cache`] — the adaptive distributed cache (multi/single/LRU): one
 //!   node's [`ShortcutCache`], and `NodeCaches`, every node's under one
 //!   policy, which the service probes, fills and purges;
@@ -58,8 +58,8 @@ pub mod traffic;
 pub use cache::{CachePolicy, ShortcutCache};
 pub use retry::{RetryPolicy, RetryStats};
 pub use scheme::{
-    BiblioFields, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme, IndexScheme,
-    InitialLetterScheme, KeywordTitleScheme, SimpleScheme,
+    BiblioFields, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, InitialLetterScheme,
+    KeywordTitleScheme, SimpleScheme,
 };
 pub use service::{Completeness, FileHit, IndexError, IndexService, SearchReport, StepResponse};
 pub use target::{DecodeTargetError, IndexTarget};

@@ -5,20 +5,37 @@
 //! descriptor into a set of *index edges* `(q ; qᵢ)` with `q ⊒ qᵢ`, the
 //! last edge of every chain ending at the MSD.
 //!
-//! This module implements the three schemes the paper evaluates (Fig. 8) —
-//! [`SimpleScheme`], [`FlatScheme`], [`ComplexScheme`] — plus the deeper
-//! hierarchical scheme of Fig. 4 ([`Fig4Scheme`], with its *Last name*
-//! level) and an escape hatch for user-defined schemes ([`CustomScheme`]).
+//! Every built-in scheme is a [`Table`]: the three the paper evaluates
+//! (Fig. 8: [`SIMPLE`], [`FLAT`], [`COMPLEX`]) and the hierarchy of Fig. 4
+//! with its *Last name* level ([`FIG4`]), run as [`SimpleScheme`],
+//! [`FlatScheme`], [`ComplexScheme`] and [`Fig4Scheme`]. A table's
+//! [`Node`]s are sets of Fig. 1's fields (`author/first`, `author/last`,
+//! `title`, `conf`, `year`) and the MSD. Its rows are `from → to` pairs
+//! whose `from` names a subset of `to`'s fields, so `q ⊒ qᵢ` holds by
+//! construction. One interpreter runs every table:
 //!
-//! All built-ins understand the bibliographic descriptor schema of Fig. 1
-//! (`author/first`, `author/last`, `title`, `conf`, `year`); descriptors
-//! may carry several `author` elements, in which case per-author index
-//! entries are generated.
+//! - The rows that name an author run once per author of the descriptor
+//!   (once, with every per-author node absent, when it has none). The
+//!   author-free rows run after them, once.
+//! - A row with an absent end — a node whose fields the descriptor lacks —
+//!   is dropped.
+//! - A present field node that is the source of some row, but has emitted
+//!   no edge by the last row that mentions it, gets one edge to the MSD
+//!   right after that row. This one rule is every missing-field fallback:
+//!   with no title, Simple's `author → author+title → MSD` collapses to
+//!   `author → MSD`.
+//! - The rule needs one override, in [`COMPLEX`]'s data: its
+//!   [`AUTHOR_CONF`] node also needs `year`, so author+conf is indexed
+//!   only on the way to author+conf+year.
+//!
+//! [`InitialLetterScheme`] and [`KeywordTitleScheme`] append a section of
+//! transform nodes to any scheme: the initial letters of `last`, and the
+//! title's words. Other schemes implement [`IndexScheme`] themselves.
 
 use std::borrow::Cow;
 
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::{Query, QueryBuilder};
+use p2p_index_xpath::{CmpOp, Query, QueryBuilder};
 
 /// The bibliographic fields a scheme indexes, borrowed from a descriptor.
 ///
@@ -31,7 +48,7 @@ pub struct BiblioFields<'a> {
     /// Root element name (normally `article`).
     pub root: &'a str,
     /// All `(first, last)` author name pairs.
-    pub authors: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+    pub authors: Vec<Author<'a>>,
     /// The title text.
     pub title: Option<Cow<'a, str>>,
     /// The conference/journal text.
@@ -39,6 +56,19 @@ pub struct BiblioFields<'a> {
     /// The publication year text.
     pub year: Option<Cow<'a, str>>,
 }
+
+/// An author's `(first, last)` names.
+pub type Author<'a> = (Cow<'a, str>, Cow<'a, str>);
+
+/// An index edge `(q ; qᵢ)`.
+type Edge = (Query, Query);
+
+/// A [`Table`] row: an index edge `from → to` between two nodes.
+pub type Row = (Node, Node);
+
+/// The paths of Fig. 1's fields: bit `i` of a [`Node::Fields`] set is
+/// `PATHS[i]`.
+const PATHS: [&str; 5] = ["author/first", "author/last", "title", "conf", "year"];
 
 impl<'a> BiblioFields<'a> {
     /// Extracts the indexable fields from a descriptor.
@@ -66,87 +96,44 @@ impl<'a> BiblioFields<'a> {
         }
     }
 
-    /// `/root/author[first/F][last/L]`
-    pub fn author_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Query {
-        QueryBuilder::new(self.root)
-            .value("author/first", &author.0)
-            .value("author/last", &author.1)
-            .build()
+    /// The query of the field-set `node` with `author`'s names, e.g.
+    /// `/root[author[first/F][last/L]][title/T]` for [`AUTHOR_TITLE`].
+    ///
+    /// `None`, with nothing built, when `node` is not a [`Node::Fields`]
+    /// or the descriptor (or a missing `author`) lacks a field it needs.
+    pub fn query(&self, node: Node, author: Option<&Author<'a>>) -> Option<Query> {
+        let Node::Fields(fields, needs) = node else {
+            return None;
+        };
+        let values = [
+            author.map(|a| &a.0),
+            author.map(|a| &a.1),
+            self.title.as_ref(),
+            self.conf.as_ref(),
+            self.year.as_ref(),
+        ];
+        let bits = |set: u8| (0..5).filter(move |i| set & 1 << i != 0);
+        if bits(needs).any(|i| values[i].is_none()) {
+            return None;
+        }
+        let mut query = QueryBuilder::new(self.root);
+        for i in bits(fields) {
+            query = query.value(PATHS[i], values[i]?);
+        }
+        Some(query.build())
     }
 
-    /// `/root/author/last/L` — the *Last name* index level of Fig. 4.
-    pub fn last_name_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Query {
-        QueryBuilder::new(self.root)
-            .value("author/last", &author.1)
-            .build()
+    /// `/root[path op term]`: a transform node's query.
+    fn cut(&self, path: &str, op: CmpOp, term: &str) -> Query {
+        QueryBuilder::new(self.root).compare(path, op, term).build()
     }
 
-    /// `/root/title/T`
-    pub fn title_query(&self) -> Option<Query> {
-        let t = self.title.as_ref()?;
-        Some(QueryBuilder::new(self.root).value("title", t).build())
-    }
-
-    /// `/root/conf/C`
-    pub fn conf_query(&self) -> Option<Query> {
-        let c = self.conf.as_ref()?;
-        Some(QueryBuilder::new(self.root).value("conf", c).build())
-    }
-
-    /// `/root/year/Y`
-    pub fn year_query(&self) -> Option<Query> {
-        let y = self.year.as_ref()?;
-        Some(QueryBuilder::new(self.root).value("year", y).build())
-    }
-
-    /// `/root[author[...]][title/T]`
-    pub fn author_title_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
-        let t = self.title.as_ref()?;
-        Some(
-            QueryBuilder::new(self.root)
-                .value("author/first", &author.0)
-                .value("author/last", &author.1)
-                .value("title", t)
-                .build(),
-        )
-    }
-
-    /// `/root[conf/C][year/Y]`
-    pub fn conf_year_query(&self) -> Option<Query> {
-        let c = self.conf.as_ref()?;
-        let y = self.year.as_ref()?;
-        Some(
-            QueryBuilder::new(self.root)
-                .value("conf", c)
-                .value("year", y)
-                .build(),
-        )
-    }
-
-    /// `/root[author[...]][conf/C]`
-    pub fn author_conf_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
-        let c = self.conf.as_ref()?;
-        Some(
-            QueryBuilder::new(self.root)
-                .value("author/first", &author.0)
-                .value("author/last", &author.1)
-                .value("conf", c)
-                .build(),
-        )
-    }
-
-    /// `/root[author[...]][conf/C][year/Y]`
-    pub fn author_conf_year_query(&self, author: &(Cow<'a, str>, Cow<'a, str>)) -> Option<Query> {
-        let c = self.conf.as_ref()?;
-        let y = self.year.as_ref()?;
-        Some(
-            QueryBuilder::new(self.root)
-                .value("author/first", &author.0)
-                .value("author/last", &author.1)
-                .value("conf", c)
-                .value("year", y)
-                .build(),
-        )
+    /// The title's words of at least `min_len` characters.
+    fn keywords(&self, min_len: usize) -> impl Iterator<Item = &str> {
+        let words = self.title.iter().flat_map(|t| t.split_whitespace());
+        words
+            .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()))
+            .filter(move |w| w.chars().count() >= min_len)
     }
 }
 
@@ -164,243 +151,235 @@ pub trait IndexScheme {
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)>;
 }
 
-/// An empty edge list sized up front for a scheme that emits at most
-/// `per_author` edges per author of `f`, plus at most one out of each
-/// query that names no author: title, conference, year, conference+year.
-fn edge_list(f: &BiblioFields<'_>, per_author: usize) -> Vec<(Query, Query)> {
-    Vec::with_capacity(per_author * f.authors.len() + 4)
+/// A node of a scheme [`Table`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Node {
+    /// `Fields(fields, needs)`: the query naming the field set `fields`
+    /// (bit `i` is the `i`-th of `author/first`, `author/last`, `title`,
+    /// `conf`, `year`), present when the descriptor has every field of
+    /// `needs`, a superset of `fields`.
+    Fields(u8, u8),
+    /// The descriptor's most specific query, where every chain ends.
+    Msd,
+    /// `/root[author/last^=P]`, P the first `n` characters of an author's
+    /// last name.
+    Initial(usize),
+    /// `/root[title*=W]`, one per title word W of at least `n` characters.
+    Keywords(usize),
 }
 
-fn push_edge(edges: &mut Vec<(Query, Query)>, from: Query, to: Query) {
+impl Node {
+    /// Whether the node is built once per author.
+    fn per_author(self) -> bool {
+        matches!(self, Node::Fields(fields, _) if fields & 0b11 != 0)
+            || matches!(self, Node::Initial(_))
+    }
+}
+
+/// `/root/author[first/F][last/L]`
+pub const AUTHOR: Node = Node::Fields(0b00011, 0b00011);
+/// `/root/author/last/L`: the *Last name* level of Fig. 4.
+pub const LAST_NAME: Node = Node::Fields(0b00010, 0b00010);
+/// `/root/title/T`
+pub const TITLE: Node = Node::Fields(0b00100, 0b00100);
+/// `/root/conf/C`
+pub const CONF: Node = Node::Fields(0b01000, 0b01000);
+/// `/root/year/Y`
+pub const YEAR: Node = Node::Fields(0b10000, 0b10000);
+/// `/root[author[…]][title/T]`
+pub const AUTHOR_TITLE: Node = Node::Fields(0b00111, 0b00111);
+/// `/root[conf/C][year/Y]`
+pub const CONF_YEAR: Node = Node::Fields(0b11000, 0b11000);
+/// `/root[author[…]][conf/C]`, present only when `year` is too: the
+/// fallback rule's one override, so that Complex reaches author+conf only
+/// on its way to author+conf+year.
+pub const AUTHOR_CONF: Node = Node::Fields(0b01011, 0b11011);
+/// `/root[author[…]][conf/C][year/Y]`
+pub const AUTHOR_CONF_YEAR: Node = Node::Fields(0b11011, 0b11011);
+/// The descriptor's MSD.
+pub const MSD: Node = Node::Msd;
+
+/// A scheme as data: its index edges `from → to`, in emission order, the
+/// rows that name an author first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Table {
+    /// The scheme's name (used in reports).
+    pub name: &'static str,
+    /// The rows; each `from` names a strict subset of its `to`'s fields.
+    pub rows: &'static [Row],
+}
+
+/// Fig. 8 (left), one chain a line: `author|title → author+title → MSD`
+/// and `conf|year → conf+year → MSD`. The most space-efficient of the
+/// three.
+#[rustfmt::skip]
+pub const SIMPLE: Table = Table { name: "simple", rows: &[
+    (AUTHOR, AUTHOR_TITLE), (TITLE, AUTHOR_TITLE), (AUTHOR_TITLE, MSD),
+    (CONF, CONF_YEAR), (YEAR, CONF_YEAR), (CONF_YEAR, MSD),
+]};
+
+/// Fig. 8 (center): Simple's queries all map to the MSD, "so that the
+/// index query length is always 2". Fewest interactions, but the largest
+/// result sets, traffic and storage.
+#[rustfmt::skip]
+pub const FLAT: Table = Table { name: "flat", rows: &[
+    (AUTHOR, MSD), (AUTHOR_TITLE, MSD),
+    (TITLE, MSD), (CONF, MSD), (YEAR, MSD), (CONF_YEAR, MSD),
+]};
+
+/// Fig. 8 (right), one chain a line: Simple's, with author+conf+year
+/// refining author and conf+year for shorter result lists at the cost of
+/// longer chains (up to `conf → conf+year → author+conf+year → MSD`).
+#[rustfmt::skip]
+pub const COMPLEX: Table = Table { name: "complex", rows: &[
+    (AUTHOR, AUTHOR_TITLE), (TITLE, AUTHOR_TITLE), (AUTHOR_TITLE, MSD),
+    (AUTHOR, AUTHOR_CONF), (AUTHOR_CONF, AUTHOR_CONF_YEAR),
+    (CONF_YEAR, AUTHOR_CONF_YEAR), (AUTHOR_CONF_YEAR, MSD),
+    (CONF, CONF_YEAR), (YEAR, CONF_YEAR),
+]};
+
+/// Fig. 4, one chain a line: `last-name → author → article(author+title)
+/// → MSD`, `title → article`, `conf|year → proceedings(conf+year) → MSD`.
+#[rustfmt::skip]
+pub const FIG4: Table = Table { name: "fig4-hierarchical", rows: &[
+    (LAST_NAME, AUTHOR), (AUTHOR, AUTHOR_TITLE), (TITLE, AUTHOR_TITLE), (AUTHOR_TITLE, MSD),
+    (CONF, CONF_YEAR), (YEAR, CONF_YEAR), (CONF_YEAR, MSD),
+]};
+
+/// The interpreter: appends the edges of `rows` for `descriptor` to
+/// `edges`, reserving a slot per row and author (per word for a keyword
+/// row) — a fallback edge takes the slot of a dropped row out of its node.
+fn run(mut edges: Vec<Edge>, descriptor: &Descriptor, msd: &Query, rows: &[Row]) -> Vec<Edge> {
+    let f = BiblioFields::of(descriptor);
+    let turns = f.authors.len().max(1);
+    let room = |&(from, _): &Row| match from {
+        Node::Keywords(n) => f.keywords(n).count(),
+        _ => turns,
+    };
+    edges.reserve(rows.iter().map(room).sum());
+    let mut nodes = Nodes {
+        f: &f,
+        msd,
+        author: None,
+        built: Default::default(),
+        emitted: [0; 2],
+    };
+    for turn in 0..turns {
+        // Each author's turn runs the per-author rows; the last one goes
+        // on through the author-free rows.
+        (nodes.author, nodes.built[1], nodes.emitted[1]) =
+            (f.authors.get(turn), Default::default(), 0);
+        let last = turn + 1 == turns;
+        for (k, &(from, to)) in rows.iter().enumerate() {
+            if last || from.per_author() || to.per_author() {
+                nodes.row(rows, k, last, &mut edges);
+            }
+        }
+    }
+    edges
+}
+
+/// One descriptor's node queries, each built (or found absent) once: an
+/// author-free one in `built[0]`, the current author's in `built[1]`, a
+/// field set in the slot of its bits. `emitted` has the same halves and slots, one bit each: the
+/// node has an edge out.
+struct Nodes<'f, 'a> {
+    f: &'f BiblioFields<'a>,
+    msd: &'f Query,
+    author: Option<&'f Author<'a>>,
+    built: [[Option<Option<Query>>; 32]; 2],
+    emitted: [u32; 2],
+}
+
+impl Nodes<'_, '_> {
+    /// A present node's query; a keyword node's are built by [`Nodes::row`].
+    fn get(&mut self, node: Node) -> Option<Query> {
+        let slot = match node {
+            Node::Fields(bits, _) => &mut self.built[node.per_author() as usize][bits as usize],
+            Node::Msd => return Some(self.msd.clone()),
+            Node::Initial(n) => {
+                let prefix: String = self.author?.1.chars().take(n).collect();
+                return Some(self.f.cut("author/last", CmpOp::StartsWith, &prefix));
+            }
+            Node::Keywords(_) => return None,
+        };
+        slot.get_or_insert_with(|| self.f.query(node, self.author))
+            .clone()
+    }
+
+    /// Runs row `k`, then the fallback rule on its ends: a field node that
+    /// is the source of some row but has no edge out, and that no later
+    /// row mentions (nor a later author's turn, for an author-free node:
+    /// `last` is false while one is to come), gets an edge to the MSD.
+    fn row(&mut self, rows: &[Row], k: usize, last: bool, edges: &mut Vec<Edge>) {
+        let (from, to) = rows[k];
+        if let Some(to_query) = self.get(to) {
+            if let Node::Keywords(n) = from {
+                for word in self.f.keywords(n) {
+                    let keyword = self.f.cut("title", CmpOp::Contains, word);
+                    push_edge(edges, keyword, to_query.clone());
+                }
+            } else if let Some(from_query) = self.get(from) {
+                push_edge(edges, from_query, to_query);
+                if let Node::Fields(bits, _) = from {
+                    self.emitted[from.per_author() as usize] |= 1 << bits;
+                }
+            }
+        }
+        for node in [from, to] {
+            let Node::Fields(bits, _) = node else {
+                continue;
+            };
+            let mentioned = |&(a, b): &Row| a == node || b == node;
+            let fall_back = self.emitted[node.per_author() as usize] & 1 << bits == 0
+                && rows.iter().any(|r| r.0 == node)
+                && (last || node.per_author())
+                && !rows[k + 1..].iter().any(mentioned);
+            if let Some(query) = fall_back.then(|| self.get(node)).flatten() {
+                push_edge(edges, query, self.msd.clone());
+            }
+        }
+    }
+}
+
+fn push_edge(edges: &mut Vec<Edge>, from: Query, to: Query) {
     let edge = (from, to);
     if !edges.contains(&edge) {
         edges.push(edge);
     }
 }
 
-/// The *simple* scheme of Fig. 8 (left): two-level chains
-/// `author|title → author+title → MSD` and `conf|year → conf+year → MSD`.
-///
-/// Most space-efficient of the three evaluated schemes.
+/// The *simple* scheme of Fig. 8: the [`SIMPLE`] table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimpleScheme;
 
-impl IndexScheme for SimpleScheme {
-    fn name(&self) -> &str {
-        "simple"
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let f = BiblioFields::of(descriptor);
-        let mut edges = edge_list(&f, 3);
-        // Built once: the title query is the same for every author, and a
-        // `Query` clone is two `Arc` bumps.
-        let title = f.title_query();
-        for author in &f.authors {
-            match f.author_title_query(author) {
-                Some(at) => {
-                    push_edge(&mut edges, f.author_query(author), at.clone());
-                    if let Some(t) = &title {
-                        push_edge(&mut edges, t.clone(), at.clone());
-                    }
-                    push_edge(&mut edges, at, msd.clone());
-                }
-                // No title: the author chain collapses to a direct link.
-                None => push_edge(&mut edges, f.author_query(author), msd.clone()),
-            }
-        }
-        if f.authors.is_empty() {
-            if let Some(t) = title {
-                push_edge(&mut edges, t, msd.clone());
-            }
-        }
-        match f.conf_year_query() {
-            Some(cy) => {
-                if let Some(c) = f.conf_query() {
-                    push_edge(&mut edges, c, cy.clone());
-                }
-                if let Some(y) = f.year_query() {
-                    push_edge(&mut edges, y, cy.clone());
-                }
-                push_edge(&mut edges, cy, msd.clone());
-            }
-            // Only one of conf/year present: link it directly.
-            None => {
-                for q in [f.conf_query(), f.year_query()].into_iter().flatten() {
-                    push_edge(&mut edges, q, msd.clone());
-                }
-            }
-        }
-        edges
-    }
-}
-
-/// The *flat* scheme of Fig. 8 (center): every query of the simple scheme
-/// maps directly to the MSD, "so that the index query length is always 2".
-///
-/// Fewest interactions, but the largest result sets, traffic, and storage.
+/// The *flat* scheme of Fig. 8: the [`FLAT`] table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlatScheme;
 
-impl IndexScheme for FlatScheme {
-    fn name(&self) -> &str {
-        "flat"
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let f = BiblioFields::of(descriptor);
-        let mut edges = edge_list(&f, 2);
-        for author in &f.authors {
-            push_edge(&mut edges, f.author_query(author), msd.clone());
-            if let Some(at) = f.author_title_query(author) {
-                push_edge(&mut edges, at, msd.clone());
-            }
-        }
-        for q in [
-            f.title_query(),
-            f.conf_query(),
-            f.year_query(),
-            f.conf_year_query(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            push_edge(&mut edges, q, msd.clone());
-        }
-        edges
-    }
-}
-
-/// The *complex* scheme of Fig. 8 (right): some simple-scheme queries are
-/// split into more specific intermediate queries to shorten result lists,
-/// at the cost of longer chains (up to
-/// `conf → conf+year → author+conf+year → MSD`).
+/// The *complex* scheme of Fig. 8: the [`COMPLEX`] table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ComplexScheme;
 
-impl IndexScheme for ComplexScheme {
-    fn name(&self) -> &str {
-        "complex"
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let f = BiblioFields::of(descriptor);
-        let mut edges = edge_list(&f, 7);
-        // Built once: these are author-independent, and a `Query` clone
-        // is two `Arc` bumps.
-        let title = f.title_query();
-        let conf_year = f.conf_year_query();
-        for author in &f.authors {
-            let a = f.author_query(author);
-            let mut author_chained = false;
-            if let Some(at) = f.author_title_query(author) {
-                push_edge(&mut edges, a.clone(), at.clone());
-                if let Some(t) = &title {
-                    push_edge(&mut edges, t.clone(), at.clone());
-                }
-                push_edge(&mut edges, at, msd.clone());
-                author_chained = true;
-            }
-            // The author+conference refinement chain.
-            if let Some(acy) = f.author_conf_year_query(author) {
-                if let Some(ac) = f.author_conf_query(author) {
-                    push_edge(&mut edges, a.clone(), ac.clone());
-                    push_edge(&mut edges, ac, acy.clone());
-                }
-                if let Some(cy) = &conf_year {
-                    push_edge(&mut edges, cy.clone(), acy.clone());
-                }
-                push_edge(&mut edges, acy, msd.clone());
-                author_chained = true;
-            }
-            if !author_chained {
-                // Not enough fields to refine through: link directly.
-                push_edge(&mut edges, a.clone(), msd.clone());
-            }
-        }
-        if f.authors.is_empty() {
-            if let Some(t) = title {
-                push_edge(&mut edges, t, msd.clone());
-            }
-        }
-        match conf_year {
-            Some(cy) => {
-                if let Some(c) = f.conf_query() {
-                    push_edge(&mut edges, c, cy.clone());
-                }
-                if let Some(y) = f.year_query() {
-                    push_edge(&mut edges, y, cy.clone());
-                }
-                if f.authors.is_empty() {
-                    // No author to refine through: close the chain directly.
-                    push_edge(&mut edges, cy, msd.clone());
-                }
-            }
-            None => {
-                for q in [f.conf_query(), f.year_query()].into_iter().flatten() {
-                    push_edge(&mut edges, q, msd.clone());
-                }
-            }
-        }
-        edges
-    }
-}
-
-/// The hierarchical scheme of Fig. 4, with the extra *Last name* level:
-/// `last-name → author → article(author+title) → MSD`,
-/// `title → article`, `conf|year → proceedings(conf+year) → MSD`.
+/// The hierarchical scheme of Fig. 4: the [`FIG4`] table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fig4Scheme;
 
-impl IndexScheme for Fig4Scheme {
-    fn name(&self) -> &str {
-        "fig4-hierarchical"
-    }
+macro_rules! table_schemes {
+    ($($scheme:ident: $table:ident),*) => {$(
+        impl IndexScheme for $scheme {
+            fn name(&self) -> &str {
+                $table.name
+            }
 
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let f = BiblioFields::of(descriptor);
-        let mut edges = edge_list(&f, 4);
-        // Built once: the title query is the same for every author, and a
-        // `Query` clone is two `Arc` bumps.
-        let title = f.title_query();
-        for author in &f.authors {
-            let a = f.author_query(author);
-            push_edge(&mut edges, f.last_name_query(author), a.clone());
-            match f.author_title_query(author) {
-                Some(at) => {
-                    push_edge(&mut edges, a, at.clone());
-                    if let Some(t) = &title {
-                        push_edge(&mut edges, t.clone(), at.clone());
-                    }
-                    push_edge(&mut edges, at, msd.clone());
-                }
-                None => push_edge(&mut edges, a, msd.clone()),
+            fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
+                run(Vec::new(), descriptor, msd, $table.rows)
             }
         }
-        if f.authors.is_empty() {
-            if let Some(t) = title {
-                push_edge(&mut edges, t, msd.clone());
-            }
-        }
-        match f.conf_year_query() {
-            Some(cy) => {
-                if let Some(c) = f.conf_query() {
-                    push_edge(&mut edges, c, cy.clone());
-                }
-                if let Some(y) = f.year_query() {
-                    push_edge(&mut edges, y, cy.clone());
-                }
-                push_edge(&mut edges, cy, msd.clone());
-            }
-            None => {
-                for q in [f.conf_query(), f.year_query()].into_iter().flatten() {
-                    push_edge(&mut edges, q, msd.clone());
-                }
-            }
-        }
-        edges
-    }
+    )*};
 }
+
+table_schemes!(SimpleScheme: SIMPLE, FlatScheme: FLAT, ComplexScheme: COMPLEX, Fig4Scheme: FIG4);
 
 /// Decorates another scheme with *initial-letter* author indexes (§IV-C:
 /// "one can create an index with all the files of an author that start
@@ -429,19 +408,13 @@ impl IndexScheme for Fig4Scheme {
 /// assert!(edges.iter().any(|(from, _)| from.to_string().contains("last^=S")));
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct InitialLetterScheme<S> {
-    inner: S,
-    prefix_len: usize,
-}
+pub struct InitialLetterScheme<S>(S, usize);
 
 impl<S: IndexScheme> InitialLetterScheme<S> {
     /// Wraps `inner`, adding author-initial entries of `prefix_len`
     /// characters (1 = single letter).
     pub fn new(inner: S, prefix_len: usize) -> Self {
-        InitialLetterScheme {
-            inner,
-            prefix_len: prefix_len.max(1),
-        }
+        InitialLetterScheme(inner, prefix_len.max(1))
     }
 }
 
@@ -451,20 +424,8 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
     }
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let mut edges = self.inner.index_edges(descriptor, msd);
-        let f = BiblioFields::of(descriptor);
-        edges.reserve(f.authors.len());
-        for author in &f.authors {
-            let prefix: String = author.1.chars().take(self.prefix_len).collect();
-            if prefix.is_empty() {
-                continue;
-            }
-            let initial = QueryBuilder::new(f.root)
-                .compare("author/last", p2p_index_xpath::CmpOp::StartsWith, prefix)
-                .build();
-            push_edge(&mut edges, initial, f.author_query(author));
-        }
-        edges
+        let rows = [(Node::Initial(self.1), AUTHOR)];
+        run(self.0.index_edges(descriptor, msd), descriptor, msd, &rows)
     }
 }
 
@@ -495,19 +456,13 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
 /// assert!(!edges.iter().any(|(from, _)| from.to_string().contains("title*=in]")));
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct KeywordTitleScheme<S> {
-    inner: S,
-    min_len: usize,
-}
+pub struct KeywordTitleScheme<S>(S, usize);
 
 impl<S: IndexScheme> KeywordTitleScheme<S> {
     /// Wraps `inner`, indexing title words of at least `min_len`
     /// characters (filters stop-words like "in", "of", "the").
     pub fn new(inner: S, min_len: usize) -> Self {
-        KeywordTitleScheme {
-            inner,
-            min_len: min_len.max(1),
-        }
+        KeywordTitleScheme(inner, min_len.max(1))
     }
 }
 
@@ -517,83 +472,8 @@ impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
     }
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let mut edges = self.inner.index_edges(descriptor, msd);
-        let f = BiblioFields::of(descriptor);
-        let (Some(title), Some(title_query)) = (&f.title, f.title_query()) else {
-            return edges;
-        };
-        edges.reserve(title.split_whitespace().count());
-        for word in title.split_whitespace() {
-            let word = word.trim_matches(|c: char| !c.is_alphanumeric());
-            if word.chars().count() < self.min_len {
-                continue;
-            }
-            let keyword = QueryBuilder::new(f.root)
-                .compare("title", p2p_index_xpath::CmpOp::Contains, word)
-                .build();
-            push_edge(&mut edges, keyword, title_query.clone());
-        }
-        edges
-    }
-}
-
-/// A user-defined scheme built from a closure.
-///
-/// # Examples
-///
-/// ```
-/// use p2p_index_core::{CustomScheme, IndexScheme};
-/// use p2p_index_xmldoc::Descriptor;
-/// use p2p_index_xpath::{Query, QueryBuilder};
-///
-/// // Index every article only under its publication year.
-/// let scheme = CustomScheme::new("year-only", |d: &Descriptor, msd: &Query| {
-///     let year = d.field("year")?;
-///     let q = QueryBuilder::new(d.root().name()).value("year", year).build();
-///     Some(vec![(q, msd.clone())])
-/// });
-/// let d = Descriptor::parse("<article><title>X</title><year>1999</year></article>").unwrap();
-/// let msd = Query::most_specific(&d);
-/// assert_eq!(scheme.index_edges(&d, &msd).len(), 1);
-/// ```
-pub struct CustomScheme<F> {
-    name: String,
-    edges_fn: F,
-}
-
-impl<F> CustomScheme<F>
-where
-    F: Fn(&Descriptor, &Query) -> Option<Vec<(Query, Query)>>,
-{
-    /// Creates a scheme from a closure. Returning `None` indexes nothing
-    /// (the file stays reachable only through its complete key — the
-    /// paper's "versatility" property).
-    pub fn new(name: impl Into<String>, edges_fn: F) -> Self {
-        CustomScheme {
-            name: name.into(),
-            edges_fn,
-        }
-    }
-}
-
-impl<F> IndexScheme for CustomScheme<F>
-where
-    F: Fn(&Descriptor, &Query) -> Option<Vec<(Query, Query)>>,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        (self.edges_fn)(descriptor, msd).unwrap_or_default()
-    }
-}
-
-impl<F> std::fmt::Debug for CustomScheme<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CustomScheme")
-            .field("name", &self.name)
-            .finish()
+        let rows = [(Node::Keywords(self.1), TITLE)];
+        run(self.0.index_edges(descriptor, msd), descriptor, msd, &rows)
     }
 }
 
@@ -634,8 +514,9 @@ mod tests {
         let f = BiblioFields::of(&d);
         assert!(f.authors.is_empty());
         assert!(f.conf.is_none());
-        assert!(f.conf_year_query().is_none());
-        assert!(f.title_query().is_some());
+        assert!(f.query(CONF_YEAR, None).is_none());
+        assert!(f.query(TITLE, None).is_some());
+        assert!(f.query(MSD, None).is_none(), "not a field set");
     }
 
     #[test]
@@ -723,29 +604,31 @@ mod tests {
     }
 
     #[test]
+    fn fig4_scheme_has_last_name_level() {
+        let d = d2();
+        let f = BiblioFields::of(&d);
+        let author = Some(&f.authors[0]);
+        let edges = edges_of(&Fig4Scheme, &d2());
+        let last_name = f.query(LAST_NAME, author).unwrap();
+        let full_name = f.query(AUTHOR, author).unwrap();
+        assert!(edges.contains(&(last_name, full_name)));
+    }
+
+    #[test]
     fn complex_scheme_has_deeper_chains() {
         let edges = edges_of(&ComplexScheme, &d2());
         // Depth of chain conf → conf+year → author+conf+year → msd is 3 edges.
         let d = d2();
         let f = BiblioFields::of(&d);
-        let author = &f.authors[0];
-        let conf = f.conf_query().unwrap();
-        let cy = f.conf_year_query().unwrap();
-        let acy = f.author_conf_year_query(author).unwrap();
+        let author = Some(&f.authors[0]);
+        let conf = f.query(CONF, None).unwrap();
+        let cy = f.query(CONF_YEAR, None).unwrap();
+        let acy = f.query(AUTHOR_CONF_YEAR, author).unwrap();
         let msd = Query::most_specific(&d2());
         assert!(edges.contains(&(conf, cy.clone())));
         assert!(edges.contains(&(cy, acy.clone())));
         assert!(edges.contains(&(acy, msd)));
         assert!(edges.len() > 6);
-    }
-
-    #[test]
-    fn fig4_scheme_has_last_name_level() {
-        let d = d2();
-        let f = BiblioFields::of(&d);
-        let author = &f.authors[0];
-        let edges = edges_of(&Fig4Scheme, &d2());
-        assert!(edges.contains(&(f.last_name_query(author), f.author_query(author))));
     }
 
     #[test]
@@ -769,27 +652,22 @@ mod tests {
     #[test]
     fn every_scheme_sizes_its_edge_list_up_front() {
         // The edge list is allocated once: no descriptor shape makes a
-        // scheme emit more edges than `edge_list` made room for.
-        let shapes = [
-            "<article><author><first>A</first><last>B</last></author>\
-             <author><first>C</first><last>D</last></author>\
-             <title>T</title><conf>X</conf><year>2000</year></article>",
-            "<article><author><first>A</first><last>B</last></author><conf>X</conf></article>",
-            "<article><title>T</title><conf>X</conf><year>2000</year></article>",
-            "<article><title>T</title><year>2000</year></article>",
-        ];
-        for xml in shapes {
-            let d = Descriptor::parse(xml).unwrap();
-            let authors = BiblioFields::of(&d).authors.len();
-            for (scheme, per_author) in [
-                (&SimpleScheme as &dyn IndexScheme, 3),
-                (&FlatScheme, 2),
-                (&ComplexScheme, 7),
-                (&Fig4Scheme, 4),
+        // table emit more edges than `run` made room for, a slot per row
+        // and author.
+        for d in presence_shapes() {
+            let turns = BiblioFields::of(&d).authors.len().max(1);
+            for (scheme, table) in [
+                (&SimpleScheme as &dyn IndexScheme, SIMPLE),
+                (&FlatScheme, FLAT),
+                (&ComplexScheme, COMPLEX),
+                (&Fig4Scheme, FIG4),
             ] {
                 let edges = edges_of(scheme, &d);
-                let room = per_author * authors + 4;
-                assert!(edges.len() <= room, "{}: {xml}", scheme.name());
+                assert!(
+                    edges.len() <= table.rows.len() * turns,
+                    "{}: {d}",
+                    table.name
+                );
             }
         }
     }
@@ -814,7 +692,7 @@ mod tests {
         let msd = Query::most_specific(&d);
         let edges = edges_of(&ComplexScheme, &d);
         let f = BiblioFields::of(&d);
-        assert!(edges.contains(&(f.conf_year_query().unwrap(), msd)));
+        assert!(edges.contains(&(f.query(CONF_YEAR, None).unwrap(), msd)));
     }
 
     #[test]
@@ -835,7 +713,8 @@ mod tests {
         assert_eq!(edges.len(), inner_edges.len() + 1);
         let f = BiblioFields::of(&d);
         let initial: Query = "/article[author/last^=S]".parse().unwrap();
-        assert!(edges.contains(&(initial.clone(), f.author_query(&f.authors[0]))));
+        let author = f.query(AUTHOR, Some(&f.authors[0])).unwrap();
+        assert!(edges.contains(&(initial, author)));
         // Covering invariant holds for the prefix edge too.
         for (from, to) in &edges {
             assert!(from.covers(to), "{from} must cover {to}");
@@ -874,7 +753,7 @@ mod tests {
         let f = BiblioFields::of(&d);
         for (from, to) in &keyword_edges {
             assert!(from.covers(to), "{from} must cover {to}");
-            assert_eq!(*to, f.title_query().unwrap());
+            assert_eq!(*to, f.query(TITLE, None).unwrap());
         }
         assert_eq!(scheme.name(), "keyword-title");
     }
@@ -893,11 +772,120 @@ mod tests {
         );
     }
 
+    /// Every field-presence shape — 0, 1 or 2 authors, with and without
+    /// each of title, conf and year — so each missing-field fallback runs.
+    fn presence_shapes() -> Vec<Descriptor> {
+        let mut shapes = Vec::new();
+        for authors in 0..=2 {
+            for mask in 0..8 {
+                let mut xml = String::from("<article>");
+                for (first, last) in [("Ann", "Lee"), ("Bob", "Ray")].iter().take(authors) {
+                    xml += &format!("<author><first>{first}</first><last>{last}</last></author>");
+                }
+                for (bit, field) in [
+                    (1, "<title>Adaptive Routing in Overlays</title>"),
+                    (2, "<conf>INFOCOM</conf>"),
+                    (4, "<year>2004</year>"),
+                ] {
+                    if mask & bit != 0 {
+                        xml += field;
+                    }
+                }
+                xml += "</article>";
+                shapes.push(Descriptor::parse(&xml).unwrap());
+            }
+        }
+        shapes
+    }
+
     #[test]
-    fn custom_scheme_none_indexes_nothing() {
-        let scheme = CustomScheme::new("nothing", |_: &Descriptor, _: &Query| None);
-        assert!(edges_of(&scheme, &d2()).is_empty());
-        assert_eq!(scheme.name(), "nothing");
-        assert!(format!("{scheme:?}").contains("nothing"));
+    fn every_field_presence_shape_keeps_its_edges() {
+        let fold = |hash: u64, bytes: &[u8]| {
+            bytes.iter().chain([&0xff]).fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let schemes: [&dyn IndexScheme; 6] = [
+            &SimpleScheme,
+            &FlatScheme,
+            &ComplexScheme,
+            &Fig4Scheme,
+            &InitialLetterScheme::new(SimpleScheme, 1),
+            &KeywordTitleScheme::new(SimpleScheme, 4),
+        ];
+        let (mut hash, mut count) = (0xcbf2_9ce4_8422_2325, 0usize);
+        for d in presence_shapes() {
+            let msd = Query::most_specific(&d);
+            for scheme in schemes {
+                hash = fold(hash, scheme.name().as_bytes());
+                for (from, to) in scheme.index_edges(&d, &msd) {
+                    hash = fold(hash, from.canonical_text().as_bytes());
+                    hash = fold(hash, to.canonical_text().as_bytes());
+                    count += 1;
+                }
+            }
+        }
+        // Both folded on the hand-written schemes, before they became
+        // tables: a fallback that drops, adds or reorders an edge moves it.
+        assert_eq!(count, 589, "every scheme emitted its edges");
+        assert_eq!(hash, 0x4f66_11ec_d29b_9e37, "{hash:#018x}");
+    }
+
+    /// The fields a node's query names: the MSD names them all.
+    fn fields(node: Node) -> u8 {
+        match node {
+            Node::Fields(fields, _) => fields,
+            Node::Msd => 0b11111,
+            Node::Initial(_) | Node::Keywords(_) => unreachable!("no built-in table cuts terms"),
+        }
+    }
+
+    #[test]
+    fn every_builtin_table_is_well_formed() {
+        for table in [SIMPLE, FLAT, COMPLEX, FIG4] {
+            let name = table.name;
+            let per_author = |&(a, b): &Row| a.per_author() || b.per_author();
+            let split = table.rows.iter().position(|r| !per_author(r));
+            let author_free = &table.rows[split.unwrap_or(table.rows.len())..];
+            assert!(
+                !author_free.iter().any(per_author),
+                "{name}: rows naming an author come first"
+            );
+            for &(from, to) in table.rows {
+                // `q ⊒ qᵢ` by construction: `from` names a strict subset.
+                assert!(
+                    from != to && fields(from) & !fields(to) == 0,
+                    "{name}: {from:?} → {to:?}"
+                );
+                if let Node::Fields(names, needs) = from {
+                    assert_eq!(names & !needs, 0, "{name}: {from:?} needs its own fields");
+                }
+                // Every node reaches the MSD through the table's rows.
+                let (mut frontier, mut seen) = (vec![from], vec![]);
+                while let Some(node) = frontier.pop().filter(|&n| n != MSD) {
+                    if !seen.contains(&node) {
+                        seen.push(node);
+                        frontier.extend(table.rows.iter().filter(|r| r.0 == node).map(|r| r.1));
+                    }
+                    assert!(
+                        !frontier.is_empty(),
+                        "{name}: {from:?} never reaches the MSD"
+                    );
+                }
+            }
+        }
+        // The figures' shapes, read off the tables: Flat links everything
+        // straight to the MSD, Fig. 4 has its *Last name* level, and
+        // Complex's longest chain is conf → conf+year → author+conf+year
+        // → MSD.
+        assert!(FLAT.rows.iter().all(|&(_, to)| to == MSD));
+        assert!(FIG4.rows.contains(&(LAST_NAME, AUTHOR)));
+        for row in [
+            (CONF, CONF_YEAR),
+            (CONF_YEAR, AUTHOR_CONF_YEAR),
+            (AUTHOR_CONF_YEAR, MSD),
+        ] {
+            assert!(COMPLEX.rows.contains(&row), "{row:?}");
+        }
     }
 }

@@ -13,6 +13,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use p2p_index_core::scheme::{Node, AUTHOR, AUTHOR_TITLE, CONF, CONF_YEAR, TITLE, YEAR};
 use p2p_index_core::{
     BiblioFields, CachePolicy, ComplexScheme, FileHit, FlatScheme, IndexScheme, IndexService,
     IndexTarget, RetryPolicy, SimpleScheme, StepResponse,
@@ -72,13 +73,14 @@ fn queries_about(descriptor: &Descriptor) -> Vec<Query> {
         f.year.as_ref().expect("year"),
     );
     let parse = |text: String| text.parse::<Query>().expect("test query parses");
+    let node = |node: Node| f.query(node, Some(author)).expect("a full descriptor");
     vec![
-        f.author_query(author),
-        f.title_query().expect("title"),
-        f.conf_query().expect("conf"),
-        f.year_query().expect("year"),
-        f.conf_year_query().expect("conf+year"),
-        f.author_title_query(author).expect("author+title"),
+        node(AUTHOR),
+        node(TITLE),
+        node(CONF),
+        node(YEAR),
+        node(CONF_YEAR),
+        node(AUTHOR_TITLE),
         Query::most_specific(descriptor),
         parse(format!(
             "/article[author[first/{first}][last/{last}]][year/{year}]"

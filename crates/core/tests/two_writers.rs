@@ -9,6 +9,7 @@
 //! a slow member would deliver them, and then tries every such order.
 
 use bytes::Bytes;
+use p2p_index_core::scheme::CONF_YEAR;
 use p2p_index_core::{
     BiblioFields, CachePolicy, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, IndexService,
     IndexTarget, SimpleScheme,
@@ -38,7 +39,7 @@ fn a_publish_that_races_an_unpublish_stays_reachable() {
     // 2. B's publish lands whole but for its put at h(conf+year), which a
     //    slow member or a retried loss holds back.
     let msd_b = service.publish(&b, "b.pdf", &SimpleScheme).unwrap();
-    let conf_year = BiblioFields::of(&b).conf_year_query().unwrap();
+    let conf_year = BiblioFields::of(&b).query(CONF_YEAR, None).unwrap();
     let key = IndexService::<RingDht>::key_of(&conf_year);
     let value = IndexTarget::Query(msd_b).to_bytes();
     let held_back = DhtOp::Remove {

@@ -893,7 +893,10 @@ pub(crate) fn read_reply_with(
 
 /// Reads one frame's header and payload from `r`: the header is checked
 /// (magic, version, length cap) before the payload is read into
-/// `scratch`, which is cleared and resized in place.
+/// `scratch`, which is cleared and then grown as the bytes arrive, at most
+/// [`KEPT_FRAME_CAPACITY`] before each read. A header alone never commits
+/// more memory than that, whatever length it announces, and a frame that
+/// fits one step costs no more than a single resize.
 fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u64), RecvError> {
     let mut header = [0u8; HEADER_LEN];
     let first = r.read(&mut header).map_err(RecvError::Io)?;
@@ -903,8 +906,11 @@ fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<(u8, u64), Rec
     read_exact_from(r, &mut header[first..]).map_err(RecvError::Io)?;
     let (kind, id, payload_len) = parse_header(&header)?;
     scratch.clear();
-    scratch.resize(payload_len, 0);
-    read_exact_from(r, scratch).map_err(RecvError::Io)?;
+    while scratch.len() < payload_len {
+        let read = scratch.len();
+        scratch.resize(payload_len.min(read + KEPT_FRAME_CAPACITY), 0);
+        read_exact_from(r, &mut scratch[read..]).map_err(RecvError::Io)?;
+    }
     Ok((kind, id))
 }
 
@@ -1369,5 +1375,45 @@ mod tests {
             read_message_with(&mut cursor, &mut Vec::new()),
             Err(RecvError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_stalled_frame_grows_its_buffer_only_as_its_bytes_arrive() {
+        // The header announces the largest payload the cap allows and the
+        // sender stops after 10 bytes. It was a 16 MiB buffer per such
+        // connection while the header alone sized it.
+        let mut frame = encode_to_vec(&Message::Request {
+            id: 7,
+            op: DhtOp::Get(Key::hash_of("x")),
+        });
+        frame.truncate(HEADER_LEN);
+        frame[14..18].copy_from_slice(&MAX_PAYLOAD.to_be_bytes());
+        frame.extend_from_slice(&[0; 10]);
+        let mut cursor = io::Cursor::new(frame);
+        let mut scratch = Vec::new();
+        let got = read_message_with(&mut cursor, &mut scratch);
+        assert!(
+            matches!(&got, Err(RecvError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{got:?}"
+        );
+        assert!(
+            scratch.capacity() <= KEPT_FRAME_CAPACITY,
+            "{} bytes committed",
+            scratch.capacity()
+        );
+        // A frame of exactly `MAX_PAYLOAD` still round-trips, step by step.
+        let put = |len: usize| Message::Request {
+            id: 8,
+            op: DhtOp::Put {
+                key: Key::hash_of("k"),
+                value: Bytes::from(vec![7; len]),
+            },
+        };
+        let framing = encode_to_vec(&put(0)).len();
+        let full = put(HEADER_LEN + MAX_PAYLOAD as usize - framing);
+        let buf = encode_to_vec(&full);
+        assert_eq!(buf.len(), HEADER_LEN + MAX_PAYLOAD as usize);
+        let got = read_message_with(&mut io::Cursor::new(&buf), &mut scratch);
+        assert_eq!(got.expect("a MAX_PAYLOAD frame reads"), (full, buf.len()));
     }
 }

@@ -69,9 +69,9 @@ pub use p2p_index_xpath as xpath;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use p2p_index_core::{
-        CachePolicy, Completeness, ComplexScheme, CustomScheme, Fig4Scheme, FlatScheme, IndexError,
-        IndexScheme, IndexService, IndexTarget, InitialLetterScheme, KeywordTitleScheme,
-        RetryPolicy, SearchReport, SimpleScheme,
+        CachePolicy, Completeness, ComplexScheme, Fig4Scheme, FlatScheme, IndexError, IndexScheme,
+        IndexService, IndexTarget, InitialLetterScheme, KeywordTitleScheme, RetryPolicy,
+        SearchReport, SimpleScheme,
     };
     pub use p2p_index_dht::{
         ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeId,
