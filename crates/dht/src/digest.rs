@@ -1,8 +1,15 @@
 //! The order-independent hash of a key's value set — the one definition
-//! both of its users call: anti-entropy repair folds it into per-bucket
-//! digests ([`ShardedDht::bucket_digests`](crate::ShardedDht::bucket_digests)),
-//! and a quorum read compares it across replicas instead of shipping the
-//! value list twice ([`DhtResponse::digest_of`](crate::DhtResponse::digest_of)).
+//! all of its users call:
+//!
+//! * a replicated store adds and subtracts it, one pair at a time, as each
+//!   write lands, to keep its repair digests
+//!   ([`ShardedDht::kept_digests`](crate::ShardedDht::kept_digests));
+//! * [`ShardedDht::bucket_digests`](crate::ShardedDht::bucket_digests)
+//!   folds it over a whole partition in one sweep — the oracle the kept
+//!   sums are tested against, equal to them to the bit because a wrapping
+//!   sum does not care how it was added up;
+//! * a quorum read compares it across replicas instead of shipping the
+//!   value list twice ([`DhtResponse::digest_of`](crate::DhtResponse::digest_of)).
 
 use bytes::Bytes;
 

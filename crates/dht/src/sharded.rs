@@ -31,12 +31,19 @@
 //! The store is also what anti-entropy repair compares and enumerates,
 //! through **repair buckets**: the key space cut by the key's low bits
 //! ([`repair_bucket`]) — the one cut there is, so shard *b* holds exactly
-//! bucket *b*. [`ShardedDht::bucket_digests`] folds every stored pair and
-//! every tombstone of shard *b* into bucket *b*'s order-independent 64-bit
-//! digest without allocating per key; [`ShardedDht::bucket_snapshot`]
-//! enumerates one bucket under its one shard guard, so what a repair push
-//! holds in memory at a time is a sixteenth of a partition, never the
-//! whole of it.
+//! bucket *b*. A store built for a member of a replicated ring
+//! ([`ShardedDht::with_ring`]) **keeps its digests on write**: each shard
+//! holds one order-independent 64-bit sum per ring *arc* (the keys whose
+//! clockwise successor is one ring member, so an arc names the replica set
+//! that holds its keys), moved by the write guard the write already holds
+//! and only when a pair or a tombstone really comes or goes.
+//! [`ShardedDht::kept_digests`] folds them into one digest per bucket for
+//! any audience of arcs without visiting a key.
+//! [`ShardedDht::bucket_snapshot`] enumerates one bucket under its one
+//! shard guard, so what a repair push holds in memory at a time is a
+//! sixteenth of a partition, never the whole of it.
+//! [`ShardedDht::bucket_digests`] computes the same digests by sweeping the
+//! partition; it is the oracle the kept sums are tested against.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -47,6 +54,7 @@ use p2p_index_obs::MetricsRegistry;
 use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::digest::{self, values_digest};
 use crate::key::Key;
+use crate::placement;
 use crate::storage::NodeStore;
 
 /// Number of repair buckets a partition is compared and pushed in, and
@@ -117,6 +125,10 @@ struct Shard {
     /// tombstone check and the value it guards can never be observed in
     /// a torn state within a shard.
     deleted: HashMap<Key, HashSet<Bytes>>,
+    /// `sums[arc]`: the digest of this shard's stored pairs and tombstones
+    /// whose key's clockwise successor is ring member `arc`, kept on every
+    /// write. Empty when the store has no ring.
+    sums: Vec<u64>,
 }
 
 impl Shard {
@@ -128,6 +140,39 @@ impl Shard {
             .filter(|v| !dead.is_some_and(|d| d.contains(v)))
             .collect()
     }
+
+    /// Moves the sum of `key`'s arc on `ring` by the hash of the pair
+    /// `(key, value)` as a member of `class`: up when the pair `arrived`,
+    /// down when it left. A store without a ring keeps no sums.
+    fn keep(&mut self, ring: &[Key], class: u64, key: &Key, value: &Bytes, arrived: bool) {
+        let Some(arc) = placement::successor_index(ring, key) else {
+            return;
+        };
+        let hash = values_digest(class, key, std::iter::once(value));
+        let sum = &mut self.sums[arc];
+        *sum = if arrived {
+            sum.wrapping_add(hash)
+        } else {
+            sum.wrapping_sub(hash)
+        };
+    }
+
+    /// Recomputes every kept sum on `ring` from what the shard holds.
+    fn rebuild_sums(&mut self, ring: &[Key]) {
+        let mut sums = vec![0u64; ring.len()];
+        let mut add = |key: &Key, hash: u64| {
+            if let Some(arc) = placement::successor_index(ring, key) {
+                sums[arc] = sums[arc].wrapping_add(hash);
+            }
+        };
+        for (key, values) in self.store.iter() {
+            add(key, values_digest(digest::STORED, key, values.iter()));
+        }
+        for (key, dead) in &self.deleted {
+            add(key, values_digest(digest::DEAD, key, dead.iter()));
+        }
+        self.sums = sums;
+    }
 }
 
 /// A single-node DHT partition sharded for concurrent access.
@@ -136,9 +181,11 @@ impl Shard {
 /// replication fan-out, and the anti-entropy repair thread each acquire
 /// only the shard lock their operation touches. Lock discipline: at most
 /// one shard lock is held at a time, by every method — whole-partition
-/// sweeps ([`ShardedDht::bucket_digests`], [`ShardedDht::replace_entries`])
-/// visit the shards one after another — so no lock order exists to get
-/// wrong.
+/// visits ([`ShardedDht::kept_digests`], [`ShardedDht::bucket_digests`],
+/// [`ShardedDht::replace_entries`]) take the shards one after another — so
+/// no lock order exists to get wrong. A write moves its shard's kept sums
+/// under the write guard it already holds, so a digest read under a
+/// shard's read guard always matches what that shard holds.
 ///
 /// # Examples
 ///
@@ -154,6 +201,10 @@ impl Shard {
 #[derive(Debug)]
 pub struct ShardedDht {
     id: NodeId,
+    /// The ring of the replicated cluster this partition belongs to,
+    /// ascending — what names a key's arc. Empty when the store keeps no
+    /// sums.
+    ring: Vec<Key>,
     /// `shards[b]` holds exactly the keys of repair bucket `b`.
     shards: [RwLock<Shard>; REPAIR_BUCKETS],
     counters: PairCounters,
@@ -168,10 +219,28 @@ pub struct ShardedDht {
 impl ShardedDht {
     /// Creates an empty partition store for node `id`: [`REPAIR_BUCKETS`]
     /// shards, shard `b` holding the keys of repair bucket `b`.
+    /// It keeps no digest sums: [`ShardedDht::kept_digests`] reads zero.
     pub fn with_default_shards(id: NodeId) -> ShardedDht {
+        ShardedDht::with_ring(id, Vec::new())
+    }
+
+    /// [`ShardedDht::with_default_shards`] for a member of a replicated
+    /// cluster whose members sit at `ring`: every write keeps the digest
+    /// sums of its key's arc (module docs), so [`ShardedDht::kept_digests`]
+    /// reads them without a sweep. `ring` is sorted and deduplicated here.
+    pub fn with_ring(id: NodeId, mut ring: Vec<Key>) -> ShardedDht {
+        ring.sort_unstable();
+        ring.dedup();
+        let shards = std::array::from_fn(|_| {
+            RwLock::new(Shard {
+                sums: vec![0; ring.len()],
+                ..Shard::default()
+            })
+        });
         ShardedDht {
             id,
-            shards: Default::default(),
+            ring,
+            shards,
             counters: PairCounters::default(),
             metrics: MetricsRegistry::default(),
         }
@@ -231,6 +300,10 @@ impl ShardedDht {
     /// copied into a compact allocation of its own; a duplicate — the
     /// steady state of every repair pass — is recognised first and costs
     /// no allocation at all.
+    ///
+    /// It is also where the kept digest sums move, on real transitions
+    /// only: a pair stored anew or removed, a tombstone recorded anew or
+    /// lifted. A duplicate write moves nothing.
     fn execute_op(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
         match op {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
@@ -254,22 +327,33 @@ impl ShardedDht {
                 let mut shard = self.write_shard(self.shard_of(&key));
                 if replicated {
                     if let Some(dead) = shard.deleted.get_mut(&key) {
-                        dead.remove(&value);
+                        let lifted = dead.remove(&value);
                         if dead.is_empty() {
                             shard.deleted.remove(&key);
                         }
+                        if lifted {
+                            shard.keep(&self.ring, digest::DEAD, &key, &value, false);
+                        }
                     }
                 }
-                Ok(DhtResponse::Stored(shard.store.put_copied(key, &value)))
+                let stored = shard.store.put_copied(key, &value);
+                if stored {
+                    shard.keep(&self.ring, digest::STORED, &key, &value, true);
+                }
+                Ok(DhtResponse::Stored(stored))
             }
             DhtOp::Remove { key, value } => {
                 self.counters.record_pair("remove", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
                 let removed = shard.store.remove(&key, &value);
+                if removed {
+                    shard.keep(&self.ring, digest::STORED, &key, &value, false);
+                }
                 if replicated {
                     let dead = shard.deleted.entry(key).or_default();
                     if !dead.contains(&value) {
                         dead.insert(Bytes::copy_from_slice(&value));
+                        shard.keep(&self.ring, digest::DEAD, &key, &value, true);
                     }
                 }
                 Ok(DhtResponse::Removed(removed))
@@ -295,8 +379,22 @@ impl ShardedDht {
         self.execute_op(op, true)
     }
 
+    /// One digest per repair bucket over the arcs `holds` accepts (`holds`
+    /// is asked once per shard and ring position), read from the sums
+    /// writes keep: what [`ShardedDht::bucket_digests`] sweeps out of the
+    /// same keys, to the bit, without visiting one. Each bucket is read
+    /// under its shard's read guard. All zero when the store has no ring.
+    pub fn kept_digests(&self, mut holds: impl FnMut(usize) -> bool) -> BucketDigests {
+        std::array::from_fn(|bucket| {
+            let shard = self.read_shard(&self.shards[bucket]);
+            let held = shard.sums.iter().enumerate().filter(|(arc, _)| holds(*arc));
+            held.fold(0u64, |digest, (_, sum)| digest.wrapping_add(*sum))
+        })
+    }
+
     /// One digest per repair bucket for each of `audiences` audiences, in
-    /// **one** sweep of the partition.
+    /// **one** sweep of the partition — the oracle the kept sums
+    /// ([`ShardedDht::kept_digests`]) are tested against.
     ///
     /// `audience(key)` names the audiences (indices below `audiences`)
     /// `key` counts towards; a key it names none for is not hashed at all.
@@ -391,7 +489,8 @@ impl ShardedDht {
     ///
     /// The new per-shard stores are built outside any lock and swapped in
     /// one shard at a time, so each key changes atomically and the
-    /// one-lock-at-a-time discipline holds here too.
+    /// one-lock-at-a-time discipline holds here too. A store with a ring
+    /// rebuilds each swapped-in shard's kept sums under the same guard.
     pub fn replace_entries(&self, entries: Vec<(Key, Vec<Bytes>)>) {
         let mut stores: [NodeStore; REPAIR_BUCKETS] = Default::default();
         for (key, values) in entries {
@@ -401,7 +500,11 @@ impl ShardedDht {
             }
         }
         for (lock, store) in self.shards.iter().zip(stores) {
-            self.write_shard(lock).store = store;
+            let mut shard = self.write_shard(lock);
+            shard.store = store;
+            if !self.ring.is_empty() {
+                shard.rebuild_sums(&self.ring);
+            }
         }
     }
 

@@ -15,6 +15,9 @@
 //!   from an old image would look healthy and never be scrubbed.
 //! * **Complete** — enumerating all [`REPAIR_BUCKETS`] buckets yields the
 //!   whole partition, each key in the bucket [`repair_bucket`] names.
+//! * **Kept, never drifting** — the sums a store on a ring keeps on write
+//!   ([`ShardedDht::kept_digests`]) equal the sweep for every audience
+//!   after every write, wipe and restore.
 //!
 //! Each property runs over seeded cases (`p2p_index_testkit`), so a run
 //! repeats exactly and a failure names the seed of its case.
@@ -23,7 +26,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    repair_bucket, BucketDigests, Dht, DhtOp, Key, NodeId, ShardedDht, REPAIR_BUCKETS,
+    placement, repair_bucket, BucketDigests, Dht, DhtOp, Key, NodeId, ShardedDht, REPAIR_BUCKETS,
 };
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng, StdRng};
 
@@ -212,5 +215,62 @@ fn one_sweep_for_many_audiences_is_each_audiences_own_sweep() {
                 assert!(keys.into_iter().all(|(key, _)| member(key, audience)));
             }
         }
+    });
+}
+
+#[test]
+fn kept_sums_equal_the_sweep_for_every_audience_after_every_op() {
+    for_each_case(|rng| {
+        let members = [1, 3, 5, 8][rng.gen_range(0..4usize)];
+        let replicas = rng.gen_range(1..=3usize);
+        let mut ring: Vec<Key> = (0..members)
+            .map(|i| Key::hash_of(&format!("node-{i}")))
+            .collect();
+        ring.sort();
+        let store = ShardedDht::with_ring(NodeId::hash_of("node-0"), ring.clone());
+        // A few random keys plus the members' own keys (a key equal to a
+        // member's is that member's arc), a few values: duplicates, and
+        // re-puts of tombstoned pairs, come up often.
+        let mut keys: Vec<Key> = (0..rng.gen_range(1..10usize))
+            .map(|_| Key::from_digest(digest(rng)))
+            .collect();
+        keys.extend(&ring);
+        let values: Vec<Bytes> = (0..rng.gen_range(1..5usize))
+            .map(|_| Bytes::from(bytes(rng, 0..16)))
+            .collect();
+        let holders = |key: &Key| placement::replica_range(&ring, key, replicas).indices();
+        let mut image = Vec::new();
+        for step in 0..rng.gen_range(1..80usize) {
+            match rng.gen_range(0..20usize) {
+                0 => store.replace_entries(Vec::new()),
+                1 => store.replace_entries(image.clone()),
+                2 => image = store.entries(),
+                _ => {
+                    let key = keys[rng.gen_range(0..keys.len())];
+                    let value = &values[rng.gen_range(0..values.len())];
+                    let op = write(key, value, rng.gen());
+                    let outcome = if rng.gen_range(0..3usize) == 0 {
+                        store.execute_shared(op)
+                    } else {
+                        store.execute_replicated(op)
+                    };
+                    outcome.expect("a partition store never fails");
+                }
+            }
+            let swept = store.bucket_digests(members, holders);
+            for (at, swept) in swept.iter().enumerate() {
+                let kept = store.kept_digests(|arc| holders(&ring[arc]).any(|m| m == at));
+                assert_eq!(kept, *swept, "audience {at} after step {step}");
+            }
+            assert_eq!(store.kept_digests(|_| true), digests(&store), "{step}");
+        }
+    });
+}
+
+#[test]
+fn a_store_without_a_ring_keeps_no_sums() {
+    for_each_case(|rng| {
+        let pairs = pair_set(rng);
+        assert_eq!(store_of(&pairs).kept_digests(|_| true), [0; REPAIR_BUCKETS]);
     });
 }

@@ -63,26 +63,32 @@
 //! [`ReplicationConfig::repair_interval`]; its cost follows what differs
 //! between two members, not what they hold.
 //!
-//! 1. *Digest.* One read-locked sweep of the store
-//!    ([`ShardedDht::bucket_digests`]) computes, for every peer at once
-//!    and without allocating per key, one 64-bit order-independent digest
-//!    per **repair bucket** ([`REPAIR_BUCKETS`] slices of the key space by
-//!    the key's low bits — one per shard, the same on every member) over
-//!    the keys whose replica set contains that peer.
-//! 2. *Probe.* Each peer gets its sixteen digests in one
-//!    [`Digest`](crate::wire::Message::Digest) frame, computes the same
-//!    digests over the keys whose replica set contains the sender, and
-//!    answers with a 16-bit mask of the buckets that differ. A peer that
-//!    is unreachable, or cannot answer a digest, is skipped for the pass —
-//!    there is no other push to fall back to.
-//! 3. *Push.* Only differing buckets are sent, **one bucket at a time**:
+//! 1. *Digest.* The store keeps its digests on write
+//!    ([`ShardedDht::kept_digests`]): one 64-bit order-independent sum per
+//!    **repair bucket** ([`REPAIR_BUCKETS`] slices of the key space by the
+//!    key's low bits — one per shard, the same on every member) and per
+//!    ring arc, moved under the shard guard each write already holds.
+//!    Just before it probes a peer, a member folds the sums of the arcs
+//!    whose replica set contains that peer into sixteen digests. No key is
+//!    visited; a converged pass costs no sweep at all.
+//! 2. *Probe, then confirm.* Each peer gets its sixteen digests in one
+//!    [`Digest`](crate::wire::Message::Digest) frame, folds its own sums
+//!    for the sender the same way, and answers with a 16-bit mask of the
+//!    buckets that differ. If any do, the member waits a moment
+//!    (`CONFIRM_AFTER`, 10 ms), reads its digests afresh and probes once
+//!    more, and keeps only the buckets both answers name: a write still
+//!    reaching one of the two at the first probe (a publish burst is full
+//!    of them) has landed on both by the second, while a real difference
+//!    (a wiped member) persists and is pushed in the same pass. A peer
+//!    that is unreachable, or cannot answer a digest, is skipped for the
+//!    pass — there is no other push to fall back to.
+//! 3. *Push.* Only confirmed buckets are sent, **one bucket at a time**:
 //!    snapshot the bucket, send it as one `Transfer` — its live values,
 //!    then its tombstones (the *scrub*) — and drop the snapshot. Receivers'
 //!    puts deduplicate and a remove of a dead pair is a no-op, so a push is
 //!    idempotent. What a pass holds in memory is a sixteenth of one peer's
-//!    share even when every bucket differs (a member restarted empty; the
-//!    false mismatches that writes still in flight cause during a publish
-//!    burst), and no frame this server builds is larger than a bucket.
+//!    share even when every bucket differs (a member restarted empty), and
+//!    no frame this server builds is larger than a bucket.
 //!
 //! What is digested is the **raw stored pairs and the tombstones, as two
 //! tagged classes** — not "stored minus dead". Deletes leave tombstones:
@@ -203,6 +209,15 @@ const PEER_TIMEOUTS: Timeouts = Timeouts {
     write: Duration::from_millis(700),
 };
 
+/// How long a repair pass waits between a probe that names differing
+/// buckets and its confirming probe: long enough for a write whose frames
+/// were still on their way to one of the two members at the first probe
+/// to land, even when the client's thread lost the processor between two
+/// of a round's frames. Without the wait, a push could reach a replica
+/// ahead of the client's own frame, and that replica would answer the
+/// client that the write changed nothing.
+const CONFIRM_AFTER: Duration = Duration::from_millis(10);
+
 /// Replication state shared by connection workers and the repair thread.
 struct Replication {
     node_key: Key,
@@ -235,7 +250,7 @@ impl Replication {
     }
 
     /// The replica set of `key` as a window of `ring` positions — the
-    /// allocation-free form the repair sweeps ask per key.
+    /// allocation-free form repair asks per arc and per pushed key.
     fn replica_range(&self, key: &Key) -> placement::ReplicaRange {
         placement::replica_range(&self.ring, key, self.replicas)
     }
@@ -306,7 +321,16 @@ impl Shared {
     /// The state of a member serving `node`'s partition from a fresh, empty
     /// store. Needs no listener: [`handle`] can be driven on it directly.
     fn new(node: NodeId, config: &ServerConfig) -> Shared {
-        let mut store = ShardedDht::with_default_shards(node);
+        let replication = config
+            .replication
+            .clone()
+            .filter(|config| config.replicas > 1)
+            .map(Replication::from_config);
+        // Only a member that repairs keeps digest sums on write.
+        let mut store = match &replication {
+            Some(repl) => ShardedDht::with_ring(node, repl.ring.clone()),
+            None => ShardedDht::with_default_shards(node),
+        };
         store.set_metrics(config.metrics.clone());
         Shared {
             store,
@@ -320,11 +344,7 @@ impl Shared {
             served: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections,
-            replication: config
-                .replication
-                .clone()
-                .filter(|config| config.replicas > 1)
-                .map(Replication::from_config),
+            replication,
         }
     }
 
@@ -788,47 +808,74 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
     }
 }
 
-/// One anti-entropy pass (module docs, "Repair"): digest the partition
-/// once for all peers, probe each peer with its digests, and push — bucket
-/// by bucket — only what the peer says differs, each bucket as one
-/// `Transfer` of its live values (what refills a member that restarted
-/// empty) and then its tombstones (what scrubs a stale member still holding
-/// a deleted mapping). On a converged cluster a pass costs one sweep and
-/// one small frame pair per peer.
+/// One anti-entropy pass (module docs, "Repair"): probe each peer with
+/// this member's digests for it, read just before the probe; confirm a
+/// mismatch with a second probe; and push — bucket by bucket — only what
+/// both probes name, each bucket as one `Transfer` of its live values
+/// (what refills a member that restarted empty) and then its tombstones
+/// (what scrubs a stale member still holding a deleted mapping). On a
+/// converged cluster a pass reads the kept digest sums and sends one small
+/// frame pair per peer; it visits no key.
 fn repair_pass(shared: &Shared) {
     let Some(repl) = &shared.replication else {
         return;
     };
-    let digests = peer_digests(shared, repl);
     let mut pushed_bytes = 0;
     for at in repl.peer_positions() {
-        shared.metrics.incr("net.server.replica.digest_probes");
-        let probe = Message::Digest {
-            id: repl.next_id(),
-            from: repl.node_key,
-            buckets: digests[at],
-        };
-        let Ok((Message::DigestReply { differs, .. }, _)) = repl.peer_call(at, &probe) else {
-            continue;
-        };
-        let mismatches = u64::from(differs.count_ones());
-        shared
-            .metrics
-            .add("net.server.replica.digest_mismatches", mismatches);
-        pushed_bytes += push_differing(shared, repl, at, differs);
+        let call = |probe: &Message| repl.peer_call(at, probe).ok().map(|(reply, _)| reply);
+        if let Some(differs) = confirmed_differences(shared, repl, at, call) {
+            pushed_bytes += push_differing(shared, repl, at, differs);
+        }
     }
     shared
         .metrics
         .add("net.server.replica.repair_bytes", pushed_bytes);
 }
 
-/// This member's bucket digests for every peer, indexed by ring position:
-/// for the peer at `at`, over the keys whose replica set contains it.
-fn peer_digests(shared: &Shared, repl: &Replication) -> Vec<BucketDigests> {
-    shared.store.bucket_digests(repl.ring.len(), |key| {
-        let holders = repl.replica_range(key).indices();
-        holders.filter(|at| repl.peers[*at].is_some())
-    })
+/// Probes the member at `at` through `call` with digests read just now
+/// and, if it names differing buckets, probes it once more,
+/// [`CONFIRM_AFTER`] later, with digests read again: the buckets both
+/// probes name, counted as mismatches. A
+/// write that was still reaching one of the two members at the first probe
+/// has landed on both by the second, so only a difference that persists is
+/// pushed. `None` when the member answers either probe with anything but a
+/// `DigestReply`, or not at all.
+fn confirmed_differences(
+    shared: &Shared,
+    repl: &Replication,
+    at: usize,
+    mut call: impl FnMut(&Message) -> Option<Message>,
+) -> Option<u16> {
+    let mut probe = || {
+        let digest = Message::Digest {
+            id: repl.next_id(),
+            from: repl.node_key,
+            buckets: peer_digests(shared, repl, at),
+        };
+        match call(&digest)? {
+            Message::DigestReply { differs, .. } => Some(differs),
+            _ => None,
+        }
+    };
+    let metrics = &shared.metrics;
+    metrics.incr("net.server.replica.digest_probes");
+    let mut differs = probe()?;
+    if differs != 0 {
+        std::thread::sleep(CONFIRM_AFTER);
+        metrics.incr("net.server.replica.digest_confirms");
+        differs &= probe()?;
+    }
+    let mismatches = u64::from(differs.count_ones());
+    metrics.add("net.server.replica.digest_mismatches", mismatches);
+    Some(differs)
+}
+
+/// This member's bucket digests for the member at ring position `at`: the
+/// kept sums of every arc whose replica set contains it.
+fn peer_digests(shared: &Shared, repl: &Replication, at: usize) -> BucketDigests {
+    shared
+        .store
+        .kept_digests(|arc| repl.replica_range(&repl.ring[arc]).contains(at))
 }
 
 /// Pushes the buckets `differs` names to the member at `at`, one bucket
@@ -881,10 +928,8 @@ fn differing_buckets(shared: &Shared, from: &Key, theirs: &BucketDigests) -> Opt
     let repl = shared.replication.as_ref()?;
     let from_at = repl.ring.binary_search(from).ok()?;
     repl.peers[from_at].as_ref()?;
-    let ours = shared.store.bucket_digests(1, |key| {
-        repl.replica_range(key).contains(from_at).then_some(0)
-    });
-    let differs = ours[0].iter().zip(theirs).enumerate();
+    let ours = peer_digests(shared, repl, from_at);
+    let differs = ours.iter().zip(theirs).enumerate();
     Some(differs.fold(0, |mask, (bucket, (ours, theirs))| {
         mask | u16::from(ours != theirs) << bucket
     }))
@@ -1225,27 +1270,66 @@ mod tests {
         assert_eq!(metrics.counter("net.server.replica.repair_pushes"), 0);
     }
 
+    /// `to`'s answer to `msg`, as a peer link would deliver it.
+    fn ask(to: &Shared, msg: &Message) -> Option<Message> {
+        match handle(to, msg.clone()) {
+            Turn::Reply(reply) => Some(reply),
+            Turn::Leave | Turn::Abuse => None,
+        }
+    }
+
     /// One repair pass from `from` to the member `to`, as `repair_pass`
-    /// runs it with `handle` standing in for the peer link: probe with
-    /// `from`'s digests for `to`, then plan and apply every differing
-    /// bucket's push.
+    /// runs it with `handle` standing in for the peer link: probe and
+    /// confirm with `from`'s digests for `to`, then plan and apply every
+    /// confirmed bucket's push.
     fn repair_by_hand(from: &Shared, to: &Shared, to_name: &str) {
         let repl = from.replication.as_ref().expect("a replicating member");
         let at = repl.ring.binary_search(&Key::hash_of(to_name)).unwrap();
-        let buckets = peer_digests(from, repl)[at];
-        let probe = Message::Digest {
-            id: 1,
-            from: repl.node_key,
-            buckets,
-        };
-        let Turn::Reply(Message::DigestReply { differs, .. }) = handle(to, probe) else {
-            panic!("{to_name} shares keys with its ring peer");
-        };
+        let differs = confirmed_differences(from, repl, at, |msg| ask(to, msg))
+            .unwrap_or_else(|| panic!("{to_name} shares keys with its ring peer"));
         for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
             if let Some(snapshot) = plan_push(from, repl, at, bucket) {
                 handle(to, Message::Transfer { id: 1, snapshot });
             }
         }
+    }
+
+    #[test]
+    fn a_write_that_lands_between_the_probe_and_its_confirm_is_not_pushed() {
+        // Two of three members holding every key (R = 3). A client's put
+        // has reached S; its frame to R is still in flight when S probes.
+        let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let (s, metrics) = unbound("node-0", 3, nowhere);
+        let (r, _) = unbound("node-1", 3, nowhere);
+        let key = Key::hash_of("in-flight");
+        let value = Bytes::from_static(b"Q:/article/title/in-flight");
+        let op = DhtOp::Put { key, value };
+        let put = Message::Request { id: 1, op };
+        assert_eq!(
+            handle(&s, put.clone()),
+            answer(1, DhtResponse::Stored(true))
+        );
+        let repl = s.replication.as_ref().unwrap();
+        let at = repl.ring.binary_search(&Key::hash_of("node-1")).unwrap();
+        let mut masks = Vec::new();
+        let confirmed = confirmed_differences(&s, repl, at, |msg| {
+            let reply = ask(&r, msg);
+            if let Some(Message::DigestReply { differs, .. }) = &reply {
+                masks.push(*differs);
+            }
+            if masks.len() == 1 {
+                // The write reaches R just after R answers the first probe.
+                handle(&r, put.clone());
+            }
+            reply
+        });
+        // The first probe saw the write's bucket differ; the confirm, sent
+        // after the write landed on R, saw nothing; so nothing is pushed.
+        assert_eq!(masks, vec![1 << repair_bucket(&key), 0]);
+        assert_eq!(confirmed, Some(0), "no bucket is planned for a push");
+        assert_eq!(metrics.counter("net.server.replica.digest_probes"), 1);
+        assert_eq!(metrics.counter("net.server.replica.digest_confirms"), 1);
+        assert_eq!(metrics.counter("net.server.replica.digest_mismatches"), 0);
     }
 
     #[test]

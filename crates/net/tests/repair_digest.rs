@@ -10,6 +10,9 @@
 //! * **One round to refill** — a member wiped in place is whole again
 //!   after one round, sent one bucket per frame — its live values and its
 //!   tombstones together — and the round after that is silent.
+//! * **Confirmed before pushed** — a probe that names differing buckets
+//!   is followed by one confirming probe (`digest_confirms`); a silent
+//!   round sends none.
 //! * **Typed refusal** — a server that replicates nothing with the sender
 //!   of a `Digest` answers with an error frame and keeps the connection.
 //!
@@ -119,12 +122,31 @@ fn value(i: usize) -> Bytes {
 /// Publishes `live` pairs that stay and `dead` pairs that are removed
 /// again (each leaves a tombstone on its whole replica set), enough keys
 /// that no repair bucket is empty.
+///
+/// Each write must settle, not be new: with the repair threads running, a
+/// peer's push or scrub can reach a replica before the client's own frame
+/// does, and that replica then answers that it changed nothing. What is
+/// asserted is the state the writes leave.
 fn fill(client: &mut RemoteDht, live: usize, dead: usize) {
+    let mut write = |op: DhtOp| {
+        let settled = client.execute(op);
+        assert!(settled.is_ok(), "{settled:?}");
+    };
     for i in 0..live + dead {
-        assert!(client.put(key(i), value(i)));
+        write(DhtOp::Put {
+            key: key(i),
+            value: value(i),
+        });
     }
     for i in live..live + dead {
-        assert!(client.remove(&key(i), &value(i)));
+        write(DhtOp::Remove {
+            key: key(i),
+            value: value(i),
+        });
+    }
+    for i in 0..live + dead {
+        let held = if i < live { vec![value(i)] } else { Vec::new() };
+        assert_eq!(Dht::get(client, &key(i)), held, "key {i}");
     }
     let buckets: std::collections::BTreeSet<usize> =
         (0..live).map(|i| repair_bucket(&key(i))).collect();
@@ -193,6 +215,31 @@ fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
         assert_eq!(Dht::get(&client, &key(i)), vec![value(i)]);
     }
     wide.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_mismatch_is_confirmed_once_and_a_silent_round_confirms_nothing() {
+    let cluster = Cluster::start(3, None);
+    let mut client = cluster.client();
+    fill(&mut client, 300, 100);
+    let confirms = || cluster.replica("digest_confirms");
+    let before = confirms();
+    assert_eq!(cluster.round_deltas()[1..], [0; 6]);
+    assert_eq!(confirms(), before, "a silent round sends no confirm");
+
+    // Member 0 runs first: its probe of the wiped member 1 is the only one
+    // of the round that sees a difference, so it is the only one confirmed.
+    // The difference persists, so every bucket is still pushed.
+    cluster.wipe(1);
+    let [probes, mismatches, pushes, ..] = cluster.round_deltas();
+    assert_eq!(confirms() - before, 1, "one confirm per mismatched peer");
+    assert_eq!(probes, cluster.probes_per_round());
+    assert_eq!(mismatches, REPAIR_BUCKETS as u64);
+    assert_eq!(pushes, REPAIR_BUCKETS as u64, "one Transfer per bucket");
+    assert_eq!(cluster.stored(), vec![300; 3]);
+    assert_eq!(cluster.round_deltas()[1..], [0; 6]);
+    assert_eq!(confirms() - before, 1, "silent again");
     cluster.shutdown();
 }
 
