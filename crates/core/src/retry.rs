@@ -14,20 +14,21 @@
 
 use p2p_index_dht::SplitMix64;
 
+/// Backoff before the first retry, in simulated milliseconds.
+const BASE_BACKOFF_MS: u64 = 100;
+
+/// Extra uniform jitter on a backoff, as a fraction of it.
+const JITTER: f64 = 0.5;
+
 /// How the index service retries failed DHT operations.
 ///
-/// Backoff for the `n`-th retry is `base_backoff · 2ⁿ⁻¹`, plus a uniform
-/// jitter of up to `jitter` times that value, drawn from the service's
-/// seeded RNG (so runs are reproducible). All times are in simulated
-/// milliseconds.
+/// Backoff for the `n`-th retry is `100 ms · 2ⁿ⁻¹`, plus a uniform jitter
+/// of up to half that value, drawn from the service's seeded RNG (so runs
+/// are reproducible). All times are in simulated milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (≥ 1; 1 means "never retry").
     pub max_attempts: u32,
-    /// Backoff before the first retry, in simulated milliseconds.
-    pub base_backoff_ms: u64,
-    /// Extra uniform jitter as a fraction of the backoff (0.0 = none).
-    pub jitter: f64,
     /// Seed for the jitter RNG.
     pub seed: u64,
 }
@@ -37,8 +38,6 @@ impl RetryPolicy {
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            base_backoff_ms: 0,
-            jitter: 0.0,
             seed: 0,
         }
     }
@@ -48,8 +47,6 @@ impl RetryPolicy {
     pub fn with_budget(seed: u64, max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            base_backoff_ms: 100,
-            jitter: 0.5,
             seed,
         }
     }
@@ -60,17 +57,11 @@ impl RetryPolicy {
     }
 
     /// The simulated delay before retry number `retry` (1-based; 0 reads
-    /// as 1), with jitter drawn from `rng`. Saturates at `u64::MAX`
-    /// instead of overflowing.
+    /// as 1), with jitter drawn from `rng`. The doubling stops at retry
+    /// 33, so a deep retry plateaus instead of overflowing.
     pub fn backoff_ms(&self, retry: u32, rng: &mut SplitMix64) -> u64 {
-        let base = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << retry.saturating_sub(1).min(32));
-        if self.jitter > 0.0 && base > 0 {
-            base.saturating_add((self.jitter * base as f64 * rng.next_f64()) as u64)
-        } else {
-            base
-        }
+        let base = BASE_BACKOFF_MS << retry.saturating_sub(1).min(32);
+        base + (JITTER * base as f64 * rng.next_f64()) as u64
     }
 }
 
@@ -107,22 +98,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_per_retry() {
-        let mut p = RetryPolicy::with_budget(7, 4);
-        p.jitter = 0.0;
-        let mut rng = SplitMix64::new(7);
-        assert_eq!(p.backoff_ms(1, &mut rng), 100);
-        assert_eq!(p.backoff_ms(2, &mut rng), 200);
-        assert_eq!(p.backoff_ms(3, &mut rng), 400);
-    }
-
-    #[test]
     fn jitter_stays_within_bounds_and_is_deterministic() {
         let p = RetryPolicy::with_budget(9, 3);
         let mut a = SplitMix64::new(p.seed);
         let mut b = SplitMix64::new(p.seed);
         for retry in 1..=8 {
             let d = p.backoff_ms(retry, &mut a);
+            // The base doubles per retry: 100, 200, 400, ... ms.
             let base = 100u64 << (retry - 1);
             assert!(d >= base, "retry {retry}: {d} < {base}");
             assert!(d <= base + base / 2, "retry {retry}: {d} too large");
@@ -137,20 +119,13 @@ mod tests {
 
     #[test]
     fn huge_retry_counts_do_not_overflow() {
-        let mut p = RetryPolicy::with_budget(1, u32::MAX);
-        p.jitter = 0.0;
-        let mut rng = SplitMix64::new(1);
+        let p = RetryPolicy::with_budget(1, u32::MAX);
+        let backoff = |retry: u32| p.backoff_ms(retry, &mut SplitMix64::new(1));
         // The shift is clamped, so very deep retries plateau instead of
         // overflowing the u64 backoff.
-        assert_eq!(p.backoff_ms(64, &mut rng), p.backoff_ms(33, &mut rng));
-        // A base at the top of the range saturates through the jitter, and
-        // retry 0 (outside the 1-based contract) reads as retry 1.
-        let p = RetryPolicy {
-            base_backoff_ms: u64::MAX,
-            jitter: 0.5,
-            ..RetryPolicy::with_budget(1, 4)
-        };
-        assert_eq!(p.backoff_ms(1, &mut rng), u64::MAX);
-        assert_eq!(p.backoff_ms(0, &mut rng), u64::MAX);
+        assert_eq!(backoff(64), backoff(33));
+        assert_eq!(backoff(u32::MAX), backoff(33));
+        // Retry 0 (outside the 1-based contract) reads as retry 1.
+        assert_eq!(backoff(0), backoff(1));
     }
 }

@@ -397,20 +397,10 @@ impl<D: Dht> IndexService<D> {
         self.tracer.take().map(TraceRecorder::finish)
     }
 
-    /// `true` while a trace recording is active.
-    pub fn is_tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Replaces the retry policy and reseeds its jitter RNG.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
         self.retry_rng = SplitMix64::new(retry.seed);
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Counters for the retry work performed so far.

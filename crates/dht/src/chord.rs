@@ -61,11 +61,12 @@ use crate::key::{Key, KEY_BITS};
 use crate::placement;
 use crate::storage::{merged_entries, NodeStore};
 
+/// Length of each node's successor list (fault tolerance).
+const SUCCESSOR_LIST_LEN: usize = 4;
+
 /// Tuning knobs for the Chord simulation.
 #[derive(Debug, Clone)]
 pub struct ChordConfig {
-    /// Length of each node's successor list (fault tolerance).
-    pub successor_list_len: usize,
     /// How many data replicas to place on the nodes succeeding the
     /// responsible node (1 = no replication). The paper notes indexes
     /// "benefit from the mechanisms implemented by the DHT substrate ...
@@ -75,10 +76,7 @@ pub struct ChordConfig {
 
 impl Default for ChordConfig {
     fn default() -> Self {
-        ChordConfig {
-            successor_list_len: 4,
-            replication: 1,
-        }
+        ChordConfig { replication: 1 }
     }
 }
 
@@ -216,7 +214,7 @@ impl ChordNetwork {
             return;
         }
         for (pos, id) in order.iter().enumerate() {
-            let succs: Vec<Key> = (1..=self.cfg.successor_list_len.max(1))
+            let succs: Vec<Key> = (1..=SUCCESSOR_LIST_LEN)
                 .map(|k| order[(pos + k) % n])
                 .collect();
             let pred = order[(pos + n - 1) % n];
@@ -498,7 +496,7 @@ impl ChordNetwork {
                     .filter(|k| self.nodes.contains_key(k))
                     .copied(),
             );
-            list.truncate(self.cfg.successor_list_len.max(1));
+            list.truncate(SUCCESSOR_LIST_LEN);
             list
         };
         if let Some(state) = self.nodes.get_mut(id) {
@@ -721,10 +719,7 @@ mod tests {
     }
 
     fn replicated(n: usize, replication: usize) -> ChordNetwork {
-        let cfg = ChordConfig {
-            replication,
-            ..ChordConfig::default()
-        };
+        let cfg = ChordConfig { replication };
         ChordNetwork::with_perfect_tables_and_config(keys(n), cfg)
     }
 

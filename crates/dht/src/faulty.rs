@@ -142,10 +142,7 @@ impl Delivery {
     /// observes: the real result when delivered, [`DhtError::Timeout`]
     /// otherwise — after applying the operation anyway when only the
     /// response was lost (the at-least-once ambiguity).
-    pub fn settle(
-        self,
-        apply: impl FnOnce() -> Result<DhtResponse, DhtError>,
-    ) -> Result<DhtResponse, DhtError> {
+    pub fn settle<T>(self, apply: impl FnOnce() -> Result<T, DhtError>) -> Result<T, DhtError> {
         match self {
             Delivery::Delivered => apply(),
             Delivery::RequestLost => Err(DhtError::Timeout),

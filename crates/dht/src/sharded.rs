@@ -23,10 +23,15 @@
 //!
 //! Replication tombstones (deleted values a stale replica must not push
 //! back) live *inside* the shards — their only home — guarded by the same
-//! locks as the values they shadow: a replicated write
-//! ([`ShardedDht::execute_replicated`]) changes the value and its
-//! tombstone under one write guard, so the two can never be observed
-//! disagreeing.
+//! locks as the values they shadow. Whether a store keeps them is fixed
+//! when it is built, not chosen per call: a store built for a member of a
+//! replicated ring ([`ShardedDht::with_ring`]) records a tombstone on every
+//! `Remove` and lifts it on a `Put` of the same pair, under the write guard
+//! of the value change itself; one built with
+//! [`ShardedDht::with_default_shards`] never records one. A value a peer
+//! pushes ([`ShardedDht::put_unless_dead`]) is checked against its
+//! tombstone and stored under one write guard too, so no write can land
+//! between the check and the store.
 //!
 //! The store is also what anti-entropy repair compares and enumerates,
 //! through **repair buckets**: the key space cut by the key's low bits
@@ -141,6 +146,16 @@ impl Shard {
             .collect()
     }
 
+    /// Stores `(key, value)`, copied, keeping the sum of its arc on `ring`
+    /// if it is new: whether it was.
+    fn store_pair(&mut self, ring: &[Key], key: Key, value: &Bytes) -> bool {
+        let stored = self.store.put_copied(key, value);
+        if stored {
+            self.keep(ring, digest::STORED, &key, value, true);
+        }
+        stored
+    }
+
     /// Moves the sum of `key`'s arc on `ring` by the hash of the pair
     /// `(key, value)` as a member of `class`: up when the pair `arrived`,
     /// down when it left. A store without a ring keeps no sums.
@@ -177,8 +192,8 @@ impl Shard {
 
 /// A single-node DHT partition sharded for concurrent access.
 ///
-/// All operational methods take `&self`: connection workers, the
-/// replication fan-out, and the anti-entropy repair thread each acquire
+/// All operational methods take `&self`: connection workers and the
+/// anti-entropy repair thread each acquire
 /// only the shard lock their operation touches. Lock discipline: at most
 /// one shard lock is held at a time, by every method — whole-partition
 /// visits ([`ShardedDht::kept_digests`], [`ShardedDht::bucket_digests`],
@@ -202,8 +217,8 @@ impl Shard {
 pub struct ShardedDht {
     id: NodeId,
     /// The ring of the replicated cluster this partition belongs to,
-    /// ascending — what names a key's arc. Empty when the store keeps no
-    /// sums.
+    /// ascending — what names a key's arc. Empty when the store keeps
+    /// neither sums nor tombstones.
     ring: Vec<Key>,
     /// `shards[b]` holds exactly the keys of repair bucket `b`.
     shards: [RwLock<Shard>; REPAIR_BUCKETS],
@@ -219,7 +234,8 @@ pub struct ShardedDht {
 impl ShardedDht {
     /// Creates an empty partition store for node `id`: [`REPAIR_BUCKETS`]
     /// shards, shard `b` holding the keys of repair bucket `b`.
-    /// It keeps no digest sums: [`ShardedDht::kept_digests`] reads zero.
+    /// It keeps no digest sums ([`ShardedDht::kept_digests`] reads zero)
+    /// and records no tombstone: the store of an unreplicated partition.
     pub fn with_default_shards(id: NodeId) -> ShardedDht {
         ShardedDht::with_ring(id, Vec::new())
     }
@@ -227,7 +243,9 @@ impl ShardedDht {
     /// [`ShardedDht::with_default_shards`] for a member of a replicated
     /// cluster whose members sit at `ring`: every write keeps the digest
     /// sums of its key's arc (module docs), so [`ShardedDht::kept_digests`]
-    /// reads them without a sweep. `ring` is sorted and deduplicated here.
+    /// reads them without a sweep, and makes its tombstone transition. A
+    /// non-empty `ring` is what makes a replica store; it is sorted and
+    /// deduplicated here.
     pub fn with_ring(id: NodeId, mut ring: Vec<Key>) -> ShardedDht {
         ring.sort_unstable();
         ring.dedup();
@@ -288,10 +306,14 @@ impl ShardedDht {
         }
     }
 
-    /// The one operation path. With `replicated`, a write also makes its
+    /// Executes one operation through a shared reference — the one
+    /// operation path, which the networked server's connection workers
+    /// call concurrently. Responses and accounting are those of
+    /// [`Dht::execute`]. On a store with a ring a write also makes its
     /// tombstone transition under the same write guard: a `Remove`
     /// shadows the value against stale repair pushes, a `Put` of the same
-    /// value lifts the shadow (a deliberate re-add wins).
+    /// value lifts the shadow (a deliberate re-add wins). A store without
+    /// one records no tombstone, so it has none to lift.
     ///
     /// This is where a value becomes resident, so this is where it is
     /// copied: an op decoded off the wire carries a slice of its whole
@@ -304,7 +326,7 @@ impl ShardedDht {
     /// It is also where the kept digest sums move, on real transitions
     /// only: a pair stored anew or removed, a tombstone recorded anew or
     /// lifted. A duplicate write moves nothing.
-    fn execute_op(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
+    pub fn execute_shared(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         match op {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
             DhtOp::Get(key) => Ok(DhtResponse::Values(Dht::get(self, &key))),
@@ -325,21 +347,16 @@ impl ShardedDht {
             DhtOp::Put { key, value } => {
                 self.counters.record_pair("put", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
-                if replicated {
-                    if let Some(dead) = shard.deleted.get_mut(&key) {
-                        let lifted = dead.remove(&value);
-                        if dead.is_empty() {
-                            shard.deleted.remove(&key);
-                        }
-                        if lifted {
-                            shard.keep(&self.ring, digest::DEAD, &key, &value, false);
-                        }
+                if let Some(dead) = shard.deleted.get_mut(&key) {
+                    let lifted = dead.remove(&value);
+                    if dead.is_empty() {
+                        shard.deleted.remove(&key);
+                    }
+                    if lifted {
+                        shard.keep(&self.ring, digest::DEAD, &key, &value, false);
                     }
                 }
-                let stored = shard.store.put_copied(key, &value);
-                if stored {
-                    shard.keep(&self.ring, digest::STORED, &key, &value, true);
-                }
+                let stored = shard.store_pair(&self.ring, key, &value);
                 Ok(DhtResponse::Stored(stored))
             }
             DhtOp::Remove { key, value } => {
@@ -349,7 +366,7 @@ impl ShardedDht {
                 if removed {
                     shard.keep(&self.ring, digest::STORED, &key, &value, false);
                 }
-                if replicated {
+                if !self.ring.is_empty() {
                     let dead = shard.deleted.entry(key).or_default();
                     if !dead.contains(&value) {
                         dead.insert(Bytes::copy_from_slice(&value));
@@ -361,22 +378,23 @@ impl ShardedDht {
         }
     }
 
-    /// Executes one operation through a shared reference — the entry point
-    /// the networked server's connection workers call concurrently.
-    ///
-    /// Semantics (responses, accounting) are identical to
-    /// [`Dht::execute`]; only the receiver differs. Records no
-    /// tombstones: this is the write path of an unreplicated partition.
-    pub fn execute_shared(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.execute_op(op, false)
-    }
-
-    /// [`ShardedDht::execute_shared`] for a member of a replicated
-    /// cluster: a `Remove` also records the `(key, value)` tombstone and a
-    /// `Put` clears it, in the same shard write-lock acquisition as the
-    /// store change itself. Reads are unaffected.
-    pub fn execute_replicated(&self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        self.execute_op(op, true)
+    /// Stores `(key, value)` as a peer's repair push carries it, unless
+    /// this store holds the pair's tombstone: `None` when the tombstone
+    /// drops it, else whether it was stored anew (accounted as a `Put`).
+    /// The check and the store share one shard write guard, so a client
+    /// remove cannot land between them and leave the pair both stored and
+    /// tombstoned.
+    pub fn put_unless_dead(&self, key: Key, value: &Bytes) -> Option<bool> {
+        let mut shard = self.write_shard(self.shard_of(&key));
+        if shard
+            .deleted
+            .get(&key)
+            .is_some_and(|dead| dead.contains(value))
+        {
+            return None;
+        }
+        self.counters.record_pair("put", true);
+        Some(shard.store_pair(&self.ring, key, value))
     }
 
     /// One digest per repair bucket over the arcs `holds` accepts (`holds`
@@ -462,25 +480,6 @@ impl ShardedDht {
         snapshot.live.sort_unstable_by_key(|(key, _)| *key);
         snapshot.dead.sort_unstable_by_key(|(key, _)| *key);
         snapshot
-    }
-
-    /// Filters an *incoming* entry list (e.g. a peer's `Transfer` payload)
-    /// against this partition's tombstones, returning the surviving
-    /// entries and the number of values withheld.
-    pub fn filter_live(&self, entries: Vec<(Key, Vec<Bytes>)>) -> (Vec<(Key, Vec<Bytes>)>, u64) {
-        let mut live = Vec::new();
-        let mut withheld = 0u64;
-        for (key, values) in entries {
-            let total = values.len();
-            let kept = self
-                .read_shard(self.shard_of(&key))
-                .without_dead(&key, values);
-            withheld += (total - kept.len()) as u64;
-            if !kept.is_empty() {
-                live.push((key, kept));
-            }
-        }
-        (live, withheld)
     }
 
     /// Replaces the stored contents with `entries`; tombstones and work
@@ -657,8 +656,13 @@ mod tests {
         all_buckets(dht).dead
     }
 
-    fn replicated_remove(dht: &ShardedDht, key: Key, value: &str) {
-        dht.execute_replicated(DhtOp::Remove {
+    /// The store of one member of a replicated ring (its own, alone).
+    fn replica() -> ShardedDht {
+        ShardedDht::with_ring(node(), vec![*node().key()])
+    }
+
+    fn client_remove(dht: &ShardedDht, key: Key, value: &str) {
+        dht.execute_shared(DhtOp::Remove {
             key,
             value: b(value),
         })
@@ -667,24 +671,32 @@ mod tests {
 
     #[test]
     fn replicated_remove_shadows_and_readd_lifts() {
-        let dht = ShardedDht::with_default_shards(node());
+        let dht = replica();
         let k = Key::hash_of("k");
-        replicated_remove(&dht, k, "gone");
-        let (live, withheld) =
-            dht.filter_live(vec![(k, vec![b("gone"), b("kept")]), (k, vec![b("gone")])]);
-        assert_eq!(live, vec![(k, vec![b("kept")])]);
-        assert_eq!(withheld, 2);
+        client_remove(&dht, k, "gone");
+        let before = dht.stats();
+        let pushed = ["gone", "kept", "gone"];
+        let dropped = pushed
+            .iter()
+            .filter(|value| dht.put_unless_dead(k, &b(value)).is_none())
+            .count();
+        assert_eq!(dropped, 2);
+        assert_eq!(Dht::get(&dht, &k), vec![b("kept")]);
+        assert_eq!(
+            dht.stats().messages - before.messages,
+            2 + 2,
+            "one put, one get"
+        );
         assert_eq!(tombstones(&dht), vec![(k, vec![b("gone")])]);
         // A deliberate re-add lifts the shadow.
         let readd = DhtOp::Put {
             key: k,
             value: b("gone"),
         };
-        assert_eq!(dht.execute_replicated(readd), Ok(DhtResponse::Stored(true)));
+        assert_eq!(dht.execute_shared(readd), Ok(DhtResponse::Stored(true)));
         assert!(tombstones(&dht).is_empty());
-        let (live, withheld) = dht.filter_live(vec![(k, vec![b("gone")])]);
-        assert_eq!(live, vec![(k, vec![b("gone")])]);
-        assert_eq!(withheld, 0);
+        assert_eq!(dht.put_unless_dead(k, &b("gone")), Some(false));
+        assert_eq!(Dht::get(&dht, &k), vec![b("kept"), b("gone")]);
     }
 
     /// `true` when `value`'s bytes live inside `frame`'s allocation.
@@ -699,13 +711,13 @@ mod tests {
         // keeps must be a compact copy, or one 40-byte value would hold a
         // megabyte frame alive.
         let frame = Bytes::from(vec![7u8; 1 << 20]);
-        let dht = ShardedDht::with_default_shards(node());
+        let dht = replica();
         let key = Key::hash_of("k");
         let put = || DhtOp::Put {
             key,
             value: frame.slice(4096..4136),
         };
-        assert_eq!(dht.execute_replicated(put()), Ok(DhtResponse::Stored(true)));
+        assert_eq!(dht.execute_shared(put()), Ok(DhtResponse::Stored(true)));
         let stored = Dht::get(&dht, &key);
         assert_eq!(stored, vec![frame.slice(4096..4136)]);
         assert!(inside(&frame, &frame.slice(4096..4136)), "the probe works");
@@ -716,10 +728,7 @@ mod tests {
 
         // The same value again is recognised before anything is copied:
         // the resident value is still the first copy.
-        assert_eq!(
-            dht.execute_replicated(put()),
-            Ok(DhtResponse::Stored(false))
-        );
+        assert_eq!(dht.execute_shared(put()), Ok(DhtResponse::Stored(false)));
         let again = Dht::get(&dht, &key);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].as_ptr(), stored[0].as_ptr());
@@ -731,10 +740,7 @@ mod tests {
             key,
             value: frame.slice(4096..4136),
         };
-        assert_eq!(
-            dht.execute_replicated(remove()),
-            Ok(DhtResponse::Removed(true))
-        );
+        assert_eq!(dht.execute_shared(remove()), Ok(DhtResponse::Removed(true)));
         let dead = tombstones(&dht);
         assert_eq!(dead, vec![(key, vec![frame.slice(4096..4136)])]);
         assert!(
@@ -742,12 +748,12 @@ mod tests {
             "tombstone must own its bytes"
         );
         assert_eq!(
-            dht.execute_replicated(remove()),
+            dht.execute_shared(remove()),
             Ok(DhtResponse::Removed(false))
         );
         assert_eq!(tombstones(&dht)[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
 
-        // The unreplicated path owns what it stores as well.
+        // An unreplicated store owns what it stores as well.
         let plain = ShardedDht::with_default_shards(node());
         assert_eq!(plain.execute_shared(put()), Ok(DhtResponse::Stored(true)));
         assert!(!inside(&frame, &Dht::get(&plain, &key)[0]));
@@ -755,16 +761,15 @@ mod tests {
 
     #[test]
     fn live_entries_sweeps_store_minus_tombstones() {
-        let mut dht = ShardedDht::with_default_shards(node());
+        let dht = replica();
         let k1 = Key::hash_of("k1");
         let k2 = Key::hash_of("k2");
-        dht.put(k1, b("a"));
-        dht.put(k1, b("b"));
-        dht.put(k2, b("c"));
+        let image = vec![(k1, vec![b("a"), b("b")]), (k2, vec![b("c")])];
+        dht.replace_entries(image.clone());
         // A tombstone for a value the store (again) holds — the state a
         // snapshot restore leaves behind.
-        replicated_remove(&dht, k1, "a");
-        dht.put(k1, b("a"));
+        client_remove(&dht, k1, "a");
+        dht.replace_entries(image);
         let live = all_buckets(&dht).live;
         let mut expected = vec![(k1, vec![b("b")]), (k2, vec![b("c")])];
         expected.sort_unstable_by_key(|(k, _)| *k);
@@ -775,10 +780,10 @@ mod tests {
 
     #[test]
     fn replace_entries_swaps_stores_but_keeps_tombstones_and_counters() {
-        let mut dht = ShardedDht::with_default_shards(node());
+        let mut dht = replica();
         let k = Key::hash_of("old");
         dht.put(k, b("old-value"));
-        replicated_remove(&dht, k, "shadow");
+        client_remove(&dht, k, "shadow");
         let stats = dht.stats();
         let new = vec![
             (Key::hash_of("new"), vec![b("new-value"), b("second")]),
@@ -829,7 +834,7 @@ mod tests {
 
     #[test]
     fn shard_lock_metrics_count_acquisitions_only_when_enabled() {
-        let mut dht = ShardedDht::with_default_shards(node());
+        let mut dht = replica();
         let k = Key::hash_of("k");
         dht.put(k, b("v"));
         // Disabled registry: nothing recorded anywhere.
@@ -846,7 +851,7 @@ mod tests {
         assert_eq!(snapshot.counter("net.server.shard.write_contended"), 0);
         // A replicated write is still one lock acquisition: the tombstone
         // transition rides the same guard as the store change.
-        replicated_remove(&dht, k, "v3");
+        client_remove(&dht, k, "v3");
         assert_eq!(enabled.counter("net.server.shard.write_locks"), 2);
         assert_eq!(tombstones(&dht), vec![(k, vec![b("v3")])]);
     }

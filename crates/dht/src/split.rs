@@ -178,11 +178,6 @@ impl<D: Dht> SplitDht<D> {
         &self.inner
     }
 
-    /// The wrapped substrate (mutable).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// The active configuration.
     pub fn config(&self) -> BalanceConfig {
         self.config
@@ -192,16 +187,6 @@ impl<D: Dht> SplitDht<D> {
     /// attributed to the node responsible for its storage key).
     pub fn load(&self) -> &HashMap<NodeId, NodeLoad> {
         &self.load
-    }
-
-    /// Per-node load in ascending node order, one slot per live node
-    /// (zero for nodes that served nothing).
-    pub fn load_per_node(&self) -> Vec<(NodeId, NodeLoad)> {
-        self.inner
-            .nodes()
-            .into_iter()
-            .map(|n| (n, self.load.get(&n).copied().unwrap_or_default()))
-            .collect()
     }
 
     /// Zeroes the per-node load table (e.g. between the publish phase and

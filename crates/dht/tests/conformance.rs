@@ -44,10 +44,7 @@ fn replicated_cluster(n: usize) -> ClusterDht {
 /// Chord at replication 3 over `n` members: a read of an empty owner
 /// falls back through the rest of the replica set (DHash-style).
 fn chord_r3(n: usize) -> ChordNetwork {
-    let config = ChordConfig {
-        replication: 3,
-        ..ChordConfig::default()
-    };
+    let config = ChordConfig { replication: 3 };
     ChordNetwork::with_perfect_tables_and_config(keys(n), config)
 }
 

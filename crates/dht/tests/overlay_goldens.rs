@@ -115,10 +115,7 @@ fn check(name: &str, got: String, want: &str) {
 }
 
 fn chord(replication: usize) -> String {
-    let cfg = ChordConfig {
-        replication,
-        ..ChordConfig::default()
-    };
+    let cfg = ChordConfig { replication };
     transcript(ChordNetwork::with_perfect_tables_and_config(ids(), cfg))
 }
 

@@ -30,8 +30,8 @@ use p2p_index_dht::{
 };
 use p2p_index_testkit::{bytes, digest, for_each_case, Rng, StdRng};
 
-/// A replicated write to `(key, value)`: a put stores the pair and lifts
-/// its tombstone, a remove drops it and records the tombstone.
+/// A write to `(key, value)`: on a store with a ring a put stores the pair
+/// and lifts its tombstone, a remove drops it and records the tombstone.
 fn write(key: Key, value: &Bytes, put: bool) -> DhtOp {
     let value = value.clone();
     if put {
@@ -58,11 +58,13 @@ fn pair_set(rng: &mut StdRng) -> Vec<(Key, Bytes, bool)> {
     pairs.map(|((key, value), put)| (key, value, put)).collect()
 }
 
+/// A replica store (its own ring of one) holding `pairs`.
 fn store_of(pairs: &[(Key, Bytes, bool)]) -> ShardedDht {
-    let store = ShardedDht::with_default_shards(NodeId::hash_of("node-0"));
+    let node = NodeId::hash_of("node-0");
+    let store = ShardedDht::with_ring(node, vec![*node.key()]);
     for (key, value, put) in pairs {
         store
-            .execute_replicated(write(*key, value, *put))
+            .execute_shared(write(*key, value, *put))
             .expect("a partition store never fails");
     }
     store
@@ -110,22 +112,13 @@ fn one_changed_pair_moves_exactly_its_own_bucket() {
         };
         let was_stored = Dht::get(&store, &key).contains(&value);
         let put = rng.gen();
-        let unreplicated = rng.gen();
-        let outcome = if unreplicated {
-            store.execute_shared(write(key, &value, put))
-        } else {
-            store.execute_replicated(write(key, &value, put))
-        };
-        outcome.expect("a partition store never fails");
+        store
+            .execute_shared(write(key, &value, put))
+            .expect("a partition store never fails");
         let after = digests(&store);
-        // An unreplicated remove of an absent value, and re-storing or
-        // re-tombstoning what already is, change nothing.
+        // Re-storing or re-tombstoning what already is changes nothing.
         let was_dead = pairs.contains(&(key, value.clone(), false));
-        let changed = if unreplicated {
-            put != was_stored
-        } else {
-            put != was_stored || put == was_dead
-        };
+        let changed = put != was_stored || put == was_dead;
         for bucket in 0..REPAIR_BUCKETS {
             let moved = changed && bucket == repair_bucket(&key);
             assert_eq!(before[bucket] != after[bucket], moved, "bucket {bucket}");
@@ -241,20 +234,21 @@ fn kept_sums_equal_the_sweep_for_every_audience_after_every_op() {
         let holders = |key: &Key| placement::replica_range(&ring, key, replicas).indices();
         let mut image = Vec::new();
         for step in 0..rng.gen_range(1..80usize) {
+            let key = keys[rng.gen_range(0..keys.len())];
+            let value = &values[rng.gen_range(0..values.len())];
             match rng.gen_range(0..20usize) {
                 0 => store.replace_entries(Vec::new()),
                 1 => store.replace_entries(image.clone()),
                 2 => image = store.entries(),
+                // A peer's repair push of the pair.
+                3..=6 => {
+                    store.put_unless_dead(key, value);
+                }
                 _ => {
-                    let key = keys[rng.gen_range(0..keys.len())];
-                    let value = &values[rng.gen_range(0..values.len())];
                     let op = write(key, value, rng.gen());
-                    let outcome = if rng.gen_range(0..3usize) == 0 {
-                        store.execute_shared(op)
-                    } else {
-                        store.execute_replicated(op)
-                    };
-                    outcome.expect("a partition store never fails");
+                    store
+                        .execute_shared(op)
+                        .expect("a partition store never fails");
                 }
             }
             let swept = store.bucket_digests(members, holders);
@@ -270,7 +264,16 @@ fn kept_sums_equal_the_sweep_for_every_audience_after_every_op() {
 #[test]
 fn a_store_without_a_ring_keeps_no_sums() {
     for_each_case(|rng| {
-        let pairs = pair_set(rng);
-        assert_eq!(store_of(&pairs).kept_digests(|_| true), [0; REPAIR_BUCKETS]);
+        let store = ShardedDht::with_default_shards(NodeId::hash_of("node-0"));
+        for (key, value, put) in pair_set(rng) {
+            let op = write(key, &value, put);
+            store
+                .execute_shared(op)
+                .expect("a partition store never fails");
+        }
+        assert_eq!(store.kept_digests(|_| true), [0; REPAIR_BUCKETS]);
+        // Nor any tombstone: what it removed is simply gone.
+        let dead = (0..REPAIR_BUCKETS).flat_map(|b| store.bucket_snapshot(b, |_| true).dead);
+        assert_eq!(dead.count(), 0);
     });
 }

@@ -27,8 +27,13 @@
 //! The client coordinates its own writes, as the paper's publisher stores
 //! its own mappings: a `Put` or `Remove` goes to every member of its key's
 //! replica set in one round, and settles `Ok` once the write quorum `W`
-//! of them has applied it. No member forwards a client's write to
-//! another, so a write costs one hop, not two.
+//! of them has applied it. Its answer is `Stored(true)` / `Removed(true)`
+//! when any replica that answered says so: a repair push that reached a
+//! replica before the client's own frame did makes that replica say
+//! "not new", but the member that pushed applied the write anew and said
+//! so, so the answer is the same in either delivery order. No member
+//! forwards a client's write to another, so a write costs one hop, not
+//! two.
 //!
 //! # Batching
 //!
@@ -184,7 +189,8 @@ struct Route {
     /// Successes gathered so far. A read's sit at the front of this op's
     /// stride of [`CallScratch::gathered`], and digests a settle disputed
     /// sit right behind them until the next round asks their replicas
-    /// again. A write keeps only its lowest-ranked success there.
+    /// again. A write keeps one success there: the first, until a replica
+    /// answers that it applied the write anew.
     have: usize,
     /// The op has its final result.
     settled: bool,
@@ -409,12 +415,12 @@ impl RemoteDht {
     ///
     /// A write is coordinated here, not by a member: every replica gets
     /// the op itself (never a digest) in that one round, and the op
-    /// settles after it — `Ok` once `W` replicas applied it, answered with
-    /// the lowest-ranked success (the primary's whenever the primary
-    /// answered), or [`DhtError::Timeout`] with fewer
-    /// (`net.quorum.write_failures`). It has no replica left to fail
-    /// over to. Since the round reads every reply before it returns, each
-    /// replica that answered holds the write when the call does.
+    /// settles after it — `Ok` once `W` replicas applied it, answered
+    /// `Stored(true)` / `Removed(true)` if any replica that answered
+    /// applied it anew (module docs, "Writes"), or [`DhtError::Timeout`]
+    /// with fewer (`net.quorum.write_failures`). It has no replica left to
+    /// fail over to. Since the round reads every reply before it returns,
+    /// each replica that answered holds the write when the call does.
     ///
     /// A quorum read moves its entry once. In each round, the first
     /// replica an op asks while it holds no values gets the `Get`; every
@@ -444,7 +450,7 @@ impl RemoteDht {
     /// replica can miss a write that came earlier in the same frame while
     /// the write still settles on `W` others; a quorum read would then
     /// union the pre-write state in (a removed value back). The primary
-    /// alone gives the read the replica the write's own answer came from.
+    /// alone gives the read one replica's state, in its frame order.
     /// Pure read batches (every multi-get a search issues) keep full
     /// quorum protection.
     ///
@@ -720,13 +726,14 @@ impl RemoteDht {
     }
 
     /// Settles a write once the round that asked all its replicas is
-    /// over: `Ok` with `lowest`, its lowest-ranked success, if `W`
-    /// replicas applied it, [`DhtError::Timeout`] otherwise. Any reply
+    /// over: `Ok` with `kept`, the success [`absorb`](Self::absorb) kept
+    /// (`true` if any replica that answered applied the write anew), if
+    /// `W` replicas applied it, [`DhtError::Timeout`] otherwise. Any reply
     /// at all completes the op's one RPC pair.
     fn settle_write(
         &self,
         route: &mut Route,
-        lowest: &mut Option<(usize, DhtResponse)>,
+        kept: &mut Option<(usize, DhtResponse)>,
     ) -> Result<DhtResponse, DhtError> {
         route.settled = true;
         let answered = route.have > 0 || route.reply_error.is_some();
@@ -734,7 +741,7 @@ impl RemoteDht {
         if answered {
             self.counters.record_pair(route.op.kind(), reached);
         }
-        match lowest.take() {
+        match kept.take() {
             Some((_, resp)) if reached => Ok(resp),
             _ => {
                 self.metrics.incr("net.quorum.write_failures");
@@ -762,10 +769,8 @@ impl RemoteDht {
         let settled = match result {
             Ok(resp) if route.op.is_write() => {
                 route.have += 1;
-                if gathered[0]
-                    .as_ref()
-                    .is_none_or(|(lowest, _)| rank < *lowest)
-                {
+                let anew = matches!(resp, DhtResponse::Stored(true) | DhtResponse::Removed(true));
+                if anew || gathered[0].is_none() {
                     gathered[0] = Some((rank, resp));
                 }
                 return None;

@@ -74,14 +74,18 @@
 //! 2. *Probe, then confirm.* Each peer gets its sixteen digests in one
 //!    [`Digest`](crate::wire::Message::Digest) frame, folds its own sums
 //!    for the sender the same way, and answers with a 16-bit mask of the
-//!    buckets that differ. If any do, the member waits a moment
-//!    (`CONFIRM_AFTER`, 10 ms), reads its digests afresh and probes once
-//!    more, and keeps only the buckets both answers name: a write still
-//!    reaching one of the two at the first probe (a publish burst is full
-//!    of them) has landed on both by the second, while a real difference
-//!    (a wiped member) persists and is pushed in the same pass. A peer
-//!    that is unreachable, or cannot answer a digest, is skipped for the
-//!    pass — there is no other push to fall back to.
+//!    buckets that differ. If any do, the member reads its digests afresh
+//!    and probes again at once, and keeps only the buckets both answers
+//!    name: a write still reaching one of the two at the first probe (a
+//!    publish burst is full of them) has often landed on both by the
+//!    second, while a real difference (a wiped member) persists and is
+//!    pushed in the same pass. A push may still overtake a client's own
+//!    frame to a replica, which then answers that write "not new"; the
+//!    client settles a write as new when any replica says so, and the
+//!    pushing member applied the write anew and said so itself, so the
+//!    answer does not depend on which frame came first. A peer that is
+//!    unreachable, or cannot answer a digest, is skipped for the pass —
+//!    there is no other push to fall back to.
 //! 3. *Push.* Only confirmed buckets are sent, **one bucket at a time**:
 //!    snapshot the bucket, send it as one `Transfer` — its live values,
 //!    then its tombstones (the *scrub*) — and drop the snapshot. Receivers'
@@ -93,13 +97,14 @@
 //! What is digested is the **raw stored pairs and the tombstones, as two
 //! tagged classes** — not "stored minus dead". Deletes leave tombstones:
 //! a `Remove` marks the `(key, value)` pair dead, pushes withhold
-//! tombstoned values, an incoming `Transfer` drops them from its live
-//! list, and its scrub re-applies the remove so a stale member drops the
-//! value and records the tombstone itself. A member restored from an old
-//! image with its tombstones intact holds a deleted pair *and* its
-//! tombstone; under "stored minus dead" it would digest equal to its
-//! healthy peers and never be scrubbed, under two classes it differs and
-//! is.
+//! tombstoned values, an incoming `Transfer` drops a value this member
+//! holds the tombstone of (checked and stored under one shard guard,
+//! [`ShardedDht::put_unless_dead`]), and its scrub re-applies the remove
+//! so a stale member drops the value and records the tombstone itself. A
+//! member restored from an old image with its tombstones intact holds a
+//! deleted pair *and* its tombstone; under "stored minus dead" it would
+//! digest equal to its healthy peers and never be scrubbed, under two
+//! classes it differs and is.
 //!
 //! One thing this pass does not do: a scrub can still undo a re-put that
 //! lands between a bucket's snapshot and its send. That needs per-pair
@@ -209,15 +214,6 @@ const PEER_TIMEOUTS: Timeouts = Timeouts {
     write: Duration::from_millis(700),
 };
 
-/// How long a repair pass waits between a probe that names differing
-/// buckets and its confirming probe: long enough for a write whose frames
-/// were still on their way to one of the two members at the first probe
-/// to land, even when the client's thread lost the processor between two
-/// of a round's frames. Without the wait, a push could reach a replica
-/// ahead of the client's own frame, and that replica would answer the
-/// client that the write changed nothing.
-const CONFIRM_AFTER: Duration = Duration::from_millis(10);
-
 /// Replication state shared by connection workers and the repair thread.
 struct Replication {
     node_key: Key,
@@ -326,7 +322,8 @@ impl Shared {
             .clone()
             .filter(|config| config.replicas > 1)
             .map(Replication::from_config);
-        // Only a member that repairs keeps digest sums on write.
+        // Only a member that repairs is built with its ring: its store
+        // keeps digest sums and tombstones on write.
         let mut store = match &replication {
             Some(repl) => ShardedDht::with_ring(node, repl.ring.clone()),
             None => ShardedDht::with_default_shards(node),
@@ -348,22 +345,18 @@ impl Shared {
         }
     }
 
-    /// Applies one operation to the local store — the single function
-    /// every frame kind's storage work goes through, with the fault roll
-    /// in front of it. `replicated` writes make their tombstone
-    /// transition in the same shard write-lock acquisition.
-    fn apply_local(&self, op: DhtOp, replicated: bool) -> Result<DhtResponse, DhtError> {
+    /// Runs one storage operation, `apply`, on the local store — the
+    /// single function every frame kind's storage work goes through, with
+    /// the fault roll in front of it.
+    fn apply_local<T>(
+        &self,
+        apply: impl FnOnce(&ShardedDht) -> Result<T, DhtError>,
+    ) -> Result<T, DhtError> {
         let delivery = match &self.fault {
             Some(roll) => roll.lock().expect("fault roll poisoned").roll(),
             None => Delivery::Delivered,
         };
-        delivery.settle(|| {
-            if replicated {
-                self.store.execute_replicated(op)
-            } else {
-                self.store.execute_shared(op)
-            }
-        })
+        delivery.settle(|| apply(&self.store))
     }
 }
 
@@ -451,11 +444,6 @@ impl DhtServer {
     /// counted).
     pub fn total_values(&self) -> usize {
         self.shared.store.total_values()
-    }
-
-    /// `true` once a shutdown (local or wire) has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.stop.load(Ordering::Relaxed)
     }
 
     /// Blocks until the server shuts down (via a wire shutdown frame or
@@ -717,22 +705,24 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
         Message::Transfer { id, snapshot } => {
             // A peer's repair push of one bucket: apply it locally, never
             // re-forward. Live values go first — puts deduplicate, and a
-            // value this member holds a tombstone for is dropped, so a
-            // stale peer's push cannot resurrect a mapping deleted here.
-            // Then the scrub: each dead pair as a replicated remove, so it
-            // sticks on a stale member with its tombstone.
+            // value this member holds a tombstone for is dropped under the
+            // guard that would store it, so a stale peer's push cannot
+            // resurrect a mapping deleted here. Then the scrub: each dead
+            // pair as a remove, so it sticks on a stale member with its
+            // tombstone.
             let BucketSnapshot { live, dead } = snapshot;
-            let (live, dropped) = shared.store.filter_live(live);
-            let mut values = 0;
+            let (mut values, mut dropped) = (0, 0);
             for (key, value) in pairs(live) {
-                values += 1;
-                let _ = shared.apply_local(DhtOp::Put { key, value }, false);
+                match shared.apply_local(|store| Ok(store.put_unless_dead(key, &value))) {
+                    Ok(None) => dropped += 1,
+                    _ => values += 1,
+                }
             }
-            let replicated = shared.replication.is_some();
             let mut applied = 0;
             for (key, value) in pairs(dead) {
                 applied += 1;
-                let _ = shared.apply_local(DhtOp::Remove { key, value }, replicated);
+                let remove = DhtOp::Remove { key, value };
+                let _ = shared.apply_local(|store| store.execute_shared(remove));
             }
             let metrics = &shared.metrics;
             metrics.add("net.server.replica.transfer_values", values);
@@ -770,13 +760,13 @@ fn handle(shared: &Shared, msg: Message) -> Turn {
 
 /// Serves one client frame's ops into `results` — a `Request` is a batch
 /// of one — and counts each. Every op is applied locally in frame order;
-/// on a replicated member a write makes its tombstone transition in the
-/// same shard guard. The client has sent the write to every other replica
-/// itself, so nothing here calls a peer.
+/// on a replicated member (whose store is built with its ring) a write
+/// makes its tombstone transition in the same shard guard. The client has
+/// sent the write to every other replica itself, so nothing here calls a
+/// peer.
 fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, DhtError>]) {
-    let replicating = shared.replication.is_some();
     for (op, result) in ops.iter().zip(results.iter_mut()) {
-        *result = shared.apply_local(op.clone(), replicating && op.is_write());
+        *result = shared.apply_local(|store| store.execute_shared(op.clone()));
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared
             .metrics
@@ -833,13 +823,14 @@ fn repair_pass(shared: &Shared) {
 }
 
 /// Probes the member at `at` through `call` with digests read just now
-/// and, if it names differing buckets, probes it once more,
-/// [`CONFIRM_AFTER`] later, with digests read again: the buckets both
-/// probes name, counted as mismatches. A
-/// write that was still reaching one of the two members at the first probe
-/// has landed on both by the second, so only a difference that persists is
-/// pushed. `None` when the member answers either probe with anything but a
-/// `DigestReply`, or not at all.
+/// and, if it names differing buckets, probes it once more at once, with
+/// digests read again: the buckets both probes name, counted as
+/// mismatches. A write that was still reaching one of the two members at
+/// the first probe has often landed on both by the second, so it is not
+/// pushed; a difference that persists is. Nothing here waits: a push that
+/// overtakes a client's write changes no write's answer (module docs,
+/// "Repair"). `None` when the member answers either probe with anything
+/// but a `DigestReply`, or not at all.
 fn confirmed_differences(
     shared: &Shared,
     repl: &Replication,
@@ -861,7 +852,6 @@ fn confirmed_differences(
     metrics.incr("net.server.replica.digest_probes");
     let mut differs = probe()?;
     if differs != 0 {
-        std::thread::sleep(CONFIRM_AFTER);
         metrics.incr("net.server.replica.digest_confirms");
         differs &= probe()?;
     }

@@ -693,8 +693,7 @@ fn a_write_settles_on_w_of_its_replicas_in_one_round() {
     client.set_metrics(metrics.clone());
     let keys = keys_on_member_0(&cluster, 2);
     let quorum = |name: &str| metrics.counter(&format!("net.quorum.{name}"));
-    // The primary is down: the two others apply the write, and its answer
-    // is the lowest-ranked success's.
+    // The primary is down: the two others apply the write, and answer it.
     cluster.server_mut(0).halt();
     assert_eq!(
         client.execute(put(keys[0], 0)),
@@ -716,6 +715,38 @@ fn a_write_settles_on_w_of_its_replicas_in_one_round() {
         1,
         "applied where it could be"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_write_answers_new_when_any_replica_applied_it_anew() {
+    // Repair is off, so each replica answers from what it holds. These are
+    // the states a repair push that overtook the client's frame leaves
+    // behind: the pair already on one replica before the put reaches it,
+    // or already gone from one before the remove does. Either way another
+    // replica applied the write anew, and the write answers so.
+    let cluster = replicated_ring(3, 2, &MetricsRegistry::disabled());
+    let mut client = cluster.client();
+    let key = keys_on_member_0(&cluster, 1)[0];
+    let [primary, second, third] = replica_set(&cluster, &key)[..] else {
+        unreachable!("three members at R = 3")
+    };
+    let value = Bytes::from_static(b"Q:/article/title/overtaken");
+    let entry = vec![(key, vec![value.clone()])];
+    // Only the primary holds the pair: it answers "not new".
+    cluster.server(primary).replace_entries(entry);
+    let put = DhtOp::Put {
+        key,
+        value: value.clone(),
+    };
+    assert_eq!(client.execute(put), Ok(DhtResponse::Stored(true)));
+    // Only a non-primary replica holds the pair: the primary answers
+    // "not found".
+    cluster.server(primary).replace_entries(Vec::new());
+    cluster.server(third).replace_entries(Vec::new());
+    assert_eq!(held(&cluster, second, &key), vec![value.clone()]);
+    let remove = DhtOp::Remove { key, value };
+    assert_eq!(client.execute(remove), Ok(DhtResponse::Removed(true)));
     cluster.shutdown();
 }
 

@@ -365,7 +365,6 @@ fn sigkilled_daemon_is_masked_by_quorum_and_refilled_after_restart() {
         (0..NODES).map(|i| Key::hash_of(&format!("node-{i}"))),
         ChordConfig {
             replication: REPLICAS,
-            ..ChordConfig::default()
         },
     );
     let local = run_workload_with_churn(twin_dht, ARTICLES, QUERIES, SEED, KILL_AT, |service| {
