@@ -78,12 +78,6 @@ use crate::wire::{encode_batch, encode_message, Message, RecvError};
 /// Tuning knobs for a [`RemoteDht`] client.
 #[derive(Debug, Clone)]
 pub struct RemoteDhtConfig {
-    /// Timeout for dialing a member.
-    pub connect_timeout: Duration,
-    /// Socket read timeout — bounds how long one RPC can stall.
-    pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
     /// Replication factor R the cluster was configured with: each key's
     /// candidate members are its R clockwise successors (shared placement
     /// with the servers via `p2p_index_dht::placement`). `1` (the
@@ -105,12 +99,18 @@ pub struct RemoteDhtConfig {
     pub write_quorum: Option<usize>,
 }
 
+/// How long a client waits to dial a member, and then for each read
+/// (bounding how long one RPC can stall) and write. Longer than the
+/// server's `PEER_TIMEOUTS`: repair gives up on a dead peer first.
+const TIMEOUTS: Timeouts = Timeouts {
+    connect: Duration::from_secs(1),
+    read: Duration::from_secs(2),
+    write: Duration::from_secs(2),
+};
+
 impl Default for RemoteDhtConfig {
     fn default() -> Self {
         RemoteDhtConfig {
-            connect_timeout: Duration::from_secs(1),
-            read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
             replicas: 1,
             read_quorum: 1,
             write_quorum: None,
@@ -379,7 +379,7 @@ impl RemoteDht {
     /// closes the connection, so the link checked out for it is dropped.
     pub fn shutdown_members(&self) {
         for member in &self.members {
-            if let Some(mut link) = member.link.check_out(self.timeouts()) {
+            if let Some(mut link) = member.link.check_out(TIMEOUTS) {
                 let _ = link.send(|frame| encode_message(&Message::Shutdown, frame));
             }
         }
@@ -390,14 +390,6 @@ impl RemoteDht {
     /// `RingDht::owner`.
     fn owner(&self, key: &Key) -> Option<&Member> {
         placement::successor_index(&self.ring, key).map(|at| &self.members[at])
-    }
-
-    fn timeouts(&self) -> Timeouts {
-        Timeouts {
-            connect: self.config.connect_timeout,
-            read: self.config.read_timeout,
-            write: self.config.write_timeout,
-        }
     }
 
     /// The one wire code path: executes a batch in failover rounds, one
@@ -536,7 +528,6 @@ impl RemoteDht {
             }
         }
         let stride = self.config.read_quorum;
-        let timeouts = self.timeouts();
         gathered.resize_with(routes.len() * stride, || None);
         let mut round = 0usize;
         loop {
@@ -636,7 +627,7 @@ impl RemoteDht {
                 let group = next..next + chunk.len();
                 next = group.end;
                 let member = chunk[0].member;
-                let Some(mut link) = self.members[member].link.check_out(timeouts) else {
+                let Some(mut link) = self.members[member].link.check_out(TIMEOUTS) else {
                     self.metrics.incr("net.connect_errors");
                     continue;
                 };
@@ -925,10 +916,7 @@ mod tests {
     fn connect_refused_maps_to_transient_timeout() {
         let mut remote = RemoteDht::connect(
             vec![(NodeId::hash_of("node-0"), free_addr())],
-            RemoteDhtConfig {
-                connect_timeout: Duration::from_millis(200),
-                ..RemoteDhtConfig::default()
-            },
+            RemoteDhtConfig::default(),
         );
         let err = remote
             .execute(DhtOp::Get(Key::hash_of("k")))

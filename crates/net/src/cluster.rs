@@ -138,7 +138,6 @@ impl LoopbackCluster {
             replicas,
             read_quorum,
             write_quorum: Some(self.write_quorum),
-            ..RemoteDhtConfig::default()
         })
     }
 

@@ -194,13 +194,7 @@ fn transport_timeouts_are_retried_like_any_transient_fault() {
         l.local_addr().unwrap()
     };
     let members = p2p_index_net::RemoteDht::named_members(&[dead]);
-    let client = p2p_index_net::RemoteDht::connect(
-        members,
-        RemoteDhtConfig {
-            connect_timeout: std::time::Duration::from_millis(100),
-            ..RemoteDhtConfig::default()
-        },
-    );
+    let client = p2p_index_net::RemoteDht::connect(members, RemoteDhtConfig::default());
     let mut service =
         IndexService::with_retry(client, CachePolicy::None, RetryPolicy::with_budget(1, 3));
     let (descriptor, file) = corpus().remove(0);

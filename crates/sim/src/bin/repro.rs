@@ -142,25 +142,17 @@ static EXHIBITS: [Exhibit; 13] = [
     ("storage", "storage", |eval, _| {
         experiments::storage_overhead(eval.config())
     }),
-    ("fig11", "fig11", |eval, _| {
-        experiments::fig11_interactions(eval)
-    }),
-    ("fig12", "fig12", |eval, _| experiments::fig12_traffic(eval)),
-    ("fig13", "fig13", |eval, _| {
-        experiments::fig13_hit_ratio(eval)
-    }),
-    ("fig14", "fig14", |eval, _| {
-        experiments::fig14_cache_storage(eval)
-    }),
-    ("fig15", "fig15", |eval, _| {
-        experiments::fig15_hotspots(eval)
-    }),
-    ("table1", "table1", |eval, _| {
-        experiments::table1_errors(eval)
-    }),
-    ("ext-structures", "ext_structures", |eval, _| {
-        experiments::ext_structure_breakdown(eval)
-    }),
+    ("fig11", "fig11", experiments::fig11_interactions),
+    ("fig12", "fig12", experiments::fig12_traffic),
+    ("fig13", "fig13", experiments::fig13_hit_ratio),
+    ("fig14", "fig14", experiments::fig14_cache_storage),
+    ("fig15", "fig15", experiments::fig15_hotspots),
+    ("table1", "table1", experiments::table1_errors),
+    (
+        "ext-structures",
+        "ext_structures",
+        experiments::ext_structure_breakdown,
+    ),
     ("ext-churn", "ext_churn", |eval, _| {
         experiments::ext_churn(eval.config())
     }),
@@ -349,11 +341,10 @@ fn run_exhibits(args: &EvalArgs) -> Result<(), String> {
         // pool, not one exhibit's share of it at a time.
         eval.run_cells(&experiments::paper_grid(), args.jobs);
     }
-    for (name, csv_stem, render) in args.exhibits {
-        // Pre-run the cells this exhibit needs across the worker pool; the
-        // renderer then recalls memoized results in canonical order, so
-        // its output is byte-identical to a serial run.
-        eval.run_cells(&experiments::grid_cells_for(name), args.jobs);
+    for (_, csv_stem, render) in args.exhibits {
+        // A grid exhibit runs the cells it reads across the worker pool,
+        // then renders them in canonical order, so its output is
+        // byte-identical to a serial run.
         let table = render(&mut eval, args.jobs);
         emit(&table, args.csv_dir.as_deref(), csv_stem)?;
     }

@@ -21,9 +21,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use p2p_index_core::CachePolicy;
+use p2p_index_core::{CachePolicy, IndexService, RetryPolicy};
+use p2p_index_dht::{Dht, FaultConfig, FaultyDht, NodeId, RingDht};
 use p2p_index_obs::MetricsSnapshot;
-use p2p_index_workload::{Corpus, PaperCcdf, StructureMix, ZipfPopularity};
+use p2p_index_workload::{
+    Corpus, CorpusConfig, PaperCcdf, QueryGenerator, StructureMix, ZipfPopularity,
+};
 
 use crate::simulation::{Metrics, SchemeChoice, SimConfig, Simulation};
 
@@ -141,8 +144,15 @@ impl Evaluation {
     /// Runs (or recalls) one grid cell — [`run_cells`](Self::run_cells)
     /// of that one cell, which runs it inline.
     pub fn cell(&mut self, scheme: SchemeChoice, policy: CachePolicy) -> &Metrics {
-        self.run_cells(&[(scheme, policy)], 1);
-        &self.cells[&(scheme, policy)]
+        self.cells(&[(scheme, policy)], 1)[0]
+    }
+
+    /// Runs (or recalls) `cells`, up to `jobs` concurrently, and returns
+    /// their metrics in the order asked — how an exhibit names the cells
+    /// it reads, once.
+    pub fn cells(&mut self, cells: &[(SchemeChoice, CachePolicy)], jobs: usize) -> Vec<&Metrics> {
+        self.run_cells(cells, jobs);
+        cells.iter().map(|cell| &self.cells[cell]).collect()
     }
 
     /// Runs a batch of grid cells, up to `jobs` concurrently, and memoizes
@@ -167,13 +177,12 @@ impl Evaluation {
         let collect = self.collect_metrics;
         let corpus = self.shared_corpus();
         let results = crate::exec::parallel_map(&pending, jobs, |&(scheme, policy)| {
-            Simulation::run_with_snapshot_on(
-                SimConfig {
-                    collect_metrics: collect,
-                    ..base.sim(scheme, policy)
-                },
-                corpus.clone(),
-            )
+            let config = SimConfig {
+                collect_metrics: collect,
+                ..base.sim(scheme, policy)
+            };
+            let mut sim = Simulation::prepare_with_corpus(config, corpus.clone());
+            (sim.execute(), sim.metrics_snapshot())
         });
         for (cell, (m, snapshot)) in pending.into_iter().zip(results) {
             if let Some(s) = snapshot {
@@ -207,41 +216,16 @@ impl Evaluation {
 /// Pre-running these via [`Evaluation::run_cells`] makes rendering the
 /// exhibits a pure table-formatting pass.
 pub fn paper_grid() -> Vec<(SchemeChoice, CachePolicy)> {
-    let mut cells = Vec::new();
-    for policy in FIG12_POLICIES {
-        for scheme in SchemeChoice::PAPER {
-            cells.push((scheme, policy));
-        }
-    }
-    cells
+    grid(&FIG12_POLICIES)
 }
 
-/// The grid cells one exhibit consults — what a driver should pre-run (in
-/// parallel) before rendering it. Empty for exhibits that don't touch the
-/// simulation grid.
-pub fn grid_cells_for(exhibit: &str) -> Vec<(SchemeChoice, CachePolicy)> {
-    let all_schemes = |policies: &[CachePolicy]| {
-        policies
-            .iter()
-            .flat_map(|&p| SchemeChoice::PAPER.into_iter().map(move |s| (s, p)))
-            .collect()
-    };
-    match exhibit {
-        "fig11" => all_schemes(&FIG11_POLICIES),
-        "fig12" => all_schemes(&FIG12_POLICIES),
-        "fig13" | "fig14" => all_schemes(&FIG13_POLICIES),
-        "table1" => all_schemes(&TABLE1_POLICIES),
-        // Simple-scheme-only exhibits.
-        "fig15" => TABLE1_POLICIES
-            .iter()
-            .map(|&p| (SchemeChoice::Simple, p))
-            .collect(),
-        "ext-structures" => vec![
-            (SchemeChoice::Simple, CachePolicy::None),
-            (SchemeChoice::Simple, CachePolicy::Single),
-        ],
-        _ => Vec::new(),
-    }
+/// Every paper scheme under each of `policies`, policy-major: the order
+/// the exhibits' rows run in.
+fn grid(policies: &[CachePolicy]) -> Vec<(SchemeChoice, CachePolicy)> {
+    policies
+        .iter()
+        .flat_map(|&policy| SchemeChoice::PAPER.map(|scheme| (scheme, policy)))
+        .collect()
 }
 
 /// The cache policies of Fig. 11 (no multi-cache: "it presents the same
@@ -389,62 +373,59 @@ pub fn fig10_ccdf() -> TextTable {
 
 /// Fig. 11: average number of interactions required to find data, per
 /// scheme and cache policy.
-pub fn fig11_interactions(eval: &mut Evaluation) -> TextTable {
+pub fn fig11_interactions(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Fig. 11 — Average interactions per query");
     t.header(["policy", "Simple", "Flat", "Complex"]);
-    for policy in FIG11_POLICIES {
-        let mut row = vec![policy.to_string()];
-        for scheme in SchemeChoice::PAPER {
-            let m = eval.cell(scheme, policy);
-            row.push(fmt_f(m.mean_interactions(), 2));
-        }
-        t.row(row);
+    let metrics = eval.cells(&grid(&FIG11_POLICIES), jobs);
+    for (policy, row) in FIG11_POLICIES
+        .iter()
+        .zip(metrics.chunks(SchemeChoice::PAPER.len()))
+    {
+        let mut line = vec![policy.to_string()];
+        line.extend(row.iter().map(|m| fmt_f(m.mean_interactions(), 2)));
+        t.row(line);
     }
     t
 }
 
 /// Fig. 12: average traffic (bytes) per query, split into normal and cache
 /// traffic, per scheme and policy.
-pub fn fig12_traffic(eval: &mut Evaluation) -> TextTable {
+pub fn fig12_traffic(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Fig. 12 — Average network traffic (bytes) per query");
     t.header(["policy", "scheme", "normal", "cache", "total"]);
-    for policy in FIG12_POLICIES {
-        for scheme in SchemeChoice::PAPER {
-            let m = eval.cell(scheme, policy);
-            t.row([
-                policy.to_string(),
-                m.scheme.clone(),
-                fmt_f(m.normal_bytes_per_query(), 0),
-                fmt_f(m.cache_bytes_per_query(), 0),
-                fmt_f(m.normal_bytes_per_query() + m.cache_bytes_per_query(), 0),
-            ]);
-        }
+    let cells = grid(&FIG12_POLICIES);
+    for ((_, policy), m) in cells.iter().zip(eval.cells(&cells, jobs)) {
+        t.row([
+            policy.to_string(),
+            m.scheme.clone(),
+            fmt_f(m.normal_bytes_per_query(), 0),
+            fmt_f(m.cache_bytes_per_query(), 0),
+            fmt_f(m.normal_bytes_per_query() + m.cache_bytes_per_query(), 0),
+        ]);
     }
     t
 }
 
 /// Fig. 13: distributed cache hit ratio, plus the fraction of hits that
 /// occur on the first node of the chain (§V-E(e)).
-pub fn fig13_hit_ratio(eval: &mut Evaluation) -> TextTable {
+pub fn fig13_hit_ratio(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Fig. 13 — Cache efficiency: distributed hit ratio");
     t.header(["policy", "scheme", "hit ratio", "hits at first node"]);
-    for policy in FIG13_POLICIES {
-        for scheme in SchemeChoice::PAPER {
-            let m = eval.cell(scheme, policy);
-            t.row([
-                policy.to_string(),
-                m.scheme.clone(),
-                fmt_pct(m.hit_ratio()),
-                fmt_pct(m.first_node_hit_fraction()),
-            ]);
-        }
+    let cells = grid(&FIG13_POLICIES);
+    for ((_, policy), m) in cells.iter().zip(eval.cells(&cells, jobs)) {
+        t.row([
+            policy.to_string(),
+            m.scheme.clone(),
+            fmt_pct(m.hit_ratio()),
+            fmt_pct(m.first_node_hit_fraction()),
+        ]);
     }
     t
 }
 
 /// Fig. 14 (and §V-E(f)): cached keys per node — mean, max, fill state —
 /// plus regular keys per node.
-pub fn fig14_cache_storage(eval: &mut Evaluation) -> TextTable {
+pub fn fig14_cache_storage(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Fig. 14 — Shortcuts (cached keys) per node");
     t.header([
         "policy",
@@ -455,36 +436,33 @@ pub fn fig14_cache_storage(eval: &mut Evaluation) -> TextTable {
         "caches empty",
         "regular keys/node",
     ]);
-    for policy in FIG13_POLICIES {
-        for scheme in SchemeChoice::PAPER {
-            let m = eval.cell(scheme, policy);
-            t.row([
-                policy.to_string(),
-                m.scheme.clone(),
-                fmt_f(m.mean_cached_keys_per_node(), 1),
-                m.max_cached_keys_per_node().to_string(),
-                fmt_pct(m.cache_full_fraction),
-                fmt_pct(m.cache_empty_fraction),
-                fmt_f(m.mean_keys_per_node(), 1),
-            ]);
-        }
+    let cells = grid(&FIG13_POLICIES);
+    for ((_, policy), m) in cells.iter().zip(eval.cells(&cells, jobs)) {
+        t.row([
+            policy.to_string(),
+            m.scheme.clone(),
+            fmt_f(m.mean_cached_keys_per_node(), 1),
+            m.max_cached_keys_per_node().to_string(),
+            fmt_pct(m.cache_full_fraction),
+            fmt_pct(m.cache_empty_fraction),
+            fmt_f(m.mean_keys_per_node(), 1),
+        ]);
     }
     t
 }
 
 /// Fig. 15: percentage of queries processed by each node, ranked (log-log
 /// hot-spot curve), simple scheme, three policies.
-pub fn fig15_hotspots(eval: &mut Evaluation) -> TextTable {
-    let policies = [CachePolicy::None, CachePolicy::Lru(30), CachePolicy::Single];
-    let nodes = eval.config().nodes;
-    let ranks = log_ranks(nodes);
-    let mut series: Vec<Vec<f64>> = Vec::new();
-    for policy in policies {
-        series.push(
-            eval.cell(SchemeChoice::Simple, policy)
-                .node_load_percentages(),
-        );
-    }
+pub fn fig15_hotspots(eval: &mut Evaluation, jobs: usize) -> TextTable {
+    let ranks = log_ranks(eval.config().nodes);
+    let series: Vec<Vec<f64>> = eval
+        .cells(
+            &TABLE1_POLICIES.map(|policy| (SchemeChoice::Simple, policy)),
+            jobs,
+        )
+        .into_iter()
+        .map(Metrics::node_load_percentages)
+        .collect();
     let mut t = TextTable::new("Fig. 15 — % of queries processed per node (simple scheme, ranked)");
     t.header(["node rank", "no-cache", "lru-30", "single-cache"]);
     for r in ranks {
@@ -498,15 +476,17 @@ pub fn fig15_hotspots(eval: &mut Evaluation) -> TextTable {
 }
 
 /// Table I: number of queries to non-indexed data (recoverable errors).
-pub fn table1_errors(eval: &mut Evaluation) -> TextTable {
+pub fn table1_errors(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Table I — Number of queries to non-indexed data");
     t.header(["policy", "Simple", "Flat", "Complex"]);
-    for policy in TABLE1_POLICIES {
-        let mut row = vec![policy.to_string()];
-        for scheme in SchemeChoice::PAPER {
-            row.push(eval.cell(scheme, policy).errors.to_string());
-        }
-        t.row(row);
+    let metrics = eval.cells(&grid(&TABLE1_POLICIES), jobs);
+    for (policy, row) in TABLE1_POLICIES
+        .iter()
+        .zip(metrics.chunks(SchemeChoice::PAPER.len()))
+    {
+        let mut line = vec![policy.to_string()];
+        line.extend(row.iter().map(|m| m.errors.to_string()));
+        t.row(line);
     }
     t
 }
@@ -514,7 +494,7 @@ pub fn table1_errors(eval: &mut Evaluation) -> TextTable {
 /// Extension (not a paper exhibit): interactions and errors broken down by
 /// query structure — explains the Fig. 11 averages. Author+year rows carry
 /// all the errors (the only non-indexed structure in the §V-C mix).
-pub fn ext_structure_breakdown(eval: &mut Evaluation) -> TextTable {
+pub fn ext_structure_breakdown(eval: &mut Evaluation, jobs: usize) -> TextTable {
     let mut t = TextTable::new("Extension — Per-structure interactions (simple scheme)");
     t.header([
         "policy",
@@ -523,8 +503,9 @@ pub fn ext_structure_breakdown(eval: &mut Evaluation) -> TextTable {
         "interactions/query",
         "errors",
     ]);
-    for policy in [CachePolicy::None, CachePolicy::Single] {
-        let m = eval.cell(SchemeChoice::Simple, policy).clone();
+    let cells =
+        [CachePolicy::None, CachePolicy::Single].map(|policy| (SchemeChoice::Simple, policy));
+    for ((_, policy), m) in cells.iter().zip(eval.cells(&cells, jobs)) {
         for (label, queries, interactions, errors) in &m.by_structure {
             t.row([
                 policy.to_string(),
@@ -547,25 +528,11 @@ pub fn ext_structure_breakdown(eval: &mut Evaluation) -> TextTable {
 /// rate stays at 100 % and interactions stay flat while a quarter of the
 /// network turns over.
 pub fn ext_churn(base: &EvalConfig) -> TextTable {
-    use p2p_index_core::{IndexService, SimpleScheme};
-    use p2p_index_dht::{Dht, NodeId, RingDht};
-    use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator};
-    use p2p_index_xpath::Query;
-
-    use crate::simulation::user_search;
-
-    let corpus = Corpus::generate(CorpusConfig {
-        articles: base.articles,
-        author_pool: (base.articles / 4).max(16),
-        seed: base.seed,
-        ..CorpusConfig::default()
-    });
-    let mut service = IndexService::new(RingDht::with_named_nodes(base.nodes), CachePolicy::None);
-    for a in corpus.articles() {
-        service
-            .publish(&a.descriptor(), a.file_name(), &SimpleScheme)
-            .expect("live network");
-    }
+    let corpus = extension_corpus(base);
+    let mut sim = Simulation::prepare_with_corpus(
+        base.sim(SchemeChoice::Simple, CachePolicy::None),
+        corpus.clone(),
+    );
     let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), base.seed);
 
     let batches = 8usize;
@@ -584,23 +551,17 @@ pub fn ext_churn(base: &EvalConfig) -> TextTable {
             "—".to_string()
         } else if batch % 2 == 1 {
             let joins = base.nodes / 16;
+            let dht = sim.service_mut().dht_mut();
             for j in 0..joins {
-                service
-                    .dht_mut()
-                    .add_node(NodeId::hash_of(&format!("joiner-{batch}-{j}")));
+                dht.add_node(NodeId::hash_of(&format!("joiner-{batch}-{j}")));
             }
             format!("+{joins} joins")
         } else {
             let leaves = base.nodes / 16;
-            let victims: Vec<NodeId> = service
-                .dht()
-                .nodes()
-                .into_iter()
-                .step_by(7)
-                .take(leaves)
-                .collect();
+            let dht = sim.service_mut().dht_mut();
+            let victims: Vec<NodeId> = dht.nodes().into_iter().step_by(7).take(leaves).collect();
             for v in &victims {
-                service.dht_mut().remove_node(*v);
+                dht.remove_node(*v);
             }
             format!("-{} leaves", victims.len())
         };
@@ -609,15 +570,13 @@ pub fn ext_churn(base: &EvalConfig) -> TextTable {
         let mut interactions = 0u64;
         for _ in 0..batch_size {
             let item = generator.next_query();
-            let article = corpus.article(item.target).expect("valid target");
-            let msd = Query::most_specific(&article.descriptor());
-            let outcome = user_search(&mut service, &item.query, &msd, &article.file_name());
+            let outcome = sim.ask(&item.query, item.target);
             found += outcome.found as u64;
             interactions += outcome.interactions as u64;
         }
         t.row([
             batch.to_string(),
-            service.dht().len().to_string(),
+            sim.service().dht().len().to_string(),
             event,
             fmt_pct(found as f64 / batch_size as f64),
             fmt_f(interactions as f64 / batch_size as f64, 2),
@@ -630,7 +589,7 @@ pub fn ext_churn(base: &EvalConfig) -> TextTable {
 ///
 /// The paper layers its indexes on "an arbitrary P2P DHT infrastructure";
 /// real infrastructures lose messages. This sweep wraps the ring substrate
-/// in a deterministic [`FaultyDht`](p2p_index_dht::FaultyDht), publishes
+/// in a deterministic [`FaultyDht`], publishes
 /// the corpus while healthy, then runs the query workload at each message
 /// loss rate × retry budget combination. Reported per cell: end-to-end
 /// search success (the target file located), how often the report was
@@ -641,16 +600,7 @@ pub fn ext_churn(base: &EvalConfig) -> TextTable {
 /// the per-operation abandonment rate to `loss³` and holds end-to-end
 /// success above 99 % even at 10 % loss.
 pub fn ext_robustness(base: &EvalConfig, jobs: usize) -> TextTable {
-    use p2p_index_core::{IndexService, RetryPolicy, SimpleScheme};
-    use p2p_index_dht::{FaultConfig, FaultyDht, RingDht};
-    use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator};
-
-    let corpus = Corpus::generate(CorpusConfig {
-        articles: base.articles,
-        author_pool: (base.articles / 4).max(16),
-        seed: base.seed,
-        ..CorpusConfig::default()
-    });
+    let corpus = extension_corpus(base);
     let loss_rates = [0.0, 0.05, 0.10, 0.20];
     let budgets = [1u32, 2, 3];
     let mut cells: Vec<(u64, f64, u32)> = Vec::new();
@@ -668,17 +618,12 @@ pub fn ext_robustness(base: &EvalConfig, jobs: usize) -> TextTable {
     // — emitted in canonical sweep order — match a serial run byte for byte.
     let rows = crate::exec::parallel_map(&cells, jobs, |&(cell_seed, loss, budget)| {
         let dht = FaultyDht::transparent(RingDht::with_named_nodes(base.nodes));
-        let mut service = IndexService::with_retry(
-            dht,
-            CachePolicy::None,
-            RetryPolicy::with_budget(cell_seed, budget),
-        );
-        for a in corpus.articles() {
-            service
-                .publish(&a.descriptor(), a.file_name(), &SimpleScheme)
-                .expect("publishing happens before faults are enabled");
-        }
-        service
+        let retry = RetryPolicy::with_budget(cell_seed, budget);
+        let service = IndexService::with_retry(dht, CachePolicy::None, retry);
+        let config = base.sim(SchemeChoice::Simple, CachePolicy::None);
+        let mut sim = Simulation::load(config, service, corpus.clone())
+            .expect("publishing happens before faults are enabled");
+        sim.service_mut()
             .dht_mut()
             .set_fault_config(FaultConfig::lossy(cell_seed, loss));
 
@@ -692,11 +637,11 @@ pub fn ext_robustness(base: &EvalConfig, jobs: usize) -> TextTable {
         let mut backoff_ms = 0u64;
         for _ in 0..queries_per_cell {
             let item = generator.next_query();
-            let article = corpus.article(item.target).expect("valid target");
-            let report = service
+            let report = sim
+                .service_mut()
                 .search(&item.query)
                 .expect("faults degrade results, they do not abort");
-            if report.files.iter().any(|h| h.file == article.file_name()) {
+            if report.files.iter().any(|h| h.file == sim.file(item.target)) {
                 successes += 1;
             }
             partial += report.is_partial() as u64;
@@ -732,6 +677,17 @@ pub fn ext_robustness(base: &EvalConfig, jobs: usize) -> TextTable {
         t.row(row);
     }
     t
+}
+
+/// The corpus of the churn and robustness extensions: a quarter as many
+/// authors as articles, where the paper grid has a third.
+fn extension_corpus(base: &EvalConfig) -> Arc<Corpus> {
+    Arc::new(Corpus::generate(CorpusConfig {
+        articles: base.articles,
+        author_pool: (base.articles / 4).max(16),
+        seed: base.seed,
+        ..CorpusConfig::default()
+    }))
 }
 
 /// Log-spaced ranks in `1..=n` (for log-log plots).
@@ -859,7 +815,7 @@ mod tests {
     #[allow(clippy::needless_range_loop)]
     fn fig11_shape_flat_wins_and_cache_helps() {
         let mut e = eval();
-        let t = fig11_interactions(&mut e);
+        let t = fig11_interactions(&mut e, 1);
         let csv = t.to_csv();
         let rows: Vec<Vec<f64>> = csv
             .lines()
@@ -907,7 +863,7 @@ mod tests {
     #[test]
     fn fig13_hit_ratios_positive_and_multi_close_to_single() {
         let mut e = eval();
-        let _ = fig13_hit_ratio(&mut e);
+        let _ = fig13_hit_ratio(&mut e, 1);
         let multi = e.cell(SchemeChoice::Simple, CachePolicy::Multi).hit_ratio();
         let single = e
             .cell(SchemeChoice::Simple, CachePolicy::Single)
@@ -923,7 +879,7 @@ mod tests {
     #[test]
     fn fig14_single_more_space_efficient_than_multi() {
         let mut e = eval();
-        let _ = fig14_cache_storage(&mut e);
+        let _ = fig14_cache_storage(&mut e, 1);
         let multi = e
             .cell(SchemeChoice::Simple, CachePolicy::Multi)
             .mean_cached_keys_per_node();
@@ -936,7 +892,7 @@ mod tests {
     #[test]
     fn fig15_loads_are_ranked_descending() {
         let mut e = eval();
-        let t = fig15_hotspots(&mut e);
+        let t = fig15_hotspots(&mut e, 1);
         let csv = t.to_csv();
         let first_series: Vec<f64> = csv
             .lines()
@@ -951,7 +907,7 @@ mod tests {
     #[allow(clippy::needless_range_loop)]
     fn table1_cache_reduces_errors() {
         let mut e = eval();
-        let t = table1_errors(&mut e);
+        let t = table1_errors(&mut e, 1);
         let csv = t.to_csv();
         let rows: Vec<Vec<u64>> = csv
             .lines()
@@ -971,7 +927,7 @@ mod tests {
     #[test]
     fn ext_structure_breakdown_attributes_errors_to_author_year() {
         let mut e = eval();
-        let t = ext_structure_breakdown(&mut e);
+        let t = ext_structure_breakdown(&mut e, 1);
         let csv = t.to_csv();
         for line in csv.lines().skip(1) {
             let cells: Vec<&str> = line.split(',').collect();

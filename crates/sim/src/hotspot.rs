@@ -24,15 +24,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use p2p_index_core::{CachePolicy, IndexScheme, IndexService, SimpleScheme};
+use p2p_index_core::{CachePolicy, IndexService};
 use p2p_index_dht::{BalanceConfig, Dht, NodeLoad, RingDht, SplitDht};
 use p2p_index_obs::ImbalanceSummary;
-use p2p_index_workload::{Corpus, CorpusConfig, FlashCrowd, QueryStructure, StructureMix};
+use p2p_index_workload::{Corpus, FlashCrowd, QueryStructure, StructureMix};
 use p2p_index_xpath::Query;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::simulation::user_search_buffered;
+use crate::simulation::{SimConfig, Simulation};
 use crate::table::{fmt_f, TextTable};
 
 /// How many heaviest nodes the imbalance summaries retain.
@@ -109,14 +109,16 @@ impl HotspotConfig {
         BalanceConfig::mitigating(self.hot_threshold, self.fanout)
     }
 
-    /// The corpus implied by this config (same sizing rule as the paper
-    /// grid, so equal `(articles, seed)` means an equal corpus).
-    pub fn corpus_config(&self) -> CorpusConfig {
-        CorpusConfig {
+    /// The scenario as a simulation cell, so its corpus is the paper
+    /// grid's at equal `(articles, seed)`.
+    fn sim(&self) -> SimConfig {
+        SimConfig {
+            nodes: self.nodes,
             articles: self.articles,
-            author_pool: (self.articles / 3).max(16),
+            queries: self.queries,
+            policy: POLICY,
             seed: self.seed,
-            ..CorpusConfig::default()
+            ..SimConfig::default()
         }
     }
 }
@@ -264,7 +266,7 @@ impl HotspotReport {
 
 /// Runs the whole scenario: the shared corpus and both cells.
 pub fn run(config: &HotspotConfig) -> HotspotReport {
-    let corpus = Arc::new(Corpus::generate(config.corpus_config()));
+    let corpus = Arc::new(Corpus::generate(Simulation::corpus_config(&config.sim())));
     HotspotReport {
         config: *config,
         baseline: run_cell(config, &corpus, BalanceConfig::observe_only(), "baseline"),
@@ -281,23 +283,11 @@ fn run_cell(
     label: &str,
 ) -> CellResult {
     let dht = SplitDht::new(RingDht::with_named_nodes(config.nodes), balance);
-    let mut service = IndexService::new(dht, POLICY);
-    let scheme: &dyn IndexScheme = &SimpleScheme;
-
-    let mut msds = Vec::with_capacity(corpus.len());
-    let mut files = Vec::with_capacity(corpus.len());
-    for article in corpus.articles() {
-        let file = article.file_name();
-        let msd = service
-            .publish(&article.descriptor(), file.clone(), scheme)
-            .expect("network is non-empty and the scheme is covering-safe");
-        msds.push(msd);
-        files.push(file);
-    }
+    let mut sim = Simulation::load(config.sim(), IndexService::new(dht, POLICY), corpus.clone())
+        .expect("network is non-empty and the scheme is covering-safe");
     // The query phase is the exhibit: drop the publish wave from the load
     // table (it still shows in the stored-bytes distribution).
-    service.dht_mut().reset_load();
-    service.reset_metrics();
+    sim.service_mut().dht_mut().reset_load();
 
     let (w0, w1) = config.window_indices();
     let crowd = FlashCrowd::new(config.articles, config.hot_rank, w0, w1, config.boost);
@@ -306,15 +296,12 @@ fn run_cell(
     // Interned like the paper workload generator: the crowd asks for the
     // same few queries over and over.
     let mut memo: HashMap<(QueryStructure, usize), Query> = HashMap::new();
-    let mut path = Vec::new();
-    let mut generalizations = Vec::new();
     let mut interactions = 0u64;
     let mut errors = 0u64;
     let mut failed = 0u64;
     for qi in 0..config.queries {
         let rank = crowd.sample_at(qi, &mut rng);
         let target = rank - 1;
-        let article = corpus.article(target).expect("rank within corpus");
         // The flash crowd is everyone searching one breaking title, so
         // in-window hits on the hot article all share the title
         // structure — one key, maximum concentration. Everything else
@@ -324,18 +311,10 @@ fn run_cell(
         } else {
             mix.sample(&mut rng)
         };
-        let query = memo
-            .entry((structure, target))
-            .or_insert_with(|| structure.query_for(article))
-            .clone();
-        let outcome = user_search_buffered(
-            &mut service,
-            &query,
-            &msds[target],
-            files[target].as_str(),
-            &mut path,
-            &mut generalizations,
-        );
+        let query = memo.entry((structure, target)).or_insert_with(|| {
+            structure.query_for(corpus.article(target).expect("rank within corpus"))
+        });
+        let outcome = sim.ask(query, target);
         interactions += outcome.interactions as u64;
         if outcome.error {
             errors += 1;
@@ -345,7 +324,7 @@ fn run_cell(
         }
     }
 
-    let split = service.dht();
+    let split = sim.service().dht();
     let loads = split.load();
     let nodes = split.inner().nodes();
     let ops_counts: Vec<u64> = nodes

@@ -5,8 +5,9 @@
 //! distributed bibliographic database, 50 000 realistic queries per
 //! (scheme × cache policy) cell, and one regenerator per table and figure.
 //!
-//! * [`simulation`] — the user model and metrics collection
-//!   ([`Simulation`], [`Metrics`]);
+//! * [`simulation`] — the crate's one driver ([`Simulation`]: the publish
+//!   loop and the user model, over any substrate) and metrics collection
+//!   ([`Metrics`]);
 //! * [`experiments`] — one runner per exhibit (Figs. 7, 9-15, Table I,
 //!   §V-B storage), sharing a lazily-run simulation grid
 //!   ([`experiments::Evaluation`]);

@@ -13,12 +13,15 @@
 //!   metrics the in-process simulation reports.
 
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use p2p_index_core::{CachePolicy, IndexService, RetryPolicy, SimpleScheme};
+use p2p_index_core::{CachePolicy, IndexService, RetryPolicy};
 use p2p_index_dht::{Dht, DhtStats, FaultConfig, Key, NodeId};
 use p2p_index_net::{DhtServer, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig};
 use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
+
+use crate::simulation::{SimConfig, Simulation};
 
 /// Options for the `repro serve` daemon.
 #[derive(Debug, Clone)]
@@ -246,24 +249,28 @@ fn publish_and_query<D: Dht>(
     kill_at: usize,
     mut kill: impl FnMut(&mut IndexService<D>),
 ) -> Result<(ChurnOutcome, DhtStats), String> {
-    let corpus = Corpus::generate(CorpusConfig {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
         articles,
         author_pool: (articles / 3).max(8),
         seed,
         ..CorpusConfig::default()
-    });
-    let mut service =
-        IndexService::with_retry(dht, CachePolicy::Multi, RetryPolicy::with_budget(seed, 4));
-    for article in corpus.articles() {
-        service
-            .publish(&article.descriptor(), article.file_name(), &SimpleScheme)
-            .map_err(|e| format!("publish failed: {e}"))?;
-    }
+    }));
+    let config = SimConfig {
+        articles,
+        queries,
+        policy: CachePolicy::Multi,
+        seed,
+        ..SimConfig::default()
+    };
+    let service = IndexService::with_retry(dht, config.policy, RetryPolicy::with_budget(seed, 4));
+    let mut sim = Simulation::load(config, service, corpus.clone())
+        .map_err(|e| format!("publish failed: {e}"))?;
     let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), seed);
     let mut outcome = ChurnOutcome::default();
     for (i, item) in generator.take_queries(queries).into_iter().enumerate() {
+        let service = sim.service_mut();
         if i == kill_at {
-            kill(&mut service);
+            kill(service);
         }
         let report = service
             .search(&item.query)
@@ -275,7 +282,7 @@ fn publish_and_query<D: Dht>(
             outcome.misses += 1;
         }
     }
-    Ok((outcome, service.dht().stats()))
+    Ok((outcome, sim.service().dht().stats()))
 }
 
 /// The `repro net-demo` client: run [`run_workload`] over a live cluster.
@@ -294,7 +301,6 @@ pub fn net_demo(opts: &NetDemoOptions) -> Result<(), String> {
         replicas,
         read_quorum,
         write_quorum,
-        ..RemoteDhtConfig::default()
     };
     let connect = || RemoteDht::connect(RemoteDht::named_members(members), client_config.clone());
     eprintln!(

@@ -13,12 +13,12 @@
 //! article is found; non-indexed queries recover through
 //! generalization, and successful lookups create cache shortcuts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use p2p_index_core::{
-    CachePolicy, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, IndexService, IndexTarget,
-    SimpleScheme, Traffic,
+    CachePolicy, ComplexScheme, Fig4Scheme, FlatScheme, IndexError, IndexScheme, IndexService,
+    IndexTarget, SimpleScheme, Traffic,
 };
 use p2p_index_dht::{Dht, NodeId, RingDht};
 use p2p_index_obs::{MetricsRegistry, MetricsSnapshot};
@@ -256,15 +256,112 @@ pub struct QueryOutcome {
     pub found: bool,
 }
 
-/// One full simulation: corpus + DHT + index service + workload.
-pub struct Simulation {
+/// One full simulation: a corpus published into an index service over
+/// substrate `D`, and the user model that queries it (§V-E).
+///
+/// Every driver in this crate builds through [`load`](Self::load), the
+/// one publish loop, and asks through [`ask`](Self::ask), the one call
+/// into the user model; each keeps only what differs — its substrate,
+/// its query source and what it tallies. [`execute`](Simulation::execute) is
+/// the paper grid's driver over `RingDht`.
+pub struct Simulation<D: Dht = RingDht> {
     config: SimConfig,
     corpus: Arc<Corpus>,
-    service: IndexService<RingDht>,
+    service: IndexService<D>,
     msds: Vec<Query>,
-    /// Stored-file handles, one per article — rendered once at prepare time
+    /// Stored-file handles, one per article — rendered once at load time
     /// so the query loop never re-formats a file name.
     files: Vec<String>,
+    /// The user model's lookup path and generalization list, grown once
+    /// and cleared per query instead of reallocated for every query.
+    path: Vec<(NodeId, Query)>,
+    generalizations: Vec<Query>,
+}
+
+impl<D: Dht> Simulation<D> {
+    /// Publishes every article of `corpus` into `service` under
+    /// `config.scheme`, recording each article's MSD and file handle, then
+    /// zeroes the service's traffic counters — and, under
+    /// [`SimConfig::collect_metrics`], attaches a registry — so both cover
+    /// exactly the query phase. `config` describes the cell: `load` reads
+    /// its scheme and `collect_metrics`, [`execute`](Simulation::execute) the
+    /// rest.
+    ///
+    /// # Errors
+    ///
+    /// The first failed publish's error.
+    pub fn load(
+        config: SimConfig,
+        mut service: IndexService<D>,
+        corpus: Arc<Corpus>,
+    ) -> Result<Simulation<D>, IndexError> {
+        let scheme = config.scheme.scheme();
+        let mut msds = Vec::with_capacity(corpus.len());
+        let mut files = Vec::with_capacity(corpus.len());
+        for article in corpus.articles() {
+            let file = article.file_name();
+            msds.push(service.publish(&article.descriptor(), &file, scheme)?);
+            files.push(file);
+        }
+        service.reset_metrics();
+        if config.collect_metrics {
+            service.set_metrics(MetricsRegistry::new());
+        }
+        Ok(Simulation {
+            config,
+            corpus,
+            service,
+            msds,
+            files,
+            path: Vec::new(),
+            generalizations: Vec::new(),
+        })
+    }
+
+    /// Runs the §V-E(c) user model for one query whose user wants article
+    /// `target`; see [`user_search_buffered`].
+    pub fn ask(&mut self, query: &Query, target: usize) -> QueryOutcome {
+        user_search_buffered(
+            &mut self.service,
+            query,
+            &self.msds[target],
+            &self.files[target],
+            &mut self.path,
+            &mut self.generalizations,
+        )
+    }
+
+    /// The prepared corpus.
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
+    }
+
+    /// The index service (e.g. to inspect the DHT).
+    pub fn service(&self) -> &IndexService<D> {
+        &self.service
+    }
+
+    /// Mutable access to the index service (e.g. to trace a lookup).
+    pub fn service_mut(&mut self) -> &mut IndexService<D> {
+        &mut self.service
+    }
+
+    /// The observability counters recorded so far, if
+    /// [`SimConfig::collect_metrics`] attached a registry.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let registry = self.service.metrics();
+        registry.is_enabled().then(|| registry.snapshot())
+    }
+
+    /// The MSD of article `id`.
+    pub fn msd(&self, id: usize) -> &Query {
+        &self.msds[id]
+    }
+
+    /// The stored-file handle of article `id`.
+    pub fn file(&self, id: usize) -> &str {
+        &self.files[id]
+    }
 }
 
 impl Simulation {
@@ -299,59 +396,9 @@ impl Simulation {
             config.articles,
             "corpus does not match config"
         );
-        let dht = RingDht::with_named_nodes(config.nodes);
-        let mut service = IndexService::new(dht, config.policy);
-        let scheme = config.scheme.scheme();
-        let mut msds = Vec::with_capacity(corpus.len());
-        let mut files = Vec::with_capacity(corpus.len());
-        for article in corpus.articles() {
-            let file = article.file_name();
-            let msd = service
-                .publish(&article.descriptor(), file.clone(), scheme)
-                .expect("network is non-empty and schemes are covering-safe");
-            msds.push(msd);
-            files.push(file);
-        }
-        service.reset_metrics();
-        if config.collect_metrics {
-            // Attached after publishing so the registry, like the traffic
-            // counters, covers exactly the query phase.
-            service.set_metrics(MetricsRegistry::new());
-        }
-        Simulation {
-            config,
-            corpus,
-            service,
-            msds,
-            files,
-        }
-    }
-
-    /// The prepared corpus.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
-    }
-
-    /// The index service (e.g. to inspect the DHT).
-    pub fn service(&self) -> &IndexService<RingDht> {
-        &self.service
-    }
-
-    /// Mutable access to the index service (e.g. to trace a lookup).
-    pub fn service_mut(&mut self) -> &mut IndexService<RingDht> {
-        &mut self.service
-    }
-
-    /// The observability counters recorded so far, if
-    /// [`SimConfig::collect_metrics`] attached a registry.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let registry = self.service.metrics();
-        registry.is_enabled().then(|| registry.snapshot())
-    }
-
-    /// The MSD of article `id`.
-    pub fn msd(&self, id: usize) -> &Query {
-        &self.msds[id]
+        let service = IndexService::new(RingDht::with_named_nodes(config.nodes), config.policy);
+        Simulation::load(config, service, corpus)
+            .expect("network is non-empty and schemes are covering-safe")
     }
 
     /// Runs the configured number of queries and collects metrics.
@@ -360,56 +407,24 @@ impl Simulation {
         sim.execute()
     }
 
-    /// Like [`run`](Self::run), but over an already-generated corpus,
-    /// which must match the config's `(articles, seed)` (see
-    /// [`corpus_config`](Self::corpus_config)), and also returning the
-    /// observability snapshot when [`SimConfig::collect_metrics`] is set.
-    /// Grid drivers use this to synthesize the corpus once and share it
-    /// read-only across every cell.
-    pub fn run_with_snapshot_on(
-        config: SimConfig,
-        corpus: Arc<Corpus>,
-    ) -> (Metrics, Option<MetricsSnapshot>) {
-        let mut sim = Simulation::prepare_with_corpus(config, corpus);
-        let metrics = sim.execute();
-        let snapshot = sim.metrics_snapshot();
-        (metrics, snapshot)
-    }
-
     /// Feeds the query workload through the prepared network.
     pub fn execute(&mut self) -> Metrics {
-        let mut generator = QueryGenerator::new(
-            &self.corpus,
-            self.config.mix.clone(),
-            self.config.seed ^ 0x5eed,
-        );
+        // The generator borrows the corpus while `ask` borrows `self`.
+        let corpus = Arc::clone(&self.corpus);
+        let mut generator =
+            QueryGenerator::new(&corpus, self.config.mix.clone(), self.config.seed ^ 0x5eed);
         let mut interactions = 0u64;
         let mut cache_hits = 0u64;
-        let mut cache_hits_first = 0u64;
+        let mut cache_hits_first_node = 0u64;
         let mut errors = 0u64;
-        let mut gen_interactions = 0u64;
+        let mut generalization_interactions = 0u64;
         let mut failed = 0u64;
-        let mut by_structure: HashMap<&'static str, (u64, u64, u64)> = HashMap::new();
-
-        // Reused across the whole workload: the per-query lookup path and
-        // generalization list grow once and are cleared per query instead
-        // of being reallocated 50 000 times.
-        let mut path: Vec<(NodeId, Query)> = Vec::new();
-        let mut generalizations: Vec<Query> = Vec::new();
+        // Keyed by label, so rows with equal query counts keep label order
+        // through the stable sort below.
+        let mut by_structure: BTreeMap<&'static str, (u64, u64, u64)> = BTreeMap::new();
         for _ in 0..self.config.queries {
             let item = generator.next_query();
-            // Borrowed, not cloned: the target MSD and file handle are
-            // read-only inputs to the user model.
-            let target_msd = &self.msds[item.target];
-            let target_file = self.files[item.target].as_str();
-            let outcome = user_search_buffered(
-                &mut self.service,
-                &item.query,
-                target_msd,
-                target_file,
-                &mut path,
-                &mut generalizations,
-            );
+            let outcome = self.ask(&item.query, item.target);
             interactions += outcome.interactions as u64;
             let slot = by_structure
                 .entry(item.structure.label())
@@ -419,12 +434,12 @@ impl Simulation {
             if outcome.cache_hit {
                 cache_hits += 1;
                 if outcome.cache_hit_first_node {
-                    cache_hits_first += 1;
+                    cache_hits_first_node += 1;
                 }
             }
             if outcome.error {
                 errors += 1;
-                gen_interactions += outcome.interactions as u64;
+                generalization_interactions += outcome.interactions as u64;
                 slot.2 += 1;
             }
             if !outcome.found {
@@ -437,28 +452,6 @@ impl Simulation {
             .collect();
         by_structure.sort_by_key(|(_, queries, _, _)| std::cmp::Reverse(*queries));
 
-        self.collect(
-            interactions,
-            cache_hits,
-            cache_hits_first,
-            errors,
-            gen_interactions,
-            failed,
-            by_structure,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn collect(
-        &self,
-        interactions: u64,
-        cache_hits: u64,
-        cache_hits_first_node: u64,
-        errors: u64,
-        generalization_interactions: u64,
-        failed: u64,
-        by_structure: Vec<(String, u64, u64, u64)>,
-    ) -> Metrics {
         let dht = self.service.dht();
         // Borrowed straight from the service — snapshotting a cell must not
         // clone the whole per-node map just to read it once.
@@ -521,30 +514,11 @@ impl Simulation {
 /// result that matches the target article, until the file is found.
 ///
 /// Returns the per-query outcome; creates cache shortcuts on success.
-///
-/// Generic over the substrate: the paper grid drives it over
-/// `RingDht`, the hot-spot scenario over a load-balancing
-/// `SplitDht<RingDht>`.
-pub fn user_search<D: Dht>(
-    service: &mut IndexService<D>,
-    query: &Query,
-    target_msd: &Query,
-    target_file: &str,
-) -> QueryOutcome {
-    user_search_buffered(
-        service,
-        query,
-        target_msd,
-        target_file,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    )
-}
-
-/// [`user_search`] with caller-owned scratch buffers for the lookup path
-/// and the generalization list — the simulation loop reuses one pair of
-/// buffers across its whole workload instead of allocating per query.
-/// Both buffers are cleared on entry.
+/// Generic over the substrate: the paper grid drives it over `RingDht`,
+/// the hot-spot scenario over a load-balancing `SplitDht<RingDht>`.
+/// `path` and `generalizations` are caller-owned scratch (a
+/// [`Simulation`] keeps one pair for its whole workload); both are
+/// cleared on entry.
 pub fn user_search_buffered<D: Dht>(
     service: &mut IndexService<D>,
     query: &Query,
@@ -836,7 +810,7 @@ mod tests {
 
     #[test]
     fn node_query_counts_snapshot_matches_service_state() {
-        // `collect` reads the per-node lookup counts by reference (no map
+        // `execute` reads the per-node lookup counts by reference (no map
         // clone per snapshot); this pins that the reported vector is still
         // exactly the service's counts in DHT node order.
         let mut sim = Simulation::prepare(SimConfig {
@@ -885,7 +859,7 @@ mod tests {
 
     #[test]
     fn user_search_direct_msd_lookup() {
-        let sim = Simulation::prepare(SimConfig {
+        let mut sim = Simulation::prepare(SimConfig {
             nodes: 20,
             articles: 50,
             queries: 0,
@@ -893,12 +867,39 @@ mod tests {
             policy: CachePolicy::None,
             ..SimConfig::default()
         });
+        assert_eq!(sim.file(0), sim.corpus().article(0).unwrap().file_name());
         let msd = sim.msd(0).clone();
-        let file = sim.corpus().article(0).unwrap().file_name();
-        let mut svc = sim.service;
-        let out = user_search(&mut svc, &msd, &msd, &file);
+        let out = sim.ask(&msd, 0);
         assert!(out.found);
         assert_eq!(out.interactions, 1);
         assert!(!out.error);
+    }
+
+    #[test]
+    fn structures_with_equal_query_counts_come_out_in_label_order() {
+        // `repro ext-structures --small --queries 50`'s no-cache cell:
+        // `/year` and `/author/year` are asked 3 times each. Every run in
+        // one process must list the tied rows the same way, by label.
+        let config = SimConfig {
+            nodes: 50,
+            articles: 500,
+            queries: 50,
+            ..SimConfig::default()
+        };
+        let first = Simulation::run(config.clone()).by_structure;
+        let counts: Vec<u64> = first.iter().map(|row| row.1).collect();
+        assert!(
+            counts.windows(2).any(|w| w[0] == w[1]),
+            "the cell must have a tie to order: {first:?}"
+        );
+        for pair in first.windows(2) {
+            assert!(
+                pair[0].1 > pair[1].1 || (pair[0].1 == pair[1].1 && pair[0].0 < pair[1].0),
+                "rows by count, then label: {first:?}"
+            );
+        }
+        for _ in 0..6 {
+            assert_eq!(Simulation::run(config.clone()).by_structure, first);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Determinism guarantees of the performance layer.
 //!
-//! Three contracts are locked down here:
+//! Four contracts are locked down here:
 //!
 //! 1. The parallel experiment executor produces **byte-identical** CSV/text
 //!    output to a serial run — every cell is a pure function of its config
@@ -11,6 +11,8 @@
 //! 3. Every key a publish writes is where it always was: the canonical
 //!    text of each MSD and of both ends of each index edge, under every
 //!    built-in scheme, folds to one pinned hash.
+//! 4. The small-scale robustness sweep, which no committed CSV covers,
+//!    folds to one pinned hash too.
 
 use p2p_index_core::{
     CachePolicy, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, IndexService,
@@ -42,7 +44,7 @@ fn parallel_grid_output_is_byte_identical_to_serial() {
     assert_eq!(parallel.cells_run(), experiments::paper_grid().len());
 
     // Every grid exhibit, rendered from both evaluations.
-    type Renderer = fn(&mut Evaluation) -> p2p_index_sim::table::TextTable;
+    type Renderer = fn(&mut Evaluation, usize) -> p2p_index_sim::table::TextTable;
     let renderers: [(&str, Renderer); 7] = [
         ("fig11", experiments::fig11_interactions),
         ("fig12", experiments::fig12_traffic),
@@ -53,8 +55,8 @@ fn parallel_grid_output_is_byte_identical_to_serial() {
         ("ext-structures", experiments::ext_structure_breakdown),
     ];
     for (name, render) in renderers {
-        let s = render(&mut serial);
-        let p = render(&mut parallel);
+        let s = render(&mut serial, 1);
+        let p = render(&mut parallel, 4);
         assert_eq!(s.to_csv(), p.to_csv(), "{name} CSV must be byte-identical");
         assert_eq!(
             s.to_text(),
@@ -76,6 +78,20 @@ fn parallel_robustness_sweep_is_byte_identical_to_serial() {
     let parallel = experiments::ext_robustness(&base, 4);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_text(), parallel.to_text());
+}
+
+#[test]
+fn the_small_robustness_sweep_does_not_move() {
+    // No committed golden covers the sweep (`all` leaves it out), so its
+    // `repro robustness --small` CSV is pinned here as one FNV-64.
+    let csv = experiments::ext_robustness(&EvalConfig::small(), 2).to_csv();
+    let hash = fnv_fold(0xcbf2_9ce4_8422_2325, csv.as_bytes());
+    assert_eq!(
+        csv.lines().count(),
+        13,
+        "a header and 4 loss rates × 3 budgets"
+    );
+    assert_eq!(hash, 0xbda2_690b_6d5c_bf35, "{hash:#018x}\n{csv}");
 }
 
 #[test]

@@ -305,7 +305,6 @@ fn sigkilled_daemon_is_masked_by_quorum_and_refilled_after_restart() {
         replicas: REPLICAS,
         read_quorum: 2,
         write_quorum: Some(2),
-        ..RemoteDhtConfig::default()
     };
     let client = || RemoteDht::connect(RemoteDht::named_members(&addrs), quorum_config.clone());
 

@@ -71,15 +71,9 @@ pub struct CorpusConfig {
     pub articles: usize,
     /// Size of the author pool articles draw from.
     pub author_pool: usize,
-    /// Zipf exponent of the papers-per-author distribution.
-    pub author_zipf_exponent: f64,
     /// Probability that an article has a second author, third author, …
     /// (each additional author with this probability again).
     pub extra_author_prob: f64,
-    /// Inclusive year range of publications.
-    pub year_range: (u32, u32),
-    /// Mean article file size in bytes (paper: 250 KB).
-    pub mean_file_size: u64,
     /// RNG seed; every corpus is fully determined by its config.
     pub seed: u64,
 }
@@ -89,14 +83,18 @@ impl Default for CorpusConfig {
         CorpusConfig {
             articles: 10_000,
             author_pool: 3_300,
-            author_zipf_exponent: 0.55,
             extra_author_prob: 0.0, // Fig. 1 descriptors carry one author
-            year_range: (1980, 2003),
-            mean_file_size: 250 * 1024,
             seed: 42,
         }
     }
 }
+
+/// Zipf exponent of the papers-per-author distribution.
+const AUTHOR_ZIPF_EXPONENT: f64 = 0.55;
+/// Inclusive year range of publications.
+const YEAR_RANGE: (u32, u32) = (1980, 2003);
+/// Mean article file size in bytes (paper: 250 KB).
+const MEAN_FILE_SIZE: u64 = 250 * 1024;
 
 /// The generated corpus: articles plus the author pool they draw from.
 #[derive(Debug, Clone)]
@@ -121,7 +119,7 @@ impl Corpus {
             .collect();
 
         // Zipf CDF over the author pool: prolific authors first.
-        let author_cdf = zipf_cdf(config.author_pool, config.author_zipf_exponent);
+        let author_cdf = zipf_cdf(config.author_pool, AUTHOR_ZIPF_EXPONENT);
 
         let venues = VENUES;
         let mut articles = Vec::with_capacity(config.articles);
@@ -135,11 +133,11 @@ impl Corpus {
                     article_authors.push(extra);
                 }
             }
-            let (y0, y1) = config.year_range;
-            let year = rng.gen_range(y0..=y1.max(y0));
+            let (y0, y1) = YEAR_RANGE;
+            let year = rng.gen_range(y0..=y1);
             // Log-normal-ish sizes around the mean.
             let factor = 0.5 + rng.gen::<f64>() + rng.gen::<f64>();
-            let size = (config.mean_file_size as f64 * factor * 0.5) as u64 + 1024;
+            let size = (MEAN_FILE_SIZE as f64 * factor * 0.5) as u64 + 1024;
             articles.push(Article {
                 id,
                 authors: article_authors,
@@ -436,7 +434,7 @@ mod tests {
     #[test]
     fn years_within_range() {
         let c = small();
-        let (y0, y1) = c.config().year_range;
+        let (y0, y1) = YEAR_RANGE;
         assert!(c.articles().iter().all(|a| a.year >= y0 && a.year <= y1));
     }
 
@@ -444,7 +442,7 @@ mod tests {
     fn file_sizes_near_mean() {
         let c = small();
         let mean = c.total_file_bytes() / c.len() as u64;
-        let target = c.config().mean_file_size;
+        let target = MEAN_FILE_SIZE;
         assert!(
             mean > target / 2 && mean < target * 2,
             "mean size {mean} too far from {target}"

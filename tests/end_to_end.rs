@@ -3,6 +3,7 @@
 
 use p2p_index::index::Traffic;
 use p2p_index::prelude::*;
+use p2p_index::sim::{SimConfig, Simulation};
 
 fn publish_corpus(service: &mut IndexService<RingDht>, corpus: &Corpus, scheme: &dyn IndexScheme) {
     for article in corpus.articles() {
@@ -227,24 +228,23 @@ fn deletion_is_complete_and_leaves_no_dangling_entries() {
 
 #[test]
 fn cached_and_uncached_searches_return_identical_files() {
-    let corpus = corpus();
+    let corpus = std::sync::Arc::new(corpus());
     let mut plain = IndexService::new(RingDht::with_named_nodes(60), CachePolicy::None);
-    let mut cached = IndexService::new(RingDht::with_named_nodes(60), CachePolicy::Single);
     publish_corpus(&mut plain, &corpus, &SimpleScheme);
-    publish_corpus(&mut cached, &corpus, &SimpleScheme);
+    let config = SimConfig {
+        nodes: 60,
+        articles: corpus.len(),
+        policy: CachePolicy::Single,
+        ..SimConfig::default()
+    };
+    let mut warmed = Simulation::prepare_with_corpus(config, corpus.clone());
 
     // Warm the cache through the user model.
     let mut generator = QueryGenerator::new(&corpus, StructureMix::paper_simulation(), 61);
     for item in generator.take_queries(500) {
-        let article = corpus.article(item.target).unwrap();
-        let msd = Query::most_specific(&article.descriptor());
-        p2p_index::sim::simulation::user_search(
-            &mut cached,
-            &item.query,
-            &msd,
-            &article.file_name(),
-        );
+        warmed.ask(&item.query, item.target);
     }
+    let cached = warmed.service_mut();
 
     // Automated search never consults shortcuts: the warmed caches change
     // neither its result set nor the work it does — interactions, rounds
