@@ -4,9 +4,10 @@
 //! The paper keeps index entries in the DHT (§IV-A) and shortcuts at the
 //! nodes (§IV-C); the querying client keeps only what it has read. That is
 //! `ReadMemo`, two tables: the client's known queries with their keys
-//! `h(q)` — every query it looked up and every query target an entry it
-//! read named, one decoded copy each — and the decoded entries last read
-//! under those keys. Both memoise reads, never writes.
+//! `h(q)` — every query it looked up, every query target an entry it read
+//! named, and every generalization it derived, one copy each, the key
+//! computed the first time a lookup asks for it — and the decoded entries
+//! last read under those keys. Both memoise reads, never writes.
 //!
 //! Both tables are bounded the same way: two generations. New entries, and
 //! hits in the old generation, go to the young one; at the start of a call
@@ -21,7 +22,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key};
-use p2p_index_xpath::Query;
+use p2p_index_xpath::{KnownQueries, Query};
 
 use crate::service::IndexError;
 use crate::target::{DecodeTargetError, IndexTarget};
@@ -104,6 +105,16 @@ impl<K: Hash + Eq, V> Generations<K, V> {
         self.young.get_key_value(key)
     }
 
+    /// The value under `key`, moved to the young generation if it was old.
+    fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.get(key)?;
+        self.young.get_mut(key)
+    }
+
     /// The value under `key`, wherever it is; moves nothing.
     fn peek(&self, key: &K) -> Option<&V> {
         self.young.get(key).or_else(|| self.old.get(key))
@@ -139,17 +150,22 @@ impl<K: Hash + Eq, V> Generations<K, V> {
 /// The client's two read tables: its known queries, and the entry memo.
 #[derive(Debug)]
 pub(crate) struct ReadMemo {
-    /// The client's known queries and their keys `h(q)`, one decoded copy
-    /// per distinct canonical text: each query this client *looked up*, and
-    /// each query target an entry it read named. The SHA-1 of a query is
-    /// computed once, and a `Q:` value whose text the table holds decodes
-    /// to the table's query (an `Arc` bump) without being parsed — so a
-    /// descriptor stored under several keys (§IV-A: several chains end at
-    /// one MSD) is one allocation however many entries hold it. `publish`,
-    /// `unpublish` and `insert_mapping` hash their write-once keys with
+    /// The client's known queries and their keys `h(q)`, one copy per
+    /// distinct canonical text: each query this client *looked up*, each
+    /// query target an entry it read named, and each one-step
+    /// generalization it derived ([`ReadMemo::generalizations_into`]). A
+    /// query's SHA-1 is computed the first time [`ReadMemo::cached_key`]
+    /// asks for it and kept (`None` until then: a decoded target or a
+    /// generalization no lookup reaches is never hashed). A `Q:` value
+    /// whose text the table holds decodes to the table's query (an `Arc`
+    /// bump) without being parsed — so a descriptor stored under several
+    /// keys (§IV-A: several chains end at one MSD) is one allocation
+    /// however many entries hold it — and a generalization it holds is
+    /// rendered but not frozen again. `publish`, `unpublish` and
+    /// `insert_mapping` hash their write-once keys with
     /// `IndexService::key_of` instead, so the table grows with what was
     /// read, not with what was stored.
-    queries: Generations<Interned, Key>,
+    queries: Generations<Interned, Option<Key>>,
     /// The entry memo, the client's one table of read entries: `h(q) →`
     /// the decoded targets of the last non-empty entry read under it, the
     /// digest of the values they came from, and the reply's price. A key
@@ -190,17 +206,29 @@ impl ReadMemo {
         self.entries.rotate();
     }
 
-    /// The DHT key of a query, interned: the SHA-1 is computed on the first
-    /// sighting of each distinct query and served from the table
-    /// afterwards. The table caches a pure function of the query's
-    /// canonical text, so entries can never go stale.
+    /// The DHT key of a query, interned: the SHA-1 is computed the first
+    /// time a lookup asks for the key of each distinct query and served
+    /// from the table afterwards. The table caches a pure function of the
+    /// query's canonical text, so entries can never go stale.
     pub(crate) fn cached_key(&mut self, query: &Query) -> Key {
-        if let Some((_, key)) = self.queries.get(query.canonical_text()) {
-            return *key;
+        let text = query.canonical_text();
+        match self.queries.get_mut(text) {
+            Some(Some(key)) => *key,
+            Some(unhashed) => *unhashed.insert(Key::hash_of(text)),
+            None => {
+                let key = Key::hash_of(text);
+                self.queries.insert(Interned(query.clone()), Some(key));
+                key
+            }
         }
-        let key = Key::hash_of(query.canonical_text());
-        self.queries.insert(Interned(query.clone()), key);
-        key
+    }
+
+    /// Appends `query`'s one-step generalizations to `out`, in
+    /// [`Query::generalizations`] order, through the known-query table: a
+    /// generalization the table holds is the table's query (no freeze, no
+    /// allocation), and one it lacks joins it, unhashed.
+    pub(crate) fn generalizations_into(&mut self, query: &Query, out: &mut Vec<Query>) {
+        query.generalizations_known(&mut self.queries, out);
     }
 
     /// The read a lookup of `key` sends: conditional on the digest of the
@@ -260,7 +288,7 @@ impl ReadMemo {
     /// One stored value, decoded through the key table: a `Q:` value whose
     /// text the table holds is the table's query, and any other is parsed
     /// ([`IndexTarget::from_bytes`]), a parsed query joining the table with
-    /// its key. A text the table holds is a canonical text, and
+    /// no key yet. A text the table holds is a canonical text, and
     /// `parse(canonical(q)) == q`, so the hit is what parsing would give; a
     /// non-canonical text (a foreign writer's) just misses.
     fn decode(&mut self, value: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
@@ -272,10 +300,21 @@ impl ReadMemo {
         }
         let target = IndexTarget::from_bytes(value)?;
         if let IndexTarget::Query(query) = &target {
-            let key = Key::hash_of(query.canonical_text());
-            self.queries.insert(Interned(query.clone()), key);
+            self.queries.insert(Interned(query.clone()), None);
         }
         Ok(target)
+    }
+}
+
+/// The known-query table as [`Query::generalizations_known`] consults it:
+/// a hit moves young like any other, a new query joins with no key.
+impl KnownQueries for Generations<Interned, Option<Key>> {
+    fn find(&mut self, text: &str) -> Option<Query> {
+        self.get(text).map(|(Interned(query), _)| query.clone())
+    }
+
+    fn add(&mut self, query: &Query) {
+        self.insert(Interned(query.clone()), None);
     }
 }
 
@@ -312,7 +351,9 @@ impl ReadMemo {
 #[cfg(test)]
 mod tests {
     use bytes::Bytes;
+    use p2p_index_testkit::{for_each_case, Rng, StdRng};
     use p2p_index_xmldoc::Descriptor;
+    use p2p_index_xpath::{CmpOp, QueryBuilder};
 
     use super::*;
     use crate::scheme::{ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, SimpleScheme};
@@ -537,6 +578,115 @@ mod tests {
         assert_eq!(memo.entry_count(), 2);
     }
 
+    /// A random query of up to six top branches — value leaves,
+    /// comparisons, whole authors — over a small pool of values, so
+    /// branches repeat (and normalization merges or drops them), including
+    /// values the canonical text must quote and escape.
+    fn random_query(rng: &mut StdRng) -> Query {
+        const VALUES: [&str; 5] = [
+            "TCP",
+            "1996",
+            "A Space Odyssey",
+            "say \"hi\"",
+            "back\\slash",
+        ];
+        const FIELDS: [&str; 4] = ["title", "conf", "year", "author/last"];
+        let value = |rng: &mut StdRng| VALUES[rng.gen_range(0..VALUES.len())];
+        let branches = rng.gen_range(0..7usize);
+        (0..branches)
+            .fold(QueryBuilder::new("article"), |b, _| {
+                let field = FIELDS[rng.gen_range(0..FIELDS.len())];
+                match rng.gen_range(0..3u32) {
+                    0 => b.value(field, value(rng)),
+                    1 => b.compare(field, CmpOp::StartsWith, value(rng)),
+                    _ => b.branch("author", |a| {
+                        a.value("first", value(rng)).value("last", value(rng))
+                    }),
+                }
+            })
+            .build()
+    }
+
+    #[test]
+    fn memo_backed_generalizations_are_the_querys_own_in_order() {
+        for_each_case(|rng| {
+            let query = random_query(rng);
+            let expected = query.generalizations();
+            // A random subset is known already: looked up (hashed), or
+            // named by an entry the client read (decoded, unhashed).
+            let mut memo = ReadMemo::default();
+            let mut looked_up = vec![false; expected.len()];
+            for (i, g) in expected.iter().enumerate() {
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        memo.cached_key(g);
+                        looked_up[i] = true;
+                    }
+                    1 => {
+                        let value = IndexTarget::Query(g.clone()).to_bytes();
+                        let key = Key::hash_of(&format!("entry-{i}"));
+                        memo.read_entry(key, DhtResponse::Values(vec![value]))
+                            .unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            let mut derived = Vec::new();
+            memo.generalizations_into(&query, &mut derived);
+            let texts = |qs: &[Query]| -> Vec<String> {
+                qs.iter().map(|q| q.canonical_text().to_string()).collect()
+            };
+            assert_eq!(texts(&derived), texts(&expected), "{query}");
+            // A looked-up generalization is the asker's own copy.
+            for ((d, e), held) in derived.iter().zip(&expected).zip(&looked_up) {
+                let same = std::ptr::eq(d.canonical_text(), e.canonical_text());
+                assert!(same || !held, "{d} is not the table's copy");
+            }
+            // Every one is in the table now, and deriving again hands out
+            // the very same copies.
+            let mut again = Vec::new();
+            memo.generalizations_into(&query, &mut again);
+            for (d, a) in derived.iter().zip(&again) {
+                assert!(std::ptr::eq(d.canonical_text(), a.canonical_text()), "{d}");
+                assert_eq!(memo.cached_key(d), Key::hash_of(d.canonical_text()));
+            }
+        });
+    }
+
+    #[test]
+    fn a_derived_generalization_is_hashed_only_when_a_lookup_asks() {
+        let query: Query = "/article[author/last/Smith][conf/INFOCOM][year/1996]"
+            .parse()
+            .unwrap();
+        let mut memo = ReadMemo::default();
+        let mut derived = Vec::new();
+        memo.generalizations_into(&query, &mut derived);
+        assert_eq!(derived, query.generalizations());
+        let interned: Vec<&Query> = derived.iter().collect();
+        let mut sorted = interned.clone();
+        sorted.sort();
+        assert_eq!(memo.interned(), sorted, "each joined the known queries");
+        let key_of = |memo: &ReadMemo, q: &Query| *memo.queries.peek(&Interned(q.clone())).unwrap();
+        assert!(
+            derived.iter().all(|g| key_of(&memo, g).is_none()),
+            "no SHA-1 yet"
+        );
+        // The user model looks the last one up: only its key is computed.
+        let asked = memo.cached_key(&derived[2]);
+        assert_eq!(asked, Key::hash_of(derived[2].canonical_text()));
+        assert_eq!(key_of(&memo, &derived[2]), Some(asked));
+        assert!(key_of(&memo, &derived[0]).is_none());
+        // A decoded target joins unhashed too.
+        let child = IndexTarget::Query("/article/conf/INFOCOM".parse().unwrap());
+        let (targets, _) = memo
+            .read_entry(
+                Key::hash_of("e"),
+                DhtResponse::Values(vec![child.to_bytes()]),
+            )
+            .unwrap();
+        assert!(key_of(&memo, targets[0].as_query().unwrap()).is_none());
+    }
+
     /// `cargo test --release -p p2p-index-core --lib -- --ignored`: the
     /// tables stop growing on a stream of distinct queries (ROADMAP item 7).
     #[test]
@@ -544,22 +694,31 @@ mod tests {
     fn a_million_distinct_queries_leave_both_tables_bounded() {
         let mut memo = ReadMemo::default();
         // One call here is one lookup of a fresh query whose entry names one
-        // fresh query: two new known queries and one new entry.
-        let per_call = 2;
+        // fresh query, whose three generalizations are derived as the user
+        // model derives them: five new known queries and one new entry.
+        let per_call = 5;
         let mut largest = (0, 0);
+        let mut generalizations = Vec::new();
         for i in 0..1_000_000u32 {
             memo.rotate();
             let query: Query = format!("/article/title/T{i}").parse().unwrap();
             let key = memo.cached_key(&query);
-            let child = format!("Q:/article[title/T{i}][year/{}]", 1990 + i % 20);
-            memo.read_entry(key, DhtResponse::Values(vec![Bytes::from(child)]))
+            let year = 1990 + i % 20;
+            let child = format!("Q:/article[author/last/A{i}][title/T{i}][year/{year}]");
+            let (targets, _) = memo
+                .read_entry(key, DhtResponse::Values(vec![Bytes::from(child)]))
                 .unwrap();
+            generalizations.clear();
+            memo.generalizations_into(targets[0].as_query().unwrap(), &mut generalizations);
+            assert_eq!(generalizations.len(), 3);
             largest = (
                 largest.0.max(memo.query_count()),
                 largest.1.max(memo.entry_count()),
             );
         }
-        assert!(largest.0 <= 2 * GENERATION + per_call, "{largest:?}");
+        // Each generation holds at most `GENERATION - 1` entries plus what
+        // one call added before the next call rotates it.
+        assert!(largest.0 <= 2 * (GENERATION - 1 + per_call), "{largest:?}");
         assert!(largest.1 <= 2 * GENERATION + 1, "{largest:?}");
         assert!(largest.0 > GENERATION, "the stream filled a generation");
     }

@@ -35,7 +35,7 @@
 use std::borrow::Cow;
 
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::{CmpOp, Query, QueryBuilder};
+use p2p_index_xpath::{CmpOp, Query};
 
 /// The bibliographic fields a scheme indexes, borrowed from a descriptor.
 ///
@@ -106,26 +106,30 @@ impl<'a> BiblioFields<'a> {
             return None;
         };
         let values = [
-            author.map(|a| &a.0),
-            author.map(|a| &a.1),
-            self.title.as_ref(),
-            self.conf.as_ref(),
-            self.year.as_ref(),
+            author.map(|a| &*a.0),
+            author.map(|a| &*a.1),
+            self.title.as_deref(),
+            self.conf.as_deref(),
+            self.year.as_deref(),
         ];
         let bits = |set: u8| (0..5).filter(move |i| set & 1 << i != 0);
-        if bits(needs).any(|i| values[i].is_none()) {
+        if bits(needs | fields).any(|i| values[i].is_none()) {
             return None;
         }
-        let mut query = QueryBuilder::new(self.root);
-        for i in bits(fields) {
-            query = query.value(PATHS[i], values[i]?);
-        }
-        Some(query.build())
+        let query = Query::build_with(self.root, |query| {
+            for (path, value) in bits(fields).filter_map(|i| Some((PATHS[i], values[i]?))) {
+                query.value(path, value);
+            }
+        });
+        Some(query.expect("a field-set query nests four levels"))
     }
 
     /// `/root[path op term]`: a transform node's query.
     fn cut(&self, path: &str, op: CmpOp, term: &str) -> Query {
-        QueryBuilder::new(self.root).compare(path, op, term).build()
+        Query::build_with(self.root, |query| {
+            query.compare(path, op, term);
+        })
+        .expect("a transform query nests three levels")
     }
 
     /// The title's words of at least `min_len` characters.

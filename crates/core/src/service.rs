@@ -217,6 +217,9 @@ struct SearchScratch {
     level: Vec<Query>,
     /// Fresh child queries referenced by the index level being expanded.
     children: Vec<Query>,
+    /// The not-indexed generalizations of the wave in flight, in reply
+    /// order, to derive the next level from once the wave is read.
+    dead_ends: Vec<Query>,
     /// The keys of the wave in flight, in query order, for reading its
     /// replies back.
     keys: Vec<Key>,
@@ -230,6 +233,7 @@ impl SearchScratch {
         self.frontier.clear();
         self.level.clear();
         self.children.clear();
+        self.dead_ends.clear();
         self.keys.clear();
     }
 }
@@ -604,6 +608,17 @@ impl<D: Dht> IndexService<D> {
     pub fn cached_key(&mut self, query: &Query) -> Key {
         self.memo.rotate();
         self.memo.cached_key(query)
+    }
+
+    /// Appends `query`'s one-step generalizations to `out`, in
+    /// [`Query::generalizations`] order, through the client's table of
+    /// known queries: a generalization this client derived (or looked up,
+    /// or read) before is the table's copy, a refcount bump, and only a
+    /// new one is frozen and joins the table. What the §V-E user model
+    /// and [`search`](Self::search) generalize a non-indexed query with.
+    pub fn generalizations_into(&mut self, query: &Query, out: &mut Vec<Query>) {
+        self.memo.rotate();
+        self.memo.generalizations_into(query, out);
     }
 
     /// The underlying DHT (read-only).
@@ -1082,6 +1097,7 @@ impl<D: Dht> IndexService<D> {
             frontier,
             level,
             children,
+            dead_ends,
             keys,
         } = scratch;
 
@@ -1102,7 +1118,7 @@ impl<D: Dht> IndexService<D> {
         visited.insert(query.clone());
         queue.push_back((query.clone(), first));
         if query_not_indexed {
-            query.generalizations_into(frontier);
+            self.memo.generalizations_into(query, frontier);
             // Each generalization level is a wave of independent probes:
             // the whole level goes through one batched multi-get (one
             // pipelined frame pair per routed member on a networked
@@ -1136,13 +1152,21 @@ impl<D: Dht> IndexService<D> {
                                 entered = true;
                             }
                         }
-                        Some(_) => g.generalizations_into(frontier),
+                        Some(_) => dead_ends.push(g),
                         None => {
                             report.completeness.abandoned += 1;
-                            g.generalizations_into(frontier);
+                            dead_ends.push(g);
                         }
                     }
                 })?;
+                // The sink cannot borrow the memo: the next level is
+                // derived once the wave is read, in reply order (and not
+                // at all once the search entered the index).
+                if !entered {
+                    for g in dead_ends.drain(..) {
+                        self.memo.generalizations_into(&g, frontier);
+                    }
+                }
             }
         }
 

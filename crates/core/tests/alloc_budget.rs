@@ -10,10 +10,15 @@
 //!   ring answers "unchanged" with a digest, which owns no heap, and the
 //!   step hands out the memo's decoded copy.
 //!
+//! When a query is not indexed the user generalizes it (§IV-B), and a warm
+//! client takes each generalization it derived before from its table of
+//! known queries: no allocation either. Publishing builds the scheme's node
+//! queries in the thread's draft, so each costs only what the query keeps.
+//!
 //! The count is thread-local, so other tests running in parallel never
 //! touch it.
 
-use p2p_index_core::{CachePolicy, IndexService, IndexTarget, SimpleScheme};
+use p2p_index_core::{CachePolicy, IndexScheme, IndexService, IndexTarget, SimpleScheme};
 use p2p_index_dht::RingDht;
 use p2p_index_testkit::{allocs_during, Counting};
 use p2p_index_xmldoc::Descriptor;
@@ -70,4 +75,46 @@ fn a_warm_lookup_step_that_misses_the_cache_allocates_nothing() {
     assert_eq!(step.cached, None);
     assert_eq!(step.indexed.len(), 1, "SIGCOMM leads to its one conf+year");
     assert_eq!(allocs, 0, "warm cache miss made {allocs} allocations");
+}
+
+#[test]
+fn a_warm_generalization_through_the_known_queries_allocates_nothing() {
+    let (mut service, msd, _) = figure_1_service();
+    let mut generalizations = Vec::new();
+    service.generalizations_into(&msd, &mut generalizations);
+    assert_eq!(
+        generalizations,
+        msd.generalizations(),
+        "same queries, same order"
+    );
+    let first = generalizations.clone();
+    generalizations.clear();
+    let (_, allocs) = allocs_during(|| service.generalizations_into(&msd, &mut generalizations));
+    assert_eq!(generalizations, first);
+    // It was 3 per generalization (15 for the Figure 1 MSD's five
+    // branches) while every one was frozen anew.
+    assert_eq!(allocs, 0, "warm generalization made {allocs} allocations");
+}
+
+#[test]
+fn a_scheme_builds_each_node_query_with_only_what_it_keeps() {
+    let descriptor = Descriptor::parse(FIGURE_1).expect("Figure 1 parses");
+    let msd = Query::most_specific(&descriptor);
+    let warm = SimpleScheme.index_edges(&descriptor, &msd);
+    let (edges, allocs) = allocs_during(|| SimpleScheme.index_edges(&descriptor, &msd));
+    assert_eq!(edges, warm);
+    // Simple's six field-set nodes for one author (author, title, conf,
+    // year, author+title, conf+year), each built once: three allocations
+    // apiece, plus the edge list and the author list. It was 5 apiece
+    // while each was built in a `QueryBuilder`'s own draft.
+    let mut nodes: Vec<&Query> = edges.iter().flat_map(|(from, to)| [from, to]).collect();
+    nodes.retain(|q| **q != msd);
+    nodes.sort();
+    nodes.dedup();
+    assert_eq!(nodes.len(), 6);
+    let ceiling = 3 * nodes.len() as u64 + 2;
+    assert!(
+        allocs <= ceiling,
+        "index_edges made {allocs} (ceiling {ceiling})"
+    );
 }

@@ -293,13 +293,12 @@ pub enum DhtResponse {
 
 impl DhtResponse {
     /// What a [`DhtOp::GetDigest`] of `key` answers when a [`DhtOp::Get`]
-    /// of it would answer `values` — the one definition a store computes
-    /// it by, the in-process substrates derive it from their own `get`
-    /// by, and a quorum reader checks a replica's digest against the
-    /// values another replica sent by.
+    /// of it would answer `values` — the one definition a store keeps it
+    /// by ([`NodeStore::seen`](crate::NodeStore::seen)) and a quorum
+    /// reader checks a replica's digest against the values another
+    /// replica sent by.
     pub fn digest_of(key: &Key, values: &[Bytes]) -> DhtResponse {
-        let (count, sum) = Self::seen_of(key, values);
-        DhtResponse::Digest { count, sum }
+        Self::from_seen(Self::seen_of(key, values))
     }
 
     /// The `(count, sum)` pair of [`DhtResponse::digest_of`]: what a
@@ -309,16 +308,25 @@ impl DhtResponse {
         (values.len() as u32, sum)
     }
 
+    /// The digest answer of a `(count, sum)` pair — a key's digest a store
+    /// kept on write ([`NodeStore::seen`](crate::NodeStore::seen)).
+    pub fn from_seen((count, sum): (u32, u64)) -> DhtResponse {
+        DhtResponse::Digest { count, sum }
+    }
+
     /// What a [`DhtOp::GetIfChanged`] of `key` against `seen` answers when
     /// a [`DhtOp::Get`] of it would answer `values`: the digest alone when
-    /// they still digest to `seen` — compared in place, no list built —
-    /// and a copy of the list otherwise.
+    /// they still digest to `seen` and a copy of the list otherwise.
     pub fn if_changed(key: &Key, seen: (u32, u64), values: &[Bytes]) -> DhtResponse {
-        if values.len() == seen.0 as usize && Self::seen_of(key, values) == seen {
-            DhtResponse::Digest {
-                count: seen.0,
-                sum: seen.1,
-            }
+        Self::if_changed_held(Self::seen_of(key, values), seen, values)
+    }
+
+    /// [`DhtResponse::if_changed`] for a store that keeps the digest of
+    /// each key's `values` on write (`held`): the pairs are compared, no
+    /// value is hashed, and the list is copied only when it changed.
+    pub fn if_changed_held(held: (u32, u64), seen: (u32, u64), values: &[Bytes]) -> DhtResponse {
+        if held == seen {
+            Self::from_seen(seen)
         } else {
             DhtResponse::Values(values.to_vec())
         }

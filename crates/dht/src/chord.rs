@@ -626,28 +626,31 @@ impl ChordNetwork {
     /// The one read: route (accounted), then one request/response pair per
     /// member asked — the routed owner and, while the answer is empty, the
     /// rest of the replica set in order (DHash-style: a freshly responsible
-    /// node may not hold the data yet). Borrowed, so a digest is hashed in
-    /// place and only a `Values` answer copies the list.
-    fn read(&self, key: &Key) -> &[Bytes] {
+    /// node may not hold the data yet). Borrowed, with the digest the
+    /// answering store keeps, so a digest read hashes nothing and only a
+    /// `Values` answer copies the list.
+    fn read(&self, key: &Key) -> (&[Bytes], (u32, u64)) {
         let Some(owner) = self.route(key) else {
-            return &[];
+            return (&[], (0, 0));
         };
         let ask = |node: &Key| {
             self.bump_messages(2); // fetch request + response
-            self.stores.get(node).map_or(&[][..], |s| s.get(key))
+            self.stores
+                .get(node)
+                .map_or((&[][..], (0, 0)), |s| s.entry(key))
         };
-        let mut values = ask(&owner);
-        if values.is_empty() {
+        let mut held = ask(&owner);
+        if held.0.is_empty() {
             for replica in self.replica_set(key) {
-                if !values.is_empty() {
+                if !held.0.is_empty() {
                     break;
                 }
                 if replica != owner {
-                    values = ask(&replica);
+                    held = ask(&replica);
                 }
             }
         }
-        values
+        held
     }
 }
 
@@ -668,15 +671,16 @@ impl Dht for ChordNetwork {
                 Ok(DhtResponse::Node(NodeId::from_key(owner)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, self.read(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).1)),
             DhtOp::GetIfChanged { key, seen } => {
-                Ok(DhtResponse::if_changed(&key, seen, self.read(&key)))
+                let (values, held) = self.read(&key);
+                Ok(DhtResponse::if_changed_held(held, seen, values))
             }
             DhtOp::Put { key, value } => self
                 .write(&key, |store| store.put(key, value.clone()))
                 .map(DhtResponse::Stored),
             DhtOp::Remove { key, value } => self
-                .write(&key, |store| store.remove(&key, &value))
+                .write(&key, |store| store.remove(&key, &value).is_some())
                 .map(DhtResponse::Removed),
         }
     }
@@ -690,7 +694,7 @@ impl Dht for ChordNetwork {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.read(key).to_vec()
+        self.read(key).0.to_vec()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {

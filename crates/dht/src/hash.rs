@@ -113,13 +113,18 @@ impl Sha1 {
     /// Completes the hash and returns the 20-byte digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
-        }
+        // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+        // big-endian bit length — one `update` of 1..=64 bytes, since the
+        // tail holds 0..=63 of them.
+        const PAD: [u8; 64] = {
+            let mut pad = [0u8; 64];
+            pad[0] = 0x80;
+            pad
+        };
+        self.update(&PAD[..1 + (119 - self.buf_len) % 64]);
         // `update` would double-count the length bytes, so splice them in
         // manually and compress the final block.
+        debug_assert_eq!(self.buf_len, 56);
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -271,6 +276,29 @@ mod tests {
                 inc.update(&msg[mid..]);
             }
             assert_eq!(inc.finalize(), one, "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_around_block_boundaries_matches_reference_digests() {
+        // `0xAB` × n, digested by Python's `hashlib.sha1`: the padding
+        // fills the tail block (n = 55), spills into a second one (56, 57,
+        // 63), or starts on an empty tail (0, 64, 120). The test above
+        // compares two ways of feeding the same `finalize`; these pin what
+        // `finalize` itself must produce.
+        let reference = [
+            (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (55, "6090c2fa6dd5cbd5c13f464e7001b0e4d10a138f"),
+            (56, "6fa5580ac496dbf805006c3c0d103c1784690815"),
+            (57, "7a3a177241cb58a755fcf2174ef5d801ae9fa704"),
+            (63, "7612ebff94a5bd9aa26341e337df6d317904d707"),
+            (64, "19167c83c72622dfeacbaa547af1e68786e3dd36"),
+            (65, "205e0d061b826e5f0fee08f144fbac415149c627"),
+            (119, "2400e634e0ba1ddddb3c3bb8e2b225a847eda6a7"),
+            (120, "97552dfb88f3fdedf3f8d17df685af2bb3bd3dd4"),
+        ];
+        for (len, digest) in reference {
+            assert_eq!(hex(&sha1(&vec![0xABu8; len])), digest, "len {len}");
         }
     }
 

@@ -7,9 +7,8 @@
 //! need this rule and must never disagree:
 //!
 //! * [`ChordNetwork`](crate::chord::ChordNetwork) places primaries,
-//!   replica sets and finger targets with it
-//!   ([`RingDht`](crate::ring::RingDht) applies the same rule through its
-//!   own `BTreeMap::range` successor lookup; `ring.rs`'s
+//!   replica sets and finger targets with it, and
+//!   [`RingDht`](crate::ring::RingDht) routes every op with it (`ring.rs`'s
 //!   `matches_chord_placement` test pins that the two agree);
 //! * the networked client (`RemoteDht` in `p2p-index-net`) routes
 //!   operations to replica members with it;
@@ -27,7 +26,8 @@ use crate::key::Key;
 /// node at or after `key`, wrapping to the ring's first node.
 ///
 /// `ring` must be sorted ascending and free of duplicates (the natural
-/// state of a node-key list collected from a `BTreeMap`). Returns
+/// state of a node-key list collected from a `BTreeMap`, or kept sorted
+/// by binary-search inserts as `RingDht` keeps its own). Returns
 /// `None` only for an empty ring.
 pub fn successor_index(ring: &[Key], key: &Key) -> Option<usize> {
     if ring.is_empty() {

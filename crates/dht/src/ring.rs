@@ -4,8 +4,9 @@
 //! assume that the underlying DHT is able to find a node *n* responsible for
 //! a given key *k*" (§V-A). [`RingDht`] is exactly that assumption turned
 //! into code — node placement identical to Chord (`successor(key)` on the
-//! identifier circle) but resolved with one ordered-map successor lookup
-//! (`BTreeMap::range`, O(log n)) instead of routed hops. It is the
+//! identifier circle) resolved with the one routing rule every layer uses,
+//! [`placement::successor_index`] (a binary search of the sorted node
+//! positions, O(log n)), instead of routed hops. It is the
 //! substrate used for the 500-node × 50 000-query simulations; the
 //! [`Chord`](crate::chord) substrate exists to show the indexing layer
 //! really does run over the full protocol
@@ -19,12 +20,11 @@
 //! (`sim-lookup`, every cluster twin), where Chord's `Vec<Key>` replica
 //! set per operation would be pure cost.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 
 use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::key::Key;
+use crate::placement;
 use crate::storage::NodeStore;
 
 /// A consistent-hash ring with per-node multi-value stores.
@@ -46,10 +46,11 @@ use crate::storage::NodeStore;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct RingDht {
-    /// Node position → that node's store, ordered around the identifier
-    /// circle. One map serves as both the ring ordering and the storage
-    /// table: `range(key..)` resolves the clockwise successor in O(log n).
-    stores: BTreeMap<Key, NodeStore>,
+    /// Node positions, ascending around the identifier circle:
+    /// [`placement::successor_index`] over them names a key's owner.
+    ids: Vec<Key>,
+    /// `stores[i]` is the store of the node at `ids[i]`.
+    stores: Vec<NodeStore>,
     counters: PairCounters,
 }
 
@@ -81,25 +82,23 @@ impl RingDht {
     /// successor, as in a DHT join.
     pub fn add_node(&mut self, id: NodeId) -> bool {
         let key = *id.key();
-        if self.stores.contains_key(&key) {
+        let Err(at) = self.ids.binary_search(&key) else {
             return false;
-        }
+        };
         // Take over (pred, id] from the current owner (our successor), both
         // resolved against the ring as it is *before* the join.
-        let moved = match (self.successor(&key), self.predecessor(&key)) {
-            (Some(succ), Some(pred)) => self
-                .stores
-                .get_mut(&succ)
-                .map(|s| s.split_off_interval(&pred, &key))
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        let store = self.stores.entry(key).or_default();
-        for (k, values) in moved {
-            for v in values {
-                store.put(k, v);
+        let mut store = NodeStore::new();
+        if !self.ids.is_empty() {
+            let len = self.ids.len();
+            let pred = self.ids[(at + len - 1) % len];
+            for (k, values) in self.stores[at % len].split_off_interval(&pred, &key) {
+                for v in values {
+                    store.put(k, v);
+                }
             }
         }
+        self.ids.insert(at, key);
+        self.stores.insert(at, store);
         true
     }
 
@@ -107,11 +106,13 @@ impl RingDht {
     /// if the node was not present.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
         let key = *id.key();
-        let Some(store) = self.stores.remove(&key) else {
+        let Ok(at) = self.ids.binary_search(&key) else {
             return false;
         };
-        if let Some(succ) = self.owner(&key) {
-            let succ_store = self.stores.entry(*succ.key()).or_default();
+        self.ids.remove(at);
+        let store = self.stores.remove(at);
+        if let Some(succ) = placement::successor_index(&self.ids, &key) {
+            let succ_store = &mut self.stores[succ];
             for (k, values) in store.iter() {
                 for v in values {
                     succ_store.put(*k, v.clone());
@@ -121,75 +122,62 @@ impl RingDht {
         true
     }
 
-    /// The first node clockwise at or after `key` (wrapping to the lowest
-    /// position), or `None` on an empty ring.
-    fn successor(&self, key: &Key) -> Option<Key> {
-        self.stores
-            .range(*key..)
-            .next()
-            .or_else(|| self.stores.iter().next())
-            .map(|(k, _)| *k)
-    }
-
-    /// The first node strictly before `key` (wrapping to the highest
-    /// position), or `None` on an empty ring.
-    fn predecessor(&self, key: &Key) -> Option<Key> {
-        self.stores
-            .range(..*key)
-            .next_back()
-            .or_else(|| self.stores.iter().next_back())
-            .map(|(k, _)| *k)
-    }
-
     /// The node responsible for `key`, without touching the counters:
-    /// an O(log n) `BTreeMap::range` successor lookup.
+    /// [`placement::successor_index`] over the node positions.
     pub fn owner(&self, key: &Key) -> Option<NodeId> {
-        self.successor(key).map(NodeId::from_key)
+        placement::successor_index(&self.ids, key).map(|at| NodeId::from_key(self.ids[at]))
     }
 
     /// Read-only view of one node's store.
     pub fn store_of(&self, id: &NodeId) -> Option<&NodeStore> {
-        self.stores.get(id.key())
+        let at = self.ids.binary_search(id.key()).ok()?;
+        Some(&self.stores[at])
     }
 
     /// Per-node `(id, key_count, value_bytes)` in ring order — the input to
     /// the storage-distribution experiments.
     pub fn storage_distribution(&self) -> Vec<(NodeId, usize, usize)> {
-        self.stores
+        self.ids
             .iter()
+            .zip(&self.stores)
             .map(|(id, s)| (NodeId::from_key(*id), s.key_count(), s.value_bytes()))
             .collect()
     }
 
     /// Total value bytes stored across all nodes (index storage footprint).
     pub fn total_value_bytes(&self) -> usize {
-        self.stores.values().map(NodeStore::value_bytes).sum()
+        self.stores.iter().map(NodeStore::value_bytes).sum()
     }
 
     /// Total distinct keys across all nodes.
     pub fn total_keys(&self) -> usize {
-        self.stores.values().map(NodeStore::key_count).sum()
+        self.stores.iter().map(NodeStore::key_count).sum()
     }
-}
 
-impl RingDht {
-    /// The one read: the owner's values under `key`, borrowed, accounted
-    /// as one `get` pair. Every read op answers from this slice, so a
-    /// digest is hashed in place and only a `Values` answer copies it.
-    fn read(&self, key: &Key) -> &[Bytes] {
-        match self.owner(key) {
-            Some(owner) => {
+    /// The store of `key`'s owner, or `None` on an empty ring.
+    fn store_for(&mut self, key: &Key) -> Option<&mut NodeStore> {
+        let at = placement::successor_index(&self.ids, key)?;
+        Some(&mut self.stores[at])
+    }
+
+    /// The one read: the owner's values under `key`, borrowed, and their
+    /// digest as the store keeps it, accounted as one `get` pair. Every
+    /// read op answers from these: a digest or an unchanged conditional
+    /// read hashes nothing, and only a `Values` answer copies the list.
+    fn read(&self, key: &Key) -> (&[Bytes], (u32, u64)) {
+        match placement::successor_index(&self.ids, key) {
+            Some(at) => {
                 self.counters.record_pair("get", true);
-                self.stores[owner.key()].get(key)
+                self.stores[at].entry(key)
             }
-            None => &[],
+            None => (&[], (0, 0)),
         }
     }
 }
 
 impl Dht for RingDht {
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if self.stores.is_empty() {
+        if self.ids.is_empty() {
             return Err(DhtError::NoLiveNodes);
         }
         match op {
@@ -198,29 +186,20 @@ impl Dht for RingDht {
                 Ok(DhtResponse::Node(owner))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::digest_of(&key, self.read(&key))),
+            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).1)),
             DhtOp::GetIfChanged { key, seen } => {
-                Ok(DhtResponse::if_changed(&key, seen, self.read(&key)))
+                let (values, held) = self.read(&key);
+                Ok(DhtResponse::if_changed_held(held, seen, values))
             }
             DhtOp::Put { key, value } => {
-                let owner = self.owner(&key).expect("non-empty ring has an owner");
                 self.counters.record_pair("put", true);
-                let stored = self
-                    .stores
-                    .get_mut(owner.key())
-                    .expect("owner has a store")
-                    .put(key, value);
-                Ok(DhtResponse::Stored(stored))
+                let store = self.store_for(&key).expect("non-empty ring has an owner");
+                Ok(DhtResponse::Stored(store.put(key, value)))
             }
             DhtOp::Remove { key, value } => {
-                let owner = self.owner(&key).expect("non-empty ring has an owner");
                 self.counters.record_pair("remove", true);
-                let removed = self
-                    .stores
-                    .get_mut(owner.key())
-                    .expect("owner has a store")
-                    .remove(&key, &value);
-                Ok(DhtResponse::Removed(removed))
+                let store = self.store_for(&key).expect("non-empty ring has an owner");
+                Ok(DhtResponse::Removed(store.remove(&key, &value).is_some()))
             }
         }
     }
@@ -230,15 +209,15 @@ impl Dht for RingDht {
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.stores.keys().copied().map(NodeId::from_key).collect()
+        self.ids.iter().copied().map(NodeId::from_key).collect()
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.read(key).to_vec()
+        self.read(key).0.to_vec()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        crate::storage::merged_entries(self.stores.values())
+        crate::storage::merged_entries(self.stores.iter())
     }
 
     fn stats(&self) -> DhtStats {
@@ -246,7 +225,7 @@ impl Dht for RingDht {
     }
 
     fn len(&self) -> usize {
-        self.stores.len()
+        self.ids.len()
     }
 }
 

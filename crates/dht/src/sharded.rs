@@ -147,23 +147,23 @@ impl Shard {
     }
 
     /// Stores `(key, value)`, copied, keeping the sum of its arc on `ring`
-    /// if it is new: whether it was.
+    /// if it is new: whether it was. The store hashes the pair once, for
+    /// its key's kept digest, and the arc sum moves by that same hash.
     fn store_pair(&mut self, ring: &[Key], key: Key, value: &Bytes) -> bool {
         let stored = self.store.put_copied(key, value);
-        if stored {
-            self.keep(ring, digest::STORED, &key, value, true);
+        if let Some(hash) = stored {
+            self.keep(ring, &key, hash, true);
         }
-        stored
+        stored.is_some()
     }
 
-    /// Moves the sum of `key`'s arc on `ring` by the hash of the pair
-    /// `(key, value)` as a member of `class`: up when the pair `arrived`,
-    /// down when it left. A store without a ring keeps no sums.
-    fn keep(&mut self, ring: &[Key], class: u64, key: &Key, value: &Bytes, arrived: bool) {
+    /// Moves the sum of `key`'s arc on `ring` by `hash`, one pair's hash
+    /// ([`digest::pair_digest`]): up when the pair `arrived`, down when it
+    /// left. A store without a ring keeps no sums.
+    fn keep(&mut self, ring: &[Key], key: &Key, hash: u64, arrived: bool) {
         let Some(arc) = placement::successor_index(ring, key) else {
             return;
         };
-        let hash = values_digest(class, key, std::iter::once(value));
         let sum = &mut self.sums[arc];
         *sum = if arrived {
             sum.wrapping_add(hash)
@@ -331,18 +331,20 @@ impl ShardedDht {
             DhtOp::NodeFor(_) => Ok(DhtResponse::Node(self.id)),
             DhtOp::Get(key) => Ok(DhtResponse::Values(Dht::get(self, &key))),
             DhtOp::GetDigest(key) => {
-                // Hashed in place under the read guard: no list is built
-                // and no value is cloned for a replica that only vouches.
+                // The digest the store keeps, read under the read guard: no
+                // list is built and no value is hashed or cloned for a
+                // replica that only vouches.
                 self.counters.record_pair("get", true);
                 let shard = self.read_shard(self.shard_of(&key));
-                Ok(DhtResponse::digest_of(&key, shard.store.get(&key)))
+                Ok(DhtResponse::from_seen(shard.store.seen(&key)))
             }
             DhtOp::GetIfChanged { key, seen } => {
-                // Compared in place under the read guard, like a digest:
-                // the list is cloned only when it changed.
+                // Compared with the kept digest under the read guard: the
+                // list is cloned only when it changed.
                 self.counters.record_pair("get", true);
                 let shard = self.read_shard(self.shard_of(&key));
-                Ok(DhtResponse::if_changed(&key, seen, shard.store.get(&key)))
+                let (values, held) = shard.store.entry(&key);
+                Ok(DhtResponse::if_changed_held(held, seen, values))
             }
             DhtOp::Put { key, value } => {
                 self.counters.record_pair("put", true);
@@ -353,7 +355,8 @@ impl ShardedDht {
                         shard.deleted.remove(&key);
                     }
                     if lifted {
-                        shard.keep(&self.ring, digest::DEAD, &key, &value, false);
+                        let hash = digest::pair_digest(digest::DEAD, &key, &value);
+                        shard.keep(&self.ring, &key, hash, false);
                     }
                 }
                 let stored = shard.store_pair(&self.ring, key, &value);
@@ -363,17 +366,18 @@ impl ShardedDht {
                 self.counters.record_pair("remove", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
                 let removed = shard.store.remove(&key, &value);
-                if removed {
-                    shard.keep(&self.ring, digest::STORED, &key, &value, false);
+                if let Some(hash) = removed {
+                    shard.keep(&self.ring, &key, hash, false);
                 }
                 if !self.ring.is_empty() {
                     let dead = shard.deleted.entry(key).or_default();
                     if !dead.contains(&value) {
                         dead.insert(Bytes::copy_from_slice(&value));
-                        shard.keep(&self.ring, digest::DEAD, &key, &value, true);
+                        let hash = digest::pair_digest(digest::DEAD, &key, &value);
+                        shard.keep(&self.ring, &key, hash, true);
                     }
                 }
-                Ok(DhtResponse::Removed(removed))
+                Ok(DhtResponse::Removed(removed.is_some()))
             }
         }
     }

@@ -3,7 +3,9 @@
 //! The client holds the cluster membership (node id → address) and routes
 //! exactly like [`RingDht`](p2p_index_dht::RingDht): the node responsible
 //! for a key is its clockwise successor on the identifier circle, resolved
-//! with one local `BTreeMap::range` lookup. Only storage operations (put /
+//! locally by the same binary search
+//! ([`p2p_index_dht::placement::successor_index`]).
+//! Only storage operations (put /
 //! get / remove) cross the wire — `NodeFor` is answered locally at zero
 //! message cost, mirroring the in-process substrates — so a cluster of
 //! single-node servers named `node-0..n-1` produces results and message

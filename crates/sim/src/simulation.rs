@@ -613,7 +613,7 @@ pub fn user_search_buffered<D: Dht>(
         }
         if !tried_generalizing {
             tried_generalizing = true;
-            current.generalizations_into(generalizations);
+            service.generalizations_into(&current, generalizations);
         }
         match generalizations.pop() {
             Some(g) => {

@@ -20,7 +20,7 @@
 //! its node array, its text buffer and the `Arc` that holds both, and
 //! nothing else.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
@@ -260,6 +260,26 @@ struct Frozen {
 const NO_SKIP: usize = usize::MAX;
 
 impl Frozen {
+    /// An empty renderer; allocates nothing until written to.
+    const fn new() -> Frozen {
+        Frozen {
+            nodes: Vec::new(),
+            canon: String::new(),
+            raw: String::new(),
+            in_raw: Vec::new(),
+        }
+    }
+
+    /// Renders `root` minus the subtree at `skip`, leaving its canonical
+    /// text in `canon` for [`freeze`](Self::freeze) or a lookup.
+    fn render(&mut self, root: NodeRef<'_>, skip: usize) {
+        self.nodes.clear();
+        self.canon.clear();
+        self.raw.clear();
+        self.in_raw.clear();
+        self.emit(root, skip, false);
+    }
+
     /// Renders the subtree of `node`, minus the subtree rooted at index
     /// `skip`, in canonical syntax, laying its nodes out as it goes.
     /// `relative` suppresses the `/` of the first step inside a predicate
@@ -365,16 +385,6 @@ impl Frozen {
     }
 }
 
-/// Renders `root` minus the subtree at `skip` and freezes the result.
-fn render(root: NodeRef<'_>, skip: usize, out: &mut Frozen) -> Query {
-    out.nodes.clear();
-    out.canon.clear();
-    out.raw.clear();
-    out.in_raw.clear();
-    out.emit(root, skip, false);
-    out.freeze()
-}
-
 /// Lays a normalized draft out in pre-order, every span pointing into the
 /// draft's own text: the renderer's input.
 fn stage(draft: &Draft, id: NodeId, nodes: &mut Vec<Node>) {
@@ -396,9 +406,9 @@ fn stage(draft: &Draft, id: NodeId, nodes: &mut Vec<Node>) {
 }
 
 /// Per-thread buffers of construction, so that building a query allocates
-/// only what the query keeps: the draft the parser and
-/// [`Query::most_specific`] write into, and the freeze step's sorting
-/// room, staging array and renderer.
+/// only what the query keeps: the draft the parser,
+/// [`Query::most_specific`] and [`Query::build_with`] write into, and the
+/// freeze step's sorting room, staging array and renderer.
 struct Scratch {
     draft: Draft,
     order: Vec<NodeId>,
@@ -406,20 +416,37 @@ struct Scratch {
     out: Frozen,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
+impl Scratch {
+    /// Empty buffers; allocates nothing until written to.
+    const fn new() -> Scratch {
+        Scratch {
             draft: Draft::new(),
             order: Vec::new(),
             staged: Vec::new(),
-            out: Frozen {
-                nodes: Vec::new(),
-                canon: String::new(),
-                raw: String::new(),
-                in_raw: Vec::new(),
-            },
-        })
-    };
+            out: Frozen::new(),
+        }
+    }
+}
+
+impl Default for Scratch {
+    fn default() -> Scratch {
+        Scratch::new()
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const { Cell::new(Scratch::new()) };
+}
+
+/// Runs `f` on this thread's construction buffers, moved out of their slot
+/// for the call: code `f` calls back into (a builder's closure, a
+/// [`KnownQueries`] table) may build queries of its own, which then work
+/// on fresh buffers instead of finding these borrowed.
+fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    let mut scratch = SCRATCH.take();
+    let result = f(&mut scratch);
+    SCRATCH.set(scratch);
+    result
 }
 
 /// Normalizes the draft rooted at node 0 and freezes it, rendering the
@@ -439,7 +466,8 @@ fn freeze_draft(
         text: draft.buffer(),
         index: 0,
     };
-    Ok(render(root, NO_SKIP, out))
+    out.render(root, NO_SKIP);
+    Ok(out.freeze())
 }
 
 /// A normalized query over descriptors.
@@ -516,28 +544,28 @@ impl Query {
     /// Normalizes a draft (its root is node 0) and freezes it, rendering
     /// the canonical text exactly once. The draft is left sorted.
     pub(crate) fn from_draft(draft: &mut Draft) -> Result<Query, TooDeep> {
-        SCRATCH.with(|scratch| {
+        with_scratch(|scratch| {
             let Scratch {
                 order, staged, out, ..
-            } = &mut *scratch.borrow_mut();
+            } = scratch;
             freeze_draft(draft, order, staged, out)
         })
     }
 
     /// Lets `write` build a query in this thread's draft, then freezes it:
-    /// the parser's and [`most_specific`](Query::most_specific)'s path,
-    /// which allocates nothing but the query. The outer error is
-    /// `write`'s own.
+    /// the parser's, [`most_specific`](Query::most_specific)'s and
+    /// [`build_with`](Query::build_with)'s path, which allocates nothing
+    /// but the query. The outer error is `write`'s own.
     pub(crate) fn in_scratch<E>(
         write: impl FnOnce(&mut Draft) -> Result<(), E>,
     ) -> Result<Result<Query, TooDeep>, E> {
-        SCRATCH.with(|scratch| {
+        with_scratch(|scratch| {
             let Scratch {
                 draft,
                 order,
                 staged,
                 out,
-            } = &mut *scratch.borrow_mut();
+            } = scratch;
             draft.clear();
             write(draft)?;
             Ok(freeze_draft(draft, order, staged, out))
@@ -585,7 +613,10 @@ impl Query {
     /// Every level stays sorted and deduplicated when a subtree goes, so
     /// this is one pass over the frozen nodes: no tree, no sort.
     fn without(&self, branch: usize) -> Query {
-        SCRATCH.with(|scratch| render(self.root(), branch, &mut scratch.borrow_mut().out))
+        with_scratch(|scratch| {
+            scratch.out.render(self.root(), branch);
+            scratch.out.freeze()
+        })
     }
 
     /// A copy of this query with top-level branch `index` removed — the
@@ -609,10 +640,58 @@ impl Query {
 
     /// Appends all one-step generalizations to `out` — the sibling of
     /// [`generalizations`](Self::generalizations) for hot loops that keep a
-    /// reusable frontier buffer.
+    /// reusable frontier buffer. It is
+    /// [`generalizations_known`](Self::generalizations_known) with a table
+    /// that holds nothing, so every generalization is frozen anew.
     pub fn generalizations_into(&self, out: &mut Vec<Query>) {
-        out.extend(self.top_branches().map(|b| self.without(b.index)));
+        self.generalizations_known(&mut (), out);
     }
+
+    /// Appends all one-step generalizations to `out`, in
+    /// [`generalizations`](Self::generalizations) order, taking each from
+    /// `known` when it holds the generalization's canonical text. Each
+    /// text is rendered into this thread's buffers, and only a text
+    /// `known` lacks is frozen — then handed to [`KnownQueries::add`] — so
+    /// a generalization the table holds costs a lookup and a refcount
+    /// bump, not an allocation.
+    pub fn generalizations_known(&self, known: &mut impl KnownQueries, out: &mut Vec<Query>) {
+        with_scratch(|scratch| {
+            for branch in self.top_branches() {
+                scratch.out.render(self.root(), branch.index);
+                let query = match known.find(&scratch.out.canon) {
+                    Some(query) => query,
+                    None => {
+                        let query = scratch.out.freeze();
+                        known.add(&query);
+                        query
+                    }
+                };
+                out.push(query);
+            }
+        });
+    }
+}
+
+/// A table of queries by canonical text, which
+/// [`Query::generalizations_known`] asks before it freezes a
+/// generalization: a client's known queries, say, so that a warm client
+/// derives the generalizations it derived before without allocating.
+pub trait KnownQueries {
+    /// The query whose canonical text is `text`, if the table holds it.
+    fn find(&mut self, text: &str) -> Option<Query>;
+
+    /// Takes in `query`, just frozen because [`find`](Self::find) did not
+    /// hold its text.
+    fn add(&mut self, query: &Query);
+}
+
+/// The table that holds nothing: every generalization is frozen.
+impl KnownQueries for () {
+    fn find(&mut self, _text: &str) -> Option<Query> {
+        None
+    }
+
+    fn add(&mut self, _query: &Query) {}
 }
 
 impl fmt::Display for Query {

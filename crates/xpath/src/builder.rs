@@ -11,12 +11,21 @@
 //! d" — from a descriptor, the query that is `≡ d` and hashes to the file's
 //! storage key.
 //!
-//! Both write straight into a draft, the index-linked arena behind every
-//! constructor, and freeze it. A builder owns its draft: one node array
-//! and one text buffer, sized so that a scheme's queries never regrow
-//! them. So a `QueryBuilder::new(..).value(..).build()` chain allocates
-//! those two and the three the frozen query keeps, and `most_specific`,
-//! which writes into this thread's draft, allocates only the three.
+//! All of them write straight into a draft, the index-linked arena behind
+//! every constructor, and freeze it. Which draft is the one difference:
+//!
+//! - a [`QueryBuilder`] owns its draft — one node array and one text
+//!   buffer, sized so that a scheme's queries never regrow them — because
+//!   builders nest ([`QueryBuilder::branch`]) and clone. A
+//!   `QueryBuilder::new(..).value(..).build()` chain allocates those two
+//!   and the three the frozen query keeps;
+//! - [`Query::most_specific`] writes into this thread's draft, the one
+//!   the parser uses, and so does [`Query::build_with`], which runs the
+//!   builder's own steps ([`QuerySteps`]) there: both allocate only the
+//!   three the query keeps. Index schemes build their node queries with
+//!   `build_with`.
+
+use std::borrow::BorrowMut;
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
@@ -50,26 +59,17 @@ const TEXT: usize = 128;
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryBuilder {
-    /// The query so far; node 0 is the root. Never deeper than
-    /// [`MAX_DEPTH`]: a constraint that would not fit is dropped and
-    /// remembered in `too_deep` instead.
-    draft: Draft,
-    /// How deep the draft nests (the root alone is 1).
-    depth: usize,
-    too_deep: bool,
+    /// The query so far, in a draft of the builder's own.
+    steps: Steps<Draft>,
 }
 
 impl QueryBuilder {
     /// Starts a query rooted at element `root` (e.g. `"article"`).
     pub fn new(root: impl AsRef<str>) -> QueryBuilder {
         let root = root.as_ref();
-        let mut draft = Draft::with_capacity(NODES, TEXT + root.len());
-        let name = draft.push_text(root);
-        draft.add(None, name);
+        let draft = Draft::with_capacity(NODES, TEXT + root.len());
         QueryBuilder {
-            draft,
-            depth: 1,
-            too_deep: false,
+            steps: Steps::start(draft, root),
         }
     }
 
@@ -77,17 +77,14 @@ impl QueryBuilder {
     /// (a value-leaf step, `…/title/TCP` style).
     #[must_use]
     pub fn value(mut self, path: &str, value: impl AsRef<str>) -> QueryBuilder {
-        if let Some(node) = self.descend(path, 1) {
-            let value = self.draft.push_text(value.as_ref());
-            self.draft.add(Some(node), value);
-        }
+        self.steps.value(path, value.as_ref());
         self
     }
 
     /// Requires the element at `path` to exist.
     #[must_use]
     pub fn exists(mut self, path: &str) -> QueryBuilder {
-        let _ = self.descend(path, 0);
+        self.steps.exists(path);
         self
     }
 
@@ -95,10 +92,7 @@ impl QueryBuilder {
     /// (`[title^=TC]` style).
     #[must_use]
     pub fn compare(mut self, path: &str, op: CmpOp, value: impl AsRef<str>) -> QueryBuilder {
-        if let Some(node) = self.descend(path, 0) {
-            let value = self.draft.push_text(value.as_ref());
-            self.draft.set_comparison(node, op, value);
-        }
+        self.steps.compare(path, op, value.as_ref());
         self
     }
 
@@ -110,12 +104,13 @@ impl QueryBuilder {
         branch_root: &str,
         f: impl FnOnce(QueryBuilder) -> QueryBuilder,
     ) -> QueryBuilder {
-        let sub = f(QueryBuilder::new(branch_root));
+        let sub = f(QueryBuilder::new(branch_root)).steps;
+        let steps = &mut self.steps;
         if sub.too_deep || 1 + sub.depth > MAX_DEPTH {
-            self.too_deep = true;
+            steps.too_deep = true;
         } else {
-            self.draft.graft(0, &sub.draft);
-            self.depth = self.depth.max(1 + sub.depth);
+            steps.draft.graft(0, &sub.draft);
+            steps.depth = steps.depth.max(1 + sub.depth);
         }
         self
     }
@@ -128,6 +123,79 @@ impl QueryBuilder {
     /// `Query::try_from(builder)` returns that as [`TooDeep`] instead.
     pub fn build(self) -> Query {
         Query::try_from(self).expect("a built query nests at most MAX_DEPTH levels")
+    }
+}
+
+/// The steps of a [`QueryBuilder`] over this thread's draft: what
+/// [`Query::build_with`] hands its closure.
+#[derive(Debug)]
+pub struct QuerySteps<'d>(Steps<&'d mut Draft>);
+
+impl QuerySteps<'_> {
+    /// [`QueryBuilder::value`].
+    pub fn value(&mut self, path: &str, value: &str) -> &mut Self {
+        self.0.value(path, value);
+        self
+    }
+
+    /// [`QueryBuilder::exists`].
+    pub fn exists(&mut self, path: &str) -> &mut Self {
+        self.0.exists(path);
+        self
+    }
+
+    /// [`QueryBuilder::compare`].
+    pub fn compare(&mut self, path: &str, op: CmpOp, value: &str) -> &mut Self {
+        self.0.compare(path, op, value);
+        self
+    }
+}
+
+/// A query under construction and how deep it nests, over a draft the
+/// steps own ([`QueryBuilder`]) or borrow ([`QuerySteps`]): one set of
+/// steps for both.
+#[derive(Debug, Clone)]
+struct Steps<D> {
+    /// The query so far; node 0 is the root. Never deeper than
+    /// [`MAX_DEPTH`]: a constraint that would not fit is dropped and
+    /// remembered in `too_deep` instead.
+    draft: D,
+    /// How deep the draft nests (the root alone is 1).
+    depth: usize,
+    too_deep: bool,
+}
+
+impl<D: BorrowMut<Draft>> Steps<D> {
+    /// Writes the root `root` into `draft`, which must be empty.
+    fn start(mut draft: D, root: &str) -> Steps<D> {
+        let d = draft.borrow_mut();
+        let name = d.push_text(root);
+        d.add(None, name);
+        Steps {
+            draft,
+            depth: 1,
+            too_deep: false,
+        }
+    }
+
+    fn value(&mut self, path: &str, value: &str) {
+        if let Some(node) = self.descend(path, 1) {
+            let draft = self.draft.borrow_mut();
+            let value = draft.push_text(value);
+            draft.add(Some(node), value);
+        }
+    }
+
+    fn exists(&mut self, path: &str) {
+        let _ = self.descend(path, 0);
+    }
+
+    fn compare(&mut self, path: &str, op: CmpOp, value: &str) {
+        if let Some(node) = self.descend(path, 0) {
+            let draft = self.draft.borrow_mut();
+            let value = draft.push_text(value);
+            draft.set_comparison(node, op, value);
+        }
     }
 
     /// Walks (creating as needed) the child chain for `path`, merging with
@@ -142,13 +210,14 @@ impl QueryBuilder {
             return None;
         }
         self.depth = self.depth.max(depth);
+        let draft = self.draft.borrow_mut();
         let mut node = 0;
         for step in steps() {
-            node = match self.draft.step(node, step) {
+            node = match draft.step(node, step) {
                 Some(existing) => existing,
                 None => {
-                    let name = self.draft.push_text(step);
-                    self.draft.add(Some(node), name)
+                    let name = draft.push_text(step);
+                    draft.add(Some(node), name)
                 }
             };
         }
@@ -161,15 +230,58 @@ impl TryFrom<QueryBuilder> for Query {
 
     /// [`QueryBuilder::build`], with a constraint nested deeper than
     /// [`MAX_DEPTH`] reported instead of panicking.
-    fn try_from(mut builder: QueryBuilder) -> Result<Query, TooDeep> {
-        if builder.too_deep {
+    fn try_from(builder: QueryBuilder) -> Result<Query, TooDeep> {
+        let Steps {
+            mut draft,
+            too_deep,
+            ..
+        } = builder.steps;
+        if too_deep {
             return Err(TooDeep);
         }
-        Query::from_draft(&mut builder.draft)
+        Query::from_draft(&mut draft)
     }
 }
 
 impl Query {
+    /// Builds the query rooted at element `root` that `steps` describes,
+    /// in this thread's draft: what the same [`QueryBuilder`] chain
+    /// builds, allocating only the three things the query keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`TooDeep`] if a constraint nested deeper than [`MAX_DEPTH`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use p2p_index_xpath::{Query, QueryBuilder};
+    ///
+    /// let q = Query::build_with("article", |q| {
+    ///     q.value("author/last", "Smith").value("conf", "INFOCOM");
+    /// })?;
+    /// let same = QueryBuilder::new("article")
+    ///     .value("author/last", "Smith")
+    ///     .value("conf", "INFOCOM")
+    ///     .build();
+    /// assert_eq!(q, same);
+    /// # Ok::<(), p2p_index_xpath::TooDeep>(())
+    /// ```
+    pub fn build_with(
+        root: &str,
+        steps: impl FnOnce(&mut QuerySteps<'_>),
+    ) -> Result<Query, TooDeep> {
+        Query::in_scratch(|draft| {
+            let mut built = QuerySteps(Steps::start(draft, root));
+            steps(&mut built);
+            if built.0.too_deep {
+                Err(TooDeep)
+            } else {
+                Ok(())
+            }
+        })?
+    }
+
     /// The most specific query (MSD) for a descriptor: the query that tests
     /// the presence of every element and value of `d`, so that `q ≡ d`.
     ///
@@ -371,6 +483,38 @@ mod tests {
             .compare(&path(MAX_DEPTH), CmpOp::Eq, "1")
             .value("title", "TCP");
         assert_eq!(Query::try_from(mixed), Err(TooDeep));
+    }
+
+    #[test]
+    fn build_with_runs_the_builders_steps_in_the_thread_draft() {
+        let path = |steps: usize| vec!["a"; steps].join("/");
+        let built = Query::build_with("article", |q| {
+            q.value("author/first", "John")
+                .value("author/last", "Smith")
+                .exists("title")
+                .compare("year", CmpOp::Eq, "2000");
+        });
+        let chained = QueryBuilder::new("article")
+            .value("author/first", "John")
+            .value("author/last", "Smith")
+            .exists("title")
+            .compare("year", CmpOp::Eq, "2000")
+            .build();
+        assert_eq!(built, Ok(chained));
+        let deep = Query::build_with("r", |q| {
+            q.value(&path(MAX_DEPTH - 1), "v").value("title", "TCP");
+        });
+        assert_eq!(deep, Err(TooDeep));
+        // A closure that builds queries of its own gets buffers of its own:
+        // neither build sees the other's draft.
+        let nested = Query::build_with("article", |q| {
+            let inner = parse_query("/article[conf/INFOCOM][year/1996]").unwrap();
+            q.value("title", inner.canonical_text());
+        });
+        let expected = QueryBuilder::new("article")
+            .value("title", "/article[conf/INFOCOM][year/1996]")
+            .build();
+        assert_eq!(nested, Ok(expected));
     }
 
     #[test]

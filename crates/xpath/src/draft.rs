@@ -9,8 +9,9 @@
 //! operation walks (see [`ast`](crate::ast)). Nothing answers a question
 //! about a query by walking a draft, and none outlives construction.
 //!
-//! The parser and `most_specific` write into a per-thread draft kept from
-//! call to call; a builder owns its own, because builders nest and clone.
+//! The parser, `most_specific` and `Query::build_with` write into a
+//! per-thread draft kept from call to call; a `QueryBuilder` owns its own,
+//! because builders nest and clone.
 //! Either way a draft costs no allocation per node or per name.
 
 use std::cmp::Ordering;

@@ -46,6 +46,6 @@ mod draft;
 pub mod eval;
 pub mod parse;
 
-pub use ast::{CmpOp, Comparison, NodeRef, Query, TooDeep, MAX_DEPTH};
-pub use builder::QueryBuilder;
+pub use ast::{CmpOp, Comparison, KnownQueries, NodeRef, Query, TooDeep, MAX_DEPTH};
+pub use builder::{QueryBuilder, QuerySteps};
 pub use parse::{parse_query, ParseQueryError, QueryErrorKind};

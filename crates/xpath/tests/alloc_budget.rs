@@ -5,18 +5,21 @@
 //! is answered by walking those two in place. This suite pins that: the
 //! read paths allocate nothing, building a query allocates what the query
 //! keeps and nothing that grows with its size, and the handle is a
-//! pointer. Construction is pinned per constructor: the parser and
-//! `Query::most_specific` write into a per-thread draft and allocate only
-//! the three things the query keeps; a `QueryBuilder` chain adds its own
-//! draft's two buffers. The count is thread-local (`p2p_index_testkit::Counting`), so
+//! pointer. Construction is pinned per constructor: the parser,
+//! `Query::most_specific` and `Query::build_with` write into a per-thread
+//! draft and allocate only the three things the query keeps; a
+//! `QueryBuilder` chain adds its own draft's two buffers. A generalization
+//! a caller's table of known queries already holds is rendered but not
+//! frozen, and allocates nothing. The count is thread-local (`p2p_index_testkit::Counting`), so
 //! tests running in parallel never touch each other's.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use p2p_index_testkit::{allocs_during, Counting};
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::{parse_query, Query, QueryBuilder, MAX_DEPTH};
+use p2p_index_xpath::{parse_query, KnownQueries, Query, QueryBuilder, MAX_DEPTH};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -130,6 +133,72 @@ fn a_builder_chain_allocates_its_draft_and_the_query() {
     // queries never regrow them), then the three the query keeps. It was
     // 16 with a `String` per name and a `Vec` per node.
     assert!(allocs <= 5, "a three-value builder chain made {allocs}");
+}
+
+#[test]
+fn building_in_the_thread_draft_allocates_only_what_the_query_keeps() {
+    let build = || {
+        Query::build_with("article", |q| {
+            q.value("author/first", "John")
+                .value("author/last", "Smith")
+                .value("title", "TCP");
+        })
+    };
+    let warm = build().expect("three levels fit");
+    let (q, allocs) = allocs_during(build);
+    let q = q.expect("three levels fit");
+    assert_eq!(q, warm);
+    // The same steps as the builder chain above build the same query...
+    let chained = QueryBuilder::new("article")
+        .value("author/first", "John")
+        .value("author/last", "Smith")
+        .value("title", "TCP")
+        .build();
+    assert_eq!(q.canonical_text(), chained.canonical_text());
+    // ...without the builder's own draft: the three the query keeps.
+    assert!(allocs <= 3, "a three-value build_with made {allocs}");
+}
+
+/// Known queries by canonical text, as a client's table keeps them.
+#[derive(Default)]
+struct Known(HashMap<String, Query>);
+
+impl KnownQueries for Known {
+    fn find(&mut self, text: &str) -> Option<Query> {
+        self.0.get(text).cloned()
+    }
+
+    fn add(&mut self, query: &Query) {
+        self.0
+            .insert(query.canonical_text().to_string(), query.clone());
+    }
+}
+
+#[test]
+fn a_generalization_the_table_holds_allocates_nothing() {
+    let msd = Query::most_specific(&figure_1());
+    let mut known = Known::default();
+    let mut first = Vec::new();
+    msd.generalizations_known(&mut known, &mut first);
+    assert_eq!(first, msd.generalizations(), "same queries, same order");
+    assert_eq!(known.0.len(), first.len(), "each new one joined the table");
+    let mut again = Vec::with_capacity(first.len());
+    let (_, allocs) = allocs_during(|| msd.generalizations_known(&mut known, &mut again));
+    assert_eq!(
+        allocs,
+        0,
+        "re-deriving {} held generalizations",
+        again.len()
+    );
+    for (a, b) in first.iter().zip(&again) {
+        assert!(std::ptr::eq(a.canonical_text(), b.canonical_text()), "{a}");
+    }
+    // The table that holds nothing freezes every one: three allocations
+    // each, as dropping a branch does.
+    let mut fresh = Vec::with_capacity(first.len());
+    let (_, allocs) = allocs_during(|| msd.generalizations_into(&mut fresh));
+    assert_eq!(fresh, first);
+    assert!(allocs <= 3 * first.len() as u64, "made {allocs}");
 }
 
 /// A builder for an `n`-branch query whose branches alternate between a
