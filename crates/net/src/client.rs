@@ -47,6 +47,14 @@
 //! fan-out costs one frame pair per routed member instead of one per op.
 //! A unary [`Dht::execute`] is just a batch of one.
 //!
+//! The decisions are a step function that names no socket, `Round`: it
+//! routes the ops, plans each round's `(member, ops)` groups, encodes a
+//! group's frame into whatever buffer its caller hands it, and absorbs
+//! each reply frame's results, settling quorums as they fill. Only
+//! `RemoteDht::run` touches a link: it checks the links out, writes every
+//! frame, reads every reply and feeds it to the round. The crate's tests
+//! drive the same `Round` over `handle` instead, frame by frame.
+//!
 //! # Accounting
 //!
 //! The `messages` counter increments by 2 for every op whose
@@ -75,7 +83,7 @@ use p2p_index_dht::{
 use p2p_index_obs::MetricsRegistry;
 
 use crate::link::{Link, Pooled, Timeouts};
-use crate::wire::{encode_batch, encode_message, Message, RecvError};
+use crate::wire::{encode_batch, encode_message, encode_request, Message, RecvError};
 
 /// Tuning knobs for a [`RemoteDht`] client.
 #[derive(Debug, Clone)]
@@ -136,10 +144,6 @@ struct InFlight {
     link: Link,
     id: u64,
     started: Instant,
-    /// This member's attempts, as a range of the round's attempt list.
-    /// Two or more travelled as one batch frame, a single one as a plain
-    /// unary request.
-    group: Range<usize>,
 }
 
 /// One attempt of a round: op `op` goes to ring member `member`, which is
@@ -208,18 +212,9 @@ struct Route {
 /// carries over.
 #[derive(Default)]
 struct CallScratch {
-    routes: Vec<Route>,
-    /// One result per op, positionally; what the call hands back.
-    results: Vec<Result<DhtResponse, DhtError>>,
-    /// `(rank, response)` successes, `read_quorum` slots per op (a write
-    /// needs one).
-    gathered: Vec<Option<(usize, DhtResponse)>>,
-    /// The current round's attempts, sorted into wire order.
-    attempts: Vec<Attempt>,
+    round: Round,
     /// The results of the reply frame being absorbed.
     replies: Vec<Result<DhtResponse, DhtError>>,
-    /// Keys the batch writes, sorted — filled only when it also reads.
-    written: Vec<Key>,
     /// The current round's sent frames, in member order.
     in_flight: Vec<InFlight>,
 }
@@ -387,287 +382,44 @@ impl RemoteDht {
         }
     }
 
-    /// The member owning `key` — its clockwise successor on the ring — or
-    /// `None` when the member list is empty. Identical placement to
-    /// `RingDht::owner`.
-    fn owner(&self, key: &Key) -> Option<&Member> {
-        placement::successor_index(&self.ring, key).map(|at| &self.members[at])
-    }
-
-    /// The one wire code path: executes a batch in failover rounds, one
-    /// frame pair per routed member per round, leaving one result per op
-    /// in `scratch.results`.
-    ///
-    /// `NodeFor` ops are answered locally at zero message cost. Each
-    /// storage op routes to its key's replica set (`R` clockwise
-    /// successors; at the default `R = 1`, exactly the single owner).
-    /// Round one sends reads to their first `Rq` replicas and writes to
-    /// all `R`, grouped per member in ring order — a single-op group as a
-    /// plain unary `Request`, a multi-op group as one batch frame. All of
-    /// a round's frames are written before any reply is read, so member
-    /// servers work concurrently.
-    ///
-    /// A write is coordinated here, not by a member: every replica gets
-    /// the op itself (never a digest) in that one round, and the op
-    /// settles after it — `Ok` once `W` replicas applied it, answered
-    /// `Stored(true)` / `Removed(true)` if any replica that answered
-    /// applied it anew (module docs, "Writes"), or [`DhtError::Timeout`]
-    /// with fewer (`net.quorum.write_failures`). It has no replica left to
-    /// fail over to. Since the round reads every reply before it returns,
-    /// each replica that answered holds the write when the call does.
-    ///
-    /// A quorum read moves its entry once. In each round, the first
-    /// replica an op asks while it holds no values gets the `Get`; every
-    /// other replica of its quorum gets a `GetDigest` and answers with
-    /// the count and order-independent hash of what it holds, computed in
-    /// place on the server. The op settles when its quorum of successes
-    /// is in and every digest is the digest of the values held — the
-    /// steady state, whose answer is the shipping replica's list as sent.
-    /// A digest that disagrees names a replica holding another value set:
-    /// that replica is asked again with a full `Get` in the next
-    /// pipelined round and the lists merge (see [`settle_response`]); if
-    /// it no longer answers, the read fails over like any other. A client
-    /// at `Rq = 1` — every unreplicated one — never asks for a digest.
-    ///
-    /// A conditional read (`GetIfChanged`, from a caller that already
-    /// holds the entry) is routed like a `Get` but goes to every replica
-    /// of its quorum as itself: each answers "unchanged" with the digest
-    /// the caller sent, or with its list. All unchanged settles as that
-    /// digest, with no value on the wire; full replies settle as a `Get`'s
-    /// do; and when the two mix, the replicas that said "unchanged" are
-    /// disputed and asked again with a plain `Get`.
-    ///
-    /// One ordering carve-out: a read whose key the *same batch* also
-    /// writes is read from its primary alone (`want = 1`). Each replica
-    /// applies its frame in batch order, so fault-free every replica
-    /// would answer the sequential state. Under injected loss, though, a
-    /// replica can miss a write that came earlier in the same frame while
-    /// the write still settles on `W` others; a quorum read would then
-    /// union the pre-write state in (a removed value back). The primary
-    /// alone gives the read one replica's state, in its frame order.
-    /// Pure read batches (every multi-get a search issues) keep full
-    /// quorum protection.
-    ///
-    /// A failed read attempt — transport failure or a remote transient
-    /// [`DhtError::Timeout`] — is retried against the op's next untried
-    /// replica in the following round, so a dead member costs one extra
-    /// pipelined round, not a client-visible error and not any of the
-    /// index layer's `RetryPolicy` budget. Non-transient remote errors
-    /// settle immediately. A read whose replicas are exhausted settles as
-    /// [`DhtError::Timeout`].
-    ///
-    /// Accounting is per *op*, not per attempt: one completed RPC pair
-    /// (+2 messages, +1 lookup for ok put/get) when an op settles from a
-    /// reply — a write that fell short of `W` included, if any replica
-    /// answered — and nothing when it settles by transport failure alone,
-    /// which at `R = 1` is bit-for-bit the historical convention.
-    ///
-    /// The round is flat: attempts are one list sorted into wire order
-    /// (a member's group is a sub-slice), request frames are encoded
-    /// straight from the routes into the buffer beside each member's
-    /// link, and replies are absorbed out of one reused vector.
-    /// What a warm call still allocates is what it returns — the result
-    /// vector, each `Values` list, one shared buffer per value-carrying
-    /// reply frame.
+    /// The one wire code path: drives a [`Round`] over the members' links
+    /// until every op has settled, leaving one result per op in it. Per
+    /// round it checks each routed member's link out, writes every frame
+    /// before it reads any reply — so member servers work concurrently —
+    /// and feeds each reply to the round. A link whose exchange failed is
+    /// dropped, so the next call redials; its ops get no reply, and the
+    /// round's next plan fails them over.
     fn run(&self, ops: impl ExactSizeIterator<Item = DhtOp>, scratch: &mut CallScratch) {
-        let CallScratch {
-            routes,
-            results,
-            gathered,
-            attempts,
-            replies,
-            written,
-            in_flight,
-        } = scratch;
-        results.reserve(ops.len());
-        if self.members.is_empty() {
-            results.extend(ops.map(|_| Err(DhtError::NoLiveNodes)));
-            return;
-        }
-        let (mut reads, mut writes) = (false, false);
-        for op in ops {
-            let replicas = placement::replica_range(&self.ring, op.key(), self.config.replicas);
-            let result = if let DhtOp::NodeFor(_) = op {
-                Ok(DhtResponse::Node(self.members[replicas.index(0)].id))
-            } else {
-                self.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
-                match op {
-                    DhtOp::Get(_) | DhtOp::GetIfChanged { .. } => reads = true,
-                    DhtOp::GetDigest(_) => {}
-                    _ => writes = true,
-                }
-                // What the op keeps if nothing ever answers; settling
-                // overwrites it.
-                Err(DhtError::Timeout)
-            };
-            let want = if op.is_write() { self.write_quorum } else { 1 };
-            routes.push(Route {
-                replicas,
-                tried: 0,
-                want,
-                have: 0,
-                settled: result.is_ok(),
-                reply_error: None,
-                op,
-            });
-            results.push(result);
-        }
-        // Keys this batch writes: quorum reads of them must degrade to
-        // primary-only (see the ordering carve-out above). Irrelevant at
-        // Rq = 1, where every read is primary-only already.
-        written.clear();
-        if self.config.read_quorum > 1 && reads {
-            if writes {
-                let writing = routes.iter().filter(|route| route.op.is_write());
-                written.extend(writing.map(|route| *route.op.key()));
-                written.sort_unstable();
-            }
-            for route in routes.iter_mut() {
-                let read = matches!(route.op, DhtOp::Get(_) | DhtOp::GetIfChanged { .. });
-                if read && written.binary_search(route.op.key()).is_err() {
-                    route.want = self.config.read_quorum.min(route.replicas.len());
-                }
-            }
-        }
-        let stride = self.config.read_quorum;
-        gathered.resize_with(routes.len() * stride, || None);
-        let mut round = 0usize;
-        loop {
-            round += 1;
-            // Scheduling: a write asks every replica in the first round
-            // and settles in the next. Every unsettled read first asks
-            // again, in full, the replicas whose digests its last settle
-            // disputed, then claims its next untried replicas up to its
-            // remaining quorum deficit; a read with nobody left to ask
-            // settles by exhaustion.
-            attempts.clear();
-            for (op, route) in routes.iter_mut().enumerate() {
-                if route.settled {
-                    continue;
-                }
-                let slots = &mut gathered[op * stride..][..stride];
-                if route.op.is_write() {
-                    if route.tried == 0 {
-                        route.tried = route.replicas.len();
-                        attempts.extend((0..route.tried).map(|rank| Attempt {
-                            member: route.replicas.index(rank),
-                            op,
-                            rank,
-                            ask: Ask::Op,
-                        }));
-                    } else {
-                        results[op] = self.settle_write(route, &mut slots[0]);
-                    }
-                    continue;
-                }
-                // One replica ships the entry; the rest of a read's quorum
-                // only has to vouch for it. A conditional read asks every
-                // replica the same question instead.
-                let conditional = matches!(route.op, DhtOp::GetIfChanged { .. });
-                let mut shipped = slots[..route.have]
-                    .iter()
-                    .flatten()
-                    .any(|(_, resp)| !matches!(resp, DhtResponse::Digest { .. }));
-                let mut asked = 0;
-                for disputed in slots[route.have..].iter_mut().map_while(Option::take) {
-                    self.metrics.incr("net.quorum.rereads");
-                    attempts.push(Attempt {
-                        member: route.replicas.index(disputed.0),
-                        op,
-                        rank: disputed.0,
-                        ask: Ask::Full,
-                    });
-                    asked += 1;
-                }
-                let deficit = route.want - route.have - asked;
-                let available = route.replicas.len() - route.tried;
-                if asked == 0 && available == 0 {
-                    // Out of replicas. A remote error reply caused this
-                    // (count the pair, as a unary client would); pure
-                    // transport failures completed no pair and count
-                    // nothing.
-                    self.metrics.incr("net.quorum.exhausted");
-                    if let Some(e) = route.reply_error.take() {
-                        self.counters.record_pair(route.op.kind(), false);
-                        results[op] = Err(e);
-                    }
-                    route.settled = true;
-                    continue;
-                }
-                for _ in 0..deficit.min(available) {
-                    let rank = route.tried;
-                    route.tried += 1;
-                    if round > 1 {
-                        self.metrics.incr("net.quorum.failovers");
-                    }
-                    let ask = if shipped && !conditional {
-                        Ask::Digest
-                    } else {
-                        Ask::Op
-                    };
-                    attempts.push(Attempt {
-                        member: route.replicas.index(rank),
-                        op,
-                        rank,
-                        ask,
-                    });
-                    shipped = true;
-                }
-            }
-            if attempts.is_empty() {
-                break;
-            }
-            attempts.sort_unstable();
-            in_flight.reserve(attempts.len().min(self.members.len()));
-            // Write phase: one frame per member, all requests on the wire
-            // before the first reply is awaited. A failed attempt needs
-            // no bookkeeping here: the next round's scheduler recomputes
-            // each op's quorum deficit and claims fresh replicas (or
-            // settles by exhaustion).
-            let mut next = 0;
-            for chunk in attempts.chunk_by(|a, b| a.member == b.member) {
-                let group = next..next + chunk.len();
-                next = group.end;
-                let member = chunk[0].member;
+        let round = &mut scratch.round;
+        round.start(self, ops);
+        while round.plan(self) {
+            for (member, ops) in round.groups() {
                 let Some(mut link) = self.members[member].link.check_out(TIMEOUTS) else {
                     self.metrics.incr("net.connect_errors");
                     continue;
                 };
                 let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-                let batch = group.len() > 1;
                 let started = Instant::now();
-                let sent = link.send(|frame| {
-                    if batch {
-                        let ops = chunk.iter().map(|attempt| wire_op(routes, attempt));
-                        encode_batch(id, ops, frame);
-                    } else {
-                        let op = wire_op(routes, &chunk[0]).into_owned();
-                        encode_message(&Message::Request { id, op }, frame);
-                    }
-                });
-                match sent {
+                match link.send(|frame| round.encode(member, id, frame)) {
                     Ok(sent) => {
                         self.metrics.incr("net.frames_out");
                         self.metrics.add("net.bytes_out", sent as u64);
-                        if batch {
+                        if ops > 1 {
                             self.metrics.incr("net.batch.frames_out");
                         }
-                        in_flight.push(InFlight {
+                        scratch.in_flight.push(InFlight {
                             member,
                             link,
                             id,
                             started,
-                            group,
                         });
                     }
                     Err(_) => self.metrics.incr("net.transport_errors"),
                 }
             }
-            // Read phase, same member order: each reply feeds its ops'
-            // routes; ops settle the moment their quorum is reached. A
-            // link that failed is dropped here, so the next call redials.
-            for mut flight in in_flight.drain(..) {
-                let reply = match flight.link.recv_reply(replies) {
+            for mut sent in scratch.in_flight.drain(..) {
+                let replies = &mut scratch.replies;
+                let reply = match sent.link.recv_reply(replies) {
                     Ok(reply) => reply,
                     Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
                         self.metrics.incr("net.transport_errors");
@@ -680,129 +432,27 @@ impl RemoteDht {
                 };
                 self.metrics.incr("net.frames_in");
                 self.metrics.add("net.bytes_in", reply.bytes as u64);
+                let answered = replies.len() as u64;
                 // A mismatched id, kind, or result count means the
                 // stream is out of sync; drop it rather than guess.
-                if reply.id != flight.id
-                    || reply.batch != (flight.group.len() > 1)
-                    || replies.len() != flight.group.len()
-                {
+                if reply.id != sent.id || !round.absorb(self, sent.member, reply.batch, replies) {
                     self.metrics.incr("net.decode_errors");
                     continue;
                 }
-                self.members[flight.member].link.put_back(flight.link);
-                let elapsed = flight.started.elapsed().as_micros() as u64;
+                self.members[sent.member].link.put_back(sent.link);
+                let elapsed = sent.started.elapsed().as_micros() as u64;
                 if reply.batch {
                     self.metrics.incr("net.batch.frames_in");
-                    self.metrics.add("net.batch.ops", replies.len() as u64);
+                    self.metrics.add("net.batch.ops", answered);
                     self.metrics.observe("net.batch.rpc_micros", elapsed);
                 } else {
                     self.metrics.observe("net.rpc_micros", elapsed);
                 }
-                for (attempt, result) in
-                    attempts[flight.group.clone()].iter().zip(replies.drain(..))
-                {
-                    let route = &mut routes[attempt.op];
-                    let slots = &mut gathered[attempt.op * stride..][..stride];
-                    if let Some(settled) = self.absorb(route, slots, attempt.rank, result) {
-                        results[attempt.op] = settled;
-                    }
-                }
             }
         }
-        // The buffers keep their capacity, not their contents: the ops,
-        // any replica reply that lost the settle and any result of a frame
-        // that was rejected part-way (each a slice of a whole reply frame)
-        // are released with the call that produced them.
-        routes.clear();
-        gathered.clear();
-        replies.clear();
-    }
-
-    /// Settles a write once the round that asked all its replicas is
-    /// over: `Ok` with `kept`, the success [`absorb`](Self::absorb) kept
-    /// (`true` if any replica that answered applied the write anew), if
-    /// `W` replicas applied it, [`DhtError::Timeout`] otherwise. Any reply
-    /// at all completes the op's one RPC pair.
-    fn settle_write(
-        &self,
-        route: &mut Route,
-        kept: &mut Option<(usize, DhtResponse)>,
-    ) -> Result<DhtResponse, DhtError> {
-        route.settled = true;
-        let answered = route.have > 0 || route.reply_error.is_some();
-        let reached = route.have >= route.want;
-        if answered {
-            self.counters.record_pair(route.op.kind(), reached);
-        }
-        match kept.take() {
-            Some((_, resp)) if reached => Ok(resp),
-            _ => {
-                self.metrics.incr("net.quorum.write_failures");
-                Err(DhtError::Timeout)
-            }
-        }
-    }
-
-    /// Feeds one attempt's remote reply into its op's route. Returns the
-    /// op's final result — accounted as one completed RPC pair (the
-    /// shared ring convention) — if the quorum is now reached or the
-    /// error is final. A write's successes only count toward its quorum
-    /// here; [`settle_write`](Self::settle_write) settles it.
-    fn absorb(
-        &self,
-        route: &mut Route,
-        gathered: &mut [Option<(usize, DhtResponse)>],
-        rank: usize,
-        result: Result<DhtResponse, DhtError>,
-    ) -> Option<Result<DhtResponse, DhtError>> {
-        if route.settled {
-            // A slower sibling attempt answered after the op settled.
-            return None;
-        }
-        let settled = match result {
-            Ok(resp) if route.op.is_write() => {
-                route.have += 1;
-                let anew = matches!(resp, DhtResponse::Stored(true) | DhtResponse::Removed(true));
-                if anew || gathered[0].is_none() {
-                    gathered[0] = Some((rank, resp));
-                }
-                return None;
-            }
-            Ok(resp) => {
-                if matches!(resp, DhtResponse::Digest { .. }) {
-                    self.metrics.incr(match route.op {
-                        DhtOp::GetIfChanged { .. } => "net.quorum.unchanged",
-                        _ => "net.quorum.digest_reads",
-                    });
-                }
-                gathered[route.have] = Some((rank, resp));
-                route.have += 1;
-                if route.have < route.want {
-                    return None;
-                }
-                match settle_response(route.op.key(), &mut gathered[..route.have]) {
-                    Ok(resp) => Ok(resp),
-                    Err(agreed) => {
-                        // The disputed digests wait behind the successes
-                        // for the next round's scheduler.
-                        let disputed = (route.have - agreed) as u64;
-                        self.metrics.add("net.quorum.digest_mismatches", disputed);
-                        route.have = agreed;
-                        return None;
-                    }
-                }
-            }
-            Err(DhtError::Timeout) => {
-                // Transient: remember it and let the scheduler fail over.
-                route.reply_error = Some(DhtError::Timeout);
-                return None;
-            }
-            // Final remote error: no replica can do better.
-            Err(e) => Err(e),
-        };
-        route.settled = true;
-        self.counters.record_pair(route.op.kind(), settled.is_ok());
-        Some(settled)
+        // Any result of a frame that was rejected part-way (a slice of a
+        // whole reply frame) is released with the call that read it.
+        scratch.replies.clear();
     }
 
     /// Runs `call` with the client's own call scratch, which `&mut self`
@@ -818,7 +468,367 @@ impl RemoteDht {
     /// popped back out of the scratch so nothing is allocated to carry it.
     fn execute_inner(&self, op: DhtOp, scratch: &mut CallScratch) -> Result<DhtResponse, DhtError> {
         self.run(std::iter::once(op), scratch);
-        scratch.results.pop().expect("one result per op")
+        scratch.round.done().pop().expect("one result per op")
+    }
+}
+
+/// One call's ops as a step function, with no socket in sight: the
+/// buffers of the call, kept from call to call so a warm client's round
+/// allocates for what it returns and nothing else (every buffer is empty
+/// between calls; only capacity carries over). [`start`](Self::start)
+/// routes the ops, [`plan`](Self::plan) schedules a round and
+/// [`groups`](Self::groups) lists its frames, one per routed member in
+/// ring order; a driver writes each with [`encode`](Self::encode) and
+/// hands each reply to [`absorb`](Self::absorb). A frame that gets no
+/// reply needs no call: the next plan fails its ops over. Once `plan`
+/// finds nothing left to ask, [`done`](Self::done) hands back one result
+/// per op.
+///
+/// `NodeFor` ops are answered locally at zero message cost. Each storage
+/// op routes to its key's replica set (`R` clockwise successors; at the
+/// default `R = 1`, exactly the single owner). Round one sends reads to
+/// their first `Rq` replicas and writes to all `R`, grouped per member —
+/// a single-op group as a plain unary `Request`, a multi-op group as one
+/// batch frame.
+///
+/// A write is coordinated here, not by a member: every replica gets the
+/// op itself (never a digest) in that one round, and the op settles
+/// after it — `Ok` once `W` replicas applied it, answered `Stored(true)`
+/// / `Removed(true)` if any replica that answered applied it anew (module
+/// docs, "Writes"), or [`DhtError::Timeout`] with fewer
+/// (`net.quorum.write_failures`). It has no replica left to fail over to.
+/// Since a round absorbs every reply before the next is planned, each
+/// replica that answered holds the write when the call returns.
+///
+/// A quorum read moves its entry once. In each round, the first replica
+/// an op asks while it holds no values gets the `Get`; every other
+/// replica of its quorum gets a `GetDigest` and answers with the count and
+/// order-independent hash of what it holds, computed in place on the
+/// server. The op settles when its quorum of successes is in and every
+/// digest is the digest of the values held — the steady state, whose
+/// answer is the shipping replica's list as sent. A digest that disagrees
+/// names a replica holding another value set: that replica is asked again
+/// with a full `Get` in the next round and the lists merge (see
+/// [`settle_response`]); if it no longer answers, the read fails over like
+/// any other. A client at `Rq = 1` — every unreplicated one — never asks
+/// for a digest.
+///
+/// A conditional read (`GetIfChanged`, from a caller that already holds
+/// the entry) is routed like a `Get` but goes to every replica of its
+/// quorum as itself: each answers "unchanged" with the digest the caller
+/// sent, or with its list. All unchanged settles as that digest, with no
+/// value on the wire; full replies settle as a `Get`'s do; and when the
+/// two mix, the replicas that said "unchanged" are disputed and asked
+/// again with a plain `Get`.
+///
+/// One ordering carve-out: a read whose key the *same batch* also writes
+/// is read from its primary alone (`want = 1`). Each replica applies its
+/// frame in batch order, so fault-free every replica would answer the
+/// sequential state. Under injected loss, though, a replica can miss a
+/// write that came earlier in the same frame while the write still
+/// settles on `W` others; a quorum read would then union the pre-write
+/// state in (a removed value back). The primary alone gives the read one
+/// replica's state, in its frame order. Pure read batches (every
+/// multi-get a search issues) keep full quorum protection.
+///
+/// A failed read attempt — no reply, or a remote transient
+/// [`DhtError::Timeout`] — is retried against the op's next untried
+/// replica in the following round, so a dead member costs one extra
+/// pipelined round, not a client-visible error and not any of the index
+/// layer's `RetryPolicy` budget. Non-transient remote errors settle
+/// immediately. A read whose replicas are exhausted settles as
+/// [`DhtError::Timeout`].
+///
+/// Accounting is per *op*, not per attempt: one completed RPC pair (+2
+/// messages, +1 lookup for ok put/get) when an op settles from a reply —
+/// a write that fell short of `W` included, if any replica answered — and
+/// nothing when it settles by transport failure alone, which at `R = 1`
+/// is bit-for-bit the historical convention.
+///
+/// The round is flat: attempts are one list sorted into wire order (a
+/// member's group is a sub-slice), and request frames are encoded
+/// straight from the routes into the caller's buffer. What a warm call
+/// still allocates is what it returns — the result vector, each `Values`
+/// list, one shared buffer per value-carrying reply frame.
+#[derive(Default)]
+pub(crate) struct Round {
+    routes: Vec<Route>,
+    /// One result per op, positionally; what the call hands back.
+    results: Vec<Result<DhtResponse, DhtError>>,
+    /// `(rank, response)` successes, `read_quorum` slots per op (a write
+    /// needs one).
+    gathered: Vec<Option<(usize, DhtResponse)>>,
+    /// The current round's attempts, sorted into wire order.
+    attempts: Vec<Attempt>,
+    /// Keys the batch writes, sorted — filled only when it also reads.
+    written: Vec<Key>,
+}
+
+impl Round {
+    /// Routes `ops` on `dht`'s ring into the (empty) buffers.
+    pub(crate) fn start(&mut self, dht: &RemoteDht, ops: impl ExactSizeIterator<Item = DhtOp>) {
+        self.results.reserve(ops.len());
+        if dht.members.is_empty() {
+            self.results.extend(ops.map(|_| Err(DhtError::NoLiveNodes)));
+            return;
+        }
+        let (mut reads, mut writes) = (false, false);
+        for op in ops {
+            let replicas = placement::replica_range(&dht.ring, op.key(), dht.config.replicas);
+            let result = if let DhtOp::NodeFor(_) = op {
+                Ok(DhtResponse::Node(dht.members[replicas.index(0)].id))
+            } else {
+                dht.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
+                match op {
+                    DhtOp::Get(_) | DhtOp::GetIfChanged { .. } => reads = true,
+                    DhtOp::GetDigest(_) => {}
+                    _ => writes = true,
+                }
+                // What the op keeps if nothing ever answers; settling
+                // overwrites it.
+                Err(DhtError::Timeout)
+            };
+            let want = if op.is_write() { dht.write_quorum } else { 1 };
+            self.routes.push(Route {
+                replicas,
+                tried: 0,
+                want,
+                have: 0,
+                settled: result.is_ok(),
+                reply_error: None,
+                op,
+            });
+            self.results.push(result);
+        }
+        // Keys this batch writes: quorum reads of them must degrade to
+        // primary-only (see the ordering carve-out above). Irrelevant at
+        // Rq = 1, where every read is primary-only already.
+        self.written.clear();
+        if dht.config.read_quorum > 1 && reads {
+            if writes {
+                let writing = self.routes.iter().filter(|route| route.op.is_write());
+                self.written.extend(writing.map(|route| *route.op.key()));
+                self.written.sort_unstable();
+            }
+            for route in self.routes.iter_mut() {
+                let read = matches!(route.op, DhtOp::Get(_) | DhtOp::GetIfChanged { .. });
+                if read && self.written.binary_search(route.op.key()).is_err() {
+                    route.want = dht.config.read_quorum.min(route.replicas.len());
+                }
+            }
+        }
+        let slots = self.routes.len() * dht.config.read_quorum;
+        self.gathered.resize_with(slots, || None);
+    }
+
+    /// Schedules the next round, settling what the last one decided;
+    /// `false` once every op has settled. A write asks every replica in
+    /// the first round and settles in the next. Every unsettled read
+    /// first asks again, in full, the replicas whose digests its last
+    /// settle disputed, then claims its next untried replicas up to its
+    /// remaining quorum deficit — past its first round, a failover; a
+    /// read with nobody left to ask settles by exhaustion.
+    pub(crate) fn plan(&mut self, dht: &RemoteDht) -> bool {
+        let stride = dht.config.read_quorum;
+        self.attempts.clear();
+        for (op, route) in self.routes.iter_mut().enumerate() {
+            if route.settled {
+                continue;
+            }
+            let slots = &mut self.gathered[op * stride..][..stride];
+            if route.op.is_write() {
+                if route.tried == 0 {
+                    route.tried = route.replicas.len();
+                    self.attempts.extend((0..route.tried).map(|rank| Attempt {
+                        member: route.replicas.index(rank),
+                        op,
+                        rank,
+                        ask: Ask::Op,
+                    }));
+                    continue;
+                }
+                // The round that asked all its replicas is over: `Ok` with
+                // the success `absorb` kept (`true` if any replica that
+                // answered applied the write anew) if `W` replicas applied
+                // it. Any reply at all completes the op's one RPC pair.
+                route.settled = true;
+                let reached = route.have >= route.want;
+                if route.have > 0 || route.reply_error.is_some() {
+                    dht.counters.record_pair(route.op.kind(), reached);
+                }
+                self.results[op] = match slots[0].take() {
+                    Some((_, resp)) if reached => Ok(resp),
+                    _ => {
+                        dht.metrics.incr("net.quorum.write_failures");
+                        Err(DhtError::Timeout)
+                    }
+                };
+                continue;
+            }
+            // One replica ships the entry; the rest of a read's quorum
+            // only has to vouch for it. A conditional read asks every
+            // replica the same question instead.
+            let conditional = matches!(route.op, DhtOp::GetIfChanged { .. });
+            let mut shipped = slots[..route.have]
+                .iter()
+                .flatten()
+                .any(|(_, resp)| !matches!(resp, DhtResponse::Digest { .. }));
+            let mut asked = 0;
+            for disputed in slots[route.have..].iter_mut().map_while(Option::take) {
+                dht.metrics.incr("net.quorum.rereads");
+                self.attempts.push(Attempt {
+                    member: route.replicas.index(disputed.0),
+                    op,
+                    rank: disputed.0,
+                    ask: Ask::Full,
+                });
+                asked += 1;
+            }
+            let deficit = route.want - route.have - asked;
+            let available = route.replicas.len() - route.tried;
+            if asked == 0 && available == 0 {
+                // Out of replicas. A remote error reply caused this
+                // (count the pair, as a unary client would); pure
+                // transport failures completed no pair and count nothing.
+                dht.metrics.incr("net.quorum.exhausted");
+                if let Some(e) = route.reply_error.take() {
+                    dht.counters.record_pair(route.op.kind(), false);
+                    self.results[op] = Err(e);
+                }
+                route.settled = true;
+                continue;
+            }
+            // Every read claims a replica in its first round.
+            let failover = route.tried > 0;
+            for _ in 0..deficit.min(available) {
+                let rank = route.tried;
+                route.tried += 1;
+                if failover {
+                    dht.metrics.incr("net.quorum.failovers");
+                }
+                let ask = if shipped && !conditional {
+                    Ask::Digest
+                } else {
+                    Ask::Op
+                };
+                self.attempts.push(Attempt {
+                    member: route.replicas.index(rank),
+                    op,
+                    rank,
+                    ask,
+                });
+                shipped = true;
+            }
+        }
+        self.attempts.sort_unstable();
+        !self.attempts.is_empty()
+    }
+
+    /// The planned round's frames in ring order: each routed member, with
+    /// the number of ops its frame carries.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let groups = self.attempts.chunk_by(|a, b| a.member == b.member);
+        groups.map(|group| (group[0].member, group.len()))
+    }
+
+    /// Where the planned round's attempts for `member` sit in its list.
+    fn group(&self, member: usize) -> Range<usize> {
+        let first = self.attempts.partition_point(|a| a.member < member);
+        first..self.attempts.partition_point(|a| a.member <= member)
+    }
+
+    /// Appends `member`'s request frame, under request id `id`, to
+    /// `frame`: one op as a unary request, several as one batch.
+    pub(crate) fn encode(&self, member: usize, id: u64, frame: &mut Vec<u8>) {
+        let routes = &self.routes;
+        match &self.attempts[self.group(member)] {
+            [attempt] => encode_request(id, &wire_op(routes, attempt), frame),
+            group => encode_batch(id, group.iter().map(|a| wire_op(routes, a)), frame),
+        }
+    }
+
+    /// Feeds the results of `member`'s reply frame — a batch reply if
+    /// `batch` — to the ops they answer. A read settles the moment its
+    /// quorum is in or its error is final, accounted as one completed RPC
+    /// pair (the shared ring convention); a write's successes only count
+    /// toward its quorum here, and the next plan settles it. `false`, with
+    /// nothing absorbed, when the reply's kind or result count does not
+    /// match the frame it answers.
+    pub(crate) fn absorb(
+        &mut self,
+        dht: &RemoteDht,
+        member: usize,
+        batch: bool,
+        replies: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) -> bool {
+        let group = self.group(member);
+        if batch != (group.len() > 1) || replies.len() != group.len() {
+            return false;
+        }
+        let stride = dht.config.read_quorum;
+        for (attempt, result) in self.attempts[group].iter().zip(replies.drain(..)) {
+            let route = &mut self.routes[attempt.op];
+            let gathered = &mut self.gathered[attempt.op * stride..][..stride];
+            if route.settled {
+                // A slower sibling attempt answered after the op settled.
+                continue;
+            }
+            let settled = match result {
+                Ok(resp) if route.op.is_write() => {
+                    route.have += 1;
+                    let anew =
+                        matches!(resp, DhtResponse::Stored(true) | DhtResponse::Removed(true));
+                    if anew || gathered[0].is_none() {
+                        gathered[0] = Some((attempt.rank, resp));
+                    }
+                    continue;
+                }
+                Ok(resp) => {
+                    if matches!(resp, DhtResponse::Digest { .. }) {
+                        dht.metrics.incr(match route.op {
+                            DhtOp::GetIfChanged { .. } => "net.quorum.unchanged",
+                            _ => "net.quorum.digest_reads",
+                        });
+                    }
+                    gathered[route.have] = Some((attempt.rank, resp));
+                    route.have += 1;
+                    if route.have < route.want {
+                        continue;
+                    }
+                    match settle_response(route.op.key(), &mut gathered[..route.have]) {
+                        Ok(resp) => Ok(resp),
+                        Err(agreed) => {
+                            // The disputed digests wait behind the
+                            // successes for the next round's plan.
+                            let disputed = (route.have - agreed) as u64;
+                            dht.metrics.add("net.quorum.digest_mismatches", disputed);
+                            route.have = agreed;
+                            continue;
+                        }
+                    }
+                }
+                Err(DhtError::Timeout) => {
+                    // Transient: remember it and let the plan fail over.
+                    route.reply_error = Some(DhtError::Timeout);
+                    continue;
+                }
+                // Final remote error: no replica can do better.
+                Err(e) => Err(e),
+            };
+            route.settled = true;
+            dht.counters.record_pair(route.op.kind(), settled.is_ok());
+            self.results[attempt.op] = settled;
+        }
+        true
+    }
+
+    /// One result per op, positionally. The buffers keep their capacity,
+    /// not their contents: the ops, and any replica reply that lost the
+    /// settle, are released here.
+    pub(crate) fn done(&mut self) -> &mut Vec<Result<DhtResponse, DhtError>> {
+        self.routes.clear();
+        self.gathered.clear();
+        &mut self.results
     }
 }
 
@@ -830,12 +840,15 @@ impl Dht for RemoteDht {
     fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
         self.with_scratch(|dht, scratch| {
             dht.run(ops.into_iter(), scratch);
-            std::mem::take(&mut scratch.results)
+            std::mem::take(scratch.round.done())
         })
     }
 
+    /// The member owning `key` — its clockwise successor on the ring, as
+    /// `RingDht::owner` places it — or `None` when the member list is
+    /// empty.
     fn node_for(&self, key: &Key) -> Option<NodeId> {
-        self.owner(key).map(|member| member.id)
+        placement::successor_index(&self.ring, key).map(|at| self.members[at].id)
     }
 
     fn nodes(&self) -> Vec<NodeId> {

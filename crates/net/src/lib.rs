@@ -39,6 +39,8 @@
 
 pub mod client;
 pub mod cluster;
+#[cfg(test)]
+mod explore;
 mod link;
 pub mod server;
 pub mod wire;

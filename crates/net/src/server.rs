@@ -8,9 +8,10 @@
 //! decoded frame and the shared state in, the reply frame (or "leave") out,
 //! with no socket, reader or writer in sight — and writes the response
 //! frame back with the echoed request id. `handle` executes against the
-//! one store a daemon has: a [`ShardedDht`] of [`REPAIR_BUCKETS`] key-hash
-//! shards, each behind its own `RwLock` held only for the in-memory
-//! operation, never across I/O. The only frames this member sends its
+//! one store a daemon has: a [`ShardedDht`] of
+//! [`REPAIR_BUCKETS`](p2p_index_dht::REPAIR_BUCKETS) key-hash shards, each
+//! behind its own `RwLock` held only for the in-memory operation, never
+//! across I/O. The only frames this member sends its
 //! peers are its own repair traffic — never a client's write, and never on
 //! account of a frame it was sent — and they go out through `link.rs`, the
 //! same dialing code the client uses.
@@ -65,9 +66,10 @@
 //!
 //! 1. *Digest.* The store keeps its digests on write
 //!    ([`ShardedDht::kept_digests`]): one 64-bit order-independent sum per
-//!    **repair bucket** ([`REPAIR_BUCKETS`] slices of the key space by the
-//!    key's low bits — one per shard, the same on every member) and per
-//!    ring arc, moved under the shard guard each write already holds.
+//!    **repair bucket** ([`REPAIR_BUCKETS`](p2p_index_dht::REPAIR_BUCKETS)
+//!    slices of the key space by the key's low bits — one per shard, the
+//!    same on every member) and per ring arc, moved under the shard guard
+//!    each write already holds.
 //!    Just before it probes a peer, a member folds the sums of the arcs
 //!    whose replica set contains that peer into sixteen digests. No key is
 //!    visited; a converged pass costs no sweep at all.
@@ -87,12 +89,22 @@
 //!    unreachable, or cannot answer a digest, is skipped for the pass —
 //!    there is no other push to fall back to.
 //! 3. *Push.* Only confirmed buckets are sent, **one bucket at a time**:
-//!    snapshot the bucket, send it as one `Transfer` — its live values,
-//!    then its tombstones (the *scrub*) — and drop the snapshot. Receivers'
-//!    puts deduplicate and a remove of a dead pair is a no-op, so a push is
-//!    idempotent. What a pass holds in memory is a sixteenth of one peer's
-//!    share even when every bucket differs (a member restarted empty), and
-//!    no frame this server builds is larger than a bucket.
+//!    snapshot the bucket, send it — its live values, then its tombstones
+//!    (the *scrub*) — and drop the snapshot. A bucket share goes out as
+//!    one `Transfer` when it fits `TRANSFER_BUDGET` (a quarter of
+//!    [`MAX_PAYLOAD`]) and as several otherwise,
+//!    every live value ahead of every tombstone, so no push is a frame its
+//!    receiver must refuse and the scrub still comes after the values.
+//!    Receivers' puts deduplicate and a remove of a dead pair is a no-op,
+//!    so a push is idempotent. What a pass holds in memory is a sixteenth
+//!    of one peer's share even when every bucket differs (a member
+//!    restarted empty).
+//!
+//! A pass is `Pass`, a step function that names no socket: each step is a
+//! probe, a bucket snapshot or a push, and each reply is handed back to
+//! it. `repair_pass` drives it over `peer_call`, one exchange at a time;
+//! the tests drive it over `handle`, so a write can land between any two
+//! of its steps — between a bucket's snapshot and its push among them.
 //!
 //! What is digested is the **raw stored pairs and the tombstones, as two
 //! tagged classes** — not "stored minus dead". Deletes leave tombstones:
@@ -121,14 +133,14 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use p2p_index_dht::{
     kind_counter, placement, BucketDigests, BucketSnapshot, Delivery, Dht, DhtError, DhtOp,
-    DhtResponse, FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht, REPAIR_BUCKETS,
+    DhtResponse, FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht,
 };
 use p2p_index_obs::MetricsRegistry;
 
 use crate::link::{Pooled, Timeouts};
 use crate::wire::{
     encode_message, read_message_with, release_frame_capacity, write_message_with, Message,
-    RecvError,
+    RecvError, MAX_PAYLOAD,
 };
 
 /// Cluster membership and quorum settings for one replicated server.
@@ -251,36 +263,27 @@ impl Replication {
         placement::replica_range(&self.ring, key, self.replicas)
     }
 
-    /// Ring positions of every member but this one.
-    fn peer_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ring.len()).filter(|at| self.peers[*at].is_some())
-    }
-
     /// Sends one frame to the member at ring position `at` and awaits the
     /// reply carrying the same id, returning it with the number of bytes
     /// sent. The peer's link is checked out for the exchange and put back
     /// after a good reply; any transport or protocol failure drops it and
-    /// reports `Err(())` — the caller treats it as a missing ack, never as
+    /// reports `None` — the caller treats it as a missing ack, never as
     /// fatal.
-    fn peer_call(&self, at: usize, msg: &Message) -> Result<(Message, u64), ()> {
-        let peer = self.peers.get(at).and_then(Option::as_ref).ok_or(())?;
-        let mut link = peer.check_out(PEER_TIMEOUTS).ok_or(())?;
-        let sent_id = match msg {
-            Message::Transfer { id, .. } | Message::Digest { id, .. } => *id,
-            _ => 0,
-        };
+    fn peer_call(&self, at: usize, msg: &Message) -> Option<(Message, u64)> {
+        let peer = self.peers.get(at)?.as_ref()?;
+        let mut link = peer.check_out(PEER_TIMEOUTS)?;
         // Nothing is read back after a failed send.
-        let sent = link.send(|frame| encode_message(msg, frame));
-        let exchange = sent.ok().and_then(|sent| Some((link.recv().ok()?.0, sent)));
-        match exchange {
-            Some((
-                reply @ (Message::Response { id, .. } | Message::DigestReply { id, .. }),
-                sent,
-            )) if id == sent_id => {
+        let sent = link.send(|frame| encode_message(msg, frame)).ok()?;
+        let (reply, _) = link.recv().ok()?;
+        let (Message::Transfer { id, .. } | Message::Digest { id, .. }) = msg else {
+            return None;
+        };
+        match reply {
+            Message::Response { id: to, .. } | Message::DigestReply { id: to, .. } if to == *id => {
                 peer.put_back(link);
-                Ok((reply, sent as u64))
+                Some((reply, sent as u64))
             }
-            _ => Err(()),
+            _ => None,
         }
     }
 
@@ -290,9 +293,9 @@ impl Replication {
 }
 
 /// Shared state between the accept loop and connection workers.
-struct Shared {
+pub(crate) struct Shared {
     /// The partition store — the only place values and tombstones live.
-    store: ShardedDht,
+    pub(crate) store: ShardedDht,
     /// The fault roll, present only when [`ServerConfig::fault`] can
     /// inject something. Locked for the roll alone, never across the
     /// store operation.
@@ -316,7 +319,7 @@ struct Shared {
 impl Shared {
     /// The state of a member serving `node`'s partition from a fresh, empty
     /// store. Needs no listener: [`handle`] can be driven on it directly.
-    fn new(node: NodeId, config: &ServerConfig) -> Shared {
+    pub(crate) fn new(node: NodeId, config: &ServerConfig) -> Shared {
         let replication = config
             .replication
             .clone()
@@ -450,31 +453,23 @@ impl DhtServer {
     /// another thread calling [`DhtServer::shutdown`]). Used by the
     /// `repro serve` daemon main.
     pub fn wait(mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.repair_thread.take() {
-            let _ = handle.join();
-        }
+        self.join();
     }
 
-    /// Stops accepting, drains in-flight requests, and joins all threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
+    /// Stops accepting, drains in-flight requests, and joins all threads
+    /// — what dropping the handle does.
+    pub fn shutdown(self) {}
 
     /// Like [`DhtServer::shutdown`] but by reference, so a cluster can
     /// crash one member in place while the rest keep serving.
     pub fn halt(&mut self) {
-        self.shutdown_in_place();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.join();
     }
 
-    fn shutdown_in_place(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.repair_thread.take() {
+    fn join(&mut self) {
+        let threads = [self.accept_thread.take(), self.repair_thread.take()];
+        for handle in threads.into_iter().flatten() {
             let _ = handle.join();
         }
     }
@@ -482,7 +477,7 @@ impl DhtServer {
 
 impl Drop for DhtServer {
     fn drop(&mut self) {
-        self.shutdown_in_place();
+        self.halt();
     }
 }
 
@@ -670,7 +665,7 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
 
 /// What a connection does once [`handle`] has seen a frame.
 #[derive(Debug, PartialEq)]
-enum Turn {
+pub(crate) enum Turn {
     /// Answer with this frame and keep serving.
     Reply(Message),
     /// A wire shutdown: the member is stopping.
@@ -684,7 +679,7 @@ enum Turn {
 /// counters, the stop flag — happens in here; the caller owns the
 /// connection the frame came in on and does nothing but carry out the
 /// returned [`Turn`]. No frame makes it call a peer.
-fn handle(shared: &Shared, msg: Message) -> Turn {
+pub(crate) fn handle(shared: &Shared, msg: Message) -> Turn {
     Turn::Reply(match msg {
         Message::Request { id, op } => {
             let mut results = [Err(DhtError::Timeout)];
@@ -798,66 +793,155 @@ fn repair_loop(shared: Arc<Shared>, interval: Duration) {
     }
 }
 
-/// One anti-entropy pass (module docs, "Repair"): probe each peer with
-/// this member's digests for it, read just before the probe; confirm a
-/// mismatch with a second probe; and push — bucket by bucket — only what
-/// both probes name, each bucket as one `Transfer` of its live values
-/// (what refills a member that restarted empty) and then its tombstones
-/// (what scrubs a stale member still holding a deleted mapping). On a
-/// converged cluster a pass reads the kept digest sums and sends one small
-/// frame pair per peer; it visits no key.
+/// One anti-entropy pass: drives a [`Pass`] over the peers' links, one
+/// exchange at a time.
 fn repair_pass(shared: &Shared) {
-    let Some(repl) = &shared.replication else {
-        return;
-    };
-    let mut pushed_bytes = 0;
-    for at in repl.peer_positions() {
-        let call = |probe: &Message| repl.peer_call(at, probe).ok().map(|(reply, _)| reply);
-        if let Some(differs) = confirmed_differences(shared, repl, at, call) {
-            pushed_bytes += push_differing(shared, repl, at, differs);
+    let mut pass = Pass::default();
+    while let Some(step) = pass.step(shared) {
+        if let (Step::Send(at, msg), Some(repl)) = (step, &shared.replication) {
+            pass.absorb(shared, repl.peer_call(at, &msg));
         }
     }
-    shared
-        .metrics
-        .add("net.server.replica.repair_bytes", pushed_bytes);
 }
 
-/// Probes the member at `at` through `call` with digests read just now
-/// and, if it names differing buckets, probes it once more at once, with
-/// digests read again: the buckets both probes name, counted as
-/// mismatches. A write that was still reaching one of the two members at
-/// the first probe has often landed on both by the second, so it is not
-/// pushed; a difference that persists is. Nothing here waits: a push that
-/// overtakes a client's write changes no write's answer (module docs,
-/// "Repair"). `None` when the member answers either probe with anything
-/// but a `DigestReply`, or not at all.
-fn confirmed_differences(
-    shared: &Shared,
-    repl: &Replication,
-    at: usize,
-    mut call: impl FnMut(&Message) -> Option<Message>,
-) -> Option<u16> {
-    let mut probe = || {
-        let digest = Message::Digest {
-            id: repl.next_id(),
-            from: repl.node_key,
-            buckets: peer_digests(shared, repl, at),
-        };
-        match call(&digest)? {
-            Message::DigestReply { differs, .. } => Some(differs),
-            _ => None,
+/// What a [`Pass`] asks of its driver next.
+pub(crate) enum Step {
+    /// Carry this frame to the peer at this ring position, and hand its
+    /// reply to [`Pass::absorb`] before the next step.
+    Send(usize, Message),
+    /// A confirmed bucket was snapshotted for its push: nothing to send
+    /// yet, so a write can still land before the push goes out.
+    Snapshot,
+}
+
+/// One anti-entropy pass of a member (module docs, "Repair") as a step
+/// function, with no socket in sight: [`step`](Self::step) says what to
+/// do next and [`absorb`](Self::absorb) takes the reply to each frame it
+/// sent. Peers take their turn in ring order. Each is probed with this
+/// member's digests for it, read just before the probe; a mismatch is
+/// confirmed at once by a second probe with digests read again, and only
+/// the buckets both name are counted as mismatches and pushed. A write
+/// that was still reaching one of the two members at the first probe has
+/// often landed on both by the second, so it is not pushed; a difference
+/// that persists is. A push that overtakes a client's write changes no
+/// write's answer (module docs, "Repair"). Each confirmed bucket is
+/// snapshotted — a step of its own — and sent as the frames [`cut`] makes
+/// of it: its live values (what refills a member that restarted empty),
+/// then its tombstones (what scrubs a stale member still holding a
+/// deleted mapping). A peer that does not answer, or answers a probe with
+/// anything but a `DigestReply`, is skipped for the rest of the pass. On
+/// a converged cluster a pass reads the kept digest sums and sends one
+/// small frame pair per peer; it visits no key.
+#[derive(Clone, Default)]
+pub(crate) struct Pass {
+    /// No peer before this ring position is left to repair.
+    next: usize,
+    /// Probes the current peer has answered: past the first only if it
+    /// named a bucket, and `2` once its buckets are settled.
+    probes: u8,
+    /// The buckets every probe of the current peer named, not yet
+    /// snapshotted.
+    differs: u16,
+    /// The snapshotted bucket's `Transfer` payloads not yet sent.
+    chunks: std::vec::IntoIter<BucketSnapshot>,
+    /// `[live values, scrubbed pairs]` of the `Transfer` sent last.
+    sending: [u64; 2],
+}
+
+impl Pass {
+    /// The pass's next step on `shared`, or `None` once every peer has had
+    /// its turn (at once, on a member that replicates nothing). Call
+    /// [`absorb`](Self::absorb) after each [`Step::Send`], before stepping
+    /// again.
+    pub(crate) fn step(&mut self, shared: &Shared) -> Option<Step> {
+        let repl = shared.replication.as_ref()?;
+        while let Some(at) = (self.next..repl.ring.len()).find(|at| repl.peers[*at].is_some()) {
+            self.next = at;
+            if self.probes < 2 {
+                shared.metrics.incr(match self.probes {
+                    0 => "net.server.replica.digest_probes",
+                    _ => "net.server.replica.digest_confirms",
+                });
+                let (id, from) = (repl.next_id(), repl.node_key);
+                let buckets = peer_digests(shared, repl, at);
+                return Some(Step::Send(at, Message::Digest { id, from, buckets }));
+            }
+            if let Some(snapshot) = self.chunks.next() {
+                self.sending = [&snapshot.live, &snapshot.dead]
+                    .map(|entries| entries.iter().map(|(_, vs)| vs.len() as u64).sum());
+                let id = repl.next_id();
+                return Some(Step::Send(at, Message::Transfer { id, snapshot }));
+            }
+            if self.differs == 0 {
+                (self.next, self.probes) = (at + 1, 0);
+                continue;
+            }
+            let bucket = self.differs.trailing_zeros() as usize;
+            self.differs &= self.differs - 1;
+            let holds = |key: &Key| repl.replica_range(key).contains(at);
+            self.chunks = cut(shared.store.bucket_snapshot(bucket, holds)).into_iter();
+            return Some(Step::Snapshot);
         }
-    };
-    let metrics = &shared.metrics;
-    metrics.incr("net.server.replica.digest_probes");
-    let mut differs = probe()?;
-    if differs != 0 {
-        metrics.incr("net.server.replica.digest_confirms");
-        differs &= probe()?;
+        None
     }
-    let mismatches = u64::from(differs.count_ones());
-    metrics.add("net.server.replica.digest_mismatches", mismatches);
-    Some(differs)
+
+    /// Takes the reply to the frame the last step sent, with the bytes
+    /// that frame put on the wire — `None` when it got no reply, which
+    /// ends this peer's turn.
+    pub(crate) fn absorb(&mut self, shared: &Shared, reply: Option<(Message, u64)>) {
+        let metrics = &shared.metrics;
+        match reply {
+            Some((_, sent)) if self.probes == 2 => {
+                metrics.incr("net.server.replica.repair_pushes");
+                metrics.add("net.server.replica.repair_values", self.sending[0]);
+                metrics.add("net.server.replica.tombstone_scrubs", self.sending[1]);
+                metrics.add("net.server.replica.repair_bytes", sent);
+            }
+            Some((Message::DigestReply { mut differs, .. }, _)) => {
+                if self.probes == 1 {
+                    differs &= self.differs;
+                }
+                self.differs = differs;
+                self.probes = if differs == 0 { 2 } else { self.probes + 1 };
+                if self.probes == 2 {
+                    let mismatches = u64::from(self.differs.count_ones());
+                    metrics.add("net.server.replica.digest_mismatches", mismatches);
+                }
+            }
+            _ => (self.probes, self.differs, self.chunks) = (2, 0, Default::default()),
+        }
+    }
+}
+
+/// The most payload bytes one repair `Transfer` carries, a quarter of
+/// [`MAX_PAYLOAD`]: a bucket share past it goes out as several frames.
+const TRANSFER_BUDGET: usize = MAX_PAYLOAD as usize / 4;
+
+/// Cuts one bucket's snapshot into `Transfer` payloads in send order, each
+/// within [`TRANSFER_BUDGET`] with every value counted as if it opened an
+/// entry of its own (a value longer than the budget goes alone). Every
+/// live value comes ahead of every tombstone, so a receiver applies the
+/// bucket's values before any scrub across frames as it does within one.
+/// A snapshot within the budget is one payload, entry for entry as taken.
+fn cut(snapshot: BucketSnapshot) -> Vec<BucketSnapshot> {
+    let tagged = pairs(snapshot.live).map(|pair| (false, pair));
+    let mut chunks: Vec<BucketSnapshot> = Vec::new();
+    let mut size = TRANSFER_BUDGET;
+    for (scrub, (key, value)) in tagged.chain(pairs(snapshot.dead).map(|pair| (true, pair))) {
+        let cost = key.as_bytes().len() + 8 + value.len();
+        if size + cost > TRANSFER_BUDGET {
+            chunks.push(BucketSnapshot::default());
+            size = 0;
+        }
+        size += cost;
+        let BucketSnapshot { live, dead } = chunks.last_mut().expect("a chunk was opened above");
+        let list = if scrub { dead } else { live };
+        match list.last_mut() {
+            Some((last, values)) if *last == key => values.push(value),
+            _ => list.push((key, vec![value])),
+        }
+    }
+    chunks
 }
 
 /// This member's bucket digests for the member at ring position `at`: the
@@ -866,47 +950,6 @@ fn peer_digests(shared: &Shared, repl: &Replication, at: usize) -> BucketDigests
     shared
         .store
         .kept_digests(|arc| repl.replica_range(&repl.ring[arc]).contains(at))
-}
-
-/// Pushes the buckets `differs` names to the member at `at`, one bucket
-/// and one `Transfer` at a time, giving up on the first it does not
-/// answer. Counts each acknowledged push with its live values and its
-/// scrubbed pairs, and returns the bytes sent.
-fn push_differing(shared: &Shared, repl: &Replication, at: usize, differs: u16) -> u64 {
-    let buckets = (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1);
-    let mut sent_bytes = 0;
-    for snapshot in buckets.filter_map(|bucket| plan_push(shared, repl, at, bucket)) {
-        let [values, scrubs]: [u64; 2] = [&snapshot.live, &snapshot.dead]
-            .map(|entries| entries.iter().map(|(_, vs)| vs.len() as u64).sum());
-        let transfer = Message::Transfer {
-            id: repl.next_id(),
-            snapshot,
-        };
-        let Ok((_, sent)) = repl.peer_call(at, &transfer) else {
-            return sent_bytes;
-        };
-        sent_bytes += sent;
-        let metrics = &shared.metrics;
-        metrics.incr("net.server.replica.repair_pushes");
-        metrics.add("net.server.replica.repair_values", values);
-        metrics.add("net.server.replica.tombstone_scrubs", scrubs);
-    }
-    sent_bytes
-}
-
-/// Plans one differing bucket's push to the member at `at`, sending
-/// nothing: a snapshot of the bucket's live values and tombstones over the
-/// keys that member holds, or `None` when there are neither.
-/// [`push_differing`] sends it as one `Transfer`.
-fn plan_push(
-    shared: &Shared,
-    repl: &Replication,
-    at: usize,
-    bucket: usize,
-) -> Option<BucketSnapshot> {
-    let holds = |key: &Key| repl.replica_range(key).contains(at);
-    let snapshot = shared.store.bucket_snapshot(bucket, holds);
-    (!snapshot.is_empty()).then_some(snapshot)
 }
 
 /// The `Digest` handler: this member's digests over the keys whose
@@ -930,7 +973,18 @@ mod tests {
     use super::*;
     use crate::wire::{read_message_with, write_message_with};
     use bytes::Bytes;
-    use p2p_index_dht::{repair_bucket, DhtOp, DhtResponse, Key};
+    use p2p_index_dht::{repair_bucket, DhtOp, DhtResponse, Key, REPAIR_BUCKETS};
+
+    /// What the explorer tells passes apart by: all but `sending`, which
+    /// only feeds counters.
+    impl std::hash::Hash for Pass {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            (self.next, self.probes, self.differs).hash(state);
+            for chunk in self.chunks.as_slice() {
+                (&chunk.live, &chunk.dead).hash(state);
+            }
+        }
+    }
 
     fn spawn_with(config: ServerConfig) -> DhtServer {
         DhtServer::spawn_partition(NodeId::hash_of("node-0"), "127.0.0.1:0", config)
@@ -1260,26 +1314,23 @@ mod tests {
         assert_eq!(metrics.counter("net.server.replica.repair_pushes"), 0);
     }
 
-    /// `to`'s answer to `msg`, as a peer link would deliver it.
-    fn ask(to: &Shared, msg: &Message) -> Option<Message> {
-        match handle(to, msg.clone()) {
-            Turn::Reply(reply) => Some(reply),
-            Turn::Leave | Turn::Abuse => None,
-        }
+    /// Ring position of member `name` in `member`'s ring.
+    fn position(member: &Shared, name: &str) -> usize {
+        let repl = member.replication.as_ref().expect("a replicating member");
+        repl.ring.binary_search(&Key::hash_of(name)).unwrap()
     }
 
-    /// One repair pass from `from` to the member `to`, as `repair_pass`
-    /// runs it with `handle` standing in for the peer link: probe and
-    /// confirm with `from`'s digests for `to`, then plan and apply every
-    /// confirmed bucket's push.
-    fn repair_by_hand(from: &Shared, to: &Shared, to_name: &str) {
-        let repl = from.replication.as_ref().expect("a replicating member");
-        let at = repl.ring.binary_search(&Key::hash_of(to_name)).unwrap();
-        let differs = confirmed_differences(from, repl, at, |msg| ask(to, msg))
-            .unwrap_or_else(|| panic!("{to_name} shares keys with its ring peer"));
-        for bucket in (0..REPAIR_BUCKETS).filter(|bucket| differs >> bucket & 1 == 1) {
-            if let Some(snapshot) = plan_push(from, repl, at, bucket) {
-                handle(to, Message::Transfer { id: 1, snapshot });
+    /// Runs `from`'s whole pass with `to`, at ring position `at`, the one
+    /// peer that answers: each frame for it goes through `to`'s `handle`.
+    fn pass_to(from: &Shared, to: &Shared, at: usize) {
+        let mut pass = Pass::default();
+        while let Some(step) = pass.step(from) {
+            if let Step::Send(peer, msg) = step {
+                let reply = match (peer == at).then(|| handle(to, msg)) {
+                    Some(Turn::Reply(reply)) => Some((reply, 0)),
+                    _ => None,
+                };
+                pass.absorb(from, reply);
             }
         }
     }
@@ -1299,27 +1350,37 @@ mod tests {
             handle(&s, put.clone()),
             answer(1, DhtResponse::Stored(true))
         );
-        let repl = s.replication.as_ref().unwrap();
-        let at = repl.ring.binary_search(&Key::hash_of("node-1")).unwrap();
+        let at = position(&s, "node-1");
+        let mut pass = Pass::default();
         let mut masks = Vec::new();
-        let confirmed = confirmed_differences(&s, repl, at, |msg| {
-            let reply = ask(&r, msg);
-            if let Some(Message::DigestReply { differs, .. }) = &reply {
-                masks.push(*differs);
-            }
+        for _ in 0..2 {
+            let Some(Step::Send(peer, probe @ Message::Digest { .. })) = pass.step(&s) else {
+                panic!("S probes R first");
+            };
+            assert_eq!(peer, at);
+            let Turn::Reply(reply @ Message::DigestReply { differs, .. }) = handle(&r, probe)
+            else {
+                panic!("R answers a probe with a digest reply");
+            };
+            masks.push(differs);
             if masks.len() == 1 {
                 // The write reaches R just after R answers the first probe.
                 handle(&r, put.clone());
             }
-            reply
-        });
+            pass.absorb(&s, Some((reply, 0)));
+        }
         // The first probe saw the write's bucket differ; the confirm, sent
-        // after the write landed on R, saw nothing; so nothing is pushed.
+        // after the write landed on R, saw nothing; so nothing is pushed:
+        // the pass moves on to probing the third member.
         assert_eq!(masks, vec![1 << repair_bucket(&key), 0]);
-        assert_eq!(confirmed, Some(0), "no bucket is planned for a push");
         assert_eq!(metrics.counter("net.server.replica.digest_probes"), 1);
         assert_eq!(metrics.counter("net.server.replica.digest_confirms"), 1);
         assert_eq!(metrics.counter("net.server.replica.digest_mismatches"), 0);
+        let next = pass.step(&s);
+        assert!(
+            matches!(next, Some(Step::Send(peer, Message::Digest { .. })) if peer != at),
+            "no bucket is snapshotted for R"
+        );
     }
 
     #[test]
@@ -1327,7 +1388,7 @@ mod tests {
     fn a_re_put_that_lands_between_a_scrub_snapshot_and_its_send_survives_repair() {
         // Two of three members holding every key (R = 3). Fails today:
         // the acknowledged re-put ends up gone from both. The push that S
-        // planned before the re-put scrubs the pair at R and leaves a
+        // snapshotted before the re-put scrubs the pair at R and leaves a
         // tombstone there; R's tombstone drops S's next push of it, and
         // R's own pass scrubs it from S. Per-pair versions (item 2(a)) let
         // the re-put win on both.
@@ -1336,7 +1397,8 @@ mod tests {
         let (r, _) = unbound("node-1", 3, nowhere);
         let key = Key::hash_of("re-put");
         let value = Bytes::from_static(b"Q:/article/title/re-put");
-        let put = DhtOp::Put {
+        let other = Bytes::from_static(b"Q:/article/title/in-flight");
+        let put = |value: &Bytes| DhtOp::Put {
             key,
             value: value.clone(),
         };
@@ -1344,34 +1406,58 @@ mod tests {
             key,
             value: value.clone(),
         };
-        let write = |member: &Shared, op: &DhtOp| {
-            let op = op.clone();
-            handle(member, Message::Request { id: 1, op })
-        };
+        let write = |member: &Shared, op: DhtOp| handle(member, Message::Request { id: 1, op });
         // A client writes the pair to both replicas and removes it again:
         // both hold its tombstone.
-        for op in [&put, &remove] {
-            write(&s, op);
+        for op in [put(&value), remove] {
+            write(&s, op.clone());
             write(&r, op);
         }
-        // S snapshots the pair's bucket for R (some write still in flight
-        // made it differ) and plans the push: one frame, scrubbing the pair.
-        let repl = s.replication.as_ref().unwrap();
-        let at = repl.ring.binary_search(&Key::hash_of("node-1")).unwrap();
-        let snapshot = plan_push(&s, repl, at, repair_bucket(&key)).unwrap();
-        assert_eq!(snapshot.dead, vec![(key, vec![value.clone()])]);
+        // A put of another value of the key has reached S; its frame to R
+        // is still in flight, so S's probe and confirm both find the
+        // bucket differing, and S snapshots it for R: one frame, the other
+        // value live and the pair's tombstone as a scrub.
+        write(&s, put(&other));
+        let at = position(&s, "node-1");
+        let mut pass = Pass::default();
+        while let Some(Step::Send(_, probe)) = pass.step(&s) {
+            let Turn::Reply(reply) = handle(&r, probe) else {
+                panic!("R answers a probe");
+            };
+            pass.absorb(&s, Some((reply, 0)));
+        }
         // The client re-puts the pair on both replicas: acknowledged.
         for member in [&s, &r] {
-            assert_eq!(write(member, &put), answer(1, DhtResponse::Stored(true)));
+            let stored = write(member, put(&value));
+            assert_eq!(stored, answer(1, DhtResponse::Stored(true)));
         }
-        // Only then does S's planned push reach R.
-        handle(&r, Message::Transfer { id: 1, snapshot });
-        repair_by_hand(&s, &r, "node-1");
-        repair_by_hand(&r, &s, "node-0");
+        // Only then does S's snapshotted push reach R, and after it the
+        // other value's frame; S's pass goes on to its third member, which
+        // answers nothing.
+        let Some(Step::Send(peer, transfer @ Message::Transfer { .. })) = pass.step(&s) else {
+            panic!("S pushes what it snapshotted");
+        };
+        assert_eq!(peer, at);
+        let Turn::Reply(ack) = handle(&r, transfer) else {
+            panic!("R acknowledges the push");
+        };
+        pass.absorb(&s, Some((ack, 0)));
+        write(&r, put(&other));
+        while let Some(step) = pass.step(&s) {
+            if let Step::Send(..) = step {
+                pass.absorb(&s, None);
+            }
+        }
+        // One more repair round: each member's pass with the other.
+        pass_to(&s, &r, at);
+        pass_to(&r, &s, position(&r, "node-0"));
         for (name, member) in [("S", &s), ("R", &r)] {
-            let held = write(member, &DhtOp::Get(key));
-            let values = DhtResponse::Values(vec![value.clone()]);
-            assert_eq!(held, answer(1, values), "the re-put is gone from {name}");
+            let Turn::Reply(Message::Response { result, .. }) = write(member, DhtOp::Get(key))
+            else {
+                panic!("{name} answers a get");
+            };
+            let held = result.map(DhtResponse::into_values).unwrap_or_default();
+            assert!(held.contains(&value), "the re-put is gone from {name}");
         }
     }
 

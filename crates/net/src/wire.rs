@@ -366,6 +366,15 @@ pub fn encode_message(msg: &Message, buf: &mut Vec<u8>) {
 }
 
 /// Appends the frame [`encode_message`] writes for
+/// `Message::Request { id, op }` from a borrowed op, so a router frames a
+/// lone op without building a message around it.
+pub(crate) fn encode_request(id: u64, op: &DhtOp, buf: &mut Vec<u8>) {
+    let len_at = begin_frame(KIND_REQUEST, id, buf);
+    encode_op(op, buf);
+    end_frame(buf, len_at);
+}
+
+/// Appends the frame [`encode_message`] writes for
 /// `Message::Batch { id, ops }`, taking the ops from wherever they live —
 /// by reference, or made up on the spot — so a router can frame a subset
 /// of its pending ops without first cloning them into a vector.

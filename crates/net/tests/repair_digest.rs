@@ -9,7 +9,8 @@
 //!   they hold.
 //! * **One round to refill** — a member wiped in place is whole again
 //!   after one round, sent one bucket per frame — its live values and its
-//!   tombstones together — and the round after that is silent.
+//!   tombstones together — and the round after that is silent. A bucket
+//!   share too large for one frame goes out as several, and converges too.
 //! * **Confirmed before pushed** — a probe that names differing buckets
 //!   is followed by one confirming probe (`digest_confirms`); a silent
 //!   round sends none.
@@ -28,7 +29,9 @@ use p2p_index_dht::{
     repair_bucket, Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, REPAIR_BUCKETS,
 };
 use p2p_index_net::wire::{read_message_with, write_message_with, Message};
-use p2p_index_net::{DhtServer, LoopbackCluster, RemoteDht, ReplicationConfig, ServerConfig};
+use p2p_index_net::{
+    DhtServer, LoopbackCluster, RemoteDht, ReplicationConfig, ServerConfig, MAX_PAYLOAD,
+};
 use p2p_index_obs::MetricsRegistry;
 
 const REPLICAS: usize = 3;
@@ -215,6 +218,41 @@ fn a_wiped_member_is_refilled_in_one_round_then_the_cluster_is_silent() {
         assert_eq!(Dht::get(&client, &key(i)), vec![value(i)]);
     }
     wide.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_bucket_share_larger_than_a_frame_refills_a_wiped_member() {
+    // Seventeen 1 MiB values in one repair bucket: the share a member
+    // pushes a wiped peer is more than `MAX_PAYLOAD`, so it has to go out
+    // as several `Transfer` frames. Sent as one, the peer would refuse the
+    // frame as oversized and every round would send it again.
+    let cluster = Cluster::start(3, None);
+    let mut client = cluster.client();
+    let keys = (0..).map(|i| Key::hash_of(&format!("large-{i}")));
+    let keys: Vec<Key> = keys
+        .filter(|key| repair_bucket(key) == 0)
+        .take(17)
+        .collect();
+    for (i, key) in keys.iter().enumerate() {
+        let value = Bytes::from(vec![i as u8; 1 << 20]);
+        let settled = client.execute(DhtOp::Put { key: *key, value });
+        assert!(settled.is_ok(), "{settled:?}");
+    }
+    let share: usize = keys.len() << 20;
+    assert!(share > MAX_PAYLOAD as usize);
+    cluster.wipe(1);
+    let [_, mismatches, pushes, _, bytes, _, received] = cluster.round_deltas();
+    assert_eq!(
+        cluster.stored(),
+        vec![keys.len(); 3],
+        "one round refills it"
+    );
+    assert_eq!(received, keys.len() as u64);
+    assert_eq!(mismatches, 1, "one bucket differs");
+    assert!(pushes > 1, "one bucket, {pushes} frames");
+    assert!(bytes as usize > share, "{bytes} bytes pushed");
+    assert_eq!(cluster.round_deltas()[1..], [0; 6], "and then silence");
     cluster.shutdown();
 }
 
