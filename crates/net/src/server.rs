@@ -92,9 +92,11 @@
 //!    snapshot the bucket, send it — its live values, then its tombstones
 //!    (the *scrub*) — and drop the snapshot. A bucket share goes out as
 //!    one `Transfer` when it fits `TRANSFER_BUDGET` (a quarter of
-//!    [`MAX_PAYLOAD`]) and as several otherwise,
-//!    every live value ahead of every tombstone, so no push is a frame its
-//!    receiver must refuse and the scrub still comes after the values.
+//!    [`MAX_PAYLOAD`]) and as several otherwise, every live value ahead
+//!    of every tombstone, so the scrub still comes after the values and
+//!    no share is refused for its size. One value alone can still be: a
+//!    value within 36 bytes of [`MAX_PAYLOAD`] is stored by a `Put`
+//!    (25 bytes of framing) but its `Transfer` (36) is `Oversized`.
 //!    Receivers' puts deduplicate and a remove of a dead pair is a no-op,
 //!    so a push is idempotent. What a pass holds in memory is a sixteenth
 //!    of one peer's share even when every bucket differs (a member
@@ -919,7 +921,8 @@ const TRANSFER_BUDGET: usize = MAX_PAYLOAD as usize / 4;
 
 /// Cuts one bucket's snapshot into `Transfer` payloads in send order, each
 /// within [`TRANSFER_BUDGET`] with every value counted as if it opened an
-/// entry of its own (a value longer than the budget goes alone). Every
+/// entry of its own (a value longer than the budget goes alone, in a frame
+/// its receiver refuses if it passes [`MAX_PAYLOAD`]). Every
 /// live value comes ahead of every tombstone, so a receiver applies the
 /// bucket's values before any scrub across frames as it does within one.
 /// A snapshot within the budget is one payload, entry for entry as taken.
@@ -1456,8 +1459,11 @@ mod tests {
             else {
                 panic!("{name} answers a get");
             };
-            let held = result.map(DhtResponse::into_values).unwrap_or_default();
-            assert!(held.contains(&value), "the re-put is gone from {name}");
+            let mut held = result.map(DhtResponse::into_values).unwrap_or_default();
+            held.sort();
+            let mut acknowledged = vec![value.clone(), other.clone()];
+            acknowledged.sort();
+            assert_eq!(held, acknowledged, "the re-put is gone from {name}");
         }
     }
 
