@@ -12,12 +12,12 @@
 //!   is lost (storage mutated, the caller still sees a timeout — the
 //!   at-least-once ambiguity retry layers must tolerate).
 //!
-//! That decision is [`LossRoll`], which owns no substrate: a networked
-//! `dhtd` server puts the same roll in front of its partition store, so
-//! faults injected behind a socket follow the schedule they follow in
-//! process. Membership change is not a fault class here: a test that
-//! crashes a node calls the substrate's own API (`RingDht::remove_node`,
-//! `ChordNetwork::fail`) or kills a `dhtd` process.
+//! This is the one place loss is injected. Over the wire it wraps the
+//! client (`FaultyDht<RemoteDht>`), so a lost message is one the caller
+//! never hears back from, whatever sockets carried it. Membership change
+//! is not a fault class here: a test that crashes a node calls the
+//! substrate's own API (`RingDht::remove_node`, `ChordNetwork::fail`) or
+//! kills a `dhtd` process.
 //!
 //! The `&self` read paths (`node_for`, `get`, `nodes`) pass through
 //! fault-free: the index layer drives all accounted traffic through
@@ -113,79 +113,11 @@ impl FaultConfig {
     pub fn lossy(seed: u64, loss: f64) -> Self {
         FaultConfig { seed, loss }
     }
-
-    /// `true` if this configuration can inject any fault.
-    pub fn is_active(&self) -> bool {
-        self.loss > 0.0
-    }
 }
 
 impl Default for FaultConfig {
     fn default() -> Self {
         Self::none()
-    }
-}
-
-/// What the loss roll decided for one operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Request and response both arrive.
-    Delivered,
-    /// The request vanished: the operation never happens.
-    RequestLost,
-    /// The operation happens, but its acknowledgement vanishes.
-    ResponseLost,
-}
-
-impl Delivery {
-    /// Runs `apply` as this outcome dictates and returns what the caller
-    /// observes: the real result when delivered, [`DhtError::Timeout`]
-    /// otherwise — after applying the operation anyway when only the
-    /// response was lost (the at-least-once ambiguity).
-    pub fn settle<T>(self, apply: impl FnOnce() -> Result<T, DhtError>) -> Result<T, DhtError> {
-        match self {
-            Delivery::Delivered => apply(),
-            Delivery::RequestLost => Err(DhtError::Timeout),
-            Delivery::ResponseLost => {
-                let _ = apply();
-                Err(DhtError::Timeout)
-            }
-        }
-    }
-}
-
-/// The seeded message-loss roll: one [`Delivery`] per operation.
-///
-/// It owns no substrate, so [`FaultyDht`] (in process) and a networked
-/// `dhtd` server (in front of its partition store) both draw from it —
-/// same draws, same order, hence the same `Ok`/`Timeout` schedule for the
-/// same seed.
-#[derive(Debug, Clone)]
-pub struct LossRoll {
-    loss: f64,
-    rng: SplitMix64,
-}
-
-impl LossRoll {
-    /// A roll at `cfg.loss`, seeded from `cfg.seed`.
-    pub fn new(cfg: FaultConfig) -> Self {
-        LossRoll {
-            loss: cfg.loss,
-            rng: SplitMix64::new(cfg.seed),
-        }
-    }
-
-    /// Decides the next operation's fate. A lost message is, with even
-    /// odds, the request (the operation never happened) or the response
-    /// (it happened but the caller cannot know). Draws nothing at loss 0.
-    pub fn roll(&mut self) -> Delivery {
-        if self.loss <= 0.0 || !self.rng.gen_bool(self.loss) {
-            Delivery::Delivered
-        } else if self.rng.gen_bool(0.5) {
-            Delivery::RequestLost
-        } else {
-            Delivery::ResponseLost
-        }
     }
 }
 
@@ -216,7 +148,9 @@ impl FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultyDht<D> {
     inner: D,
-    roll: LossRoll,
+    /// The loss rate, and the stream every roll draws from.
+    loss: f64,
+    rng: SplitMix64,
     fstats: FaultStats,
     metrics: MetricsRegistry,
 }
@@ -226,7 +160,8 @@ impl<D> FaultyDht<D> {
     pub fn new(inner: D, cfg: FaultConfig) -> Self {
         FaultyDht {
             inner,
-            roll: LossRoll::new(cfg),
+            loss: cfg.loss,
+            rng: SplitMix64::new(cfg.seed),
             fstats: FaultStats::default(),
             metrics: MetricsRegistry::default(),
         }
@@ -242,7 +177,7 @@ impl<D> FaultyDht<D> {
     /// Typical experiment shape: build and populate the index with faults
     /// disabled, then switch them on for the query phase.
     pub fn set_fault_config(&mut self, cfg: FaultConfig) {
-        self.roll = LossRoll::new(cfg);
+        (self.loss, self.rng) = (cfg.loss, SplitMix64::new(cfg.seed));
     }
 
     /// Counters for the faults injected so far.
@@ -257,22 +192,24 @@ impl<D> FaultyDht<D> {
 }
 
 impl<D: Dht> Dht for FaultyDht<D> {
+    /// Rolls the op's fate first. A lost message is, with even odds, the
+    /// request (the op never happens) or the response (it happens, but
+    /// the caller cannot know). Draws nothing at loss 0.
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
         self.fstats.attempts += 1;
         self.metrics.incr("fault.attempts");
-        let delivery = self.roll.roll();
-        match delivery {
-            Delivery::Delivered => {}
-            Delivery::RequestLost => {
-                self.fstats.requests_lost += 1;
-                self.metrics.incr("fault.requests_lost");
-            }
-            Delivery::ResponseLost => {
-                self.fstats.responses_lost += 1;
-                self.metrics.incr("fault.responses_lost");
-            }
+        if self.loss <= 0.0 || !self.rng.gen_bool(self.loss) {
+            return self.inner.execute(op);
         }
-        delivery.settle(|| self.inner.execute(op))
+        if self.rng.gen_bool(0.5) {
+            self.fstats.requests_lost += 1;
+            self.metrics.incr("fault.requests_lost");
+        } else {
+            self.fstats.responses_lost += 1;
+            self.metrics.incr("fault.responses_lost");
+            let _ = self.inner.execute(op);
+        }
+        Err(DhtError::Timeout)
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {

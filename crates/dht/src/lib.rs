@@ -58,7 +58,7 @@ pub use api::{
     kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, OpFamily, PairCounters,
 };
 pub use chord::{ChordConfig, ChordError, ChordNetwork};
-pub use faulty::{Delivery, FaultConfig, FaultStats, FaultyDht, LossRoll, SplitMix64};
+pub use faulty::{FaultConfig, FaultStats, FaultyDht, SplitMix64};
 pub use key::{Key, KEY_BITS};
 pub use ring::RingDht;
 pub use sharded::{repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, REPAIR_BUCKETS};

@@ -1073,6 +1073,71 @@ mod tests {
         server.shutdown();
     }
 
+    /// Hands `round` the reply `msg` from `member`, through the codec.
+    fn absorb_reply(round: &mut Round, dht: &RemoteDht, member: usize, msg: &Message) -> bool {
+        let frame = crate::wire::encode_to_vec(msg);
+        let mut replies = Vec::new();
+        let reply = crate::wire::read_reply_with(&mut &frame[..], &mut Vec::new(), &mut replies);
+        let reply = reply.expect("a reply frame decodes");
+        round.absorb(dht, member, reply.batch, &mut replies)
+    }
+
+    #[test]
+    fn a_reply_mixing_ok_and_error_results_settles_each_op_by_its_own() {
+        // Three gets whose keys share a primary, at R = 2: one batch frame,
+        // whose reply carries an ok, a transient error and a final error,
+        // in op order. Nothing is dialed.
+        let nowhere: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let config = RemoteDhtConfig {
+            replicas: 2,
+            ..RemoteDhtConfig::default()
+        };
+        let dht = RemoteDht::connect(RemoteDht::named_members(&[nowhere; 3]), config);
+        let replica = |key: &Key, rank| placement::replica_range(&dht.ring, key, 2).index(rank);
+        let primary = replica(&Key::hash_of("mixed-0"), 0);
+        let keys: Vec<Key> = (0..)
+            .map(|i| Key::hash_of(&format!("mixed-{i}")))
+            .filter(|key| replica(key, 0) == primary)
+            .take(3)
+            .collect();
+        let mut round = Round::default();
+        round.start(&dht, keys.iter().map(|key| DhtOp::Get(*key)));
+        assert!(round.plan(&dht));
+        assert_eq!(round.groups().collect::<Vec<_>>(), vec![(primary, 3)]);
+        let held = vec![Bytes::from_static(b"v")];
+        let results = vec![
+            Ok(DhtResponse::Values(held.clone())),
+            Err(DhtError::Timeout),
+            Err(DhtError::StorageFull),
+        ];
+        let reply = Message::BatchReply { id: 1, results };
+        assert!(absorb_reply(&mut round, &dht, primary, &reply));
+        // The final error settles at once, as itself; the timeout waits.
+        assert_eq!(round.results[2], Err(DhtError::StorageFull));
+        assert!(!round.routes[1].settled);
+        // The timed-out get fails over to its next replica, alone.
+        assert!(round.plan(&dht));
+        let next = replica(&keys[1], 1);
+        assert_eq!(round.groups().collect::<Vec<_>>(), vec![(next, 1)]);
+        let result = Ok(DhtResponse::Values(Vec::new()));
+        let reply = Message::Response { id: 2, result };
+        assert!(absorb_reply(&mut round, &dht, next, &reply));
+        assert!(!round.plan(&dht));
+        let settled = vec![
+            Ok(DhtResponse::Values(held)),
+            Ok(DhtResponse::Values(Vec::new())),
+            Err(DhtError::StorageFull),
+        ];
+        assert_eq!(*round.done(), settled);
+        // One completed pair per op, and a lookup per ok get.
+        let stats = DhtStats {
+            messages: 6,
+            lookups: 2,
+            hops: 0,
+        };
+        assert_eq!(dht.stats(), stats);
+    }
+
     #[test]
     fn quorum_read_merges_disjoint_stale_subsets() {
         // Three replicas each hold a *different* stale subset of one

@@ -16,7 +16,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 use bytes::Bytes;
-use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, FaultConfig, Key, NodeId};
+use p2p_index_dht::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId};
 use p2p_index_obs::MetricsRegistry;
 
 use crate::client::{RemoteDht, RemoteDhtConfig};
@@ -39,17 +39,6 @@ impl LoopbackCluster {
     /// `RingDht::with_named_nodes(n)` when fronted by a [`RemoteDht`].
     pub fn start_ring(n: usize) -> io::Result<LoopbackCluster> {
         Self::start_with(n, |_, _, _| ServerConfig::default())
-    }
-
-    /// Starts `n` servers that each inject message loss in front of their
-    /// store, so remote callers observe injected [`DhtError`]s over the
-    /// wire. Each node gets a distinct deterministic seed derived from
-    /// `seed` so runs are reproducible.
-    pub fn start_lossy_ring(n: usize, seed: u64, loss: f64) -> io::Result<LoopbackCluster> {
-        Self::start_with(n, |_, id, _| ServerConfig {
-            fault: FaultConfig::lossy(seed ^ id.key().low_u64(), loss),
-            ..ServerConfig::default()
-        })
     }
 
     /// Starts `n` servers named `node-0..n-1` forming one replicated
@@ -447,20 +436,5 @@ mod tests {
             "quorum reads must never union the resurrected value back in"
         );
         cluster.shutdown();
-    }
-
-    #[test]
-    fn lossy_cluster_surfaces_remote_faults_as_typed_errors() {
-        let cluster = LoopbackCluster::start_lossy_ring(3, 42, 1.0).expect("loopback cluster");
-        let mut cluster = ClusterDht::new(cluster, RemoteDhtConfig::default());
-        // Loss probability 1.0: every storage op must fail with a *remote*
-        // DhtError carried over the wire (not a transport failure).
-        let err = cluster
-            .execute(DhtOp::Put {
-                key: Key::hash_of("k"),
-                value: Bytes::from_static(b"v"),
-            })
-            .expect_err("fault injector drops everything");
-        assert_eq!(err, DhtError::Timeout);
     }
 }

@@ -19,12 +19,13 @@
 //! node *serves* is this one multi-value `put/get/remove` store; the
 //! client routes and accounts.
 //!
-//! Every storage operation of every frame kind reaches the store through
-//! one function, `Shared::apply_local`. That is also where
-//! [`ServerConfig::fault`] sits: a seeded [`LossRoll`] decides, before the
-//! store is touched, whether the request or its response is "lost", and
-//! the injected [`DhtError::Timeout`] travels the wire as an ordinary
-//! typed error frame.
+//! Every frame kind calls the store directly: a client's ops and a scrub's
+//! removes through [`ShardedDht::execute_shared`], a pushed value through
+//! [`ShardedDht::put_unless_dead`]. A write whose value could not be pushed
+//! in a `Transfer` of its own (`MAX_TRANSFER_VALUE`) is refused with
+//! [`DhtError::StorageFull`], a typed error frame, before the store sees it.
+//! Injected loss is not the server's business: it wraps the client
+//! (`FaultyDht<RemoteDht>`).
 //!
 //! Shutdown is graceful and reachable two ways: locally via
 //! [`DhtServer::shutdown`], or over the wire with a [`Message::Shutdown`]
@@ -33,7 +34,7 @@
 //! worker.
 //!
 //! Per-connection read timeouts double as the shutdown poll interval: a
-//! worker blocked in `read` wakes at least every `read_timeout` to check
+//! worker blocked in `read` wakes at least every `READ_TIMEOUT` to check
 //! the flag, so shutdown latency is bounded without extra machinery. Only
 //! a timeout between frames is such a tick: a frame that has begun is read
 //! to its end, however many timeouts its bytes straddle.
@@ -94,9 +95,7 @@
 //!    one `Transfer` when it fits `TRANSFER_BUDGET` (a quarter of
 //!    [`MAX_PAYLOAD`]) and as several otherwise, every live value ahead
 //!    of every tombstone, so the scrub still comes after the values and
-//!    no share is refused for its size. One value alone can still be: a
-//!    value within 36 bytes of [`MAX_PAYLOAD`] is stored by a `Put`
-//!    (25 bytes of framing) but its `Transfer` (36) is `Oversized`.
+//!    no share is refused for its size.
 //!    Receivers' puts deduplicate and a remove of a dead pair is a no-op,
 //!    so a push is idempotent. What a pass holds in memory is a sixteenth
 //!    of one peer's share even when every bucket differs (a member
@@ -128,21 +127,21 @@ use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    kind_counter, placement, BucketDigests, BucketSnapshot, Delivery, Dht, DhtError, DhtOp,
-    DhtResponse, FaultConfig, Key, LossRoll, NodeId, OpFamily, ShardedDht,
+    kind_counter, placement, BucketDigests, BucketSnapshot, Dht, DhtError, DhtOp, DhtResponse, Key,
+    NodeId, OpFamily, ShardedDht,
 };
 use p2p_index_obs::MetricsRegistry;
 
 use crate::link::{Pooled, Timeouts};
 use crate::wire::{
     encode_message, read_message_with, release_frame_capacity, write_message_with, Message,
-    RecvError, MAX_PAYLOAD,
+    RecvError, MAX_PAYLOAD, MAX_TRANSFER_VALUE,
 };
 
 /// Cluster membership and quorum settings for one replicated server.
@@ -188,18 +187,11 @@ impl ReplicationConfig {
 /// Tuning knobs for a [`DhtServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Per-connection socket read timeout. Also bounds how long a worker
-    /// can go without checking the shutdown flag.
-    pub read_timeout: Duration,
     /// Metrics sink for the `net.server.*` series (disabled by default).
     pub metrics: MetricsRegistry,
     /// Replicated-cluster membership; `None` (the default) serves a
     /// plain unreplicated partition.
     pub replication: Option<ReplicationConfig>,
-    /// Message loss injected in front of the store (none by default):
-    /// each storage operation first draws from a [`LossRoll`] seeded with
-    /// `fault.seed`, exactly like an in-process `FaultyDht`.
-    pub fault: FaultConfig,
     /// How many connections are served at once — each costs a worker
     /// thread. A connection accepted beyond it is closed at once
     /// (`net.server.admission_rejects`); the dialer sees a closed stream,
@@ -211,10 +203,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            read_timeout: Duration::from_millis(100),
             metrics: MetricsRegistry::disabled(),
             replication: None,
-            fault: FaultConfig::none(),
             max_connections: 1024,
         }
     }
@@ -298,13 +288,8 @@ impl Replication {
 pub(crate) struct Shared {
     /// The partition store — the only place values and tombstones live.
     pub(crate) store: ShardedDht,
-    /// The fault roll, present only when [`ServerConfig::fault`] can
-    /// inject something. Locked for the roll alone, never across the
-    /// store operation.
-    fault: Option<Mutex<LossRoll>>,
     stop: AtomicBool,
     metrics: MetricsRegistry,
-    read_timeout: Duration,
     /// Operations served since spawn (requests answered, ok or error).
     served: AtomicU64,
     /// Connection workers alive right now, and the most there may be.
@@ -336,32 +321,13 @@ impl Shared {
         store.set_metrics(config.metrics.clone());
         Shared {
             store,
-            fault: config
-                .fault
-                .is_active()
-                .then(|| Mutex::new(LossRoll::new(config.fault))),
             stop: AtomicBool::new(false),
             metrics: config.metrics.clone(),
-            read_timeout: config.read_timeout,
             served: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections,
             replication,
         }
-    }
-
-    /// Runs one storage operation, `apply`, on the local store — the
-    /// single function every frame kind's storage work goes through, with
-    /// the fault roll in front of it.
-    fn apply_local<T>(
-        &self,
-        apply: impl FnOnce(&ShardedDht) -> Result<T, DhtError>,
-    ) -> Result<T, DhtError> {
-        let delivery = match &self.fault {
-            Some(roll) => roll.lock().expect("fault roll poisoned").roll(),
-            None => Delivery::Delivered,
-        };
-        delivery.settle(|| apply(&self.store))
     }
 }
 
@@ -545,6 +511,10 @@ impl Drop for ConnectionSlot {
     }
 }
 
+/// Socket read timeout of a served connection: the idle tick at which a
+/// worker checks the shutdown flag and hands back an oversized read buffer.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// Socket write timeout of a served connection, and how long a frame that
 /// has begun may stall before the connection is given up on.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -595,7 +565,7 @@ fn serve_connection(stream: TcpStream, slot: ConnectionSlot) {
     // BSD-derived systems hand an accepted socket the listener's
     // non-blocking flag; a worker must block (up to its timeouts) instead.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = FrameReader {
@@ -677,15 +647,15 @@ pub(crate) enum Turn {
 }
 
 /// The server's step function: what this member does with one decoded
-/// frame. Everything a frame can cause — store operations, the fault roll,
-/// counters, the stop flag — happens in here; the caller owns the
-/// connection the frame came in on and does nothing but carry out the
-/// returned [`Turn`]. No frame makes it call a peer.
+/// frame. Everything a frame can cause — store operations, counters, the
+/// stop flag — happens in here; the caller owns the connection the frame
+/// came in on and does nothing but carry out the returned [`Turn`]. No
+/// frame makes it call a peer.
 pub(crate) fn handle(shared: &Shared, msg: Message) -> Turn {
     Turn::Reply(match msg {
         Message::Request { id, op } => {
             let mut results = [Err(DhtError::Timeout)];
-            serve_ops(shared, std::slice::from_ref(&op), &mut results);
+            serve_ops(shared, [op], &mut results);
             let [result] = results;
             Message::Response { id, result }
         }
@@ -696,7 +666,7 @@ pub(crate) fn handle(shared: &Shared, msg: Message) -> Turn {
             shared.metrics.incr("net.server.batches");
             shared.metrics.add("net.server.batch_ops", ops.len() as u64);
             let mut results = vec![Err(DhtError::Timeout); ops.len()];
-            serve_ops(shared, &ops, &mut results);
+            serve_ops(shared, ops, &mut results);
             Message::BatchReply { id, results }
         }
         Message::Transfer { id, snapshot } => {
@@ -710,16 +680,15 @@ pub(crate) fn handle(shared: &Shared, msg: Message) -> Turn {
             let BucketSnapshot { live, dead } = snapshot;
             let (mut values, mut dropped) = (0, 0);
             for (key, value) in pairs(live) {
-                match shared.apply_local(|store| Ok(store.put_unless_dead(key, &value))) {
-                    Ok(None) => dropped += 1,
-                    _ => values += 1,
+                match shared.store.put_unless_dead(key, &value) {
+                    None => dropped += 1,
+                    Some(_) => values += 1,
                 }
             }
             let mut applied = 0;
             for (key, value) in pairs(dead) {
                 applied += 1;
-                let remove = DhtOp::Remove { key, value };
-                let _ = shared.apply_local(|store| store.execute_shared(remove));
+                let _ = shared.store.execute_shared(DhtOp::Remove { key, value });
             }
             let metrics = &shared.metrics;
             metrics.add("net.server.replica.transfer_values", values);
@@ -760,14 +729,26 @@ pub(crate) fn handle(shared: &Shared, msg: Message) -> Turn {
 /// on a replicated member (whose store is built with its ring) a write
 /// makes its tombstone transition in the same shard guard. The client has
 /// sent the write to every other replica itself, so nothing here calls a
-/// peer.
-fn serve_ops(shared: &Shared, ops: &[DhtOp], results: &mut [Result<DhtResponse, DhtError>]) {
-    for (op, result) in ops.iter().zip(results.iter_mut()) {
-        *result = shared.apply_local(|store| store.execute_shared(op.clone()));
+/// peer. A write of a value longer than [`MAX_TRANSFER_VALUE`] is refused
+/// as [`DhtError::StorageFull`]: stored, or kept as a tombstone, it could
+/// never be pushed, and its bucket would never converge.
+fn serve_ops(
+    shared: &Shared,
+    ops: impl IntoIterator<Item = DhtOp>,
+    results: &mut [Result<DhtResponse, DhtError>],
+) {
+    for (op, result) in ops.into_iter().zip(results.iter_mut()) {
+        let kind = op.kind();
+        *result = match &op {
+            DhtOp::Put { value, .. } | DhtOp::Remove { value, .. }
+                if value.len() > MAX_TRANSFER_VALUE =>
+            {
+                Err(DhtError::StorageFull)
+            }
+            _ => shared.store.execute_shared(op),
+        };
         shared.served.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .incr(kind_counter(OpFamily::Server, op.kind()));
+        shared.metrics.incr(kind_counter(OpFamily::Server, kind));
         if result.is_err() {
             shared.metrics.incr("net.server.op_errors");
         }
@@ -1112,7 +1093,6 @@ mod tests {
         // take it for the start of a new frame.
         let metrics = MetricsRegistry::new();
         let server = spawn_with(ServerConfig {
-            read_timeout: Duration::from_millis(20),
             metrics: metrics.clone(),
             ..ServerConfig::default()
         });
@@ -1125,7 +1105,7 @@ mod tests {
         let frame = crate::wire::encode_to_vec(&Message::Request { id: 3, op });
         use std::io::Write;
         stream.write_all(&frame[..5]).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(READ_TIMEOUT * 4);
         stream.write_all(&frame[5..]).unwrap();
         let reply = read_message_with(&mut stream, &mut Vec::new()).ok();
         let result = Ok(DhtResponse::Values(Vec::new()));

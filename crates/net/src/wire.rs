@@ -112,6 +112,13 @@ const MIN_RESULT_LEN: usize = 3;
 /// count): divisor for the transfer count-before-allocation guard.
 const MIN_ENTRY_LEN: usize = 24;
 
+/// The longest value a `Transfer` of its own can carry within
+/// [`MAX_PAYLOAD`]: the two entry-list counts, one entry's key and value
+/// count, and the value's length prefix take 36 bytes. (A `Put` frames
+/// its value in 25, so a longer value would be stored, yet refused every
+/// time a repair pushed it.)
+pub(crate) const MAX_TRANSFER_VALUE: usize = MAX_PAYLOAD as usize - 4 - MIN_ENTRY_LEN - 4 - 4;
+
 const OP_NODE_FOR: u8 = 0x01;
 const OP_PUT: u8 = 0x02;
 const OP_GET: u8 = 0x03;
@@ -1176,6 +1183,26 @@ mod tests {
             expected.push(byte);
         }
         assert_eq!(buf, expected);
+    }
+
+    #[test]
+    fn a_value_at_the_transfer_bound_fills_a_transfer_of_its_own() {
+        // Pushed alone, as a live value or as a scrubbed tombstone, a value
+        // of `MAX_TRANSFER_VALUE` bytes makes a payload of `MAX_PAYLOAD`.
+        let one = vec![(Key::hash_of("k"), vec![Bytes::from_static(b"v")])];
+        let live = BucketSnapshot {
+            live: one.clone(),
+            dead: Vec::new(),
+        };
+        let dead = BucketSnapshot {
+            live: Vec::new(),
+            dead: one,
+        };
+        for snapshot in [live, dead] {
+            let frame = encode_to_vec(&Message::Transfer { id: 1, snapshot });
+            let framing = frame.len() - HEADER_LEN - 1;
+            assert_eq!(MAX_TRANSFER_VALUE + framing, MAX_PAYLOAD as usize);
+        }
     }
 
     #[test]

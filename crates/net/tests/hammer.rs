@@ -5,15 +5,12 @@
 //! against a single-threaded oracle run of the same seeded script — the
 //! sharding must be invisible except for the concurrency. A
 //! shared-key phase then drives every thread at the *same* keys and
-//! checks the settled final state, and a lossy server is held to the
-//! fault schedule of an in-process `FaultyDht`.
+//! checks the settled final state.
 
 use std::net::SocketAddr;
 
 use bytes::Bytes;
-use p2p_index_dht::{
-    Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key, NodeId, RingDht, SplitMix64,
-};
+use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key, NodeId, RingDht, SplitMix64};
 use p2p_index_net::{DhtServer, RemoteDht, RemoteDhtConfig, ServerConfig};
 use p2p_index_obs::MetricsRegistry;
 
@@ -192,50 +189,6 @@ fn hammer_threads_on_shared_keys_settle_deterministically() {
             let stored = Dht::get(&check, &key).contains(&value);
             assert_eq!(stored, present, "final presence of {value:?}");
         }
-    }
-    server.shutdown();
-}
-
-#[test]
-fn lossy_server_replays_the_in_process_fault_schedule() {
-    // The server draws from the same seeded roll as `FaultyDht`, once per
-    // storage op in arrival order, so one connection feeding it a script
-    // of unary and batch frames sees the in-process twin's exact
-    // Ok/Timeout sequence — and leaves the same entries behind.
-    let fault = FaultConfig::lossy(0xD1CE, 0.3);
-    let (server, node) = spawn_with(ServerConfig {
-        fault,
-        ..ServerConfig::default()
-    });
-    let mut client = client_for(server.local_addr());
-    let mut twin = FaultyDht::new(RingDht::from_ids([*node.key()]), fault);
-    let keys: Vec<Key> = (0..6)
-        .map(|j| Key::hash_of(&format!("lossy-{j}")))
-        .collect();
-    let values: Vec<Bytes> = (0..3).map(|m| Bytes::from(format!("v{m}"))).collect();
-    let mut timeouts = 0usize;
-    for mut group in script(0xFA17, &keys, &values, 120) {
-        // `NodeFor` never reaches a server (the client answers it), so
-        // it would cost the twin a draw the server does not make.
-        group.retain(|op| !matches!(op, DhtOp::NodeFor(_)));
-        let expected = twin.execute_many(group.clone());
-        timeouts += expected
-            .iter()
-            .filter(|r| **r == Err(DhtError::Timeout))
-            .count();
-        assert_eq!(client.execute_many(group), expected);
-    }
-    assert!(timeouts > 20, "30% loss must surface (saw {timeouts})");
-    assert!(twin.fault_stats().responses_lost > 0);
-    for key in &keys {
-        let stored = loop {
-            match client.execute(DhtOp::Get(*key)) {
-                Ok(response) => break response.into_values(),
-                Err(DhtError::Timeout) => {}
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        };
-        assert_eq!(stored, Dht::get(twin.inner(), key));
     }
     server.shutdown();
 }

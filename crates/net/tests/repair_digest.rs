@@ -10,7 +10,9 @@
 //! * **One round to refill** — a member wiped in place is whole again
 //!   after one round, sent one bucket per frame — its live values and its
 //!   tombstones together — and the round after that is silent. A bucket
-//!   share too large for one frame goes out as several, and converges too.
+//!   share too large for one frame goes out as several, and converges too;
+//!   a value too long for a `Transfer` of its own is refused when written
+//!   (`StorageFull`), so no bucket holds what it could not push.
 //! * **Confirmed before pushed** — a probe that names differing buckets
 //!   is followed by one confirming probe (`digest_confirms`); a silent
 //!   round sends none.
@@ -252,6 +254,42 @@ fn a_bucket_share_larger_than_a_frame_refills_a_wiped_member() {
     assert_eq!(mismatches, 1, "one bucket differs");
     assert!(pushes > 1, "one bucket, {pushes} frames");
     assert!(bytes as usize > share, "{bytes} bytes pushed");
+    assert_eq!(cluster.round_deltas()[1..], [0; 6], "and then silence");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_value_too_long_to_push_alone_is_refused_and_one_that_fits_refills_a_wiped_member() {
+    // A `Put` frames its value in 25 bytes and a `Transfer` of it alone in
+    // 36. A value in between would be stored, then refused as oversized on
+    // every push, and its bucket would never converge: every replica
+    // refuses it instead, and a remove of it (a tombstone is pushed too).
+    let cluster = Cluster::start(3, None);
+    let mut client = cluster.client();
+    let key = Key::hash_of("a-lone-value");
+    let long = Bytes::from(vec![7u8; MAX_PAYLOAD as usize - 25]);
+    for op in [
+        DhtOp::Put {
+            key,
+            value: long.clone(),
+        },
+        DhtOp::Remove { key, value: long },
+    ] {
+        assert_eq!(client.execute(op), Err(DhtError::StorageFull));
+    }
+    assert_eq!(cluster.stored(), vec![0; 3], "nothing is stored");
+    assert_eq!(cluster.round_deltas()[1..], [0; 6], "the buckets are equal");
+
+    // The longest value that is stored goes out in a `Transfer` exactly
+    // `MAX_PAYLOAD` long.
+    let value = Bytes::from(vec![8u8; MAX_PAYLOAD as usize - 36]);
+    let stored = client.execute(DhtOp::Put { key, value });
+    assert_eq!(stored, Ok(DhtResponse::Stored(true)));
+    assert_eq!(cluster.stored(), vec![1; 3]);
+    cluster.wipe(1);
+    let [_, mismatches, pushes, _, _, _, received] = cluster.round_deltas();
+    assert_eq!((mismatches, pushes, received), (1, 1, 1));
+    assert_eq!(cluster.stored(), vec![1; 3], "one round refills it");
     assert_eq!(cluster.round_deltas()[1..], [0; 6], "and then silence");
     cluster.shutdown();
 }

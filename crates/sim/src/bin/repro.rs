@@ -20,8 +20,7 @@
 //! steps, index hops, per-hop DHT operations, cache probes.
 //!
 //! `serve` runs one networked DHT node (`dhtd`): one node's partition
-//! store (optionally with `--loss` injected in front of it) behind the
-//! `crates/net` wire protocol, until it receives a shutdown frame.
+//! store behind the `crates/net` wire protocol, until it receives a shutdown frame.
 //! `net-demo` is the matching client: it points the full indexing stack
 //! at a running cluster over TCP. See the README's
 //! networking quickstart for a 5-node loopback ring.
@@ -56,8 +55,7 @@ fn usage() -> String {
     "usage: repro <fig7|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table1|storage|ext-structures|ext-churn|robustness|all> \
      [--small] [--nodes N] [--articles N] [--queries N] [--seed N] [--csv DIR] [--jobs N] [--metrics FILE]\n\
      \x20      repro trace <query> [--small] [--nodes N] [--articles N] [--seed N]\n\
-     \x20      repro serve [--port N] [--node-name NAME] [--loss F] [--fault-seed N] \
-     [--replicas R] [--peers NAME=HOST:PORT,...] [--repair-ms N]\n\
+     \x20      repro serve [--port N] [--node-name NAME] [--replicas R] [--peers NAME=HOST:PORT,...] [--repair-ms N]\n\
      \x20      repro net-demo --members HOST:PORT,... [--articles N] [--queries N] [--seed N] [--replicas R] [--quorum W,RQ] [--shutdown]\n\
      \x20      repro hotspot [--small] [--csv DIR] [--nodes N] [--articles N] [--queries N] [--seed N] \
      [--hot-rank N] [--boost F] [--threshold N] [--fanout N]"
@@ -221,16 +219,6 @@ fn parse_serve(mut flags: Flags) -> Result<ServeOptions, String> {
         match flag.as_str() {
             "--port" => opts.port = flags.value(&flag)?,
             "--node-name" => opts.node_name = flags.value(&flag)?,
-            "--loss" => {
-                // A probability: 1.5 would clamp to "lose everything" and
-                // NaN would mean "lose nothing", both silently.
-                let text = flags.text(&flag)?;
-                opts.loss = parse_as(&flag, &text)?;
-                if !(0.0..=1.0).contains(&opts.loss) {
-                    return Err(format!("{flag} {text:?}: must be within 0..=1"));
-                }
-            }
-            "--fault-seed" => opts.fault_seed = flags.value(&flag)?,
             "--replicas" => opts.replicas = flags.value(&flag)?,
             "--peers" => {
                 for peer in flags.list::<String>(&flag)? {
@@ -489,7 +477,7 @@ mod tests {
     #[test]
     fn the_cursor_parses_into_the_asked_for_type_and_names_the_flag() {
         assert_eq!(flags("7").value::<u16>("--port"), Ok(7));
-        assert_eq!(flags("0.25").value::<f64>("--loss"), Ok(0.25));
+        assert_eq!(flags("0.25").value::<f64>("--boost"), Ok(0.25));
         assert_eq!(
             Flags(vec!["1, 2,3".to_string()].into_iter()).list::<usize>("--quorum"),
             Ok(vec![1, 2, 3])
@@ -515,7 +503,7 @@ mod tests {
                 rejected(parse_eval("all", flags("--small --csv"))),
             ),
             (
-                rejected(parse_serve(flags("--small"))),
+                rejected(parse_serve(flags("--loss 0.1"))),
                 rejected(parse_serve(flags("--port"))),
             ),
             (
@@ -541,10 +529,6 @@ mod tests {
         for (flag, error) in [
             ("--seed", rejected(parse_eval("fig11", flags("--seed -1")))),
             (
-                "--fault-seed",
-                rejected(parse_serve(flags("--fault-seed -1"))),
-            ),
-            (
                 "--repair-ms",
                 rejected(parse_serve(flags("--repair-ms -1"))),
             ),
@@ -555,12 +539,6 @@ mod tests {
             ("--seed", rejected(parse_net_demo(flags("--seed 1e3")))),
         ] {
             assert!(error.starts_with(&format!("{flag} ")), "{error}");
-        }
-        for loss in ["1.5", "-0.1", "nan", "inf"] {
-            assert_eq!(
-                rejected(parse_serve(flags(&format!("--loss {loss}")))),
-                format!("--loss {loss:?}: must be within 0..=1")
-            );
         }
         // An empty network or corpus used to panic deep in the run.
         for flag in ["--nodes", "--articles"] {
@@ -573,14 +551,9 @@ mod tests {
                 assert_eq!(error, format!("{flag} \"0\": must be at least 1"));
             }
         }
-        let opts = parse_serve(flags(
-            "--port 65535 --fault-seed 18446744073709551615 --loss 1",
-        ))
-        .expect("each is the largest value its field holds");
-        assert_eq!(
-            (opts.port, opts.fault_seed, opts.loss),
-            (u16::MAX, u64::MAX, 1.0)
-        );
+        let opts = parse_serve(flags("--port 65535 --repair-ms 18446744073709551615"))
+            .expect("each is the largest value its field holds");
+        assert_eq!((opts.port, opts.repair_ms), (u16::MAX, u64::MAX));
     }
 
     #[test]

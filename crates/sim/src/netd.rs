@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use p2p_index_core::{CachePolicy, IndexService, RetryPolicy};
-use p2p_index_dht::{Dht, DhtStats, FaultConfig, Key, NodeId};
+use p2p_index_dht::{Dht, DhtStats, Key, NodeId};
 use p2p_index_net::{DhtServer, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig};
 use p2p_index_workload::{Corpus, CorpusConfig, QueryGenerator, StructureMix};
 
@@ -32,10 +32,6 @@ pub struct ServeOptions {
     /// cluster convention is `node-0..n-1`, matching
     /// `RingDht::with_named_nodes`.
     pub node_name: String,
-    /// Message-loss probability injected in front of the store (0 = none).
-    pub loss: f64,
-    /// Seed for the fault injector, when `loss > 0`.
-    pub fault_seed: u64,
     /// Replication factor R; together with a non-empty `peers` list this
     /// makes the daemon a member of a replicated cluster. `1` (the
     /// default) serves a plain unreplicated partition. A daemon takes no
@@ -54,8 +50,6 @@ impl Default for ServeOptions {
         ServeOptions {
             port: 0,
             node_name: "node-0".to_string(),
-            loss: 0.0,
-            fault_seed: 0,
             replicas: 1,
             peers: Vec::new(),
             repair_ms: 200,
@@ -133,7 +127,6 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     };
     let config = ServerConfig {
         replication,
-        fault: FaultConfig::lossy(opts.fault_seed, opts.loss),
         ..ServerConfig::default()
     };
     let server = DhtServer::spawn_partition(
@@ -148,10 +141,9 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     println!("DHTD LISTENING {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "# dhtd: partition for {} ({}), loss {}, replicas {}",
+        "# dhtd: partition for {} ({}), replicas {}",
         opts.node_name,
         NodeId::hash_of(&opts.node_name),
-        opts.loss,
         opts.replicas
     );
     server.wait();

@@ -18,7 +18,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use p2p_index_dht::placement::replica_keys;
-use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, Key, NodeId, RingDht};
+use p2p_index_dht::{ChordConfig, ChordNetwork, Dht, FaultConfig, FaultyDht, Key, NodeId, RingDht};
 use p2p_index_net::{RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
 use p2p_index_sim::netd::{run_workload, run_workload_with_churn};
@@ -206,16 +206,16 @@ fn batched_ops_against_live_daemons_match_in_process_twin() {
     shutdown_cluster(children, &addrs);
 }
 
-/// Fault injection behind the server: daemons started with `--loss`
-/// wrap their partition in `FaultyDht`, so the client sees typed
-/// `DhtError::Timeout` frames. `IndexService`'s retry policy must absorb
-/// them and still complete the workload.
+/// Loss over the wire: a `FaultyDht` around the client in front of real
+/// daemons, so a lost op is a `DhtError::Timeout` whether or not its frame
+/// reached a member. `IndexService`'s retry policy must absorb them and
+/// still complete the workload.
 #[test]
 fn lossy_cluster_completes_under_retry() {
-    let children = spawn_cluster(3, &["--loss", "0.15", "--fault-seed", "29"]);
+    let children = spawn_cluster(3, &[]);
     let addrs = members(&children);
 
-    let dht = remote_client(&addrs);
+    let dht = FaultyDht::new(remote_client(&addrs), FaultConfig::lossy(29, 0.15));
     let lossless = run_workload(RingDht::with_named_nodes(3), 18, 12, 11).expect("local");
     let outcome = run_workload(dht, 18, 12, 11).expect("lossy remote workload");
     assert_eq!(
