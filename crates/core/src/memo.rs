@@ -7,7 +7,11 @@
 //! `h(q)` — every query it looked up, every query target an entry it read
 //! named, and every generalization it derived, one copy each, the key
 //! computed the first time a lookup asks for it — and the decoded entries
-//! last read under those keys. Both memoise reads, never writes.
+//! last read under those keys. Both memoise reads, never writes: a write
+//! consults the known queries ([`ReadMemo::consult`],
+//! [`ReadMemo::write_key`]) so that an index query the client has read is
+//! not frozen or hashed again, but it adds nothing to either table and
+//! moves nothing between generations.
 //!
 //! Both tables are bounded the same way: two generations. New entries, and
 //! hits in the old generation, go to the young one; at the start of a call
@@ -115,9 +119,14 @@ impl<K: Hash + Eq, V> Generations<K, V> {
         self.young.get_mut(key)
     }
 
-    /// The value under `key`, wherever it is; moves nothing.
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.young.get(key).or_else(|| self.old.get(key))
+    /// The entry under `key`, wherever it is; moves nothing.
+    fn peek<Q>(&self, key: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let young = self.young.get_key_value(key);
+        young.or_else(|| self.old.get_key_value(key))
     }
 
     fn insert(&mut self, key: K, value: V) {
@@ -161,10 +170,12 @@ pub(crate) struct ReadMemo {
     /// bump) without being parsed — so a descriptor stored under several
     /// keys (§IV-A: several chains end at one MSD) is one allocation
     /// however many entries hold it — and a generalization it holds is
-    /// rendered but not frozen again. `publish`, `unpublish` and
-    /// `insert_mapping` hash their write-once keys with
-    /// `IndexService::key_of` instead, so the table grows with what was
-    /// read, not with what was stored.
+    /// rendered but not frozen again. `publish` and `unpublish` build
+    /// their MSD and index queries through [`Consult`], which finds and
+    /// never adds, and take a held query's key with
+    /// [`ReadMemo::write_key`]; a write-once query the table lacks is
+    /// frozen and hashed for that one write and then dropped. So the table
+    /// grows with what was read, not with what was stored.
     queries: Generations<Interned, Option<Key>>,
     /// The entry memo, the client's one table of read entries: `h(q) →`
     /// the decoded targets of the last non-empty entry read under it, the
@@ -223,6 +234,22 @@ impl ReadMemo {
         }
     }
 
+    /// The table as a write consults it: [`Consult`].
+    pub(crate) fn consult(&self) -> Consult<'_> {
+        Consult(&self.queries)
+    }
+
+    /// The DHT key of a query a write is about to write: the table's kept
+    /// key if it holds the query hashed, else `h(q)` computed for this
+    /// write alone. Adds nothing and moves nothing.
+    pub(crate) fn write_key(&self, query: &Query) -> Key {
+        let text = query.canonical_text();
+        match self.queries.peek(text) {
+            Some((_, Some(key))) => *key,
+            _ => Key::hash_of(text),
+        }
+    }
+
     /// Appends `query`'s one-step generalizations to `out`, in
     /// [`Query::generalizations`] order, through the known-query table: a
     /// generalization the table holds is the table's query (no freeze, no
@@ -235,7 +262,7 @@ impl ReadMemo {
     /// entry the memo holds for it, a plain `Get` otherwise.
     pub(crate) fn read_op(&self, key: Key) -> DhtOp {
         match self.entries.peek(&key) {
-            Some(entry) => DhtOp::GetIfChanged {
+            Some((_, entry)) => DhtOp::GetIfChanged {
                 key,
                 seen: entry.seen,
             },
@@ -318,6 +345,21 @@ impl KnownQueries for Generations<Interned, Option<Key>> {
     }
 }
 
+/// The known-query table as a write consults it: a query the client has
+/// read is the table's (no freeze), and a hit moves nothing between
+/// generations — what a write reuses does not keep an entry alive. A query
+/// the table lacks is frozen for the write and not added: a table of
+/// written queries would grow with everything this client ever stored.
+pub(crate) struct Consult<'m>(&'m Generations<Interned, Option<Key>>);
+
+impl KnownQueries for Consult<'_> {
+    fn find(&mut self, text: &str) -> Option<Query> {
+        self.0.peek(text).map(|(Interned(query), _)| query.clone())
+    }
+
+    fn add(&mut self, _query: &Query) {}
+}
+
 /// What the tests look at: a memo with tiny generations, the known
 /// queries, sorted, and how many entries each table holds.
 #[cfg(test)]
@@ -389,7 +431,7 @@ mod tests {
         assert_eq!(memo.entry_count(), 1);
 
         let held = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-        let IndexTarget::File(file) = &memo.entries.peek(&key).unwrap().targets[0] else {
+        let IndexTarget::File(file) = &memo.entries.peek(&key).unwrap().1.targets[0] else {
             unreachable!("decoded as a file above")
         };
         assert!(
@@ -666,7 +708,7 @@ mod tests {
         let mut sorted = interned.clone();
         sorted.sort();
         assert_eq!(memo.interned(), sorted, "each joined the known queries");
-        let key_of = |memo: &ReadMemo, q: &Query| *memo.queries.peek(&Interned(q.clone())).unwrap();
+        let key_of = |memo: &ReadMemo, q: &Query| *memo.queries.peek(q.canonical_text()).unwrap().1;
         assert!(
             derived.iter().all(|g| key_of(&memo, g).is_none()),
             "no SHA-1 yet"

@@ -31,11 +31,16 @@
 //! [`InitialLetterScheme`] and [`KeywordTitleScheme`] append a section of
 //! transform nodes to any scheme: the initial letters of `last`, and the
 //! title's words. Other schemes implement [`IndexScheme`] themselves.
+//!
+//! The interpreter builds each node query once per descriptor, in this
+//! thread's query draft, and asks a [`KnownQueries`] table for its text
+//! before freezing it ([`IndexScheme::index_edges_into`]): a writer passes
+//! the queries it has read, so a node query it holds costs no allocation.
 
 use std::borrow::Cow;
 
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::{CmpOp, Query};
+use p2p_index_xpath::{CmpOp, KnownQueries, Query};
 
 /// The bibliographic fields a scheme indexes, borrowed from a descriptor.
 ///
@@ -102,6 +107,16 @@ impl<'a> BiblioFields<'a> {
     /// `None`, with nothing built, when `node` is not a [`Node::Fields`]
     /// or the descriptor (or a missing `author`) lacks a field it needs.
     pub fn query(&self, node: Node, author: Option<&Author<'a>>) -> Option<Query> {
+        self.query_in(node, author, &mut ())
+    }
+
+    /// [`query`](Self::query), taken from `known` when it holds it.
+    fn query_in(
+        &self,
+        node: Node,
+        author: Option<&Author<'a>>,
+        known: &mut dyn KnownQueries,
+    ) -> Option<Query> {
         let Node::Fields(fields, needs) = node else {
             return None;
         };
@@ -116,7 +131,7 @@ impl<'a> BiblioFields<'a> {
         if bits(needs | fields).any(|i| values[i].is_none()) {
             return None;
         }
-        let query = Query::build_with(self.root, |query| {
+        let query = Query::build_with_known(self.root, known, |query| {
             for (path, value) in bits(fields).filter_map(|i| Some((PATHS[i], values[i]?))) {
                 query.value(path, value);
             }
@@ -124,9 +139,10 @@ impl<'a> BiblioFields<'a> {
         Some(query.expect("a field-set query nests four levels"))
     }
 
-    /// `/root[path op term]`: a transform node's query.
-    fn cut(&self, path: &str, op: CmpOp, term: &str) -> Query {
-        Query::build_with(self.root, |query| {
+    /// `/root[path op term]`: a transform node's query, taken from `known`
+    /// when it holds it.
+    fn cut(&self, path: &str, op: CmpOp, term: &str, known: &mut dyn KnownQueries) -> Query {
+        Query::build_with_known(self.root, known, |query| {
             query.compare(path, op, term);
         })
         .expect("a transform query nests three levels")
@@ -153,6 +169,27 @@ pub trait IndexScheme {
     /// The query-to-query edges to install for `descriptor`, whose MSD is
     /// `msd`. Chains must terminate at `msd` for the file to be reachable.
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)>;
+
+    /// [`index_edges`](Self::index_edges), appended to `edges` — a vector
+    /// the caller keeps from call to call, holding no edge of another
+    /// descriptor — with every node query taken from `known` when it holds
+    /// the query's canonical text, and frozen otherwise: the same edges,
+    /// in the same order. `publish` and `unpublish` pass the client's
+    /// known queries, so an index query the client has read is not built
+    /// again.
+    ///
+    /// The default is `index_edges`, which builds every query anew (the
+    /// table that holds nothing, `()`); the built-in schemes override it.
+    fn index_edges_into(
+        &self,
+        descriptor: &Descriptor,
+        msd: &Query,
+        known: &mut dyn KnownQueries,
+        edges: &mut Vec<(Query, Query)>,
+    ) {
+        let _ = known;
+        edges.extend(self.index_edges(descriptor, msd));
+    }
 }
 
 /// A node of a scheme [`Table`].
@@ -253,7 +290,14 @@ pub const FIG4: Table = Table { name: "fig4-hierarchical", rows: &[
 /// The interpreter: appends the edges of `rows` for `descriptor` to
 /// `edges`, reserving a slot per row and author (per word for a keyword
 /// row) — a fallback edge takes the slot of a dropped row out of its node.
-fn run(mut edges: Vec<Edge>, descriptor: &Descriptor, msd: &Query, rows: &[Row]) -> Vec<Edge> {
+/// Every node query is taken from `known` or frozen.
+fn run(
+    edges: &mut Vec<Edge>,
+    descriptor: &Descriptor,
+    msd: &Query,
+    rows: &[Row],
+    known: &mut dyn KnownQueries,
+) {
     let f = BiblioFields::of(descriptor);
     let turns = f.authors.len().max(1);
     let room = |&(from, _): &Row| match from {
@@ -264,6 +308,7 @@ fn run(mut edges: Vec<Edge>, descriptor: &Descriptor, msd: &Query, rows: &[Row])
     let mut nodes = Nodes {
         f: &f,
         msd,
+        known,
         author: None,
         built: Default::default(),
         emitted: [0; 2],
@@ -276,11 +321,10 @@ fn run(mut edges: Vec<Edge>, descriptor: &Descriptor, msd: &Query, rows: &[Row])
         let last = turn + 1 == turns;
         for (k, &(from, to)) in rows.iter().enumerate() {
             if last || from.per_author() || to.per_author() {
-                nodes.row(rows, k, last, &mut edges);
+                nodes.row(rows, k, last, edges);
             }
         }
     }
-    edges
 }
 
 /// One descriptor's node queries, each built (or found absent) once: an
@@ -290,6 +334,8 @@ fn run(mut edges: Vec<Edge>, descriptor: &Descriptor, msd: &Query, rows: &[Row])
 struct Nodes<'f, 'a> {
     f: &'f BiblioFields<'a>,
     msd: &'f Query,
+    /// Where a node query is taken from before it is frozen.
+    known: &'f mut dyn KnownQueries,
     author: Option<&'f Author<'a>>,
     built: [[Option<Option<Query>>; 32]; 2],
     emitted: [u32; 2],
@@ -303,11 +349,14 @@ impl Nodes<'_, '_> {
             Node::Msd => return Some(self.msd.clone()),
             Node::Initial(n) => {
                 let prefix: String = self.author?.1.chars().take(n).collect();
-                return Some(self.f.cut("author/last", CmpOp::StartsWith, &prefix));
+                let cut = self
+                    .f
+                    .cut("author/last", CmpOp::StartsWith, &prefix, self.known);
+                return Some(cut);
             }
             Node::Keywords(_) => return None,
         };
-        slot.get_or_insert_with(|| self.f.query(node, self.author))
+        slot.get_or_insert_with(|| self.f.query_in(node, self.author, self.known))
             .clone()
     }
 
@@ -320,7 +369,7 @@ impl Nodes<'_, '_> {
         if let Some(to_query) = self.get(to) {
             if let Node::Keywords(n) = from {
                 for word in self.f.keywords(n) {
-                    let keyword = self.f.cut("title", CmpOp::Contains, word);
+                    let keyword = self.f.cut("title", CmpOp::Contains, word, self.known);
                     push_edge(edges, keyword, to_query.clone());
                 }
             } else if let Some(from_query) = self.get(from) {
@@ -344,6 +393,14 @@ impl Nodes<'_, '_> {
             }
         }
     }
+}
+
+/// [`IndexScheme::index_edges`] of a scheme that overrides
+/// `index_edges_into`: its edges with every query built anew.
+fn built_anew(scheme: &impl IndexScheme, descriptor: &Descriptor, msd: &Query) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    scheme.index_edges_into(descriptor, msd, &mut (), &mut edges);
+    edges
 }
 
 fn push_edge(edges: &mut Vec<Edge>, from: Query, to: Query) {
@@ -377,7 +434,17 @@ macro_rules! table_schemes {
             }
 
             fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-                run(Vec::new(), descriptor, msd, $table.rows)
+                built_anew(self, descriptor, msd)
+            }
+
+            fn index_edges_into(
+                &self,
+                descriptor: &Descriptor,
+                msd: &Query,
+                known: &mut dyn KnownQueries,
+                edges: &mut Vec<(Query, Query)>,
+            ) {
+                run(edges, descriptor, msd, $table.rows, known);
             }
         }
     )*};
@@ -428,8 +495,24 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
     }
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let rows = [(Node::Initial(self.1), AUTHOR)];
-        run(self.0.index_edges(descriptor, msd), descriptor, msd, &rows)
+        built_anew(self, descriptor, msd)
+    }
+
+    fn index_edges_into(
+        &self,
+        descriptor: &Descriptor,
+        msd: &Query,
+        known: &mut dyn KnownQueries,
+        edges: &mut Vec<(Query, Query)>,
+    ) {
+        self.0.index_edges_into(descriptor, msd, known, edges);
+        run(
+            edges,
+            descriptor,
+            msd,
+            &[(Node::Initial(self.1), AUTHOR)],
+            known,
+        );
     }
 }
 
@@ -476,13 +559,31 @@ impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
     }
 
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        let rows = [(Node::Keywords(self.1), TITLE)];
-        run(self.0.index_edges(descriptor, msd), descriptor, msd, &rows)
+        built_anew(self, descriptor, msd)
+    }
+
+    fn index_edges_into(
+        &self,
+        descriptor: &Descriptor,
+        msd: &Query,
+        known: &mut dyn KnownQueries,
+        edges: &mut Vec<(Query, Query)>,
+    ) {
+        self.0.index_edges_into(descriptor, msd, known, edges);
+        run(
+            edges,
+            descriptor,
+            msd,
+            &[(Node::Keywords(self.1), TITLE)],
+            known,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn d2() -> Descriptor {
@@ -833,6 +934,105 @@ mod tests {
         // tables: a fallback that drops, adds or reorders an edge moves it.
         assert_eq!(count, 589, "every scheme emitted its edges");
         assert_eq!(hash, 0x4f66_11ec_d29b_9e37, "{hash:#018x}");
+    }
+
+    /// A find-only table of chosen queries, as a write consults the
+    /// client's known queries: each held copy is its own allocation, apart
+    /// from any query a scheme builds.
+    #[derive(Default)]
+    struct Held(HashMap<String, Query>);
+
+    impl KnownQueries for Held {
+        fn find(&mut self, text: &str) -> Option<Query> {
+            self.0.get(text).cloned()
+        }
+
+        fn add(&mut self, _query: &Query) {}
+    }
+
+    /// A scheme that only has `index_edges`, so it runs the provided
+    /// `index_edges_into`.
+    struct ByHand;
+
+    impl IndexScheme for ByHand {
+        fn name(&self) -> &str {
+            "by-hand"
+        }
+
+        fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
+            FlatScheme.index_edges(descriptor, msd)
+        }
+    }
+
+    #[test]
+    fn edges_built_through_a_table_are_the_plain_edges_with_the_tables_copies() {
+        use p2p_index_dht::SplitMix64;
+        use p2p_index_workload::{Corpus, CorpusConfig};
+
+        let corpus = Corpus::generate(CorpusConfig {
+            articles: 200,
+            extra_author_prob: 0.3,
+            ..CorpusConfig::default()
+        });
+        let sample = corpus.articles().iter().map(|a| a.descriptor());
+        let descriptors: Vec<Descriptor> = presence_shapes().into_iter().chain(sample).collect();
+        // Whether every query a scheme builds goes through the table:
+        // `ByHand` builds its own, so only its texts are compared.
+        let schemes: [(&dyn IndexScheme, bool); 8] = [
+            (&SimpleScheme, true),
+            (&FlatScheme, true),
+            (&ComplexScheme, true),
+            (&Fig4Scheme, true),
+            (&InitialLetterScheme::new(SimpleScheme, 1), true),
+            (&KeywordTitleScheme::new(ComplexScheme, 4), true),
+            (&ByHand, false),
+            (&InitialLetterScheme::new(ByHand, 2), false),
+        ];
+        // One text buffer is one `Arc`: the buffer lives inside it.
+        let same = |a: &Query, b: &Query| std::ptr::eq(a.canonical_text(), b.canonical_text());
+        let texts = |edges: &[Edge]| -> Vec<(String, String)> {
+            let text = |q: &Query| q.canonical_text().to_string();
+            edges.iter().map(|(f, t)| (text(f), text(t))).collect()
+        };
+        let mut rng = SplitMix64::new(53);
+        let (mut edges, mut hits) = (Vec::new(), 0);
+        for d in &descriptors {
+            let msd = Query::most_specific(d);
+            for (scheme, through_table) in schemes {
+                let name = scheme.name();
+                let plain = scheme.index_edges(d, &msd);
+                for _ in 0..2 {
+                    // A seeded random subset of the MSD and the edges'
+                    // queries, each held as a copy of its own.
+                    let mut held = Held::default();
+                    let queries = plain.iter().flat_map(|(f, t)| [f, t]);
+                    for q in std::iter::once(&msd).chain(queries) {
+                        if rng.gen_bool(0.5) {
+                            let copy: Query = q.canonical_text().parse().unwrap();
+                            held.0.insert(q.canonical_text().to_string(), copy);
+                        }
+                    }
+                    let known_msd = Query::most_specific_known(d, &mut held);
+                    assert_eq!(known_msd, msd, "{d}");
+                    // The caller's kept vector, emptied between descriptors.
+                    edges.clear();
+                    scheme.index_edges_into(d, &known_msd, &mut held, &mut edges);
+                    assert_eq!(texts(&edges), texts(&plain), "{name}: {d}");
+                    let built = edges.iter().flat_map(|(f, t)| [f, t]);
+                    for q in std::iter::once(&known_msd).chain(built) {
+                        let held_copy = held.0.get(q.canonical_text());
+                        if let Some(copy) =
+                            held_copy.filter(|_| through_table || same(q, &known_msd))
+                        {
+                            assert!(same(q, copy), "{name}: {q} is not the table's copy");
+                            hits += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // 46 587 at seed 53: about half of what the schemes build.
+        assert!(hits > 40_000, "only {hits} hits");
     }
 
     /// The fields a node's query names: the MSD names them all.

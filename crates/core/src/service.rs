@@ -26,6 +26,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -238,6 +239,69 @@ impl SearchScratch {
     }
 }
 
+/// The ops of one batched wave and their results: what a caller builds a
+/// wave in and reads it back from. Taken out of the service for the wave
+/// and put back emptied ([`Wave::emptied`]), so a warm wave allocates
+/// neither vector on a substrate that overrides
+/// [`Dht::execute_many_into`].
+#[derive(Debug, Default)]
+struct Wave {
+    /// The wave's ops; [`dht_execute_many`](IndexService::dht_execute_many)
+    /// drains them.
+    ops: Vec<DhtOp>,
+    /// One result per op, in op order, once the wave has run.
+    results: Vec<Result<DhtResponse, DhtError>>,
+}
+
+impl Wave {
+    /// The buffers with their capacity and without their contents.
+    fn emptied(mut self) -> Wave {
+        self.ops.clear();
+        self.results.clear();
+        self
+    }
+}
+
+/// The values of the write paths, encoded into one kept buffer: each
+/// value of a wave is a span of it, and the wave's ops get `Bytes` slices
+/// of one shared copy ([`hand_out`](Self::hand_out)), so a write wave's
+/// values cost one allocation pair however many there are. A value is
+/// encoded once however many ops carry it.
+///
+/// An in-process substrate keeps what it stores, so a stored value holds
+/// its wave's copy alive: a few hundred bytes, the values of one article.
+#[derive(Debug, Default)]
+struct WaveValues {
+    /// The encodings, back to back.
+    buf: Vec<u8>,
+    /// The value of each op of the wave being built, in op order.
+    spans: Vec<Range<usize>>,
+}
+
+impl WaveValues {
+    /// Appends one value's encoding and returns its span.
+    fn encode(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Range<usize> {
+        let start = self.buf.len();
+        encode(&mut self.buf);
+        start..self.buf.len()
+    }
+
+    /// Gives the `i`-th op of `ops`, a `Put` or `Remove`, the value at
+    /// `spans[i]`, a slice of one shared copy of the buffer, and empties
+    /// both.
+    fn hand_out(&mut self, ops: &mut [DhtOp]) {
+        if !self.spans.is_empty() {
+            let shared = Bytes::copy_from_slice(&self.buf);
+            for (op, span) in ops.iter_mut().zip(self.spans.drain(..)) {
+                if let DhtOp::Put { value, .. } | DhtOp::Remove { value, .. } = op {
+                    *value = shared.slice(span);
+                }
+            }
+        }
+        self.buf.clear();
+    }
+}
+
 /// Reusable per-wave buffers for
 /// [`dht_execute_many`](IndexService::dht_execute_many): capacity is
 /// carried from wave to wave, contents never are.
@@ -320,11 +384,13 @@ pub struct IndexService<D> {
     wave_scratch: WaveScratch,
     /// Reusable key lists of [`unpublish`](Self::unpublish)'s cascade.
     cascade_scratch: CascadeScratch,
-    /// Reusable wire-encode buffer for the write paths: every entry of a
-    /// publish wave is encoded into this one buffer instead of through a
-    /// per-entry `format!` temporary (publish is the allocation-heaviest
-    /// phase of a run).
-    encode_scratch: Vec<u8>,
+    /// The ops and results of the wave being built, kept between waves.
+    wave: Wave,
+    /// The index edges of the write in progress, kept between writes.
+    edges: Vec<(Query, Query)>,
+    /// The write paths' encode buffer: every value of a write wave is a
+    /// slice of one shared copy of it.
+    values: WaveValues,
     /// Observability sink (disabled by default; see [`set_metrics`](Self::set_metrics)).
     metrics: MetricsRegistry,
     /// Active lookup trace, if [`start_trace`](Self::start_trace) is pending.
@@ -352,18 +418,22 @@ impl<D: Dht> IndexService<D> {
             search_scratch: SearchScratch::default(),
             wave_scratch: WaveScratch::default(),
             cascade_scratch: CascadeScratch::default(),
-            encode_scratch: Vec::new(),
+            wave: Wave::default(),
+            edges: Vec::new(),
+            values: WaveValues::default(),
             metrics: MetricsRegistry::default(),
             tracer: None,
         }
     }
 
-    /// Encodes a value via the reusable scratch buffer (one buffer per
-    /// service instead of a `format!` temporary per entry).
+    /// Encodes one value of a unary write in the write paths' kept buffer
+    /// and copies it out.
     fn encode_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Bytes {
-        self.encode_scratch.clear();
-        encode(&mut self.encode_scratch);
-        Bytes::copy_from_slice(&self.encode_scratch)
+        let buf = &mut self.values.buf;
+        encode(buf);
+        let value = Bytes::copy_from_slice(buf);
+        buf.clear();
+        value
     }
 
     /// [`encode_with`](Self::encode_with) for a target.
@@ -454,17 +524,20 @@ impl<D: Dht> IndexService<D> {
     }
 
     /// Issues a batch of *independent* DHT operations under the retry
-    /// policy. The whole batch goes to the substrate as one
-    /// [`Dht::execute_many`] wave — on a networked substrate that is one
-    /// pipelined frame pair per routed member — and ops that failed
+    /// policy: drains `wave.ops` and leaves one result per op in
+    /// `wave.results`. The whole batch goes to the substrate as one
+    /// [`Dht::execute_many_into`] wave — on a networked substrate that is
+    /// one pipelined frame pair per routed member — and ops that failed
     /// transiently then burn their remaining budget one at a time in op
     /// order. Per-op retry accounting (`retry.*` stats and metrics,
     /// trace events, the simulated backoff clock) is identical to the
     /// unary sequence, and each `DhtOp` is cloned only while a further
     /// retry is actually possible.
-    fn dht_execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
+    fn dht_execute_many(&mut self, wave: &mut Wave) {
+        let Wave { ops, results } = wave;
+        results.clear();
         if ops.is_empty() {
-            return Vec::new();
+            return;
         }
         let may_retry = self.retry.max_attempts > 1;
         // Taken out for the wave (retry tails need `&mut self`) and put
@@ -478,8 +551,8 @@ impl<D: Dht> IndexService<D> {
             retained.extend(ops.iter().cloned().map(Some));
         }
         let before = self.stats_if_metered();
-        let mut results = self.dht.execute_many(ops);
-        self.account(before, 1, &kinds, &results);
+        self.dht.execute_many_into(ops, results);
+        self.account(before, 1, &kinds, results);
         for (i, slot) in results.iter_mut().enumerate() {
             match slot {
                 Ok(_) => {}
@@ -498,7 +571,6 @@ impl<D: Dht> IndexService<D> {
         kinds.clear();
         retained.clear();
         self.wave_scratch = WaveScratch { kinds, retained };
-        results
     }
 
     /// Continues one op's retry loop after its first (batched) attempt
@@ -594,8 +666,10 @@ impl<D: Dht> IndexService<D> {
     ///
     /// Pure and allocation-free (the canonical text is part of the
     /// query), but always recomputes the SHA-1: right for a key used
-    /// once, as every write's is. The lookup paths, which see the same
-    /// queries again and again, use [`cached_key`](Self::cached_key).
+    /// once. The lookup paths, which see the same queries again and
+    /// again, use [`cached_key`](Self::cached_key); the write paths take
+    /// the key the client's table kept for a query it has read, and this
+    /// for any other.
     pub fn key_of(query: &Query) -> Key {
         Key::hash_of(query.canonical_text())
     }
@@ -669,9 +743,17 @@ impl<D: Dht> IndexService<D> {
     ///
     /// The file entry and every index edge are independent `Put`s, so the
     /// whole publication goes to the substrate as **one**
-    /// [`Dht::execute_many`] wave — on a networked substrate that is one
-    /// pipelined frame pair instead of a round trip per edge, the same
-    /// batching win the multi-get lookup path gets.
+    /// [`Dht::execute_many_into`] wave — on a networked substrate that is
+    /// one pipelined frame pair instead of a round trip per edge, the same
+    /// batching win the multi-get lookup path gets. The wave's values —
+    /// the file's handle and each distinct edge target once — are slices
+    /// of one shared buffer.
+    ///
+    /// The MSD and the scheme's index queries are built through the
+    /// client's table of known queries
+    /// ([`IndexScheme::index_edges_into`]): one this client has read is
+    /// the table's copy with the key it kept, and only one it has not is
+    /// frozen and hashed. A write adds nothing to the table.
     ///
     /// # Errors
     ///
@@ -690,9 +772,40 @@ impl<D: Dht> IndexService<D> {
         if self.dht.is_empty() {
             return Err(IndexError::EmptyNetwork);
         }
-        let msd = Query::most_specific(descriptor);
-        let edges = scheme.index_edges(descriptor, &msd);
-        for (from, to) in &edges {
+        let msd = Query::most_specific_known(descriptor, &mut self.memo.consult());
+        let mut edges = self.write_edges(descriptor, &msd, scheme);
+        let result = self.install(&msd, file.as_ref(), &edges);
+        edges.clear();
+        self.edges = edges;
+        result?;
+        self.metrics.incr("index.publish");
+        Ok(msd)
+    }
+
+    /// The index edges `scheme` gives `descriptor`, whose MSD is `msd`, in
+    /// the kept edge vector (handed back to `self.edges` emptied), every
+    /// query built through the client's known queries without adding to
+    /// them (`ReadMemo::consult`), as the MSD is.
+    fn write_edges(
+        &mut self,
+        descriptor: &Descriptor,
+        msd: &Query,
+        scheme: &dyn IndexScheme,
+    ) -> Vec<(Query, Query)> {
+        let mut edges = std::mem::take(&mut self.edges);
+        scheme.index_edges_into(descriptor, msd, &mut self.memo.consult(), &mut edges);
+        edges
+    }
+
+    /// [`publish`](Self::publish)'s wave: every edge checked, then the
+    /// file's `Put` and one per edge.
+    fn install(
+        &mut self,
+        msd: &Query,
+        file: &str,
+        edges: &[(Query, Query)],
+    ) -> Result<(), IndexError> {
+        for (from, to) in edges {
             if !from.covers(to) {
                 return Err(IndexError::NotCovering {
                     from: from.to_string(),
@@ -700,36 +813,36 @@ impl<D: Dht> IndexService<D> {
                 });
             }
         }
-        // Keys written here are hashed, not interned: a publisher writes
-        // each key once, and remembering the query would make the read
-        // memo the owner of every tree ever published.
-        let mut ops = Vec::with_capacity(1 + edges.len());
-        let msd_key = Self::key_of(&msd);
-        let file_value = self.encode_with(|buf| encode_file_into(file.as_ref(), buf));
-        ops.push(DhtOp::Put {
-            key: msd_key,
-            value: file_value,
+        let mut wave = std::mem::take(&mut self.wave);
+        let values = &mut self.values;
+        let file_value = values.encode(|buf| encode_file_into(file, buf));
+        values.spans.push(file_value);
+        wave.ops.push(DhtOp::Put {
+            key: self.memo.write_key(msd),
+            value: Bytes::new(),
         });
-        // Edges sharing a target share its encoded entry (a `Bytes` clone
-        // is a refcount bump), as in the cascade's remove wave: schemes end
-        // several chains at the MSD and fan queries into shared
-        // intermediate ones.
+        // Edges sharing a target share its encoded entry, as in the
+        // cascade's remove wave: schemes end several chains at the MSD and
+        // fan queries into shared intermediate ones.
         for (i, (from, to)) in edges.iter().enumerate() {
-            let encoded = edges[..i].iter().position(|(_, earlier)| earlier == to);
-            let value = match encoded.map(|j| &ops[1 + j]) {
-                Some(DhtOp::Put { value, .. }) => value.clone(),
-                _ => self.encode_target(&IndexTarget::Query(to.clone())),
+            let span = match edges[..i].iter().position(|(_, earlier)| earlier == to) {
+                Some(j) => values.spans[1 + j].clone(),
+                None => values.encode(|buf| IndexTarget::Query(to.clone()).encode_into(buf)),
             };
-            ops.push(DhtOp::Put {
-                key: Self::key_of(from),
-                value,
+            values.spans.push(span);
+            wave.ops.push(DhtOp::Put {
+                key: self.memo.write_key(from),
+                value: Bytes::new(),
             });
         }
-        for result in self.dht_execute_many(ops) {
-            result?;
-        }
-        self.metrics.incr("index.publish");
-        Ok(msd)
+        values.hand_out(&mut wave.ops);
+        self.dht_execute_many(&mut wave);
+        let result = wave
+            .results
+            .drain(..)
+            .try_for_each(|result| result.map(drop));
+        self.wave = wave.emptied();
+        Ok(result?)
     }
 
     /// Installs one query-to-query mapping `(from ; to)`.
@@ -931,20 +1044,22 @@ impl<D: Dht> IndexService<D> {
         // Interleave [NodeFor, read] per query — the op order the unary
         // sequence would issue. Fault injectors draw per-op randomness in
         // op order, so this keeps batched and unary runs comparable.
-        let mut ops = Vec::with_capacity(queries.len() * 2);
+        let mut wave = std::mem::take(&mut self.wave);
         for query in queries.iter() {
             let key = self.memo.cached_key(query);
             keys.push(key);
-            ops.push(DhtOp::NodeFor(key));
-            ops.push(self.memo.read_op(key));
+            wave.ops.push(DhtOp::NodeFor(key));
+            wave.ops.push(self.memo.read_op(key));
         }
         if let Some(t) = &mut self.tracer {
             t.open(format!("wave: {} lookup(s)", queries.len()));
         }
-        let mut raw = self.dht_execute_many(ops).into_iter();
+        self.dht_execute_many(&mut wave);
         if let Some(t) = &mut self.tracer {
             t.close();
         }
+        // A hard error drops the wave's buffers: the next wave regrows them.
+        let mut raw = wave.results.drain(..);
         for (query, key) in queries.drain(..).zip(keys.drain(..)) {
             let node = raw.next().expect("one NodeFor result per query");
             let got = raw.next().expect("one read result per query");
@@ -953,6 +1068,8 @@ impl<D: Dht> IndexService<D> {
             });
             sink(query, or_abandoned(reply)?.map(|reply| reply.indexed));
         }
+        drop(raw);
+        self.wave = wave.emptied();
         Ok(())
     }
 
@@ -1270,6 +1387,10 @@ impl<D: Dht> IndexService<D> {
     /// as the first failed op's error once the rest of its wave was
     /// attempted (and retried) independently, as in
     /// [`publish`](Self::publish); no further wave is sent.
+    ///
+    /// The MSD and the edges are built through the client's known queries
+    /// as [`publish`](Self::publish) builds them, and each remove wave's
+    /// entries are slices of one shared buffer.
     pub fn unpublish(
         &mut self,
         descriptor: &Descriptor,
@@ -1279,8 +1400,8 @@ impl<D: Dht> IndexService<D> {
         if self.dht.is_empty() {
             return Err(IndexError::EmptyNetwork);
         }
-        let msd = Query::most_specific(descriptor);
-        let msd_key = Self::key_of(&msd);
+        let msd = Query::most_specific_known(descriptor, &mut self.memo.consult());
+        let msd_key = self.memo.write_key(&msd);
         let value = self.encode_with(|buf| encode_file_into(file, buf));
         self.dht_execute(DhtOp::Remove {
             key: msd_key,
@@ -1288,23 +1409,29 @@ impl<D: Dht> IndexService<D> {
         })?;
         self.caches.purge(&msd, file);
 
-        let edges = scheme.index_edges(descriptor, &msd);
+        let mut edges = self.write_edges(descriptor, &msd, scheme);
         // Taken out for the cascade (its waves need `&mut self`) and put
         // back emptied, even on error.
         let mut scratch = std::mem::take(&mut self.cascade_scratch);
-        let result = self.cascade(&edges, &mut scratch);
+        let mut wave = std::mem::take(&mut self.wave);
+        let result = self.cascade(&edges, &mut scratch, &mut wave);
         scratch.clear();
         self.cascade_scratch = scratch;
+        self.wave = wave.emptied();
+        edges.clear();
+        self.edges = edges;
         result?;
         self.metrics.incr("index.unpublish");
         Ok(msd)
     }
 
-    /// [`unpublish`](Self::unpublish)'s cleanup of `edges`, pass by pass.
+    /// [`unpublish`](Self::unpublish)'s cleanup of `edges`, pass by pass,
+    /// each wave built and read in `wave`.
     fn cascade(
         &mut self,
         edges: &[(Query, Query)],
         scratch: &mut CascadeScratch,
+        wave: &mut Wave,
     ) -> Result<(), IndexError> {
         let CascadeScratch {
             keys,
@@ -1315,7 +1442,7 @@ impl<D: Dht> IndexService<D> {
         keys.extend(
             edges
                 .iter()
-                .map(|(from, to)| (Self::key_of(from), Self::key_of(to))),
+                .map(|(from, to)| (self.memo.write_key(from), self.memo.write_key(to))),
         );
         attempted.resize(edges.len(), false);
         for &(_, to) in keys.iter() {
@@ -1324,36 +1451,46 @@ impl<D: Dht> IndexService<D> {
             }
         }
         while !pending.is_empty() {
-            let reads = pending.iter().map(|&key| DhtOp::Get(key)).collect();
-            let results = self.dht_execute_many(reads);
+            wave.ops.extend(pending.iter().map(|&key| DhtOp::Get(key)));
+            self.dht_execute_many(wave);
+            // A failed read ends the call before any remove is built, so
+            // no half-built wave is left in `self.values`.
+            if let Some(&failed) = wave.results.iter().find_map(|result| result.as_ref().err()) {
+                return Err(failed.into());
+            }
             // Every edge not sent yet whose target read empty; edges
             // sharing a target share its encoded entry.
-            let mut removes = Vec::with_capacity(keys.len());
-            for (&target, result) in pending.iter().zip(results) {
-                if !result?.into_values().is_empty() {
+            let Wave { ops, results } = &mut *wave;
+            let values = &mut self.values;
+            // Every read succeeded: `flatten` keeps them all, in order.
+            for (&target, read) in pending.iter().zip(results.drain(..).flatten()) {
+                if !read.into_values().is_empty() {
                     continue;
                 }
-                let mut entry: Option<Bytes> = None;
+                let mut entry = None;
                 for (i, &(from, to)) in keys.iter().enumerate() {
                     if to != target || attempted[i] {
                         continue;
                     }
                     attempted[i] = true;
-                    let value = entry
-                        .get_or_insert_with(|| {
-                            self.encode_target(&IndexTarget::Query(edges[i].1.clone()))
-                        })
-                        .clone();
+                    let span = entry.get_or_insert_with(|| {
+                        values.encode(|buf| IndexTarget::Query(edges[i].1.clone()).encode_into(buf))
+                    });
+                    values.spans.push(span.clone());
                     removing.push(from);
-                    removes.push(DhtOp::Remove { key: from, value });
+                    ops.push(DhtOp::Remove {
+                        key: from,
+                        value: Bytes::new(),
+                    });
                 }
             }
             pending.clear();
+            values.hand_out(ops);
 
-            let results = self.dht_execute_many(removes);
+            self.dht_execute_many(wave);
             // Only a removal that found its value can have emptied `from`,
             // and only an edge's target is worth reading again.
-            for (&from, result) in removing.iter().zip(results) {
+            for (&from, result) in removing.iter().zip(wave.results.drain(..)) {
                 let emptiable = keys.iter().any(|&(_, to)| to == from);
                 if result?.into_removed() && emptiable && !pending.contains(&from) {
                     pending.push(from);
@@ -1489,6 +1626,65 @@ mod tests {
             decoded_2001.unwrap().canonical_text()
         ));
         assert!(!std::ptr::eq(held(&conf_2001), conf_2001.canonical_text()));
+    }
+
+    #[test]
+    fn writes_consult_the_known_queries_and_never_add_to_them() {
+        let mut s = service(CachePolicy::None);
+        let read = descriptor("John", "Smith", "TCP", "SIGCOMM", "1989");
+        let unread: Vec<Descriptor> = (0..20)
+            .map(|i| descriptor(&format!("F{i}"), "Lee", &format!("T{i}"), "ICDCS", "2001"))
+            .collect();
+        s.publish(&read, "read.pdf", &SimpleScheme).unwrap();
+        // The client looks up the read article's MSD and every index query
+        // of its edges: each joins the table, hashed.
+        let msd = Query::most_specific(&read);
+        let edges = SimpleScheme.index_edges(&read, &msd);
+        for q in std::iter::once(&msd).chain(edges.iter().map(|(from, _)| from)) {
+            s.lookup_step(q).unwrap();
+        }
+        let known = s.memo.query_count();
+        let held = |s: &IndexService<RingDht>, q: &Query| {
+            let interned = s.memo.interned();
+            let copy = interned
+                .iter()
+                .find(|k| **k == q)
+                .map(|k| k.canonical_text());
+            copy.unwrap().as_ptr()
+        };
+        // Writing what it never read adds nothing to the table, and nor
+        // does writing what it read.
+        for round in 0..2 {
+            for (i, d) in unread.iter().enumerate() {
+                s.publish(d, format!("unread-{i}.pdf"), &SimpleScheme)
+                    .unwrap();
+            }
+            let published = s.publish(&read, "read.pdf", &SimpleScheme).unwrap();
+            assert_eq!(published.canonical_text().as_ptr(), held(&s, &msd));
+            assert_eq!(s.memo.query_count(), known, "round {round}");
+            for (i, d) in unread.iter().enumerate() {
+                s.unpublish(d, &format!("unread-{i}.pdf"), &SimpleScheme)
+                    .unwrap();
+            }
+            let unpublished = s.unpublish(&read, "read.pdf", &SimpleScheme).unwrap();
+            assert_eq!(unpublished.canonical_text().as_ptr(), held(&s, &msd));
+            assert_eq!(s.memo.query_count(), known, "round {round}");
+        }
+        // The writes took the keys the table kept: the store is what a
+        // client that never read anything leaves.
+        let mut fresh = service(CachePolicy::None);
+        for (i, d) in unread.iter().enumerate() {
+            fresh
+                .publish(d, format!("unread-{i}.pdf"), &SimpleScheme)
+                .unwrap();
+        }
+        s.publish(&read, "read.pdf", &SimpleScheme).unwrap();
+        fresh.publish(&read, "read.pdf", &SimpleScheme).unwrap();
+        for (i, d) in unread.iter().enumerate() {
+            s.publish(d, format!("unread-{i}.pdf"), &SimpleScheme)
+                .unwrap();
+        }
+        assert_eq!(s.dht().entries(), fresh.dht().entries());
     }
 
     #[test]

@@ -13,16 +13,19 @@
 //! When a query is not indexed the user generalizes it (§IV-B), and a warm
 //! client takes each generalization it derived before from its table of
 //! known queries: no allocation either. Publishing builds the scheme's node
-//! queries in the thread's draft, so each costs only what the query keeps.
+//! queries in the thread's draft, so each costs only what the query keeps,
+//! and a node query the writer's table holds costs nothing.
 //!
 //! The count is thread-local, so other tests running in parallel never
 //! touch it.
+
+use std::collections::HashMap;
 
 use p2p_index_core::{CachePolicy, IndexScheme, IndexService, IndexTarget, SimpleScheme};
 use p2p_index_dht::RingDht;
 use p2p_index_testkit::{allocs_during, Counting};
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::Query;
+use p2p_index_xpath::{KnownQueries, Query};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -117,4 +120,37 @@ fn a_scheme_builds_each_node_query_with_only_what_it_keeps() {
         allocs <= ceiling,
         "index_edges made {allocs} (ceiling {ceiling})"
     );
+}
+
+/// A find-only table of queries by canonical text, as a writer consults
+/// the queries it has read.
+struct Held(HashMap<String, Query>);
+
+impl KnownQueries for Held {
+    fn find(&mut self, text: &str) -> Option<Query> {
+        self.0.get(text).cloned()
+    }
+
+    fn add(&mut self, _query: &Query) {}
+}
+
+#[test]
+fn a_scheme_takes_every_node_query_its_table_holds() {
+    let descriptor = Descriptor::parse(FIGURE_1).expect("Figure 1 parses");
+    let msd = Query::most_specific(&descriptor);
+    let plain = SimpleScheme.index_edges(&descriptor, &msd);
+    let queries = plain.iter().flat_map(|(from, to)| [from, to]);
+    let mut held = Held(
+        queries
+            .map(|q| (q.canonical_text().to_string(), q.clone()))
+            .collect(),
+    );
+    let mut edges = Vec::with_capacity(plain.len());
+    let (_, allocs) =
+        allocs_during(|| SimpleScheme.index_edges_into(&descriptor, &msd, &mut held, &mut edges));
+    assert_eq!(edges, plain);
+    // The author list and nothing else: every node query is the table's
+    // (an `Arc` bump) and the edge vector is the caller's, kept. Each
+    // query frozen again would be +3.
+    assert_eq!(allocs, 1, "index_edges_into made {allocs}");
 }

@@ -482,6 +482,24 @@ pub trait Dht {
         ops.into_iter().map(|op| self.execute(op)).collect()
     }
 
+    /// [`Dht::execute_many`] over buffers the caller keeps from wave to
+    /// wave: drains `ops` and appends one result per op, in op order, to
+    /// `results`. A substrate that overrides it runs the wave without
+    /// allocating either vector, so a warm caller's wave costs what its
+    /// replies carry.
+    ///
+    /// The default hands `ops` to `execute_many` — the same batching and,
+    /// for a fault-injecting wrapper, the same per-op draw order — and
+    /// moves its results over, so only the caller's `results` capacity is
+    /// kept. The networked client overrides it.
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
+        results.extend(self.execute_many(std::mem::take(ops)));
+    }
+
     /// Resolves the live node currently responsible for `key`.
     ///
     /// Returns `None` only when the network has no live nodes.

@@ -844,6 +844,22 @@ impl Dht for RemoteDht {
         })
     }
 
+    /// The same round as [`execute_many`](Dht::execute_many), with the
+    /// results moved out of the round's own vector instead of handing
+    /// that vector out: the caller's `ops` and `results` and the round's
+    /// buffers all keep their capacity, so a warm wave allocates neither
+    /// vector.
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
+        self.with_scratch(|dht, scratch| {
+            dht.run(ops.drain(..), scratch);
+            results.append(scratch.round.done());
+        });
+    }
+
     /// The member owning `key` — its clockwise successor on the ring, as
     /// `RingDht::owner` places it — or `None` when the member list is
     /// empty.
@@ -1034,6 +1050,18 @@ mod tests {
             metrics.counter("net.batch.ops") > 0,
             "the batch wire path must actually be exercised"
         );
+
+        // The same round over kept vectors: the ops are drained and the
+        // results appended after what the caller's vector already held.
+        let reads = || -> Vec<DhtOp> {
+            let key = |i| Key::hash_of(&format!("batch-item-{i}"));
+            (0..10).map(|i| DhtOp::Get(key(i))).collect()
+        };
+        let (mut ops, mut results) = (reads(), vec![Ok(DhtResponse::Stored(true))]);
+        remote.execute_many_into(&mut ops, &mut results);
+        assert!(ops.is_empty());
+        assert_eq!(results[0], Ok(DhtResponse::Stored(true)));
+        assert_eq!(results[1..], ring.execute_many(reads())[..]);
         remote.shutdown_members();
     }
 

@@ -9,7 +9,8 @@
 //! stack on top of the round — for one three-level index search, one
 //! lookup of a file's MSD, and one publish and unpublish of an article
 //! (the write path: its MSD, its index edges and their wave, which the
-//! client sends to every replica of each key itself).
+//! client sends to every replica of each key itself), by a client that
+//! never read the article and by one that read its MSD and index queries.
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
@@ -23,7 +24,9 @@
 //! digests: no shared buffer, no value list, and the service's own
 //! decoded copy of the entry. A unary call hands its one result back out
 //! of the reused result vector, so a warm read of an absent or unchanged
-//! entry allocates nothing at all.
+//! entry allocates nothing at all. The service builds each wave in op and
+//! result vectors it keeps (`Dht::execute_many_into`), and a write wave's
+//! values are slices of one shared buffer.
 //!
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
@@ -31,7 +34,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use p2p_index_core::{CachePolicy, IndexService, IndexTarget, SimpleScheme, StepResponse};
+use p2p_index_core::{
+    CachePolicy, IndexScheme, IndexService, IndexTarget, SimpleScheme, StepResponse,
+};
 use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key};
 use p2p_index_net::{LoopbackCluster, RemoteDht};
 use p2p_index_testkit::{allocs_during, Counting};
@@ -154,17 +159,20 @@ fn a_warm_three_level_search_stays_inside_its_budget() {
     let (report, allocs) = allocs_during(|| service.search(&query));
     let report = report.expect("search on a healthy network");
     assert_eq!((report.files.len(), report.interactions), (12, 19));
-    // 18 = 12 file names + 1 hit list (sized once for the MSD level's 12
-    // files) + 1 for the unary entry probe (the client's result scratch,
-    // handed out with the last wave, regrown) + 2 per wave (op vector,
-    // result vector) x 2 waves. Every read is conditional and unchanged,
-    // so no reply ships a value: no shared buffer, no value list, and each
-    // interaction's entries are the memo's (`Arc` bumps). It was 23 while
-    // each round built a list of leased links (+3) and the hit list grew
-    // one hit at a time (+2), 58 while every read shipped its entry, 77
-    // while every interaction built a target list. No slack: any value
-    // list (+1 per read) or an allocating `covers` (+12) trips it.
-    assert!(allocs <= 18, "3-level search made {allocs} allocations");
+    // 13 = 12 file names + 1 hit list (sized once for the MSD level's 12
+    // files). The unary entry probe and both waves allocate nothing: the
+    // service keeps each wave's op and result vectors, and the client
+    // moves its results out of a vector it keeps. Every read is
+    // conditional and unchanged, so no reply ships a value: no shared
+    // buffer, no value list, and each interaction's entries are the
+    // memo's (`Arc` bumps). It was 18 while each wave built its op and
+    // result vectors (+4) and the client handed its result vector out with
+    // a wave and regrew it for the probe (+1), 23 while each round built a
+    // list of leased links (+3) and the hit list grew one hit at a time
+    // (+2), 58 while every read shipped its entry, 77 while every
+    // interaction built a target list. Exact: any value list (+1 per
+    // read), a wave vector (+1) or an allocating `covers` (+12) moves it.
+    assert_eq!(allocs, 13, "3-level search made {allocs} allocations");
     cluster.shutdown();
 }
 
@@ -230,35 +238,85 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     let (again, unpublish) =
         allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
     assert_eq!(again.expect("unpublish on a healthy network"), msd);
-    // Measured 45 = the MSD (3: the frozen query's node array, text and
-    // `Arc`) + the scheme's edges (32: six index queries at 5 each — the
-    // builder's two buffers and the frozen three — the author list, the
-    // edge list, sized once) + the wave (10: op vector, result vector, and
-    // one encoded value at 2 each per distinct target: the file, the
-    // author+title, the conf+year and the MSD). It was 51 while the edge
-    // list grew twice, each edge encoded its own target unless it was the
-    // MSD, and the round built a list of leased links; 114 while every
-    // query was built as a pointer tree (MSD 26, edges 73). Still 45 with
-    // the client writing all three replicas itself instead of a primary
-    // forwarding to two: the extra frames reuse the round's buffers and
-    // their replies carry no value. No slack: one more allocation per
-    // built query is +7, per edge +6.
-    assert!(publish <= 45, "a warm publish made {publish} allocations");
-    // Measured 55 = the MSD (3) + the edges (32) + the cascade (20): the
-    // file's remove (3: its encoded handle, and the client's result
-    // scratch, handed out with the publish wave, regrown), then two
-    // passes of one read wave and one remove wave (5 + 4, then 2 + 6).
-    // A wave is its op vector and result vector, plus a list and shared
-    // buffer for the entries the first pass's reads ship, and a remove
-    // wave adds one encoded entry per target key that read empty (2
-    // each). It was 61 with a leased-link list per round (+5) and an edge
-    // list that grew twice (+1), 113 while the cascade re-read every
-    // edge's target in unary exchanges until a pass removed nothing, and
-    // 175 before that; unchanged by client-coordinated writes, like the
-    // publish. No slack: one more wave is +2 at least.
-    assert!(
-        unpublish <= 55,
+    // The client read nothing, so it builds every query. Measured 24 = the
+    // MSD (3: the frozen query's node array, text and `Arc`) + the
+    // scheme's edges (19: six index queries at 3 each, built in the
+    // thread's draft, and the author list; the edge vector is the
+    // service's, kept) + the wave's values (2: the file and the three
+    // distinct targets — author+title, conf+year, the MSD — encoded into
+    // one buffer, of which each value is a slice: one shared copy). The op
+    // and result vectors are kept. It was 33 while each distinct value was
+    // a buffer of its own (+6), the edge vector was built per call (+1)
+    // and the wave built its two vectors (+2); 45 while each index query
+    // was built in a `QueryBuilder` of its own (+12); 114 while every
+    // query was a pointer tree. Exact: one more allocation per built query
+    // is +7, a wave vector +1.
+    assert_eq!(publish, 24, "a warm publish made {publish} allocations");
+    // Measured 32 = the MSD (3) + the file's remove (2: its encoded
+    // handle) + the edges (19) + the cascade (8): pass 1's read wave ships
+    // the two entries still holding the MSD in one reply frame (4: two
+    // value lists and the frame's shared buffer), and its remove wave
+    // encodes the MSD's entry for the two edges into it (2); pass 2's
+    // read wave finds both emptied (0) and its remove wave encodes their
+    // two entries, for four edges, into one buffer (2). It was 43 while
+    // each wave built its two vectors (+8), pass 2's two entries were a
+    // buffer each (+2) and the file's remove regrew the client's result
+    // vector, handed out with the wave before (+1); 55 with per-query
+    // builders (+12); 113 while the cascade re-read every edge's target in
+    // unary exchanges until a pass removed nothing, and 175 before that.
+    // Exact: one more wave vector is +1.
+    assert_eq!(
+        unpublish, 32,
         "a warm unpublish made {unpublish} allocations"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_write_of_what_the_client_read_builds_no_query_again() {
+    let (cluster, client) = warm_cluster();
+    let mut service = IndexService::new(client, CachePolicy::None);
+    let descriptor = Descriptor::parse(FIGURE_1).expect("Figure 1 parses");
+    let msd = service
+        .publish(&descriptor, "fig-1.pdf", &SimpleScheme)
+        .expect("publish on a healthy network");
+    // The client looks up the article's MSD and every index query of its
+    // edges, so its table of known queries holds them all, hashed.
+    let edges = SimpleScheme.index_edges(&descriptor, &msd);
+    let node_queries = edges.iter().map(|(from, _)| from);
+    for query in std::iter::once(&msd).chain(node_queries) {
+        service.lookup_step(query).expect("healthy lookup");
+    }
+    for _ in 0..3 {
+        service
+            .unpublish(&descriptor, "fig-1.pdf", &SimpleScheme)
+            .expect("unpublish on a healthy network");
+        service
+            .publish(&descriptor, "fig-1.pdf", &SimpleScheme)
+            .expect("publish on a healthy network");
+    }
+    let (again, unpublish) =
+        allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
+    let again = again.expect("unpublish on a healthy network");
+    let (published, publish) =
+        allocs_during(|| service.publish(&descriptor, "fig-1.pdf", &SimpleScheme));
+    let published = published.expect("publish on a healthy network");
+    // Both writes hand back the copy the table holds, not a new one.
+    assert!(std::ptr::eq(
+        again.canonical_text(),
+        published.canonical_text()
+    ));
+    assert_eq!(published, msd);
+    // The 24 and 32 of a client that read nothing, less 3 for each of the
+    // seven queries it holds: the MSD and the six index queries are the
+    // table's, with the keys it kept, so none is frozen or hashed again.
+    // What is left is the author list (1) and the wave's values (2); the
+    // unpublish adds the file's remove (2) and the cascade (8). Exact: a
+    // query frozen again is +3.
+    assert_eq!(publish, 3, "a publish of a read article made {publish}");
+    assert_eq!(
+        unpublish, 11,
+        "an unpublish of a read article made {unpublish}"
     );
     cluster.shutdown();
 }

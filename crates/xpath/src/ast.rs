@@ -362,6 +362,17 @@ impl Frozen {
         (offset(start), offset(token.len()))
     }
 
+    /// What [`emit`](Self::emit) rendered: `known`'s query when it holds
+    /// the canonical text, else [`freeze`](Self::freeze)d and handed to
+    /// [`KnownQueries::add`].
+    fn known_or_freeze(&mut self, known: &mut (impl KnownQueries + ?Sized)) -> Query {
+        known.find(&self.canon).unwrap_or_else(|| {
+            let query = self.freeze();
+            known.add(&query);
+            query
+        })
+    }
+
     /// Freezes what [`emit`](Self::emit) rendered: three allocations —
     /// the node array, the text buffer, the `Arc` — whatever the size.
     fn freeze(&mut self) -> Query {
@@ -449,13 +460,15 @@ fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
     result
 }
 
-/// Normalizes the draft rooted at node 0 and freezes it, rendering the
-/// canonical text exactly once.
+/// Normalizes the draft rooted at node 0 and renders its canonical text
+/// exactly once: `known`'s query if it holds that text, else the draft
+/// frozen.
 fn freeze_draft(
     draft: &mut Draft,
     order: &mut Vec<NodeId>,
     staged: &mut Vec<Node>,
     out: &mut Frozen,
+    known: &mut (impl KnownQueries + ?Sized),
 ) -> Result<Query, TooDeep> {
     order.clear();
     draft.normalize(0, MAX_DEPTH, order)?;
@@ -467,7 +480,7 @@ fn freeze_draft(
         index: 0,
     };
     out.render(root, NO_SKIP);
-    Ok(out.freeze())
+    Ok(out.known_or_freeze(known))
 }
 
 /// A normalized query over descriptors.
@@ -548,15 +561,18 @@ impl Query {
             let Scratch {
                 order, staged, out, ..
             } = scratch;
-            freeze_draft(draft, order, staged, out)
+            freeze_draft(draft, order, staged, out, &mut ())
         })
     }
 
-    /// Lets `write` build a query in this thread's draft, then freezes it:
-    /// the parser's, [`most_specific`](Query::most_specific)'s and
+    /// Lets `write` build a query in this thread's draft, then takes it
+    /// from `known` or freezes it: the parser's,
+    /// [`most_specific`](Query::most_specific)'s and
     /// [`build_with`](Query::build_with)'s path, which allocates nothing
-    /// but the query. The outer error is `write`'s own.
+    /// but the query, and nothing at all for a query `known` holds. The
+    /// outer error is `write`'s own.
     pub(crate) fn in_scratch<E>(
+        known: &mut (impl KnownQueries + ?Sized),
         write: impl FnOnce(&mut Draft) -> Result<(), E>,
     ) -> Result<Result<Query, TooDeep>, E> {
         with_scratch(|scratch| {
@@ -568,7 +584,7 @@ impl Query {
             } = scratch;
             draft.clear();
             write(draft)?;
-            Ok(freeze_draft(draft, order, staged, out))
+            Ok(freeze_draft(draft, order, staged, out, known))
         })
     }
 
@@ -654,38 +670,36 @@ impl Query {
     /// `known` lacks is frozen — then handed to [`KnownQueries::add`] — so
     /// a generalization the table holds costs a lookup and a refcount
     /// bump, not an allocation.
-    pub fn generalizations_known(&self, known: &mut impl KnownQueries, out: &mut Vec<Query>) {
+    pub fn generalizations_known(
+        &self,
+        known: &mut (impl KnownQueries + ?Sized),
+        out: &mut Vec<Query>,
+    ) {
         with_scratch(|scratch| {
             for branch in self.top_branches() {
                 scratch.out.render(self.root(), branch.index);
-                let query = match known.find(&scratch.out.canon) {
-                    Some(query) => query,
-                    None => {
-                        let query = scratch.out.freeze();
-                        known.add(&query);
-                        query
-                    }
-                };
-                out.push(query);
+                out.push(scratch.out.known_or_freeze(known));
             }
         });
     }
 }
 
 /// A table of queries by canonical text, which
-/// [`Query::generalizations_known`] asks before it freezes a
-/// generalization: a client's known queries, say, so that a warm client
-/// derives the generalizations it derived before without allocating.
+/// [`Query::generalizations_known`], [`Query::build_with_known`] and
+/// [`Query::most_specific_known`] ask before they freeze a query: a
+/// client's known queries, say, so that a warm client derives the
+/// generalizations it derived before, and writes the index queries it
+/// read before, without allocating.
 pub trait KnownQueries {
     /// The query whose canonical text is `text`, if the table holds it.
     fn find(&mut self, text: &str) -> Option<Query>;
 
     /// Takes in `query`, just frozen because [`find`](Self::find) did not
-    /// hold its text.
+    /// hold its text. A table may decline it.
     fn add(&mut self, query: &Query);
 }
 
-/// The table that holds nothing: every generalization is frozen.
+/// The table that holds nothing: every query is frozen.
 impl KnownQueries for () {
     fn find(&mut self, _text: &str) -> Option<Query> {
         None

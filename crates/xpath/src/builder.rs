@@ -24,12 +24,18 @@
 //!   builder's own steps ([`QuerySteps`]) there: both allocate only the
 //!   three the query keeps. Index schemes build their node queries with
 //!   `build_with`.
+//!
+//! The thread-draft constructors each have a `_known` form that renders
+//! the canonical text and asks a [`KnownQueries`] table for it before
+//! freezing: a query the table holds is the table's (a refcount bump, no
+//! allocation). A client writes the queries it has read through its
+//! table that way.
 
 use std::borrow::BorrowMut;
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
-use crate::ast::{CmpOp, Query, TooDeep, MAX_DEPTH};
+use crate::ast::{CmpOp, KnownQueries, Query, TooDeep, MAX_DEPTH};
 use crate::draft::{Draft, NodeId};
 
 /// A new builder's room: enough for the index queries a scheme makes
@@ -271,7 +277,22 @@ impl Query {
         root: &str,
         steps: impl FnOnce(&mut QuerySteps<'_>),
     ) -> Result<Query, TooDeep> {
-        Query::in_scratch(|draft| {
+        Query::build_with_known(root, &mut (), steps)
+    }
+
+    /// [`build_with`](Query::build_with), taking the query from `known`
+    /// when it holds the built query's canonical text: only a text
+    /// `known` lacks is frozen, then handed to [`KnownQueries::add`].
+    ///
+    /// # Errors
+    ///
+    /// [`TooDeep`] if a constraint nested deeper than [`MAX_DEPTH`].
+    pub fn build_with_known(
+        root: &str,
+        known: &mut (impl KnownQueries + ?Sized),
+        steps: impl FnOnce(&mut QuerySteps<'_>),
+    ) -> Result<Query, TooDeep> {
+        Query::in_scratch(known, |draft| {
             let mut built = QuerySteps(Steps::start(draft, root));
             steps(&mut built);
             if built.0.too_deep {
@@ -304,7 +325,21 @@ impl Query {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn most_specific(descriptor: &Descriptor) -> Query {
-        Query::try_from(descriptor)
+        Query::most_specific_known(descriptor, &mut ())
+    }
+
+    /// [`most_specific`](Query::most_specific), taking the MSD from
+    /// `known` when it holds its canonical text: only a text `known`
+    /// lacks is frozen, then handed to [`KnownQueries::add`].
+    ///
+    /// # Panics
+    ///
+    /// As [`most_specific`](Query::most_specific).
+    pub fn most_specific_known(
+        descriptor: &Descriptor,
+        known: &mut (impl KnownQueries + ?Sized),
+    ) -> Query {
+        msd_of(descriptor, known)
             .expect("a parsed descriptor's query nests at most MAX_DEPTH levels")
     }
 }
@@ -315,8 +350,19 @@ impl TryFrom<&Descriptor> for Query {
     /// [`Query::most_specific`], with a descriptor built deeper than the
     /// XML parser would accept reported instead of panicking.
     fn try_from(descriptor: &Descriptor) -> Result<Query, TooDeep> {
-        Query::in_scratch(|draft| write_element(draft, descriptor.root(), None, MAX_DEPTH))?
+        msd_of(descriptor, &mut ())
     }
+}
+
+/// The MSD of `descriptor`, written into this thread's draft and taken
+/// from `known` or frozen.
+fn msd_of(
+    descriptor: &Descriptor,
+    known: &mut (impl KnownQueries + ?Sized),
+) -> Result<Query, TooDeep> {
+    Query::in_scratch(known, |draft| {
+        write_element(draft, descriptor.root(), None, MAX_DEPTH)
+    })?
 }
 
 /// Writes `e` into `draft` under `parent`; `room` is how many levels, this

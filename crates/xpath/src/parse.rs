@@ -325,7 +325,7 @@ pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
             offset: 0,
         });
     }
-    let parsed = Query::in_scratch(|draft| {
+    let parsed = Query::in_scratch(&mut (), |draft| {
         p.parse_steps(draft, None, MAX_DEPTH)?;
         match p.peek() {
             Some(t) => Err(p.err(QueryErrorKind::TrailingInput(t.describe()))),

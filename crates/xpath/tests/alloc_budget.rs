@@ -8,9 +8,9 @@
 //! pointer. Construction is pinned per constructor: the parser,
 //! `Query::most_specific` and `Query::build_with` write into a per-thread
 //! draft and allocate only the three things the query keeps; a
-//! `QueryBuilder` chain adds its own draft's two buffers. A generalization
-//! a caller's table of known queries already holds is rendered but not
-//! frozen, and allocates nothing. The count is thread-local (`p2p_index_testkit::Counting`), so
+//! `QueryBuilder` chain adds its own draft's two buffers. A generalization,
+//! an MSD or a `build_with` query that a caller's table of known queries
+//! already holds is rendered but not frozen, and allocates nothing. The count is thread-local (`p2p_index_testkit::Counting`), so
 //! tests running in parallel never touch each other's.
 
 use std::collections::hash_map::DefaultHasher;
@@ -199,6 +199,39 @@ fn a_generalization_the_table_holds_allocates_nothing() {
     let (_, allocs) = allocs_during(|| msd.generalizations_into(&mut fresh));
     assert_eq!(fresh, first);
     assert!(allocs <= 3 * first.len() as u64, "made {allocs}");
+}
+
+#[test]
+fn a_built_query_or_msd_the_table_holds_allocates_nothing() {
+    let d = figure_1();
+    let build = |known: &mut Known| {
+        Query::build_with_known("article", known, |q| {
+            q.value("author/last", "Smith").value("conf", "SIGCOMM");
+        })
+        .expect("a shallow query")
+    };
+    let mut known = Known::default();
+    let (msd, built) = (
+        Query::most_specific_known(&d, &mut known),
+        build(&mut known),
+    );
+    assert_eq!(msd, Query::most_specific(&d));
+    assert_eq!(known.0.len(), 2, "each new one joined the table");
+    let ((msd_again, built_again), allocs) = allocs_during(|| {
+        (
+            Query::most_specific_known(&d, &mut known),
+            build(&mut known),
+        )
+    });
+    assert_eq!(allocs, 0, "an MSD and a query the table holds");
+    assert!(std::ptr::eq(
+        msd.canonical_text(),
+        msd_again.canonical_text()
+    ));
+    assert!(std::ptr::eq(
+        built.canonical_text(),
+        built_again.canonical_text()
+    ));
 }
 
 /// A builder for an `n`-branch query whose branches alternate between a
