@@ -167,28 +167,29 @@ pub trait IndexScheme {
     fn name(&self) -> &str;
 
     /// The query-to-query edges to install for `descriptor`, whose MSD is
-    /// `msd`. Chains must terminate at `msd` for the file to be reachable.
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)>;
-
-    /// [`index_edges`](Self::index_edges), appended to `edges` — a vector
-    /// the caller keeps from call to call, holding no edge of another
-    /// descriptor — with every node query taken from `known` when it holds
-    /// the query's canonical text, and frozen otherwise: the same edges,
-    /// in the same order. `publish` and `unpublish` pass the client's
-    /// known queries, so an index query the client has read is not built
-    /// again.
+    /// `msd`, appended to `edges` — a vector the caller keeps from call to
+    /// call, holding no edge of another descriptor. Chains must terminate
+    /// at `msd` for the file to be reachable.
     ///
-    /// The default is `index_edges`, which builds every query anew (the
-    /// table that holds nothing, `()`); the built-in schemes override it.
+    /// Every node query is taken from `known` when it holds the query's
+    /// canonical text, and frozen otherwise: the same edges, in the same
+    /// order, whatever `known` holds. `publish` and `unpublish` pass the
+    /// client's known queries, so an index query the client has read is
+    /// not built again.
     fn index_edges_into(
         &self,
         descriptor: &Descriptor,
         msd: &Query,
         known: &mut dyn KnownQueries,
         edges: &mut Vec<(Query, Query)>,
-    ) {
-        let _ = known;
-        edges.extend(self.index_edges(descriptor, msd));
+    );
+
+    /// [`index_edges_into`](Self::index_edges_into) a new vector, every
+    /// query built anew (the table that holds nothing, `()`).
+    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
+        let mut edges = Vec::new();
+        self.index_edges_into(descriptor, msd, &mut (), &mut edges);
+        edges
     }
 }
 
@@ -395,14 +396,6 @@ impl Nodes<'_, '_> {
     }
 }
 
-/// [`IndexScheme::index_edges`] of a scheme that overrides
-/// `index_edges_into`: its edges with every query built anew.
-fn built_anew(scheme: &impl IndexScheme, descriptor: &Descriptor, msd: &Query) -> Vec<Edge> {
-    let mut edges = Vec::new();
-    scheme.index_edges_into(descriptor, msd, &mut (), &mut edges);
-    edges
-}
-
 fn push_edge(edges: &mut Vec<Edge>, from: Query, to: Query) {
     let edge = (from, to);
     if !edges.contains(&edge) {
@@ -431,10 +424,6 @@ macro_rules! table_schemes {
         impl IndexScheme for $scheme {
             fn name(&self) -> &str {
                 $table.name
-            }
-
-            fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-                built_anew(self, descriptor, msd)
             }
 
             fn index_edges_into(
@@ -492,10 +481,6 @@ impl<S: IndexScheme> InitialLetterScheme<S> {
 impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
     fn name(&self) -> &str {
         "initial-letter"
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        built_anew(self, descriptor, msd)
     }
 
     fn index_edges_into(
@@ -556,10 +541,6 @@ impl<S: IndexScheme> KeywordTitleScheme<S> {
 impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
     fn name(&self) -> &str {
         "keyword-title"
-    }
-
-    fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-        built_anew(self, descriptor, msd)
     }
 
     fn index_edges_into(
@@ -950,8 +931,7 @@ mod tests {
         fn add(&mut self, _query: &Query) {}
     }
 
-    /// A scheme that only has `index_edges`, so it runs the provided
-    /// `index_edges_into`.
+    /// A scheme that builds its own queries and never asks the table.
     struct ByHand;
 
     impl IndexScheme for ByHand {
@@ -959,8 +939,14 @@ mod tests {
             "by-hand"
         }
 
-        fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
-            FlatScheme.index_edges(descriptor, msd)
+        fn index_edges_into(
+            &self,
+            descriptor: &Descriptor,
+            msd: &Query,
+            _known: &mut dyn KnownQueries,
+            edges: &mut Vec<(Query, Query)>,
+        ) {
+            edges.extend(FlatScheme.index_edges(descriptor, msd));
         }
     }
 

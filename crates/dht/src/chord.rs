@@ -12,20 +12,23 @@
 //! Stoica et al. (SIGCOMM 2001): `find_successor` routes iteratively via
 //! `closest_preceding_node`; ring pointers are maintained by
 //! `stabilize`/`notify`/`fix_fingers`; successor lists provide fault
-//! tolerance. Three rules sit on top of the routing:
+//! tolerance. Membership, placement and stores are a [`RingDht`] the
+//! network owns, so Chord keeps only what routing needs, under two rules:
 //!
 //! * **Accounting.** Every operation is "route for accounting, then one
 //!   request/response pair (2 messages) per node asked". A write asks the
-//!   routed owner once and lands on the replica set (the responsible node
-//!   and its `replication - 1` successors) by global view; a read asks the
-//!   routed owner and, while the answer is empty, the rest of the replica
-//!   set in order (DHash-style). Each routed operation consumes exactly
+//!   routed node once and lands on the owner's store by global view; a
+//!   read asks the routed node and, when that is not the owner and
+//!   answered empty, the owner too (a stale route may reach a node whose
+//!   keys a newcomer took over). Each routed operation consumes exactly
 //!   one lookup origin; origins rotate over the members.
-//! * **Join takeover.** After a newcomer is routed to its place, every key
-//!   whose replica set now contains it lands on exactly that set, from
-//!   whichever members hold it.
-//! * **Re-replication.** The same placement pass over every key
-//!   ([`ChordNetwork::repair_replication`]).
+//! * **Join takeover.** After a newcomer is routed to its place, the ring
+//!   hands it the keys it now owns ([`RingDht::add_node`]), from the
+//!   global view — data is never stranded, however stale the routing
+//!   tables the join travelled through.
+//!
+//! Replication is left to the substrate underneath an index: the `dhtd`
+//! cluster replicates for real (`p2p_index_net`); this simulation does not.
 //!
 //! Two construction paths are provided:
 //!
@@ -58,27 +61,11 @@ use bytes::Bytes;
 
 use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
 use crate::key::{Key, KEY_BITS};
-use crate::placement;
-use crate::storage::{merged_entries, NodeStore};
+use crate::ring::RingDht;
+use crate::storage::NodeStore;
 
 /// Length of each node's successor list (fault tolerance).
 const SUCCESSOR_LIST_LEN: usize = 4;
-
-/// Tuning knobs for the Chord simulation.
-#[derive(Debug, Clone)]
-pub struct ChordConfig {
-    /// How many data replicas to place on the nodes succeeding the
-    /// responsible node (1 = no replication). The paper notes indexes
-    /// "benefit from the mechanisms implemented by the DHT substrate ...
-    /// such as data replication"; this knob demonstrates that layering.
-    pub replication: usize,
-}
-
-impl Default for ChordConfig {
-    fn default() -> Self {
-        ChordConfig { replication: 1 }
-    }
-}
 
 /// Errors returned by Chord operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,19 +112,17 @@ impl NodeState {
     }
 }
 
-/// The simulated Chord network: every member's protocol state and store,
-/// plus the work counters behind [`Dht::stats`].
+/// The simulated Chord network: every member's protocol state, the ring
+/// that holds membership, placement and stores, and the work counters
+/// behind [`Dht::stats`].
 ///
 /// See the [module docs](self) for an overview and examples.
 #[derive(Debug)]
 pub struct ChordNetwork {
-    cfg: ChordConfig,
-    /// Per-member protocol state.
+    /// Per-member protocol state (same key set as `ring`'s members).
     nodes: BTreeMap<Key, NodeState>,
-    /// Per-member multi-value store (same key set as `nodes`).
-    stores: BTreeMap<Key, NodeStore>,
-    /// Sorted cache of live node identifiers (mirrors `nodes` keys).
-    order: Vec<Key>,
+    /// Members in ring order and their stores, by global view.
+    ring: RingDht,
     /// Work counters, atomic so `&self` read paths account like
     /// everything else.
     messages: AtomicU64,
@@ -148,7 +133,7 @@ pub struct ChordNetwork {
 }
 
 impl ChordNetwork {
-    /// Creates an empty network with the default configuration.
+    /// Creates an empty network.
     pub fn new() -> Self {
         Self::with_perfect_tables([])
     }
@@ -159,47 +144,21 @@ impl ChordNetwork {
     /// computed from the global view, as if stabilization had already run to
     /// completion. Duplicated identifiers are collapsed.
     pub fn with_perfect_tables(ids: impl IntoIterator<Item = Key>) -> Self {
-        Self::with_perfect_tables_and_config(ids, ChordConfig::default())
-    }
-
-    /// [`ChordNetwork::with_perfect_tables`] with an explicit configuration.
-    pub fn with_perfect_tables_and_config(
-        ids: impl IntoIterator<Item = Key>,
-        cfg: ChordConfig,
-    ) -> Self {
+        let ring = RingDht::from_ids(ids);
         let mut net = ChordNetwork {
-            cfg,
-            nodes: BTreeMap::new(),
-            stores: BTreeMap::new(),
-            order: Vec::new(),
+            nodes: ring
+                .ids()
+                .iter()
+                .map(|id| (*id, NodeState::solitary(*id)))
+                .collect(),
+            ring,
             messages: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             hops: AtomicU64::new(0),
             next_origin: AtomicU64::new(0),
         };
-        for id in ids {
-            net.insert_member(id, NodeState::solitary(id));
-        }
         net.rebuild_all_tables();
         net
-    }
-
-    /// Adds `id` with the given state and an empty store; a no-op if it
-    /// is already a member.
-    fn insert_member(&mut self, id: Key, state: NodeState) {
-        if let Err(pos) = self.order.binary_search(&id) {
-            self.order.insert(pos, id);
-            self.nodes.insert(id, state);
-            self.stores.insert(id, NodeStore::new());
-        }
-    }
-
-    /// Drops `id` from the member list, handing back what it stored.
-    fn remove_member(&mut self, id: &Key) -> Option<NodeStore> {
-        let pos = self.order.binary_search(id).ok()?;
-        self.order.remove(pos);
-        self.nodes.remove(id);
-        self.stores.remove(id)
     }
 
     fn bump_messages(&self, n: u64) {
@@ -208,11 +167,8 @@ impl ChordNetwork {
 
     /// Recomputes every pointer from the global view (test/bench helper).
     fn rebuild_all_tables(&mut self) {
-        let order = self.order.clone();
+        let order = self.ring.ids().to_vec();
         let n = order.len();
-        if n == 0 {
-            return;
-        }
         for (pos, id) in order.iter().enumerate() {
             let succs: Vec<Key> = (1..=SUCCESSOR_LIST_LEN)
                 .map(|k| order[(pos + k) % n])
@@ -224,7 +180,7 @@ impl ChordNetwork {
                         .expect("non-empty ring")
                 })
                 .collect();
-            let state = self.nodes.get_mut(id).expect("node in order cache");
+            let state = self.nodes.get_mut(id).expect("a member has protocol state");
             state.successors = succs;
             state.predecessor = Some(pred);
             state.fingers = fingers;
@@ -236,26 +192,19 @@ impl ChordNetwork {
     /// This is the oracle used by tests to validate routed lookups, and by
     /// the storage API to place data once routing has been accounted.
     pub fn responsible_node(&self, key: &Key) -> Option<Key> {
-        placement::successor_index(&self.order, key).map(|at| self.order[at])
+        self.ring.owner(key).map(|owner| *owner.key())
     }
 
     /// Routes a lookup for `key` from the next origin in rotation and
     /// charges its lookup, hops and per-hop messages. `None` only on an
     /// empty network.
     fn route(&self, key: &Key) -> Option<Key> {
-        if self.order.is_empty() {
+        let ids = self.ring.ids();
+        if ids.is_empty() {
             return None;
         }
         let i = self.next_origin.fetch_add(1, Ordering::Relaxed) as usize;
-        let origin = self.order[i % self.order.len()];
-        Some(self.find_successor_from(origin, key).0)
-    }
-
-    /// The members that should hold `key`, primary first, by global view:
-    /// the responsible node followed by `replication - 1` of its
-    /// successors.
-    fn replica_set(&self, key: &Key) -> Vec<Key> {
-        placement::replica_keys(&self.order, key, self.cfg.replication)
+        Some(self.find_successor_from(ids[i % ids.len()], key).0)
     }
 
     /// Starts a brand-new network consisting of the single node `id`.
@@ -268,7 +217,8 @@ impl ChordNetwork {
         if self.nodes.contains_key(&key) {
             return Err(ChordError::DuplicateNode(id));
         }
-        self.insert_member(key, NodeState::solitary(key));
+        self.nodes.insert(key, NodeState::solitary(key));
+        self.ring.add_node(id);
         Ok(())
     }
 
@@ -278,9 +228,8 @@ impl ChordNetwork {
     /// `bootstrap` (counted in the stats) and relies on subsequent
     /// [`ChordNetwork::run_maintenance`] rounds to converge predecessor
     /// pointers, successor lists, and fingers — exactly as in the Chord
-    /// paper. Then every key whose replica set now contains the newcomer
-    /// lands on exactly that set, from whichever members hold it — data
-    /// is never stranded, however stale the routing tables the join
+    /// paper. The keys it now owns move to it by global view
+    /// ([`RingDht::add_node`]), however stale the routing tables the join
     /// travelled through.
     ///
     /// # Errors
@@ -297,9 +246,9 @@ impl ChordNetwork {
         let (succ, _hops) = self.find_successor_from(*bootstrap.key(), id.key());
         let mut state = NodeState::solitary(*id.key());
         state.successors = vec![succ];
-        self.insert_member(*id.key(), state);
+        self.nodes.insert(*id.key(), state);
+        self.ring.add_node(id);
         self.bump_messages(2); // join request + key transfer
-        self.place(Some(id.key()));
         Ok(())
     }
 
@@ -310,33 +259,28 @@ impl ChordNetwork {
     ///
     /// Returns [`ChordError::UnknownNode`] if `id` is not live.
     pub fn leave(&mut self, id: NodeId) -> Result<(), ChordError> {
-        let key = *id.key();
-        let Some(store) = self.remove_member(&key) else {
-            return Err(ChordError::UnknownNode(id));
-        };
-        if let Some(succ) = self.responsible_node(&key) {
-            let succ_store = self.stores.get_mut(&succ).expect("live successor");
-            for (k, values) in store.iter() {
-                for v in values {
-                    succ_store.put(*k, v.clone());
-                }
-            }
+        self.nodes
+            .remove(id.key())
+            .ok_or(ChordError::UnknownNode(id))?;
+        self.ring.remove_node(id);
+        if !self.ring.is_empty() {
             self.bump_messages(1); // bulk key transfer
         }
         Ok(())
     }
 
-    /// Abruptly kills `id`: its data is lost (unless replicated) and
-    /// routing state heals only through stabilization.
+    /// Abruptly kills `id`: its data is lost and routing state heals only
+    /// through stabilization.
     ///
     /// # Errors
     ///
     /// Returns [`ChordError::UnknownNode`] if `id` is not live.
     pub fn fail(&mut self, id: NodeId) -> Result<(), ChordError> {
-        match self.remove_member(id.key()) {
-            Some(_lost) => Ok(()),
-            None => Err(ChordError::UnknownNode(id)),
-        }
+        self.nodes
+            .remove(id.key())
+            .ok_or(ChordError::UnknownNode(id))?;
+        self.ring.drop_node(id);
+        Ok(())
     }
 
     /// Iteratively routes a lookup for `key` starting at the live node
@@ -420,8 +364,7 @@ impl ChordNetwork {
     /// One stabilization round on every live node: `stabilize` + `notify`
     /// + one incremental `fix_fingers` step + `check_predecessor`.
     pub fn stabilize_all(&mut self) {
-        let ids: Vec<Key> = self.order.clone();
-        for id in ids {
+        for id in self.ring.ids().to_vec() {
             self.stabilize_node(&id);
             self.fix_finger_step(&id);
             self.check_predecessor(&id);
@@ -445,9 +388,8 @@ impl ChordNetwork {
     pub fn converge(&mut self, max_rounds: usize) -> usize {
         for round in 0..max_rounds {
             self.stabilize_all();
-            let ids: Vec<Key> = self.order.clone();
-            for id in &ids {
-                self.fix_all_fingers(id);
+            for id in self.ring.ids().to_vec() {
+                self.fix_all_fingers(&id);
             }
             if self.is_converged() {
                 return round + 1;
@@ -459,14 +401,12 @@ impl ChordNetwork {
     /// Checks that every successor/predecessor pointer matches the global
     /// ring order.
     pub fn is_converged(&self) -> bool {
-        let n = self.order.len();
-        if n == 0 {
-            return true;
-        }
-        self.order.iter().enumerate().all(|(pos, id)| {
+        let order = self.ring.ids();
+        let n = order.len();
+        order.iter().enumerate().all(|(pos, id)| {
             let state = &self.nodes[id];
-            let want_succ = self.order[(pos + 1) % n];
-            let want_pred = self.order[(pos + n - 1) % n];
+            let want_succ = order[(pos + 1) % n];
+            let want_pred = order[(pos + n - 1) % n];
             state.successors.first() == Some(&want_succ)
                 && (n == 1 || state.predecessor == Some(want_pred))
         })
@@ -553,104 +493,30 @@ impl ChordNetwork {
         }
     }
 
-    /// The placement pass: each key's copies end up on exactly its current
-    /// replica set, merged from whichever members hold them. With a
-    /// `newcomer` only the keys that member should now hold move (the join
-    /// takeover); without, every key does (re-replication). Returns the
-    /// number of copies created. Accounts no messages.
-    fn place(&mut self, newcomer: Option<&Key>) -> usize {
-        let mut created = 0;
-        for (key, values) in merged_entries(self.stores.values()) {
-            let replicas = self.replica_set(&key);
-            if newcomer.is_some_and(|id| !replicas.contains(id)) {
-                continue;
-            }
-            for (node, store) in self.stores.iter_mut() {
-                if replicas.contains(node) {
-                    for v in &values {
-                        created += usize::from(store.put(key, v.clone()));
-                    }
-                } else {
-                    store.remove_all(&key);
-                }
-            }
-        }
-        created
-    }
-
-    /// Restores the replication invariant after churn: every stored key's
-    /// copies end up on exactly its current replica set (the responsible
-    /// node and its `replication - 1` successors).
-    ///
-    /// This is the maintenance DHash performs continuously: joins shift
-    /// responsibility to nodes that never received the data, failures
-    /// knock copies out of replica sets, and graceful leaves consolidate
-    /// them onto too few nodes. Run it after membership changes (typically
-    /// together with [`ChordNetwork::converge`]). Returns the number of
-    /// copies created.
-    pub fn repair_replication(&mut self) -> usize {
-        let created = self.place(None);
-        self.bump_messages(created as u64);
-        created
-    }
-
-    /// Per-node key counts, in ring order. Useful for load-balance studies.
-    pub fn key_distribution(&self) -> Vec<(NodeId, usize)> {
-        self.order
-            .iter()
-            .map(|id| (NodeId::from_key(*id), self.stores[id].key_count()))
-            .collect()
-    }
-
     /// Direct access to a node's local store (read-only, for inspection).
     pub fn store_of(&self, id: &NodeId) -> Option<&NodeStore> {
-        self.stores.get(id.key())
-    }
-
-    /// The one write: route (accounted), one request/ack pair, then
-    /// `apply` on every member of the replica set.
-    fn write(
-        &mut self,
-        key: &Key,
-        mut apply: impl FnMut(&mut NodeStore) -> bool,
-    ) -> Result<bool, DhtError> {
-        self.route(key).ok_or(DhtError::NoLiveNodes)?;
-        self.bump_messages(2);
-        let mut changed = false;
-        for node in self.replica_set(key) {
-            changed |= apply(self.stores.get_mut(&node).expect("live replica"));
-        }
-        Ok(changed)
+        self.ring.store_of(id)
     }
 
     /// The one read: route (accounted), then one request/response pair per
-    /// member asked — the routed owner and, while the answer is empty, the
-    /// rest of the replica set in order (DHash-style: a freshly responsible
-    /// node may not hold the data yet). Borrowed, with the digest the
-    /// answering store keeps, so a digest read hashes nothing and only a
-    /// `Values` answer copies the list.
+    /// node asked — the routed node and, when it is not the owner and
+    /// answered empty, the owner. Borrowed, with the digest the answering
+    /// store keeps, so a digest read hashes nothing and only a `Values`
+    /// answer copies the list.
     fn read(&self, key: &Key) -> (&[Bytes], (u32, u64)) {
-        let Some(owner) = self.route(key) else {
+        let Some(routed) = self.route(key) else {
             return (&[], (0, 0));
         };
-        let ask = |node: &Key| {
+        let ask = |node: Key| {
             self.bump_messages(2); // fetch request + response
-            self.stores
-                .get(node)
+            self.store_of(&NodeId::from_key(node))
                 .map_or((&[][..], (0, 0)), |s| s.entry(key))
         };
-        let mut held = ask(&owner);
-        if held.0.is_empty() {
-            for replica in self.replica_set(key) {
-                if !held.0.is_empty() {
-                    break;
-                }
-                if replica != owner {
-                    held = ask(&replica);
-                }
-            }
+        let held = ask(routed);
+        match self.responsible_node(key) {
+            Some(owner) if owner != routed && held.0.is_empty() => ask(owner),
+            _ => held,
         }
-        held
     }
 }
 
@@ -662,7 +528,7 @@ impl Default for ChordNetwork {
 
 impl Dht for ChordNetwork {
     fn execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        if self.order.is_empty() {
+        if self.ring.is_empty() {
             return Err(DhtError::NoLiveNodes);
         }
         match op {
@@ -676,12 +542,13 @@ impl Dht for ChordNetwork {
                 let (values, held) = self.read(&key);
                 Ok(DhtResponse::if_changed_held(held, seen, values))
             }
-            DhtOp::Put { key, value } => self
-                .write(&key, |store| store.put(key, value.clone()))
-                .map(DhtResponse::Stored),
-            DhtOp::Remove { key, value } => self
-                .write(&key, |store| store.remove(&key, &value).is_some())
-                .map(DhtResponse::Removed),
+            // The one write: route (accounted), one request/ack pair, then
+            // the owner's store.
+            DhtOp::Put { key, .. } | DhtOp::Remove { key, .. } => {
+                self.route(&key);
+                self.bump_messages(2);
+                self.ring.execute(op)
+            }
         }
     }
 
@@ -690,7 +557,7 @@ impl Dht for ChordNetwork {
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.order.iter().copied().map(NodeId::from_key).collect()
+        self.ring.nodes()
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
@@ -698,7 +565,7 @@ impl Dht for ChordNetwork {
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        merged_entries(self.stores.values())
+        self.ring.entries()
     }
 
     fn stats(&self) -> DhtStats {
@@ -710,7 +577,7 @@ impl Dht for ChordNetwork {
     }
 
     fn len(&self) -> usize {
-        self.order.len()
+        self.ring.len()
     }
 }
 
@@ -720,11 +587,6 @@ mod tests {
 
     fn keys(n: usize) -> Vec<Key> {
         (0..n).map(|i| Key::hash_of(&format!("node-{i}"))).collect()
-    }
-
-    fn replicated(n: usize, replication: usize) -> ChordNetwork {
-        let cfg = ChordConfig { replication };
-        ChordNetwork::with_perfect_tables_and_config(keys(n), cfg)
     }
 
     #[test]
@@ -737,10 +599,11 @@ mod tests {
     #[test]
     fn routed_lookup_matches_oracle() {
         let net = ChordNetwork::with_perfect_tables(keys(64));
+        let order = net.ring.ids();
         for i in 0..200 {
             let key = Key::hash_of(&format!("data-{i}"));
             let oracle = net.responsible_node(&key).unwrap();
-            for origin in [net.order[0], net.order[31], net.order[63]] {
+            for origin in [order[0], order[31], order[63]] {
                 let (found, _) = net.find_successor_from(origin, &key);
                 assert_eq!(found, oracle, "key {i} from {origin:?}");
             }
@@ -754,7 +617,7 @@ mod tests {
         let samples = 500;
         for i in 0..samples {
             let key = Key::hash_of(&format!("sample-{i}"));
-            let (_, hops) = net.find_successor_from(net.order[i % 256], &key);
+            let (_, hops) = net.find_successor_from(net.ring.ids()[i % 256], &key);
             total_hops += hops;
         }
         let mean = total_hops as f64 / samples as f64;
@@ -775,42 +638,48 @@ mod tests {
         }
     }
 
-    /// Wipes the first `wiped` replicas' copies of a key and reads it: the
-    /// value comes back while any replica holds it, and the read costs
-    /// its route plus one RPC pair per node asked.
+    /// A join with no maintenance leaves every other member's tables
+    /// stale, so reads of a key the newcomer took over are routed to its
+    /// old owner, which answers empty: the read then asks the owner. Each
+    /// read costs its route plus one pair per node asked, and one full
+    /// rotation of origins finds the value every time.
     #[test]
-    fn get_falls_back_through_the_replica_set_one_pair_per_node_asked() {
-        for wiped in 0..=3usize {
-            let mut net = replicated(16, 3);
-            let key = Key::hash_of("resilient");
-            net.put(key, Bytes::from_static(b"v"));
-            let replicas = net.replica_set(&key);
-            assert_eq!(replicas.len(), 3);
-            for node in &replicas[..wiped] {
-                net.stores.get_mut(node).unwrap().remove_all(&key);
-            }
+    fn a_stale_route_falls_back_to_the_owner_one_pair_per_node_asked() {
+        let ids = keys(8);
+        let mut net = ChordNetwork::with_perfect_tables(ids.clone());
+        let key = Key::hash_of("taken over");
+        net.put(key, Bytes::from_static(b"v"));
+        net.join(NodeId::from_key(key), NodeId::from_key(ids[0]))
+            .unwrap();
+        let owner = net.responsible_node(&key).unwrap();
+        assert_eq!(owner, key, "the newcomer owns the key");
+        let mut fell_back = 0;
+        for _ in 0..net.len() {
+            let at = net.next_origin.load(Ordering::Relaxed) as usize;
+            let origin = net.ring.ids()[at % net.len()];
+            let (routed, _) = net.find_successor_from(origin, &key);
             let before = net.stats();
-            let got = net.get(&key);
+            assert_eq!(net.get(&key), vec![Bytes::from_static(b"v")]);
             let after = net.stats();
-            if wiped < 3 {
-                assert_eq!(got, vec![Bytes::from_static(b"v")], "wiped={wiped}");
-            } else {
-                assert!(got.is_empty(), "every copy is gone");
-            }
-            let asked = (wiped as u64 + 1).min(3);
+            let asked = if routed == owner { 1 } else { 2 };
+            fell_back += asked - 1;
             assert_eq!(
                 after.messages - before.messages,
                 2 * (after.hops - before.hops) + 2 * asked,
-                "wiped={wiped}: route + one pair per node asked"
+                "from {origin:?}: route + one pair per node asked"
             );
         }
+        assert!(fell_back > 0, "no read was routed to the old owner");
     }
 
     /// Reads through `execute(Get)` and through `get` are the same read:
     /// same origins consumed, same route, same accounting.
     #[test]
     fn execute_get_and_get_account_alike() {
-        let (mut via_execute, mut via_get) = (replicated(16, 1), replicated(16, 1));
+        let (mut via_execute, mut via_get) = (
+            ChordNetwork::with_perfect_tables(keys(16)),
+            ChordNetwork::with_perfect_tables(keys(16)),
+        );
         let data: Vec<Key> = (0..40).map(|i| Key::hash_of(&format!("d{i}"))).collect();
         for net in [&mut via_execute, &mut via_get] {
             for (i, k) in data.iter().enumerate() {
@@ -934,20 +803,9 @@ mod tests {
         // Lookups still resolve to the oracle.
         for i in 0..50 {
             let key = Key::hash_of(&format!("q{i}"));
-            let (found, _) = net.find_successor_from(net.order[0], &key);
+            let (found, _) = net.find_successor_from(net.ring.ids()[0], &key);
             assert_eq!(found, net.responsible_node(&key).unwrap());
         }
-    }
-
-    #[test]
-    fn replication_survives_failure() {
-        let mut net = replicated(8, 3);
-        let key = Key::hash_of("precious");
-        net.put(key, Bytes::from_static(b"data"));
-        let primary = net.responsible_node(&key).unwrap();
-        net.fail(NodeId::from_key(primary)).unwrap();
-        net.converge(50);
-        assert_eq!(net.get(&key), vec![Bytes::from_static(b"data")]);
     }
 
     #[test]
@@ -960,59 +818,6 @@ mod tests {
         net.fail(NodeId::from_key(primary)).unwrap();
         net.converge(50);
         assert!(net.get(&key).is_empty());
-    }
-
-    #[test]
-    fn repair_replication_restores_full_sets() {
-        let ids = keys(24);
-        let mut net = replicated(24, 3);
-        let data: Vec<Key> = (0..60).map(|i| Key::hash_of(&format!("d{i}"))).collect();
-        for (i, k) in data.iter().enumerate() {
-            net.put(*k, Bytes::from(format!("v{i}")));
-        }
-        // Churn erodes replica sets.
-        for i in 0..4 {
-            net.join(
-                NodeId::hash_of(&format!("new-{i}")),
-                NodeId::from_key(ids[0]),
-            )
-            .unwrap();
-        }
-        net.leave(NodeId::from_key(ids[3])).unwrap();
-        net.fail(NodeId::from_key(ids[7])).unwrap();
-        net.converge(50);
-        net.repair_replication();
-        // Every key has exactly `replication` live copies on its set.
-        for k in &data {
-            let holders = net
-                .nodes()
-                .iter()
-                .filter(|n| net.store_of(n).is_some_and(|s| s.contains_key(k)))
-                .count();
-            assert_eq!(holders, 3, "key {k:?} holders");
-        }
-        // And a second repair is a no-op.
-        assert_eq!(net.repair_replication(), 0);
-    }
-
-    #[test]
-    fn repair_replication_drops_stray_copies() {
-        let mut net = replicated(12, 2);
-        let key = Key::hash_of("item");
-        net.put(key, Bytes::from_static(b"v"));
-        // A graceful leave consolidates copies onto the successor, leaving
-        // a stray copy outside the new replica set once membership shifts.
-        let primary = net.responsible_node(&key).unwrap();
-        net.leave(NodeId::from_key(primary)).unwrap();
-        net.converge(50);
-        net.repair_replication();
-        let holders = net
-            .nodes()
-            .iter()
-            .filter(|n| net.store_of(n).is_some_and(|s| s.contains_key(&key)))
-            .count();
-        assert_eq!(holders, 2);
-        assert_eq!(net.get(&key), vec![Bytes::from_static(b"v")]);
     }
 
     #[test]
@@ -1045,17 +850,19 @@ mod tests {
             net.put(k, Bytes::from(format!("v{i}")));
             assert_eq!(net.get(&k), vec![Bytes::from(format!("v{i}"))]);
         }
-        assert_eq!(net.key_distribution()[0].1, 20);
+        let solo = net.nodes()[0];
+        assert_eq!(net.store_of(&solo).unwrap().key_count(), 20);
     }
 
     #[test]
-    fn key_distribution_is_roughly_balanced() {
+    fn keys_spread_roughly_evenly_over_the_members() {
         let mut net = ChordNetwork::with_perfect_tables(keys(32));
         for i in 0..3200 {
             net.put(Key::hash_of(&format!("item{i}")), Bytes::from_static(b"v"));
         }
-        let dist = net.key_distribution();
-        let max = dist.iter().map(|(_, c)| *c).max().unwrap();
+        let nodes = net.nodes();
+        let counts = nodes.iter().map(|n| net.store_of(n).unwrap().key_count());
+        let max = counts.max().unwrap();
         // SHA-1 spreads keys; with 32 nodes and 3200 keys the max load
         // shouldn't exceed ~6x the mean (consistent hashing variance).
         assert!(max < 600, "max per-node keys {max}");

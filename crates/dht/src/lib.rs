@@ -10,8 +10,8 @@
 //!   "registration of multiple entries using the same key");
 //! * [`chord`] — a faithful Chord protocol simulation, the routed
 //!   substrate the paper assumes (finger routing, join/leave/failure,
-//!   stabilization, successor lists, optional replication with
-//!   DHash-style fallback reads);
+//!   stabilization, successor lists) over a [`ring`]'s placement and
+//!   stores;
 //! * [`ring`] — a direct consistent-hash ring with identical key placement,
 //!   used where the substrate is assumed rather than studied;
 //! * [`digest`] — the order-independent hash of a key's value set that
@@ -57,7 +57,7 @@ pub mod storage;
 pub use api::{
     kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, OpFamily, PairCounters,
 };
-pub use chord::{ChordConfig, ChordError, ChordNetwork};
+pub use chord::{ChordError, ChordNetwork};
 pub use faulty::{FaultConfig, FaultStats, FaultyDht, SplitMix64};
 pub use key::{Key, KEY_BITS};
 pub use ring::RingDht;

@@ -6,10 +6,10 @@
 //! the next `r - 1` distinct successors. Three independent components
 //! need this rule and must never disagree:
 //!
-//! * [`ChordNetwork`](crate::chord::ChordNetwork) places primaries,
-//!   replica sets and finger targets with it, and
-//!   [`RingDht`](crate::ring::RingDht) routes every op with it (`ring.rs`'s
-//!   `matches_chord_placement` test pins that the two agree);
+//! * [`RingDht`](crate::ring::RingDht) routes every op with it, and
+//!   [`ChordNetwork`](crate::chord::ChordNetwork), which keeps its stores
+//!   in a `RingDht`, places its finger targets with it too (`ring.rs`'s
+//!   `matches_chord_placement` test pins that routing agrees);
 //! * the networked client (`RemoteDht` in `p2p-index-net`) routes
 //!   operations to replica members with it;
 //! * the networked server's repair pass decides which peers should hold
@@ -145,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn replica_sets_are_contiguous_and_distinct() {
+    fn replica_keys_are_contiguous_and_distinct() {
         let ring = ring_of(&["a", "b", "c", "d", "e"]);
         let key = Key::hash_of("some-key");
         let set = replica_keys(&ring, &key, 3);

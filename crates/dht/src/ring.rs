@@ -13,12 +13,12 @@
 //! (`crates/core/tests/search_oracle.rs` runs the same searches over the
 //! ring and Chord against one reference).
 //!
-//! `RingDht` deliberately shares no code with Chord's op path: it has no
-//! routing state and no lookup origin, it keeps the [`PairCounters`]
-//! convention (`NodeFor` and `remove` count no lookup) that the networked
-//! substrates share, and it is the one substrate on a benchmark hot path
-//! (`sim-lookup`, every cluster twin), where Chord's `Vec<Key>` replica
-//! set per operation would be pure cost.
+//! Chord keeps its membership, placement and stores in a `RingDht` and
+//! adds only routing on top; the ring's own op path is routing-free: no
+//! routing state and no lookup origin, the [`PairCounters`] convention
+//! (`NodeFor` and `remove` count no lookup) that the networked substrates
+//! share, and it is the one substrate on a benchmark hot path
+//! (`sim-lookup`, every cluster twin).
 
 use bytes::Bytes;
 
@@ -105,13 +105,10 @@ impl RingDht {
     /// Removes a node, handing its keys to its successor. Returns `false`
     /// if the node was not present.
     pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let key = *id.key();
-        let Ok(at) = self.ids.binary_search(&key) else {
+        let Some(store) = self.drop_node(id) else {
             return false;
         };
-        self.ids.remove(at);
-        let store = self.stores.remove(at);
-        if let Some(succ) = placement::successor_index(&self.ids, &key) {
+        if let Some(succ) = placement::successor_index(&self.ids, id.key()) {
             let succ_store = &mut self.stores[succ];
             for (k, values) in store.iter() {
                 for v in values {
@@ -120,6 +117,18 @@ impl RingDht {
             }
         }
         true
+    }
+
+    /// Removes a node as a crash does, handing back the store it loses.
+    pub(crate) fn drop_node(&mut self, id: NodeId) -> Option<NodeStore> {
+        let at = self.ids.binary_search(id.key()).ok()?;
+        self.ids.remove(at);
+        Some(self.stores.remove(at))
+    }
+
+    /// Node positions, ascending around the identifier circle.
+    pub(crate) fn ids(&self) -> &[Key] {
+        &self.ids
     }
 
     /// The node responsible for `key`, without touching the counters:

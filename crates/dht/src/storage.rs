@@ -129,17 +129,6 @@ impl NodeStore {
         Some(hash)
     }
 
-    /// Removes every value under `key`, returning how many were removed.
-    pub fn remove_all(&mut self, key: &Key) -> usize {
-        match self.entries.remove(key) {
-            Some((values, _)) => {
-                self.value_count -= values.len();
-                values.len()
-            }
-            None => 0,
-        }
-    }
-
     /// Number of distinct keys stored on this node.
     pub fn key_count(&self) -> usize {
         self.entries.len()
@@ -194,8 +183,7 @@ impl NodeStore {
 /// (the normal state of a replicated substrate) collapsed.
 ///
 /// This is the snapshot shape [`Dht::entries`](crate::api::Dht::entries)
-/// returns and the shape Chord's re-replication (its placement pass)
-/// walks.
+/// returns.
 pub fn merged_entries<'a>(stores: impl Iterator<Item = &'a NodeStore>) -> Vec<(Key, Vec<Bytes>)> {
     let mut all: std::collections::BTreeMap<Key, Vec<Bytes>> = std::collections::BTreeMap::new();
     for store in stores {
@@ -287,17 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_all_counts() {
-        let mut s = NodeStore::new();
-        let k = Key::hash_of("k");
-        s.put(k, b("a"));
-        s.put(k, b("bb"));
-        assert_eq!(s.remove_all(&k), 2);
-        assert_eq!(s.remove_all(&k), 0);
-        assert_eq!(s.value_count(), 0);
-    }
-
-    #[test]
     fn value_bytes_sums_lengths() {
         let mut s = NodeStore::new();
         s.put(Key::hash_of("a"), b("12345"));
@@ -364,7 +341,9 @@ mod tests {
                         assert!(hash.is_none() || hash == Some(pair));
                     }
                     4 => {
-                        s.remove_all(&key);
+                        for held in s.get(&key).to_vec() {
+                            s.remove(&key, &held);
+                        }
                     }
                     _ => {
                         let (from, to) = (rng.gen_range(0..6u64), rng.gen_range(0..6u64));

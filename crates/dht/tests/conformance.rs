@@ -19,8 +19,8 @@
 
 use bytes::Bytes;
 use p2p_index_dht::{
-    BalanceConfig, ChordConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig,
-    FaultyDht, Key, NodeId, RingDht, ShardedDht, SplitDht,
+    BalanceConfig, ChordNetwork, Dht, DhtError, DhtOp, DhtResponse, FaultConfig, FaultyDht, Key,
+    NodeId, RingDht, ShardedDht, SplitDht,
 };
 use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDht, RemoteDhtConfig};
 use p2p_index_obs::MetricsRegistry;
@@ -41,21 +41,16 @@ fn replicated_cluster(n: usize) -> ClusterDht {
     ClusterDht::new(cluster, config)
 }
 
-/// Chord at replication 3 over `n` members: a read of an empty owner
-/// falls back through the rest of the replica set (DHash-style).
-fn chord_r3(n: usize) -> ChordNetwork {
-    let config = ChordConfig { replication: 3 };
-    ChordNetwork::with_perfect_tables_and_config(keys(n), config)
+/// A converged Chord ring over `n` members.
+fn chord(n: usize) -> ChordNetwork {
+    ChordNetwork::with_perfect_tables(keys(n))
 }
 
 /// Every substrate, behind the trait, at the given network size.
 fn substrates(n: usize) -> Vec<(&'static str, Box<dyn Dht>)> {
     vec![
         ("ring", Box::new(RingDht::from_ids(keys(n)))),
-        (
-            "chord",
-            Box::new(ChordNetwork::with_perfect_tables(keys(n))),
-        ),
+        ("chord", Box::new(chord(n))),
         (
             "remote",
             Box::new(ClusterDht::new(
@@ -191,13 +186,13 @@ fn a_digest_get_answers_the_digest_of_what_a_get_answers() {
 }
 
 /// Every substrate a conditional read must conform on: the shared list,
-/// DHash-fallback Chord, the local wrappers, the partition store, and a
+/// Chord at another size, the local wrappers, the partition store, and a
 /// replicated quorum cluster. A fresh copy per call, so two twins can be
 /// driven side by side.
 fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
     let mut all = substrates(16);
     all.extend([
-        ("chord-r3", Box::new(chord_r3(8)) as Box<dyn Dht>),
+        ("chord-8", Box::new(chord(8)) as Box<dyn Dht>),
         (
             "faulty",
             Box::new(FaultyDht::transparent(RingDht::from_ids(keys(16)))),
@@ -211,7 +206,7 @@ fn conditional_substrates() -> Vec<(&'static str, Box<dyn Dht>)> {
         ),
         (
             "split-observe",
-            Box::new(SplitDht::new(chord_r3(16), BalanceConfig::observe_only())),
+            Box::new(SplitDht::new(chord(16), BalanceConfig::observe_only())),
         ),
         (
             "sharded",
@@ -366,17 +361,16 @@ fn rpc_pairs_count_as_two_messages() {
             "{name}: remove = request + response"
         );
     }
-    // A replicated read asks one replica at a time while the answer is
-    // empty, so a key nobody holds costs its route (two messages a hop)
-    // plus one pair per member of the replica set.
-    let mut chord = chord_r3(8);
+    // On a converged ring every read is routed to the owner, so a key
+    // nobody holds costs its route (two messages a hop) plus one pair.
+    let mut chord = chord(8);
     let before = chord.stats();
     assert!(exec_get(&mut chord, Key::hash_of("absent")).is_empty());
     let after = chord.stats();
     assert_eq!(
         after.messages - before.messages,
-        2 * (after.hops - before.hops) + 2 * 3,
-        "an empty replicated read = route + three request/response pairs"
+        2 * (after.hops - before.hops) + 2,
+        "an empty routed read = route + one request/response pair"
     );
 }
 
@@ -429,7 +423,7 @@ fn faulty_metrics_case<D: Dht>(name: &str, inner: D) {
 #[test]
 fn metrics_survive_faulty_retries() {
     faulty_metrics_case("ring", RingDht::from_ids(keys(1)));
-    faulty_metrics_case("chord", ChordNetwork::with_perfect_tables(keys(1)));
+    faulty_metrics_case("chord", chord(1));
     // A substrate with no membership API: the wrapper needs only `Dht`.
     faulty_metrics_case(
         "sharded",

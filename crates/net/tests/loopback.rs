@@ -457,7 +457,7 @@ fn replicated_ring(n: usize, w: usize, metrics: &MetricsRegistry) -> LoopbackClu
 }
 
 /// The members (by start index) of `key`'s replica set, primary first.
-fn replica_set(cluster: &LoopbackCluster, key: &Key) -> Vec<usize> {
+fn replica_members(cluster: &LoopbackCluster, key: &Key) -> Vec<usize> {
     let members = cluster.members();
     let mut ring: Vec<Key> = members.iter().map(|(id, _)| *id.key()).collect();
     ring.sort_unstable();
@@ -474,7 +474,7 @@ fn replica_set(cluster: &LoopbackCluster, key: &Key) -> Vec<usize> {
 fn keys_on_member_0(cluster: &LoopbackCluster, n: usize) -> Vec<Key> {
     (0..)
         .map(|i| Key::hash_of(&format!("written-{i}")))
-        .filter(|key| replica_set(cluster, key)[0] == 0)
+        .filter(|key| replica_members(cluster, key)[0] == 0)
         .take(n)
         .collect()
 }
@@ -523,7 +523,10 @@ fn a_write_wave_sends_each_replica_one_frame_and_no_member_calls_a_peer() {
     let keys: Vec<Key> = (0..3)
         .map(|i| Key::hash_of(&format!("spread-{i}")))
         .collect();
-    let union: HashSet<usize> = keys.iter().flat_map(|k| replica_set(&cluster, k)).collect();
+    let union: HashSet<usize> = keys
+        .iter()
+        .flat_map(|k| replica_members(&cluster, k))
+        .collect();
     let before = metrics.counter("net.frames_out");
     let puts = keys
         .iter()
@@ -558,7 +561,7 @@ fn every_replica_holds_a_write_when_the_call_returns() {
         .collect();
     client.execute_many(puts);
     for (i, key) in keys.iter().enumerate() {
-        let set = replica_set(&cluster, key);
+        let set = replica_members(&cluster, key);
         for member in 0..5 {
             let want = match set.contains(&member) {
                 true => vec![Bytes::from(format!("Q:/article/title/t{i}"))],
@@ -570,7 +573,7 @@ fn every_replica_holds_a_write_when_the_call_returns() {
     // A unary remove leaves no replica holding the value either.
     let value = Bytes::from_static(b"Q:/article/title/t0");
     assert!(client.remove(&keys[0], &value));
-    for member in replica_set(&cluster, &keys[0]) {
+    for member in replica_members(&cluster, &keys[0]) {
         assert!(held(&cluster, member, &keys[0]).is_empty(), "at {member}");
     }
     cluster.shutdown();
@@ -619,7 +622,7 @@ fn a_write_answers_new_when_any_replica_applied_it_anew() {
     let cluster = replicated_ring(3, 2, &MetricsRegistry::disabled());
     let mut client = cluster.client();
     let key = keys_on_member_0(&cluster, 1)[0];
-    let [primary, second, third] = replica_set(&cluster, &key)[..] else {
+    let [primary, second, third] = replica_members(&cluster, &key)[..] else {
         unreachable!("three members at R = 3")
     };
     let value = Bytes::from_static(b"Q:/article/title/overtaken");
@@ -708,7 +711,7 @@ fn a_cluster_declared_with_w_3_makes_its_clients_write_at_w_3() {
         };
         let whole_set_up: Vec<bool> = ops
             .iter()
-            .map(|op| !replica_set(&cluster, op.key()).contains(&DOWN))
+            .map(|op| !replica_members(&cluster, op.key()).contains(&DOWN))
             .collect();
         let stats = client.stats();
         cluster.shutdown();

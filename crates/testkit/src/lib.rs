@@ -24,8 +24,7 @@ use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use rand::rngs::StdRng;
-pub use rand::Rng;
-use rand::SeedableRng;
+pub use rand::{Rng, SeedableRng};
 
 /// Cases per property.
 pub const CASES: u64 = 256;
