@@ -547,7 +547,7 @@ impl Dht for ChordNetwork {
             DhtOp::Put { key, .. } | DhtOp::Remove { key, .. } => {
                 self.route(&key);
                 self.bump_messages(2);
-                self.ring.execute(op)
+                Ok(self.ring.apply_write(op))
             }
         }
     }

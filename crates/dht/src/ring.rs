@@ -163,10 +163,25 @@ impl RingDht {
         self.stores.iter().map(NodeStore::key_count).sum()
     }
 
-    /// The store of `key`'s owner, or `None` on an empty ring.
-    fn store_for(&mut self, key: &Key) -> Option<&mut NodeStore> {
-        let at = placement::successor_index(&self.ids, key)?;
-        Some(&mut self.stores[at])
+    /// Applies a `Put` or `Remove` to its owner's store, uncounted: what
+    /// [`Dht::execute`] does with a write once it has counted the pair,
+    /// and what a routed substrate over this ring does once it has routed
+    /// and counted the write itself.
+    ///
+    /// # Panics
+    ///
+    /// On an empty ring, or if `write` is a read.
+    pub(crate) fn apply_write(&mut self, write: DhtOp) -> DhtResponse {
+        let at = placement::successor_index(&self.ids, write.key())
+            .expect("a write goes to a non-empty ring");
+        let store = &mut self.stores[at];
+        match write {
+            DhtOp::Put { key, value } => DhtResponse::Stored(store.put(key, value)),
+            DhtOp::Remove { key, value } => {
+                DhtResponse::Removed(store.remove(&key, &value).is_some())
+            }
+            read => unreachable!("{} is no write", read.kind()),
+        }
     }
 
     /// The one read: the owner's values under `key`, borrowed, and their
@@ -200,15 +215,9 @@ impl Dht for RingDht {
                 let (values, held) = self.read(&key);
                 Ok(DhtResponse::if_changed_held(held, seen, values))
             }
-            DhtOp::Put { key, value } => {
-                self.counters.record_pair("put", true);
-                let store = self.store_for(&key).expect("non-empty ring has an owner");
-                Ok(DhtResponse::Stored(store.put(key, value)))
-            }
-            DhtOp::Remove { key, value } => {
-                self.counters.record_pair("remove", true);
-                let store = self.store_for(&key).expect("non-empty ring has an owner");
-                Ok(DhtResponse::Removed(store.remove(&key, &value).is_some()))
+            write @ (DhtOp::Put { .. } | DhtOp::Remove { .. }) => {
+                self.counters.record_pair(write.kind(), true);
+                Ok(self.apply_write(write))
             }
         }
     }
@@ -225,8 +234,17 @@ impl Dht for RingDht {
         self.read(key).0.to_vec()
     }
 
+    /// Every key lives on exactly one store, so this is each store's
+    /// entries, values in stored order, sorted by key.
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
-        crate::storage::merged_entries(self.stores.iter())
+        let mut all: Vec<(Key, Vec<Bytes>)> = self
+            .stores
+            .iter()
+            .flat_map(NodeStore::iter)
+            .map(|(key, values)| (*key, values.to_vec()))
+            .collect();
+        all.sort_unstable_by_key(|(key, _)| *key);
+        all
     }
 
     fn stats(&self) -> DhtStats {
@@ -303,6 +321,29 @@ mod tests {
         assert!(ring.store_of(&n300).unwrap().contains_key(&k250));
         assert_eq!(ring.get(&k150), vec![Bytes::from_static(b"a")]);
         assert_eq!(ring.get(&k250), vec![Bytes::from_static(b"b")]);
+    }
+
+    #[test]
+    fn entries_sort_keys_and_keep_each_stores_values_in_order() {
+        let mut ring = RingDht::from_ids([Key::from_u64(100), Key::from_u64(300)]);
+        let (k50, k150) = (Key::from_u64(50), Key::from_u64(150));
+        ring.put(k150, Bytes::from_static(b"v1"));
+        ring.put(k50, Bytes::from_static(b"v2"));
+        ring.put(k150, Bytes::from_static(b"v1")); // a duplicate, not stored
+        ring.put(k150, Bytes::from_static(b"v1b"));
+        let n100 = NodeId::from_key(Key::from_u64(100));
+        assert!(ring.store_of(&n100).unwrap().contains_key(&k50));
+        assert!(!ring.store_of(&n100).unwrap().contains_key(&k150));
+        let entries = ring.entries();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0], (k50, vec![Bytes::from_static(b"v2")]));
+        assert_eq!(
+            entries[1],
+            (
+                k150,
+                vec![Bytes::from_static(b"v1"), Bytes::from_static(b"v1b")]
+            )
+        );
     }
 
     #[test]

@@ -178,27 +178,6 @@ impl NodeStore {
     }
 }
 
-/// Merges several per-node stores into one deterministic entry list:
-/// ascending key order, values in first-seen order, duplicate copies
-/// (the normal state of a replicated substrate) collapsed.
-///
-/// This is the snapshot shape [`Dht::entries`](crate::api::Dht::entries)
-/// returns.
-pub fn merged_entries<'a>(stores: impl Iterator<Item = &'a NodeStore>) -> Vec<(Key, Vec<Bytes>)> {
-    let mut all: std::collections::BTreeMap<Key, Vec<Bytes>> = std::collections::BTreeMap::new();
-    for store in stores {
-        for (key, values) in store.iter() {
-            let merged = all.entry(*key).or_default();
-            for v in values {
-                if !merged.contains(v) {
-                    merged.push(v.clone());
-                }
-            }
-        }
-    }
-    all.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,22 +259,6 @@ mod tests {
         s.put(Key::hash_of("a"), b("12345"));
         s.put(Key::hash_of("b"), b("123"));
         assert_eq!(s.value_bytes(), 8);
-    }
-
-    #[test]
-    fn merged_entries_dedups_and_sorts() {
-        let mut a = NodeStore::new();
-        let mut c = NodeStore::new();
-        let k1 = Key::from_u64(1);
-        let k2 = Key::from_u64(2);
-        a.put(k2, b("v2"));
-        a.put(k1, b("v1"));
-        c.put(k1, b("v1")); // replica copy, collapsed
-        c.put(k1, b("v1b"));
-        let merged = merged_entries([&a, &c].into_iter());
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0], (k1, vec![b("v1"), b("v1b")]));
-        assert_eq!(merged[1], (k2, vec![b("v2")]));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`damaged`] and [`spliced`] are how the parser-totality suites hurt a
 //! well-formed text; [`on_a_small_stack`] is where the depth-bomb tests
 //! run. [`Counting`] is the allocator the allocation-budget suites install
-//! to count what one thread allocates.
+//! to count what one thread allocates, and how many bytes it asks for.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -134,17 +134,26 @@ pub fn on_a_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'stati
 }
 
 thread_local! {
-    // `const` and destructor-free: touching it from inside the allocator
+    // `const` and destructor-free: touching them from inside the allocator
     // neither allocates nor runs during thread teardown.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's allocations apart.
+/// Counts one request for `bytes` on this thread.
+fn note(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// The system allocator, counting each thread's allocations, and the
+/// bytes they request, apart.
 ///
 /// A test binary that pins allocation counts installs it itself —
 /// `#[global_allocator] static GLOBAL: Counting = Counting;` — and reads
-/// it through [`allocs_during`]. The count is thread-local, so server and
-/// helper threads, and other tests running in parallel, never touch it.
+/// it through [`allocs_during`] and [`bytes_during`]. The counts are
+/// thread-local, so server and helper threads, and other tests running in
+/// parallel, never touch them.
 pub struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -153,19 +162,19 @@ pub struct Counting;
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note(layout.size());
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note(layout.size());
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note(new_size);
         // SAFETY: `ptr` and `layout` come from the caller, who guarantees
         // they describe a live block of this allocator; `System` is the
         // allocator that produced it.
@@ -184,6 +193,17 @@ pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes the calling thread requests while running `f`: the sum of every
+/// allocation's size, a reallocation counting its new size. Freed bytes
+/// are not taken off, so for a call that allocates only what it returns
+/// this is what the result keeps on the heap, before the allocator's
+/// rounding. Zero unless the binary installed [`Counting`].
+pub fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 #[cfg(test)]

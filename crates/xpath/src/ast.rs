@@ -9,16 +9,18 @@
 //! branches) yields the "unique normalized format" the paper requires
 //! before hashing queries into the DHT key space (footnote 1, §III-B).
 //!
-//! A [`Query`] holds that tree *frozen*: one array of nodes in pre-order,
-//! each with a skip link past its subtree, and one text buffer that starts
-//! with the canonical text — so `Key::hash_of(query.canonical_text())` is
-//! well-defined and free — and in which every name and comparison value is
-//! a span. Covering, matching, rendering and generalizing all walk this
-//! form ([`NodeRef`] is the borrowed view of one node). Construction writes
-//! into an index-linked arena of the private `draft` module instead, which
-//! `Query::from_draft` sorts and freezes: a constructed query allocates
-//! its node array, its text buffer and the `Arc` that holds both, and
-//! nothing else.
+//! A [`Query`] holds that tree *frozen* in one `Arc<str>`. The buffer
+//! starts with the canonical text — so `Key::hash_of(query.canonical_text())`
+//! is well-defined and free — and every name and comparison value is a
+//! span of it (or of the raw tokens after it). Then come the nodes in
+//! pre-order, each a record of 7-bit ASCII fields with a skip link past
+//! its subtree, two bytes a field while the text is under 16 KiB. Covering,
+//! matching, rendering and generalizing all walk this form ([`NodeRef`] is
+//! the borrowed view of one node, decoded from its record as it is read).
+//! Construction writes into an index-linked arena of the private `draft`
+//! module instead, which `Query::from_draft` sorts, stages into the same
+//! packed form and freezes: a constructed query allocates its one buffer
+//! and nothing else.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -116,12 +118,14 @@ fn needs_quoting(token: &str) -> bool {
     token.is_empty() || !token.chars().all(is_bare_char)
 }
 
-/// One node of a frozen query. Nodes sit in pre-order, so a node's strict
-/// descendants are the indices `self + 1 .. end`, and its children are
-/// reached by hopping from one child's `end` to the next.
+/// One node of a query, unpacked: what the renderer lays out before
+/// [`Frozen::freeze`] packs it, and what a [`NodeRef`] field read decodes.
+/// Nodes sit in pre-order, so a node's strict descendants are the indices
+/// `self + 1 .. end`, and its children are reached by hopping from one
+/// child's `end` to the next.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Where the name starts in the text buffer.
+    /// Where the name starts in the text.
     name: u32,
     name_len: u32,
     /// Where the comparison's right-hand side starts (if `op` is set).
@@ -132,84 +136,280 @@ struct Node {
     op: Option<CmpOp>,
 }
 
-/// Offsets and node indices are stored as `u32`: a query comes from a
-/// frame of at most 16 MiB or from a descriptor already in memory.
+/// Offsets and node indices are counted in `u32` while a query is built:
+/// a query comes from a frame of at most 16 MiB or from a descriptor
+/// already in memory.
 pub(crate) fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("a query's text and node count fit in 32 bits")
 }
 
-/// What a [`Query`] shares between its clones.
-struct Flat {
-    nodes: Box<[Node]>,
-    /// The canonical text, then the raw form of each name and value the
-    /// canonical text shows escaped (those spans point past `canon_len`).
-    text: Box<str>,
-    canon_len: u32,
+/// Bytes per packed field while every offset and node index is below
+/// 2¹⁴ (16 KiB of text), and otherwise: each byte holds one 7-bit digit,
+/// so the packed table is ASCII and lives in the query's `str`.
+const NARROW: usize = 2;
+const WIDE: usize = 4;
+
+/// The field width of a table over `text` bytes and `nodes` nodes: every
+/// span and `end` it packs is at most the larger.
+fn width_for(text: usize, nodes: usize) -> usize {
+    if text.max(nodes) < 1 << (7 * NARROW) {
+        NARROW
+    } else {
+        WIDE
+    }
+}
+
+/// Bytes of one packed node: its op byte, then five fields — `end`,
+/// `name`, `name_len`, `value` and `value_len`, in that order, so that
+/// what a walk reads of every node comes first.
+const fn record_len(width: usize) -> usize {
+    1 + 5 * width
+}
+
+/// The op byte of a packed node: its index here.
+const OPS: [Option<CmpOp>; 4] = [
+    None,
+    Some(CmpOp::Eq),
+    Some(CmpOp::StartsWith),
+    Some(CmpOp::Contains),
+];
+
+/// Writes `n` into `digits` as 7-bit digits, low digit first.
+fn put_digits(digits: &mut [u8], n: u32) {
+    assert!(
+        n >> (7 * digits.len()) == 0,
+        "a query's text fits in 256 MiB (28-bit fields)"
+    );
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = (n >> (7 * i)) as u8 & 0x7f;
+    }
+}
+
+/// Reads back what [`put_digits`] wrote.
+#[inline(always)]
+fn digits_value(digits: &[u8]) -> u32 {
+    digits
+        .iter()
+        .rev()
+        .fold(0, |n, &digit| n << 7 | u32::from(digit))
+}
+
+/// The two-digit field in the low 16 bits of `bits`.
+#[inline(always)]
+fn narrow_value(bits: u64) -> u32 {
+    (bits & 0x7f | bits >> 1 & 0x3f80) as u32
+}
+
+/// Bytes of a frozen buffer's trailer: the canonical text's length and
+/// the node count, four digits each whatever the field width, then the
+/// width itself.
+const TRAILER: usize = 2 * WIDE + 1;
+
+/// Appends `n` as four digits: one number of the trailer.
+fn push_wide(out: &mut Vec<u8>, n: usize) {
+    let mut digits = [0; WIDE];
+    put_digits(&mut digits, offset(n));
+    out.extend_from_slice(&digits);
+}
+
+impl Node {
+    /// Appends this node's record in `width`-byte fields.
+    fn pack(&self, width: usize, out: &mut Vec<u8>) {
+        if width == NARROW {
+            self.pack_as::<NARROW, { record_len(NARROW) }>(out);
+        } else {
+            self.pack_as::<WIDE, { record_len(WIDE) }>(out);
+        }
+    }
+
+    fn pack_as<const W: usize, const R: usize>(&self, out: &mut Vec<u8>) {
+        const { assert!(R == record_len(W)) };
+        let mut record = [0; R];
+        record[0] = match self.op {
+            None => 0,
+            Some(CmpOp::Eq) => 1,
+            Some(CmpOp::StartsWith) => 2,
+            Some(CmpOp::Contains) => 3,
+        };
+        let fields = [
+            self.end,
+            self.name,
+            self.name_len,
+            self.value,
+            self.value_len,
+        ];
+        for (digits, field) in record[1..].chunks_exact_mut(W).zip(fields) {
+            put_digits(digits, field);
+        }
+        out.extend_from_slice(&record);
+    }
+
+    /// Decodes the record of node `index` in a table of `width`-byte
+    /// fields. The narrow path is inlined — two loads, so a caller that
+    /// reads one field pays for little more — and the wide one, past
+    /// 16 KiB of text, is a call.
+    #[inline(always)]
+    fn unpack(table: &[u8], index: usize, width: usize) -> Node {
+        if width == NARROW {
+            Node::unpack_narrow(table, index)
+        } else {
+            Node::unpack_wide(table, index)
+        }
+    }
+
+    #[inline(always)]
+    fn unpack_narrow(table: &[u8], index: usize) -> Node {
+        const R: usize = record_len(NARROW);
+        let record: &[u8; R] = table[index * R..][..R].try_into().expect("a whole record");
+        // The op, `end` and the name's span in one load, the value's span
+        // in another.
+        let head = u64::from_le_bytes(record[..8].try_into().expect("eight bytes"));
+        let tail = u64::from(u32::from_le_bytes(
+            record[7..].try_into().expect("four bytes"),
+        ));
+        Node {
+            end: narrow_value(head >> 8),
+            name: narrow_value(head >> 24),
+            name_len: narrow_value(head >> 40),
+            value: narrow_value(tail),
+            value_len: narrow_value(tail >> 16),
+            op: OPS[(head & 3) as usize],
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unpack_wide(table: &[u8], index: usize) -> Node {
+        const R: usize = record_len(WIDE);
+        let record: &[u8; R] = table[index * R..][..R].try_into().expect("a whole record");
+        let field = |k: usize| digits_value(&record[1 + k * WIDE..][..WIDE]);
+        Node {
+            end: field(0),
+            name: field(1),
+            name_len: field(2),
+            value: field(3),
+            value_len: field(4),
+            op: OPS[usize::from(record[0] & 3)],
+        }
+    }
 }
 
 /// A borrowed view of one pattern node of a [`Query`].
+///
+/// Made, it has decoded what every walk reads of its node — the name span,
+/// the subtree's end and the op — and it decodes the comparison's value
+/// only when asked for it.
 ///
 /// The derived-looking order — name, comparison, children — is the
 /// normalization order: siblings are strictly ascending in it, which is
 /// what makes the canonical text, and every DHT key, unique.
 #[derive(Clone, Copy)]
 pub struct NodeRef<'a> {
-    nodes: &'a [Node],
+    /// What every name and value is a span of.
     text: &'a str,
-    index: usize,
+    /// The packed records, in pre-order ([`Node::pack`]).
+    table: &'a [u8],
+    width: u32,
+    index: u32,
+    name: u32,
+    name_len: u32,
+    /// One past the last node of this node's subtree.
+    end: u32,
+    op: Option<CmpOp>,
 }
 
 impl<'a> NodeRef<'a> {
-    fn node(&self) -> &'a Node {
-        &self.nodes[self.index]
+    /// The view of node `index` of a table of `width`-byte fields.
+    #[inline(always)]
+    fn new(text: &'a str, table: &'a [u8], width: u32, index: u32) -> NodeRef<'a> {
+        let n = Node::unpack(table, index as usize, width as usize);
+        NodeRef {
+            text,
+            table,
+            width,
+            index,
+            name: n.name,
+            name_len: n.name_len,
+            end: n.end,
+            op: n.op,
+        }
     }
 
+    /// This node unpacked, the comparison's value included.
+    #[inline]
+    fn node(&self) -> Node {
+        Node::unpack(self.table, self.index as usize, self.width as usize)
+    }
+
+    #[inline(always)]
     fn span(&self, start: u32, len: u32) -> &'a str {
         &self.text[start as usize..(start + len) as usize]
     }
 
     /// The exact element name — or, for a leaf, the exact text value —
     /// this node requires.
+    #[inline]
     pub fn name(&self) -> &'a str {
-        let n = self.node();
-        self.span(n.name, n.name_len)
+        self.span(self.name, self.name_len)
     }
 
     /// The comparison constraining the matched element's text, if any.
+    #[inline]
     pub fn comparison(&self) -> Option<Comparison<'a>> {
-        let n = self.node();
-        n.op.map(|op| Comparison {
-            op,
-            value: self.span(n.value, n.value_len),
+        self.op.map(|op| {
+            let n = self.node();
+            Comparison {
+                op,
+                value: self.span(n.value, n.value_len),
+            }
         })
     }
 
     /// Child pattern nodes, in normalized order.
+    #[inline]
     pub fn children(self) -> impl Iterator<Item = NodeRef<'a>> {
-        let end = self.node().end as usize;
-        let mut next = self.index + 1;
-        std::iter::from_fn(move || {
-            (next < end).then(|| {
-                let child = NodeRef {
-                    index: next,
-                    ..self
-                };
-                next = child.node().end as usize;
-                child
-            })
-        })
+        Children {
+            text: self.text,
+            table: self.table,
+            width: self.width,
+            next: self.index + 1,
+            end: self.end,
+        }
     }
 
     /// True when the node constrains nothing below itself: a pure
     /// name/value leaf.
+    #[inline]
     pub fn is_leaf(&self) -> bool {
-        let n = self.node();
-        n.end as usize == self.index + 1 && n.op.is_none()
+        self.end == self.index + 1 && self.op.is_none()
     }
 
     /// Depth of this subtree (a leaf has depth 1).
     fn depth(self) -> usize {
         1 + self.children().map(NodeRef::depth).max().unwrap_or(0)
+    }
+}
+
+/// The children of a node: each child's subtree ends where the next
+/// child starts.
+struct Children<'a> {
+    text: &'a str,
+    table: &'a [u8],
+    width: u32,
+    next: u32,
+    end: u32,
+}
+
+impl<'a> Iterator for Children<'a> {
+    type Item = NodeRef<'a>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<NodeRef<'a>> {
+        (self.next < self.end).then(|| {
+            let child = NodeRef::new(self.text, self.table, self.width, self.next);
+            self.next = child.end;
+            child
+        })
     }
 }
 
@@ -245,6 +445,14 @@ impl PartialEq for NodeRef<'_> {
 
 impl Eq for NodeRef<'_> {}
 
+/// Are the siblings under `node` strictly ascending at every level?
+fn ascending(node: NodeRef<'_>) -> bool {
+    node.children()
+        .zip(node.children().skip(1))
+        .all(|(a, b)| a < b)
+        && node.children().all(ascending)
+}
+
 /// The renderer's output: a frozen query in the making.
 struct Frozen {
     nodes: Vec<Node>,
@@ -254,6 +462,9 @@ struct Frozen {
     /// Whose spans point into `raw`: node index, and whether it is the
     /// node's comparison value (else its name).
     in_raw: Vec<(usize, bool)>,
+    /// Where [`freeze`](Self::freeze) assembles the query's buffer before
+    /// the one copy into its `Arc`.
+    buffer: Vec<u8>,
 }
 
 /// Index of no node: render everything.
@@ -267,65 +478,61 @@ impl Frozen {
             canon: String::new(),
             raw: String::new(),
             in_raw: Vec::new(),
+            buffer: Vec::new(),
         }
     }
 
-    /// Renders `root` minus the subtree at `skip`, leaving its canonical
-    /// text in `canon` for [`freeze`](Self::freeze) or a lookup.
-    fn render(&mut self, root: NodeRef<'_>, skip: usize) {
+    /// Renders the tree `source` lays out, minus the subtree at index
+    /// `skip`, leaving its canonical text in `canon` for
+    /// [`freeze`](Self::freeze) or a lookup.
+    fn render(&mut self, source: Source<'_>, skip: usize) {
         self.nodes.clear();
         self.canon.clear();
         self.raw.clear();
         self.in_raw.clear();
-        self.emit(root, skip, false);
+        self.emit(source, 0, skip, false);
     }
 
-    /// Renders the subtree of `node`, minus the subtree rooted at index
+    /// Renders the subtree of node `at`, minus the subtree rooted at index
     /// `skip`, in canonical syntax, laying its nodes out as it goes.
     /// `relative` suppresses the `/` of the first step inside a predicate
     /// (`[author[...]]`, not `[/author[...]]`).
-    fn emit(&mut self, node: NodeRef<'_>, skip: usize, relative: bool) {
-        debug_assert!(
-            node.children()
-                .zip(node.children().skip(1))
-                .all(|(a, b)| a < b),
-            "siblings must be strictly ascending"
-        );
-        let n = *node.node();
+    fn emit(&mut self, source: Source<'_>, at: usize, skip: usize, relative: bool) {
+        let n = source.nodes[at];
         if !relative {
             self.canon.push('/');
         }
-        let at = self.nodes.len();
+        let out = self.nodes.len();
         self.nodes.push(n);
-        let (name, name_len) = self.token(node.name(), at, false);
+        let (name, name_len) = self.token(source.span(n.name, n.name_len), out, false);
         // A single comparison-free child continues the path; anything else
         // renders as sorted predicates. This reproduces the paper's style:
         // chains print as `/article/author/last/Smith`, branches as
         // `/article[author[...]][conf/INFOCOM]`.
-        let kids = || node.children().filter(move |c| c.index != skip);
+        let kids = || source.children(at).filter(move |&kid| kid != skip);
         let mut first_two = kids();
         match (first_two.next(), first_two.next()) {
-            (Some(only), None) if n.op.is_none() && only.node().op.is_none() => {
-                self.emit(only, skip, false);
+            (Some(only), None) if n.op.is_none() && source.nodes[only].op.is_none() => {
+                self.emit(source, only, skip, false);
             }
             _ => {
                 for kid in kids() {
                     self.canon.push('[');
-                    self.emit(kid, skip, true);
+                    self.emit(source, kid, skip, true);
                     self.canon.push(']');
                 }
             }
         }
         // Each node renders its own comparison, after its predicates,
         // matching the parser which binds `op value` to the last step.
-        let (value, value_len) = match node.comparison() {
-            Some(cmp) => {
-                self.canon.push_str(cmp.op.symbol());
-                self.token(cmp.value, at, true)
+        let (value, value_len) = match n.op {
+            Some(op) => {
+                self.canon.push_str(op.symbol());
+                self.token(source.span(n.value, n.value_len), out, true)
             }
             None => (0, 0),
         };
-        self.nodes[at] = Node {
+        self.nodes[out] = Node {
             name,
             name_len,
             value,
@@ -373,57 +580,133 @@ impl Frozen {
         })
     }
 
-    /// Freezes what [`emit`](Self::emit) rendered: three allocations —
-    /// the node array, the text buffer, the `Arc` — whatever the size.
+    /// Freezes what [`emit`](Self::emit) rendered into one buffer — the
+    /// canonical text, the raw tokens, the packed nodes and a trailer —
+    /// and copies it into the query's `Arc`: one allocation, whatever the
+    /// size.
     fn freeze(&mut self) -> Query {
-        let canon_len = offset(self.canon.len());
+        let canon_len = self.canon.len();
         for &(at, is_value) in &self.in_raw {
             let node = &mut self.nodes[at];
             if is_value {
-                node.value += canon_len;
+                node.value += offset(canon_len);
             } else {
-                node.name += canon_len;
+                node.name += offset(canon_len);
             }
         }
-        let mut text = String::with_capacity(self.canon.len() + self.raw.len());
-        text.push_str(&self.canon);
-        text.push_str(&self.raw);
-        Query(Arc::new(Flat {
-            nodes: self.nodes.as_slice().into(),
-            text: text.into_boxed_str(),
-            canon_len,
-        }))
+        let width = width_for(canon_len + self.raw.len(), self.nodes.len());
+        let buffer = &mut self.buffer;
+        buffer.clear();
+        buffer.extend_from_slice(self.canon.as_bytes());
+        buffer.extend_from_slice(self.raw.as_bytes());
+        for node in &self.nodes {
+            node.pack(width, buffer);
+        }
+        push_wide(buffer, canon_len);
+        push_wide(buffer, self.nodes.len());
+        buffer.push(width as u8);
+        let text = std::str::from_utf8(buffer).expect("UTF-8 text, then ASCII");
+        let query = Query(Arc::from(text));
+        debug_assert!(
+            ascending(query.root()),
+            "siblings must be strictly ascending"
+        );
+        query
     }
 }
 
-/// Lays a normalized draft out in pre-order, every span pointing into the
-/// draft's own text: the renderer's input.
-fn stage(draft: &Draft, id: NodeId, nodes: &mut Vec<Node>) {
-    let n = draft.node(id);
-    let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
-    let at = nodes.len();
-    nodes.push(Node {
-        name: n.name.start,
-        name_len: n.name.len,
-        value,
-        value_len,
-        end: 0,
-        op: n.comparison.map(|(op, _)| op),
-    });
-    for child in draft.children(id) {
-        stage(draft, child, nodes);
+/// The renderer's input: nodes in pre-order, unpacked, and the text their
+/// spans point into.
+#[derive(Clone, Copy)]
+struct Source<'a> {
+    nodes: &'a [Node],
+    text: &'a str,
+}
+
+impl<'a> Source<'a> {
+    fn span(&self, start: u32, len: u32) -> &'a str {
+        &self.text[start as usize..(start + len) as usize]
     }
-    nodes[at].end = offset(nodes.len());
+
+    /// The indices of node `at`'s children.
+    fn children(self, at: usize) -> impl Iterator<Item = usize> + 'a {
+        let end = self.nodes[at].end as usize;
+        let mut next = at + 1;
+        std::iter::from_fn(move || {
+            (next < end).then(|| {
+                let child = next;
+                next = self.nodes[child].end as usize;
+                child
+            })
+        })
+    }
+}
+
+/// Where the renderer's input is laid out: a normalized draft, or a frozen
+/// query unpacked.
+struct Staged {
+    nodes: Vec<Node>,
+}
+
+impl Staged {
+    /// Empty; allocates nothing until written to.
+    const fn new() -> Staged {
+        Staged { nodes: Vec::new() }
+    }
+
+    /// Lays out the draft rooted at node 0, every span pointing into the
+    /// draft's own text.
+    fn draft<'a>(&'a mut self, draft: &'a Draft) -> Source<'a> {
+        self.nodes.clear();
+        self.lay_out(draft, 0);
+        Source {
+            nodes: &self.nodes,
+            text: draft.buffer(),
+        }
+    }
+
+    /// Appends the subtree of `id` in pre-order.
+    fn lay_out(&mut self, draft: &Draft, id: NodeId) {
+        let n = draft.node(id);
+        let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
+        let at = self.nodes.len();
+        self.nodes.push(Node {
+            name: n.name.start,
+            name_len: n.name.len,
+            value,
+            value_len,
+            end: 0,
+            op: n.comparison.map(|(op, _)| op),
+        });
+        for child in draft.children(id) {
+            self.lay_out(draft, child);
+        }
+        self.nodes[at].end = offset(self.nodes.len());
+    }
+
+    /// Unpacks `query`'s node table, every span pointing into its buffer.
+    fn query<'a>(&'a mut self, query: &'a Query) -> Source<'a> {
+        let at = query.layout();
+        let table = &query.0.as_bytes()[at.table..at.trailer];
+        let count = table.len() / record_len(at.width);
+        self.nodes.clear();
+        self.nodes
+            .extend((0..count).map(|index| Node::unpack(table, index, at.width)));
+        Source {
+            nodes: &self.nodes,
+            text: &query.0,
+        }
+    }
 }
 
 /// Per-thread buffers of construction, so that building a query allocates
 /// only what the query keeps: the draft the parser,
 /// [`Query::most_specific`] and [`Query::build_with`] write into, and the
-/// freeze step's sorting room, staging array and renderer.
+/// freeze step's sorting room, staging and renderer.
 struct Scratch {
     draft: Draft,
     order: Vec<NodeId>,
-    staged: Vec<Node>,
+    staged: Staged,
     out: Frozen,
 }
 
@@ -433,7 +716,7 @@ impl Scratch {
         Scratch {
             draft: Draft::new(),
             order: Vec::new(),
-            staged: Vec::new(),
+            staged: Staged::new(),
             out: Frozen::new(),
         }
     }
@@ -466,20 +749,13 @@ fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
 fn freeze_draft(
     draft: &mut Draft,
     order: &mut Vec<NodeId>,
-    staged: &mut Vec<Node>,
+    staged: &mut Staged,
     out: &mut Frozen,
     known: &mut (impl KnownQueries + ?Sized),
 ) -> Result<Query, TooDeep> {
     order.clear();
     draft.normalize(0, MAX_DEPTH, order)?;
-    staged.clear();
-    stage(draft, 0, staged);
-    let root = NodeRef {
-        nodes: staged,
-        text: draft.buffer(),
-        index: 0,
-    };
-    out.render(root, NO_SKIP);
+    out.render(staged.draft(draft), NO_SKIP);
     Ok(out.known_or_freeze(known))
 }
 
@@ -491,14 +767,18 @@ fn freeze_draft(
 /// the same canonical representation, so equal queries are `==` and print
 /// identically.
 ///
-/// A query is frozen at construction into one node array and one text
-/// buffer behind a single `Arc`: `Query::clone` is one reference-count
-/// bump, and whoever holds the same query — a request script, a memo
-/// table, a shortcut cache — shares that one copy. The buffer starts with
-/// the canonical text, so `Display`,
-/// [`canonical_text`](Query::canonical_text), equality, hashing and
-/// ordering read it instead of walking anything; the DHT key `h(q)` is a
-/// hash of bytes already in memory.
+/// A query is frozen at construction into one `Arc<str>`, its only heap
+/// allocation: `Query::clone` is one reference-count bump, and whoever
+/// holds the same query — a request script, a memo table, a shortcut
+/// cache — shares that one copy. The buffer starts with the canonical
+/// text, so `Display`, [`canonical_text`](Query::canonical_text),
+/// equality, hashing and ordering read it instead of walking anything;
+/// the DHT key `h(q)` is a hash of bytes already in memory. After it come
+/// the raw forms of the tokens the text shows escaped, the pre-order node
+/// table packed into 7-bit ASCII fields (two bytes a field while the text
+/// is under 16 KiB, four past it), and a trailer that says where each
+/// part ends. The Figure 1 MSD, 89 bytes of text and 14 nodes, keeps 272
+/// bytes in all.
 ///
 /// # Examples
 ///
@@ -513,7 +793,18 @@ fn freeze_draft(
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
 #[derive(Clone)]
-pub struct Query(Arc<Flat>);
+pub struct Query(Arc<str>);
+
+/// Where the parts of a frozen buffer sit, read from its trailer (see
+/// [`TRAILER`]).
+struct Layout {
+    canon_len: usize,
+    /// Where the node table starts: the text (canonical, then raw) ends.
+    table: usize,
+    /// Where the trailer starts: the node table ends.
+    trailer: usize,
+    width: usize,
+}
 
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -588,13 +879,28 @@ impl Query {
         })
     }
 
-    /// The root pattern node.
-    pub fn root(&self) -> NodeRef<'_> {
-        NodeRef {
-            nodes: &self.0.nodes,
-            text: &self.0.text,
-            index: 0,
+    /// Reads the trailer.
+    #[inline]
+    fn layout(&self) -> Layout {
+        let bytes = self.0.as_bytes();
+        let at = bytes.len() - TRAILER;
+        let numbers: &[u8; TRAILER] = bytes[at..].try_into().expect("a whole trailer");
+        let width = usize::from(numbers[2 * WIDE]);
+        let count = digits_value(&numbers[WIDE..2 * WIDE]) as usize;
+        Layout {
+            canon_len: digits_value(&numbers[..WIDE]) as usize,
+            table: at - count * record_len(width),
+            trailer: at,
+            width,
         }
+    }
+
+    /// The root pattern node.
+    #[inline]
+    pub fn root(&self) -> NodeRef<'_> {
+        let at = self.layout();
+        let table = &self.0.as_bytes()[at.table..at.trailer];
+        NodeRef::new(&self.0, table, at.width as u32, 0)
     }
 
     /// The root element name this query requires.
@@ -604,7 +910,8 @@ impl Query {
 
     /// Number of pattern nodes.
     pub fn size(&self) -> usize {
-        self.0.nodes.len()
+        let at = self.layout();
+        (at.trailer - at.table) / record_len(at.width)
     }
 
     /// Pattern depth (`/article` has depth 1).
@@ -616,8 +923,9 @@ impl Query {
     /// hash input `h(q)`. Rendered at construction — this is a borrow, not
     /// a render, so hot paths can read lengths and hash inputs without
     /// allocating.
+    #[inline]
     pub fn canonical_text(&self) -> &str {
-        &self.0.text[..self.0.canon_len as usize]
+        &self.0[..self.layout().canon_len]
     }
 
     /// The top-level branches (children of the root).
@@ -630,7 +938,7 @@ impl Query {
     /// this is one pass over the frozen nodes: no tree, no sort.
     fn without(&self, branch: usize) -> Query {
         with_scratch(|scratch| {
-            scratch.out.render(self.root(), branch);
+            scratch.out.render(scratch.staged.query(self), branch);
             scratch.out.freeze()
         })
     }
@@ -643,7 +951,7 @@ impl Query {
     #[must_use]
     pub fn drop_top_branch(&self, index: usize) -> Option<Query> {
         let branch = self.top_branches().nth(index)?;
-        Some(self.without(branch.index))
+        Some(self.without(branch.index as usize))
     }
 
     /// All one-step generalizations: each top-level branch dropped in turn.
@@ -676,8 +984,9 @@ impl Query {
         out: &mut Vec<Query>,
     ) {
         with_scratch(|scratch| {
+            let source = scratch.staged.query(self);
             for branch in self.top_branches() {
-                scratch.out.render(self.root(), branch.index);
+                scratch.out.render(source, branch.index as usize);
                 out.push(scratch.out.known_or_freeze(known));
             }
         });
@@ -717,6 +1026,9 @@ impl fmt::Display for Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::write_query;
+    use crate::QueryBuilder;
+    use p2p_index_testkit::{ascii, for_each_case, Rng, StdRng};
 
     /// Freezes the draft `build` writes (its first node is the root).
     fn frozen(build: impl FnOnce(&mut Draft)) -> Query {
@@ -896,6 +1208,96 @@ mod tests {
         });
         assert_eq!(q.root_name(), "article");
         assert_eq!(q.root().name(), "article");
+    }
+
+    /// The property suite's queries (`tests/query_properties.rs`): up to
+    /// three values and at most one comparison, some values quoted and
+    /// some escaped.
+    fn arb_query(rng: &mut StdRng) -> Query {
+        const FIELDS: [&str; 6] = [
+            "author/first",
+            "author/last",
+            "title",
+            "conf",
+            "year",
+            "journal/volume",
+        ];
+        const OPS: [CmpOp; 3] = [CmpOp::Eq, CmpOp::StartsWith, CmpOp::Contains];
+        let field = |rng: &mut StdRng| FIELDS[rng.gen_range(0..FIELDS.len())];
+        let value = |rng: &mut StdRng| {
+            let alpha = [b'A'..=b'Z', b'a'..=b'z'];
+            let alnum = [b'A'..=b'Z', b'a'..=b'z', b'0'..=b'9'];
+            match rng.gen_range(0..4usize) {
+                0 => ascii(rng, &alpha, 1..=1) + &ascii(rng, &alnum, 0..=10),
+                1 => ascii(rng, &[b'0'..=b'9'], 1..=4),
+                2 => ascii(rng, &alpha, 1..=5) + " " + &ascii(rng, &alpha, 1..=5),
+                _ => ascii(rng, &alpha, 1..=3) + "\"" + &ascii(rng, &alpha, 1..=3),
+            }
+        };
+        let mut b = QueryBuilder::new("article");
+        for _ in 0..rng.gen_range(0..4usize) {
+            b = b.value(field(rng), value(rng));
+        }
+        for _ in 0..rng.gen_range(0..2usize) {
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            b = b.compare(field(rng), op, value(rng));
+        }
+        b.build()
+    }
+
+    /// How deep the draft nests below and at `id`.
+    fn draft_depth(d: &Draft, id: NodeId) -> usize {
+        1 + d.children(id).map(|c| draft_depth(d, c)).max().unwrap_or(0)
+    }
+
+    /// Walks `node` and the draft node `id` in step, asserting that every
+    /// read of the packed record answers what the draft holds; returns the
+    /// subtree's node count.
+    fn walks_alike(node: NodeRef<'_>, d: &Draft, id: NodeId) -> usize {
+        let n = d.node(id);
+        assert_eq!(node.name(), d.text(n.name));
+        assert_eq!(
+            node.comparison().map(|c| (c.op, c.value)),
+            n.comparison.map(|(op, value)| (op, d.text(value)))
+        );
+        let kids: Vec<NodeId> = d.children(id).collect();
+        assert_eq!(node.is_leaf(), kids.is_empty() && n.comparison.is_none());
+        assert_eq!(node.children().count(), kids.len());
+        let size = 1 + node
+            .children()
+            .zip(kids)
+            .map(|(child, kid)| walks_alike(child, d, kid))
+            .sum::<usize>();
+        assert_eq!(node.end as usize, node.index as usize + size);
+        assert_eq!(node.depth(), draft_depth(d, id));
+        size
+    }
+
+    /// Parses `text` into a draft, freezes it, and walks the frozen query
+    /// against the draft, which freezing left normalized.
+    fn packs_faithfully(text: &str) -> Query {
+        let mut draft = Draft::new();
+        write_query(text, &mut draft).expect("the text parses");
+        let q = Query::from_draft(&mut draft).expect("within the depth limit");
+        assert_eq!(q.size(), walks_alike(q.root(), &draft, 0));
+        assert_eq!(q.canonical_text(), text);
+        q
+    }
+
+    #[test]
+    fn every_packed_walk_equals_the_draft_it_was_staged_from() {
+        for_each_case(|rng| {
+            let q = packs_faithfully(arb_query(rng).canonical_text());
+            assert_eq!(q.root().width as usize, NARROW, "{q}");
+        });
+        // Past 16 KiB of text every field is four bytes wide, the spans of
+        // the raw copy of an escaped value included.
+        let long = "x".repeat(1 << 14);
+        let text =
+            format!(r#"/article[author[first/A][last/"B \"{long}\""]][conf^={long}][title/TCP]"#);
+        let q = packs_faithfully(&text);
+        assert_eq!(q.root().width as usize, WIDE);
+        assert_eq!(q.size(), 9);
     }
 
     #[test]

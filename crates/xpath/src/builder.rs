@@ -18,11 +18,11 @@
 //!   buffer, sized so that a scheme's queries never regrow them — because
 //!   builders nest ([`QueryBuilder::branch`]) and clone. A
 //!   `QueryBuilder::new(..).value(..).build()` chain allocates those two
-//!   and the three the frozen query keeps;
+//!   and the one buffer the frozen query keeps;
 //! - [`Query::most_specific`] writes into this thread's draft, the one
 //!   the parser uses, and so does [`Query::build_with`], which runs the
 //!   builder's own steps ([`QuerySteps`]) there: both allocate only the
-//!   three the query keeps. Index schemes build their node queries with
+//!   one buffer the query keeps. Index schemes build their node queries with
 //!   `build_with`.
 //!
 //! The thread-draft constructors each have a `_known` form that renders
@@ -252,7 +252,7 @@ impl TryFrom<QueryBuilder> for Query {
 impl Query {
     /// Builds the query rooted at element `root` that `steps` describes,
     /// in this thread's draft: what the same [`QueryBuilder`] chain
-    /// builds, allocating only the three things the query keeps.
+    /// builds, allocating only the one buffer the query keeps.
     ///
     /// # Errors
     ///

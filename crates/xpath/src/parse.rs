@@ -313,6 +313,13 @@ impl<'a> QueryParser<'a> {
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
+    let parsed = Query::in_scratch(&mut (), |draft| write_query(input, draft))?;
+    Ok(parsed.expect("the parser stops at MAX_DEPTH"))
+}
+
+/// Parses `input` into `draft`, which must be empty: its root becomes
+/// node 0, and nothing nests deeper than [`MAX_DEPTH`].
+pub(crate) fn write_query(input: &str, draft: &mut Draft) -> Result<(), ParseQueryError> {
     // A malformed token anywhere is the error, even one after a grammar
     // error: the input is lexed whole before it is parsed.
     for token in Lexer::new(input) {
@@ -325,14 +332,11 @@ pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
             offset: 0,
         });
     }
-    let parsed = Query::in_scratch(&mut (), |draft| {
-        p.parse_steps(draft, None, MAX_DEPTH)?;
-        match p.peek() {
-            Some(t) => Err(p.err(QueryErrorKind::TrailingInput(t.describe()))),
-            None => Ok(()),
-        }
-    })?;
-    Ok(parsed.expect("the parser stops at MAX_DEPTH"))
+    p.parse_steps(draft, None, MAX_DEPTH)?;
+    match p.peek() {
+        Some(t) => Err(p.err(QueryErrorKind::TrailingInput(t.describe()))),
+        None => Ok(()),
+    }
 }
 
 impl FromStr for Query {

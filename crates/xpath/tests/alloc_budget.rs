@@ -1,23 +1,26 @@
 //! Allocation and footprint pins of the frozen query.
 //!
-//! A `Query` is one node array and one text buffer behind one `Arc`, and
-//! every question asked of it — covering, matching, equality, hashing —
-//! is answered by walking those two in place. This suite pins that: the
-//! read paths allocate nothing, building a query allocates what the query
-//! keeps and nothing that grows with its size, and the handle is a
-//! pointer. Construction is pinned per constructor: the parser,
-//! `Query::most_specific` and `Query::build_with` write into a per-thread
-//! draft and allocate only the three things the query keeps; a
-//! `QueryBuilder` chain adds its own draft's two buffers. A generalization,
-//! an MSD or a `build_with` query that a caller's table of known queries
-//! already holds is rendered but not frozen, and allocates nothing. The count is thread-local (`p2p_index_testkit::Counting`), so
-//! tests running in parallel never touch each other's.
+//! A `Query` is one `Arc<str>`: the canonical text, the raw tokens, the
+//! packed node table and a trailer, in one buffer. Every question asked of
+//! it — covering, matching, equality, hashing — is answered by walking
+//! that buffer in place. This suite pins that: the read paths allocate
+//! nothing, building a query allocates exactly once whatever its size,
+//! and the handle is a pointer. Construction is pinned per constructor:
+//! the parser, `Query::most_specific`, `Query::build_with`, dropping a
+//! branch and a generalization write into per-thread buffers and allocate
+//! only the one buffer the query keeps; a `QueryBuilder` chain adds its
+//! own draft's two buffers. A generalization, an MSD or a `build_with`
+//! query that a caller's table of known queries already holds is rendered
+//! but not frozen, and allocates nothing. The footprint pin counts the
+//! bytes the Figure 1 MSD keeps. The counts are thread-local
+//! (`p2p_index_testkit::Counting`), so tests running in parallel never
+//! touch each other's.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use p2p_index_testkit::{allocs_during, Counting};
+use p2p_index_testkit::{allocs_during, bytes_during, Counting};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::{parse_query, KnownQueries, Query, QueryBuilder, MAX_DEPTH};
 
@@ -96,10 +99,11 @@ fn parsing_an_msd_text_allocates_only_what_the_query_keeps() {
     let warm = parse_query(&text).expect("canonical text parses");
     let (q, allocs) = allocs_during(|| parse_query(&text));
     assert_eq!(q.expect("canonical text parses"), warm);
-    // The node array, the text buffer and the `Arc`: tokens borrow the
-    // input and the draft is this thread's. It was 48 while every token,
-    // name and node was a heap object of its own.
-    assert!(allocs <= 3, "parsing {text} made {allocs}");
+    // The query's one buffer: tokens borrow the input and the draft is
+    // this thread's. It was 48 while every token, name and node was a heap
+    // object of its own, and 3 while the node array, the text and the
+    // `Arc` were apart.
+    assert_eq!(allocs, 1, "parsing {text}");
 }
 
 #[test]
@@ -108,9 +112,9 @@ fn deriving_an_msd_allocates_only_what_the_query_keeps() {
     let warm = Query::most_specific(&d);
     let (msd, allocs) = allocs_during(|| Query::most_specific(&d));
     assert_eq!(msd, warm);
-    // The three the query keeps; it was 26 with a `String` per name and
-    // a `Vec` per element.
-    assert!(allocs <= 3, "most_specific made {allocs}");
+    // The one buffer the query keeps; it was 26 with a `String` per name
+    // and a `Vec` per element, and 3 with the node array apart.
+    assert_eq!(allocs, 1, "most_specific");
 }
 
 #[test]
@@ -130,9 +134,9 @@ fn a_builder_chain_allocates_its_draft_and_the_query() {
         "/article[author[first/John][last/Smith]][title/TCP]"
     );
     // The builder's node array and text buffer (sized so that a scheme's
-    // queries never regrow them), then the three the query keeps. It was
-    // 16 with a `String` per name and a `Vec` per node.
-    assert!(allocs <= 5, "a three-value builder chain made {allocs}");
+    // queries never regrow them), then the query's one buffer. It was 16
+    // with a `String` per name and a `Vec` per node.
+    assert_eq!(allocs, 3, "a three-value builder chain");
 }
 
 #[test]
@@ -155,8 +159,8 @@ fn building_in_the_thread_draft_allocates_only_what_the_query_keeps() {
         .value("title", "TCP")
         .build();
     assert_eq!(q.canonical_text(), chained.canonical_text());
-    // ...without the builder's own draft: the three the query keeps.
-    assert!(allocs <= 3, "a three-value build_with made {allocs}");
+    // ...without the builder's own draft: the query's one buffer.
+    assert_eq!(allocs, 1, "a three-value build_with");
 }
 
 /// Known queries by canonical text, as a client's table keeps them.
@@ -193,12 +197,12 @@ fn a_generalization_the_table_holds_allocates_nothing() {
     for (a, b) in first.iter().zip(&again) {
         assert!(std::ptr::eq(a.canonical_text(), b.canonical_text()), "{a}");
     }
-    // The table that holds nothing freezes every one: three allocations
+    // The table that holds nothing freezes every one: one allocation
     // each, as dropping a branch does.
     let mut fresh = Vec::with_capacity(first.len());
     let (_, allocs) = allocs_during(|| msd.generalizations_into(&mut fresh));
     assert_eq!(fresh, first);
-    assert!(allocs <= 3 * first.len() as u64, "made {allocs}");
+    assert_eq!(allocs, first.len() as u64);
 }
 
 #[test]
@@ -250,7 +254,7 @@ fn wide(n: usize) -> QueryBuilder {
 }
 
 #[test]
-fn freezing_allocates_three_times_whatever_the_size() {
+fn freezing_allocates_once_whatever_the_size() {
     for n in [0, 1, 7, 60, 600] {
         let builder = wide(n);
         // Warm this thread's freeze scratch to the size.
@@ -258,13 +262,13 @@ fn freezing_allocates_three_times_whatever_the_size() {
         assert!(warm.size() > n && (n < 3 || warm.depth() == MAX_DEPTH));
         let (q, allocs) = allocs_during(|| builder.build());
         assert_eq!(q, warm);
-        // The node array, the text buffer and the `Arc` that holds both.
-        assert!(allocs <= 3, "freezing {} nodes made {allocs}", q.size());
+        // The `Arc` that holds the text, the node table and the trailer.
+        assert_eq!(allocs, 1, "freezing {} nodes", q.size());
     }
 }
 
 #[test]
-fn dropping_a_branch_allocates_three_times_whatever_the_size() {
+fn dropping_a_branch_allocates_once_whatever_the_size() {
     for n in [1, 7, 60, 600] {
         let q = wide(n).build();
         let warm = q.drop_top_branch(0).expect("branch 0 exists");
@@ -272,10 +276,34 @@ fn dropping_a_branch_allocates_three_times_whatever_the_size() {
             let (g, allocs) = allocs_during(|| q.drop_top_branch(index));
             let g = g.expect("index in range");
             assert_eq!(g.top_branches().count(), n - 1);
-            assert!(allocs <= 3, "dropping 1 of {n} made {allocs}");
+            assert_eq!(allocs, 1, "dropping 1 of {n}");
             assert!(g.covers(&q) && (index != 0 || g == warm));
         }
     }
+}
+
+/// What the Figure 1 MSD keeps on the heap, requested bytes before the
+/// allocator rounds them.
+#[test]
+fn the_figure_1_msd_keeps_its_text_and_eleven_bytes_a_node() {
+    let d = figure_1();
+    let warm = Query::most_specific(&d);
+    let (msd, bytes) = bytes_during(|| Query::most_specific(&d));
+    assert_eq!(msd, warm);
+    let (text, nodes) = (msd.canonical_text().len(), msd.size());
+    assert_eq!((text, nodes), (89, 14));
+    // The `Arc`'s two counts, then the buffer: the canonical text (no
+    // token is escaped, so no raw copy follows it), 14 nodes of an op byte
+    // and five two-byte fields, and a trailer of the text's length and
+    // the node count, four bytes each, and the field width. The `Arc`
+    // rounds the whole up to its counts' alignment: 16 + 89 + 154 + 9 =
+    // 268, asked for as 272 bytes on a 64-bit target.
+    let word = std::mem::size_of::<usize>() as u64;
+    assert_eq!(bytes, (2 * word + 89 + 14 * 11 + 9).next_multiple_of(word));
+    // It was 481 bytes while the nodes were 24-byte structs in an array
+    // of their own: the `Arc` of 56 (its counts, two boxed slices and the
+    // text length), the array of 14 × 24 = 336 and the 89-byte text.
+    assert!(bytes * 100 <= 481 * 60, "{bytes} B is over 60 % of 481 B");
 }
 
 #[test]

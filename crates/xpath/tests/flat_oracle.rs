@@ -1,7 +1,8 @@
 //! Oracle test: the frozen `Query` against the pointer tree it replaced.
 //!
-//! A `Query` is a pre-order node array over one text buffer, and covering,
-//! matching, rendering, measuring and generalizing all walk that. The
+//! A `Query` is one buffer — its text, then its pre-order nodes packed —
+//! and covering, matching, rendering, measuring and generalizing all walk
+//! that. The
 //! reference below is the code they were ported from — a `String` + `Vec`
 //! node, the recursive `normalize` / `write` / `contains` / `node_matches`
 //! — kept verbatim on a test-local tree, minus the constructs the
