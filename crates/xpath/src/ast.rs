@@ -119,10 +119,9 @@ fn needs_quoting(token: &str) -> bool {
 }
 
 /// One node of a query, unpacked: what the renderer lays out before
-/// [`Frozen::freeze`] packs it, and what a [`NodeRef`] field read decodes.
-/// Nodes sit in pre-order, so a node's strict descendants are the indices
-/// `self + 1 .. end`, and its children are reached by hopping from one
-/// child's `end` to the next.
+/// [`Frozen::freeze`] packs it. Nodes sit in pre-order, so a node's strict
+/// descendants are the indices `self + 1 .. end`, and its children are
+/// reached by hopping from one child's `end` to the next.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Where the name starts in the text.
@@ -136,11 +135,15 @@ struct Node {
     op: Option<CmpOp>,
 }
 
-/// Offsets and node indices are counted in `u32` while a query is built:
-/// a query comes from a frame of at most 16 MiB or from a descriptor
-/// already in memory.
+/// Offsets and node indices are counted in `u32` and packed into at most
+/// 28 bits (four 7-bit digits): a query comes from a frame of at most
+/// 16 MiB or from a descriptor already in memory, and its text, raw
+/// tokens included, must stay under 256 MiB.
 pub(crate) fn offset(n: usize) -> u32 {
-    u32::try_from(n).expect("a query's text and node count fit in 32 bits")
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n < 1 << (7 * WIDE))
+        .expect("a query's text and node count stay under 2^28 (256 MiB)")
 }
 
 /// Bytes per packed field while every offset and node index is below
@@ -149,16 +152,6 @@ pub(crate) fn offset(n: usize) -> u32 {
 const NARROW: usize = 2;
 const WIDE: usize = 4;
 
-/// The field width of a table over `text` bytes and `nodes` nodes: every
-/// span and `end` it packs is at most the larger.
-fn width_for(text: usize, nodes: usize) -> usize {
-    if text.max(nodes) < 1 << (7 * NARROW) {
-        NARROW
-    } else {
-        WIDE
-    }
-}
-
 /// Bytes of one packed node: its op byte, then five fields — `end`,
 /// `name`, `name_len`, `value` and `value_len`, in that order, so that
 /// what a walk reads of every node comes first.
@@ -166,38 +159,38 @@ const fn record_len(width: usize) -> usize {
     1 + 5 * width
 }
 
-/// The op byte of a packed node: its index here.
-const OPS: [Option<CmpOp>; 4] = [
-    None,
-    Some(CmpOp::Eq),
-    Some(CmpOp::StartsWith),
-    Some(CmpOp::Contains),
-];
-
 /// Writes `n` into `digits` as 7-bit digits, low digit first.
 fn put_digits(digits: &mut [u8], n: u32) {
-    assert!(
-        n >> (7 * digits.len()) == 0,
-        "a query's text fits in 256 MiB (28-bit fields)"
-    );
+    debug_assert!(n >> (7 * digits.len()) == 0, "checked by `offset`");
     for (i, digit) in digits.iter_mut().enumerate() {
         *digit = (n >> (7 * i)) as u8 & 0x7f;
     }
 }
 
-/// Reads back what [`put_digits`] wrote.
+/// The four two-digit fields in `bits`, each decoded in its 16-bit lane.
 #[inline(always)]
-fn digits_value(digits: &[u8]) -> u32 {
-    digits
-        .iter()
-        .rev()
-        .fold(0, |n, &digit| n << 7 | u32::from(digit))
+fn narrow_lanes(bits: u64) -> u64 {
+    bits & 0x007f_007f_007f_007f | bits >> 1 & 0x3f80_3f80_3f80_3f80
 }
 
-/// The two-digit field in the low 16 bits of `bits`.
+/// The inverse of [`narrow_lanes`]: each 14-bit lane of `lanes` as two
+/// digits.
 #[inline(always)]
-fn narrow_value(bits: u64) -> u32 {
-    (bits & 0x7f | bits >> 1 & 0x3f80) as u32
+fn narrow_digits(lanes: u64) -> u64 {
+    debug_assert!(lanes & 0xc000_c000_c000_c000 == 0, "checked by `offset`");
+    lanes & 0x007f_007f_007f_007f | lanes << 1 & 0x7f00_7f00_7f00_7f00
+}
+
+/// The four-digit field in `bits`.
+#[inline(always)]
+fn wide_value(bits: u32) -> u32 {
+    bits & 0x7f | bits >> 1 & 0x3f80 | bits >> 2 & 0x001f_c000 | bits >> 3 & 0x0fe0_0000
+}
+
+/// Reads the four bytes at `at` as one little-endian `u32`.
+#[inline(always)]
+fn load32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
 }
 
 /// Bytes of a frozen buffer's trailer: the canonical text's length and
@@ -206,31 +199,35 @@ fn narrow_value(bits: u64) -> u32 {
 const TRAILER: usize = 2 * WIDE + 1;
 
 /// Appends `n` as four digits: one number of the trailer.
-fn push_wide(out: &mut Vec<u8>, n: usize) {
+fn push_wide(out: &mut Vec<u8>, n: u32) {
     let mut digits = [0; WIDE];
-    put_digits(&mut digits, offset(n));
+    put_digits(&mut digits, n);
     out.extend_from_slice(&digits);
 }
 
 impl Node {
-    /// Appends this node's record in `width`-byte fields.
-    fn pack(&self, width: usize, out: &mut Vec<u8>) {
-        if width == NARROW {
-            self.pack_as::<NARROW, { record_len(NARROW) }>(out);
-        } else {
-            self.pack_as::<WIDE, { record_len(WIDE) }>(out);
-        }
-    }
-
-    fn pack_as<const W: usize, const R: usize>(&self, out: &mut Vec<u8>) {
+    /// Writes this node's record in `W`-byte fields.
+    #[inline(always)]
+    fn pack_as<const W: usize, const R: usize>(&self, record: &mut [u8]) {
         const { assert!(R == record_len(W)) };
-        let mut record = [0; R];
+        let record: &mut [u8; R] = record.try_into().expect("a whole record");
         record[0] = match self.op {
-            None => 0,
-            Some(CmpOp::Eq) => 1,
-            Some(CmpOp::StartsWith) => 2,
-            Some(CmpOp::Contains) => 3,
+            Some(CmpOp::Eq) => 0,
+            Some(CmpOp::StartsWith) => 1,
+            Some(CmpOp::Contains) => 2,
+            None => 3,
         };
+        if W == NARROW {
+            // The first four fields in one 8-byte store, as `head` reads
+            // them.
+            let lanes = u64::from(self.end)
+                | u64::from(self.name) << 16
+                | u64::from(self.name_len) << 32
+                | u64::from(self.value) << 48;
+            record[1..9].copy_from_slice(&narrow_digits(lanes).to_le_bytes());
+            record[9..11].copy_from_slice(&narrow_digits(self.value_len.into()).to_le_bytes()[..2]);
+            return;
+        }
         let fields = [
             self.end,
             self.name,
@@ -241,55 +238,81 @@ impl Node {
         for (digits, field) in record[1..].chunks_exact_mut(W).zip(fields) {
             put_digits(digits, field);
         }
-        out.extend_from_slice(&record);
+    }
+}
+
+/// The op a record's first byte stands for.
+#[inline(always)]
+fn op_of(byte: u8) -> Option<CmpOp> {
+    match byte & 3 {
+        0 => Some(CmpOp::Eq),
+        1 => Some(CmpOp::StartsWith),
+        2 => Some(CmpOp::Contains),
+        _ => None,
+    }
+}
+
+/// A node table: the nodes in pre-order, each a record
+/// [`Node::pack_as`] wrote, counted back from the end of `bytes` — node `i`'s record ends
+/// `i` records before it — so that the root's is the last one, found
+/// without reading how many there are.
+#[derive(Clone, Copy)]
+struct Table<'a> {
+    /// Ends with the records.
+    bytes: &'a [u8],
+    /// Bytes a record: [`record_len`] of the field width. A word, not a
+    /// flag, so that the view has no padding to copy.
+    record: usize,
+}
+
+impl<'a> Table<'a> {
+    /// The record of node `index`.
+    #[inline(always)]
+    fn record(self, index: u32) -> &'a [u8] {
+        &self.bytes[self.bytes.len() - (index as usize + 1) * self.record..][..self.record]
     }
 
-    /// Decodes the record of node `index` in a table of `width`-byte
-    /// fields. The narrow path is inlined — two loads, so a caller that
-    /// reads one field pays for little more — and the wide one, past
-    /// 16 KiB of text, is a call.
+    /// Are the fields four bytes wide?
     #[inline(always)]
-    fn unpack(table: &[u8], index: usize, width: usize) -> Node {
-        if width == NARROW {
-            Node::unpack_narrow(table, index)
-        } else {
-            Node::unpack_wide(table, index)
+    fn wide(self) -> bool {
+        self.record != record_len(NARROW)
+    }
+
+    /// What every walk reads of node `index`: `end`, the name's span and
+    /// the op. On the narrow path that is one 8-byte load and a few masks;
+    /// the wide one, past 16 KiB of text, is a call.
+    #[inline(always)]
+    fn head(self, index: u32) -> (u32, u32, u32, Option<CmpOp>) {
+        if self.wide() {
+            return self.head_wide(index);
         }
-    }
-
-    #[inline(always)]
-    fn unpack_narrow(table: &[u8], index: usize) -> Node {
         const R: usize = record_len(NARROW);
-        let record: &[u8; R] = table[index * R..][..R].try_into().expect("a whole record");
-        // The op, `end` and the name's span in one load, the value's span
-        // in another.
-        let head = u64::from_le_bytes(record[..8].try_into().expect("eight bytes"));
-        let tail = u64::from(u32::from_le_bytes(
-            record[7..].try_into().expect("four bytes"),
+        let record = &self.bytes[self.bytes.len() - (index as usize + 1) * R..][..R];
+        let lanes = narrow_lanes(u64::from_le_bytes(
+            record[1..9].try_into().expect("eight bytes"),
         ));
-        Node {
-            end: narrow_value(head >> 8),
-            name: narrow_value(head >> 24),
-            name_len: narrow_value(head >> 40),
-            value: narrow_value(tail),
-            value_len: narrow_value(tail >> 16),
-            op: OPS[(head & 3) as usize],
-        }
+        let lane = |k: u32| u32::from((lanes >> (16 * k)) as u16);
+        (lane(0), lane(1), lane(2), op_of(record[0]))
     }
 
     #[cold]
     #[inline(never)]
-    fn unpack_wide(table: &[u8], index: usize) -> Node {
-        const R: usize = record_len(WIDE);
-        let record: &[u8; R] = table[index * R..][..R].try_into().expect("a whole record");
-        let field = |k: usize| digits_value(&record[1 + k * WIDE..][..WIDE]);
-        Node {
-            end: field(0),
-            name: field(1),
-            name_len: field(2),
-            value: field(3),
-            value_len: field(4),
-            op: OPS[usize::from(record[0] & 3)],
+    fn head_wide(self, index: u32) -> (u32, u32, u32, Option<CmpOp>) {
+        let record = self.record(index);
+        let field = |k: usize| wide_value(load32(record, 1 + k * WIDE));
+        (field(0), field(1), field(2), op_of(record[0]))
+    }
+
+    /// The span of node `index`'s comparison value.
+    #[inline]
+    fn value(self, index: u32) -> (u32, u32) {
+        let record = self.record(index);
+        if self.wide() {
+            let field = |k: usize| wide_value(load32(record, 1 + k * WIDE));
+            (field(3), field(4))
+        } else {
+            let lanes = narrow_lanes(u64::from(load32(record, 7)));
+            (u32::from(lanes as u16), u32::from((lanes >> 16) as u16))
         }
     }
 }
@@ -307,38 +330,29 @@ impl Node {
 pub struct NodeRef<'a> {
     /// What every name and value is a span of.
     text: &'a str,
-    /// The packed records, in pre-order ([`Node::pack`]).
-    table: &'a [u8],
-    width: u32,
+    table: Table<'a>,
     index: u32,
-    name: u32,
-    name_len: u32,
     /// One past the last node of this node's subtree.
     end: u32,
+    name: u32,
+    name_len: u32,
     op: Option<CmpOp>,
 }
 
 impl<'a> NodeRef<'a> {
-    /// The view of node `index` of a table of `width`-byte fields.
+    /// The view of node `index` of `table`.
     #[inline(always)]
-    fn new(text: &'a str, table: &'a [u8], width: u32, index: u32) -> NodeRef<'a> {
-        let n = Node::unpack(table, index as usize, width as usize);
+    fn new(text: &'a str, table: Table<'a>, index: u32) -> NodeRef<'a> {
+        let (end, name, name_len, op) = table.head(index);
         NodeRef {
             text,
             table,
-            width,
             index,
-            name: n.name,
-            name_len: n.name_len,
-            end: n.end,
-            op: n.op,
+            end,
+            name,
+            name_len,
+            op,
         }
-    }
-
-    /// This node unpacked, the comparison's value included.
-    #[inline]
-    fn node(&self) -> Node {
-        Node::unpack(self.table, self.index as usize, self.width as usize)
     }
 
     #[inline(always)]
@@ -353,14 +367,21 @@ impl<'a> NodeRef<'a> {
         self.span(self.name, self.name_len)
     }
 
+    /// The name's bytes: what covering compares and orders names by,
+    /// without checking them for `str` boundaries.
+    #[inline(always)]
+    pub(crate) fn name_bytes(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.name as usize..][..self.name_len as usize]
+    }
+
     /// The comparison constraining the matched element's text, if any.
     #[inline]
     pub fn comparison(&self) -> Option<Comparison<'a>> {
         self.op.map(|op| {
-            let n = self.node();
+            let (value, len) = self.table.value(self.index);
             Comparison {
                 op,
-                value: self.span(n.value, n.value_len),
+                value: self.span(value, len),
             }
         })
     }
@@ -368,10 +389,15 @@ impl<'a> NodeRef<'a> {
     /// Child pattern nodes, in normalized order.
     #[inline]
     pub fn children(self) -> impl Iterator<Item = NodeRef<'a>> {
+        self.kids()
+    }
+
+    /// [`children`](Self::children), as the iterator it is.
+    #[inline(always)]
+    pub(crate) fn kids(self) -> Children<'a> {
         Children {
             text: self.text,
             table: self.table,
-            width: self.width,
             next: self.index + 1,
             end: self.end,
         }
@@ -392,12 +418,24 @@ impl<'a> NodeRef<'a> {
 
 /// The children of a node: each child's subtree ends where the next
 /// child starts.
-struct Children<'a> {
+#[derive(Clone)]
+pub(crate) struct Children<'a> {
     text: &'a str,
-    table: &'a [u8],
-    width: u32,
+    table: Table<'a>,
     next: u32,
     end: u32,
+}
+
+impl<'a> Children<'a> {
+    /// The next child but the one at index `skip`: siblings, so it is
+    /// one of them at most.
+    #[inline(always)]
+    fn next_but(&mut self, skip: u32) -> Option<NodeRef<'a>> {
+        match self.next() {
+            Some(kid) if kid.index == skip => self.next(),
+            kid => kid,
+        }
+    }
 }
 
 impl<'a> Iterator for Children<'a> {
@@ -405,11 +443,12 @@ impl<'a> Iterator for Children<'a> {
 
     #[inline(always)]
     fn next(&mut self) -> Option<NodeRef<'a>> {
-        (self.next < self.end).then(|| {
-            let child = NodeRef::new(self.text, self.table, self.width, self.next);
-            self.next = child.end;
-            child
-        })
+        if self.next == self.end {
+            return None;
+        }
+        let child = NodeRef::new(self.text, self.table, self.next);
+        self.next = child.end;
+        Some(child)
     }
 }
 
@@ -445,30 +484,23 @@ impl PartialEq for NodeRef<'_> {
 
 impl Eq for NodeRef<'_> {}
 
-/// Are the siblings under `node` strictly ascending at every level?
-fn ascending(node: NodeRef<'_>) -> bool {
-    node.children()
-        .zip(node.children().skip(1))
-        .all(|(a, b)| a < b)
-        && node.children().all(ascending)
-}
-
 /// The renderer's output: a frozen query in the making.
 struct Frozen {
     nodes: Vec<Node>,
+    /// The canonical text, which [`freeze`](Self::freeze) extends into
+    /// the whole buffer before the one copy into the query's `Arc`.
     canon: String,
     /// Raw forms of the tokens `canon` shows escaped.
     raw: String,
     /// Whose spans point into `raw`: node index, and whether it is the
     /// node's comparison value (else its name).
     in_raw: Vec<(usize, bool)>,
-    /// Where [`freeze`](Self::freeze) assembles the query's buffer before
-    /// the one copy into its `Arc`.
-    buffer: Vec<u8>,
+    /// Where [`freeze`](Self::freeze) packs the node table and trailer.
+    table: Vec<u8>,
 }
 
 /// Index of no node: render everything.
-const NO_SKIP: usize = usize::MAX;
+const NO_SKIP: u32 = u32::MAX;
 
 impl Frozen {
     /// An empty renderer; allocates nothing until written to.
@@ -478,57 +510,74 @@ impl Frozen {
             canon: String::new(),
             raw: String::new(),
             in_raw: Vec::new(),
-            buffer: Vec::new(),
+            table: Vec::new(),
         }
     }
 
-    /// Renders the tree `source` lays out, minus the subtree at index
-    /// `skip`, leaving its canonical text in `canon` for
-    /// [`freeze`](Self::freeze) or a lookup.
-    fn render(&mut self, source: Source<'_>, skip: usize) {
+    /// Renders `root` minus the subtree at index `skip`, leaving its
+    /// canonical text in `canon` for [`freeze`](Self::freeze) or a lookup.
+    fn render(&mut self, root: NodeRef<'_>, skip: u32) {
         self.nodes.clear();
         self.canon.clear();
         self.raw.clear();
         self.in_raw.clear();
-        self.emit(source, 0, skip, false);
+        self.emit(root, skip, false);
     }
 
-    /// Renders the subtree of node `at`, minus the subtree rooted at index
+    /// Renders the subtree of `node`, minus the subtree rooted at index
     /// `skip`, in canonical syntax, laying its nodes out as it goes.
     /// `relative` suppresses the `/` of the first step inside a predicate
     /// (`[author[...]]`, not `[/author[...]]`).
-    fn emit(&mut self, source: Source<'_>, at: usize, skip: usize, relative: bool) {
-        let n = source.nodes[at];
+    fn emit(&mut self, node: NodeRef<'_>, skip: u32, relative: bool) {
+        debug_assert!(
+            node.children()
+                .zip(node.children().skip(1))
+                .all(|(a, b)| a < b),
+            "siblings must be strictly ascending"
+        );
         if !relative {
             self.canon.push('/');
         }
         let out = self.nodes.len();
-        self.nodes.push(n);
-        let (name, name_len) = self.token(source.span(n.name, n.name_len), out, false);
+        self.nodes.push(Node {
+            name: 0,
+            name_len: 0,
+            value: 0,
+            value_len: 0,
+            end: 0,
+            op: node.op,
+        });
+        let (name, name_len) = self.token(node.name(), out, false);
         // A single comparison-free child continues the path; anything else
         // renders as sorted predicates. This reproduces the paper's style:
         // chains print as `/article/author/last/Smith`, branches as
         // `/article[author[...]][conf/INFOCOM]`.
-        let kids = || source.children(at).filter(move |&kid| kid != skip);
-        let mut first_two = kids();
-        match (first_two.next(), first_two.next()) {
-            (Some(only), None) if n.op.is_none() && source.nodes[only].op.is_none() => {
-                self.emit(source, only, skip, false);
+        let mut kids = node.kids();
+        let first = kids.next_but(skip);
+        match first {
+            Some(only)
+                if node.op.is_none()
+                    && only.op.is_none()
+                    && kids.clone().next_but(skip).is_none() =>
+            {
+                self.emit(only, skip, false);
             }
             _ => {
-                for kid in kids() {
+                let mut kid = first;
+                while let Some(k) = kid {
                     self.canon.push('[');
-                    self.emit(source, kid, skip, true);
+                    self.emit(k, skip, true);
                     self.canon.push(']');
+                    kid = kids.next_but(skip);
                 }
             }
         }
         // Each node renders its own comparison, after its predicates,
         // matching the parser which binds `op value` to the last step.
-        let (value, value_len) = match n.op {
-            Some(op) => {
-                self.canon.push_str(op.symbol());
-                self.token(source.span(n.value, n.value_len), out, true)
+        let (value, value_len) = match node.comparison() {
+            Some(cmp) => {
+                self.canon.push_str(cmp.op.symbol());
+                self.token(cmp.value, out, true)
             }
             None => (0, 0),
         };
@@ -538,7 +587,7 @@ impl Frozen {
             value,
             value_len,
             end: offset(self.nodes.len()),
-            ..n
+            op: node.op,
         };
     }
 
@@ -585,128 +634,108 @@ impl Frozen {
     /// and copies it into the query's `Arc`: one allocation, whatever the
     /// size.
     fn freeze(&mut self) -> Query {
-        let canon_len = self.canon.len();
+        let canon_len = offset(self.canon.len());
+        let text_len = offset(self.canon.len() + self.raw.len());
+        let count = offset(self.nodes.len());
         for &(at, is_value) in &self.in_raw {
             let node = &mut self.nodes[at];
             if is_value {
-                node.value += offset(canon_len);
+                node.value += canon_len;
             } else {
-                node.name += offset(canon_len);
+                node.name += canon_len;
             }
         }
-        let width = width_for(canon_len + self.raw.len(), self.nodes.len());
-        let buffer = &mut self.buffer;
-        buffer.clear();
-        buffer.extend_from_slice(self.canon.as_bytes());
-        buffer.extend_from_slice(self.raw.as_bytes());
-        for node in &self.nodes {
-            node.pack(width, buffer);
+        let width = width_for(text_len, count);
+        let table = &mut self.table;
+        table.clear();
+        if width == NARROW {
+            pack_table::<NARROW, { record_len(NARROW) }>(&self.nodes, table);
+        } else {
+            pack_table::<WIDE, { record_len(WIDE) }>(&self.nodes, table);
         }
-        push_wide(buffer, canon_len);
-        push_wide(buffer, self.nodes.len());
-        buffer.push(width as u8);
-        let text = std::str::from_utf8(buffer).expect("UTF-8 text, then ASCII");
-        let query = Query(Arc::from(text));
-        debug_assert!(
-            ascending(query.root()),
-            "siblings must be strictly ascending"
-        );
-        query
+        push_wide(table, canon_len);
+        push_wide(table, count);
+        table.push(width as u8);
+        self.canon.push_str(&self.raw);
+        self.canon
+            .push_str(std::str::from_utf8(table).expect("7-bit digits are ASCII"));
+        Query(Arc::from(self.canon.as_str()))
     }
 }
 
-/// The renderer's input: nodes in pre-order, unpacked, and the text their
-/// spans point into.
-#[derive(Clone, Copy)]
-struct Source<'a> {
-    nodes: &'a [Node],
-    text: &'a str,
-}
-
-impl<'a> Source<'a> {
-    fn span(&self, start: u32, len: u32) -> &'a str {
-        &self.text[start as usize..(start + len) as usize]
-    }
-
-    /// The indices of node `at`'s children.
-    fn children(self, at: usize) -> impl Iterator<Item = usize> + 'a {
-        let end = self.nodes[at].end as usize;
-        let mut next = at + 1;
-        std::iter::from_fn(move || {
-            (next < end).then(|| {
-                let child = next;
-                next = self.nodes[child].end as usize;
-                child
-            })
-        })
+/// Appends the records of `nodes`, the root's last (see [`Table`]).
+fn pack_table<const W: usize, const R: usize>(nodes: &[Node], out: &mut Vec<u8>) {
+    out.reserve(nodes.len() * R);
+    for node in nodes.iter().rev() {
+        let mut record = [0; R];
+        node.pack_as::<W, R>(&mut record);
+        out.extend_from_slice(&record);
     }
 }
 
-/// Where the renderer's input is laid out: a normalized draft, or a frozen
-/// query unpacked.
-struct Staged {
-    nodes: Vec<Node>,
+/// The field width of a table over `text` bytes and `nodes` nodes: every
+/// span and `end` it packs is at most the larger.
+fn width_for(text: u32, nodes: u32) -> usize {
+    if text.max(nodes) < 1 << (7 * NARROW) {
+        NARROW
+    } else {
+        WIDE
+    }
 }
 
-impl Staged {
-    /// Empty; allocates nothing until written to.
-    const fn new() -> Staged {
-        Staged { nodes: Vec::new() }
+/// Packs the normalized draft rooted at node 0 into `table`, every span
+/// pointing into the draft's own text: the renderer's input, read through
+/// the same [`NodeRef`] as a frozen query.
+fn stage<'a>(draft: &'a Draft, table: &'a mut Vec<u8>) -> NodeRef<'a> {
+    let width = width_for(offset(draft.buffer().len()), offset(draft.len()));
+    table.clear();
+    table.resize(draft.len() * record_len(width), 0);
+    if width == NARROW {
+        stage_subtree::<NARROW, { record_len(NARROW) }>(draft, 0, table, 0);
+    } else {
+        stage_subtree::<WIDE, { record_len(WIDE) }>(draft, 0, table, 0);
     }
+    let table = Table {
+        bytes: table,
+        record: record_len(width),
+    };
+    NodeRef::new(draft.buffer(), table, 0)
+}
 
-    /// Lays out the draft rooted at node 0, every span pointing into the
-    /// draft's own text.
-    fn draft<'a>(&'a mut self, draft: &'a Draft) -> Source<'a> {
-        self.nodes.clear();
-        self.lay_out(draft, 0);
-        Source {
-            nodes: &self.nodes,
-            text: draft.buffer(),
-        }
+/// Writes the records of the subtree of `id`, node `index`, in `W`-byte
+/// fields, and returns its `end`.
+fn stage_subtree<const W: usize, const R: usize>(
+    draft: &Draft,
+    id: NodeId,
+    table: &mut [u8],
+    index: u32,
+) -> u32 {
+    let n = draft.node(id);
+    let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
+    let mut node = Node {
+        name: n.name.start,
+        name_len: n.name.len,
+        value,
+        value_len,
+        end: index + 1,
+        op: n.comparison.map(|(op, _)| op),
+    };
+    for child in draft.children(id) {
+        node.end = stage_subtree::<W, R>(draft, child, table, node.end);
     }
-
-    /// Appends the subtree of `id` in pre-order.
-    fn lay_out(&mut self, draft: &Draft, id: NodeId) {
-        let n = draft.node(id);
-        let (value, value_len) = n.comparison.map_or((0, 0), |(_, s)| (s.start, s.len));
-        let at = self.nodes.len();
-        self.nodes.push(Node {
-            name: n.name.start,
-            name_len: n.name.len,
-            value,
-            value_len,
-            end: 0,
-            op: n.comparison.map(|(op, _)| op),
-        });
-        for child in draft.children(id) {
-            self.lay_out(draft, child);
-        }
-        self.nodes[at].end = offset(self.nodes.len());
-    }
-
-    /// Unpacks `query`'s node table, every span pointing into its buffer.
-    fn query<'a>(&'a mut self, query: &'a Query) -> Source<'a> {
-        let at = query.layout();
-        let table = &query.0.as_bytes()[at.table..at.trailer];
-        let count = table.len() / record_len(at.width);
-        self.nodes.clear();
-        self.nodes
-            .extend((0..count).map(|index| Node::unpack(table, index, at.width)));
-        Source {
-            nodes: &self.nodes,
-            text: &query.0,
-        }
-    }
+    let at = table.len() - (index as usize + 1) * R;
+    node.pack_as::<W, R>(&mut table[at..][..R]);
+    node.end
 }
 
 /// Per-thread buffers of construction, so that building a query allocates
 /// only what the query keeps: the draft the parser,
 /// [`Query::most_specific`] and [`Query::build_with`] write into, and the
-/// freeze step's sorting room, staging and renderer.
+/// freeze step's sorting room, staged table and renderer.
 struct Scratch {
     draft: Draft,
     order: Vec<NodeId>,
-    staged: Staged,
+    staged: Vec<u8>,
     out: Frozen,
 }
 
@@ -716,7 +745,7 @@ impl Scratch {
         Scratch {
             draft: Draft::new(),
             order: Vec::new(),
-            staged: Staged::new(),
+            staged: Vec::new(),
             out: Frozen::new(),
         }
     }
@@ -749,13 +778,13 @@ fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
 fn freeze_draft(
     draft: &mut Draft,
     order: &mut Vec<NodeId>,
-    staged: &mut Staged,
+    staged: &mut Vec<u8>,
     out: &mut Frozen,
     known: &mut (impl KnownQueries + ?Sized),
 ) -> Result<Query, TooDeep> {
     order.clear();
     draft.normalize(0, MAX_DEPTH, order)?;
-    out.render(staged.draft(draft), NO_SKIP);
+    out.render(stage(draft, staged), NO_SKIP);
     Ok(out.known_or_freeze(known))
 }
 
@@ -776,9 +805,11 @@ fn freeze_draft(
 /// the DHT key `h(q)` is a hash of bytes already in memory. After it come
 /// the raw forms of the tokens the text shows escaped, the pre-order node
 /// table packed into 7-bit ASCII fields (two bytes a field while the text
-/// is under 16 KiB, four past it), and a trailer that says where each
-/// part ends. The Figure 1 MSD, 89 bytes of text and 14 nodes, keeps 272
-/// bytes in all.
+/// is under 16 KiB, four past it) and laid out back from its end, so the
+/// root's record comes last, and a trailer: the canonical text's length,
+/// the node count and the field width. The Figure 1 MSD, 89 bytes of text
+/// and 14 nodes, keeps 272 bytes in all. Every offset is a 28-bit field,
+/// so building a query whose text passes 256 MiB panics.
 ///
 /// # Examples
 ///
@@ -794,17 +825,6 @@ fn freeze_draft(
 /// ```
 #[derive(Clone)]
 pub struct Query(Arc<str>);
-
-/// Where the parts of a frozen buffer sit, read from its trailer (see
-/// [`TRAILER`]).
-struct Layout {
-    canon_len: usize,
-    /// Where the node table starts: the text (canonical, then raw) ends.
-    table: usize,
-    /// Where the trailer starts: the node table ends.
-    trailer: usize,
-    width: usize,
-}
 
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -879,28 +899,28 @@ impl Query {
         })
     }
 
-    /// Reads the trailer.
-    #[inline]
-    fn layout(&self) -> Layout {
+    /// The trailer's `k`th number: the canonical length (0) or the node
+    /// count (1).
+    #[inline(always)]
+    fn trailer(&self, k: usize) -> usize {
         let bytes = self.0.as_bytes();
-        let at = bytes.len() - TRAILER;
-        let numbers: &[u8; TRAILER] = bytes[at..].try_into().expect("a whole trailer");
-        let width = usize::from(numbers[2 * WIDE]);
-        let count = digits_value(&numbers[WIDE..2 * WIDE]) as usize;
-        Layout {
-            canon_len: digits_value(&numbers[..WIDE]) as usize,
-            table: at - count * record_len(width),
-            trailer: at,
-            width,
+        wide_value(load32(bytes, bytes.len() - TRAILER + k * WIDE)) as usize
+    }
+
+    /// The packed node table, which ends where the trailer starts.
+    #[inline(always)]
+    fn table(&self) -> Table<'_> {
+        let bytes = self.0.as_bytes();
+        Table {
+            bytes: &bytes[..bytes.len() - TRAILER],
+            record: record_len(usize::from(bytes[bytes.len() - 1])),
         }
     }
 
     /// The root pattern node.
     #[inline]
     pub fn root(&self) -> NodeRef<'_> {
-        let at = self.layout();
-        let table = &self.0.as_bytes()[at.table..at.trailer];
-        NodeRef::new(&self.0, table, at.width as u32, 0)
+        NodeRef::new(&self.0, self.table(), 0)
     }
 
     /// The root element name this query requires.
@@ -910,8 +930,7 @@ impl Query {
 
     /// Number of pattern nodes.
     pub fn size(&self) -> usize {
-        let at = self.layout();
-        (at.trailer - at.table) / record_len(at.width)
+        self.trailer(1)
     }
 
     /// Pattern depth (`/article` has depth 1).
@@ -925,7 +944,7 @@ impl Query {
     /// allocating.
     #[inline]
     pub fn canonical_text(&self) -> &str {
-        &self.0[..self.layout().canon_len]
+        &self.0[..self.trailer(0)]
     }
 
     /// The top-level branches (children of the root).
@@ -936,9 +955,9 @@ impl Query {
     /// This query without the top-level branch rooted at node `branch`.
     /// Every level stays sorted and deduplicated when a subtree goes, so
     /// this is one pass over the frozen nodes: no tree, no sort.
-    fn without(&self, branch: usize) -> Query {
+    fn without(&self, branch: u32) -> Query {
         with_scratch(|scratch| {
-            scratch.out.render(scratch.staged.query(self), branch);
+            scratch.out.render(self.root(), branch);
             scratch.out.freeze()
         })
     }
@@ -951,7 +970,7 @@ impl Query {
     #[must_use]
     pub fn drop_top_branch(&self, index: usize) -> Option<Query> {
         let branch = self.top_branches().nth(index)?;
-        Some(self.without(branch.index as usize))
+        Some(self.without(branch.index))
     }
 
     /// All one-step generalizations: each top-level branch dropped in turn.
@@ -984,9 +1003,8 @@ impl Query {
         out: &mut Vec<Query>,
     ) {
         with_scratch(|scratch| {
-            let source = scratch.staged.query(self);
             for branch in self.top_branches() {
-                scratch.out.render(source, branch.index as usize);
+                scratch.out.render(self.root(), branch.index);
                 out.push(scratch.out.known_or_freeze(known));
             }
         });
@@ -1288,7 +1306,7 @@ mod tests {
     fn every_packed_walk_equals_the_draft_it_was_staged_from() {
         for_each_case(|rng| {
             let q = packs_faithfully(arb_query(rng).canonical_text());
-            assert_eq!(q.root().width as usize, NARROW, "{q}");
+            assert!(!q.root().table.wide(), "{q}");
         });
         // Past 16 KiB of text every field is four bytes wide, the spans of
         // the raw copy of an escaped value included.
@@ -1296,8 +1314,15 @@ mod tests {
         let text =
             format!(r#"/article[author[first/A][last/"B \"{long}\""]][conf^={long}][title/TCP]"#);
         let q = packs_faithfully(&text);
-        assert_eq!(q.root().width as usize, WIDE);
+        assert!(q.root().table.wide());
         assert_eq!(q.size(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "under 2^28 (256 MiB)")]
+    fn an_offset_past_four_digits_is_refused() {
+        assert_eq!(offset((1 << 28) - 1), (1 << 28) - 1);
+        offset(1 << 28);
     }
 
     #[test]

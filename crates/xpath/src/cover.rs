@@ -30,6 +30,8 @@
 //! workload here builds it: a specific query no descriptor can match
 //! (`/a/y[1][2]`), which every query covers but `covers` may deny.
 
+use std::cmp::Ordering;
+
 use crate::ast::{CmpOp, Comparison, NodeRef, Query};
 
 impl Query {
@@ -54,7 +56,8 @@ impl Query {
     /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
     /// ```
     pub fn covers(&self, other: &Query) -> bool {
-        contains(self.root(), other.root())
+        let (g, s) = (self.root(), other.root());
+        g.name_bytes() == s.name_bytes() && contained_below(&g, &s)
     }
 
     /// `self ⊒ other && self != other` (strict covering).
@@ -63,23 +66,55 @@ impl Query {
     }
 }
 
-/// Can general pattern node `g` be mapped onto specific node `s`?
-fn contains(g: NodeRef<'_>, s: NodeRef<'_>) -> bool {
-    g.name() == s.name()
-        && g.comparison().is_none_or(|gc| comparison_implied(gc, s))
-        && g.children().all(|gc| child_mapped(gc, s))
+/// Can general pattern node `g` be mapped onto specific node `s`, whose
+/// name it shares?
+fn contained_below(g: &NodeRef<'_>, s: &NodeRef<'_>) -> bool {
+    g.comparison().is_none_or(|gc| comparison_implied(gc, s)) && children_mapped(g, s)
 }
 
-/// Can the general child constraint `gc` be satisfied under specific node `s`?
-fn child_mapped(gc: NodeRef<'_>, s: NodeRef<'_>) -> bool {
-    // A general value-leaf (`[title/TCP]` style) is also implied by an
-    // equality comparison on the corresponding node (`[title="TCP"]`):
-    // text equal to the value means the value node exists.
-    s.children().any(|t| contains(gc, t)) || (gc.is_leaf() && equality_implies(s, gc.name()))
+/// Can every child constraint of `g` be satisfied under `s`?
+///
+/// A general child maps only onto a specific child of the same name.
+/// Siblings ascend by name, so the children of `s` that each child of `g`
+/// may map onto start where the previous one's did or later: one pass
+/// over the children of `s` serves all the children of `g`.
+fn children_mapped(g: &NodeRef<'_>, s: &NodeRef<'_>) -> bool {
+    let mut from = s.kids();
+    g.kids().all(|gc| {
+        let name = gc.name_bytes();
+        // A leaf maps onto any child of its name: nothing below to check.
+        let leaf = gc.is_leaf();
+        let mut candidates = from.clone();
+        while let Some(t) = candidates.next() {
+            match name_order(t.name_bytes(), name) {
+                Ordering::Less => from = candidates.clone(),
+                Ordering::Equal if leaf || contained_below(&gc, &t) => return true,
+                Ordering::Equal => {}
+                Ordering::Greater => break,
+            }
+        }
+        // A general value-leaf (`[title/TCP]` style) is also implied by an
+        // equality comparison on the corresponding node (`[title="TCP"]`):
+        // text equal to the value means the value node exists.
+        leaf && equality_implies(s, gc.name())
+    })
 }
 
-/// Does node `s` carry an `= v` constraint on its own text?
-fn equality_implies(s: NodeRef<'_>, v: &str) -> bool {
+/// The order of two names. Sibling names mostly differ in their first
+/// byte, which settles it without a call to compare the rest.
+#[inline(always)]
+fn name_order(a: &[u8], b: &[u8]) -> Ordering {
+    match (a.first(), b.first()) {
+        (Some(x), Some(y)) if x != y => x.cmp(y),
+        _ => a.cmp(b),
+    }
+}
+
+/// Does node `s` carry an `= v` constraint on its own text? Out of line,
+/// as is [`comparison_implied`]: the walk seldom needs either, and
+/// inlined they crowd its registers.
+#[inline(never)]
+fn equality_implies(s: &NodeRef<'_>, v: &str) -> bool {
     matches!(s.comparison(), Some(c) if c.op == CmpOp::Eq && CmpOp::Eq.eval(c.value, v))
 }
 
@@ -90,7 +125,8 @@ fn equality_implies(s: NodeRef<'_>, v: &str) -> bool {
 /// leaves (`year/1996` pins the text to `1996` under the no-collision
 /// schema assumption). Every text starts with and contains `""`, so an
 /// empty `^=` or `*=` asks only that the node be there.
-fn comparison_implied(gc: Comparison<'_>, s: NodeRef<'_>) -> bool {
+#[inline(never)]
+fn comparison_implied(gc: Comparison<'_>, s: &NodeRef<'_>) -> bool {
     if gc.value.is_empty() && gc.op != CmpOp::Eq {
         return true;
     }

@@ -140,6 +140,11 @@ impl Draft {
         self.link(parent, base);
     }
 
+    /// How many nodes the draft holds, dropped duplicates included.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// The node `id`.
     pub(crate) fn node(&self, id: NodeId) -> &DraftNode {
         &self.nodes[id as usize]
