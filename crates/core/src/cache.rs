@@ -89,6 +89,15 @@ struct Slot {
 pub struct ShortcutCache {
     slots: HashMap<Key, Slot>,
     capacity: Option<usize>,
+    /// Whether the map has room for twice the capacity, made when the
+    /// cache first fills. A full cache evicts a key for each new one, and
+    /// the slots its evictions free wear the map's room down; a map that
+    /// holds no more than half of what it has room for then rehashes in
+    /// place, where a smaller one would grow. So a full cache allocates
+    /// nothing however long it churns, and whether it grows no longer
+    /// hangs on the map's random hash seed. A cache that never fills (most
+    /// of a large network's) keeps the small map it grew to.
+    roomy: bool,
     clock: u64,
     metrics: MetricsRegistry,
 }
@@ -171,6 +180,10 @@ impl ShortcutCache {
                 last_used: self.clock,
             },
         );
+        if !self.roomy && self.capacity == Some(self.slots.len()) {
+            self.slots.reserve(self.slots.len());
+            self.roomy = true;
+        }
         self.metrics.incr("cache.insert.created");
         true
     }

@@ -39,21 +39,22 @@
 
 use std::borrow::Cow;
 
-use p2p_index_xmldoc::Descriptor;
+use p2p_index_xmldoc::{Descriptor, Element};
 use p2p_index_xpath::{CmpOp, KnownQueries, Query};
 
 /// The bibliographic fields a scheme indexes, borrowed from a descriptor.
 ///
 /// Each text is the element's [`trimmed_text`](p2p_index_xmldoc::Element::trimmed_text)
 /// — a borrow of the descriptor whenever one text run holds it all, as in
-/// every canonical descriptor — so extracting the fields copies nothing
-/// but the author list.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// every canonical descriptor — so extracting the fields copies nothing:
+/// the authors are walked from the descriptor ([`authors`](Self::authors)),
+/// not collected.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BiblioFields<'a> {
     /// Root element name (normally `article`).
     pub root: &'a str,
-    /// All `(first, last)` author name pairs.
-    pub authors: Vec<Author<'a>>,
+    /// The root element, whose `author` children are the authors.
+    element: &'a Element,
     /// The title text.
     pub title: Option<Cow<'a, str>>,
     /// The conference/journal text.
@@ -79,14 +80,6 @@ impl<'a> BiblioFields<'a> {
     /// Extracts the indexable fields from a descriptor.
     pub fn of(descriptor: &'a Descriptor) -> BiblioFields<'a> {
         let root = descriptor.root();
-        let authors = root
-            .find_all("author")
-            .filter_map(|a| {
-                let first = a.find("first")?.trimmed_text();
-                let last = a.find("last")?.trimmed_text();
-                (!first.is_empty() && !last.is_empty()).then_some((first, last))
-            })
-            .collect();
         let field = |name: &str| {
             root.find(name)
                 .map(|e| e.trimmed_text())
@@ -94,11 +87,21 @@ impl<'a> BiblioFields<'a> {
         };
         BiblioFields {
             root: root.name(),
-            authors,
+            element: root,
             title: field("title"),
             conf: field("conf"),
             year: field("year"),
         }
+    }
+
+    /// The `(first, last)` names of every author that has both, in
+    /// document order, read from the descriptor as the walk reaches them.
+    pub fn authors(&self) -> impl Iterator<Item = Author<'a>> + 'a {
+        self.element.find_all("author").filter_map(|a| {
+            let first = a.find("first")?.trimmed_text();
+            let last = a.find("last")?.trimmed_text();
+            (!first.is_empty() && !last.is_empty()).then_some((first, last))
+        })
     }
 
     /// The query of the field-set `node` with `author`'s names, e.g.
@@ -300,7 +303,7 @@ fn run(
     known: &mut dyn KnownQueries,
 ) {
     let f = BiblioFields::of(descriptor);
-    let turns = f.authors.len().max(1);
+    let turns = f.authors().count().max(1);
     let room = |&(from, _): &Row| match from {
         Node::Keywords(n) => f.keywords(n).count(),
         _ => turns,
@@ -314,11 +317,11 @@ fn run(
         built: Default::default(),
         emitted: [0; 2],
     };
+    let mut authors = f.authors();
     for turn in 0..turns {
         // Each author's turn runs the per-author rows; the last one goes
         // on through the author-free rows.
-        (nodes.author, nodes.built[1], nodes.emitted[1]) =
-            (f.authors.get(turn), Default::default(), 0);
+        (nodes.author, nodes.built[1], nodes.emitted[1]) = (authors.next(), Default::default(), 0);
         let last = turn + 1 == turns;
         for (k, &(from, to)) in rows.iter().enumerate() {
             if last || from.per_author() || to.per_author() {
@@ -337,7 +340,7 @@ struct Nodes<'f, 'a> {
     msd: &'f Query,
     /// Where a node query is taken from before it is frozen.
     known: &'f mut dyn KnownQueries,
-    author: Option<&'f Author<'a>>,
+    author: Option<Author<'a>>,
     built: [[Option<Option<Query>>; 32]; 2],
     emitted: [u32; 2],
 }
@@ -349,7 +352,7 @@ impl Nodes<'_, '_> {
             Node::Fields(bits, _) => &mut self.built[node.per_author() as usize][bits as usize],
             Node::Msd => return Some(self.msd.clone()),
             Node::Initial(n) => {
-                let prefix: String = self.author?.1.chars().take(n).collect();
+                let prefix: String = self.author.as_ref()?.1.chars().take(n).collect();
                 let cut = self
                     .f
                     .cut("author/last", CmpOp::StartsWith, &prefix, self.known);
@@ -357,7 +360,7 @@ impl Nodes<'_, '_> {
             }
             Node::Keywords(_) => return None,
         };
-        slot.get_or_insert_with(|| self.f.query_in(node, self.author, self.known))
+        slot.get_or_insert_with(|| self.f.query_in(node, self.author.as_ref(), self.known))
             .clone()
     }
 
@@ -585,9 +588,10 @@ mod tests {
         let d = d2();
         let f = BiblioFields::of(&d);
         assert_eq!(f.root, "article");
-        assert_eq!(f.authors, vec![("John".into(), "Smith".into())]);
+        let authors: Vec<Author> = f.authors().collect();
+        assert_eq!(authors, vec![("John".into(), "Smith".into())]);
         // Borrowed from the descriptor, not copied.
-        assert!(matches!(f.authors[0], (Cow::Borrowed(_), Cow::Borrowed(_))));
+        assert!(matches!(authors[0], (Cow::Borrowed(_), Cow::Borrowed(_))));
         assert!(matches!(f.title, Some(Cow::Borrowed(_))));
         assert_eq!(f.title.as_deref(), Some("IPv6"));
         assert_eq!(f.conf.as_deref(), Some("INFOCOM"));
@@ -598,7 +602,7 @@ mod tests {
     fn fields_of_partial_descriptor() {
         let d = Descriptor::parse("<article><title>X</title></article>").unwrap();
         let f = BiblioFields::of(&d);
-        assert!(f.authors.is_empty());
+        assert_eq!(f.authors().count(), 0);
         assert!(f.conf.is_none());
         assert!(f.query(CONF_YEAR, None).is_none());
         assert!(f.query(TITLE, None).is_some());
@@ -693,7 +697,8 @@ mod tests {
     fn fig4_scheme_has_last_name_level() {
         let d = d2();
         let f = BiblioFields::of(&d);
-        let author = Some(&f.authors[0]);
+        let author = f.authors().next();
+        let author = author.as_ref();
         let edges = edges_of(&Fig4Scheme, &d2());
         let last_name = f.query(LAST_NAME, author).unwrap();
         let full_name = f.query(AUTHOR, author).unwrap();
@@ -706,7 +711,8 @@ mod tests {
         // Depth of chain conf → conf+year → author+conf+year → msd is 3 edges.
         let d = d2();
         let f = BiblioFields::of(&d);
-        let author = Some(&f.authors[0]);
+        let author = f.authors().next();
+        let author = author.as_ref();
         let conf = f.query(CONF, None).unwrap();
         let cy = f.query(CONF_YEAR, None).unwrap();
         let acy = f.query(AUTHOR_CONF_YEAR, author).unwrap();
@@ -726,7 +732,7 @@ mod tests {
         )
         .unwrap();
         let f = BiblioFields::of(&d);
-        assert_eq!(f.authors.len(), 2);
+        assert_eq!(f.authors().count(), 2);
         let edges = edges_of(&SimpleScheme, &d);
         let author_sources = edges
             .iter()
@@ -741,7 +747,7 @@ mod tests {
         // table emit more edges than `run` made room for, a slot per row
         // and author.
         for d in presence_shapes() {
-            let turns = BiblioFields::of(&d).authors.len().max(1);
+            let turns = BiblioFields::of(&d).authors().count().max(1);
             for (scheme, table) in [
                 (&SimpleScheme as &dyn IndexScheme, SIMPLE),
                 (&FlatScheme, FLAT),
@@ -799,7 +805,7 @@ mod tests {
         assert_eq!(edges.len(), inner_edges.len() + 1);
         let f = BiblioFields::of(&d);
         let initial: Query = "/article[author/last^=S]".parse().unwrap();
-        let author = f.query(AUTHOR, Some(&f.authors[0])).unwrap();
+        let author = f.query(AUTHOR, f.authors().next().as_ref()).unwrap();
         assert!(edges.contains(&(initial, author)));
         // Covering invariant holds for the prefix edge too.
         for (from, to) in &edges {

@@ -263,8 +263,8 @@ impl Wave {
 }
 
 /// The values of the write paths, encoded into one kept buffer: each
-/// value of a wave is a span of it, and the wave's ops get `Bytes` slices
-/// of one shared copy ([`hand_out`](Self::hand_out)), so a write wave's
+/// value of a write is a span of it, and the write's ops get `Bytes`
+/// slices of one shared copy ([`share`](Self::share)), so a write's
 /// values cost one allocation pair however many there are. A value is
 /// encoded once however many ops carry it.
 ///
@@ -274,7 +274,8 @@ impl Wave {
 struct WaveValues {
     /// The encodings, back to back.
     buf: Vec<u8>,
-    /// The value of each op of the wave being built, in op order.
+    /// The values of the write being built: the file's handle, then each
+    /// index edge's target, in edge order.
     spans: Vec<Range<usize>>,
 }
 
@@ -286,19 +287,27 @@ impl WaveValues {
         start..self.buf.len()
     }
 
-    /// Gives the `i`-th op of `ops`, a `Put` or `Remove`, the value at
-    /// `spans[i]`, a slice of one shared copy of the buffer, and empties
-    /// both.
-    fn hand_out(&mut self, ops: &mut [DhtOp]) {
-        if !self.spans.is_empty() {
-            let shared = Bytes::copy_from_slice(&self.buf);
-            for (op, span) in ops.iter_mut().zip(self.spans.drain(..)) {
-                if let DhtOp::Put { value, .. } | DhtOp::Remove { value, .. } = op {
-                    *value = shared.slice(span);
-                }
-            }
+    /// Encodes the values of a write of `file` with `edges`: `spans[0]` is
+    /// the file's handle and `spans[1 + i]` edge `i`'s target. Edges
+    /// sharing a target share its span: schemes end several chains at the
+    /// MSD and fan queries into shared intermediate ones.
+    fn encode_write(&mut self, file: &str, edges: &[(Query, Query)]) {
+        let file_value = self.encode(|buf| encode_file_into(file, buf));
+        self.spans.push(file_value);
+        for (i, (_, to)) in edges.iter().enumerate() {
+            let span = match edges[..i].iter().position(|(_, earlier)| earlier == to) {
+                Some(j) => self.spans[1 + j].clone(),
+                None => self.encode(|buf| IndexTarget::Query(to.clone()).encode_into(buf)),
+            };
+            self.spans.push(span);
         }
+    }
+
+    /// One shared copy of the buffer, which is emptied; the spans stay.
+    fn share(&mut self) -> Bytes {
+        let shared = Bytes::copy_from_slice(&self.buf);
         self.buf.clear();
+        shared
     }
 }
 
@@ -323,8 +332,9 @@ struct CascadeScratch {
     keys: Vec<(Key, Key)>,
     /// Whether each edge's `Remove` was already sent during this call.
     attempted: Vec<bool>,
-    /// The distinct keys the next read wave `Get`s: every edge's `to` in
-    /// pass 1, then the ones the last remove wave may have emptied.
+    /// The distinct keys the next read wave asks a digest of: every
+    /// edge's `to` in pass 1, then the ones the last remove wave may have
+    /// emptied.
     pending: Vec<Key>,
     /// The `from` key of each op of the remove wave in flight, in op
     /// order, for reading its replies back.
@@ -426,19 +436,11 @@ impl<D: Dht> IndexService<D> {
         }
     }
 
-    /// Encodes one value of a unary write in the write paths' kept buffer
-    /// and copies it out.
-    fn encode_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Bytes {
-        let buf = &mut self.values.buf;
-        encode(buf);
-        let value = Bytes::copy_from_slice(buf);
-        buf.clear();
-        value
-    }
-
-    /// [`encode_with`](Self::encode_with) for a target.
+    /// Encodes the one value of a unary write, a target, in the write
+    /// paths' kept buffer and copies it out.
     fn encode_target(&mut self, target: &IndexTarget) -> Bytes {
-        self.encode_with(|buf| target.encode_into(buf))
+        target.encode_into(&mut self.values.buf);
+        self.values.share()
     }
 
     /// Attaches a metrics registry to the whole stack: the service itself
@@ -801,28 +803,15 @@ impl<D: Dht> IndexService<D> {
             }
         }
         let mut wave = std::mem::take(&mut self.wave);
-        let values = &mut self.values;
-        let file_value = values.encode(|buf| encode_file_into(file, buf));
-        values.spans.push(file_value);
-        wave.ops.push(DhtOp::Put {
-            key: self.memo.write_key(msd),
-            value: Bytes::new(),
-        });
-        // Edges sharing a target share its encoded entry, as in the
-        // cascade's remove wave: schemes end several chains at the MSD and
-        // fan queries into shared intermediate ones.
-        for (i, (from, to)) in edges.iter().enumerate() {
-            let span = match edges[..i].iter().position(|(_, earlier)| earlier == to) {
-                Some(j) => values.spans[1 + j].clone(),
-                None => values.encode(|buf| IndexTarget::Query(to.clone()).encode_into(buf)),
-            };
-            values.spans.push(span);
+        self.values.encode_write(file, edges);
+        let shared = self.values.share();
+        let keys = std::iter::once(msd).chain(edges.iter().map(|(from, _)| from));
+        for (query, span) in keys.zip(self.values.spans.drain(..)) {
             wave.ops.push(DhtOp::Put {
-                key: self.memo.write_key(from),
-                value: Bytes::new(),
+                key: self.memo.write_key(query),
+                value: shared.slice(span),
             });
         }
-        values.hand_out(&mut wave.ops);
         self.dht_execute_many(&mut wave);
         let result = wave
             .results
@@ -1346,13 +1335,15 @@ impl<D: Dht> IndexService<D> {
     /// *semi-naive* form of the fixpoint "remove every index edge whose
     /// target key holds no entry", run in passes of two batched waves:
     ///
-    /// * a **read wave** of quorum `Get`s, one per distinct key: in pass 1
-    ///   every edge's `to` key, afterwards only the keys the last pass
-    ///   could have emptied — the `from` keys of its edges whose `Remove`
-    ///   reported the value present that are themselves some edge's `to`;
+    /// * a **read wave** of quorum `GetDigest`s, one per distinct key: in
+    ///   pass 1 every edge's `to` key, afterwards only the keys the last
+    ///   pass could have emptied — the `from` keys of its edges whose
+    ///   `Remove` reported the value present that are themselves some
+    ///   edge's `to`. A key reads empty when its digest counts no value,
+    ///   so the wave moves no value; on a replicated substrate the digest
+    ///   is a quorum's, never a stale primary's alone;
     /// * a **remove wave** with every edge whose `to` key read empty and
-    ///   that was not already sent, edges sharing a `to` sharing its
-    ///   encoded entry.
+    ///   that was not already sent.
     ///
     /// A wave is all reads or all writes, so a replicated substrate
     /// never trades a read's quorum for write ordering. Each edge's
@@ -1376,8 +1367,10 @@ impl<D: Dht> IndexService<D> {
     /// [`publish`](Self::publish); no further wave is sent.
     ///
     /// The MSD and the edges are built through the client's known queries
-    /// as [`publish`](Self::publish) builds them, and each remove wave's
-    /// entries are slices of one shared buffer.
+    /// as [`publish`](Self::publish) builds them. The file's handle and
+    /// each distinct edge target are encoded once, up front, into one
+    /// shared buffer, and the file's `Remove` and every remove wave take
+    /// slices of it.
     pub fn unpublish(
         &mut self,
         descriptor: &Descriptor,
@@ -1388,20 +1381,15 @@ impl<D: Dht> IndexService<D> {
             return Err(IndexError::EmptyNetwork);
         }
         let msd = Query::most_specific_known(descriptor, &mut self.memo.consult());
-        let msd_key = self.memo.write_key(&msd);
-        let value = self.encode_with(|buf| encode_file_into(file, buf));
-        self.dht_execute(DhtOp::Remove {
-            key: msd_key,
-            value,
-        })?;
-        self.caches.purge(&msd, file);
-
         let mut edges = self.write_edges(descriptor, &msd, scheme);
-        // Taken out for the cascade (its waves need `&mut self`) and put
-        // back emptied, even on error.
+        self.values.encode_write(file, &edges);
+        let shared = self.values.share();
+        // Taken out for the removals (their waves need `&mut self`) and
+        // put back emptied, even on error.
         let mut scratch = std::mem::take(&mut self.cascade_scratch);
         let mut wave = std::mem::take(&mut self.wave);
-        let result = self.cascade(&edges, &mut scratch, &mut wave);
+        let result = self.remove_and_cascade(&msd, file, &shared, &edges, &mut scratch, &mut wave);
+        self.values.spans.clear();
         scratch.clear();
         self.cascade_scratch = scratch;
         self.wave = wave.emptied();
@@ -1412,14 +1400,25 @@ impl<D: Dht> IndexService<D> {
         Ok(msd)
     }
 
-    /// [`unpublish`](Self::unpublish)'s cleanup of `edges`, pass by pass,
-    /// each wave built and read in `wave`.
-    fn cascade(
+    /// [`unpublish`](Self::unpublish)'s removals: the file's `Remove`, the
+    /// purge of its shortcuts, then the cleanup of `edges`, pass by pass,
+    /// each wave built and read in `wave`. Every value removed is a slice
+    /// of `shared`, at its span in `self.values`.
+    fn remove_and_cascade(
         &mut self,
+        msd: &Query,
+        file: &str,
+        shared: &Bytes,
         edges: &[(Query, Query)],
         scratch: &mut CascadeScratch,
         wave: &mut Wave,
     ) -> Result<(), IndexError> {
+        self.dht_execute(DhtOp::Remove {
+            key: self.memo.write_key(msd),
+            value: shared.slice(self.values.spans[0].clone()),
+        })?;
+        self.caches.purge(msd, file);
+
         let CascadeScratch {
             keys,
             attempted,
@@ -1438,41 +1437,33 @@ impl<D: Dht> IndexService<D> {
             }
         }
         while !pending.is_empty() {
-            wave.ops.extend(pending.iter().map(|&key| DhtOp::Get(key)));
+            wave.ops
+                .extend(pending.iter().map(|&key| DhtOp::GetDigest(key)));
             self.dht_execute_many(wave);
-            // A failed read ends the call before any remove is built, so
-            // no half-built wave is left in `self.values`.
             if let Some(&failed) = wave.results.iter().find_map(|result| result.as_ref().err()) {
                 return Err(failed.into());
             }
-            // Every edge not sent yet whose target read empty; edges
-            // sharing a target share its encoded entry.
+            // Every edge not sent yet whose target read empty: a digest of
+            // no values. Any other answer keeps the edge.
             let Wave { ops, results } = &mut *wave;
-            let values = &mut self.values;
             // Every read succeeded: `flatten` keeps them all, in order.
             for (&target, read) in pending.iter().zip(results.drain(..).flatten()) {
-                if !read.into_values().is_empty() {
+                if !matches!(read, DhtResponse::Digest { count: 0, .. }) {
                     continue;
                 }
-                let mut entry = None;
                 for (i, &(from, to)) in keys.iter().enumerate() {
                     if to != target || attempted[i] {
                         continue;
                     }
                     attempted[i] = true;
-                    let span = entry.get_or_insert_with(|| {
-                        values.encode(|buf| IndexTarget::Query(edges[i].1.clone()).encode_into(buf))
-                    });
-                    values.spans.push(span.clone());
                     removing.push(from);
                     ops.push(DhtOp::Remove {
                         key: from,
-                        value: Bytes::new(),
+                        value: shared.slice(self.values.spans[1 + i].clone()),
                     });
                 }
             }
             pending.clear();
-            values.hand_out(ops);
 
             self.dht_execute_many(wave);
             // Only a removal that found its value can have emptied `from`,

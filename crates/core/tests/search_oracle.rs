@@ -65,7 +65,7 @@ fn corpus(seed: u64, articles: usize) -> Vec<(Descriptor, String)> {
 /// three shapes no scheme indexes (so the search has to generalize).
 fn queries_about(descriptor: &Descriptor) -> Vec<Query> {
     let f = BiblioFields::of(descriptor);
-    let author = &f.authors[0];
+    let author = &f.authors().next().expect("an author");
     let (first, last) = author;
     let (title, conf, year) = (
         f.title.as_ref().expect("title"),

@@ -107,7 +107,10 @@ pub enum DhtOp {
     /// the values: what a replica is asked when another replica already
     /// ships the list, so a quorum read moves each value once. Answered
     /// with [`DhtResponse::Digest`] over exactly what [`DhtOp::Get`] would
-    /// return. The index layer never issues it; the networked client does.
+    /// return. The networked client asks it of the replicas that vouch for
+    /// another's list, and the index layer's unpublish cascade asks it to
+    /// learn whether an entry is empty (a `count` of 0), moving no value.
+    /// Routed and accounted exactly like `Get`.
     GetDigest(Key),
     /// A conditional [`DhtOp::Get`]: the caller already holds the entry as
     /// it was when its values digested to `seen`, the `(count, sum)` pair
@@ -235,14 +238,14 @@ pub struct PairCounters {
 
 impl PairCounters {
     /// Accounts one completed request/response pair of a storage
-    /// operation: +2 messages, and +1 lookup when a `put` or `get` (plain
-    /// or conditional) succeeded. `NodeFor` is free and pairs that never
+    /// operation: +2 messages, and +1 lookup when a `put` or `get` (plain,
+    /// digest or conditional) succeeded. `NodeFor` is free and pairs that never
     /// completed (no live node, no response frame) count nothing — callers
     /// simply do not call this for them.
     #[inline]
     pub fn record_pair(&self, kind: &str, ok: bool) {
         self.messages.fetch_add(2, Ordering::Relaxed);
-        if ok && matches!(kind, "put" | "get" | "get_if_changed") {
+        if ok && matches!(kind, "put" | "get" | "get_digest" | "get_if_changed") {
             self.lookups.fetch_add(1, Ordering::Relaxed);
         }
     }

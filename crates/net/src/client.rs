@@ -37,6 +37,17 @@
 //! forwards a client's write to another, so a write costs one hop, not
 //! two.
 //!
+//! # Reads
+//!
+//! A read goes to `Rq` replicas of its key and settles on what they
+//! hold together: one replica ships the entry and the others vouch for
+//! it with a digest, and a replica whose digest disagrees is asked for
+//! its list (`Round` has the rules). A caller's own `GetDigest` is a
+//! quorum read by the same rules, never the primary's word alone: the
+//! index layer's unpublish cascade asks one to learn whether an entry is
+//! empty, and a stale primary that read empty would let it cut a live
+//! edge. The answer is the digest of what a quorum `Get` would return.
+//!
 //! # Batching
 //!
 //! Everything rides one code path: [`Dht::execute_many`]. The ops are
@@ -224,18 +235,20 @@ struct CallScratch {
 ///
 /// Replicas that agree — the steady state — settle as the lowest-ranked
 /// reply that carries the entry, untouched: the replies that ship it are
-/// equal, and every digest is the digest of what it holds. A conditional
-/// read whose replicas all answered "unchanged" settles the same way, as
-/// that digest. A digest that vouches for no shipped list names a replica
-/// holding some other value set, which only its own list can tell: the
-/// `agreed` successes stay at the front of `gathered`, the disputed
-/// digests move behind them, and the caller asks those replicas again
-/// with a plain `Get` (a conditional one would be answered "unchanged"
-/// again). Full replies that disagree merge: the answer is the union of
-/// every replica's value set, gathered in rank order with first-seen
-/// dedup, so replicas holding disjoint stale subsets still sum to the full
-/// entry (each value survives on at least one of the Rq replicas whenever
-/// Rq + W > R).
+/// equal, and every digest is the digest of what it holds. A read every
+/// replica answered with the same digest — a caller's digest read, or a
+/// conditional read whose replicas all said "unchanged" — settles the
+/// same way, as that digest. A digest that vouches for no shipped list
+/// names a replica holding some other value set, which only its own list
+/// can tell: the `agreed` successes stay at the front of `gathered`, the
+/// disputed digests move behind them, and the caller asks those replicas
+/// again with a plain `Get` (a conditional one would be answered
+/// "unchanged" again). Digests that differ with no list shipped are all
+/// disputed (`Err(0)`). Full replies that disagree merge: the answer is
+/// the union of every replica's value set, gathered in rank order with
+/// first-seen dedup, so replicas holding disjoint stale subsets still sum
+/// to the full entry (each value survives on at least one of the Rq
+/// replicas whenever Rq + W > R).
 fn settle_response(
     key: &Key,
     gathered: &mut [Option<(usize, DhtResponse)>],
@@ -266,15 +279,17 @@ fn settle_response(
         }
     }
     // With no full reply at all every replica answered with a digest: a
-    // conditional read's replicas all said "unchanged", each echoing the
-    // digest it was sent (a `Get` answered with one is the caller's to
-    // reject, like any other mistyped reply).
+    // caller's digest read, or a conditional read whose replicas all said
+    // "unchanged", each echoing the digest it was sent (a `Get` answered
+    // with one is the caller's to reject, like any other mistyped reply).
+    // Digests that differ vouch for no list in hand, so all are disputed.
+    let alike = if full == 0 { gathered.len() } else { full };
     let lowest = reply(&gathered[0]);
-    if gathered[1..full.max(1)]
-        .iter()
-        .all(|slot| reply(slot) == lowest)
-    {
+    if gathered[1..alike].iter().all(|slot| reply(slot) == lowest) {
         return Ok(gathered[0].take().expect("just inspected").1);
+    }
+    if full == 0 {
+        return Err(0);
     }
     let lists = gathered[..full]
         .iter()
@@ -511,7 +526,7 @@ impl RemoteDht {
 /// with a full `Get` in the next round and the lists merge (see
 /// [`settle_response`]); if it no longer answers, the read fails over like
 /// any other. A client at `Rq = 1` — every unreplicated one — never asks
-/// for a digest.
+/// for a digest its caller did not.
 ///
 /// A conditional read (`GetIfChanged`, from a caller that already holds
 /// the entry) is routed like a `Get` but goes to every replica of its
@@ -520,6 +535,15 @@ impl RemoteDht {
 /// value on the wire; full replies settle as a `Get`'s do; and when the
 /// two mix, the replicas that said "unchanged" are disputed and asked
 /// again with a plain `Get`.
+///
+/// A caller's digest read (`GetDigest`: the index layer's unpublish
+/// cascade asks only whether an entry is empty) is a quorum read as
+/// well, routed like a `Get`, and every replica of its quorum is asked
+/// the digest itself. Digests that agree settle as that digest, with no
+/// value on the wire. Digests that differ are all disputed, their
+/// replicas are asked again with a plain `Get`, and the read settles as
+/// the digest of the merged list: exactly the digest of what a quorum
+/// `Get` would return. A stale primary alone never answers it.
 ///
 /// One ordering carve-out: a read whose key the *same batch* also writes
 /// is read from its primary alone (`want = 1`). Each replica applies its
@@ -579,10 +603,10 @@ impl Round {
                 Ok(DhtResponse::Node(dht.members[replicas.index(0)].id))
             } else {
                 dht.metrics.incr(kind_counter(OpFamily::Client, op.kind()));
-                match op {
-                    DhtOp::Get(_) | DhtOp::GetIfChanged { .. } => reads = true,
-                    DhtOp::GetDigest(_) => {}
-                    _ => writes = true,
+                if op.is_write() {
+                    writes = true;
+                } else {
+                    reads = true;
                 }
                 // What the op keeps if nothing ever answers; settling
                 // overwrites it.
@@ -611,8 +635,7 @@ impl Round {
                 self.written.sort_unstable();
             }
             for route in self.routes.iter_mut() {
-                let read = matches!(route.op, DhtOp::Get(_) | DhtOp::GetIfChanged { .. });
-                if read && self.written.binary_search(route.op.key()).is_err() {
+                if !route.op.is_write() && self.written.binary_search(route.op.key()).is_err() {
                     route.want = dht.config.read_quorum.min(route.replicas.len());
                 }
             }
@@ -796,6 +819,13 @@ impl Round {
                         continue;
                     }
                     match settle_response(route.op.key(), &mut gathered[..route.have]) {
+                        // A caller's digest read that had to fetch lists
+                        // answers with the digest of what a `Get` would.
+                        Ok(DhtResponse::Values(values))
+                            if matches!(route.op, DhtOp::GetDigest(_)) =>
+                        {
+                            Ok(DhtResponse::digest_of(route.op.key(), &values))
+                        }
                         Ok(resp) => Ok(resp),
                         Err(agreed) => {
                             // The disputed digests wait behind the

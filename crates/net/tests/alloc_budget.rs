@@ -25,8 +25,10 @@
 //! decoded copy of the entry. A unary call hands its one result back out
 //! of the reused result vector, so a warm read of an absent or unchanged
 //! entry allocates nothing at all. The service builds each wave in op and
-//! result vectors it keeps (`Dht::execute_many_into`), and a write wave's
-//! values are slices of one shared buffer.
+//! result vectors it keeps (`Dht::execute_many_into`). A write's values
+//! — an unpublish's file and all its remove waves included — are slices
+//! of one shared buffer, and the unpublish cascade reads digests, which
+//! own no heap, where it read lists.
 //!
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
@@ -238,37 +240,43 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     let (again, unpublish) =
         allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
     assert_eq!(again.expect("unpublish on a healthy network"), msd);
-    // The client read nothing, so it builds every query. Measured 10 = the
-    // MSD (1: the frozen query's one buffer) + the scheme's edges (7: six
-    // index queries at 1 each, built in the thread's draft, and the author
-    // list; the edge vector is the service's, kept) + the wave's values
-    // (2: the file and the three distinct targets — author+title,
-    // conf+year, the MSD — encoded into one buffer, of which each value is
-    // a slice: one shared copy). The op and result vectors are kept. It
-    // was 24 while a frozen query was three allocations, its node array
-    // and text apart from its `Arc` (+2 for each of the 7 queries); 33
-    // while each distinct value was a buffer of its own (+6), the edge
-    // vector was built per call (+1) and the wave built its two vectors
-    // (+2); 45 while each index query was built in a `QueryBuilder` of its
-    // own (+12); 114 while every query was a pointer tree. Exact: one more
-    // allocation per built query is +7, a wave vector +1.
-    assert_eq!(publish, 10, "a warm publish made {publish} allocations");
-    // Measured 18 = the MSD (1) + the file's remove (2: its encoded
-    // handle) + the edges (7) + the cascade (8): pass 1's read wave ships
-    // the two entries still holding the MSD in one reply frame (4: two
-    // value lists and the frame's shared buffer), and its remove wave
-    // encodes the MSD's entry for the two edges into it (2); pass 2's
-    // read wave finds both emptied (0) and its remove wave encodes their
-    // two entries, for four edges, into one buffer (2). It was 32 while a
-    // frozen query was three allocations (+2 for each of the 7 queries);
-    // 43 while each wave built its two vectors (+8), pass 2's two entries
-    // were a buffer each (+2) and the file's remove regrew the client's
-    // result vector, handed out with the wave before (+1); 55 with
-    // per-query builders (+12); 113 while the cascade re-read every edge's
-    // target in unary exchanges until a pass removed nothing, and 175
-    // before that. Exact: one more wave vector is +1.
+    // The client read nothing, so it builds every query. Measured 9 = the
+    // MSD (1: the frozen query's one buffer) + the scheme's edges (6: six
+    // index queries at 1 each, built in the thread's draft; the authors
+    // are walked from the descriptor and the edge vector is the
+    // service's, kept) + the wave's values (2: the file and the three
+    // distinct targets — author+title, conf+year, the MSD — encoded into
+    // one buffer, of which each value is a slice: one shared copy). The op
+    // and result vectors are kept. It was 10 while the scheme collected
+    // the author list (+1); 24 while a frozen query was three allocations,
+    // its node array and text apart from its `Arc` (+2 for each of the 7
+    // queries); 33 while each distinct value was a buffer of its own (+6),
+    // the edge vector was built per call (+1) and the wave built its two
+    // vectors (+2); 45 while each index query was built in a
+    // `QueryBuilder` of its own (+12); 114 while every query was a pointer
+    // tree. Exact: one more allocation per built query is +7, a wave
+    // vector +1.
+    assert_eq!(publish, 9, "a warm publish made {publish} allocations");
+    // Measured 9 = the MSD (1) + the edges (6) + the values (2: the file's
+    // handle and the three distinct targets, encoded once into one buffer
+    // of which the file's remove and every remove wave take slices). The
+    // cascade's read waves ask each target's quorum for a digest, which
+    // owns no heap: pass 1 reads the two entries still holding the MSD,
+    // pass 2 the two it emptied, and no reply frame ships a value. It was
+    // 18 = the MSD (1) + the edges with a collected author list (7) + the
+    // file's handle in a buffer of its own (2) + the cascade (8: pass 1's
+    // read wave fetched its two entries, two value lists and the reply
+    // frame's shared buffer, 4, and each of the two remove waves encoded
+    // its entries into a buffer of its own, 2 + 2); 32 while a frozen query
+    // was three allocations (+2 for each of the 7 queries); 43 while each
+    // wave built its two vectors (+8), pass 2's two entries were a buffer
+    // each (+2) and the file's remove regrew the client's result vector,
+    // handed out with the wave before (+1); 55 with per-query builders
+    // (+12); 113 while the cascade re-read every edge's target in unary
+    // exchanges until a pass removed nothing, and 175 before that. Exact:
+    // one more wave vector is +1, a shipped entry +3.
     assert_eq!(
-        unpublish, 18,
+        unpublish, 9,
         "a warm unpublish made {unpublish} allocations"
     );
     cluster.shutdown();
@@ -309,16 +317,18 @@ fn a_write_of_what_the_client_read_builds_no_query_again() {
         published.canonical_text()
     ));
     assert_eq!(published, msd);
-    // The 10 and 18 of a client that read nothing, less 1 for each of the
+    // The 9 and 9 of a client that read nothing, less 1 for each of the
     // seven queries it holds: the MSD and the six index queries are the
     // table's, with the keys it kept, so none is frozen or hashed again.
-    // What is left is the author list (1) and the wave's values (2); the
-    // unpublish adds the file's remove (2) and the cascade (8). These two
-    // did not move when a frozen query went from three allocations to
-    // one: they freeze nothing. Exact: a query frozen again is +1.
-    assert_eq!(publish, 3, "a publish of a read article made {publish}");
+    // What is left is each write's one shared value buffer (2). They were
+    // 3 and 11 while the scheme collected the author list (+1 each) and
+    // the unpublish fetched its cascade's entries and encoded its file's
+    // handle and each remove wave's entries apart (+8). They did not move
+    // when a frozen query went from three allocations to one: they freeze
+    // nothing. Exact: a query frozen again is +1.
+    assert_eq!(publish, 2, "a publish of a read article made {publish}");
     assert_eq!(
-        unpublish, 11,
+        unpublish, 2,
         "an unpublish of a read article made {unpublish}"
     );
     cluster.shutdown();

@@ -23,6 +23,12 @@
 //!   "unchanged" settles in one round on the caller's digest, and a
 //!   replica that said "unchanged" beside one that did not is re-asked with
 //!   a plain `Get`, so the answer is the plain quorum read's union.
+//! * **A caller's digest read is a quorum's** — a `GetDigest` goes to
+//!   every replica of its quorum as itself; digests that agree settle with
+//!   no value on the wire, and digests that differ are re-read in full and
+//!   settle as the digest of the union. A stale primary alone cannot make
+//!   the unpublish cascade, which asks only whether an entry is empty,
+//!   cut a live edge.
 //!
 //! The cluster is the benchmark's shape — five members, `R = 3`, `W = 2`,
 //! read at `Rq = 2` — with the repair thread off, so a replica made stale
@@ -34,12 +40,16 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bytes::Bytes;
+use p2p_index_core::scheme::CONF_YEAR;
+use p2p_index_core::{BiblioFields, CachePolicy, IndexService, IndexTarget, SimpleScheme};
 use p2p_index_dht::{placement, Dht, DhtOp, DhtResponse, Key, NodeId};
 use p2p_index_net::wire::{read_message_with, write_message_with, Message};
 use p2p_index_net::{
     LoopbackCluster, RecvError, RemoteDht, RemoteDhtConfig, ReplicationConfig, ServerConfig,
 };
 use p2p_index_obs::MetricsRegistry;
+use p2p_index_xmldoc::Descriptor;
+use p2p_index_xpath::Query;
 
 const MEMBERS: usize = 5;
 const REPLICAS: usize = 3;
@@ -103,11 +113,15 @@ impl Cluster {
         self.servers.server(member).replace_entries(entries);
     }
 
+    /// A client of `member` alone: every key routes to it.
+    fn solo(&self, member: usize) -> RemoteDht {
+        let only = vec![self.servers.members()[member]];
+        RemoteDht::connect(only, RemoteDhtConfig::default())
+    }
+
     /// `member`'s own list for `key`, in its own order, asked directly.
     fn held(&self, member: usize, key: &Key) -> Vec<Bytes> {
-        let only = vec![self.servers.members()[member]];
-        let solo = RemoteDht::connect(only, RemoteDhtConfig::default());
-        Dht::get(&solo, key)
+        Dht::get(&self.solo(member), key)
     }
 
     /// Runs `read` and reports what it moved.
@@ -595,5 +609,99 @@ fn a_conditional_read_fails_over_past_a_halted_primary() {
     assert_eq!(got, Ok(DhtResponse::Values(values(&["a", "b", "c"]))));
     assert_eq!(moved[1..], [2, 1, 0, 1, 1, 1, 1]);
     assert_eq!(get(&mut client, key), values(&["a", "b", "c"]));
+    cluster.servers.shutdown();
+}
+
+#[test]
+fn a_digest_read_settles_on_its_quorums_union_not_on_a_stale_primary() {
+    let cluster = Cluster::start();
+    let mut client = cluster.client(2);
+    let key = Key::hash_of("probed");
+    let ranks = cluster.ranks(&key);
+    let digest = |names: &[&str]| Ok(DhtResponse::digest_of(&key, &values(names)));
+
+    // Converged: each replica of the quorum is asked the digest itself and
+    // the read settles on it in one round, with no full get anywhere.
+    for &member in &ranks {
+        cluster.set(member, key, &values(&["a", "b"]));
+    }
+    let (got, moved) = cluster.deltas(|| client.execute(DhtOp::GetDigest(key)));
+    assert_eq!(got, digest(&["a", "b"]));
+    assert_eq!(moved, [2, 0, 2, 2, 0, 0, 0]);
+
+    // The primary missed "b", or everything: the digests differ, both
+    // replicas are re-read in full, and the answer is the digest of the
+    // union, what a quorum `Get` returns. The primary's own digest would
+    // have been {a}'s, or an empty entry's.
+    for stale in [&["a"][..], &[]] {
+        cluster.set(ranks[0], key, &values(stale));
+        let (got, moved) = cluster.deltas(|| client.execute(DhtOp::GetDigest(key)));
+        assert_eq!(got, digest(&["a", "b"]), "primary holds {stale:?}");
+        assert_eq!(moved, [4, 2, 2, 2, 2, 2, 0], "primary holds {stale:?}");
+        assert_eq!(get(&mut client, key), values(&["a", "b"]));
+    }
+
+    // A wave settles each key the same way.
+    let (mut got, _) = cluster.deltas(|| client.execute_many(vec![DhtOp::GetDigest(key)]));
+    assert_eq!(got.remove(0), digest(&["a", "b"]));
+
+    // The ordering carve-out holds for it as for a `Get`: a digest read of
+    // a key its own batch writes asks the primary alone, which holds only
+    // what the batch put (the quorum's union would add "a" and "b").
+    let batch = vec![
+        DhtOp::Put {
+            key,
+            value: values(&["c"])[0].clone(),
+        },
+        DhtOp::GetDigest(key),
+    ];
+    let (results, moved) = cluster.deltas(|| client.execute_many(batch));
+    assert_eq!(results[1], digest(&["c"]));
+    assert_eq!(moved[1..], [0, 1, 1, 0, 0, 0]);
+    cluster.servers.shutdown();
+}
+
+fn sigcomm_1989(first: &str, last: &str, title: &str) -> Descriptor {
+    Descriptor::parse(&format!(
+        "<article><author><first>{first}</first><last>{last}</last></author>\
+         <title>{title}</title><conf>SIGCOMM</conf><year>1989</year></article>"
+    ))
+    .expect("the test descriptor parses")
+}
+
+#[test]
+fn an_unpublish_keeps_an_edge_whose_target_only_the_second_replica_still_holds() {
+    let cluster = Cluster::start();
+    let mut service = IndexService::new(cluster.client(2), CachePolicy::None);
+    let (a, b) = (
+        sigcomm_1989("Alan", "Doe", "Wavelets"),
+        sigcomm_1989("John", "Smith", "TCP"),
+    );
+    service.publish(&a, "a.pdf", &SimpleScheme).unwrap();
+    let msd_b = service.publish(&b, "b.pdf", &SimpleScheme).unwrap();
+
+    // h(conf+year) leads to both articles, but its primary lost B's entry:
+    // once A's is removed, the primary reads empty and only the quorum's
+    // second replica still leads to B.
+    let conf_year = BiblioFields::of(&b).query(CONF_YEAR, None).unwrap();
+    let key = IndexService::<RemoteDht>::key_of(&conf_year);
+    let entry = IndexTarget::Query(msd_b).to_bytes();
+    let primary = cluster.ranks(&key)[0];
+    assert!(cluster.solo(primary).remove(&key, &entry));
+
+    // The cascade asks for digests, never for lists, and each is a
+    // quorum's: the edges into h(conf+year) stay.
+    let series = ["net.ops.get", "net.ops.get_digest"];
+    let (result, [gets, digests]) =
+        cluster.moved(series, || service.unpublish(&a, "a.pdf", &SimpleScheme));
+    result.expect("unpublish on a healthy network");
+    assert_eq!(gets, 0, "the cascade fetched a list");
+    assert!(digests > 0);
+    for query in ["/article/conf/SIGCOMM", "/article/year/1989"] {
+        let query: Query = query.parse().unwrap();
+        let report = service.search(&query).expect("search on a healthy network");
+        let files: Vec<&str> = report.files.iter().map(|hit| &*hit.file).collect();
+        assert_eq!(files, ["b.pdf"], "{query}");
+    }
     cluster.servers.shutdown();
 }
