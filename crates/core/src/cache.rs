@@ -254,7 +254,7 @@ impl ShortcutCache {
 /// statistics. Counting what a probe or an install means for the lookup
 /// (`index.*` series, trace events, [`Traffic`](crate::Traffic)) is the
 /// caller's.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct NodeCaches {
     policy: CachePolicy,
     caches: HashMap<NodeId, ShortcutCache>,
@@ -267,8 +267,7 @@ impl NodeCaches {
     pub(crate) fn new(policy: CachePolicy) -> Self {
         NodeCaches {
             policy,
-            caches: HashMap::new(),
-            metrics: MetricsRegistry::default(),
+            ..NodeCaches::default()
         }
     }
 

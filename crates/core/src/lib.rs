@@ -18,6 +18,9 @@
 //! * [`cache`] — the adaptive distributed cache (multi/single/LRU): one
 //!   node's [`ShortcutCache`], and `NodeCaches`, every node's under one
 //!   policy, which the service probes, fills and purges;
+//! * `machine` — the index operations as step functions (a lookup step,
+//!   a search, a publish or unpublish, a unary write) over the client's
+//!   state, which the service's one driver runs wave by wave;
 //! * `memo` — `ReadMemo`, what the querying client keeps of what it read:
 //!   its known queries (one decoded copy each, with its key) and the
 //!   decoded entry memo, both bounded by two generations;
@@ -48,6 +51,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod machine;
 mod memo;
 pub mod retry;
 pub mod scheme;

@@ -17,31 +17,35 @@
 //! * [`unpublish`](IndexService::unpublish) removes a file and recursively
 //!   cleans up dangling index entries (§IV-C read/write semantics).
 //!
-//! The service keeps the protocol, its retries, [`Traffic`], node load and
-//! tracing. The per-node shortcut caches it drives are `NodeCaches`
-//! (`cache.rs`), and what it remembers of its reads is `ReadMemo`
-//! (`memo.rs`); every trace event and `index.*` counter is still emitted
-//! here.
+//! Each operation is a step function (`machine.rs`): it says which ops
+//! its next wave holds and reads that wave's results back, and never
+//! calls the substrate. The service hands it to its one driver, which
+//! sends each wave — a single op through [`Dht::execute`], more through
+//! [`Dht::execute_many_into`] — with the retries and the accounting
+//! (`retry.*`, `dht.*`, the `dht …` trace events) of every DHT call. The
+//! state the operations share — the per-node shortcut caches
+//! (`NodeCaches`, `cache.rs`), what the client read (`ReadMemo`,
+//! `memo.rs`), [`Traffic`], node load, tracing — is the service's, and
+//! every trace event and `index.*` counter is emitted from it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use p2p_index_dht::{
-    kind_counter, Dht, DhtError, DhtOp, DhtResponse, DhtStats, Key, NodeId, OpFamily, SplitMix64,
+    kind_counter, Dht, DhtError, DhtOp, DhtResponse, Key, NodeId, OpFamily, SplitMix64,
 };
 use p2p_index_obs::{MetricsRegistry, Trace, TraceRecorder};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
 
-use crate::cache::{CachePolicy, NodeCaches};
-use crate::memo::ReadMemo;
+use crate::cache::CachePolicy;
+use crate::machine::{covering, Lookup, Machine, Reply, Search, State, Step, Unary, Write};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::scheme::IndexScheme;
-use crate::target::{encode_file_into, DecodeTargetError, IndexTarget};
+use crate::target::{DecodeTargetError, IndexTarget};
 use crate::traffic::Traffic;
 
 /// Errors returned by index operations.
@@ -199,158 +203,12 @@ impl SearchReport {
     }
 }
 
-/// Reusable BFS state for [`IndexService::search`]: the sets, queues, and
-/// level buffers a search needs are kept on the service and cleared between
-/// searches, so a query burst pays for their capacity once instead of
-/// reallocating per search.
-#[derive(Debug, Default)]
-struct SearchScratch {
-    /// Queries whose index entries were already fetched (or enqueued).
-    visited: HashSet<Query>,
-    /// Phase-2 BFS queue of `(query, its index entries)`, the entries
-    /// shared with the entry memo: no interaction builds a list of its own.
-    queue: VecDeque<(Query, Arc<[IndexTarget]>)>,
-    /// Generalizations already probed (or queued for probing).
-    seen: HashSet<Query>,
-    /// Next generalization level being accumulated.
-    frontier: Vec<Query>,
-    /// Current generalization level (one batched probe wave).
-    level: Vec<Query>,
-    /// Fresh child queries referenced by the index level being expanded.
-    children: Vec<Query>,
-    /// The not-indexed generalizations of the wave in flight, in reply
-    /// order, to derive the next level from once the wave is read.
-    dead_ends: Vec<Query>,
-    /// The keys of the wave in flight, in query order, for reading its
-    /// replies back.
-    keys: Vec<Key>,
-}
-
-impl SearchScratch {
-    fn clear(&mut self) {
-        self.visited.clear();
-        self.queue.clear();
-        self.seen.clear();
-        self.frontier.clear();
-        self.level.clear();
-        self.children.clear();
-        self.dead_ends.clear();
-        self.keys.clear();
-    }
-}
-
-/// The ops of one batched wave and their results: what a caller builds a
-/// wave in and reads it back from. Taken out of the service for the wave
-/// and put back emptied ([`Wave::emptied`]), so a warm wave allocates
-/// neither vector on a substrate that overrides
-/// [`Dht::execute_many_into`].
-#[derive(Debug, Default)]
-struct Wave {
-    /// The wave's ops; [`dht_execute_many`](IndexService::dht_execute_many)
-    /// drains them.
-    ops: Vec<DhtOp>,
-    /// One result per op, in op order, once the wave has run.
-    results: Vec<Result<DhtResponse, DhtError>>,
-}
-
-impl Wave {
-    /// The buffers with their capacity and without their contents.
-    fn emptied(mut self) -> Wave {
-        self.ops.clear();
-        self.results.clear();
-        self
-    }
-}
-
-/// The values of the write paths, encoded into one kept buffer: each
-/// value of a write is a span of it, and the write's ops get `Bytes`
-/// slices of one shared copy ([`share`](Self::share)), so a write's
-/// values cost one allocation pair however many there are. A value is
-/// encoded once however many ops carry it.
-///
-/// An in-process substrate keeps what it stores, so a stored value holds
-/// its wave's copy alive: a few hundred bytes, the values of one article.
-#[derive(Debug, Default)]
-struct WaveValues {
-    /// The encodings, back to back.
-    buf: Vec<u8>,
-    /// The values of the write being built: the file's handle, then each
-    /// index edge's target, in edge order.
-    spans: Vec<Range<usize>>,
-}
-
-impl WaveValues {
-    /// Appends one value's encoding and returns its span.
-    fn encode(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Range<usize> {
-        let start = self.buf.len();
-        encode(&mut self.buf);
-        start..self.buf.len()
-    }
-
-    /// Encodes the values of a write of `file` with `edges`: `spans[0]` is
-    /// the file's handle and `spans[1 + i]` edge `i`'s target. Edges
-    /// sharing a target share its span: schemes end several chains at the
-    /// MSD and fan queries into shared intermediate ones.
-    fn encode_write(&mut self, file: &str, edges: &[(Query, Query)]) {
-        let file_value = self.encode(|buf| encode_file_into(file, buf));
-        self.spans.push(file_value);
-        for (i, (_, to)) in edges.iter().enumerate() {
-            let span = match edges[..i].iter().position(|(_, earlier)| earlier == to) {
-                Some(j) => self.spans[1 + j].clone(),
-                None => self.encode(|buf| IndexTarget::Query(to.clone()).encode_into(buf)),
-            };
-            self.spans.push(span);
-        }
-    }
-
-    /// One shared copy of the buffer, which is emptied; the spans stay.
-    fn share(&mut self) -> Bytes {
-        let shared = Bytes::copy_from_slice(&self.buf);
-        self.buf.clear();
-        shared
-    }
-}
-
-/// Reusable per-wave buffers for
-/// [`dht_execute_many`](IndexService::dht_execute_many): capacity is
-/// carried from wave to wave, contents never are.
-#[derive(Debug, Default)]
-struct WaveScratch {
-    /// Each op's kind, for trace events and retry tails.
-    kinds: Vec<&'static str>,
-    /// Each op's clone while a retry is possible (empty otherwise).
-    retained: Vec<Option<DhtOp>>,
-}
-
-/// Reusable per-pass state of [`IndexService::unpublish`]'s cascade: the
-/// edges' keys and each pass's key lists are kept on the service and
-/// cleared between calls, like [`SearchScratch`], so a cascade pays for
-/// its waves and nothing else.
-#[derive(Debug, Default)]
-struct CascadeScratch {
-    /// Each index edge's `(from, to)` keys, hashed once per call.
-    keys: Vec<(Key, Key)>,
-    /// Whether each edge's `Remove` was already sent during this call.
-    attempted: Vec<bool>,
-    /// The distinct keys the next read wave asks a digest of: every
-    /// edge's `to` in pass 1, then the ones the last remove wave may have
-    /// emptied.
-    pending: Vec<Key>,
-    /// The `from` key of each op of the remove wave in flight, in op
-    /// order, for reading its replies back.
-    removing: Vec<Key>,
-}
-
-impl CascadeScratch {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.attempted.clear();
-        self.pending.clear();
-        self.removing.clear();
-    }
-}
-
 /// The distributed index service over a DHT substrate.
+///
+/// Every operation is a step function (`machine.rs`) that the service
+/// builds, or keeps and restarts, and hands to its one driver: the
+/// machine says which ops its next wave holds, the driver sends them,
+/// with retries and accounting, and hands the results back.
 ///
 /// # Examples
 ///
@@ -373,38 +231,15 @@ impl CascadeScratch {
 /// ```
 #[derive(Debug)]
 pub struct IndexService<D> {
-    dht: D,
-    /// The per-node shortcut caches of §IV-D, under the service's policy.
-    caches: NodeCaches,
-    /// What this client read: its known queries with their keys, and the
-    /// entry memo. Every public method that touches it starts with
-    /// `ReadMemo::rotate`, the one place its bound evicts.
-    memo: ReadMemo,
-    traffic: Traffic,
-    node_queries: HashMap<NodeId, u64>,
-    retry: RetryPolicy,
-    retry_rng: SplitMix64,
-    /// Retry counters; `backoff_ms` is also the simulated clock.
-    retry_stats: RetryStats,
-    /// Reusable scratch buffers for [`search`](Self::search): the BFS
-    /// queue/visited sets and the generalization frontier survive across
-    /// searches instead of being reallocated per query.
-    search_scratch: SearchScratch,
-    /// Reusable retry/trace bookkeeping of a batched wave.
-    wave_scratch: WaveScratch,
-    /// Reusable key lists of [`unpublish`](Self::unpublish)'s cascade.
-    cascade_scratch: CascadeScratch,
-    /// The ops and results of the wave being built, kept between waves.
-    wave: Wave,
-    /// The index edges of the write in progress, kept between writes.
-    edges: Vec<(Query, Query)>,
-    /// The write paths' encode buffer: every value of a write wave is a
-    /// slice of one shared copy of it.
-    values: WaveValues,
-    /// Observability sink (disabled by default; see [`set_metrics`](Self::set_metrics)).
-    metrics: MetricsRegistry,
-    /// Active lookup trace, if [`start_trace`](Self::start_trace) is pending.
-    tracer: Option<TraceRecorder>,
+    /// The substrate and the one code path that calls it.
+    driver: Driver<D>,
+    /// What the machines read and write: memo, caches, traffic, node
+    /// load, retry counters, encode buffer, metrics, tracer.
+    state: State,
+    /// The kept machines, whose buffers a burst of operations pays for
+    /// once; each is empty between calls.
+    search: Search,
+    write: Write,
 }
 
 impl<D: Dht> IndexService<D> {
@@ -417,30 +252,19 @@ impl<D: Dht> IndexService<D> {
     /// Creates a service that retries failed DHT operations per `retry`.
     pub fn with_retry(dht: D, policy: CachePolicy, retry: RetryPolicy) -> Self {
         IndexService {
-            dht,
-            caches: NodeCaches::new(policy),
-            memo: ReadMemo::default(),
-            traffic: Traffic::new(),
-            node_queries: HashMap::new(),
-            retry,
-            retry_rng: SplitMix64::new(retry.seed),
-            retry_stats: RetryStats::default(),
-            search_scratch: SearchScratch::default(),
-            wave_scratch: WaveScratch::default(),
-            cascade_scratch: CascadeScratch::default(),
-            wave: Wave::default(),
-            edges: Vec::new(),
-            values: WaveValues::default(),
-            metrics: MetricsRegistry::default(),
-            tracer: None,
+            driver: Driver {
+                dht,
+                retry,
+                retry_rng: SplitMix64::new(retry.seed),
+                ops: Vec::new(),
+                results: Vec::new(),
+                kinds: Vec::new(),
+                retained: Vec::new(),
+            },
+            state: State::new(policy),
+            search: Search::default(),
+            write: Write::default(),
         }
-    }
-
-    /// Encodes the one value of a unary write, a target, in the write
-    /// paths' kept buffer and copies it out.
-    fn encode_target(&mut self, target: &IndexTarget) -> Bytes {
-        target.encode_into(&mut self.values.buf);
-        self.values.share()
     }
 
     /// Attaches a metrics registry to the whole stack: the service itself
@@ -450,205 +274,32 @@ impl<D: Dht> IndexService<D> {
     /// `fault.*`, `load.*`, via [`Dht::set_metrics`]). Pass
     /// [`MetricsRegistry::disabled`] to turn recording back off.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics.clone();
-        self.dht.set_metrics(metrics.clone());
-        self.caches.set_metrics(metrics);
+        self.state.metrics = metrics.clone();
+        self.driver.dht.set_metrics(metrics.clone());
+        self.state.caches.set_metrics(metrics);
     }
 
     /// The attached metrics registry (disabled unless
     /// [`set_metrics`](Self::set_metrics) was called).
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.state.metrics
     }
 
     /// Starts recording a trace; every subsequent search/lookup adds spans
     /// until [`finish_trace`](Self::finish_trace) collects the tree.
     pub fn start_trace(&mut self, label: impl Into<String>) {
-        self.tracer = Some(TraceRecorder::new(label));
+        self.state.tracer = Some(TraceRecorder::new(label));
     }
 
     /// Stops recording and returns the trace tree (`None` if
     /// [`start_trace`](Self::start_trace) was never called).
     pub fn finish_trace(&mut self) -> Option<Trace> {
-        self.tracer.take().map(TraceRecorder::finish)
+        self.state.tracer.take().map(TraceRecorder::finish)
     }
 
     /// Counters for the retry work performed so far.
     pub fn retry_stats(&self) -> RetryStats {
-        self.retry_stats
-    }
-
-    /// Issues one DHT operation under the retry policy: transient faults
-    /// are retried (with exponential, jittered, simulated-time backoff)
-    /// while the attempt budget lasts; structural faults and exhausted
-    /// budgets surface as errors.
-    ///
-    /// Semantically a unary call is a batch of one, and the per-attempt
-    /// accounting (retry stats, metrics, trace events, backoff clock)
-    /// is identical to [`dht_execute_many`](Self::dht_execute_many) on a
-    /// singleton batch. It is implemented directly — not by allocating a
-    /// one-element batch — because unary ops are the lookup hot path and
-    /// the batch plumbing costs four `Vec` allocations per op.
-    fn dht_execute(&mut self, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        let may_retry = self.retry.max_attempts > 1;
-        // Cloned only while a retry is actually possible, exactly like the
-        // batched path's `retained` slots.
-        let retained = if may_retry { Some(op.clone()) } else { None };
-        let kind = op.kind();
-        let before = self.stats_if_metered();
-        let result = self.dht.execute(op);
-        self.account(before, 1, &[kind], std::slice::from_ref(&result));
-        match result {
-            Ok(resp) => Ok(resp),
-            Err(e) if e.is_transient() && may_retry => {
-                let op = retained.expect("op retained while retries remain");
-                self.retry_tail(kind, op)
-            }
-            Err(e) => {
-                self.retry_stats.gave_up += 1;
-                self.metrics.incr("retry.gave_up");
-                Err(e)
-            }
-        }
-    }
-
-    /// Issues a batch of *independent* DHT operations under the retry
-    /// policy: drains `wave.ops` and leaves one result per op in
-    /// `wave.results`. The whole batch goes to the substrate as one
-    /// [`Dht::execute_many_into`] wave — on a networked substrate that is
-    /// one pipelined frame pair per routed member — and ops that failed
-    /// transiently then burn their remaining budget one at a time in op
-    /// order. Per-op retry accounting (`retry.*` stats and metrics,
-    /// trace events, the simulated backoff clock) is identical to the
-    /// unary sequence, and each `DhtOp` is cloned only while a further
-    /// retry is actually possible.
-    fn dht_execute_many(&mut self, wave: &mut Wave) {
-        let Wave { ops, results } = wave;
-        results.clear();
-        if ops.is_empty() {
-            return;
-        }
-        let may_retry = self.retry.max_attempts > 1;
-        // Taken out for the wave (retry tails need `&mut self`) and put
-        // back emptied, so only their capacity outlives it.
-        let WaveScratch {
-            mut kinds,
-            mut retained,
-        } = std::mem::take(&mut self.wave_scratch);
-        kinds.extend(ops.iter().map(DhtOp::kind));
-        if may_retry {
-            retained.extend(ops.iter().cloned().map(Some));
-        }
-        let before = self.stats_if_metered();
-        self.dht.execute_many_into(ops, results);
-        self.account(before, 1, &kinds, results);
-        for (i, slot) in results.iter_mut().enumerate() {
-            match slot {
-                Ok(_) => {}
-                Err(e) if e.is_transient() && may_retry => {
-                    let op = retained[i]
-                        .take()
-                        .expect("op retained while retries remain");
-                    *slot = self.retry_tail(kinds[i], op);
-                }
-                Err(_) => {
-                    self.retry_stats.gave_up += 1;
-                    self.metrics.incr("retry.gave_up");
-                }
-            }
-        }
-        kinds.clear();
-        retained.clear();
-        self.wave_scratch = WaveScratch { kinds, retained };
-    }
-
-    /// Continues one op's retry loop after its first (batched) attempt
-    /// failed transiently. Entered only when the budget allows at least
-    /// one more attempt; the op is cloned only while yet another retry
-    /// could follow the attempt being sent.
-    fn retry_tail(&mut self, kind: &'static str, op: DhtOp) -> Result<DhtResponse, DhtError> {
-        let mut attempt = 1u32;
-        let mut pending = Some(op);
-        loop {
-            let delay = self.retry.backoff_ms(attempt, &mut self.retry_rng);
-            self.retry_stats.backoff_ms = self.retry_stats.backoff_ms.saturating_add(delay);
-            self.retry_stats.retries += 1;
-            self.metrics.incr("retry.retries");
-            self.metrics.add("retry.backoff_ms", delay);
-            if let Some(t) = &mut self.tracer {
-                t.event(format!("backoff {delay}ms, retrying"));
-            }
-            attempt += 1;
-            let current = pending.take().expect("op retained while retries remain");
-            let send = if attempt < self.retry.max_attempts {
-                pending = Some(current.clone());
-                current
-            } else {
-                current
-            };
-            let before = self.stats_if_metered();
-            let result = self.dht.execute(send);
-            self.account(before, attempt, &[kind], std::slice::from_ref(&result));
-            match result {
-                Ok(resp) => return Ok(resp),
-                Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {}
-                Err(e) => {
-                    self.retry_stats.gave_up += 1;
-                    self.metrics.incr("retry.gave_up");
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// The substrate's work counters before a call, read only while
-    /// metrics are on (the one thing [`account`](Self::account) needs
-    /// them for).
-    fn stats_if_metered(&self) -> Option<DhtStats> {
-        self.metrics.is_enabled().then(|| self.dht.stats())
-    }
-
-    /// The one accounting of a DHT call, whichever of `dht_execute`,
-    /// `dht_execute_many` and `retry_tail` issued it: for each op (of
-    /// `kinds`, answered by `results`) one attempt in [`RetryStats`] and
-    /// `retry.attempts`, one `dht.ops` and `dht.ops.{kind}`, a
-    /// `dht.errors` if it failed, and its `dht {kind} …` trace event
-    /// (`attempt` numbers a failure). With metrics on, `before` is the
-    /// substrate's [`Dht::stats`] before the call, and the messages,
-    /// lookups and hops the call moved go to `dht.messages`,
-    /// `dht.lookups` and `dht.hops`.
-    fn account(
-        &mut self,
-        before: Option<DhtStats>,
-        attempt: u32,
-        kinds: &[&'static str],
-        results: &[Result<DhtResponse, DhtError>],
-    ) {
-        let count = results.len() as u64;
-        self.retry_stats.attempts += count;
-        if let Some(before) = before {
-            let metrics = &self.metrics;
-            metrics.add("retry.attempts", count);
-            metrics.add("dht.ops", count);
-            for (kind, result) in kinds.iter().zip(results) {
-                metrics.incr(kind_counter(OpFamily::Dht, kind));
-                if result.is_err() {
-                    metrics.incr("dht.errors");
-                }
-            }
-            let after = self.dht.stats();
-            metrics.add("dht.messages", after.messages - before.messages);
-            metrics.add("dht.lookups", after.lookups - before.lookups);
-            metrics.add("dht.hops", after.hops - before.hops);
-        }
-        if let Some(t) = &mut self.tracer {
-            for (kind, result) in kinds.iter().zip(results) {
-                t.event(match result {
-                    Ok(resp) => format!("dht {kind} -> {}", describe_response(resp)),
-                    Err(e) => format!("dht {kind} attempt {attempt} -> {e}"),
-                });
-            }
-        }
+        self.state.retry_stats
     }
 
     /// The DHT key of a query: `h(canonical text)`.
@@ -669,8 +320,8 @@ impl<D: Dht> IndexService<D> {
     /// table caches a pure function of the query's canonical text, so
     /// entries can never go stale.
     pub fn cached_key(&mut self, query: &Query) -> Key {
-        self.memo.rotate();
-        self.memo.cached_key(query)
+        self.state.memo.rotate();
+        self.state.memo.cached_key(query)
     }
 
     /// Appends `query`'s one-step generalizations to `out`, in
@@ -680,51 +331,51 @@ impl<D: Dht> IndexService<D> {
     /// new one is frozen and joins the table. What the §V-E user model
     /// and [`search`](Self::search) generalize a non-indexed query with.
     pub fn generalizations_into(&mut self, query: &Query, out: &mut Vec<Query>) {
-        self.memo.rotate();
-        self.memo.generalizations_into(query, out);
+        self.state.memo.rotate();
+        self.state.memo.generalizations_into(query, out);
     }
 
     /// The underlying DHT (read-only).
     pub fn dht(&self) -> &D {
-        &self.dht
+        &self.driver.dht
     }
 
     /// The underlying DHT (mutable — e.g. for churn experiments).
     pub fn dht_mut(&mut self) -> &mut D {
-        &mut self.dht
+        &mut self.driver.dht
     }
 
     /// The active cache policy.
     pub fn policy(&self) -> CachePolicy {
-        self.caches.policy()
+        self.state.caches.policy()
     }
 
     /// Accumulated traffic counters.
     pub fn traffic(&self) -> &Traffic {
-        &self.traffic
+        &self.state.traffic
     }
 
     /// How many lookups each node has served (the Fig. 15 hot-spot data).
     pub fn node_query_counts(&self) -> &HashMap<NodeId, u64> {
-        &self.node_queries
+        &self.state.node_queries
     }
 
     /// Per-node shortcut-cache sizes, for every live node (zero when a node
     /// has never cached anything).
     pub fn cache_sizes(&self) -> Vec<(NodeId, usize)> {
-        self.caches.sizes(&self.dht.nodes())
+        self.state.caches.sizes(&self.driver.dht.nodes())
     }
 
     /// Fraction of node caches that are at capacity / completely empty
     /// (`(full, empty)`), over all live nodes.
     pub fn cache_fill_fractions(&self) -> (f64, f64) {
-        self.caches.fill_fractions(&self.dht.nodes())
+        self.state.caches.fill_fractions(&self.driver.dht.nodes())
     }
 
     /// Zeroes the traffic and per-node counters (cache contents are kept).
     pub fn reset_metrics(&mut self) {
-        self.traffic = Traffic::new();
-        self.node_queries.clear();
+        self.state.traffic = Traffic::new();
+        self.state.node_queries.clear();
     }
 
     /// Publishes a file: stores it under its MSD key and installs all index
@@ -758,67 +409,7 @@ impl<D: Dht> IndexService<D> {
         file: impl AsRef<str>,
         scheme: &dyn IndexScheme,
     ) -> Result<Query, IndexError> {
-        if self.dht.is_empty() {
-            return Err(IndexError::EmptyNetwork);
-        }
-        let msd = Query::most_specific_known(descriptor, &mut self.memo.consult());
-        let mut edges = self.write_edges(descriptor, &msd, scheme);
-        let result = self.install(&msd, file.as_ref(), &edges);
-        edges.clear();
-        self.edges = edges;
-        result?;
-        self.metrics.incr("index.publish");
-        Ok(msd)
-    }
-
-    /// The index edges `scheme` gives `descriptor`, whose MSD is `msd`, in
-    /// the kept edge vector (handed back to `self.edges` emptied), every
-    /// query built through the client's known queries without adding to
-    /// them (`ReadMemo::consult`), as the MSD is.
-    fn write_edges(
-        &mut self,
-        descriptor: &Descriptor,
-        msd: &Query,
-        scheme: &dyn IndexScheme,
-    ) -> Vec<(Query, Query)> {
-        let mut edges = std::mem::take(&mut self.edges);
-        scheme.index_edges_into(descriptor, msd, &mut self.memo.consult(), &mut edges);
-        edges
-    }
-
-    /// [`publish`](Self::publish)'s wave: every edge checked, then the
-    /// file's `Put` and one per edge.
-    fn install(
-        &mut self,
-        msd: &Query,
-        file: &str,
-        edges: &[(Query, Query)],
-    ) -> Result<(), IndexError> {
-        for (from, to) in edges {
-            if !from.covers(to) {
-                return Err(IndexError::NotCovering {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                });
-            }
-        }
-        let mut wave = std::mem::take(&mut self.wave);
-        self.values.encode_write(file, edges);
-        let shared = self.values.share();
-        let keys = std::iter::once(msd).chain(edges.iter().map(|(from, _)| from));
-        for (query, span) in keys.zip(self.values.spans.drain(..)) {
-            wave.ops.push(DhtOp::Put {
-                key: self.memo.write_key(query),
-                value: shared.slice(span),
-            });
-        }
-        self.dht_execute_many(&mut wave);
-        let result = wave
-            .results
-            .drain(..)
-            .try_for_each(|result| result.map(drop));
-        self.wave = wave.emptied();
-        Ok(result?)
+        self.write((descriptor, file.as_ref()), scheme, true)
     }
 
     /// Installs one query-to-query mapping `(from ; to)`.
@@ -830,18 +421,13 @@ impl<D: Dht> IndexService<D> {
     ///
     /// [`IndexError::NotCovering`] unless `from ⊒ to`.
     pub fn insert_mapping(&mut self, from: Query, to: Query) -> Result<(), IndexError> {
-        if !from.covers(&to) {
-            return Err(IndexError::NotCovering {
-                from: from.to_string(),
-                to: to.to_string(),
-            });
-        }
-        let from_key = Self::key_of(&from);
-        let value = self.encode_target(&IndexTarget::Query(to));
-        self.dht_execute(DhtOp::Put {
-            key: from_key,
-            value,
-        })?;
+        covering(&from, &to)?;
+        IndexTarget::Query(to).encode_into(&mut self.state.values.buf);
+        let put = DhtOp::Put {
+            key: Self::key_of(&from),
+            value: self.state.values.share(),
+        };
+        self.driver.drive(&mut self.state, &mut Unary(Some(put)))?;
         Ok(())
     }
 
@@ -864,8 +450,7 @@ impl<D: Dht> IndexService<D> {
     /// [`IndexError::EmptyNetwork`] without live nodes; [`IndexError::Decode`]
     /// if a stored entry is corrupt.
     pub fn lookup_step(&mut self, query: &Query) -> Result<StepResponse, IndexError> {
-        self.memo.rotate();
-        self.traced_lookup(query, true)
+        self.lookup(query, true)
     }
 
     /// Like [`lookup_step`](Self::lookup_step), but skips the node's
@@ -881,172 +466,7 @@ impl<D: Dht> IndexService<D> {
         &mut self,
         query: &Query,
     ) -> Result<StepResponse, IndexError> {
-        self.memo.rotate();
-        self.traced_lookup(query, false)
-    }
-
-    /// One unary lookup, inside its `lookup …` trace span. With
-    /// `use_cache` the serving node answers cache-first; without it the
-    /// node's shortcut cache is skipped entirely.
-    fn traced_lookup(
-        &mut self,
-        query: &Query,
-        use_cache: bool,
-    ) -> Result<StepResponse, IndexError> {
-        self.in_lookup_span(query, |service| {
-            let key = service.memo.cached_key(query);
-            let node = service.dht_execute(DhtOp::NodeFor(key));
-            let get = |service: &mut Self| service.dht_execute(service.memo.read_op(key));
-            service.read_reply(query, key, node, use_cache, get)
-        })
-    }
-
-    /// Runs `lookup` inside a `lookup {query}` trace span closed with its
-    /// outcome (when tracing is active; otherwise just runs it). Every
-    /// user-system interaction opens exactly one such span, whether its
-    /// DHT work was a unary exchange or a slot in a batched wave.
-    fn in_lookup_span(
-        &mut self,
-        query: &Query,
-        lookup: impl FnOnce(&mut Self) -> Result<StepResponse, IndexError>,
-    ) -> Result<StepResponse, IndexError> {
-        if let Some(t) = &mut self.tracer {
-            t.open(format!("lookup {query}"));
-        }
-        let result = lookup(self);
-        if let Some(t) = &mut self.tracer {
-            match &result {
-                Ok(reply) => t.event(format!(
-                    "returned {} cached + {} indexed target(s)",
-                    usize::from(reply.cached.is_some()),
-                    reply.indexed.len()
-                )),
-                Err(e) => t.event(format!("failed: {e}")),
-            }
-            t.close();
-        }
-        result
-    }
-
-    /// Reads one interaction's reply from its `NodeFor` result — the code
-    /// every lookup shares, unary or a slot of a batched wave: node load
-    /// and the `served by` event; the cache probe of `key` with
-    /// `use_cache`, the bypass count otherwise; the read of `key` (issued
-    /// by `get`, and only when no shortcut answered) through the entry
-    /// memo (`ReadMemo::read_entry`); the exchange's traffic,
-    /// priced from the decoded targets whether or not any value crossed
-    /// the wire.
-    fn read_reply(
-        &mut self,
-        query: &Query,
-        key: Key,
-        node: Result<DhtResponse, DhtError>,
-        use_cache: bool,
-        get: impl FnOnce(&mut Self) -> Result<DhtResponse, DhtError>,
-    ) -> Result<StepResponse, IndexError> {
-        let node = node?.into_node().ok_or(IndexError::EmptyNetwork)?;
-        *self.node_queries.entry(node).or_insert(0) += 1;
-        if let Some(t) = &mut self.tracer {
-            t.event(format!("served by {node}"));
-        }
-
-        let cached = if use_cache {
-            self.metrics.incr("index.lookups.cached");
-            let hit = self.caches.probe(node, &key);
-            // A node that never cached anything still answers the probe:
-            // count it as a miss so hit + miss == cached-mode lookups.
-            let (counter, event) = match hit {
-                None => ("index.cache_probe.miss", "cache probe: miss"),
-                Some(_) => ("index.cache_probe.hit", "cache probe: hit (1 shortcut(s))"),
-            };
-            self.metrics.incr(counter);
-            if let Some(t) = &mut self.tracer {
-                t.event(event.to_string());
-            }
-            hit
-        } else {
-            self.metrics.incr("index.lookups.bypass");
-            None
-        };
-
-        let (indexed, response) = match &cached {
-            None => {
-                let answer = get(self)?;
-                self.memo.read_entry(key, answer)?
-            }
-            Some(shortcut) => (Arc::default(), shortcut.encoded_len() as u64),
-        };
-        let request = query.canonical_text().len() as u64;
-        self.traffic.record_exchange(request, response);
-        Ok(StepResponse {
-            node: Some(node),
-            cached,
-            indexed,
-        })
-    }
-
-    /// Batched sibling of
-    /// [`lookup_step_bypassing_cache`](Self::lookup_step_bypassing_cache):
-    /// resolves and fetches several independent queries through one
-    /// [`Dht::execute_many`] wave — the multi-get a search sends once per
-    /// level, for every query that level references. On a networked
-    /// substrate the whole wave costs one pipelined frame pair per routed
-    /// member instead of two frames per query. `queries` is drained and
-    /// each query is handed to `sink`, in order, with its index entries as
-    /// soon as [`read_reply`](Self::read_reply) has read them — the entry
-    /// memo's, shared, so no reply gets a list of its own. `keys` is an
-    /// empty buffer the wave's keys pass through, so each query is hashed
-    /// once. `None` is a lookup abandoned to a DHT fault
-    /// ([`or_abandoned`]); a hard error ends the wave. Single-query
-    /// batches take this path too:
-    /// on the networked client that pipelines the probe through
-    /// `execute_many` like every other generalization wave instead of
-    /// issuing a sequentially-dependent unary exchange.
-    ///
-    /// A recording trace sees exactly this wave — there is no traced
-    /// variant of the search path: one `wave: …` span holds the batch's
-    /// DHT events (retries included), then every query gets its own
-    /// `lookup …` span read from its results (the span-per-interaction
-    /// invariant the observability suite pins).
-    fn lookup_many_bypassing_cache(
-        &mut self,
-        queries: &mut Vec<Query>,
-        keys: &mut Vec<Key>,
-        mut sink: impl FnMut(Query, Option<Arc<[IndexTarget]>>),
-    ) -> Result<(), IndexError> {
-        if queries.is_empty() {
-            return Ok(());
-        }
-        // Interleave [NodeFor, read] per query — the op order the unary
-        // sequence would issue. Fault injectors draw per-op randomness in
-        // op order, so this keeps batched and unary runs comparable.
-        let mut wave = std::mem::take(&mut self.wave);
-        for query in queries.iter() {
-            let key = self.memo.cached_key(query);
-            keys.push(key);
-            wave.ops.push(DhtOp::NodeFor(key));
-            wave.ops.push(self.memo.read_op(key));
-        }
-        if let Some(t) = &mut self.tracer {
-            t.open(format!("wave: {} lookup(s)", queries.len()));
-        }
-        self.dht_execute_many(&mut wave);
-        if let Some(t) = &mut self.tracer {
-            t.close();
-        }
-        // A hard error drops the wave's buffers: the next wave regrows them.
-        let mut raw = wave.results.drain(..);
-        for (query, key) in queries.drain(..).zip(keys.drain(..)) {
-            let node = raw.next().expect("one NodeFor result per query");
-            let got = raw.next().expect("one read result per query");
-            let reply = self.in_lookup_span(&query, |service| {
-                service.read_reply(&query, key, node, false, |_| got)
-            });
-            sink(query, or_abandoned(reply)?.map(|reply| reply.indexed));
-        }
-        drop(raw);
-        self.wave = wave.emptied();
-        Ok(())
+        self.lookup(query, false)
     }
 
     /// Creates shortcut cache entries for a successful lookup, following
@@ -1060,21 +480,20 @@ impl<D: Dht> IndexService<D> {
     /// MSD to itself would be useless). Returns the number of entries
     /// created; each creation is accounted as cache traffic.
     pub fn create_shortcuts(&mut self, path: &[(NodeId, Query)], target: &IndexTarget) -> usize {
-        self.memo.rotate();
+        let state = &mut self.state;
+        state.memo.rotate();
         let mut created = 0;
-        for (node, query) in self.caches.shortcut_steps(path) {
+        for (node, query) in state.caches.shortcut_steps(path) {
             if Some(query) == target.as_query() {
                 continue;
             }
-            let key = self.memo.cached_key(query);
-            if self.caches.install(*node, key, target) {
-                self.traffic.record_cache_update(
+            let key = state.memo.cached_key(query);
+            if state.caches.install(*node, key, target) {
+                state.traffic.record_cache_update(
                     (query.canonical_text().len() + target.encoded_len()) as u64,
                 );
                 created += 1;
-                if let Some(t) = &mut self.tracer {
-                    t.event(format!("shortcut installed at {node} for {query}"));
-                }
+                state.event(format_args!("shortcut installed at {node} for {query}"));
             }
         }
         created
@@ -1095,6 +514,9 @@ impl<D: Dht> IndexService<D> {
     /// single batched wave and the search waits on
     /// [`SearchReport::rounds`] = 1 (entry probe) + generalization levels
     /// + index levels round trips, however many index nodes it visits.
+    ///
+    /// A recording trace sees each wave as one `wave: …` span holding its
+    /// DHT events, then one `lookup …` span per query read from it.
     ///
     /// No interaction builds a target list of its own: each reply is read
     /// through the entry memo, so an entry read before and unchanged since
@@ -1119,209 +541,9 @@ impl<D: Dht> IndexService<D> {
     /// [`SearchReport::completeness`], and the remaining branches are
     /// still explored — a degraded-but-useful answer instead of an error.
     pub fn search(&mut self, query: &Query) -> Result<SearchReport, IndexError> {
-        self.memo.rotate();
-        if self.tracer.is_some() {
-            let label = format!("search {query}");
-            if let Some(t) = &mut self.tracer {
-                t.open(label);
-            }
-        }
-        self.metrics.incr("index.searches");
-        let result = self.search_inner(query);
-        if let Ok(report) = &result {
-            self.metrics
-                .add("index.search.interactions", u64::from(report.interactions));
-            self.metrics.add(
-                "index.search.generalization_steps",
-                u64::from(report.generalization_steps),
-            );
-            self.metrics
-                .add("index.search.rounds", u64::from(report.rounds));
-            self.metrics.add(
-                "index.search.abandoned",
-                u64::from(report.completeness.abandoned),
-            );
-            self.metrics.observe(
-                "search.interactions_per_query",
-                u64::from(report.interactions),
-            );
-            self.metrics
-                .observe("search.files_per_query", report.files.len() as u64);
-        }
-        if let Some(t) = &mut self.tracer {
-            match &result {
-                Ok(r) => t.event(format!(
-                    "result: {} file(s), {} interaction(s), {} generalization step(s){}",
-                    r.files.len(),
-                    r.interactions,
-                    r.generalization_steps,
-                    if r.is_partial() { ", partial" } else { "" }
-                )),
-                Err(e) => t.event(format!("failed: {e}")),
-            }
-            t.close();
-        }
-        result
-    }
-
-    fn search_inner(&mut self, query: &Query) -> Result<SearchReport, IndexError> {
-        // The BFS state lives in service-owned scratch buffers so repeated
-        // searches reuse their allocations instead of growing fresh
-        // sets/queues per query. Taken out for the duration of the search
-        // (the buffers hold no borrows) and put back even on error.
-        let mut scratch = std::mem::take(&mut self.search_scratch);
-        let result = self.search_with_scratch(query, &mut scratch);
-        scratch.clear();
-        self.search_scratch = scratch;
-        result
-    }
-
-    fn search_with_scratch(
-        &mut self,
-        query: &Query,
-        scratch: &mut SearchScratch,
-    ) -> Result<SearchReport, IndexError> {
-        let retry_before = self.retry_stats;
-        let mut report = SearchReport::default();
-        let SearchScratch {
-            visited,
-            queue,
-            seen,
-            frontier,
-            level,
-            children,
-            dead_ends,
-            keys,
-        } = scratch;
-
-        // Phase 1: find indexed entry points — the query itself, or
-        // (for non-indexed queries) its generalizations, breadth-first.
-        // An abandoned first lookup reads as "not indexed": generalization
-        // may still reach the data through another index branch.
-        report.interactions += 1;
-        report.rounds += 1;
-        let first = match or_abandoned(self.traced_lookup(query, false))? {
-            Some(reply) => reply.indexed,
-            None => {
-                report.completeness.abandoned += 1;
-                Arc::default()
-            }
-        };
-        let query_not_indexed = first.is_empty();
-        visited.insert(query.clone());
-        queue.push_back((query.clone(), first));
-        if query_not_indexed {
-            self.memo.generalizations_into(query, frontier);
-            // Each generalization level is a wave of independent probes:
-            // the whole level goes through one batched multi-get (one
-            // pipelined frame pair per routed member on a networked
-            // substrate) and the replies are consumed in chain order, so
-            // the first indexed ancestor found is the same one the
-            // one-probe-at-a-time loop would have entered through.
-            let mut entered = false;
-            while !entered && !frontier.is_empty() {
-                level.clear();
-                for g in frontier.drain(..) {
-                    if seen.insert(g.clone()) {
-                        level.push(g);
-                    }
-                }
-                for g in level.iter() {
-                    report.generalization_steps += 1;
-                    report.interactions += 1;
-                    if let Some(t) = &mut self.tracer {
-                        t.event(format!("generalize -> {g}"));
-                    }
-                }
-                report.rounds += 1;
-                self.lookup_many_bypassing_cache(level, keys, |g, reply| {
-                    if entered {
-                        return;
-                    }
-                    match reply {
-                        Some(indexed) if !indexed.is_empty() => {
-                            if visited.insert(g.clone()) {
-                                queue.push_back((g, indexed));
-                                entered = true;
-                            }
-                        }
-                        Some(_) => dead_ends.push(g),
-                        None => {
-                            report.completeness.abandoned += 1;
-                            dead_ends.push(g);
-                        }
-                    }
-                })?;
-                // The sink cannot borrow the memo: the next level is
-                // derived once the wave is read, in reply order (and not
-                // at all once the search entered the index).
-                if !entered {
-                    for g in dead_ends.drain(..) {
-                        self.memo.generalizations_into(&g, frontier);
-                    }
-                }
-            }
-        }
-
-        // Phase 2: breadth-first specialization over index entries, one
-        // level at a time. The queue holds one index level; the fresh
-        // child queries referenced from anywhere in it are independent,
-        // so the whole next level is one batched multi-get — one round
-        // trip per index level, not per index node. FIFO order is level
-        // order, so scanning the level in queue order visits, dedups and
-        // reports in the order a node-at-a-time BFS would.
-        while !queue.is_empty() {
-            // Room for every file this level references, made once.
-            let level_files = queue.iter().flat_map(|(_, indexed)| indexed.iter());
-            report.files.reserve(
-                level_files
-                    .filter(|target| matches!(target, IndexTarget::File(_)))
-                    .count(),
-            );
-            for (current, indexed) in queue.drain(..) {
-                // `visited` admits each node once, so a duplicate hit can
-                // only come from this node's own value list.
-                let node_hits = report.files.len();
-                for target in indexed.iter() {
-                    match target {
-                        IndexTarget::File(file) => {
-                            // `current` is the MSD the file is stored under; it
-                            // matches the original query iff the query covers it.
-                            if query.covers(&current)
-                                && !report.files[node_hits..]
-                                    .iter()
-                                    .any(|hit| *hit.file == **file)
-                            {
-                                report.files.push(FileHit {
-                                    msd: current.clone(),
-                                    file: String::from(&**file),
-                                });
-                            }
-                        }
-                        IndexTarget::Query(q) => {
-                            if visited.insert(q.clone()) {
-                                children.push(q.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            if children.is_empty() {
-                break;
-            }
-            report.interactions += children.len() as u32;
-            report.rounds += 1;
-            self.lookup_many_bypassing_cache(children, keys, |child, reply| match reply {
-                Some(indexed) => queue.push_back((child, indexed)),
-                None => report.completeness.abandoned += 1,
-            })?;
-        }
-
-        let delta = self.retry_stats;
-        report.completeness.attempts = delta.attempts - retry_before.attempts;
-        report.completeness.retries = delta.retries - retry_before.retries;
-        report.completeness.backoff_ms = delta.backoff_ms - retry_before.backoff_ms;
-        Ok(report)
+        self.state.memo.rotate();
+        self.search.start(&mut self.state, query);
+        self.driver.drive(&mut self.state, &mut self.search)
     }
 
     /// Removes a published file and cleans up after it ("when deleting
@@ -1377,117 +599,184 @@ impl<D: Dht> IndexService<D> {
         file: &str,
         scheme: &dyn IndexScheme,
     ) -> Result<Query, IndexError> {
-        if self.dht.is_empty() {
-            return Err(IndexError::EmptyNetwork);
-        }
-        let msd = Query::most_specific_known(descriptor, &mut self.memo.consult());
-        let mut edges = self.write_edges(descriptor, &msd, scheme);
-        self.values.encode_write(file, &edges);
-        let shared = self.values.share();
-        // Taken out for the removals (their waves need `&mut self`) and
-        // put back emptied, even on error.
-        let mut scratch = std::mem::take(&mut self.cascade_scratch);
-        let mut wave = std::mem::take(&mut self.wave);
-        let result = self.remove_and_cascade(&msd, file, &shared, &edges, &mut scratch, &mut wave);
-        self.values.spans.clear();
-        scratch.clear();
-        self.cascade_scratch = scratch;
-        self.wave = wave.emptied();
-        edges.clear();
-        self.edges = edges;
-        result?;
-        self.metrics.incr("index.unpublish");
-        Ok(msd)
+        self.write((descriptor, file), scheme, false)
     }
 
-    /// [`unpublish`](Self::unpublish)'s removals: the file's `Remove`, the
-    /// purge of its shortcuts, then the cleanup of `edges`, pass by pass,
-    /// each wave built and read in `wave`. Every value removed is a slice
-    /// of `shared`, at its span in `self.values`.
-    fn remove_and_cascade(
+    /// A publish (`publish`) or an unpublish of `file`, described by
+    /// `descriptor`, under `scheme`.
+    fn write(
         &mut self,
-        msd: &Query,
-        file: &str,
-        shared: &Bytes,
-        edges: &[(Query, Query)],
-        scratch: &mut CascadeScratch,
-        wave: &mut Wave,
-    ) -> Result<(), IndexError> {
-        self.dht_execute(DhtOp::Remove {
-            key: self.memo.write_key(msd),
-            value: shared.slice(self.values.spans[0].clone()),
-        })?;
-        self.caches.purge(msd, file);
-
-        let CascadeScratch {
-            keys,
-            attempted,
-            pending,
-            removing,
-        } = scratch;
-        keys.extend(
-            edges
-                .iter()
-                .map(|(from, to)| (self.memo.write_key(from), self.memo.write_key(to))),
-        );
-        attempted.resize(edges.len(), false);
-        for &(_, to) in keys.iter() {
-            if !pending.contains(&to) {
-                pending.push(to);
-            }
+        article: (&Descriptor, &str),
+        scheme: &dyn IndexScheme,
+        publish: bool,
+    ) -> Result<Query, IndexError> {
+        if self.driver.dht.is_empty() {
+            return Err(IndexError::EmptyNetwork);
         }
-        while !pending.is_empty() {
-            wave.ops
-                .extend(pending.iter().map(|&key| DhtOp::GetDigest(key)));
-            self.dht_execute_many(wave);
-            if let Some(&failed) = wave.results.iter().find_map(|result| result.as_ref().err()) {
-                return Err(failed.into());
-            }
-            // Every edge not sent yet whose target read empty: a digest of
-            // no values. Any other answer keeps the edge.
-            let Wave { ops, results } = &mut *wave;
-            // Every read succeeded: `flatten` keeps them all, in order.
-            for (&target, read) in pending.iter().zip(results.drain(..).flatten()) {
-                if !matches!(read, DhtResponse::Digest { count: 0, .. }) {
-                    continue;
-                }
-                for (i, &(from, to)) in keys.iter().enumerate() {
-                    if to != target || attempted[i] {
-                        continue;
-                    }
-                    attempted[i] = true;
-                    removing.push(from);
-                    ops.push(DhtOp::Remove {
-                        key: from,
-                        value: shared.slice(self.values.spans[1 + i].clone()),
-                    });
-                }
-            }
-            pending.clear();
+        self.write
+            .start(&mut self.state, article, scheme, publish)?;
+        self.driver.drive(&mut self.state, &mut self.write)
+    }
 
-            self.dht_execute_many(wave);
-            // Only a removal that found its value can have emptied `from`,
-            // and only an edge's target is worth reading again.
-            for (&from, result) in removing.iter().zip(wave.results.drain(..)) {
-                let emptiable = keys.iter().any(|&(_, to)| to == from);
-                if result?.into_removed() && emptiable && !pending.contains(&from) {
-                    pending.push(from);
-                }
-            }
-            removing.clear();
-        }
-        Ok(())
+    /// One lookup step, answered cache-first with `use_cache`.
+    fn lookup(&mut self, query: &Query, use_cache: bool) -> Result<StepResponse, IndexError> {
+        self.state.memo.rotate();
+        let mut lookup = Lookup::new(&mut self.state, query, use_cache);
+        self.driver.drive(&mut self.state, &mut lookup)
     }
 }
 
-/// A search sub-lookup's outcome: `None` when it failed with a DHT fault
-/// even after retrying — the branch is abandoned, not the search; hard
-/// errors still propagate.
-fn or_abandoned<T>(result: Result<T, IndexError>) -> Result<Option<T>, IndexError> {
-    match result {
-        Ok(resp) => Ok(Some(resp)),
-        Err(IndexError::Dht(_)) => Ok(None),
-        Err(e) => Err(e),
+/// The substrate and the one code path that calls it: every machine's
+/// waves go through [`drive`](Self::drive), and only
+/// [`call`](Self::call) reaches the substrate.
+#[derive(Debug)]
+struct Driver<D> {
+    dht: D,
+    retry: RetryPolicy,
+    retry_rng: SplitMix64,
+    /// The ops of the wave being built; the substrate drains them.
+    ops: Vec<DhtOp>,
+    /// One result per op, in op order, once the wave has run.
+    results: Vec<Reply>,
+    /// Each op's kind, for trace events and retry tails.
+    kinds: Vec<&'static str>,
+    /// Each op's clone while a retry is possible (empty otherwise).
+    retained: Vec<Option<DhtOp>>,
+}
+
+impl<D: Dht> Driver<D> {
+    /// Runs `machine` to its end: each wave it asks for is sent under
+    /// the retry policy and its results handed back. The wave buffers
+    /// carry their capacity from wave to wave, never their contents, so
+    /// a warm wave allocates neither vector on a substrate that overrides
+    /// [`Dht::execute_many_into`].
+    fn drive<M: Machine>(&mut self, state: &mut State, machine: &mut M) -> M::Output {
+        loop {
+            if let Step::Done(output) = machine.next(state, &mut self.ops) {
+                return output;
+            }
+            self.run(state);
+            let output = machine.absorb(state, &mut self.results);
+            self.results.clear();
+            if let Some(output) = output {
+                return output;
+            }
+        }
+    }
+
+    /// Sends the wave in `ops` under the retry policy, leaving one result
+    /// per op in `results`. An empty wave sends nothing. The whole wave
+    /// goes to the substrate at once — on a networked substrate that is
+    /// one pipelined frame pair per routed member — and ops that failed
+    /// transiently then burn their remaining budget one at a time in op
+    /// order. Per-op retry accounting (`retry.*` stats and metrics, trace
+    /// events, the simulated backoff clock) is the unary sequence's, and
+    /// each op is cloned only while a further retry is actually possible.
+    fn run(&mut self, state: &mut State) {
+        if self.ops.is_empty() {
+            return;
+        }
+        let may_retry = self.retry.max_attempts > 1;
+        self.kinds.extend(self.ops.iter().map(DhtOp::kind));
+        if may_retry {
+            self.retained.extend(self.ops.iter().cloned().map(Some));
+        }
+        self.call(state, 1, 0..self.kinds.len());
+        for i in 0..self.kinds.len() {
+            let transient = match &self.results[i] {
+                Ok(_) => continue,
+                Err(e) => e.is_transient(),
+            };
+            if transient && may_retry {
+                self.results[i] = self.retry_tail(state, i);
+            } else {
+                state.gave_up();
+            }
+        }
+        self.kinds.clear();
+        self.retained.clear();
+    }
+
+    /// Continues op `i`'s retry loop after its first (batched) attempt
+    /// failed transiently. Entered only when the budget allows at least
+    /// one more attempt; the op is cloned only while yet another retry
+    /// could follow the attempt being sent.
+    fn retry_tail(&mut self, state: &mut State, i: usize) -> Reply {
+        let mut attempt = 1u32;
+        let mut pending = self.retained[i].take();
+        loop {
+            let delay = self.retry.backoff_ms(attempt, &mut self.retry_rng);
+            let stats = &mut state.retry_stats;
+            stats.backoff_ms = stats.backoff_ms.saturating_add(delay);
+            stats.retries += 1;
+            state.metrics.incr("retry.retries");
+            state.metrics.add("retry.backoff_ms", delay);
+            state.event(format_args!("backoff {delay}ms, retrying"));
+            attempt += 1;
+            let current = pending.take().expect("op retained while retries remain");
+            if attempt < self.retry.max_attempts {
+                pending = Some(current.clone());
+            }
+            self.ops.push(current);
+            self.call(state, attempt, i..i + 1);
+            match self.results.pop().expect("one result per op") {
+                Ok(resp) => return Ok(resp),
+                Err(e) if e.is_transient() && attempt < self.retry.max_attempts => {}
+                Err(e) => {
+                    state.gave_up();
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// The one call into the substrate, and its one accounting. The ops
+    /// in `ops` go as one wave — a single op through [`Dht::execute`], so
+    /// a unary exchange builds no batch, more through
+    /// [`Dht::execute_many_into`] — and their results are appended to
+    /// `results`. Each op, of kind `kinds[kinds]`, then counts one
+    /// attempt in [`RetryStats`] and `retry.attempts`, one `dht.ops` and
+    /// `dht.ops.{kind}`, a `dht.errors` if it failed, and its
+    /// `dht {kind} …` trace event (`attempt` numbers a failure). With
+    /// metrics on, the messages, lookups and hops the call moved go to
+    /// `dht.messages`, `dht.lookups` and `dht.hops`.
+    fn call(&mut self, state: &mut State, attempt: u32, kinds: Range<usize>) {
+        let start = self.results.len();
+        // The substrate's counters are read only while metrics are on,
+        // the one thing they are for.
+        let before = state.metrics.is_enabled().then(|| self.dht.stats());
+        if self.ops.len() == 1 {
+            let op = self.ops.pop().expect("one op");
+            self.results.push(self.dht.execute(op));
+        } else {
+            self.dht.execute_many_into(&mut self.ops, &mut self.results);
+        }
+        let called = self.kinds[kinds].iter().zip(&self.results[start..]);
+        let count = called.len() as u64;
+        state.retry_stats.attempts += count;
+        if let Some(before) = before {
+            let metrics = &state.metrics;
+            metrics.add("retry.attempts", count);
+            metrics.add("dht.ops", count);
+            for (kind, result) in called.clone() {
+                metrics.incr(kind_counter(OpFamily::Dht, kind));
+                if result.is_err() {
+                    metrics.incr("dht.errors");
+                }
+            }
+            let after = self.dht.stats();
+            metrics.add("dht.messages", after.messages - before.messages);
+            metrics.add("dht.lookups", after.lookups - before.lookups);
+            metrics.add("dht.hops", after.hops - before.hops);
+        }
+        if let Some(t) = &mut state.tracer {
+            for (kind, result) in called {
+                t.event(match result {
+                    Ok(resp) => format!("dht {kind} -> {}", describe_response(resp)),
+                    Err(e) => format!("dht {kind} attempt {attempt} -> {e}"),
+                });
+            }
+        }
     }
 }
 
@@ -1504,9 +793,11 @@ fn describe_response(resp: &DhtResponse) -> String {
 
 #[cfg(test)]
 mod tests {
+    use bytes::Bytes;
     use p2p_index_dht::{DhtStats, RingDht};
 
     use super::*;
+    use crate::memo::ReadMemo;
     use crate::scheme::{ComplexScheme, Fig4Scheme, FlatScheme, SimpleScheme};
 
     fn descriptor(first: &str, last: &str, title: &str, conf: &str, year: &str) -> Descriptor {
@@ -1565,7 +856,10 @@ mod tests {
         s.insert_mapping(conf.clone(), conf_2001.clone()).unwrap();
         s.unpublish(&descriptors[0], "file-0.pdf", &SimpleScheme)
             .unwrap();
-        assert!(s.memo.interned().is_empty(), "writes hash their keys once");
+        assert!(
+            s.state.memo.interned().is_empty(),
+            "writes hash their keys once"
+        );
 
         // A lookup adds the queries it steps through — the asker's query,
         // not a copy of it — and the query targets its reply names, as
@@ -1584,14 +878,14 @@ mod tests {
         let mut known: Vec<Query> = named(&conf_step);
         known.push(conf.clone());
         known.sort();
-        assert_eq!(s.memo.interned(), known.iter().collect::<Vec<_>>());
+        assert_eq!(s.state.memo.interned(), known.iter().collect::<Vec<_>>());
         assert_eq!(known.len(), 1 + 4);
         // conf_2001's reply names its 25 MSDs; asking conf again adds nothing.
         let step = s.lookup_step(&conf_2001).unwrap();
         known.extend(named(&step));
         s.lookup_step(&conf).unwrap();
         known.sort();
-        let interned = s.memo.interned();
+        let interned = s.state.memo.interned();
         assert_eq!(interned, known.iter().collect::<Vec<_>>());
         assert_eq!(interned.len(), 1 + 4 + 25);
         let held = |q: &Query| interned.iter().find(|k| **k == q).unwrap().canonical_text();
@@ -1621,9 +915,9 @@ mod tests {
         for q in std::iter::once(&msd).chain(edges.iter().map(|(from, _)| from)) {
             s.lookup_step(q).unwrap();
         }
-        let known = s.memo.query_count();
+        let known = s.state.memo.query_count();
         let held = |s: &IndexService<RingDht>, q: &Query| {
-            let interned = s.memo.interned();
+            let interned = s.state.memo.interned();
             let copy = interned
                 .iter()
                 .find(|k| **k == q)
@@ -1639,14 +933,14 @@ mod tests {
             }
             let published = s.publish(&read, "read.pdf", &SimpleScheme).unwrap();
             assert_eq!(published.canonical_text().as_ptr(), held(&s, &msd));
-            assert_eq!(s.memo.query_count(), known, "round {round}");
+            assert_eq!(s.state.memo.query_count(), known, "round {round}");
             for (i, d) in unread.iter().enumerate() {
                 s.unpublish(d, &format!("unread-{i}.pdf"), &SimpleScheme)
                     .unwrap();
             }
             let unpublished = s.unpublish(&read, "read.pdf", &SimpleScheme).unwrap();
             assert_eq!(unpublished.canonical_text().as_ptr(), held(&s, &msd));
-            assert_eq!(s.memo.query_count(), known, "round {round}");
+            assert_eq!(s.state.memo.query_count(), known, "round {round}");
         }
         // The writes took the keys the table kept: the store is what a
         // client that never read anything leaves.
@@ -2102,7 +1396,7 @@ mod tests {
         let n = s.dht().node_for(&key).unwrap();
         let to_file = IndexTarget::File("x.pdf".into());
         s.create_shortcuts(&[(n, q)], &to_file);
-        assert_eq!(s.caches.probe(n, &key), Some(to_file));
+        assert_eq!(s.state.caches.probe(n, &key), Some(to_file));
 
         s.dht_mut().failing = true;
         assert_eq!(
@@ -2112,7 +1406,7 @@ mod tests {
         let msd_key = IndexService::<Probe>::key_of(&Query::most_specific(&figure1()));
         assert!(s.dht().get(&msd_key).is_empty(), "the file is gone");
         assert!(
-            s.caches.probe(n, &key).is_none(),
+            s.state.caches.probe(n, &key).is_none(),
             "a shortcut still leads to the deleted file"
         );
     }
@@ -2214,7 +1508,7 @@ mod tests {
             for q in queries {
                 warm.search(&q.parse().unwrap()).unwrap();
             }
-            assert!(cold.memo.entry_count() == 0 && warm.memo.entry_count() > 0);
+            assert!(cold.state.memo.entry_count() == 0 && warm.state.memo.entry_count() > 0);
             let (cold_before, warm_before) = (*cold.traffic(), *warm.traffic());
             let cold_report = cold.search(&query).unwrap();
             let warm_report = warm.search(&query).unwrap();
@@ -2248,7 +1542,7 @@ mod tests {
             .collect();
         let populated = |memo: ReadMemo| {
             let mut s = service(CachePolicy::None);
-            s.memo = memo;
+            s.state.memo = memo;
             for (i, d) in articles.iter().enumerate() {
                 s.publish(d, format!("f{i}.pdf"), &SimpleScheme).unwrap();
             }
@@ -2289,12 +1583,12 @@ mod tests {
                 IndexService::<RingDht>::key_of(&msd)
             })
             .collect();
-        assert!(tiny.memo.query_count() <= 2 * TINY + 1);
-        assert!(tiny.memo.entry_count() <= 2 * TINY + 1);
-        assert_eq!(tiny.memo.read_op(keys[0]), DhtOp::Get(keys[0]));
+        assert!(tiny.state.memo.query_count() <= 2 * TINY + 1);
+        assert!(tiny.state.memo.entry_count() <= 2 * TINY + 1);
+        assert_eq!(tiny.state.memo.read_op(keys[0]), DhtOp::Get(keys[0]));
         let last = keys[keys.len() - 1];
         assert!(matches!(
-            tiny.memo.read_op(last),
+            tiny.state.memo.read_op(last),
             DhtOp::GetIfChanged { .. }
         ));
     }

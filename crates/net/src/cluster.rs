@@ -206,6 +206,14 @@ impl Dht for ClusterDht {
         self.client.execute_many(ops)
     }
 
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
+        self.client.execute_many_into(ops, results);
+    }
+
     fn node_for(&self, key: &Key) -> Option<NodeId> {
         self.client.node_for(key)
     }

@@ -40,7 +40,7 @@ use p2p_index_core::{
     CachePolicy, IndexScheme, IndexService, IndexTarget, SimpleScheme, StepResponse,
 };
 use p2p_index_dht::{Dht, DhtOp, DhtResponse, Key};
-use p2p_index_net::{LoopbackCluster, RemoteDht};
+use p2p_index_net::{ClusterDht, LoopbackCluster, RemoteDht, RemoteDhtConfig};
 use p2p_index_testkit::{allocs_during, Counting};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::Query;
@@ -176,6 +176,53 @@ fn a_warm_three_level_search_stays_inside_its_budget() {
     // read), a wave vector (+1) or an allocating `covers` (+12) moves it.
     assert_eq!(allocs, 13, "3-level search made {allocs} allocations");
     cluster.shutdown();
+}
+
+/// The allocations of a warm search over `dht`, on the three-level index
+/// of [`a_warm_three_level_search_stays_inside_its_budget`].
+fn warm_search_allocs<D: Dht>(dht: D) -> u64 {
+    let mut service = IndexService::new(dht, CachePolicy::None);
+    for i in 0..12 {
+        let xml = format!(
+            "<article><author><first>A{i}</first><last>L{i}</last></author>\
+             <title>T{i}</title><conf>ICDCS</conf><year>{}</year></article>",
+            2000 + i / 2
+        );
+        let descriptor = Descriptor::parse(&xml).expect("corpus XML parses");
+        service
+            .publish(&descriptor, format!("file-{i}.pdf"), &SimpleScheme)
+            .expect("publish on a healthy network");
+    }
+    let query: Query = "/article/conf/ICDCS".parse().expect("test query parses");
+    for _ in 0..3 {
+        service.search(&query).expect("search on a healthy network");
+    }
+    let (report, allocs) = allocs_during(|| service.search(&query));
+    assert_eq!(report.expect("healthy search").files.len(), 12);
+    allocs
+}
+
+#[test]
+fn a_cluster_substrate_runs_a_wave_in_the_services_kept_vectors() {
+    // `ClusterDht` is a `RemoteDht` that owns its cluster: its waves must
+    // cost what the client's do (13). It was 23 while it left
+    // `execute_many_into` to the trait default, which takes the service's
+    // op vector and has the client hand its round's result vector out for
+    // each wave, so both regrow.
+    let (cluster, client) = warm_cluster();
+    let remote = warm_search_allocs(client);
+    cluster.shutdown();
+    let cluster = LoopbackCluster::start_replicated_ring(5, 3, 2).expect("loopback cluster");
+    let config = RemoteDhtConfig {
+        replicas: 3,
+        read_quorum: 2,
+        write_quorum: Some(2),
+    };
+    let owned = warm_search_allocs(ClusterDht::new(cluster, config));
+    assert_eq!(
+        owned, remote,
+        "a ClusterDht search made {owned}, a RemoteDht one {remote}"
+    );
 }
 
 #[test]

@@ -129,7 +129,13 @@ impl MetricsRegistry {
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock().expect("metrics registry poisoned");
-            *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+            // Looked up first: only a name's first touch allocates it.
+            match inner.counters.get_mut(name) {
+                Some(counter) => *counter += delta,
+                None => {
+                    inner.counters.insert(name.to_string(), delta);
+                }
+            }
         }
     }
 
@@ -137,11 +143,14 @@ impl MetricsRegistry {
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock().expect("metrics registry poisoned");
-            inner
-                .histograms
-                .entry(name.to_string())
-                .or_default()
-                .observe(value);
+            match inner.histograms.get_mut(name) {
+                Some(histogram) => histogram.observe(value),
+                None => {
+                    let mut histogram = Histogram::default();
+                    histogram.observe(value);
+                    inner.histograms.insert(name.to_string(), histogram);
+                }
+            }
         }
     }
 
