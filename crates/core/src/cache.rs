@@ -70,6 +70,7 @@ impl fmt::Display for CachePolicy {
 
 #[derive(Debug, Clone)]
 struct Slot {
+    key: Key,
     target: IndexTarget,
     last_used: u64,
 }
@@ -87,16 +88,20 @@ struct Slot {
 /// most recently confirmed descriptor and responses stay small.
 #[derive(Debug, Clone, Default)]
 pub struct ShortcutCache {
-    slots: HashMap<Key, Slot>,
+    /// The cached shortcuts, in no order: an eviction moves the last slot
+    /// into the evicted one's place.
+    slots: Vec<Slot>,
+    /// Where each cached key's slot sits in `slots`.
+    index: HashMap<Key, u32>,
     capacity: Option<usize>,
-    /// Whether the map has room for twice the capacity, made when the
+    /// Whether the index has room for twice the capacity, made when the
     /// cache first fills. A full cache evicts a key for each new one, and
-    /// the slots its evictions free wear the map's room down; a map that
+    /// the entries its evictions free wear the map's room down; a map that
     /// holds no more than half of what it has room for then rehashes in
     /// place, where a smaller one would grow. So a full cache allocates
     /// nothing however long it churns, and whether it grows no longer
     /// hangs on the map's random hash seed. A cache that never fills (most
-    /// of a large network's) keeps the small map it grew to.
+    /// of a large network's) keeps the small index it grew to.
     roomy: bool,
     clock: u64,
     metrics: MetricsRegistry,
@@ -151,7 +156,8 @@ impl ShortcutCache {
             return false;
         }
         self.clock += 1;
-        if let Some(slot) = self.slots.get_mut(&key) {
+        if let Some(&at) = self.index.get(&key) {
+            let slot = &mut self.slots[at as usize];
             slot.last_used = self.clock;
             if slot.target == target {
                 self.metrics.incr("cache.insert.unchanged");
@@ -163,25 +169,23 @@ impl ShortcutCache {
         }
         if let Some(cap) = self.capacity {
             while self.slots.len() >= cap {
-                let evict = self
-                    .slots
-                    .iter()
-                    .min_by_key(|(_, s)| s.last_used)
-                    .map(|(k, _)| *k)
+                let evict = (0..self.slots.len())
+                    .min_by_key(|&at| self.slots[at].last_used)
                     .expect("cache is non-empty");
-                self.slots.remove(&evict);
+                self.remove_at(evict);
                 self.metrics.incr("cache.evictions");
             }
+            // The slots take all the room they will need at once.
+            self.slots.reserve_exact(cap - self.slots.len());
         }
-        self.slots.insert(
+        self.index.insert(key, self.slots.len() as u32);
+        self.slots.push(Slot {
             key,
-            Slot {
-                target,
-                last_used: self.clock,
-            },
-        );
+            target,
+            last_used: self.clock,
+        });
         if !self.roomy && self.capacity == Some(self.slots.len()) {
-            self.slots.reserve(self.slots.len());
+            self.index.reserve(self.slots.len());
             self.roomy = true;
         }
         self.metrics.incr("cache.insert.created");
@@ -195,7 +199,8 @@ impl ShortcutCache {
     pub fn get(&mut self, key: &Key) -> Option<&[IndexTarget]> {
         self.clock += 1;
         let clock = self.clock;
-        let hit = self.slots.get_mut(key).map(|slot| {
+        let hit = self.index.get(key).map(|&at| {
+            let slot = &mut self.slots[at as usize];
             slot.last_used = clock;
             std::slice::from_ref(&slot.target)
         });
@@ -209,7 +214,8 @@ impl ShortcutCache {
 
     /// Looks up without touching recency (for inspection).
     pub fn peek(&self, key: &Key) -> Option<&IndexTarget> {
-        self.slots.get(key).map(|slot| &slot.target)
+        let at = self.index.get(key)?;
+        Some(&self.slots[*at as usize].target)
     }
 
     /// Number of cached keys.
@@ -235,15 +241,32 @@ impl ShortcutCache {
     /// Removes every shortcut.
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.index.clear();
     }
 
     /// Drops every slot that points at `target`. Used to purge shortcuts
     /// that dangle after a file is unpublished.
     pub fn purge_target(&mut self, target: &IndexTarget) {
         let before = self.slots.len();
-        self.slots.retain(|_, slot| slot.target != *target);
+        let mut at = 0;
+        while at < self.slots.len() {
+            if self.slots[at].target == *target {
+                self.remove_at(at);
+            } else {
+                at += 1;
+            }
+        }
         self.metrics
             .add("cache.purged_slots", (before - self.slots.len()) as u64);
+    }
+
+    /// Drops the slot at `at`, the last slot taking its place.
+    fn remove_at(&mut self, at: usize) {
+        let gone = self.slots.swap_remove(at);
+        self.index.remove(&gone.key);
+        if let Some(moved) = self.slots.get(at) {
+            self.index.insert(moved.key, at as u32);
+        }
     }
 }
 

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use p2p_index_core::{
     CachePolicy, IndexScheme, IndexService, IndexTarget, ShortcutCache, SimpleScheme,
 };
-use p2p_index_dht::{Key, RingDht};
+use p2p_index_dht::{BalanceConfig, Dht, FaultyDht, Key, RingDht, SplitDht};
 use p2p_index_testkit::{allocs_during, Counting};
 use p2p_index_xmldoc::Descriptor;
 use p2p_index_xpath::{KnownQueries, Query};
@@ -182,4 +182,45 @@ fn a_full_lru_cache_churns_without_allocating() {
         assert_eq!(lru.len(), 30);
         assert_eq!(allocs, 0, "cache {cache}: 10 000 installs made {allocs}");
     }
+}
+
+/// Allocations of a warm three-level search (`/article/conf/ICDCS` → its
+/// conf+year entries → twelve MSDs → their files) through `dht`.
+fn warm_search_allocs<D: Dht>(dht: D) -> u64 {
+    let mut service = IndexService::new(dht, CachePolicy::None);
+    for i in 0..12 {
+        let xml = format!(
+            "<article><author><first>A{i}</first><last>L{i}</last></author>\
+             <title>T{i}</title><conf>ICDCS</conf><year>{}</year></article>",
+            2000 + i / 2
+        );
+        let descriptor = Descriptor::parse(&xml).expect("corpus XML parses");
+        service
+            .publish(&descriptor, format!("file-{i}.pdf"), &SimpleScheme)
+            .expect("publish on a healthy ring");
+    }
+    let query: Query = "/article/conf/ICDCS".parse().expect("test query parses");
+    for _ in 0..3 {
+        service.search(&query).expect("search on a healthy ring");
+    }
+    let (report, allocs) = allocs_during(|| service.search(&query));
+    assert_eq!(report.expect("healthy search").files.len(), 12);
+    allocs
+}
+
+#[test]
+fn a_wrapper_runs_a_wave_in_the_services_kept_vectors() {
+    // A loss-free `FaultyDht` and an observe-only `SplitDht` hand each
+    // wave to the ring whole, and the ring runs it in the service's kept
+    // vectors: 13 allocations, all three. It was 20, all three, while
+    // each left `execute_many_into` to the trait default, which takes the
+    // service's op vector and collects a fresh result vector, so both
+    // regrew on every wave.
+    let bare = warm_search_allocs(RingDht::with_named_nodes(64));
+    assert_eq!(bare, 13, "a warm search over the bare ring made {bare}");
+    let faulty = warm_search_allocs(FaultyDht::transparent(RingDht::with_named_nodes(64)));
+    assert_eq!(faulty, bare, "through FaultyDht {faulty}, bare {bare}");
+    let split = SplitDht::new(RingDht::with_named_nodes(64), BalanceConfig::observe_only());
+    let split = warm_search_allocs(split);
+    assert_eq!(split, bare, "through SplitDht {split}, bare {bare}");
 }

@@ -297,7 +297,7 @@ pub enum DhtResponse {
 impl DhtResponse {
     /// What a [`DhtOp::GetDigest`] of `key` answers when a [`DhtOp::Get`]
     /// of it would answer `values` — the one definition a store keeps it
-    /// by ([`NodeStore::seen`](crate::NodeStore::seen)) and a quorum
+    /// by ([`StoredValues::seen`](crate::StoredValues::seen)) and a quorum
     /// reader checks a replica's digest against the values another
     /// replica sent by.
     pub fn digest_of(key: &Key, values: &[Bytes]) -> DhtResponse {
@@ -307,12 +307,12 @@ impl DhtResponse {
     /// The `(count, sum)` pair of [`DhtResponse::digest_of`]: what a
     /// reader keeps to ask [`DhtOp::GetIfChanged`] with.
     pub fn seen_of(key: &Key, values: &[Bytes]) -> (u32, u64) {
-        let sum = digest::values_digest(digest::STORED, key, values.iter());
+        let sum = digest::values_digest(digest::STORED, key, values.iter().map(Bytes::as_ref));
         (values.len() as u32, sum)
     }
 
     /// The digest answer of a `(count, sum)` pair — a key's digest a store
-    /// kept on write ([`NodeStore::seen`](crate::NodeStore::seen)).
+    /// kept on write ([`StoredValues::seen`](crate::StoredValues::seen)).
     pub fn from_seen((count, sum): (u32, u64)) -> DhtResponse {
         DhtResponse::Digest { count, sum }
     }
@@ -321,14 +321,7 @@ impl DhtResponse {
     /// a [`DhtOp::Get`] of it would answer `values`: the digest alone when
     /// they still digest to `seen` and a copy of the list otherwise.
     pub fn if_changed(key: &Key, seen: (u32, u64), values: &[Bytes]) -> DhtResponse {
-        Self::if_changed_held(Self::seen_of(key, values), seen, values)
-    }
-
-    /// [`DhtResponse::if_changed`] for a store that keeps the digest of
-    /// each key's `values` on write (`held`): the pairs are compared, no
-    /// value is hashed, and the list is copied only when it changed.
-    pub fn if_changed_held(held: (u32, u64), seen: (u32, u64), values: &[Bytes]) -> DhtResponse {
-        if held == seen {
+        if Self::seen_of(key, values) == seen {
             Self::from_seen(seen)
         } else {
             DhtResponse::Values(values.to_vec())
@@ -494,7 +487,8 @@ pub trait Dht {
     /// The default hands `ops` to `execute_many` — the same batching and,
     /// for a fault-injecting wrapper, the same per-op draw order — and
     /// moves its results over, so only the caller's `results` capacity is
-    /// kept. The networked client overrides it.
+    /// kept. `RingDht`, the networked clients and both wrappers override
+    /// it.
     fn execute_many_into(
         &mut self,
         ops: &mut Vec<DhtOp>,

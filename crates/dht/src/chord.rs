@@ -62,7 +62,7 @@ use bytes::Bytes;
 use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId};
 use crate::key::{Key, KEY_BITS};
 use crate::ring::RingDht;
-use crate::storage::NodeStore;
+use crate::storage::{NodeStore, StoredValues};
 
 /// Length of each node's successor list (fault tolerance).
 const SUCCESSOR_LIST_LEN: usize = 4;
@@ -502,19 +502,19 @@ impl ChordNetwork {
     /// node asked — the routed node and, when it is not the owner and
     /// answered empty, the owner. Borrowed, with the digest the answering
     /// store keeps, so a digest read hashes nothing and only a `Values`
-    /// answer copies the list.
-    fn read(&self, key: &Key) -> (&[Bytes], (u32, u64)) {
+    /// answer copies the values.
+    fn read(&self, key: &Key) -> StoredValues<'_> {
         let Some(routed) = self.route(key) else {
-            return (&[], (0, 0));
+            return StoredValues::default();
         };
         let ask = |node: Key| {
             self.bump_messages(2); // fetch request + response
             self.store_of(&NodeId::from_key(node))
-                .map_or((&[][..], (0, 0)), |s| s.entry(key))
+                .map_or(StoredValues::default(), |s| s.get(key))
         };
         let held = ask(routed);
         match self.responsible_node(key) {
-            Some(owner) if owner != routed && held.0.is_empty() => ask(owner),
+            Some(owner) if owner != routed && held.is_empty() => ask(owner),
             _ => held,
         }
     }
@@ -537,11 +537,8 @@ impl Dht for ChordNetwork {
                 Ok(DhtResponse::Node(NodeId::from_key(owner)))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).1)),
-            DhtOp::GetIfChanged { key, seen } => {
-                let (values, held) = self.read(&key);
-                Ok(DhtResponse::if_changed_held(held, seen, values))
-            }
+            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).seen())),
+            DhtOp::GetIfChanged { key, seen } => Ok(self.read(&key).if_changed(seen)),
             // The one write: route (accounted), one request/ack pair, then
             // the owner's store.
             DhtOp::Put { key, .. } | DhtOp::Remove { key, .. } => {
@@ -561,7 +558,7 @@ impl Dht for ChordNetwork {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.read(key).0.to_vec()
+        self.read(key).to_bytes()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {

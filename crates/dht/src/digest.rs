@@ -2,7 +2,7 @@
 //! all of its users call:
 //!
 //! * every store keeps it per key, one pair at a time as each write lands
-//!   ([`NodeStore::seen`](crate::NodeStore::seen)), so a digest or
+//!   ([`StoredValues::seen`](crate::StoredValues::seen)), so a digest or
 //!   conditional read answers without hashing a value;
 //! * a replicated store adds and subtracts the same pair hashes per ring
 //!   arc to keep its repair digests
@@ -13,8 +13,6 @@
 //!   sum does not care how it was added up;
 //! * a quorum read compares it across replicas instead of shipping the
 //!   value list twice ([`DhtResponse::digest_of`](crate::DhtResponse::digest_of)).
-
-use bytes::Bytes;
 
 use crate::key::Key;
 
@@ -39,7 +37,7 @@ fn mix(state: u64, word: u64) -> u64 {
 /// and host-independent, not collision-resistant against an adversary (a
 /// collision costs one skipped repair of one bucket, or one read answered
 /// by one replica fewer than asked; never a value nobody holds).
-pub fn values_digest<'a>(class: u64, key: &Key, values: impl Iterator<Item = &'a Bytes>) -> u64 {
+pub fn values_digest<'a>(class: u64, key: &Key, values: impl Iterator<Item = &'a [u8]>) -> u64 {
     let keyed = keyed(class, key);
     values.fold(0u64, |sum, value| sum.wrapping_add(finish(keyed, value)))
 }

@@ -212,6 +212,24 @@ impl<D: Dht> Dht for FaultyDht<D> {
         Err(DhtError::Timeout)
     }
 
+    /// At loss 0 no op draws, so the wave goes to the wrapped substrate
+    /// whole, in the caller's kept vectors. Otherwise every op rolls its
+    /// fate before it is sent, so the wave runs op by op through
+    /// [`Dht::execute`]: the draw order of the unary sequence.
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
+        if self.loss > 0.0 {
+            results.extend(ops.drain(..).map(|op| self.execute(op)));
+            return;
+        }
+        self.fstats.attempts += ops.len() as u64;
+        self.metrics.add("fault.attempts", ops.len() as u64);
+        self.inner.execute_many_into(ops, results);
+    }
+
     fn node_for(&self, key: &Key) -> Option<NodeId> {
         self.inner.node_for(key)
     }

@@ -63,4 +63,4 @@ pub use key::{Key, KEY_BITS};
 pub use ring::RingDht;
 pub use sharded::{repair_bucket, BucketDigests, BucketSnapshot, ShardedDht, REPAIR_BUCKETS};
 pub use split::{BalanceConfig, NodeLoad, SplitDht};
-pub use storage::NodeStore;
+pub use storage::{NodeStore, StoredValues};

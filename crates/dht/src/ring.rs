@@ -25,7 +25,7 @@ use bytes::Bytes;
 use crate::api::{Dht, DhtError, DhtOp, DhtResponse, DhtStats, NodeId, PairCounters};
 use crate::key::Key;
 use crate::placement;
-use crate::storage::NodeStore;
+use crate::storage::{NodeStore, StoredValues};
 
 /// A consistent-hash ring with per-node multi-value stores.
 ///
@@ -87,16 +87,13 @@ impl RingDht {
         };
         // Take over (pred, id] from the current owner (our successor), both
         // resolved against the ring as it is *before* the join.
-        let mut store = NodeStore::new();
-        if !self.ids.is_empty() {
-            let len = self.ids.len();
-            let pred = self.ids[(at + len - 1) % len];
-            for (k, values) in self.stores[at % len].split_off_interval(&pred, &key) {
-                for v in values {
-                    store.put(k, v);
-                }
+        let store = match self.ids.len() {
+            0 => NodeStore::new(),
+            len => {
+                let pred = self.ids[(at + len - 1) % len];
+                self.stores[at % len].split_off_interval(&pred, &key)
             }
-        }
+        };
         self.ids.insert(at, key);
         self.stores.insert(at, store);
         true
@@ -111,8 +108,8 @@ impl RingDht {
         if let Some(succ) = placement::successor_index(&self.ids, id.key()) {
             let succ_store = &mut self.stores[succ];
             for (k, values) in store.iter() {
-                for v in values {
-                    succ_store.put(*k, v.clone());
+                for v in values.iter() {
+                    succ_store.put(*k, v);
                 }
             }
         }
@@ -176,7 +173,7 @@ impl RingDht {
             .expect("a write goes to a non-empty ring");
         let store = &mut self.stores[at];
         match write {
-            DhtOp::Put { key, value } => DhtResponse::Stored(store.put(key, value)),
+            DhtOp::Put { key, value } => DhtResponse::Stored(store.put(key, &value).is_some()),
             DhtOp::Remove { key, value } => {
                 DhtResponse::Removed(store.remove(&key, &value).is_some())
             }
@@ -184,17 +181,17 @@ impl RingDht {
         }
     }
 
-    /// The one read: the owner's values under `key`, borrowed, and their
-    /// digest as the store keeps it, accounted as one `get` pair. Every
-    /// read op answers from these: a digest or an unchanged conditional
-    /// read hashes nothing, and only a `Values` answer copies the list.
-    fn read(&self, key: &Key) -> (&[Bytes], (u32, u64)) {
+    /// The one read: the owner's values under `key`, borrowed with the
+    /// digest the store keeps, accounted as one `get` pair. Every read op
+    /// answers from these: a digest or an unchanged conditional read
+    /// hashes nothing, and only a `Values` answer copies the values.
+    fn read(&self, key: &Key) -> StoredValues<'_> {
         match placement::successor_index(&self.ids, key) {
             Some(at) => {
                 self.counters.record_pair("get", true);
-                self.stores[at].entry(key)
+                self.stores[at].get(key)
             }
-            None => (&[], (0, 0)),
+            None => StoredValues::default(),
         }
     }
 }
@@ -210,16 +207,24 @@ impl Dht for RingDht {
                 Ok(DhtResponse::Node(owner))
             }
             DhtOp::Get(key) => Ok(DhtResponse::Values(self.get(&key))),
-            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).1)),
-            DhtOp::GetIfChanged { key, seen } => {
-                let (values, held) = self.read(&key);
-                Ok(DhtResponse::if_changed_held(held, seen, values))
-            }
+            DhtOp::GetDigest(key) => Ok(DhtResponse::from_seen(self.read(&key).seen())),
+            DhtOp::GetIfChanged { key, seen } => Ok(self.read(&key).if_changed(seen)),
             write @ (DhtOp::Put { .. } | DhtOp::Remove { .. }) => {
                 self.counters.record_pair(write.kind(), true);
                 Ok(self.apply_write(write))
             }
         }
+    }
+
+    /// Op by op, as [`Dht::execute_many`] does, but in the caller's kept
+    /// vectors: a warm caller's wave allocates only what its replies
+    /// carry.
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
+        results.extend(ops.drain(..).map(|op| self.execute(op)));
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {
@@ -231,7 +236,7 @@ impl Dht for RingDht {
     }
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
-        self.read(key).0.to_vec()
+        self.read(key).to_bytes()
     }
 
     /// Every key lives on exactly one store, so this is each store's
@@ -241,7 +246,7 @@ impl Dht for RingDht {
             .stores
             .iter()
             .flat_map(NodeStore::iter)
-            .map(|(key, values)| (*key, values.to_vec()))
+            .map(|(key, values)| (*key, values.to_bytes()))
             .collect();
         all.sort_unstable_by_key(|(key, _)| *key);
         all

@@ -50,7 +50,6 @@
 //! [`ShardedDht::bucket_digests`] computes the same digests by sweeping the
 //! partition; it is the oracle the kept sums are tested against.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use bytes::Bytes;
@@ -87,7 +86,7 @@ fn fold_key<'a>(
     members: impl IntoIterator<Item = usize>,
     class: u64,
     key: &Key,
-    values: impl Iterator<Item = &'a Bytes>,
+    values: impl Iterator<Item = &'a [u8]>,
 ) {
     let mut members = members.into_iter().peekable();
     if members.peek().is_none() {
@@ -122,14 +121,15 @@ impl BucketSnapshot {
 /// One key-hash shard — one repair bucket's slice of the partition's
 /// store plus the replication tombstones shadowing it, consistent under
 /// one lock.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     store: NodeStore,
     /// Values deleted locally that a stale replica must not resurrect via
-    /// a repair push. Kept under the same lock as the store so a
+    /// a repair push: a store of the same kind, keeping
+    /// [`digest::DEAD`] sums. Kept under the same lock as the store so a
     /// tombstone check and the value it guards can never be observed in
     /// a torn state within a shard.
-    deleted: HashMap<Key, HashSet<Bytes>>,
+    deleted: NodeStore,
     /// `sums[arc]`: the digest of this shard's stored pairs and tombstones
     /// whose key's clockwise successor is ring member `arc`, kept on every
     /// write. Empty when the store has no ring.
@@ -137,20 +137,11 @@ struct Shard {
 }
 
 impl Shard {
-    /// `values` minus the ones tombstoned under `key`.
-    fn without_dead(&self, key: &Key, values: impl IntoIterator<Item = Bytes>) -> Vec<Bytes> {
-        let dead = self.deleted.get(key);
-        values
-            .into_iter()
-            .filter(|v| !dead.is_some_and(|d| d.contains(v)))
-            .collect()
-    }
-
     /// Stores `(key, value)`, copied, keeping the sum of its arc on `ring`
     /// if it is new: whether it was. The store hashes the pair once, for
     /// its key's kept digest, and the arc sum moves by that same hash.
-    fn store_pair(&mut self, ring: &[Key], key: Key, value: &Bytes) -> bool {
-        let stored = self.store.put_copied(key, value);
+    fn store_pair(&mut self, ring: &[Key], key: Key, value: &[u8]) -> bool {
+        let stored = self.store.put(key, value);
         if let Some(hash) = stored {
             self.keep(ring, &key, hash, true);
         }
@@ -172,19 +163,14 @@ impl Shard {
         };
     }
 
-    /// Recomputes every kept sum on `ring` from what the shard holds.
+    /// Recomputes every kept sum on `ring` from the per-key sums the
+    /// shard's two stores keep.
     fn rebuild_sums(&mut self, ring: &[Key]) {
         let mut sums = vec![0u64; ring.len()];
-        let mut add = |key: &Key, hash: u64| {
+        for (key, values) in self.store.iter().chain(self.deleted.iter()) {
             if let Some(arc) = placement::successor_index(ring, key) {
-                sums[arc] = sums[arc].wrapping_add(hash);
+                sums[arc] = sums[arc].wrapping_add(values.seen().1);
             }
-        };
-        for (key, values) in self.store.iter() {
-            add(key, values_digest(digest::STORED, key, values.iter()));
-        }
-        for (key, dead) in &self.deleted {
-            add(key, values_digest(digest::DEAD, key, dead.iter()));
         }
         self.sums = sums;
     }
@@ -251,8 +237,9 @@ impl ShardedDht {
         ring.dedup();
         let shards = std::array::from_fn(|_| {
             RwLock::new(Shard {
+                store: NodeStore::new(),
+                deleted: NodeStore::with_class(digest::DEAD),
                 sums: vec![0; ring.len()],
-                ..Shard::default()
             })
         });
         ShardedDht {
@@ -336,28 +323,20 @@ impl ShardedDht {
                 // replica that only vouches.
                 self.counters.record_pair("get", true);
                 let shard = self.read_shard(self.shard_of(&key));
-                Ok(DhtResponse::from_seen(shard.store.seen(&key)))
+                Ok(DhtResponse::from_seen(shard.store.get(&key).seen()))
             }
             DhtOp::GetIfChanged { key, seen } => {
                 // Compared with the kept digest under the read guard: the
                 // list is cloned only when it changed.
                 self.counters.record_pair("get", true);
                 let shard = self.read_shard(self.shard_of(&key));
-                let (values, held) = shard.store.entry(&key);
-                Ok(DhtResponse::if_changed_held(held, seen, values))
+                Ok(shard.store.get(&key).if_changed(seen))
             }
             DhtOp::Put { key, value } => {
                 self.counters.record_pair("put", true);
                 let mut shard = self.write_shard(self.shard_of(&key));
-                if let Some(dead) = shard.deleted.get_mut(&key) {
-                    let lifted = dead.remove(&value);
-                    if dead.is_empty() {
-                        shard.deleted.remove(&key);
-                    }
-                    if lifted {
-                        let hash = digest::pair_digest(digest::DEAD, &key, &value);
-                        shard.keep(&self.ring, &key, hash, false);
-                    }
+                if let Some(hash) = shard.deleted.remove(&key, &value) {
+                    shard.keep(&self.ring, &key, hash, false);
                 }
                 let stored = shard.store_pair(&self.ring, key, &value);
                 Ok(DhtResponse::Stored(stored))
@@ -370,10 +349,7 @@ impl ShardedDht {
                     shard.keep(&self.ring, &key, hash, false);
                 }
                 if !self.ring.is_empty() {
-                    let dead = shard.deleted.entry(key).or_default();
-                    if !dead.contains(&value) {
-                        dead.insert(Bytes::copy_from_slice(&value));
-                        let hash = digest::pair_digest(digest::DEAD, &key, &value);
+                    if let Some(hash) = shard.deleted.put(key, &value) {
                         shard.keep(&self.ring, &key, hash, true);
                     }
                 }
@@ -388,13 +364,9 @@ impl ShardedDht {
     /// The check and the store share one shard write guard, so a client
     /// remove cannot land between them and leave the pair both stored and
     /// tombstoned.
-    pub fn put_unless_dead(&self, key: Key, value: &Bytes) -> Option<bool> {
+    pub fn put_unless_dead(&self, key: Key, value: &[u8]) -> Option<bool> {
         let mut shard = self.write_shard(self.shard_of(&key));
-        if shard
-            .deleted
-            .get(&key)
-            .is_some_and(|dead| dead.contains(value))
-        {
+        if shard.deleted.get(&key).contains(value) {
             return None;
         }
         self.counters.record_pair("put", true);
@@ -436,20 +408,14 @@ impl ShardedDht {
         let mut digests = vec![[0u64; REPAIR_BUCKETS]; audiences];
         for (bucket, lock) in self.shards.iter().enumerate() {
             let shard = self.read_shard(lock);
-            for (key, values) in shard.store.iter() {
-                let class = digest::STORED;
-                fold_key(
-                    &mut digests,
-                    bucket,
-                    audience(key),
-                    class,
-                    key,
-                    values.iter(),
-                );
-            }
-            for (key, dead) in &shard.deleted {
-                let class = digest::DEAD;
-                fold_key(&mut digests, bucket, audience(key), class, key, dead.iter());
+            for (store, class) in [
+                (&shard.store, digest::STORED),
+                (&shard.deleted, digest::DEAD),
+            ] {
+                for (key, values) in store.iter() {
+                    let members = audience(key);
+                    fold_key(&mut digests, bucket, members, class, key, values.iter());
+                }
             }
         }
         digests
@@ -469,15 +435,17 @@ impl ShardedDht {
         let shard = self.read_shard(&self.shards[bucket]);
         for (key, values) in shard.store.iter() {
             if include(key) {
-                let kept = shard.without_dead(key, values.iter().cloned());
+                let dead = shard.deleted.get(key);
+                let mut kept = values.to_bytes();
+                kept.retain(|value| !dead.contains(value));
                 if !kept.is_empty() {
                     snapshot.live.push((*key, kept));
                 }
             }
         }
-        for (key, dead) in &shard.deleted {
+        for (key, dead) in shard.deleted.iter() {
             if include(key) {
-                snapshot.dead.push((*key, dead.iter().cloned().collect()));
+                snapshot.dead.push((*key, dead.to_bytes()));
             }
         }
         drop(shard);
@@ -499,7 +467,7 @@ impl ShardedDht {
         for (key, values) in entries {
             let store = &mut stores[repair_bucket(&key)];
             for value in values {
-                store.put(key, value);
+                store.put(key, &value);
             }
         }
         for (lock, store) in self.shards.iter().zip(stores) {
@@ -543,7 +511,8 @@ impl Dht for ShardedDht {
 
     fn get(&self, key: &Key) -> Vec<Bytes> {
         self.counters.record_pair("get", true);
-        self.read_shard(self.shard_of(key)).store.get(key).to_vec()
+        let shard = self.read_shard(self.shard_of(key));
+        shard.store.get(key).to_bytes()
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Bytes>)> {
@@ -551,7 +520,7 @@ impl Dht for ShardedDht {
         for lock in self.shards.iter() {
             let shard = self.read_shard(lock);
             let stored = shard.store.iter();
-            all.extend(stored.map(|(key, values)| (*key, values.to_vec())));
+            all.extend(stored.map(|(key, values)| (*key, values.to_bytes())));
         }
         all.sort_unstable_by_key(|(key, _)| *key);
         all
@@ -730,16 +699,14 @@ mod tests {
             "stored value must own its bytes"
         );
 
-        // The same value again is recognised before anything is copied:
-        // the resident value is still the first copy.
+        // The same value again is recognised as a duplicate (that it costs
+        // no allocation is pinned in `tests/alloc_budget.rs`).
         assert_eq!(dht.execute_shared(put()), Ok(DhtResponse::Stored(false)));
-        let again = Dht::get(&dht, &key);
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0].as_ptr(), stored[0].as_ptr());
+        assert_eq!(Dht::get(&dht, &key).len(), 1);
         assert_eq!(dht.total_values(), 1);
 
         // A replicated remove records a tombstone that owns its bytes too,
-        // and re-sending it (every repair pass does) keeps the first copy.
+        // and re-sending it (every repair pass does) records nothing new.
         let remove = || DhtOp::Remove {
             key,
             value: frame.slice(4096..4136),
@@ -755,7 +722,7 @@ mod tests {
             dht.execute_shared(remove()),
             Ok(DhtResponse::Removed(false))
         );
-        assert_eq!(tombstones(&dht)[0].1[0].as_ptr(), dead[0].1[0].as_ptr());
+        assert_eq!(tombstones(&dht), dead);
 
         // An unreplicated store owns what it stores as well.
         let plain = ShardedDht::with_default_shards(node());

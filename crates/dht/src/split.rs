@@ -341,15 +341,26 @@ impl<D: Dht> Dht for SplitDht<D> {
         }
     }
 
-    fn execute_many(&mut self, ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
+    fn execute_many(&mut self, mut ops: Vec<DhtOp>) -> Vec<Result<DhtResponse, DhtError>> {
+        let mut results = Vec::with_capacity(ops.len());
+        self.execute_many_into(&mut ops, &mut results);
+        results
+    }
+
+    fn execute_many_into(
+        &mut self,
+        ops: &mut Vec<DhtOp>,
+        results: &mut Vec<Result<DhtResponse, DhtError>>,
+    ) {
         // Fan-out keeps per-op state (get counts, rotation), so it runs
         // op by op.
         if !self.config.is_observe_only() {
-            return ops.into_iter().map(|op| self.execute(op)).collect();
+            results.extend(ops.drain(..).map(|op| self.execute(op)));
+            return;
         }
         // Observe-only: track load per op, then hand the whole batch to
         // the substrate so a networked inner keeps its pipelining.
-        for op in &ops {
+        for op in ops.iter() {
             match op {
                 DhtOp::Get(key) | DhtOp::GetDigest(key) | DhtOp::GetIfChanged { key, .. } => {
                     self.note(key, None)
@@ -359,7 +370,7 @@ impl<D: Dht> Dht for SplitDht<D> {
                 DhtOp::NodeFor(_) => {}
             }
         }
-        self.inner.execute_many(ops)
+        self.inner.execute_many_into(ops, results)
     }
 
     fn node_for(&self, key: &Key) -> Option<NodeId> {

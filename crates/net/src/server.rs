@@ -444,8 +444,22 @@ impl DhtServer {
 }
 
 impl Drop for DhtServer {
+    /// Stops the server, then frees its store on a short-lived thread.
+    /// The store is one allocation per key, of many sizes, and a thread
+    /// that frees them keeps the first few of each size in its allocator's
+    /// per-thread cache (glibc's tcache). A thread that lives on reuses
+    /// those chunks for what it allocates next, inside the heaps the
+    /// connection workers filled, and so keeps those heaps from shrinking;
+    /// a thread that exits hands its cache back.
     fn drop(&mut self) {
         self.halt();
+        if let Some(shared) = Arc::get_mut(&mut self.shared) {
+            let empty = ShardedDht::with_default_shards(shared.store.id());
+            let store = std::mem::replace(&mut shared.store, empty);
+            let _ = std::thread::Builder::new()
+                .spawn(move || drop(store))
+                .map(JoinHandle::join);
+        }
     }
 }
 

@@ -477,7 +477,7 @@ impl Simulation {
         for node in &nodes {
             if let Some(store) = dht.store_of(node) {
                 for (_key, values) in store.iter() {
-                    for v in values {
+                    for v in values.iter() {
                         if v.starts_with(b"Q:") {
                             index_entry_bytes += v.len() as u64;
                             index_entry_count += 1;

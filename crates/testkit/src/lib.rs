@@ -13,7 +13,8 @@
 //! [`damaged`] and [`spliced`] are how the parser-totality suites hurt a
 //! well-formed text; [`on_a_small_stack`] is where the depth-bomb tests
 //! run. [`Counting`] is the allocator the allocation-budget suites install
-//! to count what one thread allocates, and how many bytes it asks for.
+//! to count what one thread allocates, how many bytes it asks for, and how
+//! many of them it still holds.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -138,6 +139,7 @@ thread_local! {
     // neither allocates nor runs during thread teardown.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one request for `bytes` on this thread.
@@ -146,12 +148,18 @@ fn note(bytes: usize) {
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-/// The system allocator, counting each thread's allocations, and the
-/// bytes they request, apart.
+/// Counts `bytes` handed back on this thread.
+fn freed(bytes: usize) {
+    let _ = FREED.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// The system allocator, counting each thread's allocations, the bytes
+/// they request and the bytes it frees, apart.
 ///
 /// A test binary that pins allocation counts installs it itself —
 /// `#[global_allocator] static GLOBAL: Counting = Counting;` — and reads
-/// it through [`allocs_during`] and [`bytes_during`]. The counts are
+/// it through [`allocs_during`], [`bytes_during`] and
+/// [`live_bytes_during`]. The counts are
 /// thread-local, so server and helper threads, and other tests running in
 /// parallel, never touch them.
 pub struct Counting;
@@ -175,6 +183,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        freed(layout.size());
         // SAFETY: `ptr` and `layout` come from the caller, who guarantees
         // they describe a live block of this allocator; `System` is the
         // allocator that produced it.
@@ -182,6 +191,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        freed(layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -204,6 +214,19 @@ pub fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BYTES.with(Cell::get);
     let out = f();
     (out, BYTES.with(Cell::get) - before)
+}
+
+/// How many more bytes the calling thread holds on the heap after running
+/// `f` than before: what it requested minus what it freed, a reallocation
+/// counting its new size in and its old one out (negative when `f` frees
+/// more than it keeps). For a call that builds a structure and returns it,
+/// this is the structure's footprint before the allocator's rounding.
+/// Zero unless the binary installed [`Counting`].
+pub fn live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let live = || BYTES.with(Cell::get) as i64 - FREED.with(Cell::get) as i64;
+    let before = live();
+    let out = f();
+    (out, live() - before)
 }
 
 #[cfg(test)]
