@@ -335,6 +335,22 @@ mod tests {
     }
 
     #[test]
+    fn put_copied_owns_new_bytes_and_keeps_the_first_copy_of_a_duplicate() {
+        let mut s = NodeStore::new();
+        let k = Key::hash_of("k");
+        let frame = b("..v1v2..");
+        assert!(s.put(k, &frame[2..4]).is_some());
+        let first = s.get(&k).iter().next().expect("stored").as_ptr();
+        assert!(!frame.as_ptr_range().contains(&first));
+        assert!(s.put(k, &frame[2..4]).is_none());
+        assert!(s.put(k, b"v1").is_none());
+        assert_eq!(s.get(&k).iter().next().map(<[u8]>::as_ptr), Some(first));
+        assert!(s.put(k, &frame[4..6]).is_some());
+        assert_eq!(values(&s, &k), [b("v1"), b("v2")]);
+        assert_eq!(s.value_count(), 2);
+    }
+
+    #[test]
     fn values_leave_as_one_copy_that_owns_its_bytes() {
         let mut s = NodeStore::new();
         let k = Key::hash_of("k");
@@ -411,6 +427,50 @@ mod tests {
             Some(dead),
             "the class moves too"
         );
+    }
+
+    /// The kept `(count, sum)` of every key, in a store of either class,
+    /// equals the digest of the values it holds after each op.
+    #[test]
+    fn the_kept_digest_is_the_digest_of_the_values_after_every_op() {
+        for_each_case(|rng| {
+            let class = [digest::STORED, digest::DEAD][rng.gen_range(0..2usize)];
+            let keys: Vec<Key> = (0..6).map(Key::from_u64).collect();
+            let mut s = NodeStore::with_class(class);
+            for step in 0..rng.gen_range(1..80usize) {
+                let key = keys[rng.gen_range(0..keys.len())];
+                let value = format!("v{}", rng.gen_range(0..5u32)).into_bytes();
+                let pair = digest::pair_digest(class, &key, &value);
+                match rng.gen_range(0..5u32) {
+                    0 | 1 => {
+                        let new = !s.get(&key).contains(&value);
+                        assert_eq!(s.put(key, &value), new.then_some(pair));
+                    }
+                    2 => {
+                        let held = s.get(&key).contains(&value);
+                        assert_eq!(s.remove(&key, &value), held.then_some(pair));
+                    }
+                    3 => {
+                        for held in s.get(&key).to_bytes() {
+                            assert!(s.remove(&key, &held).is_some());
+                        }
+                    }
+                    _ => {
+                        let (from, to) = (rng.gen_range(0..6u64), rng.gen_range(0..6u64));
+                        let moved = s.split_off_interval(&Key::from_u64(from), &Key::from_u64(to));
+                        assert!(moved.iter().all(|(k, _)| !s.contains_key(k)));
+                    }
+                }
+                for key in &keys {
+                    let got = s.get(key);
+                    let sum = digest::values_digest(class, key, got.iter());
+                    let count = got.iter().count() as u32;
+                    assert_eq!(got.seen(), (count, sum), "step {step}: {key:?}");
+                }
+                let total: usize = keys.iter().map(|k| s.get(k).len()).sum();
+                assert_eq!(s.value_count(), total, "step {step}");
+            }
+        });
     }
 
     /// Every op against a per-key `Vec<Vec<u8>>` with set semantics, an
