@@ -62,8 +62,8 @@ pub mod traffic;
 pub use cache::{CachePolicy, ShortcutCache};
 pub use retry::{RetryPolicy, RetryStats};
 pub use scheme::{
-    BiblioFields, ComplexScheme, Fig4Scheme, FlatScheme, IndexScheme, InitialLetterScheme,
-    KeywordTitleScheme, SimpleScheme,
+    BiblioFields, ComplexScheme, EdgeSink, Fig4Scheme, FlatScheme, IndexScheme,
+    InitialLetterScheme, KeywordTitleScheme, SimpleScheme,
 };
 pub use service::{Completeness, FileHit, IndexError, IndexService, SearchReport, StepResponse};
 pub use target::{DecodeTargetError, IndexTarget};

@@ -21,14 +21,14 @@ use bytes::Bytes;
 use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key, NodeId};
 use p2p_index_obs::{MetricsRegistry, TraceRecorder};
 use p2p_index_xmldoc::Descriptor;
-use p2p_index_xpath::Query;
+use p2p_index_xpath::{Built, PackedQueries, Query, QueryRef};
 
 use crate::cache::{CachePolicy, NodeCaches};
 use crate::memo::ReadMemo;
 use crate::retry::RetryStats;
-use crate::scheme::IndexScheme;
+use crate::scheme::{IndexScheme, WriteEdges};
 use crate::service::{FileHit, IndexError, SearchReport, StepResponse};
-use crate::target::{encode_file_into, IndexTarget};
+use crate::target::{encode_file_into, encode_query_into, IndexTarget};
 use crate::traffic::Traffic;
 
 /// One op's result, as the substrate answers it.
@@ -60,7 +60,8 @@ pub(crate) trait Machine {
 
 /// Everything of the client the machines read and write: what it read,
 /// the nodes' shortcut caches, the traffic and load it counts, its retry
-/// counters, the write paths' encode buffer, metrics and tracer.
+/// counters, the write paths' encode and query buffers, metrics and
+/// tracer.
 #[derive(Debug, Default)]
 pub(crate) struct State {
     /// The per-node shortcut caches of §IV-D, under the service's policy.
@@ -76,6 +77,10 @@ pub(crate) struct State {
     /// The write paths' encode buffer: every value of a write wave is a
     /// slice of one shared copy of it.
     pub(crate) values: WaveValues,
+    /// The write paths' query buffer: each node query of a write's edges
+    /// that the memo lacks is packed here, not frozen
+    /// ([`WriteEdges`]). Empty between calls.
+    pub(crate) packed: PackedQueries,
     /// Observability sink (disabled by default).
     pub(crate) metrics: MetricsRegistry,
     /// Active lookup trace, if one is being recorded.
@@ -578,17 +583,19 @@ impl WaveValues {
         start..self.buf.len()
     }
 
-    /// Encodes the values of a write of `file` with `edges`: `spans[0]` is
-    /// the file's handle and `spans[1 + i]` edge `i`'s target. Edges
-    /// sharing a target share its span: schemes end several chains at the
-    /// MSD and fan queries into shared intermediate ones.
-    fn encode_write(&mut self, file: &str, edges: &[(Query, Query)]) {
+    /// Encodes the values of a write of `file` with `edges`, whose ends
+    /// are read through `packed`: `spans[0]` is the file's handle and
+    /// `spans[1 + i]` edge `i`'s target. Edges sharing a target share its
+    /// span: schemes end several chains at the MSD and fan queries into
+    /// shared intermediate ones.
+    fn encode_write(&mut self, file: &str, edges: &[(Built, Built)], packed: &PackedQueries) {
         let file_value = self.encode(|buf| encode_file_into(file, buf));
         self.spans.push(file_value);
         for (i, (_, to)) in edges.iter().enumerate() {
-            let span = match edges[..i].iter().position(|(_, earlier)| earlier == to) {
+            let to = to.view(packed);
+            let span = match edges[..i].iter().position(|(_, t)| t.view(packed) == to) {
                 Some(j) => self.spans[1 + j].clone(),
-                None => self.encode(|buf| IndexTarget::Query(to.clone()).encode_into(buf)),
+                None => self.encode(|buf| encode_query_into(to, buf)),
             };
             self.spans.push(span);
         }
@@ -604,7 +611,7 @@ impl WaveValues {
 
 /// `Err` unless `from` covers `to`: an index edge must keep the index's
 /// safety invariant.
-pub(crate) fn covering(from: &Query, to: &Query) -> Result<(), IndexError> {
+pub(crate) fn covering(from: QueryRef<'_>, to: QueryRef<'_>) -> Result<(), IndexError> {
     if from.covers(to) {
         return Ok(());
     }
@@ -634,14 +641,19 @@ enum At {
 /// way the write's values are slices of one shared buffer. Kept on the
 /// service with its edge vector and key lists; every one is empty
 /// between calls.
+///
+/// An edge's ends are the memo's queries or spans of `State::packed`,
+/// read as views: the MSD is the one query a write freezes, and only when
+/// the memo lacks it.
 #[derive(Debug, Default)]
 pub(crate) struct Write {
     /// The file's MSD, while a write runs.
     msd: Option<Query>,
     /// An unpublished file's handle, for the purge of its shortcuts.
     file: String,
-    /// The index edges of the write in progress.
-    edges: Vec<(Query, Query)>,
+    /// The index edges of the write in progress, their ends read through
+    /// `State::packed`.
+    edges: Vec<(Built, Built)>,
     /// One shared copy of the values: the file's handle and each distinct
     /// edge target, at their spans in `State::values`.
     shared: Option<Bytes>,
@@ -662,7 +674,9 @@ impl Write {
     /// Starts a publish (`publish`) or an unpublish of `file`, described
     /// by `descriptor`, under `scheme`. The MSD and the edges are built
     /// through the client's known queries without adding to them
-    /// (`ReadMemo::consult`), and the values encoded once, up front.
+    /// (`ReadMemo::consult`): the MSD frozen if the memo lacks it, every
+    /// other node query the memo lacks packed into `State::packed`
+    /// ([`WriteEdges`]). The values are encoded once, up front.
     ///
     /// # Errors
     ///
@@ -676,14 +690,20 @@ impl Write {
         publish: bool,
     ) -> Result<(), IndexError> {
         let msd = Query::most_specific_known(descriptor, &mut state.memo.consult());
-        scheme.index_edges_into(descriptor, &msd, &mut state.memo.consult(), &mut self.edges);
+        let mut sink = WriteEdges {
+            edges: &mut self.edges,
+            packed: &mut state.packed,
+        };
+        scheme.index_edges_into(descriptor, &msd, &mut state.memo.consult(), &mut sink);
+        let packed = &state.packed;
         if publish {
             let checked = self
                 .edges
                 .iter()
-                .try_for_each(|(from, to)| covering(from, to));
+                .try_for_each(|(from, to)| covering(from.view(packed), to.view(packed)));
             if checked.is_err() {
                 self.edges.clear();
+                state.packed.clear();
                 return checked;
             }
         } else {
@@ -691,7 +711,7 @@ impl Write {
         }
         self.msd = Some(msd);
         self.at = if publish { At::Install } else { At::File };
-        state.values.encode_write(file, &self.edges);
+        state.values.encode_write(file, &self.edges, packed);
         self.shared = Some(state.values.share());
         Ok(())
     }
@@ -719,6 +739,7 @@ impl Write {
             });
         }
         state.values.spans.clear();
+        state.packed.clear();
         self.shared = None;
         self.file.clear();
         self.edges.clear();
@@ -738,14 +759,16 @@ impl Machine for Write {
         let msd = self.msd.as_ref().expect("a write is running");
         match self.at {
             At::Install => {
-                let froms = self.edges.iter().map(|(from, _)| from);
-                for (i, query) in std::iter::once(msd).chain(froms).enumerate() {
-                    let (key, value) = (state.memo.write_key(query), self.value(state, i));
+                let froms = self.edges.iter().map(|(from, _)| from.view(&state.packed));
+                for (i, query) in std::iter::once(msd.view()).chain(froms).enumerate() {
+                    let key = state.memo.write_key(query.canonical_text());
+                    let value = self.value(state, i);
                     ops.push(DhtOp::Put { key, value });
                 }
             }
             At::File => {
-                let (key, value) = (state.memo.write_key(msd), self.value(state, 0));
+                let key = state.memo.write_key(msd.canonical_text());
+                let value = self.value(state, 0);
                 ops.push(DhtOp::Remove { key, value });
             }
             At::Read if self.pending.is_empty() => return Step::Done(self.finish(state, Ok(()))),
@@ -773,11 +796,9 @@ impl Machine for Write {
                 // whatever the cascade then does.
                 let msd = self.msd.as_ref().expect("a write is running");
                 state.caches.purge(msd, &self.file);
-                let memo = &state.memo;
-                let keys = self
-                    .edges
-                    .iter()
-                    .map(|(from, to)| (memo.write_key(from), memo.write_key(to)));
+                let (memo, packed) = (&state.memo, &state.packed);
+                let key = |end: &Built| memo.write_key(end.view(packed).canonical_text());
+                let keys = self.edges.iter().map(|(from, to)| (key(from), key(to)));
                 self.keys.extend(keys);
                 self.attempted.resize(self.edges.len(), false);
                 for &(_, to) in &self.keys {

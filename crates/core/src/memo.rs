@@ -239,11 +239,11 @@ impl ReadMemo {
         Consult(&self.queries)
     }
 
-    /// The DHT key of a query a write is about to write: the table's kept
-    /// key if it holds the query hashed, else `h(q)` computed for this
-    /// write alone. Adds nothing and moves nothing.
-    pub(crate) fn write_key(&self, query: &Query) -> Key {
-        let text = query.canonical_text();
+    /// The DHT key of a query a write is about to write, by its canonical
+    /// `text`: the table's kept key if it holds the query hashed, else
+    /// `h(q)` computed for this write alone. Adds nothing and moves
+    /// nothing.
+    pub(crate) fn write_key(&self, text: &str) -> Key {
         match self.queries.peek(text) {
             Some((_, Some(key))) => *key,
             _ => Key::hash_of(text),

@@ -34,13 +34,25 @@
 //!
 //! The interpreter builds each node query once per descriptor, in this
 //! thread's query draft, and asks a [`KnownQueries`] table for its text
-//! before freezing it ([`IndexScheme::index_edges_into`]): a writer passes
-//! the queries it has read, so a node query it holds costs no allocation.
+//! ([`IndexScheme::index_edges_into`]): a writer passes the queries it has
+//! read, so a node query it holds costs no allocation. What becomes of a
+//! query the table lacks, and where the edges go, is the [`EdgeSink`]'s
+//! to say. There are two, run by the same interpreter:
+//!
+//! - `Vec<(Query, Query)>`, the *freezing* sink, freezes each such query
+//!   into an `Arc` of its own — what [`IndexScheme::index_edges`] returns;
+//! - the *write* sink, which `publish` and `unpublish` use, packs each into
+//!   one buffer the service keeps ([`PackedQueries`]) and keeps its edges
+//!   as [`Built`] ends, read as views ([`QueryRef`]). A write only hashes
+//!   a node query and encodes it into a value, so it never freezes one:
+//!   the MSD it returns is the one query a write may allocate.
 
 use std::borrow::Cow;
 
 use p2p_index_xmldoc::{Descriptor, Element};
-use p2p_index_xpath::{CmpOp, KnownQueries, Query};
+#[cfg(doc)]
+use p2p_index_xpath::QueryRef;
+use p2p_index_xpath::{Built, CmpOp, KnownQueries, PackedQueries, Query, QuerySteps, TooDeep};
 
 /// The bibliographic fields a scheme indexes, borrowed from a descriptor.
 ///
@@ -65,9 +77,6 @@ pub struct BiblioFields<'a> {
 
 /// An author's `(first, last)` names.
 pub type Author<'a> = (Cow<'a, str>, Cow<'a, str>);
-
-/// An index edge `(q ; qᵢ)`.
-type Edge = (Query, Query);
 
 /// A [`Table`] row: an index edge `from → to` between two nodes.
 pub type Row = (Node, Node);
@@ -110,16 +119,17 @@ impl<'a> BiblioFields<'a> {
     /// `None`, with nothing built, when `node` is not a [`Node::Fields`]
     /// or the descriptor (or a missing `author`) lacks a field it needs.
     pub fn query(&self, node: Node, author: Option<&Author<'a>>) -> Option<Query> {
-        self.query_in(node, author, &mut ())
+        let steps = self.steps(node, author)?;
+        Some(Query::build_with(self.root, steps).expect("a field-set query nests four levels"))
     }
 
-    /// [`query`](Self::query), taken from `known` when it holds it.
-    fn query_in(
-        &self,
+    /// The builder steps of [`query`](Self::query)'s query, `None` when it
+    /// has none.
+    fn steps<'s>(
+        &'s self,
         node: Node,
-        author: Option<&Author<'a>>,
-        known: &mut dyn KnownQueries,
-    ) -> Option<Query> {
+        author: Option<&'s Author<'a>>,
+    ) -> Option<impl FnMut(&mut QuerySteps<'_>) + 's> {
         let Node::Fields(fields, needs) = node else {
             return None;
         };
@@ -134,21 +144,11 @@ impl<'a> BiblioFields<'a> {
         if bits(needs | fields).any(|i| values[i].is_none()) {
             return None;
         }
-        let query = Query::build_with_known(self.root, known, |query| {
+        Some(move |query: &mut QuerySteps<'_>| {
             for (path, value) in bits(fields).filter_map(|i| Some((PATHS[i], values[i]?))) {
                 query.value(path, value);
             }
-        });
-        Some(query.expect("a field-set query nests four levels"))
-    }
-
-    /// `/root[path op term]`: a transform node's query, taken from `known`
-    /// when it holds it.
-    fn cut(&self, path: &str, op: CmpOp, term: &str, known: &mut dyn KnownQueries) -> Query {
-        Query::build_with_known(self.root, known, |query| {
-            query.compare(path, op, term);
         })
-        .expect("a transform query nests three levels")
     }
 
     /// The title's words of at least `min_len` characters.
@@ -157,6 +157,103 @@ impl<'a> BiblioFields<'a> {
         words
             .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()))
             .filter(move |w| w.chars().count() >= min_len)
+    }
+}
+
+/// Where a scheme's edges go, and what becomes of a node query the
+/// writer's table of known queries lacks.
+///
+/// The freezing sink, `Vec<(Query, Query)>`, freezes every such query; a
+/// sink may instead pack them into a buffer it keeps (the write sink of
+/// `publish` and `unpublish`). A scheme that builds its own queries hands
+/// them over frozen: `sink.push(Built::Frozen(from), Built::Frozen(to))`.
+pub trait EdgeSink {
+    /// The node query `steps` builds under the root element `root`: the
+    /// copy `known` holds of its canonical text, else one the sink keeps
+    /// its own way — frozen, or packed into its buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`TooDeep`] if a constraint nested deeper than
+    /// [`MAX_DEPTH`](p2p_index_xpath::MAX_DEPTH).
+    fn build(
+        &mut self,
+        root: &str,
+        known: &mut dyn KnownQueries,
+        steps: &mut dyn FnMut(&mut QuerySteps<'_>),
+    ) -> Result<Built, TooDeep>;
+
+    /// Appends the edge `from → to`, unless the sink holds an edge between
+    /// the same two queries. Each end is [`Built::Frozen`] or came from
+    /// this sink's [`build`](Self::build).
+    fn push(&mut self, from: Built, to: Built);
+
+    /// Makes room for `additional` more edges.
+    fn reserve(&mut self, additional: usize);
+}
+
+/// The freezing sink: every node query `known` lacks is frozen, so an edge
+/// is a pair of queries.
+impl EdgeSink for Vec<(Query, Query)> {
+    fn build(
+        &mut self,
+        root: &str,
+        known: &mut dyn KnownQueries,
+        steps: &mut dyn FnMut(&mut QuerySteps<'_>),
+    ) -> Result<Built, TooDeep> {
+        Query::build_with_known(root, known, steps).map(Built::Frozen)
+    }
+
+    fn push(&mut self, from: Built, to: Built) {
+        let frozen = |end| match end {
+            Built::Frozen(query) => query,
+            Built::Packed(_) => unreachable!("the freezing sink packs nothing"),
+        };
+        let edge = (frozen(from), frozen(to));
+        if !self.contains(&edge) {
+            Vec::push(self, edge);
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+}
+
+/// The write sink: a node query the writer's table lacks is packed into
+/// `packed`, a buffer the writer keeps, and `edges` holds each edge's ends
+/// as [`Built`]s, read through [`Built::view`] with that buffer. Both are
+/// the writer's, kept from call to call, so a warm write builds its edges
+/// without allocating.
+pub(crate) struct WriteEdges<'w> {
+    pub(crate) edges: &'w mut Vec<(Built, Built)>,
+    pub(crate) packed: &'w mut PackedQueries,
+}
+
+impl EdgeSink for WriteEdges<'_> {
+    fn build(
+        &mut self,
+        root: &str,
+        known: &mut dyn KnownQueries,
+        steps: &mut dyn FnMut(&mut QuerySteps<'_>),
+    ) -> Result<Built, TooDeep> {
+        Query::pack_with_known(root, known, self.packed, steps)
+    }
+
+    fn push(&mut self, from: Built, to: Built) {
+        let packed = &*self.packed;
+        let same = |a: &Built, b: &Built| a.view(packed) == b.view(packed);
+        let held = self
+            .edges
+            .iter()
+            .any(|(f, t)| same(f, &from) && same(t, &to));
+        if !held {
+            self.edges.push((from, to));
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.edges.reserve(additional);
     }
 }
 
@@ -170,25 +267,28 @@ pub trait IndexScheme {
     fn name(&self) -> &str;
 
     /// The query-to-query edges to install for `descriptor`, whose MSD is
-    /// `msd`, appended to `edges` — a vector the caller keeps from call to
+    /// `msd`, pushed into `edges` — a sink the caller keeps from call to
     /// call, holding no edge of another descriptor. Chains must terminate
     /// at `msd` for the file to be reachable.
     ///
-    /// Every node query is taken from `known` when it holds the query's
-    /// canonical text, and frozen otherwise: the same edges, in the same
-    /// order, whatever `known` holds. `publish` and `unpublish` pass the
-    /// client's known queries, so an index query the client has read is
-    /// not built again.
+    /// Every node query is built through the sink
+    /// ([`EdgeSink::build`]): taken from `known` when it holds the query's
+    /// canonical text, and frozen or packed otherwise — the same edges, in
+    /// the same order, whatever `known` holds and whichever the sink.
+    /// `publish` and `unpublish` pass the client's known queries and the
+    /// write sink, so an index query the client has read is not built
+    /// again, and one it has not is packed, not frozen.
     fn index_edges_into(
         &self,
         descriptor: &Descriptor,
         msd: &Query,
         known: &mut dyn KnownQueries,
-        edges: &mut Vec<(Query, Query)>,
+        edges: &mut dyn EdgeSink,
     );
 
-    /// [`index_edges_into`](Self::index_edges_into) a new vector, every
-    /// query built anew (the table that holds nothing, `()`).
+    /// [`index_edges_into`](Self::index_edges_into) a new vector, the
+    /// freezing sink: every query built anew (the table that holds
+    /// nothing, `()`) and frozen.
     fn index_edges(&self, descriptor: &Descriptor, msd: &Query) -> Vec<(Query, Query)> {
         let mut edges = Vec::new();
         self.index_edges_into(descriptor, msd, &mut (), &mut edges);
@@ -291,12 +391,12 @@ pub const FIG4: Table = Table { name: "fig4-hierarchical", rows: &[
     (CONF, CONF_YEAR), (YEAR, CONF_YEAR), (CONF_YEAR, MSD),
 ]};
 
-/// The interpreter: appends the edges of `rows` for `descriptor` to
-/// `edges`, reserving a slot per row and author (per word for a keyword
+/// The interpreter: pushes the edges of `rows` for `descriptor` into
+/// `sink`, reserving a slot per row and author (per word for a keyword
 /// row) — a fallback edge takes the slot of a dropped row out of its node.
-/// Every node query is taken from `known` or frozen.
+/// Every node query is built through the sink, from `known` if it holds it.
 fn run(
-    edges: &mut Vec<Edge>,
+    sink: &mut dyn EdgeSink,
     descriptor: &Descriptor,
     msd: &Query,
     rows: &[Row],
@@ -308,11 +408,12 @@ fn run(
         Node::Keywords(n) => f.keywords(n).count(),
         _ => turns,
     };
-    edges.reserve(rows.iter().map(room).sum());
+    sink.reserve(rows.iter().map(room).sum());
     let mut nodes = Nodes {
         f: &f,
         msd,
         known,
+        sink,
         author: None,
         built: Default::default(),
         emitted: [0; 2],
@@ -325,7 +426,7 @@ fn run(
         let last = turn + 1 == turns;
         for (k, &(from, to)) in rows.iter().enumerate() {
             if last || from.per_author() || to.per_author() {
-                nodes.row(rows, k, last, edges);
+                nodes.row(rows, k, last);
             }
         }
     }
@@ -338,46 +439,67 @@ fn run(
 struct Nodes<'f, 'a> {
     f: &'f BiblioFields<'a>,
     msd: &'f Query,
-    /// Where a node query is taken from before it is frozen.
+    /// Where a node query is taken from before the sink keeps it.
     known: &'f mut dyn KnownQueries,
+    /// What builds the node queries the table lacks, and takes the edges.
+    sink: &'f mut dyn EdgeSink,
     author: Option<Author<'a>>,
-    built: [[Option<Option<Query>>; 32]; 2],
+    built: [[Option<Option<Built>>; 32]; 2],
     emitted: [u32; 2],
 }
 
 impl Nodes<'_, '_> {
     /// A present node's query; a keyword node's are built by [`Nodes::row`].
-    fn get(&mut self, node: Node) -> Option<Query> {
+    fn get(&mut self, node: Node) -> Option<Built> {
+        let Nodes {
+            f,
+            known,
+            sink,
+            author,
+            built,
+            ..
+        } = self;
         let slot = match node {
-            Node::Fields(bits, _) => &mut self.built[node.per_author() as usize][bits as usize],
-            Node::Msd => return Some(self.msd.clone()),
+            Node::Fields(bits, _) => &mut built[node.per_author() as usize][bits as usize],
+            Node::Msd => return Some(Built::Frozen(self.msd.clone())),
             Node::Initial(n) => {
-                let prefix: String = self.author.as_ref()?.1.chars().take(n).collect();
-                let cut = self
-                    .f
-                    .cut("author/last", CmpOp::StartsWith, &prefix, self.known);
-                return Some(cut);
+                let last = &author.as_ref()?.1;
+                let end = last.char_indices().nth(n).map_or(last.len(), |(at, _)| at);
+                let prefix = &last[..end];
+                return Some(cut(
+                    f,
+                    *known,
+                    *sink,
+                    "author/last",
+                    CmpOp::StartsWith,
+                    prefix,
+                ));
             }
             Node::Keywords(_) => return None,
         };
-        slot.get_or_insert_with(|| self.f.query_in(node, self.author.as_ref(), self.known))
-            .clone()
+        slot.get_or_insert_with(|| {
+            let mut steps = f.steps(node, author.as_ref())?;
+            let query = sink.build(f.root, *known, &mut steps);
+            Some(query.expect("a field-set query nests four levels"))
+        })
+        .clone()
     }
 
     /// Runs row `k`, then the fallback rule on its ends: a field node that
     /// is the source of some row but has no edge out, and that no later
     /// row mentions (nor a later author's turn, for an author-free node:
     /// `last` is false while one is to come), gets an edge to the MSD.
-    fn row(&mut self, rows: &[Row], k: usize, last: bool, edges: &mut Vec<Edge>) {
+    fn row(&mut self, rows: &[Row], k: usize, last: bool) {
         let (from, to) = rows[k];
         if let Some(to_query) = self.get(to) {
             if let Node::Keywords(n) = from {
-                for word in self.f.keywords(n) {
-                    let keyword = self.f.cut("title", CmpOp::Contains, word, self.known);
-                    push_edge(edges, keyword, to_query.clone());
+                let f = self.f;
+                for word in f.keywords(n) {
+                    let keyword = cut(f, self.known, self.sink, "title", CmpOp::Contains, word);
+                    self.sink.push(keyword, to_query.clone());
                 }
             } else if let Some(from_query) = self.get(from) {
-                push_edge(edges, from_query, to_query);
+                self.sink.push(from_query, to_query);
                 if let Node::Fields(bits, _) = from {
                     self.emitted[from.per_author() as usize] |= 1 << bits;
                 }
@@ -393,17 +515,26 @@ impl Nodes<'_, '_> {
                 && (last || node.per_author())
                 && !rows[k + 1..].iter().any(mentioned);
             if let Some(query) = fall_back.then(|| self.get(node)).flatten() {
-                push_edge(edges, query, self.msd.clone());
+                self.sink.push(query, Built::Frozen(self.msd.clone()));
             }
         }
     }
 }
 
-fn push_edge(edges: &mut Vec<Edge>, from: Query, to: Query) {
-    let edge = (from, to);
-    if !edges.contains(&edge) {
-        edges.push(edge);
-    }
+/// `/root[path op term]`: a transform node's query, built through `sink`
+/// from `known` if it holds it.
+fn cut(
+    f: &BiblioFields<'_>,
+    known: &mut dyn KnownQueries,
+    sink: &mut dyn EdgeSink,
+    path: &str,
+    op: CmpOp,
+    term: &str,
+) -> Built {
+    sink.build(f.root, known, &mut |query| {
+        query.compare(path, op, term);
+    })
+    .expect("a transform query nests three levels")
 }
 
 /// The *simple* scheme of Fig. 8: the [`SIMPLE`] table.
@@ -434,7 +565,7 @@ macro_rules! table_schemes {
                 descriptor: &Descriptor,
                 msd: &Query,
                 known: &mut dyn KnownQueries,
-                edges: &mut Vec<(Query, Query)>,
+                edges: &mut dyn EdgeSink,
             ) {
                 run(edges, descriptor, msd, $table.rows, known);
             }
@@ -491,7 +622,7 @@ impl<S: IndexScheme> IndexScheme for InitialLetterScheme<S> {
         descriptor: &Descriptor,
         msd: &Query,
         known: &mut dyn KnownQueries,
-        edges: &mut Vec<(Query, Query)>,
+        edges: &mut dyn EdgeSink,
     ) {
         self.0.index_edges_into(descriptor, msd, known, edges);
         run(
@@ -551,7 +682,7 @@ impl<S: IndexScheme> IndexScheme for KeywordTitleScheme<S> {
         descriptor: &Descriptor,
         msd: &Query,
         known: &mut dyn KnownQueries,
-        edges: &mut Vec<(Query, Query)>,
+        edges: &mut dyn EdgeSink,
     ) {
         self.0.index_edges_into(descriptor, msd, known, edges);
         run(
@@ -950,15 +1081,17 @@ mod tests {
             descriptor: &Descriptor,
             msd: &Query,
             _known: &mut dyn KnownQueries,
-            edges: &mut Vec<(Query, Query)>,
+            edges: &mut dyn EdgeSink,
         ) {
-            edges.extend(FlatScheme.index_edges(descriptor, msd));
+            for (from, to) in FlatScheme.index_edges(descriptor, msd) {
+                edges.push(Built::Frozen(from), Built::Frozen(to));
+            }
         }
     }
 
-    #[test]
-    fn edges_built_through_a_table_are_the_plain_edges_with_the_tables_copies() {
-        use p2p_index_dht::SplitMix64;
+    /// The presence shapes and 200 corpus articles, some with a second
+    /// author.
+    fn shapes_and_corpus() -> Vec<Descriptor> {
         use p2p_index_workload::{Corpus, CorpusConfig};
 
         let corpus = Corpus::generate(CorpusConfig {
@@ -967,43 +1100,63 @@ mod tests {
             ..CorpusConfig::default()
         });
         let sample = corpus.articles().iter().map(|a| a.descriptor());
-        let descriptors: Vec<Descriptor> = presence_shapes().into_iter().chain(sample).collect();
-        // Whether every query a scheme builds goes through the table:
-        // `ByHand` builds its own, so only its texts are compared.
-        let schemes: [(&dyn IndexScheme, bool); 8] = [
+        presence_shapes().into_iter().chain(sample).collect()
+    }
+
+    /// The four tables, both decorators, and `ByHand` bare and decorated,
+    /// each with whether every query it builds goes through the table:
+    /// `ByHand` builds its own.
+    fn through_tables() -> [(&'static dyn IndexScheme, bool); 8] {
+        [
             (&SimpleScheme, true),
             (&FlatScheme, true),
             (&ComplexScheme, true),
             (&Fig4Scheme, true),
-            (&InitialLetterScheme::new(SimpleScheme, 1), true),
-            (&KeywordTitleScheme::new(ComplexScheme, 4), true),
+            (&InitialLetterScheme(SimpleScheme, 1), true),
+            (&KeywordTitleScheme(ComplexScheme, 4), true),
             (&ByHand, false),
-            (&InitialLetterScheme::new(ByHand, 2), false),
-        ];
-        // One text buffer is one `Arc`: the buffer lives inside it.
-        let same = |a: &Query, b: &Query| std::ptr::eq(a.canonical_text(), b.canonical_text());
-        let texts = |edges: &[Edge]| -> Vec<(String, String)> {
+            (&InitialLetterScheme(ByHand, 2), false),
+        ]
+    }
+
+    /// A seeded random subset of `msd` and the queries of `edges`, each
+    /// held as a copy of its own.
+    fn hold_some(
+        rng: &mut p2p_index_dht::SplitMix64,
+        msd: &Query,
+        edges: &[(Query, Query)],
+    ) -> Held {
+        let mut held = Held::default();
+        let queries = edges.iter().flat_map(|(f, t)| [f, t]);
+        for q in std::iter::once(msd).chain(queries) {
+            if rng.gen_bool(0.5) {
+                let copy: Query = q.canonical_text().parse().unwrap();
+                held.0.insert(q.canonical_text().to_string(), copy);
+            }
+        }
+        held
+    }
+
+    /// One text buffer is one `Arc`: the buffer lives inside it.
+    fn same(a: &Query, b: &Query) -> bool {
+        std::ptr::eq(a.canonical_text(), b.canonical_text())
+    }
+
+    #[test]
+    fn edges_built_through_a_table_are_the_plain_edges_with_the_tables_copies() {
+        let texts = |edges: &[(Query, Query)]| -> Vec<(String, String)> {
             let text = |q: &Query| q.canonical_text().to_string();
             edges.iter().map(|(f, t)| (text(f), text(t))).collect()
         };
-        let mut rng = SplitMix64::new(53);
+        let mut rng = p2p_index_dht::SplitMix64::new(53);
         let (mut edges, mut hits) = (Vec::new(), 0);
-        for d in &descriptors {
+        for d in &shapes_and_corpus() {
             let msd = Query::most_specific(d);
-            for (scheme, through_table) in schemes {
+            for (scheme, through_table) in through_tables() {
                 let name = scheme.name();
                 let plain = scheme.index_edges(d, &msd);
                 for _ in 0..2 {
-                    // A seeded random subset of the MSD and the edges'
-                    // queries, each held as a copy of its own.
-                    let mut held = Held::default();
-                    let queries = plain.iter().flat_map(|(f, t)| [f, t]);
-                    for q in std::iter::once(&msd).chain(queries) {
-                        if rng.gen_bool(0.5) {
-                            let copy: Query = q.canonical_text().parse().unwrap();
-                            held.0.insert(q.canonical_text().to_string(), copy);
-                        }
-                    }
+                    let mut held = hold_some(&mut rng, &msd, &plain);
                     let known_msd = Query::most_specific_known(d, &mut held);
                     assert_eq!(known_msd, msd, "{d}");
                     // The caller's kept vector, emptied between descriptors.
@@ -1025,6 +1178,82 @@ mod tests {
         }
         // 46 587 at seed 53: about half of what the schemes build.
         assert!(hits > 40_000, "only {hits} hits");
+    }
+
+    #[test]
+    fn the_write_sink_emits_the_freezing_sinks_edges_and_packs_what_the_table_lacks() {
+        use crate::target::{encode_query_into, IndexTarget};
+        use p2p_index_dht::Key;
+
+        let mut rng = p2p_index_dht::SplitMix64::new(59);
+        // The writer's kept buffers, emptied between writes as `Write`
+        // empties them.
+        let (mut ends, mut packed) = (Vec::new(), PackedQueries::new());
+        let (mut encoded, mut plain_encoded) = (Vec::new(), Vec::new());
+        let (mut held_ends, mut packed_ends) = (0, 0);
+        for d in &shapes_and_corpus() {
+            let msd = Query::most_specific(d);
+            for (scheme, through_table) in through_tables() {
+                let name = scheme.name();
+                let plain = scheme.index_edges(d, &msd);
+                let mut held = hold_some(&mut rng, &msd, &plain);
+                ends.clear();
+                packed.clear();
+                let mut sink = WriteEdges {
+                    edges: &mut ends,
+                    packed: &mut packed,
+                };
+                scheme.index_edges_into(d, &msd, &mut held, &mut sink);
+                // The same edges, in the same order: the same texts, keys
+                // and encoded targets.
+                assert_eq!(ends.len(), plain.len(), "{name}: {d}");
+                for ((from, to), (plain_from, plain_to)) in ends.iter().zip(&plain) {
+                    let (from, to) = (from.view(&packed), to.view(&packed));
+                    assert_eq!(from.canonical_text(), plain_from.canonical_text(), "{name}");
+                    assert_eq!(to.canonical_text(), plain_to.canonical_text(), "{name}");
+                    assert_eq!(
+                        Key::hash_of(from.canonical_text()),
+                        Key::hash_of(plain_from.canonical_text())
+                    );
+                    encoded.clear();
+                    plain_encoded.clear();
+                    encode_query_into(to, &mut encoded);
+                    IndexTarget::Query(plain_to.clone()).encode_into(&mut plain_encoded);
+                    assert_eq!(encoded, plain_encoded, "{name}: {plain_to}");
+                    // A view reads what the frozen query does.
+                    assert_eq!(
+                        (from.size(), from.depth()),
+                        (plain_from.size(), plain_from.depth())
+                    );
+                    assert_eq!(from.covers(to), plain_from.covers(plain_to), "{name}");
+                }
+                // Only a query the table lacks is packed, and every other
+                // end through the table is its copy; the MSD is the
+                // caller's. `ByHand` hands its own queries over frozen.
+                for end in ends.iter().flat_map(|(f, t)| [f, t]) {
+                    let text = end.view(&packed).canonical_text();
+                    let copy = held.0.get(text);
+                    match end {
+                        Built::Frozen(q) if same(q, &msd) || !through_table => {}
+                        Built::Frozen(q) => {
+                            assert!(copy.is_some_and(|c| same(q, c)), "{name}: {q} froze");
+                            held_ends += 1;
+                        }
+                        Built::Packed(_) => {
+                            assert!(copy.is_none(), "{name}: {text} is held, yet packed");
+                            packed_ends += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // 14 922 held and 5 240 packed at seed 59, an end counted each
+        // time an edge names it: each query is held with probability one
+        // half, and the MSD (not counted) ends most chains.
+        assert!(
+            held_ends > 10_000 && packed_ends > 4_000,
+            "{held_ends} held, {packed_ends} packed"
+        );
     }
 
     /// The fields a node's query names: the MSD names them all.

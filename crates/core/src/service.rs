@@ -421,7 +421,7 @@ impl<D: Dht> IndexService<D> {
     ///
     /// [`IndexError::NotCovering`] unless `from ⊒ to`.
     pub fn insert_mapping(&mut self, from: Query, to: Query) -> Result<(), IndexError> {
-        covering(&from, &to)?;
+        covering(from.view(), to.view())?;
         IndexTarget::Query(to).encode_into(&mut self.state.values.buf);
         let put = DhtOp::Put {
             key: Self::key_of(&from),
@@ -1057,6 +1057,52 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, IndexError::NotCovering { .. }));
         assert!(err.to_string().contains("covering"));
+    }
+
+    /// A user-defined scheme with one edge, whose `from` does not cover its
+    /// `to`: the title query points at the conference query.
+    struct NotCoveringScheme;
+
+    impl IndexScheme for NotCoveringScheme {
+        fn name(&self) -> &str {
+            "not-covering"
+        }
+
+        fn index_edges_into(
+            &self,
+            _descriptor: &Descriptor,
+            _msd: &Query,
+            _known: &mut dyn p2p_index_xpath::KnownQueries,
+            edges: &mut dyn crate::EdgeSink,
+        ) {
+            let from: Query = "/article/title/TCP".parse().unwrap();
+            let to: Query = "/article/conf/SIGCOMM".parse().unwrap();
+            edges.push(
+                p2p_index_xpath::Built::Frozen(from),
+                p2p_index_xpath::Built::Frozen(to),
+            );
+        }
+    }
+
+    #[test]
+    fn a_publish_under_a_non_covering_scheme_sends_nothing() {
+        let mut s = service(CachePolicy::None);
+        let d = descriptor("John", "Smith", "TCP", "SIGCOMM", "1989");
+        let err = s.publish(&d, "x.pdf", &NotCoveringScheme).unwrap_err();
+        assert!(matches!(err, IndexError::NotCovering { .. }), "{err}");
+        assert_eq!(s.dht().stats().messages, 0, "nothing was sent");
+        assert_eq!(s.dht().total_keys(), 0, "nothing was stored");
+        // A valid publish afterwards installs exactly what it would on a
+        // fresh service: nothing of the refused write is left behind.
+        let msd = s.publish(&d, "x.pdf", &SimpleScheme).unwrap();
+        let mut fresh = service(CachePolicy::None);
+        assert_eq!(fresh.publish(&d, "x.pdf", &SimpleScheme).unwrap(), msd);
+        assert_eq!(s.dht().stats(), fresh.dht().stats());
+        assert_eq!(s.dht().total_keys(), fresh.dht().total_keys());
+        assert_eq!(s.dht().total_value_bytes(), fresh.dht().total_value_bytes());
+        let report = s.search(&"/article/conf/SIGCOMM".parse().unwrap()).unwrap();
+        assert_eq!(report.files.len(), 1);
+        assert!(s.state.packed.is_empty() && s.state.values.buf.is_empty());
     }
 
     #[test]

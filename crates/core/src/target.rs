@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use p2p_index_xpath::{parse_query, Query};
+use p2p_index_xpath::{parse_query, Query, QueryRef};
 
 /// One entry of a distributed index: the "right-hand side" of a mapping
 /// `(q ; target)`.
@@ -39,10 +39,7 @@ impl IndexTarget {
     /// through this.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            IndexTarget::Query(q) => {
-                buf.extend_from_slice(b"Q:");
-                buf.extend_from_slice(q.canonical_text().as_bytes());
-            }
+            IndexTarget::Query(q) => encode_query_into(q.view(), buf),
             IndexTarget::File(f) => encode_file_into(f, buf),
         }
     }
@@ -98,6 +95,14 @@ impl fmt::Display for IndexTarget {
 pub(crate) fn encode_file_into(file: &str, buf: &mut Vec<u8>) {
     buf.extend_from_slice(b"F:");
     buf.extend_from_slice(file.as_bytes());
+}
+
+/// Appends `Q:` + `query`'s canonical text to `buf`: the wire encoding
+/// of `IndexTarget::Query` for writers that hold the query as a view, so
+/// a write never freezes a query just to encode it.
+pub(crate) fn encode_query_into(query: QueryRef<'_>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(b"Q:");
+    buf.extend_from_slice(query.canonical_text().as_bytes());
 }
 
 impl From<Query> for IndexTarget {

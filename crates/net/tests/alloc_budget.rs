@@ -10,7 +10,9 @@
 //! lookup of a file's MSD, and one publish and unpublish of an article
 //! (the write path: its MSD, its index edges and their wave, which the
 //! client sends to every replica of each key itself), by a client that
-//! never read the article and by one that read its MSD and index queries.
+//! never read the article, by one that read its MSD and index queries,
+//! and by one that looked up only its MSD, as the benchmark's mixed
+//! cycle does.
 //!
 //! What a warm round is entitled to allocate is what it hands back — the
 //! result vector, one `Vec<Bytes>` per read (the one replica of its
@@ -28,7 +30,9 @@
 //! result vectors it keeps (`Dht::execute_many_into`). A write's values
 //! — an unpublish's file and all its remove waves included — are slices
 //! of one shared buffer, and the unpublish cascade reads digests, which
-//! own no heap, where it read lists.
+//! own no heap, where it read lists. A write freezes only the MSD it hands
+//! back, and only when the client has not read it: every other index
+//! query is the client's copy or packed into a buffer the service keeps.
 //!
 //! The count is thread-local, so server, repair and accept threads (and
 //! other tests running in parallel) never touch it.
@@ -287,43 +291,47 @@ fn a_warm_publish_and_unpublish_stay_inside_their_budgets() {
     let (again, unpublish) =
         allocs_during(|| service.unpublish(&descriptor, "fig-1.pdf", &SimpleScheme));
     assert_eq!(again.expect("unpublish on a healthy network"), msd);
-    // The client read nothing, so it builds every query. Measured 9 = the
-    // MSD (1: the frozen query's one buffer) + the scheme's edges (6: six
-    // index queries at 1 each, built in the thread's draft; the authors
-    // are walked from the descriptor and the edge vector is the
-    // service's, kept) + the wave's values (2: the file and the three
+    // The client read nothing, so it builds every query, but it freezes
+    // only the one it hands back. Measured 3 = the MSD (1: the frozen
+    // query's one buffer) + the wave's values (2: the file and the three
     // distinct targets — author+title, conf+year, the MSD — encoded into
-    // one buffer, of which each value is a slice: one shared copy). The op
-    // and result vectors are kept. It was 10 while the scheme collected
-    // the author list (+1); 24 while a frozen query was three allocations,
-    // its node array and text apart from its `Arc` (+2 for each of the 7
-    // queries); 33 while each distinct value was a buffer of its own (+6),
-    // the edge vector was built per call (+1) and the wave built its two
-    // vectors (+2); 45 while each index query was built in a
-    // `QueryBuilder` of its own (+12); 114 while every query was a pointer
-    // tree. Exact: one more allocation per built query is +7, a wave
-    // vector +1.
-    assert_eq!(publish, 9, "a warm publish made {publish} allocations");
-    // Measured 9 = the MSD (1) + the edges (6) + the values (2: the file's
-    // handle and the three distinct targets, encoded once into one buffer
-    // of which the file's remove and every remove wave take slices). The
-    // cascade's read waves ask each target's quorum for a digest, which
-    // owns no heap: pass 1 reads the two entries still holding the MSD,
-    // pass 2 the two it emptied, and no reply frame ships a value. It was
-    // 18 = the MSD (1) + the edges with a collected author list (7) + the
-    // file's handle in a buffer of its own (2) + the cascade (8: pass 1's
-    // read wave fetched its two entries, two value lists and the reply
-    // frame's shared buffer, 4, and each of the two remove waves encoded
-    // its entries into a buffer of its own, 2 + 2); 32 while a frozen query
-    // was three allocations (+2 for each of the 7 queries); 43 while each
-    // wave built its two vectors (+8), pass 2's two entries were a buffer
-    // each (+2) and the file's remove regrew the client's result vector,
-    // handed out with the wave before (+1); 55 with per-query builders
-    // (+12); 113 while the cascade re-read every edge's target in unary
-    // exchanges until a pass removed nothing, and 175 before that. Exact:
-    // one more wave vector is +1, a shipped entry +3.
+    // one buffer, of which each value is a slice: one shared copy). The
+    // scheme's six index queries are packed into the service's kept query
+    // buffer, not frozen, and hashed and encoded from there; the authors
+    // are walked from the descriptor, and the edge, op and result vectors
+    // are kept. It was 9 while each index query was frozen into an `Arc`
+    // of its own (+6); 10 while the scheme collected the author list
+    // (+1); 24 while a frozen query was three allocations, its node array
+    // and text apart from its `Arc` (+2 for each of the 7 queries); 33
+    // while each distinct value was a buffer of its own (+6), the edge
+    // vector was built per call (+1) and the wave built its two vectors
+    // (+2); 45 while each index query was built in a `QueryBuilder` of its
+    // own (+12); 114 while every query was a pointer tree. Exact: an index
+    // query frozen again is +1, a wave vector +1.
+    assert_eq!(publish, 3, "a warm publish made {publish} allocations");
+    // Measured 3 = the MSD (1) + the values (2: the file's handle and the
+    // three distinct targets, encoded once into one buffer of which the
+    // file's remove and every remove wave take slices). The six index
+    // queries are packed, as the publish packs them, and the cascade's
+    // `(from, to)` keys are hashed from the packed texts. Its read waves
+    // ask each target's quorum for a digest, which owns no heap: pass 1
+    // reads the two entries still holding the MSD, pass 2 the two it
+    // emptied, and no reply frame ships a value. It was 9 while each index
+    // query was frozen (+6); 18 = the MSD (1) + the edges with a collected
+    // author list (7) + the file's handle in a buffer of its own (2) + the
+    // cascade (8: pass 1's read wave fetched its two entries, two value
+    // lists and the reply frame's shared buffer, 4, and each of the two
+    // remove waves encoded its entries into a buffer of its own, 2 + 2);
+    // 32 while a frozen query was three allocations (+2 for each of the 7
+    // queries); 43 while each wave built its two vectors (+8), pass 2's
+    // two entries were a buffer each (+2) and the file's remove regrew the
+    // client's result vector, handed out with the wave before (+1); 55
+    // with per-query builders (+12); 113 while the cascade re-read every
+    // edge's target in unary exchanges until a pass removed nothing, and
+    // 175 before that. Exact: one more wave vector is +1, a shipped entry
+    // +3, an index query frozen +1.
     assert_eq!(
-        unpublish, 9,
+        unpublish, 3,
         "a warm unpublish made {unpublish} allocations"
     );
     cluster.shutdown();
@@ -364,19 +372,87 @@ fn a_write_of_what_the_client_read_builds_no_query_again() {
         published.canonical_text()
     ));
     assert_eq!(published, msd);
-    // The 9 and 9 of a client that read nothing, less 1 for each of the
-    // seven queries it holds: the MSD and the six index queries are the
-    // table's, with the keys it kept, so none is frozen or hashed again.
-    // What is left is each write's one shared value buffer (2). They were
-    // 3 and 11 while the scheme collected the author list (+1 each) and
-    // the unpublish fetched its cascade's entries and encoded its file's
-    // handle and each remove wave's entries apart (+8). They did not move
-    // when a frozen query went from three allocations to one: they freeze
-    // nothing. Exact: a query frozen again is +1.
+    // The 3 and 3 of a client that read nothing, less its MSD: the MSD
+    // and the six index queries are the table's, with the keys it kept,
+    // so none is packed, frozen or hashed again. What is left is each
+    // write's one shared value buffer (2). They were 3 and 11 while the
+    // scheme collected the author list (+1 each) and the unpublish fetched
+    // its cascade's entries and encoded its file's handle and each remove
+    // wave's entries apart (+8). They did not move when a frozen query
+    // went from three allocations to one, nor when the index queries the
+    // table lacks came to be packed: they freeze nothing. Exact: a query
+    // frozen again is +1.
     assert_eq!(publish, 2, "a publish of a read article made {publish}");
     assert_eq!(
         unpublish, 2,
         "an unpublish of a read article made {unpublish}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_client_that_looked_up_only_the_msd_writes_with_its_value_buffer_alone() {
+    // The benchmark's `cluster-mixed` writes: `P(p)` re-announces a stored
+    // article whose MSD the client has looked up (`M(p)`), and `U(h)`
+    // removes an article that was never published, whose MSD the client
+    // has looked up too (`M(h)`, which finds nothing). The client read no
+    // index query of either.
+    let (cluster, client) = warm_cluster();
+    let mut service = IndexService::new(client, CachePolicy::None);
+    let stored = Descriptor::parse(FIGURE_1).expect("Figure 1 parses");
+    let never = Descriptor::parse(
+        "<article><author><first>Ada</first><last>Byron</last></author>\
+         <title>Notes</title><conf>ICDCS</conf><year>2004</year></article>",
+    )
+    .expect("test XML parses");
+    let msd = service
+        .publish(&stored, "fig-1.pdf", &SimpleScheme)
+        .expect("publish on a healthy network");
+    let absent = Query::most_specific(&never);
+    assert_eq!(
+        service
+            .lookup_step(&msd)
+            .expect("healthy lookup")
+            .indexed
+            .len(),
+        1
+    );
+    assert!(service
+        .lookup_step(&absent)
+        .expect("healthy lookup")
+        .indexed
+        .is_empty());
+    // Warm: connections, frame buffers, the encode and query buffers.
+    for _ in 0..3 {
+        service
+            .publish(&stored, "fig-1.pdf", &SimpleScheme)
+            .expect("publish on a healthy network");
+        service
+            .unpublish(&never, "never.pdf", &SimpleScheme)
+            .expect("unpublish on a healthy network");
+    }
+    let (published, publish) =
+        allocs_during(|| service.publish(&stored, "fig-1.pdf", &SimpleScheme));
+    let published = published.expect("publish on a healthy network");
+    let (removed, unpublish) =
+        allocs_during(|| service.unpublish(&never, "never.pdf", &SimpleScheme));
+    let removed = removed.expect("unpublish on a healthy network");
+    // Both hand back the table's MSD, and neither freezes anything else.
+    assert!(std::ptr::eq(
+        published.canonical_text(),
+        msd.canonical_text()
+    ));
+    assert_eq!(removed, absent);
+    // 2 each: the write's one shared value buffer. The MSD is the table's
+    // and its six index queries are packed into the service's kept buffer.
+    // Exact: an index query frozen is +1, the MSD frozen +1.
+    assert_eq!(
+        publish, 2,
+        "a re-publish after an MSD lookup made {publish}"
+    );
+    assert_eq!(
+        unpublish, 2,
+        "an unpublish of a never-published article made {unpublish}"
     );
     cluster.shutdown();
 }

@@ -21,6 +21,14 @@
 //! module instead, which `Query::from_draft` sorts, stages into the same
 //! packed form and freezes: a constructed query allocates its one buffer
 //! and nothing else.
+//!
+//! That buffer describes itself, so a borrow of it is a whole query:
+//! [`QueryRef`] is that view, and every read method — the canonical text,
+//! the root, size, depth, the top branches, covering — is defined once,
+//! on it; [`Query`]'s forward. A query the caller will only hash and
+//! encode need not be frozen at all: [`Query::pack_with_known`] packs it
+//! into a [`PackedQueries`] buffer the caller keeps, and the view reads it
+//! there.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -485,7 +493,7 @@ impl PartialEq for NodeRef<'_> {
 impl Eq for NodeRef<'_> {}
 
 /// The renderer's output: a frozen query in the making.
-struct Frozen {
+pub(crate) struct Frozen {
     nodes: Vec<Node>,
     /// The canonical text, which [`freeze`](Self::freeze) extends into
     /// the whole buffer before the one copy into the query's `Arc`.
@@ -621,7 +629,7 @@ impl Frozen {
     /// What [`emit`](Self::emit) rendered: `known`'s query when it holds
     /// the canonical text, else [`freeze`](Self::freeze)d and handed to
     /// [`KnownQueries::add`].
-    fn known_or_freeze(&mut self, known: &mut (impl KnownQueries + ?Sized)) -> Query {
+    pub(crate) fn known_or_freeze(&mut self, known: &mut (impl KnownQueries + ?Sized)) -> Query {
         known.find(&self.canon).unwrap_or_else(|| {
             let query = self.freeze();
             known.add(&query);
@@ -629,11 +637,31 @@ impl Frozen {
         })
     }
 
-    /// Freezes what [`emit`](Self::emit) rendered into one buffer — the
+    /// What [`emit`](Self::emit) rendered: `known`'s query when it holds
+    /// the canonical text, else [`pack`](Self::pack)ed at the end of
+    /// `packed` — a copy into a buffer the caller keeps, not an `Arc`, and
+    /// not handed to [`KnownQueries::add`].
+    pub(crate) fn known_or_pack(
+        &mut self,
+        known: &mut (impl KnownQueries + ?Sized),
+        packed: &mut PackedQueries,
+    ) -> Built {
+        match known.find(&self.canon) {
+            Some(query) => Built::Frozen(query),
+            None => Built::Packed(packed.push(self.pack())),
+        }
+    }
+
+    /// Copies what [`emit`](Self::emit) rendered, [`pack`](Self::pack)ed,
+    /// into the query's `Arc`: one allocation, whatever the size.
+    pub(crate) fn freeze(&mut self) -> Query {
+        Query(Arc::from(self.pack()))
+    }
+
+    /// Finishes what [`emit`](Self::emit) rendered into one buffer — the
     /// canonical text, the raw tokens, the packed nodes and a trailer —
-    /// and copies it into the query's `Arc`: one allocation, whatever the
-    /// size.
-    fn freeze(&mut self) -> Query {
+    /// and returns it: a whole query, as [`QueryRef`] reads one.
+    fn pack(&mut self) -> &str {
         let canon_len = offset(self.canon.len());
         let text_len = offset(self.canon.len() + self.raw.len());
         let count = offset(self.nodes.len());
@@ -659,7 +687,7 @@ impl Frozen {
         self.canon.push_str(&self.raw);
         self.canon
             .push_str(std::str::from_utf8(table).expect("7-bit digits are ASCII"));
-        Query(Arc::from(self.canon.as_str()))
+        &self.canon
     }
 }
 
@@ -773,19 +801,17 @@ fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
 }
 
 /// Normalizes the draft rooted at node 0 and renders its canonical text
-/// exactly once: `known`'s query if it holds that text, else the draft
-/// frozen.
-fn freeze_draft(
+/// exactly once, into `out`.
+fn render_draft(
     draft: &mut Draft,
     order: &mut Vec<NodeId>,
     staged: &mut Vec<u8>,
     out: &mut Frozen,
-    known: &mut (impl KnownQueries + ?Sized),
-) -> Result<Query, TooDeep> {
+) -> Result<(), TooDeep> {
     order.clear();
     draft.normalize(0, MAX_DEPTH, order)?;
     out.render(stage(draft, staged), NO_SKIP);
-    Ok(out.known_or_freeze(known))
+    Ok(())
 }
 
 /// A normalized query over descriptors.
@@ -872,20 +898,21 @@ impl Query {
             let Scratch {
                 order, staged, out, ..
             } = scratch;
-            freeze_draft(draft, order, staged, out, &mut ())
+            render_draft(draft, order, staged, out)?;
+            Ok(out.freeze())
         })
     }
 
-    /// Lets `write` build a query in this thread's draft, then takes it
-    /// from `known` or freezes it: the parser's,
+    /// Lets `write` build a query in this thread's draft, renders it, and
+    /// hands the renderer to `finish`, which takes the query from a table
+    /// of known queries or freezes or packs it: the parser's,
     /// [`most_specific`](Query::most_specific)'s and
     /// [`build_with`](Query::build_with)'s path, which allocates nothing
-    /// but the query, and nothing at all for a query `known` holds. The
-    /// outer error is `write`'s own.
-    pub(crate) fn in_scratch<E>(
-        known: &mut (impl KnownQueries + ?Sized),
+    /// but what `finish` keeps. The outer error is `write`'s own.
+    pub(crate) fn in_scratch<E, T>(
         write: impl FnOnce(&mut Draft) -> Result<(), E>,
-    ) -> Result<Result<Query, TooDeep>, E> {
+        finish: impl FnOnce(&mut Frozen) -> T,
+    ) -> Result<Result<T, TooDeep>, E> {
         with_scratch(|scratch| {
             let Scratch {
                 draft,
@@ -895,47 +922,36 @@ impl Query {
             } = scratch;
             draft.clear();
             write(draft)?;
-            Ok(freeze_draft(draft, order, staged, out, known))
+            Ok(render_draft(draft, order, staged, out).map(|()| finish(out)))
         })
     }
 
-    /// The trailer's `k`th number: the canonical length (0) or the node
-    /// count (1).
+    /// The borrowed view of this query's buffer, which every read method
+    /// forwards to.
     #[inline(always)]
-    fn trailer(&self, k: usize) -> usize {
-        let bytes = self.0.as_bytes();
-        wide_value(load32(bytes, bytes.len() - TRAILER + k * WIDE)) as usize
-    }
-
-    /// The packed node table, which ends where the trailer starts.
-    #[inline(always)]
-    fn table(&self) -> Table<'_> {
-        let bytes = self.0.as_bytes();
-        Table {
-            bytes: &bytes[..bytes.len() - TRAILER],
-            record: record_len(usize::from(bytes[bytes.len() - 1])),
-        }
+    pub fn view(&self) -> QueryRef<'_> {
+        QueryRef(&self.0)
     }
 
     /// The root pattern node.
     #[inline]
     pub fn root(&self) -> NodeRef<'_> {
-        NodeRef::new(&self.0, self.table(), 0)
+        self.view().root()
     }
 
     /// The root element name this query requires.
     pub fn root_name(&self) -> &str {
-        self.root().name()
+        self.view().root_name()
     }
 
     /// Number of pattern nodes.
     pub fn size(&self) -> usize {
-        self.trailer(1)
+        self.view().size()
     }
 
     /// Pattern depth (`/article` has depth 1).
     pub fn depth(&self) -> usize {
-        self.root().depth()
+        self.view().depth()
     }
 
     /// The canonical text; equal to `self.to_string()` and suitable as the
@@ -944,12 +960,12 @@ impl Query {
     /// allocating.
     #[inline]
     pub fn canonical_text(&self) -> &str {
-        &self.0[..self.trailer(0)]
+        self.view().canonical_text()
     }
 
     /// The top-level branches (children of the root).
     pub fn top_branches(&self) -> impl Iterator<Item = NodeRef<'_>> {
-        self.root().children()
+        self.view().top_branches()
     }
 
     /// This query without the top-level branch rooted at node `branch`.
@@ -1008,6 +1024,193 @@ impl Query {
                 out.push(scratch.out.known_or_freeze(known));
             }
         });
+    }
+}
+
+/// A borrowed view of a packed query: the one buffer a [`Query`] keeps in
+/// its `Arc` — canonical text, raw tokens, node table and trailer — read
+/// wherever it lives, in a query ([`Query::view`]) or in a caller's
+/// [`PackedQueries`] ([`PackedQueries::get`]). The buffer describes
+/// itself, so the view is a complete query: every read method is defined
+/// here, once, and [`Query`]'s forward to it. It is `Copy`, one fat
+/// pointer, and [`to_query`](Self::to_query) is its one allocation.
+///
+/// Equality, hashing, ordering and `Display` read the canonical text, as
+/// [`Query`]'s do.
+#[derive(Clone, Copy)]
+pub struct QueryRef<'a>(&'a str);
+
+impl<'a> QueryRef<'a> {
+    /// The trailer's `k`th number: the canonical length (0) or the node
+    /// count (1).
+    #[inline(always)]
+    fn trailer(self, k: usize) -> usize {
+        let bytes = self.0.as_bytes();
+        wide_value(load32(bytes, bytes.len() - TRAILER + k * WIDE)) as usize
+    }
+
+    /// The packed node table, which ends where the trailer starts.
+    #[inline(always)]
+    fn table(self) -> Table<'a> {
+        let bytes = self.0.as_bytes();
+        Table {
+            bytes: &bytes[..bytes.len() - TRAILER],
+            record: record_len(usize::from(bytes[bytes.len() - 1])),
+        }
+    }
+
+    /// The root pattern node.
+    #[inline]
+    pub fn root(self) -> NodeRef<'a> {
+        NodeRef::new(self.0, self.table(), 0)
+    }
+
+    /// The root element name this query requires.
+    pub fn root_name(self) -> &'a str {
+        self.root().name()
+    }
+
+    /// Number of pattern nodes.
+    pub fn size(self) -> usize {
+        self.trailer(1)
+    }
+
+    /// Pattern depth (`/article` has depth 1).
+    pub fn depth(self) -> usize {
+        self.root().depth()
+    }
+
+    /// The canonical text: the hash input `h(q)`, a borrow of the buffer.
+    #[inline]
+    pub fn canonical_text(self) -> &'a str {
+        &self.0[..self.trailer(0)]
+    }
+
+    /// The top-level branches (children of the root).
+    pub fn top_branches(self) -> impl Iterator<Item = NodeRef<'a>> {
+        self.root().children()
+    }
+
+    /// The query this view reads, frozen: the buffer copied into an `Arc`,
+    /// one allocation.
+    pub fn to_query(self) -> Query {
+        Query(Arc::from(self.0))
+    }
+}
+
+impl fmt::Debug for QueryRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("QueryRef")
+            .field(&self.canonical_text())
+            .finish()
+    }
+}
+
+impl fmt::Display for QueryRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.canonical_text())
+    }
+}
+
+impl PartialEq for QueryRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.canonical_text() == other.canonical_text()
+    }
+}
+
+impl Eq for QueryRef<'_> {}
+
+impl Hash for QueryRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.canonical_text().hash(state);
+    }
+}
+
+impl PartialOrd for QueryRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueryRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.canonical_text().cmp(other.canonical_text())
+    }
+}
+
+/// Queries packed back to back into one buffer the caller keeps: where
+/// [`Query::pack_with_known`] puts a query its table lacks instead of
+/// freezing it into an `Arc` of its own. A query is read back through
+/// [`get`](Self::get) as a [`QueryRef`]. Cleared and refilled, a warm
+/// buffer packs without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct PackedQueries(String);
+
+/// Where one query sits in a [`PackedQueries`]: valid for the buffer that
+/// packed it, until that buffer is cleared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedSpan {
+    start: usize,
+    end: usize,
+}
+
+impl PackedQueries {
+    /// An empty buffer; allocates nothing until a query is packed.
+    pub const fn new() -> PackedQueries {
+        PackedQueries(String::new())
+    }
+
+    /// Appends one packed query and returns its span.
+    fn push(&mut self, packed: &str) -> PackedSpan {
+        let start = self.0.len();
+        self.0.push_str(packed);
+        PackedSpan {
+            start,
+            end: self.0.len(),
+        }
+    }
+
+    /// The query packed at `span`.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or read a query that was never packed, if `span` came
+    /// from another buffer or from before a [`clear`](Self::clear).
+    #[inline]
+    pub fn get(&self, span: PackedSpan) -> QueryRef<'_> {
+        QueryRef(&self.0[span.start..span.end])
+    }
+
+    /// Whether nothing is packed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Drops every packed query and keeps the room.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// A query a packing builder ([`Query::pack_with_known`]) made: the
+/// table's frozen copy, or a span of the caller's [`PackedQueries`].
+#[derive(Debug, Clone)]
+pub enum Built {
+    /// A frozen query: the copy the table of known queries held (or any
+    /// query the caller froze itself).
+    Frozen(Query),
+    /// A query the table lacked, packed into the caller's buffer.
+    Packed(PackedSpan),
+}
+
+impl Built {
+    /// The query, read through `packed` if it was packed there.
+    #[inline]
+    pub fn view<'a>(&'a self, packed: &'a PackedQueries) -> QueryRef<'a> {
+        match self {
+            Built::Frozen(query) => query.view(),
+            Built::Packed(span) => packed.get(*span),
+        }
     }
 }
 

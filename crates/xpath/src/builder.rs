@@ -29,13 +29,17 @@
 //! the canonical text and asks a [`KnownQueries`] table for it before
 //! freezing: a query the table holds is the table's (a refcount bump, no
 //! allocation). A client writes the queries it has read through its
-//! table that way.
+//! table that way. [`Query::pack_with_known`] goes one step further for
+//! a query the table lacks: it packs the query into a buffer the caller
+//! keeps ([`PackedQueries`]) instead of freezing it, so a writer that
+//! only hashes and encodes a query it will not keep builds it without
+//! allocating.
 
 use std::borrow::BorrowMut;
 
 use p2p_index_xmldoc::{Descriptor, Element};
 
-use crate::ast::{CmpOp, KnownQueries, Query, TooDeep, MAX_DEPTH};
+use crate::ast::{Built, CmpOp, KnownQueries, PackedQueries, Query, TooDeep, MAX_DEPTH};
 use crate::draft::{Draft, NodeId};
 
 /// A new builder's room: enough for the index queries a scheme makes
@@ -292,14 +296,44 @@ impl Query {
         known: &mut (impl KnownQueries + ?Sized),
         steps: impl FnOnce(&mut QuerySteps<'_>),
     ) -> Result<Query, TooDeep> {
-        Query::in_scratch(known, |draft| {
-            let mut built = QuerySteps(Steps::start(draft, root));
-            steps(&mut built);
-            if built.0.too_deep {
-                Err(TooDeep)
-            } else {
-                Ok(())
-            }
+        Query::in_scratch(write_steps(root, steps), |out| out.known_or_freeze(known))?
+    }
+
+    /// [`build_with_known`](Query::build_with_known), packing a query
+    /// `known` lacks at the end of `packed` instead of freezing it: the
+    /// table's copy when it holds the canonical text, else a span of the
+    /// caller's buffer, read back through [`Built::view`]. A packed query
+    /// is not handed to [`KnownQueries::add`]. Nothing allocates but
+    /// `packed`'s growth, so a warm buffer builds any query for free.
+    ///
+    /// # Errors
+    ///
+    /// [`TooDeep`] if a constraint nested deeper than [`MAX_DEPTH`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use p2p_index_xpath::{Built, PackedQueries, Query};
+    ///
+    /// let mut packed = PackedQueries::new();
+    /// let built = Query::pack_with_known("article", &mut (), &mut packed, |q| {
+    ///     q.value("conf", "INFOCOM").value("year", "1996");
+    /// })?;
+    /// assert!(matches!(built, Built::Packed(_)));
+    /// let view = built.view(&packed);
+    /// assert_eq!(view.canonical_text(), "/article[conf/INFOCOM][year/1996]");
+    /// let general: Query = "/article/conf/INFOCOM".parse()?;
+    /// assert!(general.view().covers(view) && !view.covers(general.view()));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn pack_with_known(
+        root: &str,
+        known: &mut (impl KnownQueries + ?Sized),
+        packed: &mut PackedQueries,
+        steps: impl FnOnce(&mut QuerySteps<'_>),
+    ) -> Result<Built, TooDeep> {
+        Query::in_scratch(write_steps(root, steps), |out| {
+            out.known_or_pack(known, packed)
         })?
     }
 
@@ -354,15 +388,34 @@ impl TryFrom<&Descriptor> for Query {
     }
 }
 
+/// What writes the query `root` and `steps` describe into this thread's
+/// draft: the builder's steps, with a constraint past [`MAX_DEPTH`] an
+/// error.
+fn write_steps<'a>(
+    root: &'a str,
+    steps: impl FnOnce(&mut QuerySteps<'_>) + 'a,
+) -> impl FnOnce(&mut Draft) -> Result<(), TooDeep> + 'a {
+    move |draft| {
+        let mut built = QuerySteps(Steps::start(draft, root));
+        steps(&mut built);
+        if built.0.too_deep {
+            Err(TooDeep)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The MSD of `descriptor`, written into this thread's draft and taken
 /// from `known` or frozen.
 fn msd_of(
     descriptor: &Descriptor,
     known: &mut (impl KnownQueries + ?Sized),
 ) -> Result<Query, TooDeep> {
-    Query::in_scratch(known, |draft| {
-        write_element(draft, descriptor.root(), None, MAX_DEPTH)
-    })?
+    Query::in_scratch(
+        |draft| write_element(draft, descriptor.root(), None, MAX_DEPTH),
+        |out| out.known_or_freeze(known),
+    )?
 }
 
 /// Writes `e` into `draft` under `parent`; `room` is how many levels, this

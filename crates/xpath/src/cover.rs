@@ -32,7 +32,7 @@
 
 use std::cmp::Ordering;
 
-use crate::ast::{CmpOp, Comparison, NodeRef, Query};
+use crate::ast::{CmpOp, Comparison, NodeRef, Query, QueryRef};
 
 impl Query {
     /// Does `self` cover `other` — i.e. does every descriptor matching
@@ -55,14 +55,22 @@ impl Query {
     /// assert!(!q3.covers(&q6));
     /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
     /// ```
+    #[inline]
     pub fn covers(&self, other: &Query) -> bool {
-        let (g, s) = (self.root(), other.root());
-        g.name_bytes() == s.name_bytes() && contained_below(&g, &s)
+        self.view().covers(other.view())
     }
 
     /// `self ⊒ other && self != other` (strict covering).
     pub fn covers_strictly(&self, other: &Query) -> bool {
         self != other && self.covers(other)
+    }
+}
+
+impl QueryRef<'_> {
+    /// [`Query::covers`], on two views: the one definition of covering.
+    pub fn covers(self, other: QueryRef<'_>) -> bool {
+        let (g, s) = (self.root(), other.root());
+        g.name_bytes() == s.name_bytes() && contained_below(&g, &s)
     }
 }
 

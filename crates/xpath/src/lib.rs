@@ -8,9 +8,11 @@
 //! the index schemes emit, `=`, `^=` and `*=`. This crate provides the
 //! full query toolchain:
 //!
-//! * [`ast`] — normalized tree patterns ([`Query`]), frozen into one node
-//!   array and one text buffer whose head, the canonical `Display` text, is
-//!   the hash input `h(q)`; [`NodeRef`] is the borrowed view of one node;
+//! * [`ast`] — normalized tree patterns ([`Query`]), frozen into one
+//!   buffer whose head, the canonical `Display` text, is the hash input
+//!   `h(q)`; [`QueryRef`] is the borrowed view of such a buffer, wherever
+//!   it lives (a query, or a caller's [`PackedQueries`]), and [`NodeRef`]
+//!   the borrowed view of one node;
 //! * [`parse`](mod@parse) — the surface-syntax parser ([`parse_query`]);
 //! * [`eval`] — matching queries against descriptors ([`Query::matches`]),
 //!   the semantics `covers` is tested against;
@@ -46,6 +48,9 @@ mod draft;
 pub mod eval;
 pub mod parse;
 
-pub use ast::{CmpOp, Comparison, KnownQueries, NodeRef, Query, TooDeep, MAX_DEPTH};
+pub use ast::{
+    Built, CmpOp, Comparison, KnownQueries, NodeRef, PackedQueries, PackedSpan, Query, QueryRef,
+    TooDeep, MAX_DEPTH,
+};
 pub use builder::{QueryBuilder, QuerySteps};
 pub use parse::{parse_query, ParseQueryError, QueryErrorKind};

@@ -313,7 +313,7 @@ impl<'a> QueryParser<'a> {
 /// # Ok::<(), p2p_index_xpath::ParseQueryError>(())
 /// ```
 pub fn parse_query(input: &str) -> Result<Query, ParseQueryError> {
-    let parsed = Query::in_scratch(&mut (), |draft| write_query(input, draft))?;
+    let parsed = Query::in_scratch(|draft| write_query(input, draft), |out| out.freeze())?;
     Ok(parsed.expect("the parser stops at MAX_DEPTH"))
 }
 

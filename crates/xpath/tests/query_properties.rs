@@ -5,7 +5,9 @@
 use std::collections::{HashSet, VecDeque};
 
 use p2p_index_testkit::{ascii, for_each_case, Rng, StdRng, PRINTABLE};
-use p2p_index_xpath::{parse_query, CmpOp, Query, QueryBuilder};
+use p2p_index_xpath::{
+    parse_query, Built, CmpOp, NodeRef, PackedQueries, Query, QueryBuilder, QuerySteps,
+};
 
 const FIELDS: [&str; 6] = [
     "author/first",
@@ -183,5 +185,69 @@ fn generalization_frontier_is_finite() {
     }
     for_each_case(|rng| {
         check_frontier_is_finite(&arb_query(rng));
+    });
+}
+
+/// A query packed into a kept buffer and read through its view answers
+/// what the frozen query does: text, size, depth, a walk from the root,
+/// and covering both ways against a second random query.
+#[test]
+fn a_packed_query_reads_as_its_frozen_query() {
+    let mut packed = PackedQueries::new();
+    for_each_case(|rng| {
+        // The steps `arb_query` takes, built both ways.
+        let values: Vec<(&str, String)> = (0..rng.gen_range(0..4usize))
+            .map(|_| (arb_field(rng), arb_value(rng)))
+            .collect();
+        let compares: Vec<(&str, CmpOp, String)> = (0..rng.gen_range(0..2usize))
+            .map(|_| {
+                (
+                    arb_field(rng),
+                    OPS[rng.gen_range(0..OPS.len())],
+                    arb_value(rng),
+                )
+            })
+            .collect();
+        let steps = |q: &mut QuerySteps<'_>| {
+            for (field, value) in &values {
+                q.value(field, value);
+            }
+            for (field, op, value) in &compares {
+                q.compare(field, *op, value);
+            }
+        };
+        let q = Query::build_with("article", steps).expect("three levels fit");
+        let other = arb_query(rng);
+        // Another query packed first, so the span does not start at 0.
+        packed.clear();
+        let before = Query::pack_with_known("article", &mut (), &mut packed, |q| {
+            q.value("title", other.canonical_text());
+        });
+        let built = Query::pack_with_known("article", &mut (), &mut packed, steps);
+        let (before, built) = (before.unwrap(), built.expect("three levels fit"));
+        assert!(matches!(built, Built::Packed(_)));
+        let view = built.view(&packed);
+        assert_eq!(view.canonical_text(), q.canonical_text());
+        assert_eq!(view.to_string(), q.to_string());
+        assert_eq!((view.size(), view.depth()), (q.size(), q.depth()));
+        let walk = |root: NodeRef<'_>| -> Vec<String> {
+            let mut seen = Vec::new();
+            let mut stack = vec![root];
+            while let Some(node) = stack.pop() {
+                seen.push(format!("{}{:?}", node.name(), node.comparison()));
+                stack.extend(node.children());
+            }
+            seen
+        };
+        assert_eq!(walk(view.root()), walk(q.root()));
+        assert!(view.top_branches().eq(q.top_branches()));
+        assert_eq!(view.covers(other.view()), q.covers(&other), "{q} ⊒ {other}");
+        assert_eq!(other.view().covers(view), other.covers(&q), "{other} ⊒ {q}");
+        assert_eq!(view.to_query(), q);
+        // Packing after it left the first query as it was.
+        assert!(before
+            .view(&packed)
+            .canonical_text()
+            .starts_with("/article/title/"));
     });
 }
