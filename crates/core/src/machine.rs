@@ -28,7 +28,7 @@ use crate::memo::ReadMemo;
 use crate::retry::RetryStats;
 use crate::scheme::{IndexScheme, WriteEdges};
 use crate::service::{FileHit, IndexError, SearchReport, StepResponse};
-use crate::target::{encode_file_into, encode_query_into, IndexTarget};
+use crate::target::{encode_file_into, encode_query_under, IndexTarget};
 use crate::traffic::Traffic;
 
 /// One op's result, as the substrate answers it.
@@ -180,7 +180,9 @@ impl State {
     ) -> Result<StepResponse, IndexError> {
         let (indexed, response) = match (&shortcut, got) {
             (Some(shortcut), _) => (Arc::default(), shortcut.encoded_len() as u64),
-            (None, got) => self.memo.read_entry(key, got.expect("a miss is read")?)?,
+            (None, got) => self
+                .memo
+                .read_entry((query, key), got.expect("a miss is read")?)?,
         };
         let request = query.canonical_text().len() as u64;
         self.traffic.record_exchange(request, response);
@@ -562,10 +564,8 @@ fn or_abandoned<T>(result: Result<T, IndexError>) -> Result<Option<T>, IndexErro
 /// value of a write is a span of it, and the write's ops get `Bytes`
 /// slices of one shared copy ([`share`](Self::share)), so a write's
 /// values cost one allocation pair however many there are. A value is
-/// encoded once however many ops carry it.
-///
-/// An in-process substrate keeps what it stores, so a stored value holds
-/// its wave's copy alive: a few hundred bytes, the values of one article.
+/// encoded once however many ops carry it. A store copies what it keeps
+/// into its own block, so the shared copy lives as long as the write.
 #[derive(Debug, Default)]
 pub(crate) struct WaveValues {
     /// The encodings, back to back.
@@ -585,17 +585,19 @@ impl WaveValues {
 
     /// Encodes the values of a write of `file` with `edges`, whose ends
     /// are read through `packed`: `spans[0]` is the file's handle and
-    /// `spans[1 + i]` edge `i`'s target. Edges sharing a target share its
-    /// span: schemes end several chains at the MSD and fan queries into
-    /// shared intermediate ones.
+    /// `spans[1 + i]` edge `i`'s target, stored under its `from` as a
+    /// splice against it where that is shorter (`encode_query_under`, the
+    /// one encoder of every query value a write stores or removes). A
+    /// repeated edge shares its first copy's span.
     fn encode_write(&mut self, file: &str, edges: &[(Built, Built)], packed: &PackedQueries) {
         let file_value = self.encode(|buf| encode_file_into(file, buf));
         self.spans.push(file_value);
-        for (i, (_, to)) in edges.iter().enumerate() {
-            let to = to.view(packed);
-            let span = match edges[..i].iter().position(|(_, t)| t.view(packed) == to) {
+        for (i, (from, to)) in edges.iter().enumerate() {
+            let (from, to) = (from.view(packed), to.view(packed));
+            let same = |(f, t): &(Built, Built)| f.view(packed) == from && t.view(packed) == to;
+            let span = match edges[..i].iter().position(same) {
                 Some(j) => self.spans[1 + j].clone(),
-                None => self.encode(|buf| encode_query_into(to, buf)),
+                None => self.encode(|buf| encode_query_under(from, to, buf)),
             };
             self.spans.push(span);
         }

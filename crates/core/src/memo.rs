@@ -29,7 +29,7 @@ use p2p_index_dht::{DhtError, DhtOp, DhtResponse, Key};
 use p2p_index_xpath::{KnownQueries, Query};
 
 use crate::service::IndexError;
-use crate::target::{DecodeTargetError, IndexTarget};
+use crate::target::{parse_text, query_text, DecodeTargetError, IndexTarget};
 
 /// Entries a generation of either memo table reaches before it ages: the
 /// smallest power of two at least twice the largest table a `p2p-bench`
@@ -193,18 +193,28 @@ pub(crate) struct ReadMemo {
     /// reply frame, and a table that lives as long as the client must not
     /// pin frames.
     entries: Generations<Key, Entry>,
+    /// Where a stored splice's text is rebuilt before the known queries
+    /// are probed with it: kept, so a warm decode writes no new buffer.
+    text: String,
 }
 
 impl Default for ReadMemo {
     fn default() -> Self {
-        ReadMemo {
-            queries: Generations::new(GENERATION),
-            entries: Generations::new(GENERATION),
-        }
+        ReadMemo::with_generation(GENERATION)
     }
 }
 
 impl ReadMemo {
+    /// A memo whose generations hold `limit` entries: [`GENERATION`]
+    /// outside the tests.
+    pub(crate) fn with_generation(limit: usize) -> Self {
+        ReadMemo {
+            queries: Generations::new(limit),
+            entries: Generations::new(limit),
+            text: String::new(),
+        }
+    }
+
     /// Starts a public call: each table whose young generation is full
     /// drops its old one and ages the young one. The service calls this
     /// first thing in every public method that touches the memo, and
@@ -270,17 +280,18 @@ impl ReadMemo {
         }
     }
 
-    /// The index entries a read of `key` answered, and the reply's price:
-    /// an unchanged answer is the memo's entry (a refcount bump), a
-    /// non-empty list is decoded into a new entry that replaces the old
-    /// one, and an empty list drops the key. This is the lookup hot path —
-    /// every reply comes through here exactly once.
+    /// The index entries a read of `query`'s key `key` answered, and the
+    /// reply's price: an unchanged answer is the memo's entry (a refcount
+    /// bump), a non-empty list is decoded — each splice against `query` —
+    /// into a new entry that replaces the old one, and an empty list drops
+    /// the key. This is the lookup hot path — every reply comes through
+    /// here exactly once.
     ///
     /// A digest that vouches for no entry the memo holds answers no read
     /// this client sent; it is a failed read ([`DhtError::Timeout`]).
     pub(crate) fn read_entry(
         &mut self,
-        key: Key,
+        (query, key): (&Query, Key),
         answer: DhtResponse,
     ) -> Result<(Arc<[IndexTarget]>, u64), IndexError> {
         match answer {
@@ -293,7 +304,7 @@ impl ReadMemo {
             DhtResponse::Values(values) if !values.is_empty() => {
                 let targets: Arc<[IndexTarget]> = values
                     .iter()
-                    .map(|value| self.decode(value))
+                    .map(|value| self.decode(query, value))
                     .collect::<Result<_, _>>()?;
                 let bytes = targets.iter().map(|t| t.encoded_len() as u64).sum();
                 let seen = DhtResponse::seen_of(&key, &values);
@@ -312,20 +323,23 @@ impl ReadMemo {
         }
     }
 
-    /// One stored value, decoded through the key table: a `Q:` value whose
-    /// text the table holds is the table's query, and any other is parsed
-    /// ([`IndexTarget::from_bytes`]), a parsed query joining the table with
-    /// no key yet. A text the table holds is a canonical text, and
-    /// `parse(canonical(q)) == q`, so the hit is what parsing would give; a
-    /// non-canonical text (a foreign writer's) just misses.
-    fn decode(&mut self, value: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
-        let text = value
-            .strip_prefix(b"Q:")
-            .and_then(|q| std::str::from_utf8(q).ok());
+    /// One value stored under `h(under)`, decoded through the key table:
+    /// its query's text — a `Q:` value's own, or a splice's rebuilt
+    /// against `under` into the kept buffer — probes the table, and a hit
+    /// is the table's query. Any other value is parsed, a parsed query
+    /// joining the table with no key yet. A text the table holds is a
+    /// canonical text, and `parse(canonical(q)) == q`, so the hit is what
+    /// parsing would give; a non-canonical text (a foreign writer's) just
+    /// misses.
+    fn decode(&mut self, under: &Query, value: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
+        let text = query_text(under.view(), value, &mut self.text)?;
         if let Some((Interned(query), _)) = text.and_then(|text| self.queries.get(text)) {
             return Ok(IndexTarget::Query(query.clone()));
         }
-        let target = IndexTarget::from_bytes(value)?;
+        let target = match text {
+            Some(text) => parse_text(text)?,
+            None => IndexTarget::from_bytes(value)?,
+        };
         if let IndexTarget::Query(query) = &target {
             self.queries.insert(Interned(query.clone()), None);
         }
@@ -364,13 +378,6 @@ impl KnownQueries for Consult<'_> {
 /// queries, sorted, and how many entries each table holds.
 #[cfg(test)]
 impl ReadMemo {
-    pub(crate) fn with_generation(limit: usize) -> Self {
-        ReadMemo {
-            queries: Generations::new(limit),
-            entries: Generations::new(limit),
-        }
-    }
-
     pub(crate) fn interned(&self) -> Vec<&Query> {
         let generations = [&self.queries.young, &self.queries.old];
         let mut queries: Vec<&Query> = generations
@@ -414,7 +421,7 @@ mod tests {
         let mut memo = ReadMemo::default();
         let key = Key::hash_of("entry");
         let answer = DhtResponse::Values(values.clone());
-        let (targets, bytes) = memo.read_entry(key, answer).unwrap();
+        let (targets, bytes) = memo.read_entry((&root(), key), answer).unwrap();
         assert_eq!(targets[..], [IndexTarget::File("x.pdf".into())]);
         assert_eq!(bytes, encoded.len() as u64);
         // An unchanged answer is the same, single entry: not a copy of it.
@@ -426,7 +433,7 @@ mod tests {
             }
         );
         let unchanged = DhtResponse::digest_of(&key, &values);
-        let (again, again_bytes) = memo.read_entry(key, unchanged).unwrap();
+        let (again, again_bytes) = memo.read_entry((&root(), key), unchanged).unwrap();
         assert!(Arc::ptr_eq(&targets, &again) && again_bytes == bytes);
         assert_eq!(memo.entry_count(), 1);
 
@@ -443,21 +450,27 @@ mod tests {
         // an empty answer drops the key.
         let changed = vec![Bytes::from_static(b"F:y.pdf")];
         let (now, _) = memo
-            .read_entry(key, DhtResponse::Values(changed.clone()))
+            .read_entry((&root(), key), DhtResponse::Values(changed.clone()))
             .unwrap();
         assert_eq!(now[..], [IndexTarget::File("y.pdf".into())]);
         let seen = DhtResponse::seen_of(&key, &changed);
         assert_eq!(memo.read_op(key), DhtOp::GetIfChanged { key, seen });
         let other = DhtResponse::digest_of(&key, &values);
         assert!(matches!(
-            memo.read_entry(key, other),
+            memo.read_entry((&root(), key), other),
             Err(IndexError::Dht(_))
         ));
         let (none, zero) = memo
-            .read_entry(key, DhtResponse::Values(Vec::new()))
+            .read_entry((&root(), key), DhtResponse::Values(Vec::new()))
             .unwrap();
         assert!(none.is_empty() && zero == 0 && memo.entry_count() == 0);
         assert_eq!(memo.read_op(key), DhtOp::Get(key));
+    }
+
+    /// The query of a test key whose values are full `Q:` or `F:` values,
+    /// which read the same under any query.
+    fn root() -> Query {
+        "/article".parse().unwrap()
     }
 
     fn corpus() -> Vec<Descriptor> {
@@ -478,9 +491,10 @@ mod tests {
     }
 
     /// Every entry `scheme` stores for the corpus, as the DHT holds it: the
-    /// values under each key, in the order they were written.
-    fn stored_entries(scheme: &dyn IndexScheme) -> Vec<(Key, Vec<Bytes>)> {
-        let mut entries: Vec<(Key, Vec<Bytes>)> = Vec::new();
+    /// query of each key and the values under it, in the order they were
+    /// written.
+    fn stored_entries(scheme: &dyn IndexScheme) -> Vec<(Query, Vec<Bytes>)> {
+        let mut entries: Vec<(Query, Vec<Bytes>)> = Vec::new();
         for (i, d) in corpus().iter().enumerate() {
             let msd = Query::most_specific(d);
             let file = IndexTarget::File(format!("file-{i}.pdf").into());
@@ -488,12 +502,11 @@ mod tests {
             let writes = std::iter::once((msd.clone(), file))
                 .chain(edges.into_iter().map(|(from, to)| (from, to.into())));
             for (from, to) in writes {
-                let key = Key::hash_of(from.canonical_text());
-                let value = to.to_bytes();
-                match entries.iter_mut().find(|(k, _)| *k == key) {
+                let value = to.to_bytes_under(&from);
+                match entries.iter_mut().find(|(q, _)| *q == from) {
                     Some((_, values)) if !values.contains(&value) => values.push(value),
                     Some(_) => {}
-                    None => entries.push((key, vec![value])),
+                    None => entries.push((from, vec![value])),
                 }
             }
         }
@@ -508,13 +521,14 @@ mod tests {
             let mut memo = ReadMemo::default();
             // Twice: the second pass decodes every query through the table.
             for _ in 0..2 {
-                for (key, values) in stored_entries(scheme) {
+                for (from, values) in stored_entries(scheme) {
+                    let key = Key::hash_of(from.canonical_text());
                     let (targets, _) = memo
-                        .read_entry(key, DhtResponse::Values(values.clone()))
+                        .read_entry((&from, key), DhtResponse::Values(values.clone()))
                         .unwrap();
                     let parsed: Vec<IndexTarget> = values
                         .iter()
-                        .map(|v| IndexTarget::from_bytes(v).unwrap())
+                        .map(|v| IndexTarget::from_bytes_under(&from, v).unwrap())
                         .collect();
                     assert_eq!(targets[..], parsed[..], "{}", scheme.name());
                     for query in targets.iter().filter_map(IndexTarget::as_query) {
@@ -534,7 +548,7 @@ mod tests {
         let key = Key::hash_of("conf");
         for _ in 0..2 {
             let (targets, bytes) = memo
-                .read_entry(key, DhtResponse::Values(vec![foreign.clone()]))
+                .read_entry((&root(), key), DhtResponse::Values(vec![foreign.clone()]))
                 .unwrap();
             assert_eq!(targets[..], [IndexTarget::Query(canonical.clone())]);
             assert_eq!(bytes, 2 + canonical.canonical_text().len() as u64);
@@ -547,7 +561,10 @@ mod tests {
         let (result, counts) = p2p_index_testkit::on_a_small_stack(|| {
             let mut memo = ReadMemo::default();
             let bomb = Bytes::from(format!("Q:{}", "/a".repeat(20_000)));
-            let result = memo.read_entry(Key::hash_of("bomb"), DhtResponse::Values(vec![bomb]));
+            let result = memo.read_entry(
+                (&root(), Key::hash_of("bomb")),
+                DhtResponse::Values(vec![bomb]),
+            );
             (result, (memo.query_count(), memo.entry_count()))
         });
         match result {
@@ -575,9 +592,10 @@ mod tests {
         let decoded: Vec<Arc<[IndexTarget]>> = parents
             .iter()
             .map(|parent| {
-                let value = IndexTarget::Query(msd.clone()).to_bytes();
+                let value = IndexTarget::Query(msd.clone()).to_bytes_under(parent);
+                assert_eq!(value[0], b'S', "stored as a splice against {parent}");
                 let key = Key::hash_of(parent.canonical_text());
-                memo.read_entry(key, DhtResponse::Values(vec![value]))
+                memo.read_entry((parent, key), DhtResponse::Values(vec![value]))
                     .unwrap()
                     .0
             })
@@ -600,13 +618,13 @@ mod tests {
         let value = |i: usize| vec![Bytes::from(format!("F:{i}.pdf"))];
         for (i, key) in keys.iter().enumerate() {
             memo.rotate();
-            memo.read_entry(*key, DhtResponse::Values(value(i)))
+            memo.read_entry((&root(), *key), DhtResponse::Values(value(i)))
                 .unwrap();
         }
         // k0 and k1 filled a generation; k2 started the next one.
         assert_eq!((memo.entries.old.len(), memo.entries.young.len()), (2, 1));
         let unchanged = DhtResponse::digest_of(&keys[0], &value(0));
-        let (targets, _) = memo.read_entry(keys[0], unchanged).unwrap();
+        let (targets, _) = memo.read_entry((&root(), keys[0]), unchanged).unwrap();
         assert_eq!(targets[..], [IndexTarget::File("0.pdf".into())]);
         assert_eq!((memo.entries.old.len(), memo.entries.young.len()), (1, 2));
         // The young generation is full: the next call drops k1.
@@ -667,7 +685,7 @@ mod tests {
                     1 => {
                         let value = IndexTarget::Query(g.clone()).to_bytes();
                         let key = Key::hash_of(&format!("entry-{i}"));
-                        memo.read_entry(key, DhtResponse::Values(vec![value]))
+                        memo.read_entry((&root(), key), DhtResponse::Values(vec![value]))
                             .unwrap();
                     }
                     _ => {}
@@ -722,7 +740,7 @@ mod tests {
         let child = IndexTarget::Query("/article/conf/INFOCOM".parse().unwrap());
         let (targets, _) = memo
             .read_entry(
-                Key::hash_of("e"),
+                (&root(), Key::hash_of("e")),
                 DhtResponse::Values(vec![child.to_bytes()]),
             )
             .unwrap();
@@ -748,7 +766,7 @@ mod tests {
             let year = 1990 + i % 20;
             let child = format!("Q:/article[author/last/A{i}][title/T{i}][year/{year}]");
             let (targets, _) = memo
-                .read_entry(key, DhtResponse::Values(vec![Bytes::from(child)]))
+                .read_entry((&query, key), DhtResponse::Values(vec![Bytes::from(child)]))
                 .unwrap();
             generalizations.clear();
             memo.generalizations_into(targets[0].as_query().unwrap(), &mut generalizations);

@@ -45,7 +45,7 @@ use crate::cache::CachePolicy;
 use crate::machine::{covering, Lookup, Machine, Reply, Search, State, Step, Unary, Write};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::scheme::IndexScheme;
-use crate::target::{DecodeTargetError, IndexTarget};
+use crate::target::{encode_query_under, DecodeTargetError, IndexTarget};
 use crate::traffic::Traffic;
 
 /// Errors returned by index operations.
@@ -422,7 +422,7 @@ impl<D: Dht> IndexService<D> {
     /// [`IndexError::NotCovering`] unless `from ⊒ to`.
     pub fn insert_mapping(&mut self, from: Query, to: Query) -> Result<(), IndexError> {
         covering(from.view(), to.view())?;
-        IndexTarget::Query(to).encode_into(&mut self.state.values.buf);
+        encode_query_under(from.view(), to.view(), &mut self.state.values.buf);
         let put = DhtOp::Put {
             key: Self::key_of(&from),
             value: self.state.values.share(),

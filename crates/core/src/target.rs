@@ -5,13 +5,28 @@
 //! at the end of an index path, under the key of a most-specific query —
 //! a handle to the file itself. [`IndexTarget`] is that value, with a
 //! compact wire encoding used for DHT storage and for traffic accounting.
+//!
+//! A query target is stored under `h(from)` as a splice against `from`
+//! ([`p2p_index_xpath::splice`]): tag `S`, then the branches it adds to
+//! `from`, led by its canonical length. Whoever reads `h(from)` holds
+//! `from`, so it rebuilds the text from `from`'s nodes without parsing
+//! either ([`IndexTarget::from_bytes_under`]). A target that is not `from` plus
+//! branches, or whose splice would be no shorter, is stored in the full
+//! `Q:` form, which reads without `from`. The traffic model prices every
+//! query target at its full form, [`IndexTarget::encoded_len`], however
+//! it is stored.
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use p2p_index_xpath::splice::{self, SpliceError};
 use p2p_index_xpath::{parse_query, Query, QueryRef};
+
+/// The tag of a query target stored as a splice against the query it is
+/// stored under.
+const SPLICE: u8 = b'S';
 
 /// One entry of a distributed index: the "right-hand side" of a mapping
 /// `(q ; target)`.
@@ -35,8 +50,8 @@ impl IndexTarget {
 
     /// Appends the wire encoding to `buf` without intermediate
     /// allocations: the query branch copies the memoized canonical text.
-    /// The publish wave reuses one scratch buffer across all entries
-    /// through this.
+    /// A write stores a query target under its key's query instead
+    /// ([`to_bytes_under`](Self::to_bytes_under)).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             IndexTarget::Query(q) => encode_query_into(q.view(), buf),
@@ -44,20 +59,65 @@ impl IndexTarget {
         }
     }
 
-    /// Decodes a wire entry.
+    /// The value stored for this target under `h(from)`: a query target
+    /// as a splice against `from` when that is shorter than its full form,
+    /// anything else as [`to_bytes`](Self::to_bytes) encodes it. What
+    /// publish, [`insert_mapping`](crate::IndexService::insert_mapping)
+    /// and the unpublish cascade write.
+    pub fn to_bytes_under(&self, from: &Query) -> Bytes {
+        match self {
+            IndexTarget::Query(q) => {
+                let mut buf = Vec::new();
+                encode_query_under(from.view(), q.view(), &mut buf);
+                Bytes::from(buf)
+            }
+            IndexTarget::File(_) => self.to_bytes(),
+        }
+    }
+
+    /// Decodes a wire entry in full form.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeTargetError`] if the prefix is unknown, the payload
-    /// is not UTF-8, or an embedded query does not parse.
+    /// is not UTF-8, or an embedded query does not parse; a splice, which
+    /// reads only against the query it is stored under
+    /// ([`from_bytes_under`](Self::from_bytes_under)), is
+    /// [`DecodeTargetError::Spliced`].
     pub fn from_bytes(bytes: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
+        if bytes.first() == Some(&SPLICE) {
+            return Err(DecodeTargetError::Spliced);
+        }
         let text = std::str::from_utf8(bytes).map_err(|_| DecodeTargetError::NotUtf8)?;
         match text.split_at_checked(2) {
-            Some(("Q:", q)) => parse_query(q)
-                .map(IndexTarget::Query)
-                .map_err(|e| DecodeTargetError::BadQuery(e.to_string())),
+            Some(("Q:", q)) => parse_text(q),
             Some(("F:", f)) => Ok(IndexTarget::File(f.into())),
             _ => Err(DecodeTargetError::UnknownPrefix),
+        }
+    }
+
+    /// Decodes a value stored under `h(from)`, in either form.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_bytes`](Self::from_bytes), and
+    /// [`DecodeTargetError::BadSplice`] for a splice `from` cannot read.
+    pub fn from_bytes_under(from: &Query, bytes: &[u8]) -> Result<IndexTarget, DecodeTargetError> {
+        let mut text = String::new();
+        match query_text(from.view(), bytes, &mut text)? {
+            Some(text) => parse_text(text),
+            None => IndexTarget::from_bytes(bytes),
+        }
+    }
+
+    /// The full form's length of a stored query value, in either form —
+    /// what [`encoded_len`](Self::encoded_len) of its target measures —
+    /// read without decoding it or knowing its key's query; `None` for
+    /// any other value.
+    pub fn query_len_of(value: &[u8]) -> Option<usize> {
+        match value.split_first() {
+            Some((&SPLICE, splice)) => splice::canonical_len(splice).map(|len| 2 + len),
+            _ => value.starts_with(b"Q:").then_some(value.len()),
         }
     }
 
@@ -105,6 +165,48 @@ pub(crate) fn encode_query_into(query: QueryRef<'_>, buf: &mut Vec<u8>) {
     buf.extend_from_slice(query.canonical_text().as_bytes());
 }
 
+/// Appends the value of query target `to` stored under `h(from)`: the
+/// splice when it is shorter than the full form, else the full form. Both
+/// are a pure function of the pair, so a remove rebuilds what its put
+/// stored.
+pub(crate) fn encode_query_under(from: QueryRef<'_>, to: QueryRef<'_>, buf: &mut Vec<u8>) {
+    let start = buf.len();
+    buf.push(SPLICE);
+    if splice::encode(from, to, buf) && buf.len() - start < 2 + to.canonical_text().len() {
+        return;
+    }
+    buf.truncate(start);
+    encode_query_into(to, buf);
+}
+
+/// The canonical text a stored value names, if it names a query: a full
+/// `Q:` value's own text (`None` if it is not UTF-8, which
+/// [`IndexTarget::from_bytes`] then reports), or a splice's text rebuilt
+/// against `from` into `buf` — the read path's one buffer, kept.
+pub(crate) fn query_text<'b>(
+    from: QueryRef<'_>,
+    value: &'b [u8],
+    buf: &'b mut String,
+) -> Result<Option<&'b str>, DecodeTargetError> {
+    match value.split_first() {
+        Some((&SPLICE, splice)) => {
+            buf.clear();
+            splice::decode(from, splice, buf).map_err(DecodeTargetError::BadSplice)?;
+            Ok(Some(buf))
+        }
+        _ => Ok(value
+            .strip_prefix(b"Q:")
+            .and_then(|q| std::str::from_utf8(q).ok())),
+    }
+}
+
+/// A query target's text, parsed.
+pub(crate) fn parse_text(text: &str) -> Result<IndexTarget, DecodeTargetError> {
+    parse_query(text)
+        .map(IndexTarget::Query)
+        .map_err(|e| DecodeTargetError::BadQuery(e.to_string()))
+}
+
 impl From<Query> for IndexTarget {
     fn from(q: Query) -> Self {
         IndexTarget::Query(q)
@@ -118,8 +220,13 @@ pub enum DecodeTargetError {
     NotUtf8,
     /// The two-byte type prefix was not `Q:` or `F:`.
     UnknownPrefix,
-    /// A `Q:` payload failed to parse as a query.
+    /// A `Q:` payload, or a splice's rebuilt text, failed to parse as a
+    /// query.
     BadQuery(String),
+    /// A splice, read without the query it is stored under.
+    Spliced,
+    /// A splice the query it is stored under cannot read.
+    BadSplice(SpliceError),
 }
 
 impl fmt::Display for DecodeTargetError {
@@ -128,6 +235,10 @@ impl fmt::Display for DecodeTargetError {
             DecodeTargetError::NotUtf8 => write!(f, "index entry is not valid UTF-8"),
             DecodeTargetError::UnknownPrefix => write!(f, "index entry has unknown type prefix"),
             DecodeTargetError::BadQuery(e) => write!(f, "index entry holds malformed query: {e}"),
+            DecodeTargetError::Spliced => {
+                write!(f, "index entry is a splice, read without its key's query")
+            }
+            DecodeTargetError::BadSplice(e) => write!(f, "index entry holds a {e}"),
         }
     }
 }
@@ -241,5 +352,56 @@ mod tests {
         let deepest: Query = "/a".repeat(p2p_index_xpath::MAX_DEPTH).parse().unwrap();
         let target = IndexTarget::Query(deepest);
         assert_eq!(IndexTarget::from_bytes(&target.to_bytes()), Ok(target));
+    }
+
+    #[test]
+    fn a_splice_holding_a_depth_bomb_is_a_decode_error() {
+        // A splice's fragment is text a peer chose, and its rebuilt text
+        // is parsed like a full value's: a deep one is refused typed.
+        let from: Query = "/a".parse().unwrap();
+        let fragment = "/b".repeat(20_000);
+        let fragment = &fragment[1..];
+        let mut value = vec![SPLICE];
+        for n in [2 + 1 + fragment.len(), 0, 0, fragment.len()] {
+            let mut n = n;
+            while n >= 0x80 {
+                value.push(n as u8 | 0x80);
+                n >>= 7;
+            }
+            value.push(n as u8);
+        }
+        value.extend_from_slice(fragment.as_bytes());
+        let decoded = p2p_index_testkit::on_a_small_stack(move || {
+            IndexTarget::from_bytes_under(&from, &value)
+        });
+        match decoded {
+            Err(DecodeTargetError::BadQuery(why)) => assert!(why.contains("deeper than"), "{why}"),
+            other => panic!("expected BadQuery, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stored_query_value_measures_its_full_form_in_either_form() {
+        let from: Query = "/article/conf/INFOCOM".parse().unwrap();
+        let to: Query = "/article[conf/INFOCOM][year/1996]".parse().unwrap();
+        let target = IndexTarget::Query(to);
+        let spliced = target.to_bytes_under(&from);
+        assert_eq!(spliced[0], SPLICE);
+        assert!(spliced.len() < target.encoded_len());
+        for value in [spliced, target.to_bytes()] {
+            assert_eq!(
+                IndexTarget::query_len_of(&value),
+                Some(target.encoded_len())
+            );
+            assert_eq!(
+                IndexTarget::from_bytes_under(&from, &value).as_ref(),
+                Ok(&target)
+            );
+        }
+        assert_eq!(IndexTarget::query_len_of(b"F:x.pdf"), None);
+        assert_eq!(
+            IndexTarget::from_bytes(&target.to_bytes_under(&from)),
+            Err(DecodeTargetError::Spliced)
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! messages. Stores are seeded with the dangling edges an interrupted
 //! unpublish leaves behind, so "the same store" includes those.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 use p2p_index_core::{
@@ -104,7 +104,7 @@ fn naive_unpublish(
     let msd = Query::most_specific(descriptor);
     dht.execute(DhtOp::Remove {
         key: key_of(&msd),
-        value: IndexTarget::File(file.into()).to_bytes(),
+        value: IndexTarget::File(file.into()).to_bytes_under(&msd),
     })?;
     let edges = scheme.index_edges(descriptor, &msd);
     loop {
@@ -115,7 +115,7 @@ fn naive_unpublish(
                 .into_values()
                 .is_empty()
             {
-                let value = IndexTarget::Query(to.clone()).to_bytes();
+                let value = IndexTarget::Query(to.clone()).to_bytes_under(from);
                 let removed = dht.execute(DhtOp::Remove {
                     key: key_of(from),
                     value,
@@ -206,8 +206,18 @@ fn seeded_store(
     dht
 }
 
-/// The keys some stored `Q:` value names that hold nothing.
-fn dangling(dht: &Cutoff) -> Vec<Key> {
+/// The keys some stored query value names that hold nothing. A value is
+/// decoded against its key's query, which is the `from` of some edge
+/// `scheme` emits for `articles`.
+fn dangling(dht: &Cutoff, articles: &[(Descriptor, String)], scheme: &dyn IndexScheme) -> Vec<Key> {
+    let froms: HashMap<Key, Query> = articles
+        .iter()
+        .flat_map(|(descriptor, _)| {
+            let msd = Query::most_specific(descriptor);
+            let edges = scheme.index_edges(descriptor, &msd);
+            edges.into_iter().map(|(from, _)| (key_of(&from), from))
+        })
+        .collect();
     let entries = dht.ring.entries();
     let held: HashSet<Key> = entries
         .iter()
@@ -216,9 +226,13 @@ fn dangling(dht: &Cutoff) -> Vec<Key> {
         .collect();
     entries
         .iter()
-        .flat_map(|(_, values)| values)
-        .filter_map(|value| value.strip_prefix(b"Q:"))
-        .map(|text| Key::hash_of(std::str::from_utf8(text).expect("UTF-8 query text")))
+        .flat_map(|(key, values)| values.iter().map(move |value| (key, value)))
+        .filter(|(_, value)| !value.starts_with(b"F:"))
+        .map(|(key, value)| {
+            let from = &froms[key];
+            IndexTarget::from_bytes_under(from, value).expect("a stored query value decodes")
+        })
+        .map(|to| key_of(to.as_query().expect("a query target")))
         .filter(|key| !held.contains(key))
         .collect()
 }
@@ -261,7 +275,10 @@ fn rerunning_an_interrupted_unpublish_leaves_no_dangling_edge() {
         let articles = corpus(rng);
         for scheme in schemes() {
             let seeded = seeded_store(rng, &articles, scheme, 0);
-            assert!(dangling(&seeded).is_empty(), "a fresh store dangles");
+            assert!(
+                dangling(&seeded, &articles, scheme).is_empty(),
+                "a fresh store dangles"
+            );
             let mut reference = seeded.clone();
             let mut service = IndexService::new(seeded, CachePolicy::None);
             let (descriptor, file) = &articles[rng.gen_range(0..articles.len())];
@@ -270,7 +287,7 @@ fn rerunning_an_interrupted_unpublish_leaves_no_dangling_edge() {
             service.dht_mut().budget = usize::MAX;
             service.unpublish(descriptor, file, scheme).unwrap();
             assert!(
-                dangling(service.dht()).is_empty(),
+                dangling(service.dht(), &articles, scheme).is_empty(),
                 "{}: {file} (first run: {cut:?})",
                 scheme.name()
             );
@@ -296,7 +313,7 @@ fn a_self_loop_survives_its_own_unpublish_in_both() {
             let contents = service.dht().contents();
             assert_eq!(contents, reference.contents());
             // The MSD still names itself: its key is never empty.
-            let self_entry = IndexTarget::Query(msd.clone()).to_bytes();
+            let self_entry = IndexTarget::Query(msd.clone()).to_bytes_under(&msd);
             assert_eq!(contents, [(key_of(&msd), vec![self_entry])]);
         }
     });

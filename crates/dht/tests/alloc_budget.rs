@@ -72,6 +72,12 @@ fn a_duplicate_put_and_a_resent_tombstone_allocate_nothing() {
 /// a 56-byte map slot: this test's figure on that store.
 const UNPACKED_BYTES_PER_PAIR: f64 = 259.5;
 
+/// Bytes a member holds per stored pair of the corpus now that each
+/// key's values are one packed block and each query target is a splice
+/// against its key's query: this test's figure (151.8 while every query
+/// target was stored in full).
+const PACKED_BYTES_PER_PAIR: f64 = 110.2;
+
 /// Every `(key, value)` pair publishing the 5 000-article corpus stores —
 /// the benchmark's cluster corpus under the simple scheme.
 fn corpus_pairs() -> Vec<(Key, Vec<Bytes>)> {
@@ -114,7 +120,8 @@ fn a_member_holds_the_corpus_in_packed_blocks() {
         payload as f64 / pairs as f64
     );
     assert!(
-        per_pair <= 0.6 * UNPACKED_BYTES_PER_PAIR,
-        "a member holds {per_pair:.1} B per pair, not 40 % under {UNPACKED_BYTES_PER_PAIR}"
+        per_pair <= 1.01 * PACKED_BYTES_PER_PAIR,
+        "a member holds {per_pair:.1} B per pair, over 1 % above {PACKED_BYTES_PER_PAIR} \
+         ({UNPACKED_BYTES_PER_PAIR} before values were packed)"
     );
 }

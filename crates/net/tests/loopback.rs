@@ -270,18 +270,25 @@ fn per_node_walk(client: &mut RemoteDht, entry: &Query) {
     let values = |result: Result<DhtResponse, DhtError>| result.expect("healthy").into_values();
     let mut visited = HashSet::from([entry.clone()]);
     client.execute(DhtOp::NodeFor(key(entry))).expect("healthy");
-    let mut queue = VecDeque::from([values(client.execute(DhtOp::Get(key(entry))))]);
-    while let Some(node) = queue.pop_front() {
-        let wave: Vec<DhtOp> = node
+    let first = values(client.execute(DhtOp::Get(key(entry))));
+    let mut queue = VecDeque::from([(entry.clone(), first)]);
+    while let Some((node, stored)) = queue.pop_front() {
+        let children: Vec<Query> = stored
             .iter()
-            .map(|value| IndexTarget::from_bytes(value).expect("stored entries decode"))
+            .map(|value| {
+                IndexTarget::from_bytes_under(&node, value).expect("stored entries decode")
+            })
             .filter_map(|target| target.as_query().cloned())
             .filter(|child| visited.insert(child.clone()))
-            .flat_map(|child| [DhtOp::NodeFor(key(&child)), DhtOp::Get(key(&child))])
+            .collect();
+        let wave: Vec<DhtOp> = children
+            .iter()
+            .flat_map(|child| [DhtOp::NodeFor(key(child)), DhtOp::Get(key(child))])
             .collect();
         if !wave.is_empty() {
             let replies = client.execute_many(wave);
-            queue.extend(replies.into_iter().skip(1).step_by(2).map(values));
+            let read = replies.into_iter().skip(1).step_by(2).map(values);
+            queue.extend(children.into_iter().zip(read));
         }
     }
 }

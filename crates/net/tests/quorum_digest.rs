@@ -685,7 +685,7 @@ fn an_unpublish_keeps_an_edge_whose_target_only_the_second_replica_still_holds()
     // second replica still leads to B.
     let conf_year = BiblioFields::of(&b).query(CONF_YEAR, None).unwrap();
     let key = IndexService::<RemoteDht>::key_of(&conf_year);
-    let entry = IndexTarget::Query(msd_b).to_bytes();
+    let entry = IndexTarget::Query(msd_b).to_bytes_under(&conf_year);
     let primary = cluster.ranks(&key)[0];
     assert!(cluster.solo(primary).remove(&key, &entry));
 

@@ -166,7 +166,8 @@ pub struct Metrics {
     /// Fraction of node caches that stayed completely empty.
     pub cache_empty_fraction: f64,
     /// Total bytes of query-to-query index entries stored in the DHT
-    /// (values only; §V-B).
+    /// (values only; §V-B), each at its full `Q:` form's length: what the
+    /// paper's uncompressed entries measure, not the splices a node holds.
     pub index_entry_bytes: u64,
     /// Total number of stored index values (query-to-query mappings).
     pub index_entry_count: u64,
@@ -471,15 +472,16 @@ impl Simulation {
         let (cache_full_fraction, cache_empty_fraction) = self.service.cache_fill_fractions();
 
         // Index entry footprint: every stored value that is a query-to-query
-        // mapping (wire prefix "Q:").
+        // mapping, at its full form's length (the paper's unit), whether it
+        // is stored in full or as a splice.
         let mut index_entry_bytes = 0u64;
         let mut index_entry_count = 0u64;
         for node in &nodes {
             if let Some(store) = dht.store_of(node) {
                 for (_key, values) in store.iter() {
                     for v in values.iter() {
-                        if v.starts_with(b"Q:") {
-                            index_entry_bytes += v.len() as u64;
+                        if let Some(len) = IndexTarget::query_len_of(v) {
+                            index_entry_bytes += len as u64;
                             index_entry_count += 1;
                         }
                     }

@@ -122,7 +122,7 @@ pub struct Comparison<'a> {
 /// A token is written bare only if the parser reads it back as one bare
 /// name; anything else (spaces, slashes, brackets, quotes, operators) is
 /// quoted.
-fn needs_quoting(token: &str) -> bool {
+pub(crate) fn needs_quoting(token: &str) -> bool {
     token.is_empty() || !token.chars().all(is_bare_char)
 }
 
@@ -409,6 +409,47 @@ impl<'a> NodeRef<'a> {
             next: self.index + 1,
             end: self.end,
         }
+    }
+
+    /// The node's pre-order index in its query.
+    #[inline(always)]
+    pub(crate) fn index(&self) -> u32 {
+        self.index
+    }
+
+    /// The buffer the node's spans are of: the query's, which starts with
+    /// its canonical text.
+    #[inline(always)]
+    pub(crate) fn buffer(&self) -> &'a str {
+        self.text
+    }
+
+    /// Where the name and the comparison's value, if any, sit in
+    /// [`buffer`](Self::buffer): in the canonical text, or in the raw
+    /// copy after it for a token the text escapes.
+    #[inline]
+    pub(crate) fn spans(&self) -> ((u32, u32), Option<(u32, u32)>) {
+        let value = self.op.map(|_| self.table.value(self.index));
+        ((self.name, self.name_len), value)
+    }
+
+    /// The node `offset` places after this one in pre-order: a node of
+    /// its subtree while `offset` is below the subtree's size.
+    #[inline(always)]
+    pub(crate) fn after(&self, offset: u32) -> NodeRef<'a> {
+        NodeRef::new(self.text, self.table, self.index + offset)
+    }
+
+    /// One past the pre-order index of the last node of its subtree.
+    #[inline(always)]
+    pub(crate) fn end(&self) -> u32 {
+        self.end
+    }
+
+    /// The comparison's operator, without reading its value.
+    #[inline(always)]
+    pub(crate) fn op(&self) -> Option<CmpOp> {
+        self.op
     }
 
     /// True when the node constrains nothing below itself: a pure

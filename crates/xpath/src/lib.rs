@@ -19,7 +19,9 @@
 //! * [`cover`] — the covering relation `⊒` ([`Query::covers`]), the partial
 //!   order that index paths traverse, exact on this language;
 //! * [`builder`] — programmatic construction ([`QueryBuilder`]) and MSD
-//!   derivation ([`Query::most_specific`]).
+//!   derivation ([`Query::most_specific`]);
+//! * [`splice`] — a query written against a query that covers it: only
+//!   the branches it adds, as an index entry stores it under `h(q)`.
 //!
 //! # Quick start
 //!
@@ -47,6 +49,7 @@ pub mod cover;
 mod draft;
 pub mod eval;
 pub mod parse;
+pub mod splice;
 
 pub use ast::{
     Built, CmpOp, Comparison, KnownQueries, NodeRef, PackedQueries, PackedSpan, Query, QueryRef,
